@@ -1,12 +1,11 @@
 //! # ggpdes-cons-rt — the conservative null-message runtime
 //!
-//! A fourth runtime implementing Chandy–Misra–Bryant synchronization on the
-//! same chassis as the optimistic runtimes: `pdes_core::ThreadEngine` for
-//! event execution (its conservative entry point processes strictly below a
-//! bound and never rolls back), `thread_rt::RtShared` for queues, rounds,
-//! parking, checkpoints and telemetry, and [`plane::ConsPlane`] — new here —
-//! for the channel clocks that replace explicit null messages on shared
-//! memory.
+//! Chandy–Misra–Bryant synchronization as a policy on the real-thread
+//! runtime: `thread_rt` owns the worker loop, the rounds, parking,
+//! checkpoints, telemetry and the attempt runner; this crate supplies
+//! [`policy::Conservative`] — the `thread_rt::Protocol` that processes
+//! strictly below a bound and never rolls back — and [`plane::ConsPlane`],
+//! the channel clocks that replace explicit null messages on shared memory.
 //!
 //! The protocol in one paragraph: every model declares a strictly positive
 //! **lookahead** (`Model::lookahead`) — a floor on the delay between
@@ -19,15 +18,14 @@
 //! checkpoint cuts, but the published value bounds the future instead of
 //! ratifying the past. Positive lookahead guarantees every round strictly
 //! advances the bound, so the protocol cannot deadlock; zero lookahead is
-//! refused up front with [`runner::ConsError::ZeroLookahead`], and the
+//! refused up front with [`ConsError::ZeroLookahead`], and the
 //! liveness watchdog backstops models that break their declared contract.
 //!
 //! See DESIGN.md §15 for the safety argument and the deviations from
 //! textbook CMB.
 
 pub mod plane;
-pub mod runner;
-pub mod worker;
+pub mod policy;
 
 pub use plane::ConsPlane;
-pub use runner::{run_cons, ConsError, ConsResult, ConsRunConfig};
+pub use policy::{run_cons, ConsError, ConsResult, ConsRunConfig, Conservative};

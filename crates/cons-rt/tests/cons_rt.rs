@@ -1,13 +1,13 @@
 //! End-to-end invariants of the conservative runtime: the zero-lookahead
-//! refusal, LBTS-cut checkpoints, protocol-tagged metrics, and equivalence
-//! under the dynamic affinity policy.
+//! refusal, LBTS-cut checkpoints and resuming from one, protocol-tagged
+//! metrics, and equivalence under the dynamic affinity policy.
 
 use std::sync::Arc;
 use std::time::Duration;
 
-use cons_rt::{run_cons, ConsError, ConsRunConfig};
+use cons_rt::{run_cons, ConsError, ConsRunConfig, Conservative};
 use models::{LocalityPattern, Phold, PholdConfig};
-use pdes_core::{run_sequential, Checkpoint, EngineConfig, LpId, Model, SendCtx};
+use pdes_core::{run_sequential, Checkpoint, EngineConfig, FaultPlan, LpId, Model, SendCtx};
 use sim_rt::{AffinityPolicy, GvtMode, Scheduler, SystemConfig};
 
 fn engine(end: f64) -> EngineConfig {
@@ -65,6 +65,22 @@ fn zero_lookahead_is_refused_with_a_structured_error() {
     assert!(msg.contains("deadlock"), "unhelpful message: {msg}");
 }
 
+/// The run configuration is the real-thread runtime's, fault plan included;
+/// a plan that holds messages back cannot be honoured without rollback and
+/// is refused, while scripted worker kills (the supervisor's business) pass.
+#[test]
+fn message_faults_are_refused_but_kill_scripts_are_not() {
+    let model = Arc::new(Phold::new(PholdConfig::balanced(2, 4)));
+    let chaos = ConsRunConfig::new(2, engine(4.0), sys()).with_faults(FaultPlan::chaos(7));
+    assert!(matches!(
+        run_cons(&model, &chaos),
+        Err(ConsError::MessageFaults)
+    ));
+    let kills = ConsRunConfig::new(2, engine(4.0), sys())
+        .with_faults(FaultPlan::default().with_kill(0, u64::MAX));
+    run_cons(&model, &kills).expect("a kill script that never fires is admissible");
+}
+
 #[test]
 fn metrics_carry_the_conservative_protocol_tag() {
     let threads = 4;
@@ -106,6 +122,42 @@ fn checkpoint_is_written_at_an_lbts_cut_and_reloads() {
     for ev in &cut.events {
         assert!(ev.recv_time() >= cut.gvt, "event below the cut");
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The attempt runner is shared with the optimistic protocol, so a
+/// conservative run resumes from an LBTS cut the same way: a first leg to
+/// half the horizon leaves its newest cut on disk, a second leg restores it
+/// (fresh channel clocks, bound seeded from the cut) and must finish on the
+/// trace of one uninterrupted sequential run — still without a rollback.
+#[test]
+fn a_run_resumed_from_an_lbts_cut_lands_on_the_oracle_trace() {
+    let threads = 4;
+    let (half, end) = (6.0, 12.0);
+    let model = Arc::new(Phold::new(PholdConfig::balanced(threads, 4)));
+    let oracle = run_sequential(&model, &engine(end), None);
+    let dir = std::env::temp_dir().join(format!("cons-resume-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let path = dir.join("cut.bin");
+    let first_leg = ConsRunConfig::new(threads, engine(half), sys())
+        .with_checkpoint_every(3)
+        .with_checkpoint_path(path.clone());
+    run_cons(&model, &first_leg).expect("first leg completes");
+    let cut: Checkpoint<u64, ()> = Checkpoint::read(&path).expect("checkpoint reloads");
+    assert!(
+        cut.gvt.as_f64() > 0.0 && cut.gvt.as_f64() < end,
+        "cut mid-run"
+    );
+
+    let rc = ConsRunConfig::new(threads, engine(end), sys());
+    let r = thread_rt::run_threads_attempt::<_, Conservative>(&model, &rc, Some(&cut), None, None)
+        .outcome
+        .expect("resumed run completes");
+    assert!(r.metrics.processed > 0, "the second leg had work left");
+    assert_eq!(r.metrics.commit_digest, oracle.commit_digest);
+    assert_eq!(r.metrics.committed, oracle.committed);
+    assert_eq!(r.digests, oracle.state_digests);
+    assert_eq!(r.metrics.rolled_back, 0);
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -14,7 +14,7 @@ use pdes_core::{
 };
 use sim_rt::SystemConfig;
 use thread_rt::{
-    run_supervised_ingest, run_threads_ingest, RtRunConfig, SupervisedRun, SupervisorConfig,
+    run_supervised, run_threads_attempt, Optimistic, RtRunConfig, SupervisedRun, SupervisorConfig,
 };
 
 fn model() -> Arc<Phold> {
@@ -101,7 +101,9 @@ fn live_ingest_matches_merged_oracle_fault_free() {
     });
 
     let rc = RtRunConfig::new(4, ecfg.clone(), gg_async());
-    let r = run_threads_ingest(&model, &rc, Arc::clone(&gate)).expect("ingest run completes");
+    let r = run_threads_attempt::<_, Optimistic>(&model, &rc, None, None, Some(Arc::clone(&gate)))
+        .outcome
+        .expect("ingest run completes");
     let report = live.join().expect("live client");
 
     // Everything pre-queued was admissible at floor 0 and must be in.
@@ -152,7 +154,7 @@ fn chaos_kill_recover_with_live_ingest_commits_every_accepted_id_once() {
         .with_checkpoint_every(2)
         .with_watchdog(Some(Duration::from_secs(30)));
     let sup = SupervisorConfig::new(3).with_backoff(Duration::from_millis(1));
-    let s = run_supervised_ingest(&model, &rc, &sup, Some(Arc::clone(&gate)));
+    let s = run_supervised::<_, Optimistic>(&model, &rc, &sup, Some(Arc::clone(&gate)));
     let report = live.join().expect("live client");
 
     assert!(s.recoveries >= 1, "the kill must fire: {:?}", s.log);
@@ -202,7 +204,7 @@ fn degraded_sequential_fallback_still_commits_accepted_events() {
         .with_checkpoint_every(2)
         .with_watchdog(Some(Duration::from_secs(30)));
     let sup = SupervisorConfig::new(0).with_backoff(Duration::from_millis(1));
-    let s = run_supervised_ingest(&model, &rc, &sup, Some(Arc::clone(&gate)));
+    let s = run_supervised::<_, Optimistic>(&model, &rc, &sup, Some(Arc::clone(&gate)));
 
     assert!(
         s.degraded,

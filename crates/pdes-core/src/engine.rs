@@ -290,42 +290,12 @@ impl<M: Model> ThreadEngine<M> {
         max: usize,
         outbox: &mut Vec<Outbound<M::Payload>>,
     ) -> BatchOutcome {
-        let mut out = BatchOutcome::default();
-        let model = Arc::clone(&self.model);
         // Bounded optimism: never speculate past gvt + window.
         let horizon = match self.optimism_window {
             Some(w) => self.end_time.min(self.gvt_hint.saturating_add(w)),
             None => self.end_time,
         };
-        let mut sends = std::mem::take(&mut self.send_buf);
-        for _ in 0..max {
-            let Some(min) = self.pending.min_key() else {
-                break;
-            };
-            if min.recv_time > horizon {
-                break;
-            }
-            let ev = self.pending.pop_min().expect("min exists");
-            let lp = self.lp_slot(ev.dst());
-            sends.clear();
-            let n = lp.process_into(model.as_ref(), ev, &mut sends);
-            self.stats.processed += 1;
-            out.processed += 1;
-            out.sent += n as u32;
-            self.stats.events_sent += n as u64;
-            for ev in sends.drain(..) {
-                let dst_thread = self.map.thread_of(ev.dst());
-                if dst_thread == self.tid {
-                    let d = self.deliver(Msg::Event(ev), outbox);
-                    out.rolled_back += d.rolled_back;
-                } else {
-                    outbox.push((dst_thread, Msg::Event(ev)));
-                }
-            }
-        }
-        self.send_buf = sends;
-        out.remote_msgs = outbox.len() as u32;
-        out
+        self.process_while(max, outbox, |t| t <= horizon)
     }
 
     /// Conservative (Chandy–Misra–Bryant) batch: process up to `max`
@@ -341,6 +311,20 @@ impl<M: Model> ThreadEngine<M> {
         max: usize,
         outbox: &mut Vec<Outbound<M::Payload>>,
     ) -> BatchOutcome {
+        let end = self.end_time;
+        self.process_while(max, outbox, |t| t < bound && t <= end)
+    }
+
+    /// The batch loop both protocols share: pop and execute up to `max`
+    /// pending events for as long as `may_run` admits the pending minimum's
+    /// receive time. The protocols differ only in that stop test.
+    #[inline]
+    fn process_while(
+        &mut self,
+        max: usize,
+        outbox: &mut Vec<Outbound<M::Payload>>,
+        may_run: impl Fn(VirtualTime) -> bool,
+    ) -> BatchOutcome {
         let mut out = BatchOutcome::default();
         let model = Arc::clone(&self.model);
         let mut sends = std::mem::take(&mut self.send_buf);
@@ -348,7 +332,7 @@ impl<M: Model> ThreadEngine<M> {
             let Some(min) = self.pending.min_key() else {
                 break;
             };
-            if min.recv_time >= bound || min.recv_time > self.end_time {
+            if !may_run(min.recv_time) {
                 break;
             }
             let ev = self.pending.pop_min().expect("min exists");

@@ -11,9 +11,9 @@
 //!
 //! Entry point: [`runner::run_sim`].
 //!
-//! Debugging aids: set `GG_TRACE=1` to stream GVT round lifecycle events
-//! (open / phase-A folds / End completions) to stderr; incomplete runs
-//! print a diagnostic dump of the round state and any stuck GVT minima.
+//! Debugging aids: the round stream and trace rings (`RunConfig::
+//! with_telemetry`) record the GVT round lifecycle; incomplete runs print a
+//! diagnostic dump of the round state and any stuck GVT minima.
 
 pub mod ckpt;
 pub mod config;

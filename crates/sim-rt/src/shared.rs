@@ -486,13 +486,6 @@ impl<P> Shared<P> {
                 }
                 self.ckpt_round = Some(self.round.id);
             }
-            if std::env::var_os("GG_TRACE").is_some() {
-                eprintln!(
-                    "[trace] t{me} OPEN round {} (subscribed={})",
-                    self.round.id,
-                    self.subscribed.iter().filter(|&&x| x).count()
-                );
-            }
             self.round.open = true;
             self.round.participant.copy_from_slice(&self.subscribed);
             self.round.participants = self.subscribed.iter().filter(|&&s| s).count();
@@ -565,16 +558,10 @@ impl<P> Shared<P> {
         true
     }
 
-    /// Complete the End phase for `me`; the last participant closes the
+    /// Complete the End phase for one participant; the last one closes the
     /// round. Returns `true` if this call closed it.
-    pub fn end_phase(&mut self, me: usize) -> bool {
+    pub fn end_phase(&mut self) -> bool {
         self.round.end_done += 1;
-        if std::env::var_os("GG_TRACE").is_some() {
-            eprintln!(
-                "[trace] t{me} END round {} ({}/{})",
-                self.round.id, self.round.end_done, self.round.participants
-            );
-        }
         if self.round.end_done == self.round.participants {
             self.round.open = false;
             self.round.id += 1;
@@ -958,8 +945,8 @@ mod tests {
         assert!(s.claim_aware(0));
         assert!(!s.claim_aware(1));
         // End closes; next round claimable again.
-        assert!(!s.end_phase(0));
-        assert!(s.end_phase(1));
+        assert!(!s.end_phase());
+        assert!(s.end_phase());
         s.ensure_round_open(0, &mut Vec::new());
         assert!(s.claim_aware(1));
     }

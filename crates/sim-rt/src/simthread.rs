@@ -339,7 +339,7 @@ impl<M: Model> SimThreadTask<M> {
             // post-round totals.
             sh.tel_publish(self.tid, self.engine.local_min(), self.engine.stats());
         }
-        let closed = sh.end_phase(self.tid);
+        let closed = sh.end_phase();
         if closed {
             sh.tel_round_snapshot(rid, now);
         }
@@ -510,12 +510,6 @@ impl<M: Model> Task for SimThreadTask<M> {
                 );
                 let cost = self.drain_and_fold(&mut sh);
                 sh.round.a_done += 1;
-                if std::env::var_os("GG_TRACE").is_some() {
-                    eprintln!(
-                        "[trace] t{} A round {} ({}/{})",
-                        self.tid, sh.round.id, sh.round.a_done, sh.round.participants
-                    );
-                }
                 if self.tracer.enabled() {
                     self.tracer
                         .span(EventKind::GvtA, self.ph_ns, now + cost, sh.round.id);
@@ -738,12 +732,6 @@ impl<M: Model> Task for SimThreadTask<M> {
             }
 
             Phase::Finishing => {
-                if std::env::var_os("GG_TRACE").is_some() {
-                    eprintln!(
-                        "[trace] t{} finishing after {} cycles",
-                        self.tid, self.total_cycles
-                    );
-                }
                 self.engine.finalize();
                 sh.final_stats[self.tid] = Some(self.engine.stats().clone());
                 sh.final_digests[self.tid] = self.engine.state_digests();

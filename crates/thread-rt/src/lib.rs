@@ -1,21 +1,27 @@
 //! # ggpdes-thread-rt — the engine on real OS threads
 //!
 //! The same Time Warp engine and the same six scheduling systems as
-//! `sim-rt`, executed on real `std::thread`s: crossbeam `SegQueue` input
-//! queues, cache-padded atomics for the `active_threads` array, parking-lot
-//! semaphores as `sem_locks`, `sched_setaffinity` for the three affinity
-//! policies.
+//! `sim-rt`, executed on real `std::thread`s: one mutex-guarded `VecDeque`
+//! input queue per thread (the vendored `SegQueue` — bulk push and bulk
+//! drain take the lock once per batch, not once per message), cache-padded
+//! atomics for the `active_threads` array, parking-lot semaphores as
+//! `sem_locks`, `sched_setaffinity` for the three affinity policies.
+//!
+//! The worker loop, the GVT round and the attempt runner are generic over a
+//! synchronisation [`Protocol`]: [`Optimistic`] (Time Warp) lives here, the
+//! conservative null-message policy in `cons-rt`.
 //!
 //! Its purpose is *functional* validation under genuine concurrency: any run
 //! must commit exactly the sequential oracle's trace. Performance figures
 //! come from the deterministic `sim-rt` (this host's core count is not the
 //! paper's KNL). One documented deviation from the paper: GVT round
-//! *membership* transitions take a small mutex (the hot per-event paths stay
-//! lock-free); see DESIGN.md.
+//! *membership* transitions take a small mutex (the per-event paths take no
+//! lock of their own); see DESIGN.md.
 
 pub mod affinity;
 pub mod batch;
 pub mod ckpt;
+pub mod protocol;
 pub mod runner;
 pub mod shared;
 pub mod supervisor;
@@ -25,12 +31,8 @@ pub mod worker;
 pub use affinity::AffinityState;
 pub use batch::SendBatcher;
 pub use ckpt::CkptSink;
-pub use runner::{
-    run_threads, run_threads_attempt, run_threads_ingest, run_threads_resumable, RtAttempt,
-    RtResult, RtRunConfig, RunError,
-};
+pub use protocol::{Optimistic, Protocol};
+pub use runner::{run_threads, run_threads_attempt, RtAttempt, RtResult, RtRunConfig, RunError};
 pub use shared::{IngestPlane, RemoteBoundary, RtShared};
-pub use supervisor::{
-    run_supervised, run_supervised_ingest, Recovered, SupervisedRun, SupervisorConfig,
-};
+pub use supervisor::{run_supervised, Recovered, SupervisedRun, SupervisorConfig};
 pub use sync::{DynBarrier, Semaphore};

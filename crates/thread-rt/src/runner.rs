@@ -8,6 +8,7 @@
 
 use crate::affinity::num_cores;
 use crate::ckpt::CkptSink;
+use crate::protocol::{Optimistic, Protocol};
 use crate::shared::RtShared;
 use crate::worker::{controller_loop, worker_loop, WorkerResult};
 use metrics::RunMetrics;
@@ -155,51 +156,33 @@ pub struct RtAttempt<M: Model> {
     pub thread_loads: Vec<u64>,
 }
 
-/// Run `model` on real threads. Blocks until the simulation completes,
-/// panics, or trips the liveness watchdog — it never hangs indefinitely
-/// while the watchdog is armed.
+/// Run `model` optimistically on real threads. Blocks until the simulation
+/// completes, panics, or trips the liveness watchdog — it never hangs
+/// indefinitely while the watchdog is armed.
 pub fn run_threads<M: Model>(model: &Arc<M>, rc: &RtRunConfig) -> Result<RtResult, RunError> {
-    run_threads_resumable(model, rc, None, None).outcome
+    run_threads_attempt::<M, Optimistic>(model, rc, None, None, None).outcome
 }
 
-/// [`run_threads`] with a live external-event ingest gate. Client threads
-/// submit to `gate` concurrently with the run; each GVT round's
-/// pseudo-controller admits queued submissions right after publishing the
-/// round's GVT. On successful completion the gate is closed (queued
-/// submissions get [`pdes_core::IngestReply::Closed`]); on failure it stays
-/// open so a supervisor can resume with it.
-pub fn run_threads_ingest<M: Model>(
-    model: &Arc<M>,
-    rc: &RtRunConfig,
-    gate: Arc<IngestGate<M::Payload>>,
-) -> Result<RtResult, RunError> {
-    run_threads_attempt(model, rc, None, None, Some(gate)).outcome
-}
-
-/// Run one attempt, optionally resuming from a GVT-aligned checkpoint and
-/// with a pre-seeded fault injector (the supervisor restores fault-stream
-/// cursors and consumes the kill that felled the previous attempt before
-/// handing the injector in).
+/// One attempt under protocol `P`, with every hook exposed: a checkpoint to
+/// resume from, a pre-seeded fault injector (the supervisor restores
+/// fault-stream cursors and consumes the kill that felled the previous
+/// attempt before handing the injector in), and a live external-event
+/// ingest gate.
 ///
 /// When `resume` is given, its map — not the formula map — assigns LPs to
 /// threads, `rc.num_threads` must match the map, and the weak-scaling
 /// divisibility requirement is waived (recovered maps are deliberately
 /// uneven).
-pub fn run_threads_resumable<M: Model>(
-    model: &Arc<M>,
-    rc: &RtRunConfig,
-    resume: Option<&Checkpoint<M::State, M::Payload>>,
-    faults: Option<FaultInjector>,
-) -> RtAttempt<M> {
-    run_threads_attempt(model, rc, resume, faults, None)
-}
-
-/// One attempt with every hook exposed: checkpoint resume, a pre-seeded
-/// fault injector, and an optional ingest gate. When both `resume` and
-/// `gate` are given, the gate's accepted-but-uncut events (`send_time ≥`
-/// the cut GVT) are re-injected before the workers start — the exactly-once
-/// replay half of the ingest durability contract.
-pub fn run_threads_attempt<M: Model>(
+///
+/// Client threads submit to `gate` concurrently with the run; each GVT
+/// round's pseudo-controller admits queued submissions right after
+/// publishing the round's GVT. When both `resume` and `gate` are given, the
+/// gate's accepted-but-uncut events (`send_time ≥` the cut GVT) are
+/// re-injected before the workers start — the exactly-once replay half of
+/// the ingest durability contract. On successful completion the gate is
+/// closed (queued submissions get [`pdes_core::IngestReply::Closed`]); on
+/// failure it stays open so a supervisor can resume with it.
+pub fn run_threads_attempt<M: Model, P: Protocol<M>>(
     model: &Arc<M>,
     rc: &RtRunConfig,
     resume: Option<&Checkpoint<M::State, M::Payload>>,
@@ -223,27 +206,27 @@ pub fn run_threads_attempt<M: Model>(
             LpMap::new(model.num_lps(), n, rc.engine.mapping)
         }
     };
-    let mut shared_init: RtShared<M::Payload> = RtShared::new(n, rc.pin_cores, rc.engine.end_time);
-    shared_init.set_faults(faults.unwrap_or_else(|| FaultInjector::new(rc.faults.clone())));
-    shared_init.set_checkpoint_every(rc.checkpoint_every_gvt);
+    let mut shared: RtShared<M::Payload> = RtShared::new(n, rc.pin_cores, rc.engine.end_time);
+    shared.set_faults(faults.unwrap_or_else(|| FaultInjector::new(rc.faults.clone())));
+    shared.set_checkpoint_every(rc.checkpoint_every_gvt);
     // Each attempt gets a fresh registry: a supervised restart must not
     // inherit the felled attempt's half-deposited rings.
-    shared_init.set_telemetry(Telemetry::new(rc.telemetry.clone()));
+    shared.set_telemetry(Telemetry::new(rc.telemetry.clone()));
     if let Some(c) = resume {
-        shared_init.seed_gvt(c.gvt, c.gvt_rounds);
+        shared.seed_gvt(c.gvt, c.gvt_rounds);
     }
     if let Some(g) = &gate {
-        shared_init.set_ingest(Arc::clone(g), map.clone());
+        shared.set_ingest(Arc::clone(g), map.clone());
     }
-    let shared = Arc::new(shared_init);
-    let sink: Arc<CkptSink<M>> = Arc::new(CkptSink::new(
+    let proto = P::start(model.as_ref(), rc);
+    let sink: CkptSink<M> = CkptSink::new(
         if rc.checkpoint_every_gvt > 0 {
             rc.checkpoint_path.clone()
         } else {
             None
         },
         map.clone(),
-    ));
+    );
 
     // Build engines; a fresh run pre-routes the initial events, a resumed
     // run instead restores each engine's share of the cut (initial events
@@ -286,107 +269,102 @@ pub fn run_threads_attempt<M: Model>(
     }
 
     let start = Instant::now();
-    let mut handles = Vec::with_capacity(n);
-    for (t, eng) in engines.into_iter().enumerate() {
-        let sh = Arc::clone(&shared);
-        let sys = rc.system;
-        let ecfg = rc.engine.clone();
-        let pin_cores = rc.pin_cores;
-        let ck = Arc::clone(&sink);
-        handles.push(
-            std::thread::Builder::new()
-                .name(format!("sim{t}"))
-                .spawn(move || {
-                    // A panicking worker must not strand its siblings in
-                    // semaphores or barriers: poison everything, then report.
-                    let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        worker_loop(t, eng, Arc::clone(&sh), sys, ecfg, pin_cores, ck)
-                    }));
-                    match caught {
-                        Ok(r) => Ok(r),
-                        Err(payload) => {
-                            sh.poison_all();
-                            Err(panic_message(payload.as_ref()))
-                        }
-                    }
-                })
-                .expect("spawn worker"),
-        );
-    }
-    let controller = if matches!(rc.system.scheduler, Scheduler::DdPdes) {
-        let sh = Arc::clone(&shared);
-        Some(
+    let monitor_exit = AtomicBool::new(false);
+    let (results, first_panic, stall) = std::thread::scope(|scope| {
+        let (shared, proto, sink, monitor_exit) = (&shared, &proto, &sink, &monitor_exit);
+        let handles: Vec<_> = engines
+            .into_iter()
+            .enumerate()
+            .map(|(t, eng)| {
+                std::thread::Builder::new()
+                    .name(format!("sim{t}"))
+                    .spawn_scoped(scope, move || {
+                        // A panicking worker must not strand its siblings in
+                        // semaphores or barriers: poison everything, then
+                        // report.
+                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                            worker_loop(t, eng, shared, proto, rc, sink)
+                        }))
+                        .map_err(|payload| {
+                            shared.poison_all();
+                            panic_message(payload.as_ref())
+                        })
+                    })
+                    .expect("spawn worker")
+            })
+            .collect();
+        let controller = matches!(rc.system.scheduler, Scheduler::DdPdes).then(|| {
             std::thread::Builder::new()
                 .name("controller".into())
-                .spawn(move || controller_loop(sh))
-                .expect("spawn controller"),
-        )
-    } else {
-        None
-    };
+                .spawn_scoped(scope, move || controller_loop(shared))
+                .expect("spawn controller")
+        });
 
-    // Liveness watchdog: sample (gvt, gvt_rounds) and trip when neither has
-    // changed within the bound — the run is wedged, so capture a structured
-    // dump and poison every primitive instead of hanging in `join` below.
-    let monitor_exit = Arc::new(AtomicBool::new(false));
-    let monitor = rc.watchdog.map(|bound| {
-        let sh = Arc::clone(&shared);
-        let exit = Arc::clone(&monitor_exit);
-        let system = rc.system.name();
-        let tick = (bound / 8).clamp(Duration::from_millis(5), Duration::from_millis(500));
-        std::thread::Builder::new()
-            .name("watchdog".into())
-            .spawn(move || -> Option<Box<StallDump>> {
-                let mut last = (0u64, 0u64);
-                let mut last_change = Instant::now();
-                loop {
-                    std::thread::park_timeout(tick);
-                    if exit.load(Ordering::Acquire) || sh.terminated.load(Ordering::Acquire) {
-                        return None;
+        // Liveness watchdog: sample (gvt, gvt_rounds) and trip when neither
+        // has changed within the bound — the run is wedged, so capture a
+        // structured dump and poison every primitive instead of hanging in
+        // `join` below.
+        let monitor = rc.watchdog.map(|bound| {
+            let tick = (bound / 8).clamp(Duration::from_millis(5), Duration::from_millis(500));
+            std::thread::Builder::new()
+                .name("watchdog".into())
+                .spawn_scoped(scope, move || -> Option<Box<StallDump>> {
+                    let mut last = (0u64, 0u64);
+                    let mut last_change = Instant::now();
+                    loop {
+                        std::thread::park_timeout(tick);
+                        if monitor_exit.load(Ordering::Acquire)
+                            || shared.terminated.load(Ordering::Acquire)
+                        {
+                            return None;
+                        }
+                        let now = (
+                            shared.gvt().ticks(),
+                            shared.gvt_rounds.load(Ordering::Acquire),
+                        );
+                        if now != last {
+                            last = now;
+                            last_change = Instant::now();
+                            continue;
+                        }
+                        if last_change.elapsed() < bound {
+                            continue;
+                        }
+                        let reason = P::stall_reason(
+                            last_change.elapsed().as_secs_f64(),
+                            bound.as_secs_f64(),
+                        );
+                        let dump = Box::new(shared.build_stall_dump(&reason, &rc.system.name()));
+                        shared.watchdog_tripped.store(true, Ordering::Release);
+                        shared.poison_all();
+                        return Some(dump);
                     }
-                    let now = (sh.gvt().ticks(), sh.gvt_rounds.load(Ordering::Acquire));
-                    if now != last {
-                        last = now;
-                        last_change = Instant::now();
-                        continue;
-                    }
-                    if last_change.elapsed() < bound {
-                        continue;
-                    }
-                    let reason = format!(
-                        "no GVT progress for {:.1}s (bound {:.1}s)",
-                        last_change.elapsed().as_secs_f64(),
-                        bound.as_secs_f64()
-                    );
-                    let dump = Box::new(sh.build_stall_dump(&reason, &system));
-                    sh.watchdog_tripped.store(true, Ordering::Release);
-                    sh.poison_all();
-                    return Some(dump);
-                }
-            })
-            .expect("spawn watchdog")
-    });
+                })
+                .expect("spawn watchdog")
+        });
 
-    let mut results: Vec<Option<WorkerResult>> = (0..n).map(|_| None).collect();
-    let mut first_panic: Option<(usize, String)> = None;
-    for (t, h) in handles.into_iter().enumerate() {
-        match h.join().expect("worker join") {
-            Ok(r) => results[t] = Some(r),
-            Err(message) => {
-                if first_panic.is_none() {
-                    first_panic = Some((t, message));
+        let mut results: Vec<Option<WorkerResult>> = (0..n).map(|_| None).collect();
+        let mut first_panic: Option<(usize, String)> = None;
+        for (t, h) in handles.into_iter().enumerate() {
+            match h.join().expect("worker join") {
+                Ok(r) => results[t] = Some(r),
+                Err(message) => {
+                    if first_panic.is_none() {
+                        first_panic = Some((t, message));
+                    }
                 }
             }
         }
-    }
-    shared.controller_exit.store(true, Ordering::Release);
-    if let Some(c) = controller {
-        c.join().expect("controller panicked");
-    }
-    monitor_exit.store(true, Ordering::Release);
-    let stall = monitor.and_then(|m| {
-        m.thread().unpark();
-        m.join().expect("watchdog panicked")
+        shared.controller_exit.store(true, Ordering::Release);
+        if let Some(c) = controller {
+            c.join().expect("controller panicked");
+        }
+        monitor_exit.store(true, Ordering::Release);
+        let stall = monitor.and_then(|m| {
+            m.thread().unpark();
+            m.join().expect("watchdog panicked")
+        });
+        (results, first_panic, stall)
     });
     let wall = start.elapsed();
 
@@ -401,23 +379,13 @@ pub fn run_threads_attempt<M: Model>(
 
     // Panic beats stall: a panicked worker stops folding minima, so a
     // watchdog trip during teardown is a symptom, not the cause.
-    if let Some((thread, message)) = first_panic {
+    let failure = first_panic
+        .map(|(thread, message)| RunError::WorkerPanicked { thread, message })
+        .or(stall.map(RunError::Stalled))
+        .or_else(|| shared.take_ingest_error().map(RunError::Ingest));
+    if let Some(e) = failure {
         return RtAttempt {
-            outcome: Err(RunError::WorkerPanicked { thread, message }),
-            checkpoint,
-            thread_loads,
-        };
-    }
-    if let Some(dump) = stall {
-        return RtAttempt {
-            outcome: Err(RunError::Stalled(dump)),
-            checkpoint,
-            thread_loads,
-        };
-    }
-    if let Some(e) = shared.take_ingest_error() {
-        return RtAttempt {
-            outcome: Err(RunError::Ingest(e)),
+            outcome: Err(e),
             checkpoint,
             thread_loads,
         };
@@ -438,7 +406,7 @@ pub fn run_threads_attempt<M: Model>(
     digests.sort_by_key(|&(lp, _)| lp);
 
     let telemetry_data = shared.telemetry.enabled().then(|| shared.telemetry.take());
-    let metrics = RunMetrics {
+    let mut metrics = RunMetrics {
         system: rc.system.name(),
         threads: n,
         lps: model.num_lps(),
@@ -456,9 +424,9 @@ pub fn run_threads_attempt<M: Model>(
         last_round: telemetry_data
             .as_ref()
             .and_then(|d| d.last_round().cloned()),
-        protocol: "optimistic".into(),
         ..Default::default()
     };
+    proto.tag_metrics(&mut metrics);
     RtAttempt {
         outcome: Ok(RtResult {
             metrics,

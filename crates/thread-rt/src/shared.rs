@@ -1,8 +1,9 @@
 //! Shared state of the real-thread runtime.
 //!
-//! The hot arrays mirror the paper's layout: per-thread input queues
-//! (crossbeam `SegQueue`), the `active_threads` flags and `sem_locks`
-//! semaphores, all cache-line padded. GVT round *counters* are plain
+//! The hot arrays mirror the paper's layout: per-thread input queues (the
+//! vendored `SegQueue`, a mutex-guarded `VecDeque` locked once per bulk push
+//! or drain), the `active_threads` flags and `sem_locks` semaphores, all
+//! cache-line padded. GVT round *counters* are plain
 //! atomics; only round membership transitions (open-snapshot, subscribe,
 //! unsubscribe) take a small mutex — a documented deviation from the paper's
 //! fully lock-free design that buys a provable absence of the
@@ -805,9 +806,15 @@ impl<P> RtShared<P> {
     }
 
     /// Complete the End phase; the last participant closes the round.
+    ///
+    /// The count is taken under the membership lock: counted outside it, a
+    /// participant descheduled between the increment and the lock could
+    /// compare its stale count against the *next* round's participant total
+    /// (the closer and an opener both got in between) and close a round
+    /// whose members are still folding.
     pub fn end_phase(&self) -> bool {
-        let done = self.end_done.fetch_add(1, Ordering::AcqRel) + 1;
         let mut m = self.membership.lock();
+        let done = self.end_done.fetch_add(1, Ordering::AcqRel) + 1;
         if done == m.participants {
             m.open = false;
             m.id += 1;
@@ -884,12 +891,16 @@ impl<P> RtShared<P> {
     }
 
     /// Algorithm 1 bookkeeping: de-schedule `me` (the caller then blocks on
-    /// its semaphore). Refuses for the last active thread, and refuses when
-    /// a round other than `completed_round` is open with `me` in its
-    /// participant snapshot — parking then would strand the round.
+    /// its semaphore). Refuses once the run has terminated, for the last
+    /// active thread, and when a round other than `completed_round` is open
+    /// with `me` in its participant snapshot — parking then would strand
+    /// the round.
     pub fn deactivate_self(&self, me: usize, completed_round: u64) -> bool {
         let mut m = self.membership.lock();
-        if self.num_active.load(Ordering::Acquire) <= 1 {
+        // Termination's wake-up scan runs under this lock too: either it
+        // already ran (then this refuses) or it will see `active[me]` false
+        // and post — a thread can never park past the end of the run.
+        if self.terminated.load(Ordering::Acquire) || self.num_active.load(Ordering::Acquire) <= 1 {
             return false;
         }
         if m.open && m.participant[me] && m.id != completed_round {
@@ -911,6 +922,8 @@ impl<P> RtShared<P> {
     /// the interesting (mid-run) stalls.
     pub fn release_all_for_termination(&self) {
         self.controller_exit.store(true, Ordering::Release);
+        // Serialised against `deactivate_self` (see there).
+        let _m = self.membership.lock();
         for i in 0..self.num_threads {
             if !self.active[i].load(Ordering::Acquire) {
                 self.sems[i].post();
@@ -1168,6 +1181,16 @@ mod tests {
         let s = shared(2);
         assert!(s.deactivate_self(0, 0));
         assert!(!s.deactivate_self(1, 0));
+    }
+
+    #[test]
+    fn nobody_parks_once_the_run_has_terminated() {
+        // The termination wake-up scan runs once; a thread that de-scheduled
+        // itself after it would sleep forever.
+        let s = shared(3);
+        s.terminated.store(true, Ordering::Release);
+        assert!(!s.deactivate_self(2, 0));
+        assert!(s.active[2].load(Ordering::Acquire));
     }
 
     #[test]

@@ -14,6 +14,7 @@
 //!    the sequential reference engine finishes the simulation from the last
 //!    consistent cut, so a supervised run always completes.
 
+use crate::protocol::Protocol;
 use crate::runner::{run_threads_attempt, RtResult, RtRunConfig, RunError};
 use pdes_core::{
     run_sequential_from_with, run_sequential_with, Checkpoint, FaultInjector, IngestGate, Model,
@@ -77,23 +78,17 @@ impl SupervisedRun {
     }
 }
 
-/// Run `model` under supervision: recover from worker failures via the
-/// checkpoint/restart path, degrade to sequential execution when the retry
-/// budget is exhausted. Never returns an error — a supervised run completes.
-pub fn run_supervised<M: Model>(
-    model: &Arc<M>,
-    rc: &RtRunConfig,
-    sup: &SupervisorConfig,
-) -> SupervisedRun {
-    run_supervised_ingest(model, rc, sup, None)
-}
-
-/// [`run_supervised`] with an optional live ingest gate. The gate outlives
-/// every failed attempt: after each restore its accepted-but-uncut events
-/// are replayed (exactly once — see `pdes_core::ingest`), and the degraded
-/// sequential path merges the accepted suffix into the oracle's pending set
-/// so even a fully exhausted run commits every accepted event.
-pub fn run_supervised_ingest<M: Model>(
+/// Run `model` under supervision and protocol `P`: recover from worker
+/// failures via the checkpoint/restart path, degrade to sequential execution
+/// when the retry budget is exhausted. Never returns an error — a supervised
+/// run completes.
+///
+/// An `ingest` gate outlives every failed attempt: after each restore its
+/// accepted-but-uncut events are replayed (exactly once — see
+/// `pdes_core::ingest`), and the degraded sequential path merges the accepted
+/// suffix into the oracle's pending set so even a fully exhausted run commits
+/// every accepted event.
+pub fn run_supervised<M: Model, P: Protocol<M>>(
     model: &Arc<M>,
     rc: &RtRunConfig,
     sup: &SupervisorConfig,
@@ -118,7 +113,7 @@ pub fn run_supervised_ingest<M: Model>(
             injector.consume_kill(t);
         }
         let attempt =
-            run_threads_attempt(model, &cfg, ckpt.as_ref(), Some(injector), ingest.clone());
+            run_threads_attempt::<M, P>(model, &cfg, ckpt.as_ref(), Some(injector), ingest.clone());
         let loads = attempt.thread_loads;
         if let Some(c) = attempt.checkpoint {
             ckpt = Some(c);

@@ -1,14 +1,17 @@
 //! The per-thread worker: the ROSS main loop plus GVT rounds and
-//! demand-driven scheduling, executed inline on a real OS thread.
+//! demand-driven scheduling, executed inline on a real OS thread. Generic
+//! over the synchronisation [`Protocol`]; everything protocol-specific goes
+//! through that trait's hooks.
 
 use crate::affinity::{current_tid, note_pin_failure, pin_to_core, OsTid};
 use crate::batch::SendBatcher;
 use crate::ckpt::CkptSink;
+use crate::protocol::Protocol;
+use crate::runner::RtRunConfig;
 use crate::shared::RtShared;
 use pdes_core::{EngineConfig, LpId, Model, Msg, Outbound, ThreadEngine, VirtualTime};
 use sim_rt::{AffinityPolicy, GvtMode, Scheduler, SystemConfig};
-use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 use telemetry::{EventKind, Tracer};
 
@@ -20,21 +23,343 @@ pub struct WorkerResult {
     pub digests: Vec<(LpId, u64)>,
 }
 
-/// Run simulation thread `me` to completion.
-pub fn worker_loop<M: Model>(
+/// Simulation thread `me`: its engine, its buffers and its idle bookkeeping.
+struct Worker<'a, M: Model, P: Protocol<M>> {
     me: usize,
-    mut engine: ThreadEngine<M>,
-    sh: Arc<RtShared<M::Payload>>,
-    sys: SystemConfig,
-    ecfg: EngineConfig,
-    pin_cores: usize,
-    ckpt: Arc<CkptSink<M>>,
+    engine: ThreadEngine<M>,
+    sh: &'a RtShared<M::Payload>,
+    proto: &'a P,
+    ecfg: &'a EngineConfig,
+    inbox: Vec<Msg<M::Payload>>,
+    outbox: Vec<Outbound<M::Payload>>,
+    /// Outgoing messages accumulate here and land as one bulk push per
+    /// destination; see `crate::batch` for the coverage argument and the
+    /// flush policy (cycle end, batch-full, before every GVT fold).
+    batcher: SendBatcher<M::Payload>,
+    tracer: Tracer,
+    /// Where the trace span being timed began (see [`Self::mark`]).
+    span_start: u64,
+    zero_counter: u64,
+    active_flag: bool,
+    idle_spins: u32,
+}
+
+impl<M: Model, P: Protocol<M>> Worker<'_, M, P> {
+    /// One main-loop cycle; returns whether it did useful work.
+    fn cycle(&mut self) -> bool {
+        let (me, sh) = (self.me, self.sh);
+        // Tracing a cycle costs two clock reads and two counter loads, paid
+        // only when telemetry is on (the tracer's own calls are branches).
+        let trace = self.tracer.enabled();
+        let (t0, rb0) = if trace {
+            (sh.now_ns(), self.engine.stats().rolled_back)
+        } else {
+            (0, 0)
+        };
+        let horizon = self.proto.horizon(me, sh);
+        self.inbox.clear();
+        let n = sh.drain(me, &mut self.inbox);
+        self.outbox.clear();
+        for m in self.inbox.drain(..) {
+            self.engine.deliver(m, &mut self.outbox);
+        }
+        let batch = self.proto.process(
+            me,
+            horizon,
+            &mut self.engine,
+            self.ecfg.batch_size,
+            &mut self.outbox,
+        );
+        for (dst, msg) in self.outbox.drain(..) {
+            self.batcher.buffer(sh, me, dst.index(), msg);
+        }
+        // Flush at the cycle boundary: the batch above either advanced LVT
+        // (processed events) or the thread is about to go idle — in both
+        // cases the peer must see this cycle's sends now. Batch-full
+        // overflow within the cycle already flushed inline.
+        self.batcher.flush(sh);
+        if trace {
+            let undone = self.engine.stats().rolled_back - rb0;
+            if batch.processed > 0 || undone > 0 {
+                let t1 = sh.now_ns();
+                if batch.processed > 0 {
+                    self.tracer
+                        .span(EventKind::EventBatch, t0, t1, batch.processed as u64);
+                }
+                if undone > 0 {
+                    self.tracer.span(EventKind::Rollback, t0, t1, undone);
+                }
+            }
+        }
+        let idle = n == 0 && batch.processed == 0;
+        if idle {
+            if P::PARKS_WITH_PENDING || !self.engine.has_live_pending() {
+                self.zero_counter += 1;
+                if self.zero_counter > self.ecfg.zero_counter_threshold as u64 {
+                    self.active_flag = false;
+                }
+            }
+            // A blocked thread (live pending beyond its horizon) is just as
+            // idle as an empty one: it is waiting on a peer to move a GVT
+            // phase or a channel clock forward. On an oversubscribed host a
+            // hard spin here costs the peer a full scheduler slice per
+            // handoff, which dwarfs the event work — so escalate spin →
+            // yield → timed park and give the slice back.
+            self.idle_spins += 1;
+            if self.idle_spins >= 1024 {
+                std::thread::park_timeout(std::time::Duration::from_micros(50));
+            } else if self.idle_spins.is_multiple_of(64) {
+                std::thread::yield_now();
+            } else {
+                std::hint::spin_loop();
+            }
+        } else {
+            self.zero_counter = 0;
+            self.active_flag = true;
+            self.idle_spins = 0;
+        }
+        !idle
+    }
+
+    /// Drain and deliver before folding a GVT minimum.
+    fn drain_deliver(&mut self) {
+        let (me, sh) = (self.me, self.sh);
+        self.inbox.clear();
+        sh.drain(me, &mut self.inbox);
+        self.outbox.clear();
+        for m in self.inbox.drain(..) {
+            self.engine.deliver(m, &mut self.outbox);
+        }
+        for (dst, msg) in self.outbox.drain(..) {
+            self.batcher.buffer(sh, me, dst.index(), msg);
+        }
+        // Every caller folds a GVT minimum next, which resets this thread's
+        // send window — everything buffered must be in a queue before then.
+        self.batcher.flush(sh);
+    }
+
+    /// Close the trace span `kind` of round `id` at now and start the next
+    /// one there (no-op when tracing is off).
+    fn mark(&mut self, kind: EventKind, id: u64) {
+        if self.tracer.enabled() {
+            let now = self.sh.now_ns();
+            self.tracer.span(kind, self.span_start, now, id);
+            self.span_start = now;
+        }
+    }
+
+    /// Record this thread's minimum (pending set + send window) in round
+    /// `id`; `kind` is the phase span the fold closes.
+    fn fold(&mut self, kind: EventKind, id: u64) {
+        self.drain_deliver();
+        let local = self.engine.local_min();
+        self.sh.fold_min(self.me, local);
+        if self.tracer.enabled() {
+            self.sh.tel_publish(self.me, local, self.engine.stats());
+        }
+        self.mark(kind, id);
+    }
+
+    /// Phase Send: simulate while peers record their minima. Escapes on
+    /// `terminated` so a watchdog trip (or poisoned sibling) cannot strand
+    /// this spin forever.
+    fn simulate_until(&mut self, done: &AtomicUsize, parts: usize) {
+        while done.load(Ordering::Acquire) < parts && !self.sh.terminated.load(Ordering::Acquire) {
+            self.cycle();
+        }
+    }
+
+    /// Phase Aware: the first thread through becomes pseudo-controller and
+    /// publishes the GVT, admits ingest, releases checkpoint snapshotters,
+    /// then broadcasts termination or (Algorithm 2) activates.
+    fn aware(&mut self, sys: SystemConfig, id: u64) {
+        let sh = self.sh;
+        if sh
+            .aware_claimed
+            .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
+            .is_ok()
+        {
+            sh.compute_gvt();
+            // Admit external events against the floor just published —
+            // before the checkpoint handshake, so an armed round's cut
+            // either drains the injected event into an engine (where
+            // `send_time = cut GVT` keeps it out of the snapshot) or journal
+            // replay covers it; either way exactly one copy survives a
+            // restore.
+            sh.pump_ingest();
+            // Unblock End-phase snapshotters even when this GVT also
+            // terminates the run — the final cut is still a valid (if
+            // redundant) checkpoint.
+            sh.ckpt_publish_if_armed(id);
+            if sh.terminated.load(Ordering::Acquire) {
+                sh.release_all_for_termination();
+            } else if matches!(sys.scheduler, Scheduler::GgPdes) {
+                self.proto.activate(sh);
+            }
+        }
+        self.mark(EventKind::GvtAware, id);
+    }
+
+    /// The GVT round proper, from the first fold to the published GVT.
+    fn gvt_round(&mut self, sys: SystemConfig, id: u64) {
+        let (me, sh) = (self.me, self.sh);
+        match sys.gvt {
+            GvtMode::Async => {
+                sh.set_phase(me, 1); // gvt-a
+                self.fold(EventKind::GvtA, id);
+                sh.a_done.fetch_add(1, Ordering::AcqRel);
+                let parts = sh.participants();
+                sh.set_phase(me, 2); // gvt-send-a
+                self.simulate_until(&sh.a_done, parts);
+                sh.set_phase(me, 3); // gvt-b
+                self.mark(EventKind::GvtSendA, id);
+                self.fold(EventKind::GvtB, id);
+                sh.b_done.fetch_add(1, Ordering::AcqRel);
+                sh.set_phase(me, 4); // gvt-send-b
+                self.simulate_until(&sh.b_done, parts);
+                sh.set_phase(me, 5); // gvt-aware
+                self.mark(EventKind::GvtSendB, id);
+                self.aware(sys, id);
+            }
+            GvtMode::Sync => {
+                // Sync mode has no Send spins; map the three barriers onto
+                // the same phase lanes so one trace vocabulary covers both
+                // modes: fold = A, reduction barrier = B, controller = Aware,
+                // exit barrier = Send-B.
+                sh.set_phase(me, 9); // sync-bar0
+                sh.bars[0].wait();
+                self.fold(EventKind::GvtA, id);
+                sh.set_phase(me, 10); // sync-bar1
+                sh.bars[1].wait();
+                self.mark(EventKind::GvtB, id);
+                self.aware(sys, id);
+                sh.set_phase(me, 11); // sync-bar2
+                sh.bars[2].wait();
+                self.mark(EventKind::GvtSendB, id);
+            }
+        }
+    }
+
+    /// Phase End, first half: fossil-collect at the published GVT and, when
+    /// round `id` was armed for a checkpoint at open time (with every thread
+    /// force-woken into the participant set), capture this thread's share
+    /// of a consistent cut.
+    fn collect(&mut self, id: u64, ckpt: &CkptSink<M>) {
+        let (me, sh) = (self.me, self.sh);
+        if sh.ckpt_armed_for(id) {
+            // Wait for the pseudo-controller to publish the cut GVT.
+            while !sh.ckpt_ready() && !sh.terminated.load(Ordering::Acquire) {
+                std::hint::spin_loop();
+            }
+            if sh.ckpt_ready() {
+                // A chaos-exempt drain first pulls in every cut-crossing
+                // message (all of them are queued by now — any event
+                // processed after the phase-B folds has recv ≥ GVT, so its
+                // sends do too), fossil collection pins the committed state
+                // at the cut, and the snapshot is deposited for assembly.
+                let trace = self.tracer.enabled();
+                let cw0 = if trace { sh.now_ns() } else { 0 };
+                self.inbox.clear();
+                sh.drain_clean(me, &mut self.inbox);
+                self.outbox.clear();
+                for m in self.inbox.drain(..) {
+                    self.engine.deliver(m, &mut self.outbox);
+                }
+                for (dst, msg) in self.outbox.drain(..) {
+                    sh.push_msg(me, dst.index(), msg);
+                }
+                let g = sh.gvt();
+                self.engine.fossil_collect(g);
+                let (lps, events) = self.engine.snapshot_at_gvt(g);
+                ckpt.deposit(
+                    id,
+                    g,
+                    sh.gvt_rounds.load(Ordering::Acquire),
+                    lps,
+                    events,
+                    sh.participants(),
+                    &sh.faults,
+                );
+                if trace {
+                    self.tracer
+                        .span(EventKind::CheckpointWrite, cw0, sh.now_ns(), id);
+                }
+                return;
+            }
+        }
+        self.engine.fossil_collect(sh.gvt());
+    }
+
+    /// Algorithm 1: de-schedule this thread until the activation scan finds
+    /// demand for it again. Returns `false` when the run ended meanwhile.
+    fn park(&mut self, sys: SystemConfig, id: u64) -> bool {
+        let (me, sh) = (self.me, self.sh);
+        if P::PARKS_WITH_PENDING {
+            // Publish the pending floor *before* the membership transition:
+            // any round opened after we unsubscribe acquires the membership
+            // lock after us and therefore reads the floor — the reduction
+            // can never overshoot events only we know about.
+            sh.set_park_min(me, self.engine.local_min());
+        }
+        let parked = match sys.scheduler {
+            Scheduler::GgPdes => sh.deactivate_self(me, id),
+            Scheduler::DdPdes => {
+                sh.set_phase(me, 12); // dd-deact
+                let _g = sh.dd_lock.lock();
+                sh.deactivate_self(me, id)
+            }
+            Scheduler::Baseline => unreachable!("baseline never deactivates"),
+        };
+        if parked {
+            sh.set_phase(me, 7); // parked
+            let trace = self.tracer.enabled();
+            let park0 = if trace { sh.now_ns() } else { 0 };
+            if trace {
+                // An idle LVT is ∞: round snapshots render it as such.
+                sh.tel_publish(me, VirtualTime::INFINITY, self.engine.stats());
+            }
+            sh.sems[me].wait();
+            // A wake token proves nothing by itself: a fault plan may post a
+            // parked thread *without* activating it (spurious wake-up). Only
+            // `active[me]` — set by the activator before the post — or
+            // termination legitimises leaving the park.
+            while !sh.active[me].load(Ordering::Acquire) && !sh.terminated.load(Ordering::Acquire) {
+                sh.sems[me].wait();
+            }
+            // Algorithm 1 lines 14–17: reintegrate.
+            self.zero_counter = 0;
+            self.active_flag = true;
+            if trace {
+                let now = sh.now_ns();
+                self.tracer.span(EventKind::Park, park0, now, id);
+                self.tracer.instant(EventKind::Unpark, now, id);
+            }
+        }
+        if P::PARKS_WITH_PENDING {
+            // Woken, or refused (last active thread, or a newer round
+            // already counts us): withdraw the floor, or the reduction
+            // would be pinned below a thread that keeps running.
+            sh.clear_park_min(me);
+        }
+        !sh.terminated.load(Ordering::Acquire)
+    }
+}
+
+/// Run simulation thread `me` to completion.
+pub fn worker_loop<M: Model, P: Protocol<M>>(
+    me: usize,
+    engine: ThreadEngine<M>,
+    sh: &RtShared<M::Payload>,
+    proto: &P,
+    rc: &RtRunConfig,
+    ckpt: &CkptSink<M>,
 ) -> WorkerResult {
+    let (sys, ecfg) = (rc.system, &rc.engine);
     sh.os_tids[me].store(current_tid().0, Ordering::Release);
     let mut tracer = sh.telemetry.tracer(me);
     if sys.affinity == AffinityPolicy::Constant {
         // Algorithm 3: round-robin constant pinning at setup.
-        let core = me % pin_cores.max(1);
+        let core = me % rc.pin_cores.max(1);
         if pin_to_core(current_tid(), core) {
             tracer.instant(EventKind::Pin, sh.now_ns(), core as u64);
         } else {
@@ -43,98 +368,29 @@ pub fn worker_loop<M: Model>(
         }
     }
 
-    let mut inbox: Vec<Msg<M::Payload>> = Vec::new();
-    let mut outbox: Vec<Outbound<M::Payload>> = Vec::new();
-    // Outgoing messages accumulate here and land as one bulk push per
-    // destination; see `crate::batch` for the coverage argument and the
-    // flush policy (cycle end, batch-full, before every GVT fold).
-    let mut batcher: SendBatcher<M::Payload> = SendBatcher::new(sh.global_threads(), 64);
+    let mut w = Worker {
+        me,
+        engine,
+        sh,
+        proto,
+        ecfg,
+        inbox: Vec::new(),
+        outbox: Vec::new(),
+        batcher: SendBatcher::new(sh.global_threads(), 64),
+        tracer,
+        span_start: 0,
+        zero_counter: 0,
+        active_flag: true,
+        idle_spins: 0,
+    };
     let mut cycles_since_gvt: u64 = 0;
     let mut total_cycles: u64 = 0;
-    let mut zero_counter: u64 = 0;
-    let mut active_flag = true;
     let mut joined: Option<u64> = None;
-    let mut idle_spins: u32 = 0;
     // ROSS 7 O'clock no-change backoff: widen the round interval while GVT
     // stands still (inert unless `ecfg.gvt_max_no_change > 0`).
     let mut backoff = pdes_core::GvtBackoff::default();
 
-    // One main-loop cycle; returns whether it did useful work.
-    let cycle = |engine: &mut ThreadEngine<M>,
-                 inbox: &mut Vec<Msg<M::Payload>>,
-                 outbox: &mut Vec<Outbound<M::Payload>>,
-                 batcher: &mut SendBatcher<M::Payload>,
-                 zero_counter: &mut u64,
-                 active_flag: &mut bool,
-                 idle_spins: &mut u32,
-                 tracer: &mut Tracer,
-                 sh: &RtShared<M::Payload>| {
-        // Tracing a cycle costs two clock reads and two counter loads, paid
-        // only when telemetry is on (the tracer's own calls are branches).
-        let trace = tracer.enabled();
-        let (t0, rb0) = if trace {
-            (sh.now_ns(), engine.stats().rolled_back)
-        } else {
-            (0, 0)
-        };
-        inbox.clear();
-        let n = sh.drain(me, inbox);
-        outbox.clear();
-        for m in inbox.drain(..) {
-            engine.deliver(m, outbox);
-        }
-        let batch = engine.process_batch(ecfg.batch_size, outbox);
-        for (dst, msg) in outbox.drain(..) {
-            batcher.buffer(sh, me, dst.index(), msg);
-        }
-        // Flush at the cycle boundary: the batch above either advanced LVT
-        // (processed events) or the thread is about to go idle — in both
-        // cases the peer must see this cycle's sends now. Batch-full
-        // overflow within the cycle already flushed inline.
-        batcher.flush(sh);
-        if trace {
-            let undone = engine.stats().rolled_back - rb0;
-            if batch.processed > 0 || undone > 0 {
-                let t1 = sh.now_ns();
-                if batch.processed > 0 {
-                    tracer.span(EventKind::EventBatch, t0, t1, batch.processed as u64);
-                }
-                if undone > 0 {
-                    tracer.span(EventKind::Rollback, t0, t1, undone);
-                }
-            }
-        }
-        let idle = n == 0 && batch.processed == 0;
-        if idle {
-            if !engine.has_live_pending() {
-                *zero_counter += 1;
-                if *zero_counter > ecfg.zero_counter_threshold as u64 {
-                    *active_flag = false;
-                }
-            }
-            // A horizon-blocked thread (live pending beyond gvt + window) is
-            // just as idle as an empty one: it is waiting on a peer to move
-            // a GVT phase forward. On an oversubscribed host a hard spin
-            // here costs the peer a full scheduler slice per handoff, which
-            // dwarfs the event work — so escalate spin → yield → timed park
-            // and give the slice back.
-            *idle_spins += 1;
-            if *idle_spins >= 1024 {
-                std::thread::park_timeout(std::time::Duration::from_micros(50));
-            } else if (*idle_spins).is_multiple_of(64) {
-                std::thread::yield_now();
-            } else {
-                std::hint::spin_loop();
-            }
-        } else {
-            *zero_counter = 0;
-            *active_flag = true;
-            *idle_spins = 0;
-        }
-        !idle
-    };
-
-    'main: loop {
+    loop {
         sh.set_phase(me, 0); // cycle
         if sh.terminated.load(Ordering::Acquire) {
             break;
@@ -146,24 +402,14 @@ pub fn worker_loop<M: Model>(
             // `RunError::WorkerPanicked` for the supervisor to recover from.
             panic!("fault-injected worker kill (thread {me}, cycle {total_cycles})");
         }
-        cycle(
-            &mut engine,
-            &mut inbox,
-            &mut outbox,
-            &mut batcher,
-            &mut zero_counter,
-            &mut active_flag,
-            &mut idle_spins,
-            &mut tracer,
-            &sh,
-        );
+        w.cycle();
         cycles_since_gvt += 1;
 
         let round_waiting = sh
             .round_waiting_for(me)
             .is_some_and(|id| joined != Some(id));
         let base_interval = match ecfg.adaptive_gvt {
-            Some(a) => a.effective_interval(ecfg.gvt_interval, engine.history_len()),
+            Some(a) => a.effective_interval(ecfg.gvt_interval, w.engine.history_len()),
             None => ecfg.gvt_interval,
         };
         // Memory pressure (watermarks) shortens the interval; a still GVT
@@ -181,202 +427,29 @@ pub fn worker_loop<M: Model>(
         sh.note_joined(me, id);
         cycles_since_gvt = 0;
         let enter = Instant::now();
-        let trace = tracer.enabled();
-        let mut ph = if trace { sh.now_ns() } else { 0 };
-
-        // ---- the GVT round ----
-        match sys.gvt {
-            GvtMode::Async => {
-                // Phase A.
-                sh.set_phase(me, 1); // gvt-a
-                drain_deliver(me, &mut engine, &mut inbox, &mut outbox, &mut batcher, &sh);
-                let local = engine.local_min();
-                sh.fold_min(me, local);
-                if trace {
-                    sh.tel_publish(me, local, engine.stats());
-                    let now = sh.now_ns();
-                    tracer.span(EventKind::GvtA, ph, now, id);
-                    ph = now;
-                }
-                sh.a_done.fetch_add(1, Ordering::AcqRel);
-                let parts = sh.participants();
-                // Phase Send: simulate while peers record their minima.
-                // Escape on `terminated` so a watchdog trip (or poisoned
-                // sibling) cannot strand this spin forever.
-                sh.set_phase(me, 2); // gvt-send-a
-                while sh.a_done.load(Ordering::Acquire) < parts
-                    && !sh.terminated.load(Ordering::Acquire)
-                {
-                    cycle(
-                        &mut engine,
-                        &mut inbox,
-                        &mut outbox,
-                        &mut batcher,
-                        &mut zero_counter,
-                        &mut active_flag,
-                        &mut idle_spins,
-                        &mut tracer,
-                        &sh,
-                    );
-                }
-                // Phase B.
-                sh.set_phase(me, 3); // gvt-b
-                if trace {
-                    let now = sh.now_ns();
-                    tracer.span(EventKind::GvtSendA, ph, now, id);
-                    ph = now;
-                }
-                drain_deliver(me, &mut engine, &mut inbox, &mut outbox, &mut batcher, &sh);
-                let local = engine.local_min();
-                sh.fold_min(me, local);
-                if trace {
-                    sh.tel_publish(me, local, engine.stats());
-                    let now = sh.now_ns();
-                    tracer.span(EventKind::GvtB, ph, now, id);
-                    ph = now;
-                }
-                sh.b_done.fetch_add(1, Ordering::AcqRel);
-                sh.set_phase(me, 4); // gvt-send-b
-                while sh.b_done.load(Ordering::Acquire) < parts
-                    && !sh.terminated.load(Ordering::Acquire)
-                {
-                    cycle(
-                        &mut engine,
-                        &mut inbox,
-                        &mut outbox,
-                        &mut batcher,
-                        &mut zero_counter,
-                        &mut active_flag,
-                        &mut idle_spins,
-                        &mut tracer,
-                        &sh,
-                    );
-                }
-                // Phase Aware: first thread through becomes pseudo-controller.
-                sh.set_phase(me, 5); // gvt-aware
-                if trace {
-                    let now = sh.now_ns();
-                    tracer.span(EventKind::GvtSendB, ph, now, id);
-                    ph = now;
-                }
-                if sh
-                    .aware_claimed
-                    .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
-                    .is_ok()
-                {
-                    aware_duties(&sh, sys, id);
-                }
-                if trace {
-                    let now = sh.now_ns();
-                    tracer.span(EventKind::GvtAware, ph, now, id);
-                    ph = now;
-                }
-            }
-            GvtMode::Sync => {
-                // Sync mode has no Send spins; map the three barriers onto
-                // the same phase lanes so one trace vocabulary covers both
-                // modes: fold = A, reduction barrier = B, controller = Aware,
-                // exit barrier = Send-B.
-                sh.set_phase(me, 9); // sync-bar0
-                sh.bars[0].wait();
-                drain_deliver(me, &mut engine, &mut inbox, &mut outbox, &mut batcher, &sh);
-                let local = engine.local_min();
-                sh.fold_min(me, local);
-                if trace {
-                    sh.tel_publish(me, local, engine.stats());
-                    let now = sh.now_ns();
-                    tracer.span(EventKind::GvtA, ph, now, id);
-                    ph = now;
-                }
-                sh.set_phase(me, 10); // sync-bar1
-                sh.bars[1].wait();
-                if trace {
-                    let now = sh.now_ns();
-                    tracer.span(EventKind::GvtB, ph, now, id);
-                    ph = now;
-                }
-                if sh
-                    .aware_claimed
-                    .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
-                    .is_ok()
-                {
-                    aware_duties(&sh, sys, id);
-                }
-                if trace {
-                    let now = sh.now_ns();
-                    tracer.span(EventKind::GvtAware, ph, now, id);
-                    ph = now;
-                }
-                sh.set_phase(me, 11); // sync-bar2
-                sh.bars[2].wait();
-                if trace {
-                    let now = sh.now_ns();
-                    tracer.span(EventKind::GvtSendB, ph, now, id);
-                    ph = now;
-                }
-            }
+        let trace = w.tracer.enabled();
+        if trace {
+            w.span_start = sh.now_ns();
         }
+        w.gvt_round(sys, id);
 
         // Phase End.
         sh.set_phase(me, 6); // gvt-end
-        if sh.ckpt_armed_for(id) {
-            // The round was armed for a checkpoint at open time (with every
-            // thread force-woken into the participant set). Wait for the
-            // pseudo-controller to publish the cut GVT, then capture a
-            // consistent cut: a chaos-exempt drain first pulls in every
-            // cut-crossing message (all of them are queued by now — any
-            // event processed after the phase-B folds has recv ≥ GVT, so its
-            // sends do too), fossil collection pins the committed state at
-            // the cut, and the snapshot is deposited for assembly.
-            while !sh.ckpt_ready() && !sh.terminated.load(Ordering::Acquire) {
-                std::hint::spin_loop();
-            }
-            if sh.ckpt_ready() {
-                let cw0 = if trace { sh.now_ns() } else { 0 };
-                inbox.clear();
-                sh.drain_clean(me, &mut inbox);
-                outbox.clear();
-                for m in inbox.drain(..) {
-                    engine.deliver(m, &mut outbox);
-                }
-                for (dst, msg) in outbox.drain(..) {
-                    sh.push_msg(me, dst.index(), msg);
-                }
-                let g = sh.gvt();
-                engine.fossil_collect(g);
-                let (lps, events) = engine.snapshot_at_gvt(g);
-                ckpt.deposit(
-                    id,
-                    g,
-                    sh.gvt_rounds.load(Ordering::Acquire),
-                    lps,
-                    events,
-                    sh.participants(),
-                    &sh.faults,
-                );
-                if trace {
-                    tracer.span(EventKind::CheckpointWrite, cw0, sh.now_ns(), id);
-                }
-            } else {
-                engine.fossil_collect(sh.gvt());
-            }
-        } else {
-            engine.fossil_collect(sh.gvt());
-        }
+        w.collect(id, ckpt);
         sh.gvt_wall_ns
             .fetch_add(enter.elapsed().as_nanos() as u64, Ordering::AcqRel);
         backoff.observe(sh.gvt().ticks(), ecfg.gvt_max_no_change);
         let terminated = sh.terminated.load(Ordering::Acquire);
         let wants_deact = sys.demand_driven()
             && !terminated
-            && !active_flag
+            && !w.active_flag
             && sh.queue_len[me].load(Ordering::Acquire) == 0
-            && !engine.has_live_pending()
+            && (P::PARKS_WITH_PENDING || !w.engine.has_live_pending())
             && sh.window_is_clear(me);
         if trace {
             // Refresh this thread's counters so the snapshot the round closer
             // takes reflects post-round totals, not the phase-B fold.
-            sh.tel_publish(me, engine.local_min(), engine.stats());
+            sh.tel_publish(me, w.engine.local_min(), w.engine.stats());
         }
         let closed = sh.end_phase();
         if closed {
@@ -384,21 +457,7 @@ pub fn worker_loop<M: Model>(
             // telemetry is off).
             sh.tel_round_snapshot(id);
             if trace {
-                // Ingest verdicts land as per-round instants on the
-                // closer's lane (only rounds with activity emit anything).
-                if let Some((adm, rej, shed, busy)) = sh.ingest_round_deltas() {
-                    let now = sh.now_ns();
-                    for (kind, n) in [
-                        (EventKind::IngestAdmit, adm),
-                        (EventKind::IngestReject, rej),
-                        (EventKind::IngestShed, shed),
-                        (EventKind::IngestBusy, busy),
-                    ] {
-                        if n > 0 {
-                            tracer.instant(kind, now, n);
-                        }
-                    }
-                }
+                proto.round_instants(sh, &mut w.tracer);
             }
         }
         if closed && sys.affinity == AffinityPolicy::Dynamic && !terminated {
@@ -411,115 +470,38 @@ pub fn worker_loop<M: Model>(
             let moved = aff.assign(|t| sh.active[t].load(Ordering::Acquire), &tids);
             if trace && moved > 0 {
                 // Migration lands on the closer's lane: it repins siblings.
-                tracer.instant(EventKind::Migrate, sh.now_ns(), moved as u64);
+                w.tracer
+                    .instant(EventKind::Migrate, sh.now_ns(), moved as u64);
             }
         }
-        if trace {
-            tracer.span(EventKind::GvtEnd, ph, sh.now_ns(), id);
-        }
+        w.mark(EventKind::GvtEnd, id);
         if terminated {
             break;
         }
-        if wants_deact {
-            let parked = match sys.scheduler {
-                Scheduler::GgPdes => sh.deactivate_self(me, id),
-                Scheduler::DdPdes => {
-                    sh.set_phase(me, 12); // dd-deact
-                    let _g = sh.dd_lock.lock();
-                    if sh.terminated.load(Ordering::Acquire) {
-                        break 'main;
-                    }
-                    sh.deactivate_self(me, id)
-                }
-                Scheduler::Baseline => unreachable!("baseline never deactivates"),
-            };
-            if parked {
-                sh.set_phase(me, 7); // parked
-                let park0 = if trace { sh.now_ns() } else { 0 };
-                if trace {
-                    // An idle LVT is ∞: round snapshots render it as such.
-                    sh.tel_publish(me, VirtualTime::INFINITY, engine.stats());
-                }
-                sh.sems[me].wait();
-                // A wake token proves nothing by itself: a fault plan may
-                // post a parked thread *without* activating it (spurious
-                // wake-up). Only `active[me]` — set by the activator before
-                // the post — or termination legitimises leaving the park.
-                while !sh.active[me].load(Ordering::Acquire)
-                    && !sh.terminated.load(Ordering::Acquire)
-                {
-                    sh.sems[me].wait();
-                }
-                // Algorithm 1 lines 14–17: reintegrate.
-                zero_counter = 0;
-                active_flag = true;
-                cycles_since_gvt = 0;
-                if trace {
-                    let now = sh.now_ns();
-                    tracer.span(EventKind::Park, park0, now, id);
-                    tracer.instant(EventKind::Unpark, now, id);
-                }
-                if sh.terminated.load(Ordering::Acquire) {
-                    break;
-                }
-            }
+        if wants_deact && !w.park(sys, id) {
+            break;
         }
     }
 
     sh.set_phase(me, 8); // done
-    engine.finalize();
-    sh.telemetry.deposit(tracer);
+    proto.terminal_sweep(
+        me,
+        sh,
+        &mut w.engine,
+        &mut w.inbox,
+        &mut w.outbox,
+        ecfg.batch_size,
+    );
+    w.engine.finalize();
+    sh.telemetry.deposit(w.tracer);
     WorkerResult {
-        stats: engine.stats().clone(),
-        digests: engine.state_digests(),
-    }
-}
-
-/// Drain and deliver before folding a GVT minimum.
-fn drain_deliver<M: Model>(
-    me: usize,
-    engine: &mut ThreadEngine<M>,
-    inbox: &mut Vec<Msg<M::Payload>>,
-    outbox: &mut Vec<Outbound<M::Payload>>,
-    batcher: &mut SendBatcher<M::Payload>,
-    sh: &RtShared<M::Payload>,
-) {
-    inbox.clear();
-    sh.drain(me, inbox);
-    outbox.clear();
-    for m in inbox.drain(..) {
-        engine.deliver(m, outbox);
-    }
-    for (dst, msg) in outbox.drain(..) {
-        batcher.buffer(sh, me, dst.index(), msg);
-    }
-    // Every caller folds a GVT minimum next, which resets this thread's
-    // send window — everything buffered must be in a queue before then.
-    batcher.flush(sh);
-}
-
-/// Pseudo-controller duties: GVT, termination broadcast, activation.
-fn aware_duties<P: Clone + serde::Serialize>(sh: &RtShared<P>, sys: SystemConfig, id: u64) {
-    let gvt = sh.compute_gvt();
-    let _ = gvt;
-    // Admit external events against the floor just published — before the
-    // checkpoint handshake, so an armed round's cut either drains the
-    // injected event into an engine (where `send_time = cut GVT` keeps it
-    // out of the snapshot) or journal replay covers it; either way exactly
-    // one copy survives a restore.
-    sh.pump_ingest();
-    // Unblock End-phase snapshotters even when this GVT also terminates the
-    // run — the final cut is still a valid (if redundant) checkpoint.
-    sh.ckpt_publish_if_armed(id);
-    if sh.terminated.load(Ordering::Acquire) {
-        sh.release_all_for_termination();
-    } else if matches!(sys.scheduler, Scheduler::GgPdes) {
-        sh.activate();
+        stats: w.engine.stats().clone(),
+        digests: w.engine.state_digests(),
     }
 }
 
 /// The DD-PDES controller loop (dedicated thread).
-pub fn controller_loop<P>(sh: Arc<RtShared<P>>) {
+pub fn controller_loop<P>(sh: &RtShared<P>) {
     loop {
         if sh.controller_exit.load(Ordering::Acquire) {
             return;
@@ -531,7 +513,3 @@ pub fn controller_loop<P>(sh: Arc<RtShared<P>>) {
         std::thread::yield_now();
     }
 }
-
-/// Keep `VirtualTime` import alive for doc references.
-#[allow(dead_code)]
-fn _t(_: VirtualTime) {}

@@ -11,7 +11,9 @@ use pdes_core::{run_sequential, EngineConfig, FaultPlan, Model};
 use sim_rt::SystemConfig;
 use std::sync::Arc;
 use std::time::Duration;
-use thread_rt::{run_supervised, run_threads_resumable, Recovered, RtRunConfig, SupervisorConfig};
+use thread_rt::{
+    run_supervised, run_threads_attempt, Optimistic, Recovered, RtRunConfig, SupervisorConfig,
+};
 
 fn engine_cfg(end: f64) -> EngineConfig {
     EngineConfig::default()
@@ -49,7 +51,7 @@ fn checkpointed_run_matches_oracle_and_restores_identically() {
 
     // A fault-free checkpointing run must be unaffected by the armed rounds.
     let rc = RtRunConfig::new(threads, ecfg.clone(), gg_async()).with_checkpoint_every(3);
-    let attempt = run_threads_resumable(&model, &rc, None, None);
+    let attempt = run_threads_attempt::<_, Optimistic>(&model, &rc, None, None, None);
     let r = attempt.outcome.expect("checkpointed run completes");
     assert_eq!(r.metrics.commit_digest, oracle.commit_digest);
     assert_eq!(r.digests, oracle.state_digests);
@@ -71,7 +73,7 @@ fn checkpointed_run_matches_oracle_and_restores_identically() {
     );
 
     // Restoring that cut into a fresh run must finish on the oracle trace.
-    let resumed = run_threads_resumable(&model, &rc, Some(&ckpt), None)
+    let resumed = run_threads_attempt::<_, Optimistic>(&model, &rc, Some(&ckpt), None, None)
         .outcome
         .expect("resumed run completes");
     assert_eq!(resumed.metrics.commit_digest, oracle.commit_digest);
@@ -86,7 +88,7 @@ fn supervised_fault_free_run_is_a_pass_through() {
     let ecfg = engine_cfg(8.0);
     let oracle = run_sequential(&model, &ecfg, None);
     let rc = RtRunConfig::new(threads, ecfg, gg_async()).with_checkpoint_every(4);
-    let s = run_supervised(&model, &rc, &supervisor(3));
+    let s = run_supervised::<_, Optimistic>(&model, &rc, &supervisor(3), None);
     assert!(s.completed_parallel() && !s.degraded);
     assert_eq!(s.recoveries, 0);
     assert_eq!(s.outcome.commit_digest(), oracle.commit_digest);
@@ -109,7 +111,7 @@ fn kill_and_recover_commits_exact_oracle_trace() {
         .with_faults(plan)
         .with_checkpoint_every(2)
         .with_watchdog(Some(Duration::from_secs(30)));
-    let s = run_supervised(&model, &rc, &supervisor(3));
+    let s = run_supervised::<_, Optimistic>(&model, &rc, &supervisor(3), None);
     assert!(s.recoveries >= 1, "the kill must fire: {:?}", s.log);
     assert!(
         !s.degraded,
@@ -152,7 +154,7 @@ fn recovery_exhaustion_degrades_to_sequential_and_still_completes() {
         .with_faults(plan)
         .with_checkpoint_every(1)
         .with_watchdog(Some(Duration::from_secs(30)));
-    let s = run_supervised(&model, &rc, &supervisor(1));
+    let s = run_supervised::<_, Optimistic>(&model, &rc, &supervisor(1), None);
     assert!(s.degraded, "budget of 1 must be exhausted: {:?}", s.log);
     assert_eq!(s.recoveries, 1);
     assert!(matches!(s.outcome, Recovered::Sequential(_)));
@@ -178,13 +180,13 @@ fn checkpoint_file_round_trips_through_disk() {
     let rc = RtRunConfig::new(threads, ecfg.clone(), gg_async())
         .with_checkpoint_every(3)
         .with_checkpoint_path(path.clone());
-    run_threads_resumable::<Phold>(&model, &rc, None, None)
+    run_threads_attempt::<_, Optimistic>(&model, &rc, None, None, None)
         .outcome
         .expect("checkpointed run completes");
     let ckpt: Checkpoint<PholdState, PholdPayload> =
         Checkpoint::read(&path).expect("checkpoint file parses");
     assert!(!path.with_extension("json.tmp").exists(), "no temp debris");
-    let resumed = run_threads_resumable(&model, &rc, Some(&ckpt), None)
+    let resumed = run_threads_attempt::<_, Optimistic>(&model, &rc, Some(&ckpt), None, None)
         .outcome
         .expect("resume from disk completes");
     assert_eq!(resumed.metrics.commit_digest, oracle.commit_digest);

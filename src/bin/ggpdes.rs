@@ -48,12 +48,16 @@
 //! Chandy–Misra–Bryant null-message synchronization instead of Time Warp —
 //! no speculation, no rollbacks, processing bounded by per-thread channel
 //! clocks plus the model's declared lookahead (`Model::lookahead`, strictly
-//! positive or the run is refused). The GVT round machinery runs unchanged
-//! as periodic LBTS rounds, so `--verify`, `--stats-json`, telemetry, and
-//! `--checkpoint-every-gvt` all work; `--chaos-*`, `--ingest`, and
-//! `--max-recoveries` are optimistic/supervised-only and are rejected. The
-//! emitted metrics carry `protocol: "conservative"`, `null_messages_sent`,
-//! and `lbts_rounds` for cross-protocol comparison (see DESIGN.md §15).
+//! positive or the run is refused). It is a policy on the `threads` runtime's
+//! worker loop and runner, so the GVT rounds run unchanged as periodic LBTS
+//! rounds and `--verify`, `--stats-json`, telemetry, `--gvt sync|async`,
+//! `--system gg|baseline`, `--checkpoint-every-gvt` and `--max-recoveries`
+//! (supervised restart from an LBTS cut) all work. `--system dd` is refused
+//! (its dedicated controller cannot see a parked thread's pending floor),
+//! and so are `--chaos-*` and `--ingest` (unsound without rollback) — each
+//! with a one-line message and exit code 2. The emitted metrics carry
+//! `protocol: "conservative"`, `null_messages_sent`, and `lbts_rounds` for
+//! cross-protocol comparison (see DESIGN.md §15).
 //!
 //! GVT cadence: `--gvt-interval N` sets the base round interval in main-loop
 //! cycles (default 25); `--gvt-max-no-change N` enables the ROSS-style
@@ -237,6 +241,15 @@ fn colon_fields(flag: &str, val: &str, n: usize) -> Vec<u64> {
     parts
 }
 
+/// Parse a flag's numeric value; a malformed one is a usage error.
+fn num<T: std::str::FromStr>(flag: &str, val: &str) -> T
+where
+    T::Err: std::fmt::Display,
+{
+    val.parse()
+        .unwrap_or_else(|e| die(2, &format!("{flag} '{val}': {e}")))
+}
+
 fn parse_args() -> Args {
     let mut a = Args::default();
     let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -244,7 +257,7 @@ fn parse_args() -> Args {
     while let Some(flag) = it.next() {
         let mut val = || {
             it.next()
-                .unwrap_or_else(|| panic!("{flag} needs a value"))
+                .unwrap_or_else(|| die(2, &format!("{flag} needs a value")))
                 .clone()
         };
         match flag.as_str() {
@@ -252,62 +265,36 @@ fn parse_args() -> Args {
             "--system" => a.system = val(),
             "--gvt" => a.gvt = val(),
             "--affinity" => a.affinity = val(),
-            "--threads" => a.threads = val().parse().expect("--threads"),
-            "--lps-per-thread" => a.lps = val().parse().expect("--lps-per-thread"),
-            "--imbalance" => a.imbalance = val().parse().expect("--imbalance"),
-            "--end" => a.end = val().parse().expect("--end"),
-            "--seed" => a.seed = val().parse().expect("--seed"),
-            "--cores" => a.cores = val().parse().expect("--cores"),
-            "--smt" => a.smt = val().parse().expect("--smt"),
-            "--snapshot-period" => a.snapshot_period = val().parse().expect("--snapshot-period"),
-            "--optimism-window" => {
-                a.optimism_window = Some(val().parse().expect("--optimism-window"))
-            }
+            "--threads" => a.threads = num(flag, &val()),
+            "--lps-per-thread" => a.lps = num(flag, &val()),
+            "--imbalance" => a.imbalance = num(flag, &val()),
+            "--end" => a.end = num(flag, &val()),
+            "--seed" => a.seed = num(flag, &val()),
+            "--cores" => a.cores = num(flag, &val()),
+            "--smt" => a.smt = num(flag, &val()),
+            "--snapshot-period" => a.snapshot_period = num(flag, &val()),
+            "--optimism-window" => a.optimism_window = Some(num(flag, &val())),
             "--gvt-interval" => {
-                a.gvt_interval = val()
-                    .parse()
-                    .unwrap_or_else(|e| die(2, &format!("--gvt-interval: {e}")));
+                a.gvt_interval = num(flag, &val());
                 if a.gvt_interval == 0 {
                     die(2, "--gvt-interval must be positive");
                 }
             }
-            "--gvt-max-no-change" => {
-                a.gvt_max_no_change = val()
-                    .parse()
-                    .unwrap_or_else(|e| die(2, &format!("--gvt-max-no-change: {e}")))
-            }
+            "--gvt-max-no-change" => a.gvt_max_no_change = num(flag, &val()),
             "--runtime" => a.runtime = val(),
             "--verify" => a.verify = true,
             "--json" => a.json = true,
-            "--chaos-seed" => a.chaos_seed = Some(val().parse().expect("--chaos-seed")),
+            "--chaos-seed" => a.chaos_seed = Some(num(flag, &val())),
             "--chaos-plan" => a.chaos_plan = Some(val()),
-            "--watchdog-secs" => a.watchdog_secs = Some(val().parse().expect("--watchdog-secs")),
-            "--checkpoint-every-gvt" => {
-                a.checkpoint_every_gvt = val().parse().expect("--checkpoint-every-gvt")
-            }
+            "--watchdog-secs" => a.watchdog_secs = Some(num(flag, &val())),
+            "--checkpoint-every-gvt" => a.checkpoint_every_gvt = num(flag, &val()),
             "--checkpoint-path" => a.checkpoint_path = Some(val()),
-            "--max-recoveries" => a.max_recoveries = Some(val().parse().expect("--max-recoveries")),
+            "--max-recoveries" => a.max_recoveries = Some(num(flag, &val())),
             "--stats-json" => a.stats_json = Some(val()),
-            "--shards" => {
-                a.shards = val()
-                    .parse()
-                    .unwrap_or_else(|e| die(2, &format!("--shards: {e}")))
-            }
+            "--shards" => a.shards = num(flag, &val()),
             "--transport" => a.transport = val(),
-            "--hb-interval-ms" => {
-                a.hb_interval_ms = Some(
-                    val()
-                        .parse()
-                        .unwrap_or_else(|e| die(2, &format!("--hb-interval-ms: {e}"))),
-                )
-            }
-            "--hb-miss" => {
-                a.hb_miss = Some(
-                    val()
-                        .parse()
-                        .unwrap_or_else(|e| die(2, &format!("--hb-miss: {e}"))),
-                )
-            }
+            "--hb-interval-ms" => a.hb_interval_ms = Some(num(flag, &val())),
+            "--hb-miss" => a.hb_miss = Some(num(flag, &val())),
             "--kill-shard" => {
                 let f = colon_fields("--kill-shard", &val(), 2);
                 a.kill_shard.push((f[0] as usize, f[1]));
@@ -316,40 +303,18 @@ fn parse_args() -> Args {
                 let f = colon_fields("--partition", &val(), 3);
                 a.partitions.push((f[0] as usize, f[1] as usize, f[2]));
             }
-            "--join-at" => {
-                a.join_at = Some(
-                    val()
-                        .parse()
-                        .unwrap_or_else(|e| die(2, &format!("--join-at: {e}"))),
-                )
-            }
+            "--join-at" => a.join_at = Some(num(flag, &val())),
             "--leave-at" => {
                 let f = colon_fields("--leave-at", &val(), 2);
                 a.leave_at = Some((f[0] as usize, f[1]));
             }
             "--degrade" => a.degrade = true,
-            "--shard-id" => {
-                a.shard_id = Some(
-                    val()
-                        .parse()
-                        .unwrap_or_else(|e| die(2, &format!("--shard-id: {e}"))),
-                )
-            }
+            "--shard-id" => a.shard_id = Some(num(flag, &val())),
             "--listen" => a.listen = Some(val()),
             "--connect" => a.connect.push(val()),
-            "--connect-timeout-secs" => {
-                a.connect_timeout_secs = val()
-                    .parse()
-                    .unwrap_or_else(|e| die(2, &format!("--connect-timeout-secs: {e}")))
-            }
+            "--connect-timeout-secs" => a.connect_timeout_secs = num(flag, &val()),
             "--trace-out" => a.trace_out = Some(val()),
-            "--trace-capacity" => {
-                a.trace_capacity = Some(
-                    val()
-                        .parse()
-                        .unwrap_or_else(|e| die(2, &format!("--trace-capacity: {e}"))),
-                )
-            }
+            "--trace-capacity" => a.trace_capacity = Some(num(flag, &val())),
             "--round-stream" => a.round_stream = Some(val()),
             "--gantt" => a.gantt = true,
             "--ingest" => a.ingest = Some(val()),
@@ -359,8 +324,11 @@ fn parse_args() -> Args {
                 println!("see module docs: cargo doc --open -p ggpdes");
                 std::process::exit(0);
             }
-            other => panic!("unknown flag {other}"),
+            other => die(2, &format!("unknown flag {other}")),
         }
+    }
+    if a.threads == 0 || a.lps == 0 {
+        die(2, "--threads and --lps-per-thread must be positive");
     }
     a
 }
@@ -370,18 +338,21 @@ fn system_of(a: &Args) -> SystemConfig {
         "gg" => Scheduler::GgPdes,
         "dd" => Scheduler::DdPdes,
         "baseline" => Scheduler::Baseline,
-        s => panic!("unknown system '{s}' (gg|dd|baseline)"),
+        s => die(2, &format!("unknown system '{s}' (gg|dd|baseline)")),
     };
     let gvt = match a.gvt.as_str() {
         "sync" => GvtMode::Sync,
         "async" => GvtMode::Async,
-        s => panic!("unknown gvt mode '{s}' (sync|async)"),
+        s => die(2, &format!("unknown gvt mode '{s}' (sync|async)")),
     };
     let affinity = match a.affinity.as_str() {
         "none" => AffinityPolicy::NoAffinity,
         "constant" => AffinityPolicy::Constant,
         "dynamic" => AffinityPolicy::Dynamic,
-        s => panic!("unknown affinity '{s}' (none|constant|dynamic)"),
+        s => die(
+            2,
+            &format!("unknown affinity '{s}' (none|constant|dynamic)"),
+        ),
     };
     SystemConfig::new(scheduler, gvt, affinity)
 }
@@ -477,10 +448,10 @@ fn emit_telemetry(a: &Args, data: &Option<telemetry::TelemetryData>, threads: us
 /// (the default chaos mix); empty plan otherwise.
 fn fault_plan(a: &Args) -> FaultPlan {
     if let Some(path) = &a.chaos_plan {
-        let text =
-            std::fs::read_to_string(path).unwrap_or_else(|e| panic!("--chaos-plan {path}: {e}"));
+        let text = std::fs::read_to_string(path)
+            .unwrap_or_else(|e| die(2, &format!("--chaos-plan {path}: {e}")));
         return serde_json::from_str(&text)
-            .unwrap_or_else(|e| panic!("--chaos-plan {path}: bad FaultPlan JSON: {e}"));
+            .unwrap_or_else(|e| die(2, &format!("--chaos-plan {path}: bad FaultPlan JSON: {e}")));
     }
     if let Some(seed) = a.chaos_seed {
         return FaultPlan::chaos(seed);
@@ -965,6 +936,60 @@ fn run_dist<M: Model>(
     }
 }
 
+/// `--runtime threads|cons`: one real-thread run under protocol `P`, under
+/// the supervisor when checkpointing or a retry budget was asked for.
+fn run_on_threads<M: Model, P: thread_rt::Protocol<M>>(
+    model: &Arc<M>,
+    a: &Args,
+    rc: &thread_rt::RtRunConfig,
+    supervisor: Option<&pdes_core::SupervisorConfig>,
+    synth: Option<fn(u64) -> M::Payload>,
+    ingest_accepted: &mut Vec<pdes_core::Event<M::Payload>>,
+) -> (RunMetrics, Option<telemetry::TelemetryData>) {
+    let gate = ingest_active(a).then(|| build_gate::<M>(a, 0, a.ingest_journal.as_deref()));
+    let plane = gate
+        .as_ref()
+        .map(|g| start_feeder::<M>(a, g, model.num_lps() as u32, synth));
+    // Land the feeder and report admission counters before any exit path
+    // (the degraded branch never returns).
+    let land_ingest = |accepted: &mut Vec<pdes_core::Event<M::Payload>>| {
+        if let (Some(p), Some(g)) = (plane, &gate) {
+            finish_ingest(p, std::slice::from_ref(g));
+            *accepted = g.accepted_events();
+        }
+    };
+    match supervisor {
+        Some(sup) => {
+            let s = thread_rt::run_supervised::<M, P>(model, rc, sup, gate.clone());
+            for line in &s.log {
+                eprintln!("supervisor: {line}");
+            }
+            if s.recoveries > 0 {
+                eprintln!("supervisor: completed after {} recovery(ies)", s.recoveries);
+            }
+            land_ingest(ingest_accepted);
+            match s.outcome {
+                thread_rt::Recovered::Parallel(r) => (r.metrics, r.telemetry),
+                thread_rt::Recovered::Sequential(seq) => {
+                    finish_degraded(&seq, model, &rc.engine, a, ingest_accepted)
+                }
+            }
+        }
+        None => {
+            let res =
+                thread_rt::run_threads_attempt::<M, P>(model, rc, None, None, gate.clone()).outcome;
+            land_ingest(ingest_accepted);
+            match res {
+                Ok(r) => (r.metrics, r.telemetry),
+                Err(err) => {
+                    eprintln!("{err}");
+                    std::process::exit(1);
+                }
+            }
+        }
+    }
+}
+
 fn run<M: Model>(model: Arc<M>, a: &Args, synth: Option<fn(u64) -> M::Payload>) {
     if ingest_active(a) {
         if a.ingest_replay && a.ingest_journal.is_none() {
@@ -998,6 +1023,23 @@ fn run<M: Model>(model: Arc<M>, a: &Args, synth: Option<fn(u64) -> M::Payload>) 
     };
     let sup = pdes_core::SupervisorConfig::new(a.max_recoveries.unwrap_or(3));
     let tcfg = telemetry_cfg(a);
+    // `threads` and `cons` share the real-thread run configuration.
+    let thread_rc = || {
+        let watchdog = match a.watchdog_secs {
+            Some(s) if s <= 0.0 => None,
+            Some(s) => Some(std::time::Duration::from_secs_f64(s)),
+            None => Some(std::time::Duration::from_secs(30)),
+        };
+        let rc = thread_rt::RtRunConfig::new(a.threads, ecfg.clone(), sys)
+            .with_faults(fault_plan(a))
+            .with_watchdog(watchdog)
+            .with_checkpoint_every(ckpt_every)
+            .with_telemetry(tcfg.clone());
+        match &a.checkpoint_path {
+            Some(p) => rc.with_checkpoint_path(p.into()),
+            None => rc,
+        }
+    };
     // Events admitted by the ingest plane, if one was attached: the verify
     // oracle must be fed the merged (seeded + accepted-ingest) stream.
     let mut ingest_accepted: Vec<pdes_core::Event<M::Payload>> = Vec::new();
@@ -1053,70 +1095,21 @@ fn run<M: Model>(model: Arc<M>, a: &Args, synth: Option<fn(u64) -> M::Payload>) 
                 (r.metrics, r.telemetry)
             }
         }
-        "threads" => {
-            let watchdog = match a.watchdog_secs {
-                Some(s) if s <= 0.0 => None,
-                Some(s) => Some(std::time::Duration::from_secs_f64(s)),
-                None => Some(std::time::Duration::from_secs(30)),
-            };
-            let mut rc = thread_rt::RtRunConfig::new(a.threads, ecfg.clone(), sys)
-                .with_faults(fault_plan(a))
-                .with_watchdog(watchdog)
-                .with_checkpoint_every(ckpt_every)
-                .with_telemetry(tcfg.clone());
-            if let Some(p) = &a.checkpoint_path {
-                rc = rc.with_checkpoint_path(p.into());
-            }
-            let gate = ingest_active(a).then(|| build_gate::<M>(a, 0, a.ingest_journal.as_deref()));
-            let plane = gate
-                .as_ref()
-                .map(|g| start_feeder::<M>(a, g, model.num_lps() as u32, synth));
-            if supervised {
-                let s = thread_rt::run_supervised_ingest(&model, &rc, &sup, gate.clone());
-                for line in &s.log {
-                    eprintln!("supervisor: {line}");
-                }
-                if s.recoveries > 0 {
-                    eprintln!("supervisor: completed after {} recovery(ies)", s.recoveries);
-                }
-                // Land the feeder and report admission counters before any
-                // exit path (the degraded branch never returns).
-                if let (Some(p), Some(g)) = (plane, &gate) {
-                    finish_ingest(p, std::slice::from_ref(g));
-                    ingest_accepted = g.accepted_events();
-                }
-                match s.outcome {
-                    thread_rt::Recovered::Parallel(r) => (r.metrics, r.telemetry),
-                    thread_rt::Recovered::Sequential(seq) => {
-                        finish_degraded(&seq, &model, &ecfg, a, &ingest_accepted)
-                    }
-                }
-            } else {
-                let res = match &gate {
-                    Some(g) => thread_rt::run_threads_ingest(&model, &rc, Arc::clone(g)),
-                    None => thread_rt::run_threads(&model, &rc),
-                };
-                if let (Some(p), Some(g)) = (plane, &gate) {
-                    finish_ingest(p, std::slice::from_ref(g));
-                    ingest_accepted = g.accepted_events();
-                }
-                match res {
-                    Ok(r) => (r.metrics, r.telemetry),
-                    Err(err) => {
-                        eprintln!("{err}");
-                        std::process::exit(1);
-                    }
-                }
-            }
-        }
+        "threads" => run_on_threads::<M, thread_rt::Optimistic>(
+            &model,
+            a,
+            &thread_rc(),
+            supervised.then_some(&sup),
+            synth,
+            &mut ingest_accepted,
+        ),
         "dist" => run_dist(&model, &ecfg, a, synth, &mut ingest_accepted),
         "cons" => {
-            // The conservative runtime never rolls back, so the optimistic
-            // escape hatches make no sense on it: chaos plans hold messages
-            // back (an unrecoverable causality break without rollback),
-            // ingest admits events against a GVT floor the conservative
-            // bound has already passed, and the supervisor restarts from
-            // optimistic attempt state.
+            // The conservative protocol never rolls back, so two optimistic
+            // planes are unsound on it: chaos plans hold messages back (an
+            // unrecoverable causality break without rollback) and ingest
+            // admits events against a GVT floor the conservative bound has
+            // already passed.
             if a.chaos_seed.is_some() || a.chaos_plan.is_some() {
                 die(
                     2,
@@ -1129,33 +1122,20 @@ fn run<M: Model>(model: Arc<M>, a: &Args, synth: Option<fn(u64) -> M::Payload>) 
                     "--ingest needs --runtime threads|dist (cons has no admission floor)",
                 );
             }
-            if a.max_recoveries.is_some() {
-                die(2, "--max-recoveries needs --runtime vm|threads|dist");
+            let rc = thread_rc();
+            // Zero lookahead and `--system dd` are refused before anything
+            // spawns.
+            if let Err(e) = cons_rt::Conservative::admit(model.as_ref(), &rc) {
+                die(2, &e.to_string());
             }
-            let watchdog = match a.watchdog_secs {
-                Some(s) if s <= 0.0 => None,
-                Some(s) => Some(std::time::Duration::from_secs_f64(s)),
-                None => Some(std::time::Duration::from_secs(30)),
-            };
-            let mut rc = ConsRunConfig::new(a.threads, ecfg.clone(), sys)
-                .with_watchdog(watchdog)
-                .with_checkpoint_every(ckpt_every)
-                .with_telemetry(tcfg.clone());
-            if let Some(p) = &a.checkpoint_path {
-                rc = rc.with_checkpoint_path(p.into());
-            }
-            match run_cons(&model, &rc) {
-                Ok(r) => (r.metrics, r.telemetry),
-                Err(err) => {
-                    eprintln!("{err}");
-                    let code = if matches!(err, ConsError::ZeroLookahead { .. }) {
-                        2
-                    } else {
-                        1
-                    };
-                    std::process::exit(code);
-                }
-            }
+            run_on_threads::<M, cons_rt::Conservative>(
+                &model,
+                a,
+                &rc,
+                supervised.then_some(&sup),
+                None,
+                &mut ingest_accepted,
+            )
         }
         other => die(
             2,
@@ -1188,6 +1168,21 @@ fn run<M: Model>(model: Arc<M>, a: &Args, synth: Option<fn(u64) -> M::Payload>) 
     }
 }
 
+/// `k` activity groups (a `1-k` imbalanced schedule) need the threads to
+/// split evenly among them.
+fn activity_groups(a: &Args, k: usize) -> usize {
+    if !a.threads.is_multiple_of(k) {
+        die(
+            2,
+            &format!(
+                "--threads {} must divide into {k} activity groups (see --imbalance)",
+                a.threads
+            ),
+        );
+    }
+    k
+}
+
 fn main() {
     let a = parse_args();
     match a.model.as_str() {
@@ -1198,7 +1193,7 @@ fn main() {
                 PholdConfig::imbalanced(
                     a.threads,
                     a.lps,
-                    a.imbalance,
+                    activity_groups(&a, a.imbalance),
                     a.end,
                     LocalityPattern::Linear,
                 )
@@ -1208,7 +1203,8 @@ fn main() {
             run(Arc::new(Phold::new(cfg)), &a, Some(|_| ()));
         }
         "epidemics" => {
-            let cfg = EpidemicsConfig::new(a.threads, a.lps, a.imbalance.max(2), a.end);
+            let groups = activity_groups(&a, a.imbalance.max(2));
+            let cfg = EpidemicsConfig::new(a.threads, a.lps, groups, a.end);
             run(Arc::new(Epidemics::new(cfg)), &a, None);
         }
         "traffic" => {
@@ -1216,6 +1212,9 @@ fn main() {
             cfg.mapping = MapKind::Block;
             run(Arc::new(Traffic::new(cfg)), &a, None);
         }
-        other => panic!("unknown model '{other}' (phold|epidemics|traffic)"),
+        other => die(
+            2,
+            &format!("unknown model '{other}' (phold|epidemics|traffic)"),
+        ),
     }
 }

@@ -1,7 +1,8 @@
-//! End-to-end tests of the `ggpdes` binary's distributed runtime: the
-//! loopback launcher, the real multi-process `--listen/--connect` mesh,
-//! `--stats-json`, and the friendly failure modes (malformed endpoints,
-//! a peer that never connects) — all bounded, none may hang.
+//! End-to-end tests of the `ggpdes` binary: the distributed runtime's
+//! loopback launcher and real multi-process `--listen/--connect` mesh,
+//! `--stats-json`, and the friendly failure modes (bad flag values,
+//! combinations a runtime refuses, malformed endpoints, a peer that never
+//! connects) — all bounded, none may hang.
 
 use std::net::TcpListener;
 use std::path::PathBuf;
@@ -197,6 +198,80 @@ fn malformed_endpoints_are_a_friendly_exit_2() {
             err.starts_with("ggpdes: "),
             "{what}: friendly message, got {err}"
         );
+    }
+}
+
+/// A bad value is a usage error: exit 2 and one `ggpdes: …` line, never a
+/// panic with a backtrace. Likewise every `--runtime cons` combination the
+/// conservative protocol cannot honour is refused, not silently remapped.
+#[test]
+fn bad_values_and_refused_combinations_are_a_one_line_exit_2() {
+    for args in [
+        // The default `--imbalance 4` does not divide two threads.
+        vec!["--threads", "2"],
+        vec!["--model", "epidemics", "--threads", "3", "--imbalance", "2"],
+        vec!["--model", "chess"],
+        vec!["--system", "hh"],
+        vec!["--gvt", "eventually"],
+        vec!["--affinity", "sticky"],
+        vec!["--threads", "many"],
+        vec!["--threads"],
+        vec!["--frobnicate"],
+        vec!["--runtime", "cons", "--system", "dd"],
+        vec!["--runtime", "cons", "--system", "dd", "--gvt", "sync"],
+        vec!["--runtime", "cons", "--chaos-seed", "1"],
+        vec!["--runtime", "cons", "--ingest", "rate:5"],
+    ] {
+        let out = run_bounded(&args, Duration::from_secs(30));
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "{args:?}: want exit 2, got {err}"
+        );
+        assert!(
+            err.starts_with("ggpdes: ") && err.trim_end().lines().count() == 1,
+            "{args:?}: want one friendly line, got {err}"
+        );
+    }
+}
+
+/// The `(scheduler, gvt)` pairs the conservative runtime accepts report the
+/// system they actually ran, and `--max-recoveries` puts it under the
+/// supervisor like any real-thread run.
+#[test]
+fn cons_reports_the_system_it_ran_and_accepts_a_retry_budget() {
+    for (system, gvt, name) in [
+        ("gg", "sync", "GG-PDES-Sync"),
+        ("baseline", "async", "Baseline-Async"),
+    ] {
+        let out = run_bounded(
+            &[
+                "--runtime",
+                "cons",
+                "--threads",
+                "4",
+                "--lps-per-thread",
+                "4",
+                "--end",
+                "4",
+                "--system",
+                system,
+                "--gvt",
+                gvt,
+                "--max-recoveries",
+                "1",
+                "--verify",
+                "--json",
+            ],
+            Duration::from_secs(120),
+        );
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{system}/{gvt}: {err}");
+        assert!(err.contains("verify:"), "{system}/{gvt}: oracle check ran");
+        let v = serde_json::parse(&String::from_utf8_lossy(&out.stdout)).expect("json");
+        assert_eq!(str_field(&v, "system"), name);
+        assert_eq!(str_field(&v, "protocol"), "conservative");
     }
 }
 

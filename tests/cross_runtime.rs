@@ -1,7 +1,8 @@
 //! Cross-runtime correctness: for each model, a sequential run, a
 //! virtual-machine run, a real-thread run, and a conservative (null-message)
 //! run must all commit exactly the same event trace and leave every LP in
-//! the same final state.
+//! the same final state — the conservative one under every `(scheduler,
+//! gvt)` pair it accepts.
 
 use ggpdes::prelude::*;
 use proptest::prelude::*;
@@ -49,30 +50,44 @@ fn check_model<M: Model>(model: Arc<M>, threads: usize, ecfg: EngineConfig, labe
     assert_eq!(rt.digests, oracle.state_digests, "{label}: rt states");
 }
 
-/// The conservative runtime must commit the oracle's exact trace too — and,
-/// unlike the optimistic runtimes, must do it without a single rollback:
-/// every event it processes is already safe.
+/// Every `(scheduler, gvt)` pair the conservative protocol accepts. The
+/// third scheduler, DD-PDES, is refused — see
+/// `cons_refuses_the_dedicated_controller`.
+const CONS_SYSTEMS: [(Scheduler, GvtMode); 4] = [
+    (Scheduler::GgPdes, GvtMode::Async),
+    (Scheduler::GgPdes, GvtMode::Sync),
+    (Scheduler::Baseline, GvtMode::Async),
+    (Scheduler::Baseline, GvtMode::Sync),
+];
+
+/// The conservative runtime must commit the oracle's exact trace too, under
+/// every system it accepts — and, unlike the optimistic runtimes, must do it
+/// without a single rollback: every event it processes is already safe.
 fn check_cons<M: Model>(model: Arc<M>, threads: usize, ecfg: EngineConfig, label: &str) {
     let oracle = run_sequential(&model, &ecfg, None);
     assert!(oracle.committed > 0, "{label}: empty oracle run");
-    let sys = SystemConfig::new(Scheduler::GgPdes, GvtMode::Async, AffinityPolicy::Constant);
-    let rc = ConsRunConfig::new(threads, ecfg, sys);
-    let r = run_cons(&model, &rc).unwrap_or_else(|e| panic!("{label}: cons run failed: {e}"));
-    assert_eq!(
-        r.metrics.committed, oracle.committed,
-        "{label}: cons committed"
-    );
-    assert_eq!(
-        r.metrics.commit_digest, oracle.commit_digest,
-        "{label}: cons digest"
-    );
-    assert_eq!(r.digests, oracle.state_digests, "{label}: cons states");
-    assert_eq!(r.metrics.rolled_back, 0, "{label}: cons rolled back");
-    assert_eq!(r.metrics.protocol, "conservative", "{label}: protocol tag");
-    assert!(
-        r.metrics.null_messages_sent > 0,
-        "{label}: no null messages"
-    );
+    for (scheduler, gvt) in CONS_SYSTEMS {
+        let sys = SystemConfig::new(scheduler, gvt, AffinityPolicy::Constant);
+        let label = format!("{label} {}", sys.name());
+        let rc = ConsRunConfig::new(threads, ecfg.clone(), sys);
+        let r = run_cons(&model, &rc).unwrap_or_else(|e| panic!("{label}: cons run failed: {e}"));
+        assert_eq!(
+            r.metrics.committed, oracle.committed,
+            "{label}: cons committed"
+        );
+        assert_eq!(
+            r.metrics.commit_digest, oracle.commit_digest,
+            "{label}: cons digest"
+        );
+        assert_eq!(r.digests, oracle.state_digests, "{label}: cons states");
+        assert_eq!(r.metrics.rolled_back, 0, "{label}: cons rolled back");
+        assert_eq!(r.metrics.system, sys.name(), "{label}: system tag");
+        assert_eq!(r.metrics.protocol, "conservative", "{label}: protocol tag");
+        assert!(
+            r.metrics.null_messages_sent > 0,
+            "{label}: no null messages"
+        );
+    }
 }
 
 #[test]
@@ -193,6 +208,149 @@ fn cons_traffic_agrees_with_oracle_at_2_and_4_threads() {
         let ecfg = engine(5.0).with_mapping(MapKind::Block);
         check_cons(model, threads, ecfg, &format!("traffic-t{threads}"));
     }
+}
+
+/// DD-PDES hands activation to a dedicated controller that only looks at
+/// queue lengths; a conservative thread parked with live pending would never
+/// be woken. The combination is refused with a structured error, under
+/// either GVT mode — never remapped onto GG-PDES parking.
+#[test]
+fn cons_refuses_the_dedicated_controller() {
+    let model = Arc::new(Phold::new(PholdConfig::balanced(2, 4)));
+    for gvt in [GvtMode::Async, GvtMode::Sync] {
+        let sys = SystemConfig::new(Scheduler::DdPdes, gvt, AffinityPolicy::Constant);
+        let rc = ConsRunConfig::new(2, engine(4.0), sys);
+        match run_cons(&model, &rc) {
+            Err(ConsError::DedicatedController) => {}
+            Ok(_) => panic!("{}: DD-PDES must not run conservatively", sys.name()),
+            Err(e) => panic!("{}: wrong error: {e}", sys.name()),
+        }
+    }
+}
+
+/// What one protocol left behind after a traced run through the shared
+/// `worker_loop`.
+struct SeamRun {
+    metrics: RunMetrics,
+    digests: Vec<u64>,
+    /// The span/instant kinds that occur anywhere in the trace.
+    kinds: Vec<telemetry::EventKind>,
+}
+
+fn seam_run<M: Model, P: thread_rt::Protocol<M>>(
+    model: &Arc<M>,
+    threads: usize,
+    ecfg: &EngineConfig,
+) -> SeamRun {
+    let sys = SystemConfig::new(Scheduler::GgPdes, GvtMode::Async, AffinityPolicy::Constant);
+    let rc = thread_rt::RtRunConfig::new(threads, ecfg.clone(), sys)
+        .with_telemetry(telemetry::TelemetryConfig::on());
+    let r = thread_rt::run_threads_attempt::<M, P>(model, &rc, None, None, None)
+        .outcome
+        .expect("run completes");
+    let mut kinds = Vec::new();
+    for rec in r
+        .telemetry
+        .iter()
+        .flat_map(|t| &t.threads)
+        .flat_map(|t| &t.records)
+    {
+        if !kinds.contains(&rec.kind) {
+            kinds.push(rec.kind);
+        }
+    }
+    SeamRun {
+        metrics: r.metrics,
+        digests: r.digests,
+        kinds,
+    }
+}
+
+/// The optimistic and the conservative protocol are two policies on one
+/// worker loop. Beyond the oracle digest, this pins what the two copies of
+/// that loop used to guarantee by being copies: the same GVT-phase span
+/// vocabulary in the trace, no rollback and no anti-message under the
+/// conservative rule, and demand-driven parking engaging for both on the
+/// imbalanced workload.
+#[test]
+fn both_protocols_share_one_worker_loop() {
+    use telemetry::EventKind::*;
+    const ROUND_VOCABULARY: [telemetry::EventKind; 6] =
+        [GvtA, GvtSendA, GvtB, GvtSendB, GvtAware, GvtEnd];
+
+    fn check<M: Model>(
+        model: Arc<M>,
+        threads: usize,
+        ecfg: EngineConfig,
+        parks: bool,
+        label: &str,
+    ) {
+        let oracle = run_sequential(&model, &ecfg, None);
+        let opt = seam_run::<M, thread_rt::Optimistic>(&model, threads, &ecfg);
+        let cons = seam_run::<M, cons_rt::Conservative>(&model, threads, &ecfg);
+        for (run, proto) in [(&opt, "optimistic"), (&cons, "conservative")] {
+            let label = format!("{label}/{proto}");
+            assert_eq!(run.metrics.protocol, proto, "{label}: protocol tag");
+            assert_eq!(
+                run.metrics.commit_digest, oracle.commit_digest,
+                "{label}: digest"
+            );
+            assert_eq!(run.digests, oracle.state_digests, "{label}: states");
+            for kind in ROUND_VOCABULARY {
+                assert!(run.kinds.contains(&kind), "{label}: no {kind:?} span");
+            }
+            if parks {
+                assert!(run.metrics.max_descheduled > 0, "{label}: never parked");
+                assert!(run.kinds.contains(&Park), "{label}: no Park span");
+                assert!(run.kinds.contains(&Unpark), "{label}: no Unpark instant");
+            }
+        }
+        assert_eq!(cons.metrics.rolled_back, 0, "{label}: cons rolled back");
+        assert_eq!(cons.metrics.antis_sent, 0, "{label}: cons sent antis");
+        assert!(
+            !cons.kinds.contains(&Rollback),
+            "{label}: cons Rollback span"
+        );
+    }
+
+    let threads = 4;
+    // A 1-2 imbalanced PHOLD with a prompt idle threshold: half the threads
+    // have nothing to do for a whole epoch at a time and must park.
+    let phold = Arc::new(Phold::new(PholdConfig::imbalanced(
+        threads,
+        8,
+        2,
+        4.0,
+        LocalityPattern::Linear,
+    )));
+    check(
+        phold,
+        threads,
+        engine(40.0).with_zero_counter_threshold(8),
+        true,
+        "phold",
+    );
+
+    let mut cfg = EpidemicsConfig::new(threads, 8, 4, 8.0);
+    cfg.incubation_mean = 0.1;
+    cfg.infectious_mean = 0.5;
+    check(
+        Arc::new(Epidemics::new(cfg)),
+        threads,
+        engine(8.0),
+        false,
+        "epidemics",
+    );
+
+    let mut cfg = TrafficConfig::new(threads, 8, 0.5);
+    cfg.travel_scale = 0.3;
+    check(
+        Arc::new(Traffic::new(cfg)),
+        threads,
+        engine(5.0).with_mapping(MapKind::Block),
+        false,
+        "traffic",
+    );
 }
 
 /// A workload built to hold GVT still: LP 0 receives `burst` events that all
