@@ -43,8 +43,7 @@
 
 use crate::plane::ConsPlane;
 use metrics::RunMetrics;
-use pdes_core::{BatchOutcome, Model, Msg, Outbound, ThreadEngine, VirtualTime};
-use sim_rt::Scheduler;
+use pdes_core::{BatchOutcome, Model, Msg, Outbound, Scheduler, ThreadEngine, VirtualTime};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use telemetry::{EventKind, Tracer};

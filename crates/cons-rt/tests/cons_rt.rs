@@ -7,8 +7,10 @@ use std::time::Duration;
 
 use cons_rt::{run_cons, ConsError, ConsRunConfig, Conservative};
 use models::{LocalityPattern, Phold, PholdConfig};
-use pdes_core::{run_sequential, Checkpoint, EngineConfig, FaultPlan, LpId, Model, SendCtx};
-use sim_rt::{AffinityPolicy, GvtMode, Scheduler, SystemConfig};
+use pdes_core::{
+    run_sequential, AffinityPolicy, Checkpoint, EngineConfig, FaultPlan, GvtMode, LpId, Model,
+    Scheduler, SendCtx, SystemConfig,
+};
 
 fn engine(end: f64) -> EngineConfig {
     EngineConfig::default()

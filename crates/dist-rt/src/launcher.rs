@@ -888,19 +888,10 @@ pub struct ProcessOpts {
     pub dcfg: DistConfig,
 }
 
+/// Run this process's shard. With an ingest `gate` (handed in by the
+/// client-facing server or a journal recovery) the node pumps it between GVT
+/// rounds and forwards non-owned submissions to their owning shards.
 pub fn run_shard_process<M: Model>(
-    model: Arc<M>,
-    ecfg: &EngineConfig,
-    opts: &ProcessOpts,
-) -> Result<Option<DistResult>, DistError> {
-    run_shard_process_ingest(model, ecfg, opts, None)
-}
-
-/// [`run_shard_process`] with this shard's ingest gate attached: the
-/// client-facing server (or a journal recovery) hands the gate in, the node
-/// pumps it between GVT rounds and forwards non-owned submissions to their
-/// owning shards.
-pub fn run_shard_process_ingest<M: Model>(
     model: Arc<M>,
     ecfg: &EngineConfig,
     opts: &ProcessOpts,

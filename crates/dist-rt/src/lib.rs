@@ -26,8 +26,6 @@
 //!   links), a kill-and-recover supervisor that restores every shard from
 //!   the latest assembled checkpoint cut, and a deterministic single-threaded
 //!   [`launcher::SteppedCluster`] for property tests.
-//! - [`boundary`] — a [`thread_rt::RemoteBoundary`] adapter so a future
-//!   multi-threaded shard can route out-of-shard sends through these links.
 //!
 //! ## Correctness contract
 //!
@@ -38,7 +36,6 @@
 //! the true global minimum (a delivered message below the published GVT is
 //! a protocol error, not a silent wrong answer).
 
-pub mod boundary;
 pub mod gvt;
 pub mod launcher;
 pub mod link;
@@ -46,11 +43,10 @@ pub mod node;
 pub mod proto;
 pub mod wire;
 
-pub use boundary::LinkBoundary;
 pub use gvt::{Coordinator, GvtTracker, RoundClosure};
 pub use launcher::{
-    run_loopback, run_loopback_ingest, run_shard_process, run_shard_process_ingest, DistConfig,
-    DistResult, IngestGates, ProcessOpts, SteppedCluster, Transport,
+    run_loopback, run_loopback_ingest, run_shard_process, DistConfig, DistResult, IngestGates,
+    ProcessOpts, SteppedCluster, Transport,
 };
 pub use link::{
     read_hello, write_hello, Backoff, FrameTx, Inbox, MemTx, Packet, ReliableLink, TcpTx,

@@ -101,16 +101,6 @@ impl Inbox {
         self.q.lock().expect("inbox poisoned").drain(..).collect()
     }
 
-    /// Block until something arrives or `timeout` elapses, then drain.
-    pub fn wait_drain(&self, timeout: Duration) -> Vec<(usize, Vec<u8>)> {
-        let g = self.q.lock().expect("inbox poisoned");
-        let (mut g, _) = self
-            .cv
-            .wait_timeout_while(g, timeout, |q| q.is_empty())
-            .expect("inbox poisoned");
-        g.drain(..).collect()
-    }
-
     /// Block until something arrives or `timeout` elapses, leaving the
     /// queue intact. Returns `true` if packets are waiting.
     pub fn wait_nonempty(&self, timeout: Duration) -> bool {

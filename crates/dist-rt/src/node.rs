@@ -579,11 +579,6 @@ impl<M: Model> ShardNode<M> {
         self.phase == Phase::Running
     }
 
-    /// Whether `peer`'s TCP reader has pushed its hang-up sentinel.
-    pub fn peer_hung_up(&self, peer: usize) -> bool {
-        self.hung_up[peer]
-    }
-
     /// The round number the coordinator will open next (recovery fencing).
     pub fn upcoming_round(&self) -> u64 {
         self.coord

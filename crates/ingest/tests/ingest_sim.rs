@@ -10,7 +10,7 @@ use pdes_core::{
     run_sequential_with, EngineConfig, IngestConfig, IngestGate, IngestRequest, LpId, Model,
     VirtualTime,
 };
-use sim_rt::{run_sim_ingest, RunConfig, SystemConfig};
+use sim_rt::{run_sim_attempt, RunConfig, SystemConfig};
 
 fn model() -> Arc<Phold> {
     Arc::new(Phold::new(PholdConfig::balanced(8, 4)))
@@ -62,12 +62,9 @@ fn scripted_ingest_on_the_vm_matches_merged_oracle_deterministically() {
     let mut digests = Vec::new();
     for _ in 0..2 {
         let gate: Arc<IngestGate<()>> = Arc::new(IngestGate::new(IngestConfig::default(), 0));
-        let r = run_sim_ingest(
-            &model,
-            &rc,
-            Arc::clone(&gate),
-            script(model.num_lps() as u32, 8.0),
-        );
+        let arrivals = script(model.num_lps() as u32, 8.0);
+        let ingest = Some((Arc::clone(&gate), arrivals));
+        let r = run_sim_attempt(&model, &rc, None, None, ingest).outcome;
         assert!(r.completed, "VM run finished");
         assert_eq!(r.gvt_regressions, 0);
         assert!(gate.accepted_count() > 0, "some arrivals were admitted");
@@ -110,7 +107,8 @@ fn vm_admission_floor_rejects_stale_arrivals_across_systems() {
         let rc =
             RunConfig::new(8, ecfg.clone(), sys).with_machine(machine::MachineConfig::small(4, 2));
         let gate: Arc<IngestGate<()>> = Arc::new(IngestGate::new(IngestConfig::default(), 0));
-        let r = run_sim_ingest(&model, &rc, Arc::clone(&gate), stale.clone());
+        let ingest = Some((Arc::clone(&gate), stale.clone()));
+        let r = run_sim_attempt(&model, &rc, None, None, ingest).outcome;
         assert!(r.completed);
         assert!(
             gate.stats().rejected > 0,

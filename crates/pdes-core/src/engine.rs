@@ -131,26 +131,6 @@ impl<M: Model> ThreadEngine<M> {
         self.pending.min_time() <= self.end_time
     }
 
-    /// Inject an externally-admitted event (ingest plane). The gate has
-    /// already judged it against the published GVT floor; this is the
-    /// defensive re-check at the engine boundary — an event *below* the
-    /// engine's own GVT hint would land in irrevocably committed history, so
-    /// it is refused (`false`) instead. Delivery goes through the normal
-    /// straggler/rollback path, so a late-but-admissible event may roll
-    /// back optimistic work like any remote message.
-    pub fn inject_external(
-        &mut self,
-        ev: Event<M::Payload>,
-        outbox: &mut Vec<Outbound<M::Payload>>,
-    ) -> bool {
-        if ev.key.recv_time < self.gvt_hint {
-            return false;
-        }
-        self.stats.ingested += 1;
-        self.deliver(Msg::Event(ev), outbox);
-        true
-    }
-
     fn lp_slot(&mut self, lp: LpId) -> &mut Lp<M> {
         debug_assert_eq!(
             self.map.thread_of(lp),

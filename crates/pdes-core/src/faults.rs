@@ -35,6 +35,7 @@
 use crate::event::Msg;
 use crate::ids::EventUid;
 use serde::{Deserialize, Serialize};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// `true` when two messages in `batch` share an [`EventUid`] — i.e. the
@@ -44,13 +45,76 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// under network chaos). Fault filters must never reorder such a pair:
 /// shuffling skips these batches, and deferral holds back the whole
 /// same-uid suffix together.
-pub fn batch_has_uid_pairs<P>(batch: &[Msg<P>]) -> bool {
+fn batch_has_uid_pairs<P>(batch: &[Msg<P>]) -> bool {
     if batch.len() < 2 {
         return false;
     }
     let mut uids: Vec<EventUid> = batch.iter().map(|m| m.key().uid).collect();
     uids.sort_unstable();
     uids.windows(2).any(|w| w[0] == w[1])
+}
+
+/// The chaos drain every runtime's input queue goes through: per-message
+/// deferral, a bounded straggler hold-back of the batch minimum, and
+/// adversarial shuffling.
+///
+/// `batch` holds the freshly dequeued messages in arrival order and `hold`
+/// the messages the previous drain held back. On return `batch` is what the
+/// engine receives now and `hold` what waits for the next drain. The caller
+/// keeps `hold` inside its queue-length and queue-minimum accounting, so GVT
+/// covers a held message exactly as if it had never left the queue.
+///
+/// Held messages redeliver unconditionally, at the *front* of the batch:
+/// they are older than anything still queued, and they take no second
+/// deferral roll, so a message waits at most one drain per decision (only a
+/// straggler storm, bounded by its budget, can hold one again).
+///
+/// Per-uid FIFO is the one ordering contract chaos must respect (the
+/// pending set tolerates any interleaving *between* uids; an anti-message
+/// and its re-sent positive twin may never swap): once one message of a uid
+/// is deferred, every later same-uid message of the batch defers with it; a
+/// straggler hold drags later same-uid companions along and skips uids that
+/// already have a deferred member (holding the earlier member now would
+/// slot it *behind* the later one); batches containing a same-uid pair are
+/// never shuffled.
+pub fn chaos_filter<P>(
+    faults: &FaultInjector,
+    batch: &mut Vec<Msg<P>>,
+    hold: &mut VecDeque<Msg<P>>,
+) {
+    let fresh = std::mem::replace(batch, Vec::from(std::mem::take(hold)));
+    let mut deferred: Vec<EventUid> = Vec::new();
+    for m in fresh {
+        let uid = m.key().uid;
+        if deferred.contains(&uid) || faults.defer_delivery() {
+            deferred.push(uid);
+            hold.push_back(m);
+        } else {
+            batch.push(m);
+        }
+    }
+    // Straggler storm: hold back the minimum-timestamp message while the
+    // rest of its batch delivers, so it later arrives in the destination's
+    // past and forces a rollback.
+    if batch.len() > 1 {
+        let min_at = (0..batch.len())
+            .filter(|&i| !deferred.contains(&batch[i].key().uid))
+            .min_by_key(|&i| batch[i].recv_time().ticks());
+        if let Some(min_at) = min_at.filter(|_| faults.straggler_hold()) {
+            let uid = batch[min_at].key().uid;
+            let mut i = min_at;
+            while i < batch.len() {
+                if batch[i].key().uid == uid {
+                    hold.push_back(batch.remove(i));
+                } else {
+                    i += 1;
+                }
+            }
+        }
+    }
+    if !batch_has_uid_pairs(batch) {
+        faults.shuffle_batch(batch);
+    }
 }
 
 /// Straggler delivery delay: each drained message is independently held

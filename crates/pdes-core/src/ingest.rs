@@ -82,12 +82,6 @@ pub enum IngestReply {
     Closed,
 }
 
-impl IngestReply {
-    pub fn is_accepted(self) -> bool {
-        matches!(self, IngestReply::Accepted)
-    }
-}
-
 /// Gate tuning knobs.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct IngestConfig {

@@ -14,7 +14,9 @@
 //!   the above: optimistic batches, straggler rollbacks, anti-message
 //!   cascades;
 //! * [`sequential`] — a sequential reference executor used as a correctness
-//!   oracle by both runtimes' test suites.
+//!   oracle by both runtimes' test suites;
+//! * [`recovery`] — the checkpoint sink, attempt set-up and supervisor loop
+//!   every runtime recovers through.
 //!
 //! Everything here is deterministic: RNG streams are per-LP and part of the
 //! rolled-back state, event ordering is total, and no wall-clock or
@@ -31,9 +33,11 @@ pub mod lp;
 pub mod mapping;
 pub mod model;
 pub mod pending;
+pub mod recovery;
 pub mod rng;
 pub mod sequential;
 pub mod stats;
+pub mod system;
 pub mod time;
 
 pub use checkpoint::{Checkpoint, CheckpointError, CutSnapshot, LpCheckpoint, SupervisorConfig};
@@ -41,7 +45,7 @@ pub use config::{AdaptiveGvt, EngineConfig, GvtBackoff};
 pub use engine::{BatchOutcome, DeliverOutcome, Outbound, ThreadEngine};
 pub use event::{Event, EventKey, Msg};
 pub use faults::{
-    batch_has_uid_pairs, BackpressureFault, DelayFault, FaultCounts, FaultCursor, FaultInjector,
+    chaos_filter, BackpressureFault, DelayFault, FaultCounts, FaultCursor, FaultInjector,
     FaultKind, FaultPlan, LinkAction, LinkDelayFault, LinkDropFault, LinkDupFault, LinkFaultPlan,
     LinkFaults, ReorderFault, RoundDump, StallDump, StragglerFault, ThreadDump, WakeupFault,
 };
@@ -50,12 +54,17 @@ pub use ingest::{
     IngestConfig, IngestError, IngestGate, IngestJournal, IngestReply, IngestRequest, IngestStats,
     JournalRecord, PumpOutcome, ReplySlot, INGEST_SRC,
 };
-pub use mapping::{LpMap, MapKind, ShardMap};
+pub use mapping::{LpMap, MapKind};
 pub use model::{Model, SendCtx};
+pub use recovery::{
+    build_engines, supervise, Attempt, AttemptFailure, CkptSink, CommitTrace, Recovered,
+    SupervisedRun,
+};
 pub use rng::DetRng;
 pub use sequential::{
     run_sequential, run_sequential_from, run_sequential_from_with, run_sequential_with,
     SequentialResult,
 };
 pub use stats::{RoundCounters, ThreadStats};
+pub use system::{AffinityPolicy, GvtMode, Scheduler, SystemConfig};
 pub use time::VirtualTime;

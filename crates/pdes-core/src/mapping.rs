@@ -235,83 +235,6 @@ impl LpMap {
     }
 }
 
-/// Two-level shard-aware map for the distributed runtime: LPs are first
-/// partitioned across `num_shards` processes, then each shard's slice is
-/// spread over its local worker threads. Both levels reuse [`LpMap`] so a
-/// shard's slice and a thread's slice stay consistent by construction:
-/// `shard_of` is the outer map's `thread_of`, and the global thread id of an
-/// LP is `shard * threads_per_shard + local_thread`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ShardMap {
-    /// LP → shard (outer level).
-    pub shards: LpMap,
-    /// Worker threads per shard (inner level; ≥ 1).
-    pub threads_per_shard: u32,
-    /// Membership epoch: bumped every time the shard set changes (join,
-    /// drain-and-leave, degrade after exhausted recovery). Epoch 0 is the
-    /// launch membership. Lets checkpoints and telemetry state which
-    /// membership a cut belongs to.
-    pub epoch: u64,
-}
-
-impl ShardMap {
-    pub fn new(num_lps: usize, num_shards: usize, threads_per_shard: usize, kind: MapKind) -> Self {
-        assert!(threads_per_shard > 0, "need at least one thread per shard");
-        assert!(
-            num_lps >= num_shards * threads_per_shard,
-            "fewer LPs ({num_lps}) than workers ({num_shards}x{threads_per_shard})"
-        );
-        ShardMap {
-            shards: LpMap::new(num_lps, num_shards, kind),
-            threads_per_shard: threads_per_shard as u32,
-            epoch: 0,
-        }
-    }
-
-    #[inline]
-    pub fn num_shards(&self) -> usize {
-        self.shards.num_threads as usize
-    }
-
-    #[inline]
-    pub fn num_lps(&self) -> usize {
-        self.shards.num_lps as usize
-    }
-
-    /// Owning shard of `lp`.
-    #[inline]
-    pub fn shard_of(&self, lp: LpId) -> usize {
-        self.shards.thread_of(lp).index()
-    }
-
-    /// All LPs owned by `shard`, ascending.
-    pub fn lps_of_shard(&self, shard: usize) -> Vec<LpId> {
-        self.shards.lps_of(SimThreadId(shard as u32))
-    }
-
-    /// Global thread id of `lp` (shard-major), the id the wire protocol
-    /// routes on: `shard * threads_per_shard + local_thread`. The local
-    /// thread is assigned by an inner per-shard map over the shard's slice.
-    pub fn global_thread_of(&self, lp: LpId) -> SimThreadId {
-        let shard = self.shard_of(lp);
-        // Position of `lp` within its shard's ascending slice decides the
-        // local thread (round-robin over the slice, matching the outer kind).
-        let slice = self.lps_of_shard(shard);
-        let pos = slice
-            .iter()
-            .position(|&x| x == lp)
-            .expect("lp is in its own shard's slice");
-        let local = pos as u32 % self.threads_per_shard;
-        SimThreadId(shard as u32 * self.threads_per_shard + local)
-    }
-
-    /// Shard that owns global thread `t`.
-    #[inline]
-    pub fn shard_of_thread(&self, t: SimThreadId) -> usize {
-        (t.0 / self.threads_per_shard) as usize
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -406,44 +329,6 @@ mod tests {
     }
 
     #[test]
-    fn shard_map_partitions_every_lp_once() {
-        for kind in [MapKind::RoundRobin, MapKind::Block] {
-            let m = ShardMap::new(16, 4, 2, kind);
-            let mut owned = vec![0; 16];
-            for s in 0..4 {
-                for lp in m.lps_of_shard(s) {
-                    owned[lp.index()] += 1;
-                    assert_eq!(m.shard_of(lp), s);
-                }
-            }
-            assert!(owned.iter().all(|&c| c == 1), "{kind:?}: {owned:?}");
-        }
-    }
-
-    #[test]
-    fn shard_map_global_threads_are_shard_major() {
-        let m = ShardMap::new(16, 4, 2, MapKind::Block);
-        for lp in (0..16).map(LpId) {
-            let t = m.global_thread_of(lp);
-            assert_eq!(m.shard_of_thread(t), m.shard_of(lp));
-            assert!((t.0 as usize) < 8);
-        }
-        // Within a shard both local threads get work.
-        let threads: std::collections::BTreeSet<u32> = m
-            .lps_of_shard(0)
-            .into_iter()
-            .map(|lp| m.global_thread_of(lp).0)
-            .collect();
-        assert_eq!(threads.len(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "fewer LPs")]
-    fn shard_map_rejects_too_few_lps() {
-        ShardMap::new(4, 4, 2, MapKind::RoundRobin);
-    }
-
-    #[test]
     fn joiner_rebalance_takes_load_from_the_heaviest_donors() {
         let m = LpMap::new(8, 2, MapKind::RoundRobin);
         // Thread 0 carries most of the load; the joiner should pull from it.
@@ -478,25 +363,6 @@ mod tests {
         for t in 0..3 {
             assert!(!a.lps_of(SimThreadId(t)).is_empty());
         }
-    }
-
-    #[test]
-    fn shard_map_epoch_starts_at_zero_and_round_trips() {
-        let mut m = ShardMap::new(12, 3, 2, MapKind::RoundRobin);
-        assert_eq!(m.epoch, 0);
-        m.epoch = 5;
-        let v = serde::Serialize::to_value(&m);
-        let back: ShardMap = serde::Deserialize::from_value(&v).expect("round trip");
-        assert_eq!(back.epoch, 5);
-        assert_eq!(back, m);
-    }
-
-    #[test]
-    fn shard_map_serde_round_trips() {
-        let m = ShardMap::new(12, 3, 2, MapKind::RoundRobin);
-        let v = serde::Serialize::to_value(&m);
-        let back: ShardMap = serde::Deserialize::from_value(&v).expect("round trip");
-        assert_eq!(back, m);
     }
 
     #[test]

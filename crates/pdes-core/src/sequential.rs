@@ -8,7 +8,7 @@
 
 use crate::checkpoint::Checkpoint;
 use crate::config::EngineConfig;
-use crate::event::{Event, Msg};
+use crate::event::Event;
 use crate::ids::LpId;
 use crate::lp::{key_digest, Lp, Snapshot};
 use crate::mapping::LpMap;
@@ -240,21 +240,15 @@ fn finish_sequential<M: Model>(
     }
 }
 
-/// Convenience: deliver a pre-built list of messages and return the digest
-/// fold (used by tests that hand-craft schedules).
-pub fn digest_msgs<P>(msgs: &[Msg<P>]) -> u64 {
-    msgs.iter().fold(0, |d, m| d ^ key_digest(&m.key()))
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::ids::LpId;
     use crate::model::SendCtx;
 
     /// Ring model: LP i forwards to (i+1) % n with delay drawn from its RNG.
-    struct Ring {
-        n: usize,
+    pub(crate) struct Ring {
+        pub(crate) n: usize,
     }
     impl Model for Ring {
         type State = u64;

@@ -15,17 +15,15 @@
 //! with_telemetry`) record the GVT round lifecycle; incomplete runs print a
 //! diagnostic dump of the round state and any stuck GVT minima.
 
-pub mod ckpt;
 pub mod config;
 pub mod controller;
 pub mod runner;
 pub mod shared;
 pub mod simthread;
-pub mod supervisor;
 
-pub use ckpt::VmCkptStore;
 pub use config::{AffinityPolicy, GvtMode, Scheduler, SimCost, SystemConfig};
-pub use runner::{run_sim, run_sim_ingest, run_sim_resumable, RunConfig, SimAttempt, SimResult};
+pub use runner::{
+    run_sim, run_sim_attempt, run_sim_supervised, RunConfig, ScriptedIngest, SimAttempt, SimResult,
+};
 pub use shared::{AffinityTables, Shared, SimIngest};
 pub use simthread::SimThreadTask;
-pub use supervisor::{run_sim_supervised, VmRecovered, VmSupervisedRun};

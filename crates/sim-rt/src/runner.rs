@@ -1,7 +1,6 @@
 //! The experiment runner: wires a model, a system configuration, and a
 //! virtual machine together, runs the simulation, and collects metrics.
 
-use crate::ckpt::VmCkptStore;
 use crate::config::{AffinityPolicy, Scheduler, SimCost, SystemConfig};
 use crate::controller::ControllerTask;
 use crate::shared::Shared;
@@ -9,8 +8,9 @@ use crate::simthread::SimThreadTask;
 use machine::{Machine, MachineConfig, Report, WorkTag};
 use metrics::RunMetrics;
 use pdes_core::{
-    Checkpoint, EngineConfig, FaultInjector, FaultPlan, IngestGate, IngestRequest, LpId, LpMap,
-    Model, SimThreadId, StallDump, ThreadEngine,
+    build_engines, supervise, Attempt, AttemptFailure, Checkpoint, CkptSink, CommitTrace,
+    EngineConfig, FaultInjector, FaultPlan, IngestGate, IngestRequest, LpId, Model, StallDump,
+    SupervisedRun, SupervisorConfig,
 };
 use std::cell::RefCell;
 use std::path::PathBuf;
@@ -52,6 +52,18 @@ impl SimResult {
             out.push_str(&format!("{ns},{t},{}\n", s as u8));
         }
         out
+    }
+}
+
+impl CommitTrace for SimResult {
+    fn committed(&self) -> u64 {
+        self.metrics.committed
+    }
+    fn commit_digest(&self) -> u64 {
+        self.metrics.commit_digest
+    }
+    fn state_digests(&self) -> &[u64] {
+        &self.digests
     }
 }
 
@@ -133,14 +145,22 @@ impl RunConfig {
     }
 }
 
-/// One attempt of a (possibly supervised) virtual-machine run: the result
-/// plus what a supervisor needs to recover a failure — the newest assembled
-/// checkpoint and the per-thread committed loads (survivor state is not
-/// discarded when the attempt failed).
-pub struct SimAttempt<M: Model> {
-    pub result: SimResult,
-    pub checkpoint: Option<Checkpoint<M::State, M::Payload>>,
-    pub thread_loads: Vec<u64>,
+/// One attempt of a (possibly supervised) virtual-machine run. An attempt
+/// that did not complete still reports everything it measured:
+/// `outcome.completed` is false, with `stall` or `killed` saying why.
+pub type SimAttempt<M> = Attempt<M, SimResult>;
+
+/// What the supervisor needs to know about an incomplete attempt.
+impl From<SimResult> for AttemptFailure {
+    fn from(r: SimResult) -> Self {
+        AttemptFailure {
+            dead_thread: r.killed,
+            reason: match r.killed {
+                Some(t) => format!("worker {t} killed (scripted fault)"),
+                None => "stalled (virtual-time watchdog or deadlock)".into(),
+            },
+        }
+    }
 }
 
 /// Run `model` under the given configuration on the virtual machine.
@@ -152,72 +172,30 @@ pub struct SimAttempt<M: Model> {
 /// # Panics
 /// Panics on model/thread-count mismatches.
 pub fn run_sim<M: Model>(model: &Arc<M>, rc: &RunConfig) -> SimResult {
-    run_sim_resumable(model, rc, None, None).result
+    run_sim_attempt(model, rc, None, None, None).outcome
 }
 
-/// [`run_sim`] with a scripted ingest plane: `script` holds
-/// `(gvt_round, request)` client arrivals replayed at each round's Aware
-/// phase through `gate` — the same admission/pump path the real runtimes
+/// A scripted ingest plane for [`run_sim_attempt`]: the gate plus
+/// `(gvt_round, request)` client arrivals, replayed at each round's Aware
+/// phase through the gate — the same admission/pump path the real runtimes
 /// use. Inspect the gate afterwards for verdict counts and the accepted
 /// events to feed the merged-stream sequential oracle.
-pub fn run_sim_ingest<M: Model>(
-    model: &Arc<M>,
-    rc: &RunConfig,
-    gate: Arc<IngestGate<M::Payload>>,
-    script: Vec<(u64, IngestRequest<M::Payload>)>,
-) -> SimResult {
-    run_sim_attempt(model, rc, None, None, Some((gate, script))).result
-}
+pub type ScriptedIngest<P> = (Arc<IngestGate<P>>, Vec<(u64, IngestRequest<P>)>);
 
-/// Run one attempt, optionally resuming from a GVT-aligned checkpoint and
-/// with a pre-seeded fault injector (the supervisor restores fault-stream
-/// cursors and consumes the kill that felled the previous attempt before
-/// handing the injector in).
-///
-/// When `resume` is given, its map — not the formula map — assigns LPs to
-/// threads, `rc.num_threads` must match the map, and the weak-scaling
-/// divisibility requirement is waived (recovered maps are deliberately
-/// uneven).
-pub fn run_sim_resumable<M: Model>(
+/// Run one attempt with every hook exposed: a GVT-aligned checkpoint to
+/// resume from, a pre-seeded fault injector (the supervisor restores
+/// fault-stream cursors and consumes the kill that felled the previous
+/// attempt before handing the injector in), and a scripted ingest plane.
+/// [`build_engines`] sets the attempt up (which map a resumed run uses, the
+/// cut restore, the ingest replay).
+pub fn run_sim_attempt<M: Model>(
     model: &Arc<M>,
     rc: &RunConfig,
     resume: Option<&Checkpoint<M::State, M::Payload>>,
     faults: Option<FaultInjector>,
-) -> SimAttempt<M> {
-    run_sim_attempt(model, rc, resume, faults, None)
-}
-
-/// The full attempt body behind [`run_sim_resumable`] and
-/// [`run_sim_ingest`].
-#[allow(clippy::type_complexity)]
-fn run_sim_attempt<M: Model>(
-    model: &Arc<M>,
-    rc: &RunConfig,
-    resume: Option<&Checkpoint<M::State, M::Payload>>,
-    faults: Option<FaultInjector>,
-    ingest: Option<(
-        Arc<IngestGate<M::Payload>>,
-        Vec<(u64, IngestRequest<M::Payload>)>,
-    )>,
+    ingest: Option<ScriptedIngest<M::Payload>>,
 ) -> SimAttempt<M> {
     let num_threads = rc.num_threads;
-    let map = match resume {
-        Some(c) => {
-            assert_eq!(
-                c.map.num_threads as usize, num_threads,
-                "checkpoint map threads must match the run config"
-            );
-            c.map.clone()
-        }
-        None => {
-            assert!(
-                model.num_lps().is_multiple_of(num_threads),
-                "weak scaling requires LPs ({}) divisible by threads ({num_threads})",
-                model.num_lps()
-            );
-            LpMap::new(model.num_lps(), num_threads, rc.engine.mapping)
-        }
-    };
     let num_cores = rc.machine.num_cores;
 
     let mut machine = Machine::new(rc.machine.clone());
@@ -229,8 +207,9 @@ fn run_sim_attempt<M: Model>(
         rc.cost.clone(),
     )));
 
-    // Semaphores (`sem_locks`), the DD lock, faults, and the watchdog.
-    {
+    // Semaphores (`sem_locks`), the DD lock, faults, the watchdog, and the
+    // engines.
+    let (map, engines) = {
         let mut sh = shared.borrow_mut();
         for _ in 0..num_threads {
             let sem = machine.kernel().add_sem(0, 1);
@@ -239,65 +218,36 @@ fn run_sim_attempt<M: Model>(
         if matches!(rc.system.scheduler, Scheduler::DdPdes) {
             sh.dd_mutex = Some(machine.kernel().add_mutex());
         }
-        sh.set_faults(faults.unwrap_or_else(|| FaultInjector::new(rc.faults.clone())));
+        sh.faults = faults.unwrap_or_else(|| FaultInjector::new(rc.faults.clone()));
         // Each attempt gets a fresh registry: a supervised restart must not
         // inherit the felled attempt's half-deposited rings.
-        sh.set_telemetry(telemetry::Telemetry::new(rc.telemetry.clone()));
+        sh.telemetry = telemetry::Telemetry::new(rc.telemetry.clone());
         sh.watchdog_ns = rc.watchdog_ns;
         sh.ckpt_every = rc.checkpoint_every_gvt;
-        if let Some((gate, script)) = ingest {
-            sh.set_ingest(gate, map.clone(), script);
-        }
         if let Some(c) = resume {
             // Resume mid-stream: GVT and the round cadence continue from the
             // cut instead of restarting at zero.
             sh.gvt = c.gvt;
             sh.gvt_rounds = c.gvt_rounds;
         }
-    }
-    let store: Rc<RefCell<VmCkptStore<M>>> = Rc::new(RefCell::new(VmCkptStore::new(
-        if rc.checkpoint_every_gvt > 0 {
-            rc.checkpoint_path.clone()
-        } else {
-            None
-        },
-        map.clone(),
-    )));
-
-    // Build engines; a fresh run pre-routes the initial events, a resumed
-    // run instead restores each engine's share of the cut (initial events
-    // are already part of the checkpoint's history).
-    let mut engines = Vec::with_capacity(num_threads);
-    for t in 0..num_threads {
-        let mut eng = ThreadEngine::new(
-            Arc::clone(model),
-            map.clone(),
-            SimThreadId(t as u32),
+        let gate = ingest.as_ref().map(|(g, _)| g.as_ref());
+        let (map, engines) = build_engines(
+            model,
             &rc.engine,
+            num_threads,
+            resume,
+            gate,
+            |from, dst, msg| sh.push_msg(from, dst, msg),
         );
-        match resume {
-            Some(c) => {
-                eng.take_init_events();
-                eng.restore(&c.lps, &c.events, c.gvt);
-            }
-            None => {
-                let init = eng.take_init_events();
-                let mut sh = shared.borrow_mut();
-                for (dst, msg) in init {
-                    sh.push_msg(t, dst.index(), msg);
-                }
-            }
+        // Initial events are pre-routed, not in-flight: clear the send
+        // windows (queue minima still cover the messages).
+        sh.window_send_min.fill(pdes_core::VirtualTime::INFINITY);
+        if let Some((gate, script)) = ingest {
+            sh.set_ingest(gate, map.clone(), script);
         }
-        engines.push(eng);
-    }
-    // Initial events are pre-routed, not in-flight: clear the send windows
-    // (queue minima still cover the messages).
-    {
-        let mut sh = shared.borrow_mut();
-        for w in &mut sh.window_send_min {
-            *w = pdes_core::VirtualTime::INFINITY;
-        }
-    }
+        (map, engines)
+    };
+    let store: Rc<CkptSink<M>> = Rc::new(CkptSink::new(rc.checkpoint_path.clone(), map));
 
     // The DD controller occupies a dedicated core (the last one); simulation
     // threads under constant affinity round-robin over the remaining cores.
@@ -402,7 +352,7 @@ fn run_sim_attempt<M: Model>(
                     sh.dbg_phase[i],
                     sh.active[i],
                     sh.subscribed[i],
-                    sh.queues[i].len()
+                    sh.queue_len(i)
                 );
             }
             if !sh.window_send_min[i].is_infinite() || !sh.queue_min[i].is_infinite() {
@@ -410,7 +360,7 @@ fn run_sim_attempt<M: Model>(
                     "  t{i}: window={} queue_min={} qlen={} active={} subscribed={}",
                     sh.window_send_min[i],
                     sh.queue_min[i],
-                    sh.queues[i].len(),
+                    sh.queue_len(i),
                     sh.active[i],
                     sh.subscribed[i]
                 );
@@ -438,10 +388,40 @@ fn run_sim_attempt<M: Model>(
         completed,
     };
     drop(sh);
-    let checkpoint = store.borrow().latest();
     SimAttempt {
-        result,
-        checkpoint,
+        outcome: result,
+        checkpoint: store.latest(),
         thread_loads,
     }
+}
+
+/// Run `model` on the virtual machine under supervision: one attempt
+/// closure handed to [`pdes_core::supervise`]. No wall-clock backoff is
+/// applied — the machine is deterministic and single-threaded, so sleeping
+/// would only slow the host down.
+pub fn run_sim_supervised<M: Model>(
+    model: &Arc<M>,
+    rc: &RunConfig,
+    sup: &SupervisorConfig,
+) -> SupervisedRun<SimResult> {
+    let mut cfg = rc.clone();
+    let sup = sup.clone().with_backoff(std::time::Duration::ZERO);
+    supervise(
+        model,
+        &rc.engine,
+        rc.num_threads,
+        &rc.faults,
+        &sup,
+        None,
+        |threads, resume, injector| {
+            cfg.num_threads = threads;
+            let a = run_sim_attempt(model, &cfg, resume, Some(injector), None);
+            let done = a.outcome.completed;
+            Attempt {
+                outcome: if done { Ok(a.outcome) } else { Err(a.outcome) },
+                checkpoint: a.checkpoint,
+                thread_loads: a.thread_loads,
+            }
+        },
+    )
 }

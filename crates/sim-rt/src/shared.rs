@@ -12,8 +12,8 @@ use crate::config::{SimCost, SystemConfig};
 use machine::{MutexId, SemId};
 use metrics::RunMetrics;
 use pdes_core::{
-    batch_has_uid_pairs, EventKey, EventUid, FaultInjector, IngestGate, IngestRequest, LpMap, Msg,
-    ReplySlot, RoundDump, StallDump, ThreadDump, ThreadStats, VirtualTime,
+    chaos_filter, FaultInjector, IngestGate, IngestRequest, LpMap, Msg, ReplySlot, RoundDump,
+    StallDump, ThreadDump, ThreadStats, VirtualTime,
 };
 use std::collections::VecDeque;
 
@@ -150,6 +150,11 @@ pub struct Shared<P> {
 
     /// Per-thread input queues.
     pub queues: Vec<VecDeque<Msg<P>>>,
+    /// Per-thread chaos hold-back buffer: messages a faulty drain deferred,
+    /// delivered at the front of the next one. They count as queued (see
+    /// [`Self::queue_len`]) and stay under `queue_min`, so neither GVT nor
+    /// the activation scan loses sight of them.
+    held: Vec<VecDeque<Msg<P>>>,
     /// Minimum receive time currently in each queue (∞ when empty) —
     /// transient-message coverage for GVT.
     pub queue_min: Vec<VirtualTime>,
@@ -244,6 +249,7 @@ impl<P> Shared<P> {
             sys,
             cost,
             queues: (0..num_threads).map(|_| VecDeque::new()).collect(),
+            held: (0..num_threads).map(|_| VecDeque::new()).collect(),
             queue_min: vec![VirtualTime::INFINITY; num_threads],
             window_send_min: vec![VirtualTime::INFINITY; num_threads],
             active: vec![true; num_threads],
@@ -281,11 +287,6 @@ impl<P> Shared<P> {
         }
     }
 
-    /// Attach a fault injector (before the run starts).
-    pub fn set_faults(&mut self, faults: FaultInjector) {
-        self.faults = faults;
-    }
-
     /// Attach a scripted ingest plane (before the run starts). `script`
     /// holds `(gvt_round, request)` arrivals; it is sorted here so the pump
     /// can consume it with a cursor.
@@ -302,11 +303,6 @@ impl<P> Shared<P> {
             script,
             next: 0,
         });
-    }
-
-    /// Attach a telemetry registry (before the run starts).
-    pub fn set_telemetry(&mut self, registry: std::sync::Arc<telemetry::Telemetry>) {
-        self.telemetry = registry;
     }
 
     /// Whether telemetry collection is on for this run.
@@ -344,7 +340,7 @@ impl<P> Shared<P> {
             active_threads: self.num_active,
             members: self.tel_lvt.len() as u64,
             lvt_ticks: self.tel_lvt.clone(),
-            queue_depths: self.queues.iter().map(|q| q.len()).collect(),
+            queue_depths: (0..self.num_threads).map(|i| self.queue_len(i)).collect(),
             ingest: self
                 .ingest
                 .as_ref()
@@ -377,79 +373,30 @@ impl<P> Shared<P> {
         self.queues[dst].push_back(msg);
     }
 
+    /// Messages waiting for thread `i`: queued plus held back by chaos.
+    pub fn queue_len(&self, i: usize) -> usize {
+        self.queues[i].len() + self.held[i].len()
+    }
+
     /// Take every queued message for `me` (the queue minimum resets — the
     /// messages are about to enter the pending set, covered by the thread's
-    /// own fold from now on).
+    /// own fold from now on). Under a fault plan [`chaos_filter`] holds some
+    /// back; their `queue_min` coverage is restored *within this call*,
+    /// before any GVT computation can observe the reset — so the deferral
+    /// is invisible to the transient-message invariant (trivially, here: the
+    /// virtual machine is single-threaded).
     pub fn drain(&mut self, me: usize) -> VecDeque<Msg<P>> {
         self.queue_min[me] = VirtualTime::INFINITY;
-        let mut out = std::mem::take(&mut self.queues[me]);
-        if self.faults.is_enabled() {
-            self.chaos_filter(me, &mut out);
+        let out = std::mem::take(&mut self.queues[me]);
+        if !self.faults.is_enabled() {
+            return out;
         }
-        out
-    }
-
-    /// Fault injection on a drained batch: per-message deferral, a bounded
-    /// straggler hold-back of the batch minimum, and adversarial shuffling.
-    /// Held-back messages re-enter this thread's own queue *within this
-    /// call*, restoring their `queue_min` coverage before any GVT
-    /// computation can observe the reset above — so the deferral is
-    /// invisible to the transient-message invariant (trivially, here: the
-    /// virtual machine is single-threaded).
-    /// Per-uid FIFO is the one ordering contract chaos must respect (an
-    /// anti-message and its re-sent positive twin may never swap places):
-    /// once one message of a uid is deferred, every later same-uid message
-    /// defers with it; a straggler hold drags same-uid companions along and
-    /// skips uids that already have a deferred member; shuffling skips
-    /// batches containing same-uid pairs. Re-queued messages land in the
-    /// (just-emptied) queue ahead of all future arrivals, so deferral never
-    /// reorders across drains either.
-    fn chaos_filter(&mut self, me: usize, out: &mut VecDeque<Msg<P>>) {
-        let mut deferred_uids: Vec<EventUid> = Vec::new();
-        for _ in 0..out.len() {
-            let m = out.pop_front().expect("bounded by entry len");
-            let uid = m.key().uid;
-            if deferred_uids.contains(&uid) || self.faults.defer_delivery() {
-                deferred_uids.push(uid);
-                self.requeue(me, m);
-            } else {
-                out.push_back(m);
-            }
+        let mut batch = Vec::from(out);
+        chaos_filter(&self.faults, &mut batch, &mut self.held[me]);
+        for m in &self.held[me] {
+            self.queue_min[me] = self.queue_min[me].min(m.recv_time());
         }
-        if out.len() > 1 {
-            let min_i = out
-                .iter()
-                .enumerate()
-                .filter(|(_, m)| !deferred_uids.contains(&m.key().uid))
-                .min_by_key(|(_, m)| m.recv_time().ticks())
-                .map(|(i, _)| i);
-            if let Some(min_i) = min_i {
-                if self.faults.straggler_hold() {
-                    let uid = out[min_i].key().uid;
-                    let mut i = min_i;
-                    while i < out.len() {
-                        if out[i].key().uid == uid {
-                            let m = out.remove(i).expect("index in range");
-                            self.requeue(me, m);
-                        } else {
-                            i += 1;
-                        }
-                    }
-                }
-            }
-        }
-        let batch = out.make_contiguous();
-        if !batch_has_uid_pairs(batch) {
-            self.faults.shuffle_batch(batch);
-        }
-    }
-
-    fn requeue(&mut self, me: usize, m: Msg<P>) {
-        let t = m.recv_time();
-        if t < self.queue_min[me] {
-            self.queue_min[me] = t;
-        }
-        self.queues[me].push_back(m);
+        batch.into()
     }
 
     // ---- GVT round protocol ------------------------------------------------
@@ -460,7 +407,9 @@ impl<P> Shared<P> {
     /// (exactly as the real-thread runtime's clean drain).
     pub fn drain_clean(&mut self, me: usize) -> VecDeque<Msg<P>> {
         self.queue_min[me] = VirtualTime::INFINITY;
-        std::mem::take(&mut self.queues[me])
+        let mut out = std::mem::take(&mut self.held[me]);
+        out.append(&mut self.queues[me]);
+        out
     }
 
     /// Open a new round if none is open; snapshot the participant set.
@@ -579,7 +528,7 @@ impl<P> Shared<P> {
         let mut n = 0;
         if self.num_active < self.num_threads {
             for i in 0..self.num_threads {
-                if !self.active[i] && !self.queues[i].is_empty() {
+                if !self.active[i] && self.queue_len(i) > 0 {
                     self.active[i] = true;
                     self.subscribed[i] = true;
                     self.num_active += 1;
@@ -752,7 +701,7 @@ impl<P> Shared<P> {
                     thread: i,
                     phase: self.dbg_phase[i].into(),
                     joined_round: self.dbg_joined[i],
-                    queue_len: self.queues[i].len(),
+                    queue_len: self.queue_len(i),
                     active: self.active[i],
                     subscribed: self.subscribed[i],
                     sem_tokens: sem_tokens.get(i).copied().unwrap_or(0),
@@ -835,16 +784,11 @@ impl<P: Clone + serde::Serialize> Shared<P> {
     }
 }
 
-/// Fold an anti/positive message key into GVT coverage — helper for tests.
-pub fn key_time(key: &EventKey) -> VirtualTime {
-    key.recv_time
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::{AffinityPolicy, GvtMode, Scheduler};
-    use pdes_core::{EventUid, LpId};
+    use pdes_core::{EventKey, EventUid, LpId};
 
     fn mk(n: usize, cores: usize) -> Shared<()> {
         Shared::new(

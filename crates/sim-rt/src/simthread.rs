@@ -9,11 +9,10 @@
 //! activation happens in Aware (pseudo-controller), deactivation in End;
 //! synchronous rounds use three blocking barrier points instead.
 
-use crate::ckpt::VmCkptStore;
 use crate::config::{AffinityPolicy, GvtMode, Scheduler, SystemConfig};
 use crate::shared::{Arrive, Op, Shared};
 use machine::{Ctx, Step, Task, WorkTag};
-use pdes_core::{EngineConfig, Model, Outbound, ThreadEngine};
+use pdes_core::{CkptSink, EngineConfig, Model, Outbound, ThreadEngine};
 use std::cell::RefCell;
 use std::rc::Rc;
 use telemetry::{EventKind, Tracer};
@@ -74,7 +73,7 @@ pub struct SimThreadTask<M: Model> {
     /// Scratch for kernel ops queued while `shared` is borrowed.
     ops: Vec<Op>,
     /// Checkpoint deposit store (shared by all sim threads of the run).
-    ckpt: Rc<RefCell<VmCkptStore<M>>>,
+    ckpt: Rc<CkptSink<M>>,
     /// Work cycles completed — the clock scripted worker kills fire on.
     total_cycles: u64,
     /// Telemetry tracer (no-op unless the run enabled telemetry).
@@ -93,7 +92,7 @@ impl<M: Model> SimThreadTask<M> {
         shared: Rc<RefCell<Shared<M::Payload>>>,
         sys: SystemConfig,
         ecfg: EngineConfig,
-        ckpt: Rc<RefCell<VmCkptStore<M>>>,
+        ckpt: Rc<CkptSink<M>>,
     ) -> Self {
         let tracer = shared.borrow().telemetry.tracer(tid);
         SimThreadTask {
@@ -255,7 +254,7 @@ impl<M: Model> SimThreadTask<M> {
     fn wants_deactivation(&self, sh: &Shared<M::Payload>) -> bool {
         self.sys.demand_driven()
             && !self.active_flag
-            && sh.queues[self.tid].is_empty()
+            && sh.queue_len(self.tid) == 0
             && !self.engine.has_live_pending()
             && sh.window_send_min[self.tid].is_infinite()
     }
@@ -308,14 +307,13 @@ impl<M: Model> SimThreadTask<M> {
             }
             let g = sh.gvt;
             self.engine.fossil_collect(g);
-            let (lps, events) = self.engine.snapshot_at_gvt(g);
-            cost += c.gvt_phase + c.recv_msg * n + c.proc_event * lps.len() as u64;
-            self.ckpt.borrow_mut().deposit(
+            let part = self.engine.snapshot_at_gvt(g);
+            cost += c.gvt_phase + c.recv_msg * n + c.proc_event * part.0.len() as u64;
+            self.ckpt.deposit(
                 sh.round.id,
                 g,
                 sh.gvt_rounds,
-                lps,
-                events,
+                part,
                 sh.round.participants,
                 sh.faults.cursor(),
             );

@@ -5,8 +5,8 @@
 //! uninterrupted run (sequential-oracle comparison).
 
 use models::{LocalityPattern, Phold, PholdConfig};
-use pdes_core::{run_sequential, EngineConfig, FaultPlan, Model, SupervisorConfig};
-use sim_rt::{run_sim_resumable, run_sim_supervised, RunConfig, SystemConfig, VmRecovered};
+use pdes_core::{run_sequential, EngineConfig, FaultPlan, Model, Recovered, SupervisorConfig};
+use sim_rt::{run_sim_attempt, run_sim_supervised, RunConfig, SystemConfig};
 use std::sync::Arc;
 
 fn engine_cfg(end: f64) -> EngineConfig {
@@ -46,8 +46,8 @@ fn vm_checkpointed_run_matches_oracle_and_restores_identically() {
     let rc = RunConfig::new(threads, ecfg.clone(), gg_async())
         .with_machine(machine_small())
         .with_checkpoint_every(3);
-    let attempt = run_sim_resumable(&model, &rc, None, None);
-    let r = &attempt.result;
+    let attempt = run_sim_attempt(&model, &rc, None, None, None);
+    let r = &attempt.outcome;
     assert!(r.completed, "checkpointed run must complete");
     assert_eq!(r.metrics.commit_digest, oracle.commit_digest);
     assert_eq!(r.digests, oracle.state_digests);
@@ -67,7 +67,7 @@ fn vm_checkpointed_run_matches_oracle_and_restores_identically() {
     );
 
     // Restoring that cut into a fresh run must finish on the oracle trace.
-    let resumed = run_sim_resumable(&model, &rc, Some(&ckpt), None).result;
+    let resumed = run_sim_attempt(&model, &rc, Some(&ckpt), None, None).outcome;
     assert!(resumed.completed, "resumed run must complete");
     assert_eq!(resumed.metrics.commit_digest, oracle.commit_digest);
     assert_eq!(resumed.metrics.committed, oracle.committed);
@@ -101,7 +101,7 @@ fn vm_kill_and_recover_commits_exact_oracle_trace() {
     );
     assert_eq!(s.outcome.committed(), oracle.committed);
     assert_eq!(s.outcome.state_digests(), &oracle.state_digests[..]);
-    if let VmRecovered::Parallel(r) = &s.outcome {
+    if let Recovered::Parallel(r) = &s.outcome {
         assert!(r.metrics.threads == threads || r.metrics.threads == threads - 1);
     }
 }
@@ -128,7 +128,7 @@ fn vm_recovery_exhaustion_degrades_to_sequential_and_still_completes() {
     let s = run_sim_supervised(&model, &rc, &SupervisorConfig::new(1));
     assert!(s.degraded, "budget of 1 must be exhausted: {:?}", s.log);
     assert_eq!(s.recoveries, 1);
-    assert!(matches!(s.outcome, VmRecovered::Sequential(_)));
+    assert!(matches!(s.outcome, Recovered::Sequential(_)));
     assert_eq!(s.outcome.commit_digest(), oracle.commit_digest);
     assert_eq!(s.outcome.committed(), oracle.committed);
     assert_eq!(s.outcome.state_digests(), &oracle.state_digests[..]);

@@ -30,10 +30,6 @@
 //!   starved peer must see our messages before we spin waiting on it);
 //! - **GVT round boundaries** — `drain_deliver` flushes before each phase
 //!   fold; checkpoint cuts, parking and termination all pass through it.
-//!
-//! Messages crossing a remote shard boundary bypass the batcher entirely:
-//! their latency budget is governed by the distributed GVT tracker and the
-//! wire already batches frames at the link layer.
 
 use crate::shared::RtShared;
 use pdes_core::Msg;
@@ -41,7 +37,7 @@ use pdes_core::Msg;
 /// Per-thread accumulator of outgoing messages, grouped by destination
 /// thread. One instance lives on each worker's stack; it is not shared.
 pub struct SendBatcher<P> {
-    /// One buffer per *global* destination thread id.
+    /// One buffer per destination thread.
     bufs: Vec<Vec<Msg<P>>>,
     /// Destinations with (possibly) non-empty buffers. May contain
     /// duplicates after a batch-full flush; `flush` tolerates empties.
@@ -51,8 +47,7 @@ pub struct SendBatcher<P> {
 }
 
 impl<P> SendBatcher<P> {
-    /// `num_dsts` is the number of *global* thread ids messages can target
-    /// (shard window base + size for distributed runs).
+    /// `num_dsts` is the number of threads messages can target.
     pub fn new(num_dsts: usize, cap: usize) -> Self {
         SendBatcher {
             bufs: (0..num_dsts).map(|_| Vec::new()).collect(),
@@ -62,13 +57,8 @@ impl<P> SendBatcher<P> {
     }
 
     /// Buffer one outgoing message, publishing the sender's send window
-    /// first so GVT accounting covers it from this instant on. Remote
-    /// (out-of-window) destinations are forwarded immediately.
+    /// first so GVT accounting covers it from this instant on.
     pub fn buffer(&mut self, sh: &RtShared<P>, me: usize, dst: usize, msg: Msg<P>) {
-        if !sh.dst_is_local(dst) {
-            sh.push_msg(me, dst, msg);
-            return;
-        }
         sh.publish_window(me, msg.recv_time());
         let buf = &mut self.bufs[dst];
         if buf.is_empty() {

@@ -20,19 +20,18 @@
 
 pub mod affinity;
 pub mod batch;
-pub mod ckpt;
 pub mod protocol;
 pub mod runner;
 pub mod shared;
-pub mod supervisor;
 pub mod sync;
 pub mod worker;
 
 pub use affinity::AffinityState;
 pub use batch::SendBatcher;
-pub use ckpt::CkptSink;
 pub use protocol::{Optimistic, Protocol};
-pub use runner::{run_threads, run_threads_attempt, RtAttempt, RtResult, RtRunConfig, RunError};
-pub use shared::{IngestPlane, RemoteBoundary, RtShared};
-pub use supervisor::{run_supervised, Recovered, SupervisedRun, SupervisorConfig};
+pub use runner::{
+    run_supervised, run_threads, run_threads_attempt, Recovered, RtAttempt, RtResult, RtRunConfig,
+    RunError, SupervisedRun, SupervisorConfig,
+};
+pub use shared::{IngestPlane, RtShared};
 pub use sync::{DynBarrier, Semaphore};

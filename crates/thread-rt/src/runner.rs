@@ -7,21 +7,22 @@
 //! carries a structured [`StallDump`] of per-thread state for post-mortems.
 
 use crate::affinity::num_cores;
-use crate::ckpt::CkptSink;
 use crate::protocol::{Optimistic, Protocol};
 use crate::shared::RtShared;
 use crate::worker::{controller_loop, worker_loop, WorkerResult};
 use metrics::RunMetrics;
 use pdes_core::{
-    Checkpoint, EngineConfig, FaultInjector, FaultPlan, IngestError, IngestGate, LpId, LpMap,
-    Model, Msg, SimThreadId, StallDump, ThreadEngine, VirtualTime,
+    build_engines, supervise, Attempt, AttemptFailure, Checkpoint, CkptSink, CommitTrace,
+    EngineConfig, FaultInjector, FaultPlan, IngestError, IngestGate, LpId, Model, Scheduler,
+    StallDump, SystemConfig,
 };
-use sim_rt::{Scheduler, SystemConfig};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use telemetry::{Telemetry, TelemetryConfig, TelemetryData};
+
+pub use pdes_core::SupervisorConfig;
 
 /// Configuration for a real-thread run.
 #[derive(Debug, Clone)]
@@ -105,6 +106,18 @@ pub struct RtResult {
     pub telemetry: Option<TelemetryData>,
 }
 
+impl CommitTrace for RtResult {
+    fn committed(&self) -> u64 {
+        self.metrics.committed
+    }
+    fn commit_digest(&self) -> u64 {
+        self.metrics.commit_digest
+    }
+    fn state_digests(&self) -> &[u64] {
+        &self.digests
+    }
+}
+
 /// Why a real-thread run failed to complete.
 #[derive(Debug)]
 pub enum RunError {
@@ -133,6 +146,24 @@ impl std::fmt::Display for RunError {
 
 impl std::error::Error for RunError {}
 
+/// What the supervisor needs to know: only a worker death names a thread to
+/// remap, and each failure is one log line.
+impl From<RunError> for AttemptFailure {
+    fn from(e: RunError) -> Self {
+        let (dead_thread, reason) = match e {
+            RunError::Stalled(_) => (None, "stalled (watchdog)".into()),
+            RunError::WorkerPanicked { thread, message } => {
+                (Some(thread), format!("worker {thread} panicked: {message}"))
+            }
+            RunError::Ingest(e) => (None, format!("ingest journal failed: {e}")),
+        };
+        AttemptFailure {
+            dead_thread,
+            reason,
+        }
+    }
+}
+
 /// Render a panic payload (the two shapes `panic!` actually produces).
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
@@ -144,17 +175,8 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// One attempt of a (possibly supervised) real-thread run: the outcome plus
-/// everything the supervisor needs to recover from a failure — the newest
-/// checkpoint this attempt assembled and the per-thread committed-event
-/// loads, which survive even when the attempt itself errored (joined worker
-/// state is *not* discarded on failure; the load vector drives the LP remap
-/// onto survivors).
-pub struct RtAttempt<M: Model> {
-    pub outcome: Result<RtResult, RunError>,
-    pub checkpoint: Option<Checkpoint<M::State, M::Payload>>,
-    pub thread_loads: Vec<u64>,
-}
+/// One attempt of a (possibly supervised) real-thread run.
+pub type RtAttempt<M> = Attempt<M, Result<RtResult, RunError>>;
 
 /// Run `model` optimistically on real threads. Blocks until the simulation
 /// completes, panics, or trips the liveness watchdog — it never hangs
@@ -167,21 +189,14 @@ pub fn run_threads<M: Model>(model: &Arc<M>, rc: &RtRunConfig) -> Result<RtResul
 /// resume from, a pre-seeded fault injector (the supervisor restores
 /// fault-stream cursors and consumes the kill that felled the previous
 /// attempt before handing the injector in), and a live external-event
-/// ingest gate.
-///
-/// When `resume` is given, its map — not the formula map — assigns LPs to
-/// threads, `rc.num_threads` must match the map, and the weak-scaling
-/// divisibility requirement is waived (recovered maps are deliberately
-/// uneven).
+/// ingest gate. [`build_engines`] sets the attempt up (which map a resumed
+/// run uses, the cut restore, the exactly-once ingest replay).
 ///
 /// Client threads submit to `gate` concurrently with the run; each GVT
 /// round's pseudo-controller admits queued submissions right after
-/// publishing the round's GVT. When both `resume` and `gate` are given, the
-/// gate's accepted-but-uncut events (`send_time ≥` the cut GVT) are
-/// re-injected before the workers start — the exactly-once replay half of
-/// the ingest durability contract. On successful completion the gate is
-/// closed (queued submissions get [`pdes_core::IngestReply::Closed`]); on
-/// failure it stays open so a supervisor can resume with it.
+/// publishing the round's GVT. On successful completion the gate is closed
+/// (queued submissions get [`pdes_core::IngestReply::Closed`]); on failure
+/// it stays open so a supervisor can resume with it.
 pub fn run_threads_attempt<M: Model, P: Protocol<M>>(
     model: &Arc<M>,
     rc: &RtRunConfig,
@@ -190,83 +205,28 @@ pub fn run_threads_attempt<M: Model, P: Protocol<M>>(
     gate: Option<Arc<IngestGate<M::Payload>>>,
 ) -> RtAttempt<M> {
     let n = rc.num_threads;
-    let map = match resume {
-        Some(c) => {
-            assert_eq!(
-                c.map.num_threads as usize, n,
-                "checkpoint map threads must match the run config"
-            );
-            c.map.clone()
-        }
-        None => {
-            assert!(
-                model.num_lps().is_multiple_of(n),
-                "weak scaling requires LPs divisible by thread count"
-            );
-            LpMap::new(model.num_lps(), n, rc.engine.mapping)
-        }
-    };
     let mut shared: RtShared<M::Payload> = RtShared::new(n, rc.pin_cores, rc.engine.end_time);
     shared.set_faults(faults.unwrap_or_else(|| FaultInjector::new(rc.faults.clone())));
     shared.set_checkpoint_every(rc.checkpoint_every_gvt);
     // Each attempt gets a fresh registry: a supervised restart must not
     // inherit the felled attempt's half-deposited rings.
-    shared.set_telemetry(Telemetry::new(rc.telemetry.clone()));
+    shared.telemetry = Telemetry::new(rc.telemetry.clone());
     if let Some(c) = resume {
         shared.seed_gvt(c.gvt, c.gvt_rounds);
     }
+    let (map, engines) = build_engines(
+        model,
+        &rc.engine,
+        n,
+        resume,
+        gate.as_deref(),
+        |from, dst, msg| shared.push_msg(from, dst, msg),
+    );
     if let Some(g) = &gate {
         shared.set_ingest(Arc::clone(g), map.clone());
     }
     let proto = P::start(model.as_ref(), rc);
-    let sink: CkptSink<M> = CkptSink::new(
-        if rc.checkpoint_every_gvt > 0 {
-            rc.checkpoint_path.clone()
-        } else {
-            None
-        },
-        map.clone(),
-    );
-
-    // Build engines; a fresh run pre-routes the initial events, a resumed
-    // run instead restores each engine's share of the cut (initial events
-    // are already part of the checkpoint's history).
-    let mut engines = Vec::with_capacity(n);
-    for t in 0..n {
-        let mut eng = ThreadEngine::new(
-            Arc::clone(model),
-            map.clone(),
-            SimThreadId(t as u32),
-            &rc.engine,
-        );
-        match resume {
-            Some(c) => {
-                eng.take_init_events();
-                eng.restore(&c.lps, &c.events, c.gvt);
-            }
-            None => {
-                for (dst, msg) in eng.take_init_events() {
-                    shared.push_msg(t, dst.index(), msg);
-                }
-            }
-        }
-        engines.push(eng);
-    }
-    if let Some(g) = &gate {
-        // Replay the accepted-but-uncut ingest suffix: a cut at `c.gvt`
-        // holds every accepted event with `send_time < c.gvt`; the
-        // complement is re-pushed here, before any worker starts, so each
-        // accepted idempotency id commits exactly once across the restore.
-        // A restart from genesis (a prior attempt died before the first
-        // checkpoint deposit) has an empty cut, so everything ever accepted
-        // is re-pushed — the gate dedups client retries as `Duplicate`, so
-        // nothing else will carry those ids back in.
-        let cut = resume.map(|c| c.gvt).unwrap_or(VirtualTime::ZERO);
-        g.reinject_after_restore(cut, &mut |ev| {
-            let dst = map.thread_of(ev.key.dst).index();
-            shared.push_msg(0, dst, Msg::Event(ev));
-        });
-    }
+    let sink: CkptSink<M> = CkptSink::new(rc.checkpoint_path.clone(), map);
 
     let start = Instant::now();
     let monitor_exit = AtomicBool::new(false);
@@ -438,4 +398,34 @@ pub fn run_threads_attempt<M: Model, P: Protocol<M>>(
         checkpoint,
         thread_loads,
     }
+}
+
+/// How a supervised real-thread run finished.
+pub type Recovered = pdes_core::Recovered<RtResult>;
+/// Outcome of a supervised real-thread run — always a completed simulation.
+pub type SupervisedRun = pdes_core::SupervisedRun<RtResult>;
+
+/// Run `model` under supervision and protocol `P`: recover from worker
+/// failures via the checkpoint/restart path, degrade to sequential execution
+/// when the retry budget is exhausted. Never returns an error — a supervised
+/// run completes. An `ingest` gate outlives every failed attempt.
+pub fn run_supervised<M: Model, P: Protocol<M>>(
+    model: &Arc<M>,
+    rc: &RtRunConfig,
+    sup: &SupervisorConfig,
+    ingest: Option<Arc<IngestGate<M::Payload>>>,
+) -> SupervisedRun {
+    let mut cfg = rc.clone();
+    supervise(
+        model,
+        &rc.engine,
+        rc.num_threads,
+        &rc.faults,
+        sup,
+        ingest.as_deref(),
+        |threads, resume, injector| {
+            cfg.num_threads = threads;
+            run_threads_attempt::<M, P>(model, &cfg, resume, Some(injector), ingest.clone())
+        },
+    )
 }

@@ -15,34 +15,14 @@ use crossbeam::queue::SegQueue;
 use crossbeam::utils::CachePadded;
 use parking_lot::Mutex;
 use pdes_core::{
-    batch_has_uid_pairs, EventUid, FaultInjector, IngestError, IngestGate, LpMap, Msg, RoundDump,
-    SimThreadId, StallDump, ThreadDump, VirtualTime,
+    chaos_filter, FaultInjector, IngestError, IngestGate, LpMap, Msg, RoundDump, StallDump,
+    ThreadDump, VirtualTime,
 };
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 use telemetry::{RoundTotals, Telemetry};
-
-/// Hook at the event-routing boundary for destinations outside this
-/// process — the distributed runtime's entry point into `thread-rt`.
-///
-/// When a boundary is installed, the shared state treats its thread indices
-/// as a *window* `[base, base + num_threads)` of a larger global thread
-/// space: [`RtShared::push_msg`] forwards any message whose destination
-/// falls outside the window to `send_remote` (with the destination's
-/// *global* id), and every GVT computation folds in `remote_min` — the
-/// boundary's lower bound on remote in-flight messages and peer progress —
-/// so a locally computed GVT can never run ahead of the cluster.
-pub trait RemoteBoundary<P>: Send + Sync {
-    /// Forward a message from local thread `from_local` to global thread
-    /// `dst` on another shard.
-    fn send_remote(&self, from_local: usize, dst: SimThreadId, msg: Msg<P>);
-    /// Lower bound over everything the local shard cannot see: remote
-    /// pending sets and in-flight wire messages. `VirtualTime::INFINITY`
-    /// when the cluster has drained.
-    fn remote_min(&self) -> VirtualTime;
-}
 
 /// Control-loop phase labels published by workers for stall diagnostics;
 /// [`RtShared::dbg_phase`] holds indices into this table.
@@ -150,13 +130,6 @@ pub struct RtShared<P> {
     /// ingest (the common case — every hook below is one branch).
     ingest: Option<IngestPlane<P>>,
 
-    // ---- distributed shard window ----
-    /// First global thread id of this process's window (0 when the run is
-    /// not sharded).
-    thread_base: usize,
-    /// Routing + GVT hook for destinations outside the window.
-    remote: Option<Arc<dyn RemoteBoundary<P>>>,
-
     // ---- affinity (dynamic) ----
     pub aff: Mutex<crate::affinity::AffinityState>,
 
@@ -167,7 +140,8 @@ pub struct RtShared<P> {
 
     // ---- telemetry ----
     /// Tracer registry + round-snapshot sink (a disabled registry by
-    /// default; [`Self::set_telemetry`] installs a live one pre-publish).
+    /// default, so untraced runs never take the round-snapshot path; the
+    /// runner installs a live one before publishing the shared state).
     pub telemetry: Arc<Telemetry>,
     /// Per-thread published LVT ticks (`u64::MAX` = idle); only written when
     /// telemetry is enabled, read by the round closer's snapshot.
@@ -193,6 +167,9 @@ pub struct RtShared<P> {
     /// Set once the liveness watchdog fired (the run's result becomes an
     /// error carrying the stall dump).
     pub watchdog_tripped: AtomicBool,
+    /// Set by [`Self::poison_all`]: the run is being torn down (watchdog
+    /// trip or worker panic), as opposed to `terminated` by a final GVT.
+    poisoned: AtomicBool,
     /// Last control-loop phase each worker reported (index into
     /// [`PHASE_NAMES`]).
     pub dbg_phase: Vec<CachePadded<AtomicUsize>>,
@@ -251,8 +228,6 @@ impl<P> RtShared<P> {
             dd_lock: Mutex::new(()),
             controller_exit: AtomicBool::new(false),
             ingest: None,
-            thread_base: 0,
-            remote: None,
             aff: Mutex::new(crate::affinity::AffinityState::new(num_cores, num_threads)),
             gvt_wall_ns: AtomicU64::new(0),
             max_descheduled: AtomicUsize::new(0),
@@ -276,6 +251,7 @@ impl<P> RtShared<P> {
                 .map(|_| CachePadded::new(Mutex::new(VecDeque::new())))
                 .collect(),
             watchdog_tripped: AtomicBool::new(false),
+            poisoned: AtomicBool::new(false),
             dbg_phase: (0..num_threads)
                 .map(|_| CachePadded::new(AtomicUsize::new(0)))
                 .collect(),
@@ -289,16 +265,6 @@ impl<P> RtShared<P> {
         self.faults = faults;
     }
 
-    /// Install a remote boundary (before the shared state is published to
-    /// worker threads): this process's threads become the window
-    /// `[base, base + num_threads)` of the global thread space, and
-    /// [`Self::push_msg`] / [`Self::compute_gvt`] route through `remote` for
-    /// everything outside it.
-    pub fn set_remote_boundary(&mut self, base: usize, remote: Arc<dyn RemoteBoundary<P>>) {
-        self.thread_base = base;
-        self.remote = Some(remote);
-    }
-
     /// Install the external-event ingest gate (before the shared state is
     /// published to worker threads). `map` routes admitted events to the
     /// thread owning their destination LP; [`Self::compute_gvt`] fences GVT
@@ -310,11 +276,6 @@ impl<P> RtShared<P> {
             prev: Mutex::new((0, 0, 0, 0)),
             error: Mutex::new(None),
         });
-    }
-
-    /// The installed ingest gate, if any.
-    pub fn ingest_gate(&self) -> Option<&Arc<IngestGate<P>>> {
-        self.ingest.as_ref().map(|p| &p.gate)
     }
 
     /// Take the first journal failure a pump observed (the runner surfaces
@@ -353,13 +314,6 @@ impl<P> RtShared<P> {
     pub fn seed_gvt(&mut self, gvt: VirtualTime, rounds: u64) {
         self.gvt = AtomicU64::new(gvt.ticks());
         self.gvt_rounds = AtomicU64::new(rounds);
-    }
-
-    /// Install the telemetry registry (before the shared state is published
-    /// to worker threads). The default registry is disabled, so untraced
-    /// runs never take the round-snapshot path.
-    pub fn set_telemetry(&mut self, registry: Arc<Telemetry>) {
-        self.telemetry = registry;
     }
 
     /// Whether tracing is live (one inlined bool behind the `Arc`).
@@ -424,16 +378,25 @@ impl<P> RtShared<P> {
         });
     }
 
-    /// Whether round `id` was armed for a checkpoint at open time.
-    #[inline]
-    pub fn ckpt_armed_for(&self, id: u64) -> bool {
-        self.ckpt_armed.load(Ordering::Acquire) == id + 1
+    /// Participant half of the checkpoint handshake: whether round `id` was
+    /// armed at open time and its cut GVT is published. Waits for the
+    /// publish; only a teardown ([`Self::poison_all`], which a controller
+    /// dying before the publish also runs) ends the wait early. A final GVT
+    /// sets `terminated` an instant before the controller releases the
+    /// snapshotters, and escaping on that would drop this thread's share of
+    /// the final cut (which then never assembles).
+    pub fn ckpt_await(&self, id: u64) -> bool {
+        if !self.ckpt_armed_for(id) {
+            return false;
+        }
+        while !self.ckpt_ready.load(Ordering::Acquire) && !self.poisoned.load(Ordering::Acquire) {
+            std::hint::spin_loop();
+        }
+        self.ckpt_ready.load(Ordering::Acquire)
     }
 
-    /// Whether the armed round's checkpoint GVT has been published.
-    #[inline]
-    pub fn ckpt_ready(&self) -> bool {
-        self.ckpt_ready.load(Ordering::Acquire)
+    fn ckpt_armed_for(&self, id: u64) -> bool {
+        self.ckpt_armed.load(Ordering::Acquire) == id + 1
     }
 
     /// Pseudo-controller half of the checkpoint handshake: after
@@ -462,8 +425,9 @@ impl<P> RtShared<P> {
     }
 
     /// Send a message: the window minimum is published *before* the push so
-    /// the event is covered by GVT accounting at every instant (see module
-    /// docs of `sim_rt::shared` for the coverage argument).
+    /// the event is covered by GVT accounting at every instant — in the
+    /// sender's window until its next fold, in the destination's queue
+    /// minimum from the push on (DESIGN.md §8, "Transient-message coverage").
     ///
     /// Under a backpressure fault plan the destination queue is bounded: a
     /// sender over capacity retries with escalating backoff before pushing
@@ -471,26 +435,6 @@ impl<P> RtShared<P> {
     pub fn push_msg(&self, sender: usize, dst: usize, msg: Msg<P>) {
         let t = msg.recv_time();
         fetch_min(&self.window_min[sender], t);
-        // Shard window: with a remote boundary installed `dst` is a *global*
-        // thread id. Out-of-window messages leave through the boundary — the
-        // window minimum above was published first, so the message stays
-        // covered by local GVT accounting until the boundary's own counters
-        // (folded in via `remote_min`) take over.
-        if let Some(remote) = &self.remote {
-            let lo = self.thread_base;
-            let hi = lo + self.num_threads;
-            if dst < lo || dst >= hi {
-                remote.send_remote(sender, SimThreadId(dst as u32), msg);
-                return;
-            }
-            return self.push_local(dst - lo, msg);
-        }
-        self.push_local(dst, msg);
-    }
-
-    /// Enqueue on a local (window-relative) destination.
-    fn push_local(&self, dst: usize, msg: Msg<P>) {
-        let t = msg.recv_time();
         self.backpressure_wait(dst);
         self.queues[dst].push(msg);
         fetch_min(&self.queue_min[dst], t);
@@ -519,25 +463,6 @@ impl<P> RtShared<P> {
         }
     }
 
-    /// One past the highest global thread id this process can address
-    /// locally (`num_threads` for unsharded runs) — sizes the send
-    /// batcher's per-destination buffers.
-    #[inline]
-    pub fn global_threads(&self) -> usize {
-        self.thread_base + self.num_threads
-    }
-
-    /// `true` when global thread id `dst` falls inside this process's shard
-    /// window (always true for unsharded runs). The send batcher buffers
-    /// only local destinations; boundary-crossing messages keep the
-    /// immediate path so their latency stays governed by the distributed
-    /// GVT tracker.
-    #[inline]
-    pub fn dst_is_local(&self, dst: usize) -> bool {
-        self.remote.is_none()
-            || (dst >= self.thread_base && dst < self.thread_base + self.num_threads)
-    }
-
     /// Publish `t` into thread `me`'s send window *without* enqueueing — the
     /// coverage half of [`Self::push_msg`], used by the send batcher at
     /// buffer time. A message buffered locally is invisible to the
@@ -550,8 +475,8 @@ impl<P> RtShared<P> {
         fetch_min(&self.window_min[me], t);
     }
 
-    /// Bulk enqueue on a local destination (global thread id): one queue
-    /// lock and one length update for the whole batch, preserving order.
+    /// Bulk enqueue on thread `dst`: one queue lock and one length update for
+    /// the whole batch, preserving order.
     ///
     /// Callers must have already published every message into their send
     /// window via [`Self::publish_window`] — this method only re-covers the
@@ -561,12 +486,6 @@ impl<P> RtShared<P> {
         if msgs.is_empty() {
             return;
         }
-        debug_assert!(self.dst_is_local(dst), "push_batch is local-only");
-        let dst = if self.remote.is_some() {
-            dst - self.thread_base
-        } else {
-            dst
-        };
         self.backpressure_wait(dst);
         let n = msgs.len();
         let mut t = VirtualTime::INFINITY;
@@ -593,85 +512,28 @@ impl<P> RtShared<P> {
         n
     }
 
-    /// Chaos drain: messages may be held back (delay / straggler storms)
-    /// and the delivered batch may be adversarially reordered.
+    /// Chaos drain: [`chaos_filter`] decides what of the queue's content
+    /// delivers now and what is held back in `held[me]` for the next drain.
     ///
-    /// Held-back messages go to `held[me]`, a per-thread side buffer that is
-    /// delivered at the *front* of the next drain — they cannot simply be
-    /// re-pushed onto the `SegQueue`, where they would land *behind*
-    /// concurrently pushed newer messages and could overtake a same-uid
-    /// successor (e.g. a re-sent positive passing its deferred anti). Held
-    /// messages never leave `queue_len`/`queue_min` accounting, so GVT keeps
-    /// covering them; only `me` drains this queue, so the reset-then-restore
-    /// of `queue_min` cannot race another drain. Pops are bounded by the
-    /// queue length at entry, and held messages redeliver unconditionally,
-    /// so no message is deferred for more than one drain per decision.
-    ///
-    /// Per-uid FIFO is the one ordering contract chaos must respect (the
-    /// pending set tolerates any interleaving *between* uids): once one
-    /// message of a uid is held back, every later same-uid message in the
-    /// batch is held back with it, and batches containing same-uid pairs
-    /// are exempt from shuffling.
+    /// Held messages cannot simply be re-pushed onto the `SegQueue`, where
+    /// they would land *behind* concurrently pushed newer messages and could
+    /// be overtaken by a same-uid successor (a re-sent positive passing its
+    /// deferred anti). They never leave `queue_len`/`queue_min` accounting,
+    /// so GVT keeps covering them; only `me` drains this queue, so the
+    /// reset-then-restore of `queue_min` cannot race another drain.
     fn drain_with_faults(&self, me: usize, out: &mut Vec<Msg<P>>) -> usize {
-        let base = out.len();
         let mut held = self.held[me].lock();
-        // Redeliver earlier hold-backs first: they are older than anything
-        // still in the queue, so this preserves arrival order.
-        let redelivered = held.len();
-        out.extend(held.drain(..));
-        let cap = self.queues[me].len();
-        let mut popped = 0usize;
-        let mut moved = 0usize;
-        let mut deferred_uids: Vec<EventUid> = Vec::new();
-        while popped < cap {
-            let Some(m) = self.queues[me].pop() else {
-                break;
-            };
-            popped += 1;
-            let uid = m.key().uid;
-            if deferred_uids.contains(&uid) || self.faults.defer_delivery() {
-                deferred_uids.push(uid);
-                fetch_min(&self.queue_min[me], m.recv_time());
-                held.push_back(m);
-                moved += 1;
-            } else {
-                out.push(m);
-            }
+        let mut batch = Vec::new();
+        let taken = held.len() + self.queues[me].drain_into(&mut batch);
+        chaos_filter(&self.faults, &mut batch, &mut held);
+        for m in held.iter() {
+            fetch_min(&self.queue_min[me], m.recv_time());
         }
-        // Straggler storm: hold back the minimum-timestamp message (plus any
-        // later same-uid companion) while the rest of its batch delivers, so
-        // it later arrives in the destination's past and forces a rollback.
-        // A uid that already has a deferred member is ineligible — holding
-        // its earlier member now would slot it *behind* the later one.
-        if out.len() > base + 1 {
-            let min_at = (base..out.len())
-                .filter(|&i| !deferred_uids.contains(&out[i].key().uid))
-                .min_by_key(|&i| out[i].recv_time().ticks());
-            if let Some(min_at) = min_at {
-                if self.faults.straggler_hold() {
-                    let uid = out[min_at].key().uid;
-                    let mut i = min_at;
-                    while i < out.len() {
-                        if out[i].key().uid == uid {
-                            let m = out.remove(i);
-                            fetch_min(&self.queue_min[me], m.recv_time());
-                            held.push_back(m);
-                            moved += 1;
-                        } else {
-                            i += 1;
-                        }
-                    }
-                }
-            }
-        }
-        let batch = &mut out[base..];
-        if !batch_has_uid_pairs(batch) {
-            self.faults.shuffle_batch(batch);
-        }
-        let delivered = redelivered + popped - moved;
+        let delivered = taken - held.len();
         if delivered > 0 {
             self.queue_len[me].fetch_sub(delivered, Ordering::AcqRel);
         }
+        out.append(&mut batch);
         delivered
     }
 
@@ -726,11 +588,6 @@ impl<P> RtShared<P> {
                 .min(self.window_min[i].load(Ordering::Acquire))
                 .min(self.queue_min[i].load(Ordering::Acquire))
                 .min(self.park_min[i].load(Ordering::Acquire));
-        }
-        // Sharded runs: the cluster-wide floor (remote pending sets and
-        // in-flight wire messages) caps the local estimate.
-        if let Some(remote) = &self.remote {
-            g = g.min(remote.remote_min().ticks());
         }
         let old = self.gvt.load(Ordering::Acquire);
         if g < old {
@@ -936,6 +793,7 @@ impl<P> RtShared<P> {
     /// `terminated` and exit. Called by the liveness watchdog on a trip and
     /// by the panic guard of a dying worker.
     pub fn poison_all(&self) {
+        self.poisoned.store(true, Ordering::Release);
         self.terminated.store(true, Ordering::Release);
         self.controller_exit.store(true, Ordering::Release);
         for s in &self.sems {
@@ -1011,7 +869,7 @@ impl<P: Clone + serde::Serialize> RtShared<P> {
         };
         let res = plane.gate.pump(|_| true, &mut |ev| {
             let dst = plane.map.thread_of(ev.key.dst).index();
-            self.push_msg(0, self.thread_base + dst, Msg::Event(ev));
+            self.push_msg(0, dst, Msg::Event(ev));
         });
         match res {
             Ok(out) => out.injected,
@@ -1047,83 +905,6 @@ mod tests {
 
     fn shared(n: usize) -> RtShared<()> {
         RtShared::new(n, 2, VirtualTime::from_f64(100.0))
-    }
-
-    /// Recording fake for the distributed boundary.
-    struct FakeBoundary {
-        sent: Mutex<Vec<(usize, SimThreadId, VirtualTime)>>,
-        min: AtomicU64,
-    }
-
-    impl FakeBoundary {
-        fn new() -> Self {
-            FakeBoundary {
-                sent: Mutex::new(Vec::new()),
-                min: AtomicU64::new(u64::MAX),
-            }
-        }
-    }
-
-    impl RemoteBoundary<()> for FakeBoundary {
-        fn send_remote(&self, from_local: usize, dst: SimThreadId, msg: Msg<()>) {
-            self.sent.lock().push((from_local, dst, msg.recv_time()));
-        }
-        fn remote_min(&self) -> VirtualTime {
-            VirtualTime::from_ticks(self.min.load(Ordering::Acquire))
-        }
-    }
-
-    #[test]
-    fn remote_boundary_routes_out_of_window_messages() {
-        let remote = Arc::new(FakeBoundary::new());
-        let mut s = shared(2);
-        // This process owns global threads 2 and 3.
-        s.set_remote_boundary(2, remote.clone());
-        s.push_msg(0, 3, msg(5.0)); // in-window → local queue 1
-        s.push_msg(0, 0, msg(6.0)); // below the window → remote
-        s.push_msg(1, 5, msg(7.0)); // above the window → remote
-        assert_eq!(s.queue_len[1].load(Ordering::Acquire), 1);
-        assert_eq!(s.queue_len[0].load(Ordering::Acquire), 0);
-        let sent = remote.sent.lock();
-        assert_eq!(sent.len(), 2);
-        assert_eq!(sent[0].0, 0);
-        assert_eq!(sent[0].1, SimThreadId(0));
-        assert_eq!(sent[1].1, SimThreadId(5));
-    }
-
-    #[test]
-    fn remote_send_stays_covered_by_sender_window() {
-        // Until the boundary's own accounting takes over, an outbound
-        // message must hold local GVT down via the sender's send window.
-        let remote = Arc::new(FakeBoundary::new());
-        let mut s = shared(2);
-        s.set_remote_boundary(0, remote);
-        s.try_join_round(0);
-        s.push_msg(0, 7, msg(3.0)); // leaves the process
-        let g = s.compute_gvt();
-        assert!(g <= VirtualTime::from_f64(3.0), "got {g}");
-    }
-
-    #[test]
-    fn compute_gvt_folds_remote_min() {
-        let remote = Arc::new(FakeBoundary::new());
-        let mut s = shared(2);
-        s.set_remote_boundary(0, remote.clone());
-        s.try_join_round(0);
-        s.fold_min(0, VirtualTime::from_f64(10.0));
-        s.fold_min(1, VirtualTime::from_f64(12.0));
-        // A peer shard still holds work at t=2: the local estimate is capped.
-        remote
-            .min
-            .store(VirtualTime::from_f64(2.0).ticks(), Ordering::Release);
-        assert_eq!(s.compute_gvt(), VirtualTime::from_f64(2.0));
-        // Once the cluster drains, the local bound wins again (monotone:
-        // the next round can only raise the estimate).
-        remote.min.store(u64::MAX, Ordering::Release);
-        s.try_join_round(0);
-        s.fold_min(0, VirtualTime::from_f64(10.0));
-        s.fold_min(1, VirtualTime::from_f64(12.0));
-        assert_eq!(s.compute_gvt(), VirtualTime::from_f64(10.0));
     }
 
     #[test]

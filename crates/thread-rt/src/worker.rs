@@ -5,12 +5,13 @@
 
 use crate::affinity::{current_tid, note_pin_failure, pin_to_core, OsTid};
 use crate::batch::SendBatcher;
-use crate::ckpt::CkptSink;
 use crate::protocol::Protocol;
 use crate::runner::RtRunConfig;
 use crate::shared::RtShared;
-use pdes_core::{EngineConfig, LpId, Model, Msg, Outbound, ThreadEngine, VirtualTime};
-use sim_rt::{AffinityPolicy, GvtMode, Scheduler, SystemConfig};
+use pdes_core::{
+    AffinityPolicy, CkptSink, EngineConfig, GvtMode, LpId, Model, Msg, Outbound, Scheduler,
+    SystemConfig, ThreadEngine, VirtualTime,
+};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 use telemetry::{EventKind, Tracer};
@@ -246,48 +247,40 @@ impl<M: Model, P: Protocol<M>> Worker<'_, M, P> {
     /// of a consistent cut.
     fn collect(&mut self, id: u64, ckpt: &CkptSink<M>) {
         let (me, sh) = (self.me, self.sh);
-        if sh.ckpt_armed_for(id) {
-            // Wait for the pseudo-controller to publish the cut GVT.
-            while !sh.ckpt_ready() && !sh.terminated.load(Ordering::Acquire) {
-                std::hint::spin_loop();
-            }
-            if sh.ckpt_ready() {
-                // A chaos-exempt drain first pulls in every cut-crossing
-                // message (all of them are queued by now — any event
-                // processed after the phase-B folds has recv ≥ GVT, so its
-                // sends do too), fossil collection pins the committed state
-                // at the cut, and the snapshot is deposited for assembly.
-                let trace = self.tracer.enabled();
-                let cw0 = if trace { sh.now_ns() } else { 0 };
-                self.inbox.clear();
-                sh.drain_clean(me, &mut self.inbox);
-                self.outbox.clear();
-                for m in self.inbox.drain(..) {
-                    self.engine.deliver(m, &mut self.outbox);
-                }
-                for (dst, msg) in self.outbox.drain(..) {
-                    sh.push_msg(me, dst.index(), msg);
-                }
-                let g = sh.gvt();
-                self.engine.fossil_collect(g);
-                let (lps, events) = self.engine.snapshot_at_gvt(g);
-                ckpt.deposit(
-                    id,
-                    g,
-                    sh.gvt_rounds.load(Ordering::Acquire),
-                    lps,
-                    events,
-                    sh.participants(),
-                    &sh.faults,
-                );
-                if trace {
-                    self.tracer
-                        .span(EventKind::CheckpointWrite, cw0, sh.now_ns(), id);
-                }
-                return;
-            }
+        if !sh.ckpt_await(id) {
+            self.engine.fossil_collect(sh.gvt());
+            return;
         }
-        self.engine.fossil_collect(sh.gvt());
+        // A chaos-exempt drain first pulls in every cut-crossing message
+        // (all of them are queued by now — any event processed after the
+        // phase-B folds has recv ≥ GVT, so its sends do too), fossil
+        // collection pins the committed state at the cut, and the snapshot
+        // is deposited for assembly.
+        let trace = self.tracer.enabled();
+        let cw0 = if trace { sh.now_ns() } else { 0 };
+        self.inbox.clear();
+        sh.drain_clean(me, &mut self.inbox);
+        self.outbox.clear();
+        for m in self.inbox.drain(..) {
+            self.engine.deliver(m, &mut self.outbox);
+        }
+        for (dst, msg) in self.outbox.drain(..) {
+            sh.push_msg(me, dst.index(), msg);
+        }
+        let g = sh.gvt();
+        self.engine.fossil_collect(g);
+        ckpt.deposit(
+            id,
+            g,
+            sh.gvt_rounds.load(Ordering::Acquire),
+            self.engine.snapshot_at_gvt(g),
+            sh.participants(),
+            sh.faults.cursor(),
+        );
+        if trace {
+            self.tracer
+                .span(EventKind::CheckpointWrite, cw0, sh.now_ns(), id);
+        }
     }
 
     /// Algorithm 1: de-schedule this thread until the activation scan finds
@@ -376,7 +369,7 @@ pub fn worker_loop<M: Model, P: Protocol<M>>(
         ecfg,
         inbox: Vec::new(),
         outbox: Vec::new(),
-        batcher: SendBatcher::new(sh.global_threads(), 64),
+        batcher: SendBatcher::new(sh.num_threads, 64),
         tracer,
         span_start: 0,
         zero_counter: 0,

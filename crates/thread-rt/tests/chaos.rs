@@ -10,9 +10,9 @@
 
 use models::{LocalityPattern, Phold, PholdConfig};
 use pdes_core::{
-    run_sequential, DelayFault, EngineConfig, FaultPlan, ReorderFault, StragglerFault, WakeupFault,
+    run_sequential, DelayFault, EngineConfig, FaultPlan, ReorderFault, StragglerFault,
+    SystemConfig, WakeupFault,
 };
-use sim_rt::SystemConfig;
 use std::sync::Arc;
 use std::time::Duration;
 use thread_rt::{run_threads, RtRunConfig, RunError};
@@ -114,28 +114,66 @@ fn spurious_wakeups_are_tolerated() {
     assert_eq!(r.metrics.commit_digest, oracle.commit_digest);
 }
 
+/// A model whose demand for a parked thread is keyed on virtual progress,
+/// not on host interleaving: LP 0 (thread 0) ticks once per time unit and
+/// mails LP 1 (thread 1) on every tenth tick; LP 1 has no events of its own.
+struct Pinger;
+
+impl pdes_core::Model for Pinger {
+    /// Events handled so far.
+    type State = u64;
+    type Payload = ();
+    fn num_lps(&self) -> usize {
+        2
+    }
+    fn init_state(&self, _lp: pdes_core::LpId) -> u64 {
+        0
+    }
+    fn init_events(&self, lp: pdes_core::LpId, _s: &mut u64, ctx: &mut pdes_core::SendCtx<'_, ()>) {
+        if lp.0 == 0 {
+            ctx.send(lp, 1.0, ());
+        }
+    }
+    fn handle_event(
+        &self,
+        lp: pdes_core::LpId,
+        handled: &mut u64,
+        _p: &(),
+        ctx: &mut pdes_core::SendCtx<'_, ()>,
+    ) {
+        *handled += 1;
+        if lp.0 == 0 {
+            ctx.send(lp, 1.0, ());
+            if handled.is_multiple_of(10) {
+                ctx.send(pdes_core::LpId(1), 1.0, ());
+            }
+        }
+    }
+    fn state_digest(&self, handled: &u64) -> u64 {
+        *handled
+    }
+}
+
 /// The acceptance scenario: a lost-wakeup plan on GG-PDES-Async terminates
 /// via the watchdog with a per-thread dump — no hang, no process abort —
 /// while the same seed with faults disabled matches the oracle bit-for-bit.
+///
+/// The faulted site is certain, not probable. With an optimism window under
+/// one tick, thread 0 advances one tick per GVT round, so the first mail
+/// takes ten rounds — and none of them closes without thread 1 until thread
+/// 1 has unsubscribed. Thread 1 is idle from genesis and wants to park after
+/// three idle cycles, i.e. by its third round: it is parked rounds before
+/// the mail is sent, the mail's activation is the run's first wake-up, and
+/// that wake-up is lost. (A park refused because the next round already
+/// opened is retried one round later; mail goes out every ten ticks.)
 #[test]
 fn lost_wakeup_trips_watchdog_with_dump_and_clean_seed_matches_oracle() {
-    let threads = 4;
-    // Epoch 2.0 over a 40.0 run: nineteen activity-group shifts, each one a
-    // deactivation/reactivation cycle for the lost-wakeup fault to hit. The
-    // run must be long (hundreds of GVT rounds) so that parked threads are
-    // guaranteed to have mail at some Aware phase regardless of how the
-    // host schedules the workers.
-    let model = Arc::new(Phold::new(PholdConfig::imbalanced(
-        threads,
-        8,
-        2,
-        4.0,
-        LocalityPattern::Linear,
-    )));
-    // A prompt deactivation threshold: under a loaded host a worker may
-    // never accumulate 60 consecutive idle polls before its idle epoch is
-    // over, and would then never park at all.
-    let ecfg = engine_cfg(40.0).with_zero_counter_threshold(8);
+    let threads = 2;
+    let model = Arc::new(Pinger);
+    // The horizon sits between two ticks: no event lands exactly on it.
+    let ecfg = engine_cfg(39.5)
+        .with_zero_counter_threshold(2)
+        .with_optimism_window(Some(0.5));
     let oracle = run_sequential(&model, &ecfg, None);
 
     // Faults disabled: bit-for-bit oracle match.
@@ -163,32 +201,25 @@ fn lost_wakeup_trips_watchdog_with_dump_and_clean_seed_matches_oracle() {
     let rc = RtRunConfig::new(threads, ecfg, gg_async())
         .with_faults(plan)
         .with_watchdog(Some(Duration::from_millis(1500)));
-    // Whether an activation (the faulted site) is ever *needed* depends on
-    // thread interleaving: a run can finish before any parked thread has
-    // mail. Completing is only legal when the fault never fired; retry
-    // until a wake-up is actually lost — then the watchdog must trip.
-    for _attempt in 0..10 {
-        match run_threads(&model, &rc) {
-            Err(RunError::Stalled(dump)) => {
-                assert!(dump.fault_counts.lost_wakeups > 0, "the fault fired");
-                assert_eq!(dump.threads.len(), threads);
-                assert!(
-                    dump.threads.iter().any(|t| t.phase == "parked"),
-                    "the stranded thread shows up parked: {dump}"
-                );
-                let text = dump.to_string();
-                assert!(text.contains("liveness watchdog"));
-                assert!(text.contains("no GVT progress"));
-                return;
-            }
-            Err(other) => panic!("expected a stall, got: {other}"),
-            Ok(r) => assert_eq!(
-                r.fault_counts.lost_wakeups, 0,
-                "a run that lost a wake-up must stall, not complete"
-            ),
+    match run_threads(&model, &rc) {
+        Err(RunError::Stalled(dump)) => {
+            assert!(dump.fault_counts.lost_wakeups > 0, "the fault fired");
+            assert_eq!(dump.threads.len(), threads);
+            assert!(
+                dump.threads.iter().any(|t| t.phase == "parked"),
+                "the stranded thread shows up parked: {dump}"
+            );
+            let text = dump.to_string();
+            assert!(text.contains("liveness watchdog"));
+            assert!(text.contains("no GVT progress"));
         }
+        Err(other) => panic!("expected a stall, got: {other}"),
+        Ok(r) => panic!(
+            "a parked thread got mail, so a wake-up was lost and the run must stall \
+             (lost {}, max de-scheduled {})",
+            r.fault_counts.lost_wakeups, r.metrics.max_descheduled
+        ),
     }
-    panic!("no activation was ever attempted in 10 runs — the model no longer deactivates threads");
 }
 
 #[test]

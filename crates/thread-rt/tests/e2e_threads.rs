@@ -2,8 +2,7 @@
 //! concurrency, must commit exactly the sequential oracle's trace.
 
 use models::{LocalityPattern, Phold, PholdConfig};
-use pdes_core::{run_sequential, EngineConfig};
-use sim_rt::SystemConfig;
+use pdes_core::{run_sequential, EngineConfig, SystemConfig};
 use std::sync::Arc;
 use thread_rt::{run_threads, RtRunConfig};
 
@@ -123,7 +122,7 @@ fn dd_pdes_with_controller_matches_oracle_under_stress() {
 
 #[test]
 fn dynamic_affinity_runs_on_real_threads() {
-    use sim_rt::{AffinityPolicy, GvtMode, Scheduler};
+    use pdes_core::{AffinityPolicy, GvtMode, Scheduler};
     let threads = 4;
     let model = Arc::new(Phold::new(PholdConfig::imbalanced(
         threads,

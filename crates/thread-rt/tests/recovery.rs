@@ -7,12 +7,13 @@
 //! correct Time Warp execution must match bit-for-bit.
 
 use models::{LocalityPattern, Phold, PholdConfig};
-use pdes_core::{run_sequential, EngineConfig, FaultPlan, Model};
-use sim_rt::SystemConfig;
+use pdes_core::{run_sequential, EngineConfig, FaultPlan, Model, SystemConfig, VirtualTime};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 use thread_rt::{
-    run_supervised, run_threads_attempt, Optimistic, Recovered, RtRunConfig, SupervisorConfig,
+    run_supervised, run_threads_attempt, Optimistic, Recovered, RtRunConfig, RtShared,
+    SupervisorConfig,
 };
 
 fn engine_cfg(end: f64) -> EngineConfig {
@@ -81,6 +82,48 @@ fn checkpointed_run_matches_oracle_and_restores_identically() {
     assert_eq!(resumed.digests, oracle.state_digests);
 }
 
+/// Regression for the round that is both armed and terminating, stepped by
+/// hand on the shared state so the window stays open as long as the test
+/// likes: `compute_gvt` sets `terminated` before the pseudo-controller
+/// publishes the cut, and a participant already in `ckpt_await` must sit
+/// that gap out. When it escaped on `terminated` its deposit was dropped
+/// and the final cut never assembled.
+#[test]
+fn a_snapshotter_waits_out_the_gap_between_the_final_gvt_and_the_cut_publish() {
+    let armed_round = || {
+        let mut sh: RtShared<()> = RtShared::new(2, 2, VirtualTime::from_f64(1.0));
+        sh.set_checkpoint_every(1);
+        let (_, id) = sh.try_join_round(0); // opens round 0 and arms it
+        (sh, id)
+    };
+
+    let (sh, id) = armed_round();
+    assert!(!sh.ckpt_await(id + 1), "an unarmed round never waits");
+    std::thread::scope(|s| {
+        let waiter = s.spawn(|| sh.ckpt_await(id));
+        sh.compute_gvt(); // nothing is pending anywhere: GVT = ∞ ≥ end
+        assert!(sh.terminated.load(Ordering::Acquire));
+        std::thread::sleep(Duration::from_millis(50));
+        assert!(
+            !waiter.is_finished(),
+            "escaped before the cut was published"
+        );
+        sh.ckpt_publish_if_armed(id);
+        assert!(
+            waiter.join().expect("waiter"),
+            "released with the cut ready"
+        );
+    });
+
+    // Only a teardown ends the wait without a cut.
+    let (sh, id) = armed_round();
+    std::thread::scope(|s| {
+        let waiter = s.spawn(|| sh.ckpt_await(id));
+        sh.poison_all();
+        assert!(!waiter.join().expect("waiter"), "torn down: no snapshot");
+    });
+}
+
 #[test]
 fn supervised_fault_free_run_is_a_pass_through() {
     let threads = 4;
@@ -102,11 +145,14 @@ fn supervised_fault_free_run_is_a_pass_through() {
 fn kill_and_recover_commits_exact_oracle_trace() {
     let threads = 4;
     let model = imbalanced_model(threads);
-    let ecfg = engine_cfg(16.0);
+    // The kill is keyed on virtual progress, not on how fast the host is:
+    // under a 0.05 optimism window GVT gains at most the window plus one
+    // inter-event gap (16 events in flight, mean delay 1) per round, so
+    // thread 0's first active epoch [0, 4) alone takes some thirty rounds,
+    // each costing it at least one cycle — cycle 10 always comes.
+    let ecfg = engine_cfg(16.0).with_optimism_window(Some(0.05));
     let oracle = run_sequential(&model, &ecfg, None);
-    // Thread 0 carries the imbalanced model's hot LPs, so cycle 120 is
-    // reached on every scheduling; later cycles are not guaranteed.
-    let plan = FaultPlan::default().with_kill(0, 120);
+    let plan = FaultPlan::default().with_kill(0, 10);
     let rc = RtRunConfig::new(threads, ecfg, gg_async())
         .with_faults(plan)
         .with_checkpoint_every(2)
@@ -139,7 +185,10 @@ fn kill_and_recover_commits_exact_oracle_trace() {
 fn recovery_exhaustion_degrades_to_sequential_and_still_completes() {
     let threads = 4;
     let model = imbalanced_model(threads);
-    let ecfg = engine_cfg(16.0);
+    // The optimism window stretches every attempt to dozens of rounds (see
+    // `kill_and_recover_commits_exact_oracle_trace`), so thread 0 always
+    // reaches cycle 5, however little of the run a resumed attempt has left.
+    let ecfg = engine_cfg(16.0).with_optimism_window(Some(0.05));
     let oracle = run_sequential(&model, &ecfg, None);
     // Enough scripted kills that every attempt dies: thread 0 always exists,
     // whatever remapping did in between. The cycle counter restarts at zero

@@ -3,8 +3,7 @@
 //! phase set `trace_check` requires.
 
 use models::{Phold, PholdConfig};
-use pdes_core::EngineConfig;
-use sim_rt::{AffinityPolicy, GvtMode, Scheduler, SystemConfig};
+use pdes_core::{AffinityPolicy, EngineConfig, GvtMode, Scheduler, SystemConfig};
 use std::sync::Arc;
 use telemetry::{EventKind, TelemetryConfig, TelemetryData};
 use thread_rt::{run_threads, RtRunConfig};

@@ -114,6 +114,7 @@
 //! sequential engine from the last cut and still completes.
 
 use ggpdes::prelude::*;
+use pdes_core::{Recovered, SupervisedRun};
 use std::sync::Arc;
 
 #[derive(Debug)]
@@ -646,6 +647,18 @@ fn finish_ingest<P>(plane: IngestPlane, gates: &[Arc<pdes_core::IngestGate<P>>])
     );
 }
 
+/// Print a supervised run's recovery log to stderr and hand back how it
+/// finished.
+fn report_supervised<R>(s: SupervisedRun<R>) -> Recovered<R> {
+    for line in &s.log {
+        eprintln!("supervisor: {line}");
+    }
+    if s.recoveries > 0 {
+        eprintln!("supervisor: completed after {} recovery(ies)", s.recoveries);
+    }
+    s.outcome
+}
+
 /// Report a run that degraded to the sequential engine (no `RunMetrics` —
 /// the parallel attempt was abandoned), verify it if asked, and exit 0.
 fn finish_degraded<M: Model>(
@@ -924,7 +937,7 @@ fn run_dist<M: Model>(
              admissions; events ingested at peers will fail the oracle check"
         );
     }
-    let res = dist_rt::run_shard_process_ingest(Arc::clone(model), ecfg, &opts, gate.clone());
+    let res = dist_rt::run_shard_process(Arc::clone(model), ecfg, &opts, gate.clone());
     if let (Some(p), Some(g)) = (plane, &gate) {
         finish_ingest(p, std::slice::from_ref(g));
         *ingest_accepted = g.accepted_events();
@@ -960,17 +973,16 @@ fn run_on_threads<M: Model, P: thread_rt::Protocol<M>>(
     };
     match supervisor {
         Some(sup) => {
-            let s = thread_rt::run_supervised::<M, P>(model, rc, sup, gate.clone());
-            for line in &s.log {
-                eprintln!("supervisor: {line}");
-            }
-            if s.recoveries > 0 {
-                eprintln!("supervisor: completed after {} recovery(ies)", s.recoveries);
-            }
+            let outcome = report_supervised(thread_rt::run_supervised::<M, P>(
+                model,
+                rc,
+                sup,
+                gate.clone(),
+            ));
             land_ingest(ingest_accepted);
-            match s.outcome {
-                thread_rt::Recovered::Parallel(r) => (r.metrics, r.telemetry),
-                thread_rt::Recovered::Sequential(seq) => {
+            match outcome {
+                Recovered::Parallel(r) => (r.metrics, r.telemetry),
+                Recovered::Sequential(seq) => {
                     finish_degraded(&seq, model, &rc.engine, a, ingest_accepted)
                 }
             }
@@ -999,7 +1011,7 @@ fn run<M: Model>(model: Arc<M>, a: &Args, synth: Option<fn(u64) -> M::Payload>) 
             die(
                 2,
                 "--ingest needs --runtime threads|dist (the vm is scripted; \
-                 see sim_rt::run_sim_ingest)",
+                 see sim_rt::run_sim_attempt)",
             );
         }
     }
@@ -1070,18 +1082,9 @@ fn run<M: Model>(model: Arc<M>, a: &Args, synth: Option<fn(u64) -> M::Payload>) 
                 rc = rc.with_checkpoint_path(p.into());
             }
             if supervised {
-                let s = sim_rt::run_sim_supervised(&model, &rc, &sup);
-                for line in &s.log {
-                    eprintln!("supervisor: {line}");
-                }
-                if s.recoveries > 0 {
-                    eprintln!("supervisor: completed after {} recovery(ies)", s.recoveries);
-                }
-                match s.outcome {
-                    sim_rt::VmRecovered::Parallel(r) => (r.metrics, r.telemetry),
-                    sim_rt::VmRecovered::Sequential(seq) => {
-                        finish_degraded(&seq, &model, &ecfg, a, &[])
-                    }
+                match report_supervised(sim_rt::run_sim_supervised(&model, &rc, &sup)) {
+                    Recovered::Parallel(r) => (r.metrics, r.telemetry),
+                    Recovered::Sequential(seq) => finish_degraded(&seq, &model, &ecfg, a, &[]),
                 }
             } else {
                 let r = sim_rt::run_sim(&model, &rc);
