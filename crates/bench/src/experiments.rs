@@ -240,7 +240,7 @@ pub fn rollback_table(fig6: &Figure) -> Table {
 /// §6.6 memory-footprint check: the dynamic-affinity tables at the paper's
 /// largest scale (4096 threads, 64 cores) — the paper quotes ~17 KB.
 pub fn mem_table() -> (usize, usize, usize) {
-    let aff = sim_rt::AffinityTables::new(64, 4096);
+    let aff = pdes_core::AffinityTable::new(64, 4096);
     (4096, 64, aff.footprint_bytes())
 }
 

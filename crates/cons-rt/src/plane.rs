@@ -28,8 +28,7 @@
 //! way nothing below the bound can arrive later — processing is final and the
 //! rollback machinery stays cold.
 
-use crossbeam::utils::CachePadded;
-use pdes_core::VirtualTime;
+use pdes_core::{CachePadded, VirtualTime};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Channel clocks of one conservative run. `clock[dst * n + src]` holds the

@@ -36,15 +36,14 @@
 //! barrier plays phase A's part and the reduction barrier the `a_done`
 //! RMW's; nobody processes between the barriers, so the argument holds as
 //! it stands. It does depend on who wakes a parked thread: the round's
-//! pseudo-controller, through [`Protocol::activate`]. `Scheduler::DdPdes`
+//! pseudo-controller, asking [`Protocol::has_demand`]. `Scheduler::DdPdes`
 //! delegates waking to a dedicated controller that only knows "queued
 //! input", not "pending floor below the new bound", and would strand a
 //! thread parked with live pending — [`Conservative::admit`] refuses it.
 
 use crate::plane::ConsPlane;
 use metrics::RunMetrics;
-use pdes_core::{BatchOutcome, Model, Msg, Outbound, Scheduler, ThreadEngine, VirtualTime};
-use std::sync::atomic::Ordering;
+use pdes_core::{BatchOutcome, Model, Outbound, Scheduler, ThreadEngine, VirtualTime};
 use std::sync::Arc;
 use telemetry::{EventKind, Tracer};
 use thread_rt::{run_threads_attempt, Protocol, RtResult, RtRunConfig, RtShared, RunError};
@@ -177,71 +176,17 @@ impl<M: Model> Protocol<M> for Conservative {
         engine.process_conservative(bound, max, outbox)
     }
 
-    /// Wake parked threads the new bound lets advance: queued input wakes a
-    /// thread exactly as in the optimistic protocol, and additionally a
-    /// parked pending floor strictly below the thread's processing bound
-    /// means its blocked channels have opened — there is demand again.
-    fn activate(&self, sh: &RtShared<M::Payload>) -> usize {
-        let mut n = 0;
-        if sh.num_active.load(Ordering::Acquire) < sh.num_threads {
-            let round_bound = sh.gvt().saturating_add(self.plane.lookahead());
-            let mut m = sh.membership.lock();
-            for i in 0..sh.num_threads {
-                if sh.active[i].load(Ordering::Acquire) {
-                    continue;
-                }
-                let bound = self.plane.input_bound(i).max(round_bound);
-                let floor = VirtualTime::from_ticks(sh.park_min_ticks(i));
-                if sh.queue_len[i].load(Ordering::Acquire) > 0 || floor < bound {
-                    sh.active[i].store(true, Ordering::Release);
-                    m.subscribed[i] = true;
-                    sh.num_active.fetch_add(1, Ordering::AcqRel);
-                    sh.sems[i].post();
-                    n += 1;
-                }
-            }
-        }
-        n
+    /// Queued input is demand exactly as in the optimistic protocol, and
+    /// additionally a parked pending floor strictly below the thread's
+    /// processing bound means its blocked channels have opened.
+    fn has_demand(&self, sh: &RtShared<M::Payload>, i: usize) -> bool {
+        sh.len(i) > 0 || sh.demand.park_min(i) < <Self as Protocol<M>>::horizon(self, i, sh)
     }
 
     fn round_instants(&self, sh: &RtShared<M::Payload>, tracer: &mut Tracer) {
         let d = self.plane.null_round_delta();
         if d > 0 {
             tracer.instant(EventKind::NullMsg, sh.now_ns(), d);
-        }
-    }
-
-    /// The terminating LBTS proved every queued and pending event sits at
-    /// or beyond the end time, so one chaos-free drain plus an unbounded
-    /// conservative pass processes exactly the events *at* the end time —
-    /// the same set the sequential oracle executes — with no further
-    /// cross-thread dependence. Their sends land strictly beyond the end
-    /// time (lookahead is positive) and are dropped, as the oracle drops
-    /// them.
-    fn terminal_sweep(
-        &self,
-        me: usize,
-        sh: &RtShared<M::Payload>,
-        engine: &mut ThreadEngine<M>,
-        inbox: &mut Vec<Msg<M::Payload>>,
-        outbox: &mut Vec<Outbound<M::Payload>>,
-        max: usize,
-    ) {
-        inbox.clear();
-        sh.drain_clean(me, inbox);
-        outbox.clear();
-        for m in inbox.drain(..) {
-            engine.deliver(m, outbox);
-        }
-        loop {
-            outbox.clear();
-            if engine
-                .process_conservative(VirtualTime::INFINITY, max, outbox)
-                .processed
-                == 0
-            {
-                break;
-            }
         }
     }
 

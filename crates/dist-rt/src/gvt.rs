@@ -1,7 +1,7 @@
 //! Asynchronous Mattern-style distributed GVT.
 //!
 //! Each message crosses the mesh colored with its sender's **epoch** (the
-//! `tag` on [`crate::proto::Frame::Sim`]). A GVT round `r` works like this:
+//! `tag` on [`crate::proto::Frame::SimBatch`] entries). A GVT round `r` works like this:
 //!
 //! 1. The coordinator (shard 0) broadcasts `Start{round: r, wave: 0}`.
 //! 2. On wave 0 each shard takes its *cut*: it bumps its epoch to `r + 1`,

@@ -225,15 +225,6 @@ pub struct Backoff {
     attempt: u32,
 }
 
-/// splitmix64 — the same decision hash `pdes-core` uses for fault streams.
-#[inline]
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 impl Backoff {
     /// The policy every connect/reconnect path uses: 2 ms doubling to a
     /// 200 ms cap.
@@ -256,7 +247,8 @@ impl Backoff {
             .min(self.cap)
             .as_nanos() as u64;
         // Jitter in [0.75, 1.25): keyed, so retry schedules are reproducible.
-        let j = splitmix64(self.seed.wrapping_add(u64::from(self.attempt)));
+        let mut key = self.seed.wrapping_add(u64::from(self.attempt));
+        let j = pdes_core::rng::splitmix64(&mut key);
         let num = 750_000 + (j % 500_000);
         Duration::from_nanos(raw / 1_000_000 * num + (raw % 1_000_000) * num / 1_000_000)
     }

@@ -23,11 +23,11 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use pdes_core::{
-    Checkpoint, EngineConfig, Event, EventKey, IngestError, IngestGate, IngestReply, IngestRequest,
-    LpCheckpoint, LpId, LpMap, Model, Msg, Outbound, ReplySlot, ThreadEngine, ThreadStats,
-    VirtualTime,
+    ckpt_round_due, Checkpoint, EngineConfig, Event, EventKey, IngestError, IngestGate, IngestPort,
+    IngestReply, IngestRequest, LpCheckpoint, LpId, LpMap, Model, Msg, Outbound, ReplySlot,
+    ThreadEngine, ThreadStats, VirtualTime,
 };
-use telemetry::{EventKind, RoundTotals, Telemetry, TelemetryConfig, TelemetryData, Tracer};
+use telemetry::{EventKind, RoundBoard, Telemetry, TelemetryConfig, TelemetryData, Tracer};
 
 use crate::gvt::{Coordinator, GvtTracker, RoundClosure, ShardReport};
 use crate::link::{Inbox, ReliableLink};
@@ -323,9 +323,11 @@ pub struct ShardNode<M: Model> {
     /// Cycles of ack-flushing after `Done` before calling it quits.
     flush_left: u64,
     outbox: Vec<Outbound<M::Payload>>,
-    // Telemetry: per-shard registry + this node's (single) tracer.
+    // Telemetry: per-shard registry, this node's (single) tracer and the
+    // one-slot board its engine publishes into.
     tel: Arc<Telemetry>,
     tracer: Tracer,
+    board: RoundBoard,
     /// Monotonic origin of this node's trace timestamps.
     t0: Instant,
     /// Wall time the current park episode began (trace only).
@@ -369,8 +371,9 @@ pub struct ShardNode<M: Model> {
     hb_mean_ms: Vec<f64>,
     hb_suspected: Vec<bool>,
     // External-event ingest plane.
-    /// This shard's admission gate (shared with the client-facing server).
-    ingest: Option<Arc<IngestGate<M::Payload>>>,
+    /// This shard's admission gate (shared with the client-facing server)
+    /// behind the port every runtime's round closer holds.
+    ingest: Option<IngestPort<M::Payload>>,
     /// Set between a round's wave-0 epoch cut and its publish: injecting
     /// then could land an event below the frozen pending minimum, letting
     /// the round's GVT overshoot it. The pump waits for the publish.
@@ -379,8 +382,6 @@ pub struct ShardNode<M: Model> {
     /// keyed by the `key` echoed in [`Frame::IngestReply`].
     forward_slots: HashMap<u64, ReplySlot>,
     next_fwd_key: u64,
-    /// Gate counters already folded into round telemetry (delta instants).
-    ingest_prev: (u64, u64, u64, u64),
 }
 
 impl<M: Model> ShardNode<M> {
@@ -452,6 +453,7 @@ impl<M: Model> ShardNode<M> {
             outbox: Vec::new(),
             tel,
             tracer,
+            board: RoundBoard::new(1, num_shards),
             t0: Instant::now(),
             park_t0: 0,
             retx_seen: vec![0; num_shards],
@@ -471,7 +473,6 @@ impl<M: Model> ShardNode<M> {
             cut_open: false,
             forward_slots: HashMap::new(),
             next_fwd_key: 0,
-            ingest_prev: (0, 0, 0, 0),
         }
     }
 
@@ -480,14 +481,14 @@ impl<M: Model> ShardNode<M> {
     /// accepted-but-uncut suffix into the rebuilt engine.
     pub fn set_ingest(&mut self, gate: Arc<IngestGate<M::Payload>>) {
         gate.set_floor(VirtualTime::from_ticks(self.gvt));
-        self.ingest = Some(gate);
+        self.ingest = Some(IngestPort::new(gate, self.flat_map.clone()));
     }
 
     /// Raise the gate's admission floor (recovery: the coordinator's
     /// published GVT may exceed what this node has adopted locally).
     pub fn raise_ingest_floor(&self, floor: u64) {
-        if let Some(g) = &self.ingest {
-            g.set_floor(VirtualTime::from_ticks(floor));
+        if let Some(port) = &self.ingest {
+            port.gate.set_floor(VirtualTime::from_ticks(floor));
         }
     }
 
@@ -552,9 +553,10 @@ impl<M: Model> ShardNode<M> {
         }
         self.round_due_at = self.cfg.gvt_interval_cycles;
         self.cut_open = false;
-        if let Some(gate) = self.ingest.clone() {
+        if let Some(port) = &self.ingest {
             let mut replay = Vec::new();
-            gate.reinject_after_restore(ck.gvt, &mut |ev| replay.push(ev));
+            port.gate
+                .reinject_after_restore(ck.gvt, &mut |ev| replay.push(ev));
             for ev in replay {
                 // Admission is owned-only, so these are normally local; a
                 // reshape may have moved the LP, in which case the event
@@ -564,8 +566,8 @@ impl<M: Model> ShardNode<M> {
                     self.engine.deliver(Msg::Event(ev), &mut outbox);
                     self.outbox = outbox;
                 } else {
-                    let dst = self.flat_map.thread_of(ev.key.dst).index();
-                    self.send_sim(dst, Msg::Event(ev))?;
+                    let dst = self.flat_map.thread_of(ev.key.dst);
+                    self.outbox.push((dst, Msg::Event(ev)));
                 }
             }
             self.route_outbox()?;
@@ -692,12 +694,11 @@ impl<M: Model> ShardNode<M> {
     /// every logged event with `send_time >= since_send` (the cut GVT —
     /// older sends are inside the checkpoint the peer restored from), and
     /// every anti-message whose twin was shipped. The log is kept — a later
-    /// failure replays again from a newer cut. Returns the frames shipped.
+    /// failure replays again from a newer cut. Returns the messages shipped.
     pub fn replay_log_to(&mut self, peer: usize, since_send: u64) -> Result<u64, DistError> {
-        let log = std::mem::take(&mut self.send_log[peer]);
         let mut replayed: Vec<EventKey> = Vec::new();
-        let mut shipped = 0u64;
-        for (_, msg) in &log {
+        let mut msgs = Vec::new();
+        for (_, msg) in &self.send_log[peer] {
             let ship = match msg {
                 Msg::Event(e) => {
                     let s = e.send_time.ticks() >= since_send;
@@ -709,18 +710,13 @@ impl<M: Model> ShardNode<M> {
                 Msg::Anti(k) => replayed.contains(k),
             };
             if ship {
-                shipped += 1;
-                let tag = self.tracker.note_sent(peer);
-                self.send_frame(
-                    peer,
-                    &Frame::Sim {
-                        tag,
-                        msg: msg.clone(),
-                    },
-                )?;
+                msgs.push((self.tracker.note_sent(peer), msg.clone()));
             }
         }
-        self.send_log[peer] = log;
+        let shipped = msgs.len() as u64;
+        if shipped > 0 {
+            self.send_frame(peer, &Frame::SimBatch { msgs })?;
+        }
         Ok(shipped)
     }
 
@@ -759,7 +755,7 @@ impl<M: Model> ShardNode<M> {
                 self.engine.deliver(msg, &mut outbox);
                 self.outbox = outbox;
             } else {
-                self.send_sim(dst, msg)?;
+                self.outbox.push((tid, msg));
             }
         }
         self.route_outbox()
@@ -785,18 +781,6 @@ impl<M: Model> ShardNode<M> {
             Err(_) if self.phase >= Phase::Flushing => Ok(()),
             Err(e) => Err(DistError::Io(e)),
         }
-    }
-
-    fn send_sim(&mut self, peer: usize, msg: Msg<M::Payload>) -> Result<(), DistError> {
-        if self.cfg.ckpt_every_rounds > 0 {
-            let t = match &msg {
-                Msg::Event(e) => e.send_time.ticks(),
-                Msg::Anti(k) => k.recv_time.ticks(),
-            };
-            self.send_log[peer].push((t, msg.clone()));
-        }
-        let tag = self.tracker.note_sent(peer);
-        self.send_frame(peer, &Frame::Sim { tag, msg })
     }
 
     /// Drop send-log entries that no reachable recovery can need: events
@@ -827,7 +811,7 @@ impl<M: Model> ShardNode<M> {
     /// serialize and one wire write per peer per step instead of one per
     /// event — the hot-path fix that takes the TCP shard runtime off a
     /// syscall-per-event budget. Epoch tags and the recovery send-log are
-    /// still maintained per message, exactly as [`Self::send_sim`] does.
+    /// maintained per message.
     fn route_outbox(&mut self) -> Result<(), DistError> {
         let mut out = std::mem::take(&mut self.outbox);
         if out.is_empty() {
@@ -853,14 +837,8 @@ impl<M: Model> ShardNode<M> {
             if batch.is_empty() || res.is_err() {
                 continue;
             }
-            res = if batch.len() == 1 {
-                let (tag, msg) = batch.pop().expect("len checked");
-                self.send_frame(peer, &Frame::Sim { tag, msg })
-            } else {
-                let msgs = std::mem::take(batch);
-                self.send_frame(peer, &Frame::SimBatch { msgs })
-            };
-            batch.clear();
+            let msgs = std::mem::take(batch);
+            res = self.send_frame(peer, &Frame::SimBatch { msgs });
         }
         self.batch_bufs = batches;
         res
@@ -885,7 +863,7 @@ impl<M: Model> ShardNode<M> {
     /// floor (admissions are floor-fenced, but survivors stay quiet until
     /// the cohort is back on a matched round).
     fn pump_ingest(&mut self) -> Result<u64, DistError> {
-        let Some(gate) = self.ingest.clone() else {
+        let Some(gate) = self.ingest.as_ref().map(|port| Arc::clone(&port.gate)) else {
             return Ok(0);
         };
         if self.phase != Phase::Running || self.cut_open || self.replaying_from.iter().any(|&r| r) {
@@ -970,7 +948,7 @@ impl<M: Model> ShardNode<M> {
         req: IngestRequest<M::Payload>,
     ) -> Result<(), DistError> {
         let verdict = match &self.ingest {
-            Some(g) => g.submit(
+            Some(port) => port.gate.submit(
                 req,
                 ReplySlot::Remote {
                     peer: origin as u64,
@@ -1230,9 +1208,8 @@ impl<M: Model> ShardNode<M> {
             // No cut while a restored shard is still re-executing below the
             // floor — its engine is not yet on any consistent global cut.
             let armed = self.phase == Phase::Running
-                && self.cfg.ckpt_every_rounds > 0
                 && !recovering
-                && (rounds_done + 1).is_multiple_of(self.cfg.ckpt_every_rounds);
+                && ckpt_round_due(self.cfg.ckpt_every_rounds, rounds_done);
             let round = match self.coord.as_mut() {
                 Some(c) => c.start_round(armed),
                 None => return Ok(()),
@@ -1264,10 +1241,9 @@ impl<M: Model> ShardNode<M> {
     ) -> Result<(), DistError> {
         match frame {
             Frame::Hello { .. } => Err(self.protocol_err("Hello inside the reliable stream")),
-            Frame::Sim { tag, msg } => self.handle_sim(peer, tag, msg),
             Frame::SimBatch { msgs } => {
                 // In-batch order is send order; delivering in sequence
-                // preserves the per-peer FIFO contract of `Frame::Sim`.
+                // preserves the per-peer FIFO contract.
                 for (tag, msg) in msgs {
                     self.handle_sim(peer, tag, msg)?;
                 }
@@ -1594,40 +1570,23 @@ impl<M: Model> ShardNode<M> {
             let now = self.now_ns();
             self.tracer.span(EventKind::GvtAware, ph, now, round);
             ph = now;
-            let ing = self
-                .ingest
-                .as_ref()
-                .map(|g| {
-                    let s = g.stats();
-                    (s.admitted, s.rejected, s.shed, s.busy)
-                })
-                .unwrap_or((0, 0, 0, 0));
-            let stats = self.engine.stats();
-            self.tel.record_round(RoundTotals {
-                round,
-                gvt_ticks: gvt,
-                ts_ns: now,
-                committed: stats.committed,
-                processed: stats.processed,
-                rolled_back: stats.rolled_back,
-                active_threads: if self.parked { 0 } else { 1 },
-                members: self.n as u64,
-                lvt_ticks: vec![self.engine.local_min().ticks()],
-                queue_depths: vec![self.engine.pending_len()],
-                ingest: ing,
-            });
-            let (pa, prj, psh, pb) = self.ingest_prev;
-            for (kind, d) in [
-                (EventKind::IngestAdmit, ing.0.saturating_sub(pa)),
-                (EventKind::IngestReject, ing.1.saturating_sub(prj)),
-                (EventKind::IngestShed, ing.2.saturating_sub(psh)),
-                (EventKind::IngestBusy, ing.3.saturating_sub(pb)),
-            ] {
-                if d > 0 {
-                    self.tracer.instant(kind, now, d);
-                }
+            self.board
+                .publish(0, self.engine.local_min(), self.engine.stats());
+            self.tel.record_round(
+                self.board.snapshot(
+                    round,
+                    gvt,
+                    now,
+                    usize::from(!self.parked),
+                    vec![self.engine.pending_len()],
+                    self.ingest
+                        .as_ref()
+                        .map_or((0, 0, 0, 0), IngestPort::totals),
+                ),
+            );
+            if let Some(port) = &self.ingest {
+                self.tracer.ingest_instants(now, port.round_deltas());
             }
-            self.ingest_prev = ing;
             self.tracer
                 .span(EventKind::GvtEnd, ph, self.now_ns(), round);
         }
@@ -1725,8 +1684,8 @@ impl<M: Model> ShardNode<M> {
         }
         // The run is over: refuse further submissions, fail queued ones —
         // and the orphaned forward slots — with `Closed`.
-        if let Some(g) = &self.ingest {
-            g.close();
+        if let Some(port) = &self.ingest {
+            port.gate.close();
         }
         for (_, slot) in self.forward_slots.drain() {
             if let ReplySlot::Local(f) = slot {

@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 /// Wire protocol version, carried in the raw TCP hello preamble. Bump on
 /// any change to [`Frame`]'s encoding so mismatched builds are rejected at
 /// the handshake instead of failing to decode mid-run.
-pub const PROTOCOL_VERSION: u32 = 4;
+pub const PROTOCOL_VERSION: u32 = 5;
 
 /// Magic prefix of the hello preamble (`"GPDS"` little-endian).
 pub const HELLO_MAGIC: u32 = u32::from_le_bytes(*b"GPDS");
@@ -25,17 +25,15 @@ pub enum Frame<S, P> {
     /// TCP handshake: the connecting side announces its shard id. Never
     /// sent through the reliable layer.
     Hello { shard: u64 },
-    /// A simulation message (positive event or anti-message), colored with
-    /// the sender's GVT epoch at send time: `tag <= r` means the message is
-    /// *white* for round `r` (sent before the sender's round-`r` cut).
-    Sim { tag: u64, msg: Msg<P> },
-    /// A batch of simulation messages for one peer: the whole outbox drain
-    /// of one engine step lands as a single frame (one serialize, one wire
-    /// write) instead of one frame per event. Order within the batch is the
-    /// send order — the receiver delivers in sequence, so the anti-vs-resend
-    /// ordering contract holds exactly as it does for [`Frame::Sim`]. Each
-    /// message keeps its own epoch `tag`: a batch can straddle a GVT cut,
-    /// and the white/red accounting is per message, not per frame.
+    /// Simulation messages (positive events and anti-messages) for one
+    /// peer: the whole outbox drain of one engine step lands as a single
+    /// frame (one serialize, one wire write) instead of one frame per event.
+    /// Order within the batch is the send order and the receiver delivers in
+    /// sequence, so an anti-message can never overtake the re-send of its
+    /// twin. Each message is colored with the sender's GVT epoch at send
+    /// time — `tag <= r` means it is *white* for round `r` (sent before the
+    /// sender's round-`r` cut); a batch can straddle a cut, so the
+    /// white/red accounting is per message, not per frame.
     SimBatch { msgs: Vec<(u64, Msg<P>)> },
     /// Coordinator → all: open round `round` (wave 0 cuts the epoch) or
     /// re-poll it (`wave > 0`). `armed` rounds take a checkpoint cut on
@@ -118,7 +116,6 @@ impl<S, P> Frame<S, P> {
     pub fn kind(&self) -> &'static str {
         match self {
             Frame::Hello { .. } => "Hello",
-            Frame::Sim { .. } => "Sim",
             Frame::SimBatch { .. } => "SimBatch",
             Frame::Start { .. } => "Start",
             Frame::Report { .. } => "Report",
@@ -154,18 +151,6 @@ mod tests {
     fn frames_round_trip_through_wire() {
         let frames: Vec<F> = vec![
             Frame::Hello { shard: 3 },
-            Frame::Sim {
-                tag: 2,
-                msg: Msg::Event(Event {
-                    key: key(99, 1),
-                    send_time: VirtualTime::from_ticks(42),
-                    payload: 5,
-                }),
-            },
-            Frame::Sim {
-                tag: 0,
-                msg: Msg::Anti(key(7, 0)),
-            },
             Frame::SimBatch {
                 msgs: vec![
                     (

@@ -54,17 +54,23 @@ proptest! {
         flips in prop::collection::vec((any::<usize>(), any::<u8>()), 1..8),
         cut in any::<usize>(),
     ) {
-        let valid: F = Frame::Sim {
-            tag,
-            msg: Msg::Event(pdes_core::Event {
-                key: pdes_core::EventKey {
-                    recv_time: pdes_core::VirtualTime::from_f64(3.5),
-                    dst: pdes_core::LpId(2),
-                    uid: pdes_core::EventUid::new(pdes_core::LpId(0), 9),
-                },
-                send_time: pdes_core::VirtualTime::from_f64(1.0),
-                payload: seed_payload,
-            }),
+        let key = pdes_core::EventKey {
+            recv_time: pdes_core::VirtualTime::from_f64(3.5),
+            dst: pdes_core::LpId(2),
+            uid: pdes_core::EventUid::new(pdes_core::LpId(0), 9),
+        };
+        let valid: F = Frame::SimBatch {
+            msgs: vec![
+                (
+                    tag,
+                    Msg::Event(pdes_core::Event {
+                        key,
+                        send_time: pdes_core::VirtualTime::from_f64(1.0),
+                        payload: seed_payload,
+                    }),
+                ),
+                (tag.wrapping_add(1), Msg::Anti(key)),
+            ],
         };
         let mut bytes = wire::to_bytes(&valid);
         for (idx, val) in &flips {

@@ -4,6 +4,7 @@
 //! one request per line, blank lines and `#` comments skipped — so
 //! operators can craft feeds by hand and the CLI can replay captures.
 
+use pdes_core::rng::splitmix64;
 use pdes_core::{IngestRequest, LpId, VirtualTime};
 use serde::{Deserialize, Serialize};
 
@@ -34,16 +35,6 @@ pub fn render_script<P: Serialize>(reqs: &[IngestRequest<P>]) -> String {
         out.push('\n');
     }
     out
-}
-
-/// `splitmix64` — the same tiny deterministic generator the fault plans
-/// use; good enough to spread synthetic timestamps and destinations.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// A deterministic synthetic script: `n` requests from `source`, ids

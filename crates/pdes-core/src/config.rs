@@ -51,7 +51,9 @@ pub struct EngineConfig {
     /// Consecutive empty-input-queue cycles before a thread declares itself
     /// inactive (paper's `zero_counter_threshold`: 2000).
     pub zero_counter_threshold: u32,
-    /// Simulation end time: the run finishes once GVT ≥ this.
+    /// Simulation end time: a run covers `[0, end_time)` — every runtime
+    /// executes exactly the events stamped strictly below it and finishes
+    /// once GVT ≥ this.
     pub end_time: VirtualTime,
     /// Experiment seed; all LP RNG streams derive from it.
     pub seed: u64,
@@ -140,6 +142,17 @@ impl EngineConfig {
     pub fn with_gvt_max_no_change(mut self, n: u32) -> Self {
         self.gvt_max_no_change = n;
         self
+    }
+
+    /// Cycles between GVT rounds for a thread holding `history` uncommitted
+    /// events: memory pressure (watermarks) shortens the static interval, a
+    /// still GVT widens it — pressure always wins because the backoff
+    /// multiplies the already-adapted base.
+    pub fn round_interval(&self, history: usize, backoff: &GvtBackoff) -> u32 {
+        let base = self.adaptive_gvt.map_or(self.gvt_interval, |a| {
+            a.effective_interval(self.gvt_interval, history)
+        });
+        backoff.effective_interval(base)
     }
 }
 

@@ -122,13 +122,13 @@ impl<M: Model> ThreadEngine<M> {
         self.pending.min_time()
     }
 
-    /// `true` while the thread still holds events at or below the end time —
-    /// events it will actually process. A thread whose only pending events
-    /// lie beyond the end time is as idle as an empty one (demand-driven
-    /// deactivation condition).
+    /// `true` while the thread still holds events below the end time —
+    /// events it will actually process (a run covers `[0, end)`). A thread
+    /// whose only pending events lie at or beyond the end time is as idle
+    /// as an empty one (demand-driven deactivation condition).
     #[inline]
     pub fn has_live_pending(&self) -> bool {
-        self.pending.min_time() <= self.end_time
+        self.pending.min_time() < self.end_time
     }
 
     fn lp_slot(&mut self, lp: LpId) -> &mut Lp<M> {
@@ -270,17 +270,19 @@ impl<M: Model> ThreadEngine<M> {
         max: usize,
         outbox: &mut Vec<Outbound<M::Payload>>,
     ) -> BatchOutcome {
-        // Bounded optimism: never speculate past gvt + window.
+        // Bounded optimism: never speculate past gvt + window (the event
+        // *at* that horizon runs, so the GVT frontier always progresses).
+        let end = self.end_time;
         let horizon = match self.optimism_window {
-            Some(w) => self.end_time.min(self.gvt_hint.saturating_add(w)),
-            None => self.end_time,
+            Some(w) => self.gvt_hint.saturating_add(w),
+            None => VirtualTime::INFINITY,
         };
-        self.process_while(max, outbox, |t| t <= horizon)
+        self.process_while(max, outbox, |t| t < end && t <= horizon)
     }
 
     /// Conservative (Chandy–Misra–Bryant) batch: process up to `max`
     /// pending events whose receive time is **strictly below** `bound`
-    /// (and at or below the end time). The caller guarantees no event
+    /// (and below the end time). The caller guarantees no event
     /// below `bound` can still arrive, so — unlike [`process_batch`] —
     /// nothing here is speculative and nothing will ever roll back.
     /// Remote sends are appended to `outbox`; local sends are delivered
@@ -292,7 +294,7 @@ impl<M: Model> ThreadEngine<M> {
         outbox: &mut Vec<Outbound<M::Payload>>,
     ) -> BatchOutcome {
         let end = self.end_time;
-        self.process_while(max, outbox, |t| t < bound && t <= end)
+        self.process_while(max, outbox, |t| t < bound && t < end)
     }
 
     /// The batch loop both protocols share: pop and execute up to `max`
@@ -600,13 +602,14 @@ mod tests {
     #[test]
     fn single_thread_ping_processes_expected_events() {
         let eng = single_thread_run(4, 10.0);
-        // One event per integer time 1..=10.
-        assert_eq!(eng.stats().processed, 10);
-        assert_eq!(eng.stats().committed, 10);
+        // One event per integer time 1..10: the run covers [0, end).
+        assert_eq!(eng.stats().processed, 9);
+        assert_eq!(eng.stats().committed, 9);
         assert_eq!(eng.stats().rolled_back, 0);
-        // One event remains pending past the end time.
+        // The event stamped exactly at the end time stays pending.
         assert_eq!(eng.pending_len(), 1);
-        assert!(eng.local_min() > VirtualTime::from_f64(10.0));
+        assert_eq!(eng.local_min(), VirtualTime::from_f64(10.0));
+        assert!(!eng.has_live_pending());
     }
 
     #[test]

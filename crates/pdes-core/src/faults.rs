@@ -34,6 +34,7 @@
 
 use crate::event::Msg;
 use crate::ids::EventUid;
+use crate::rng::splitmix64;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -259,13 +260,13 @@ impl LinkFaults {
     }
 
     pub fn new(plan: &LinkFaultPlan, src: usize, dst: usize) -> Self {
+        let mut key = plan
+            .seed
+            .wrapping_add((src as u64 + 1).wrapping_mul(0x9E6D_41D9_4B0E_3C8D))
+            .wrapping_add((dst as u64 + 1).wrapping_mul(0x2545_F491_4F6C_DD1D));
         LinkFaults {
             plan: *plan,
-            base: splitmix64(
-                plan.seed
-                    .wrapping_add((src as u64 + 1).wrapping_mul(0x9E6D_41D9_4B0E_3C8D))
-                    .wrapping_add((dst as u64 + 1).wrapping_mul(0x2545_F491_4F6C_DD1D)),
-            ),
+            base: splitmix64(&mut key),
             n: 0,
             drops_left: plan.drop.map_or(0, |d| d.max_drops),
             dups_left: plan.duplicate.map_or(0, |d| d.max_dups),
@@ -276,9 +277,9 @@ impl LinkFaults {
     }
 
     fn roll(&mut self) -> u64 {
-        let r = splitmix64(self.base.wrapping_add(self.n));
+        let mut key = self.base.wrapping_add(self.n);
         self.n += 1;
-        r
+        splitmix64(&mut key)
     }
 
     /// Decide the fate of the next outgoing frame.
@@ -483,15 +484,6 @@ pub struct FaultInjector {
     state: Option<Box<FaultState>>,
 }
 
-/// splitmix64: the decision hash (also used to seed the engine's xoshiro).
-#[inline]
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 #[inline]
 fn unit_f64(r: u64) -> f64 {
     (r >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
@@ -585,12 +577,12 @@ impl FaultInjector {
     /// Next value of `site`'s decision stream.
     fn roll(st: &FaultState, site: Site) -> u64 {
         let n = st.seq[site as usize].fetch_add(1, Ordering::Relaxed);
-        splitmix64(
-            st.plan
-                .seed
-                .wrapping_add((site as u64 + 1).wrapping_mul(0xA076_1D64_78BD_642F))
-                .wrapping_add(n),
-        )
+        let mut key = st
+            .plan
+            .seed
+            .wrapping_add((site as u64 + 1).wrapping_mul(0xA076_1D64_78BD_642F))
+            .wrapping_add(n);
+        splitmix64(&mut key)
     }
 
     fn bump(st: &FaultState, idx: usize, by: u64) {
@@ -804,6 +796,41 @@ pub struct ThreadDump {
     pub window_min: String,
     /// Queue minimum (rendered; `"inf"` when empty).
     pub queue_min: String,
+}
+
+impl ThreadDump {
+    /// Thread `thread`'s row of a stall dump: queue length, coverage minima
+    /// and the active flag are read off the control plane; phase, last
+    /// round, subscription and semaphore state are the runtime's to say.
+    pub fn new<P>(
+        thread: usize,
+        phase: &str,
+        joined_round: Option<u64>,
+        plane: &crate::plane::MessagePlane<P>,
+        demand: &crate::sched::Demand,
+        subscribed: bool,
+        sem_tokens: u32,
+    ) -> Self {
+        let fmt = |t: crate::time::VirtualTime| {
+            if t.is_infinite() {
+                "inf".to_string()
+            } else {
+                t.to_string()
+            }
+        };
+        let (window_min, queue_min) = plane.minima(thread);
+        ThreadDump {
+            thread,
+            phase: phase.into(),
+            joined_round,
+            queue_len: plane.len(thread),
+            active: demand.is_active(thread),
+            subscribed,
+            sem_tokens,
+            window_min: fmt(window_min),
+            queue_min: fmt(queue_min),
+        }
+    }
 }
 
 /// The structured diagnostic a liveness watchdog emits instead of hanging:

@@ -15,6 +15,9 @@
 //!   cascades;
 //! * [`sequential`] — a sequential reference executor used as a correctness
 //!   oracle by both runtimes' test suites;
+//! * [`plane::MessagePlane`] and [`sched`] — the control plane the
+//!   shared-memory runtimes run on: input queues with their GVT coverage
+//!   minima, round membership, Algorithms 1, 2 and 4;
 //! * [`recovery`] — the checkpoint sink, attempt set-up and supervisor loop
 //!   every runtime recovers through.
 //!
@@ -33,8 +36,10 @@ pub mod lp;
 pub mod mapping;
 pub mod model;
 pub mod pending;
+pub mod plane;
 pub mod recovery;
 pub mod rng;
+pub mod sched;
 pub mod sequential;
 pub mod stats;
 pub mod system;
@@ -51,16 +56,18 @@ pub use faults::{
 };
 pub use ids::{EventUid, LpId, SimThreadId};
 pub use ingest::{
-    IngestConfig, IngestError, IngestGate, IngestJournal, IngestReply, IngestRequest, IngestStats,
-    JournalRecord, PumpOutcome, ReplySlot, INGEST_SRC,
+    IngestConfig, IngestError, IngestGate, IngestJournal, IngestPort, IngestReply, IngestRequest,
+    IngestStats, JournalRecord, PumpOutcome, ReplySlot, INGEST_SRC,
 };
 pub use mapping::{LpMap, MapKind};
 pub use model::{Model, SendCtx};
+pub use plane::{CachePadded, MessagePlane};
 pub use recovery::{
     build_engines, supervise, Attempt, AttemptFailure, CkptSink, CommitTrace, Recovered,
     SupervisedRun,
 };
 pub use rng::DetRng;
+pub use sched::{ckpt_round_due, AffinityTable, Demand, Membership};
 pub use sequential::{
     run_sequential, run_sequential_from, run_sequential_from_with, run_sequential_with,
     SequentialResult,

@@ -1,0 +1,469 @@
+//! Demand-driven scheduling state: GVT-round membership, Algorithms 1 and 2
+//! (de-scheduling and the activation scan), Algorithm 4 (dynamic affinity)
+//! and the checkpoint cadence.
+//!
+//! Everything here is *bookkeeping* — who is scheduled in, who takes part in
+//! the next round, which core a thread belongs on. How a thread waits (a
+//! real semaphore, a virtual-machine `sem_wait` step) stays with the
+//! runtime: the scans take a `post(thread)` callback and nothing else.
+//!
+//! The phase coupling that makes this safe is the paper's (§4.1.4):
+//! activation runs in a round's Aware phase by its pseudo-controller,
+//! deactivation in its End phase by the thread itself, and a round's
+//! participant set is frozen when it opens. `thread-rt` additionally
+//! serialises every [`Membership`] transition behind one mutex (DESIGN.md
+//! §17); the virtual machine, single-threaded, holds it bare.
+
+use crate::faults::FaultInjector;
+use crate::plane::{padded, CachePadded};
+use crate::time::VirtualTime;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+
+/// Who takes part in GVT rounds: the standing subscription list and the
+/// snapshot of it the open round froze.
+#[derive(Debug)]
+pub struct Membership {
+    pub open: bool,
+    pub id: u64,
+    /// Participation snapshot taken when the round opened.
+    pub participant: Vec<bool>,
+    pub participants: usize,
+    /// De-scheduled threads unsubscribe; an opening round copies this.
+    pub subscribed: Vec<bool>,
+}
+
+impl Membership {
+    pub fn new(num_threads: usize) -> Self {
+        Membership {
+            open: false,
+            id: 0,
+            participant: vec![false; num_threads],
+            participants: 0,
+            subscribed: vec![true; num_threads],
+        }
+    }
+
+    /// Open round `id`, freezing the current subscribers as its
+    /// participants: subscribing later does not join it.
+    pub fn open_round(&mut self) {
+        self.open = true;
+        self.participant.copy_from_slice(&self.subscribed);
+        self.participants = self.subscribed.iter().filter(|&&s| s).count();
+    }
+
+    /// The open round's id, if `me` is one of its participants.
+    pub fn waiting_for(&self, me: usize) -> Option<u64> {
+        (self.open && self.participant[me]).then_some(self.id)
+    }
+
+    /// One participant completed the End phase, `done` counting it; the
+    /// last one closes the round. Returns whether this call closed it.
+    pub fn end_phase(&mut self, done: usize) -> bool {
+        let last = done == self.participants;
+        if last {
+            self.open = false;
+            self.id += 1;
+        }
+        last
+    }
+}
+
+/// `true` when the round about to open is a checkpoint round: every
+/// `every`-th completed round (0 disables). Armed rounds force-wake every
+/// parked thread first ([`Demand::wake_all`]) so the cut covers all engines.
+pub fn ckpt_round_due(every: u64, rounds_done: u64) -> bool {
+    every > 0 && (rounds_done + 1).is_multiple_of(every)
+}
+
+/// The paper's `active_threads` array with its census, plus the floor a
+/// thread parked with live pending work leaves behind.
+pub struct Demand {
+    active: Vec<CachePadded<AtomicBool>>,
+    num_active: AtomicUsize,
+    /// Pending-set floor a thread publishes *before* parking with live
+    /// pending work, folded into every GVT/LBTS computation (`u64::MAX`
+    /// while running). Optimistic threads never park with live pending and
+    /// never write it; the conservative protocol parks threads whose
+    /// channels cannot advance, and this floor keeps their invisible
+    /// pending events inside the reduction.
+    park_min: Vec<CachePadded<AtomicU64>>,
+    max_descheduled: AtomicUsize,
+}
+
+impl Demand {
+    pub fn new(num_threads: usize) -> Self {
+        Demand {
+            active: padded(num_threads, || AtomicBool::new(true)),
+            num_active: AtomicUsize::new(num_threads),
+            park_min: padded(num_threads, || AtomicU64::new(u64::MAX)),
+            max_descheduled: AtomicUsize::new(0),
+        }
+    }
+
+    #[inline]
+    pub fn is_active(&self, i: usize) -> bool {
+        self.active[i].load(Ordering::Acquire)
+    }
+
+    pub fn num_active(&self) -> usize {
+        self.num_active.load(Ordering::Acquire)
+    }
+
+    /// Nobody is de-scheduled: the activation scan has nothing to find.
+    pub fn all_active(&self) -> bool {
+        self.num_active() == self.active.len()
+    }
+
+    /// Most threads ever de-scheduled at once.
+    pub fn max_descheduled(&self) -> usize {
+        self.max_descheduled.load(Ordering::Acquire)
+    }
+
+    /// Algorithm 2, run by a round's pseudo-controller (or the DD-PDES
+    /// controller): schedule in every inactive thread `demand` holds for,
+    /// re-subscribe it to GVT rounds and `post` it. Returns how many.
+    ///
+    /// Wake-up faults act here and only here: a *lost* wake-up does all the
+    /// bookkeeping but never posts (the thread stays parked while the
+    /// protocol believes it runs — the liveness watchdog must catch it); a
+    /// *spurious* one posts a thread that was not activated (its parked
+    /// loop must re-check its flag and go back to sleep).
+    pub fn activate(
+        &self,
+        m: &mut Membership,
+        faults: &FaultInjector,
+        demand: impl Fn(usize) -> bool,
+        mut post: impl FnMut(usize),
+    ) -> usize {
+        if self.all_active() {
+            return 0;
+        }
+        let mut n = 0;
+        for i in 0..self.active.len() {
+            if !self.is_active(i) && demand(i) {
+                self.active[i].store(true, Ordering::Release);
+                m.subscribed[i] = true;
+                self.num_active.fetch_add(1, Ordering::AcqRel);
+                if !faults.lose_wakeup() {
+                    post(i);
+                }
+                n += 1;
+            }
+        }
+        if faults.spurious_wakeup() {
+            if let Some(i) = (0..self.active.len()).find(|&i| !self.is_active(i)) {
+                post(i);
+            }
+        }
+        n
+    }
+
+    /// Algorithm 1 (lines 9–12): de-schedule `me` — clear its core, leave
+    /// the GVT group — after which the caller blocks on its semaphore.
+    /// Refuses the last active thread: someone must remain to run rounds
+    /// and reactivate the others (DESIGN.md §5.6).
+    pub fn deactivate(&self, m: &mut Membership, aff: &mut AffinityTable, me: usize) -> bool {
+        if self.num_active() <= 1 {
+            return false;
+        }
+        aff.clear(me);
+        self.active[me].store(false, Ordering::Release);
+        m.subscribed[me] = false;
+        let left = self.num_active.fetch_sub(1, Ordering::AcqRel) - 1;
+        self.max_descheduled
+            .fetch_max(self.active.len() - left, Ordering::AcqRel);
+        true
+    }
+
+    /// `post` every de-scheduled thread, exempt from wake-up faults (losing
+    /// one of these would wedge an armed round, or turn every completed
+    /// chaos run into a watchdog trip). With `rejoin` — an armed checkpoint
+    /// round about to open — the threads are also scheduled back in and
+    /// everyone re-subscribed, so the round's participant set covers every
+    /// engine; without it — termination — they only wake to see the flag.
+    pub fn wake_all(&self, rejoin: Option<&mut Membership>, mut post: impl FnMut(usize)) {
+        let rejoining = rejoin.is_some();
+        if let Some(m) = rejoin {
+            m.subscribed.fill(true);
+        }
+        for i in 0..self.active.len() {
+            if !self.is_active(i) {
+                if rejoining {
+                    self.active[i].store(true, Ordering::Release);
+                    self.num_active.fetch_add(1, Ordering::AcqRel);
+                }
+                post(i);
+            }
+        }
+    }
+
+    /// Publish `me`'s pending-set floor before parking with live pending
+    /// work. Must precede [`Self::deactivate`], so whatever orders
+    /// membership transitions orders the store ahead of any round that
+    /// excludes `me`.
+    pub fn set_park_min(&self, me: usize, floor: VirtualTime) {
+        self.park_min[me].store(floor.ticks(), Ordering::Release);
+    }
+
+    /// Withdraw `me`'s parked floor after waking (or a refused park).
+    pub fn clear_park_min(&self, me: usize) {
+        self.set_park_min(me, VirtualTime::INFINITY);
+    }
+
+    /// Thread `i`'s parked floor (∞ = not parked with live pending).
+    pub fn park_min(&self, i: usize) -> VirtualTime {
+        VirtualTime::from_ticks(self.park_min[i].load(Ordering::Acquire))
+    }
+
+    /// The minimum over every parked floor — a term of each reduction.
+    pub fn parked_floor(&self) -> VirtualTime {
+        (0..self.park_min.len())
+            .map(|i| self.park_min(i))
+            .min()
+            .unwrap_or(VirtualTime::INFINITY)
+    }
+}
+
+/// Dynamic CPU-affinity tables (§4.2), stored as the paper does: `core_of`
+/// is `affinity_table_inv` (`-1` = unpinned) and `core_load` summarises
+/// `affinity_table` per core — how many active threads are pinned there,
+/// the quantity the SMT-aware search minimises.
+#[derive(Debug, Clone)]
+pub struct AffinityTable {
+    core_load: Vec<i32>,
+    core_of: Vec<i32>,
+}
+
+impl AffinityTable {
+    pub fn new(num_cores: usize, num_threads: usize) -> Self {
+        AffinityTable {
+            core_load: vec![0; num_cores.max(1)],
+            core_of: vec![-1; num_threads],
+        }
+    }
+
+    /// Core `thread` is pinned to, if any.
+    pub fn core_of(&self, thread: usize) -> Option<usize> {
+        usize::try_from(self.core_of[thread]).ok()
+    }
+
+    /// Active threads pinned per core.
+    pub fn core_load(&self) -> &[i32] {
+        &self.core_load
+    }
+
+    /// Clear a deactivating thread's assignment (Algorithm 1, lines 9–10).
+    pub fn clear(&mut self, thread: usize) {
+        if let Some(c) = self.core_of(thread) {
+            self.core_load[c] -= 1;
+            self.core_of[thread] = -1;
+        }
+    }
+
+    /// Algorithm 4: record a pin for every active-but-unpinned thread on the
+    /// core with the fewest pinned threads (ties → lowest index, so sibling
+    /// hyperthreads fill up last), appending `(thread, core)` to `pins` for
+    /// the caller to enact. Returns the table entries scanned — what the
+    /// search costs.
+    pub fn assign(
+        &mut self,
+        active: impl Fn(usize) -> bool,
+        pins: &mut Vec<(usize, usize)>,
+    ) -> usize {
+        let mut scanned = 0;
+        for t in 0..self.core_of.len() {
+            scanned += 1;
+            if !active(t) || self.core_of[t] >= 0 {
+                continue;
+            }
+            let mut best = 0;
+            for c in 1..self.core_load.len() {
+                scanned += 1;
+                if self.core_load[c] < self.core_load[best] {
+                    best = c;
+                }
+            }
+            self.core_of[t] = best as i32;
+            self.core_load[best] += 1;
+            pins.push((t, best));
+        }
+        scanned
+    }
+
+    /// Memory footprint in bytes. With the paper's layout (one `int` per
+    /// core plus one per thread) this is ~16.6 KB at 4096 threads / 64
+    /// cores — the paper quotes ~17 KB (§6.6).
+    pub fn footprint_bytes(&self) -> usize {
+        (self.core_load.len() + self.core_of.len()) * std::mem::size_of::<i32>()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Invariant: `core_load` is exactly the inverse of `core_of`.
+    fn check_tables(a: &AffinityTable) {
+        for (c, &load) in a.core_load.iter().enumerate() {
+            let pinned = a.core_of.iter().filter(|&&co| co == c as i32).count();
+            assert_eq!(load as usize, pinned, "core {c}: load {load} vs {pinned}");
+        }
+    }
+
+    #[test]
+    fn round_snapshot_freezes_participants() {
+        let mut m = Membership::new(4);
+        m.subscribed[3] = false;
+        m.open_round();
+        assert_eq!(m.participants, 3);
+        assert_eq!(m.waiting_for(0), Some(0));
+        // Subscribing mid-round does not join the current round.
+        m.subscribed[3] = true;
+        assert_eq!(m.waiting_for(3), None);
+        assert!(!m.end_phase(1));
+        assert!(!m.end_phase(2));
+        assert!(m.end_phase(3), "the last participant closes");
+        assert_eq!((m.open, m.id), (false, 1));
+        m.open_round();
+        assert_eq!(m.waiting_for(3), Some(1));
+    }
+
+    #[test]
+    fn deactivate_refuses_the_last_active_thread() {
+        let d = Demand::new(2);
+        let mut m = Membership::new(2);
+        let mut aff = AffinityTable::new(2, 2);
+        assert!(d.deactivate(&mut m, &mut aff, 0));
+        assert!(!m.subscribed[0] && !d.is_active(0));
+        assert!(!d.deactivate(&mut m, &mut aff, 1), "last one stays");
+        assert!(d.is_active(1) && m.subscribed[1]);
+        assert_eq!((d.num_active(), d.max_descheduled()), (1, 1));
+    }
+
+    /// Three threads, 1 and 2 de-scheduled.
+    fn two_parked() -> (Demand, Membership) {
+        let (d, mut m) = (Demand::new(3), Membership::new(3));
+        let mut aff = AffinityTable::new(1, 3);
+        assert!(d.deactivate(&mut m, &mut aff, 1) && d.deactivate(&mut m, &mut aff, 2));
+        (d, m)
+    }
+
+    #[test]
+    fn activate_wakes_only_inactive_threads_the_predicate_holds_for() {
+        let (d, mut m) = two_parked();
+        let mut posted = Vec::new();
+        // Demand for 0 (already active: skipped) and 2; none for 1.
+        let n = d.activate(
+            &mut m,
+            &FaultInjector::disabled(),
+            |i| i != 1,
+            |i| posted.push(i),
+        );
+        assert_eq!((n, posted), (1, vec![2]));
+        assert!(d.is_active(2) && m.subscribed[2]);
+        assert!(!d.is_active(1) && !m.subscribed[1]);
+        assert_eq!(d.num_active(), 2);
+    }
+
+    #[test]
+    fn lost_wakeup_leaves_thread_parked_but_active() {
+        let (d, mut m) = two_parked();
+        let mut posted = Vec::new();
+        let faults = FaultInjector::new(crate::FaultPlan {
+            seed: 3,
+            wakeup: Some(crate::WakeupFault {
+                lose_prob: 1.0,
+                spurious_prob: 0.0,
+                max_lost: 8,
+            }),
+            ..crate::FaultPlan::default()
+        });
+        let n = d.activate(&mut m, &faults, |i| i == 2, |i| posted.push(i));
+        assert_eq!(n, 1, "the activation is counted");
+        assert!(d.is_active(2) && m.subscribed[2], "marked active");
+        assert!(posted.is_empty(), "but the wake token was lost");
+    }
+
+    #[test]
+    fn assign_prefers_core_with_fewest_hardware_threads() {
+        let mut a = AffinityTable::new(4, 1);
+        // Cores 0 and 2 already carry pinned siblings; 1 and 3 are empty.
+        a.core_load = vec![2, 0, 1, 0];
+        let mut pins = Vec::new();
+        a.assign(|_| true, &mut pins);
+        assert_eq!(pins, [(0, 1)], "least-loaded core wins (tie → lowest id)");
+        assert_eq!(a.core_load, [2, 1, 1, 0]);
+    }
+
+    #[test]
+    fn assign_fills_empty_cores_before_doubling_up() {
+        let mut a = AffinityTable::new(4, 6);
+        let mut pins = Vec::new();
+        a.assign(|t| t < 4, &mut pins);
+        // First wave: one thread per core, no SMT sharing.
+        assert_eq!(pins, [(0, 0), (1, 1), (2, 2), (3, 3)]);
+        // Second wave: only now do cores take a second hardware thread.
+        a.assign(|_| true, &mut pins);
+        assert_eq!(a.core_load, [2, 2, 1, 1]);
+        check_tables(&a);
+    }
+
+    #[test]
+    fn assign_skips_inactive_and_pinned_threads_and_counts_its_scan() {
+        let mut a = AffinityTable::new(2, 3);
+        let mut pins = Vec::new();
+        // Three table rows, one search over the second core.
+        assert_eq!(a.assign(|t| t == 1, &mut pins), 3 + 1);
+        assert_eq!(pins, [(1, 0)]);
+        assert_eq!(a.core_of(0), None);
+        // Re-assigning neither moves nor re-pins thread 1, and scans rows only.
+        assert_eq!(a.assign(|t| t == 1, &mut pins), 3);
+        assert_eq!(pins.len(), 1);
+        check_tables(&a);
+    }
+
+    #[test]
+    fn clear_is_idempotent_and_a_reactivated_thread_repins_least_loaded() {
+        let mut a = AffinityTable::new(2, 4);
+        let mut pins = Vec::new();
+        a.assign(|_| true, &mut pins);
+        assert_eq!(a.core_load, [2, 2]);
+        a.clear(0);
+        a.clear(0); // clearing an unpinned thread is a no-op
+        assert_eq!(a.core_load, [1, 2]);
+        pins.clear();
+        a.assign(|_| true, &mut pins);
+        assert_eq!(pins, [(0, 0)], "back onto the now-least-loaded core");
+        check_tables(&a);
+    }
+
+    #[test]
+    fn tables_stay_consistent_after_activate_deactivate_churn() {
+        let mut a = AffinityTable::new(3, 8);
+        let mut active = [false; 8];
+        let mut rng: u64 = 0x5EED;
+        let mut pins = Vec::new();
+        for step in 0..500 {
+            rng = rng
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let t = (rng >> 33) as usize % 8;
+            active[t] = !active[t];
+            if !active[t] {
+                a.clear(t);
+            }
+            a.assign(|i| active[i], &mut pins);
+            check_tables(&a);
+            // Every active thread is pinned, every inactive one is not.
+            for (i, &on) in active.iter().enumerate() {
+                assert_eq!(a.core_of(i).is_some(), on, "step {step}, thread {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn affinity_footprint_is_small() {
+        // §6.6: ~17 KB at 4096 threads on 64 cores.
+        assert!(AffinityTable::new(64, 4096).footprint_bytes() < 70 * 1024);
+    }
+}

@@ -55,13 +55,13 @@ pub struct SequentialResult {
     pub commit_digest: u64,
     /// Final state digest per LP, in LP order.
     pub state_digests: Vec<u64>,
-    /// XOR-fold of keys of events left unprocessed past the end time.
+    /// XOR-fold of keys of events left unprocessed at or past the end time.
     pub pending_digest: u64,
     /// Receive time of the last committed event.
     pub final_lvt: VirtualTime,
 }
 
-/// Run `model` sequentially until `cfg.end_time`.
+/// Run `model` sequentially over `[0, cfg.end_time)`.
 ///
 /// `max_events` caps the run as a safety valve against models that generate
 /// unbounded zero-delay cascades; `None` means no cap.
@@ -202,7 +202,7 @@ fn finish_sequential<M: Model>(
         let Some(min) = pending.peek() else {
             break;
         };
-        if min.0.key.recv_time > cfg.end_time {
+        if min.0.key.recv_time >= cfg.end_time {
             break;
         }
         let ByKey(ev) = pending.pop().expect("min exists");

@@ -23,8 +23,6 @@ pub struct ThreadStats {
     pub events_sent: u64,
     /// Pending/orphan annihilations performed.
     pub annihilations: u64,
-    /// Externally-sourced events injected through the ingest plane.
-    pub ingested: u64,
     /// XOR-fold of committed event-key digests (order independent).
     pub commit_digest: u64,
 }
@@ -89,7 +87,6 @@ impl ThreadStats {
         self.antis_received += other.antis_received;
         self.events_sent += other.events_sent;
         self.annihilations += other.annihilations;
-        self.ingested += other.ingested;
         self.commit_digest ^= other.commit_digest;
     }
 
@@ -119,7 +116,6 @@ mod tests {
             antis_received: 0,
             events_sent: 9,
             annihilations: 0,
-            ingested: 0,
             commit_digest: 0b1010,
         };
         let b = ThreadStats {

@@ -1,0 +1,333 @@
+//! Properties and API-level tests of the shared control plane
+//! (`MessagePlane`, `Demand`, `Membership`, `AffinityTable`): what
+//! `thread-rt`, `cons-rt` and `sim-rt` all rely on, checked once.
+//!
+//! The plane's load-bearing contract is **transient-message coverage**
+//! (`plane.rs` module docs, DESIGN.md §8): no message that is queued, held
+//! back by chaos, or buffered under its sender's window is ever below
+//! `transient_min()`. The property below drives arbitrary interleavings of
+//! direct sends, buffered sends, flushes, folds and clean/chaos drains
+//! against a model of what is in flight, and additionally checks what the
+//! engine needs from delivery: nothing lost or duplicated, `queue_len`
+//! exact, per-(sender, destination) FIFO on clean planes and per-uid order
+//! under chaos (an anti-message never overtakes its positive twin).
+
+use pdes_core::{
+    ckpt_round_due, AffinityTable, Demand, Event, EventKey, EventUid, FaultInjector, FaultPlan,
+    LpId, Membership, MessagePlane, Msg, VirtualTime, WakeupFault,
+};
+use proptest::prelude::*;
+
+const N: usize = 3;
+
+#[derive(Debug, Clone)]
+enum Op {
+    /// `from` sends to `dst` at `10 + dt`; `pair` follows it with the
+    /// anti-message of the same uid; `buffered` goes through the
+    /// publish-window / push-batch path instead of `push_msg`.
+    Send {
+        from: usize,
+        dst: usize,
+        dt: u64,
+        pair: bool,
+        buffered: bool,
+    },
+    /// Land everything `from` has buffered.
+    Flush(usize),
+    /// `me`'s GVT fold: flush (the batcher's one hard rule), then take the
+    /// window.
+    Fold(usize),
+    Drain {
+        me: usize,
+        clean: bool,
+    },
+}
+
+fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
+    // Listed twice: half of all operations are sends.
+    let send = || {
+        (0..N, 0..N, 0u64..500, any::<bool>(), any::<bool>()).prop_map(
+            |(from, dst, dt, pair, buffered)| Op::Send {
+                from,
+                dst,
+                dt,
+                pair,
+                buffered,
+            },
+        )
+    };
+    prop::collection::vec(
+        prop_oneof![
+            send(),
+            send(),
+            (0..N).prop_map(Op::Flush),
+            (0..N).prop_map(Op::Fold),
+            (0..N, any::<bool>()).prop_map(|(me, clean)| Op::Drain { me, clean }),
+        ],
+        0..150,
+    )
+}
+
+/// `(sender, serial, is_anti)` — unique per message of a run.
+type Ident = (u32, u64, bool);
+
+fn ident(m: &Msg<u8>) -> Ident {
+    (m.key().uid.src.0, m.key().uid.seq, m.is_anti())
+}
+
+struct Harness {
+    plane: MessagePlane<u8>,
+    /// `buffers[from][dst]`: published under `from`'s window, not yet pushed.
+    buffers: Vec<Vec<Vec<Msg<u8>>>>,
+    /// Sent and not yet handed out by a drain: `(t, dst, landed, ident)`.
+    in_flight: Vec<(u64, usize, bool, Ident)>,
+    sent: Vec<Vec<Ident>>,
+    got: Vec<Vec<Ident>>,
+    serial: u64,
+}
+
+impl Harness {
+    fn send(&mut self, from: usize, dst: usize, msg: Msg<u8>, buffered: bool) {
+        let t = msg.recv_time().ticks();
+        self.sent[dst].push(ident(&msg));
+        self.in_flight.push((t, dst, !buffered, ident(&msg)));
+        if buffered {
+            self.plane.publish_window(from, msg.recv_time());
+            self.buffers[from][dst].push(msg);
+        } else {
+            self.plane.push_msg(from, dst, msg);
+        }
+    }
+
+    fn flush(&mut self, from: usize) {
+        for dst in 0..N {
+            for m in &self.buffers[from][dst] {
+                let id = ident(m);
+                let slot = self.in_flight.iter_mut().find(|f| f.3 == id);
+                slot.expect("buffered message is in flight").2 = true;
+            }
+            self.plane.push_batch(dst, &mut self.buffers[from][dst]);
+        }
+    }
+
+    fn drain(&mut self, me: usize, clean: bool) {
+        let mut out = Vec::new();
+        let n = if clean {
+            self.plane.drain_clean(me, &mut out)
+        } else {
+            self.plane.drain(me, &mut out)
+        };
+        assert_eq!(n, out.len(), "the return value is the number delivered");
+        for m in &out {
+            let id = ident(m);
+            self.in_flight.retain(|f| f.3 != id);
+            self.got[me].push(id);
+        }
+    }
+
+    /// The two accounting invariants, after every operation.
+    fn check(&self) {
+        if let Some(floor) = self.in_flight.iter().map(|f| f.0).min() {
+            assert!(
+                self.plane.transient_min().ticks() <= floor,
+                "transient_min {} above an in-flight message at {floor}",
+                self.plane.transient_min().ticks()
+            );
+        }
+        for dst in 0..N {
+            let landed = self.in_flight.iter().filter(|f| f.1 == dst && f.2).count();
+            assert_eq!(self.plane.len(dst), landed, "queue_len[{dst}]");
+        }
+    }
+}
+
+proptest! {
+    #[test]
+    fn no_in_flight_message_is_ever_below_transient_min(
+        ops in arb_ops(),
+        chaos in prop::option::of(0u64..1024),
+    ) {
+        let mut plane = MessagePlane::new(N);
+        if let Some(seed) = chaos {
+            plane.faults = FaultInjector::new(FaultPlan::chaos(seed));
+        }
+        let mut h = Harness {
+            plane,
+            buffers: vec![vec![Vec::new(); N]; N],
+            in_flight: Vec::new(),
+            sent: vec![Vec::new(); N],
+            got: vec![Vec::new(); N],
+            serial: 0,
+        };
+        for op in ops {
+            match op {
+                Op::Send { from, dst, dt, pair, buffered } => {
+                    let key = EventKey {
+                        recv_time: VirtualTime::from_ticks(10 + dt),
+                        dst: LpId(dst as u32),
+                        uid: EventUid::new(LpId(from as u32), h.serial),
+                    };
+                    h.serial += 1;
+                    let ev = Event { key, send_time: VirtualTime::ZERO, payload: 0 };
+                    h.send(from, dst, Msg::Event(ev), buffered);
+                    if pair {
+                        h.send(from, dst, Msg::Anti(key), buffered);
+                    }
+                }
+                Op::Flush(from) => h.flush(from),
+                Op::Fold(me) => {
+                    h.flush(me);
+                    h.plane.take_window(me);
+                }
+                Op::Drain { me, clean } => h.drain(me, clean),
+            }
+            h.check();
+        }
+        // Wind down: land and deliver everything. A chaos drain may hold
+        // messages back, so `queue_len` reaching zero — not a zero return —
+        // is the emptiness signal.
+        for t in 0..N {
+            h.flush(t);
+        }
+        for me in 0..N {
+            let mut rounds = 0;
+            while h.plane.len(me) > 0 {
+                h.drain(me, false);
+                rounds += 1;
+                prop_assert!(rounds < 100_000, "dst {}: drain never emptied", me);
+            }
+        }
+        h.check();
+        prop_assert!(h.in_flight.is_empty(), "lost: {:?}", h.in_flight);
+        for dst in 0..N {
+            let (mut want, mut have) = (h.sent[dst].clone(), h.got[dst].clone());
+            want.sort_unstable();
+            have.sort_unstable();
+            prop_assert_eq!(have, want, "dst {}: lost or duplicated messages", dst);
+            for from in 0..N as u32 {
+                let of = |v: &[Ident]| -> Vec<Ident> {
+                    v.iter().filter(|i| i.0 == from).copied().collect()
+                };
+                for &(src, seq, anti) in &of(&h.got[dst]) {
+                    if anti {
+                        let pos = h.got[dst].iter().position(|x| *x == (src, seq, false));
+                        let neg = h.got[dst].iter().position(|x| *x == (src, seq, true));
+                        prop_assert!(
+                            pos.is_some() && pos < neg,
+                            "dst {}: anti of uid {}/{} overtook its twin", dst, src, seq
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// Clean planes: a destination drains each sender's *direct* sends in
+    /// send order, whatever the interleaving with other senders and drains.
+    #[test]
+    fn clean_drains_are_fifo_per_sender(ops in arb_ops()) {
+        let plane: MessagePlane<u8> = MessagePlane::new(N);
+        let mut sent = vec![Vec::new(); N];
+        let mut got = vec![Vec::new(); N];
+        let mut out = Vec::new();
+        for (serial, op) in ops.into_iter().enumerate() {
+            match op {
+                Op::Send { from, dst, dt, .. } => {
+                    let key = EventKey {
+                        recv_time: VirtualTime::from_ticks(10 + dt),
+                        dst: LpId(dst as u32),
+                        uid: EventUid::new(LpId(from as u32), serial as u64),
+                    };
+                    sent[dst].push(ident(&Msg::<u8>::Anti(key)));
+                    plane.push_msg(from, dst, Msg::Anti(key));
+                }
+                Op::Drain { me, .. } => {
+                    out.clear();
+                    plane.drain(me, &mut out);
+                    got[me].extend(out.iter().map(ident));
+                }
+                Op::Flush(_) | Op::Fold(_) => {}
+            }
+        }
+        for me in 0..N {
+            out.clear();
+            plane.drain(me, &mut out);
+            got[me].extend(out.iter().map(ident));
+            prop_assert_eq!(&got[me], &sent[me], "dst {}", me);
+        }
+    }
+}
+
+/// Three threads, 1 and 2 de-scheduled.
+fn two_parked() -> (Demand, Membership) {
+    let (d, mut m) = (Demand::new(3), Membership::new(3));
+    let mut aff = AffinityTable::new(1, 3);
+    assert!(d.deactivate(&mut m, &mut aff, 1) && d.deactivate(&mut m, &mut aff, 2));
+    (d, m)
+}
+
+#[test]
+fn spurious_wakeup_posts_a_thread_it_did_not_activate() {
+    let (d, mut m) = two_parked();
+    let faults = FaultInjector::new(FaultPlan {
+        seed: 3,
+        wakeup: Some(WakeupFault {
+            lose_prob: 0.0,
+            spurious_prob: 1.0,
+            max_lost: 8,
+        }),
+        ..FaultPlan::default()
+    });
+    let mut posted = Vec::new();
+    let n = d.activate(&mut m, &faults, |i| i == 2, |i| posted.push(i));
+    assert_eq!(n, 1);
+    assert_eq!(posted, [2, 1], "2 activated; 1 posted while still inactive");
+    assert!(!d.is_active(1) && !m.subscribed[1]);
+    assert_eq!(d.num_active(), 2);
+}
+
+#[test]
+fn wake_all_rejoins_for_armed_rounds_and_only_posts_for_termination() {
+    let (d, mut m) = two_parked();
+    let mut posted = Vec::new();
+    d.wake_all(None, |i| posted.push(i));
+    assert_eq!(posted, [1, 2]);
+    assert_eq!(d.num_active(), 1, "termination leaves the census alone");
+    assert!(!m.subscribed[1]);
+    posted.clear();
+    d.wake_all(Some(&mut m), |i| posted.push(i));
+    assert_eq!(posted, [1, 2]);
+    assert!(d.all_active() && m.subscribed.iter().all(|&s| s));
+    assert_eq!(d.max_descheduled(), 2, "the high-water mark stays");
+}
+
+#[test]
+fn parked_floors_enter_the_reduction_until_cleared() {
+    let d = Demand::new(2);
+    assert_eq!(d.parked_floor(), VirtualTime::INFINITY);
+    d.set_park_min(1, VirtualTime::from_f64(3.0));
+    assert_eq!(d.parked_floor(), VirtualTime::from_f64(3.0));
+    d.clear_park_min(1);
+    assert_eq!(d.park_min(1), VirtualTime::INFINITY);
+}
+
+#[test]
+fn checkpoint_cadence_lands_on_every_nth_round() {
+    assert!(!ckpt_round_due(0, 0), "0 disables");
+    let due: Vec<u64> = (0..9).filter(|&r| ckpt_round_due(3, r)).collect();
+    assert_eq!(due, [2, 5, 8], "the 3rd, 6th and 9th rounds to complete");
+    assert!(ckpt_round_due(1, 0));
+}
+
+#[test]
+fn affinity_scan_count_is_rows_plus_one_search_per_pin() {
+    let mut a = AffinityTable::new(4, 5);
+    let mut pins = Vec::new();
+    // Five rows; threads 1 and 3 each search the three cores beyond core 0.
+    assert_eq!(a.assign(|t| t % 2 == 1, &mut pins), 5 + 2 * 3);
+    assert_eq!(pins, [(1, 0), (3, 1)], "ties break to the lowest core");
+    // Nothing to pin: the scan is the five rows alone.
+    assert_eq!(a.assign(|t| t % 2 == 1, &mut pins), 5);
+    // A single-core table never searches.
+    assert_eq!(AffinityTable::new(1, 3).assign(|_| true, &mut pins), 3);
+}

@@ -57,7 +57,7 @@ impl<P> Task for ControllerTask<P> {
                     ctx.mutex_unlock(mutex);
                     return Step::Done;
                 }
-                let activated = sh.activate(&mut self.ops);
+                let activated = sh.activate_queued(&mut self.ops);
                 let cost = sh.cost.scan_per_thread * sh.num_threads as u64
                     + sh.cost.sched_op * activated as u64;
                 drop(sh);

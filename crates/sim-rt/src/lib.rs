@@ -25,5 +25,5 @@ pub use config::{AffinityPolicy, GvtMode, Scheduler, SimCost, SystemConfig};
 pub use runner::{
     run_sim, run_sim_attempt, run_sim_supervised, RunConfig, ScriptedIngest, SimAttempt, SimResult,
 };
-pub use shared::{AffinityTables, Shared, SimIngest};
+pub use shared::{Shared, SimIngest};
 pub use simthread::SimThreadTask;

@@ -218,7 +218,7 @@ pub fn run_sim_attempt<M: Model>(
         if matches!(rc.system.scheduler, Scheduler::DdPdes) {
             sh.dd_mutex = Some(machine.kernel().add_mutex());
         }
-        sh.faults = faults.unwrap_or_else(|| FaultInjector::new(rc.faults.clone()));
+        sh.plane.faults = faults.unwrap_or_else(|| FaultInjector::new(rc.faults.clone()));
         // Each attempt gets a fresh registry: a supervised restart must not
         // inherit the felled attempt's half-deposited rings.
         sh.telemetry = telemetry::Telemetry::new(rc.telemetry.clone());
@@ -237,11 +237,13 @@ pub fn run_sim_attempt<M: Model>(
             num_threads,
             resume,
             gate,
-            |from, dst, msg| sh.push_msg(from, dst, msg),
+            |from, dst, msg| sh.plane.push_msg(from, dst, msg),
         );
         // Initial events are pre-routed, not in-flight: clear the send
         // windows (queue minima still cover the messages).
-        sh.window_send_min.fill(pdes_core::VirtualTime::INFINITY);
+        for t in 0..num_threads {
+            sh.plane.take_window(t);
+        }
         if let Some((gate, script)) = ingest {
             sh.set_ingest(gate, map.clone(), script);
         }
@@ -306,7 +308,7 @@ pub fn run_sim_attempt<M: Model>(
     };
 
     let sh = shared.borrow();
-    let telemetry_data = sh.tel_enabled().then(|| sh.telemetry.take());
+    let telemetry_data = sh.telemetry.enabled().then(|| sh.telemetry.take());
     let mut m = sh.collect_metrics();
     m.lps = model.num_lps();
     m.wall_secs = report.virtual_secs();
@@ -332,37 +334,21 @@ pub fn run_sim_attempt<M: Model>(
             rc.system.name(),
             sh.gvt,
             sh.gvt_rounds,
-            sh.num_active,
+            sh.demand.num_active(),
             sh.terminated
         );
-        eprintln!(
-            "  round: open={} id={} participants={} a={} b={} end={} aware={}",
-            sh.round.open,
-            sh.round.id,
-            sh.round.participants,
-            sh.round.a_done,
-            sh.round.b_done,
-            sh.round.end_done,
-            sh.round.aware_claimed
-        );
+        eprintln!("  {:?} {:?}", sh.members, sh.round);
         for i in 0..num_threads {
-            if sh.round.open && sh.round.participant[i] {
+            let (window, queue_min) = sh.plane.minima(i);
+            let waited_on = sh.members.waiting_for(i).is_some();
+            if waited_on || !window.is_infinite() || !queue_min.is_infinite() {
                 eprintln!(
-                    "  participant t{i}: phase={} active={} subscribed={} qlen={}",
+                    "  t{i}: participant={waited_on} phase={} window={window} queue_min={queue_min} \
+                     qlen={} active={} subscribed={}",
                     sh.dbg_phase[i],
-                    sh.active[i],
-                    sh.subscribed[i],
-                    sh.queue_len(i)
-                );
-            }
-            if !sh.window_send_min[i].is_infinite() || !sh.queue_min[i].is_infinite() {
-                eprintln!(
-                    "  t{i}: window={} queue_min={} qlen={} active={} subscribed={}",
-                    sh.window_send_min[i],
-                    sh.queue_min[i],
-                    sh.queue_len(i),
-                    sh.active[i],
-                    sh.subscribed[i]
+                    sh.plane.len(i),
+                    sh.demand.is_active(i),
+                    sh.members.subscribed[i]
                 );
             }
         }
@@ -381,7 +367,7 @@ pub fn run_sim_attempt<M: Model>(
         digests: digests.into_iter().map(|(_, d)| d).collect(),
         timeline: sh.timeline.clone(),
         stall: sh.stall.clone(),
-        fault_counts: sh.faults.counts(),
+        fault_counts: sh.plane.faults.counts(),
         killed: sh.killed,
         telemetry: telemetry_data,
         report,

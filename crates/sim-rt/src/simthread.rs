@@ -12,7 +12,7 @@
 use crate::config::{AffinityPolicy, GvtMode, Scheduler, SystemConfig};
 use crate::shared::{Arrive, Op, Shared};
 use machine::{Ctx, Step, Task, WorkTag};
-use pdes_core::{CkptSink, EngineConfig, Model, Outbound, ThreadEngine};
+use pdes_core::{CkptSink, EngineConfig, GvtBackoff, Model, Msg, Outbound, ThreadEngine};
 use std::cell::RefCell;
 use std::rc::Rc;
 use telemetry::{EventKind, Tracer};
@@ -69,7 +69,11 @@ pub struct SimThreadTask<M: Model> {
     wd_last: (u64, pdes_core::VirtualTime),
     /// Virtual time of the last watchdog observation change.
     wd_last_change_ns: u64,
+    inbox: Vec<Msg<M::Payload>>,
     outbox: Vec<Outbound<M::Payload>>,
+    /// ROSS 7 O'clock no-change backoff of the round interval (inert unless
+    /// `ecfg.gvt_max_no_change > 0`).
+    backoff: GvtBackoff,
     /// Scratch for kernel ops queued while `shared` is borrowed.
     ops: Vec<Op>,
     /// Checkpoint deposit store (shared by all sim threads of the run).
@@ -109,7 +113,9 @@ impl<M: Model> SimThreadTask<M> {
             round_enter_ns: 0,
             wd_last: (0, pdes_core::VirtualTime::ZERO),
             wd_last_change_ns: 0,
+            inbox: Vec::new(),
             outbox: Vec::new(),
+            backoff: GvtBackoff::default(),
             ops: Vec::new(),
             ckpt,
             total_cycles: 0,
@@ -142,44 +148,66 @@ impl<M: Model> SimThreadTask<M> {
             now - self.wd_last_change_ns
         );
         sh.stall = Some(sh.build_stall_dump(&reason, &sem_tokens));
-        sh.terminated = true;
-        sh.controller_exit = true;
-        // Emergency drain: wake *every* thread — including one wrongly
-        // marked active by a lost wake-up, which the normal termination
-        // broadcast (inactive threads only) would strand in `sem_wait`.
-        for i in 0..sh.num_threads {
-            self.ops.push(Op::Post(i));
-        }
+        self.tear_down(sh);
         self.phase = Phase::Finishing;
         true
+    }
+
+    /// Emergency drain (watchdog trip, scripted kill): end the run and wake
+    /// *every* sibling — including one wrongly marked active by a lost
+    /// wake-up, which the normal termination broadcast (inactive threads
+    /// only) would strand in `sem_wait`.
+    fn tear_down(&mut self, sh: &mut Shared<M::Payload>) {
+        sh.terminated = true;
+        sh.controller_exit = true;
+        let me = self.tid;
+        self.ops
+            .extend((0..sh.num_threads).filter(|&i| i != me).map(Op::Post));
     }
 
     /// Advance this task's work-cycle counter and ask the fault injector
     /// whether a scripted kill fires at the new count.
     fn tick_kill_clock(&mut self, sh: &Shared<M::Payload>) -> bool {
         self.total_cycles += 1;
-        sh.faults.should_kill(self.tid, self.total_cycles)
+        sh.plane.faults.should_kill(self.tid, self.total_cycles)
+    }
+
+    /// Drain the input queue (chaos-exempt when `clean`) and deliver it into
+    /// the engine; what delivery sends waits in the outbox for
+    /// [`Self::route`]. Returns (messages received, events rolled back).
+    fn receive(&mut self, sh: &Shared<M::Payload>, clean: bool) -> (u64, u64) {
+        self.inbox.clear();
+        let n = if clean {
+            sh.plane.drain_clean(self.tid, &mut self.inbox)
+        } else {
+            sh.plane.drain(self.tid, &mut self.inbox)
+        };
+        let mut rolled = 0u64;
+        self.outbox.clear();
+        for m in self.inbox.drain(..) {
+            rolled += self.engine.deliver(m, &mut self.outbox).rolled_back as u64;
+        }
+        (n as u64, rolled)
+    }
+
+    /// Push the outbox into the destination queues; returns how many.
+    fn route(&mut self, sh: &Shared<M::Payload>) -> u64 {
+        let sends = self.outbox.len() as u64;
+        for (dst, msg) in self.outbox.drain(..) {
+            sh.plane.push_msg(self.tid, dst.index(), msg);
+        }
+        sends
     }
 
     /// One main-loop cycle: drain the input queue, process a batch, route
     /// sends. Returns (cost, cycles_advanced, useful).
     fn do_cycle(&mut self, sh: &mut Shared<M::Payload>, now: u64) -> (u64, u64, bool) {
         let c = sh.cost.clone();
-        let msgs = sh.drain(self.tid);
-        let n_msgs = msgs.len() as u64;
-        let mut rolled = 0u64;
-        self.outbox.clear();
-        for m in msgs {
-            let d = self.engine.deliver(m, &mut self.outbox);
-            rolled += d.rolled_back as u64;
-        }
+        let (n_msgs, mut rolled) = self.receive(sh, false);
         let batch = self
             .engine
             .process_batch(self.ecfg.batch_size, &mut self.outbox);
-        let sends = self.outbox.len() as u64;
-        for (dst, msg) in self.outbox.drain(..) {
-            sh.push_msg(self.tid, dst.index(), msg);
-        }
+        let sends = self.route(sh);
         rolled += batch.rolled_back as u64;
 
         let idle = n_msgs == 0 && batch.processed == 0;
@@ -225,21 +253,12 @@ impl<M: Model> SimThreadTask<M> {
     /// Drain + fold the engine minimum into the open round.
     fn drain_and_fold(&mut self, sh: &mut Shared<M::Payload>) -> u64 {
         let c = sh.cost.clone();
-        let msgs = sh.drain(self.tid);
-        let n = msgs.len() as u64;
-        let mut rolled = 0u64;
-        self.outbox.clear();
-        for m in msgs {
-            rolled += self.engine.deliver(m, &mut self.outbox).rolled_back as u64;
-        }
-        let sends = self.outbox.len() as u64;
-        for (dst, msg) in self.outbox.drain(..) {
-            sh.push_msg(self.tid, dst.index(), msg);
-        }
+        let (n, rolled) = self.receive(sh, false);
+        let sends = self.route(sh);
         let local = self.engine.local_min();
         sh.fold_min(self.tid, local);
         if self.tracer.enabled() {
-            sh.tel_publish(self.tid, local, self.engine.stats());
+            sh.board.publish(self.tid, local, self.engine.stats());
         }
         c.gvt_phase + c.recv_msg * n + c.send_msg * sends + c.rollback_event * rolled
     }
@@ -254,9 +273,9 @@ impl<M: Model> SimThreadTask<M> {
     fn wants_deactivation(&self, sh: &Shared<M::Payload>) -> bool {
         self.sys.demand_driven()
             && !self.active_flag
-            && sh.queue_len(self.tid) == 0
+            && sh.plane.len(self.tid) == 0
             && !self.engine.has_live_pending()
-            && sh.window_send_min[self.tid].is_infinite()
+            && sh.plane.window_is_clear(self.tid)
     }
 
     /// Pseudo-controller duties at Aware: new GVT, termination, activation.
@@ -274,7 +293,7 @@ impl<M: Model> SimThreadTask<M> {
             cost += c.sched_op * self.ops.len() as u64;
         } else if matches!(self.sys.scheduler, Scheduler::GgPdes) {
             // Algorithm 2 — the scan itself costs per entry.
-            let activated = sh.activate(&mut self.ops);
+            let activated = sh.activate_queued(&mut self.ops);
             cost += c.scan_per_thread / 4 * sh.num_threads as u64 + c.sched_op * activated as u64;
         }
         cost
@@ -286,7 +305,7 @@ impl<M: Model> SimThreadTask<M> {
         let c = sh.cost.clone();
         let mut cost = c.gvt_phase;
         let trace = self.tracer.enabled();
-        if sh.ckpt_round == Some(sh.round.id) && !sh.terminated {
+        if sh.ckpt_round == Some(sh.members.id) && !sh.terminated {
             let cw0 = cost;
             // Armed round: this thread's share of the consistent cut. The
             // claimant computed the round's GVT before any participant can
@@ -296,26 +315,19 @@ impl<M: Model> SimThreadTask<M> {
             // the engine before the snapshot; messages at or above GVT are
             // delivered too but excluded from the cut (their senders re-send
             // them deterministically after a restore).
-            let msgs = sh.drain_clean(self.tid);
-            let n = msgs.len() as u64;
-            self.outbox.clear();
-            for m in msgs {
-                self.engine.deliver(m, &mut self.outbox);
-            }
-            for (dst, msg) in self.outbox.drain(..) {
-                sh.push_msg(self.tid, dst.index(), msg);
-            }
+            let (n, _) = self.receive(sh, true);
+            self.route(sh);
             let g = sh.gvt;
             self.engine.fossil_collect(g);
             let part = self.engine.snapshot_at_gvt(g);
             cost += c.gvt_phase + c.recv_msg * n + c.proc_event * part.0.len() as u64;
             self.ckpt.deposit(
-                sh.round.id,
+                sh.members.id,
                 g,
                 sh.gvt_rounds,
                 part,
-                sh.round.participants,
-                sh.faults.cursor(),
+                sh.members.participants,
+                sh.plane.faults.cursor(),
             );
             if trace {
                 // The snapshot occupies [now + cw0, now + cost] virtually.
@@ -323,30 +335,38 @@ impl<M: Model> SimThreadTask<M> {
                     EventKind::CheckpointWrite,
                     now + cw0,
                     now + cost,
-                    sh.round.id,
+                    sh.members.id,
                 );
             }
         } else {
             self.engine.fossil_collect(sh.gvt);
         }
         sh.gvt_wall_in_round += now.saturating_sub(self.round_enter_ns);
+        self.backoff
+            .observe(sh.gvt.ticks(), self.ecfg.gvt_max_no_change);
         let deact = !sh.terminated && self.wants_deactivation(sh);
-        let rid = sh.round.id;
+        let rid = sh.members.id;
         if trace {
             // Refresh this thread's counters so a closing snapshot reflects
             // post-round totals.
-            sh.tel_publish(self.tid, self.engine.local_min(), self.engine.stats());
+            sh.board
+                .publish(self.tid, self.engine.local_min(), self.engine.stats());
         }
         let closed = sh.end_phase();
         if closed {
             sh.tel_round_snapshot(rid, now);
         }
         if closed && self.sys.affinity == AffinityPolicy::Dynamic && !sh.terminated {
-            let (pinned, scanned) = sh.set_cpu_affinity(&mut self.ops);
-            cost += c.affinity_op * pinned as u64 + (scanned as u64) * 8;
+            // Algorithm 4: the table decides, the kernel ops enact.
+            let mut pins = Vec::new();
+            let demand = &sh.demand;
+            let scanned = sh.aff.assign(|t| demand.is_active(t), &mut pins);
+            let pinned = pins.len() as u64;
+            self.ops
+                .extend(pins.into_iter().map(|(t, core)| Op::Pin(t, core)));
+            cost += c.affinity_op * pinned + (scanned as u64) * 8;
             if trace && pinned > 0 {
-                self.tracer
-                    .instant(EventKind::Migrate, now + cost, pinned as u64);
+                self.tracer.instant(EventKind::Migrate, now + cost, pinned);
             }
         }
         if trace {
@@ -366,8 +386,11 @@ impl<M: Model> SimThreadTask<M> {
                         sh.record_transition(now, self.tid, false);
                         if trace {
                             self.park_ns = now + cost;
-                            let stats = self.engine.stats().clone();
-                            sh.tel_publish(self.tid, pdes_core::VirtualTime::INFINITY, &stats);
+                            sh.board.publish(
+                                self.tid,
+                                pdes_core::VirtualTime::INFINITY,
+                                self.engine.stats(),
+                            );
                         }
                         self.phase = Phase::Parked;
                         return (cost, Step::SemWait(sh.sems[self.tid]));
@@ -387,6 +410,13 @@ impl<M: Model> SimThreadTask<M> {
         }
         self.phase = Phase::Cycle;
         (cost, Step::work(cost, WorkTag::Gvt))
+    }
+
+    /// Close the trace span `kind` of round `id` at `end_ns` and start the
+    /// next one there (the tracer drops the record when tracing is off).
+    fn mark(&mut self, kind: EventKind, end_ns: u64, id: u64) {
+        self.tracer.span(kind, self.ph_ns, end_ns, id);
+        self.ph_ns = end_ns;
     }
 
     /// Apply queued kernel ops through the machine context.
@@ -443,13 +473,7 @@ impl<M: Model> Task for SimThreadTask<M> {
                     // siblings are woken to drain, and the runner reports the
                     // attempt as failed so a supervisor can recover it.
                     sh.killed = Some(self.tid);
-                    sh.terminated = true;
-                    sh.controller_exit = true;
-                    for i in 0..sh.num_threads {
-                        if i != self.tid {
-                            self.ops.push(Op::Post(i));
-                        }
-                    }
+                    self.tear_down(&mut sh);
                     self.phase = Phase::Dead;
                     Step::work(sh.cost.phase_check, WorkTag::Sched)
                 } else {
@@ -459,22 +483,20 @@ impl<M: Model> Task for SimThreadTask<M> {
                     // GVT trigger: the thread's own 1-in-`gvt_interval`
                     // counter, or an in-flight round whose participant
                     // snapshot is waiting for this thread.
-                    let round_waiting = sh.round.open
-                        && sh.round.participant[self.tid]
-                        && self.joined_round != Some(sh.round.id);
-                    let interval = match self.ecfg.adaptive_gvt {
-                        Some(a) => {
-                            a.effective_interval(self.ecfg.gvt_interval, self.engine.history_len())
-                        }
-                        None => self.ecfg.gvt_interval,
-                    };
+                    let round_waiting = sh
+                        .members
+                        .waiting_for(self.tid)
+                        .is_some_and(|id| self.joined_round != Some(id));
+                    let interval = self
+                        .ecfg
+                        .round_interval(self.engine.history_len(), &self.backoff);
                     if (self.cycles_since_gvt >= interval as u64 || round_waiting)
-                        && sh.subscribed[self.tid]
+                        && sh.members.subscribed[self.tid]
                     {
                         let participate = sh.ensure_round_open(self.tid, &mut self.ops);
-                        let fresh = self.joined_round != Some(sh.round.id);
+                        let fresh = self.joined_round != Some(sh.members.id);
                         if participate && fresh {
-                            self.joined_round = Some(sh.round.id);
+                            self.joined_round = Some(sh.members.id);
                             sh.dbg_joined[self.tid] = self.joined_round;
                             self.round_enter_ns = now;
                             self.ph_ns = now;
@@ -492,27 +514,17 @@ impl<M: Model> Task for SimThreadTask<M> {
             // ---- Wait-Free GVT ------------------------------------------
             Phase::AsyncA => {
                 assert!(
-                    sh.round.open
-                        && sh.round.participant[self.tid]
-                        && self.joined_round == Some(sh.round.id),
-                    "t{} stale AsyncA: open={} id={} joined={:?} participant={} a={} b={} end={} participants={}",
+                    sh.members.waiting_for(self.tid) == self.joined_round
+                        && self.joined_round.is_some(),
+                    "t{} stale AsyncA: joined={:?} {:?} {:?}",
                     self.tid,
-                    sh.round.open,
-                    sh.round.id,
                     self.joined_round,
-                    sh.round.participant[self.tid],
-                    sh.round.a_done,
-                    sh.round.b_done,
-                    sh.round.end_done,
-                    sh.round.participants,
+                    sh.members,
+                    sh.round,
                 );
                 let cost = self.drain_and_fold(&mut sh);
                 sh.round.a_done += 1;
-                if self.tracer.enabled() {
-                    self.tracer
-                        .span(EventKind::GvtA, self.ph_ns, now + cost, sh.round.id);
-                    self.ph_ns = now + cost;
-                }
+                self.mark(EventKind::GvtA, now + cost, sh.members.id);
                 self.phase = Phase::AsyncWaitA;
                 Step::work(cost, WorkTag::Gvt)
             }
@@ -539,20 +551,17 @@ impl<M: Model> Task for SimThreadTask<M> {
                 let (cost, _, useful) = self.do_cycle(&mut sh, now);
                 let check = sh.cost.phase_check;
                 let done = if self.phase == Phase::AsyncWaitA {
-                    sh.round.a_done == sh.round.participants
+                    sh.round.a_done == sh.members.participants
                 } else {
-                    sh.round.b_done == sh.round.participants
+                    sh.round.b_done == sh.members.participants
                 };
                 if done {
-                    if self.tracer.enabled() {
-                        let kind = if self.phase == Phase::AsyncWaitA {
-                            EventKind::GvtSendA
-                        } else {
-                            EventKind::GvtSendB
-                        };
-                        self.tracer.span(kind, self.ph_ns, now + cost, sh.round.id);
-                        self.ph_ns = now + cost;
-                    }
+                    let kind = if self.phase == Phase::AsyncWaitA {
+                        EventKind::GvtSendA
+                    } else {
+                        EventKind::GvtSendB
+                    };
+                    self.mark(kind, now + cost, sh.members.id);
                     self.phase = if self.phase == Phase::AsyncWaitA {
                         Phase::AsyncB
                     } else {
@@ -565,25 +574,17 @@ impl<M: Model> Task for SimThreadTask<M> {
             Phase::AsyncB => {
                 let cost = self.drain_and_fold(&mut sh);
                 sh.round.b_done += 1;
-                if self.tracer.enabled() {
-                    self.tracer
-                        .span(EventKind::GvtB, self.ph_ns, now + cost, sh.round.id);
-                    self.ph_ns = now + cost;
-                }
+                self.mark(EventKind::GvtB, now + cost, sh.members.id);
                 self.phase = Phase::AsyncWaitB;
                 Step::work(cost, WorkTag::Gvt)
             }
             Phase::AsyncAware => {
-                let cost = if sh.claim_aware(self.tid) {
+                let cost = if sh.claim_aware() {
                     self.aware_duties(&mut sh)
                 } else {
                     sh.cost.phase_check
                 };
-                if self.tracer.enabled() {
-                    self.tracer
-                        .span(EventKind::GvtAware, self.ph_ns, now + cost, sh.round.id);
-                    self.ph_ns = now + cost;
-                }
+                self.mark(EventKind::GvtAware, now + cost, sh.members.id);
                 self.phase = Phase::AsyncEnd;
                 Step::work(cost, WorkTag::Sched)
             }
@@ -606,42 +607,26 @@ impl<M: Model> Task for SimThreadTask<M> {
             }
             Phase::SyncFold => {
                 let cost = self.drain_and_fold(&mut sh);
-                if self.tracer.enabled() {
-                    self.tracer
-                        .span(EventKind::GvtA, self.ph_ns, now + cost, sh.round.id);
-                    self.ph_ns = now + cost;
-                }
+                self.mark(EventKind::GvtA, now + cost, sh.members.id);
                 self.phase = Phase::SyncBar(1);
                 Step::work(cost, WorkTag::Gvt)
             }
             Phase::SyncCtrl => {
                 // Sync mapping mirrors thread-rt: the reduction barrier wait
                 // is the B phase, the controller slice is Aware.
-                if self.tracer.enabled() {
-                    self.tracer
-                        .span(EventKind::GvtB, self.ph_ns, now, sh.round.id);
-                    self.ph_ns = now;
-                }
-                let cost = if sh.claim_aware(self.tid) {
+                self.mark(EventKind::GvtB, now, sh.members.id);
+                let cost = if sh.claim_aware() {
                     self.aware_duties(&mut sh)
                 } else {
                     sh.cost.phase_check
                 };
-                if self.tracer.enabled() {
-                    self.tracer
-                        .span(EventKind::GvtAware, self.ph_ns, now + cost, sh.round.id);
-                    self.ph_ns = now + cost;
-                }
+                self.mark(EventKind::GvtAware, now + cost, sh.members.id);
                 self.phase = Phase::SyncBar(2);
                 Step::work(cost, WorkTag::Sched)
             }
             Phase::SyncEnd => {
                 // The exit-barrier wait maps onto Send-B.
-                if self.tracer.enabled() {
-                    self.tracer
-                        .span(EventKind::GvtSendB, self.ph_ns, now, sh.round.id);
-                    self.ph_ns = now;
-                }
+                self.mark(EventKind::GvtSendB, now, sh.members.id);
                 let (_cost, step) = self.end_duties(&mut sh, now);
                 step
             }
@@ -653,7 +638,7 @@ impl<M: Model> Task for SimThreadTask<M> {
                 // already run — do not park now, finish instead.
                 let m = sh.dd_mutex.expect("DD lock exists");
                 if sh.terminated {
-                    sh.subscribed[self.tid] = true; // undo dd_unsubscribe
+                    sh.members.subscribed[self.tid] = true; // undo dd_unsubscribe
                     drop(sh);
                     ctx.mutex_unlock(m);
                     self.phase = Phase::Finishing;
@@ -663,23 +648,27 @@ impl<M: Model> Task for SimThreadTask<M> {
                 // waited for the lock: its participant snapshot now includes
                 // this thread, so parking would wedge the round. Abort the
                 // deactivation and go fold into the round instead.
-                if sh.round.open
-                    && sh.round.participant[self.tid]
-                    && self.joined_round != Some(sh.round.id)
+                if sh
+                    .members
+                    .waiting_for(self.tid)
+                    .is_some_and(|id| self.joined_round != Some(id))
                 {
-                    sh.subscribed[self.tid] = true;
+                    sh.members.subscribed[self.tid] = true;
                     drop(sh);
                     ctx.mutex_unlock(m);
                     self.phase = Phase::Cycle;
                     return Step::work(self.shared.borrow().cost.sched_op, WorkTag::Sched);
                 }
-                let ok = sh.dd_finalize_deact(self.tid);
+                let ok = sh.deactivate_self(self.tid);
                 if ok {
                     sh.record_transition(now, self.tid, false);
                     if self.tracer.enabled() {
                         self.park_ns = now;
-                        let stats = self.engine.stats().clone();
-                        sh.tel_publish(self.tid, pdes_core::VirtualTime::INFINITY, &stats);
+                        sh.board.publish(
+                            self.tid,
+                            pdes_core::VirtualTime::INFINITY,
+                            self.engine.stats(),
+                        );
                     }
                 }
                 drop(sh);
@@ -698,14 +687,13 @@ impl<M: Model> Task for SimThreadTask<M> {
                 // post a parked thread without activating it (spurious
                 // wake-up). Re-park unless the activator marked us active
                 // or the run is over.
-                if !sh.terminated && !sh.active[self.tid] {
+                if !sh.terminated && !sh.demand.is_active(self.tid) {
                     let sem = sh.sems[self.tid];
                     drop(sh);
                     return Step::SemWait(sem);
                 }
-                // Woken: either reactivated (Algorithm 1 lines 14–17) or the
-                // simulation ended.
-                sh.on_wake(self.tid);
+                // Woken: either reactivated (Algorithm 1 lines 14–17; the
+                // activator already set the flags) or the simulation ended.
                 sh.record_transition(now, self.tid, true);
                 if self.tracer.enabled() {
                     self.tracer

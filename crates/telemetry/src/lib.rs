@@ -16,6 +16,9 @@
 //!   collects them back at thread exit (off the hot path, behind a mutex),
 //!   and accumulates per-GVT-round [`pdes_core::RoundCounters`] snapshots
 //!   emitted at each round's End phase.
+//! * [`board::RoundBoard`] — the per-thread LVT / counter cells every
+//!   runtime publishes into and its round closer sums into one
+//!   [`RoundTotals`], so `lvt_ticks[]` means the same thing everywhere.
 //! * [`chrome`] — a Chrome `trace_event` JSON exporter (loadable in
 //!   Perfetto / `chrome://tracing`) and a JSONL round-stream exporter.
 //!
@@ -29,12 +32,14 @@
 //! the coordinator over the reliable link layer, where it is merged under a
 //! per-shard clock-offset estimate (see [`TelemetryData::merge_shard`]).
 
+pub mod board;
 pub mod chrome;
 pub mod config;
 pub mod event;
 pub mod registry;
 pub mod ring;
 
+pub use board::RoundBoard;
 pub use chrome::{chrome_trace_json, round_stream_jsonl};
 pub use config::TelemetryConfig;
 pub use event::{EventKind, TraceRecord};

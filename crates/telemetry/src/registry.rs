@@ -56,6 +56,22 @@ impl Tracer {
         }
     }
 
+    /// The round closer's ingest verdicts as per-round instants at `ts_ns`:
+    /// `deltas` is `(admitted, rejected, shed, busy)` since the previous
+    /// round; only counters that moved emit anything.
+    pub fn ingest_instants(&mut self, ts_ns: u64, deltas: (u64, u64, u64, u64)) {
+        for (kind, n) in [
+            (EventKind::IngestAdmit, deltas.0),
+            (EventKind::IngestReject, deltas.1),
+            (EventKind::IngestShed, deltas.2),
+            (EventKind::IngestBusy, deltas.3),
+        ] {
+            if n > 0 {
+                self.instant(kind, ts_ns, n);
+            }
+        }
+    }
+
     fn into_trace(self) -> Option<ThreadTrace> {
         let ring = self.ring?;
         Some(ThreadTrace {

@@ -5,7 +5,10 @@
 //! affinity, Algorithm 3) and re-pins running threads with
 //! `sched_setaffinity` (dynamic affinity, Algorithm 4). Both reduce to the
 //! same syscall on Linux; we address threads by kernel tid so any thread can
-//! re-pin any other.
+//! re-pin any other. Which core a thread belongs on (Algorithm 4's tables)
+//! is `pdes_core::AffinityTable`'s business; this file only enacts pins.
+
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A kernel thread id usable as a `sched_setaffinity` target.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -72,18 +75,23 @@ pub fn unpin(_tid: OsTid) -> bool {
     false
 }
 
-/// Log the first `sched_setaffinity` rejection (once per process — a host
-/// that rejects one pin typically rejects them all, and repeating the warning
-/// per GVT round would swamp the output). Callers also count every rejection
-/// in the `pin_failures` run metric.
-pub fn note_pin_failure(core: usize) {
-    static ONCE: std::sync::Once = std::sync::Once::new();
-    ONCE.call_once(|| {
-        eprintln!(
-            "warning: sched_setaffinity rejected core {core}; \
-             falling back to kernel scheduling (counted in pin_failures)"
-        );
-    });
+/// [`pin_to_core`], counting a rejection in `failures` (the `pin_failures`
+/// run metric) and logging the first one — once per process: a host that
+/// rejects one pin typically rejects them all, and repeating the warning per
+/// GVT round would swamp the output.
+pub fn pin_or_count(tid: OsTid, core: usize, failures: &AtomicU64) -> bool {
+    let ok = pin_to_core(tid, core);
+    if !ok {
+        failures.fetch_add(1, Ordering::Relaxed);
+        static ONCE: std::sync::Once = std::sync::Once::new();
+        ONCE.call_once(|| {
+            eprintln!(
+                "warning: sched_setaffinity rejected core {core}; \
+                 falling back to kernel scheduling (counted in pin_failures)"
+            );
+        });
+    }
+    ok
 }
 
 /// Number of online cores.
@@ -91,65 +99,6 @@ pub fn num_cores() -> usize {
     std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1)
-}
-
-/// Dynamic-affinity tables for the real runtime (Algorithm 4 state): the
-/// forward table `core_of` (thread → pinned core) and its inverse load table
-/// `core_load` (core → number of hardware threads pinned there). The SMT
-/// heuristic from the paper falls out of `assign`: a new pin always goes to
-/// a core with the fewest active hardware threads, so sibling hyperthreads
-/// fill up last.
-#[derive(Debug)]
-pub struct AffinityState {
-    pub num_cores: usize,
-    pub core_load: Vec<u32>,
-    pub core_of: Vec<Option<usize>>,
-    /// `sched_setaffinity` rejections (the pin is still *recorded* in the
-    /// load tables so placement stays deterministic; only the syscall
-    /// failed, leaving the thread on kernel scheduling).
-    pub pin_failures: u64,
-}
-
-impl AffinityState {
-    pub fn new(num_cores: usize, num_threads: usize) -> Self {
-        AffinityState {
-            num_cores: num_cores.max(1),
-            core_load: vec![0; num_cores.max(1)],
-            core_of: vec![None; num_threads],
-            pin_failures: 0,
-        }
-    }
-
-    pub fn clear(&mut self, thread: usize) {
-        if let Some(c) = self.core_of[thread].take() {
-            self.core_load[c] -= 1;
-        }
-    }
-
-    /// Pin every active-but-unpinned thread to the least-loaded core.
-    #[allow(clippy::needless_range_loop)] // t indexes three parallel arrays
-    pub fn assign(&mut self, active: impl Fn(usize) -> bool, tids: &[OsTid]) -> usize {
-        let mut pinned = 0;
-        for t in 0..self.core_of.len() {
-            if !active(t) || self.core_of[t].is_some() {
-                continue;
-            }
-            let mut best = 0;
-            for c in 1..self.num_cores {
-                if self.core_load[c] < self.core_load[best] {
-                    best = c;
-                }
-            }
-            self.core_of[t] = Some(best);
-            self.core_load[best] += 1;
-            if !pin_to_core(tids[t], best) {
-                self.pin_failures += 1;
-                note_pin_failure(best);
-            }
-            pinned += 1;
-        }
-        pinned
-    }
 }
 
 #[cfg(test)]
@@ -190,119 +139,12 @@ mod tests {
         assert!(num_cores() >= 1);
     }
 
-    /// A tid no kernel thread has, so `pin_to_core` fails deterministically
-    /// and the tests exercise pure table bookkeeping without actually
-    /// pinning the test runner.
-    fn ghost_tids(n: usize) -> Vec<OsTid> {
-        (0..n).map(|_| OsTid(i64::MAX)).collect()
-    }
-
-    /// Invariant: `core_load` is exactly the inverse of `core_of` — each
-    /// core's load equals the number of threads pinned there.
-    fn check_tables(a: &AffinityState) {
-        for (c, &load) in a.core_load.iter().enumerate() {
-            let pinned = a.core_of.iter().filter(|&&co| co == Some(c)).count();
-            assert_eq!(load as usize, pinned, "core {c}: load {load} vs {pinned}");
-        }
-    }
-
     #[test]
-    fn assign_prefers_core_with_fewest_hardware_threads() {
-        let tids = ghost_tids(1);
-        let mut a = AffinityState::new(4, 1);
-        // Cores 0 and 2 already carry pinned siblings; 1 and 3 are empty.
-        a.core_load = vec![2, 0, 1, 0];
-        a.assign(|_| true, &tids);
-        assert_eq!(
-            a.core_of[0],
-            Some(1),
-            "least-loaded core wins (tie → lowest id)"
-        );
-        check_tables_with_preload(&a, &[2, 0, 1, 0]);
-    }
-
-    fn check_tables_with_preload(a: &AffinityState, preload: &[u32]) {
-        for (c, &load) in a.core_load.iter().enumerate() {
-            let pinned = a.core_of.iter().filter(|&&co| co == Some(c)).count();
-            assert_eq!(load as usize, pinned + preload[c] as usize);
-        }
-    }
-
-    #[test]
-    fn assign_fills_empty_cores_before_doubling_up() {
-        let tids = ghost_tids(6);
-        let mut a = AffinityState::new(4, 6);
-        a.assign(|t| t < 4, &tids);
-        // First wave: one thread per core, no SMT sharing.
-        let first: Vec<_> = a.core_of[..4].iter().map(|c| c.unwrap()).collect();
-        let mut sorted = first.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, vec![0, 1, 2, 3]);
-        // Second wave: only now do cores take a second hardware thread.
-        a.assign(|_| true, &tids);
-        assert!(a.core_load.iter().all(|&l| l <= 2));
-        assert_eq!(a.core_load.iter().sum::<u32>(), 6);
-        check_tables(&a);
-    }
-
-    #[test]
-    fn assign_skips_inactive_and_already_pinned_threads() {
-        let tids = ghost_tids(3);
-        let mut a = AffinityState::new(2, 3);
-        assert_eq!(a.assign(|t| t == 1, &tids), 1);
-        let pinned_core = a.core_of[1];
-        assert!(pinned_core.is_some());
-        assert_eq!(a.core_of[0], None);
-        // Re-assigning does not move or re-pin thread 1.
-        assert_eq!(a.assign(|t| t == 1, &tids), 0);
-        assert_eq!(a.core_of[1], pinned_core);
-        check_tables(&a);
-    }
-
-    #[test]
-    fn clear_is_idempotent_and_releases_load() {
-        let tids = ghost_tids(2);
-        let mut a = AffinityState::new(2, 2);
-        a.assign(|_| true, &tids);
-        assert_eq!(a.core_load.iter().sum::<u32>(), 2);
-        a.clear(0);
-        assert_eq!(a.core_of[0], None);
-        assert_eq!(a.core_load.iter().sum::<u32>(), 1);
-        a.clear(0); // clearing an unpinned thread is a no-op
-        assert_eq!(a.core_load.iter().sum::<u32>(), 1);
-        check_tables(&a);
-    }
-
-    #[test]
-    fn tables_stay_consistent_after_activate_deactivate_churn() {
-        let tids = ghost_tids(8);
-        let mut a = AffinityState::new(3, 8);
-        let mut active = [false; 8];
-        let mut rng: u64 = 0x5EED;
-        for step in 0..500 {
-            rng = rng
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let t = (rng >> 33) as usize % 8;
-            if active[t] {
-                active[t] = false;
-                a.clear(t);
-            } else {
-                active[t] = true;
-            }
-            a.assign(|i| active[i], &tids);
-            check_tables(&a);
-            // Every active thread is pinned, every inactive one is not.
-            for (i, &on) in active.iter().enumerate() {
-                assert_eq!(a.core_of[i].is_some(), on, "step {step}, thread {i}");
-            }
-            assert_eq!(
-                a.core_load.iter().sum::<u32>() as usize,
-                active.iter().filter(|&&on| on).count()
-            );
-        }
-        // Ghost tids can never be pinned for real: every recorded pin also
-        // counted a failure, deterministically.
-        assert!(a.pin_failures > 0);
+    fn a_rejected_pin_is_counted_not_fatal() {
+        // A tid no kernel thread has: the syscall fails deterministically
+        // without pinning the test runner.
+        let failures = AtomicU64::new(0);
+        assert!(!pin_or_count(OsTid(i64::MAX), 0, &failures));
+        assert_eq!(failures.load(Ordering::Relaxed), 1);
     }
 }

@@ -15,7 +15,7 @@
 //! publishes `window_min[me]` exactly like `push_msg` does before its
 //! enqueue. The window is only reset by the owning thread's own `fold_min`,
 //! which gives the one hard safety rule: **flush before every fold** (the
-//! worker's `drain_deliver` runs on every fold path and flushes first).
+//! worker's `fold` lands its outbox through `send`, which flushes, first).
 //! Between buffer and flush the message is covered by `window_min[me]`;
 //! after the flush by `queue_min[dst]` — coverage never lapses, which is
 //! the same invariant the per-message path maintains.
@@ -28,7 +28,7 @@
 //! - **LVT advance / idle** — the worker flushes at the end of every main
 //!   loop cycle that processed events *and* whenever it goes idle (a
 //!   starved peer must see our messages before we spin waiting on it);
-//! - **GVT round boundaries** — `drain_deliver` flushes before each phase
+//! - **GVT round boundaries** — the worker's `send` flushes before each phase
 //!   fold; checkpoint cuts, parking and termination all pass through it.
 
 use crate::shared::RtShared;
@@ -112,16 +112,10 @@ mod tests {
         let mut b: SendBatcher<u8> = SendBatcher::new(2, 64);
         b.buffer(&sh, 0, 1, msg(5.0, 1, 0));
         // Nothing queued yet, but the sender's window covers t=5.
-        assert_eq!(
-            sh.queue_len[1].load(std::sync::atomic::Ordering::Acquire),
-            0
-        );
+        assert_eq!(sh.len(1), 0);
         assert!(!sh.window_is_clear(0));
         b.flush(&sh);
-        assert_eq!(
-            sh.queue_len[1].load(std::sync::atomic::Ordering::Acquire),
-            1
-        );
+        assert_eq!(sh.len(1), 1);
         let mut out = Vec::new();
         assert_eq!(sh.drain(1, &mut out), 1);
         assert_eq!(out[0].recv_time(), VirtualTime::from_f64(5.0));
@@ -135,10 +129,7 @@ mod tests {
             b.buffer(&sh, 0, 1, msg(1.0 + i as f64, 1, i as u64));
         }
         // cap=3: two inline flushes (at 3 and 6) leave one buffered.
-        assert_eq!(
-            sh.queue_len[1].load(std::sync::atomic::Ordering::Acquire),
-            6
-        );
+        assert_eq!(sh.len(1), 6);
         b.flush(&sh);
         assert!(b.is_empty());
         let mut out = Vec::new();

@@ -1,11 +1,13 @@
 //! # ggpdes-thread-rt — the engine on real OS threads
 //!
 //! The same Time Warp engine and the same six scheduling systems as
-//! `sim-rt`, executed on real `std::thread`s: one mutex-guarded `VecDeque`
-//! input queue per thread (the vendored `SegQueue` — bulk push and bulk
-//! drain take the lock once per batch, not once per message), cache-padded
-//! atomics for the `active_threads` array, parking-lot semaphores as
-//! `sem_locks`, `sched_setaffinity` for the three affinity policies.
+//! `sim-rt`, executed on real `std::thread`s. The control plane — one
+//! mutex-guarded `VecDeque` input queue per thread (bulk push and bulk drain
+//! take the lock once per batch, not once per message), the cache-padded
+//! `active_threads` array, round membership, Algorithms 1, 2 and 4 — is
+//! `pdes_core`'s, shared with the virtual machine; this crate adds what
+//! real threads wait on (parking-lot semaphores as `sem_locks`, barriers)
+//! and `sched_setaffinity` for the three affinity policies.
 //!
 //! The worker loop, the GVT round and the attempt runner are generic over a
 //! synchronisation [`Protocol`]: [`Optimistic`] (Time Warp) lives here, the
@@ -26,12 +28,11 @@ pub mod shared;
 pub mod sync;
 pub mod worker;
 
-pub use affinity::AffinityState;
 pub use batch::SendBatcher;
 pub use protocol::{Optimistic, Protocol};
 pub use runner::{
     run_supervised, run_threads, run_threads_attempt, Recovered, RtAttempt, RtResult, RtRunConfig,
     RunError, SupervisedRun, SupervisorConfig,
 };
-pub use shared::{IngestPlane, RtShared};
+pub use shared::RtShared;
 pub use sync::{DynBarrier, Semaphore};

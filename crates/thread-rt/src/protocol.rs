@@ -12,11 +12,11 @@
 use crate::runner::RtRunConfig;
 use crate::shared::RtShared;
 use metrics::RunMetrics;
-use pdes_core::{BatchOutcome, Model, Msg, Outbound, ThreadEngine, VirtualTime};
-use telemetry::{EventKind, Tracer};
+use pdes_core::{BatchOutcome, Model, Outbound, ThreadEngine, VirtualTime};
+use telemetry::Tracer;
 
 /// One attempt's synchronisation protocol: its shared state (if any) plus
-/// the seven points where the worker loop and the runner defer to it.
+/// the six points where the worker loop and the runner defer to it.
 pub trait Protocol<M: Model>: Sized + Send + Sync {
     /// Hooks 1 and 3 — may a thread sit idle, and park, while it still holds
     /// live pending events? An optimistic thread may not (pending work is
@@ -24,11 +24,11 @@ pub trait Protocol<M: Model>: Sized + Send + Sync {
     /// conservative thread may: pending events blocked below its bound are
     /// as good as absent, so it counts idle cycles regardless and, before
     /// de-scheduling, publishes its pending floor with
-    /// [`RtShared::set_park_min`] so no reduction overshoots it (withdrawn
-    /// again on wake-up or refusal).
+    /// [`pdes_core::Demand::set_park_min`] so no reduction overshoots it
+    /// (withdrawn again on wake-up or refusal).
     const PARKS_WITH_PENDING: bool;
 
-    /// Hook 6 — build the protocol state of one attempt (`rc.num_threads`
+    /// Hook 5 — build the protocol state of one attempt (`rc.num_threads`
     /// threads). Called once per attempt, before any worker spawns: a
     /// restored attempt must never inherit the failed one's state. Protocols
     /// with preconditions refuse inadmissible runs at their front door,
@@ -50,31 +50,18 @@ pub trait Protocol<M: Model>: Sized + Send + Sync {
         outbox: &mut Vec<Outbound<M::Payload>>,
     ) -> BatchOutcome;
 
-    /// Hook 2 — the pseudo-controller's activation scan (Algorithm 2): wake
-    /// the parked threads that have demand again; returns how many.
-    fn activate(&self, sh: &RtShared<M::Payload>) -> usize;
+    /// Hook 2 — Algorithm 2's demand rule: is there work again for parked
+    /// thread `i`? The scan itself is [`RtShared::activate_where`].
+    fn has_demand(&self, sh: &RtShared<M::Payload>, i: usize) -> bool;
 
     /// Hook 4 — the round closer's per-round trace instants (called only
     /// when tracing is on).
     fn round_instants(&self, sh: &RtShared<M::Payload>, tracer: &mut Tracer);
 
-    /// Hook 5 — last words of a worker after the terminating round, before
-    /// its history is committed.
-    fn terminal_sweep(
-        &self,
-        _me: usize,
-        _sh: &RtShared<M::Payload>,
-        _engine: &mut ThreadEngine<M>,
-        _inbox: &mut Vec<Msg<M::Payload>>,
-        _outbox: &mut Vec<Outbound<M::Payload>>,
-        _max: usize,
-    ) {
-    }
-
-    /// Hook 7 — stamp the protocol's fields onto the finished run's metrics.
+    /// Hook 6 — stamp the protocol's fields onto the finished run's metrics.
     fn tag_metrics(&self, m: &mut RunMetrics);
 
-    /// Hook 7 — the liveness watchdog's trip reason.
+    /// Hook 6 — the liveness watchdog's trip reason.
     fn stall_reason(idle_secs: f64, bound_secs: f64) -> String;
 }
 
@@ -108,25 +95,16 @@ impl<M: Model> Protocol<M> for Optimistic {
         engine.process_batch(max, outbox)
     }
 
-    fn activate(&self, sh: &RtShared<M::Payload>) -> usize {
-        sh.activate()
+    /// Queued input is the only demand: pending work never parks.
+    fn has_demand(&self, sh: &RtShared<M::Payload>, i: usize) -> bool {
+        sh.len(i) > 0
     }
 
     /// Ingest verdicts land as per-round instants on the closer's lane (only
     /// rounds with activity emit anything).
     fn round_instants(&self, sh: &RtShared<M::Payload>, tracer: &mut Tracer) {
-        if let Some((adm, rej, shed, busy)) = sh.ingest_round_deltas() {
-            let now = sh.now_ns();
-            for (kind, n) in [
-                (EventKind::IngestAdmit, adm),
-                (EventKind::IngestReject, rej),
-                (EventKind::IngestShed, shed),
-                (EventKind::IngestBusy, busy),
-            ] {
-                if n > 0 {
-                    tracer.instant(kind, now, n);
-                }
-            }
+        if let Some(port) = &sh.ingest {
+            tracer.ingest_instants(sh.now_ns(), port.round_deltas());
         }
     }
 

@@ -13,8 +13,8 @@ use crate::worker::{controller_loop, worker_loop, WorkerResult};
 use metrics::RunMetrics;
 use pdes_core::{
     build_engines, supervise, Attempt, AttemptFailure, Checkpoint, CkptSink, CommitTrace,
-    EngineConfig, FaultInjector, FaultPlan, IngestError, IngestGate, LpId, Model, Scheduler,
-    StallDump, SystemConfig,
+    EngineConfig, FaultInjector, FaultPlan, IngestError, IngestGate, IngestPort, LpId, Model,
+    Scheduler, StallDump, SystemConfig,
 };
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -223,7 +223,7 @@ pub fn run_threads_attempt<M: Model, P: Protocol<M>>(
         |from, dst, msg| shared.push_msg(from, dst, msg),
     );
     if let Some(g) = &gate {
-        shared.set_ingest(Arc::clone(g), map.clone());
+        shared.ingest = Some(IngestPort::new(Arc::clone(g), map.clone()));
     }
     let proto = P::start(model.as_ref(), rc);
     let sink: CkptSink<M> = CkptSink::new(rc.checkpoint_path.clone(), map);
@@ -342,7 +342,10 @@ pub fn run_threads_attempt<M: Model, P: Protocol<M>>(
     let failure = first_panic
         .map(|(thread, message)| RunError::WorkerPanicked { thread, message })
         .or(stall.map(RunError::Stalled))
-        .or_else(|| shared.take_ingest_error().map(RunError::Ingest));
+        .or_else(|| {
+            let e = shared.ingest.as_ref().and_then(IngestPort::take_error);
+            e.map(RunError::Ingest)
+        });
     if let Some(e) = failure {
         return RtAttempt {
             outcome: Err(e),
@@ -378,9 +381,9 @@ pub fn run_threads_attempt<M: Model, P: Protocol<M>>(
         antis_sent: total.antis_sent,
         gvt_rounds: shared.gvt_rounds.load(Ordering::Acquire),
         gvt_cpu_secs: shared.gvt_wall_ns.load(Ordering::Acquire) as f64 * 1e-9,
-        max_descheduled: shared.max_descheduled.load(Ordering::Acquire),
+        max_descheduled: shared.demand.max_descheduled(),
         commit_digest: total.commit_digest,
-        pin_failures: shared.aff.lock().pin_failures,
+        pin_failures: shared.pin_failures.load(Ordering::Relaxed),
         last_round: telemetry_data
             .as_ref()
             .and_then(|d| d.last_round().cloned()),

@@ -3,20 +3,18 @@
 //! over the synchronisation [`Protocol`]; everything protocol-specific goes
 //! through that trait's hooks.
 
-use crate::affinity::{current_tid, note_pin_failure, pin_to_core, OsTid};
+use crate::affinity::{current_tid, pin_or_count, OsTid};
 use crate::batch::SendBatcher;
 use crate::protocol::Protocol;
 use crate::runner::RtRunConfig;
 use crate::shared::RtShared;
 use pdes_core::{
-    AffinityPolicy, CkptSink, EngineConfig, GvtMode, LpId, Model, Msg, Outbound, Scheduler,
-    SystemConfig, ThreadEngine, VirtualTime,
+    AffinityPolicy, CkptSink, EngineConfig, GvtBackoff, GvtMode, LpId, Model, Msg, Outbound,
+    Scheduler, SystemConfig, ThreadEngine, VirtualTime,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 use telemetry::{EventKind, Tracer};
-
-pub use crate::affinity::AffinityState;
 
 /// Result of one worker thread.
 pub struct WorkerResult {
@@ -58,12 +56,7 @@ impl<M: Model, P: Protocol<M>> Worker<'_, M, P> {
             (0, 0)
         };
         let horizon = self.proto.horizon(me, sh);
-        self.inbox.clear();
-        let n = sh.drain(me, &mut self.inbox);
-        self.outbox.clear();
-        for m in self.inbox.drain(..) {
-            self.engine.deliver(m, &mut self.outbox);
-        }
+        let n = self.receive(false);
         let batch = self.proto.process(
             me,
             horizon,
@@ -71,14 +64,11 @@ impl<M: Model, P: Protocol<M>> Worker<'_, M, P> {
             self.ecfg.batch_size,
             &mut self.outbox,
         );
-        for (dst, msg) in self.outbox.drain(..) {
-            self.batcher.buffer(sh, me, dst.index(), msg);
-        }
         // Flush at the cycle boundary: the batch above either advanced LVT
         // (processed events) or the thread is about to go idle — in both
         // cases the peer must see this cycle's sends now. Batch-full
         // overflow within the cycle already flushed inline.
-        self.batcher.flush(sh);
+        self.send();
         if trace {
             let undone = self.engine.stats().rolled_back - rb0;
             if batch.processed > 0 || undone > 0 {
@@ -122,21 +112,30 @@ impl<M: Model, P: Protocol<M>> Worker<'_, M, P> {
         !idle
     }
 
-    /// Drain and deliver before folding a GVT minimum.
-    fn drain_deliver(&mut self) {
-        let (me, sh) = (self.me, self.sh);
+    /// Drain the input queue (chaos-exempt when `clean`: a checkpoint cut
+    /// must pull in every cut-crossing message) and deliver it; what
+    /// delivery sends waits in the outbox for [`Self::send`]. Returns the
+    /// number of messages received.
+    fn receive(&mut self, clean: bool) -> usize {
         self.inbox.clear();
-        sh.drain(me, &mut self.inbox);
+        let n = if clean {
+            self.sh.drain_clean(self.me, &mut self.inbox)
+        } else {
+            self.sh.drain(self.me, &mut self.inbox)
+        };
         self.outbox.clear();
         for m in self.inbox.drain(..) {
             self.engine.deliver(m, &mut self.outbox);
         }
+        n
+    }
+
+    /// Land the outbox in the destination queues, through the batcher.
+    fn send(&mut self) {
         for (dst, msg) in self.outbox.drain(..) {
-            self.batcher.buffer(sh, me, dst.index(), msg);
+            self.batcher.buffer(self.sh, self.me, dst.index(), msg);
         }
-        // Every caller folds a GVT minimum next, which resets this thread's
-        // send window — everything buffered must be in a queue before then.
-        self.batcher.flush(sh);
+        self.batcher.flush(self.sh);
     }
 
     /// Close the trace span `kind` of round `id` at now and start the next
@@ -152,11 +151,14 @@ impl<M: Model, P: Protocol<M>> Worker<'_, M, P> {
     /// Record this thread's minimum (pending set + send window) in round
     /// `id`; `kind` is the phase span the fold closes.
     fn fold(&mut self, kind: EventKind, id: u64) {
-        self.drain_deliver();
+        // The fold resets this thread's send window: everything buffered
+        // must be in a queue before then.
+        self.receive(false);
+        self.send();
         let local = self.engine.local_min();
         self.sh.fold_min(self.me, local);
         if self.tracer.enabled() {
-            self.sh.tel_publish(self.me, local, self.engine.stats());
+            self.sh.board.publish(self.me, local, self.engine.stats());
         }
         self.mark(kind, id);
     }
@@ -195,7 +197,7 @@ impl<M: Model, P: Protocol<M>> Worker<'_, M, P> {
             if sh.terminated.load(Ordering::Acquire) {
                 sh.release_all_for_termination();
             } else if matches!(sys.scheduler, Scheduler::GgPdes) {
-                self.proto.activate(sh);
+                sh.activate_where(|i| self.proto.has_demand(sh, i));
             }
         }
         self.mark(EventKind::GvtAware, id);
@@ -246,7 +248,7 @@ impl<M: Model, P: Protocol<M>> Worker<'_, M, P> {
     /// force-woken into the participant set), capture this thread's share
     /// of a consistent cut.
     fn collect(&mut self, id: u64, ckpt: &CkptSink<M>) {
-        let (me, sh) = (self.me, self.sh);
+        let sh = self.sh;
         if !sh.ckpt_await(id) {
             self.engine.fossil_collect(sh.gvt());
             return;
@@ -258,15 +260,8 @@ impl<M: Model, P: Protocol<M>> Worker<'_, M, P> {
         // is deposited for assembly.
         let trace = self.tracer.enabled();
         let cw0 = if trace { sh.now_ns() } else { 0 };
-        self.inbox.clear();
-        sh.drain_clean(me, &mut self.inbox);
-        self.outbox.clear();
-        for m in self.inbox.drain(..) {
-            self.engine.deliver(m, &mut self.outbox);
-        }
-        for (dst, msg) in self.outbox.drain(..) {
-            sh.push_msg(me, dst.index(), msg);
-        }
+        self.receive(true);
+        self.send();
         let g = sh.gvt();
         self.engine.fossil_collect(g);
         ckpt.deposit(
@@ -292,7 +287,7 @@ impl<M: Model, P: Protocol<M>> Worker<'_, M, P> {
             // any round opened after we unsubscribe acquires the membership
             // lock after us and therefore reads the floor — the reduction
             // can never overshoot events only we know about.
-            sh.set_park_min(me, self.engine.local_min());
+            sh.demand.set_park_min(me, self.engine.local_min());
         }
         let parked = match sys.scheduler {
             Scheduler::GgPdes => sh.deactivate_self(me, id),
@@ -309,14 +304,15 @@ impl<M: Model, P: Protocol<M>> Worker<'_, M, P> {
             let park0 = if trace { sh.now_ns() } else { 0 };
             if trace {
                 // An idle LVT is ∞: round snapshots render it as such.
-                sh.tel_publish(me, VirtualTime::INFINITY, self.engine.stats());
+                sh.board
+                    .publish(me, VirtualTime::INFINITY, self.engine.stats());
             }
             sh.sems[me].wait();
             // A wake token proves nothing by itself: a fault plan may post a
             // parked thread *without* activating it (spurious wake-up). Only
             // `active[me]` — set by the activator before the post — or
             // termination legitimises leaving the park.
-            while !sh.active[me].load(Ordering::Acquire) && !sh.terminated.load(Ordering::Acquire) {
+            while !sh.demand.is_active(me) && !sh.terminated.load(Ordering::Acquire) {
                 sh.sems[me].wait();
             }
             // Algorithm 1 lines 14–17: reintegrate.
@@ -332,7 +328,7 @@ impl<M: Model, P: Protocol<M>> Worker<'_, M, P> {
             // Woken, or refused (last active thread, or a newer round
             // already counts us): withdraw the floor, or the reduction
             // would be pinned below a thread that keeps running.
-            sh.clear_park_min(me);
+            sh.demand.clear_park_min(me);
         }
         !sh.terminated.load(Ordering::Acquire)
     }
@@ -353,11 +349,8 @@ pub fn worker_loop<M: Model, P: Protocol<M>>(
     if sys.affinity == AffinityPolicy::Constant {
         // Algorithm 3: round-robin constant pinning at setup.
         let core = me % rc.pin_cores.max(1);
-        if pin_to_core(current_tid(), core) {
+        if pin_or_count(current_tid(), core, &sh.pin_failures) {
             tracer.instant(EventKind::Pin, sh.now_ns(), core as u64);
-        } else {
-            note_pin_failure(core);
-            sh.aff.lock().pin_failures += 1;
         }
     }
 
@@ -381,7 +374,7 @@ pub fn worker_loop<M: Model, P: Protocol<M>>(
     let mut joined: Option<u64> = None;
     // ROSS 7 O'clock no-change backoff: widen the round interval while GVT
     // stands still (inert unless `ecfg.gvt_max_no_change > 0`).
-    let mut backoff = pdes_core::GvtBackoff::default();
+    let mut backoff = GvtBackoff::default();
 
     loop {
         sh.set_phase(me, 0); // cycle
@@ -401,14 +394,7 @@ pub fn worker_loop<M: Model, P: Protocol<M>>(
         let round_waiting = sh
             .round_waiting_for(me)
             .is_some_and(|id| joined != Some(id));
-        let base_interval = match ecfg.adaptive_gvt {
-            Some(a) => a.effective_interval(ecfg.gvt_interval, w.engine.history_len()),
-            None => ecfg.gvt_interval,
-        };
-        // Memory pressure (watermarks) shortens the interval; a still GVT
-        // widens it — pressure always wins because the backoff multiplies
-        // the already-adapted base.
-        let interval = backoff.effective_interval(base_interval);
+        let interval = ecfg.round_interval(w.engine.history_len(), &backoff);
         if cycles_since_gvt < interval as u64 && !round_waiting {
             continue;
         }
@@ -436,13 +422,13 @@ pub fn worker_loop<M: Model, P: Protocol<M>>(
         let wants_deact = sys.demand_driven()
             && !terminated
             && !w.active_flag
-            && sh.queue_len[me].load(Ordering::Acquire) == 0
+            && sh.len(me) == 0
             && (P::PARKS_WITH_PENDING || !w.engine.has_live_pending())
             && sh.window_is_clear(me);
         if trace {
             // Refresh this thread's counters so the snapshot the round closer
             // takes reflects post-round totals, not the phase-B fold.
-            sh.tel_publish(me, w.engine.local_min(), w.engine.stats());
+            sh.board.publish(me, w.engine.local_min(), w.engine.stats());
         }
         let closed = sh.end_phase();
         if closed {
@@ -454,17 +440,17 @@ pub fn worker_loop<M: Model, P: Protocol<M>>(
             }
         }
         if closed && sys.affinity == AffinityPolicy::Dynamic && !terminated {
-            let mut aff = sh.aff.lock();
-            let tids: Vec<OsTid> = sh
-                .os_tids
-                .iter()
-                .map(|t| OsTid(t.load(Ordering::Acquire)))
-                .collect();
-            let moved = aff.assign(|t| sh.active[t].load(Ordering::Acquire), &tids);
-            if trace && moved > 0 {
+            // Algorithm 4: the table decides, `sched_setaffinity` enacts.
+            let mut pins = Vec::new();
+            sh.aff.lock().assign(|t| sh.demand.is_active(t), &mut pins);
+            for &(t, core) in &pins {
+                let tid = OsTid(sh.os_tids[t].load(Ordering::Acquire));
+                pin_or_count(tid, core, &sh.pin_failures);
+            }
+            if trace && !pins.is_empty() {
                 // Migration lands on the closer's lane: it repins siblings.
                 w.tracer
-                    .instant(EventKind::Migrate, sh.now_ns(), moved as u64);
+                    .instant(EventKind::Migrate, sh.now_ns(), pins.len() as u64);
             }
         }
         w.mark(EventKind::GvtEnd, id);
@@ -477,14 +463,6 @@ pub fn worker_loop<M: Model, P: Protocol<M>>(
     }
 
     sh.set_phase(me, 8); // done
-    proto.terminal_sweep(
-        me,
-        sh,
-        &mut w.engine,
-        &mut w.inbox,
-        &mut w.outbox,
-        ecfg.batch_size,
-    );
     w.engine.finalize();
     sh.telemetry.deposit(w.tracer);
     WorkerResult {
@@ -501,7 +479,7 @@ pub fn controller_loop<P>(sh: &RtShared<P>) {
         }
         {
             let _g = sh.dd_lock.lock();
-            sh.activate();
+            sh.activate_where(|i| sh.len(i) > 0);
         }
         std::thread::yield_now();
     }

@@ -15,8 +15,9 @@
 //! * [`sim_rt`] — the six systems of the paper's evaluation running on the
 //!   virtual machine, used to regenerate every figure at 256–4096-thread
 //!   scale on any host;
-//! * [`thread_rt`] — the same engine on real `std::thread`s with crossbeam
-//!   queues, parking-lot semaphores, and `sched_setaffinity`;
+//! * [`thread_rt`] — the same engine and the same control plane
+//!   (`pdes_core::MessagePlane`, `pdes_core::sched`) on real `std::thread`s
+//!   with parking-lot semaphores and `sched_setaffinity`;
 //! * [`cons_rt`] — the conservative counterpart: Chandy–Misra–Bryant
 //!   null-message synchronization on the same engine and thread chassis,
 //!   switchable against the optimistic runtimes with one CLI flag;

@@ -434,8 +434,8 @@ fn gvt_backoff_reduces_rounds_and_preserves_trace() {
         let rc = thread_rt::RtRunConfig::new(threads, ecfg, sys);
         thread_rt::run_threads(&model, &rc).expect("run completes")
     };
-    let r_static = run(base);
-    let r_backoff = run(backoff);
+    let r_static = run(base.clone());
+    let r_backoff = run(backoff.clone());
     // The backoff is a pure cadence policy: the committed trace is bit-for-
     // bit the oracle's either way.
     assert_eq!(r_static.metrics.commit_digest, oracle.commit_digest);
@@ -449,6 +449,91 @@ fn gvt_backoff_reduces_rounds_and_preserves_trace() {
         r_backoff.metrics.gvt_rounds,
         r_static.metrics.gvt_rounds
     );
+
+    // The virtual machine runs the same interval rule
+    // (`EngineConfig::round_interval`): same trace, fewer rounds.
+    let run_vm = |ecfg: &EngineConfig| {
+        let rc =
+            RunConfig::new(threads, ecfg.clone(), sys).with_machine(MachineConfig::small(2, 2));
+        let r = sim_rt::run_sim(&model, &rc);
+        assert!(r.completed);
+        assert_eq!(r.metrics.commit_digest, oracle.commit_digest);
+        r.metrics.gvt_rounds
+    };
+    let (vm_static, vm_backoff) = (run_vm(&base), run_vm(&backoff));
+    assert!(
+        vm_backoff * 2 < vm_static,
+        "vm: backoff {vm_backoff} rounds vs static {vm_static}"
+    );
+}
+
+/// Integer-tick ring: every LP starts one event at t = 1 and each event
+/// schedules its successor on the next LP exactly one time unit later, so
+/// with an integral end time a generation of events lands *exactly* on it.
+struct TickRing {
+    lps: usize,
+}
+
+impl Model for TickRing {
+    type State = u64;
+    type Payload = ();
+
+    fn num_lps(&self) -> usize {
+        self.lps
+    }
+    fn init_state(&self, _lp: LpId) -> u64 {
+        0
+    }
+    fn init_events(&self, lp: LpId, _state: &mut u64, ctx: &mut SendCtx<'_, ()>) {
+        ctx.send(lp, 1.0, ());
+    }
+    fn handle_event(&self, lp: LpId, state: &mut u64, _p: &(), ctx: &mut SendCtx<'_, ()>) {
+        *state += 1;
+        ctx.send(LpId((lp.0 + 1) % self.lps as u32), 1.0, ());
+    }
+    fn state_digest(&self, state: &u64) -> u64 {
+        *state
+    }
+    fn lookahead(&self) -> f64 {
+        1.0
+    }
+}
+
+/// One end-of-run rule: a run covers `[0, end)` on every runtime. The
+/// oracle used to commit the events stamped exactly at `end_time` while the
+/// optimistic runtimes (which finish at GVT ≥ end) never ran them.
+#[test]
+fn events_stamped_exactly_at_end_time_are_outside_the_run_everywhere() {
+    let (threads, lps, end) = (4, 8, 6.0);
+    let model = Arc::new(TickRing { lps });
+    let ecfg = engine(end);
+    let oracle = run_sequential(&model, &ecfg, None);
+    // Generations at t = 1..=5 run; the one at t = 6 does not.
+    assert_eq!(oracle.committed, 5 * lps as u64);
+    assert_eq!(oracle.state_digests, vec![5; lps]);
+
+    let sys = SystemConfig::new(Scheduler::GgPdes, GvtMode::Async, AffinityPolicy::Constant);
+    let rt = thread_rt::RtRunConfig::new(threads, ecfg.clone(), sys);
+    let vm = RunConfig::new(threads, ecfg.clone(), sys).with_machine(MachineConfig::small(2, 2));
+    let dcfg = dist_rt::DistConfig {
+        shards: 2,
+        transport: dist_rt::Transport::Mem,
+        ..dist_rt::DistConfig::default()
+    };
+    let dist = dist_rt::run_loopback(Arc::clone(&model), &ecfg, &dcfg).expect("dist run");
+    let runs = [
+        (
+            "threads",
+            thread_rt::run_threads(&model, &rt).expect("rt run").metrics,
+        ),
+        ("cons", run_cons(&model, &rt).expect("cons run").metrics),
+        ("vm", sim_rt::run_sim(&model, &vm).metrics),
+        ("dist", dist.metrics),
+    ];
+    for (label, m) in runs {
+        assert_eq!(m.committed, oracle.committed, "{label}: committed");
+        assert_eq!(m.commit_digest, oracle.commit_digest, "{label}: digest");
+    }
 }
 
 proptest! {
