@@ -161,6 +161,7 @@ pub struct Kernel {
     done_count: usize,
     ctx_switches: u64,
     migrations: u64,
+    voluntary_yields: u64,
 }
 
 impl Kernel {
@@ -187,6 +188,7 @@ impl Kernel {
             done_count: 0,
             ctx_switches: 0,
             migrations: 0,
+            voluntary_yields: 0,
         }
     }
 
@@ -622,10 +624,22 @@ impl Kernel {
         std::mem::take(&mut self.meta[task.index()].woken)
     }
 
-    /// Requeue a (currently context-free) task at the tail of `cpu`'s
-    /// runqueue (voluntary yield).
-    pub(crate) fn requeue(&mut self, task: TaskId, cpu: usize) {
-        debug_assert!(matches!(self.meta[task.index()].state, TState::Blocked));
+    /// Voluntary yield of a running task: it goes to the tail of its core's
+    /// runqueue and the head of that queue takes the context. With nobody
+    /// waiting there the task keeps running, like `sched_yield` — a yield is
+    /// not an idle moment, so unlike [`Self::free_context`] it pulls nothing
+    /// over from other cores.
+    pub(crate) fn yield_context(&mut self, task: TaskId) {
+        let TState::Running { cpu, .. } = self.meta[task.index()].state else {
+            panic!("yield by non-running task");
+        };
+        self.voluntary_yields += 1;
+        if self.cpus[cpu].runq.is_empty() {
+            self.meta[task.index()].ran_in_quantum = 0;
+            self.push_event(self.now, Ev::RunStep(task));
+            return;
+        }
+        self.free_context(task);
         self.meta[task.index()].state = TState::Runnable { cpu };
         self.cpus[cpu].runq.push_back(task);
         self.try_dispatch(cpu);
@@ -699,6 +713,7 @@ impl Kernel {
             virtual_ns: self.now,
             ctx_switches: self.ctx_switches,
             migrations: self.migrations,
+            voluntary_yields: self.voluntary_yields,
             tasks: self
                 .meta
                 .iter()
@@ -757,6 +772,28 @@ mod tests {
         // Post on a full binary semaphore saturates.
         k.sem_post(s);
         assert_eq!(k.sems[0].count, 1);
+    }
+
+    #[test]
+    fn a_yield_pulls_nothing_over_from_another_core() {
+        let mut k = Kernel::new(MachineConfig::small(2, 1));
+        let yielder = k.add_task_meta("yielder".into(), Some(0));
+        let busy = k.add_task_meta("busy".into(), Some(1));
+        let waiter = k.add_task_meta("waiter".into(), Some(1));
+        for t in [yielder, busy, waiter] {
+            k.make_runnable(t);
+        }
+        k.set_affinity(waiter, None); // stealable, queued behind `busy`
+        k.yield_context(yielder);
+        assert!(matches!(
+            k.state_of(yielder),
+            TState::Running { cpu: 0, .. }
+        ));
+        assert!(matches!(k.state_of(waiter), TState::Runnable { cpu: 1 }));
+        assert_eq!((k.voluntary_yields, k.ctx_switches), (1, 2));
+        // Going idle, by contrast, does pull the waiter over.
+        k.free_context(yielder);
+        assert!(matches!(k.state_of(waiter), TState::Running { cpu: 0, .. }));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The machine driver: owns the task bodies and runs the event loop.
 
 use crate::config::MachineConfig;
-use crate::kernel::{Deadlock, Ev, Kernel, PendingBlock, TState};
+use crate::kernel::{Deadlock, Ev, Kernel, PendingBlock};
 use crate::report::Report;
 use crate::task::{Ctx, Step, Task, TaskId, WorkTag};
 
@@ -156,14 +156,7 @@ impl Machine {
                 self.kernel.barrier_arrive(task, b);
                 self.kernel.push_event(now + dur, Ev::SliceDone(task));
             }
-            Step::Yield => {
-                // Preempt unconditionally.
-                let TState::Running { cpu, .. } = self.kernel.state_of(task) else {
-                    unreachable!("stepping task is running");
-                };
-                self.kernel.free_context(task);
-                self.kernel.requeue(task, cpu);
-            }
+            Step::Yield => self.kernel.yield_context(task),
             Step::Sleep(ns) => {
                 self.kernel.free_context(task);
                 self.kernel.push_event(now + ns, Ev::Wake(task));

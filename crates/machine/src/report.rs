@@ -50,6 +50,8 @@ pub struct Report {
     pub virtual_ns: u64,
     pub ctx_switches: u64,
     pub migrations: u64,
+    /// `Step::Yield`s executed: how often a task gave its context away.
+    pub voluntary_yields: u64,
     pub tasks: Vec<TaskReport>,
     pub cpus: Vec<CpuReport>,
 }
@@ -91,6 +93,7 @@ mod tests {
             virtual_ns: 2_000_000_000,
             ctx_switches: 3,
             migrations: 1,
+            voluntary_yields: 0,
             tasks: vec![TaskReport {
                 name: "t0".into(),
                 cpu_time: 10,

@@ -1,9 +1,11 @@
 //! Property-based tests of the machine scheduler: no task is ever lost, all
-//! work is conserved, and runs are deterministic, under random task mixes
-//! and machine shapes.
+//! work is conserved, a voluntary yield costs what it should, and runs are
+//! deterministic, under random task mixes and machine shapes.
 
 use machine::{Ctx, Machine, MachineConfig, Step, Task, WorkTag};
 use proptest::prelude::*;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 /// A task performing a fixed schedule of work slices, yields, and sleeps.
 struct Script {
@@ -41,6 +43,30 @@ fn arb_script() -> impl Strategy<Value = Vec<ScriptOp>> {
         ],
         1..20,
     )
+}
+
+/// `rounds` × (work, yield), logging each work slice's owner.
+struct Rotor {
+    id: usize,
+    rounds: u32,
+    work: u64,
+    yielding: bool,
+    log: Rc<RefCell<Vec<usize>>>,
+}
+
+impl Task for Rotor {
+    fn step(&mut self, _ctx: &mut Ctx<'_>) -> Step {
+        if std::mem::take(&mut self.yielding) {
+            return Step::Yield;
+        }
+        if self.rounds == 0 {
+            return Step::Done;
+        }
+        self.rounds -= 1;
+        self.yielding = true;
+        self.log.borrow_mut().push(self.id);
+        Step::work(self.work, WorkTag::Sim)
+    }
 }
 
 fn total_work(ops: &[ScriptOp]) -> u64 {
@@ -89,6 +115,59 @@ proptest! {
         }
     }
 
+    /// Yielding with nobody waiting is free: the task is re-dispatched into
+    /// the slot it left, at the same instant, with no context switch.
+    #[test]
+    fn yield_on_an_empty_runqueue_costs_nothing(
+        slices in prop::collection::vec(prop_oneof![
+            (1u64..5000).prop_map(ScriptOp::Work),
+            Just(ScriptOp::Yield),
+        ], 1..30),
+    ) {
+        let cfg = MachineConfig::small(1, 1);
+        let switch = cfg.cost.context_switch;
+        let mut m = Machine::new(cfg);
+        m.add_task(Box::new(Script { ops: slices.clone(), pos: 0 }), "lone", None);
+        let r = m.run(None).expect("completes");
+        let yields = slices.iter().filter(|op| matches!(op, ScriptOp::Yield)).count();
+        prop_assert_eq!(r.voluntary_yields, yields as u64);
+        prop_assert_eq!(r.ctx_switches, 1, "only the initial dispatch");
+        // A script with no work never runs a slice, so the dispatch's
+        // switch is never charged either.
+        let work = total_work(&slices);
+        prop_assert_eq!(r.virtual_ns, if work > 0 { work + switch } else { 0 });
+    }
+
+    /// Yielding with waiters rotates the runqueue FIFO, and every hand-over
+    /// costs exactly one context switch, charged to the task coming in.
+    #[test]
+    fn yield_with_waiters_rotates_fifo_one_switch_per_handover(
+        tasks in 2usize..5,
+        rounds in 1u32..6,
+        work in 1u64..5000,
+    ) {
+        let mut cfg = MachineConfig::small(1, 1);
+        cfg.quantum = u64::MAX; // only yields hand the context over
+        let switch = cfg.cost.context_switch;
+        let mut m = Machine::new(cfg);
+        let log = Rc::new(RefCell::new(Vec::new()));
+        for id in 0..tasks {
+            let rotor = Rotor { id, rounds, work, yielding: false, log: Rc::clone(&log) };
+            m.add_task(Box::new(rotor), format!("r{id}"), Some(0));
+        }
+        let r = m.run(None).expect("completes");
+        let slices = tasks as u64 * rounds as u64;
+        let expect: Vec<usize> = (0..slices as usize).map(|i| i % tasks).collect();
+        prop_assert_eq!(&*log.borrow(), &expect, "strict round-robin");
+        prop_assert_eq!(r.voluntary_yields, slices);
+        prop_assert_eq!(r.virtual_ns, slices * (work + switch));
+        for t in &r.tasks {
+            prop_assert_eq!(t.overhead_work, rounds as u64 * switch);
+        }
+        // One dispatch per work slice plus each task's final `Done` step.
+        prop_assert_eq!(r.ctx_switches, slices + tasks as u64);
+    }
+
     /// Same configuration → bit-identical report.
     #[test]
     fn machine_is_deterministic(
@@ -109,6 +188,7 @@ proptest! {
         prop_assert_eq!(a.virtual_ns, b.virtual_ns);
         prop_assert_eq!(a.ctx_switches, b.ctx_switches);
         prop_assert_eq!(a.migrations, b.migrations);
+        prop_assert_eq!(a.voluntary_yields, b.voluntary_yields);
         for (x, y) in a.tasks.iter().zip(&b.tasks) {
             prop_assert_eq!(x.cpu_time, y.cpu_time);
             prop_assert_eq!(x.work, y.work);

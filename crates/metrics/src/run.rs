@@ -34,6 +34,11 @@ pub struct RunMetrics {
     pub wasted_work: u64,
     /// Maximum threads simultaneously de-scheduled (demand-driven systems).
     pub max_descheduled: usize,
+    /// Times a thread gave its hardware context away while staying
+    /// runnable: on the VM the yield tier (DESIGN.md §5.8; zero unless the
+    /// run was GG-PDES with more threads than contexts), on real threads
+    /// the idle ladder's `yield_now` calls.
+    pub voluntary_yields: u64,
     /// `sched_setaffinity` rejections while applying an affinity policy
     /// (non-fatal: the affected threads stay on kernel scheduling).
     pub pin_failures: u64,

@@ -792,6 +792,9 @@ pub struct ThreadDump {
     pub subscribed: bool,
     /// Wake tokens currently held by the thread's scheduling semaphore.
     pub sem_tokens: u32,
+    /// Times the thread gave its context away under the yield tier
+    /// (`ThreadDump::new` leaves it 0; the runtime fills it in).
+    pub yields: u64,
     /// Residual send-window minimum (rendered; `"inf"` when clear).
     pub window_min: String,
     /// Queue minimum (rendered; `"inf"` when empty).
@@ -827,6 +830,7 @@ impl ThreadDump {
             active: demand.is_active(thread),
             subscribed,
             sem_tokens,
+            yields: 0,
             window_min: fmt(window_min),
             queue_min: fmt(queue_min),
         }
@@ -877,15 +881,16 @@ impl std::fmt::Display for StallDump {
         for t in &self.threads {
             writeln!(
                 f,
-                "  t{}: phase={} joined={} qlen={} active={} subscribed={} sem={} window={} qmin={}",
+                "  t{}: phase={} joined={} qlen={} active={} subscribed={} sem={} yields={} \
+                 window={} qmin={}",
                 t.thread,
                 t.phase,
-                t.joined_round
-                    .map_or_else(|| "-".into(), |r| r.to_string()),
+                t.joined_round.map_or_else(|| "-".into(), |r| r.to_string()),
                 t.queue_len,
                 t.active,
                 t.subscribed,
                 t.sem_tokens,
+                t.yields,
                 t.window_min,
                 t.queue_min
             )?;
@@ -1250,6 +1255,7 @@ mod tests {
                 active: true,
                 subscribed: true,
                 sem_tokens: 0,
+                yields: 12,
                 window_min: "inf".into(),
                 queue_min: "1.5".into(),
             }],
@@ -1269,6 +1275,7 @@ mod tests {
         let s = dump.to_string();
         assert!(s.contains("liveness watchdog"));
         assert!(s.contains("t2: phase=parked joined=17 qlen=5"));
+        assert!(s.contains("sem=0 yields=12 window=inf"));
         assert!(s.contains("lost=1"));
         assert!(s.contains("participants=4 a=3"));
         assert!(s.contains("last completed round: id=17 gvt_ticks=1250"));

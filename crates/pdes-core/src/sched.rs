@@ -1,6 +1,6 @@
 //! Demand-driven scheduling state: GVT-round membership, Algorithms 1 and 2
-//! (de-scheduling and the activation scan), Algorithm 4 (dynamic affinity)
-//! and the checkpoint cadence.
+//! (de-scheduling and the activation scan), the yield tier below them,
+//! Algorithm 4 (dynamic affinity) and the checkpoint cadence.
 //!
 //! Everything here is *bookkeeping* — who is scheduled in, who takes part in
 //! the next round, which core a thread belongs on. How a thread waits (a
@@ -16,6 +16,7 @@
 
 use crate::faults::FaultInjector;
 use crate::plane::{padded, CachePadded};
+use crate::system::{GvtMode, Scheduler, SystemConfig};
 use crate::time::VirtualTime;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
@@ -224,6 +225,64 @@ impl Demand {
     }
 }
 
+/// The yield tier of demand-driven scheduling (DESIGN.md §5.8): the rung
+/// below Algorithm 1's park. Parking takes `zero_counter_threshold` idle
+/// polls, empty queues and a closed round; a thread that stays *blocked*
+/// past that point without getting to park, or whose cycle was
+/// *net-negative*, gives its hardware context to a runnable peer and stays
+/// runnable itself.
+///
+/// Armed only for GG-PDES (Baseline and DD-PDES stay the paper's spinning
+/// references) and only when simulation threads outnumber the hardware
+/// contexts they may run on (with a context each there is nobody to yield
+/// to, and the run stays what it was without the tier). The blocked half
+/// is Wait-Free-only: under Barrier GVT a thread already gives its context
+/// back at three barriers a round, and an extra yield on the way there only
+/// delays the arrival everybody else is blocked on.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct YieldTier {
+    net_negative: bool,
+    blocked: bool,
+    /// Idle polls a thread spins through before it counts as blocked.
+    patience: u64,
+}
+
+impl YieldTier {
+    /// `zero_counter_threshold` is Algorithm 1's patience. The tier waits
+    /// twice that: the first span is Algorithm 1's own — the thread turns
+    /// inactive and parks at the next closed round, which costs no runqueue
+    /// slot at all — and a thread still polling a whole span later could not
+    /// park (events pending beyond its window, or no round closing because
+    /// the peer that must join it is off-core).
+    pub fn new(
+        system: SystemConfig,
+        threads: usize,
+        contexts: usize,
+        zero_counter_threshold: u32,
+    ) -> Self {
+        let armed = system.scheduler == Scheduler::GgPdes && threads > contexts;
+        YieldTier {
+            net_negative: armed,
+            blocked: armed && system.gvt == GvtMode::Async,
+            patience: 2 * zero_counter_threshold as u64,
+        }
+    }
+
+    /// Should the thread yield after a main-loop cycle that processed
+    /// `processed` events and undid `rolled_back`, the last of `idle_polls`
+    /// consecutive polls that received and processed nothing (0 after a
+    /// cycle that did either)? Yes when the thread has idled past the
+    /// tier's patience — it is waiting on a peer that cannot run while it
+    /// holds the context — or the cycle undid at least as many events as it
+    /// processed: it runs so far ahead of that peer that its work does not
+    /// survive.
+    #[inline]
+    pub fn should_yield(self, idle_polls: u64, processed: u64, rolled_back: u64) -> bool {
+        (self.blocked && idle_polls > self.patience)
+            || (self.net_negative && rolled_back >= processed.max(1))
+    }
+}
+
 /// Dynamic CPU-affinity tables (§4.2), stored as the paper does: `core_of`
 /// is `affinity_table_inv` (`-1` = unpinned) and `core_load` summarises
 /// `affinity_table` per core — how many active threads are pinned there,
@@ -338,6 +397,43 @@ mod tests {
         assert!(!d.deactivate(&mut m, &mut aff, 1), "last one stays");
         assert!(d.is_active(1) && m.subscribed[1]);
         assert_eq!((d.num_active(), d.max_descheduled()), (1, 1));
+    }
+
+    fn gg(gvt: GvtMode) -> SystemConfig {
+        SystemConfig::new(Scheduler::GgPdes, gvt, crate::AffinityPolicy::Constant)
+    }
+
+    #[test]
+    fn yield_tier_gives_up_blocked_and_net_negative_cycles_only() {
+        let t = YieldTier::new(gg(GvtMode::Async), 2, 1, 100);
+        assert!(t.should_yield(201, 0, 0), "idle past twice the threshold");
+        assert!(!t.should_yield(200, 0, 0), "still inside its patience");
+        assert!(!t.should_yield(32, 0, 0), "one idle cycle is not blocked");
+        assert!(t.should_yield(0, 0, 1), "undid without processing");
+        assert!(t.should_yield(0, 4, 4), "undid as many as it processed");
+        assert!(!t.should_yield(0, 0, 0), "receiving is progress");
+        assert!(!t.should_yield(0, 8, 0), "productive cycle");
+        assert!(!t.should_yield(0, 8, 7), "net-positive cycle");
+        // Barrier GVT keeps the net-negative half only.
+        let t = YieldTier::new(gg(GvtMode::Sync), 2, 1, 100);
+        assert!(!t.should_yield(u64::MAX, 0, 0) && t.should_yield(0, 4, 4));
+    }
+
+    #[test]
+    fn yield_tier_is_armed_for_oversubscribed_gg_pdes_only() {
+        let never = |t: YieldTier| !t.should_yield(u64::MAX, 0, 0) && !t.should_yield(0, 0, 9);
+        assert!(never(YieldTier::default()));
+        for gvt in [GvtMode::Async, GvtMode::Sync] {
+            assert!(never(YieldTier::new(gg(gvt), 8, 8, 0)));
+            assert!(!never(YieldTier::new(gg(gvt), 9, 8, 0)));
+            for scheduler in [Scheduler::Baseline, Scheduler::DdPdes] {
+                let sys = SystemConfig {
+                    scheduler,
+                    ..gg(gvt)
+                };
+                assert!(never(YieldTier::new(sys, 8, 1, 0)), "{}", sys.name());
+            }
+        }
     }
 
     /// Three threads, 1 and 2 de-scheduled.

@@ -10,7 +10,7 @@ use metrics::RunMetrics;
 use pdes_core::{
     build_engines, supervise, Attempt, AttemptFailure, Checkpoint, CkptSink, CommitTrace,
     EngineConfig, FaultInjector, FaultPlan, IngestGate, IngestRequest, LpId, Model, StallDump,
-    SupervisedRun, SupervisorConfig,
+    SupervisedRun, SupervisorConfig, YieldTier,
 };
 use std::cell::RefCell;
 use std::path::PathBuf;
@@ -223,6 +223,12 @@ pub fn run_sim_attempt<M: Model>(
         // inherit the felled attempt's half-deposited rings.
         sh.telemetry = telemetry::Telemetry::new(rc.telemetry.clone());
         sh.watchdog_ns = rc.watchdog_ns;
+        sh.yield_tier = YieldTier::new(
+            rc.system,
+            num_threads,
+            rc.machine.hw_threads(),
+            rc.engine.zero_counter_threshold,
+        );
         sh.ckpt_every = rc.checkpoint_every_gvt;
         if let Some(c) = resume {
             // Resume mid-stream: GVT and the round cadence continue from the
@@ -314,6 +320,7 @@ pub fn run_sim_attempt<M: Model>(
     m.wall_secs = report.virtual_secs();
     m.total_work = report.total_work();
     m.wasted_work = report.work_for(WorkTag::Spin) + report.work_for(WorkTag::Poll);
+    m.voluntary_yields = report.voluntary_yields;
     m.last_round = telemetry_data
         .as_ref()
         .and_then(|d| d.last_round().cloned());

@@ -17,7 +17,7 @@ use metrics::RunMetrics;
 use pdes_core::{
     ckpt_round_due, AffinityTable, Demand, IngestGate, IngestPort, IngestRequest, LpMap,
     Membership, MessagePlane, Msg, ReplySlot, RoundDump, StallDump, ThreadDump, ThreadStats,
-    VirtualTime,
+    VirtualTime, YieldTier,
 };
 use telemetry::RoundBoard;
 
@@ -98,6 +98,9 @@ pub struct Shared<P> {
     pub demand: Demand,
     /// GVT-round participation (deactivated threads unsubscribe).
     pub members: Membership,
+    /// When a thread gives its context away without parking (unarmed unless
+    /// the runner finds GG-PDES on an over-subscribed machine).
+    pub yield_tier: YieldTier,
     /// The paper's `sem_locks`: one binary semaphore per thread.
     pub sems: Vec<SemId>,
 
@@ -134,6 +137,8 @@ pub struct Shared<P> {
     pub dbg_phase: Vec<&'static str>,
     /// Debug: last round id each thread joined.
     pub dbg_joined: Vec<Option<u64>>,
+    /// Debug: yield-tier yields per thread.
+    pub dbg_yields: Vec<u64>,
     /// Scripted external-event ingest (`None` = no live ingest).
     pub ingest: Option<SimIngest<P>>,
     /// Virtual-time liveness bound: abort when GVT makes no progress for
@@ -172,6 +177,7 @@ impl<P> Shared<P> {
             plane: MessagePlane::new(num_threads),
             demand: Demand::new(num_threads),
             members: Membership::new(num_threads),
+            yield_tier: YieldTier::default(),
             sems: Vec::new(),
             gvt: VirtualTime::ZERO,
             gvt_rounds: 0,
@@ -189,6 +195,7 @@ impl<P> Shared<P> {
             final_digests: vec![Vec::new(); num_threads],
             dbg_phase: vec!["init"; num_threads],
             dbg_joined: vec![None; num_threads],
+            dbg_yields: vec![0; num_threads],
             ingest: None,
             watchdog_ns: None,
             stall: None,
@@ -375,8 +382,9 @@ impl<P> Shared<P> {
                 aware_claimed: self.round.aware_claimed,
             },
             threads: (0..self.num_threads)
-                .map(|i| {
-                    ThreadDump::new(
+                .map(|i| ThreadDump {
+                    yields: self.dbg_yields[i],
+                    ..ThreadDump::new(
                         i,
                         self.dbg_phase[i],
                         self.dbg_joined[i],

@@ -59,6 +59,9 @@ pub struct SimThreadTask<M: Model> {
     cycles_since_gvt: u64,
     /// Consecutive idle cycles (Algorithm 1's `zero_counter`).
     zero_counter: u64,
+    /// Consecutive idle polls whether or not events are pending beyond the
+    /// window (the yield tier's notion of blocked).
+    idle_polls: u64,
     /// Algorithm 1's thread-local `active` flag.
     active_flag: bool,
     /// Round id this thread last joined.
@@ -87,6 +90,9 @@ pub struct SimThreadTask<M: Model> {
     ph_ns: u64,
     /// Virtual time the thread parked (for the Park span).
     park_ns: u64,
+    /// The yield tier fired on the last cycle: the next step — after the
+    /// phase-A fold, when that cycle also joined a round — is [`Step::Yield`].
+    yield_pending: bool,
 }
 
 impl<M: Model> SimThreadTask<M> {
@@ -108,6 +114,7 @@ impl<M: Model> SimThreadTask<M> {
             phase: Phase::Cycle,
             cycles_since_gvt: 0,
             zero_counter: 0,
+            idle_polls: 0,
             active_flag: true,
             joined_round: None,
             round_enter_ns: 0,
@@ -122,6 +129,7 @@ impl<M: Model> SimThreadTask<M> {
             tracer,
             ph_ns: 0,
             park_ns: 0,
+            yield_pending: false,
         }
     }
 
@@ -200,8 +208,9 @@ impl<M: Model> SimThreadTask<M> {
     }
 
     /// One main-loop cycle: drain the input queue, process a batch, route
-    /// sends. Returns (cost, cycles_advanced, useful).
-    fn do_cycle(&mut self, sh: &mut Shared<M::Payload>, now: u64) -> (u64, u64, bool) {
+    /// sends. Returns (cost, cycles_advanced, useful, give_up) — the last is
+    /// the yield tier's verdict on the cycle.
+    fn do_cycle(&mut self, sh: &mut Shared<M::Payload>, now: u64) -> (u64, u64, bool, bool) {
         let c = sh.cost.clone();
         let (n_msgs, mut rolled) = self.receive(sh, false);
         let batch = self
@@ -226,6 +235,7 @@ impl<M: Model> SimThreadTask<M> {
             self.zero_counter = 0;
             self.active_flag = true;
         }
+        self.idle_polls = if idle { self.idle_polls + cycles } else { 0 };
 
         let cost = c.poll * cycles
             + c.recv_msg * n_msgs
@@ -247,7 +257,18 @@ impl<M: Model> SimThreadTask<M> {
                     .span(EventKind::Rollback, now, now + cost, rolled);
             }
         }
-        (cost, cycles, !idle)
+        let give_up = sh
+            .yield_tier
+            .should_yield(self.idle_polls, batch.processed as u64, rolled);
+        (cost, cycles, !idle, give_up)
+    }
+
+    /// Enact the yield tier: the `sched_yield` call is charged to the
+    /// current slice (returned) and the next step hands the context over.
+    fn arm_yield(&mut self, sh: &mut Shared<M::Payload>) -> u64 {
+        self.yield_pending = true;
+        sh.dbg_yields[self.tid] += 1;
+        sh.cost.sched_op
     }
 
     /// Drain + fold the engine minimum into the open round.
@@ -437,6 +458,12 @@ impl<M: Model> SimThreadTask<M> {
 
 impl<M: Model> Task for SimThreadTask<M> {
     fn step(&mut self, ctx: &mut Ctx<'_>) -> Step {
+        // A thread that joined a round on the cycle it gave up folds first:
+        // that fold is what every peer of the round is blocked on.
+        if self.yield_pending && self.phase != Phase::AsyncA {
+            self.yield_pending = false;
+            return Step::Yield;
+        }
         let now = ctx.now();
         let shared = Rc::clone(&self.shared);
         let mut sh = shared.borrow_mut();
@@ -477,7 +504,7 @@ impl<M: Model> Task for SimThreadTask<M> {
                     self.phase = Phase::Dead;
                     Step::work(sh.cost.phase_check, WorkTag::Sched)
                 } else {
-                    let (cost, cycles, useful) = self.do_cycle(&mut sh, now);
+                    let (mut cost, cycles, useful, give_up) = self.do_cycle(&mut sh, now);
                     self.cycles_since_gvt += cycles;
                     let mut tag = if useful { WorkTag::Sim } else { WorkTag::Spin };
                     // GVT trigger: the thread's own 1-in-`gvt_interval`
@@ -506,6 +533,9 @@ impl<M: Model> Task for SimThreadTask<M> {
                             };
                             tag = WorkTag::Gvt;
                         }
+                    }
+                    if give_up {
+                        cost += self.arm_yield(&mut sh);
                     }
                     Step::work(cost, tag)
                 }
@@ -548,7 +578,7 @@ impl<M: Model> Task for SimThreadTask<M> {
                     return Step::work(self.shared.borrow().cost.phase_check, WorkTag::Gvt);
                 }
                 // The *Send* phase: keep simulating while peers catch up.
-                let (cost, _, useful) = self.do_cycle(&mut sh, now);
+                let (mut cost, _, useful, give_up) = self.do_cycle(&mut sh, now);
                 let check = sh.cost.phase_check;
                 let done = if self.phase == Phase::AsyncWaitA {
                     sh.round.a_done == sh.members.participants
@@ -567,6 +597,8 @@ impl<M: Model> Task for SimThreadTask<M> {
                     } else {
                         Phase::AsyncAware
                     };
+                } else if give_up {
+                    cost += self.arm_yield(&mut sh);
                 }
                 let tag = if useful { WorkTag::Sim } else { WorkTag::Gvt };
                 Step::work(cost + check, tag)

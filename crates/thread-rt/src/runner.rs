@@ -260,27 +260,30 @@ pub fn run_threads_attempt<M: Model, P: Protocol<M>>(
                 .expect("spawn controller")
         });
 
-        // Liveness watchdog: sample (gvt, gvt_rounds) and trip when neither
-        // has changed within the bound — the run is wedged, so capture a
-        // structured dump and poison every primitive instead of hanging in
-        // `join` below.
+        // Liveness watchdog: sample (gvt, gvt_rounds, workers done) and trip
+        // when none has changed within the bound — the run is wedged, so
+        // capture a structured dump and poison every primitive instead of
+        // hanging in `join` below. It stays on duty past the final GVT: a
+        // worker can still block in the teardown (a park that slips past the
+        // termination wake-up, an exit barrier, the checkpoint handshake),
+        // and there the workers reaching `done` are the progress signal.
         let monitor = rc.watchdog.map(|bound| {
             let tick = (bound / 8).clamp(Duration::from_millis(5), Duration::from_millis(500));
             std::thread::Builder::new()
                 .name("watchdog".into())
                 .spawn_scoped(scope, move || -> Option<Box<StallDump>> {
-                    let mut last = (0u64, 0u64);
+                    let mut last = (0u64, 0u64, 0usize);
                     let mut last_change = Instant::now();
                     loop {
                         std::thread::park_timeout(tick);
-                        if monitor_exit.load(Ordering::Acquire)
-                            || shared.terminated.load(Ordering::Acquire)
-                        {
+                        let done = shared.workers_done();
+                        if monitor_exit.load(Ordering::Acquire) || done == n {
                             return None;
                         }
                         let now = (
                             shared.gvt().ticks(),
                             shared.gvt_rounds.load(Ordering::Acquire),
+                            done,
                         );
                         if now != last {
                             last = now;
@@ -290,10 +293,16 @@ pub fn run_threads_attempt<M: Model, P: Protocol<M>>(
                         if last_change.elapsed() < bound {
                             continue;
                         }
-                        let reason = P::stall_reason(
-                            last_change.elapsed().as_secs_f64(),
-                            bound.as_secs_f64(),
-                        );
+                        let (idle, bound) =
+                            (last_change.elapsed().as_secs_f64(), bound.as_secs_f64());
+                        let reason = if shared.terminated.load(Ordering::Acquire) {
+                            format!(
+                                "teardown stuck: {done}/{n} workers done, none for \
+                                 {idle:.1}s (bound {bound:.1}s)"
+                            )
+                        } else {
+                            P::stall_reason(idle, bound)
+                        };
                         let dump = Box::new(shared.build_stall_dump(&reason, &rc.system.name()));
                         shared.watchdog_tripped.store(true, Ordering::Release);
                         shared.poison_all();
@@ -382,6 +391,11 @@ pub fn run_threads_attempt<M: Model, P: Protocol<M>>(
         gvt_rounds: shared.gvt_rounds.load(Ordering::Acquire),
         gvt_cpu_secs: shared.gvt_wall_ns.load(Ordering::Acquire) as f64 * 1e-9,
         max_descheduled: shared.demand.max_descheduled(),
+        voluntary_yields: shared
+            .yields
+            .iter()
+            .map(|y| y.load(Ordering::Relaxed))
+            .sum(),
         commit_digest: total.commit_digest,
         pin_failures: shared.pin_failures.load(Ordering::Relaxed),
         last_round: telemetry_data

@@ -42,6 +42,8 @@ pub const PHASE_NAMES: [&str; 13] = [
     "sync-bar2",
     "dd-deact",
 ];
+/// Index of `"done"`: the worker is past every blocking primitive.
+pub const PHASE_DONE: usize = 8;
 
 /// Shared state of one real-thread simulation run. Dereferences to its
 /// [`MessagePlane`]: `drain`, `publish_window`, `queue_len`, `faults`, … are
@@ -123,6 +125,9 @@ pub struct RtShared<P> {
     /// Round id each worker last folded into, stored as `id + 1`
     /// (0 = never joined).
     pub dbg_joined: Vec<AtomicU64>,
+    /// Times each worker's idle ladder gave the core away with `yield_now`
+    /// (written by that worker only; summed into the run's metrics).
+    pub yields: Vec<AtomicU64>,
 }
 
 impl<P> std::ops::Deref for RtShared<P> {
@@ -172,6 +177,7 @@ impl<P> RtShared<P> {
             poisoned: AtomicBool::new(false),
             dbg_phase: (0..num_threads).map(|_| AtomicUsize::new(0)).collect(),
             dbg_joined: (0..num_threads).map(|_| AtomicU64::new(0)).collect(),
+            yields: (0..num_threads).map(|_| AtomicU64::new(0)).collect(),
         }
     }
 
@@ -254,6 +260,15 @@ impl<P> RtShared<P> {
     #[inline]
     pub fn set_phase(&self, me: usize, phase: usize) {
         self.dbg_phase[me].store(phase, Ordering::Relaxed);
+    }
+
+    /// Workers past every blocking primitive (phase `done`): the liveness
+    /// watchdog's progress signal once the final GVT is out.
+    pub fn workers_done(&self) -> usize {
+        self.dbg_phase
+            .iter()
+            .filter(|p| p.load(Ordering::Relaxed) == PHASE_DONE)
+            .count()
     }
 
     /// Publish the round id the worker last folded into.
@@ -347,12 +362,19 @@ impl<P> RtShared<P> {
     pub fn try_join_round(&self, me: usize) -> (bool, u64) {
         let mut m = self.membership.lock();
         if !m.open {
+            // No round opens after the final one: its participants are
+            // leaving or gone. A thread the DD controller woke during the
+            // final round was not part of it and can get here before it
+            // sees the flag; the round it opened would wait at a barrier
+            // for ever. (The flag was set before the closing `end_phase`
+            // released this lock, so it is visible here.)
+            if self.terminated.load(Ordering::Acquire) {
+                return (false, m.id);
+            }
             // Arm a checkpoint round on cadence: force-wake every parked
             // thread first, so the round's participant set — and therefore
             // the cut — covers every engine's committed state.
-            if !self.terminated.load(Ordering::Acquire)
-                && ckpt_round_due(self.ckpt_every, self.gvt_rounds.load(Ordering::Acquire))
-            {
+            if ckpt_round_due(self.ckpt_every, self.gvt_rounds.load(Ordering::Acquire)) {
                 self.demand.wake_all(Some(&mut m), |i| self.sems[i].post());
                 self.ckpt_ready.store(false, Ordering::Release);
                 self.ckpt_armed.store(m.id + 1, Ordering::Release);
@@ -469,15 +491,18 @@ impl<P> RtShared<P> {
             threads: (0..self.num_threads)
                 .map(|i| {
                     let phase = self.dbg_phase[i].load(Ordering::Relaxed);
-                    ThreadDump::new(
-                        i,
-                        PHASE_NAMES[phase.min(PHASE_NAMES.len() - 1)],
-                        self.dbg_joined[i].load(Ordering::Relaxed).checked_sub(1),
-                        &self.plane,
-                        &self.demand,
-                        m.subscribed[i],
-                        self.sems[i].tokens(),
-                    )
+                    ThreadDump {
+                        yields: self.yields[i].load(Ordering::Relaxed),
+                        ..ThreadDump::new(
+                            i,
+                            PHASE_NAMES[phase.min(PHASE_NAMES.len() - 1)],
+                            self.dbg_joined[i].load(Ordering::Relaxed).checked_sub(1),
+                            &self.plane,
+                            &self.demand,
+                            m.subscribed[i],
+                            self.sems[i].tokens(),
+                        )
+                    }
                 })
                 .collect(),
             fault_counts: self.faults.counts(),
@@ -584,6 +609,19 @@ mod tests {
         s.terminated.store(true, Ordering::Release);
         assert!(!s.deactivate_self(2, 0));
         assert!(s.demand.is_active(2));
+    }
+
+    #[test]
+    fn no_round_opens_once_the_run_has_terminated() {
+        // A thread activated during the final round is not one of its
+        // participants; reaching the round trigger before it sees
+        // `terminated`, it must not open a round nobody else will join.
+        let s = shared(2);
+        let (_, id) = s.try_join_round(0);
+        s.terminated.store(true, Ordering::Release);
+        assert!(!s.end_phase() && s.end_phase(), "the final round closes");
+        assert_eq!(s.try_join_round(1), (false, id + 1));
+        assert_eq!(s.round_waiting_for(1), None, "nothing was opened");
     }
 
     #[test]

@@ -7,7 +7,7 @@ use crate::affinity::{current_tid, pin_or_count, OsTid};
 use crate::batch::SendBatcher;
 use crate::protocol::Protocol;
 use crate::runner::RtRunConfig;
-use crate::shared::RtShared;
+use crate::shared::{RtShared, PHASE_DONE};
 use pdes_core::{
     AffinityPolicy, CkptSink, EngineConfig, GvtBackoff, GvtMode, LpId, Model, Msg, Outbound,
     Scheduler, SystemConfig, ThreadEngine, VirtualTime,
@@ -100,6 +100,9 @@ impl<M: Model, P: Protocol<M>> Worker<'_, M, P> {
             if self.idle_spins >= 1024 {
                 std::thread::park_timeout(std::time::Duration::from_micros(50));
             } else if self.idle_spins.is_multiple_of(64) {
+                // This worker is the slot's only writer; the stall dump and
+                // the run's metrics read it.
+                sh.yields[me].fetch_add(1, Ordering::Relaxed);
                 std::thread::yield_now();
             } else {
                 std::hint::spin_loop();
@@ -462,7 +465,7 @@ pub fn worker_loop<M: Model, P: Protocol<M>>(
         }
     }
 
-    sh.set_phase(me, 8); // done
+    sh.set_phase(me, PHASE_DONE);
     w.engine.finalize();
     sh.telemetry.deposit(w.tracer);
     WorkerResult {

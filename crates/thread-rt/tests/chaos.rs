@@ -352,3 +352,87 @@ fn worker_panic_beats_watchdog_stall() {
         Ok(_) => panic!("the bomb must go off"),
     }
 }
+
+/// The watchdog outlives the final GVT (ROADMAP 1a): a worker that blocks
+/// *after* `terminated` — here the last round's closer, parked on a
+/// semaphore nobody will post — used to hang `join` for ever because the
+/// monitor had already retired. It must come back as a stall whose dump
+/// shows the teardown: everyone `done` but the stranded worker.
+#[test]
+fn a_worker_stranded_after_termination_is_a_stall_not_a_hang() {
+    use pdes_core::{AffinityPolicy, GvtMode, Scheduler};
+    use std::sync::atomic::Ordering;
+    use thread_rt::{run_threads_attempt, Optimistic, Protocol, RtShared};
+
+    type Payload = <Phold as pdes_core::Model>::Payload;
+    /// Time Warp, except that the closer of the terminating round never
+    /// returns from its per-round trace hook.
+    struct StrandedCloser;
+    impl Protocol<Phold> for StrandedCloser {
+        const PARKS_WITH_PENDING: bool = false;
+        fn start(_: &Phold, _: &RtRunConfig) -> Self {
+            StrandedCloser
+        }
+        fn horizon(&self, me: usize, sh: &RtShared<Payload>) -> pdes_core::VirtualTime {
+            Protocol::<Phold>::horizon(&Optimistic, me, sh)
+        }
+        fn process(
+            &self,
+            me: usize,
+            horizon: pdes_core::VirtualTime,
+            engine: &mut pdes_core::ThreadEngine<Phold>,
+            max: usize,
+            outbox: &mut Vec<pdes_core::Outbound<Payload>>,
+        ) -> pdes_core::BatchOutcome {
+            Optimistic.process(me, horizon, engine, max, outbox)
+        }
+        fn has_demand(&self, sh: &RtShared<Payload>, i: usize) -> bool {
+            Protocol::<Phold>::has_demand(&Optimistic, sh, i)
+        }
+        fn round_instants(&self, sh: &RtShared<Payload>, _: &mut telemetry::Tracer) {
+            if sh.terminated.load(Ordering::Acquire) {
+                // Baseline never parks, so no one ever posts a semaphore.
+                sh.sems[0].wait();
+            }
+        }
+        fn tag_metrics(&self, m: &mut metrics::RunMetrics) {
+            Protocol::<Phold>::tag_metrics(&Optimistic, m)
+        }
+        fn stall_reason(idle_secs: f64, bound_secs: f64) -> String {
+            <Optimistic as Protocol<Phold>>::stall_reason(idle_secs, bound_secs)
+        }
+    }
+
+    let threads = 4;
+    let model = Arc::new(Phold::new(PholdConfig::balanced(threads, 4)));
+    let sys = SystemConfig::new(
+        Scheduler::Baseline,
+        GvtMode::Async,
+        AffinityPolicy::Constant,
+    );
+    // Telemetry on: the closer only calls the trace hook of a traced run.
+    let rc = RtRunConfig::new(threads, engine_cfg(6.0), sys)
+        .with_telemetry(telemetry::TelemetryConfig::on())
+        .with_watchdog(Some(Duration::from_millis(400)));
+    let t0 = std::time::Instant::now();
+    let outcome = run_threads_attempt::<Phold, StrandedCloser>(&model, &rc, None, None, None);
+    match outcome.outcome {
+        Err(RunError::Stalled(dump)) => {
+            assert!(dump.terminated, "the final GVT was out: {dump}");
+            assert!(dump.reason.contains("teardown stuck"), "{dump}");
+            let in_phase = |p: &str| dump.threads.iter().filter(|t| t.phase == p).count();
+            assert_eq!(
+                (in_phase("done"), in_phase("gvt-end")),
+                (threads - 1, 1),
+                "{dump}"
+            );
+        }
+        Err(other) => panic!("expected a teardown stall, got: {other}"),
+        Ok(_) => panic!("the closer is stranded; the run cannot complete"),
+    }
+    assert!(
+        t0.elapsed() < Duration::from_secs(10),
+        "tripped inside the bound, not at some outer timeout: {:?}",
+        t0.elapsed()
+    );
+}

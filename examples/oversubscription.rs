@@ -5,6 +5,9 @@
 //! ```text
 //! cargo run --release --example oversubscription
 //! ```
+//!
+//! Doubles as a smoke test: exits 1 unless GG-PDES-Async out-commits
+//! Baseline-Async at 4× and 8× over-subscription.
 
 use ggpdes::prelude::*;
 use std::sync::Arc;
@@ -21,6 +24,7 @@ fn main() {
         "threads", "oversub", "Baseline-Async", "DD-PDES-Async", "GG-PDES-Async"
     );
 
+    let mut drowned = Vec::new();
     for mult in [1usize, 2, 4, 8] {
         let threads = hw * mult;
         // 1-8 imbalanced PHOLD: at most 1/8 of threads are busy at a time,
@@ -36,6 +40,7 @@ fn main() {
             .with_zero_counter_threshold(250);
 
         let mut row = format!("{threads:>8} {:>6}x", mult);
+        let mut rates = Vec::new();
         for sys in [
             SystemConfig::new(
                 Scheduler::Baseline,
@@ -47,10 +52,19 @@ fn main() {
         ] {
             let rc = RunConfig::new(threads, engine.clone(), sys).with_machine(machine.clone());
             let r = run_sim(&model, &rc);
-            row.push_str(&format!(" {:>18.0}", r.metrics.committed_event_rate()));
+            let rate = r.metrics.committed_event_rate();
+            rates.push(rate);
+            row.push_str(&format!(" {rate:>18.0}"));
         }
         println!("{row}");
+        if mult >= 4 && rates[2] <= rates[0] {
+            drowned.push(mult);
+        }
     }
     println!("\nDemand-driven systems de-schedule the idle 7/8 of the threads, so the");
     println!("active set always fits the hardware; the baselines time-share everything.");
+    if !drowned.is_empty() {
+        eprintln!("GG-PDES-Async did not beat Baseline-Async at {drowned:?}x over-subscription");
+        std::process::exit(1);
+    }
 }

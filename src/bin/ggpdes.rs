@@ -380,6 +380,7 @@ fn report(m: &RunMetrics, json: bool) {
     println!("GVT rounds            : {}", m.gvt_rounds);
     println!("GVT s/round (Σthreads): {:.6}", m.gvt_secs_per_round());
     println!("max de-scheduled      : {}", m.max_descheduled);
+    println!("voluntary yields      : {}", m.voluntary_yields);
     if m.protocol == "conservative" {
         println!("protocol              : {}", m.protocol);
         println!("null messages sent    : {}", m.null_messages_sent);

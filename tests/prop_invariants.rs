@@ -183,3 +183,113 @@ proptest! {
         prop_assert_eq!(r.digests, oracle.state_digests);
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+
+    /// The yield tier (armed whenever GG-PDES threads outnumber contexts)
+    /// only moves *when* a thread runs: on any machine shape, window and
+    /// seed, Async and Sync still commit the oracle's trace, GVT never
+    /// regresses, and the run ends under a virtual watchdog a hundredth of
+    /// the default (0.1 virtual seconds without a GVT round): threads that
+    /// keep handing the context to each other must not starve the round.
+    #[test]
+    fn yielding_cannot_livelock_or_break_the_oracle(
+        (threads, lps, k, seed) in arb_phold(),
+        cores in 1usize..=2,
+        smt in 1usize..=2,
+        window in prop::option::of(0.5f64..16.0),
+        sync in any::<bool>(),
+    ) {
+        let end = 6.0;
+        let cfg = if k == 1 {
+            PholdConfig::balanced(threads, lps)
+        } else {
+            PholdConfig::imbalanced(threads, lps, k, end, LocalityPattern::Linear)
+        };
+        let model = Arc::new(Phold::new(cfg));
+        let ecfg = EngineConfig::default()
+            .with_end_time(end)
+            .with_seed(seed)
+            .with_gvt_interval(15)
+            .with_zero_counter_threshold(60)
+            .with_optimism_window(window);
+        let oracle = run_sequential(&model, &ecfg, None);
+        let gvt = if sync { GvtMode::Sync } else { GvtMode::Async };
+        let sys = SystemConfig::new(Scheduler::GgPdes, gvt, AffinityPolicy::Constant);
+        let rc = RunConfig::new(threads, ecfg, sys)
+            .with_machine(MachineConfig::small(cores, smt))
+            .with_watchdog_ns(Some(100_000_000));
+        let r = sim_rt::run_sim(&model, &rc);
+        prop_assert!(r.completed, "stalled: {:?}", r.stall);
+        prop_assert_eq!(r.gvt_regressions, 0);
+        prop_assert_eq!(r.metrics.commit_digest, oracle.commit_digest);
+        prop_assert_eq!(r.digests, oracle.state_digests);
+        if threads <= cores * smt {
+            prop_assert_eq!(r.metrics.voluntary_yields, 0, "the tier is inert here");
+        }
+    }
+}
+
+/// Two threads on one context — the benchmark's machine — under all six
+/// systems and the benchmark's four workload shapes (scaled down): only
+/// GG-PDES may yield, and everyone commits the oracle's trace.
+#[test]
+fn six_systems_match_oracle_two_threads_on_one_context() {
+    fn check<M: Model>(label: &str, model: M, ecfg: EngineConfig) {
+        let model = Arc::new(model);
+        let oracle = run_sequential(&model, &ecfg, None);
+        assert!(oracle.committed > 0, "{label}: empty oracle run");
+        for sys in SystemConfig::ALL_SIX {
+            let rc = RunConfig::new(2, ecfg.clone(), sys).with_machine(MachineConfig::small(1, 1));
+            let r = sim_rt::run_sim(&model, &rc);
+            let what = format!("{label} under {}", sys.name());
+            assert!(r.completed, "{what}: {:?}", r.stall);
+            assert_eq!(r.metrics.commit_digest, oracle.commit_digest, "{what}");
+            assert_eq!(r.digests, oracle.state_digests, "{what}");
+            // GG-Sync yields on net-negative cycles only, and not every
+            // shape has one; the other two schedulers never yield.
+            let yields = r.metrics.voluntary_yields;
+            match (sys.scheduler, sys.gvt) {
+                (Scheduler::GgPdes, GvtMode::Async) => assert!(yields > 0, "{what}"),
+                (Scheduler::GgPdes, GvtMode::Sync) => {}
+                _ => assert_eq!(yields, 0, "{what}"),
+            }
+        }
+    }
+    let ecfg = |end: f64, window: f64| {
+        EngineConfig::default()
+            .with_end_time(end)
+            .with_seed(977)
+            .with_batch_size(8)
+            .with_gvt_interval(25)
+            .with_snapshot_period(8)
+            .with_zero_counter_threshold(250)
+            .with_optimism_window(Some(window))
+    };
+    check(
+        "phold-balanced",
+        Phold::new(PholdConfig::balanced(2, 32)),
+        ecfg(40.0, 4.0),
+    );
+    let skew = PholdConfig {
+        schedule: ActivitySchedule {
+            num_threads: 2,
+            groups: 2,
+            epoch_len: 10.0,
+            pattern: LocalityPattern::Linear,
+        },
+        ..PholdConfig::balanced(2, 32)
+    };
+    check("phold-skew", Phold::new(skew), ecfg(40.0, 4.0));
+    check(
+        "phold-thrash",
+        Phold::new(PholdConfig::balanced(2, 8)),
+        ecfg(400.0, 16.0),
+    );
+    check(
+        "traffic-grid",
+        Traffic::new(TrafficConfig::new(2, 64, 1.0)),
+        ecfg(20.0, 4.0).with_mapping(MapKind::Block),
+    );
+}

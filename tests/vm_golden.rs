@@ -18,6 +18,11 @@ use std::sync::Arc;
 type Golden = (u64, u64, u64, usize);
 
 fn run(scheduler: Scheduler, gvt: GvtMode, affinity: AffinityPolicy) -> Golden {
+    run_on(4, scheduler, gvt, affinity)
+}
+
+/// The same eight threads on `cores` × 2 SMT contexts.
+fn run_on(cores: usize, scheduler: Scheduler, gvt: GvtMode, affinity: AffinityPolicy) -> Golden {
     let threads = 8;
     let end = 400.0;
     let model = Arc::new(Phold::new(PholdConfig::imbalanced(
@@ -37,7 +42,7 @@ fn run(scheduler: Scheduler, gvt: GvtMode, affinity: AffinityPolicy) -> Golden {
         ecfg.clone(),
         SystemConfig::new(scheduler, gvt, affinity),
     )
-    .with_machine(MachineConfig::small(4, 2));
+    .with_machine(MachineConfig::small(cores, 2));
     let r = run_sim(&model, &rc);
     let oracle = run_sequential(&model, &ecfg, None);
     assert!(r.completed);
@@ -83,5 +88,64 @@ fn gg_async_dynamic() {
     assert_eq!(
         run(Scheduler::GgPdes, GvtMode::Async, AffinityPolicy::Dynamic),
         (8_291_612, 12_876, 36, 6)
+    );
+}
+
+// ---- over-subscribed: the same eight threads on 2 × 2 = 4 contexts --------
+//
+// Here GG-PDES arms the yield tier (`pdes_core::sched::YieldTier`), so its
+// two pins record the tier's behaviour (8 584 662 ns / 35 rounds and
+// 10 310 665 ns / 36 rounds without it); Baseline and DD-PDES never arm it,
+// and their pins are the values of the commit before the tier existed.
+
+#[test]
+fn oversubscribed_gg_async_constant() {
+    assert_eq!(
+        run_on(
+            2,
+            Scheduler::GgPdes,
+            GvtMode::Async,
+            AffinityPolicy::Constant
+        ),
+        (8_333_800, 12_876, 36, 6)
+    );
+}
+
+#[test]
+fn oversubscribed_gg_async_dynamic() {
+    assert_eq!(
+        run_on(
+            2,
+            Scheduler::GgPdes,
+            GvtMode::Async,
+            AffinityPolicy::Dynamic
+        ),
+        (9_233_665, 12_876, 36, 6)
+    );
+}
+
+#[test]
+fn oversubscribed_baseline_async_never_yields() {
+    assert_eq!(
+        run_on(
+            2,
+            Scheduler::Baseline,
+            GvtMode::Async,
+            AffinityPolicy::Constant
+        ),
+        (25_427_332, 12_876, 42, 0)
+    );
+}
+
+#[test]
+fn oversubscribed_dd_async_never_yields() {
+    assert_eq!(
+        run_on(
+            2,
+            Scheduler::DdPdes,
+            GvtMode::Async,
+            AffinityPolicy::Constant
+        ),
+        (14_787_517, 12_876, 35, 7)
     );
 }
