@@ -150,7 +150,7 @@ impl<M: Model> Protocol<M> for Conservative {
     /// drain that follows, anything pushed after is at or above the bound.
     #[inline]
     fn horizon(&self, me: usize, sh: &RtShared<M::Payload>) -> VirtualTime {
-        let round_bound = sh.gvt().saturating_add(self.plane.lookahead());
+        let round_bound = sh.round.gvt().saturating_add(self.plane.lookahead());
         self.plane.input_bound(me).max(round_bound)
     }
 

@@ -807,7 +807,7 @@ impl ThreadDump {
     /// round, subscription and semaphore state are the runtime's to say.
     pub fn new<P>(
         thread: usize,
-        phase: &str,
+        phase: crate::sched::Phase,
         joined_round: Option<u64>,
         plane: &crate::plane::MessagePlane<P>,
         demand: &crate::sched::Demand,
@@ -824,7 +824,7 @@ impl ThreadDump {
         let (window_min, queue_min) = plane.minima(thread);
         ThreadDump {
             thread,
-            phase: phase.into(),
+            phase: phase.name().into(),
             joined_round,
             queue_len: plane.len(thread),
             active: demand.is_active(thread),
@@ -857,6 +857,52 @@ pub struct StallDump {
     /// deltas + per-thread LVTs), when tracing was enabled. A stalled run
     /// thus reports *where progress stopped*, not just that it stopped.
     pub last_round: Option<crate::stats::RoundCounters>,
+}
+
+impl StallDump {
+    /// Snapshot the control plane for a stall post-mortem (`last_round` is
+    /// left for the caller's telemetry). Everything the shared state knows
+    /// is read here; `thread(i)` supplies what only the runtime can say
+    /// about thread `i`: its published phase, the round it last folded into,
+    /// its semaphore's wake tokens and how often it yielded.
+    pub fn capture<P>(
+        reason: &str,
+        system: String,
+        round: &crate::sched::Round,
+        m: &crate::sched::Membership,
+        plane: &crate::plane::MessagePlane<P>,
+        demand: &crate::sched::Demand,
+        mut thread: impl FnMut(usize) -> (crate::sched::Phase, Option<u64>, u32, u64),
+    ) -> Self {
+        StallDump {
+            reason: reason.into(),
+            system,
+            gvt: round.gvt().to_string(),
+            gvt_rounds: round.rounds(),
+            num_active: demand.num_active(),
+            terminated: round.terminated(),
+            round: round.dump(m),
+            threads: (0..m.subscribed.len())
+                .map(|i| {
+                    let (phase, joined, sem_tokens, yields) = thread(i);
+                    ThreadDump {
+                        yields,
+                        ..ThreadDump::new(
+                            i,
+                            phase,
+                            joined,
+                            plane,
+                            demand,
+                            m.subscribed[i],
+                            sem_tokens,
+                        )
+                    }
+                })
+                .collect(),
+            fault_counts: plane.faults.counts(),
+            last_round: None,
+        }
+    }
 }
 
 impl std::fmt::Display for StallDump {

@@ -67,7 +67,9 @@ pub use recovery::{
     SupervisedRun,
 };
 pub use rng::DetRng;
-pub use sched::{ckpt_round_due, AffinityTable, Demand, Membership, YieldTier};
+pub use sched::{
+    ckpt_round_due, AffinityTable, Demand, IdleTracker, Membership, Phase, Round, YieldTier,
+};
 pub use sequential::{
     run_sequential, run_sequential_from, run_sequential_from_with, run_sequential_with,
     SequentialResult,

@@ -1,21 +1,26 @@
-//! Demand-driven scheduling state: GVT-round membership, Algorithms 1 and 2
-//! (de-scheduling and the activation scan), the yield tier below them,
-//! Algorithm 4 (dynamic affinity) and the checkpoint cadence.
+//! Demand-driven scheduling state: the GVT round ([`Round`]) and its
+//! membership, Algorithms 1 and 2 (de-scheduling and the activation scan),
+//! the yield tier below them, Algorithm 4 (dynamic affinity) and the
+//! checkpoint cadence.
 //!
 //! Everything here is *bookkeeping* — who is scheduled in, who takes part in
-//! the next round, which core a thread belongs on. How a thread waits (a
-//! real semaphore, a virtual-machine `sem_wait` step) stays with the
-//! runtime: the scans take a `post(thread)` callback and nothing else.
+//! the next round, how far the open round got, which core a thread belongs
+//! on. How a thread waits (a real semaphore, a virtual-machine `sem_wait`
+//! step) stays with the runtime: the scans take a `post(thread)` callback
+//! and nothing else.
 //!
-//! The phase coupling that makes this safe is the paper's (§4.1.4):
-//! activation runs in a round's Aware phase by its pseudo-controller,
-//! deactivation in its End phase by the thread itself, and a round's
-//! participant set is frozen when it opens. `thread-rt` additionally
-//! serialises every [`Membership`] transition behind one mutex (DESIGN.md
-//! §17); the virtual machine, single-threaded, holds it bare.
+//! The phase coupling that makes this safe is the paper's (§4.1.4), and
+//! [`Round`]'s methods are where it is written down: a round's participant
+//! set is frozen when it opens ([`Round::open`]), activation runs in its
+//! Aware phase by the one thread that wins [`Round::claim_aware`],
+//! deactivation in its End phase by the thread itself
+//! ([`Round::deactivate`]), and nothing opens or parks after the final GVT.
+//! `thread-rt` additionally serialises every [`Membership`] transition
+//! behind one mutex (DESIGN.md §17); the virtual machine, single-threaded,
+//! holds it bare.
 
-use crate::faults::FaultInjector;
-use crate::plane::{padded, CachePadded};
+use crate::faults::{FaultInjector, RoundDump};
+use crate::plane::{padded, CachePadded, MessagePlane};
 use crate::system::{GvtMode, Scheduler, SystemConfig};
 use crate::time::VirtualTime;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -74,6 +79,310 @@ impl Membership {
 /// parked thread first ([`Demand::wake_all`]) so the cut covers all engines.
 pub fn ckpt_round_due(every: u64, rounds_done: u64) -> bool {
     every > 0 && (rounds_done + 1).is_multiple_of(every)
+}
+
+/// One GVT round's progress plus the run-long state it feeds — GVT, the
+/// round count, `terminated`, the checkpoint handshake — with the round's
+/// transition rules as methods. Atomics on every runtime, like [`Demand`].
+/// Calls that touch [`Membership`] take it `&mut`, so whatever guards it
+/// (thread-rt's mutex, the machine's single thread) orders them.
+#[derive(Debug, Default)]
+pub struct Round {
+    end_time: VirtualTime,
+    /// Participants of the open round past their phase-A fold, their
+    /// phase-B fold, Phase End.
+    a_done: AtomicUsize,
+    b_done: AtomicUsize,
+    end_done: AtomicUsize,
+    /// Set once a thread claimed the pseudo-controller role (Phase Aware).
+    aware_claimed: AtomicBool,
+    /// Folded minimum (pending-set minima and send windows), in ticks.
+    min_fold: AtomicU64,
+    gvt: AtomicU64,
+    gvt_rounds: AtomicU64,
+    /// Would-be monotonicity violations (must stay 0).
+    gvt_regressions: AtomicU64,
+    terminated: AtomicBool,
+    /// Checkpoint cadence in GVT rounds (0 = disabled).
+    ckpt_every: u64,
+    /// Round id armed for a checkpoint, stored as `id + 1` (0 = none).
+    ckpt_armed: AtomicU64,
+    /// The armed round's cut GVT is published: snapshotters may proceed.
+    ckpt_ready: AtomicBool,
+}
+
+impl Round {
+    pub fn new(end_time: VirtualTime) -> Self {
+        Round {
+            end_time,
+            min_fold: AtomicU64::new(u64::MAX),
+            ..Round::default()
+        }
+    }
+
+    /// Checkpoint every `every`-th round (0 disables).
+    pub fn set_checkpoint_every(&mut self, every: u64) {
+        self.ckpt_every = every;
+    }
+
+    /// Resume from a checkpoint: the GVT estimate and the round count —
+    /// hence the checkpoint cadence — continue.
+    pub fn seed(&mut self, gvt: VirtualTime, rounds: u64) {
+        self.gvt = AtomicU64::new(gvt.ticks());
+        self.gvt_rounds = AtomicU64::new(rounds);
+    }
+
+    /// Current GVT estimate.
+    pub fn gvt(&self) -> VirtualTime {
+        VirtualTime::from_ticks(self.gvt.load(Ordering::Acquire))
+    }
+
+    /// GVT rounds published so far.
+    pub fn rounds(&self) -> u64 {
+        self.gvt_rounds.load(Ordering::Acquire)
+    }
+
+    pub fn regressions(&self) -> u64 {
+        self.gvt_regressions.load(Ordering::Acquire)
+    }
+
+    /// The final GVT is out (or the run is being torn down).
+    #[inline]
+    pub fn terminated(&self) -> bool {
+        self.terminated.load(Ordering::Acquire)
+    }
+
+    /// End the run: by [`Self::publish`], or without a final GVT by a
+    /// teardown (the caller then wakes whoever is blocked).
+    pub fn terminate(&self) {
+        self.terminated.store(true, Ordering::Release);
+    }
+
+    /// Open a round if none is open, freezing its participants; returns
+    /// whether `me` takes part in the open round, and its id.
+    ///
+    /// No round opens after the final one: its participants are leaving or
+    /// gone, and a thread that read `terminated` just before it was set
+    /// would open a round nobody else joins. (The flag is set before the
+    /// closing [`Self::end_phase`] gives `m` up, so it is visible here.)
+    ///
+    /// A round the checkpoint cadence lands on is *armed*: every parked
+    /// thread is force-woken and re-subscribed first, so the participant
+    /// set — and therefore the cut — covers every engine.
+    pub fn open(
+        &self,
+        m: &mut Membership,
+        demand: &Demand,
+        me: usize,
+        post: impl FnMut(usize),
+    ) -> (bool, u64) {
+        if !m.open {
+            if self.terminated() {
+                return (false, m.id);
+            }
+            if ckpt_round_due(self.ckpt_every, self.rounds()) {
+                demand.wake_all(Some(m), post);
+                self.ckpt_ready.store(false, Ordering::Release);
+                self.ckpt_armed.store(m.id + 1, Ordering::Release);
+            }
+            m.open_round();
+            for done in [&self.a_done, &self.b_done, &self.end_done] {
+                done.store(0, Ordering::Release);
+            }
+            self.aware_claimed.store(false, Ordering::Release);
+            self.min_fold.store(u64::MAX, Ordering::Release);
+        }
+        (m.participant[me], m.id)
+    }
+
+    /// Fold `me`'s local minimum and its send window into the round.
+    pub fn fold<P>(&self, plane: &MessagePlane<P>, me: usize, local: VirtualTime) {
+        let m = local.min(plane.take_window(me));
+        self.min_fold.fetch_min(m.ticks(), Ordering::AcqRel);
+    }
+
+    /// The caller is past its phase-A (phase-B) fold.
+    pub fn arrive_a(&self) {
+        self.a_done.fetch_add(1, Ordering::AcqRel);
+    }
+
+    pub fn arrive_b(&self) {
+        self.b_done.fetch_add(1, Ordering::AcqRel);
+    }
+
+    pub fn a_done(&self) -> usize {
+        self.a_done.load(Ordering::Acquire)
+    }
+
+    pub fn b_done(&self) -> usize {
+        self.b_done.load(Ordering::Acquire)
+    }
+
+    /// Claim the round's pseudo-controller role. First caller wins.
+    pub fn claim_aware(&self) -> bool {
+        !self.aware_claimed.swap(true, Ordering::AcqRel)
+    }
+
+    /// Pseudo-controller: publish the round's GVT — the folded minima, every
+    /// residual send window and queued or held-back message, every parked
+    /// floor — and return it. GVT never moves back (a would-be regression is
+    /// counted, not applied); reaching the end time terminates the run.
+    pub fn publish<P>(&self, plane: &MessagePlane<P>, demand: &Demand) -> VirtualTime {
+        let g = VirtualTime::from_ticks(self.min_fold.load(Ordering::Acquire))
+            .min(plane.transient_min())
+            .min(demand.parked_floor());
+        if g < self.gvt() {
+            self.gvt_regressions.fetch_add(1, Ordering::AcqRel);
+        } else {
+            self.gvt.store(g.ticks(), Ordering::Release);
+        }
+        self.gvt_rounds.fetch_add(1, Ordering::AcqRel);
+        let gvt = self.gvt();
+        if gvt >= self.end_time {
+            self.terminate();
+        }
+        gvt
+    }
+
+    /// One participant completed Phase End; the last one closes the round.
+    /// Returns whether this call closed it.
+    ///
+    /// The count is taken with `m` held: counted before, a participant
+    /// descheduled in between could compare its stale count against the
+    /// *next* round's participant total (the closer and an opener both got
+    /// in) and close a round whose members are still folding.
+    pub fn end_phase(&self, m: &mut Membership) -> bool {
+        m.end_phase(self.end_done.fetch_add(1, Ordering::AcqRel) + 1)
+    }
+
+    /// Algorithm 1 (lines 9–12) at the End of `completed_round`:
+    /// de-schedule `me`, after which the caller blocks on its semaphore.
+    /// Refuses once the run has terminated (ordered against
+    /// [`Self::release_for_termination`] through `m`: either its scan
+    /// already ran, or it will see `me` inactive and post — nobody parks
+    /// past the end of the run); when a round other than `completed_round`
+    /// is open with `me` in its snapshot (parking would strand it); and for
+    /// the last active thread ([`Demand::deactivate`]).
+    pub fn deactivate(
+        &self,
+        m: &mut Membership,
+        demand: &Demand,
+        aff: &mut AffinityTable,
+        me: usize,
+        completed_round: u64,
+    ) -> bool {
+        if self.terminated() || m.waiting_for(me).is_some_and(|id| id != completed_round) {
+            return false;
+        }
+        demand.deactivate(m, aff, me)
+    }
+
+    /// Pseudo-controller of the final round: wake every de-scheduled thread
+    /// so it can see `terminated` and leave. `_m` is only held — see
+    /// [`Self::deactivate`].
+    pub fn release_for_termination(
+        &self,
+        _m: &mut Membership,
+        demand: &Demand,
+        post: impl FnMut(usize),
+    ) {
+        debug_assert!(self.terminated());
+        demand.wake_all(None, post);
+    }
+
+    /// Was round `id` armed for a checkpoint when it opened?
+    pub fn ckpt_armed_for(&self, id: u64) -> bool {
+        self.ckpt_armed.load(Ordering::Acquire) == id + 1
+    }
+
+    /// Pseudo-controller, after [`Self::publish`]: release the End-phase
+    /// snapshotters of round `id` if it is armed.
+    pub fn ckpt_publish(&self, id: u64) {
+        if self.ckpt_armed_for(id) {
+            self.ckpt_ready.store(true, Ordering::Release);
+        }
+    }
+
+    /// The armed round's cut GVT is published.
+    pub fn ckpt_ready(&self) -> bool {
+        self.ckpt_ready.load(Ordering::Acquire)
+    }
+
+    /// The round's state for a stall dump.
+    pub fn dump(&self, m: &Membership) -> RoundDump {
+        RoundDump {
+            open: m.open,
+            id: m.id,
+            participants: m.participants,
+            a_done: self.a_done(),
+            b_done: self.b_done(),
+            end_done: self.end_done.load(Ordering::Acquire),
+            aware_claimed: self.aware_claimed.load(Ordering::Acquire),
+        }
+    }
+}
+
+/// Where a simulation thread is in its control loop — what both runtimes
+/// publish for stall dumps, and the virtual machine's task state.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[repr(u8)]
+pub enum Phase {
+    /// Main-loop cycling.
+    #[default]
+    Cycle,
+    /// Phase-A fold (Barrier GVT: the fold between barriers 0 and 1).
+    A,
+    /// Wait-Free *Send*: simulating until every participant folded A.
+    SendA,
+    B,
+    SendB,
+    /// Pseudo-controller claim and, for the winner, its duties.
+    Aware,
+    End,
+    /// Barrier GVT's three arrival points.
+    Bar0,
+    Bar1,
+    Bar2,
+    /// DD-PDES: taking the global lock to deactivate.
+    DdDeact,
+    /// De-scheduled, blocked on its own semaphore.
+    Parked,
+    /// Virtual machine: committing what is left and reporting stats.
+    Finishing,
+    /// Virtual machine: felled by a scripted kill.
+    Dead,
+    /// Real threads: past every blocking primitive.
+    Done,
+}
+
+impl Phase {
+    /// Every phase with its stall-dump word; `TABLE[p as usize].0 == p`.
+    const TABLE: [(Phase, &'static str); 15] = [
+        (Phase::Cycle, "cycle"),
+        (Phase::A, "gvt-a"),
+        (Phase::SendA, "gvt-send-a"),
+        (Phase::B, "gvt-b"),
+        (Phase::SendB, "gvt-send-b"),
+        (Phase::Aware, "gvt-aware"),
+        (Phase::End, "gvt-end"),
+        (Phase::Bar0, "sync-bar0"),
+        (Phase::Bar1, "sync-bar1"),
+        (Phase::Bar2, "sync-bar2"),
+        (Phase::DdDeact, "dd-deact"),
+        (Phase::Parked, "parked"),
+        (Phase::Finishing, "finishing"),
+        (Phase::Dead, "dead"),
+        (Phase::Done, "done"),
+    ];
+
+    pub fn name(self) -> &'static str {
+        Self::TABLE[self as usize].1
+    }
+
+    /// The phase a runtime published as `phase as u8`.
+    pub fn from_index(i: u8) -> Phase {
+        Self::TABLE[i as usize].0
+    }
 }
 
 /// The paper's `active_threads` array with its census, plus the floor a
@@ -280,6 +589,73 @@ impl YieldTier {
     pub fn should_yield(self, idle_polls: u64, processed: u64, rolled_back: u64) -> bool {
         (self.blocked && idle_polls > self.patience)
             || (self.net_negative && rolled_back >= processed.max(1))
+    }
+}
+
+/// Algorithm 1's thread-local half: the run of idle polls (`zero_counter`)
+/// and the `active` flag it clears, which the thread consults at a round's
+/// End to decide whether to de-schedule itself.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct IdleTracker {
+    zero_counter: u64,
+    active: bool,
+    threshold: u64,
+}
+
+impl IdleTracker {
+    pub fn new(zero_counter_threshold: u32) -> Self {
+        IdleTracker {
+            zero_counter: 0,
+            active: true,
+            threshold: zero_counter_threshold as u64,
+        }
+    }
+
+    /// Account one main-loop cycle: `idle_polls` polls that received and
+    /// processed nothing (0 after a cycle that did either). They count
+    /// toward parking only while the thread is `parkable` — an optimistic
+    /// thread holding live pending events is blocked, not out of work.
+    pub fn observe(&mut self, idle_polls: u64, parkable: bool) {
+        if idle_polls > 0 && parkable {
+            // Past the threshold the count says nothing more (and a finite
+            // state is what lets `round_explorer` enumerate it).
+            if self.active {
+                self.zero_counter += idle_polls;
+                self.active = self.zero_counter <= self.threshold;
+            }
+        } else {
+            self.reintegrate();
+        }
+    }
+
+    /// Algorithm 1 lines 14–17: woken from a park.
+    pub fn reintegrate(&mut self) {
+        self.zero_counter = 0;
+        self.active = true;
+    }
+
+    /// Algorithm 1 line 8, asked at a round's End: should `me` de-schedule
+    /// itself? Only a demand-driven system parks, only a thread idle past
+    /// the threshold with nothing queued and nothing runnable, and — §3
+    /// defines inactive as "LPs have not received **or sent** an event
+    /// message in a predefined period" — only with its send window folded:
+    /// an unfolded one is a recent send whose timestamp still backs the GVT
+    /// bound, and the thread stays one more round (its next phase-A fold
+    /// clears it).
+    pub fn wants_park<P>(
+        &self,
+        sys: SystemConfig,
+        round: &Round,
+        plane: &MessagePlane<P>,
+        me: usize,
+        parkable: bool,
+    ) -> bool {
+        sys.demand_driven()
+            && !round.terminated()
+            && !self.active
+            && plane.len(me) == 0
+            && parkable
+            && plane.window_is_clear(me)
     }
 }
 

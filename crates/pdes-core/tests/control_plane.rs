@@ -1,6 +1,8 @@
 //! Properties and API-level tests of the shared control plane
-//! (`MessagePlane`, `Demand`, `Membership`, `AffinityTable`): what
-//! `thread-rt`, `cons-rt` and `sim-rt` all rely on, checked once.
+//! (`MessagePlane`, `Round`, `Demand`, `Membership`, `AffinityTable`): what
+//! `thread-rt`, `cons-rt` and `sim-rt` all rely on, checked once. The
+//! `Round` section is the one specification of the GVT round's transition
+//! rules (both runtimes used to test their own copy of them).
 //!
 //! The plane's load-bearing contract is **transient-message coverage**
 //! (`plane.rs` module docs, DESIGN.md §8): no message that is queued, held
@@ -13,8 +15,9 @@
 //! under chaos (an anti-message never overtakes its positive twin).
 
 use pdes_core::{
-    ckpt_round_due, AffinityTable, Demand, Event, EventKey, EventUid, FaultInjector, FaultPlan,
-    LpId, Membership, MessagePlane, Msg, VirtualTime, WakeupFault,
+    ckpt_round_due, AffinityPolicy, AffinityTable, Demand, Event, EventKey, EventUid,
+    FaultInjector, FaultPlan, GvtMode, IdleTracker, LpId, Membership, MessagePlane, Msg, Phase,
+    Round, Scheduler, SystemConfig, VirtualTime, WakeupFault,
 };
 use proptest::prelude::*;
 
@@ -330,4 +333,257 @@ fn affinity_scan_count_is_rows_plus_one_search_per_pin() {
     assert_eq!(a.assign(|t| t % 2 == 1, &mut pins), 5);
     // A single-core table never searches.
     assert_eq!(AffinityTable::new(1, 3).assign(|_| true, &mut pins), 3);
+}
+
+// ---- Round: the GVT round's transition rules -------------------------------
+
+fn anti(t: f64) -> Msg<u8> {
+    Msg::Anti(EventKey {
+        recv_time: VirtualTime::from_f64(t),
+        dst: LpId(0),
+        uid: EventUid::new(LpId(0), t.to_bits()),
+    })
+}
+
+fn vt(t: f64) -> VirtualTime {
+    VirtualTime::from_f64(t)
+}
+
+/// Everything a round touches, for a run of `n` threads ending at 100.
+struct Rig {
+    round: Round,
+    m: Membership,
+    d: Demand,
+    plane: MessagePlane<u8>,
+    aff: AffinityTable,
+    posted: Vec<usize>,
+}
+
+fn rig(n: usize) -> Rig {
+    Rig {
+        round: Round::new(vt(100.0)),
+        m: Membership::new(n),
+        d: Demand::new(n),
+        plane: MessagePlane::new(n),
+        aff: AffinityTable::new(2, n),
+        posted: Vec::new(),
+    }
+}
+
+impl Rig {
+    fn open(&mut self, me: usize) -> (bool, u64) {
+        let posted = &mut self.posted;
+        self.round
+            .open(&mut self.m, &self.d, me, |i| posted.push(i))
+    }
+
+    fn park(&mut self, me: usize, completed: u64) -> bool {
+        self.round
+            .deactivate(&mut self.m, &self.d, &mut self.aff, me, completed)
+    }
+
+    fn publish(&self) -> VirtualTime {
+        self.round.publish(&self.plane, &self.d)
+    }
+
+    /// Every participant completes Phase End; the last call must close.
+    fn close(&mut self) {
+        for k in 1..=self.m.participants {
+            let last = k == self.m.participants;
+            assert_eq!(self.round.end_phase(&mut self.m), last);
+        }
+    }
+}
+
+#[test]
+fn gvt_covers_a_message_sent_after_the_folds() {
+    let mut r = rig(3);
+    r.open(0);
+    r.round.fold(&r.plane, 0, vt(10.0));
+    r.round.fold(&r.plane, 1, vt(12.0));
+    // Thread 2 is inactive with a message at t=4, sent after the folds: it
+    // is covered by the destination's queue minimum and the sender's
+    // residual window, not by the folded minimum.
+    r.plane.push_msg(0, 2, anti(4.0));
+    assert_eq!(r.publish(), vt(4.0));
+    assert_eq!((r.round.gvt(), r.round.rounds()), (vt(4.0), 1));
+    assert_eq!(r.round.regressions(), 0);
+}
+
+#[test]
+fn a_parked_floor_pins_gvt_until_withdrawn() {
+    let mut r = rig(2);
+    r.d.set_park_min(1, vt(2.0));
+    r.open(0);
+    r.round.fold(&r.plane, 0, vt(10.0));
+    assert_eq!(r.publish(), vt(2.0));
+    r.close();
+    r.d.clear_park_min(1);
+    r.open(0);
+    r.round.fold(&r.plane, 0, vt(10.0));
+    assert_eq!(r.publish(), vt(10.0));
+}
+
+#[test]
+fn gvt_regression_is_counted_not_applied() {
+    let mut r = rig(1);
+    r.open(0);
+    r.round.fold(&r.plane, 0, vt(10.0));
+    r.publish();
+    r.close();
+    r.open(0);
+    r.round.fold(&r.plane, 0, vt(5.0));
+    assert_eq!(r.publish(), vt(10.0), "gvt must not regress");
+    assert_eq!((r.round.regressions(), r.round.rounds()), (1, 2));
+}
+
+#[test]
+fn gvt_terminates_past_end() {
+    let mut r = rig(1);
+    r.open(0);
+    assert!(!r.round.terminated());
+    r.round.fold(&r.plane, 0, VirtualTime::INFINITY);
+    assert!(r.publish().is_infinite(), "everything empty");
+    assert!(r.round.terminated());
+}
+
+#[test]
+fn a_round_counts_its_phases_and_the_last_end_closes_it() {
+    let mut r = rig(2);
+    let (p0, id0) = r.open(0);
+    let (p1, _) = r.open(1);
+    assert!(p0 && p1);
+    assert_eq!(r.m.participants, 2);
+    r.round.arrive_a();
+    assert_eq!((r.round.a_done(), r.round.b_done()), (1, 0));
+    r.close();
+    assert_eq!(r.open(0), (true, id0 + 1));
+    assert_eq!(r.round.a_done(), 0, "a fresh round starts from zero");
+    assert_eq!(r.round.dump(&r.m).participants, 2);
+}
+
+#[test]
+fn aware_claim_is_exclusive_per_round() {
+    let mut r = rig(2);
+    r.open(0);
+    assert!(r.round.claim_aware());
+    assert!(!r.round.claim_aware());
+    assert!(r.round.dump(&r.m).aware_claimed);
+    // End closes; the next round is claimable again.
+    r.close();
+    r.open(0);
+    assert!(r.round.claim_aware());
+}
+
+#[test]
+fn an_armed_round_wakes_the_parked_and_gates_the_cut() {
+    let mut r = rig(3);
+    r.round.set_checkpoint_every(1);
+    assert!(r.park(2, 0));
+    let (_, id) = r.open(0);
+    assert_eq!(r.posted, [2], "force-woken");
+    assert_eq!(r.m.participants, 3, "the cut must cover the parked engine");
+    assert!(r.d.is_active(2) && r.m.subscribed[2]);
+    assert!(r.round.ckpt_armed_for(id) && !r.round.ckpt_armed_for(id + 1));
+    // The snapshotters' release comes after the cut GVT, and only for the
+    // armed round.
+    r.publish();
+    r.round.ckpt_publish(id + 1);
+    assert!(!r.round.ckpt_ready());
+    r.round.ckpt_publish(id);
+    assert!(r.round.ckpt_ready());
+}
+
+#[test]
+fn nobody_parks_once_the_run_has_terminated() {
+    // The termination wake-up scan runs once; a thread that de-scheduled
+    // itself after it would sleep forever.
+    let mut r = rig(3);
+    r.round.terminate();
+    assert!(!r.park(2, 0));
+    assert!(r.d.is_active(2));
+    let (round, d) = (&r.round, &r.d);
+    round.release_for_termination(&mut r.m, d, |i| panic!("nobody is parked, posted {i}"));
+}
+
+#[test]
+fn no_round_opens_once_the_run_has_terminated() {
+    // A thread activated during the final round is not one of its
+    // participants; reaching the round trigger before it sees `terminated`,
+    // it must not open a round nobody else will join.
+    let mut r = rig(2);
+    let (_, id) = r.open(0);
+    r.round.terminate();
+    r.close();
+    assert_eq!(r.open(1), (false, id + 1));
+    assert_eq!(r.m.waiting_for(1), None, "nothing was opened");
+}
+
+#[test]
+fn deactivation_refused_while_a_fresh_round_waits() {
+    let mut r = rig(3);
+    let (_, id) = r.open(0);
+    // Thread 0 completed round `id`, may park while it is still open…
+    assert!(r.park(0, id));
+    // …but thread 1 may not park for a round it has not completed.
+    assert!(!r.park(1, id.wrapping_sub(1)));
+    assert!(r.d.is_active(1) && r.m.subscribed[1]);
+}
+
+#[test]
+fn idle_tracker_parks_only_idle_empty_folded_demand_driven_threads() {
+    let gg = SystemConfig::new(Scheduler::GgPdes, GvtMode::Async, AffinityPolicy::Constant);
+    let r = rig(2);
+    let wants = |t: &IdleTracker, sys, parkable| t.wants_park(sys, &r.round, &r.plane, 0, parkable);
+    let mut t = IdleTracker::new(3);
+    t.observe(3, true);
+    assert!(!wants(&t, gg, true), "at the threshold, not past it");
+    t.observe(1, true);
+    assert!(wants(&t, gg, true));
+    let baseline = SystemConfig {
+        scheduler: Scheduler::Baseline,
+        ..gg
+    };
+    assert!(
+        !wants(&t, baseline, true),
+        "only demand-driven systems park"
+    );
+    assert!(!wants(&t, gg, false), "live pending work is runnable");
+    // Queued input, or a send the thread has not folded yet, keeps it in.
+    r.plane.push_msg(1, 0, anti(5.0));
+    assert!(!wants(&t, gg, true));
+    r.plane.drain_clean(0, &mut Vec::new());
+    r.plane.push_msg(0, 1, anti(6.0));
+    assert!(!wants(&t, gg, true), "unfolded send window");
+    r.plane.take_window(0);
+    assert!(wants(&t, gg, true));
+    // A cycle that did work, or could not count, starts over; so does a wake.
+    for (polls, parkable) in [(0, true), (1, false)] {
+        t.observe(9, true);
+        t.observe(polls, parkable);
+        assert!(!wants(&t, gg, true));
+    }
+    t.observe(9, true);
+    t.reintegrate();
+    assert!(!wants(&t, gg, true));
+    t.observe(9, true);
+    r.round.terminate();
+    assert!(!wants(&t, gg, true), "nobody parks after the final GVT");
+}
+
+#[test]
+fn phase_indices_round_trip_and_names_are_distinct() {
+    let all: Vec<Phase> = (0..15).map(Phase::from_index).collect();
+    for (i, p) in all.iter().enumerate() {
+        assert_eq!(*p as usize, i);
+        assert!(
+            all[..i].iter().all(|q| q.name() != p.name()),
+            "{}",
+            p.name()
+        );
+    }
+    assert_eq!(
+        (Phase::default(), Phase::Done.name()),
+        (Phase::Cycle, "done")
+    );
 }

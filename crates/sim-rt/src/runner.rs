@@ -229,12 +229,9 @@ pub fn run_sim_attempt<M: Model>(
             rc.machine.hw_threads(),
             rc.engine.zero_counter_threshold,
         );
-        sh.ckpt_every = rc.checkpoint_every_gvt;
+        sh.round.set_checkpoint_every(rc.checkpoint_every_gvt);
         if let Some(c) = resume {
-            // Resume mid-stream: GVT and the round cadence continue from the
-            // cut instead of restarting at zero.
-            sh.gvt = c.gvt;
-            sh.gvt_rounds = c.gvt_rounds;
+            sh.round.seed(c.gvt, c.gvt_rounds);
         }
         let gate = ingest.as_ref().map(|(g, _)| g.as_ref());
         let (map, engines) = build_engines(
@@ -292,28 +289,39 @@ pub fn run_sim_attempt<M: Model>(
         machine.add_task(Box::new(ctrl), "controller", pin);
     }
 
-    let (report, deadlocked) = match machine.run(rc.limit_ns) {
-        Ok(r) => (r, false),
-        Err(dl) => {
-            // Every task is blocked — a protocol wedge (e.g. a lost wake-up
-            // parking the whole group). Salvage the report and capture a
-            // structured dump instead of panicking the process.
-            let mut sh = shared.borrow_mut();
-            if sh.stall.is_none() {
-                let tokens: Vec<u32> = sh
-                    .sems
-                    .iter()
-                    .map(|&s| machine.kernel_ref().sem_state(s).0)
-                    .collect();
+    let (report, deadlock) = match machine.run(rc.limit_ns) {
+        Ok(r) => (r, None),
+        // Every task is blocked — a protocol wedge (e.g. a lost wake-up
+        // parking the whole group). Salvage the report instead of panicking
+        // the process.
+        Err(dl) => (machine.report_now(), Some(dl)),
+    };
+
+    let mut sh = shared.borrow_mut();
+    let completed = deadlock.is_none()
+        && sh.stall.is_none()
+        && sh.killed.is_none()
+        && report.tasks.iter().all(|t| t.finished);
+    if !completed && sh.stall.is_none() && sh.killed.is_none() {
+        // No watchdog dump yet: capture the same structured one. A wedge is
+        // the run's stall; a run cut short by the time limit only says what
+        // pinned its GVT.
+        let tokens: Vec<u32> = sh
+            .sems
+            .iter()
+            .map(|&s| machine.kernel_ref().sem_state(s).0)
+            .collect();
+        match &deadlock {
+            Some(dl) => {
                 let reason = format!("virtual machine deadlock: {dl}");
                 sh.stall = Some(sh.build_stall_dump(&reason, &tokens));
             }
-            drop(sh);
-            (machine.report_now(), true)
+            None => eprintln!("{}", sh.build_stall_dump("run incomplete", &tokens)),
         }
-    };
-
-    let sh = shared.borrow();
+    }
+    if let Some(dump) = &sh.stall {
+        eprintln!("{dump}");
+    }
     let telemetry_data = sh.telemetry.enabled().then(|| sh.telemetry.take());
     let mut m = sh.collect_metrics();
     m.lps = model.num_lps();
@@ -327,39 +335,6 @@ pub fn run_sim_attempt<M: Model>(
 
     let mut digests: Vec<(LpId, u64)> = sh.final_digests.iter().flatten().copied().collect();
     digests.sort_by_key(|&(lp, _)| lp);
-    let completed = !deadlocked
-        && sh.stall.is_none()
-        && sh.killed.is_none()
-        && report.tasks.iter().all(|t| t.finished);
-    if let Some(dump) = &sh.stall {
-        eprintln!("{dump}");
-    }
-    if !completed && sh.killed.is_none() {
-        // Diagnose what pinned the GVT (or what stalled the run).
-        eprintln!(
-            "[run_sim diag] {} T={num_threads}: gvt={} rounds={} active={} terminated={}",
-            rc.system.name(),
-            sh.gvt,
-            sh.gvt_rounds,
-            sh.demand.num_active(),
-            sh.terminated
-        );
-        eprintln!("  {:?} {:?}", sh.members, sh.round);
-        for i in 0..num_threads {
-            let (window, queue_min) = sh.plane.minima(i);
-            let waited_on = sh.members.waiting_for(i).is_some();
-            if waited_on || !window.is_infinite() || !queue_min.is_infinite() {
-                eprintln!(
-                    "  t{i}: participant={waited_on} phase={} window={window} queue_min={queue_min} \
-                     qlen={} active={} subscribed={}",
-                    sh.dbg_phase[i],
-                    sh.plane.len(i),
-                    sh.demand.is_active(i),
-                    sh.members.subscribed[i]
-                );
-            }
-        }
-    }
 
     // Survivor state outlives a failed attempt: per-thread committed loads
     // feed the supervisor's LP remap (the killed thread reports 0).
@@ -370,7 +345,7 @@ pub fn run_sim_attempt<M: Model>(
         .collect();
     let result = SimResult {
         metrics: m,
-        gvt_regressions: sh.gvt_regressions,
+        gvt_regressions: sh.round.regressions(),
         digests: digests.into_iter().map(|(_, d)| d).collect(),
         timeline: sh.timeline.clone(),
         stall: sh.stall.clone(),

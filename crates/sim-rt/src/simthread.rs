@@ -7,43 +7,19 @@
 //! structures, and returns its modeled cost. The phase structure follows
 //! §4.1: Wait-Free GVT rounds run phases A → Send → B → Aware → End;
 //! activation happens in Aware (pseudo-controller), deactivation in End;
-//! synchronous rounds use three blocking barrier points instead.
+//! synchronous rounds use three blocking barrier points instead
+//! (Bar0 → A → Bar1 → Aware → Bar2 → End). Every transition of the round
+//! itself is a call on `pdes_core::sched::Round`, the code `thread-rt` runs.
 
 use crate::config::{AffinityPolicy, GvtMode, Scheduler, SystemConfig};
 use crate::shared::{Arrive, Op, Shared};
 use machine::{Ctx, Step, Task, WorkTag};
-use pdes_core::{CkptSink, EngineConfig, GvtBackoff, Model, Msg, Outbound, ThreadEngine};
+use pdes_core::{
+    CkptSink, EngineConfig, GvtBackoff, IdleTracker, Model, Msg, Outbound, Phase, ThreadEngine,
+};
 use std::cell::RefCell;
 use std::rc::Rc;
 use telemetry::{EventKind, Tracer};
-
-/// Where the thread is in its control loop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Phase {
-    /// Normal main-loop cycling (includes the Wait-Free *Send* phase).
-    Cycle,
-    // Wait-free GVT round:
-    AsyncA,
-    AsyncWaitA,
-    AsyncB,
-    AsyncWaitB,
-    AsyncAware,
-    AsyncEnd,
-    // Barrier GVT round (indices are the three arrival points):
-    SyncBar(u8),
-    SyncFold,
-    SyncCtrl,
-    SyncEnd,
-    /// DD-PDES only: holding the global lock to deactivate.
-    DdDoDeact,
-    /// Blocked on own semaphore (de-scheduled). Next step = woken.
-    Parked,
-    /// Commit remaining history and report stats.
-    Finishing,
-    /// Felled by a scripted worker kill: report nothing, just exit — the
-    /// thread's uncommitted work is lost, exactly like a real crash.
-    Dead,
-}
 
 /// One simulation thread.
 pub struct SimThreadTask<M: Model> {
@@ -53,17 +29,17 @@ pub struct SimThreadTask<M: Model> {
     sys: SystemConfig,
     ecfg: EngineConfig,
 
+    /// Where the thread is in its control loop ([`Phase::Cycle`] includes
+    /// nothing of the round; `SendA`/`SendB` are the Wait-Free *Send* spins).
     phase: Phase,
     /// Cycles since the thread last joined a GVT round (drives the paper's
     /// 1-in-200-cycles trigger).
     cycles_since_gvt: u64,
-    /// Consecutive idle cycles (Algorithm 1's `zero_counter`).
-    zero_counter: u64,
+    /// Algorithm 1's idle count and thread-local `active` flag.
+    idle: IdleTracker,
     /// Consecutive idle polls whether or not events are pending beyond the
     /// window (the yield tier's notion of blocked).
     idle_polls: u64,
-    /// Algorithm 1's thread-local `active` flag.
-    active_flag: bool,
     /// Round id this thread last joined.
     joined_round: Option<u64>,
     /// Wall time when the thread joined the current round.
@@ -105,6 +81,7 @@ impl<M: Model> SimThreadTask<M> {
         ckpt: Rc<CkptSink<M>>,
     ) -> Self {
         let tracer = shared.borrow().telemetry.tracer(tid);
+        let idle = IdleTracker::new(ecfg.zero_counter_threshold);
         SimThreadTask {
             tid,
             engine,
@@ -113,9 +90,8 @@ impl<M: Model> SimThreadTask<M> {
             ecfg,
             phase: Phase::Cycle,
             cycles_since_gvt: 0,
-            zero_counter: 0,
+            idle,
             idle_polls: 0,
-            active_flag: true,
             joined_round: None,
             round_enter_ns: 0,
             wd_last: (0, pdes_core::VirtualTime::ZERO),
@@ -141,13 +117,13 @@ impl<M: Model> SimThreadTask<M> {
         let Some(bound) = sh.watchdog_ns else {
             return false;
         };
-        let obs = (sh.gvt_rounds, sh.gvt);
+        let obs = (sh.round.rounds(), sh.round.gvt());
         if obs != self.wd_last {
             self.wd_last = obs;
             self.wd_last_change_ns = now;
             return false;
         }
-        if sh.terminated || now.saturating_sub(self.wd_last_change_ns) <= bound {
+        if sh.round.terminated() || now.saturating_sub(self.wd_last_change_ns) <= bound {
             return false;
         }
         let sem_tokens: Vec<u32> = sh.sems.iter().map(|&s| ctx.sem_state(s).0).collect();
@@ -161,12 +137,22 @@ impl<M: Model> SimThreadTask<M> {
         true
     }
 
+    /// Is the run over — final GVT, teardown, or a watchdog trip on this very
+    /// check? Then this task is heading to `Finishing`.
+    fn run_over(&mut self, sh: &mut Shared<M::Payload>, now: u64, ctx: &Ctx<'_>) -> bool {
+        if sh.round.terminated() {
+            self.phase = Phase::Finishing;
+            return true;
+        }
+        self.watchdog_check(sh, now, ctx)
+    }
+
     /// Emergency drain (watchdog trip, scripted kill): end the run and wake
     /// *every* sibling — including one wrongly marked active by a lost
     /// wake-up, which the normal termination broadcast (inactive threads
     /// only) would strand in `sem_wait`.
     fn tear_down(&mut self, sh: &mut Shared<M::Payload>) {
-        sh.terminated = true;
+        sh.round.terminate();
         sh.controller_exit = true;
         let me = self.tid;
         self.ops
@@ -226,15 +212,8 @@ impl<M: Model> SimThreadTask<M> {
         } else {
             1
         };
-        if idle && !self.engine.has_live_pending() {
-            self.zero_counter += cycles;
-            if self.zero_counter > self.ecfg.zero_counter_threshold as u64 {
-                self.active_flag = false;
-            }
-        } else {
-            self.zero_counter = 0;
-            self.active_flag = true;
-        }
+        let polls = if idle { cycles } else { 0 };
+        self.idle.observe(polls, !self.engine.has_live_pending());
         self.idle_polls = if idle { self.idle_polls + cycles } else { 0 };
 
         let cost = c.poll * cycles
@@ -277,26 +256,11 @@ impl<M: Model> SimThreadTask<M> {
         let (n, rolled) = self.receive(sh, false);
         let sends = self.route(sh);
         let local = self.engine.local_min();
-        sh.fold_min(self.tid, local);
+        sh.round.fold(&sh.plane, self.tid, local);
         if self.tracer.enabled() {
             sh.board.publish(self.tid, local, self.engine.stats());
         }
         c.gvt_phase + c.recv_msg * n + c.send_msg * sends + c.rollback_event * rolled
-    }
-
-    /// Should this thread de-schedule itself (Algorithm 1, line 8)?
-    ///
-    /// §3 defines inactive as "LPs have not received **or sent** an event
-    /// message in a predefined period": an unfolded send window means a
-    /// recent send whose timestamp still backs the GVT lower bound — the
-    /// thread must stay for one more round (its next Phase-A fold clears
-    /// the window) before it may park.
-    fn wants_deactivation(&self, sh: &Shared<M::Payload>) -> bool {
-        self.sys.demand_driven()
-            && !self.active_flag
-            && sh.plane.len(self.tid) == 0
-            && !self.engine.has_live_pending()
-            && sh.plane.window_is_clear(self.tid)
     }
 
     /// Pseudo-controller duties at Aware: new GVT, termination, activation.
@@ -304,12 +268,13 @@ impl<M: Model> SimThreadTask<M> {
     fn aware_duties(&mut self, sh: &mut Shared<M::Payload>) -> u64 {
         let c = sh.cost.clone();
         let mut cost = c.gvt_phase;
-        sh.compute_gvt();
+        sh.round.publish(&sh.plane, &sh.demand);
         // Admit scripted external arrivals against the floor just published
         // (same Aware-phase slot as the real runtimes' ingest pump).
         let injected = sh.pump_ingest();
         cost += c.recv_msg * injected;
-        if sh.terminated {
+        sh.round.ckpt_publish(sh.members.id);
+        if sh.round.terminated() {
             sh.release_all_for_termination(&mut self.ops);
             cost += c.sched_op * self.ops.len() as u64;
         } else if matches!(self.sys.scheduler, Scheduler::GgPdes) {
@@ -320,32 +285,36 @@ impl<M: Model> SimThreadTask<M> {
         cost
     }
 
-    /// End-of-phase-End bookkeeping shared by both GVT modes. Returns the
-    /// follow-up (cost, next phase, optional blocking step).
-    fn end_duties(&mut self, sh: &mut Shared<M::Payload>, now: u64) -> (u64, Step) {
+    /// Phase End, shared by both GVT modes. Returns the follow-up step
+    /// (work, or the blocking step of a deactivation).
+    fn end_duties(&mut self, sh: &mut Shared<M::Payload>, now: u64) -> Step {
         let c = sh.cost.clone();
         let mut cost = c.gvt_phase;
         let trace = self.tracer.enabled();
-        if sh.ckpt_round == Some(sh.members.id) && !sh.terminated {
+        // The one rule the machine does not share with real threads (DESIGN
+        // §17): an armed round whose GVT ends the run deposits no cut — it is
+        // redundant, and charging for it would move every pinned virtual time.
+        if sh.round.ckpt_armed_for(sh.members.id) && !sh.round.terminated() {
+            debug_assert!(sh.round.ckpt_ready(), "Aware precedes End");
             let cw0 = cost;
             // Armed round: this thread's share of the consistent cut. The
-            // claimant computed the round's GVT before any participant can
-            // reach End (single-threaded machine, Aware precedes End), so
-            // `sh.gvt` is final here. Drain the input queue chaos-exempt and
-            // deliver, so every in-flight message below the cut is inside
-            // the engine before the snapshot; messages at or above GVT are
-            // delivered too but excluded from the cut (their senders re-send
-            // them deterministically after a restore).
+            // claimant published the round's GVT before any participant can
+            // reach End (single-threaded machine), so it is final here. Drain
+            // the input queue chaos-exempt and deliver, so every in-flight
+            // message below the cut is inside the engine before the
+            // snapshot; messages at or above GVT are delivered too but
+            // excluded from the cut (their senders re-send them
+            // deterministically after a restore).
             let (n, _) = self.receive(sh, true);
             self.route(sh);
-            let g = sh.gvt;
+            let g = sh.round.gvt();
             self.engine.fossil_collect(g);
             let part = self.engine.snapshot_at_gvt(g);
             cost += c.gvt_phase + c.recv_msg * n + c.proc_event * part.0.len() as u64;
             self.ckpt.deposit(
                 sh.members.id,
                 g,
-                sh.gvt_rounds,
+                sh.round.rounds(),
                 part,
                 sh.members.participants,
                 sh.plane.faults.cursor(),
@@ -360,12 +329,15 @@ impl<M: Model> SimThreadTask<M> {
                 );
             }
         } else {
-            self.engine.fossil_collect(sh.gvt);
+            self.engine.fossil_collect(sh.round.gvt());
         }
         sh.gvt_wall_in_round += now.saturating_sub(self.round_enter_ns);
         self.backoff
-            .observe(sh.gvt.ticks(), self.ecfg.gvt_max_no_change);
-        let deact = !sh.terminated && self.wants_deactivation(sh);
+            .observe(sh.round.gvt().ticks(), self.ecfg.gvt_max_no_change);
+        let parkable = !self.engine.has_live_pending();
+        let deact = self
+            .idle
+            .wants_park(self.sys, &sh.round, &sh.plane, self.tid, parkable);
         let rid = sh.members.id;
         if trace {
             // Refresh this thread's counters so a closing snapshot reflects
@@ -377,7 +349,7 @@ impl<M: Model> SimThreadTask<M> {
         if closed {
             sh.tel_round_snapshot(rid, now);
         }
-        if closed && self.sys.affinity == AffinityPolicy::Dynamic && !sh.terminated {
+        if closed && self.sys.affinity == AffinityPolicy::Dynamic && !sh.round.terminated() {
             // Algorithm 4: the table decides, the kernel ops enact.
             let mut pins = Vec::new();
             let demand = &sh.demand;
@@ -394,27 +366,19 @@ impl<M: Model> SimThreadTask<M> {
             self.tracer
                 .span(EventKind::GvtEnd, self.ph_ns, now + cost, rid);
         }
-        if sh.terminated {
+        if sh.round.terminated() {
             self.phase = Phase::Finishing;
-            return (cost, Step::work(cost, WorkTag::Gvt));
+            return Step::work(cost, WorkTag::Gvt);
         }
         self.cycles_since_gvt = 0;
         if deact {
             match self.sys.scheduler {
                 Scheduler::GgPdes => {
                     // Lock-free: phase coupling makes this safe (§4.1.4).
-                    if sh.deactivate_self(self.tid) {
-                        sh.record_transition(now, self.tid, false);
-                        if trace {
-                            self.park_ns = now + cost;
-                            sh.board.publish(
-                                self.tid,
-                                pdes_core::VirtualTime::INFINITY,
-                                self.engine.stats(),
-                            );
-                        }
+                    if sh.deactivate_self(self.tid, rid) {
+                        self.note_parked(sh, now, now + cost);
                         self.phase = Phase::Parked;
-                        return (cost, Step::SemWait(sh.sems[self.tid]));
+                        return Step::SemWait(sh.sems[self.tid]);
                     }
                 }
                 Scheduler::DdPdes => {
@@ -422,15 +386,26 @@ impl<M: Model> SimThreadTask<M> {
                     // the GVT group first so no round waits on us while we
                     // block on the mutex.
                     sh.dd_unsubscribe(self.tid);
-                    self.phase = Phase::DdDoDeact;
+                    self.phase = Phase::DdDeact;
                     let m = sh.dd_mutex.expect("DD systems have the lock");
-                    return (cost, Step::MutexLock(m));
+                    return Step::MutexLock(m);
                 }
                 Scheduler::Baseline => unreachable!("baseline never deactivates"),
             }
         }
         self.phase = Phase::Cycle;
-        (cost, Step::work(cost, WorkTag::Gvt))
+        Step::work(cost, WorkTag::Gvt)
+    }
+
+    /// A deactivation at `now` succeeded: record the transition and, when
+    /// tracing, where the Park span starts and an idle (∞) LVT.
+    fn note_parked(&mut self, sh: &mut Shared<M::Payload>, now: u64, span_start: u64) {
+        sh.record_transition(now, self.tid, false);
+        if self.tracer.enabled() {
+            self.park_ns = span_start;
+            let idle = pdes_core::VirtualTime::INFINITY;
+            sh.board.publish(self.tid, idle, self.engine.stats());
+        }
     }
 
     /// Close the trace span `kind` of round `id` at `end_ns` and start the
@@ -460,7 +435,7 @@ impl<M: Model> Task for SimThreadTask<M> {
     fn step(&mut self, ctx: &mut Ctx<'_>) -> Step {
         // A thread that joined a round on the cycle it gave up folds first:
         // that fold is what every peer of the round is blocked on.
-        if self.yield_pending && self.phase != Phase::AsyncA {
+        if self.yield_pending && self.phase != Phase::A {
             self.yield_pending = false;
             return Step::Yield;
         }
@@ -468,31 +443,12 @@ impl<M: Model> Task for SimThreadTask<M> {
         let shared = Rc::clone(&self.shared);
         let mut sh = shared.borrow_mut();
         debug_assert!(self.ops.is_empty());
-        sh.dbg_phase[self.tid] = match self.phase {
-            Phase::Cycle => "Cycle",
-            Phase::AsyncA => "AsyncA",
-            Phase::AsyncWaitA => "AsyncWaitA",
-            Phase::AsyncB => "AsyncB",
-            Phase::AsyncWaitB => "AsyncWaitB",
-            Phase::AsyncAware => "AsyncAware",
-            Phase::AsyncEnd => "AsyncEnd",
-            Phase::SyncBar(0) => "SyncBar0",
-            Phase::SyncBar(1) => "SyncBar1",
-            Phase::SyncBar(_) => "SyncBar2",
-            Phase::SyncFold => "SyncFold",
-            Phase::SyncCtrl => "SyncCtrl",
-            Phase::SyncEnd => "SyncEnd",
-            Phase::DdDoDeact => "DdDoDeact",
-            Phase::Parked => "Parked",
-            Phase::Finishing => "Finishing",
-            Phase::Dead => "Dead",
-        };
-        let step = match self.phase {
+        let phase = self.phase;
+        sh.dbg_phase[self.tid] = phase;
+        let sync = self.sys.gvt == GvtMode::Sync;
+        let step = match phase {
             Phase::Cycle => {
-                if sh.terminated {
-                    self.phase = Phase::Finishing;
-                    Step::work(sh.cost.phase_check, WorkTag::Gvt)
-                } else if self.watchdog_check(&mut sh, now, ctx) {
+                if self.run_over(&mut sh, now, ctx) {
                     Step::work(sh.cost.phase_check, WorkTag::Gvt)
                 } else if self.tick_kill_clock(&sh) {
                     // Scripted worker death: tear the run down exactly as a
@@ -527,10 +483,7 @@ impl<M: Model> Task for SimThreadTask<M> {
                             sh.dbg_joined[self.tid] = self.joined_round;
                             self.round_enter_ns = now;
                             self.ph_ns = now;
-                            self.phase = match self.sys.gvt {
-                                GvtMode::Async => Phase::AsyncA,
-                                GvtMode::Sync => Phase::SyncBar(0),
-                            };
+                            self.phase = if sync { Phase::Bar0 } else { Phase::A };
                             tag = WorkTag::Gvt;
                         }
                     }
@@ -541,185 +494,129 @@ impl<M: Model> Task for SimThreadTask<M> {
                 }
             }
 
-            // ---- Wait-Free GVT ------------------------------------------
-            Phase::AsyncA => {
+            // ---- the GVT round (Wait-Free, and Barrier between its bars) ----
+            Phase::A => {
                 assert!(
                     sh.members.waiting_for(self.tid) == self.joined_round
                         && self.joined_round.is_some(),
-                    "t{} stale AsyncA: joined={:?} {:?} {:?}",
+                    "t{} stale fold: joined={:?} {:?} {:?}",
                     self.tid,
                     self.joined_round,
                     sh.members,
                     sh.round,
                 );
                 let cost = self.drain_and_fold(&mut sh);
-                sh.round.a_done += 1;
                 self.mark(EventKind::GvtA, now + cost, sh.members.id);
-                self.phase = Phase::AsyncWaitA;
+                self.phase = if sync {
+                    Phase::Bar1
+                } else {
+                    sh.round.arrive_a();
+                    Phase::SendA
+                };
                 Step::work(cost, WorkTag::Gvt)
             }
-            Phase::AsyncWaitA | Phase::AsyncWaitB => {
-                // Only an abnormal abort (watchdog trip, poisoned run) can
-                // terminate while a participant still waits mid-round —
-                // normal termination requires every `b_done` first. Escape
-                // instead of spinning on a count that will never arrive.
-                // The watchdog check also lives here: this *is* the stall
-                // loop under a lost wake-up (the round's snapshot includes
-                // a thread that is parked and will never fold).
-                if sh.terminated {
-                    self.phase = Phase::Finishing;
-                    drop(sh);
-                    self.apply_ops(ctx);
-                    return Step::work(self.shared.borrow().cost.phase_check, WorkTag::Gvt);
-                }
-                if self.watchdog_check(&mut sh, now, ctx) {
-                    drop(sh);
-                    self.apply_ops(ctx);
-                    return Step::work(self.shared.borrow().cost.phase_check, WorkTag::Gvt);
-                }
+            // Only an abnormal abort (watchdog trip, poisoned run) can terminate
+            // while a participant still waits mid-round — normal termination
+            // requires every `b_done` first. Escape instead of spinning on a
+            // count that will never arrive. The watchdog check also lives
+            // here: this *is* the stall loop under a lost wake-up (the
+            // round's snapshot includes a thread that is parked and will
+            // never fold).
+            Phase::SendA | Phase::SendB if self.run_over(&mut sh, now, ctx) => {
+                Step::work(sh.cost.phase_check, WorkTag::Gvt)
+            }
+            Phase::SendA | Phase::SendB => {
                 // The *Send* phase: keep simulating while peers catch up.
                 let (mut cost, _, useful, give_up) = self.do_cycle(&mut sh, now);
                 let check = sh.cost.phase_check;
-                let done = if self.phase == Phase::AsyncWaitA {
-                    sh.round.a_done == sh.members.participants
+                let (done, kind, next) = if phase == Phase::SendA {
+                    (sh.round.a_done(), EventKind::GvtSendA, Phase::B)
                 } else {
-                    sh.round.b_done == sh.members.participants
+                    (sh.round.b_done(), EventKind::GvtSendB, Phase::Aware)
                 };
-                if done {
-                    let kind = if self.phase == Phase::AsyncWaitA {
-                        EventKind::GvtSendA
-                    } else {
-                        EventKind::GvtSendB
-                    };
+                if done == sh.members.participants {
                     self.mark(kind, now + cost, sh.members.id);
-                    self.phase = if self.phase == Phase::AsyncWaitA {
-                        Phase::AsyncB
-                    } else {
-                        Phase::AsyncAware
-                    };
+                    self.phase = next;
                 } else if give_up {
                     cost += self.arm_yield(&mut sh);
                 }
                 let tag = if useful { WorkTag::Sim } else { WorkTag::Gvt };
                 Step::work(cost + check, tag)
             }
-            Phase::AsyncB => {
+            Phase::B => {
                 let cost = self.drain_and_fold(&mut sh);
-                sh.round.b_done += 1;
+                sh.round.arrive_b();
                 self.mark(EventKind::GvtB, now + cost, sh.members.id);
-                self.phase = Phase::AsyncWaitB;
+                self.phase = Phase::SendB;
                 Step::work(cost, WorkTag::Gvt)
             }
-            Phase::AsyncAware => {
-                let cost = if sh.claim_aware() {
+            Phase::Aware => {
+                if sync {
+                    // As in thread-rt, the reduction-barrier wait is the B
+                    // lane and the controller slice is Aware.
+                    self.mark(EventKind::GvtB, now, sh.members.id);
+                }
+                let cost = if sh.round.claim_aware() {
                     self.aware_duties(&mut sh)
                 } else {
                     sh.cost.phase_check
                 };
                 self.mark(EventKind::GvtAware, now + cost, sh.members.id);
-                self.phase = Phase::AsyncEnd;
+                self.phase = if sync { Phase::Bar2 } else { Phase::End };
                 Step::work(cost, WorkTag::Sched)
             }
-            Phase::AsyncEnd => {
-                let (_cost, step) = self.end_duties(&mut sh, now);
-                step
+            Phase::End => {
+                if sync {
+                    // The exit-barrier wait maps onto Send-B.
+                    self.mark(EventKind::GvtSendB, now, sh.members.id);
+                }
+                self.end_duties(&mut sh, now)
             }
-
-            // ---- Barrier GVT --------------------------------------------
-            Phase::SyncBar(i) => {
-                self.phase = match i {
-                    0 => Phase::SyncFold,
-                    1 => Phase::SyncCtrl,
-                    _ => Phase::SyncEnd,
+            Phase::Bar0 | Phase::Bar1 | Phase::Bar2 => {
+                let (idx, next) = match phase {
+                    Phase::Bar0 => (0, Phase::A),
+                    Phase::Bar1 => (1, Phase::Aware),
+                    _ => (2, Phase::End),
                 };
-                match sh.barrier_arrive(self.tid, i as usize, &mut self.ops) {
+                self.phase = next;
+                match sh.barrier_arrive(self.tid, idx, &mut self.ops) {
                     Arrive::Proceed => Step::work(sh.cost.gvt_phase, WorkTag::Gvt),
                     Arrive::Park => Step::SemWait(sh.sems[self.tid]),
                 }
             }
-            Phase::SyncFold => {
-                let cost = self.drain_and_fold(&mut sh);
-                self.mark(EventKind::GvtA, now + cost, sh.members.id);
-                self.phase = Phase::SyncBar(1);
-                Step::work(cost, WorkTag::Gvt)
-            }
-            Phase::SyncCtrl => {
-                // Sync mapping mirrors thread-rt: the reduction barrier wait
-                // is the B phase, the controller slice is Aware.
-                self.mark(EventKind::GvtB, now, sh.members.id);
-                let cost = if sh.claim_aware() {
-                    self.aware_duties(&mut sh)
-                } else {
-                    sh.cost.phase_check
-                };
-                self.mark(EventKind::GvtAware, now + cost, sh.members.id);
-                self.phase = Phase::SyncBar(2);
-                Step::work(cost, WorkTag::Sched)
-            }
-            Phase::SyncEnd => {
-                // The exit-barrier wait maps onto Send-B.
-                self.mark(EventKind::GvtSendB, now, sh.members.id);
-                let (_cost, step) = self.end_duties(&mut sh, now);
-                step
-            }
 
             // ---- demand-driven blocking paths ----------------------------
-            Phase::DdDoDeact => {
-                // Holding the DD global lock. If the simulation terminated
-                // while we waited for it, the wake-everyone broadcast has
-                // already run — do not park now, finish instead.
+            Phase::DdDeact => {
+                // Holding the DD global lock. `Round::deactivate` refuses if
+                // the simulation terminated while we waited for it (the
+                // wake-everyone broadcast has already run — finish instead)
+                // or an armed checkpoint round force-subscribed us meanwhile
+                // (its participant snapshot includes this thread, so parking
+                // would wedge it — go fold into it instead); either way the
+                // refusal undoes `dd_unsubscribe`.
                 let m = sh.dd_mutex.expect("DD lock exists");
-                if sh.terminated {
-                    sh.members.subscribed[self.tid] = true; // undo dd_unsubscribe
-                    drop(sh);
-                    ctx.mutex_unlock(m);
-                    self.phase = Phase::Finishing;
-                    return Step::work(self.shared.borrow().cost.sched_op, WorkTag::Sched);
-                }
-                // An armed checkpoint round force-subscribed us while we
-                // waited for the lock: its participant snapshot now includes
-                // this thread, so parking would wedge the round. Abort the
-                // deactivation and go fold into the round instead.
-                if sh
-                    .members
-                    .waiting_for(self.tid)
-                    .is_some_and(|id| self.joined_round != Some(id))
-                {
-                    sh.members.subscribed[self.tid] = true;
-                    drop(sh);
-                    ctx.mutex_unlock(m);
-                    self.phase = Phase::Cycle;
-                    return Step::work(self.shared.borrow().cost.sched_op, WorkTag::Sched);
-                }
-                let ok = sh.deactivate_self(self.tid);
+                let joined = self.joined_round.expect("deactivates at a round's End");
+                let ok = sh.deactivate_self(self.tid, joined);
                 if ok {
-                    sh.record_transition(now, self.tid, false);
-                    if self.tracer.enabled() {
-                        self.park_ns = now;
-                        sh.board.publish(
-                            self.tid,
-                            pdes_core::VirtualTime::INFINITY,
-                            self.engine.stats(),
-                        );
-                    }
+                    self.note_parked(&mut sh, now, now);
                 }
+                let (sem, over, cost) =
+                    (sh.sems[self.tid], sh.round.terminated(), sh.cost.sched_op);
                 drop(sh);
                 ctx.mutex_unlock(m);
-                let sems = self.shared.borrow().sems[self.tid];
                 if ok {
                     self.phase = Phase::Parked;
-                    return Step::SemWait(sems);
+                    return Step::SemWait(sem);
                 }
-                self.phase = Phase::Cycle;
-                let c = self.shared.borrow().cost.sched_op;
-                return Step::work(c, WorkTag::Sched);
+                self.phase = if over { Phase::Finishing } else { Phase::Cycle };
+                return Step::work(cost, WorkTag::Sched);
             }
             Phase::Parked => {
                 // A wake token proves nothing by itself: a fault plan may
                 // post a parked thread without activating it (spurious
                 // wake-up). Re-park unless the activator marked us active
                 // or the run is over.
-                if !sh.terminated && !sh.demand.is_active(self.tid) {
+                if !sh.round.terminated() && !sh.demand.is_active(self.tid) {
                     let sem = sh.sems[self.tid];
                     drop(sh);
                     return Step::SemWait(sem);
@@ -732,8 +629,7 @@ impl<M: Model> Task for SimThreadTask<M> {
                         .span(EventKind::Park, self.park_ns, now, self.tid as u64);
                     self.tracer.instant(EventKind::Unpark, now, self.tid as u64);
                 }
-                self.zero_counter = 0;
-                self.active_flag = true;
+                self.idle.reintegrate();
                 // `joined_round` stays untouched: it records the last round
                 // this thread folded into. If the currently open round's
                 // snapshot includes us (we were re-activated just before it
@@ -741,7 +637,7 @@ impl<M: Model> Task for SimThreadTask<M> {
                 // completed the open round before parking, the ids match and
                 // we correctly skip it.
                 self.cycles_since_gvt = 0;
-                self.phase = if sh.terminated {
+                self.phase = if sh.round.terminated() {
                     Phase::Finishing
                 } else {
                     Phase::Cycle
@@ -755,13 +651,9 @@ impl<M: Model> Task for SimThreadTask<M> {
                 sh.final_digests[self.tid] = self.engine.state_digests();
                 sh.telemetry
                     .deposit(std::mem::replace(&mut self.tracer, Tracer::disabled()));
-                drop(sh);
-                return Step::Done;
+                Step::Done
             }
-            Phase::Dead => {
-                drop(sh);
-                return Step::Done;
-            }
+            Phase::Dead | Phase::Done => Step::Done,
         };
         drop(sh);
         self.apply_ops(ctx);

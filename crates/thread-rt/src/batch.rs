@@ -13,7 +13,7 @@
 //! A buffered message is invisible to the destination's `queue_min`, so it
 //! must stay covered by the *sender's* send window: [`SendBatcher::buffer`]
 //! publishes `window_min[me]` exactly like `push_msg` does before its
-//! enqueue. The window is only reset by the owning thread's own `fold_min`,
+//! enqueue. The window is only reset by the owning thread's own `Round::fold`,
 //! which gives the one hard safety rule: **flush before every fold** (the
 //! worker's `fold` lands its outbox through `send`, which flushes, first).
 //! Between buffer and flush the message is covered by `window_min[me]`;

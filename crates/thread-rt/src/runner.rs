@@ -207,12 +207,12 @@ pub fn run_threads_attempt<M: Model, P: Protocol<M>>(
     let n = rc.num_threads;
     let mut shared: RtShared<M::Payload> = RtShared::new(n, rc.pin_cores, rc.engine.end_time);
     shared.set_faults(faults.unwrap_or_else(|| FaultInjector::new(rc.faults.clone())));
-    shared.set_checkpoint_every(rc.checkpoint_every_gvt);
+    shared.round.set_checkpoint_every(rc.checkpoint_every_gvt);
     // Each attempt gets a fresh registry: a supervised restart must not
     // inherit the felled attempt's half-deposited rings.
     shared.telemetry = Telemetry::new(rc.telemetry.clone());
     if let Some(c) = resume {
-        shared.seed_gvt(c.gvt, c.gvt_rounds);
+        shared.round.seed(c.gvt, c.gvt_rounds);
     }
     let (map, engines) = build_engines(
         model,
@@ -280,11 +280,7 @@ pub fn run_threads_attempt<M: Model, P: Protocol<M>>(
                         if monitor_exit.load(Ordering::Acquire) || done == n {
                             return None;
                         }
-                        let now = (
-                            shared.gvt().ticks(),
-                            shared.gvt_rounds.load(Ordering::Acquire),
-                            done,
-                        );
+                        let now = (shared.round.gvt().ticks(), shared.round.rounds(), done);
                         if now != last {
                             last = now;
                             last_change = Instant::now();
@@ -295,7 +291,7 @@ pub fn run_threads_attempt<M: Model, P: Protocol<M>>(
                         }
                         let (idle, bound) =
                             (last_change.elapsed().as_secs_f64(), bound.as_secs_f64());
-                        let reason = if shared.terminated.load(Ordering::Acquire) {
+                        let reason = if shared.round.terminated() {
                             format!(
                                 "teardown stuck: {done}/{n} workers done, none for \
                                  {idle:.1}s (bound {bound:.1}s)"
@@ -388,7 +384,7 @@ pub fn run_threads_attempt<M: Model, P: Protocol<M>>(
         rolled_back: total.rolled_back,
         rollbacks: total.rollbacks,
         antis_sent: total.antis_sent,
-        gvt_rounds: shared.gvt_rounds.load(Ordering::Acquire),
+        gvt_rounds: shared.round.rounds(),
         gvt_cpu_secs: shared.gvt_wall_ns.load(Ordering::Acquire) as f64 * 1e-9,
         max_descheduled: shared.demand.max_descheduled(),
         voluntary_yields: shared
@@ -408,7 +404,7 @@ pub fn run_threads_attempt<M: Model, P: Protocol<M>>(
         outcome: Ok(RtResult {
             metrics,
             digests: digests.into_iter().map(|(_, d)| d).collect(),
-            gvt_regressions: shared.gvt_regressions.load(Ordering::Acquire),
+            gvt_regressions: shared.round.regressions(),
             fault_counts: shared.faults.counts(),
             telemetry: telemetry_data,
         }),

@@ -7,12 +7,12 @@ use crate::affinity::{current_tid, pin_or_count, OsTid};
 use crate::batch::SendBatcher;
 use crate::protocol::Protocol;
 use crate::runner::RtRunConfig;
-use crate::shared::{RtShared, PHASE_DONE};
+use crate::shared::RtShared;
 use pdes_core::{
-    AffinityPolicy, CkptSink, EngineConfig, GvtBackoff, GvtMode, LpId, Model, Msg, Outbound,
-    Scheduler, SystemConfig, ThreadEngine, VirtualTime,
+    AffinityPolicy, CkptSink, EngineConfig, GvtBackoff, GvtMode, IdleTracker, LpId, Model, Msg,
+    Outbound, Phase, Round, Scheduler, SystemConfig, ThreadEngine, VirtualTime,
 };
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::Ordering;
 use std::time::Instant;
 use telemetry::{EventKind, Tracer};
 
@@ -38,8 +38,8 @@ struct Worker<'a, M: Model, P: Protocol<M>> {
     tracer: Tracer,
     /// Where the trace span being timed began (see [`Self::mark`]).
     span_start: u64,
-    zero_counter: u64,
-    active_flag: bool,
+    /// Algorithm 1's idle count and `active` flag.
+    idle: IdleTracker,
     idle_spins: u32,
 }
 
@@ -83,13 +83,8 @@ impl<M: Model, P: Protocol<M>> Worker<'_, M, P> {
             }
         }
         let idle = n == 0 && batch.processed == 0;
+        self.idle.observe(idle as u64, self.parkable());
         if idle {
-            if P::PARKS_WITH_PENDING || !self.engine.has_live_pending() {
-                self.zero_counter += 1;
-                if self.zero_counter > self.ecfg.zero_counter_threshold as u64 {
-                    self.active_flag = false;
-                }
-            }
             // A blocked thread (live pending beyond its horizon) is just as
             // idle as an empty one: it is waiting on a peer to move a GVT
             // phase or a channel clock forward. On an oversubscribed host a
@@ -108,11 +103,15 @@ impl<M: Model, P: Protocol<M>> Worker<'_, M, P> {
                 std::hint::spin_loop();
             }
         } else {
-            self.zero_counter = 0;
-            self.active_flag = true;
             self.idle_spins = 0;
         }
         !idle
+    }
+
+    /// May this thread count idle polls toward parking, and park? Not while
+    /// it holds live pending events, unless the protocol parks with them.
+    fn parkable(&self) -> bool {
+        P::PARKS_WITH_PENDING || !self.engine.has_live_pending()
     }
 
     /// Drain the input queue (chaos-exempt when `clean`: a checkpoint cut
@@ -159,7 +158,7 @@ impl<M: Model, P: Protocol<M>> Worker<'_, M, P> {
         self.receive(false);
         self.send();
         let local = self.engine.local_min();
-        self.sh.fold_min(self.me, local);
+        self.sh.round.fold(self.sh, self.me, local);
         if self.tracer.enabled() {
             self.sh.board.publish(self.me, local, self.engine.stats());
         }
@@ -169,8 +168,8 @@ impl<M: Model, P: Protocol<M>> Worker<'_, M, P> {
     /// Phase Send: simulate while peers record their minima. Escapes on
     /// `terminated` so a watchdog trip (or poisoned sibling) cannot strand
     /// this spin forever.
-    fn simulate_until(&mut self, done: &AtomicUsize, parts: usize) {
-        while done.load(Ordering::Acquire) < parts && !self.sh.terminated.load(Ordering::Acquire) {
+    fn simulate_until(&mut self, done: fn(&Round) -> usize, parts: usize) {
+        while done(&self.sh.round) < parts && !self.sh.round.terminated() {
             self.cycle();
         }
     }
@@ -180,11 +179,7 @@ impl<M: Model, P: Protocol<M>> Worker<'_, M, P> {
     /// then broadcasts termination or (Algorithm 2) activates.
     fn aware(&mut self, sys: SystemConfig, id: u64) {
         let sh = self.sh;
-        if sh
-            .aware_claimed
-            .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
-            .is_ok()
-        {
+        if sh.round.claim_aware() {
             sh.compute_gvt();
             // Admit external events against the floor just published —
             // before the checkpoint handshake, so an armed round's cut
@@ -196,8 +191,8 @@ impl<M: Model, P: Protocol<M>> Worker<'_, M, P> {
             // Unblock End-phase snapshotters even when this GVT also
             // terminates the run — the final cut is still a valid (if
             // redundant) checkpoint.
-            sh.ckpt_publish_if_armed(id);
-            if sh.terminated.load(Ordering::Acquire) {
+            sh.round.ckpt_publish(id);
+            if sh.round.terminated() {
                 sh.release_all_for_termination();
             } else if matches!(sys.scheduler, Scheduler::GgPdes) {
                 sh.activate_where(|i| self.proto.has_demand(sh, i));
@@ -211,19 +206,19 @@ impl<M: Model, P: Protocol<M>> Worker<'_, M, P> {
         let (me, sh) = (self.me, self.sh);
         match sys.gvt {
             GvtMode::Async => {
-                sh.set_phase(me, 1); // gvt-a
+                sh.set_phase(me, Phase::A);
                 self.fold(EventKind::GvtA, id);
-                sh.a_done.fetch_add(1, Ordering::AcqRel);
+                sh.round.arrive_a();
                 let parts = sh.participants();
-                sh.set_phase(me, 2); // gvt-send-a
-                self.simulate_until(&sh.a_done, parts);
-                sh.set_phase(me, 3); // gvt-b
+                sh.set_phase(me, Phase::SendA);
+                self.simulate_until(Round::a_done, parts);
+                sh.set_phase(me, Phase::B);
                 self.mark(EventKind::GvtSendA, id);
                 self.fold(EventKind::GvtB, id);
-                sh.b_done.fetch_add(1, Ordering::AcqRel);
-                sh.set_phase(me, 4); // gvt-send-b
-                self.simulate_until(&sh.b_done, parts);
-                sh.set_phase(me, 5); // gvt-aware
+                sh.round.arrive_b();
+                sh.set_phase(me, Phase::SendB);
+                self.simulate_until(Round::b_done, parts);
+                sh.set_phase(me, Phase::Aware);
                 self.mark(EventKind::GvtSendB, id);
                 self.aware(sys, id);
             }
@@ -232,14 +227,16 @@ impl<M: Model, P: Protocol<M>> Worker<'_, M, P> {
                 // the same phase lanes so one trace vocabulary covers both
                 // modes: fold = A, reduction barrier = B, controller = Aware,
                 // exit barrier = Send-B.
-                sh.set_phase(me, 9); // sync-bar0
+                sh.set_phase(me, Phase::Bar0);
                 sh.bars[0].wait();
+                sh.set_phase(me, Phase::A);
                 self.fold(EventKind::GvtA, id);
-                sh.set_phase(me, 10); // sync-bar1
+                sh.set_phase(me, Phase::Bar1);
                 sh.bars[1].wait();
+                sh.set_phase(me, Phase::Aware);
                 self.mark(EventKind::GvtB, id);
                 self.aware(sys, id);
-                sh.set_phase(me, 11); // sync-bar2
+                sh.set_phase(me, Phase::Bar2);
                 sh.bars[2].wait();
                 self.mark(EventKind::GvtSendB, id);
             }
@@ -253,7 +250,7 @@ impl<M: Model, P: Protocol<M>> Worker<'_, M, P> {
     fn collect(&mut self, id: u64, ckpt: &CkptSink<M>) {
         let sh = self.sh;
         if !sh.ckpt_await(id) {
-            self.engine.fossil_collect(sh.gvt());
+            self.engine.fossil_collect(sh.round.gvt());
             return;
         }
         // A chaos-exempt drain first pulls in every cut-crossing message
@@ -265,12 +262,12 @@ impl<M: Model, P: Protocol<M>> Worker<'_, M, P> {
         let cw0 = if trace { sh.now_ns() } else { 0 };
         self.receive(true);
         self.send();
-        let g = sh.gvt();
+        let g = sh.round.gvt();
         self.engine.fossil_collect(g);
         ckpt.deposit(
             id,
             g,
-            sh.gvt_rounds.load(Ordering::Acquire),
+            sh.round.rounds(),
             self.engine.snapshot_at_gvt(g),
             sh.participants(),
             sh.faults.cursor(),
@@ -295,14 +292,14 @@ impl<M: Model, P: Protocol<M>> Worker<'_, M, P> {
         let parked = match sys.scheduler {
             Scheduler::GgPdes => sh.deactivate_self(me, id),
             Scheduler::DdPdes => {
-                sh.set_phase(me, 12); // dd-deact
+                sh.set_phase(me, Phase::DdDeact);
                 let _g = sh.dd_lock.lock();
                 sh.deactivate_self(me, id)
             }
             Scheduler::Baseline => unreachable!("baseline never deactivates"),
         };
         if parked {
-            sh.set_phase(me, 7); // parked
+            sh.set_phase(me, Phase::Parked);
             let trace = self.tracer.enabled();
             let park0 = if trace { sh.now_ns() } else { 0 };
             if trace {
@@ -315,12 +312,10 @@ impl<M: Model, P: Protocol<M>> Worker<'_, M, P> {
             // parked thread *without* activating it (spurious wake-up). Only
             // `active[me]` — set by the activator before the post — or
             // termination legitimises leaving the park.
-            while !sh.demand.is_active(me) && !sh.terminated.load(Ordering::Acquire) {
+            while !sh.demand.is_active(me) && !sh.round.terminated() {
                 sh.sems[me].wait();
             }
-            // Algorithm 1 lines 14–17: reintegrate.
-            self.zero_counter = 0;
-            self.active_flag = true;
+            self.idle.reintegrate();
             if trace {
                 let now = sh.now_ns();
                 self.tracer.span(EventKind::Park, park0, now, id);
@@ -333,7 +328,7 @@ impl<M: Model, P: Protocol<M>> Worker<'_, M, P> {
             // would be pinned below a thread that keeps running.
             sh.demand.clear_park_min(me);
         }
-        !sh.terminated.load(Ordering::Acquire)
+        !sh.round.terminated()
     }
 }
 
@@ -368,8 +363,7 @@ pub fn worker_loop<M: Model, P: Protocol<M>>(
         batcher: SendBatcher::new(sh.num_threads, 64),
         tracer,
         span_start: 0,
-        zero_counter: 0,
-        active_flag: true,
+        idle: IdleTracker::new(ecfg.zero_counter_threshold),
         idle_spins: 0,
     };
     let mut cycles_since_gvt: u64 = 0;
@@ -380,8 +374,8 @@ pub fn worker_loop<M: Model, P: Protocol<M>>(
     let mut backoff = GvtBackoff::default();
 
     loop {
-        sh.set_phase(me, 0); // cycle
-        if sh.terminated.load(Ordering::Acquire) {
+        sh.set_phase(me, Phase::Cycle);
+        if sh.round.terminated() {
             break;
         }
         total_cycles += 1;
@@ -416,18 +410,13 @@ pub fn worker_loop<M: Model, P: Protocol<M>>(
         w.gvt_round(sys, id);
 
         // Phase End.
-        sh.set_phase(me, 6); // gvt-end
+        sh.set_phase(me, Phase::End);
         w.collect(id, ckpt);
         sh.gvt_wall_ns
             .fetch_add(enter.elapsed().as_nanos() as u64, Ordering::AcqRel);
-        backoff.observe(sh.gvt().ticks(), ecfg.gvt_max_no_change);
-        let terminated = sh.terminated.load(Ordering::Acquire);
-        let wants_deact = sys.demand_driven()
-            && !terminated
-            && !w.active_flag
-            && sh.len(me) == 0
-            && (P::PARKS_WITH_PENDING || !w.engine.has_live_pending())
-            && sh.window_is_clear(me);
+        backoff.observe(sh.round.gvt().ticks(), ecfg.gvt_max_no_change);
+        let terminated = sh.round.terminated();
+        let wants_deact = w.idle.wants_park(sys, &sh.round, sh, me, w.parkable());
         if trace {
             // Refresh this thread's counters so the snapshot the round closer
             // takes reflects post-round totals, not the phase-B fold.
@@ -465,7 +454,7 @@ pub fn worker_loop<M: Model, P: Protocol<M>>(
         }
     }
 
-    sh.set_phase(me, PHASE_DONE);
+    sh.set_phase(me, Phase::Done);
     w.engine.finalize();
     sh.telemetry.deposit(w.tracer);
     WorkerResult {

@@ -361,7 +361,6 @@ fn worker_panic_beats_watchdog_stall() {
 #[test]
 fn a_worker_stranded_after_termination_is_a_stall_not_a_hang() {
     use pdes_core::{AffinityPolicy, GvtMode, Scheduler};
-    use std::sync::atomic::Ordering;
     use thread_rt::{run_threads_attempt, Optimistic, Protocol, RtShared};
 
     type Payload = <Phold as pdes_core::Model>::Payload;
@@ -390,7 +389,7 @@ fn a_worker_stranded_after_termination_is_a_stall_not_a_hang() {
             Protocol::<Phold>::has_demand(&Optimistic, sh, i)
         }
         fn round_instants(&self, sh: &RtShared<Payload>, _: &mut telemetry::Tracer) {
-            if sh.terminated.load(Ordering::Acquire) {
+            if sh.round.terminated() {
                 // Baseline never parks, so no one ever posts a semaphore.
                 sh.sems[0].wait();
             }

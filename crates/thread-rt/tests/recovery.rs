@@ -8,7 +8,6 @@
 
 use models::{LocalityPattern, Phold, PholdConfig};
 use pdes_core::{run_sequential, EngineConfig, FaultPlan, Model, SystemConfig, VirtualTime};
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 use thread_rt::{
@@ -92,7 +91,7 @@ fn checkpointed_run_matches_oracle_and_restores_identically() {
 fn a_snapshotter_waits_out_the_gap_between_the_final_gvt_and_the_cut_publish() {
     let armed_round = || {
         let mut sh: RtShared<()> = RtShared::new(2, 2, VirtualTime::from_f64(1.0));
-        sh.set_checkpoint_every(1);
+        sh.round.set_checkpoint_every(1);
         let (_, id) = sh.try_join_round(0); // opens round 0 and arms it
         (sh, id)
     };
@@ -102,13 +101,13 @@ fn a_snapshotter_waits_out_the_gap_between_the_final_gvt_and_the_cut_publish() {
     std::thread::scope(|s| {
         let waiter = s.spawn(|| sh.ckpt_await(id));
         sh.compute_gvt(); // nothing is pending anywhere: GVT = ∞ ≥ end
-        assert!(sh.terminated.load(Ordering::Acquire));
+        assert!(sh.round.terminated());
         std::thread::sleep(Duration::from_millis(50));
         assert!(
             !waiter.is_finished(),
             "escaped before the cut was published"
         );
-        sh.ckpt_publish_if_armed(id);
+        sh.round.ckpt_publish(id);
         assert!(
             waiter.join().expect("waiter"),
             "released with the cut ready"

@@ -4,9 +4,11 @@
 //! combinations a runtime refuses, malformed endpoints, a peer that never
 //! connects) — all bounded, none may hang.
 
+use std::collections::BTreeSet;
 use std::net::TcpListener;
 use std::path::PathBuf;
 use std::process::{Command, Output};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use serde::Value;
@@ -51,12 +53,18 @@ fn run_bounded(args: &[&str], limit: Duration) -> Output {
 }
 
 /// Grab a free localhost port by binding port 0 and dropping the listener.
+/// The kernel may hand the same number out again once it is dropped, and the
+/// tests of this file run in parallel: every port handed out is remembered,
+/// and a repeat is picked again.
 fn free_port() -> u16 {
-    TcpListener::bind("127.0.0.1:0")
-        .expect("bind")
-        .local_addr()
-        .expect("addr")
-        .port()
+    static HANDED_OUT: Mutex<BTreeSet<u16>> = Mutex::new(BTreeSet::new());
+    loop {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let port = listener.local_addr().expect("addr").port();
+        if HANDED_OUT.lock().expect("no holder panics").insert(port) {
+            return port;
+        }
+    }
 }
 
 fn tmp_path(name: &str) -> PathBuf {
