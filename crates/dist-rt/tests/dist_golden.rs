@@ -1,0 +1,224 @@
+//! The stepped cluster, pinned: exact sweeps, committed events, digests,
+//! GVT rounds, final GVT and peak parked shards of a small imbalanced PHOLD,
+//! recorded at the commit before `ShardNode` lost its config twin, its
+//! private checkpoint sink and its scattered coordinator state (PR 18's
+//! parent).
+//!
+//! [`SteppedCluster`] steps every shard round-robin on one thread over
+//! memory links, so a run is a pure function of its configuration: any
+//! refactor of the shard loop that changes when a round opens, which wave
+//! closes it, when a shard parks, what a cut holds or what partial recovery
+//! replays moves these numbers.
+
+use std::sync::Arc;
+
+use dist_rt::{DistConfig, IngestGates, SteppedCluster, Transport};
+use models::{LocalityPattern, Phold, PholdConfig};
+use pdes_core::{
+    run_sequential_with, EngineConfig, IngestConfig, IngestGate, IngestRequest, LinkFaultPlan,
+    LpId, ReplySlot, VirtualTime,
+};
+
+const END: f64 = 400.0;
+
+/// `(sweeps, committed, commit digest, pending digest, gvt rounds, final
+/// gvt, max parked)`.
+type Golden = (u64, u64, u64, u64, u64, u64, u64);
+
+fn model() -> Arc<Phold> {
+    Arc::new(Phold::new(PholdConfig::imbalanced(
+        4,
+        8,
+        4,
+        END,
+        LocalityPattern::Linear,
+    )))
+}
+
+fn ecfg() -> EngineConfig {
+    EngineConfig::default().with_end_time(END).with_seed(24301)
+}
+
+fn dcfg(shards: usize) -> DistConfig {
+    DistConfig {
+        shards,
+        transport: Transport::Mem,
+        gvt_interval_cycles: 8,
+        wave_interval_cycles: 2,
+        ..DistConfig::default()
+    }
+}
+
+/// Sweep one cluster to completion, issuing `partial_recover(&[2])` right
+/// after sweep `recover_at`. Also returns the newest assembled cut's
+/// `(gvt_rounds, gvt ticks)`, `(0, 0)` when no round was armed.
+fn run(
+    dcfg: &DistConfig,
+    gates: Option<IngestGates<Phold>>,
+    recover_at: Option<u64>,
+) -> (Golden, (u64, u64)) {
+    let (model, ecfg) = (model(), ecfg());
+    let accepted = |gs: &IngestGates<Phold>| -> Vec<_> {
+        gs.iter().flat_map(|g| g.accepted_events()).collect()
+    };
+    let mut c = SteppedCluster::new_with_ingest(Arc::clone(&model), &ecfg, dcfg, gates.clone())
+        .expect("build cluster");
+    let mut sweeps = 0u64;
+    let mut recovered = false;
+    while !c.sweep().expect("invariants hold") {
+        sweeps += 1;
+        assert!(sweeps < 4_000_000, "cluster never finished");
+        if recover_at == Some(sweeps) {
+            recovered = c.partial_recover(&[2]).expect("recovery is clean");
+        }
+    }
+    assert_eq!(recovered, recover_at.is_some(), "partial recovery ran");
+    let out = c.take_outcome().expect("coordinator outcome");
+    let extra = gates.as_ref().map(accepted).unwrap_or_default();
+    let oracle = run_sequential_with(&model, &ecfg, &extra, None);
+    assert_eq!(out.totals.commit_digest, oracle.commit_digest);
+    assert_eq!(out.regressions, 0);
+    let cut = c.latest_checkpoint();
+    (
+        (
+            sweeps,
+            out.totals.committed,
+            out.totals.commit_digest,
+            out.pending_digest,
+            out.gvt_rounds,
+            out.gvt,
+            out.max_parked,
+        ),
+        cut.map_or((0, 0), |ck| (ck.gvt_rounds, ck.gvt.ticks())),
+    )
+}
+
+#[test]
+fn two_shards_plain() {
+    let (g, cut) = run(&dcfg(2), None, None);
+    assert_eq!(
+        g,
+        (
+            224,
+            12840,
+            5124066779591130399,
+            5728604743600580019,
+            25,
+            419451719,
+            3
+        )
+    );
+    assert_eq!(cut, (0, 0));
+}
+
+#[test]
+fn four_shards_plain() {
+    let (g, _) = run(&dcfg(4), None, None);
+    assert!(g.6 >= 1, "the imbalance must park a shard");
+    assert_eq!(
+        g,
+        (
+            224,
+            12840,
+            5124066779591130399,
+            5728604743600580019,
+            25,
+            419451719,
+            2
+        )
+    );
+}
+
+#[test]
+fn four_shards_under_link_chaos() {
+    let mut cfg = dcfg(4);
+    cfg.link_faults = Some(LinkFaultPlan::chaos(9));
+    let (g, _) = run(&cfg, None, None);
+    assert_eq!(
+        g,
+        (
+            226,
+            12840,
+            5124066779591130399,
+            5728604743600580019,
+            23,
+            419451719,
+            2
+        )
+    );
+}
+
+#[test]
+fn four_shards_checkpoint_armed() {
+    let mut cfg = dcfg(4);
+    cfg.ckpt_every_rounds = 3;
+    let (g, cut) = run(&cfg, None, None);
+    assert_eq!(
+        g,
+        (
+            224,
+            12840,
+            5124066779591130399,
+            5728604743600580019,
+            25,
+            419451719,
+            2
+        )
+    );
+    assert_eq!(cut, (24, 419451719));
+}
+
+#[test]
+fn four_shards_partial_recovery_at_a_fixed_sweep() {
+    let mut cfg = dcfg(4);
+    cfg.ckpt_every_rounds = 3;
+    let (g, cut) = run(&cfg, None, Some(120));
+    assert_eq!(
+        g,
+        (
+            243,
+            12840,
+            5124066779591130399,
+            5728604743600580019,
+            27,
+            419451719,
+            2
+        )
+    );
+    assert_eq!(cut, (24, 395053587));
+}
+
+#[test]
+fn two_shards_scripted_ingest_forwarded_across_shards() {
+    let gates: IngestGates<Phold> = (0..2)
+        .map(|s| Arc::new(IngestGate::new(IngestConfig::default(), s)))
+        .collect();
+    // Every submission enters at shard 0; destinations cycle over all 32
+    // LPs, so half of them travel the `Frame::Ingest` forwarding path.
+    for id in 0..24u64 {
+        let req = IngestRequest {
+            source: 1,
+            id,
+            at: VirtualTime::from_f64(0.5 + id as f64 * 2.3),
+            dst: LpId((id % 32) as u32),
+            payload: (),
+        };
+        assert!(gates[0].submit(req, ReplySlot::None).is_none());
+    }
+    let (g, _) = run(&dcfg(2), Some(gates.clone()), None);
+    let landed = (gates[0].accepted_count(), gates[1].accepted_count());
+    assert!(landed.1 > 0, "no submission was forwarded");
+    assert_eq!(
+        g,
+        (
+            359,
+            21755,
+            11741661211056522843,
+            16601565643295875836,
+            40,
+            419450261,
+            3
+        )
+    );
+    assert_eq!(landed, (12, 12));
+}
