@@ -1,0 +1,186 @@
+//! Heartbeat/lease failure detection, run by the coordinator over the
+//! existing reliable links. Workers beacon [`crate::proto::Frame::Heartbeat`]
+//! on a wall-clock cadence; the coordinator treats *any* inbound packet as
+//! life. Suspicion is phi-style: a peer whose silence exceeds
+//! `phi_threshold` times its mean inter-arrival gap is suspected (reset on
+//! the next arrival); only a full lease expiry (`interval * miss_threshold`
+//! of silence) declares it dead. The clock is passed in, so the detector
+//! holds no notion of "now" of its own.
+
+use std::time::{Duration, Instant};
+
+/// Cadence and thresholds of the failure detector.
+#[derive(Debug, Clone)]
+pub struct HeartbeatConfig {
+    /// Wall-clock cadence of worker heartbeats.
+    pub interval: Duration,
+    /// Declare a peer dead after this many intervals of silence.
+    pub miss_threshold: u32,
+    /// Suspect (but don't kill) a peer whose silence exceeds this multiple
+    /// of its mean inter-arrival gap.
+    pub phi_threshold: f64,
+}
+
+impl Default for HeartbeatConfig {
+    fn default() -> Self {
+        HeartbeatConfig {
+            interval: Duration::from_millis(25),
+            miss_threshold: 40,
+            phi_threshold: 8.0,
+        }
+    }
+}
+
+/// What one audit of a peer's lease found.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Lease {
+    Live,
+    /// The silence just became phi-anomalous (reported once per silence).
+    Suspect,
+    /// Silent for this long — the whole lease.
+    Expired(Duration),
+}
+
+/// Per-peer leases and arrival statistics.
+#[derive(Debug)]
+pub struct FailureDetector {
+    cfg: HeartbeatConfig,
+    last_heard: Vec<Instant>,
+    /// EWMA of inter-arrival gaps in ms (0 = no sample yet).
+    mean_ms: Vec<f64>,
+    suspected: Vec<bool>,
+}
+
+impl FailureDetector {
+    pub fn new(cfg: HeartbeatConfig, peers: usize, now: Instant) -> FailureDetector {
+        FailureDetector {
+            cfg,
+            last_heard: vec![now; peers],
+            mean_ms: vec![0.0; peers],
+            suspected: vec![false; peers],
+        }
+    }
+
+    /// A packet from `peer` arrived: renew its lease, clear suspicion.
+    pub fn heard(&mut self, peer: usize, now: Instant) {
+        let gap_ms = now.duration_since(self.last_heard[peer]).as_secs_f64() * 1000.0;
+        self.last_heard[peer] = now;
+        self.mean_ms[peer] = if self.mean_ms[peer] > 0.0 {
+            0.9 * self.mean_ms[peer] + 0.1 * gap_ms
+        } else {
+            gap_ms
+        };
+        self.suspected[peer] = false;
+    }
+
+    /// Audit `peer`'s lease at `now`.
+    pub fn audit(&mut self, peer: usize, now: Instant) -> Lease {
+        let silent = now.duration_since(self.last_heard[peer]);
+        let mean_ms = if self.mean_ms[peer] > 0.0 {
+            self.mean_ms[peer]
+        } else {
+            self.cfg.interval.as_secs_f64() * 1000.0
+        };
+        let phi = silent.as_secs_f64() * 1000.0 / mean_ms.max(0.01);
+        if phi > self.cfg.phi_threshold && !self.suspected[peer] {
+            self.suspected[peer] = true;
+            return Lease::Suspect;
+        }
+        if silent >= self.cfg.interval * self.cfg.miss_threshold {
+            return Lease::Expired(silent);
+        }
+        Lease::Live
+    }
+
+    /// Fresh leases for every peer — time the supervisor spent between
+    /// runs is not peer silence — and no arrival history for the `rebuilt`
+    /// ones, whose new incarnations owe nothing to the old cadence.
+    pub fn renew(&mut self, rebuilt: &[usize], now: Instant) {
+        self.last_heard.fill(now);
+        for &p in rebuilt {
+            self.mean_ms[p] = 0.0;
+            self.suspected[p] = false;
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const MS: Duration = Duration::from_millis(1);
+
+    /// 10 ms beacons, dead after 20 missed, suspected past 3 mean gaps.
+    fn detector(t0: Instant) -> FailureDetector {
+        let cfg = HeartbeatConfig {
+            interval: 10 * MS,
+            miss_threshold: 20,
+            phi_threshold: 3.0,
+        };
+        FailureDetector::new(cfg, 3, t0)
+    }
+
+    #[test]
+    fn any_packet_renews_the_lease_and_clears_suspicion() {
+        let t0 = Instant::now();
+        let mut d = detector(t0);
+        // No sample yet: the configured interval stands in for the mean gap.
+        assert_eq!(d.audit(1, t0 + 30 * MS), Lease::Live);
+        assert_eq!(d.audit(1, t0 + 31 * MS), Lease::Suspect);
+        d.heard(1, t0 + 35 * MS);
+        // 166 ms after that packet (mean gap 35 ms) the silence is anomalous
+        // again — suspicion went with the arrival — but the lease taken at
+        // t0 has not run out at 200 ms: it was renewed at 35.
+        assert_eq!(d.audit(1, t0 + 201 * MS), Lease::Suspect);
+        assert_eq!(d.audit(1, t0 + 202 * MS), Lease::Live);
+        assert_eq!(d.audit(1, t0 + 235 * MS), Lease::Expired(200 * MS));
+        // Peer 2 never spoke and is judged on its own clock.
+        assert_eq!(d.audit(2, t0 + 31 * MS), Lease::Suspect);
+        assert_eq!(d.audit(2, t0 + 201 * MS), Lease::Expired(201 * MS));
+    }
+
+    #[test]
+    fn a_phi_crossing_suspects_exactly_once_per_silence() {
+        let t0 = Instant::now();
+        let mut d = detector(t0);
+        for k in 1..=4u32 {
+            d.heard(1, t0 + k * 4 * MS); // steady 4 ms cadence
+        }
+        let last = t0 + 16 * MS;
+        assert_eq!(d.audit(1, last + 12 * MS), Lease::Live, "phi = 3 exactly");
+        assert_eq!(d.audit(1, last + 13 * MS), Lease::Suspect);
+        assert_eq!(d.audit(1, last + 14 * MS), Lease::Live, "reported once");
+        d.heard(1, last + 15 * MS);
+        assert_eq!(d.audit(1, last + 15 * MS + 40 * MS), Lease::Suspect);
+    }
+
+    #[test]
+    fn a_full_lease_of_silence_declares_the_peer_dead() {
+        let t0 = Instant::now();
+        let mut d = detector(t0);
+        assert_eq!(d.audit(1, t0 + 40 * MS), Lease::Suspect);
+        assert_eq!(d.audit(1, t0 + 200 * MS - MS / 2), Lease::Live);
+        assert_eq!(d.audit(1, t0 + 200 * MS), Lease::Expired(200 * MS));
+    }
+
+    #[test]
+    fn leases_are_fresh_after_a_recovery() {
+        let t0 = Instant::now();
+        let mut d = detector(t0);
+        for k in 1..=4u32 {
+            d.heard(1, t0 + k * MS); // 1 ms cadence: a 4 ms silence is anomalous
+            d.heard(2, t0 + k * MS);
+        }
+        assert_eq!(d.audit(1, t0 + 45 * MS), Lease::Suspect);
+        // The supervisor spent 100 ms rebuilding peer 1.
+        let t1 = t0 + 104 * MS;
+        d.renew(&[1], t1);
+        // Nobody is charged for that time...
+        assert_eq!(d.audit(1, t1 + 20 * MS), Lease::Live);
+        assert_eq!(d.audit(2, t1 + MS), Lease::Live);
+        // ...the rebuilt peer is back on the configured cadence, unsuspected,
+        // while the survivor keeps its 1 ms history.
+        assert_eq!(d.audit(1, t1 + 31 * MS), Lease::Suspect);
+        assert_eq!(d.audit(2, t1 + 4 * MS), Lease::Suspect);
+    }
+}

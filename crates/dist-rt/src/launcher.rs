@@ -6,7 +6,7 @@
 
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use metrics::RunMetrics;
@@ -16,12 +16,12 @@ use pdes_core::{
 };
 use telemetry::EventKind;
 
+use crate::coord::NodeOutcome;
+use crate::detector::HeartbeatConfig;
 use crate::link::{
     read_hello, spawn_tcp_reader, write_hello, Backoff, Inbox, MemTx, ReliableLink, TcpTx,
 };
-use crate::node::{
-    CkptSlot, DistError, HeartbeatConfig, NodeConfig, NodeOutcome, ReshapeAction, ShardNode,
-};
+use crate::node::{DistError, ReshapeAction, ShardNode};
 
 /// How loopback shards talk to each other.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -104,7 +104,7 @@ impl Default for DistConfig {
 }
 
 /// The assembled outcome of a distributed run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct DistResult {
     pub metrics: RunMetrics,
     /// Final per-LP state digests, ascending by LP.
@@ -134,56 +134,10 @@ pub struct DistResult {
     pub telemetry: Option<telemetry::TelemetryData>,
 }
 
-fn node_cfg(dcfg: &DistConfig, shard: usize) -> NodeConfig {
-    NodeConfig {
-        gvt_interval_cycles: dcfg.gvt_interval_cycles,
-        wave_interval_cycles: dcfg.wave_interval_cycles,
-        ckpt_every_rounds: dcfg.ckpt_every_rounds,
-        watchdog: dcfg.watchdog,
-        kill_at: dcfg
-            .kills
-            .iter()
-            .find(|(s, _)| *s == shard)
-            .map(|(_, at)| *at),
-        kill_silent: dcfg.kill_silent,
-        heartbeat: dcfg.heartbeat.clone(),
-        partitions: dcfg
-            .partitions
-            .iter()
-            .filter(|(from, _, _)| *from == shard)
-            .map(|(_, to, rounds)| (*to, *rounds))
-            .collect(),
-        join_at: (shard == 0).then_some(dcfg.join_at).flatten(),
-        leave_at: (shard == 0).then_some(dcfg.leave_at).flatten(),
-        telemetry: dcfg.telemetry.clone(),
-    }
-}
-
 fn link_faults_for(plan: &Option<LinkFaultPlan>, src: usize, dst: usize) -> Option<LinkFaults> {
     plan.as_ref()
         .filter(|p| p.is_active())
         .map(|p| LinkFaults::new(p, src, dst))
-}
-
-/// Build shard `i`'s links over shared in-memory inboxes.
-fn mem_links(
-    i: usize,
-    inboxes: &[Arc<Inbox>],
-    plan: &Option<LinkFaultPlan>,
-) -> Vec<Option<ReliableLink>> {
-    (0..inboxes.len())
-        .map(|j| {
-            (j != i).then(|| {
-                ReliableLink::new(
-                    Box::new(MemTx {
-                        peer_inbox: Arc::clone(&inboxes[j]),
-                        from: i,
-                    }),
-                    link_faults_for(plan, i, j),
-                )
-            })
-        })
-        .collect()
 }
 
 /// Full-mesh TCP handshake for shard `shard`: connect to every lower shard
@@ -245,13 +199,13 @@ pub fn tcp_mesh(
                         detail: format!("bogus Hello from shard {peer}"),
                     });
                 }
+                stream.set_read_timeout(None)?;
                 if streams[peer].replace(stream).is_some() {
                     return Err(DistError::Protocol {
                         shard,
                         detail: format!("shard {peer} connected twice"),
                     });
                 }
-                stream_clear_timeout(&mut streams, peer)?;
                 expected -= 1;
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
@@ -266,14 +220,6 @@ pub fn tcp_mesh(
         }
     }
     Ok(streams)
-}
-
-fn stream_clear_timeout(streams: &mut [Option<TcpStream>], peer: usize) -> Result<(), DistError> {
-    streams[peer]
-        .as_ref()
-        .expect("just inserted")
-        .set_read_timeout(None)?;
-    Ok(())
 }
 
 /// One loopback TCP connection between shards `lo < hi`, handshaked with
@@ -314,24 +260,6 @@ fn tcp_link(
     ))
 }
 
-/// Turn handshake streams into reliable links + reader threads feeding
-/// `inbox`.
-fn tcp_links(
-    i: usize,
-    streams: Vec<Option<TcpStream>>,
-    inbox: &Arc<Inbox>,
-    plan: &Option<LinkFaultPlan>,
-) -> Result<Vec<Option<ReliableLink>>, DistError> {
-    let mut links = Vec::with_capacity(streams.len());
-    for (j, s) in streams.into_iter().enumerate() {
-        match s {
-            None => links.push(None),
-            Some(stream) => links.push(Some(tcp_link(i, j, stream, inbox, plan)?)),
-        }
-    }
-    Ok(links)
-}
-
 /// Assemble the coordinator's [`NodeOutcome`] into a [`DistResult`].
 fn assemble_result(out: NodeOutcome, shards: usize, lps: usize, wall_secs: f64) -> DistResult {
     let telemetry = out.telemetry;
@@ -358,131 +286,272 @@ fn assemble_result(out: NodeOutcome, shards: usize, lps: usize, wall_secs: f64) 
         pending_digest: out.pending_digest,
         gvt: out.gvt,
         regressions: out.regressions,
-        recoveries: 0,
-        partial_recoveries: 0,
-        used_checkpoint: false,
         shards_final: shards,
-        membership_epoch: 0,
         telemetry,
+        ..DistResult::default()
     }
 }
-
-/// A built cluster: one node per shard plus the shared inboxes (needed
-/// again at partial-recovery time to rebuild a dead shard's links).
-type Cluster<M> = (Vec<ShardNode<M>>, Vec<Arc<Inbox>>);
 
 /// Per-shard ingest gates, indexed by shard id. The gates outlive every
 /// attempt (the supervisor holds the `Arc`s), so admissions, idempotency
 /// state, and journals survive kills and reshapes.
 pub type IngestGates<M> = Vec<Arc<IngestGate<<M as Model>::Payload>>>;
 
-/// Build a whole loopback cluster supervisor-side: shared inboxes, the full
-/// link mesh (memory or handshaked TCP pairs), and one [`ShardNode`] per
-/// shard, each bootstrapped or restored from `restore`.
-#[allow(clippy::too_many_arguments)]
-fn build_cluster<M: Model>(
-    model: &Arc<M>,
-    ecfg: &EngineConfig,
-    dcfg: &DistConfig,
-    flat_map: &LpMap,
-    slot: &CkptSlot<M>,
-    abort: &Arc<AtomicBool>,
-    restore: Option<&Checkpoint<M::State, M::Payload>>,
-    stepped: bool,
-    gates: Option<&IngestGates<M>>,
-) -> Result<Cluster<M>, DistError> {
-    let n = dcfg.shards;
-    let inboxes: Vec<Arc<Inbox>> = (0..n).map(|_| Inbox::new()).collect();
-    let mut link_rows: Vec<Vec<Option<ReliableLink>>> = match dcfg.transport {
-        Transport::Mem => (0..n)
-            .map(|i| mem_links(i, &inboxes, &dcfg.link_faults))
-            .collect(),
-        Transport::Tcp => {
-            let mut rows: Vec<Vec<Option<ReliableLink>>> =
-                (0..n).map(|_| (0..n).map(|_| None).collect()).collect();
-            for i in 0..n {
-                for j in i + 1..n {
-                    let (si, sj) = tcp_pair(i, j)?;
-                    rows[i][j] = Some(tcp_link(i, j, si, &inboxes[i], &dcfg.link_faults)?);
-                    rows[j][i] = Some(tcp_link(j, i, sj, &inboxes[j], &dcfg.link_faults)?);
+type Cut<M> = Checkpoint<<M as Model>::State, <M as Model>::Payload>;
+
+/// A loopback cluster: what every node of the run is built from, one
+/// [`ShardNode`] per shard, and their inboxes (needed again at
+/// partial-recovery time to rebuild a dead shard's links). Both the threaded
+/// supervisor and [`SteppedCluster`] hold one.
+struct Cluster<M: Model> {
+    model: Arc<M>,
+    ecfg: EngineConfig,
+    dcfg: DistConfig,
+    map: LpMap,
+    nodes: Vec<ShardNode<M>>,
+    inboxes: Vec<Arc<Inbox>>,
+    /// The cut the nodes were restored from — the newest one until the
+    /// coordinator assembles its own.
+    restored: Option<Cut<M>>,
+    gates: Option<IngestGates<M>>,
+    /// Cohort-wide abort flag of a threaded cluster; a stepped one runs on
+    /// the caller's thread and has nobody to tell.
+    abort: Option<Arc<AtomicBool>>,
+}
+
+impl<M: Model> Cluster<M> {
+    /// Build the whole cluster supervisor-side.
+    fn build(
+        model: Arc<M>,
+        ecfg: &EngineConfig,
+        dcfg: DistConfig,
+        map: LpMap,
+        gates: Option<IngestGates<M>>,
+        abort: Option<Arc<AtomicBool>>,
+    ) -> Result<Cluster<M>, DistError> {
+        let mut cl = Cluster {
+            model,
+            ecfg: ecfg.clone(),
+            dcfg,
+            map,
+            nodes: Vec::new(),
+            inboxes: Vec::new(),
+            restored: None,
+            gates,
+            abort,
+        };
+        cl.rebuild(None)?;
+        Ok(cl)
+    }
+
+    /// (Re)start the run as `dcfg.shards` shards under `self.map`: the full link
+    /// mesh (memory or handshaked TCP pairs) and one node per shard, each
+    /// restored from `restore` or, without one, bootstrapped.
+    fn rebuild(&mut self, restore: Option<Cut<M>>) -> Result<(), DistError> {
+        let n = self.dcfg.shards;
+        // The old generation hangs up before the new one dials.
+        self.nodes.clear();
+        self.inboxes.resize_with(n, Inbox::new);
+        self.restored = restore;
+        let everyone: Vec<usize> = (0..n).collect();
+        for (i, links) in self.rewire(&everyone)?.into_iter().enumerate() {
+            let node = self.spawn(i, links, self.restored.as_ref())?;
+            self.nodes.push(node);
+        }
+        Ok(())
+    }
+
+    /// The newest checkpoint cut this run holds.
+    fn latest_cut(&self) -> Option<Cut<M>> {
+        self.nodes[0].latest_cut().or_else(|| self.restored.clone())
+    }
+
+    /// Both ends of the connection between shards `a` and `b`: `(a's link to
+    /// b, b's link to a)`.
+    fn link_pair(&self, a: usize, b: usize) -> Result<(ReliableLink, ReliableLink), DistError> {
+        let (plan, inboxes) = (&self.dcfg.link_faults, &self.inboxes);
+        Ok(match self.dcfg.transport {
+            Transport::Mem => {
+                let end = |from: usize, to: usize| {
+                    let peer_inbox = Arc::clone(&inboxes[to]);
+                    let tx = Box::new(MemTx { peer_inbox, from });
+                    ReliableLink::new(tx, link_faults_for(plan, from, to))
+                };
+                (end(a, b), end(b, a))
+            }
+            Transport::Tcp => {
+                let (sa, sb) = tcp_pair(a, b)?;
+                (
+                    tcp_link(a, b, sa, &inboxes[a], plan)?,
+                    tcp_link(b, a, sb, &inboxes[b], plan)?,
+                )
+            }
+        })
+    }
+
+    /// Fresh inboxes for the `fresh` shards and a fresh connection wherever
+    /// one of them is an end. A standing node's end is swapped in place;
+    /// the `fresh` shards' ends are returned, one link row per shard, for
+    /// the nodes about to be built on them.
+    fn rewire(&mut self, fresh: &[usize]) -> Result<Vec<Vec<Option<ReliableLink>>>, DistError> {
+        let n = self.dcfg.shards;
+        for &f in fresh {
+            self.inboxes[f] = Inbox::new();
+        }
+        let mut rows: Vec<Vec<Option<ReliableLink>>> = fresh
+            .iter()
+            .map(|_| (0..n).map(|_| None).collect())
+            .collect();
+        for a in 0..n {
+            for b in a + 1..n {
+                if !fresh.contains(&a) && !fresh.contains(&b) {
+                    continue;
+                }
+                let (la, lb) = self.link_pair(a, b)?;
+                for (me, peer, link) in [(a, b, la), (b, a, lb)] {
+                    match fresh.iter().position(|&f| f == me) {
+                        Some(row) => rows[row][peer] = Some(link),
+                        None => self.nodes[me].replace_link(peer, link),
+                    }
                 }
             }
-            rows
         }
-    };
-    let mut nodes = Vec::with_capacity(n);
-    for (i, links) in link_rows.drain(..).enumerate() {
-        let mut ncfg = node_cfg(dcfg, i);
-        if stepped {
-            ncfg.watchdog = None; // wall clock has no meaning there
-        }
+        Ok(rows)
+    }
+
+    /// A new node for `shard` on `links`, restored from `ck` or bootstrapped.
+    fn spawn(
+        &self,
+        shard: usize,
+        links: Vec<Option<ReliableLink>>,
+        ck: Option<&Cut<M>>,
+    ) -> Result<ShardNode<M>, DistError> {
         let mut node = ShardNode::new(
-            Arc::clone(model),
-            flat_map.clone(),
-            i,
-            n,
-            ecfg,
-            ncfg,
+            Arc::clone(&self.model),
+            self.map.clone(),
+            shard,
+            &self.ecfg,
+            &self.dcfg,
             links,
-            Arc::clone(&inboxes[i]),
-            (i == 0).then(|| Arc::clone(slot)),
-            (!stepped).then(|| Arc::clone(abort)),
+            Arc::clone(&self.inboxes[shard]),
         );
+        node.set_abort(self.abort.clone());
         // Attach the gate before restore: a restored node replays the
         // gate's accepted-but-uncut suffix into its rebuilt engine.
-        if let Some(g) = gates.and_then(|gs| gs.get(i)) {
+        if let Some(g) = self.gates.as_ref().and_then(|gs| gs.get(shard)) {
             node.set_ingest(Arc::clone(g));
         }
-        match restore {
+        match ck {
             Some(ck) => node.restore(ck)?,
             None => node.bootstrap()?,
         }
-        nodes.push(node);
+        Ok(node)
     }
-    Ok((nodes, inboxes))
-}
 
-/// Run every node to completion on its own thread. A failing node flips
-/// the cohort abort flag — except a *silent* scripted kill, whose whole
-/// point is that the survivors must discover it themselves (heartbeat
-/// lease expiry or TCP hang-up).
-fn run_attempt<M: Model>(
-    nodes: &mut [ShardNode<M>],
-    abort: &Arc<AtomicBool>,
-    kill_silent: bool,
-) -> Vec<Result<(), DistError>> {
-    std::thread::scope(|s| {
-        let handles: Vec<_> = nodes
-            .iter_mut()
-            .map(|node| {
-                let abort = Arc::clone(abort);
-                s.spawn(move || {
-                    let r = node.run();
-                    if let Err(e) = &r {
-                        let silent = kill_silent && matches!(e, DistError::Killed { .. });
-                        if !silent {
-                            abort.store(true, Ordering::Relaxed);
-                        }
-                    }
-                    r
-                })
-            })
+    /// Whether the `dead` shards can be restored on their own: the
+    /// coordinator cannot be, and a survivor that already began teardown
+    /// cannot take part.
+    fn can_partially_recover(&self, dead: &[usize]) -> bool {
+        let n = self.nodes.len();
+        !dead.contains(&0)
+            && dead.iter().all(|&d| d < n)
+            && (0..n).all(|i| dead.contains(&i) || self.nodes[i].is_running())
+    }
+
+    /// Restore only the dead shards from `ck` and stitch them back into the
+    /// live cluster: survivors keep their engines, GVT counters (minus the
+    /// dead peers' columns) and send logs; each dead shard gets a fresh
+    /// node, fresh links on both sides, the survivors replay their
+    /// cut-crossing send logs to it and purge every input the restored
+    /// shard will re-send.
+    fn partial_recover(&mut self, dead: &[usize], ck: &Cut<M>) -> Result<(), DistError> {
+        let n = self.nodes.len();
+        debug_assert!(self.can_partially_recover(dead));
+        let survivors: Vec<usize> = (0..n).filter(|i| !dead.contains(i)).collect();
+        // 1. Sever the dead shards' transports and flush in-flight raw
+        //    packets.
+        for &s in &survivors {
+            self.nodes[s].sever(dead, self.dcfg.transport == Transport::Tcp);
+        }
+        // 2. Fence: any frame for a round the coordinator already abandoned
+        //    is stale pre-failure traffic. The coordinator's published GVT
+        //    is the authoritative recovery floor — a survivor that missed
+        //    the final pre-kill publish still holds an older one.
+        let min_round = self.nodes[0].upcoming_round();
+        let floor = self.nodes[0].gvt();
+        // 3. Fresh inboxes + links for the dead shards (both directions),
+        //    and fresh nodes on them, restored from the cut. They
+        //    deterministically re-execute from `ck.gvt` up to where they
+        //    died; everything they re-send below the recovery floor is a
+        //    duplicate the survivors drop at the link.
+        for (&d, links) in dead.iter().zip(self.rewire(dead)?) {
+            // The surviving gate re-attaches with its admission floor
+            // fenced to the coordinator's published GVT — below it, the
+            // restored shard must re-execute the pre-failure history
+            // exactly, so survivors can drop its re-sends as duplicates.
+            let mut node = self.spawn(d, links, Some(ck))?;
+            node.raise_ingest_floor(floor);
+            node.trace_instant(EventKind::PartialRestore, ck.gvt.ticks());
+            self.nodes[d] = node;
+        }
+        // 4. Survivors enter recovery: void the dead peers' GVT counters,
+        //    fence stale rounds, replay their send logs from the cut
+        //    forward (the restored shard lost those inputs) and purge every
+        //    input taken from the dead shards in the window being
+        //    re-executed.
+        let mut dead_lps: Vec<LpId> = dead
+            .iter()
+            .flat_map(|&d| self.map.lps_of(SimThreadId(d as u32)))
             .collect();
-        handles
-            .into_iter()
-            .enumerate()
-            .map(|(shard, h)| {
-                h.join().unwrap_or_else(|_| {
-                    // A panicking shard thread is reported like any other
-                    // shard failure so the supervisor can recover it.
-                    Err(DistError::Protocol {
-                        shard,
-                        detail: "shard thread panicked".to_string(),
+        dead_lps.sort_unstable_by_key(|lp| lp.0);
+        for &s in &survivors {
+            self.nodes[s].recover_peers(dead, &dead_lps, ck.gvt.ticks(), min_round, floor)?;
+        }
+        Ok(())
+    }
+
+    /// Run every node to completion on its own thread. A failing node flips
+    /// the cohort abort flag — except a *silent* scripted kill, whose whole
+    /// point is that the survivors must discover it themselves (heartbeat
+    /// lease expiry or TCP hang-up).
+    fn run_attempt(&mut self) -> Vec<Result<(), DistError>> {
+        let (abort, kill_silent) = (self.abort.as_ref(), self.dcfg.kill_silent);
+        if let Some(abort) = abort {
+            abort.store(false, Ordering::Relaxed);
+        }
+        std::thread::scope(|s| {
+            let handles: Vec<_> = self
+                .nodes
+                .iter_mut()
+                .map(|node| {
+                    s.spawn(move || {
+                        let r = node.run();
+                        if let (Err(e), Some(abort)) = (&r, abort) {
+                            let silent = kill_silent && matches!(e, DistError::Killed { .. });
+                            if !silent {
+                                abort.store(true, Ordering::Relaxed);
+                            }
+                        }
+                        r
                     })
                 })
-            })
-            .collect()
-    })
+                .collect();
+            handles
+                .into_iter()
+                .enumerate()
+                .map(|(shard, h)| {
+                    h.join().unwrap_or_else(|_| {
+                        // A panicking shard thread is reported like any other
+                        // shard failure so the supervisor can recover it.
+                        Err(DistError::Protocol {
+                            shard,
+                            detail: "shard thread panicked".to_string(),
+                        })
+                    })
+                })
+                .collect()
+        })
+    }
 }
 
 /// Per-old-thread relative load estimate from a checkpoint cut: committed
@@ -495,162 +564,15 @@ fn load_from_cut<S, P>(ck: &Checkpoint<S, P>, map: &LpMap) -> Vec<u64> {
     load
 }
 
-/// Restore only the dead shards from `ck` and stitch them back into the
-/// live cluster: survivors keep their engines, GVT counters (minus the dead
-/// peers' columns) and send logs; each dead shard gets a fresh node, fresh
-/// links on both sides, the survivors replay their cut-crossing send logs
-/// to it and purge every input the restored shard will re-send.
-#[allow(clippy::too_many_arguments)]
-fn partial_recover<M: Model>(
-    model: &Arc<M>,
-    ecfg: &EngineConfig,
-    dcfg: &DistConfig,
-    flat_map: &LpMap,
-    nodes: &mut [ShardNode<M>],
-    inboxes: &mut [Arc<Inbox>],
-    dead: &[usize],
-    ck: &Checkpoint<M::State, M::Payload>,
-    abort: Option<&Arc<AtomicBool>>,
-    stepped: bool,
-    gates: Option<&IngestGates<M>>,
-) -> Result<(), DistError> {
-    let n = nodes.len();
-    debug_assert!(
-        !dead.contains(&0),
-        "the coordinator cannot be restored partially"
-    );
-    let survivors: Vec<usize> = (0..n).filter(|i| !dead.contains(i)).collect();
-    // 1. Sever the dead shards' transports and flush in-flight raw packets.
-    //    Dropped survivor packets were never acked, so retransmission
-    //    redelivers them; the dead peers' packets must die here.
-    if dcfg.transport == Transport::Tcp {
-        for &s in &survivors {
-            for &d in dead {
-                nodes[s].hangup_link(d);
-            }
-        }
-        for &s in &survivors {
-            for &d in dead {
-                nodes[s].await_hangup(d, Duration::from_secs(2));
-            }
+/// Shard `gone` left the membership: its scripted kills go with it and the
+/// shard ids above it shift down by one.
+fn renumber_kills(kills: &mut Vec<(usize, u64)>, gone: usize) {
+    kills.retain(|k| k.0 != gone);
+    for k in kills {
+        if k.0 > gone {
+            k.0 -= 1;
         }
     }
-    for &s in &survivors {
-        nodes[s].drain_inbox_dropping();
-    }
-    // 2. Fence: any frame for a round the coordinator already abandoned is
-    //    stale pre-failure traffic. The coordinator's published GVT is the
-    //    authoritative recovery floor — a survivor that missed the final
-    //    pre-kill publish still holds an older one.
-    let min_round = nodes[0].upcoming_round();
-    let floor = nodes[0].gvt();
-    // 3. Fresh inboxes + links for the dead shards (both directions).
-    for &d in dead {
-        inboxes[d] = Inbox::new();
-    }
-    let mut dead_links: Vec<Vec<Option<ReliableLink>>> = dead
-        .iter()
-        .map(|_| (0..n).map(|_| None).collect())
-        .collect();
-    let slot_of = |d: usize| dead.iter().position(|&x| x == d).expect("dead shard");
-    match dcfg.transport {
-        Transport::Mem => {
-            for &s in &survivors {
-                for &d in dead {
-                    nodes[s].replace_link(
-                        d,
-                        ReliableLink::new(
-                            Box::new(MemTx {
-                                peer_inbox: Arc::clone(&inboxes[d]),
-                                from: s,
-                            }),
-                            link_faults_for(&dcfg.link_faults, s, d),
-                        ),
-                    );
-                }
-            }
-            for &d in dead {
-                dead_links[slot_of(d)] = mem_links(d, inboxes, &dcfg.link_faults);
-            }
-        }
-        Transport::Tcp => {
-            for a in 0..n {
-                for b in a + 1..n {
-                    if !dead.contains(&a) && !dead.contains(&b) {
-                        continue;
-                    }
-                    let (sa, sb) = tcp_pair(a, b)?;
-                    let la = tcp_link(a, b, sa, &inboxes[a], &dcfg.link_faults)?;
-                    let lb = tcp_link(b, a, sb, &inboxes[b], &dcfg.link_faults)?;
-                    if dead.contains(&a) {
-                        dead_links[slot_of(a)][b] = Some(la);
-                    } else {
-                        nodes[a].replace_link(b, la);
-                    }
-                    if dead.contains(&b) {
-                        dead_links[slot_of(b)][a] = Some(lb);
-                    } else {
-                        nodes[b].replace_link(a, lb);
-                    }
-                }
-            }
-        }
-    }
-    // 4. Fresh nodes for the dead shards, restored from the cut. They
-    //    deterministically re-execute from `ck.gvt` up to where they died;
-    //    everything they re-send below the recovery floor is a duplicate
-    //    the survivors drop at the link.
-    for &d in dead {
-        let links = std::mem::take(&mut dead_links[slot_of(d)]);
-        let mut ncfg = node_cfg(dcfg, d);
-        if stepped {
-            ncfg.watchdog = None;
-        }
-        let mut node = ShardNode::new(
-            Arc::clone(model),
-            flat_map.clone(),
-            d,
-            n,
-            ecfg,
-            ncfg,
-            links,
-            Arc::clone(&inboxes[d]),
-            None,
-            abort.map(Arc::clone),
-        );
-        // The surviving gate (held by the supervisor) re-attaches: its
-        // accepted suffix replays in restore, and its admission floor is
-        // fenced to the coordinator's published GVT — below it, the
-        // restored shard must deterministically re-execute the pre-failure
-        // history so survivors can drop its re-sends as duplicates.
-        if let Some(g) = gates.and_then(|gs| gs.get(d)) {
-            node.set_ingest(Arc::clone(g));
-        }
-        node.restore(ck)?;
-        node.raise_ingest_floor(floor);
-        node.trace_instant(EventKind::PartialRestore, ck.gvt.ticks());
-        nodes[d] = node;
-    }
-    // 5. Survivors enter recovery: void the dead peers' GVT counters, fence
-    //    stale rounds, replay their send logs from the cut forward (the
-    //    restored shard lost those inputs) and purge every input taken from
-    //    the dead shards in the window being re-executed.
-    let mut dead_lps: Vec<LpId> = dead
-        .iter()
-        .flat_map(|&d| flat_map.lps_of(SimThreadId(d as u32)))
-        .collect();
-    dead_lps.sort_unstable_by_key(|lp| lp.0);
-    for &s in &survivors {
-        nodes[s].begin_peer_recovery(dead, min_round, floor);
-        if let Some(a) = abort {
-            nodes[s].set_abort(Some(Arc::clone(a)));
-        }
-        for &d in dead {
-            nodes[s].replay_log_to(d, ck.gvt.ticks())?;
-        }
-        nodes[s].purge_dead_inputs(&dead_lps, ck.gvt.ticks())?;
-    }
-    Ok(())
 }
 
 /// Run the whole simulation as `dcfg.shards` loopback shards (one thread
@@ -685,192 +607,125 @@ pub fn run_loopback_ingest<M: Model>(
     dcfg: &DistConfig,
     gates: Option<IngestGates<M>>,
 ) -> Result<DistResult, DistError> {
-    let mut dcfg = dcfg.clone();
     assert!(dcfg.shards >= 1, "need at least one shard");
     let num_lps = model.num_lps();
-    let mut flat_map = LpMap::new(num_lps, dcfg.shards, ecfg.mapping);
-    let slot: CkptSlot<M> = Arc::new(Mutex::new(None));
+    let map = LpMap::new(num_lps, dcfg.shards, ecfg.mapping);
+    let abort = Arc::new(AtomicBool::new(false));
     let t0 = Instant::now();
     let mut recoveries = 0u32;
     let mut partial_recoveries = 0u32;
     let mut membership_epoch = 0u64;
     let mut used_checkpoint = false;
-    // Membership instants to stamp onto the next generation's trace clock.
-    let mut pending_instants: Vec<(EventKind, u64)> = Vec::new();
-    'generations: loop {
-        let n = dcfg.shards;
-        let restore: Option<Checkpoint<M::State, M::Payload>> =
-            slot.lock().unwrap_or_else(|e| e.into_inner()).clone();
-        if (recoveries > 0 || membership_epoch > 0) && restore.is_some() {
-            used_checkpoint = true;
-        }
-        let mut abort = Arc::new(AtomicBool::new(false));
-        let (mut nodes, mut inboxes) = build_cluster(
-            &model,
-            ecfg,
-            &dcfg,
-            &flat_map,
-            &slot,
-            &abort,
-            restore.as_ref(),
-            false,
-            gates.as_ref(),
-        )?;
-        for (kind, arg) in pending_instants.drain(..) {
-            nodes[0].trace_instant(kind, arg);
-        }
-        // Scripted partitions fire once, on the first generation's links.
-        dcfg.partitions.clear();
-        loop {
-            let results = run_attempt(&mut nodes, &abort, dcfg.kill_silent);
-            let mut dead: Vec<usize> = Vec::new();
-            let mut reshape: Option<ReshapeAction> = None;
-            let mut hard_err: Option<DistError> = None;
-            let mut all_ok = true;
-            for r in results {
-                match r {
-                    Ok(()) => {}
-                    Err(e) => {
-                        all_ok = false;
-                        match e {
-                            DistError::Killed { shard } | DistError::PeerDead { shard, .. } => {
-                                if !dead.contains(&shard) {
-                                    dead.push(shard);
-                                }
-                            }
-                            DistError::Reshape { action } => reshape = Some(action),
-                            // Collateral of a kill/reshape elsewhere.
-                            DistError::Aborted { .. } => {}
-                            e => {
-                                if hard_err.is_none() {
-                                    hard_err = Some(e);
-                                }
-                            }
-                        }
+    let mut cl = Cluster::build(model, ecfg, dcfg.clone(), map, gates, Some(abort))?;
+    // Scripted partitions fire once, on the first generation's links.
+    cl.dcfg.partitions.clear();
+    loop {
+        let n = cl.nodes.len();
+        let mut dead: Vec<usize> = Vec::new();
+        let mut reshape: Option<ReshapeAction> = None;
+        let mut hard_err: Option<DistError> = None;
+        let mut all_ok = true;
+        for r in cl.run_attempt() {
+            let Err(e) = r else { continue };
+            all_ok = false;
+            match e {
+                DistError::Killed { shard } | DistError::PeerDead { shard, .. } => {
+                    if !dead.contains(&shard) {
+                        dead.push(shard);
                     }
                 }
+                DistError::Reshape { action } => reshape = Some(action),
+                // Collateral of a kill/reshape elsewhere.
+                DistError::Aborted { .. } => {}
+                e => hard_err = hard_err.or(Some(e)),
             }
-            if all_ok {
-                let out = nodes[0].take_outcome().ok_or(DistError::Protocol {
-                    shard: 0,
-                    detail: "coordinator finished without an outcome".to_string(),
-                })?;
-                let mut res = assemble_result(out, n, num_lps, t0.elapsed().as_secs_f64());
-                res.recoveries = recoveries;
-                res.partial_recoveries = partial_recoveries;
-                res.used_checkpoint = used_checkpoint;
-                res.shards_final = n;
-                res.membership_epoch = membership_epoch;
-                return Ok(res);
-            }
-            if !dead.is_empty() {
-                dead.sort_unstable();
-                recoveries += dead.len() as u32;
-                // A fired kill does not repeat.
-                dcfg.kills.retain(|(s, _)| !dead.contains(s));
-                let ck: Option<Checkpoint<M::State, M::Payload>> =
-                    slot.lock().unwrap_or_else(|e| e.into_inner()).clone();
-                if recoveries > dcfg.max_recoveries {
-                    if let Some(ck) = ck.as_ref().filter(|_| dcfg.degrade && !dead.contains(&0)) {
-                        // Graceful degradation: absorb the dead shards'
-                        // LPs into the survivors and restart from the cut
-                        // with a smaller cluster.
-                        let mut map = ck.map.clone();
-                        for &d in dead.iter().rev() {
-                            let load = load_from_cut(ck, &map);
-                            map = map.rebalanced_without(SimThreadId(d as u32), &load);
-                        }
-                        flat_map = map;
-                        dcfg.shards = n - dead.len();
-                        membership_epoch += dead.len() as u64;
-                        for &d in dead.iter().rev() {
-                            for k in dcfg.kills.iter_mut() {
-                                if k.0 > d {
-                                    k.0 -= 1;
-                                }
-                            }
-                            pending_instants.push((EventKind::ShardLeave, d as u64));
-                        }
-                        continue 'generations;
-                    }
+        }
+        if all_ok {
+            let out = cl.nodes[0].take_outcome().ok_or(DistError::Protocol {
+                shard: 0,
+                detail: "coordinator finished without an outcome".to_string(),
+            })?;
+            let mut res = assemble_result(out, n, num_lps, t0.elapsed().as_secs_f64());
+            res.recoveries = recoveries;
+            res.partial_recoveries = partial_recoveries;
+            res.used_checkpoint = used_checkpoint;
+            res.membership_epoch = membership_epoch;
+            return Ok(res);
+        }
+        // Everything from here on rebuilds shards from the newest cut (or
+        // replays from the start when none exists yet): the dead ones in
+        // place, or all of them as the next generation (under a new map
+        // when the membership changes).
+        let ck = cl.latest_cut();
+        // Membership instants to stamp onto the next generation's trace.
+        let mut instants: Vec<(EventKind, u64)> = Vec::new();
+        if !dead.is_empty() {
+            dead.sort_unstable();
+            recoveries += dead.len() as u32;
+            // A fired kill does not repeat.
+            cl.dcfg.kills.retain(|(s, _)| !dead.contains(s));
+            if recoveries > cl.dcfg.max_recoveries {
+                let can_degrade = cl.dcfg.degrade && !dead.contains(&0);
+                let Some(ck) = ck.as_ref().filter(|_| can_degrade) else {
                     return Err(DistError::RecoveryExhausted {
                         attempts: recoveries,
                         last: format!("shard(s) {dead:?} dead"),
                     });
-                }
-                let partial_ok = dcfg.ckpt_every_rounds > 0
-                    && ck.is_some()
-                    && !dead.contains(&0)
-                    && (0..n)
-                        .filter(|i| !dead.contains(i))
-                        .all(|i| nodes[i].is_running());
-                if !partial_ok {
-                    // Full restore-all restart (or replay from the start
-                    // when no cut exists yet).
-                    continue 'generations;
-                }
-                abort = Arc::new(AtomicBool::new(false));
-                let Some(ck) = ck.as_ref() else {
-                    return Err(DistError::Protocol {
-                        shard: 0,
-                        detail: "partial recovery chosen without a cut".to_string(),
-                    });
                 };
-                partial_recover(
-                    &model,
-                    ecfg,
-                    &dcfg,
-                    &flat_map,
-                    &mut nodes,
-                    &mut inboxes,
-                    &dead,
-                    ck,
-                    Some(&abort),
-                    false,
-                    gates.as_ref(),
-                )?;
+                // Graceful degradation: absorb the dead shards' LPs into
+                // the survivors and restart from the cut with a smaller
+                // cluster.
+                cl.map = ck.map.clone();
+                for &d in dead.iter().rev() {
+                    let load = load_from_cut(ck, &cl.map);
+                    cl.map = cl.map.rebalanced_without(SimThreadId(d as u32), &load);
+                    renumber_kills(&mut cl.dcfg.kills, d);
+                    instants.push((EventKind::ShardLeave, d as u64));
+                }
+                cl.dcfg.shards = n - dead.len();
+                membership_epoch += dead.len() as u64;
+            } else if let Some(ck) = ck
+                .as_ref()
+                .filter(|_| cl.dcfg.ckpt_every_rounds > 0 && cl.can_partially_recover(&dead))
+            {
+                cl.partial_recover(&dead, ck)?;
                 partial_recoveries += 1;
                 used_checkpoint = true;
                 continue;
             }
-            if let Some(action) = reshape {
-                let ck: Checkpoint<M::State, M::Payload> = slot
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .clone()
-                    .ok_or(DistError::Protocol {
-                        shard: 0,
-                        detail: "membership reshape without an assembled cut".to_string(),
-                    })?;
-                let load = load_from_cut(&ck, &ck.map);
-                match action {
-                    ReshapeAction::Join => {
-                        flat_map = ck.map.rebalanced_with_joiner(&load);
-                        dcfg.shards = n + 1;
-                        dcfg.join_at = None;
-                        pending_instants.push((EventKind::ShardJoin, n as u64));
-                    }
-                    ReshapeAction::Leave(s) => {
-                        flat_map = ck.map.rebalanced_without(SimThreadId(s as u32), &load);
-                        dcfg.shards = n - 1;
-                        dcfg.leave_at = None;
-                        // Shard ids above the leaver shift down by one.
-                        dcfg.kills.retain(|(k, _)| *k != s);
-                        for k in dcfg.kills.iter_mut() {
-                            if k.0 > s {
-                                k.0 -= 1;
-                            }
-                        }
-                        pending_instants.push((EventKind::ShardLeave, s as u64));
-                    }
+            // Otherwise: a full restore-all restart under the same map.
+        } else if let Some(action) = reshape {
+            let ck = ck.as_ref().ok_or(DistError::Protocol {
+                shard: 0,
+                detail: "membership reshape without an assembled cut".to_string(),
+            })?;
+            let load = load_from_cut(ck, &ck.map);
+            match action {
+                ReshapeAction::Join => {
+                    cl.map = ck.map.rebalanced_with_joiner(&load);
+                    cl.dcfg.shards = n + 1;
+                    cl.dcfg.join_at = None;
+                    instants.push((EventKind::ShardJoin, n as u64));
                 }
-                membership_epoch += 1;
-                continue 'generations;
+                ReshapeAction::Leave(s) => {
+                    cl.map = ck.map.rebalanced_without(SimThreadId(s as u32), &load);
+                    cl.dcfg.shards = n - 1;
+                    cl.dcfg.leave_at = None;
+                    renumber_kills(&mut cl.dcfg.kills, s);
+                    instants.push((EventKind::ShardLeave, s as u64));
+                }
             }
+            membership_epoch += 1;
+        } else {
             return Err(hard_err.unwrap_or(DistError::Protocol {
                 shard: 0,
                 detail: "attempt failed with no classified error".to_string(),
             }));
+        }
+        used_checkpoint |= ck.is_some();
+        cl.rebuild(ck)?;
+        for (kind, arg) in instants {
+            cl.nodes[0].trace_instant(kind, arg);
         }
     }
 }
@@ -920,20 +775,15 @@ pub fn run_shard_process<M: Model>(
     let t0 = Instant::now();
     let streams = tcp_mesh(opts.shard, n, listener, &addrs, opts.dcfg.mesh_timeout)?;
     let inbox = Inbox::new();
-    let links = tcp_links(opts.shard, streams, &inbox, &opts.dcfg.link_faults)?;
-    let slot: CkptSlot<M> = Arc::new(Mutex::new(None));
-    let mut node = ShardNode::new(
-        model,
-        flat_map,
-        opts.shard,
-        n,
-        ecfg,
-        node_cfg(&opts.dcfg, opts.shard),
-        links,
-        inbox,
-        (opts.shard == 0).then(|| Arc::clone(&slot)),
-        None,
-    );
+    let plan = &opts.dcfg.link_faults;
+    let mut links = Vec::with_capacity(n);
+    for (peer, stream) in streams.into_iter().enumerate() {
+        links.push(match stream {
+            Some(s) => Some(tcp_link(opts.shard, peer, s, &inbox, plan)?),
+            None => None,
+        });
+    }
+    let mut node = ShardNode::new(model, flat_map, opts.shard, ecfg, &opts.dcfg, links, inbox);
     if let Some(g) = gate {
         node.set_ingest(g);
     }
@@ -951,14 +801,7 @@ pub fn run_shard_process<M: Model>(
 /// also perform a [`SteppedCluster::partial_recover`] mid-run to exercise
 /// the elastic-membership recovery path without threads or wall clocks.
 pub struct SteppedCluster<M: Model> {
-    model: Arc<M>,
-    ecfg: EngineConfig,
-    dcfg: DistConfig,
-    flat_map: LpMap,
-    nodes: Vec<ShardNode<M>>,
-    inboxes: Vec<Arc<Inbox>>,
-    slot: CkptSlot<M>,
-    gates: Option<IngestGates<M>>,
+    cluster: Cluster<M>,
     /// Per-shard history of published GVT values (monotonicity checks).
     pub gvt_history: Vec<Vec<u64>>,
 }
@@ -986,39 +829,18 @@ impl<M: Model> SteppedCluster<M> {
             Transport::Mem,
             "stepped clusters are memory-linked"
         );
-        let n = dcfg.shards;
-        let num_lps = model.num_lps();
-        let flat_map = LpMap::new(num_lps, n, ecfg.mapping);
-        let slot: CkptSlot<M> = Arc::new(Mutex::new(None));
-        let abort = Arc::new(AtomicBool::new(false));
-        let (nodes, inboxes) = build_cluster(
-            &model,
-            ecfg,
-            dcfg,
-            &flat_map,
-            &slot,
-            &abort,
-            None,
-            true,
-            gates.as_ref(),
-        )?;
+        let map = LpMap::new(model.num_lps(), dcfg.shards, ecfg.mapping);
+        let cluster = Cluster::build(model, ecfg, dcfg.clone(), map, gates, None)?;
         Ok(SteppedCluster {
-            model,
-            ecfg: ecfg.clone(),
-            dcfg: dcfg.clone(),
-            flat_map,
-            gvt_history: vec![Vec::new(); nodes.len()],
-            nodes,
-            inboxes,
-            slot,
-            gates,
+            gvt_history: vec![Vec::new(); cluster.nodes.len()],
+            cluster,
         })
     }
 
     /// Step every unfinished shard once. Returns `true` when all are done.
     pub fn sweep(&mut self) -> Result<bool, DistError> {
         let mut all_done = true;
-        for (i, node) in self.nodes.iter_mut().enumerate() {
+        for (i, node) in self.cluster.nodes.iter_mut().enumerate() {
             if node.finished() {
                 continue;
             }
@@ -1055,39 +877,16 @@ impl<M: Model> SteppedCluster<M> {
     /// when partial recovery is not possible yet (no cut assembled, or a
     /// shard already left its running phase).
     pub fn partial_recover(&mut self, dead: &[usize]) -> Result<bool, DistError> {
-        let ck = match self.latest_checkpoint() {
-            Some(ck) => ck,
-            None => return Ok(false),
-        };
-        if dead.is_empty() || dead.contains(&0) {
-            return Ok(false);
-        }
-        let n = self.nodes.len();
-        if dead.iter().any(|&d| d >= n) {
-            return Ok(false);
-        }
-        if (0..n)
-            .filter(|i| !dead.contains(i))
-            .any(|i| !self.nodes[i].is_running())
-        {
-            return Ok(false);
-        }
         let mut dead = dead.to_vec();
         dead.sort_unstable();
         dead.dedup();
-        partial_recover(
-            &self.model,
-            &self.ecfg,
-            &self.dcfg,
-            &self.flat_map,
-            &mut self.nodes,
-            &mut self.inboxes,
-            &dead,
-            &ck,
-            None,
-            true,
-            self.gates.as_ref(),
-        )?;
+        let Some(ck) = self.latest_checkpoint() else {
+            return Ok(false);
+        };
+        if dead.is_empty() || !self.cluster.can_partially_recover(&dead) {
+            return Ok(false);
+        }
+        self.cluster.partial_recover(&dead, &ck)?;
         for &d in &dead {
             // The restored shard restarts its GVT view from the cut.
             self.gvt_history[d].clear();
@@ -1097,18 +896,17 @@ impl<M: Model> SteppedCluster<M> {
 
     /// The coordinator's assembled outcome, once every shard finished.
     pub fn take_outcome(&mut self) -> Option<NodeOutcome> {
-        self.nodes[0].take_outcome()
+        self.cluster.nodes[0].take_outcome()
     }
 
     /// Sweep to completion (bounded) and return the coordinator's outcome.
     pub fn run_to_completion(&mut self, max_sweeps: u64) -> Result<NodeOutcome, DistError> {
         for _ in 0..max_sweeps {
             if self.sweep()? {
-                let out = self.nodes[0].take_outcome().ok_or(DistError::Protocol {
+                return self.take_outcome().ok_or(DistError::Protocol {
                     shard: 0,
                     detail: "finished without a coordinator outcome".to_string(),
-                })?;
-                return Ok(out);
+                });
             }
         }
         Err(DistError::Stalled {
@@ -1119,6 +917,6 @@ impl<M: Model> SteppedCluster<M> {
 
     /// The latest assembled checkpoint, if any round was armed.
     pub fn latest_checkpoint(&self) -> Option<Checkpoint<M::State, M::Payload>> {
-        self.slot.lock().unwrap_or_else(|e| e.into_inner()).clone()
+        self.cluster.latest_cut()
     }
 }

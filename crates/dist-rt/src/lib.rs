@@ -22,10 +22,17 @@
 //!   engine, processes batches, participates in GVT rounds, contributes
 //!   per-shard cuts to distributed checkpoints, and de-schedules itself when
 //!   it holds no live work (demand-driven throttling at shard granularity).
-//! - [`launcher`] — loopback cluster launchers (threads over memory or TCP
-//!   links), a kill-and-recover supervisor that restores every shard from
-//!   the latest assembled checkpoint cut, and a deterministic single-threaded
-//!   [`launcher::SteppedCluster`] for property tests.
+//!   It holds a `SendLog` (what a partially restored peer must be
+//!   sent again) and, on shard 0 only, the coordinator's side of the run:
+//!   round pacing, the [`pdes_core::CkptSink`] the cut parts assemble in,
+//!   the `Done` fold and the `FailureDetector`'s leases.
+//! - [`launcher`] — one `Cluster` (mesh + nodes, built once) under two
+//!   drivers: the threaded elastic-membership supervisor — a dead shard is
+//!   restored *partially* from the newest cut while the survivors replay
+//!   their send logs, else every shard is; joins, leaves and degradation
+//!   re-launch from a cut under a rebalanced map — and the deterministic
+//!   single-threaded [`launcher::SteppedCluster`] for property tests; plus
+//!   the single-shard entry point of real multi-process runs.
 //!
 //! ## Correctness contract
 //!
@@ -36,13 +43,18 @@
 //! the true global minimum (a delivered message below the published GVT is
 //! a protocol error, not a silent wrong answer).
 
+mod coord;
+mod detector;
 pub mod gvt;
 pub mod launcher;
 pub mod link;
 pub mod node;
 pub mod proto;
+mod sendlog;
 pub mod wire;
 
+pub use coord::NodeOutcome;
+pub use detector::HeartbeatConfig;
 pub use gvt::{Coordinator, GvtTracker, RoundClosure};
 pub use launcher::{
     run_loopback, run_loopback_ingest, run_shard_process, DistConfig, DistResult, IngestGates,
@@ -51,6 +63,6 @@ pub use launcher::{
 pub use link::{
     read_hello, write_hello, Backoff, FrameTx, Inbox, MemTx, Packet, ReliableLink, TcpTx,
 };
-pub use node::{DistError, HeartbeatConfig, NodeOutcome, ReshapeAction, ShardNode};
+pub use node::{DistError, ReshapeAction, ShardNode};
 pub use proto::{Frame, HELLO_MAGIC, PROTOCOL_VERSION};
 pub use wire::WireError;

@@ -1,10 +1,12 @@
 //! One shard of the distributed runtime.
 //!
-//! A [`ShardNode`] owns a [`ThreadEngine`] over its slice of LPs and a
-//! [`ReliableLink`] per peer. Its [`ShardNode::step`] is one cycle of the
-//! main loop — drain the inbox, drive GVT rounds (coordinator only),
-//! process a batch, pump the links — and is public so the deterministic
-//! [`crate::launcher::SteppedCluster`] can interleave shards round-robin.
+//! A [`ShardNode`] owns a [`ThreadEngine`] over its slice of LPs, a
+//! [`ReliableLink`] per peer, its [`GvtTracker`] and its `SendLog`; shard 0
+//! also holds the coordinator's side of the run (`coord.rs`). Its
+//! [`ShardNode::step`] is one cycle of the main loop — drain the inbox,
+//! drive GVT rounds (coordinator only), process a batch, pump the links —
+//! and is public so the deterministic [`crate::launcher::SteppedCluster`]
+//! can interleave shards round-robin.
 //! [`ShardNode::run`] wraps `step` with inbox parking and a wall-clock
 //! GVT-liveness watchdog for real (threaded / multi-process) runs.
 //!
@@ -19,19 +21,23 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use pdes_core::{
-    ckpt_round_due, Checkpoint, EngineConfig, Event, EventKey, IngestError, IngestGate, IngestPort,
-    IngestReply, IngestRequest, LpCheckpoint, LpId, LpMap, Model, Msg, Outbound, ReplySlot,
-    ThreadEngine, ThreadStats, VirtualTime,
+    Checkpoint, CutSnapshot, EngineConfig, IngestError, IngestGate, IngestPort, IngestReply,
+    IngestRequest, LpId, LpMap, Model, Msg, Outbound, ReplySlot, SimThreadId, ThreadEngine,
+    VirtualTime,
 };
-use telemetry::{EventKind, RoundBoard, Telemetry, TelemetryConfig, TelemetryData, Tracer};
+use telemetry::{EventKind, RoundBoard, Telemetry, Tracer};
 
-use crate::gvt::{Coordinator, GvtTracker, RoundClosure, ShardReport};
+use crate::coord::{Coord, NodeOutcome};
+use crate::detector::Lease;
+use crate::gvt::{GvtTracker, ShardReport};
+use crate::launcher::DistConfig;
 use crate::link::{Inbox, ReliableLink};
 use crate::proto::Frame;
+use crate::sendlog::SendLog;
 use crate::wire::{self, WireError};
 
 /// Why a distributed run stopped before producing a result.
@@ -120,12 +126,6 @@ impl From<WireError> for DistError {
     }
 }
 
-impl From<IngestError> for DistError {
-    fn from(e: IngestError) -> Self {
-        DistError::Ingest(e)
-    }
-}
-
 /// Lifecycle phase of a node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Phase {
@@ -151,172 +151,50 @@ pub enum StepStatus {
     Finished,
 }
 
-/// A worker's final contribution, also assembled by the coordinator.
-#[derive(Debug, Clone)]
-struct DoneData {
-    stats: ThreadStats,
-    digests: Vec<(LpId, u64)>,
-    pending_digest: u64,
-    parked: u64,
-}
+/// Events the engine takes per step. The engine already bounds optimism by
+/// `gvt_hint + window`; this only controls how often the node services its
+/// links.
+const BATCH: usize = 64;
 
-/// The coordinator's assembled outcome of a whole distributed run.
-#[derive(Debug, Clone)]
-pub struct NodeOutcome {
-    /// Per-shard stats merged into totals.
-    pub totals: ThreadStats,
-    /// Final per-LP state digests, ascending by LP.
-    pub state_digests: Vec<(LpId, u64)>,
-    /// XOR-fold of per-shard pending digests.
-    pub pending_digest: u64,
-    /// GVT rounds completed.
-    pub gvt_rounds: u64,
-    /// Final published GVT (ticks).
-    pub gvt: u64,
-    /// Raw-minimum regressions clamped by the coordinator (should be 0).
-    pub regressions: u64,
-    /// Maximum shards simultaneously parked by demand throttling (lower
-    /// bound: folded from per-shard episode counts).
-    pub max_parked: u64,
-    /// Merged telemetry from every shard (present when tracing was on),
-    /// mapped onto the coordinator's clock.
-    pub telemetry: Option<TelemetryData>,
-}
+/// The frames of a run of model `M`.
+pub(crate) type FrameOf<M> = Frame<<M as Model>::State, <M as Model>::Payload>;
 
-/// Heartbeat/lease failure detection, run by the coordinator over the
-/// existing reliable links. Workers beacon [`Frame::Heartbeat`] on a
-/// wall-clock cadence; the coordinator treats *any* inbound packet as life.
-/// Suspicion is phi-style: a peer whose silence exceeds `phi_threshold`
-/// times its mean inter-arrival gap gets a [`EventKind::HeartbeatMiss`]
-/// telemetry instant (reset on the next arrival); only a full lease expiry
-/// (`interval * miss_threshold` of silence) declares it dead.
-#[derive(Debug, Clone)]
-pub struct HeartbeatConfig {
-    /// Wall-clock cadence of worker heartbeats.
-    pub interval: Duration,
-    /// Declare a peer dead after this many intervals of silence.
-    pub miss_threshold: u32,
-    /// Suspect (but don't kill) a peer whose silence exceeds this multiple
-    /// of its mean inter-arrival gap.
-    pub phi_threshold: f64,
-}
-
-impl Default for HeartbeatConfig {
-    fn default() -> Self {
-        HeartbeatConfig {
-            interval: Duration::from_millis(25),
-            miss_threshold: 40,
-            phi_threshold: 8.0,
-        }
+/// A coordinator-only frame reached a shard that does not coordinate.
+fn stray(shard: usize, kind: &str) -> DistError {
+    DistError::Protocol {
+        shard,
+        detail: format!("{kind} received by non-coordinator"),
     }
 }
 
-/// Tuning knobs a node needs beyond the engine's own [`EngineConfig`].
-#[derive(Debug, Clone)]
-pub struct NodeConfig {
-    /// Cycles between GVT round starts (coordinator pacing).
-    pub gvt_interval_cycles: u64,
-    /// Cycles between wave re-polls within a round.
-    pub wave_interval_cycles: u64,
-    /// Take a checkpoint cut every this many GVT rounds (0 = never).
-    pub ckpt_every_rounds: u64,
-    /// Wall-clock GVT-liveness watchdog for [`ShardNode::run`].
-    pub watchdog: Option<Duration>,
-    /// Scripted fault: die upon observing the `n`th GVT publish. Counted in
-    /// protocol progress, not step cycles, so the kill lands at the same
-    /// point of the simulation regardless of host speed or scheduling.
-    pub kill_at: Option<u64>,
-    /// Scripted kill dies *silently* (no cohort abort flag): the failure
-    /// must be discovered by the heartbeat detector or a TCP hang-up.
-    pub kill_silent: bool,
-    /// Heartbeat failure detection (`None` = off; stepped runs leave it
-    /// off because wall clocks have no meaning there).
-    pub heartbeat: Option<HeartbeatConfig>,
-    /// Scripted transient partitions on this node's outgoing links:
-    /// `(peer, for_rounds)` — every frame to `peer` is swallowed until this
-    /// node has run `for_rounds * gvt_interval_cycles` cycles, then the
-    /// link heals and retransmission resumes delivery. Healing is clocked
-    /// on the sender's own cycles (not GVT publishes) so a partition that
-    /// stalls the GVT cannot deadlock its own heal.
-    pub partitions: Vec<(usize, u64)>,
-    /// Coordinator-only script: admit a joining shard at the first
-    /// checkpoint cut assembled at or after the `n`th GVT publish.
-    pub join_at: Option<u64>,
-    /// Coordinator-only script: drain shard `.0` out at the first cut
-    /// assembled at or after the `.1`th GVT publish.
-    pub leave_at: Option<(usize, u64)>,
-    /// Live tracing / round-snapshot collection (off by default).
-    pub telemetry: TelemetryConfig,
-}
-
-impl Default for NodeConfig {
-    fn default() -> Self {
-        NodeConfig {
-            gvt_interval_cycles: 32,
-            wave_interval_cycles: 4,
-            ckpt_every_rounds: 0,
-            watchdog: Some(Duration::from_secs(10)),
-            kill_at: None,
-            kill_silent: false,
-            heartbeat: None,
-            partitions: Vec::new(),
-            join_at: None,
-            leave_at: None,
-            telemetry: TelemetryConfig::default(),
-        }
-    }
-}
-
-/// Shared slot the coordinator publishes assembled checkpoints into; the
-/// launcher's recovery path restores every shard from it.
-pub type CkptSlot<M> = Arc<Mutex<Option<Checkpoint<<M as Model>::State, <M as Model>::Payload>>>>;
-
-/// One shard's contribution to a checkpoint cut: its LP checkpoints plus
-/// the in-flight events it owns at the cut.
-type ShardCut<M> = (
-    Vec<LpCheckpoint<<M as Model>::State>>,
-    Vec<Event<<M as Model>::Payload>>,
-);
-
-/// One shard: engine + links + GVT tracker (+ coordinator on shard 0).
+/// One shard: engine + links + GVT tracker (+ coordinator state on shard 0).
 pub struct ShardNode<M: Model> {
     pub shard: usize,
-    n: usize,
     engine: ThreadEngine<M>,
     /// `links[p]` is the reliable link to shard `p` (`None` for self).
     links: Vec<Option<ReliableLink>>,
     inbox: Arc<Inbox>,
     tracker: GvtTracker,
-    coord: Option<Coordinator>,
-    cfg: NodeConfig,
-    end_ticks: u64,
+    /// Shard 0 coordinates.
+    co: Option<Coord<M>>,
+    /// The run's configuration, as it stood when this node was built.
+    cfg: DistConfig,
+    /// Scripted fault: die upon observing this many GVT publishes. Counted in
+    /// protocol progress, not step cycles, so the kill lands at the same
+    /// point of the simulation regardless of host speed or scheduling.
+    kill_at: Option<u64>,
+    flat_map: LpMap,
     /// Last published GVT (ticks) as seen by this node.
     gvt: u64,
     cycles: u64,
     /// GVT publishes this node has observed (scripted-kill clock).
     publishes_seen: u64,
     phase: Phase,
-    /// Demand throttle: parked shards take no batches.
-    parked: bool,
+    /// Demand throttle: a parked shard takes no batches. Holds the trace
+    /// stamp at which the open park episode began.
+    parked: Option<u64>,
     parked_episodes: u64,
-    /// Set while a `Publish{terminate}` has been seen by the coordinator.
-    terminated: bool,
-    /// Coordinator: round the terminate was published in.
-    terminate_round: Option<u64>,
-    // Round pacing (cycle counters, deterministic in stepped mode).
-    round_due_at: u64,
-    wave_due_at: Option<u64>,
-    pending_wave: Option<(u64, u64)>, // (round, wave) to broadcast when due
-    // Coordinator: checkpoint assembly.
-    cut_parts: Vec<Option<ShardCut<M>>>,
-    cut_round: Option<(u64, u64)>, // (round, gvt_ticks)
-    last_cut_done: Option<u64>,
-    ckpt_slot: Option<CkptSlot<M>>,
-    flat_map: LpMap,
-    // Coordinator: done collection.
-    dones: Vec<Option<DoneData>>,
-    outcome: Option<NodeOutcome>,
-    /// Cohort-wide abort flag (set by a dying shard, checked by all).
+    /// Cohort-wide abort flag (see [`Self::set_abort`]).
     abort: Option<Arc<AtomicBool>>,
     // Watchdog.
     last_liveness: Instant,
@@ -330,27 +208,18 @@ pub struct ShardNode<M: Model> {
     board: RoundBoard,
     /// Monotonic origin of this node's trace timestamps.
     t0: Instant,
-    /// Wall time the current park episode began (trace only).
-    park_t0: u64,
     /// Per-link retransmit counts already traced.
     retx_seen: Vec<u64>,
-    /// Coordinator: telemetry merged from every shard's forward.
-    tel_merged: TelemetryData,
     // Elastic membership.
-    /// Per-peer log of every Sim message sent since the second-newest
-    /// armed cut, keyed by send time (events) / twin receive time (antis).
     /// Replayed to a partially restored peer; maintained only when
     /// checkpoints are armed (`ckpt_every_rounds > 0`).
-    send_log: Vec<Vec<(u64, Msg<M::Payload>)>>,
+    send_log: SendLog<M::Payload>,
     /// Per-peer scratch for [`Self::route_outbox`]: one engine step's
     /// outbox grouped by destination, shipped as one [`Frame::SimBatch`]
     /// per peer. Kept on the node so the buffers' capacity survives steps.
     batch_bufs: Vec<Vec<(u64, Msg<M::Payload>)>>,
-    /// GVT of the previous armed cut — the send-log retention horizon
-    /// (recovery never restores from anything older than two cuts back).
-    prev_armed_gvt: u64,
     /// Frames carrying a round number below this predate a recovery point
-    /// and are dropped (stale Starts/Publishes/Reports/CutParts).
+    /// and are dropped (stale Starts/Reports/Publishes/CutParts).
     min_valid_round: u64,
     /// Per peer: a partially restored peer is re-executing below our GVT;
     /// its duplicate sub-GVT messages are counted (for the white-counter
@@ -364,12 +233,8 @@ pub struct ShardNode<M: Model> {
     recovery_floor: u64,
     /// Per peer: its TCP reader pushed the hang-up sentinel.
     hung_up: Vec<bool>,
-    // Heartbeat failure detection.
+    /// Worker side of the failure detector: the last beacon sent.
     last_hb_sent: Instant,
-    hb_last_heard: Vec<Instant>,
-    /// EWMA of inter-arrival gaps in ms (0 = no sample yet).
-    hb_mean_ms: Vec<f64>,
-    hb_suspected: Vec<bool>,
     // External-event ingest plane.
     /// This shard's admission gate (shared with the client-facing server)
     /// behind the port every runtime's round closer holds.
@@ -385,90 +250,63 @@ pub struct ShardNode<M: Model> {
 }
 
 impl<M: Model> ShardNode<M> {
-    /// Build one shard node. `flat_map` maps every LP to its owning shard
-    /// (`SimThreadId(shard)`); `links[p]` must be `Some` exactly for
-    /// `p != shard`. Shard 0 becomes the coordinator and needs `ckpt_slot`
-    /// when checkpoints are armed.
-    #[allow(clippy::too_many_arguments)]
+    /// Build one shard node of the run `dcfg` describes. `flat_map` maps
+    /// every LP to its owning shard (`SimThreadId(shard)`); `links[p]` must
+    /// be `Some` exactly for `p != shard`. Shard 0 becomes the coordinator.
     pub fn new(
         model: Arc<M>,
         flat_map: LpMap,
         shard: usize,
-        num_shards: usize,
         ecfg: &EngineConfig,
-        ncfg: NodeConfig,
-        links: Vec<Option<ReliableLink>>,
+        dcfg: &DistConfig,
+        mut links: Vec<Option<ReliableLink>>,
         inbox: Arc<Inbox>,
-        ckpt_slot: Option<CkptSlot<M>>,
-        abort: Option<Arc<AtomicBool>>,
     ) -> ShardNode<M> {
-        assert_eq!(links.len(), num_shards);
+        let n = links.len();
         assert!(links[shard].is_none(), "no link to self");
-        let engine = ThreadEngine::new(
-            Arc::clone(&model),
-            flat_map.clone(),
-            pdes_core::SimThreadId(shard as u32),
-            ecfg,
-        );
-        let tel = Telemetry::new(ncfg.telemetry.clone());
+        let engine = ThreadEngine::new(model, flat_map.clone(), SimThreadId(shard as u32), ecfg);
+        let tel = Telemetry::new(dcfg.telemetry.clone());
         let tracer = tel.tracer(0);
-        let mut links = links;
         // Scripted partitions are live from the first cycle.
-        for &(to, _) in &ncfg.partitions {
-            if let Some(l) = links[to].as_mut() {
-                l.set_partitioned(true);
+        for &(from, to, _) in &dcfg.partitions {
+            if from == shard {
+                if let Some(l) = links[to].as_mut() {
+                    l.set_partitioned(true);
+                }
             }
         }
         ShardNode {
             shard,
-            n: num_shards,
             engine,
             links,
             inbox,
-            tracker: GvtTracker::new(num_shards),
-            coord: (shard == 0).then(|| Coordinator::new(num_shards)),
-            cfg: ncfg,
-            end_ticks: ecfg.end_time.ticks(),
+            tracker: GvtTracker::new(n),
+            co: (shard == 0).then(|| Coord::new(n, flat_map.clone(), ecfg.end_time.ticks(), dcfg)),
+            cfg: dcfg.clone(),
+            kill_at: dcfg.kills.iter().find(|k| k.0 == shard).map(|k| k.1),
+            flat_map,
             gvt: 0,
             cycles: 0,
             publishes_seen: 0,
             phase: Phase::Running,
-            parked: false,
+            parked: None,
             parked_episodes: 0,
-            terminated: false,
-            terminate_round: None,
-            round_due_at: 0,
-            wave_due_at: None,
-            pending_wave: None,
-            cut_parts: vec![None; num_shards],
-            cut_round: None,
-            last_cut_done: None,
-            ckpt_slot,
-            flat_map,
-            dones: vec![None; num_shards],
-            outcome: None,
-            abort,
+            abort: None,
             last_liveness: Instant::now(),
             flush_left: 0,
             outbox: Vec::new(),
             tel,
             tracer,
-            board: RoundBoard::new(1, num_shards),
+            board: RoundBoard::new(1, n),
             t0: Instant::now(),
-            park_t0: 0,
-            retx_seen: vec![0; num_shards],
-            tel_merged: TelemetryData::default(),
-            send_log: vec![Vec::new(); num_shards],
-            batch_bufs: vec![Vec::new(); num_shards],
-            prev_armed_gvt: 0,
+            retx_seen: vec![0; n],
+            send_log: SendLog::new(n),
+            batch_bufs: vec![Vec::new(); n],
             min_valid_round: 0,
-            replaying_from: vec![false; num_shards],
+            replaying_from: vec![false; n],
             recovery_floor: 0,
-            hung_up: vec![false; num_shards],
+            hung_up: vec![false; n],
             last_hb_sent: Instant::now(),
-            hb_last_heard: vec![Instant::now(); num_shards],
-            hb_mean_ms: vec![0.0; num_shards],
-            hb_suspected: vec![false; num_shards],
             ingest: None,
             cut_open: false,
             forward_slots: HashMap::new(),
@@ -492,27 +330,52 @@ impl<M: Model> ShardNode<M> {
         }
     }
 
+    /// Join a cohort: its abort flag is raised (by the supervisor's thread
+    /// wrapper) when any shard's [`Self::run`] fails, and checked by all.
+    pub fn set_abort(&mut self, abort: Option<Arc<AtomicBool>>) {
+        self.abort = abort;
+    }
+
     /// Nanoseconds on this node's own monotonic trace clock.
     fn now_ns(&self) -> u64 {
         self.t0.elapsed().as_nanos() as u64
     }
 
+    /// [`Self::now_ns`] for a trace record: the clock is not read when
+    /// nothing would be recorded.
+    fn stamp(&self) -> u64 {
+        if self.tracer.enabled() {
+            self.now_ns()
+        } else {
+            0
+        }
+    }
+
+    /// Trace a span opened at `start` and closing now; returns its end,
+    /// which is where the next phase's span starts.
+    fn span(&mut self, kind: EventKind, start: u64, arg: u64) -> u64 {
+        let now = self.stamp();
+        self.tracer.span(kind, start, now, arg);
+        now
+    }
+
+    /// Emit a telemetry instant onto this node's trace clock (the
+    /// supervisor stamps membership events through this too).
+    pub fn trace_instant(&mut self, kind: EventKind, arg: u64) {
+        let now = self.stamp();
+        self.tracer.instant(kind, now, arg);
+    }
+
     /// Park the shard (demand throttling), tracing the episode start.
     fn park_shard(&mut self) {
-        self.parked = true;
+        self.parked = Some(self.stamp());
         self.parked_episodes += 1;
-        if self.tracer.enabled() {
-            self.park_t0 = self.now_ns();
-        }
     }
 
     /// Un-park the shard and close the traced park span.
     fn unpark_shard(&mut self) {
-        self.parked = false;
-        if self.tracer.enabled() {
-            let now = self.now_ns();
-            self.tracer
-                .span(EventKind::Park, self.park_t0, now, self.shard as u64);
+        if let Some(since) = self.parked.take() {
+            let now = self.span(EventKind::Park, since, self.shard as u64);
             self.tracer
                 .instant(EventKind::Unpark, now, self.shard as u64);
         }
@@ -535,7 +398,22 @@ impl<M: Model> ShardNode<M> {
 
     /// The coordinator's assembled run outcome (present after it finishes).
     pub fn take_outcome(&mut self) -> Option<NodeOutcome> {
-        self.outcome.take()
+        self.co.as_mut()?.outcome.take()
+    }
+
+    /// The newest checkpoint cut the coordinator assembled (the supervisor
+    /// restores from it).
+    pub fn latest_cut(&self) -> Option<Checkpoint<M::State, M::Payload>> {
+        self.co.as_ref()?.sink.latest()
+    }
+
+    /// Hand a message to its owner: this engine, or the outbox to ship.
+    fn place(&mut self, dst: SimThreadId, msg: Msg<M::Payload>) {
+        if dst.index() == self.shard {
+            self.engine.deliver(msg, &mut self.outbox);
+        } else {
+            self.outbox.push((dst, msg));
+        }
     }
 
     /// Restore this shard from a checkpointed global cut (recovery path).
@@ -547,32 +425,19 @@ impl<M: Model> ShardNode<M> {
     pub fn restore(&mut self, ck: &Checkpoint<M::State, M::Payload>) -> Result<(), DistError> {
         self.engine.restore(&ck.lps, &ck.events, ck.gvt);
         self.gvt = ck.gvt.ticks();
-        if let Some(c) = &mut self.coord {
-            c.gvt = ck.gvt.ticks();
-            c.rounds_done = ck.gvt_rounds;
+        if let Some(co) = &mut self.co {
+            co.restore(ck, &self.cfg);
         }
-        self.round_due_at = self.cfg.gvt_interval_cycles;
         self.cut_open = false;
-        if let Some(port) = &self.ingest {
-            let mut replay = Vec::new();
-            port.gate
-                .reinject_after_restore(ck.gvt, &mut |ev| replay.push(ev));
-            for ev in replay {
-                // Admission is owned-only, so these are normally local; a
-                // reshape may have moved the LP, in which case the event
-                // ships to its new owner like any other simulation message.
-                if self.flat_map.thread_of(ev.key.dst).index() == self.shard {
-                    let mut outbox = std::mem::take(&mut self.outbox);
-                    self.engine.deliver(Msg::Event(ev), &mut outbox);
-                    self.outbox = outbox;
-                } else {
-                    let dst = self.flat_map.thread_of(ev.key.dst);
-                    self.outbox.push((dst, Msg::Event(ev)));
-                }
-            }
-            self.route_outbox()?;
+        if let Some(gate) = self.ingest.as_ref().map(|port| Arc::clone(&port.gate)) {
+            // Admission is owned-only, so these are normally local; a
+            // reshape may have moved the LP, in which case the event ships
+            // to its new owner like any other simulation message.
+            gate.reinject_after_restore(ck.gvt, &mut |ev| {
+                self.place(self.flat_map.thread_of(ev.key.dst), Msg::Event(ev));
+            });
         }
-        Ok(())
+        self.route_outbox()
     }
 
     /// `true` while the node is in its normal simulating phase (partial
@@ -583,15 +448,9 @@ impl<M: Model> ShardNode<M> {
 
     /// The round number the coordinator will open next (recovery fencing).
     pub fn upcoming_round(&self) -> u64 {
-        self.coord
+        self.co
             .as_ref()
-            .map(|c| c.upcoming_round())
-            .unwrap_or(self.min_valid_round)
-    }
-
-    /// Swap in a fresh cohort-wide abort flag for the next attempt.
-    pub fn set_abort(&mut self, abort: Option<Arc<AtomicBool>>) {
-        self.abort = abort;
+            .map_or(self.min_valid_round, |c| c.rounds.upcoming_round())
     }
 
     /// Replace the link to `peer` (recovery: the peer was rebuilt, so its
@@ -601,76 +460,69 @@ impl<M: Model> ShardNode<M> {
         self.retx_seen[peer] = 0;
     }
 
-    /// Sever the transport under the link to `peer` (recovery prep, TCP):
-    /// a socket shutdown reaches *both* ends' reader threads, so the dead
-    /// node's blocked reader unblocks and this node's own reader pushes its
-    /// hang-up sentinel.
-    pub fn hangup_link(&mut self, peer: usize) {
-        if let Some(l) = self.links[peer].as_mut() {
-            l.hangup();
-        }
-    }
-
-    /// Emit a supervisor-originated telemetry instant (membership events)
-    /// onto this node's trace clock.
-    pub fn trace_instant(&mut self, kind: EventKind, arg: u64) {
-        if self.tracer.enabled() {
-            let now = self.now_ns();
-            self.tracer.instant(kind, now, arg);
-        }
-    }
-
-    /// Recovery prep: drop every queued raw packet. Anything dropped here
-    /// was never run through [`ReliableLink::on_packet`], hence never
-    /// acked — the sender's retransmission redelivers it. Sentinels are
-    /// recorded, not dropped.
-    pub fn drain_inbox_dropping(&mut self) {
-        for (peer, bytes) in self.inbox.drain() {
-            if bytes.is_empty() {
-                self.hung_up[peer] = true;
+    /// Recovery prep on a survivor: cut the `dead` peers off and forget what
+    /// is queued. Over TCP the transport under each of their links is
+    /// severed — a socket shutdown reaches *both* ends' reader threads, so
+    /// the dead node's blocked reader unblocks — and this node waits
+    /// (bounded) for its own old readers' hang-up sentinels, so they cannot
+    /// be mistaken for the fresh links' hang-ups later. Every raw packet
+    /// queued meanwhile is dropped: none was run through
+    /// [`ReliableLink::on_packet`], hence none was acked — a survivor's is
+    /// redelivered by retransmission, the dead peers' die here.
+    pub fn sever(&mut self, dead: &[usize], tcp: bool) {
+        if tcp {
+            for &d in dead {
+                if let Some(link) = self.links[d].as_mut() {
+                    link.hangup();
+                }
             }
         }
-    }
-
-    /// Recovery prep (TCP): wait until the dead peer's *old* reader thread
-    /// pushes its hang-up sentinel, so it cannot be mistaken for the fresh
-    /// link's hang-up later. Drops everything drained along the way (see
-    /// [`Self::drain_inbox_dropping`]). Returns `false` on timeout.
-    pub fn await_hangup(&mut self, peer: usize, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        while !self.hung_up[peer] {
-            self.drain_inbox_dropping();
-            if self.hung_up[peer] {
-                break;
+        let deadline = Instant::now() + Duration::from_secs(2);
+        loop {
+            for (peer, bytes) in self.inbox.drain() {
+                if bytes.is_empty() {
+                    self.hung_up[peer] = true;
+                }
             }
-            if Instant::now() >= deadline {
-                return false;
+            if !tcp || dead.iter().all(|&d| self.hung_up[d]) || Instant::now() >= deadline {
+                return;
             }
             self.inbox.wait_nonempty(Duration::from_millis(2));
         }
-        true
     }
 
-    /// Survivor-side entry into partial recovery, called by the supervisor
-    /// between thread runs (never concurrently with [`Self::step`]):
-    /// - void every GVT counter shared with the dead peers (their fresh
-    ///   incarnations restart those pairs from zero);
+    /// Survivor-side partial recovery, called by the supervisor between
+    /// thread runs (never concurrently with [`Self::step`]). The `dead`
+    /// shards, owners of `dead_lps`, were rebuilt from the cut at `cut`:
+    /// - void every GVT counter shared with them (their fresh incarnations
+    ///   restart those pairs from zero);
     /// - mark them `replaying_from` so their re-executed sub-GVT duplicates
     ///   are counted but not re-delivered;
     /// - fence stale round traffic below `min_valid_round`;
     /// - adopt `floor` (the coordinator's published GVT) as the recovery
-    ///   floor — a survivor whose own adopted GVT lags the coordinator's
-    ///   (the final pre-kill publish may still be in flight) must purge and
-    ///   duplicate-drop against the global floor, not its stale local one;
+    ///   floor;
     /// - abandon any cut assembly in progress (coordinator) and enter GVT
-    ///   recovery mode.
-    pub fn begin_peer_recovery(&mut self, dead: &[usize], min_valid_round: u64, floor: u64) {
+    ///   recovery mode;
+    /// - replay the send log to them from the cut on (they lost those
+    ///   inputs, see `SendLog::replay`);
+    /// - purge every input this engine took from their LPs in the window
+    ///   they will re-execute (`send >= cut` and `recv >= recovery floor` —
+    ///   inputs received below the coordinator's published GVT are globally
+    ///   fixed and the re-sent duplicates are dropped at the link instead).
+    ///   Cascade anti-messages are routed normally (and logged, so they
+    ///   reach the restored peer in order after the replay).
+    pub fn recover_peers(
+        &mut self,
+        dead: &[usize],
+        dead_lps: &[LpId],
+        cut: u64,
+        min_valid_round: u64,
+        floor: u64,
+    ) -> Result<(), DistError> {
         for &d in dead {
             self.tracker.reset_peer(d);
             self.replaying_from[d] = true;
             self.hung_up[d] = false;
-            self.hb_mean_ms[d] = 0.0;
-            self.hb_suspected[d] = false;
         }
         self.min_valid_round = min_valid_round;
         self.recovery_floor = self.recovery_floor.max(floor).max(self.gvt);
@@ -678,94 +530,36 @@ impl<M: Model> ShardNode<M> {
         // stay fenced anyway until the replay window closes.
         self.cut_open = false;
         self.raise_ingest_floor(self.recovery_floor);
-        self.pending_wave = None;
-        self.wave_due_at = None;
-        self.cut_round = None;
-        self.cut_parts = vec![None; self.n];
-        self.round_due_at = self.cycles + self.cfg.gvt_interval_cycles;
         self.last_liveness = Instant::now();
-        self.hb_last_heard = vec![Instant::now(); self.n];
-        if let Some(c) = &mut self.coord {
-            c.begin_recovery();
+        if let Some(co) = &mut self.co {
+            co.begin_recovery(dead, self.cycles, &self.cfg);
         }
-    }
-
-    /// Replay this node's send log to a partially restored `peer`: ship
-    /// every logged event with `send_time >= since_send` (the cut GVT —
-    /// older sends are inside the checkpoint the peer restored from), and
-    /// every anti-message whose twin was shipped. The log is kept — a later
-    /// failure replays again from a newer cut. Returns the messages shipped.
-    pub fn replay_log_to(&mut self, peer: usize, since_send: u64) -> Result<u64, DistError> {
-        let mut replayed: Vec<EventKey> = Vec::new();
-        let mut msgs = Vec::new();
-        for (_, msg) in &self.send_log[peer] {
-            let ship = match msg {
-                Msg::Event(e) => {
-                    let s = e.send_time.ticks() >= since_send;
-                    if s {
-                        replayed.push(e.key);
-                    }
-                    s
-                }
-                Msg::Anti(k) => replayed.contains(k),
-            };
-            if ship {
-                msgs.push((self.tracker.note_sent(peer), msg.clone()));
+        for &d in dead {
+            let msgs = self.send_log.replay(d, cut).into_iter();
+            let msgs: Vec<_> = msgs.map(|m| (self.tracker.note_sent(d), m)).collect();
+            if !msgs.is_empty() {
+                self.send_frame(d, &Frame::SimBatch { msgs })?;
             }
         }
-        let shipped = msgs.len() as u64;
-        if shipped > 0 {
-            self.send_frame(peer, &Frame::SimBatch { msgs })?;
-        }
-        Ok(shipped)
-    }
-
-    /// Purge every input this engine took from the dead shards' LPs in the
-    /// window the restored peer will re-execute (`send >= cut GVT` and
-    /// `recv >= recovery floor` — inputs received below the coordinator's
-    /// published GVT are globally fixed and the peer's re-sent duplicates
-    /// are dropped at the link instead). Cascade anti-messages are routed
-    /// normally (and logged, so they reach the restored peer in order after
-    /// the replay).
-    pub fn purge_dead_inputs(
-        &mut self,
-        dead_lps: &[LpId],
-        since_send: u64,
-    ) -> Result<u64, DistError> {
-        let mut outbox = std::mem::take(&mut self.outbox);
-        let purged = self.engine.purge_inputs_from(
+        self.engine.purge_inputs_from(
             dead_lps,
-            VirtualTime::from_ticks(since_send),
-            VirtualTime::from_ticks(self.recovery_floor.max(self.gvt)),
-            &mut outbox,
+            VirtualTime::from_ticks(cut),
+            VirtualTime::from_ticks(self.recovery_floor),
+            &mut self.outbox,
         );
-        self.outbox = outbox;
-        self.route_outbox()?;
-        Ok(purged)
+        self.route_outbox()
     }
 
     /// Route this shard's initial events (fresh starts only — a restored
     /// run's events live in the checkpoint).
     pub fn bootstrap(&mut self) -> Result<(), DistError> {
-        let init = self.engine.take_init_events();
-        for (tid, msg) in init {
-            let dst = tid.index();
-            if dst == self.shard {
-                let mut outbox = std::mem::take(&mut self.outbox);
-                self.engine.deliver(msg, &mut outbox);
-                self.outbox = outbox;
-            } else {
-                self.outbox.push((tid, msg));
-            }
+        for (dst, msg) in self.engine.take_init_events() {
+            self.place(dst, msg);
         }
         self.route_outbox()
     }
 
-    fn send_frame(
-        &mut self,
-        peer: usize,
-        frame: &Frame<M::State, M::Payload>,
-    ) -> Result<(), DistError> {
+    fn send_frame(&mut self, peer: usize, frame: &FrameOf<M>) -> Result<(), DistError> {
         let bytes = wire::to_bytes(frame);
         let shard = self.shard;
         let Some(link) = self.links[peer].as_mut() else {
@@ -783,24 +577,22 @@ impl<M: Model> ShardNode<M> {
         }
     }
 
-    /// Drop send-log entries that no reachable recovery can need: events
-    /// sent below the previous armed cut (a restore always uses one of the
-    /// two newest cuts) and anti-messages whose twin was dropped.
-    fn prune_send_logs(&mut self, keep_from: u64) {
-        for log in &mut self.send_log {
-            let mut kept: Vec<EventKey> = log
-                .iter()
-                .filter_map(|(t, m)| match m {
-                    Msg::Event(e) if *t >= keep_from => Some(e.key),
-                    _ => None,
-                })
-                .collect();
-            kept.sort_unstable();
-            log.retain(|(t, m)| match m {
-                Msg::Event(_) => *t >= keep_from,
-                Msg::Anti(k) => kept.binary_search(k).is_ok(),
-            });
+    /// Shard → coordinator. The coordinator is also a shard: it handles its
+    /// own frame inline.
+    fn tell_coordinator(&mut self, frame: FrameOf<M>) -> Result<(), DistError> {
+        if self.shard == 0 {
+            self.handle_frame(0, frame)
+        } else {
+            self.send_frame(0, &frame)
         }
+    }
+
+    /// Coordinator → all, its own copy handled inline last.
+    fn broadcast(&mut self, frame: FrameOf<M>) -> Result<(), DistError> {
+        for p in 1..self.links.len() {
+            self.send_frame(p, &frame)?;
+        }
+        self.handle_frame(0, frame)
     }
 
     /// Drain the engine outbox: color and ship remote messages. Send order
@@ -813,25 +605,19 @@ impl<M: Model> ShardNode<M> {
     /// syscall-per-event budget. Epoch tags and the recovery send-log are
     /// maintained per message.
     fn route_outbox(&mut self) -> Result<(), DistError> {
-        let mut out = std::mem::take(&mut self.outbox);
-        if out.is_empty() {
+        if self.outbox.is_empty() {
             return Ok(());
         }
         let mut batches = std::mem::take(&mut self.batch_bufs);
-        for (tid, msg) in out.drain(..) {
+        for (tid, msg) in self.outbox.drain(..) {
             let dst = tid.index();
             debug_assert_ne!(dst, self.shard, "engine outbox never holds local msgs");
             if self.cfg.ckpt_every_rounds > 0 {
-                let t = match &msg {
-                    Msg::Event(e) => e.send_time.ticks(),
-                    Msg::Anti(k) => k.recv_time.ticks(),
-                };
-                self.send_log[dst].push((t, msg.clone()));
+                self.send_log.record(dst, &msg);
             }
             let tag = self.tracker.note_sent(dst);
             batches[dst].push((tag, msg));
         }
-        self.outbox = out;
         let mut res = Ok(());
         for (peer, batch) in batches.iter_mut().enumerate() {
             if batch.is_empty() || res.is_err() {
@@ -869,20 +655,18 @@ impl<M: Model> ShardNode<M> {
         if self.phase != Phase::Running || self.cut_open || self.replaying_from.iter().any(|&r| r) {
             return Ok(0);
         }
-        let map = &self.flat_map;
-        let shard = self.shard;
-        let engine = &mut self.engine;
-        let mut outbox = std::mem::take(&mut self.outbox);
-        let out = gate.pump(
-            |lp| lp.0 < map.num_lps && map.thread_of(lp).index() == shard,
-            &mut |ev| {
-                engine.deliver(Msg::Event(ev), &mut outbox);
-            },
-        );
-        self.outbox = outbox;
-        let out = out.map_err(DistError::Ingest)?;
+        let (map, shard) = (&self.flat_map, self.shard);
+        let (engine, outbox) = (&mut self.engine, &mut self.outbox);
+        let out = gate
+            .pump(
+                |lp| lp.0 < map.num_lps && map.thread_of(lp).index() == shard,
+                &mut |ev| {
+                    engine.deliver(Msg::Event(ev), outbox);
+                },
+            )
+            .map_err(DistError::Ingest)?;
         self.route_outbox()?;
-        if out.injected > 0 && self.parked {
+        if out.injected > 0 {
             // External demand re-activates a demand-throttled shard, same
             // as an inbound remote event.
             self.unpark_shard();
@@ -892,16 +676,12 @@ impl<M: Model> ShardNode<M> {
         }
         for entry in out.forward {
             let dst = entry.req.dst;
-            if dst.0 >= self.flat_map.num_lps {
-                // No such LP in this model: shed rather than panic deeper in
-                // the mapping (the client-facing server validates upstream).
-                self.resolve_forward_slot(entry.slot, IngestReply::Shed)?;
-                continue;
-            }
-            let owner = self.flat_map.thread_of(dst).index();
-            if owner == self.shard {
-                // Raced an ownership change; retry through the gate next
-                // pump rather than special-casing here.
+            // No such LP in this model: shed rather than panic deeper in
+            // the mapping (the client-facing server validates upstream).
+            // An LP we own ourselves raced an ownership change; the client
+            // retries through the gate rather than a special case here.
+            if dst.0 >= self.flat_map.num_lps || self.flat_map.thread_of(dst).index() == self.shard
+            {
                 self.resolve_forward_slot(entry.slot, IngestReply::Shed)?;
                 continue;
             }
@@ -909,7 +689,7 @@ impl<M: Model> ShardNode<M> {
             self.next_fwd_key += 1;
             self.forward_slots.insert(key, entry.slot);
             self.send_frame(
-                owner,
+                self.flat_map.thread_of(dst).index(),
                 &Frame::Ingest {
                     origin: self.shard as u64,
                     key,
@@ -976,21 +756,24 @@ impl<M: Model> ShardNode<M> {
         if self.phase == Phase::Done {
             return Ok(StepStatus::Finished);
         }
-        if let Some(abort) = &self.abort {
-            if abort.load(Ordering::Relaxed)
-                && self.cfg.kill_at.is_none_or(|at| self.publishes_seen < at)
-            {
-                return Err(DistError::Aborted { shard: self.shard });
-            }
+        let aborted = self
+            .abort
+            .as_ref()
+            .is_some_and(|a| a.load(Ordering::Relaxed));
+        if aborted && self.kill_at.is_none_or(|at| self.publishes_seen < at) {
+            return Err(DistError::Aborted { shard: self.shard });
         }
         self.cycles += 1;
 
         let mut progress = false;
 
-        // 0. Scripted partitions heal on this node's own cycle clock.
-        for i in 0..self.cfg.partitions.len() {
-            let (to, rounds) = self.cfg.partitions[i];
-            if self.cycles >= rounds.saturating_mul(self.cfg.gvt_interval_cycles) {
+        // 0. Scripted partitions of this node's outgoing links heal on its
+        // own cycle clock (not GVT publishes), so a partition that stalls
+        // the GVT cannot deadlock its own heal.
+        for &(from, to, rounds) in &self.cfg.partitions {
+            if from == self.shard
+                && self.cycles >= rounds.saturating_mul(self.cfg.gvt_interval_cycles)
+            {
                 if let Some(l) = self.links[to].as_mut() {
                     l.set_partitioned(false);
                 }
@@ -1006,32 +789,20 @@ impl<M: Model> ShardNode<M> {
                 if self.phase >= Phase::Draining {
                     continue;
                 }
-                if let Some(abort) = &self.abort {
-                    abort.store(true, Ordering::Relaxed);
-                }
                 return Err(DistError::PeerDead {
                     shard: peer,
                     detail: format!("shard {peer} hung up mid-run"),
                 });
             }
-            if self.links[peer].is_none() {
-                return Err(self.protocol_err(format!("packet from unlinked peer {peer}")));
-            }
             // Any inbound packet is proof of life for the failure detector.
-            if self.cfg.heartbeat.is_some() && self.coord.is_some() {
-                let gap_ms = self.hb_last_heard[peer].elapsed().as_secs_f64() * 1000.0;
-                self.hb_last_heard[peer] = Instant::now();
-                self.hb_mean_ms[peer] = if self.hb_mean_ms[peer] > 0.0 {
-                    0.9 * self.hb_mean_ms[peer] + 0.1 * gap_ms
-                } else {
-                    gap_ms
-                };
-                self.hb_suspected[peer] = false;
+            if let Some(det) = self.co.as_mut().and_then(|c| c.detector.as_mut()) {
+                det.heard(peer, Instant::now());
             }
-            let link = self.links[peer].as_mut().expect("checked above");
-            let frames = link.on_packet(&bytes)?;
-            for fb in frames {
-                let frame: Frame<M::State, M::Payload> = wire::from_bytes(&fb)?;
+            let Some(link) = self.links[peer].as_mut() else {
+                return Err(self.protocol_err(format!("packet from unlinked peer {peer}")));
+            };
+            for fb in link.on_packet(&bytes)? {
+                let frame: FrameOf<M> = wire::from_bytes(&fb)?;
                 self.handle_frame(peer, frame)?;
             }
         }
@@ -1044,12 +815,8 @@ impl<M: Model> ShardNode<M> {
                 && self.last_hb_sent.elapsed() >= interval
             {
                 self.last_hb_sent = Instant::now();
-                self.send_frame(
-                    0,
-                    &Frame::Heartbeat {
-                        shard: self.shard as u64,
-                    },
-                )?;
+                let shard = self.shard as u64;
+                self.send_frame(0, &Frame::Heartbeat { shard })?;
             }
         }
         self.check_peer_liveness()?;
@@ -1064,64 +831,59 @@ impl<M: Model> ShardNode<M> {
         }
 
         // 3. Simulate.
-        if self.phase == Phase::Running && !self.parked {
-            let trace = self.tracer.enabled();
-            let b0 = if trace { self.now_ns() } else { 0 };
+        if self.phase == Phase::Running && self.parked.is_none() {
+            let b0 = self.stamp();
             let rb0 = self.engine.stats().rolled_back;
-            let mut outbox = std::mem::take(&mut self.outbox);
-            let out = self.engine.process_batch(self.engine_batch(), &mut outbox);
-            self.outbox = outbox;
+            let out = self.engine.process_batch(BATCH, &mut self.outbox);
             self.route_outbox()?;
             if out.processed > 0 {
                 progress = true;
-                if trace {
-                    let now = self.now_ns();
-                    self.tracer
-                        .span(EventKind::EventBatch, b0, now, out.processed as u64);
-                    let rb = self.engine.stats().rolled_back;
-                    if rb > rb0 {
-                        self.tracer.instant(EventKind::Rollback, now, rb - rb0);
-                    }
+                let now = self.span(EventKind::EventBatch, b0, out.processed as u64);
+                let rb = self.engine.stats().rolled_back;
+                if rb > rb0 {
+                    self.tracer.instant(EventKind::Rollback, now, rb - rb0);
                 }
             }
             // Demand check between publishes: new local work un-parks; a
             // shard that just went empty waits for the next publish to park
             // (publish is the scheduling decision point).
-        } else if self.phase == Phase::Running && self.parked && self.engine.has_live_pending() {
+        } else if self.phase == Phase::Running && self.engine.has_live_pending() {
             self.unpark_shard();
             progress = true;
         }
 
         // 4. Pump every link (acks, retransmits, delayed releases).
-        for p in 0..self.n {
-            let mut retx = None;
-            if let Some(link) = self.links[p].as_mut() {
-                match link.pump() {
-                    Ok(()) => {}
-                    Err(_) if self.phase >= Phase::Flushing => {}
-                    Err(e) => return Err(DistError::Io(e)),
-                }
-                retx = Some(link.retransmits);
+        for p in 0..self.links.len() {
+            let Some(link) = self.links[p].as_mut() else {
+                continue;
+            };
+            match link.pump() {
+                Ok(()) => {}
+                Err(_) if self.phase >= Phase::Flushing => {}
+                Err(e) => return Err(DistError::Io(e)),
             }
-            if let Some(rx) = retx {
-                if rx > self.retx_seen[p] && self.tracer.enabled() {
-                    // arg packs (peer, episodes-since-last-trace).
-                    let delta = rx - self.retx_seen[p];
-                    let now = self.now_ns();
-                    self.tracer
-                        .instant(EventKind::LinkRetransmit, now, ((p as u64) << 32) | delta);
-                }
-                self.retx_seen[p] = rx.max(self.retx_seen[p]);
+            let rx = link.retransmits;
+            if rx > self.retx_seen[p] {
+                // arg packs (peer, episodes-since-last-trace).
+                let delta = rx - self.retx_seen[p];
+                self.retx_seen[p] = rx;
+                self.trace_instant(EventKind::LinkRetransmit, ((p as u64) << 32) | delta);
             }
         }
 
-        // 5. Flushing: stay until every outgoing frame is acked (the `Done`
-        // must reach the coordinator; the coordinator must collect all of
-        // them), plus a short grace for reactive acks to peers.
+        // 5. Flushing: stay until the frames that still matter are acked (a
+        // worker's `Done` must reach the coordinator; the coordinator's
+        // `Finish` every worker, and it must collect all the `Done`s), plus a
+        // short grace for reactive acks to peers. A worker does not wait on
+        // its links to other workers: what it sent them before `Finish` is
+        // proven delivered, and a peer that finished first — the grace is a
+        // few microseconds of a real thread's time — acks nothing any more.
         if self.phase == Phase::Flushing {
             self.flush_left = self.flush_left.saturating_sub(1);
-            let drained = self.links.iter().flatten().all(|l| l.drained());
-            if drained && self.flush_left == 0 && (self.coord.is_none() || self.outcome.is_some()) {
+            let awaited = if self.shard == 0 { self.links.len() } else { 1 };
+            let drained = self.links[..awaited].iter().flatten().all(|l| l.drained());
+            let collected = self.co.as_ref().is_none_or(|c| c.outcome.is_some());
+            if drained && self.flush_left == 0 && collected {
                 self.phase = Phase::Done;
                 return Ok(StepStatus::Finished);
             }
@@ -1135,110 +897,58 @@ impl<M: Model> ShardNode<M> {
         })
     }
 
-    fn engine_batch(&self) -> usize {
-        // The engine already bounds optimism by gvt_hint + window; the batch
-        // size only controls how often the node services its links.
-        64
-    }
-
     /// Coordinator-only failure detector: suspect a peer (telemetry) when
     /// its silence is phi-anomalous; declare it dead when its lease runs
     /// out. Death aborts the cohort so the supervisor can recover.
     fn check_peer_liveness(&mut self) -> Result<(), DistError> {
-        let Some(hb) = self.cfg.heartbeat.clone() else {
-            return Ok(());
-        };
-        if self.coord.is_none() || self.phase != Phase::Running {
+        if self.phase != Phase::Running {
             return Ok(());
         }
-        for p in 0..self.n {
-            if p == self.shard {
-                continue;
-            }
-            let elapsed = self.hb_last_heard[p].elapsed();
-            let mean_ms = if self.hb_mean_ms[p] > 0.0 {
-                self.hb_mean_ms[p]
-            } else {
-                hb.interval.as_secs_f64() * 1000.0
+        for p in 1..self.links.len() {
+            let Some(det) = self.co.as_mut().and_then(|c| c.detector.as_mut()) else {
+                return Ok(());
             };
-            let phi = elapsed.as_secs_f64() * 1000.0 / mean_ms.max(0.01);
-            if phi > hb.phi_threshold && !self.hb_suspected[p] {
-                self.hb_suspected[p] = true;
-                if self.tracer.enabled() {
-                    let now = self.now_ns();
-                    self.tracer.instant(EventKind::HeartbeatMiss, now, p as u64);
+            match det.audit(p, Instant::now()) {
+                Lease::Live => {}
+                Lease::Suspect => self.trace_instant(EventKind::HeartbeatMiss, p as u64),
+                Lease::Expired(silent) => {
+                    return Err(DistError::PeerDead {
+                        shard: p,
+                        detail: format!("lease expired: silent for {} ms", silent.as_millis()),
+                    });
                 }
-            }
-            if elapsed >= hb.interval * hb.miss_threshold {
-                if let Some(abort) = &self.abort {
-                    abort.store(true, Ordering::Relaxed);
-                }
-                return Err(DistError::PeerDead {
-                    shard: p,
-                    detail: format!(
-                        "lease expired: silent for {:.0} ms ({} x {} ms)",
-                        elapsed.as_secs_f64() * 1000.0,
-                        hb.miss_threshold,
-                        hb.interval.as_millis()
-                    ),
-                });
             }
         }
         Ok(())
     }
 
-    /// Coordinator-only: open rounds on schedule, re-poll waves when due.
+    /// Coordinator-only: re-poll a wave when due, open rounds on schedule.
     fn drive_rounds(&mut self) -> Result<(), DistError> {
-        if self.coord.is_none() || self.phase > Phase::Draining {
+        if self.phase > Phase::Draining {
             return Ok(());
         }
-        // Broadcast a due wave re-poll.
-        if let (Some((round, wave)), Some(due)) = (self.pending_wave, self.wave_due_at) {
-            if self.cycles >= due {
-                self.pending_wave = None;
-                self.wave_due_at = None;
-                self.broadcast_start(round, wave)?;
-            }
+        if let Some(start) = self.co.as_mut().and_then(|c| c.due_wave(self.cycles)) {
+            self.broadcast(start)?;
         }
-        let (in_flight, recovering, rounds_done) = match self.coord.as_ref() {
-            Some(c) => (c.round.is_some(), c.recovering, c.rounds_done),
-            None => return Ok(()), // unreachable: gated above
-        };
-        if !in_flight && self.cycles >= self.round_due_at {
-            // No cut while a restored shard is still re-executing below the
-            // floor — its engine is not yet on any consistent global cut.
-            let armed = self.phase == Phase::Running
-                && !recovering
-                && ckpt_round_due(self.cfg.ckpt_every_rounds, rounds_done);
-            let round = match self.coord.as_mut() {
-                Some(c) => c.start_round(armed),
-                None => return Ok(()),
-            };
-            self.broadcast_start(round, 0)?;
+        let running = self.phase == Phase::Running;
+        let co = self.co.as_mut();
+        if let Some(start) = co.and_then(|c| c.due_round(self.cycles, running, &self.cfg)) {
+            self.broadcast(start)?;
         }
         Ok(())
     }
 
-    fn broadcast_start(&mut self, round: u64, wave: u64) -> Result<(), DistError> {
-        let armed = match self.coord.as_ref() {
-            Some(c) => c.armed,
-            None => return Err(self.protocol_err("broadcast_start on a non-coordinator")),
-        };
-        let f = Frame::Start { round, wave, armed };
-        for p in 0..self.n {
-            if p != self.shard {
-                self.send_frame(p, &f)?;
+    fn handle_frame(&mut self, peer: usize, frame: FrameOf<M>) -> Result<(), DistError> {
+        // Round traffic from before a recovery point is stale.
+        if let Frame::Start { round, .. }
+        | Frame::Report { round, .. }
+        | Frame::Publish { round, .. }
+        | Frame::CutPart { round, .. } = &frame
+        {
+            if *round < self.min_valid_round {
+                return Ok(());
             }
         }
-        // The coordinator is also a shard: handle its own Start inline.
-        self.handle_frame(self.shard, f)
-    }
-
-    fn handle_frame(
-        &mut self,
-        peer: usize,
-        frame: Frame<M::State, M::Payload>,
-    ) -> Result<(), DistError> {
         match frame {
             Frame::Hello { .. } => Err(self.protocol_err("Hello inside the reliable stream")),
             Frame::SimBatch { msgs } => {
@@ -1280,33 +990,36 @@ impl<M: Model> ShardNode<M> {
             Frame::Heartbeat { .. } => Ok(()),
             Frame::Finish => self.handle_finish(),
             Frame::CutPart {
-                round,
-                shard,
-                lps,
-                events,
-            } => self.handle_cut_part(round, shard as usize, lps, events),
+                round, lps, events, ..
+            } => self.handle_cut_part(round, (lps, events)),
             Frame::Done {
                 shard,
                 stats,
                 digests,
                 pending_digest,
                 parked,
-            } => self.handle_done(
-                shard as usize,
-                DoneData {
-                    stats,
-                    digests,
-                    pending_digest,
-                    parked,
-                },
-            ),
+            } => {
+                let co = self.co.as_mut().ok_or_else(|| stray(self.shard, "Done"))?;
+                co.on_done(shard as usize, &stats, digests, pending_digest, parked)
+                    .map_err(|e| self.protocol_err(e))
+            }
             Frame::Ingest { origin, key, req } => self.handle_ingest(origin as usize, key, req),
             Frame::IngestReply { key, reply } => self.handle_ingest_reply(key, reply),
             Frame::Telemetry {
                 shard,
                 sent_at_ns,
                 data,
-            } => self.handle_telemetry(shard, sent_at_ns, data),
+            } => {
+                // The clock offset is estimated as `now - sent_at_ns` (the
+                // forwarding frame's one-way latency is assumed small
+                // against the trace span).
+                let offset_ns = self.now_ns() as i64 - sent_at_ns as i64;
+                let co = self.co.as_mut();
+                let out = &mut co.ok_or_else(|| stray(self.shard, "Telemetry"))?.folding;
+                let merged = out.telemetry.get_or_insert_default();
+                merged.merge_shard(data, shard, offset_ns);
+                Ok(())
+            }
         }
     }
 
@@ -1332,13 +1045,9 @@ impl<M: Model> ShardNode<M> {
                         self.gvt
                     )));
                 }
-                if self.parked {
-                    // Inbound demand re-activates a parked shard.
-                    self.parked = false;
-                }
-                let mut outbox = std::mem::take(&mut self.outbox);
-                self.engine.deliver(msg, &mut outbox);
-                self.outbox = outbox;
+                // Inbound demand re-activates a parked shard.
+                self.unpark_shard();
+                self.engine.deliver(msg, &mut self.outbox);
                 self.route_outbox()
             }
             // After finalize, nothing may touch the engine; the drain round
@@ -1350,14 +1059,10 @@ impl<M: Model> ShardNode<M> {
     }
 
     fn handle_start(&mut self, round: u64, wave: u64) -> Result<(), DistError> {
-        if round < self.min_valid_round {
-            return Ok(()); // stale: predates a recovery point
-        }
         // Round traffic counts as liveness: long multi-wave rounds must not
         // trip a participant's watchdog.
         self.last_liveness = Instant::now();
-        let trace = self.tracer.enabled();
-        let ph0 = if trace { self.now_ns() } else { 0 };
+        let ph0 = self.stamp();
         if wave == 0 {
             // The epoch cut freezes this round's pending minimum: no ingest
             // injection until the publish, or the new event could sit below
@@ -1379,26 +1084,15 @@ impl<M: Model> ShardNode<M> {
         // Trace mapping: the cut + report build is Phase A, the report
         // dispatch is Send-A. On the coordinator the report is self-handled
         // (and may close the round inline), so its Send-A is a point span.
-        let t1 = if trace {
-            let t1 = self.now_ns();
-            self.tracer.span(EventKind::GvtA, ph0, t1, round);
-            t1
-        } else {
-            0
-        };
+        let t1 = self.span(EventKind::GvtA, ph0, round);
         if self.shard == 0 {
-            if trace {
-                self.tracer.span(EventKind::GvtSendA, t1, t1, round);
-            }
-            self.handle_frame(0, rep)
-        } else {
-            let r = self.send_frame(0, &rep);
-            if trace {
-                self.tracer
-                    .span(EventKind::GvtSendA, t1, self.now_ns(), round);
-            }
-            r
+            self.tracer.span(EventKind::GvtSendA, t1, t1, round);
         }
+        let sent = self.tell_coordinator(rep);
+        if self.shard != 0 {
+            self.span(EventKind::GvtSendA, t1, round);
+        }
+        sent
     }
 
     fn handle_report(
@@ -1407,66 +1101,24 @@ impl<M: Model> ShardNode<M> {
         shard: usize,
         rep: ShardReport,
     ) -> Result<(), DistError> {
-        if round < self.min_valid_round {
-            return Ok(()); // stale: predates a recovery point
-        }
-        let Some(coord) = self.coord.as_mut() else {
-            return Err(self.protocol_err("Report received by non-coordinator"));
+        let co = self
+            .co
+            .as_mut()
+            .ok_or_else(|| stray(self.shard, "Report"))?;
+        let Some((publish, drained)) = co.on_report(round, shard, rep, self.cycles, &self.cfg)
+        else {
+            return Ok(());
         };
-        match coord.on_report(round, shard, rep) {
-            RoundClosure::Pending => Ok(()),
-            RoundClosure::NextWave(wave) => {
-                // Pace the re-poll: give late whites a few cycles to land.
-                self.pending_wave = Some((round, wave));
-                self.wave_due_at = Some(self.cycles + self.cfg.wave_interval_cycles);
-                Ok(())
+        self.broadcast(publish)?;
+        if drained {
+            // Every data frame is proven delivered; run teardown on the
+            // clean transport so it converges under any fault plan.
+            for link in self.links.iter_mut().flatten() {
+                link.clear_faults();
             }
-            RoundClosure::Publish { gvt } => {
-                let armed = coord.armed;
-                // Read *after* on_report: the round that lifts the raw
-                // minimum back to the floor clears recovery inline, and its
-                // own publish is already a normal one.
-                let recovering = coord.recovering;
-                let was_terminated = self.terminated;
-                let terminate = gvt >= self.end_ticks;
-                self.terminated = self.terminated || terminate;
-                if terminate && self.terminate_round.is_none() {
-                    self.terminate_round = Some(round);
-                }
-                self.round_due_at = self.cycles + self.cfg.gvt_interval_cycles;
-                // A matched round that started after termination proves the
-                // links are drained: nobody processed during it, so nothing
-                // is in flight any more. Publish, then Finish.
-                let drained = was_terminated && self.terminate_round.is_some_and(|tr| round > tr);
-                let pub_frame = Frame::Publish {
-                    round,
-                    gvt,
-                    armed,
-                    terminate,
-                    recovering,
-                };
-                for p in 1..self.n {
-                    self.send_frame(p, &pub_frame)?;
-                }
-                self.handle_frame(self.shard, pub_frame)?;
-                if drained {
-                    // Every data frame is proven delivered; run teardown on
-                    // the clean transport so it converges under any fault
-                    // plan.
-                    for link in self.links.iter_mut().flatten() {
-                        link.clear_faults();
-                    }
-                    for p in 1..self.n {
-                        self.send_frame(p, &Frame::Finish)?;
-                    }
-                    self.handle_frame(self.shard, Frame::Finish)?;
-                } else if self.terminated {
-                    // Drain round: start immediately, no pacing needed.
-                    self.round_due_at = self.cycles;
-                }
-                Ok(())
-            }
+            self.broadcast(Frame::Finish)?;
         }
+        Ok(())
     }
 
     fn handle_publish(
@@ -1477,20 +1129,11 @@ impl<M: Model> ShardNode<M> {
         terminate: bool,
         recovering: bool,
     ) -> Result<(), DistError> {
-        if round < self.min_valid_round {
-            return Ok(()); // stale: predates a recovery point
-        }
         self.publishes_seen += 1;
         // The scripted kill dies on *receipt* of the fatal publish, before
         // applying it — deterministic in protocol progress, not wall clock.
-        if self.cfg.kill_at.is_some_and(|at| self.publishes_seen >= at)
-            && self.phase == Phase::Running
+        if self.kill_at.is_some_and(|at| self.publishes_seen >= at) && self.phase == Phase::Running
         {
-            if !self.cfg.kill_silent {
-                if let Some(abort) = &self.abort {
-                    abort.store(true, Ordering::Relaxed);
-                }
-            }
             return Err(DistError::Killed { shard: self.shard });
         }
         self.last_liveness = Instant::now();
@@ -1506,10 +1149,8 @@ impl<M: Model> ShardNode<M> {
         }
         // First normal publish after a recovery: the matched round proves
         // nothing the restored peers re-sent is still in flight.
-        if self.replaying_from.iter().any(|&r| r) {
-            self.replaying_from.iter_mut().for_each(|r| *r = false);
-            self.recovery_floor = 0;
-        }
+        self.replaying_from.fill(false);
+        self.recovery_floor = 0;
         self.gvt = gvt;
         // The round is closed: admission resumes against the new floor.
         self.cut_open = false;
@@ -1517,41 +1158,24 @@ impl<M: Model> ShardNode<M> {
         // Trace mapping for the publish side of a round: GVT adoption +
         // fossil collection is Phase B, the checkpoint cut + park/unpark
         // decision is Aware, and the round-snapshot bookkeeping is End.
-        let trace = self.tracer.enabled();
-        let mut ph = if trace { self.now_ns() } else { 0 };
+        let ph = self.stamp();
         let vt = VirtualTime::from_ticks(gvt);
         self.engine.fossil_collect(vt);
-        if trace {
-            let now = self.now_ns();
-            self.tracer.span(EventKind::GvtB, ph, now, round);
-            ph = now;
-        }
+        let ph = self.span(EventKind::GvtB, ph, round);
         if armed && self.phase == Phase::Running {
             // Every white of this round was delivered before the publish,
             // and every red is above the cut's minima — the engine sits
             // exactly on a consistent global cut at `gvt`.
-            let cw0 = if trace { self.now_ns() } else { 0 };
+            let cw0 = self.stamp();
             let (lps, events) = self.engine.snapshot_at_gvt(vt);
-            let part = Frame::CutPart {
+            self.tell_coordinator(Frame::CutPart {
                 round,
                 shard: self.shard as u64,
                 lps,
                 events,
-            };
-            if self.shard == 0 {
-                self.handle_frame(0, part)?;
-            } else {
-                self.send_frame(0, &part)?;
-            }
-            if trace {
-                self.tracer
-                    .span(EventKind::CheckpointWrite, cw0, self.now_ns(), round);
-            }
-            // Recovery restores from one of the two newest cuts: sends
-            // below the previous armed cut can never need replaying again.
-            let keep_from = self.prev_armed_gvt;
-            self.prune_send_logs(keep_from);
-            self.prev_armed_gvt = gvt;
+            })?;
+            self.span(EventKind::CheckpointWrite, cw0, round);
+            self.send_log.on_cut(gvt);
         }
         if terminate {
             self.phase = Phase::Draining;
@@ -1559,17 +1183,14 @@ impl<M: Model> ShardNode<M> {
             // The GVT publish is the demand-driven scheduling point: a
             // shard with no live work parks until an event re-creates
             // demand.
-            let demand = self.engine.has_live_pending();
-            if !demand && !self.parked {
-                self.park_shard();
-            } else if demand && self.parked {
+            if self.engine.has_live_pending() {
                 self.unpark_shard();
+            } else if self.parked.is_none() {
+                self.park_shard();
             }
         }
-        if trace {
-            let now = self.now_ns();
-            self.tracer.span(EventKind::GvtAware, ph, now, round);
-            ph = now;
+        if self.tracer.enabled() {
+            let now = self.span(EventKind::GvtAware, ph, round);
             self.board
                 .publish(0, self.engine.local_min(), self.engine.stats());
             self.tel.record_round(
@@ -1577,7 +1198,7 @@ impl<M: Model> ShardNode<M> {
                     round,
                     gvt,
                     now,
-                    usize::from(!self.parked),
+                    usize::from(self.parked.is_none()),
                     vec![self.engine.pending_len()],
                     self.ingest
                         .as_ref()
@@ -1587,92 +1208,39 @@ impl<M: Model> ShardNode<M> {
             if let Some(port) = &self.ingest {
                 self.tracer.ingest_instants(now, port.round_deltas());
             }
-            self.tracer
-                .span(EventKind::GvtEnd, ph, self.now_ns(), round);
+            self.span(EventKind::GvtEnd, now, round);
         }
         Ok(())
     }
 
+    /// Coordinator: one shard's part of an armed round's cut.
     fn handle_cut_part(
         &mut self,
         round: u64,
-        shard: usize,
-        lps: Vec<LpCheckpoint<M::State>>,
-        events: Vec<Event<M::Payload>>,
+        part: CutSnapshot<M::State, M::Payload>,
     ) -> Result<(), DistError> {
-        if round < self.min_valid_round {
-            return Ok(()); // stale: predates a recovery point
-        }
-        if self.coord.is_none() {
-            return Err(self.protocol_err("CutPart received by non-coordinator"));
-        }
-        match self.cut_round {
-            Some((r, _)) if r == round => {}
-            // A straggler part of an older, abandoned cut: drop it rather
-            // than clobbering the assembly in progress.
-            Some((r, _)) if r > round => return Ok(()),
-            _ if self.last_cut_done.is_some_and(|r| round <= r) => return Ok(()),
-            _ => {
-                self.cut_round = Some((round, self.gvt));
-                self.cut_parts = vec![None; self.n];
-            }
-        }
-        if self.cut_parts[shard].replace((lps, events)).is_some() {
-            return Err(
-                self.protocol_err(format!("shard {shard} sent two CutParts for round {round}"))
-            );
-        }
-        if self.cut_parts.iter().all(|p| p.is_some()) {
-            let (r, gvt_ticks) = self
-                .cut_round
-                .take()
-                .ok_or_else(|| self.protocol_err("cut assembly completed with no cut open"))?;
-            self.last_cut_done = Some(r);
-            let parts = std::mem::take(&mut self.cut_parts)
-                .into_iter()
-                .flatten()
-                .collect();
-            let rounds = match self.coord.as_ref() {
-                Some(c) => c.rounds_done,
-                None => return Err(self.protocol_err("cut assembly on a non-coordinator")),
-            };
-            let ck = Checkpoint::assemble(
-                VirtualTime::from_ticks(gvt_ticks),
-                rounds,
-                self.flat_map.clone(),
-                parts,
-                None,
-            )
+        let co = self
+            .co
+            .as_mut()
+            .ok_or_else(|| stray(self.shard, "CutPart"))?;
+        let assembled = co
+            .on_cut_part(round, part)
             .map_err(|e| self.protocol_err(format!("inconsistent cut: {e}")))?;
-            self.cut_parts = vec![None; self.n];
-            if let Some(slot) = &self.ckpt_slot {
-                // Poison-survivable: a recovered supervisor still needs the
-                // newest cut even if an earlier attempt died mid-lock.
-                *slot.lock().unwrap_or_else(|e| e.into_inner()) = Some(ck);
-            }
-            // Scripted membership changes land exactly on an assembled cut:
-            // the supervisor rebuilds the cluster from this checkpoint.
-            if let Some(action) = self.due_reshape() {
-                if let Some(abort) = &self.abort {
-                    abort.store(true, Ordering::Relaxed);
-                }
-                return Err(DistError::Reshape { action });
-            }
+        if !assembled {
+            return Ok(());
         }
-        Ok(())
-    }
-
-    /// Coordinator: is a scripted join/leave due (by GVT publish count)?
-    fn due_reshape(&self) -> Option<ReshapeAction> {
-        if self.cfg.join_at.is_some_and(|at| self.publishes_seen >= at) {
-            return Some(ReshapeAction::Join);
-        }
-        if let Some((s, at)) = self.cfg.leave_at {
-            if self.publishes_seen >= at {
-                return Some(ReshapeAction::Leave(s));
-            }
-        }
-        None
+        // Scripted membership changes land exactly on an assembled cut (the
+        // first one at or after the scripted GVT publish): the supervisor
+        // rebuilds the cluster from this checkpoint.
+        let due = |at: u64| self.publishes_seen >= at;
+        let action = if self.cfg.join_at.is_some_and(due) {
+            ReshapeAction::Join
+        } else if let Some((s, _)) = self.cfg.leave_at.filter(|&(_, at)| due(at)) {
+            ReshapeAction::Leave(s)
+        } else {
+            return Ok(());
+        };
+        Err(DistError::Reshape { action })
     }
 
     fn handle_finish(&mut self) -> Result<(), DistError> {
@@ -1697,22 +1265,14 @@ impl<M: Model> ShardNode<M> {
         // guarantees the coordinator merges it before assembling the
         // outcome. A parked shard's open episode closes here.
         if self.tel.enabled() {
-            if self.parked {
-                self.unpark_shard();
-            }
+            self.unpark_shard();
             let tracer = std::mem::replace(&mut self.tracer, Tracer::disabled());
             self.tel.deposit(tracer);
-            let data = self.tel.take();
-            let tf = Frame::Telemetry {
+            self.tell_coordinator(Frame::Telemetry {
                 shard: self.shard as u64,
                 sent_at_ns: self.now_ns(),
-                data,
-            };
-            if self.shard == 0 {
-                self.handle_frame(0, tf)?;
-            } else {
-                self.send_frame(0, &tf)?;
-            }
+                data: self.tel.take(),
+            })?;
         }
         let done = Frame::Done {
             shard: self.shard as u64,
@@ -1723,65 +1283,7 @@ impl<M: Model> ShardNode<M> {
         };
         self.phase = Phase::Flushing;
         self.flush_left = 16;
-        if self.shard == 0 {
-            self.handle_frame(0, done)
-        } else {
-            self.send_frame(0, &done)
-        }
-    }
-
-    /// Coordinator: merge a shard's forwarded telemetry onto the local
-    /// clock, offset-estimated as `now - sent_at_ns` (the forwarding
-    /// frame's one-way latency is assumed small against the trace span).
-    fn handle_telemetry(
-        &mut self,
-        shard: u64,
-        sent_at_ns: u64,
-        data: TelemetryData,
-    ) -> Result<(), DistError> {
-        if self.coord.is_none() {
-            return Err(self.protocol_err("Telemetry received by non-coordinator"));
-        }
-        let offset_ns = self.now_ns() as i64 - sent_at_ns as i64;
-        self.tel_merged.merge_shard(data, shard, offset_ns);
-        Ok(())
-    }
-
-    fn handle_done(&mut self, shard: usize, d: DoneData) -> Result<(), DistError> {
-        let Some(coord) = self.coord.as_ref() else {
-            return Err(self.protocol_err("Done received by non-coordinator"));
-        };
-        if self.dones[shard].replace(d).is_some() {
-            return Err(self.protocol_err(format!("shard {shard} reported Done twice")));
-        }
-        if self.dones.iter().all(|d| d.is_some()) {
-            let mut totals = ThreadStats::default();
-            let mut state_digests = Vec::new();
-            let mut pending_digest = 0u64;
-            let mut max_parked = 0u64;
-            for d in self.dones.iter().flatten() {
-                totals.merge(&d.stats);
-                state_digests.extend(d.digests.iter().copied());
-                pending_digest ^= d.pending_digest;
-                max_parked = max_parked.max(d.parked);
-            }
-            state_digests.sort_by_key(|(lp, _)| *lp);
-            let (gvt_rounds, gvt, regressions) = (coord.rounds_done, coord.gvt, coord.regressions);
-            self.outcome = Some(NodeOutcome {
-                totals,
-                state_digests,
-                pending_digest,
-                gvt_rounds,
-                gvt,
-                regressions,
-                max_parked,
-                telemetry: self
-                    .tel
-                    .enabled()
-                    .then(|| std::mem::take(&mut self.tel_merged)),
-            });
-        }
-        Ok(())
+        self.tell_coordinator(done)
     }
 
     /// Threaded main loop: step until finished, parking on the inbox when
@@ -1790,7 +1292,9 @@ impl<M: Model> ShardNode<M> {
         self.last_liveness = Instant::now();
         // Fresh leases: supervisor orchestration (recovery) between runs
         // must not count as peer silence.
-        self.hb_last_heard = vec![Instant::now(); self.n];
+        if let Some(co) = &mut self.co {
+            co.renew_leases(&[]);
+        }
         self.last_hb_sent = Instant::now();
         loop {
             if let Some(limit) = self.cfg.watchdog {
@@ -1820,7 +1324,7 @@ impl<M: Model> ShardNode<M> {
                 StepStatus::Idle => {
                     // Park briefly: woken by any inbound packet. The short
                     // coordinator timeout keeps round pacing alive.
-                    let wait = if self.coord.is_some() {
+                    let wait = if self.co.is_some() {
                         Duration::from_micros(200)
                     } else {
                         Duration::from_millis(2)

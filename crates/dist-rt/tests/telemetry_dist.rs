@@ -2,10 +2,10 @@
 //! the coordinator, stamped with its shard id and merged onto one clock.
 
 use dist_rt::{run_loopback, DistConfig, Transport};
-use models::{Phold, PholdConfig};
+use models::{LocalityPattern, Phold, PholdConfig};
 use pdes_core::EngineConfig;
 use std::sync::Arc;
-use telemetry::TelemetryConfig;
+use telemetry::{EventKind, TelemetryConfig};
 
 fn engine_cfg() -> EngineConfig {
     EngineConfig::default()
@@ -96,6 +96,41 @@ fn coordinator_merges_every_shards_trace_and_rounds() {
 
     // And the newest snapshot feeds the coordinator's metrics.
     assert!(r.metrics.last_round.is_some());
+}
+
+/// De-scheduling must be readable off the trace: a park episode ended by an
+/// inbound remote event (the common case) closes its `Park` span like one
+/// ended by local demand, an ingest admission or the end of the run.
+#[test]
+fn every_park_episode_reaches_the_trace() {
+    let (shards, end) = (4, 200.0);
+    let model = Arc::new(Phold::new(PholdConfig::imbalanced(
+        shards,
+        4,
+        4,
+        end,
+        LocalityPattern::Linear,
+    )));
+    let ecfg = EngineConfig::default().with_end_time(end).with_seed(909);
+    let r = run_loopback(model, &ecfg, &dcfg(shards, true)).expect("loopback run");
+    let data = r.telemetry.expect("merged telemetry");
+    assert_eq!(data.total_dropped(), 0, "ring too small for this run");
+    let count = |shard: usize, kind: EventKind| {
+        let lanes = data.threads.iter().filter(|t| t.shard == shard as u64);
+        lanes
+            .flat_map(|t| &t.records)
+            .filter(|r| r.kind == kind)
+            .count()
+    };
+    // A shard's `Park` spans are its park episodes: `max_descheduled` is the
+    // largest per-shard episode count the shards reported in `Done`.
+    let parks: Vec<usize> = (0..shards).map(|s| count(s, EventKind::Park)).collect();
+    for (s, &p) in parks.iter().enumerate() {
+        assert_eq!(p, count(s, EventKind::Unpark), "shard {s}: {parks:?}");
+    }
+    let most = parks.iter().copied().max().unwrap_or(0);
+    assert!(most >= 1, "the imbalance must park a shard");
+    assert_eq!(most, r.metrics.max_descheduled, "per shard: {parks:?}");
 }
 
 #[test]

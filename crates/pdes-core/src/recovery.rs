@@ -63,10 +63,11 @@ impl<M: Model> CkptSink<M> {
     /// depositor completing the set (`expected` participants) assembles and
     /// publishes the checkpoint; returns whether this call published one.
     ///
-    /// Deposits from an earlier round that never completed (a participant
-    /// died mid-round) are discarded here: rounds are serialized, so any
-    /// deposit with a different round id is dead. A completed set that does
-    /// not cover every LP of the map exactly once is rejected — the
+    /// Rounds are serialized, so a deposit with a newer round id means the
+    /// round being assembled died (a participant was lost mid-round): its
+    /// parts are discarded. A straggler from an *older* round is dropped
+    /// rather than clobbering the assembly in progress. A completed set that
+    /// does not cover every LP of the map exactly once is an `Err` — the
     /// participants disagreed about the cut, and restoring from it would be
     /// silently wrong — and the previous checkpoint stays the newest.
     pub fn deposit(
@@ -77,26 +78,24 @@ impl<M: Model> CkptSink<M> {
         part: CutSnapshot<M::State, M::Payload>,
         expected: usize,
         cursor: Option<FaultCursor>,
-    ) -> bool {
+    ) -> Result<bool, String> {
         let mut st = self.state.lock().expect("a depositor panicked");
+        if round < st.round {
+            return Ok(false);
+        }
         if st.round != round {
             st.parts.clear();
             st.round = round;
         }
         st.parts.push(part);
         if st.parts.len() < expected {
-            return false;
+            return Ok(false);
         }
         let parts = std::mem::take(&mut st.parts);
         // `assemble` sorts: deposit order is a thread race, the checkpoint
         // must be identical across runs.
-        let ckpt = match Checkpoint::assemble(gvt, gvt_rounds, self.map.clone(), parts, cursor) {
-            Ok(c) => c,
-            Err(e) => {
-                eprintln!("[checkpoint] round {round} cut rejected (run continues): {e}");
-                return false;
-            }
-        };
+        let ckpt = Checkpoint::assemble(gvt, gvt_rounds, self.map.clone(), parts, cursor)
+            .map_err(|e| format!("round {round} cut rejected: {e}"))?;
         if let Some(path) = &self.path {
             // Persisting is best-effort; the in-memory cut still counts.
             if let Err(e) = ckpt.write_atomic(path) {
@@ -104,7 +103,7 @@ impl<M: Model> CkptSink<M> {
             }
         }
         st.latest = Some(ckpt);
-        true
+        Ok(true)
     }
 
     /// The newest fully assembled checkpoint of this attempt, if any.
@@ -563,14 +562,22 @@ mod tests {
         let sink: CkptSink<Ring> = CkptSink::new(None, c.map.clone());
         // Round 4 loses a participant after one deposit; round 5 must
         // complete without inheriting it.
-        assert!(!sink.deposit(4, c.gvt, 4, half(0), 2, None));
-        assert!(!sink.deposit(5, c.gvt, 5, half(0), 2, None));
-        assert!(sink.deposit(5, c.gvt, 5, half(1), 2, None));
+        assert_eq!(sink.deposit(4, c.gvt, 4, half(0), 2, None), Ok(false));
+        assert_eq!(sink.deposit(5, c.gvt, 5, half(0), 2, None), Ok(false));
+        // Round 4's lost participant turns up late: ignored, round 5's
+        // assembly is neither completed nor clobbered by it.
+        assert_eq!(sink.deposit(4, c.gvt, 4, half(1), 2, None), Ok(false));
+        assert!(sink.latest().is_none());
+        assert_eq!(sink.deposit(5, c.gvt, 5, half(1), 2, None), Ok(true));
         assert_eq!(sink.latest().expect("round 5 assembled").lps, c.lps);
-        // Round 6 doubles thread 0's LPs and misses thread 1's: refused, and
-        // the last good cut stays the newest.
-        assert!(!sink.deposit(6, c.gvt, 6, half(0), 2, None));
-        assert!(!sink.deposit(6, c.gvt, 6, half(0), 2, None));
+        // Round 6 doubles thread 0's LPs and misses thread 1's: the caller
+        // is told, and the last good cut stays the newest.
+        assert_eq!(sink.deposit(6, c.gvt, 6, half(0), 2, None), Ok(false));
+        let err = sink.deposit(6, c.gvt, 6, half(0), 2, None).unwrap_err();
+        assert!(
+            err.contains("round 6") && err.contains("two shard cuts"),
+            "{err}"
+        );
         assert_eq!(sink.latest().expect("kept").gvt_rounds, 5);
     }
 }

@@ -311,14 +311,16 @@ impl<M: Model> SimThreadTask<M> {
             self.engine.fossil_collect(g);
             let part = self.engine.snapshot_at_gvt(g);
             cost += c.gvt_phase + c.recv_msg * n + c.proc_event * part.0.len() as u64;
-            self.ckpt.deposit(
+            if let Err(e) = self.ckpt.deposit(
                 sh.members.id,
                 g,
                 sh.round.rounds(),
                 part,
                 sh.members.participants,
                 sh.plane.faults.cursor(),
-            );
+            ) {
+                eprintln!("[checkpoint] {e} (run continues)");
+            }
             if trace {
                 // The snapshot occupies [now + cw0, now + cost] virtually.
                 self.tracer.span(

@@ -264,14 +264,11 @@ impl<M: Model, P: Protocol<M>> Worker<'_, M, P> {
         self.send();
         let g = sh.round.gvt();
         self.engine.fossil_collect(g);
-        ckpt.deposit(
-            id,
-            g,
-            sh.round.rounds(),
-            self.engine.snapshot_at_gvt(g),
-            sh.participants(),
-            sh.faults.cursor(),
-        );
+        let part = self.engine.snapshot_at_gvt(g);
+        let cursor = sh.faults.cursor();
+        if let Err(e) = ckpt.deposit(id, g, sh.round.rounds(), part, sh.participants(), cursor) {
+            eprintln!("[checkpoint] {e} (run continues)");
+        }
         if trace {
             self.tracer
                 .span(EventKind::CheckpointWrite, cw0, sh.now_ns(), id);

@@ -73,10 +73,11 @@
 //! Chaos harness: `--chaos-seed S` enables the default fault mix (delays,
 //! reordering, straggler storms, backpressure) with deterministic decision
 //! streams derived from `S`; `--chaos-plan FILE.json` loads a full
-//! `FaultPlan` instead. `--watchdog-secs T` bounds GVT progress (wall-clock
-//! seconds on `--runtime threads`, virtual seconds on `vm`; `0` disables) —
-//! a stalled run exits with a per-thread diagnostic dump rather than
-//! hanging.
+//! `FaultPlan` instead (refused on `--runtime dist`, whose chaos is
+//! `--chaos-seed`'s per-link faults). `--watchdog-secs T` bounds GVT
+//! progress (wall-clock seconds on `--runtime threads`, virtual seconds on
+//! `vm`; `0` disables) — a stalled run exits with a per-thread diagnostic
+//! dump rather than hanging.
 //!
 //! Telemetry: `--trace-out FILE` turns on per-thread tracing and writes a
 //! Chrome `trace_event` JSON (load it at <https://ui.perfetto.dev> or
@@ -108,8 +109,9 @@
 //!
 //! Recovery: `--checkpoint-every-gvt N` takes a GVT-aligned consistent cut
 //! every `N` GVT rounds (written atomically to `--checkpoint-path` when
-//! given) and runs under a supervisor that restores the newest cut after a
-//! worker is lost, remapping its LPs onto the survivors. `--max-recoveries N`
+//! given; `--runtime dist` keeps its cuts in memory and refuses the path)
+//! and runs under a supervisor that restores the newest cut after a worker
+//! is lost, remapping its LPs onto the survivors. `--max-recoveries N`
 //! (default 3) bounds the retries; on exhaustion the run degrades to the
 //! sequential engine from the last cut and still completes.
 
@@ -711,6 +713,21 @@ fn run_dist<M: Model>(
 
     if a.shards == 0 {
         die(2, "--shards must be at least 1");
+    }
+    // Two flags the other runtimes honour mean nothing here; dropping them
+    // silently would let a run pass for fault-injected or checkpointed-to-
+    // disk when it was neither.
+    if a.chaos_plan.is_some() {
+        die(
+            2,
+            "--chaos-plan is a thread-level FaultPlan; on --runtime dist use --chaos-seed (link faults)",
+        );
+    }
+    if a.checkpoint_path.is_some() {
+        die(
+            2,
+            "--checkpoint-path needs --runtime vm|threads|cons (dist keeps its cuts in memory)",
+        );
     }
     let transport = match a.transport.as_str() {
         // "loopback" is an alias for the in-process memory transport.

@@ -229,6 +229,10 @@ fn bad_values_and_refused_combinations_are_a_one_line_exit_2() {
         vec!["--runtime", "cons", "--system", "dd", "--gvt", "sync"],
         vec!["--runtime", "cons", "--chaos-seed", "1"],
         vec!["--runtime", "cons", "--ingest", "rate:5"],
+        // Accepted and silently dropped before: dist injects link faults
+        // (`--chaos-seed`) and keeps its cuts in memory.
+        vec!["--runtime", "dist", "--chaos-plan", "plan.json"],
+        vec!["--runtime", "dist", "--checkpoint-path", "cut.bin"],
     ] {
         let out = run_bounded(&args, Duration::from_secs(30));
         let err = String::from_utf8_lossy(&out.stderr);
