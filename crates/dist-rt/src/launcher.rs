@@ -103,6 +103,41 @@ impl Default for DistConfig {
     }
 }
 
+impl DistConfig {
+    /// What must hold of a run's configuration whoever built it. Every
+    /// launcher calls this before it builds anything, so a bad script is a
+    /// [`DistError::Config`], never a panic or an index out of range in the
+    /// middle of a run. (The coordinator is a legal kill target here —
+    /// `dist_equiv` recovers from it; front ends may be stricter.)
+    pub fn check(&self) -> Result<(), DistError> {
+        let n = self.shards;
+        let bad = |why: String| Err(DistError::Config(why));
+        if n == 0 {
+            return bad("need at least one shard".into());
+        }
+        let named = (self.kills.iter().map(|k| ("kill", k.0)))
+            .chain(self.leave_at.map(|l| ("leave", l.0)))
+            .chain(self.partitions.iter().map(|p| ("partition", p.0.max(p.1))));
+        for (what, shard) in named {
+            if shard >= n {
+                return bad(format!("{what} names shard {shard} of {n}"));
+            }
+        }
+        if let Some(p) = self.partitions.iter().find(|p| p.0 == p.1) {
+            return bad(format!("partition {}:{} is not a link", p.0, p.1));
+        }
+        if let Some(hb) = &self.heartbeat {
+            if hb.interval.is_zero() || hb.miss_threshold == 0 {
+                return bad("heartbeat interval and miss threshold must be positive".into());
+            }
+        }
+        if self.mesh_timeout.is_zero() {
+            return bad("mesh timeout must be positive".into());
+        }
+        Ok(())
+    }
+}
+
 /// The assembled outcome of a distributed run.
 #[derive(Debug, Clone, Default)]
 pub struct DistResult {
@@ -151,10 +186,12 @@ pub fn tcp_mesh(
     connect_addrs: &[SocketAddr],
     timeout: Duration,
 ) -> Result<Vec<Option<TcpStream>>, DistError> {
-    assert!(
-        connect_addrs.len() >= shard,
-        "need an address per lower shard"
-    );
+    if connect_addrs.len() < shard {
+        return Err(DistError::Config(format!(
+            "shard {shard} got {} connect address(es), needs one per lower shard",
+            connect_addrs.len()
+        )));
+    }
     let deadline = Instant::now() + timeout;
     let mut streams: Vec<Option<TcpStream>> = (0..num_shards).map(|_| None).collect();
     let timeout_err = |what: String| DistError::ConnectTimeout {
@@ -607,7 +644,7 @@ pub fn run_loopback_ingest<M: Model>(
     dcfg: &DistConfig,
     gates: Option<IngestGates<M>>,
 ) -> Result<DistResult, DistError> {
-    assert!(dcfg.shards >= 1, "need at least one shard");
+    dcfg.check()?;
     let num_lps = model.num_lps();
     let map = LpMap::new(num_lps, dcfg.shards, ecfg.mapping);
     let abort = Arc::new(AtomicBool::new(false));
@@ -735,12 +772,51 @@ pub fn run_loopback_ingest<M: Model>(
 /// shards `0..shard`, in order) and accepts the higher shards on `listen`.
 /// Returns the assembled [`DistResult`] on the coordinator, `None` on
 /// workers.
+#[derive(Debug, Clone, Default)]
 pub struct ProcessOpts {
-    pub shards: usize,
     pub shard: usize,
     pub listen: String,
     pub connect: Vec<String>,
+    /// The whole cluster's configuration (`dcfg.shards` processes).
     pub dcfg: DistConfig,
+}
+
+impl ProcessOpts {
+    /// [`DistConfig::check`], plus what one process of the mesh needs: a
+    /// shard id inside the cluster, one `connect` per lower shard, and
+    /// endpoints that resolve. [`run_shard_process`] calls this first.
+    pub fn check(&self) -> Result<(), DistError> {
+        self.resolve().map(|_| ())
+    }
+
+    /// The checks of [`Self::check`]; returns the resolved `connect` list.
+    fn resolve(&self) -> Result<Vec<SocketAddr>, DistError> {
+        self.dcfg.check()?;
+        let (shard, n) = (self.shard, self.dcfg.shards);
+        if shard >= n {
+            return Err(DistError::Config(format!("shard id {shard} of {n}")));
+        }
+        if self.connect.len() != shard {
+            return Err(DistError::Config(format!(
+                "shard {shard} needs exactly {shard} connect address(es) — the listen \
+                 addresses of shards 0..{shard}, in order — got {}",
+                self.connect.len()
+            )));
+        }
+        let endpoint = |what: &str, addr: &String| {
+            let found = addr.to_socket_addrs().ok().and_then(|mut i| i.next());
+            found.ok_or_else(|| {
+                DistError::Config(format!(
+                    "{what} '{addr}' is not a valid endpoint (want HOST:PORT)"
+                ))
+            })
+        };
+        endpoint("listen", &self.listen)?;
+        self.connect
+            .iter()
+            .map(|a| endpoint("connect", a))
+            .collect()
+    }
 }
 
 /// Run this process's shard. With an ingest `gate` (handed in by the
@@ -752,26 +828,11 @@ pub fn run_shard_process<M: Model>(
     opts: &ProcessOpts,
     gate: Option<Arc<IngestGate<M::Payload>>>,
 ) -> Result<Option<DistResult>, DistError> {
-    let n = opts.shards;
-    assert!(opts.shard < n, "shard id out of range");
-    assert_eq!(
-        opts.connect.len(),
-        opts.shard,
-        "need exactly one --connect per lower shard"
-    );
+    let addrs = opts.resolve()?;
+    let n = opts.dcfg.shards;
     let num_lps = model.num_lps();
     let flat_map = LpMap::new(num_lps, n, ecfg.mapping);
     let listener = TcpListener::bind(&opts.listen)?;
-    let mut addrs = Vec::with_capacity(opts.connect.len());
-    for a in &opts.connect {
-        let resolved = a.to_socket_addrs()?.next().ok_or_else(|| {
-            DistError::Io(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                format!("{a} resolves to no address"),
-            ))
-        })?;
-        addrs.push(resolved);
-    }
     let t0 = Instant::now();
     let streams = tcp_mesh(opts.shard, n, listener, &addrs, opts.dcfg.mesh_timeout)?;
     let inbox = Inbox::new();
@@ -824,11 +885,12 @@ impl<M: Model> SteppedCluster<M> {
         dcfg: &DistConfig,
         gates: Option<IngestGates<M>>,
     ) -> Result<SteppedCluster<M>, DistError> {
-        assert_eq!(
-            dcfg.transport,
-            Transport::Mem,
-            "stepped clusters are memory-linked"
-        );
+        dcfg.check()?;
+        if dcfg.transport != Transport::Mem {
+            return Err(DistError::Config(
+                "stepped clusters are memory-linked".into(),
+            ));
+        }
         let map = LpMap::new(model.num_lps(), dcfg.shards, ecfg.mapping);
         let cluster = Cluster::build(model, ecfg, dcfg.clone(), map, gates, None)?;
         Ok(SteppedCluster {
@@ -918,5 +980,116 @@ impl<M: Model> SteppedCluster<M> {
     /// The latest assembled checkpoint, if any round was armed.
     pub fn latest_checkpoint(&self) -> Option<Checkpoint<M::State, M::Payload>> {
         self.cluster.latest_cut()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn cfg(shards: usize) -> DistConfig {
+        DistConfig {
+            shards,
+            ..DistConfig::default()
+        }
+    }
+
+    fn refused(r: Result<(), DistError>, why: &str) {
+        match r {
+            Err(DistError::Config(msg)) => assert!(msg.contains(why), "'{msg}' lacks '{why}'"),
+            other => panic!("want a Config refusal mentioning '{why}', got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn dist_config_check_refuses_each_inconsistency_once() {
+        refused(cfg(0).check(), "at least one shard");
+        let with = |edit: fn(&mut DistConfig)| {
+            let mut c = cfg(3);
+            edit(&mut c);
+            c.check()
+        };
+        refused(with(|c| c.kills = vec![(3, 1)]), "kill names shard 3 of 3");
+        refused(with(|c| c.leave_at = Some((7, 1))), "leave names shard 7");
+        refused(
+            with(|c| c.partitions = vec![(0, 3, 1)]),
+            "partition names shard 3",
+        );
+        refused(with(|c| c.partitions = vec![(1, 1, 1)]), "not a link");
+        let hb = |interval_ms, miss_threshold| HeartbeatConfig {
+            interval: Duration::from_millis(interval_ms),
+            miss_threshold,
+            ..HeartbeatConfig::default()
+        };
+        let mut c = cfg(3);
+        c.heartbeat = Some(hb(0, 4));
+        refused(c.check(), "heartbeat");
+        c.heartbeat = Some(hb(5, 0));
+        refused(c.check(), "heartbeat");
+        refused(with(|c| c.mesh_timeout = Duration::ZERO), "mesh timeout");
+    }
+
+    /// What `dist_equiv`, `dist_elastic` and `dist_golden` script: the
+    /// library keeps taking a coordinator kill ("not a worker shard" is the
+    /// CLI's rule) and every join / leave / partition those suites run.
+    #[test]
+    fn dist_config_check_accepts_what_the_suites_script() {
+        let accepted: [fn(&mut DistConfig); 8] = [
+            |_| {},
+            |c| c.kills = vec![(0, 2), (1, 2)],
+            |c| c.kills = vec![(3, 5)],
+            |c| c.partitions = vec![(1, 2, 2)],
+            |c| c.join_at = Some(4),
+            |c| c.leave_at = Some((3, 4)),
+            |c| c.link_faults = Some(LinkFaultPlan::chaos(7)),
+            |c| {
+                c.kill_silent = true;
+                c.heartbeat = Some(HeartbeatConfig::default());
+                c.ckpt_every_rounds = 3;
+                c.degrade = true;
+            },
+        ];
+        for (i, edit) in accepted.iter().enumerate() {
+            let mut c = cfg(4);
+            edit(&mut c);
+            c.check().unwrap_or_else(|e| panic!("script {i}: {e}"));
+        }
+        cfg(1).check().expect("a one-shard cluster is a cluster");
+    }
+
+    #[test]
+    fn process_opts_check_refuses_each_inconsistency_once() {
+        let opts = |shard: usize, listen: &str, connect: &[&str]| ProcessOpts {
+            shard,
+            listen: listen.into(),
+            connect: connect.iter().map(|s| s.to_string()).collect(),
+            dcfg: cfg(2),
+        };
+        let ok = "127.0.0.1:7100";
+        opts(0, ok, &[]).check().expect("coordinator dials nobody");
+        opts(1, ok, &[ok]).check().expect("one connect per lower");
+        refused(opts(2, ok, &[ok, ok]).check(), "shard id 2 of 2");
+        refused(opts(1, ok, &[]).check(), "exactly 1 connect");
+        refused(opts(0, ok, &[ok]).check(), "exactly 0 connect");
+        refused(opts(1, "nowhere", &[ok]).check(), "listen 'nowhere'");
+        refused(opts(1, ok, &["bogus:::"]).check(), "connect 'bogus:::'");
+        let mut bad_cluster = opts(0, ok, &[]);
+        bad_cluster.dcfg.shards = 0;
+        refused(bad_cluster.check(), "at least one shard");
+    }
+
+    /// The launchers return the refusal instead of panicking.
+    #[test]
+    fn launchers_return_config_errors() {
+        let model = || Arc::new(models::Phold::new(models::PholdConfig::balanced(2, 2)));
+        let ecfg = EngineConfig::default();
+        let r = run_loopback(model(), &ecfg, &cfg(0));
+        refused(r.map(|_| ()), "at least one shard");
+        let tcp = DistConfig {
+            transport: Transport::Tcp,
+            ..cfg(2)
+        };
+        let r = SteppedCluster::new(model(), &ecfg, &tcp);
+        refused(r.map(|_| ()), "memory-linked");
     }
 }

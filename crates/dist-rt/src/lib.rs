@@ -32,7 +32,10 @@
 //!   their send logs, else every shard is; joins, leaves and degradation
 //!   re-launch from a cut under a rebalanced map — and the deterministic
 //!   single-threaded [`launcher::SteppedCluster`] for property tests; plus
-//!   the single-shard entry point of real multi-process runs.
+//!   the single-shard entry point of real multi-process runs. Every one of
+//!   them starts with [`DistConfig::check`] (or [`ProcessOpts::check`]): a
+//!   configuration that cannot describe a cluster is a
+//!   [`DistError::Config`] before anything is built, not a panic.
 //!
 //! ## Correctness contract
 //!

@@ -70,6 +70,9 @@ pub enum DistError {
     Reshape { action: ReshapeAction },
     /// The ingest journal failed (durability would be silently lost).
     Ingest(IngestError),
+    /// The run's [`DistConfig`] / [`ProcessOpts`](crate::ProcessOpts) cannot
+    /// describe a cluster; refused before anything is built.
+    Config(String),
 }
 
 /// A membership change the coordinator requests at a GVT cut.
@@ -108,6 +111,7 @@ impl std::fmt::Display for DistError {
             }
             DistError::Reshape { action } => write!(f, "membership reshape due: {action:?}"),
             DistError::Ingest(e) => write!(f, "ingest plane failed: {e}"),
+            DistError::Config(why) => write!(f, "bad dist configuration: {why}"),
         }
     }
 }

@@ -1,24 +1,14 @@
 //! `ggpdes` — command-line driver: run any model under any system
-//! configuration on the virtual machine (deterministic) or on real threads.
+//! configuration on the virtual machine (deterministic), on real threads
+//! (optimistic or conservative) or as a multi-shard cluster.
 //!
-//! ```text
-//! ggpdes --model phold|epidemics|traffic --system gg|dd|baseline
-//!        [--gvt sync|async] [--affinity none|constant|dynamic]
-//!        [--threads N] [--lps-per-thread N] [--imbalance K]
-//!        [--end T] [--seed S] [--cores N] [--smt N]
-//!        [--snapshot-period K] [--optimism-window W]
-//!        [--gvt-interval N] [--gvt-max-no-change N]
-//!        [--runtime vm|threads|dist|cons] [--verify] [--json] [--stats-json FILE]
-//!        [--chaos-seed S] [--chaos-plan FILE.json] [--watchdog-secs T]
-//!        [--checkpoint-every-gvt N] [--checkpoint-path FILE] [--max-recoveries N]
-//!        [--shards N] [--transport mem|loopback|tcp]
-//!        [--hb-interval-ms T] [--hb-miss N] [--degrade]
-//!        [--kill-shard S:AT ...] [--partition FROM:TO:ROUNDS ...]
-//!        [--join-at N] [--leave-at S:N]
-//!        [--shard-id I --listen ADDR --connect ADDR ...] [--connect-timeout-secs T]
-//!        [--trace-out FILE] [--trace-capacity N] [--round-stream FILE] [--gantt]
-//!        [--ingest listen:ADDR|file:PATH|rate:N] [--ingest-journal PATH] [--ingest-replay]
-//! ```
+//! `ggpdes --help` prints every flag with its value, its default and the
+//! runtimes that read it, generated from [`FLAGS`] — the one place a flag is
+//! declared. A flag is accepted on a runtime iff that runtime reads it
+//! (anything else exits 2 rather than being dropped); a value outside its
+//! row's range exits 2; a configuration the owning crate refuses
+//! (`DistConfig::check`, `ProcessOpts::check`, `Conservative::admit`) exits
+//! 2. What follows is what a one-line help cannot hold: the reasons.
 //!
 //! Distributed runtime (`--runtime dist`): with only `--shards N` the whole
 //! cluster runs loopback in this process (one thread per shard, `--transport`
@@ -115,109 +105,373 @@
 //! (default 3) bounds the retries; on exhaustion the run degrades to the
 //! sequential engine from the last cut and still completes.
 
+use ggpdes::dist_rt::{self, DistError};
 use ggpdes::prelude::*;
-use pdes_core::{Recovered, SupervisedRun};
+use pdes_core::{IngestGate, Recovered, SupervisedRun, SupervisorConfig};
 use std::sync::Arc;
+use std::time::Duration;
+use telemetry::TelemetryData;
 
-#[derive(Debug)]
+/// A set of runtimes, one bit each.
+type Runtimes = u8;
+const VM: Runtimes = 1;
+const THREADS: Runtimes = 2;
+const CONS: Runtimes = 4;
+const DIST: Runtimes = 8;
+const ALL: Runtimes = VM | THREADS | CONS | DIST;
+const RUNTIMES: [(&str, Runtimes); 4] = [
+    ("vm", VM),
+    ("threads", THREADS),
+    ("cons", CONS),
+    ("dist", DIST),
+];
+
+/// `vm|threads` for `VM | THREADS`.
+fn runtime_names(set: Runtimes) -> String {
+    let on = RUNTIMES.iter().filter(|r| r.1 & set != 0);
+    on.map(|r| r.0).collect::<Vec<_>>().join("|")
+}
+
+/// One row of [`FLAGS`]: everything the CLI knows about a flag.
+struct Flag {
+    name: &'static str,
+    /// Value placeholder for `--help`; empty for a switch.
+    val: &'static str,
+    /// The value an absent flag has, as the user would type it; empty when
+    /// absent means unset / off (the help line says what that does).
+    default: &'static str,
+    /// The runtimes that read the flag; any other refuses it.
+    on: Runtimes,
+    help: &'static str,
+    /// Parse the value, hold it to its range, store it where it is read.
+    set: fn(&mut Cli, &str) -> Result<(), String>,
+}
+
+const fn flag(
+    name: &'static str,
+    val: &'static str,
+    default: &'static str,
+    on: Runtimes,
+    help: &'static str,
+    set: fn(&mut Cli, &str) -> Result<(), String>,
+) -> Flag {
+    Flag {
+        name,
+        val,
+        default,
+        on,
+        help,
+        set,
+    }
+}
+
+#[derive(Clone, Copy, Default)]
+enum ModelKind {
+    #[default]
+    Phold,
+    Epidemics,
+    Traffic,
+}
+
+/// What feeds the ingest gate (`--ingest`).
+enum IngestSource {
+    Listen(String),
+    File(String),
+    Rate(usize),
+}
+
+/// What the flags said. A flag that means one field of a library config
+/// writes straight into that config; [`Args`] is the rest.
+struct Cli {
+    ecfg: EngineConfig,
+    sys: SystemConfig,
+    machine: MachineConfig,
+    /// `--runtime dist`: `proc.dcfg` describes the cluster; `shard`,
+    /// `listen` and `connect` matter to a multi-process run only.
+    proc: dist_rt::ProcessOpts,
+    tel: telemetry::TelemetryConfig,
+    a: Args,
+    /// The rows given on the command line, in order.
+    given: Vec<&'static Flag>,
+}
+
+/// Flags the CLI itself acts on, or that mean different things to
+/// different runtimes.
+#[derive(Default)]
 struct Args {
-    model: String,
-    system: String,
-    gvt: String,
-    affinity: String,
+    model: ModelKind,
     threads: usize,
     lps: usize,
     imbalance: usize,
+    /// `--end` as typed: the models build their activity schedules from it.
     end: f64,
-    seed: u64,
-    cores: usize,
-    smt: usize,
-    snapshot_period: u32,
-    optimism_window: Option<f64>,
-    gvt_interval: u32,
-    gvt_max_no_change: u32,
-    runtime: String,
+    runtime: Runtimes,
     verify: bool,
     json: bool,
+    stats_json: Option<String>,
     chaos_seed: Option<u64>,
     chaos_plan: Option<String>,
-    watchdog_secs: Option<f64>,
+    /// `Some(ZERO)` switches the watchdog off; `None` keeps the runtime's
+    /// own bound.
+    watchdog: Option<Duration>,
     checkpoint_every_gvt: u64,
     checkpoint_path: Option<String>,
     max_recoveries: Option<u32>,
-    stats_json: Option<String>,
-    shards: usize,
-    transport: String,
-    hb_interval_ms: Option<f64>,
-    hb_miss: Option<u32>,
-    kill_shard: Vec<(usize, u64)>,
-    partitions: Vec<(usize, usize, u64)>,
-    join_at: Option<u64>,
-    leave_at: Option<(usize, u64)>,
-    degrade: bool,
-    shard_id: Option<usize>,
-    listen: Option<String>,
-    connect: Vec<String>,
-    connect_timeout_secs: f64,
     trace_out: Option<String>,
-    trace_capacity: Option<usize>,
     round_stream: Option<String>,
     gantt: bool,
-    ingest: Option<String>,
+    ingest: Option<IngestSource>,
     ingest_journal: Option<String>,
     ingest_replay: bool,
 }
 
-impl Default for Args {
-    fn default() -> Self {
-        Args {
-            model: "phold".into(),
-            system: "gg".into(),
-            gvt: "async".into(),
-            affinity: "constant".into(),
-            threads: 16,
-            lps: 16,
-            imbalance: 4,
-            end: 8.0,
-            seed: 0x5EED,
-            cores: 8,
-            smt: 2,
-            snapshot_period: 1,
-            optimism_window: None,
-            gvt_interval: 25,
-            gvt_max_no_change: 0,
-            runtime: "vm".into(),
-            verify: false,
-            json: false,
-            chaos_seed: None,
-            chaos_plan: None,
-            watchdog_secs: None,
-            checkpoint_every_gvt: 0,
-            checkpoint_path: None,
-            max_recoveries: None,
-            stats_json: None,
-            shards: 2,
-            transport: "tcp".into(),
-            hb_interval_ms: None,
-            hb_miss: None,
-            kill_shard: Vec::new(),
-            partitions: Vec::new(),
-            join_at: None,
-            leave_at: None,
-            degrade: false,
-            shard_id: None,
-            listen: None,
-            connect: Vec::new(),
-            connect_timeout_secs: 10.0,
-            trace_out: None,
-            trace_capacity: None,
-            round_stream: None,
-            gantt: false,
-            ingest: None,
-            ingest_journal: None,
-            ingest_replay: false,
+// Value parsers: each `Err` is the `<why>` of `ggpdes: <flag> '<value>': <why>`.
+
+fn num<T: std::str::FromStr>(v: &str) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    v.parse().map_err(|e: T::Err| e.to_string())
+}
+
+/// A number above zero (NaN is not).
+fn positive<T: std::str::FromStr + PartialOrd + Default>(v: &str) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    let n: T = num(v)?;
+    (n > T::default())
+        .then_some(n)
+        .ok_or("must be positive".into())
+}
+
+/// `v / per_sec` seconds; negative, NaN and unrepresentable are refused.
+fn duration(v: &str, per_sec: f64) -> Result<Duration, String> {
+    let bad = |_| "must be non-negative and finite".to_string();
+    Duration::try_from_secs_f64(num::<f64>(v)? / per_sec).map_err(bad)
+}
+
+/// The value `v` names in `of`, or "want one of a|b|c".
+fn choose<T: Copy>(v: &str, of: &[(&str, T)]) -> Result<T, String> {
+    let names = || of.iter().map(|o| o.0).collect::<Vec<_>>().join("|");
+    let hit = of.iter().find(|o| o.0 == v);
+    hit.map(|o| o.1)
+        .ok_or_else(|| format!("want one of {}", names()))
+}
+
+/// Exactly `N` colon-separated integers (`S:AT`, `FROM:TO:ROUNDS`).
+fn colon_fields<const N: usize>(v: &str) -> Result<[u64; N], String> {
+    let parts = v.split(':').map(num).collect::<Result<Vec<u64>, _>>()?;
+    parts
+        .try_into()
+        .map_err(|_| format!("want {N} colon-separated fields"))
+}
+
+fn ingest_source(v: &str) -> Result<IngestSource, String> {
+    match v.split_once(':') {
+        Some(("listen", addr)) if !addr.is_empty() => Ok(IngestSource::Listen(addr.into())),
+        Some(("file", path)) if !path.is_empty() => Ok(IngestSource::File(path.into())),
+        Some(("rate", n)) => num(n).map(IngestSource::Rate),
+        _ => Err("want listen:ADDR | file:PATH | rate:N".into()),
+    }
+}
+
+/// Store a checked value — the tail of most setters.
+fn put<T>(slot: &mut T, v: Result<T, String>) -> Result<(), String> {
+    *slot = v?;
+    Ok(())
+}
+
+/// `--smt`: 4 ways is the paper's KNL throughput curve, anything else the
+/// generic diminishing-returns one.
+fn set_smt(c: &mut Cli, v: &str) -> Result<(), String> {
+    let ways: usize = positive(v)?;
+    let curve = if ways == 4 {
+        MachineConfig::default()
+    } else {
+        MachineConfig::small(1, ways)
+    };
+    c.machine.smt_ways = ways;
+    c.machine.smt_total = curve.smt_total;
+    Ok(())
+}
+
+/// Either heartbeat flag switches the failure detector on; the other knob
+/// keeps the library's default.
+fn heartbeat(c: &mut Cli) -> &mut dist_rt::HeartbeatConfig {
+    c.proc.dcfg.heartbeat.get_or_insert_with(Default::default)
+}
+
+/// Every flag, declared once: name, value placeholder (empty = switch),
+/// default (empty = unset), the runtimes that read it, help, setter. The
+/// parse loop, the defaults, `--help` and the per-runtime refusals are all
+/// derived from these rows. `on` is what a runtime *reads* (CHANGES.md PR 19
+/// has the grep behind every row): e.g. dist paces its rounds by
+/// `DistConfig::gvt_interval_cycles`, never `EngineConfig::gvt_interval`.
+#[rustfmt::skip]
+static FLAGS: &[(&str, &[Flag])] = &[
+    ("Model and system", &[
+        flag("--model", "phold|epidemics|traffic", "phold", ALL, "the simulation model",
+            |c, v| put(&mut c.a.model, choose(v, &[("phold", ModelKind::Phold), ("epidemics", ModelKind::Epidemics), ("traffic", ModelKind::Traffic)]))),
+        flag("--runtime", "vm|threads|cons|dist", "vm", ALL, "virtual machine, real threads (Time Warp), real threads (null messages), multi-shard cluster",
+            |c, v| put(&mut c.a.runtime, choose(v, &RUNTIMES))),
+        flag("--system", "gg|dd|baseline", "gg", VM | THREADS | CONS, "thread scheduler: GG-PDES, DD-PDES, or none (cons refuses dd)",
+            |c, v| put(&mut c.sys.scheduler, choose(v, &[("gg", Scheduler::GgPdes), ("dd", Scheduler::DdPdes), ("baseline", Scheduler::Baseline)]))),
+        flag("--gvt", "sync|async", "async", VM | THREADS | CONS, "barrier or wait-free GVT rounds",
+            |c, v| put(&mut c.sys.gvt, choose(v, &[("sync", GvtMode::Sync), ("async", GvtMode::Async)]))),
+        flag("--affinity", "none|constant|dynamic", "constant", VM | THREADS | CONS, "CPU pinning policy",
+            |c, v| put(&mut c.sys.affinity, choose(v, &[("none", AffinityPolicy::NoAffinity), ("constant", AffinityPolicy::Constant), ("dynamic", AffinityPolicy::Dynamic)]))),
+        flag("--threads", "N", "16", ALL, "simulation threads the model is laid out for (dist maps them onto --shards)", |c, v| put(&mut c.a.threads, positive(v))),
+        flag("--lps-per-thread", "N", "16", ALL, "LPs per simulation thread", |c, v| put(&mut c.a.lps, positive(v))),
+        flag("--imbalance", "K", "4", ALL, "1-K imbalanced activity schedule (<= 1: balanced); must divide --threads", |c, v| put(&mut c.a.imbalance, num(v))),
+        flag("--end", "T", "8", ALL, "simulate [0, T)", |c, v| {
+                let t = num(v).and_then(|t: f64| if t >= 0.0 && t.is_finite() { Ok(t) } else { Err("must be non-negative and finite".to_string()) })?;
+                c.ecfg.end_time = VirtualTime::from_f64(t);
+                put(&mut c.a.end, Ok(t))
+            }),
+        flag("--seed", "S", "24301", ALL, "experiment seed", |c, v| put(&mut c.ecfg.seed, num(v))),
+    ]),
+    ("Engine and GVT cadence", &[
+        flag("--snapshot-period", "K", "1", ALL, "save LP state before every K-th event (1 = copy state saving)", |c, v| put(&mut c.ecfg.snapshot_period, positive(v))),
+        flag("--optimism-window", "W", "", VM | THREADS | DIST, "never speculate more than W past GVT (unset: unbounded; cons never speculates)",
+            |c, v| put(&mut c.ecfg.optimism_window, positive(v).map(Some))),
+        flag("--gvt-interval", "N", "25", VM | THREADS | CONS, "a GVT round every N main-loop cycles", |c, v| put(&mut c.ecfg.gvt_interval, positive(v))),
+        flag("--gvt-max-no-change", "N", "0", VM | THREADS | CONS, "double the interval after N rounds of unmoved GVT (0 = never)",
+            |c, v| put(&mut c.ecfg.gvt_max_no_change, num(v))),
+    ]),
+    ("Virtual machine", &[
+        flag("--cores", "N", "8", VM, "physical cores of the simulated machine", |c, v| put(&mut c.machine.num_cores, positive(v))),
+        flag("--smt", "N", "2", VM, "SMT contexts per core", set_smt),
+    ]),
+    ("Output", &[
+        flag("--verify", "", "", ALL, "check the committed trace against the sequential oracle", |c, _| put(&mut c.a.verify, Ok(true))),
+        flag("--json", "", "", ALL, "print the final RunMetrics as JSON instead of the table", |c, _| put(&mut c.a.json, Ok(true))),
+        flag("--stats-json", "FILE", "", ALL, "also write the final RunMetrics JSON to FILE", |c, v| put(&mut c.a.stats_json, Ok(Some(v.into())))),
+    ]),
+    ("Chaos and liveness", &[
+        flag("--chaos-seed", "S", "", VM | THREADS | DIST, "seeded default fault mix (dist: per-link delay/drop/duplicate)",
+            |c, v| put(&mut c.a.chaos_seed, num(v).map(Some))),
+        flag("--chaos-plan", "FILE", "", VM | THREADS, "full FaultPlan JSON (thread-level faults)", |c, v| put(&mut c.a.chaos_plan, Ok(Some(v.into())))),
+        flag("--watchdog-secs", "T", "", ALL, "GVT-progress bound; 0 = off (unset: 30 wall s, vm: 10 virtual s)", |c, v| put(&mut c.a.watchdog, duration(v, 1.0).map(Some))),
+    ]),
+    ("Recovery", &[
+        flag("--checkpoint-every-gvt", "N", "0", ALL, "consistent cut every N GVT rounds, run under the supervisor (0 = off)",
+            |c, v| put(&mut c.a.checkpoint_every_gvt, num(v))),
+        flag("--checkpoint-path", "FILE", "", VM | THREADS | CONS, "also write each cut to FILE (dist keeps its cuts in memory)",
+            |c, v| put(&mut c.a.checkpoint_path, Ok(Some(v.into())))),
+        flag("--max-recoveries", "N", "", ALL, "restore-and-retry budget; giving it opts into the supervisor (unset: 3 once checkpointing, dist: 0)",
+            |c, v| put(&mut c.a.max_recoveries, num(v).map(Some))),
+    ]),
+    ("Distributed runtime", &[
+        flag("--shards", "N", "2", DIST, "shards in the cluster", |c, v| put(&mut c.proc.dcfg.shards, num(v))),
+        flag("--transport", "mem|loopback|tcp", "tcp", DIST, "loopback links: in-process memory (loopback = mem) or localhost TCP",
+            |c, v| put(&mut c.proc.dcfg.transport, choose(v, &[("mem", Transport::Mem), ("loopback", Transport::Mem), ("tcp", Transport::Tcp)]))),
+    ]),
+    ("Elastic membership (loopback dist)", &[
+        flag("--hb-interval-ms", "T", "", DIST, "heartbeat failure detection every T ms (unset: off)", |c, v| put(&mut heartbeat(c).interval, duration(v, 1e3))),
+        flag("--hb-miss", "N", "", DIST, "declare a peer dead after N silent intervals (switches detection on)", |c, v| put(&mut heartbeat(c).miss_threshold, num(v))),
+        flag("--kill-shard", "S:AT", "", DIST, "kill worker shard S at its AT-th GVT publish (repeatable)",
+            |c, v| colon_fields(v).map(|[s, at]| c.proc.dcfg.kills.push((s as usize, at)))),
+        flag("--partition", "FROM:TO:ROUNDS", "", DIST, "silence one link direction for about ROUNDS GVT rounds (repeatable)",
+            |c, v| colon_fields(v).map(|[from, to, rounds]| c.proc.dcfg.partitions.push((from as usize, to as usize, rounds)))),
+        flag("--join-at", "N", "", DIST, "admit a new shard at the first cut after the N-th publish", |c, v| put(&mut c.proc.dcfg.join_at, num(v).map(Some))),
+        flag("--leave-at", "S:N", "", DIST, "drain worker shard S out at the first cut after the N-th publish",
+            |c, v| put(&mut c.proc.dcfg.leave_at, colon_fields(v).map(|[s, n]| Some((s as usize, n))))),
+        flag("--degrade", "", "", DIST, "shrink around a dead shard once --max-recoveries is spent", |c, _| put(&mut c.proc.dcfg.degrade, Ok(true))),
+    ]),
+    ("Multi-process mesh (dist)", &[
+        flag("--shard-id", "I", "", DIST, "run only shard I of the cluster in this process", |c, v| put(&mut c.proc.shard, num(v))),
+        flag("--listen", "ADDR", "", DIST, "where this shard accepts the higher shards", |c, v| put(&mut c.proc.listen, Ok(v.into()))),
+        flag("--connect", "ADDR", "", DIST, "listen address of a lower shard, in shard order (repeatable)", |c, v| { c.proc.connect.push(v.into()); Ok(()) }),
+        flag("--connect-timeout-secs", "T", "10", DIST, "give up on the mesh handshake after T s", |c, v| put(&mut c.proc.dcfg.mesh_timeout, duration(v, 1.0))),
+    ]),
+    ("Telemetry (off unless one of --trace-out, --round-stream, --gantt is given)", &[
+        flag("--trace-out", "FILE", "", ALL, "write a Chrome trace_event JSON", |c, v| put(&mut c.a.trace_out, Ok(Some(v.into())))),
+        flag("--round-stream", "FILE", "", ALL, "write one JSON object per GVT round", |c, v| put(&mut c.a.round_stream, Ok(Some(v.into())))),
+        flag("--gantt", "", "", ALL, "print the activity gantt derived from the trace's park spans", |c, _| put(&mut c.a.gantt, Ok(true))),
+        flag("--trace-capacity", "N", "65536", ALL, "records per thread ring (oldest drop first)", |c, v| put(&mut c.tel.capacity, positive(v))),
+    ]),
+    ("External-event ingest", &[
+        flag("--ingest", "listen:ADDR|file:PATH|rate:N", "", THREADS | DIST, "feed a live admission gate: framed TCP, a JSONL script, or N synthesized requests (phold)",
+            |c, v| put(&mut c.a.ingest, ingest_source(v).map(Some))),
+        flag("--ingest-journal", "PATH", "", THREADS | DIST, "make admissions crash-durable (loopback dist: PATH.sS per shard)",
+            |c, v| put(&mut c.a.ingest_journal, Ok(Some(v.into())))),
+        flag("--ingest-replay", "", "", THREADS | DIST, "recover --ingest-journal at startup and re-inject its suffix once", |c, _| put(&mut c.a.ingest_replay, Ok(true))),
+    ]),
+];
+
+fn flags() -> impl Iterator<Item = &'static Flag> {
+    FLAGS.iter().flat_map(|(_, rows)| rows.iter())
+}
+
+/// The `--help` text: every row, under its group.
+fn usage() -> String {
+    let mut s = String::from(
+        "ggpdes - run a PDES model under one of the paper's systems on one of four runtimes\n\n\
+         usage: ggpdes [--flag VALUE]...        (--help prints this)\n\n\
+         Each flag shows [its default] and the runtimes that read it; a flag given to a\n\
+         runtime that does not read it is refused, not ignored.\n",
+    );
+    for (group, rows) in FLAGS {
+        s += &format!("\n{group}:\n");
+        for f in *rows {
+            let default = if f.default.is_empty() { "-" } else { f.default };
+            let (head, on) = (format!("{} {}", f.name, f.val), runtime_names(f.on));
+            s += &format!("  {head:<40} [{default}]  ({on})\n        {}\n", f.help);
         }
     }
+    s
+}
+
+impl Cli {
+    /// The library's configs with the two constants no flag reaches, then
+    /// every row's default through its own setter.
+    fn new() -> Cli {
+        let mut c = Cli {
+            ecfg: EngineConfig::default().with_zero_counter_threshold(250),
+            sys: SystemConfig::ALL_SIX[0], // all three fields have a row, and a default
+            machine: MachineConfig {
+                quantum: 50_000,
+                ..MachineConfig::default()
+            },
+            proc: dist_rt::ProcessOpts::default(),
+            tel: telemetry::TelemetryConfig::default(),
+            a: Args::default(),
+            given: Vec::new(),
+        };
+        for f in flags().filter(|f| !f.default.is_empty()) {
+            (f.set)(&mut c, f.default).expect("a row's default passes its own setter");
+        }
+        c
+    }
+
+    fn given(&self, name: &str) -> bool {
+        self.given.iter().any(|f| f.name == name)
+    }
+}
+
+/// The command line as a [`Cli`], or the one-line reason it is refused:
+/// an unknown flag, a value outside its row's range, or a flag the chosen
+/// runtime does not read.
+fn parse(argv: &[String]) -> Result<Cli, String> {
+    let mut c = Cli::new();
+    let mut it = argv.iter();
+    while let Some(arg) = it.next() {
+        let known = flags().find(|f| f.name == arg);
+        let f = known.ok_or_else(|| format!("unknown flag {arg} (see --help)"))?;
+        let v = match f.val {
+            "" => "",
+            want => it.next().ok_or(format!("{arg} needs a value ({want})"))?,
+        };
+        (f.set)(&mut c, v).map_err(|why| format!("{arg} '{v}': {why}"))?;
+        c.given.push(f);
+    }
+    c.tel.enabled = c.a.trace_out.is_some() || c.a.round_stream.is_some() || c.a.gantt;
+    if let Some(f) = c.given.iter().find(|f| f.on & c.a.runtime == 0) {
+        let on = runtime_names(f.on);
+        return Err(format!("{} is read only by --runtime {on}", f.name));
+    }
+    Ok(c)
 }
 
 /// Friendly fatal: usage / validation errors exit 2, runtime failures exit 1.
@@ -226,138 +480,25 @@ fn die(code: i32, msg: &str) -> ! {
     std::process::exit(code);
 }
 
-/// Split a `:`-separated flag value into exactly `n` integer fields.
-fn colon_fields(flag: &str, val: &str, n: usize) -> Vec<u64> {
-    let parts: Vec<u64> = val
-        .split(':')
-        .map(|p| {
-            p.parse()
-                .unwrap_or_else(|e| die(2, &format!("{flag} '{val}': {e}")))
-        })
-        .collect();
-    if parts.len() != n {
-        die(
-            2,
-            &format!("{flag} '{val}': want {n} colon-separated fields"),
-        );
+/// Every `DistError` leaves through here: a configuration dist-rt refuses
+/// is a usage error, anything else a failed run.
+fn dist_fail(what: &str, e: DistError) -> ! {
+    match e {
+        DistError::Config(why) => die(2, &format!("--runtime dist: {why}")),
+        e => die(1, &format!("{what}: {e}")),
     }
-    parts
 }
 
-/// Parse a flag's numeric value; a malformed one is a usage error.
-fn num<T: std::str::FromStr>(flag: &str, val: &str) -> T
-where
-    T::Err: std::fmt::Display,
-{
-    val.parse()
-        .unwrap_or_else(|e| die(2, &format!("{flag} '{val}': {e}")))
+/// Write an output file one of the flags asked for.
+fn write_out(flag: &str, path: &str, text: String) {
+    if let Err(e) = std::fs::write(path, text) {
+        die(1, &format!("{flag} {path}: {e}"));
+    }
 }
 
-fn parse_args() -> Args {
-    let mut a = Args::default();
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = argv.iter();
-    while let Some(flag) = it.next() {
-        let mut val = || {
-            it.next()
-                .unwrap_or_else(|| die(2, &format!("{flag} needs a value")))
-                .clone()
-        };
-        match flag.as_str() {
-            "--model" => a.model = val(),
-            "--system" => a.system = val(),
-            "--gvt" => a.gvt = val(),
-            "--affinity" => a.affinity = val(),
-            "--threads" => a.threads = num(flag, &val()),
-            "--lps-per-thread" => a.lps = num(flag, &val()),
-            "--imbalance" => a.imbalance = num(flag, &val()),
-            "--end" => a.end = num(flag, &val()),
-            "--seed" => a.seed = num(flag, &val()),
-            "--cores" => a.cores = num(flag, &val()),
-            "--smt" => a.smt = num(flag, &val()),
-            "--snapshot-period" => a.snapshot_period = num(flag, &val()),
-            "--optimism-window" => a.optimism_window = Some(num(flag, &val())),
-            "--gvt-interval" => {
-                a.gvt_interval = num(flag, &val());
-                if a.gvt_interval == 0 {
-                    die(2, "--gvt-interval must be positive");
-                }
-            }
-            "--gvt-max-no-change" => a.gvt_max_no_change = num(flag, &val()),
-            "--runtime" => a.runtime = val(),
-            "--verify" => a.verify = true,
-            "--json" => a.json = true,
-            "--chaos-seed" => a.chaos_seed = Some(num(flag, &val())),
-            "--chaos-plan" => a.chaos_plan = Some(val()),
-            "--watchdog-secs" => a.watchdog_secs = Some(num(flag, &val())),
-            "--checkpoint-every-gvt" => a.checkpoint_every_gvt = num(flag, &val()),
-            "--checkpoint-path" => a.checkpoint_path = Some(val()),
-            "--max-recoveries" => a.max_recoveries = Some(num(flag, &val())),
-            "--stats-json" => a.stats_json = Some(val()),
-            "--shards" => a.shards = num(flag, &val()),
-            "--transport" => a.transport = val(),
-            "--hb-interval-ms" => a.hb_interval_ms = Some(num(flag, &val())),
-            "--hb-miss" => a.hb_miss = Some(num(flag, &val())),
-            "--kill-shard" => {
-                let f = colon_fields("--kill-shard", &val(), 2);
-                a.kill_shard.push((f[0] as usize, f[1]));
-            }
-            "--partition" => {
-                let f = colon_fields("--partition", &val(), 3);
-                a.partitions.push((f[0] as usize, f[1] as usize, f[2]));
-            }
-            "--join-at" => a.join_at = Some(num(flag, &val())),
-            "--leave-at" => {
-                let f = colon_fields("--leave-at", &val(), 2);
-                a.leave_at = Some((f[0] as usize, f[1]));
-            }
-            "--degrade" => a.degrade = true,
-            "--shard-id" => a.shard_id = Some(num(flag, &val())),
-            "--listen" => a.listen = Some(val()),
-            "--connect" => a.connect.push(val()),
-            "--connect-timeout-secs" => a.connect_timeout_secs = num(flag, &val()),
-            "--trace-out" => a.trace_out = Some(val()),
-            "--trace-capacity" => a.trace_capacity = Some(num(flag, &val())),
-            "--round-stream" => a.round_stream = Some(val()),
-            "--gantt" => a.gantt = true,
-            "--ingest" => a.ingest = Some(val()),
-            "--ingest-journal" => a.ingest_journal = Some(val()),
-            "--ingest-replay" => a.ingest_replay = true,
-            "--help" | "-h" => {
-                println!("see module docs: cargo doc --open -p ggpdes");
-                std::process::exit(0);
-            }
-            other => die(2, &format!("unknown flag {other}")),
-        }
-    }
-    if a.threads == 0 || a.lps == 0 {
-        die(2, "--threads and --lps-per-thread must be positive");
-    }
-    a
-}
-
-fn system_of(a: &Args) -> SystemConfig {
-    let scheduler = match a.system.as_str() {
-        "gg" => Scheduler::GgPdes,
-        "dd" => Scheduler::DdPdes,
-        "baseline" => Scheduler::Baseline,
-        s => die(2, &format!("unknown system '{s}' (gg|dd|baseline)")),
-    };
-    let gvt = match a.gvt.as_str() {
-        "sync" => GvtMode::Sync,
-        "async" => GvtMode::Async,
-        s => die(2, &format!("unknown gvt mode '{s}' (sync|async)")),
-    };
-    let affinity = match a.affinity.as_str() {
-        "none" => AffinityPolicy::NoAffinity,
-        "constant" => AffinityPolicy::Constant,
-        "dynamic" => AffinityPolicy::Dynamic,
-        s => die(
-            2,
-            &format!("unknown affinity '{s}' (none|constant|dynamic)"),
-        ),
-    };
-    SystemConfig::new(scheduler, gvt, affinity)
+/// `--watchdog-secs` as a bound: `fallback` when the flag is absent, none at 0.
+fn watchdog(a: &Args, fallback: Duration) -> Option<Duration> {
+    Some(a.watchdog.unwrap_or(fallback)).filter(|d| !d.is_zero())
 }
 
 fn report(m: &RunMetrics, json: bool) {
@@ -391,23 +532,10 @@ fn report(m: &RunMetrics, json: bool) {
     println!("wall seconds          : {:.4}", m.wall_secs);
 }
 
-/// Telemetry configuration implied by the CLI: any trace-consuming flag
-/// switches collection on; otherwise it stays off (and free).
-fn telemetry_cfg(a: &Args) -> telemetry::TelemetryConfig {
-    if a.trace_out.is_none() && a.round_stream.is_none() && !a.gantt {
-        return telemetry::TelemetryConfig::default();
-    }
-    match a.trace_capacity {
-        Some(0) => die(2, "--trace-capacity must be positive"),
-        Some(cap) => telemetry::TelemetryConfig::with_capacity(cap),
-        None => telemetry::TelemetryConfig::on(),
-    }
-}
-
 /// Write the trace artifacts the CLI asked for from the run's collected
 /// telemetry (absent on runs that never produce one, e.g. worker shards).
-fn emit_telemetry(a: &Args, data: &Option<telemetry::TelemetryData>, threads: usize) {
-    if a.trace_out.is_none() && a.round_stream.is_none() && !a.gantt {
+fn emit_telemetry(c: &Cli, data: &Option<TelemetryData>, threads: usize) {
+    if !c.tel.enabled {
         return;
     }
     let Some(data) = data else {
@@ -421,24 +549,22 @@ fn emit_telemetry(a: &Args, data: &Option<telemetry::TelemetryData>, threads: us
             data.total_dropped()
         );
     }
-    if let Some(path) = &a.trace_out {
-        let json = telemetry::chrome_trace_json(data);
-        if let Err(e) = std::fs::write(path, json) {
-            die(1, &format!("--trace-out {path}: {e}"));
-        }
+    if let Some(path) = &c.a.trace_out {
+        write_out("--trace-out", path, telemetry::chrome_trace_json(data));
         eprintln!("telemetry: wrote Chrome trace to {path} (load at ui.perfetto.dev)");
     }
-    if let Some(path) = &a.round_stream {
-        let jsonl = telemetry::round_stream_jsonl(&data.rounds);
-        if let Err(e) = std::fs::write(path, jsonl) {
-            die(1, &format!("--round-stream {path}: {e}"));
-        }
+    if let Some(path) = &c.a.round_stream {
+        write_out(
+            "--round-stream",
+            path,
+            telemetry::round_stream_jsonl(&data.rounds),
+        );
         eprintln!(
             "telemetry: wrote {} GVT round snapshot(s) to {path}",
             data.rounds.len()
         );
     }
-    if a.gantt {
+    if c.a.gantt {
         let transitions = metrics::transitions_from_trace(data, threads);
         let horizon = metrics::trace_horizon(data);
         print!(
@@ -457,58 +583,23 @@ fn fault_plan(a: &Args) -> FaultPlan {
         return serde_json::from_str(&text)
             .unwrap_or_else(|e| die(2, &format!("--chaos-plan {path}: bad FaultPlan JSON: {e}")));
     }
-    if let Some(seed) = a.chaos_seed {
-        return FaultPlan::chaos(seed);
-    }
-    FaultPlan::default()
+    a.chaos_seed.map(FaultPlan::chaos).unwrap_or_default()
 }
 
-/// What feeds the ingest gate, parsed from `--ingest`.
-enum IngestSource {
-    Listen(String),
-    File(String),
-    Rate(usize),
-}
-
-fn ingest_source(a: &Args) -> Option<IngestSource> {
-    let spec = a.ingest.as_ref()?;
-    Some(match spec.split_once(':') {
-        Some(("listen", addr)) if !addr.is_empty() => IngestSource::Listen(addr.into()),
-        Some(("file", path)) if !path.is_empty() => IngestSource::File(path.into()),
-        Some(("rate", n)) => IngestSource::Rate(
-            n.parse()
-                .unwrap_or_else(|e| die(2, &format!("--ingest rate '{n}': {e}"))),
-        ),
-        _ => die(
-            2,
-            &format!("--ingest '{spec}': want listen:ADDR | file:PATH | rate:N"),
-        ),
-    })
-}
-
-/// Whether any ingest flag is active (a gate must be built and reported).
-fn ingest_active(a: &Args) -> bool {
-    a.ingest.is_some() || a.ingest_journal.is_some() || a.ingest_replay
-}
+type Gate<M> = Arc<IngestGate<<M as Model>::Payload>>;
+type Accepted<M> = Vec<pdes_core::Event<<M as Model>::Payload>>;
+/// Payload synthesis for `--ingest rate:N` (models with a unit payload).
+type Synth<M> = Option<fn(u64) -> <M as Model>::Payload>;
 
 /// Build one shard's gate: fresh, journaling, or recovered-with-replay.
 /// `journal` already carries any per-shard suffix.
-fn build_gate<M: Model>(
-    a: &Args,
-    shard: u64,
-    journal: Option<&str>,
-) -> Arc<pdes_core::IngestGate<M::Payload>> {
-    use pdes_core::{IngestConfig, IngestGate};
-    let cfg = IngestConfig::default();
+fn build_gate<M: Model>(a: &Args, shard: u64, journal: Option<&str>) -> Gate<M> {
+    let cfg = pdes_core::IngestConfig::default();
     let gate = match journal {
         Some(path) if a.ingest_replay => {
-            let (gate, replay) = IngestGate::recover(
-                cfg,
-                shard,
-                std::path::Path::new(path),
-                pdes_core::VirtualTime::ZERO,
-            )
-            .unwrap_or_else(|e| die(1, &format!("--ingest-replay: {e}")));
+            let (gate, replay) =
+                IngestGate::recover(cfg, shard, std::path::Path::new(path), VirtualTime::ZERO)
+                    .unwrap_or_else(|e| die(1, &format!("--ingest-replay: {e}")));
             if gate.accepted_count() > 0 {
                 eprintln!(
                     "ingest: recovered {} accepted event(s) from {path}; {} staged for replay",
@@ -528,6 +619,7 @@ fn build_gate<M: Model>(
 
 /// The client-facing feeder attached to the entry gate, torn down by
 /// [`finish_ingest`] after the run.
+#[derive(Default)]
 struct IngestPlane {
     server: Option<ingest::IngestServer>,
     feeder: Option<std::thread::JoinHandle<ingest::DriveReport>>,
@@ -535,38 +627,31 @@ struct IngestPlane {
 
 /// Start the `--ingest` source against `gate`: a TCP server, a scripted
 /// file driven through a retrying client, or seeded synthesis.
-fn start_feeder<M: Model>(
-    a: &Args,
-    gate: &Arc<pdes_core::IngestGate<M::Payload>>,
-    num_lps: u32,
-    synth: Option<fn(u64) -> M::Payload>,
-) -> IngestPlane {
-    let mut plane = IngestPlane {
-        server: None,
-        feeder: None,
-    };
-    let Some(src) = ingest_source(a) else {
-        return plane;
-    };
-    match src {
-        IngestSource::Listen(addr) => {
-            let server = ingest::IngestServer::spawn(Arc::clone(gate), &addr)
+fn start_feeder<M: Model>(c: &Cli, gate: &Gate<M>, num_lps: u32, synth: Synth<M>) -> IngestPlane {
+    let mut plane = IngestPlane::default();
+    let seed = c.ecfg.seed;
+    match &c.a.ingest {
+        None => {}
+        Some(IngestSource::Listen(addr)) => {
+            let server = ingest::IngestServer::spawn(Arc::clone(gate), addr)
                 .unwrap_or_else(|e| die(1, &format!("--ingest listen:{addr}: {e}")));
             eprintln!("ingest: serving external events on {}", server.addr());
             plane.server = Some(server);
         }
-        IngestSource::File(path) => {
-            let text = std::fs::read_to_string(&path)
-                .unwrap_or_else(|e| die(2, &format!("--ingest file:{path}: {e}")));
-            let script = ingest::parse_script::<M::Payload>(&text)
+        Some(IngestSource::File(path)) => {
+            let script = std::fs::read_to_string(path)
+                .map_err(|e| e.to_string())
+                .and_then(|text| {
+                    ingest::parse_script::<M::Payload>(&text).map_err(|e| e.to_string())
+                })
                 .unwrap_or_else(|e| die(2, &format!("--ingest file:{path}: {e}")));
             eprintln!(
                 "ingest: driving {} scripted request(s) from {path}",
                 script.len()
             );
-            plane.feeder = Some(spawn_driver(Arc::clone(gate), a.seed, script));
+            plane.feeder = Some(spawn_driver(Arc::clone(gate), seed, script));
         }
-        IngestSource::Rate(n) => {
+        Some(IngestSource::Rate(n)) => {
             let Some(payload) = synth else {
                 die(
                     2,
@@ -574,15 +659,11 @@ fn start_feeder<M: Model>(
                      other models with file:PATH (JSON payloads)",
                 )
             };
-            let lo = pdes_core::VirtualTime::from_f64(a.end * 0.05)
-                .ticks()
-                .max(1);
-            let hi = pdes_core::VirtualTime::from_f64(a.end * 0.85)
-                .ticks()
-                .max(lo + 1);
-            let script = ingest::synth_requests(a.seed, 9, n, num_lps, lo, hi, payload);
+            let lo = VirtualTime::from_f64(c.a.end * 0.05).ticks().max(1);
+            let hi = VirtualTime::from_f64(c.a.end * 0.85).ticks().max(lo + 1);
+            let script = ingest::synth_requests(seed, 9, *n, num_lps, lo, hi, payload);
             eprintln!("ingest: driving {n} synthesized request(s)");
-            plane.feeder = Some(spawn_driver(Arc::clone(gate), a.seed, script));
+            plane.feeder = Some(spawn_driver(Arc::clone(gate), seed, script));
         }
     }
     plane
@@ -591,13 +672,13 @@ fn start_feeder<M: Model>(
 /// A local retrying client on its own thread: re-stamps on `Rejected`,
 /// backs off on `Busy`/`Shed`, gives up only after a generous budget.
 fn spawn_driver<P: Clone + Send + 'static>(
-    gate: Arc<pdes_core::IngestGate<P>>,
+    gate: Arc<IngestGate<P>>,
     seed: u64,
     script: Vec<pdes_core::IngestRequest<P>>,
 ) -> std::thread::JoinHandle<ingest::DriveReport> {
     std::thread::spawn(move || {
         let mut client = ingest::IngestClient::with_policy(
-            ingest::local_endpoint(gate, std::time::Duration::from_secs(30)),
+            ingest::local_endpoint(gate, Duration::from_secs(30)),
             seed,
             ingest::RetryPolicy {
                 max_attempts: 64,
@@ -609,7 +690,7 @@ fn spawn_driver<P: Clone + Send + 'static>(
 }
 
 /// Close the gates, land the feeder, and report admission counters.
-fn finish_ingest<P>(plane: IngestPlane, gates: &[Arc<pdes_core::IngestGate<P>>]) {
+fn finish_ingest<P>(plane: IngestPlane, gates: &[Arc<IngestGate<P>>]) {
     for g in gates {
         g.close();
     }
@@ -650,6 +731,40 @@ fn finish_ingest<P>(plane: IngestPlane, gates: &[Arc<pdes_core::IngestGate<P>>])
     );
 }
 
+/// Run `body` with the ingest plane attached, if any ingest flag is on: one
+/// gate per shard of `shards` (journaling to `PATH.sS` when `per_shard`),
+/// the `--ingest` feeder on the first. Afterwards — before the caller acts
+/// on the outcome, whichever way the run went — the feeder lands, the
+/// admission counters print, and `accepted` takes what the oracle must be
+/// fed next to the seeded events.
+fn with_ingest<M: Model, R>(
+    c: &Cli,
+    model: &Arc<M>,
+    synth: Synth<M>,
+    shards: std::ops::Range<usize>,
+    per_shard: bool,
+    accepted: &mut Accepted<M>,
+    body: impl FnOnce(Option<&dist_rt::IngestGates<M>>) -> R,
+) -> R {
+    let a = &c.a;
+    if a.ingest.is_none() && a.ingest_journal.is_none() && !a.ingest_replay {
+        return body(None);
+    }
+    let journal = |s: usize| match (&a.ingest_journal, per_shard) {
+        (Some(p), true) => Some(format!("{p}.s{s}")),
+        (p, _) => p.clone(),
+    };
+    let gates: dist_rt::IngestGates<M> = shards
+        .map(|s| build_gate::<M>(a, s as u64, journal(s).as_deref()))
+        .collect();
+    let plane = start_feeder::<M>(c, &gates[0], model.num_lps() as u32, synth);
+    let out = body(Some(&gates));
+    finish_ingest(plane, &gates);
+    *accepted = gates.iter().flat_map(|g| g.accepted_events()).collect();
+    accepted.sort_by_key(|e| e.key);
+    out
+}
+
 /// Print a supervised run's recovery log to stderr and hand back how it
 /// finished.
 fn report_supervised<R>(s: SupervisedRun<R>) -> Recovered<R> {
@@ -662,28 +777,34 @@ fn report_supervised<R>(s: SupervisedRun<R>) -> Recovered<R> {
     s.outcome
 }
 
+/// Hold `digest` to the sequential oracle fed the seeded events plus `extra`
+/// (what the ingest plane admitted).
+fn verify<M: Model>(model: &Arc<M>, ecfg: &EngineConfig, extra: &Accepted<M>, digest: u64) {
+    let what = if extra.is_empty() {
+        "sequential"
+    } else {
+        "merged-stream sequential"
+    };
+    let oracle = pdes_core::run_sequential_with(model, ecfg, extra, None);
+    assert_eq!(
+        digest, oracle.commit_digest,
+        "run diverged from the {what} oracle!"
+    );
+    eprintln!("verify: committed trace matches the {what} oracle ✓");
+}
+
 /// Report a run that degraded to the sequential engine (no `RunMetrics` —
 /// the parallel attempt was abandoned), verify it if asked, and exit 0.
 fn finish_degraded<M: Model>(
     seq: &SequentialResult,
     model: &Arc<M>,
-    ecfg: &EngineConfig,
-    a: &Args,
-    extra: &[pdes_core::Event<M::Payload>],
+    c: &Cli,
+    extra: &Accepted<M>,
 ) -> ! {
-    if a.verify {
-        let oracle = if extra.is_empty() {
-            run_sequential(model, ecfg, None)
-        } else {
-            pdes_core::run_sequential_with(model, ecfg, extra, None)
-        };
-        assert_eq!(
-            seq.commit_digest, oracle.commit_digest,
-            "degraded run diverged from the sequential oracle!"
-        );
-        eprintln!("verify: committed trace matches the sequential oracle ✓");
+    if c.a.verify {
+        verify(model, &c.ecfg, extra, seq.commit_digest);
     }
-    if a.json {
+    if c.a.json {
         println!(
             "{{\"degraded\":true,\"committed\":{},\"commit_digest\":{}}}",
             seq.committed, seq.commit_digest
@@ -696,546 +817,319 @@ fn finish_degraded<M: Model>(
     std::process::exit(0);
 }
 
-/// The distributed runtime: loopback cluster by default, or one shard of a
-/// real multi-process mesh when `--shard-id`/`--listen`/`--connect` are
+type Finished = (RunMetrics, Option<TelemetryData>);
+
+/// `--runtime dist`: the loopback cluster, or one shard of a real
+/// multi-process mesh when `--shard-id` / `--listen` / `--connect` are
 /// given. Returns the coordinator's metrics plus merged telemetry; worker
 /// shards exit 0 here.
 fn run_dist<M: Model>(
     model: &Arc<M>,
-    ecfg: &EngineConfig,
-    a: &Args,
-    synth: Option<fn(u64) -> M::Payload>,
-    ingest_accepted: &mut Vec<pdes_core::Event<M::Payload>>,
-) -> (RunMetrics, Option<telemetry::TelemetryData>) {
-    use ggpdes::dist_rt::{self, DistError};
-    use std::net::ToSocketAddrs;
-    use std::time::Duration;
+    c: &Cli,
+    synth: Synth<M>,
+    accepted: &mut Accepted<M>,
+) -> Finished {
+    let a = &c.a;
+    let mut opts = c.proc.clone();
+    let d = &mut opts.dcfg;
+    d.link_faults = a.chaos_seed.map(pdes_core::LinkFaultPlan::chaos);
+    d.max_recoveries = a.max_recoveries.unwrap_or(0);
+    d.ckpt_every_rounds = a.checkpoint_every_gvt;
+    d.watchdog = watchdog(a, Duration::from_secs(30));
+    d.telemetry = c.tel.clone();
+    let shards_initial = d.shards;
 
-    if a.shards == 0 {
-        die(2, "--shards must be at least 1");
+    // CLI policy on top of what dist-rt checks: the scripted victim is a
+    // worker (the library also recovers a killed coordinator, by replay —
+    // not what these flags are for), and the elastic scripts are the
+    // loopback supervisor's.
+    let mut victims = d.kills.iter().map(|k| k.0).chain(d.leave_at.map(|l| l.0));
+    if victims.any(|s| s == 0) {
+        die(2, "--kill-shard / --leave-at 0: not a worker shard");
     }
-    // Two flags the other runtimes honour mean nothing here; dropping them
-    // silently would let a run pass for fault-injected or checkpointed-to-
-    // disk when it was neither.
-    if a.chaos_plan.is_some() {
-        die(
-            2,
-            "--chaos-plan is a thread-level FaultPlan; on --runtime dist use --chaos-seed (link faults)",
-        );
-    }
-    if a.checkpoint_path.is_some() {
-        die(
-            2,
-            "--checkpoint-path needs --runtime vm|threads|cons (dist keeps its cuts in memory)",
-        );
-    }
-    let transport = match a.transport.as_str() {
-        // "loopback" is an alias for the in-process memory transport.
-        "mem" | "loopback" => dist_rt::Transport::Mem,
-        "tcp" => dist_rt::Transport::Tcp,
-        other => die(
-            2,
-            &format!("unknown transport '{other}' (mem|loopback|tcp)"),
-        ),
-    };
-    let watchdog = match a.watchdog_secs {
-        Some(s) if s <= 0.0 => None,
-        Some(s) => Some(Duration::from_secs_f64(s)),
-        None => Some(Duration::from_secs(30)),
-    };
-    if a.connect_timeout_secs.is_nan() || a.connect_timeout_secs <= 0.0 {
-        die(2, "--connect-timeout-secs must be positive");
-    }
-    // Either heartbeat knob switches the failure detector on; the other
-    // keeps its default.
-    let heartbeat = (a.hb_interval_ms.is_some() || a.hb_miss.is_some()).then(|| {
-        let mut hb = dist_rt::HeartbeatConfig::default();
-        if let Some(ms) = a.hb_interval_ms {
-            if ms <= 0.0 || ms.is_nan() {
-                die(2, "--hb-interval-ms must be positive");
-            }
-            hb.interval = Duration::from_secs_f64(ms / 1e3);
-        }
-        if let Some(miss) = a.hb_miss {
-            if miss == 0 {
-                die(2, "--hb-miss must be at least 1");
-            }
-            hb.miss_threshold = miss;
-        }
-        hb
-    });
-    for &(from, to, _) in &a.partitions {
-        if from >= a.shards || to >= a.shards || from == to {
-            die(2, &format!("--partition {from}:{to}: bad shard pair"));
-        }
-    }
-    for &(s, _) in &a.kill_shard {
-        if s == 0 || s >= a.shards {
-            die(
-                2,
-                &format!("--kill-shard {s}: not a worker shard (1..{})", a.shards),
-            );
-        }
-    }
-    if let Some((s, _)) = a.leave_at {
-        if s == 0 || s >= a.shards {
-            die(
-                2,
-                &format!("--leave-at {s}: not a worker shard (1..{})", a.shards),
-            );
-        }
-    }
-    let dcfg = dist_rt::DistConfig {
-        shards: a.shards,
-        transport,
-        link_faults: a.chaos_seed.map(pdes_core::LinkFaultPlan::chaos),
-        kills: a.kill_shard.clone(),
-        heartbeat,
-        partitions: a.partitions.clone(),
-        join_at: a.join_at,
-        leave_at: a.leave_at,
-        max_recoveries: a.max_recoveries.unwrap_or(0),
-        degrade: a.degrade,
-        ckpt_every_rounds: a.checkpoint_every_gvt,
-        watchdog,
-        mesh_timeout: Duration::from_secs_f64(a.connect_timeout_secs),
-        telemetry: telemetry_cfg(a),
-        ..dist_rt::DistConfig::default()
-    };
-
-    let shards_initial = a.shards;
-    let finish = move |r: dist_rt::DistResult| -> (RunMetrics, Option<telemetry::TelemetryData>) {
-        if r.recoveries > 0 {
-            eprintln!(
-                "dist: completed after {} recovery(ies){} ({} partial)",
-                r.recoveries,
-                if r.used_checkpoint {
-                    " from a checkpoint cut"
-                } else {
-                    " by replaying from the start"
-                },
-                r.partial_recoveries
-            );
-        }
-        if r.membership_epoch > 0 {
-            eprintln!(
-                "dist: membership epoch {} — cluster reshaped {} -> {} shard(s)",
-                r.membership_epoch, shards_initial, r.shards_final
-            );
-        }
-        (r.metrics, r.telemetry)
-    };
-    let fail = |what: &str, e: DistError| -> ! {
-        match e {
-            DistError::ConnectTimeout { shard, detail } => die(
-                1,
-                &format!("{what}: shard {shard} mesh handshake timed out ({detail})"),
-            ),
-            e => die(1, &format!("{what}: {e}")),
-        }
-    };
-
-    let multi_process = a.shard_id.is_some() || a.listen.is_some() || !a.connect.is_empty();
-    let elastic = !a.kill_shard.is_empty()
-        || !a.partitions.is_empty()
-        || a.join_at.is_some()
-        || a.leave_at.is_some()
-        || a.degrade
-        || dcfg.heartbeat.is_some();
-    if multi_process && elastic {
+    let multi_process = ["--shard-id", "--listen", "--connect"]
+        .iter()
+        .any(|f| c.given(f));
+    let scripted = !d.kills.is_empty() || !d.partitions.is_empty() || d.degrade;
+    let reshaped = d.join_at.is_some() || d.leave_at.is_some();
+    if multi_process && (scripted || reshaped || d.heartbeat.is_some()) {
         die(
             2,
             "elastic-membership flags (--kill-shard/--partition/--join-at/--leave-at/\
              --degrade/--hb-*) need the loopback supervisor; drop --shard-id/--listen/--connect",
         );
     }
-    if !multi_process {
-        // Loopback: the whole cluster in this process, one thread per shard.
-        // With ingest active, every shard gets a gate (shard `s` journals to
-        // `PATH.s{s}`); the feeder enters at shard 0 and the mesh forwards
-        // each submission to the shard owning its destination LP.
-        let gates = ingest_active(a).then(|| -> dist_rt::IngestGates<M> {
-            (0..a.shards)
-                .map(|s| {
-                    let journal = a.ingest_journal.as_ref().map(|p| format!("{p}.s{s}"));
-                    build_gate::<M>(a, s as u64, journal.as_deref())
-                })
-                .collect()
-        });
-        let plane = gates
-            .as_ref()
-            .map(|gs| start_feeder::<M>(a, &gs[0], model.num_lps() as u32, synth));
-        let res = match &gates {
-            Some(gs) => {
-                dist_rt::run_loopback_ingest(Arc::clone(model), ecfg, &dcfg, Some(gs.clone()))
-            }
-            None => dist_rt::run_loopback(Arc::clone(model), ecfg, &dcfg),
-        };
-        if let (Some(p), Some(gs)) = (plane, &gates) {
-            finish_ingest(p, gs);
-            let mut evs: Vec<_> = gs.iter().flat_map(|g| g.accepted_events()).collect();
-            evs.sort_by_key(|e| e.key);
-            *ingest_accepted = evs;
-        }
-        return match res {
-            Ok(r) => finish(r),
-            Err(e) => fail("dist loopback", e),
-        };
-    }
-
-    let shard = a.shard_id.unwrap_or_else(|| {
+    if multi_process && !c.given("--shard-id") {
         die(
             2,
             "--listen/--connect need --shard-id (which shard is this process?)",
-        )
-    });
-    if shard >= a.shards {
-        die(
-            2,
-            &format!("--shard-id {shard} out of range for --shards {}", a.shards),
         );
     }
-    let listen = a
-        .listen
-        .clone()
-        .unwrap_or_else(|| die(2, &format!("shard {shard} needs --listen ADDR")));
-    if listen
-        .to_socket_addrs()
-        .map(|mut i| i.next())
-        .ok()
-        .flatten()
-        .is_none()
-    {
-        die(
-            2,
-            &format!("--listen '{listen}' is not a valid endpoint (want HOST:PORT)"),
-        );
-    }
-    if a.connect.len() != shard {
-        die(
-            2,
-            &format!(
-                "shard {shard} needs exactly {shard} --connect address(es) — the \
-                 listen addresses of shards 0..{shard}, in order — got {}",
-                a.connect.len()
-            ),
-        );
-    }
-    for addr in &a.connect {
-        if addr
-            .to_socket_addrs()
-            .map(|mut i| i.next())
-            .ok()
-            .flatten()
-            .is_none()
-        {
-            die(
-                2,
-                &format!("--connect '{addr}' is not a valid endpoint (want HOST:PORT)"),
-            );
-        }
-    }
-    let opts = dist_rt::ProcessOpts {
-        shards: a.shards,
-        shard,
-        listen,
-        connect: a.connect.clone(),
-        dcfg,
+    // Refuse what dist-rt would before a journal is opened or a feeder started.
+    let me = opts.shard;
+    let (what, checked, gate_ids) = if multi_process {
+        (format!("dist shard {me}"), opts.check(), me..me + 1)
+    } else {
+        ("dist loopback".into(), opts.dcfg.check(), 0..shards_initial)
     };
-    // Multi-process: this shard's own gate and feeder — each shard process
-    // may run its own `--ingest listen:` front door.
-    let gate =
-        ingest_active(a).then(|| build_gate::<M>(a, shard as u64, a.ingest_journal.as_deref()));
-    let plane = gate
-        .as_ref()
-        .map(|g| start_feeder::<M>(a, g, model.num_lps() as u32, synth));
-    if gate.is_some() && a.verify {
+    if let Err(e) = checked {
+        dist_fail(&what, e);
+    }
+
+    // Loopback: every shard gets a gate, the feeder enters at shard 0 and
+    // the mesh forwards each submission to the shard owning its LP.
+    // Multi-process: this shard's own gate and feeder — each process may run
+    // its own `--ingest listen:` front door.
+    let res = with_ingest(
+        c,
+        model,
+        synth,
+        gate_ids,
+        !multi_process,
+        accepted,
+        |gates| {
+            if !multi_process {
+                let gates = gates.cloned();
+                return dist_rt::run_loopback_ingest(Arc::clone(model), &c.ecfg, &opts.dcfg, gates)
+                    .map(Some);
+            }
+            if gates.is_some() && a.verify {
+                eprintln!(
+                    "warning: --verify on a multi-process shard sees only this shard's \
+                 admissions; events ingested at peers will fail the oracle check"
+                );
+            }
+            let gate = gates.map(|g| Arc::clone(&g[0]));
+            dist_rt::run_shard_process(Arc::clone(model), &c.ecfg, &opts, gate)
+        },
+    );
+    let r = match res {
+        Ok(Some(r)) => r,
+        Ok(None) => std::process::exit(0), // worker shard: coordinator reports
+        Err(e) => dist_fail(&what, e),
+    };
+    if r.recoveries > 0 {
         eprintln!(
-            "warning: --verify on a multi-process shard sees only this shard's \
-             admissions; events ingested at peers will fail the oracle check"
+            "dist: completed after {} recovery(ies){} ({} partial)",
+            r.recoveries,
+            if r.used_checkpoint {
+                " from a checkpoint cut"
+            } else {
+                " by replaying from the start"
+            },
+            r.partial_recoveries
         );
     }
-    let res = dist_rt::run_shard_process(Arc::clone(model), ecfg, &opts, gate.clone());
-    if let (Some(p), Some(g)) = (plane, &gate) {
-        finish_ingest(p, std::slice::from_ref(g));
-        *ingest_accepted = g.accepted_events();
+    if r.membership_epoch > 0 {
+        eprintln!(
+            "dist: membership epoch {} — cluster reshaped {} -> {} shard(s)",
+            r.membership_epoch, shards_initial, r.shards_final
+        );
     }
-    match res {
-        Ok(Some(r)) => finish(r),
-        Ok(None) => std::process::exit(0), // worker shard: coordinator reports
-        Err(e) => fail(&format!("dist shard {shard}"), e),
-    }
+    (r.metrics, r.telemetry)
 }
 
 /// `--runtime threads|cons`: one real-thread run under protocol `P`, under
 /// the supervisor when checkpointing or a retry budget was asked for.
 fn run_on_threads<M: Model, P: thread_rt::Protocol<M>>(
     model: &Arc<M>,
-    a: &Args,
+    c: &Cli,
     rc: &thread_rt::RtRunConfig,
-    supervisor: Option<&pdes_core::SupervisorConfig>,
-    synth: Option<fn(u64) -> M::Payload>,
-    ingest_accepted: &mut Vec<pdes_core::Event<M::Payload>>,
-) -> (RunMetrics, Option<telemetry::TelemetryData>) {
-    let gate = ingest_active(a).then(|| build_gate::<M>(a, 0, a.ingest_journal.as_deref()));
-    let plane = gate
-        .as_ref()
-        .map(|g| start_feeder::<M>(a, g, model.num_lps() as u32, synth));
-    // Land the feeder and report admission counters before any exit path
-    // (the degraded branch never returns).
-    let land_ingest = |accepted: &mut Vec<pdes_core::Event<M::Payload>>| {
-        if let (Some(p), Some(g)) = (plane, &gate) {
-            finish_ingest(p, std::slice::from_ref(g));
-            *accepted = g.accepted_events();
+    supervisor: Option<&SupervisorConfig>,
+    synth: Synth<M>,
+    accepted: &mut Accepted<M>,
+) -> Finished {
+    let res = with_ingest(c, model, synth, 0..1, false, accepted, |gates| {
+        let gate = gates.map(|g| Arc::clone(&g[0]));
+        match supervisor {
+            Some(sup) => Ok(report_supervised(thread_rt::run_supervised::<M, P>(
+                model, rc, sup, gate,
+            ))),
+            None => thread_rt::run_threads_attempt::<M, P>(model, rc, None, None, gate)
+                .outcome
+                .map(Recovered::Parallel),
         }
-    };
-    match supervisor {
-        Some(sup) => {
-            let outcome = report_supervised(thread_rt::run_supervised::<M, P>(
-                model,
-                rc,
-                sup,
-                gate.clone(),
-            ));
-            land_ingest(ingest_accepted);
-            match outcome {
-                Recovered::Parallel(r) => (r.metrics, r.telemetry),
-                Recovered::Sequential(seq) => {
-                    finish_degraded(&seq, model, &rc.engine, a, ingest_accepted)
-                }
-            }
-        }
-        None => {
-            let res =
-                thread_rt::run_threads_attempt::<M, P>(model, rc, None, None, gate.clone()).outcome;
-            land_ingest(ingest_accepted);
-            match res {
-                Ok(r) => (r.metrics, r.telemetry),
-                Err(err) => {
-                    eprintln!("{err}");
-                    std::process::exit(1);
-                }
-            }
+    });
+    match res {
+        Ok(Recovered::Parallel(r)) => (r.metrics, r.telemetry),
+        Ok(Recovered::Sequential(seq)) => finish_degraded(&seq, model, c, accepted),
+        Err(err) => {
+            eprintln!("{err}");
+            std::process::exit(1);
         }
     }
 }
 
-fn run<M: Model>(model: Arc<M>, a: &Args, synth: Option<fn(u64) -> M::Payload>) {
-    if ingest_active(a) {
-        if a.ingest_replay && a.ingest_journal.is_none() {
-            die(2, "--ingest-replay needs --ingest-journal PATH");
-        }
-        if a.runtime == "vm" {
-            die(
-                2,
-                "--ingest needs --runtime threads|dist (the vm is scripted; \
-                 see sim_rt::run_sim_attempt)",
-            );
-        }
+fn run<M: Model>(model: Arc<M>, c: &Cli, synth: Synth<M>) {
+    let a = &c.a;
+    if a.ingest_replay && a.ingest_journal.is_none() {
+        die(2, "--ingest-replay needs --ingest-journal PATH");
     }
-    let ecfg = EngineConfig::default()
-        .with_end_time(a.end)
-        .with_seed(a.seed)
-        .with_gvt_interval(a.gvt_interval)
-        .with_gvt_max_no_change(a.gvt_max_no_change)
-        .with_zero_counter_threshold(250)
-        .with_snapshot_period(a.snapshot_period)
-        .with_optimism_window(a.optimism_window);
-    let sys = system_of(a);
     // Checkpointing or an explicit retry budget opts the run into the
     // supervisor (which also needs checkpoints to recover from, so a bare
     // --max-recoveries enables a per-round cut).
     let supervised = a.checkpoint_every_gvt > 0 || a.max_recoveries.is_some();
-    let ckpt_every = if supervised {
-        a.checkpoint_every_gvt.max(1)
-    } else {
-        0
-    };
-    let sup = pdes_core::SupervisorConfig::new(a.max_recoveries.unwrap_or(3));
-    let tcfg = telemetry_cfg(a);
+    let ckpt_every = a.checkpoint_every_gvt.max(supervised as u64);
+    let sup = SupervisorConfig::new(a.max_recoveries.unwrap_or(3));
+    let sup = supervised.then_some(&sup);
     // `threads` and `cons` share the real-thread run configuration.
     let thread_rc = || {
-        let watchdog = match a.watchdog_secs {
-            Some(s) if s <= 0.0 => None,
-            Some(s) => Some(std::time::Duration::from_secs_f64(s)),
-            None => Some(std::time::Duration::from_secs(30)),
-        };
-        let rc = thread_rt::RtRunConfig::new(a.threads, ecfg.clone(), sys)
+        let mut rc = thread_rt::RtRunConfig::new(a.threads, c.ecfg.clone(), c.sys)
             .with_faults(fault_plan(a))
-            .with_watchdog(watchdog)
+            .with_watchdog(watchdog(a, Duration::from_secs(30)))
             .with_checkpoint_every(ckpt_every)
-            .with_telemetry(tcfg.clone());
-        match &a.checkpoint_path {
-            Some(p) => rc.with_checkpoint_path(p.into()),
-            None => rc,
-        }
+            .with_telemetry(c.tel.clone());
+        rc.checkpoint_path = a.checkpoint_path.as_ref().map(Into::into);
+        rc
     };
     // Events admitted by the ingest plane, if one was attached: the verify
     // oracle must be fed the merged (seeded + accepted-ingest) stream.
-    let mut ingest_accepted: Vec<pdes_core::Event<M::Payload>> = Vec::new();
+    let mut accepted: Accepted<M> = Vec::new();
 
-    let (metrics, tel) = match a.runtime.as_str() {
-        "vm" => {
-            let mut mc = if a.smt == 4 {
-                MachineConfig {
-                    num_cores: a.cores,
-                    ..Default::default()
-                }
-            } else {
-                MachineConfig::small(a.cores, a.smt)
-            };
-            mc.quantum = 50_000;
-            let watchdog_ns = match a.watchdog_secs {
-                Some(s) if s <= 0.0 => None,
-                Some(s) => Some((s * 1e9) as u64),
-                None => Some(10_000_000_000),
-            };
-            let mut rc = sim_rt::RunConfig::new(a.threads, ecfg.clone(), sys)
-                .with_machine(mc)
+    let (metrics, tel) = match a.runtime {
+        VM => {
+            let watchdog_ns = watchdog(a, Duration::from_secs(10)).map(|d| d.as_nanos() as u64);
+            let mut rc = sim_rt::RunConfig::new(a.threads, c.ecfg.clone(), c.sys)
+                .with_machine(c.machine.clone())
                 .with_faults(fault_plan(a))
                 .with_watchdog_ns(watchdog_ns)
                 .with_checkpoint_every(ckpt_every)
-                .with_telemetry(tcfg.clone());
-            if let Some(p) = &a.checkpoint_path {
-                rc = rc.with_checkpoint_path(p.into());
+                .with_telemetry(c.tel.clone());
+            rc.checkpoint_path = a.checkpoint_path.as_ref().map(Into::into);
+            let outcome = match sup {
+                Some(sup) => report_supervised(sim_rt::run_sim_supervised(&model, &rc, sup)),
+                None => Recovered::Parallel(sim_rt::run_sim(&model, &rc)),
+            };
+            let r = match outcome {
+                Recovered::Parallel(r) => r,
+                Recovered::Sequential(seq) => finish_degraded(&seq, &model, c, &accepted),
+            };
+            if let Some(dump) = &r.stall {
+                eprintln!("{dump}");
+                std::process::exit(1);
             }
-            if supervised {
-                match report_supervised(sim_rt::run_sim_supervised(&model, &rc, &sup)) {
-                    Recovered::Parallel(r) => (r.metrics, r.telemetry),
-                    Recovered::Sequential(seq) => finish_degraded(&seq, &model, &ecfg, a, &[]),
-                }
-            } else {
-                let r = sim_rt::run_sim(&model, &rc);
-                if let Some(dump) = &r.stall {
-                    eprintln!("{dump}");
-                    std::process::exit(1);
-                }
-                if !r.completed {
-                    eprintln!("warning: virtual time limit hit before completion");
-                }
-                (r.metrics, r.telemetry)
+            if !r.completed {
+                eprintln!("warning: virtual time limit hit before completion");
             }
+            (r.metrics, r.telemetry)
         }
-        "threads" => run_on_threads::<M, thread_rt::Optimistic>(
+        THREADS => run_on_threads::<M, thread_rt::Optimistic>(
             &model,
-            a,
+            c,
             &thread_rc(),
-            supervised.then_some(&sup),
+            sup,
             synth,
-            &mut ingest_accepted,
+            &mut accepted,
         ),
-        "dist" => run_dist(&model, &ecfg, a, synth, &mut ingest_accepted),
-        "cons" => {
-            // The conservative protocol never rolls back, so two optimistic
-            // planes are unsound on it: chaos plans hold messages back (an
-            // unrecoverable causality break without rollback) and ingest
-            // admits events against a GVT floor the conservative bound has
-            // already passed.
-            if a.chaos_seed.is_some() || a.chaos_plan.is_some() {
-                die(
-                    2,
-                    "--chaos-* needs an optimistic runtime (cons cannot roll back)",
-                );
-            }
-            if ingest_active(a) {
-                die(
-                    2,
-                    "--ingest needs --runtime threads|dist (cons has no admission floor)",
-                );
-            }
+        CONS => {
             let rc = thread_rc();
             // Zero lookahead and `--system dd` are refused before anything
             // spawns.
             if let Err(e) = cons_rt::Conservative::admit(model.as_ref(), &rc) {
                 die(2, &e.to_string());
             }
-            run_on_threads::<M, cons_rt::Conservative>(
-                &model,
-                a,
-                &rc,
-                supervised.then_some(&sup),
-                None,
-                &mut ingest_accepted,
-            )
+            run_on_threads::<M, cons_rt::Conservative>(&model, c, &rc, sup, None, &mut accepted)
         }
-        other => die(
-            2,
-            &format!("unknown runtime '{other}' (vm|threads|dist|cons)"),
-        ),
+        _ => run_dist(&model, c, synth, &mut accepted),
     };
 
     if a.verify {
-        let (oracle, what) = if ingest_accepted.is_empty() {
-            (run_sequential(&model, &ecfg, None), "sequential")
-        } else {
-            (
-                pdes_core::run_sequential_with(&model, &ecfg, &ingest_accepted, None),
-                "merged-stream sequential",
-            )
-        };
-        assert_eq!(
-            metrics.commit_digest, oracle.commit_digest,
-            "run diverged from the {what} oracle!"
-        );
-        eprintln!("verify: committed trace matches the {what} oracle ✓");
+        verify(&model, &c.ecfg, &accepted, metrics.commit_digest);
     }
     report(&metrics, a.json);
-    emit_telemetry(a, &tel, metrics.threads);
+    emit_telemetry(c, &tel, metrics.threads);
     if let Some(path) = &a.stats_json {
         let text = serde_json::to_string_pretty(&metrics).expect("serialize metrics");
-        if let Err(e) = std::fs::write(path, text) {
-            die(1, &format!("--stats-json {path}: {e}"));
-        }
+        write_out("--stats-json", path, text);
     }
 }
 
 /// `k` activity groups (a `1-k` imbalanced schedule) need the threads to
 /// split evenly among them.
 fn activity_groups(a: &Args, k: usize) -> usize {
-    if !a.threads.is_multiple_of(k) {
-        die(
-            2,
-            &format!(
-                "--threads {} must divide into {k} activity groups (see --imbalance)",
-                a.threads
-            ),
-        );
+    let n = a.threads;
+    if !n.is_multiple_of(k) {
+        let why = format!("--threads {n} must divide into {k} activity groups (see --imbalance)");
+        die(2, &why);
     }
     k
 }
 
 fn main() {
-    let a = parse_args();
-    match a.model.as_str() {
-        "phold" => {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    if argv.iter().any(|a| a == "--help" || a == "-h") {
+        print!("{}", usage());
+        return;
+    }
+    let c = parse(&argv).unwrap_or_else(|e| die(2, &e));
+    let a = &c.a;
+    match a.model {
+        ModelKind::Phold => {
             let cfg = if a.imbalance <= 1 {
                 PholdConfig::balanced(a.threads, a.lps)
             } else {
-                PholdConfig::imbalanced(
-                    a.threads,
-                    a.lps,
-                    activity_groups(&a, a.imbalance),
-                    a.end,
-                    LocalityPattern::Linear,
-                )
+                let groups = activity_groups(a, a.imbalance);
+                PholdConfig::imbalanced(a.threads, a.lps, groups, a.end, LocalityPattern::Linear)
             };
             // PHOLD's unit payload is synthesizable, so `--ingest rate:N`
             // works without a script.
-            run(Arc::new(Phold::new(cfg)), &a, Some(|_| ()));
+            run(Arc::new(Phold::new(cfg)), &c, Some(|_| ()));
         }
-        "epidemics" => {
-            let groups = activity_groups(&a, a.imbalance.max(2));
+        ModelKind::Epidemics => {
+            let groups = activity_groups(a, a.imbalance.max(2));
             let cfg = EpidemicsConfig::new(a.threads, a.lps, groups, a.end);
-            run(Arc::new(Epidemics::new(cfg)), &a, None);
+            run(Arc::new(Epidemics::new(cfg)), &c, None);
         }
-        "traffic" => {
+        ModelKind::Traffic => {
             let mut cfg = TrafficConfig::new(a.threads, a.lps, 0.5);
             cfg.mapping = MapKind::Block;
-            run(Arc::new(Traffic::new(cfg)), &a, None);
+            run(Arc::new(Traffic::new(cfg)), &c, None);
         }
-        other => die(
-            2,
-            &format!("unknown model '{other}' (phold|epidemics|traffic)"),
-        ),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A value `f`'s setter accepts: its default, else 1s shaped like its
+    /// placeholder (`S:AT` -> `1:1`).
+    fn sample(f: &Flag) -> String {
+        match f.name {
+            "--ingest" => "rate:1".into(),
+            _ if !f.default.is_empty() => f.default.into(),
+            _ => f.val.split(':').map(|_| "1").collect::<Vec<_>>().join(":"),
+        }
+    }
+
+    #[test]
+    fn every_flag_is_declared_once_with_a_default_that_parses_and_a_help_line() {
+        let names: Vec<&str> = flags().map(|f| f.name).collect();
+        assert_eq!(names.len(), 45);
+        let help = usage();
+        for (i, name) in names.iter().enumerate() {
+            assert!(!names[..i].contains(name), "{name} is declared twice");
+            assert!(help.contains(&format!("  {name} ")), "--help lacks {name}");
+        }
+        // Every non-empty default goes through its own setter here.
+        Cli::new();
+    }
+
+    #[test]
+    fn a_runtime_accepts_a_flag_iff_it_reads_it() {
+        for (rt, bit) in RUNTIMES {
+            for f in flags().filter(|f| f.name != "--runtime") {
+                let mut argv = vec!["--runtime".to_string(), rt.into(), f.name.into()];
+                argv.extend((!f.val.is_empty()).then(|| sample(f)));
+                match parse(&argv) {
+                    Ok(_) => assert!(f.on & bit != 0, "{} is dropped on {rt}", f.name),
+                    Err(e) => {
+                        assert!(f.on & bit == 0, "{} is refused on {rt}: {e}", f.name);
+                        let want = format!("{} is read only by --runtime ", f.name);
+                        assert!(e.starts_with(&want) && e.lines().count() == 1, "{e}");
+                    }
+                }
+            }
+        }
     }
 }

@@ -211,7 +211,8 @@ fn malformed_endpoints_are_a_friendly_exit_2() {
 
 /// A bad value is a usage error: exit 2 and one `ggpdes: …` line, never a
 /// panic with a backtrace. Likewise every `--runtime cons` combination the
-/// conservative protocol cannot honour is refused, not silently remapped.
+/// conservative protocol cannot honour is refused, not silently remapped,
+/// and so is a flag given to a runtime that does not read it.
 #[test]
 fn bad_values_and_refused_combinations_are_a_one_line_exit_2() {
     for args in [
@@ -233,6 +234,31 @@ fn bad_values_and_refused_combinations_are_a_one_line_exit_2() {
         // (`--chaos-seed`) and keeps its cuts in memory.
         vec!["--runtime", "dist", "--chaos-plan", "plan.json"],
         vec!["--runtime", "dist", "--checkpoint-path", "cut.bin"],
+        // One per runtime of the (flag, runtime) pairs that used to be
+        // accepted and dropped: a flag is refused wherever it is not read.
+        vec!["--runtime", "dist", "--system", "dd"],
+        vec!["--runtime", "threads", "--transport", "bogus"],
+        vec!["--runtime", "threads", "--kill-shard", "1:2"],
+        vec!["--runtime", "vm", "--listen", "nowhere"],
+        vec!["--runtime", "cons", "--hb-miss", "1"],
+        // Values outside their flag's range: these panicked (exit 101) or,
+        // for the NaN watchdog, armed a 0 ns bound that tripped at once.
+        vec!["--snapshot-period", "0"],
+        vec!["--optimism-window", "0"],
+        vec!["--optimism-window", "-1"],
+        vec!["--end", "-3"],
+        vec!["--end", "nan"],
+        vec!["--cores", "0"],
+        vec!["--smt", "0"],
+        vec!["--watchdog-secs", "nan"],
+        // Checked even when no trace flag is on.
+        vec!["--trace-capacity", "0"],
+        // What dist-rt's own `DistConfig::check` refuses reaches the user
+        // the same way.
+        vec!["--runtime", "dist", "--shards", "0"],
+        vec!["--runtime", "dist", "--kill-shard", "5:1"],
+        vec!["--runtime", "dist", "--partition", "1:1:4"],
+        vec!["--runtime", "dist", "--hb-miss", "0"],
     ] {
         let out = run_bounded(&args, Duration::from_secs(30));
         let err = String::from_utf8_lossy(&out.stderr);
