@@ -329,11 +329,6 @@ impl ReliableLink {
         self.partitioned = on;
     }
 
-    /// `true` while a scripted partition swallows this side's output.
-    pub fn is_partitioned(&self) -> bool {
-        self.partitioned
-    }
-
     /// Sever the underlying transport (recovery teardown of a dead peer's
     /// links): socket-level, so blocked readers on both ends unblock.
     pub fn hangup(&mut self) {
@@ -601,7 +596,6 @@ mod tests {
     fn partition_swallows_everything_until_heal_then_retransmit_recovers() {
         let mut pair = Pair::new(None, None);
         pair.a.set_partitioned(true);
-        assert!(pair.a.is_partitioned());
         for i in 0..5u8 {
             pair.a.send(&[i]).unwrap();
         }

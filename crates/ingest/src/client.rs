@@ -201,11 +201,6 @@ where
             }
         }
     }
-
-    /// Backoff sleeps performed so far (diagnostics).
-    pub fn backoff_attempts(&self) -> u32 {
-        self.backoff.attempts()
-    }
 }
 
 /// Submit one request to an in-process gate and wait for its verdict.

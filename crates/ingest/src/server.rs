@@ -19,6 +19,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use dist_rt::wire;
+use pdes_core::plane::lock;
 use pdes_core::{IngestGate, IngestReply, IngestRequest};
 use serde::{Deserialize, Serialize};
 
@@ -73,7 +74,7 @@ impl IngestServer {
                 let gate = Arc::clone(&gate);
                 let conn_stop = Arc::clone(&stop);
                 let handle = std::thread::spawn(move || serve_conn(gate, stream, conn_stop));
-                conns.lock().unwrap_or_else(|e| e.into_inner()).push(handle);
+                lock(&conns).push(handle);
             })
         };
         Ok(IngestServer {
@@ -105,12 +106,7 @@ impl IngestServer {
         if let Some(h) = self.accept.take() {
             let _ = h.join();
         }
-        let handles: Vec<_> = self
-            .conns
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .drain(..)
-            .collect();
+        let handles: Vec<_> = lock(&self.conns).drain(..).collect();
         for h in handles {
             let _ = h.join();
         }

@@ -18,8 +18,6 @@ pub struct CostModel {
     pub migration: u64,
     /// Cost of a semaphore operation (wait/post) as seen by the caller.
     pub sem_op: u64,
-    /// Cost of arriving at a barrier.
-    pub barrier_op: u64,
     /// Cost of a mutex lock/unlock pair as seen by the caller.
     pub mutex_op: u64,
 }
@@ -30,7 +28,6 @@ impl Default for CostModel {
             context_switch: 2_000,
             migration: 4_000,
             sem_op: 300,
-            barrier_op: 150,
             mutex_op: 400,
         }
     }

@@ -7,7 +7,7 @@
 
 use crate::config::MachineConfig;
 use crate::report::{CpuReport, Report, TaskReport};
-use crate::task::{BarrierId, MutexId, SemId, TaskId, WorkTag};
+use crate::task::{MutexId, SemId, TaskId, WorkTag};
 use std::collections::{BinaryHeap, VecDeque};
 
 /// Scheduler state of a task.
@@ -81,13 +81,6 @@ struct Sem {
 }
 
 #[derive(Debug)]
-struct Barrier {
-    expected: usize,
-    arrived: Vec<TaskId>,
-    generation: u64,
-}
-
-#[derive(Debug)]
 struct MutexObj {
     owner: Option<TaskId>,
     waiters: VecDeque<TaskId>,
@@ -156,7 +149,6 @@ pub struct Kernel {
     pub(crate) meta: Vec<TaskMeta>,
     cpus: Vec<Cpu>,
     sems: Vec<Sem>,
-    barriers: Vec<Barrier>,
     mutexes: Vec<MutexObj>,
     done_count: usize,
     ctx_switches: u64,
@@ -183,7 +175,6 @@ impl Kernel {
             meta: Vec::new(),
             cpus,
             sems: Vec::new(),
-            barriers: Vec::new(),
             mutexes: Vec::new(),
             done_count: 0,
             ctx_switches: 0,
@@ -276,18 +267,6 @@ impl Kernel {
         (s.count, s.waiters.len())
     }
 
-    /// Create a barrier completing after `expected` arrivals.
-    pub fn add_barrier(&mut self, expected: usize) -> BarrierId {
-        assert!(expected >= 1);
-        let id = BarrierId(self.barriers.len() as u32);
-        self.barriers.push(Barrier {
-            expected,
-            arrived: Vec::new(),
-            generation: 0,
-        });
-        id
-    }
-
     /// Create a mutex.
     pub fn add_mutex(&mut self) -> MutexId {
         let id = MutexId(self.mutexes.len() as u32);
@@ -296,14 +275,6 @@ impl Kernel {
             waiters: VecDeque::new(),
         });
         id
-    }
-
-    /// Core a task is currently running on.
-    pub fn core_of(&self, task: TaskId) -> Option<usize> {
-        match self.meta[task.index()].state {
-            TState::Running { cpu, .. } => Some(cpu),
-            _ => None,
-        }
     }
 
     pub fn state_of(&self, task: TaskId) -> TState {
@@ -508,38 +479,6 @@ impl Kernel {
             self.wake(w);
         } else {
             mx.owner = None;
-        }
-    }
-
-    pub(crate) fn barrier_arrive(&mut self, task: TaskId, barrier: BarrierId) {
-        {
-            let m = &mut self.meta[task.index()];
-            m.woken = false;
-            m.pending = PendingBlock::Block;
-        }
-        self.barriers[barrier.0 as usize].arrived.push(task);
-        self.barrier_check(barrier);
-    }
-
-    /// Adjust the arrival count that completes the current generation.
-    pub fn barrier_set_expected(&mut self, barrier: BarrierId, expected: usize) {
-        assert!(expected >= 1);
-        self.barriers[barrier.0 as usize].expected = expected;
-        self.barrier_check(barrier);
-    }
-
-    pub fn barrier_generation(&self, barrier: BarrierId) -> u64 {
-        self.barriers[barrier.0 as usize].generation
-    }
-
-    fn barrier_check(&mut self, barrier: BarrierId) {
-        let b = &mut self.barriers[barrier.0 as usize];
-        if b.arrived.len() >= b.expected {
-            b.generation += 1;
-            let arrived = std::mem::take(&mut b.arrived);
-            for t in arrived {
-                self.wake(t);
-            }
         }
     }
 

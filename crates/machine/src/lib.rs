@@ -10,8 +10,7 @@
 //!   wake-time placement, periodic idle balancing for unpinned tasks, and
 //!   context-switch / migration costs;
 //! * affinity control equivalent to `sched_setaffinity` (pin to one core);
-//! * blocking semaphores, barriers (with adjustable arrival counts), and
-//!   mutexes in virtual time;
+//! * blocking semaphores and mutexes in virtual time;
 //! * per-task CPU-time and work accounting broken down by [`WorkTag`].
 //!
 //! Tasks ([`Task`]) perform *real* computation in their `step` methods —
@@ -30,4 +29,4 @@ pub use config::{CostModel, MachineConfig};
 pub use kernel::{Deadlock, Kernel, TState};
 pub use machine::Machine;
 pub use report::{CpuReport, Report, TaskReport};
-pub use task::{BarrierId, Ctx, MutexId, SemId, Step, Task, TaskId, WorkTag};
+pub use task::{Ctx, MutexId, SemId, Step, Task, TaskId, WorkTag};

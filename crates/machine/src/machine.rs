@@ -40,7 +40,7 @@ impl Machine {
     }
 
     /// Access to kernel services while building the system (creating
-    /// semaphores, barriers, mutexes).
+    /// semaphores, mutexes).
     pub fn kernel(&mut self) -> &mut Kernel {
         &mut self.kernel
     }
@@ -149,13 +149,6 @@ impl Machine {
                 let dur = self.kernel.charge(task, cost.mutex_op, WorkTag::Sched);
                 self.kernel.push_event(now + dur, Ev::SliceDone(task));
             }
-            Step::BarrierWait(b) => {
-                // Charge first, then arrive: if this arrival completes the
-                // generation, peers wake at the post-charge timestamp.
-                let dur = self.kernel.charge(task, cost.barrier_op, WorkTag::Gvt);
-                self.kernel.barrier_arrive(task, b);
-                self.kernel.push_event(now + dur, Ev::SliceDone(task));
-            }
             Step::Yield => self.kernel.yield_context(task),
             Step::Sleep(ns) => {
                 self.kernel.free_context(task);
@@ -195,7 +188,7 @@ impl Machine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::task::{BarrierId, SemId};
+    use crate::task::SemId;
     use std::cell::RefCell;
     use std::rc::Rc;
 
@@ -422,66 +415,6 @@ mod tests {
         let r = m.run(None).unwrap();
         assert!(r.tasks[0].finished);
         assert!(*done_at.borrow() < 10_000);
-    }
-
-    struct BarrierTask {
-        bar: BarrierId,
-        work_before: u64,
-        phase: u32,
-        release_time: Rc<RefCell<u64>>,
-    }
-    impl Task for BarrierTask {
-        fn step(&mut self, ctx: &mut Ctx<'_>) -> Step {
-            match self.phase {
-                0 => {
-                    self.phase = 1;
-                    Step::work(self.work_before, WorkTag::Sim)
-                }
-                1 => {
-                    self.phase = 2;
-                    Step::BarrierWait(self.bar)
-                }
-                _ => {
-                    *self.release_time.borrow_mut() = ctx.now();
-                    Step::Done
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn barrier_releases_all_when_last_arrives() {
-        let mut m = Machine::new(MachineConfig::small(2, 1));
-        let bar = m.kernel().add_barrier(2);
-        let ta = Rc::new(RefCell::new(0));
-        let tb = Rc::new(RefCell::new(0));
-        m.add_task(
-            Box::new(BarrierTask {
-                bar,
-                work_before: 1_000,
-                phase: 0,
-                release_time: Rc::clone(&ta),
-            }),
-            "fast",
-            None,
-        );
-        m.add_task(
-            Box::new(BarrierTask {
-                bar,
-                work_before: 50_000,
-                phase: 0,
-                release_time: Rc::clone(&tb),
-            }),
-            "slow",
-            None,
-        );
-        let r = m.run(None).unwrap();
-        assert!(r.tasks.iter().all(|t| t.finished));
-        // Fast waits for slow: both release at ≥ 50k.
-        assert!(*ta.borrow() >= 50_000);
-        assert!((*ta.borrow() as i64 - *tb.borrow() as i64).abs() < 2_000);
-        // Fast's CPU time excludes the blocked interval.
-        assert!(r.tasks[0].cpu_time < 10_000);
     }
 
     #[test]

@@ -25,11 +25,6 @@ impl TaskReport {
         self.work[tag.index()]
     }
 
-    /// Scaled CPU time attributed to one tag.
-    pub fn time_for(&self, tag: WorkTag) -> u64 {
-        self.time_by_tag[tag.index()]
-    }
-
     /// Total raw work units including overheads ("instructions executed").
     pub fn total_work(&self) -> u64 {
         self.work.iter().sum::<u64>() + self.overhead_work

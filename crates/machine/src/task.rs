@@ -18,10 +18,6 @@ impl TaskId {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SemId(pub u32);
 
-/// Barrier handle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct BarrierId(pub u32);
-
 /// Mutex handle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MutexId(pub u32);
@@ -70,9 +66,6 @@ pub enum Step {
     /// Decrement the semaphore, blocking until it is positive
     /// (`sem_wait`). Charges [`crate::config::CostModel::sem_op`].
     SemWait(SemId),
-    /// Arrive at the barrier and block until the current generation
-    /// completes. Charges `barrier_op`.
-    BarrierWait(BarrierId),
     /// Acquire the mutex, blocking if held. Charges `mutex_op`.
     MutexLock(MutexId),
     /// Give up the CPU but stay runnable (requeued at the tail).
@@ -138,12 +131,6 @@ impl<'a> Ctx<'a> {
         self.kernel.mutex_unlock(mutex, self.me);
     }
 
-    /// Set the number of arrivals that completes a barrier generation.
-    /// Takes effect for the *current* generation (re-checked immediately).
-    pub fn barrier_set_expected(&mut self, barrier: BarrierId, expected: usize) {
-        self.kernel.barrier_set_expected(barrier, expected);
-    }
-
     /// Pin `task` to a single core (like `sched_setaffinity` with one bit),
     /// or unpin it with `None`. Takes effect at the target's next scheduling
     /// boundary; a migration cost is charged when it changes cores.
@@ -156,14 +143,6 @@ impl<'a> Ctx<'a> {
     #[inline]
     pub fn sem_state(&self, sem: SemId) -> (u32, usize) {
         self.kernel.sem_state(sem)
-    }
-
-    /// Core this task is currently executing on.
-    #[inline]
-    pub fn current_core(&self) -> usize {
-        self.kernel
-            .core_of(self.me)
-            .expect("a stepping task is always on a core")
     }
 }
 

@@ -323,18 +323,6 @@ pub enum FaultKind {
     /// (on real threads: a panic in the worker loop; on the virtual machine:
     /// a simulated task death). Fires at most once.
     WorkerKill { thread: usize, at_cycle: u64 },
-    /// The link `from → to` silently drops every frame (data, acks, and
-    /// retransmissions alike) until `from` has run `for_rounds` GVT rounds'
-    /// worth of cycles, then heals. A transient partition: the reliable
-    /// link's retransmission recovers everything once it lifts, so a
-    /// partition shorter than the failure detector's lease causes no
-    /// recovery. Interpreted by `dist-rt`; the shared-memory runtimes
-    /// ignore it.
-    LinkPartition {
-        from: usize,
-        to: usize,
-        for_rounds: u64,
-    },
 }
 
 /// A complete, serde-configurable chaos plan. The default plan is empty and
@@ -349,9 +337,6 @@ pub struct FaultPlan {
     pub backpressure: Option<BackpressureFault>,
     /// Scripted catastrophic faults (worker kills). `None` ≡ empty.
     pub kills: Option<Vec<FaultKind>>,
-    /// Network chaos for the distributed runtime's links (ignored by the
-    /// shared-memory runtimes). `None` ≡ no link faults.
-    pub link: Option<LinkFaultPlan>,
 }
 
 impl FaultPlan {
@@ -363,7 +348,6 @@ impl FaultPlan {
             || self.wakeup.is_some()
             || self.backpressure.is_some()
             || self.kills.as_ref().is_some_and(|k| !k.is_empty())
-            || self.link.is_some_and(|l| l.is_active())
     }
 
     /// A moderate all-safe plan (delay + reorder + straggler storms, no
@@ -383,7 +367,6 @@ impl FaultPlan {
                 max_retries: 8,
             }),
             kills: None,
-            link: None,
         }
     }
 
@@ -393,35 +376,6 @@ impl FaultPlan {
             .get_or_insert_with(Vec::new)
             .push(FaultKind::WorkerKill { thread, at_cycle });
         self
-    }
-
-    /// Add a scripted transient link partition to the plan.
-    pub fn with_link_partition(mut self, from: usize, to: usize, for_rounds: u64) -> Self {
-        self.kills
-            .get_or_insert_with(Vec::new)
-            .push(FaultKind::LinkPartition {
-                from,
-                to,
-                for_rounds,
-            });
-        self
-    }
-
-    /// All scripted link partitions as `(from, to, for_rounds)` triples.
-    pub fn link_partitions(&self) -> Vec<(usize, usize, u64)> {
-        self.kills
-            .as_deref()
-            .unwrap_or(&[])
-            .iter()
-            .filter_map(|k| match *k {
-                FaultKind::LinkPartition {
-                    from,
-                    to,
-                    for_rounds,
-                } => Some((from, to, for_rounds)),
-                _ => None,
-            })
-            .collect()
     }
 }
 
@@ -559,9 +513,7 @@ impl FaultInjector {
     pub fn consume_kill(&self, thread: usize) -> bool {
         let Some(st) = &self.state else { return false };
         for (k, fired) in st.kills.iter().zip(&st.kills_fired) {
-            let FaultKind::WorkerKill { thread: t, .. } = *k else {
-                continue;
-            };
+            let FaultKind::WorkerKill { thread: t, .. } = *k;
             if t == thread && fired.swap(1, Ordering::Relaxed) == 0 {
                 return true;
             }
@@ -706,10 +658,7 @@ impl FaultInjector {
             let FaultKind::WorkerKill {
                 thread: t,
                 at_cycle,
-            } = *k
-            else {
-                continue;
-            };
+            } = *k;
             if t == thread && cycle >= at_cycle && fired.swap(1, Ordering::Relaxed) == 0 {
                 Self::bump(st, 6, 1);
                 return true;
@@ -1002,34 +951,25 @@ mod tests {
                 capacity: 8,
                 max_retries: 3,
             }),
-            kills: Some(vec![
-                FaultKind::WorkerKill {
-                    thread: 1,
-                    at_cycle: 50,
-                },
-                FaultKind::LinkPartition {
-                    from: 0,
-                    to: 1,
-                    for_rounds: 4,
-                },
-            ]),
-            link: Some(LinkFaultPlan::chaos(seed)),
+            kills: Some(vec![FaultKind::WorkerKill {
+                thread: 1,
+                at_cycle: 50,
+            }]),
         }
     }
 
     #[test]
-    fn link_partitions_are_extracted_and_ignored_by_kill_paths() {
-        let plan = FaultPlan::default()
-            .with_link_partition(2, 0, 3)
-            .with_kill(1, 10)
-            .with_link_partition(0, 2, 5);
-        assert_eq!(plan.link_partitions(), vec![(2, 0, 3), (0, 2, 5)]);
-        let inj = FaultInjector::new(plan);
-        // Partitions never satisfy worker-kill queries, even for matching ids.
-        assert!(!inj.should_kill(2, 1_000));
-        assert!(!inj.should_kill(0, 1_000));
-        assert!(inj.should_kill(1, 10));
-        assert!(!inj.consume_kill(2));
+    fn a_plan_naming_link_partition_is_refused_and_kills_round_trip() {
+        // Link faults are scripted through `dist_rt::DistConfig`; a plan that
+        // names one here is an error, not a fault silently dropped.
+        let err = serde_json::from_str::<FaultPlan>(
+            r#"{"seed": 1, "kills": [{"LinkPartition": {"from": 0, "to": 1, "for_rounds": 4}}]}"#,
+        )
+        .expect_err("LinkPartition is not a FaultKind");
+        assert!(err.to_string().contains("unknown variant"), "{err}");
+        let plan = FaultPlan::default().with_kill(1, 10).with_kill(2, 20);
+        let json = serde_json::to_string(&plan).unwrap();
+        assert_eq!(serde_json::from_str::<FaultPlan>(&json).unwrap(), plan);
     }
 
     #[test]
@@ -1186,9 +1126,8 @@ mod tests {
         let j = serde_json::to_string(&cur).unwrap();
         let back: FaultCursor = serde_json::from_str(&j).unwrap();
         assert_eq!(back, cur);
-        // One flag per scripted entry; only the fired WorkerKill is set
-        // (the LinkPartition entry never consumes a kill slot).
-        assert_eq!(back.kills_fired, vec![true, false]);
+        // One flag per scripted entry.
+        assert_eq!(back.kills_fired, vec![true]);
     }
 
     #[test]
@@ -1256,23 +1195,6 @@ mod tests {
     fn disabled_link_faults_always_deliver() {
         let mut lf = LinkFaults::disabled();
         assert!((0..64).all(|_| lf.decide() == LinkAction::Deliver));
-    }
-
-    #[test]
-    fn fault_plan_link_section_round_trips_and_defaults_to_none() {
-        let p = full_plan(3);
-        let j = serde_json::to_string(&p).unwrap();
-        let back: FaultPlan = serde_json::from_str(&j).unwrap();
-        assert_eq!(back, p);
-        // Plans written before the link section existed still parse.
-        let old: FaultPlan = serde_json::from_str(r#"{"seed": 7}"#).unwrap();
-        assert!(old.link.is_none());
-        let link_only: FaultPlan = serde_json::from_str(
-            r#"{"seed": 1, "link": {"seed": 2, "drop": {"prob": 0.5, "max_drops": 9}}}"#,
-        )
-        .unwrap();
-        assert!(link_only.is_active());
-        assert_eq!(link_only.link.unwrap().drop.unwrap().max_drops, 9);
     }
 
     #[test]

@@ -373,7 +373,7 @@ impl<P> IngestGate<P> {
         // A panic while holding the gate lock (worker kill chaos) must not
         // wedge every later submission: the inner state is consistent at
         // every await-free step, so poisoning is survivable.
-        self.inner.lock().unwrap_or_else(|e| e.into_inner())
+        crate::plane::lock(&self.inner)
     }
 
     /// Submit one request. `Some(reply)` is an immediate verdict (the slot
@@ -681,7 +681,7 @@ impl<P> IngestPort<P> {
     /// telemetry instants.
     pub fn round_deltas(&self) -> (u64, u64, u64, u64) {
         let now = self.totals();
-        let mut prev = self.prev.lock().unwrap_or_else(|e| e.into_inner());
+        let mut prev = crate::plane::lock(&self.prev);
         let d = (
             now.0.saturating_sub(prev.0),
             now.1.saturating_sub(prev.1),
@@ -695,7 +695,7 @@ impl<P> IngestPort<P> {
     /// Take the first journal failure a pump met (the runner surfaces it as
     /// the run's error: accepted events must be durable).
     pub fn take_error(&self) -> Option<IngestError> {
-        self.error.lock().unwrap_or_else(|e| e.into_inner()).take()
+        crate::plane::lock(&self.error).take()
     }
 }
 
@@ -716,10 +716,7 @@ impl<P: Clone + Serialize> IngestPort<P> {
         match res {
             Ok(out) => out.injected,
             Err(e) => {
-                self.error
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .get_or_insert(e);
+                crate::plane::lock(&self.error).get_or_insert(e);
                 0
             }
         }

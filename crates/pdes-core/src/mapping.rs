@@ -199,12 +199,6 @@ impl LpMap {
         LpMap::with_assignment(old_n + 1, assign)
     }
 
-    /// `true` when the map carries an explicit assignment table (recovery).
-    #[inline]
-    pub fn is_assigned(&self) -> bool {
-        self.assign.is_some()
-    }
-
     /// Owning thread of `lp`.
     #[inline]
     pub fn thread_of(&self, lp: LpId) -> SimThreadId {
@@ -287,7 +281,6 @@ mod tests {
     #[test]
     fn assignment_table_overrides_formula() {
         let m = LpMap::with_assignment(2, vec![1, 1, 0, 1]);
-        assert!(m.is_assigned());
         assert_eq!(m.thread_of(LpId(0)), SimThreadId(1));
         assert_eq!(m.thread_of(LpId(2)), SimThreadId(0));
         assert_eq!(m.lps_of(SimThreadId(1)), vec![LpId(0), LpId(1), LpId(3)]);

@@ -88,12 +88,6 @@ impl<'a, P> SendCtx<'a, P> {
             payload,
         });
     }
-
-    /// Number of events buffered so far in this handler invocation.
-    #[inline]
-    pub fn sends_buffered(&self) -> usize {
-        self.out.len()
-    }
 }
 
 /// A discrete-event simulation model: a fixed population of LPs exchanging
@@ -167,7 +161,6 @@ mod tests {
         );
         ctx.send(LpId(4), 1.5, "a");
         ctx.send(LpId(5), 0.0, "b");
-        assert_eq!(ctx.sends_buffered(), 2);
         #[allow(clippy::drop_non_drop)] // end the ctx borrow explicitly
         drop(ctx);
         assert_eq!(seq, 7);

@@ -34,7 +34,7 @@ use crate::faults::{chaos_filter, FaultInjector};
 use crate::time::VirtualTime;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Condvar, Mutex, MutexGuard};
 
 /// Pads and aligns a value to 128 bytes so neighbouring per-thread cells
 /// never share a cache line.
@@ -59,11 +59,18 @@ pub(crate) fn padded<T>(n: usize, init: impl Fn() -> T) -> Vec<CachePadded<T>> {
     (0..n).map(|_| CachePadded::new(init())).collect()
 }
 
-/// Lock a plane mutex. No model or runtime code ever runs under one — only
-/// `VecDeque` moves — so the data is valid at every step and a poisoned
-/// guard (a sibling panicked elsewhere) is recovered, not propagated.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+/// Lock a mutex whose data is valid at every step — no model code runs
+/// under it, only queue moves, counters and flags — so a poisoned guard (a
+/// sibling panicked elsewhere while holding it) is recovered, not
+/// propagated. The one place the workspace ignores lock poisoning.
+pub fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// [`lock`]'s twin for a condition variable: block until notified and hand
+/// the guard back whether or not another holder panicked meanwhile.
+pub fn wait<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
+    cv.wait(guard).unwrap_or_else(|e| e.into_inner())
 }
 
 /// One thread's input queue: a mutex-guarded FIFO taken once per bulk push
@@ -248,6 +255,31 @@ mod tests {
     use crate::event::{Event, EventKey};
     use crate::faults::{DelayFault, FaultPlan, ReorderFault, StragglerFault};
     use crate::ids::{EventUid, LpId};
+
+    #[test]
+    fn lock_and_wait_hand_out_the_guard_after_a_holder_panicked() {
+        let pair = std::sync::Arc::new((Mutex::new(0u32), Condvar::new()));
+        let p2 = std::sync::Arc::clone(&pair);
+        let holder = std::thread::spawn(move || {
+            let mut g = p2.0.lock().expect("first holder");
+            *g = 7;
+            panic!("die holding the lock");
+        });
+        assert!(holder.join().is_err());
+        assert!(pair.0.is_poisoned());
+        assert_eq!(*lock(&pair.0), 7, "the data the holder left is handed out");
+        // A waiter woken on the poisoned mutex gets its guard back too.
+        let p3 = std::sync::Arc::clone(&pair);
+        let waiter = std::thread::spawn(move || {
+            let mut g = lock(&p3.0);
+            while *g != 8 {
+                g = wait(&p3.1, g);
+            }
+        });
+        *lock(&pair.0) = 8;
+        pair.1.notify_all();
+        waiter.join().expect("the waiter must not see the poison");
+    }
 
     fn msg(t: f64) -> Msg<()> {
         // Distinct uid per timestamp: chaos filters deliberately refuse to

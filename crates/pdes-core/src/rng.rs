@@ -3,12 +3,9 @@
 //! Every LP owns a private RNG stream whose state is saved and restored by
 //! the rollback machinery (a random draw made while processing an event must
 //! be reproduced identically when the event is re-executed). We implement
-//! xoshiro256** seeded through SplitMix64 rather than relying on
-//! `rand::rngs::SmallRng`, whose algorithm is explicitly unspecified and may
-//! change between `rand` releases — golden-value tests and cross-runtime
-//! determinism need a fixed algorithm.
+//! xoshiro256** seeded through SplitMix64 — golden-value tests and
+//! cross-runtime determinism need a fixed algorithm.
 
-use rand::rand_core::{Infallible, TryRng};
 use serde::{Deserialize, Serialize};
 
 /// SplitMix64 step — used for seeding and as a cheap one-shot mixer.
@@ -53,8 +50,9 @@ impl DetRng {
         DetRng::seed_from_u64(splitmix64(&mut sm2))
     }
 
+    /// The next 64 bits of the stream.
     #[inline]
-    fn next(&mut self) -> u64 {
+    pub fn next_u64(&mut self) -> u64 {
         let result = self.s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
         let t = self.s[1] << 17;
         self.s[2] ^= self.s[0];
@@ -69,7 +67,7 @@ impl DetRng {
     /// Uniform `f64` in `[0, 1)` using the high 53 bits.
     #[inline]
     pub fn next_f64(&mut self) -> f64 {
-        (self.next() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
     /// Uniform integer in `[0, bound)` (Lemire's method, bound > 0).
@@ -79,7 +77,7 @@ impl DetRng {
         // Widening multiply rejection-free approximation is fine here: the
         // bias for bound << 2^64 is far below anything observable by the
         // simulation models.
-        let m = (self.next() as u128).wrapping_mul(bound as u128);
+        let m = (self.next_u64() as u128).wrapping_mul(bound as u128);
         (m >> 64) as u64
     }
 
@@ -92,38 +90,10 @@ impl DetRng {
     }
 }
 
-// Implementing the infallible side of `rand_core` makes `DetRng` usable with
-// the whole `rand` / `rand_distr` distribution machinery.
-impl TryRng for DetRng {
-    type Error = Infallible;
-
-    #[inline]
-    fn try_next_u32(&mut self) -> Result<u32, Infallible> {
-        Ok((self.next() >> 32) as u32)
-    }
-    #[inline]
-    fn try_next_u64(&mut self) -> Result<u64, Infallible> {
-        Ok(self.next())
-    }
-    fn try_fill_bytes(&mut self, dest: &mut [u8]) -> Result<(), Infallible> {
-        let mut chunks = dest.chunks_exact_mut(8);
-        for chunk in &mut chunks {
-            chunk.copy_from_slice(&self.next().to_le_bytes());
-        }
-        let rem = chunks.into_remainder();
-        if !rem.is_empty() {
-            let bytes = self.next().to_le_bytes();
-            rem.copy_from_slice(&bytes[..rem.len()]);
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ids::LpId;
-    use rand::Rng as _;
 
     #[test]
     fn deterministic_stream() {
@@ -190,14 +160,5 @@ mod tests {
         let sum: f64 = (0..n).map(|_| r.next_exp(2.0)).sum();
         let mean = sum / n as f64;
         assert!((mean - 2.0).abs() < 0.05, "mean {mean}");
-    }
-
-    #[test]
-    fn fill_bytes_partial_chunk() {
-        let mut r = DetRng::seed_from_u64(8);
-        let mut buf = [0u8; 11];
-        r.fill_bytes(&mut buf);
-        // Not all zero with overwhelming probability.
-        assert!(buf.iter().any(|&b| b != 0));
     }
 }

@@ -4,8 +4,8 @@
 //! [`CheckpointError::Corrupt`] — never a panic, never a silently wrong cut.
 
 use pdes_core::faults::{
-    BackpressureFault, DelayFault, FaultCursor, FaultKind, LinkDelayFault, LinkDropFault,
-    LinkDupFault, LinkFaultPlan, ReorderFault, StragglerFault, WakeupFault,
+    BackpressureFault, DelayFault, FaultCursor, FaultKind, ReorderFault, StragglerFault,
+    WakeupFault,
 };
 use pdes_core::{
     Checkpoint, CheckpointError, DetRng, Event, EventKey, EventUid, FaultPlan, LpCheckpoint, LpId,
@@ -126,11 +126,10 @@ fn arb_plan() -> impl Strategy<Value = FaultPlan> {
                 }),
             ),
             prop::option::of(arb_kills()),
-            prop::option::of(arb_link_plan()),
         ),
     )
         .prop_map(
-            |((seed, delay, reorder), (straggler, wakeup, backpressure, kills, link))| FaultPlan {
+            |((seed, delay, reorder), (straggler, wakeup, backpressure, kills))| FaultPlan {
                 seed,
                 delay,
                 reorder,
@@ -138,31 +137,8 @@ fn arb_plan() -> impl Strategy<Value = FaultPlan> {
                 wakeup,
                 backpressure,
                 kills,
-                link,
             },
         )
-}
-
-fn arb_link_plan() -> impl Strategy<Value = LinkFaultPlan> {
-    (
-        any::<u64>(),
-        prop::option::of(
-            (0.0f64..1.0, 1u32..8).prop_map(|(prob, max_pumps)| LinkDelayFault { prob, max_pumps }),
-        ),
-        prop::option::of(
-            (0.0f64..1.0, 0u64..1000)
-                .prop_map(|(prob, max_drops)| LinkDropFault { prob, max_drops }),
-        ),
-        prop::option::of(
-            (0.0f64..1.0, 0u64..1000).prop_map(|(prob, max_dups)| LinkDupFault { prob, max_dups }),
-        ),
-    )
-        .prop_map(|(seed, delay, drop, duplicate)| LinkFaultPlan {
-            seed,
-            delay,
-            drop,
-            duplicate,
-        })
 }
 
 proptest! {

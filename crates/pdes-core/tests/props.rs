@@ -204,7 +204,7 @@ impl Model for FanOut {
     fn handle_event(&self, _lp: LpId, s: &mut Vec<u64>, p: &u32, ctx: &mut SendCtx<'_, u32>) {
         let draws = (ctx.rng().next_below(3) + 1) as usize;
         for _ in 0..draws {
-            s.push(ctx.rng().next_u64_pub());
+            s.push(ctx.rng().next_u64());
             let dst = LpId(ctx.rng().next_below(4) as u32);
             let d = 0.1 + ctx.rng().next_f64();
             ctx.send(dst, d, p + 1);
@@ -212,16 +212,6 @@ impl Model for FanOut {
     }
     fn state_digest(&self, s: &Vec<u64>) -> u64 {
         s.iter().fold(0u64, |a, &x| a.rotate_left(7) ^ x)
-    }
-}
-
-trait RngPub {
-    fn next_u64_pub(&mut self) -> u64;
-}
-impl RngPub for pdes_core::DetRng {
-    fn next_u64_pub(&mut self) -> u64 {
-        use rand::Rng as _;
-        self.next_u64()
     }
 }
 

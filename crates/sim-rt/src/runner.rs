@@ -34,25 +34,11 @@ pub struct SimResult {
     pub stall: Option<StallDump>,
     /// Fault injections actually performed (all zero without a plan).
     pub fault_counts: pdes_core::FaultCounts,
-    /// Scheduling-activity transitions `(virtual ns, thread, scheduled-in)`
-    /// — the raw data behind a Fig.-1-style activity diagram.
-    pub timeline: Vec<(u64, usize, bool)>,
     /// Thread felled by a scripted worker kill (`completed` is then false).
     pub killed: Option<usize>,
     /// Collected trace + round snapshots (`None` when telemetry was off).
     /// Timestamps are virtual nanoseconds.
     pub telemetry: Option<telemetry::TelemetryData>,
-}
-
-impl SimResult {
-    /// Render the activity timeline as CSV (`ns,thread,scheduled_in`).
-    pub fn timeline_csv(&self) -> String {
-        let mut out = String::from("ns,thread,scheduled_in\n");
-        for &(ns, t, s) in &self.timeline {
-            out.push_str(&format!("{ns},{t},{}\n", s as u8));
-        }
-        out
-    }
 }
 
 impl CommitTrace for SimResult {
@@ -347,7 +333,6 @@ pub fn run_sim_attempt<M: Model>(
         metrics: m,
         gvt_regressions: sh.round.regressions(),
         digests: digests.into_iter().map(|(_, d)| d).collect(),
-        timeline: sh.timeline.clone(),
         stall: sh.stall.clone(),
         fault_counts: sh.plane.faults.counts(),
         killed: sh.killed,

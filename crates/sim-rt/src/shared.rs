@@ -9,7 +9,7 @@
 //! [`Membership`] is held bare, without the mutex (the machine is
 //! single-threaded, so this is the paper's lock-free protocol). What lives
 //! here is what only the machine needs: the cost model, the barrier park
-//! lists, the ingest arrival script, kill/stall/timeline records and final
+//! lists, the ingest arrival script, kill/stall records and final
 //! stats.
 
 use crate::config::{SimCost, SystemConfig};
@@ -108,10 +108,6 @@ pub struct Shared<P> {
     pub watchdog_ns: Option<u64>,
     /// Set by the virtual-time liveness watchdog when it aborts the run.
     pub stall: Option<StallDump>,
-    /// Activity timeline: `(virtual ns, thread, scheduled-in?)` transitions,
-    /// recorded at de-scheduling and reactivation (capped; see
-    /// [`TIMELINE_CAP`]).
-    pub timeline: Vec<(u64, usize, bool)>,
 
     // ---- telemetry ----
     /// Live telemetry registry (an inert `off()` registry by default).
@@ -119,9 +115,6 @@ pub struct Shared<P> {
     /// Latest published per-thread LVT and cumulative counters.
     pub board: RoundBoard,
 }
-
-/// Maximum recorded timeline transitions (memory bound for long runs).
-pub const TIMELINE_CAP: usize = 262_144;
 
 impl<P> Shared<P> {
     pub fn new(
@@ -155,7 +148,6 @@ impl<P> Shared<P> {
             ingest: None,
             watchdog_ns: None,
             stall: None,
-            timeline: Vec::new(),
             telemetry: telemetry::Telemetry::off(),
             board: RoundBoard::new(num_threads, num_threads),
         }
@@ -303,13 +295,6 @@ impl<P> Shared<P> {
                 &self.demand,
                 thread,
             )
-        }
-    }
-
-    /// Record an activity transition for the timeline.
-    pub fn record_transition(&mut self, now_ns: u64, thread: usize, scheduled_in: bool) {
-        if self.timeline.len() < TIMELINE_CAP {
-            self.timeline.push((now_ns, thread, scheduled_in));
         }
     }
 

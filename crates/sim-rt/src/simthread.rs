@@ -378,7 +378,7 @@ impl<M: Model> SimThreadTask<M> {
                 Scheduler::GgPdes => {
                     // Lock-free: phase coupling makes this safe (§4.1.4).
                     if sh.deactivate_self(self.tid, rid) {
-                        self.note_parked(sh, now, now + cost);
+                        self.note_parked(sh, now + cost);
                         self.phase = Phase::Parked;
                         return Step::SemWait(sh.sems[self.tid]);
                     }
@@ -399,10 +399,9 @@ impl<M: Model> SimThreadTask<M> {
         Step::work(cost, WorkTag::Gvt)
     }
 
-    /// A deactivation at `now` succeeded: record the transition and, when
-    /// tracing, where the Park span starts and an idle (∞) LVT.
-    fn note_parked(&mut self, sh: &mut Shared<M::Payload>, now: u64, span_start: u64) {
-        sh.record_transition(now, self.tid, false);
+    /// A deactivation succeeded: when tracing, record where the Park span
+    /// starts and an idle (∞) LVT.
+    fn note_parked(&mut self, sh: &mut Shared<M::Payload>, span_start: u64) {
         if self.tracer.enabled() {
             self.park_ns = span_start;
             let idle = pdes_core::VirtualTime::INFINITY;
@@ -600,7 +599,7 @@ impl<M: Model> Task for SimThreadTask<M> {
                 let joined = self.joined_round.expect("deactivates at a round's End");
                 let ok = sh.deactivate_self(self.tid, joined);
                 if ok {
-                    self.note_parked(&mut sh, now, now);
+                    self.note_parked(&mut sh, now);
                 }
                 let (sem, over, cost) =
                     (sh.sems[self.tid], sh.round.terminated(), sh.cost.sched_op);
@@ -625,7 +624,6 @@ impl<M: Model> Task for SimThreadTask<M> {
                 }
                 // Woken: either reactivated (Algorithm 1 lines 14–17; the
                 // activator already set the flags) or the simulation ended.
-                sh.record_transition(now, self.tid, true);
                 if self.tracer.enabled() {
                     self.tracer
                         .span(EventKind::Park, self.park_ns, now, self.tid as u64);

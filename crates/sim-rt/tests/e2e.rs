@@ -126,16 +126,20 @@ fn activity_timeline_records_descheduling() {
     )));
     let ecfg = engine_cfg(12.0).with_zero_counter_threshold(60);
     let sys = SystemConfig::ALL_SIX[5]; // GG-PDES-Async
-    let rc = RunConfig::new(threads, ecfg, sys).with_machine(machine_small());
+    let rc = RunConfig::new(threads, ecfg, sys)
+        .with_machine(machine_small())
+        .with_telemetry(telemetry::TelemetryConfig::on());
     let r = run_sim(&model, &rc);
+    let trace = r.telemetry.as_ref().expect("telemetry is on");
+    let timeline = metrics::transitions_from_trace(trace, threads);
     assert!(
-        !r.timeline.is_empty(),
+        !timeline.is_empty(),
         "an imbalanced run must record scheduling transitions"
     );
     // Transitions are time-ordered and alternate sensibly per thread.
     let mut last_ns = 0;
     let mut state: std::collections::BTreeMap<usize, bool> = Default::default();
-    for &(ns, t, s) in &r.timeline {
+    for &(ns, t, s) in &timeline {
         assert!(ns >= last_ns, "timeline must be time-ordered");
         last_ns = ns;
         if let Some(&prev) = state.get(&t) {
@@ -145,7 +149,4 @@ fn activity_timeline_records_descheduling() {
         }
         state.insert(t, s);
     }
-    let csv = r.timeline_csv();
-    assert!(csv.starts_with("ns,thread,scheduled_in\n"));
-    assert_eq!(csv.lines().count(), r.timeline.len() + 1);
 }

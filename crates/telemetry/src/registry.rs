@@ -4,10 +4,10 @@
 use crate::config::TelemetryConfig;
 use crate::event::{EventKind, TraceRecord};
 use crate::ring::TraceRing;
-use parking_lot::Mutex;
+use pdes_core::plane::lock;
 use pdes_core::RoundCounters;
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// A per-thread tracing handle. Owned exclusively by its simulation thread;
 /// every record call is lock-free (a branch plus a ring store). A disabled
@@ -219,7 +219,7 @@ impl Telemetry {
     /// Collect a finished thread's tracer (thread exit; off the hot path).
     pub fn deposit(&self, tracer: Tracer) {
         if let Some(trace) = tracer.into_trace() {
-            let mut g = self.inner.lock();
+            let mut g = lock(&self.inner);
             g.threads.push(trace);
         }
     }
@@ -230,7 +230,7 @@ impl Telemetry {
         if !self.cfg.enabled {
             return;
         }
-        let mut g = self.inner.lock();
+        let mut g = lock(&self.inner);
         let (pc, pp, pr) = g.prev;
         g.prev = (t.committed, t.processed, t.rolled_back);
         let (pa, prj, psh, pb) = g.prev_ingest;
@@ -256,12 +256,12 @@ impl Telemetry {
 
     /// The most recently recorded round, if any (feeds `StallDump`).
     pub fn last_round(&self) -> Option<RoundCounters> {
-        self.inner.lock().rounds.last().cloned()
+        lock(&self.inner).rounds.last().cloned()
     }
 
     /// Drain everything collected so far into an exportable bundle.
     pub fn take(&self) -> TelemetryData {
-        let mut g = self.inner.lock();
+        let mut g = lock(&self.inner);
         let mut threads = std::mem::take(&mut g.threads);
         threads.sort_by_key(|t| t.tid);
         TelemetryData {
@@ -273,7 +273,7 @@ impl Telemetry {
 
 impl std::fmt::Debug for Telemetry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let g = self.inner.lock();
+        let g = lock(&self.inner);
         f.debug_struct("Telemetry")
             .field("cfg", &self.cfg)
             .field("threads", &g.threads.len())

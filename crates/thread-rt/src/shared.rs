@@ -17,13 +17,13 @@
 //! virtual machine holds the same `Membership` without it).
 
 use crate::sync::{DynBarrier, Semaphore};
-use parking_lot::Mutex;
+use pdes_core::plane::lock;
 use pdes_core::{
     AffinityTable, Demand, FaultInjector, IngestPort, Membership, MessagePlane, Msg, Phase, Round,
     StallDump, VirtualTime,
 };
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicU8, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 use telemetry::{RoundBoard, Telemetry};
 
@@ -253,7 +253,7 @@ impl<P> RtShared<P> {
     /// [`Round::open`] a round if none is open; returns whether `me`
     /// participates in the open round and its id.
     pub fn try_join_round(&self, me: usize) -> (bool, u64) {
-        let mut m = self.membership.lock();
+        let mut m = lock(&self.membership);
         let was_open = m.open;
         let joined = self
             .round
@@ -268,17 +268,17 @@ impl<P> RtShared<P> {
 
     /// Peek the open round without opening one.
     pub fn round_waiting_for(&self, me: usize) -> Option<u64> {
-        self.membership.lock().waiting_for(me)
+        lock(&self.membership).waiting_for(me)
     }
 
     /// Number of participants of the current round.
     pub fn participants(&self) -> usize {
-        self.membership.lock().participants
+        lock(&self.membership).participants
     }
 
     /// [`Round::end_phase`]; the last participant closes the round.
     pub fn end_phase(&self) -> bool {
-        self.round.end_phase(&mut self.membership.lock())
+        self.round.end_phase(&mut lock(&self.membership))
     }
 
     /// Algorithm 2: wake the inactive threads `demand` holds for. Must be
@@ -288,7 +288,7 @@ impl<P> RtShared<P> {
         if self.demand.all_active() {
             return 0; // the common case takes no lock
         }
-        let mut m = self.membership.lock();
+        let mut m = lock(&self.membership);
         self.demand
             .activate(&mut m, &self.faults, demand, |i| self.sems[i].post())
     }
@@ -296,11 +296,11 @@ impl<P> RtShared<P> {
     /// Algorithm 1 bookkeeping, [`Round::deactivate`]: de-schedule `me`
     /// (the caller then blocks on its semaphore) unless a refusal applies.
     pub fn deactivate_self(&self, me: usize, completed_round: u64) -> bool {
-        let mut m = self.membership.lock();
+        let mut m = lock(&self.membership);
         self.round.deactivate(
             &mut m,
             &self.demand,
-            &mut self.aff.lock(),
+            &mut lock(&self.aff),
             me,
             completed_round,
         )
@@ -310,7 +310,7 @@ impl<P> RtShared<P> {
     pub fn release_all_for_termination(&self) {
         self.controller_exit.store(true, Ordering::Release);
         self.round
-            .release_for_termination(&mut self.membership.lock(), &self.demand, |i| {
+            .release_for_termination(&mut lock(&self.membership), &self.demand, |i| {
                 self.sems[i].post()
             });
     }
@@ -333,7 +333,7 @@ impl<P> RtShared<P> {
 
     /// Snapshot everything a stall post-mortem needs.
     pub fn build_stall_dump(&self, reason: &str, system: &str) -> StallDump {
-        let m = self.membership.lock();
+        let m = lock(&self.membership);
         let thread = |i: usize| {
             (
                 Phase::from_index(self.dbg_phase[i].load(Ordering::Relaxed)),

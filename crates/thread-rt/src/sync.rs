@@ -3,11 +3,12 @@
 //! barrier (the synchronous GVT rendezvous whose expected count changes as
 //! threads de-schedule).
 
-use parking_lot::{Condvar, Mutex};
+use pdes_core::plane::{lock, wait};
+use std::sync::{Condvar, Mutex};
 
 /// A counting semaphore saturating at a cap (binary with `cap = 1`), built
-/// on parking-lot primitives — `sem_wait` blocks without consuming CPU,
-/// which is exactly the de-scheduling the paper relies on.
+/// on a `std::sync` mutex and condition variable — `sem_wait` blocks without
+/// consuming CPU, which is exactly the de-scheduling the paper relies on.
 ///
 /// The semaphore can be *poisoned* (by the liveness watchdog or a panicking
 /// sibling): a poisoned semaphore never blocks again — every current and
@@ -40,9 +41,9 @@ impl Semaphore {
     /// Block until the count is positive, then decrement. Returns
     /// immediately (without decrementing) once poisoned.
     pub fn wait(&self) {
-        let mut s = self.state.lock();
+        let mut s = lock(&self.state);
         while s.count == 0 && !s.poisoned {
-            self.cv.wait(&mut s);
+            s = wait(&self.cv, s);
         }
         if !s.poisoned {
             s.count -= 1;
@@ -51,7 +52,7 @@ impl Semaphore {
 
     /// Increment (saturating) and wake one waiter.
     pub fn post(&self) {
-        let mut s = self.state.lock();
+        let mut s = lock(&self.state);
         s.count = (s.count + 1).min(self.cap);
         drop(s);
         self.cv.notify_one();
@@ -59,7 +60,7 @@ impl Semaphore {
 
     /// Non-blocking acquire attempt.
     pub fn try_wait(&self) -> bool {
-        let mut s = self.state.lock();
+        let mut s = lock(&self.state);
         if s.count > 0 {
             s.count -= 1;
             true
@@ -71,13 +72,13 @@ impl Semaphore {
     /// Make every current and future `wait` return immediately (emergency
     /// drain for watchdog trips and panic unwinding).
     pub fn poison(&self) {
-        self.state.lock().poisoned = true;
+        lock(&self.state).poisoned = true;
         self.cv.notify_all();
     }
 
     /// Tokens currently held (diagnostics).
     pub fn tokens(&self) -> u32 {
-        self.state.lock().count
+        lock(&self.state).count
     }
 }
 
@@ -115,7 +116,7 @@ impl DynBarrier {
     /// A poisoned barrier never blocks: every arrival passes straight
     /// through as a non-serial waiter.
     pub fn wait(&self) -> bool {
-        let mut s = self.inner.lock();
+        let mut s = lock(&self.inner);
         if s.poisoned {
             return false;
         }
@@ -129,7 +130,7 @@ impl DynBarrier {
             return true;
         }
         while s.generation == gen && !s.poisoned {
-            self.cv.wait(&mut s);
+            s = wait(&self.cv, s);
         }
         false
     }
@@ -137,7 +138,7 @@ impl DynBarrier {
     /// Release every waiter and make all future arrivals pass through
     /// (emergency drain for watchdog trips and panic unwinding).
     pub fn poison(&self) {
-        self.inner.lock().poisoned = true;
+        lock(&self.inner).poisoned = true;
         self.cv.notify_all();
     }
 
@@ -145,7 +146,7 @@ impl DynBarrier {
     /// satisfies it.
     pub fn set_expected(&self, expected: usize) {
         assert!(expected >= 1);
-        let mut s = self.inner.lock();
+        let mut s = lock(&self.inner);
         s.expected = expected;
         if s.arrived >= s.expected {
             s.arrived = 0;
@@ -156,7 +157,7 @@ impl DynBarrier {
     }
 
     pub fn expected(&self) -> usize {
-        self.inner.lock().expected
+        lock(&self.inner).expected
     }
 }
 

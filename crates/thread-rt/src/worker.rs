@@ -8,6 +8,7 @@ use crate::batch::SendBatcher;
 use crate::protocol::Protocol;
 use crate::runner::RtRunConfig;
 use crate::shared::RtShared;
+use pdes_core::plane::lock;
 use pdes_core::{
     AffinityPolicy, CkptSink, EngineConfig, GvtBackoff, GvtMode, IdleTracker, LpId, Model, Msg,
     Outbound, Phase, Round, Scheduler, SystemConfig, ThreadEngine, VirtualTime,
@@ -290,7 +291,7 @@ impl<M: Model, P: Protocol<M>> Worker<'_, M, P> {
             Scheduler::GgPdes => sh.deactivate_self(me, id),
             Scheduler::DdPdes => {
                 sh.set_phase(me, Phase::DdDeact);
-                let _g = sh.dd_lock.lock();
+                let _g = lock(&sh.dd_lock);
                 sh.deactivate_self(me, id)
             }
             Scheduler::Baseline => unreachable!("baseline never deactivates"),
@@ -431,7 +432,7 @@ pub fn worker_loop<M: Model, P: Protocol<M>>(
         if closed && sys.affinity == AffinityPolicy::Dynamic && !terminated {
             // Algorithm 4: the table decides, `sched_setaffinity` enacts.
             let mut pins = Vec::new();
-            sh.aff.lock().assign(|t| sh.demand.is_active(t), &mut pins);
+            lock(&sh.aff).assign(|t| sh.demand.is_active(t), &mut pins);
             for &(t, core) in &pins {
                 let tid = OsTid(sh.os_tids[t].load(Ordering::Acquire));
                 pin_or_count(tid, core, &sh.pin_failures);
@@ -467,7 +468,7 @@ pub fn controller_loop<P>(sh: &RtShared<P>) {
             return;
         }
         {
-            let _g = sh.dd_lock.lock();
+            let _g = lock(&sh.dd_lock);
             sh.activate_where(|i| sh.len(i) > 0);
         }
         std::thread::yield_now();

@@ -6,8 +6,9 @@
 //! cargo run --release --example activity_gantt
 //! ```
 
-use ggpdes::metrics::render_gantt;
+use ggpdes::metrics::{render_gantt, transitions_from_trace};
 use ggpdes::prelude::*;
+use ggpdes::telemetry::TelemetryConfig;
 use std::sync::Arc;
 
 fn main() {
@@ -24,8 +25,13 @@ fn main() {
         .with_gvt_interval(25)
         .with_zero_counter_threshold(150);
     let sys = SystemConfig::new(Scheduler::GgPdes, GvtMode::Async, AffinityPolicy::Constant);
-    let rc = RunConfig::new(threads, engine, sys).with_machine(MachineConfig::small(4, 2));
+    let rc = RunConfig::new(threads, engine, sys)
+        .with_machine(MachineConfig::small(4, 2))
+        .with_telemetry(TelemetryConfig::on());
     let r = run_sim(&model, &rc);
+    let trace = r.telemetry.as_ref().expect("telemetry is on");
+    // Every Park span is one de-scheduled interval.
+    let transitions = transitions_from_trace(trace, threads);
 
     println!(
         "1-4 imbalanced PHOLD, {threads} threads — the active quarter rotates; GG-PDES\n\
@@ -33,11 +39,11 @@ fn main() {
     );
     print!(
         "{}",
-        render_gantt(&r.timeline, threads, r.report.virtual_ns, 72)
+        render_gantt(&transitions, threads, r.report.virtual_ns, 72)
     );
     println!(
         "\n{} de-scheduling episodes, at most {} threads parked at once.",
-        r.timeline.iter().filter(|&&(_, _, s)| !s).count(),
+        transitions.iter().filter(|&&(_, _, s)| !s).count(),
         r.metrics.max_descheduled
     );
 }
