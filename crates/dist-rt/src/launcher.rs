@@ -10,14 +10,12 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use metrics::RunMetrics;
-use pdes_core::{
-    Checkpoint, EngineConfig, IngestGate, LinkFaultPlan, LinkFaults, LpId, LpMap, Model,
-    SimThreadId,
-};
+use pdes_core::{Checkpoint, EngineConfig, IngestGate, LpId, LpMap, Model, SimThreadId};
 use telemetry::EventKind;
 
 use crate::coord::NodeOutcome;
 use crate::detector::HeartbeatConfig;
+use crate::faults::{LinkFaultPlan, LinkFaults};
 use crate::link::{
     read_hello, spawn_tcp_reader, write_hello, Backoff, Inbox, MemTx, ReliableLink, TcpTx,
 };

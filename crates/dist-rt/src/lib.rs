@@ -11,7 +11,7 @@
 //!   plus `u32`-length-prefixed framing.
 //! - [`link`] — a reliable, in-order link layer (sequence numbers, cumulative
 //!   acks, retransmission, dedup) over an unreliable packet transport. Link
-//!   faults ([`pdes_core::LinkFaultPlan`]) — delay, drop, duplicate — are
+//!   faults ([`LinkFaultPlan`]) — delay, drop, duplicate — are
 //!   injected *below* this layer, so the retransmission machinery is what
 //!   keeps the simulation correct under them.
 //! - [`gvt`] — asynchronous Mattern-style distributed GVT: an epoch-colored
@@ -48,6 +48,7 @@
 
 mod coord;
 mod detector;
+pub mod faults;
 pub mod gvt;
 pub mod launcher;
 pub mod link;
@@ -58,6 +59,9 @@ pub mod wire;
 
 pub use coord::NodeOutcome;
 pub use detector::HeartbeatConfig;
+pub use faults::{
+    LinkAction, LinkDelayFault, LinkDropFault, LinkDupFault, LinkFaultPlan, LinkFaults,
+};
 pub use gvt::{Coordinator, GvtTracker, RoundClosure};
 pub use launcher::{
     run_loopback, run_loopback_ingest, run_shard_process, DistConfig, DistResult, IngestGates,

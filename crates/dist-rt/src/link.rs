@@ -13,9 +13,9 @@
 //! retransmitted, a duplicate is discarded by the receiver's sequence
 //! window, a delayed packet sits in the sender's delay buffer for a few
 //! pumps. Faults apply to retransmissions and acks too — the drop/duplicate
-//! budgets in [`pdes_core::LinkFaultPlan`] are what keep the link live.
+//! budgets in [`crate::LinkFaultPlan`] are what keep the link live.
 
-use pdes_core::LinkFaults;
+use crate::faults::LinkFaults;
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -337,7 +337,7 @@ impl ReliableLink {
 
     /// Push one packet through the fault decider and (maybe) the transport.
     fn transmit(&mut self, pkt: Vec<u8>) -> std::io::Result<()> {
-        use pdes_core::LinkAction::*;
+        use crate::faults::LinkAction::*;
         if self.partitioned {
             return Ok(()); // data stays unacked; acks are regenerated
         }
@@ -449,7 +449,7 @@ impl ReliableLink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pdes_core::LinkFaultPlan;
+    use crate::faults::LinkFaultPlan;
 
     #[test]
     fn packet_codec_round_trips() {

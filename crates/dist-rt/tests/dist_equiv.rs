@@ -5,9 +5,9 @@
 
 use std::sync::Arc;
 
-use dist_rt::{run_loopback, DistConfig, DistResult, SteppedCluster, Transport};
+use dist_rt::{run_loopback, DistConfig, DistResult, LinkFaultPlan, SteppedCluster, Transport};
 use models::{Phold, PholdConfig};
-use pdes_core::{run_sequential, EngineConfig, LinkFaultPlan, SequentialResult};
+use pdes_core::{run_sequential, EngineConfig, SequentialResult};
 
 /// One shared model/config pair: the oracle trace is a property of these,
 /// not of the shard count.

@@ -12,11 +12,11 @@
 
 use std::sync::Arc;
 
-use dist_rt::{DistConfig, IngestGates, SteppedCluster, Transport};
+use dist_rt::{DistConfig, IngestGates, LinkFaultPlan, SteppedCluster, Transport};
 use models::{LocalityPattern, Phold, PholdConfig};
 use pdes_core::{
-    run_sequential_with, EngineConfig, IngestConfig, IngestGate, IngestRequest, LinkFaultPlan,
-    LpId, ReplySlot, VirtualTime,
+    run_sequential_with, EngineConfig, IngestConfig, IngestGate, IngestRequest, LpId, ReplySlot,
+    VirtualTime,
 };
 
 const END: f64 = 400.0;

@@ -14,9 +14,9 @@
 
 use std::sync::Arc;
 
-use dist_rt::{DistConfig, SteppedCluster, Transport};
+use dist_rt::{DistConfig, LinkFaultPlan, SteppedCluster, Transport};
 use models::{Phold, PholdConfig};
-use pdes_core::{run_sequential, EngineConfig, LinkFaultPlan};
+use pdes_core::{run_sequential, EngineConfig};
 use proptest::prelude::*;
 
 fn arb_cfg() -> impl Strategy<Value = (usize, u64, f64, Option<f64>, Option<u64>)> {

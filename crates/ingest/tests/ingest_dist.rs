@@ -8,12 +8,12 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use dist_rt::{run_loopback_ingest, DistConfig, DistResult, IngestGates, Transport};
+use dist_rt::{run_loopback_ingest, DistConfig, DistResult, IngestGates, LinkFaultPlan, Transport};
 use ingest::{drive, local_endpoint, IngestClient, IngestServer, RetryPolicy, TcpEndpoint};
 use models::{Phold, PholdConfig};
 use pdes_core::{
     run_sequential_with, EngineConfig, IngestConfig, IngestGate, IngestJournal, IngestReply,
-    IngestRequest, LinkFaultPlan, LpId, Model, ReplySlot, VirtualTime,
+    IngestRequest, LpId, Model, ReplySlot, VirtualTime,
 };
 
 fn model() -> Arc<Phold> {

@@ -1,4 +1,4 @@
-//! Deterministic fault injection and stall diagnostics.
+//! Deterministic fault injection.
 //!
 //! A [`FaultPlan`] describes a set of adversarial behaviours to superimpose
 //! on a runtime's message plane and scheduling primitives:
@@ -24,7 +24,7 @@
 //! absorb them and still commit exactly the sequential oracle's trace. Lost
 //! wake-ups break liveness by design — they exist to exercise the GVT
 //! liveness watchdog, which must convert the resulting hang into a
-//! structured [`StallDump`] instead of a frozen process.
+//! structured [`crate::StallDump`] instead of a frozen process.
 //!
 //! Every decision is derived from a seeded counter stream (splitmix64 over
 //! `(seed, site, sequence-number)`), so a plan replays identically on the
@@ -34,7 +34,7 @@
 
 use crate::event::Msg;
 use crate::ids::EventUid;
-use crate::rng::splitmix64;
+use crate::rng::{splitmix64, unit_f64};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -161,159 +161,6 @@ pub struct BackpressureFault {
     pub max_retries: u32,
 }
 
-/// Per-link frame delay: an outgoing frame is held in the sender's pump
-/// buffer for `1..=max_pumps` pump cycles before transmission.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct LinkDelayFault {
-    pub prob: f64,
-    pub max_pumps: u32,
-}
-
-/// Per-link frame drop. The reliable layer's retransmission recovers the
-/// frame (drop-with-retransmit), so `max_drops` bounds how long an unlucky
-/// frame can stay lost and keeps runs live.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct LinkDropFault {
-    pub prob: f64,
-    pub max_drops: u64,
-}
-
-/// Per-link frame duplication: the frame is transmitted twice back to back
-/// (the receiver's sequence numbers discard the twin).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct LinkDupFault {
-    pub prob: f64,
-    pub max_dups: u64,
-}
-
-/// Network chaos for the distributed runtime's links. Applied on the
-/// *sender* side of each directed link, below the reliable seq/ack layer, so
-/// every fault is invisible to the engines: frames may arrive late, twice,
-/// or only after a retransmission, but the receiver delivers each exactly
-/// once and in order.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct LinkFaultPlan {
-    pub seed: u64,
-    pub delay: Option<LinkDelayFault>,
-    pub drop: Option<LinkDropFault>,
-    pub duplicate: Option<LinkDupFault>,
-}
-
-impl LinkFaultPlan {
-    pub fn is_active(&self) -> bool {
-        self.delay.is_some() || self.drop.is_some() || self.duplicate.is_some()
-    }
-
-    /// A moderate all-three plan — what the dist chaos tests enable.
-    pub fn chaos(seed: u64) -> Self {
-        LinkFaultPlan {
-            seed,
-            delay: Some(LinkDelayFault {
-                prob: 0.10,
-                max_pumps: 4,
-            }),
-            drop: Some(LinkDropFault {
-                prob: 0.05,
-                max_drops: 512,
-            }),
-            duplicate: Some(LinkDupFault {
-                prob: 0.05,
-                max_dups: 512,
-            }),
-        }
-    }
-}
-
-/// What to do with one outgoing frame.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LinkAction {
-    Deliver,
-    /// Skip the transmit; the reliable layer retransmits later.
-    Drop,
-    /// Transmit twice.
-    Duplicate,
-    /// Hold for this many pump cycles, then transmit.
-    Delay(u32),
-}
-
-/// Per-directed-link fault decider. Owned by one link (one sender thread),
-/// so unlike [`FaultInjector`] it needs no atomics; the decision stream is
-/// seeded from `(plan.seed, src, dst)` so every link draws independently and
-/// a plan replays identically across runs.
-#[derive(Debug, Clone)]
-pub struct LinkFaults {
-    plan: LinkFaultPlan,
-    base: u64,
-    n: u64,
-    drops_left: u64,
-    dups_left: u64,
-    /// Frames dropped / duplicated / delayed so far (observability).
-    pub dropped: u64,
-    pub duplicated: u64,
-    pub delayed: u64,
-}
-
-impl LinkFaults {
-    /// An inert decider: every frame is `Deliver`.
-    pub fn disabled() -> Self {
-        Self::new(&LinkFaultPlan::default(), 0, 0)
-    }
-
-    pub fn new(plan: &LinkFaultPlan, src: usize, dst: usize) -> Self {
-        let mut key = plan
-            .seed
-            .wrapping_add((src as u64 + 1).wrapping_mul(0x9E6D_41D9_4B0E_3C8D))
-            .wrapping_add((dst as u64 + 1).wrapping_mul(0x2545_F491_4F6C_DD1D));
-        LinkFaults {
-            plan: *plan,
-            base: splitmix64(&mut key),
-            n: 0,
-            drops_left: plan.drop.map_or(0, |d| d.max_drops),
-            dups_left: plan.duplicate.map_or(0, |d| d.max_dups),
-            dropped: 0,
-            duplicated: 0,
-            delayed: 0,
-        }
-    }
-
-    fn roll(&mut self) -> u64 {
-        let mut key = self.base.wrapping_add(self.n);
-        self.n += 1;
-        splitmix64(&mut key)
-    }
-
-    /// Decide the fate of the next outgoing frame.
-    pub fn decide(&mut self) -> LinkAction {
-        if !self.plan.is_active() {
-            return LinkAction::Deliver;
-        }
-        if let Some(d) = self.plan.drop {
-            let hit = unit_f64(self.roll()) < d.prob;
-            if hit && self.drops_left > 0 {
-                self.drops_left -= 1;
-                self.dropped += 1;
-                return LinkAction::Drop;
-            }
-        }
-        if let Some(d) = self.plan.duplicate {
-            let hit = unit_f64(self.roll()) < d.prob;
-            if hit && self.dups_left > 0 {
-                self.dups_left -= 1;
-                self.duplicated += 1;
-                return LinkAction::Duplicate;
-            }
-        }
-        if let Some(d) = self.plan.delay {
-            if unit_f64(self.roll()) < d.prob && d.max_pumps > 0 {
-                let pumps = 1 + (self.roll() % u64::from(d.max_pumps)) as u32;
-                self.delayed += 1;
-                return LinkAction::Delay(pumps);
-            }
-        }
-        LinkAction::Deliver
-    }
-}
-
 /// A scripted catastrophic fault. Unlike the probabilistic faults these are
 /// *scheduled*: each entry fires exactly once per injector lifetime, which
 /// keeps kill-and-recover runs fully deterministic.
@@ -436,11 +283,6 @@ struct FaultState {
 /// carries no state and every hook is a single `None` branch.
 pub struct FaultInjector {
     state: Option<Box<FaultState>>,
-}
-
-#[inline]
-fn unit_f64(r: u64) -> f64 {
-    (r >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
 impl FaultInjector {
@@ -712,223 +554,6 @@ impl std::fmt::Debug for FaultInjector {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Stall diagnostics
-// ---------------------------------------------------------------------------
-
-/// GVT round state at the moment of a stall.
-#[derive(Debug, Clone, Default, Serialize)]
-pub struct RoundDump {
-    pub open: bool,
-    pub id: u64,
-    pub participants: usize,
-    pub a_done: usize,
-    pub b_done: usize,
-    pub end_done: usize,
-    pub aware_claimed: bool,
-}
-
-/// Per-thread state at the moment of a stall.
-#[derive(Debug, Clone, Serialize)]
-pub struct ThreadDump {
-    pub thread: usize,
-    /// Last control-loop phase the thread reported.
-    pub phase: String,
-    /// Round id the thread last folded into (`None` before its first round).
-    pub joined_round: Option<u64>,
-    pub queue_len: usize,
-    pub active: bool,
-    pub subscribed: bool,
-    /// Wake tokens currently held by the thread's scheduling semaphore.
-    pub sem_tokens: u32,
-    /// Times the thread gave its context away under the yield tier
-    /// (`ThreadDump::new` leaves it 0; the runtime fills it in).
-    pub yields: u64,
-    /// Residual send-window minimum (rendered; `"inf"` when clear).
-    pub window_min: String,
-    /// Queue minimum (rendered; `"inf"` when empty).
-    pub queue_min: String,
-}
-
-impl ThreadDump {
-    /// Thread `thread`'s row of a stall dump: queue length, coverage minima
-    /// and the active flag are read off the control plane; phase, last
-    /// round, subscription and semaphore state are the runtime's to say.
-    pub fn new<P>(
-        thread: usize,
-        phase: crate::sched::Phase,
-        joined_round: Option<u64>,
-        plane: &crate::plane::MessagePlane<P>,
-        demand: &crate::sched::Demand,
-        subscribed: bool,
-        sem_tokens: u32,
-    ) -> Self {
-        let fmt = |t: crate::time::VirtualTime| {
-            if t.is_infinite() {
-                "inf".to_string()
-            } else {
-                t.to_string()
-            }
-        };
-        let (window_min, queue_min) = plane.minima(thread);
-        ThreadDump {
-            thread,
-            phase: phase.name().into(),
-            joined_round,
-            queue_len: plane.len(thread),
-            active: demand.is_active(thread),
-            subscribed,
-            sem_tokens,
-            yields: 0,
-            window_min: fmt(window_min),
-            queue_min: fmt(queue_min),
-        }
-    }
-}
-
-/// The structured diagnostic a liveness watchdog emits instead of hanging:
-/// who was where, what the GVT round looked like, and which queues still
-/// held work.
-#[derive(Debug, Clone, Serialize)]
-pub struct StallDump {
-    /// Human-readable trigger, e.g. `"no GVT progress for 2.0s"`.
-    pub reason: String,
-    pub system: String,
-    pub gvt: String,
-    pub gvt_rounds: u64,
-    pub num_active: usize,
-    pub terminated: bool,
-    pub round: RoundDump,
-    pub threads: Vec<ThreadDump>,
-    /// Fault injections performed up to the stall.
-    pub fault_counts: FaultCounts,
-    /// The last GVT round the telemetry subsystem saw complete (per-round
-    /// deltas + per-thread LVTs), when tracing was enabled. A stalled run
-    /// thus reports *where progress stopped*, not just that it stopped.
-    pub last_round: Option<crate::stats::RoundCounters>,
-}
-
-impl StallDump {
-    /// Snapshot the control plane for a stall post-mortem (`last_round` is
-    /// left for the caller's telemetry). Everything the shared state knows
-    /// is read here; `thread(i)` supplies what only the runtime can say
-    /// about thread `i`: its published phase, the round it last folded into,
-    /// its semaphore's wake tokens and how often it yielded.
-    pub fn capture<P>(
-        reason: &str,
-        system: String,
-        round: &crate::sched::Round,
-        m: &crate::sched::Membership,
-        plane: &crate::plane::MessagePlane<P>,
-        demand: &crate::sched::Demand,
-        mut thread: impl FnMut(usize) -> (crate::sched::Phase, Option<u64>, u32, u64),
-    ) -> Self {
-        StallDump {
-            reason: reason.into(),
-            system,
-            gvt: round.gvt().to_string(),
-            gvt_rounds: round.rounds(),
-            num_active: demand.num_active(),
-            terminated: round.terminated(),
-            round: round.dump(m),
-            threads: (0..m.subscribed.len())
-                .map(|i| {
-                    let (phase, joined, sem_tokens, yields) = thread(i);
-                    ThreadDump {
-                        yields,
-                        ..ThreadDump::new(
-                            i,
-                            phase,
-                            joined,
-                            plane,
-                            demand,
-                            m.subscribed[i],
-                            sem_tokens,
-                        )
-                    }
-                })
-                .collect(),
-            fault_counts: plane.faults.counts(),
-            last_round: None,
-        }
-    }
-}
-
-impl std::fmt::Display for StallDump {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(f, "=== liveness watchdog: {} ===", self.reason)?;
-        writeln!(
-            f,
-            "system={} gvt={} rounds={} active={} terminated={}",
-            self.system, self.gvt, self.gvt_rounds, self.num_active, self.terminated
-        )?;
-        writeln!(
-            f,
-            "round: open={} id={} participants={} a={} b={} end={} aware={}",
-            self.round.open,
-            self.round.id,
-            self.round.participants,
-            self.round.a_done,
-            self.round.b_done,
-            self.round.end_done,
-            self.round.aware_claimed
-        )?;
-        for t in &self.threads {
-            writeln!(
-                f,
-                "  t{}: phase={} joined={} qlen={} active={} subscribed={} sem={} yields={} \
-                 window={} qmin={}",
-                t.thread,
-                t.phase,
-                t.joined_round.map_or_else(|| "-".into(), |r| r.to_string()),
-                t.queue_len,
-                t.active,
-                t.subscribed,
-                t.sem_tokens,
-                t.yields,
-                t.window_min,
-                t.queue_min
-            )?;
-        }
-        if let Some(r) = &self.last_round {
-            let lvts: Vec<String> = r
-                .lvt_ticks
-                .iter()
-                .map(|&t| {
-                    if t == u64::MAX {
-                        "inf".into()
-                    } else {
-                        t.to_string()
-                    }
-                })
-                .collect();
-            writeln!(
-                f,
-                "last completed round: id={} gvt_ticks={} committed+={} processed+={} \
-                 rolled_back+={} active={} lvt=[{}]",
-                r.round,
-                r.gvt_ticks,
-                r.committed_delta,
-                r.processed_delta,
-                r.rolled_back_delta,
-                r.active_threads,
-                lvts.join(",")
-            )?;
-        }
-        write!(
-            f,
-            "faults: delayed={} reordered={} stragglers={} lost={} spurious={} bp_retries={} kills={}",
-            self.fault_counts.delayed,
-            self.fault_counts.reordered,
-            self.fault_counts.stragglers,
-            self.fault_counts.lost_wakeups,
-            self.fault_counts.spurious_wakeups,
-            self.fault_counts.backpressure_retries,
-            self.fault_counts.kills
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1128,125 +753,5 @@ mod tests {
         assert_eq!(back, cur);
         // One flag per scripted entry.
         assert_eq!(back.kills_fired, vec![true]);
-    }
-
-    #[test]
-    fn link_faults_are_deterministic_per_link() {
-        let plan = LinkFaultPlan::chaos(7);
-        let mut a = LinkFaults::new(&plan, 0, 1);
-        let mut b = LinkFaults::new(&plan, 0, 1);
-        let da: Vec<LinkAction> = (0..256).map(|_| a.decide()).collect();
-        let db: Vec<LinkAction> = (0..256).map(|_| b.decide()).collect();
-        assert_eq!(da, db);
-        // The reverse direction draws a different stream.
-        let mut c = LinkFaults::new(&plan, 1, 0);
-        let dc: Vec<LinkAction> = (0..256).map(|_| c.decide()).collect();
-        assert_ne!(da, dc);
-        // Something actually fired.
-        assert!(da.iter().any(|x| *x != LinkAction::Deliver));
-    }
-
-    #[test]
-    fn link_fault_budgets_bound_drops_and_dups() {
-        let plan = LinkFaultPlan {
-            seed: 5,
-            delay: None,
-            drop: Some(LinkDropFault {
-                prob: 1.0,
-                max_drops: 3,
-            }),
-            duplicate: Some(LinkDupFault {
-                prob: 1.0,
-                max_dups: 2,
-            }),
-        };
-        let mut lf = LinkFaults::new(&plan, 0, 1);
-        let acts: Vec<LinkAction> = (0..100).map(|_| lf.decide()).collect();
-        assert_eq!(acts.iter().filter(|a| **a == LinkAction::Drop).count(), 3);
-        assert_eq!(
-            acts.iter().filter(|a| **a == LinkAction::Duplicate).count(),
-            2
-        );
-        assert_eq!(lf.dropped, 3);
-        assert_eq!(lf.duplicated, 2);
-    }
-
-    #[test]
-    fn link_delay_is_bounded_by_max_pumps() {
-        let plan = LinkFaultPlan {
-            seed: 9,
-            delay: Some(LinkDelayFault {
-                prob: 1.0,
-                max_pumps: 4,
-            }),
-            drop: None,
-            duplicate: None,
-        };
-        let mut lf = LinkFaults::new(&plan, 2, 3);
-        for _ in 0..100 {
-            match lf.decide() {
-                LinkAction::Delay(p) => assert!((1..=4).contains(&p)),
-                other => panic!("expected Delay, got {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn disabled_link_faults_always_deliver() {
-        let mut lf = LinkFaults::disabled();
-        assert!((0..64).all(|_| lf.decide() == LinkAction::Deliver));
-    }
-
-    #[test]
-    fn stall_dump_renders_every_section() {
-        let dump = StallDump {
-            reason: "no GVT progress for 2.0s".into(),
-            system: "GG-PDES-Async".into(),
-            gvt: "1.25".into(),
-            gvt_rounds: 17,
-            num_active: 3,
-            terminated: false,
-            round: RoundDump {
-                open: true,
-                id: 18,
-                participants: 4,
-                a_done: 3,
-                b_done: 0,
-                end_done: 0,
-                aware_claimed: false,
-            },
-            threads: vec![ThreadDump {
-                thread: 2,
-                phase: "parked".into(),
-                joined_round: Some(17),
-                queue_len: 5,
-                active: true,
-                subscribed: true,
-                sem_tokens: 0,
-                yields: 12,
-                window_min: "inf".into(),
-                queue_min: "1.5".into(),
-            }],
-            fault_counts: FaultCounts {
-                lost_wakeups: 1,
-                ..FaultCounts::default()
-            },
-            last_round: Some(crate::stats::RoundCounters {
-                round: 17,
-                gvt_ticks: 1250,
-                committed_delta: 40,
-                active_threads: 3,
-                lvt_ticks: vec![1300, u64::MAX],
-                ..Default::default()
-            }),
-        };
-        let s = dump.to_string();
-        assert!(s.contains("liveness watchdog"));
-        assert!(s.contains("t2: phase=parked joined=17 qlen=5"));
-        assert!(s.contains("sem=0 yields=12 window=inf"));
-        assert!(s.contains("lost=1"));
-        assert!(s.contains("participants=4 a=3"));
-        assert!(s.contains("last completed round: id=17 gvt_ticks=1250"));
-        assert!(s.contains("lvt=[1300,inf]"));
     }
 }

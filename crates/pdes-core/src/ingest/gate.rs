@@ -1,0 +1,394 @@
+//! The admission gate: submission triage, the per-round admission pump, the
+//! GVT fence and journal-backed recovery, all under one mutex.
+
+use super::journal::{IngestJournal, JournalRecord};
+use super::{IngestConfig, IngestError, IngestReply, IngestRequest, IngestStats};
+use super::{INGEST_SRC, SHARD_SHIFT};
+use crate::event::{Event, EventKey};
+use crate::ids::{EventUid, LpId};
+use crate::time::VirtualTime;
+use serde::{Deserialize, Serialize};
+use std::collections::{HashMap, HashSet, VecDeque};
+use std::path::Path;
+use std::sync::Mutex;
+
+/// Where an eventual verdict for a queued submission goes.
+pub enum ReplySlot {
+    /// Fire-and-forget (feeders that don't track outcomes).
+    None,
+    /// Local callback, invoked exactly once when the verdict is known.
+    Local(Box<dyn FnOnce(IngestReply) + Send>),
+    /// The submission was forwarded from another shard: the verdict must be
+    /// sent back to `peer` tagged with the origin's `key`.
+    Remote { peer: u64, key: u64 },
+}
+
+/// A queued submission awaiting a pump.
+pub struct PendingEntry<P> {
+    pub req: IngestRequest<P>,
+    pub slot: ReplySlot,
+}
+
+/// What one [`IngestGate::pump`] produced beyond locally injected events.
+#[derive(Default)]
+pub struct PumpOutcome<P> {
+    /// Events handed to the sink (already injected).
+    pub injected: u64,
+    /// Submissions for LPs this gate's runtime does not own — the caller
+    /// routes them to the owning shard (empty outside `dist-rt`).
+    pub forward: Vec<PendingEntry<P>>,
+    /// Verdicts for forwarded submissions: `(peer, key, reply)`.
+    pub remote_replies: Vec<(u64, u64, IngestReply)>,
+}
+
+impl<P> PumpOutcome<P> {
+    fn new() -> Self {
+        PumpOutcome {
+            injected: 0,
+            forward: Vec::new(),
+            remote_replies: Vec::new(),
+        }
+    }
+}
+
+struct GateInner<P> {
+    cfg: IngestConfig,
+    /// Admission floor in ticks: the last GVT this gate was fenced with
+    /// (monotone — never lowered, not even by a restore).
+    floor_ticks: u64,
+    closed: bool,
+    queue: VecDeque<PendingEntry<P>>,
+    queued_ids: HashSet<(u32, u64)>,
+    per_source: HashMap<u32, usize>,
+    /// Idempotency map: every admitted `(source, id)` with its exact event.
+    accepted: HashMap<(u32, u64), Event<P>>,
+    /// Cross-process replay suffix staged by [`IngestGate::stage_replay`];
+    /// the next pump drains it straight to the sink ahead of the queue.
+    staged_replay: Vec<Event<P>>,
+    journal: Option<IngestJournal>,
+    next_seq: u64,
+    uid_base: u64,
+    stats: IngestStats,
+    /// Test hook: simulate a crash in the window between the journal append
+    /// and the engine injection — the next admission journals its record,
+    /// then the pump returns without injecting or replying.
+    fail_after_append: bool,
+}
+
+/// The runtime-side ingest gate. One mutex serializes submission triage,
+/// admission pumping, and GVT fencing — see the module docs for why that
+/// mutual exclusion is the admission-safety argument.
+pub struct IngestGate<P> {
+    inner: Mutex<GateInner<P>>,
+}
+
+impl<P> IngestGate<P> {
+    /// A gate with no journal (events are not durable across a process
+    /// crash; in-process recovery still replays from the accepted map).
+    pub fn new(cfg: IngestConfig, shard: u64) -> Self {
+        IngestGate {
+            inner: Mutex::new(GateInner {
+                cfg,
+                floor_ticks: 0,
+                closed: false,
+                queue: VecDeque::new(),
+                queued_ids: HashSet::new(),
+                per_source: HashMap::new(),
+                accepted: HashMap::new(),
+                staged_replay: Vec::new(),
+                journal: None,
+                next_seq: 0,
+                uid_base: shard << SHARD_SHIFT,
+                stats: IngestStats::default(),
+                fail_after_append: false,
+            }),
+        }
+    }
+
+    /// A gate journaling to `path` (fresh run: an existing journal is left
+    /// in place and appended to; use [`Self::recover`] to replay one).
+    pub fn with_journal(cfg: IngestConfig, shard: u64, path: &Path) -> Result<Self, IngestError> {
+        let gate = Self::new(cfg, shard);
+        gate.lock().journal = Some(IngestJournal::open(path)?);
+        Ok(gate)
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, GateInner<P>> {
+        // A panic while holding the gate lock (worker kill chaos) must not
+        // wedge every later submission: the inner state is consistent at
+        // every await-free step, so poisoning is survivable.
+        crate::plane::lock(&self.inner)
+    }
+
+    /// Submit one request. `Some(reply)` is an immediate verdict (the slot
+    /// is dropped unused); `None` means the request is queued and `slot`
+    /// will receive the verdict at a later pump.
+    pub fn submit(&self, req: IngestRequest<P>, slot: ReplySlot) -> Option<IngestReply> {
+        let mut g = self.lock();
+        g.stats.submitted += 1;
+        if g.closed {
+            return Some(IngestReply::Closed);
+        }
+        let key = (req.source, req.id);
+        if g.accepted.contains_key(&key) || g.queued_ids.contains(&key) {
+            g.stats.duplicate += 1;
+            return Some(IngestReply::Duplicate);
+        }
+        // The floor is monotone, so a timestamp inadmissible now can never
+        // become admissible: reject at the door with the current floor.
+        if req.at.ticks() <= g.floor_ticks.saturating_add(g.cfg.guard_ticks) {
+            g.stats.rejected += 1;
+            return Some(IngestReply::Rejected {
+                floor_ticks: g.floor_ticks,
+            });
+        }
+        if g.queue.len() >= g.cfg.high_watermark {
+            g.stats.shed += 1;
+            return Some(IngestReply::Shed);
+        }
+        let used = g.per_source.get(&req.source).copied().unwrap_or(0);
+        if used >= g.cfg.source_capacity {
+            g.stats.busy += 1;
+            return Some(IngestReply::Busy {
+                retry_after_ms: g.cfg.retry_after_ms,
+            });
+        }
+        g.per_source.insert(req.source, used + 1);
+        g.queued_ids.insert(key);
+        g.queue.push_back(PendingEntry { req, slot });
+        None
+    }
+
+    /// Record a newly published GVT as the admission floor, computed *under
+    /// the gate lock* so no admission can interleave with it.
+    pub fn fence_gvt(&self, compute: impl FnOnce() -> VirtualTime) -> VirtualTime {
+        let mut g = self.lock();
+        let gvt = compute();
+        g.floor_ticks = g.floor_ticks.max(gvt.ticks());
+        gvt
+    }
+
+    /// Raise the admission floor (single-threaded runtimes where GVT
+    /// adoption and admission cannot race).
+    pub fn set_floor(&self, gvt: VirtualTime) {
+        let mut g = self.lock();
+        g.floor_ticks = g.floor_ticks.max(gvt.ticks());
+    }
+
+    /// Current admission floor in ticks.
+    pub fn floor_ticks(&self) -> u64 {
+        self.lock().floor_ticks
+    }
+
+    fn resolve(out: &mut PumpOutcome<P>, slot: ReplySlot, reply: IngestReply) {
+        match slot {
+            ReplySlot::None => {}
+            ReplySlot::Local(f) => f(reply),
+            ReplySlot::Remote { peer, key } => out.remote_replies.push((peer, key, reply)),
+        }
+    }
+
+    /// Number of distinct accepted idempotency ids.
+    pub fn accepted_count(&self) -> usize {
+        self.lock().accepted.len()
+    }
+
+    /// Whether `(source, id)` was admitted.
+    pub fn was_accepted(&self, source: u32, id: u64) -> bool {
+        self.lock().accepted.contains_key(&(source, id))
+    }
+
+    /// Queued submissions right now (bounded by `high_watermark`).
+    pub fn queued_len(&self) -> usize {
+        self.lock().queue.len()
+    }
+
+    pub fn stats(&self) -> IngestStats {
+        self.lock().stats
+    }
+
+    /// Refuse all future submissions and fail the queued ones with `Closed`.
+    pub fn close(&self) {
+        let mut g = self.lock();
+        g.closed = true;
+        let mut out = PumpOutcome::new();
+        while let Some(entry) = g.queue.pop_front() {
+            let key = (entry.req.source, entry.req.id);
+            g.queued_ids.remove(&key);
+            Self::resolve(&mut out, entry.slot, IngestReply::Closed);
+        }
+        g.per_source.clear();
+        // Remote slots have no transport here; the dist node drains its
+        // forward map on shutdown instead.
+    }
+
+    /// Arm the crash-window test hook (see `GateInner::fail_after_append`).
+    pub fn set_fail_after_append(&self, on: bool) {
+        self.lock().fail_after_append = on;
+    }
+
+    /// Stage the replay suffix returned by [`IngestGate::recover`] for
+    /// injection at the next pump of a **fresh** run. The events are
+    /// already journaled and in the accepted map, so they bypass admission
+    /// and go straight to the sink — exactly once, ahead of any new
+    /// admission. (Per-shard journals only ever hold locally-owned events —
+    /// forwarding happens before admission — so staged events never need
+    /// re-routing under an unchanged LP map.)
+    pub fn stage_replay(&self, replay: Vec<Event<P>>) {
+        self.lock().staged_replay.extend(replay);
+    }
+}
+
+impl<P: Clone + Serialize> IngestGate<P> {
+    /// Admit queued submissions against the current floor. `owned` says
+    /// whether this runtime hosts the destination LP (always true outside
+    /// `dist-rt`); `sink` receives each admitted event *while the gate lock
+    /// is held*, so no GVT fence can interleave between the admission check
+    /// and the injection. At most `max_per_pump` entries are processed.
+    pub fn pump(
+        &self,
+        mut owned: impl FnMut(LpId) -> bool,
+        sink: &mut dyn FnMut(Event<P>),
+    ) -> Result<PumpOutcome<P>, IngestError> {
+        let mut g = self.lock();
+        let mut out = PumpOutcome::new();
+        // Staged cross-process replay first: pre-admitted, pre-journaled,
+        // not charged against `max_per_pump` (a one-time, journal-bounded
+        // burst that must land before any fresh admission can outrun it).
+        for ev in std::mem::take(&mut g.staged_replay) {
+            out.injected += 1;
+            sink(ev);
+        }
+        for _ in 0..g.cfg.max_per_pump {
+            let Some(entry) = g.queue.pop_front() else {
+                break;
+            };
+            let key = (entry.req.source, entry.req.id);
+            g.queued_ids.remove(&key);
+            if let Some(n) = g.per_source.get_mut(&entry.req.source) {
+                *n = n.saturating_sub(1);
+            }
+            let admissible = entry.req.at.ticks() > g.floor_ticks.saturating_add(g.cfg.guard_ticks);
+            if !admissible {
+                g.stats.rejected += 1;
+                let floor = g.floor_ticks;
+                Self::resolve(
+                    &mut out,
+                    entry.slot,
+                    IngestReply::Rejected { floor_ticks: floor },
+                );
+                continue;
+            }
+            if !owned(entry.req.dst) {
+                out.forward.push(entry);
+                continue;
+            }
+            let seq = g.next_seq;
+            g.next_seq += 1;
+            let ev = Event {
+                key: EventKey {
+                    recv_time: entry.req.at,
+                    dst: entry.req.dst,
+                    uid: EventUid::new(INGEST_SRC, g.uid_base | seq),
+                },
+                send_time: VirtualTime::from_ticks(g.floor_ticks),
+                payload: entry.req.payload.clone(),
+            };
+            if let Some(journal) = &mut g.journal {
+                journal.append(&JournalRecord {
+                    source: entry.req.source,
+                    id: entry.req.id,
+                    event: ev.clone(),
+                })?;
+            }
+            g.accepted.insert(key, ev.clone());
+            g.stats.admitted += 1;
+            if g.fail_after_append {
+                // Crash-window simulation: journaled, never injected, no
+                // reply — exactly what a kill between append and injection
+                // leaves behind.
+                return Ok(out);
+            }
+            out.injected += 1;
+            sink(ev);
+            Self::resolve(&mut out, entry.slot, IngestReply::Accepted);
+        }
+        Ok(out)
+    }
+
+    /// Every admitted event so far, in key order — feeds the merged-stream
+    /// sequential oracle.
+    pub fn accepted_events(&self) -> Vec<Event<P>> {
+        let g = self.lock();
+        let mut evs: Vec<Event<P>> = g.accepted.values().cloned().collect();
+        evs.sort_by_key(|e| e.key);
+        evs
+    }
+
+    /// Re-inject after an **in-process** restore from a cut at `cut_gvt`:
+    /// the cut holds every accepted event with `send_time < cut_gvt`, so the
+    /// complement (`send_time ≥ cut_gvt`) is handed back to `sink` — exactly
+    /// once, from the accepted map the surviving gate still holds. A restart
+    /// from genesis passes `cut_gvt = 0` and gets everything ever accepted.
+    /// Any staged cross-process replay suffix is discarded: it is a subset
+    /// of what `sink` receives here, and letting the next pump inject it
+    /// too would commit those ids twice.
+    pub fn reinject_after_restore(&self, cut_gvt: VirtualTime, sink: &mut dyn FnMut(Event<P>)) {
+        let mut g = self.lock();
+        // `recover` pre-charged `stats.replayed` for the staged suffix; the
+        // discard hands those events to `sink` below instead, so drop the
+        // pre-charge rather than count them twice.
+        let discarded = g.staged_replay.len() as u64;
+        g.staged_replay.clear();
+        g.stats.replayed = g.stats.replayed.saturating_sub(discarded);
+        g.floor_ticks = g.floor_ticks.max(cut_gvt.ticks());
+        let mut evs: Vec<Event<P>> = g
+            .accepted
+            .values()
+            .filter(|e| e.send_time >= cut_gvt)
+            .cloned()
+            .collect();
+        evs.sort_by_key(|e| e.key);
+        g.stats.replayed += evs.len() as u64;
+        for ev in evs {
+            sink(ev);
+        }
+    }
+}
+
+impl<P: Clone + Serialize + Deserialize> IngestGate<P> {
+    /// Rebuild a gate from its journal after a **cross-process** restore
+    /// from a cut at `cut_gvt`. The accepted map is reloaded from every
+    /// journal record (so client retries still dedup), the floor starts at
+    /// the cut, and the returned events — the journal suffix with
+    /// `send_time ≥ cut_gvt` — must be re-injected by the caller, exactly
+    /// once, in the returned (key) order.
+    pub fn recover(
+        cfg: IngestConfig,
+        shard: u64,
+        path: &Path,
+        cut_gvt: VirtualTime,
+    ) -> Result<(Self, Vec<Event<P>>), IngestError> {
+        let records = IngestJournal::read_all::<P>(path)?;
+        let gate = Self::new(cfg, shard);
+        let mut replay = Vec::new();
+        {
+            let mut g = gate.lock();
+            g.floor_ticks = cut_gvt.ticks();
+            for rec in records {
+                // Resume the uid sequence past every minted seq so new
+                // admissions never collide with journaled ones.
+                let seq = rec.event.key.uid.seq & !(u64::MAX << SHARD_SHIFT);
+                g.next_seq = g.next_seq.max(seq + 1);
+                if rec.event.send_time >= cut_gvt {
+                    replay.push(rec.event.clone());
+                }
+                g.accepted.insert((rec.source, rec.id), rec.event);
+            }
+            g.stats.replayed = replay.len() as u64;
+            g.journal = Some(IngestJournal::open(path)?);
+        }
+        replay.sort_by_key(|e| e.key);
+        Ok((gate, replay))
+    }
+}

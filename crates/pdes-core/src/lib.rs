@@ -41,6 +41,7 @@ pub mod recovery;
 pub mod rng;
 pub mod sched;
 pub mod sequential;
+pub mod stall;
 pub mod stats;
 pub mod system;
 pub mod time;
@@ -51,8 +52,7 @@ pub use engine::{BatchOutcome, DeliverOutcome, Outbound, ThreadEngine};
 pub use event::{Event, EventKey, Msg};
 pub use faults::{
     chaos_filter, BackpressureFault, DelayFault, FaultCounts, FaultCursor, FaultInjector,
-    FaultKind, FaultPlan, LinkAction, LinkDelayFault, LinkDropFault, LinkDupFault, LinkFaultPlan,
-    LinkFaults, ReorderFault, RoundDump, StallDump, StragglerFault, ThreadDump, WakeupFault,
+    FaultKind, FaultPlan, ReorderFault, StragglerFault, WakeupFault,
 };
 pub use ids::{EventUid, LpId, SimThreadId};
 pub use ingest::{
@@ -74,6 +74,7 @@ pub use sequential::{
     run_sequential, run_sequential_from, run_sequential_from_with, run_sequential_with,
     SequentialResult,
 };
+pub use stall::{RoundDump, StallDump, ThreadDump};
 pub use stats::{RoundCounters, ThreadStats};
 pub use system::{AffinityPolicy, GvtMode, Scheduler, SystemConfig};
 pub use time::VirtualTime;

@@ -18,6 +18,12 @@ pub fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// The high 53 bits of `r` as a uniform `f64` in `[0, 1)`.
+#[inline]
+pub fn unit_f64(r: u64) -> f64 {
+    (r >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+}
+
 /// xoshiro256** generator with full `Clone`/`Eq` state, suitable for
 /// inclusion in rollback snapshots.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -67,7 +73,7 @@ impl DetRng {
     /// Uniform `f64` in `[0, 1)` using the high 53 bits.
     #[inline]
     pub fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        unit_f64(self.next_u64())
     }
 
     /// Uniform integer in `[0, bound)` (Lemire's method, bound > 0).

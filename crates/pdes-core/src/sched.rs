@@ -19,8 +19,9 @@
 //! behind one mutex (DESIGN.md §17); the virtual machine, single-threaded,
 //! holds it bare.
 
-use crate::faults::{FaultInjector, RoundDump};
+use crate::faults::FaultInjector;
 use crate::plane::{padded, CachePadded, MessagePlane};
+use crate::stall::RoundDump;
 use crate::system::{GvtMode, Scheduler, SystemConfig};
 use crate::time::VirtualTime;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};

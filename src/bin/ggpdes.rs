@@ -832,7 +832,7 @@ fn run_dist<M: Model>(
     let a = &c.a;
     let mut opts = c.proc.clone();
     let d = &mut opts.dcfg;
-    d.link_faults = a.chaos_seed.map(pdes_core::LinkFaultPlan::chaos);
+    d.link_faults = a.chaos_seed.map(dist_rt::LinkFaultPlan::chaos);
     d.max_recoveries = a.max_recoveries.unwrap_or(0);
     d.ckpt_every_rounds = a.checkpoint_every_gvt;
     d.watchdog = watchdog(a, Duration::from_secs(30));
