@@ -2,13 +2,14 @@
 //! configuration on the virtual machine (deterministic), on real threads
 //! (optimistic or conservative) or as a multi-shard cluster.
 //!
-//! `ggpdes --help` prints every flag with its value, its default and the
-//! runtimes that read it, generated from [`FLAGS`] — the one place a flag is
-//! declared. A flag is accepted on a runtime iff that runtime reads it
-//! (anything else exits 2 rather than being dropped); a value outside its
-//! row's range exits 2; a configuration the owning crate refuses
-//! (`DistConfig::check`, `ProcessOpts::check`, `Conservative::admit`) exits
-//! 2. What follows is what a one-line help cannot hold: the reasons.
+//! `ggpdes --help` prints every flag with its value, its default and who
+//! reads it, generated from [`FLAGS`] — the one place a flag is declared. A
+//! flag is accepted iff the chosen runtime, model and (on `dist`) loopback
+//! or multi-process half read it (anything else exits 2 rather than being
+//! dropped); a value outside its row's range exits 2; a configuration the
+//! owning crate refuses (`DistConfig::check`, `ProcessOpts::check`,
+//! `Conservative::admit`) exits 2. What follows is what a one-line help
+//! cannot hold: the reasons.
 //!
 //! Distributed runtime (`--runtime dist`): with only `--shards N` the whole
 //! cluster runs loopback in this process (one thread per shard, `--transport`
@@ -108,6 +109,7 @@
 use ggpdes::dist_rt::{self, DistError};
 use ggpdes::prelude::*;
 use pdes_core::{IngestGate, Recovered, SupervisedRun, SupervisorConfig};
+use std::io::Write;
 use std::sync::Arc;
 use std::time::Duration;
 use telemetry::TelemetryData;
@@ -126,9 +128,28 @@ const RUNTIMES: [(&str, Runtimes); 4] = [
     ("dist", DIST),
 ];
 
-/// `vm|threads` for `VM | THREADS`.
-fn runtime_names(set: Runtimes) -> String {
-    let on = RUNTIMES.iter().filter(|r| r.1 & set != 0);
+/// A set of models, one bit each.
+type Models = u8;
+const PHOLD: Models = 1;
+const EPIDEMICS: Models = 2;
+const TRAFFIC: Models = 4;
+const MODELS: [(&str, Models); 3] = [
+    ("phold", PHOLD),
+    ("epidemics", EPIDEMICS),
+    ("traffic", TRAFFIC),
+];
+
+/// The two ways `--runtime dist` runs, one bit each: the whole cluster in
+/// this process, or one shard of a multi-process mesh (any of `--shard-id`,
+/// `--listen`, `--connect` given).
+type DistModes = u8;
+const LOOPBACK: DistModes = 1;
+const MESH: DistModes = 2;
+const DIST_MODES: [(&str, DistModes); 2] = [("loopback", LOOPBACK), ("mesh", MESH)];
+
+/// `vm|threads` for `VM | THREADS` of `RUNTIMES`.
+fn names(of: &[(&str, u8)], set: u8) -> String {
+    let on = of.iter().filter(|r| r.1 & set != 0);
     on.map(|r| r.0).collect::<Vec<_>>().join("|")
 }
 
@@ -142,6 +163,9 @@ struct Flag {
     default: &'static str,
     /// The runtimes that read the flag; any other refuses it.
     on: Runtimes,
+    /// The models that read it, and the ways of running `dist` that do.
+    models: Models,
+    dist: DistModes,
     help: &'static str,
     /// Parse the value, hold it to its range, store it where it is read.
     set: fn(&mut Cli, &str) -> Result<(), String>,
@@ -160,17 +184,38 @@ const fn flag(
         val,
         default,
         on,
+        models: PHOLD | EPIDEMICS | TRAFFIC,
+        dist: LOOPBACK | MESH,
         help,
         set,
     }
 }
 
-#[derive(Clone, Copy, Default)]
-enum ModelKind {
-    #[default]
-    Phold,
-    Epidemics,
-    Traffic,
+impl Flag {
+    /// `dist loopback`: who reads the flag, for `--help` and the refusal. A
+    /// set the row does not narrow is not spelled out.
+    fn readers(&self) -> String {
+        let mut s = names(&RUNTIMES, self.on);
+        if self.dist != LOOPBACK | MESH {
+            s += &format!(" {}", names(&DIST_MODES, self.dist));
+        }
+        if self.models != PHOLD | EPIDEMICS | TRAFFIC {
+            s += &format!(", --model {}", names(&MODELS, self.models));
+        }
+        s
+    }
+
+    /// Narrow the row to the models that read the flag.
+    const fn models(mut self, models: Models) -> Flag {
+        self.models = models;
+        self
+    }
+
+    /// Narrow the row to the way of running `dist` that reads the flag.
+    const fn dist(mut self, dist: DistModes) -> Flag {
+        self.dist = dist;
+        self
+    }
 }
 
 /// What feeds the ingest gate (`--ingest`).
@@ -199,7 +244,7 @@ struct Cli {
 /// different runtimes.
 #[derive(Default)]
 struct Args {
-    model: ModelKind,
+    model: Models,
     threads: usize,
     lps: usize,
     imbalance: usize,
@@ -303,16 +348,17 @@ fn heartbeat(c: &mut Cli) -> &mut dist_rt::HeartbeatConfig {
 }
 
 /// Every flag, declared once: name, value placeholder (empty = switch),
-/// default (empty = unset), the runtimes that read it, help, setter. The
-/// parse loop, the defaults, `--help` and the per-runtime refusals are all
-/// derived from these rows. `on` is what a runtime *reads* (CHANGES.md PR 19
+/// default (empty = unset), the runtimes that read it, help, setter, and —
+/// where not all do — the models and the half of `dist`. The parse loop, the
+/// defaults, `--help` and the refusals are all derived from these rows. `on`
+/// is what a runtime *reads* (CHANGES.md PR 19
 /// has the grep behind every row): e.g. dist paces its rounds by
 /// `DistConfig::gvt_interval_cycles`, never `EngineConfig::gvt_interval`.
 #[rustfmt::skip]
 static FLAGS: &[(&str, &[Flag])] = &[
     ("Model and system", &[
         flag("--model", "phold|epidemics|traffic", "phold", ALL, "the simulation model",
-            |c, v| put(&mut c.a.model, choose(v, &[("phold", ModelKind::Phold), ("epidemics", ModelKind::Epidemics), ("traffic", ModelKind::Traffic)]))),
+            |c, v| put(&mut c.a.model, choose(v, &MODELS))),
         flag("--runtime", "vm|threads|cons|dist", "vm", ALL, "virtual machine, real threads (Time Warp), real threads (null messages), multi-shard cluster",
             |c, v| put(&mut c.a.runtime, choose(v, &RUNTIMES))),
         flag("--system", "gg|dd|baseline", "gg", VM | THREADS | CONS, "thread scheduler: GG-PDES, DD-PDES, or none (cons refuses dd)",
@@ -323,7 +369,7 @@ static FLAGS: &[(&str, &[Flag])] = &[
             |c, v| put(&mut c.sys.affinity, choose(v, &[("none", AffinityPolicy::NoAffinity), ("constant", AffinityPolicy::Constant), ("dynamic", AffinityPolicy::Dynamic)]))),
         flag("--threads", "N", "16", ALL, "simulation threads the model is laid out for (dist maps them onto --shards)", |c, v| put(&mut c.a.threads, positive(v))),
         flag("--lps-per-thread", "N", "16", ALL, "LPs per simulation thread", |c, v| put(&mut c.a.lps, positive(v))),
-        flag("--imbalance", "K", "4", ALL, "1-K imbalanced activity schedule (<= 1: balanced); must divide --threads", |c, v| put(&mut c.a.imbalance, num(v))),
+        flag("--imbalance", "K", "4", ALL, "1-K imbalanced activity schedule (<= 1: balanced); must divide --threads", |c, v| put(&mut c.a.imbalance, num(v))).models(PHOLD | EPIDEMICS),
         flag("--end", "T", "8", ALL, "simulate [0, T)", |c, v| {
                 let t = num(v).and_then(|t: f64| if t >= 0.0 && t.is_finite() { Ok(t) } else { Err("must be non-negative and finite".to_string()) })?;
                 c.ecfg.end_time = VirtualTime::from_f64(t);
@@ -365,25 +411,25 @@ static FLAGS: &[(&str, &[Flag])] = &[
     ("Distributed runtime", &[
         flag("--shards", "N", "2", DIST, "shards in the cluster", |c, v| put(&mut c.proc.dcfg.shards, num(v))),
         flag("--transport", "mem|loopback|tcp", "tcp", DIST, "loopback links: in-process memory (loopback = mem) or localhost TCP",
-            |c, v| put(&mut c.proc.dcfg.transport, choose(v, &[("mem", Transport::Mem), ("loopback", Transport::Mem), ("tcp", Transport::Tcp)]))),
+            |c, v| put(&mut c.proc.dcfg.transport, choose(v, &[("mem", Transport::Mem), ("loopback", Transport::Mem), ("tcp", Transport::Tcp)]))).dist(LOOPBACK),
     ]),
     ("Elastic membership (loopback dist)", &[
-        flag("--hb-interval-ms", "T", "", DIST, "heartbeat failure detection every T ms (unset: off)", |c, v| put(&mut heartbeat(c).interval, duration(v, 1e3))),
-        flag("--hb-miss", "N", "", DIST, "declare a peer dead after N silent intervals (switches detection on)", |c, v| put(&mut heartbeat(c).miss_threshold, num(v))),
+        flag("--hb-interval-ms", "T", "", DIST, "heartbeat failure detection every T ms (unset: off)", |c, v| put(&mut heartbeat(c).interval, duration(v, 1e3))).dist(LOOPBACK),
+        flag("--hb-miss", "N", "", DIST, "declare a peer dead after N silent intervals (switches detection on)", |c, v| put(&mut heartbeat(c).miss_threshold, num(v))).dist(LOOPBACK),
         flag("--kill-shard", "S:AT", "", DIST, "kill worker shard S at its AT-th GVT publish (repeatable)",
-            |c, v| colon_fields(v).map(|[s, at]| c.proc.dcfg.kills.push((s as usize, at)))),
+            |c, v| colon_fields(v).map(|[s, at]| c.proc.dcfg.kills.push((s as usize, at)))).dist(LOOPBACK),
         flag("--partition", "FROM:TO:ROUNDS", "", DIST, "silence one link direction for about ROUNDS GVT rounds (repeatable)",
-            |c, v| colon_fields(v).map(|[from, to, rounds]| c.proc.dcfg.partitions.push((from as usize, to as usize, rounds)))),
-        flag("--join-at", "N", "", DIST, "admit a new shard at the first cut after the N-th publish", |c, v| put(&mut c.proc.dcfg.join_at, num(v).map(Some))),
+            |c, v| colon_fields(v).map(|[from, to, rounds]| c.proc.dcfg.partitions.push((from as usize, to as usize, rounds)))).dist(LOOPBACK),
+        flag("--join-at", "N", "", DIST, "admit a new shard at the first cut after the N-th publish", |c, v| put(&mut c.proc.dcfg.join_at, num(v).map(Some))).dist(LOOPBACK),
         flag("--leave-at", "S:N", "", DIST, "drain worker shard S out at the first cut after the N-th publish",
-            |c, v| put(&mut c.proc.dcfg.leave_at, colon_fields(v).map(|[s, n]| Some((s as usize, n))))),
-        flag("--degrade", "", "", DIST, "shrink around a dead shard once --max-recoveries is spent", |c, _| put(&mut c.proc.dcfg.degrade, Ok(true))),
+            |c, v| put(&mut c.proc.dcfg.leave_at, colon_fields(v).map(|[s, n]| Some((s as usize, n))))).dist(LOOPBACK),
+        flag("--degrade", "", "", DIST, "shrink around a dead shard once --max-recoveries is spent", |c, _| put(&mut c.proc.dcfg.degrade, Ok(true))).dist(LOOPBACK),
     ]),
     ("Multi-process mesh (dist)", &[
         flag("--shard-id", "I", "", DIST, "run only shard I of the cluster in this process", |c, v| put(&mut c.proc.shard, num(v))),
         flag("--listen", "ADDR", "", DIST, "where this shard accepts the higher shards", |c, v| put(&mut c.proc.listen, Ok(v.into()))),
         flag("--connect", "ADDR", "", DIST, "listen address of a lower shard, in shard order (repeatable)", |c, v| { c.proc.connect.push(v.into()); Ok(()) }),
-        flag("--connect-timeout-secs", "T", "10", DIST, "give up on the mesh handshake after T s", |c, v| put(&mut c.proc.dcfg.mesh_timeout, duration(v, 1.0))),
+        flag("--connect-timeout-secs", "T", "10", DIST, "give up on the mesh handshake after T s", |c, v| put(&mut c.proc.dcfg.mesh_timeout, duration(v, 1.0))).dist(MESH),
     ]),
     ("Telemetry (off unless one of --trace-out, --round-stream, --gantt is given)", &[
         flag("--trace-out", "FILE", "", ALL, "write a Chrome trace_event JSON", |c, v| put(&mut c.a.trace_out, Ok(Some(v.into())))),
@@ -409,15 +455,21 @@ fn usage() -> String {
     let mut s = String::from(
         "ggpdes - run a PDES model under one of the paper's systems on one of four runtimes\n\n\
          usage: ggpdes [--flag VALUE]...        (--help prints this)\n\n\
-         Each flag shows [its default] and the runtimes that read it; a flag given to a\n\
-         runtime that does not read it is refused, not ignored.\n",
+         Each flag shows [its default] and who reads it: the runtimes, the way of running\n\
+         dist (loopback = the whole cluster in this process, mesh = one shard of it, chosen\n\
+         by --shard-id/--listen/--connect) and the models, where not all do. A flag given\n\
+         where it is not read is refused, not ignored.\n",
     );
     for (group, rows) in FLAGS {
         s += &format!("\n{group}:\n");
         for f in *rows {
             let default = if f.default.is_empty() { "-" } else { f.default };
-            let (head, on) = (format!("{} {}", f.name, f.val), runtime_names(f.on));
-            s += &format!("  {head:<40} [{default}]  ({on})\n        {}\n", f.help);
+            let head = format!("{} {}", f.name, f.val);
+            s += &format!(
+                "  {head:<40} [{default}]  ({})\n        {}\n",
+                f.readers(),
+                f.help
+            );
         }
     }
     s
@@ -448,11 +500,22 @@ impl Cli {
     fn given(&self, name: &str) -> bool {
         self.given.iter().any(|f| f.name == name)
     }
+
+    /// How `--runtime dist` would run this command line (every other
+    /// runtime reads every `dist`-mode row).
+    fn dist_mode(&self) -> DistModes {
+        let mesh = ["--shard-id", "--listen", "--connect"];
+        match (self.a.runtime, mesh.iter().any(|f| self.given(f))) {
+            (DIST, true) => MESH,
+            (DIST, false) => LOOPBACK,
+            _ => LOOPBACK | MESH,
+        }
+    }
 }
 
 /// The command line as a [`Cli`], or the one-line reason it is refused:
 /// an unknown flag, a value outside its row's range, or a flag the chosen
-/// runtime does not read.
+/// runtime, model or half of `dist` does not read.
 fn parse(argv: &[String]) -> Result<Cli, String> {
     let mut c = Cli::new();
     let mut it = argv.iter();
@@ -467,9 +530,12 @@ fn parse(argv: &[String]) -> Result<Cli, String> {
         c.given.push(f);
     }
     c.tel.enabled = c.a.trace_out.is_some() || c.a.round_stream.is_some() || c.a.gantt;
-    if let Some(f) = c.given.iter().find(|f| f.on & c.a.runtime == 0) {
-        let on = runtime_names(f.on);
-        return Err(format!("{} is read only by --runtime {on}", f.name));
+    let (a, mode) = (&c.a, c.dist_mode());
+    let unread =
+        |f: &&&Flag| f.on & a.runtime == 0 || f.models & a.model == 0 || f.dist & mode == 0;
+    if let Some(f) = c.given.iter().find(unread) {
+        let who = f.readers();
+        return Err(format!("{} is read only by --runtime {who}", f.name));
     }
     Ok(c)
 }
@@ -501,46 +567,65 @@ fn watchdog(a: &Args, fallback: Duration) -> Option<Duration> {
     Some(a.watchdog.unwrap_or(fallback)).filter(|d| !d.is_zero())
 }
 
-fn report(m: &RunMetrics, json: bool) {
-    if json {
-        println!("{}", serde_json::to_string_pretty(m).expect("serialize"));
-        return;
+/// What a finished write to stdout came to: a reader that closed the pipe
+/// early (`ggpdes … | head -1`) has what it wanted; anything else is fatal.
+fn stdout_done(written: std::io::Result<()>) {
+    match written {
+        Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => die(1, &format!("stdout: {e}")),
+        _ => {}
     }
-    println!("system                : {}", m.system);
-    println!("threads               : {}", m.threads);
-    println!("LPs                   : {}", m.lps);
-    println!("committed events      : {}", m.committed);
-    println!("processed events      : {}", m.processed);
-    println!(
+}
+
+fn report(out: &mut impl Write, m: &RunMetrics, json: bool) -> std::io::Result<()> {
+    if json {
+        return writeln!(
+            out,
+            "{}",
+            serde_json::to_string_pretty(m).expect("serialize")
+        );
+    }
+    writeln!(out, "system                : {}", m.system)?;
+    writeln!(out, "threads               : {}", m.threads)?;
+    writeln!(out, "LPs                   : {}", m.lps)?;
+    writeln!(out, "committed events      : {}", m.committed)?;
+    writeln!(out, "processed events      : {}", m.processed)?;
+    writeln!(
+        out,
         "rolled back           : {} ({:.1}%)",
         m.rolled_back,
         m.rollback_ratio() * 100.0
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "committed event rate  : {:.0} events/s",
         m.committed_event_rate()
-    );
-    println!("GVT rounds            : {}", m.gvt_rounds);
-    println!("GVT s/round (Σthreads): {:.6}", m.gvt_secs_per_round());
-    println!("max de-scheduled      : {}", m.max_descheduled);
-    println!("voluntary yields      : {}", m.voluntary_yields);
+    )?;
+    writeln!(out, "GVT rounds            : {}", m.gvt_rounds)?;
+    writeln!(out, "GVT s/round (Σthreads): {:.6}", m.gvt_secs_per_round())?;
+    writeln!(out, "max de-scheduled      : {}", m.max_descheduled)?;
+    writeln!(out, "voluntary yields      : {}", m.voluntary_yields)?;
     if m.protocol == "conservative" {
-        println!("protocol              : {}", m.protocol);
-        println!("null messages sent    : {}", m.null_messages_sent);
-        println!("LBTS rounds           : {}", m.lbts_rounds);
+        writeln!(out, "protocol              : {}", m.protocol)?;
+        writeln!(out, "null messages sent    : {}", m.null_messages_sent)?;
+        writeln!(out, "LBTS rounds           : {}", m.lbts_rounds)?;
     }
-    println!("wall seconds          : {:.4}", m.wall_secs);
+    writeln!(out, "wall seconds          : {:.4}", m.wall_secs)
 }
 
 /// Write the trace artifacts the CLI asked for from the run's collected
 /// telemetry (absent on runs that never produce one, e.g. worker shards).
-fn emit_telemetry(c: &Cli, data: &Option<TelemetryData>, threads: usize) {
+fn emit_telemetry(
+    c: &Cli,
+    out: &mut impl Write,
+    data: &Option<TelemetryData>,
+    threads: usize,
+) -> std::io::Result<()> {
     if !c.tel.enabled {
-        return;
+        return Ok(());
     }
     let Some(data) = data else {
         eprintln!("telemetry: no trace collected (run produced no telemetry)");
-        return;
+        return Ok(());
     };
     if data.total_dropped() > 0 {
         eprintln!(
@@ -567,11 +652,10 @@ fn emit_telemetry(c: &Cli, data: &Option<TelemetryData>, threads: usize) {
     if c.a.gantt {
         let transitions = metrics::transitions_from_trace(data, threads);
         let horizon = metrics::trace_horizon(data);
-        print!(
-            "{}",
-            metrics::render_gantt(&transitions, threads, horizon, 72)
-        );
+        let gantt = metrics::render_gantt(&transitions, threads, horizon, 72);
+        out.write_all(gantt.as_bytes())?;
     }
+    Ok(())
 }
 
 /// Resolve the fault plan from `--chaos-plan` (full JSON) or `--chaos-seed`
@@ -804,16 +888,17 @@ fn finish_degraded<M: Model>(
     if c.a.verify {
         verify(model, &c.ecfg, extra, seq.commit_digest);
     }
-    if c.a.json {
-        println!(
-            "{{\"degraded\":true,\"committed\":{},\"commit_digest\":{}}}",
-            seq.committed, seq.commit_digest
-        );
+    let (n, digest) = (seq.committed, seq.commit_digest);
+    let text = if c.a.json {
+        format!("{{\"degraded\":true,\"committed\":{n},\"commit_digest\":{digest}}}\n")
     } else {
-        println!("degraded to sequential     : yes");
-        println!("committed events           : {}", seq.committed);
-        println!("commit digest              : {:#018x}", seq.commit_digest);
-    }
+        format!(
+            "degraded to sequential     : yes\n\
+             committed events           : {n}\n\
+             commit digest              : {digest:#018x}\n"
+        )
+    };
+    stdout_done(std::io::stdout().lock().write_all(text.as_bytes()));
     std::process::exit(0);
 }
 
@@ -841,24 +926,12 @@ fn run_dist<M: Model>(
 
     // CLI policy on top of what dist-rt checks: the scripted victim is a
     // worker (the library also recovers a killed coordinator, by replay —
-    // not what these flags are for), and the elastic scripts are the
-    // loopback supervisor's.
+    // not what these flags are for).
     let mut victims = d.kills.iter().map(|k| k.0).chain(d.leave_at.map(|l| l.0));
     if victims.any(|s| s == 0) {
         die(2, "--kill-shard / --leave-at 0: not a worker shard");
     }
-    let multi_process = ["--shard-id", "--listen", "--connect"]
-        .iter()
-        .any(|f| c.given(f));
-    let scripted = !d.kills.is_empty() || !d.partitions.is_empty() || d.degrade;
-    let reshaped = d.join_at.is_some() || d.leave_at.is_some();
-    if multi_process && (scripted || reshaped || d.heartbeat.is_some()) {
-        die(
-            2,
-            "elastic-membership flags (--kill-shard/--partition/--join-at/--leave-at/\
-             --degrade/--hb-*) need the loopback supervisor; drop --shard-id/--listen/--connect",
-        );
-    }
+    let multi_process = c.dist_mode() == MESH;
     if multi_process && !c.given("--shard-id") {
         die(
             2,
@@ -1036,8 +1109,10 @@ fn run<M: Model>(model: Arc<M>, c: &Cli, synth: Synth<M>) {
     if a.verify {
         verify(&model, &c.ecfg, &accepted, metrics.commit_digest);
     }
-    report(&metrics, a.json);
-    emit_telemetry(c, &tel, metrics.threads);
+    // The report and the gantt leave through one locked handle.
+    let out = &mut std::io::stdout().lock();
+    let printed = report(out, &metrics, a.json);
+    stdout_done(printed.and_then(|()| emit_telemetry(c, out, &tel, metrics.threads)));
     if let Some(path) = &a.stats_json {
         let text = serde_json::to_string_pretty(&metrics).expect("serialize metrics");
         write_out("--stats-json", path, text);
@@ -1058,13 +1133,12 @@ fn activity_groups(a: &Args, k: usize) -> usize {
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     if argv.iter().any(|a| a == "--help" || a == "-h") {
-        print!("{}", usage());
-        return;
+        return stdout_done(std::io::stdout().lock().write_all(usage().as_bytes()));
     }
     let c = parse(&argv).unwrap_or_else(|e| die(2, &e));
     let a = &c.a;
     match a.model {
-        ModelKind::Phold => {
+        PHOLD => {
             let cfg = if a.imbalance <= 1 {
                 PholdConfig::balanced(a.threads, a.lps)
             } else {
@@ -1075,12 +1149,12 @@ fn main() {
             // works without a script.
             run(Arc::new(Phold::new(cfg)), &c, Some(|_| ()));
         }
-        ModelKind::Epidemics => {
+        EPIDEMICS => {
             let groups = activity_groups(a, a.imbalance.max(2));
             let cfg = EpidemicsConfig::new(a.threads, a.lps, groups, a.end);
             run(Arc::new(Epidemics::new(cfg)), &c, None);
         }
-        ModelKind::Traffic => {
+        _ => {
             let mut cfg = TrafficConfig::new(a.threads, a.lps, 0.5);
             cfg.mapping = MapKind::Block;
             run(Arc::new(Traffic::new(cfg)), &c, None);
@@ -1115,21 +1189,58 @@ mod tests {
         Cli::new();
     }
 
+    /// Every row against every runtime, model and way of running dist: the
+    /// flag is accepted exactly where its row says it is read, and each
+    /// refusal is the one line naming who does read it.
     #[test]
     fn a_runtime_accepts_a_flag_iff_it_reads_it() {
-        for (rt, bit) in RUNTIMES {
-            for f in flags().filter(|f| f.name != "--runtime") {
-                let mut argv = vec!["--runtime".to_string(), rt.into(), f.name.into()];
-                argv.extend((!f.val.is_empty()).then(|| sample(f)));
+        for ((rt, rbit), (model, mbit)) in RUNTIMES.iter().flat_map(|r| MODELS.map(|m| (*r, m))) {
+            let ways: &[DistModes] = match rbit {
+                DIST => &[LOOPBACK, MESH],
+                _ => &[LOOPBACK | MESH],
+            };
+            let rows = flags().filter(|f| !["--runtime", "--model"].contains(&f.name));
+            for (f, &way) in rows.flat_map(|f| ways.iter().map(move |w| (f, w))) {
+                let mut argv = vec!["--runtime", rt, "--model", model, f.name];
+                let value = sample(f);
+                argv.extend((!f.val.is_empty()).then_some(value.as_str()));
+                argv.extend(
+                    (way == MESH)
+                        .then_some(["--shard-id", "1"])
+                        .into_iter()
+                        .flatten(),
+                );
+                let argv: Vec<String> = argv.into_iter().map(Into::into).collect();
+                let read = f.on & rbit != 0 && f.models & mbit != 0 && f.dist & way != 0;
+                let at = format!("{} on {rt}, model {model}, dist way {way}", f.name);
                 match parse(&argv) {
-                    Ok(_) => assert!(f.on & bit != 0, "{} is dropped on {rt}", f.name),
+                    Ok(_) => assert!(read, "{at}: dropped"),
                     Err(e) => {
-                        assert!(f.on & bit == 0, "{} is refused on {rt}: {e}", f.name);
+                        assert!(!read, "{at}: refused: {e}");
                         let want = format!("{} is read only by --runtime ", f.name);
                         assert!(e.starts_with(&want) && e.lines().count() == 1, "{e}");
                     }
                 }
             }
+        }
+        // What PR 19 found and left: a model, and each half of dist.
+        for (argv, readers) in [
+            (
+                "--model traffic --imbalance 3",
+                "--imbalance is read only by --runtime vm|threads|cons|dist, \
+                 --model phold|epidemics",
+            ),
+            (
+                "--runtime dist --shard-id 1 --transport tcp",
+                "--transport is read only by --runtime dist loopback",
+            ),
+            (
+                "--runtime dist --connect-timeout-secs 3",
+                "--connect-timeout-secs is read only by --runtime dist mesh",
+            ),
+        ] {
+            let argv: Vec<String> = argv.split(' ').map(Into::into).collect();
+            assert_eq!(parse(&argv).err().as_deref(), Some(readers));
         }
     }
 }

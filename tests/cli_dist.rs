@@ -241,6 +241,11 @@ fn bad_values_and_refused_combinations_are_a_one_line_exit_2() {
         vec!["--runtime", "threads", "--kill-shard", "1:2"],
         vec!["--runtime", "vm", "--listen", "nowhere"],
         vec!["--runtime", "cons", "--hb-miss", "1"],
+        // A flag the chosen model, or the chosen half of dist, does not read.
+        vec!["--model", "traffic", "--imbalance", "3"],
+        vec!["--runtime", "dist", "--shard-id", "1", "--transport", "tcp"],
+        vec!["--runtime", "dist", "--connect-timeout-secs", "3"],
+        vec!["--runtime", "dist", "--gvt-interval", "5"],
         // Values outside their flag's range: these panicked (exit 101) or,
         // for the NaN watchdog, armed a 0 ns bound that tripped at once.
         vec!["--snapshot-period", "0"],
@@ -272,6 +277,44 @@ fn bad_values_and_refused_combinations_are_a_one_line_exit_2() {
             "{args:?}: want one friendly line, got {err}"
         );
     }
+}
+
+/// Link faults are `--runtime dist`'s own flags; a `--chaos-plan` that names
+/// one is refused, not read past.
+#[test]
+fn a_chaos_plan_naming_a_link_partition_is_a_one_line_exit_2() {
+    let plan = tmp_path("link-plan.json");
+    let kill = r#"{"LinkPartition": {"from": 0, "to": 1, "for_rounds": 4}}"#;
+    std::fs::write(&plan, format!(r#"{{"seed": 1, "kills": [{kill}]}}"#)).expect("write plan");
+    let out = run_bounded(
+        &["--end", "2", "--chaos-plan", plan.to_str().expect("utf-8")],
+        Duration::from_secs(30),
+    );
+    let _ = std::fs::remove_file(&plan);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{err}");
+    assert!(
+        err.starts_with("ggpdes: ") && err.contains("unknown variant `LinkPartition`"),
+        "{err}"
+    );
+    assert_eq!(err.trim_end().lines().count(), 1, "{err}");
+}
+
+/// A reader that closes stdout early (`ggpdes … | head -1`) is not a crash:
+/// the report and the gantt stop quietly, nothing panics.
+#[test]
+fn a_closed_stdout_is_not_a_panic() {
+    let mut child = Command::new(BIN)
+        .args(["--runtime", "vm", "--end", "4", "--json", "--gantt"])
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawn ggpdes");
+    drop(child.stdout.take()); // the read end goes before the run prints
+    let out = child.wait_with_output().expect("collect output");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(!err.contains("panicked"), "{err}");
+    assert_eq!(out.status.code(), Some(0), "{err}");
 }
 
 /// The `(scheduler, gvt)` pairs the conservative runtime accepts report the
