@@ -1,7 +1,7 @@
 //! # ggpdes-bench — experiment definitions for every figure and table
 //!
 //! One place defines the workloads, scales, and system line-ups of the
-//! paper's evaluation (§6); the `repro` binary and the criterion benches
+//! paper's evaluation (§6); the `repro` binary and the ablation tests
 //! both draw from here so the numbers they print come from identical
 //! configurations.
 //!

@@ -36,7 +36,7 @@ pub struct Scale {
 }
 
 impl Scale {
-    /// Tiny scale for CI and criterion benches (4 cores × 2 SMT).
+    /// Tiny scale for CI and the ablation tests (4 cores × 2 SMT).
     pub fn quick() -> Self {
         Scale {
             name: "quick",

@@ -93,18 +93,9 @@ pub struct LinkFaults {
     n: u64,
     drops_left: u64,
     dups_left: u64,
-    /// Frames dropped / duplicated / delayed so far (observability).
-    pub dropped: u64,
-    pub duplicated: u64,
-    pub delayed: u64,
 }
 
 impl LinkFaults {
-    /// An inert decider: every frame is `Deliver`.
-    pub fn disabled() -> Self {
-        Self::new(&LinkFaultPlan::default(), 0, 0)
-    }
-
     pub fn new(plan: &LinkFaultPlan, src: usize, dst: usize) -> Self {
         let mut key = plan
             .seed
@@ -116,9 +107,6 @@ impl LinkFaults {
             n: 0,
             drops_left: plan.drop.map_or(0, |d| d.max_drops),
             dups_left: plan.duplicate.map_or(0, |d| d.max_dups),
-            dropped: 0,
-            duplicated: 0,
-            delayed: 0,
         }
     }
 
@@ -137,7 +125,6 @@ impl LinkFaults {
             let hit = unit_f64(self.roll()) < d.prob;
             if hit && self.drops_left > 0 {
                 self.drops_left -= 1;
-                self.dropped += 1;
                 return LinkAction::Drop;
             }
         }
@@ -145,14 +132,12 @@ impl LinkFaults {
             let hit = unit_f64(self.roll()) < d.prob;
             if hit && self.dups_left > 0 {
                 self.dups_left -= 1;
-                self.duplicated += 1;
                 return LinkAction::Duplicate;
             }
         }
         if let Some(d) = self.plan.delay {
             if unit_f64(self.roll()) < d.prob && d.max_pumps > 0 {
                 let pumps = 1 + (self.roll() % u64::from(d.max_pumps)) as u32;
-                self.delayed += 1;
                 return LinkAction::Delay(pumps);
             }
         }
@@ -201,8 +186,6 @@ mod tests {
             acts.iter().filter(|a| **a == LinkAction::Duplicate).count(),
             2
         );
-        assert_eq!(lf.dropped, 3);
-        assert_eq!(lf.duplicated, 2);
     }
 
     #[test]
@@ -227,7 +210,7 @@ mod tests {
 
     #[test]
     fn disabled_link_faults_always_deliver() {
-        let mut lf = LinkFaults::disabled();
+        let mut lf = LinkFaults::new(&LinkFaultPlan::default(), 0, 1);
         assert!((0..64).all(|_| lf.decide() == LinkAction::Deliver));
     }
 }

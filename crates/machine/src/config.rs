@@ -7,8 +7,9 @@ use serde::{Deserialize, Serialize};
 /// These constants only need to be *relatively* plausible: the reproduced
 /// figures are committed-event-rate ratios between systems, which are driven
 /// by who occupies hardware contexts and how long synchronization takes, not
-/// by the absolute magnitude of any single cost. `bench/ablation` perturbs
-/// them to show the figure shapes are robust.
+/// by the absolute magnitude of any single cost (`bench/tests/ablation.rs`
+/// halves and doubles the runtime's `SimCost` to show the figure shapes are
+/// robust).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CostModel {
     /// Cost of switching a hardware context between two different tasks.

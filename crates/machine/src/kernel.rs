@@ -277,10 +277,6 @@ impl Kernel {
         id
     }
 
-    pub fn state_of(&self, task: TaskId) -> TState {
-        self.meta[task.index()].state
-    }
-
     // ---- scheduling -----------------------------------------------------
 
     fn cpu_load(&self, cpu: usize) -> usize {
@@ -725,14 +721,20 @@ mod tests {
         k.set_affinity(waiter, None); // stealable, queued behind `busy`
         k.yield_context(yielder);
         assert!(matches!(
-            k.state_of(yielder),
+            k.meta[yielder.index()].state,
             TState::Running { cpu: 0, .. }
         ));
-        assert!(matches!(k.state_of(waiter), TState::Runnable { cpu: 1 }));
+        assert!(matches!(
+            k.meta[waiter.index()].state,
+            TState::Runnable { cpu: 1 }
+        ));
         assert_eq!((k.voluntary_yields, k.ctx_switches), (1, 2));
         // Going idle, by contrast, does pull the waiter over.
         k.free_context(yielder);
-        assert!(matches!(k.state_of(waiter), TState::Running { cpu: 0, .. }));
+        assert!(matches!(
+            k.meta[waiter.index()].state,
+            TState::Running { cpu: 0, .. }
+        ));
     }
 
     #[test]

@@ -26,7 +26,7 @@ mod report;
 mod task;
 
 pub use config::{CostModel, MachineConfig};
-pub use kernel::{Deadlock, Kernel, TState};
+pub use kernel::{Deadlock, Kernel};
 pub use machine::Machine;
 pub use report::{CpuReport, Report, TaskReport};
 pub use task::{Ctx, MutexId, SemId, Step, Task, TaskId, WorkTag};

@@ -1,9 +1,9 @@
 //! ASCII activity gantt: render per-thread scheduled-in/out intervals the
 //! way the paper's Figure 1 sketches them.
 //!
-//! Input is the transition list produced by `sim_rt::SimResult::timeline`
-//! or derived from a collected trace via [`transitions_from_trace`]:
-//! `(time, thread, scheduled_in)`. Threads start scheduled-in.
+//! Input is the transition list [`transitions_from_trace`] derives from a
+//! collected trace: `(time, thread, scheduled_in)`. Threads start
+//! scheduled-in.
 
 use telemetry::{EventKind, TelemetryData};
 

@@ -6,6 +6,7 @@ use super::{IngestConfig, IngestError, IngestReply, IngestRequest, IngestStats};
 use super::{INGEST_SRC, SHARD_SHIFT};
 use crate::event::{Event, EventKey};
 use crate::ids::{EventUid, LpId};
+use crate::plane::lock;
 use crate::time::VirtualTime;
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -79,6 +80,9 @@ struct GateInner<P> {
 /// admission pumping, and GVT fencing — see the module docs for why that
 /// mutual exclusion is the admission-safety argument.
 pub struct IngestGate<P> {
+    /// Taken through [`lock`]: a panic while holding it (worker-kill chaos)
+    /// must not wedge every later submission, and the state is consistent
+    /// at every step, so poisoning is survivable.
     inner: Mutex<GateInner<P>>,
 }
 
@@ -109,22 +113,15 @@ impl<P> IngestGate<P> {
     /// in place and appended to; use [`Self::recover`] to replay one).
     pub fn with_journal(cfg: IngestConfig, shard: u64, path: &Path) -> Result<Self, IngestError> {
         let gate = Self::new(cfg, shard);
-        gate.lock().journal = Some(IngestJournal::open(path)?);
+        lock(&gate.inner).journal = Some(IngestJournal::open(path)?);
         Ok(gate)
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, GateInner<P>> {
-        // A panic while holding the gate lock (worker kill chaos) must not
-        // wedge every later submission: the inner state is consistent at
-        // every await-free step, so poisoning is survivable.
-        crate::plane::lock(&self.inner)
     }
 
     /// Submit one request. `Some(reply)` is an immediate verdict (the slot
     /// is dropped unused); `None` means the request is queued and `slot`
     /// will receive the verdict at a later pump.
     pub fn submit(&self, req: IngestRequest<P>, slot: ReplySlot) -> Option<IngestReply> {
-        let mut g = self.lock();
+        let mut g = lock(&self.inner);
         g.stats.submitted += 1;
         if g.closed {
             return Some(IngestReply::Closed);
@@ -162,7 +159,7 @@ impl<P> IngestGate<P> {
     /// Record a newly published GVT as the admission floor, computed *under
     /// the gate lock* so no admission can interleave with it.
     pub fn fence_gvt(&self, compute: impl FnOnce() -> VirtualTime) -> VirtualTime {
-        let mut g = self.lock();
+        let mut g = lock(&self.inner);
         let gvt = compute();
         g.floor_ticks = g.floor_ticks.max(gvt.ticks());
         gvt
@@ -171,13 +168,13 @@ impl<P> IngestGate<P> {
     /// Raise the admission floor (single-threaded runtimes where GVT
     /// adoption and admission cannot race).
     pub fn set_floor(&self, gvt: VirtualTime) {
-        let mut g = self.lock();
+        let mut g = lock(&self.inner);
         g.floor_ticks = g.floor_ticks.max(gvt.ticks());
     }
 
     /// Current admission floor in ticks.
     pub fn floor_ticks(&self) -> u64 {
-        self.lock().floor_ticks
+        lock(&self.inner).floor_ticks
     }
 
     fn resolve(out: &mut PumpOutcome<P>, slot: ReplySlot, reply: IngestReply) {
@@ -190,26 +187,26 @@ impl<P> IngestGate<P> {
 
     /// Number of distinct accepted idempotency ids.
     pub fn accepted_count(&self) -> usize {
-        self.lock().accepted.len()
+        lock(&self.inner).accepted.len()
     }
 
     /// Whether `(source, id)` was admitted.
     pub fn was_accepted(&self, source: u32, id: u64) -> bool {
-        self.lock().accepted.contains_key(&(source, id))
+        lock(&self.inner).accepted.contains_key(&(source, id))
     }
 
     /// Queued submissions right now (bounded by `high_watermark`).
     pub fn queued_len(&self) -> usize {
-        self.lock().queue.len()
+        lock(&self.inner).queue.len()
     }
 
     pub fn stats(&self) -> IngestStats {
-        self.lock().stats
+        lock(&self.inner).stats
     }
 
     /// Refuse all future submissions and fail the queued ones with `Closed`.
     pub fn close(&self) {
-        let mut g = self.lock();
+        let mut g = lock(&self.inner);
         g.closed = true;
         let mut out = PumpOutcome::new();
         while let Some(entry) = g.queue.pop_front() {
@@ -224,7 +221,7 @@ impl<P> IngestGate<P> {
 
     /// Arm the crash-window test hook (see `GateInner::fail_after_append`).
     pub fn set_fail_after_append(&self, on: bool) {
-        self.lock().fail_after_append = on;
+        lock(&self.inner).fail_after_append = on;
     }
 
     /// Stage the replay suffix returned by [`IngestGate::recover`] for
@@ -235,7 +232,7 @@ impl<P> IngestGate<P> {
     /// forwarding happens before admission — so staged events never need
     /// re-routing under an unchanged LP map.)
     pub fn stage_replay(&self, replay: Vec<Event<P>>) {
-        self.lock().staged_replay.extend(replay);
+        lock(&self.inner).staged_replay.extend(replay);
     }
 }
 
@@ -250,7 +247,7 @@ impl<P: Clone + Serialize> IngestGate<P> {
         mut owned: impl FnMut(LpId) -> bool,
         sink: &mut dyn FnMut(Event<P>),
     ) -> Result<PumpOutcome<P>, IngestError> {
-        let mut g = self.lock();
+        let mut g = lock(&self.inner);
         let mut out = PumpOutcome::new();
         // Staged cross-process replay first: pre-admitted, pre-journaled,
         // not charged against `max_per_pump` (a one-time, journal-bounded
@@ -319,7 +316,7 @@ impl<P: Clone + Serialize> IngestGate<P> {
     /// Every admitted event so far, in key order — feeds the merged-stream
     /// sequential oracle.
     pub fn accepted_events(&self) -> Vec<Event<P>> {
-        let g = self.lock();
+        let g = lock(&self.inner);
         let mut evs: Vec<Event<P>> = g.accepted.values().cloned().collect();
         evs.sort_by_key(|e| e.key);
         evs
@@ -334,7 +331,7 @@ impl<P: Clone + Serialize> IngestGate<P> {
     /// of what `sink` receives here, and letting the next pump inject it
     /// too would commit those ids twice.
     pub fn reinject_after_restore(&self, cut_gvt: VirtualTime, sink: &mut dyn FnMut(Event<P>)) {
-        let mut g = self.lock();
+        let mut g = lock(&self.inner);
         // `recover` pre-charged `stats.replayed` for the staged suffix; the
         // discard hands those events to `sink` below instead, so drop the
         // pre-charge rather than count them twice.
@@ -373,7 +370,7 @@ impl<P: Clone + Serialize + Deserialize> IngestGate<P> {
         let gate = Self::new(cfg, shard);
         let mut replay = Vec::new();
         {
-            let mut g = gate.lock();
+            let mut g = lock(&gate.inner);
             g.floor_ticks = cut_gvt.ticks();
             for rec in records {
                 // Resume the uid sequence past every minted seq so new

@@ -118,12 +118,6 @@ impl RunConfig {
         self
     }
 
-    /// Persist checkpoints to `path` (atomic rename-into-place).
-    pub fn with_checkpoint_path(mut self, path: PathBuf) -> Self {
-        self.checkpoint_path = Some(path);
-        self
-    }
-
     /// Enable live telemetry (per-thread tracing + GVT-round snapshots).
     pub fn with_telemetry(mut self, telemetry: telemetry::TelemetryConfig) -> Self {
         self.telemetry = telemetry;

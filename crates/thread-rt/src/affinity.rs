@@ -53,28 +53,6 @@ pub fn pin_to_core(_tid: OsTid, _core: usize) -> bool {
     false
 }
 
-/// Clear the pin (allow all cores).
-#[cfg(target_os = "linux")]
-pub fn unpin(tid: OsTid) -> bool {
-    unsafe {
-        let mut set: libc::cpu_set_t = std::mem::zeroed();
-        libc::CPU_ZERO(&mut set);
-        for c in 0..num_cores().min(libc::CPU_SETSIZE as usize) {
-            libc::CPU_SET(c, &mut set);
-        }
-        libc::sched_setaffinity(
-            tid.0 as libc::pid_t,
-            std::mem::size_of::<libc::cpu_set_t>(),
-            &set,
-        ) == 0
-    }
-}
-
-#[cfg(not(target_os = "linux"))]
-pub fn unpin(_tid: OsTid) -> bool {
-    false
-}
-
 /// [`pin_to_core`], counting a rejection in `failures` (the `pin_failures`
 /// run metric) and logging the first one — once per process: a host that
 /// rejects one pin typically rejects them all, and repeating the warning per
@@ -125,8 +103,9 @@ mod tests {
         if cfg!(not(target_os = "linux")) {
             return;
         }
-        assert!(pin_to_core(current_tid(), 0), "core 0 always exists");
-        assert!(unpin(current_tid()));
+        // On a thread of its own, so the pin ends with it.
+        let pinned = std::thread::spawn(|| pin_to_core(current_tid(), 0));
+        assert!(pinned.join().expect("join"), "core 0 always exists");
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! take the lock once per batch, not once per message), the cache-padded
 //! `active_threads` array, round membership, Algorithms 1, 2 and 4 — is
 //! `pdes_core`'s, shared with the virtual machine; this crate adds what
-//! real threads wait on (parking-lot semaphores as `sem_locks`, barriers)
+//! real threads wait on (mutex + condvar semaphores as `sem_locks`, barriers)
 //! and `sched_setaffinity` for the three affinity policies.
 //!
 //! The worker loop, the GVT round and the attempt runner are generic over a

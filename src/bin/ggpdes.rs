@@ -464,12 +464,8 @@ fn usage() -> String {
         s += &format!("\n{group}:\n");
         for f in *rows {
             let default = if f.default.is_empty() { "-" } else { f.default };
-            let head = format!("{} {}", f.name, f.val);
-            s += &format!(
-                "  {head:<40} [{default}]  ({})\n        {}\n",
-                f.readers(),
-                f.help
-            );
+            let (head, who) = (format!("{} {}", f.name, f.val), f.readers());
+            s += &format!("  {head:<40} [{default}]  ({who})\n        {}\n", f.help);
         }
     }
     s
@@ -578,11 +574,8 @@ fn stdout_done(written: std::io::Result<()>) {
 
 fn report(out: &mut impl Write, m: &RunMetrics, json: bool) -> std::io::Result<()> {
     if json {
-        return writeln!(
-            out,
-            "{}",
-            serde_json::to_string_pretty(m).expect("serialize")
-        );
+        let text = serde_json::to_string_pretty(m).expect("serialize");
+        return writeln!(out, "{text}");
     }
     writeln!(out, "system                : {}", m.system)?;
     writeln!(out, "threads               : {}", m.threads)?;

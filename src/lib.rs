@@ -17,7 +17,7 @@
 //!   scale on any host;
 //! * [`thread_rt`] — the same engine and the same control plane
 //!   (`pdes_core::MessagePlane`, `pdes_core::sched`) on real `std::thread`s
-//!   with parking-lot semaphores and `sched_setaffinity`;
+//!   with mutex + condvar semaphores and `sched_setaffinity`;
 //! * [`cons_rt`] — the conservative counterpart: Chandy–Misra–Bryant
 //!   null-message synchronization on the same engine and thread chassis,
 //!   switchable against the optimistic runtimes with one CLI flag;
