@@ -563,10 +563,11 @@ fn watchdog(a: &Args, fallback: Duration) -> Option<Duration> {
     Some(a.watchdog.unwrap_or(fallback)).filter(|d| !d.is_zero())
 }
 
-/// What a finished write to stdout came to: a reader that closed the pipe
-/// early (`ggpdes … | head -1`) has what it wanted; anything else is fatal.
-fn stdout_done(written: std::io::Result<()>) {
-    match written {
+/// Everything the CLI prints goes through here: `write` gets the locked
+/// handle. A reader that closed the pipe early (`ggpdes … | head -1`) has
+/// what it wanted; any other failure is fatal.
+fn to_stdout(write: impl FnOnce(&mut std::io::StdoutLock) -> std::io::Result<()>) {
+    match write(&mut std::io::stdout().lock()) {
         Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => die(1, &format!("stdout: {e}")),
         _ => {}
     }
@@ -891,7 +892,7 @@ fn finish_degraded<M: Model>(
              commit digest              : {digest:#018x}\n"
         )
     };
-    stdout_done(std::io::stdout().lock().write_all(text.as_bytes()));
+    to_stdout(|out| out.write_all(text.as_bytes()));
     std::process::exit(0);
 }
 
@@ -1102,10 +1103,10 @@ fn run<M: Model>(model: Arc<M>, c: &Cli, synth: Synth<M>) {
     if a.verify {
         verify(&model, &c.ecfg, &accepted, metrics.commit_digest);
     }
-    // The report and the gantt leave through one locked handle.
-    let out = &mut std::io::stdout().lock();
-    let printed = report(out, &metrics, a.json);
-    stdout_done(printed.and_then(|()| emit_telemetry(c, out, &tel, metrics.threads)));
+    to_stdout(|out| {
+        report(out, &metrics, a.json)?;
+        emit_telemetry(c, out, &tel, metrics.threads)
+    });
     if let Some(path) = &a.stats_json {
         let text = serde_json::to_string_pretty(&metrics).expect("serialize metrics");
         write_out("--stats-json", path, text);
@@ -1126,7 +1127,7 @@ fn activity_groups(a: &Args, k: usize) -> usize {
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     if argv.iter().any(|a| a == "--help" || a == "-h") {
-        return stdout_done(std::io::stdout().lock().write_all(usage().as_bytes()));
+        return to_stdout(|out| out.write_all(usage().as_bytes()));
     }
     let c = parse(&argv).unwrap_or_else(|e| die(2, &e));
     let a = &c.a;
@@ -1187,36 +1188,41 @@ mod tests {
     /// refusal is the one line naming who does read it.
     #[test]
     fn a_runtime_accepts_a_flag_iff_it_reads_it() {
-        for ((rt, rbit), (model, mbit)) in RUNTIMES.iter().flat_map(|r| MODELS.map(|m| (*r, m))) {
-            let ways: &[DistModes] = match rbit {
+        // One row on one runtime, model and half of dist.
+        let check = |(rt, rbit): (&str, u8), (model, mbit): (&str, u8), way: u8, f: &Flag| {
+            let value = sample(f);
+            let mut argv = vec!["--runtime", rt, "--model", model, f.name];
+            if !f.val.is_empty() {
+                argv.push(&value);
+            }
+            if way == MESH {
+                argv.extend(["--shard-id", "1"]);
+            }
+            let argv: Vec<String> = argv.into_iter().map(Into::into).collect();
+            let read = f.on & rbit != 0 && f.models & mbit != 0 && f.dist & way != 0;
+            let at = format!("{} on {rt}, model {model}, dist way {way}", f.name);
+            match parse(&argv) {
+                Ok(_) => assert!(read, "{at}: dropped"),
+                Err(e) => {
+                    assert!(!read, "{at}: refused: {e}");
+                    let want = format!("{} is read only by --runtime ", f.name);
+                    assert!(e.starts_with(&want) && e.lines().count() == 1, "{e}");
+                }
+            }
+        };
+        for rt in RUNTIMES {
+            let ways: &[DistModes] = match rt.1 {
                 DIST => &[LOOPBACK, MESH],
                 _ => &[LOOPBACK | MESH],
             };
-            let rows = flags().filter(|f| !["--runtime", "--model"].contains(&f.name));
-            for (f, &way) in rows.flat_map(|f| ways.iter().map(move |w| (f, w))) {
-                let mut argv = vec!["--runtime", rt, "--model", model, f.name];
-                let value = sample(f);
-                argv.extend((!f.val.is_empty()).then_some(value.as_str()));
-                argv.extend(
-                    (way == MESH)
-                        .then_some(["--shard-id", "1"])
-                        .into_iter()
-                        .flatten(),
-                );
-                let argv: Vec<String> = argv.into_iter().map(Into::into).collect();
-                let read = f.on & rbit != 0 && f.models & mbit != 0 && f.dist & way != 0;
-                let at = format!("{} on {rt}, model {model}, dist way {way}", f.name);
-                match parse(&argv) {
-                    Ok(_) => assert!(read, "{at}: dropped"),
-                    Err(e) => {
-                        assert!(!read, "{at}: refused: {e}");
-                        let want = format!("{} is read only by --runtime ", f.name);
-                        assert!(e.starts_with(&want) && e.lines().count() == 1, "{e}");
-                    }
+            let rows = || flags().filter(|f| !["--runtime", "--model"].contains(&f.name));
+            for model in MODELS {
+                for &way in ways {
+                    rows().for_each(|f| check(rt, model, way, f));
                 }
             }
         }
-        // What PR 19 found and left: a model, and each half of dist.
+        // The refusal names the readers: a model set, each half of dist.
         for (argv, readers) in [
             (
                 "--model traffic --imbalance 3",
