@@ -298,23 +298,16 @@ fn tcp_link(
 /// Assemble the coordinator's [`NodeOutcome`] into a [`DistResult`].
 fn assemble_result(out: NodeOutcome, shards: usize, lps: usize, wall_secs: f64) -> DistResult {
     let telemetry = out.telemetry;
-    let metrics = RunMetrics {
-        system: "GG-PDES-Dist".to_string(),
-        threads: shards,
+    let mut metrics = RunMetrics::of_run(
+        "GG-PDES-Dist".to_string(),
+        shards,
         lps,
-        wall_secs,
-        committed: out.totals.committed,
-        processed: out.totals.processed,
-        rolled_back: out.totals.rolled_back,
-        rollbacks: out.totals.rollbacks,
-        antis_sent: out.totals.antis_sent,
-        gvt_rounds: out.gvt_rounds,
-        max_descheduled: out.max_parked as usize,
-        commit_digest: out.totals.commit_digest,
-        last_round: telemetry.as_ref().and_then(|d| d.last_round().cloned()),
-        protocol: "optimistic".into(),
-        ..Default::default()
-    };
+        &out.totals,
+        out.gvt_rounds,
+        out.max_parked as usize,
+        telemetry.as_ref(),
+    );
+    metrics.wall_secs = wall_secs;
     DistResult {
         metrics,
         state_digests: out.state_digests,

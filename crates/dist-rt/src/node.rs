@@ -195,8 +195,9 @@ pub struct ShardNode<M: Model> {
     publishes_seen: u64,
     phase: Phase,
     /// Demand throttle: a parked shard takes no batches. Holds the trace
-    /// stamp at which the open park episode began.
-    parked: Option<u64>,
+    /// stamp at which the open park episode began and the publish round
+    /// that parked it.
+    parked: Option<(u64, u64)>,
     parked_episodes: u64,
     /// Cohort-wide abort flag (see [`Self::set_abort`]).
     abort: Option<Arc<AtomicBool>>,
@@ -370,18 +371,18 @@ impl<M: Model> ShardNode<M> {
         self.tracer.instant(kind, now, arg);
     }
 
-    /// Park the shard (demand throttling), tracing the episode start.
-    fn park_shard(&mut self) {
-        self.parked = Some(self.stamp());
+    /// Park the shard (demand throttling) at publish `round`, tracing the
+    /// episode start.
+    fn park_shard(&mut self, round: u64) {
+        self.parked = Some((self.stamp(), round));
         self.parked_episodes += 1;
     }
 
     /// Un-park the shard and close the traced park span.
     fn unpark_shard(&mut self) {
-        if let Some(since) = self.parked.take() {
-            let now = self.span(EventKind::Park, since, self.shard as u64);
-            self.tracer
-                .instant(EventKind::Unpark, now, self.shard as u64);
+        if let Some((since, round)) = self.parked.take() {
+            let now = self.span(EventKind::Park, since, round);
+            self.tracer.instant(EventKind::Unpark, now, round);
         }
     }
 
@@ -1190,24 +1191,21 @@ impl<M: Model> ShardNode<M> {
             if self.engine.has_live_pending() {
                 self.unpark_shard();
             } else if self.parked.is_none() {
-                self.park_shard();
+                self.park_shard(round);
             }
         }
         if self.tracer.enabled() {
             let now = self.span(EventKind::GvtAware, ph, round);
             self.board
                 .publish(0, self.engine.local_min(), self.engine.stats());
-            self.tel.record_round(
-                self.board.snapshot(
-                    round,
-                    gvt,
-                    now,
-                    usize::from(self.parked.is_none()),
-                    vec![self.engine.pending_len()],
-                    self.ingest
-                        .as_ref()
-                        .map_or((0, 0, 0, 0), IngestPort::totals),
-                ),
+            self.tel.close_round(
+                &self.board,
+                round,
+                gvt,
+                now,
+                usize::from(self.parked.is_none()),
+                std::iter::once(self.engine.pending_len()),
+                self.ingest.as_ref(),
             );
             if let Some(port) = &self.ingest {
                 self.tracer.ingest_instants(now, port.round_deltas());

@@ -128,6 +128,21 @@ fn every_park_episode_reaches_the_trace() {
     for (s, &p) in parks.iter().enumerate() {
         assert_eq!(p, count(s, EventKind::Unpark), "shard {s}: {parks:?}");
     }
+    // `arg` is the publish round that parked the shard (the lane already
+    // says which shard): the park begins inside that round's GvtAware span.
+    for lane in &data.threads {
+        let parked = |r: &&telemetry::TraceRecord| r.kind == EventKind::Park;
+        for p in lane.records.iter().filter(parked) {
+            let publish = lane.records.iter().find(|r| {
+                r.kind == EventKind::GvtAware && (r.ts_ns..=r.ts_ns + r.dur_ns).contains(&p.ts_ns)
+            });
+            let publish = publish.unwrap_or_else(|| panic!("shard {}: {p:?}", lane.shard));
+            assert_eq!(p.arg, publish.arg, "shard {}: {p:?}", lane.shard);
+            let wake = (EventKind::Unpark, p.ts_ns + p.dur_ns, p.arg);
+            let woke = |r: &telemetry::TraceRecord| (r.kind, r.ts_ns, r.arg) == wake;
+            assert!(lane.records.iter().any(woke), "shard {}: {p:?}", lane.shard);
+        }
+    }
     let most = parks.iter().copied().max().unwrap_or(0);
     assert!(most >= 1, "the imbalance must park a shard");
     assert_eq!(most, r.metrics.max_descheduled, "per shard: {parks:?}");

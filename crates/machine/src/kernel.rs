@@ -17,7 +17,7 @@ pub enum TState {
     Runnable { cpu: usize },
     /// Executing on `cpu` in SMT slot `slot`.
     Running { cpu: usize, slot: usize },
-    /// Blocked on a synchronization object or sleeping.
+    /// Blocked on a synchronization object.
     Blocked,
     /// Finished.
     Done,
@@ -93,8 +93,6 @@ pub(crate) enum Ev {
     RunStep(TaskId),
     /// The task's in-flight slice finished; account and decide what's next.
     SliceDone(TaskId),
-    /// Wake from `Sleep`.
-    Wake(TaskId),
     /// Periodic idle-balancing pass.
     LoadBalance,
 }
@@ -680,10 +678,10 @@ mod tests {
     fn queued_events_pop_in_time_then_fifo_order() {
         let mut k = Kernel::new(MachineConfig::small(1, 1));
         k.push_event(10, Ev::LoadBalance);
-        k.push_event(5, Ev::Wake(TaskId(0)));
-        k.push_event(5, Ev::Wake(TaskId(1)));
-        assert_eq!(k.pop_event(), Some((5, Ev::Wake(TaskId(0)))));
-        assert_eq!(k.pop_event(), Some((5, Ev::Wake(TaskId(1)))));
+        k.push_event(5, Ev::RunStep(TaskId(0)));
+        k.push_event(5, Ev::RunStep(TaskId(1)));
+        assert_eq!(k.pop_event(), Some((5, Ev::RunStep(TaskId(0)))));
+        assert_eq!(k.pop_event(), Some((5, Ev::RunStep(TaskId(1)))));
         assert_eq!(k.pop_event(), Some((10, Ev::LoadBalance)));
         assert_eq!(k.pop_event(), None);
     }
@@ -693,7 +691,7 @@ mod tests {
         let mut k = Kernel::new(MachineConfig::small(1, 1));
         k.push_event(1, Ev::LoadBalance);
         assert_eq!(k.live_events(), 0);
-        k.push_event(1, Ev::Wake(TaskId(0)));
+        k.push_event(1, Ev::RunStep(TaskId(0)));
         assert_eq!(k.live_events(), 1);
         k.pop_event();
         k.pop_event();

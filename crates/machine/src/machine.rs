@@ -94,7 +94,6 @@ impl Machine {
             match ev {
                 Ev::RunStep(task) => self.exec_step(task),
                 Ev::SliceDone(task) => self.slice_done(task),
-                Ev::Wake(task) => self.kernel.make_runnable(task),
                 Ev::LoadBalance => {
                     self.kernel.load_balance();
                     if self.kernel.done_count() < n {
@@ -150,10 +149,6 @@ impl Machine {
                 self.kernel.push_event(now + dur, Ev::SliceDone(task));
             }
             Step::Yield => self.kernel.yield_context(task),
-            Step::Sleep(ns) => {
-                self.kernel.free_context(task);
-                self.kernel.push_event(now + ns, Ev::Wake(task));
-            }
             Step::Done => {
                 self.kernel.finish(task);
             }
@@ -303,38 +298,6 @@ mod tests {
         // well under 20000 (serial).
         assert!(r.virtual_ns > 13_000, "vns={}", r.virtual_ns);
         assert!(r.virtual_ns < 19_000, "vns={}", r.virtual_ns);
-    }
-
-    struct Sleeper {
-        slept: bool,
-        woke_at: Rc<RefCell<u64>>,
-    }
-    impl Task for Sleeper {
-        fn step(&mut self, ctx: &mut Ctx<'_>) -> Step {
-            if !self.slept {
-                self.slept = true;
-                return Step::Sleep(42_000);
-            }
-            *self.woke_at.borrow_mut() = ctx.now();
-            Step::Done
-        }
-    }
-
-    #[test]
-    fn sleep_blocks_without_burning_cpu() {
-        let mut m = Machine::new(MachineConfig::small(1, 1));
-        let woke_at = Rc::new(RefCell::new(0));
-        m.add_task(
-            Box::new(Sleeper {
-                slept: false,
-                woke_at: Rc::clone(&woke_at),
-            }),
-            "sleeper",
-            None,
-        );
-        let r = m.run(None).unwrap();
-        assert!(*woke_at.borrow() >= 42_000);
-        assert!(r.tasks[0].cpu_time < 10_000);
     }
 
     struct SemWaiter {

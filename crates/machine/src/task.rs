@@ -70,8 +70,6 @@ pub enum Step {
     MutexLock(MutexId),
     /// Give up the CPU but stay runnable (requeued at the tail).
     Yield,
-    /// Block for `ns` of virtual time without occupying a context.
-    Sleep(u64),
     /// The task is finished.
     Done,
 }

@@ -17,7 +17,6 @@ struct Script {
 enum ScriptOp {
     Work(u64),
     Yield,
-    Sleep(u64),
 }
 
 impl Task for Script {
@@ -29,18 +28,13 @@ impl Task for Script {
         match op {
             ScriptOp::Work(c) => Step::work(c, WorkTag::Sim),
             ScriptOp::Yield => Step::Yield,
-            ScriptOp::Sleep(ns) => Step::Sleep(ns),
         }
     }
 }
 
 fn arb_script() -> impl Strategy<Value = Vec<ScriptOp>> {
     prop::collection::vec(
-        prop_oneof![
-            (1u64..5000).prop_map(ScriptOp::Work),
-            Just(ScriptOp::Yield),
-            (1u64..20_000).prop_map(ScriptOp::Sleep),
-        ],
+        prop_oneof![(1u64..5000).prop_map(ScriptOp::Work), Just(ScriptOp::Yield),],
         1..20,
     )
 }

@@ -61,6 +61,37 @@ pub struct RunMetrics {
 }
 
 impl RunMetrics {
+    /// What every runtime fills in the same way — the run's shape, the
+    /// engines' summed counters, the round count, the final traced round —
+    /// under `protocol: "optimistic"`. Each runtime then stamps what only
+    /// it measures: wall time, work, yields, the protocol's own fields.
+    pub fn of_run(
+        system: String,
+        threads: usize,
+        lps: usize,
+        total: &pdes_core::ThreadStats,
+        gvt_rounds: u64,
+        max_descheduled: usize,
+        telemetry: Option<&telemetry::TelemetryData>,
+    ) -> Self {
+        RunMetrics {
+            system,
+            threads,
+            lps,
+            committed: total.committed,
+            processed: total.processed,
+            rolled_back: total.rolled_back,
+            rollbacks: total.rollbacks,
+            antis_sent: total.antis_sent,
+            gvt_rounds,
+            max_descheduled,
+            commit_digest: total.commit_digest,
+            last_round: telemetry.and_then(|d| d.last_round().cloned()),
+            protocol: "optimistic".into(),
+            ..Default::default()
+        }
+    }
+
     /// The paper's headline metric: committed events per wall-clock second.
     pub fn committed_event_rate(&self) -> f64 {
         if self.wall_secs <= 0.0 {

@@ -4,14 +4,37 @@
 //! One slot per thread (one per shard on `dist-rt`, whose node publishes
 //! its single engine), written with relaxed stores by its owner — these are
 //! statistics, they publish no other data — and summed by whoever closes
-//! the round into the [`RoundTotals`] that [`crate::Telemetry::record_round`]
-//! turns into per-round deltas. Every runtime fills `lvt_ticks[]` through
-//! this one type, so horizon width and utilisation curves are comparable
-//! across them.
+//! the round into the [`RoundTotals`] that `telemetry::Telemetry` turns into
+//! per-round deltas. Every runtime fills `lvt_ticks[]` through this one
+//! type, so horizon width and utilisation curves are comparable across
+//! them. It lives here, not in `telemetry`, because the publishes are steps
+//! of [`crate::Participant`].
 
-use crate::registry::RoundTotals;
-use pdes_core::{CachePadded, ThreadStats, VirtualTime};
+use crate::plane::CachePadded;
+use crate::stats::ThreadStats;
+use crate::time::VirtualTime;
 use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Cumulative run totals at one round's End phase, as sampled by whichever
+/// thread closed the round; `telemetry` turns consecutive totals into
+/// per-round deltas.
+#[derive(Debug, Clone, Default)]
+pub struct RoundTotals {
+    pub round: u64,
+    pub gvt_ticks: u64,
+    pub ts_ns: u64,
+    pub committed: u64,
+    pub processed: u64,
+    pub rolled_back: u64,
+    pub active_threads: usize,
+    /// Cluster membership size at the round close (live shards in dist-rt).
+    pub members: u64,
+    pub lvt_ticks: Vec<u64>,
+    pub queue_depths: Vec<usize>,
+    /// Cumulative ingest-gate counters at the round close
+    /// (admitted, rejected, shed, busy). Zero when the run has no gate.
+    pub ingest: (u64, u64, u64, u64),
+}
 
 #[derive(Default)]
 struct Slot {

@@ -4,42 +4,6 @@ use crate::mapping::MapKind;
 use crate::time::VirtualTime;
 use serde::{Deserialize, Serialize};
 
-/// Adaptive GVT frequency (the idea of the paper's related work, ref. 24):
-/// when a thread's uncommitted history grows past the watermarks, it
-/// triggers GVT rounds earlier than the static interval, bounding Time Warp
-/// memory without paying for frequent rounds when pressure is low.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct AdaptiveGvt {
-    /// Uncommitted events per thread above which the interval halves.
-    pub low_watermark: usize,
-    /// Above this the interval quarters.
-    pub high_watermark: usize,
-}
-
-impl AdaptiveGvt {
-    pub fn new(low_watermark: usize, high_watermark: usize) -> Self {
-        assert!(
-            0 < low_watermark && low_watermark < high_watermark,
-            "watermarks must satisfy 0 < low < high"
-        );
-        AdaptiveGvt {
-            low_watermark,
-            high_watermark,
-        }
-    }
-
-    /// Effective interval for a thread holding `history` uncommitted events.
-    pub fn effective_interval(&self, base: u32, history: usize) -> u32 {
-        if history >= self.high_watermark {
-            (base / 4).max(1)
-        } else if history >= self.low_watermark {
-            (base / 2).max(1)
-        } else {
-            base
-        }
-    }
-}
-
 /// Parameters of the core simulation loop (paper §2.2 and §4.1.4).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct EngineConfig {
@@ -67,9 +31,6 @@ pub struct EngineConfig {
     /// this far (in virtual time) beyond the last known GVT. `None` = the
     /// unthrottled ROSS behaviour used throughout the paper.
     pub optimism_window: Option<f64>,
-    /// Adaptive GVT frequency by memory pressure; `None` = the paper's
-    /// static interval.
-    pub adaptive_gvt: Option<AdaptiveGvt>,
     /// Adaptive GVT *backoff* (the ROSS "7 O'clock" `g_tw_gvt_max_no_change`
     /// pattern): after this many consecutive rounds in which GVT did not
     /// move, a thread doubles its effective round interval (capped at 64×
@@ -89,7 +50,6 @@ impl Default for EngineConfig {
             mapping: MapKind::RoundRobin,
             snapshot_period: 1,
             optimism_window: None,
-            adaptive_gvt: None,
             gvt_max_no_change: 0,
         }
     }
@@ -135,24 +95,9 @@ impl EngineConfig {
         self.optimism_window = w;
         self
     }
-    pub fn with_adaptive_gvt(mut self, a: Option<AdaptiveGvt>) -> Self {
-        self.adaptive_gvt = a;
-        self
-    }
     pub fn with_gvt_max_no_change(mut self, n: u32) -> Self {
         self.gvt_max_no_change = n;
         self
-    }
-
-    /// Cycles between GVT rounds for a thread holding `history` uncommitted
-    /// events: memory pressure (watermarks) shortens the static interval, a
-    /// still GVT widens it — pressure always wins because the backoff
-    /// multiplies the already-adapted base.
-    pub fn round_interval(&self, history: usize, backoff: &GvtBackoff) -> u32 {
-        let base = self.adaptive_gvt.map_or(self.gvt_interval, |a| {
-            a.effective_interval(self.gvt_interval, history)
-        });
-        backoff.effective_interval(base)
     }
 }
 
@@ -187,8 +132,7 @@ impl GvtBackoff {
         }
     }
 
-    /// The interval to use this cycle, given the (possibly watermark-
-    /// adapted) base interval.
+    /// The interval to use this cycle, given the configured one.
     pub fn effective_interval(&self, base: u32) -> u32 {
         base.saturating_mul(1 << self.shift)
     }
@@ -229,23 +173,6 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn zero_gvt_interval_rejected() {
         EngineConfig::default().with_gvt_interval(0);
-    }
-
-    #[test]
-    fn adaptive_interval_tiers() {
-        let a = AdaptiveGvt::new(100, 400);
-        assert_eq!(a.effective_interval(200, 0), 200);
-        assert_eq!(a.effective_interval(200, 99), 200);
-        assert_eq!(a.effective_interval(200, 100), 100);
-        assert_eq!(a.effective_interval(200, 400), 50);
-        // Never reaches zero.
-        assert_eq!(a.effective_interval(2, 1000), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "watermarks")]
-    fn inverted_watermarks_rejected() {
-        AdaptiveGvt::new(400, 100);
     }
 
     #[test]

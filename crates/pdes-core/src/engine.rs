@@ -518,11 +518,6 @@ impl<M: Model> ThreadEngine<M> {
         purged
     }
 
-    /// Total uncommitted history length across LPs (memory pressure metric).
-    pub fn history_len(&self) -> usize {
-        self.lps.iter().map(|lp| lp.history_len()).sum()
-    }
-
     /// Digest of every owned LP's final state, in LP order.
     pub fn state_digests(&self) -> Vec<(LpId, u64)> {
         self.lp_ids
@@ -544,6 +539,11 @@ mod tests {
     use super::*;
     use crate::event::Event;
     use crate::model::SendCtx;
+
+    /// Total uncommitted history length across LPs.
+    fn history_len<M: Model>(eng: &ThreadEngine<M>) -> usize {
+        eng.lps.iter().map(|lp| lp.history_len()).sum()
+    }
 
     /// Ping model: LP i forwards each event to (i+1) % n after delay 1, and
     /// accumulates the hop count in its state.
@@ -726,7 +726,7 @@ mod tests {
         let rest = eng.finalize();
         assert_eq!(early + rest, eng.stats().committed);
         assert_eq!(eng.stats().committed, eng.stats().processed);
-        assert_eq!(eng.history_len(), 0);
+        assert_eq!(history_len(&eng), 0);
     }
 
     #[test]
@@ -797,7 +797,7 @@ mod tests {
         let gvt = eng.local_min();
         eng.fossil_collect(gvt);
         let before_pending = eng.pending_len();
-        let before_history = eng.history_len();
+        let before_history = history_len(&eng);
         let before_digest = eng.pending_digest();
 
         let (_, events) = eng.snapshot_at_gvt(gvt);
@@ -808,7 +808,7 @@ mod tests {
 
         // The cut took copies: nothing moved out of the engine...
         assert_eq!(eng.pending_len(), before_pending);
-        assert_eq!(eng.history_len(), before_history);
+        assert_eq!(history_len(&eng), before_history);
         assert_eq!(eng.pending_digest(), before_digest);
 
         // ...and the live run continues to completion as if no checkpoint

@@ -18,6 +18,8 @@
 //! * [`plane::MessagePlane`] and [`sched`] — the control plane the
 //!   shared-memory runtimes run on: input queues with their GVT coverage
 //!   minima, round membership, Algorithms 1, 2 and 4;
+//! * [`participant::Participant`] — one thread's half of a GVT round, the
+//!   steps both of those runtimes' loops are sequences of;
 //! * [`recovery`] — the checkpoint sink, attempt set-up and supervisor loop
 //!   every runtime recovers through.
 //!
@@ -25,6 +27,7 @@
 //! rolled-back state, event ordering is total, and no wall-clock or
 //! hash-iteration order leaks into results.
 
+pub mod board;
 pub mod checkpoint;
 pub mod config;
 pub mod engine;
@@ -35,6 +38,7 @@ pub mod ingest;
 pub mod lp;
 pub mod mapping;
 pub mod model;
+pub mod participant;
 pub mod pending;
 pub mod plane;
 pub mod recovery;
@@ -46,8 +50,9 @@ pub mod stats;
 pub mod system;
 pub mod time;
 
+pub use board::{RoundBoard, RoundTotals};
 pub use checkpoint::{Checkpoint, CheckpointError, CutSnapshot, LpCheckpoint, SupervisorConfig};
-pub use config::{AdaptiveGvt, EngineConfig, GvtBackoff};
+pub use config::{EngineConfig, GvtBackoff};
 pub use engine::{BatchOutcome, DeliverOutcome, Outbound, ThreadEngine};
 pub use event::{Event, EventKey, Msg};
 pub use faults::{
@@ -61,6 +66,7 @@ pub use ingest::{
 };
 pub use mapping::{LpMap, MapKind};
 pub use model::{Model, SendCtx};
+pub use participant::{Participant, ThreadResult};
 pub use plane::{CachePadded, MessagePlane};
 pub use recovery::{
     build_engines, supervise, Attempt, AttemptFailure, CkptSink, CommitTrace, Recovered,

@@ -291,6 +291,30 @@ impl Round {
         demand.wake_all(None, post);
     }
 
+    /// The pseudo-controller's Aware tail, after [`Self::publish`] and the
+    /// runtime's ingest pump: release the open round's End-phase
+    /// snapshotters ([`Self::ckpt_publish`]), then wake everyone for the
+    /// final GVT ([`Self::release_for_termination`]) or, under GG-PDES, run
+    /// Algorithm 2 over `has_demand`. Returns how many threads Algorithm 2
+    /// scheduled in.
+    pub fn aware_tail(
+        &self,
+        sys: SystemConfig,
+        m: &mut Membership,
+        demand: &Demand,
+        faults: &FaultInjector,
+        has_demand: impl Fn(usize) -> bool,
+        post: impl FnMut(usize),
+    ) -> usize {
+        self.ckpt_publish(m.id);
+        if self.terminated() {
+            self.release_for_termination(m, demand, post);
+        } else if sys.scheduler == Scheduler::GgPdes {
+            return demand.activate(m, faults, has_demand, post);
+        }
+        0
+    }
+
     /// Was round `id` armed for a checkpoint when it opened?
     pub fn ckpt_armed_for(&self, id: u64) -> bool {
         self.ckpt_armed.load(Ordering::Acquire) == id + 1

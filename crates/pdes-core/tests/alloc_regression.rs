@@ -11,36 +11,55 @@
 //! handler call, a map that grows per insert) fails here with a count,
 //! not as a silent throughput regression.
 //!
+//! The second test holds the round's thread-local steps to the same bar:
+//! two [`Participant`]s over a [`MessagePlane`] cycle (`receive`, an event,
+//! route) and run whole GVT rounds (`fold` twice, publish, fossil-collect)
+//! on inbox / outbox scratch that stopped growing during warmup.
+//!
 //! Kept as its own integration binary so the `#[global_allocator]` swap
 //! cannot perturb (or be perturbed by) unrelated tests.
 
 use pdes_core::lp::{key_digest, Lp};
 use pdes_core::pending::PendingSet;
-use pdes_core::{Event, LpId, Model, SendCtx, VirtualTime};
+use pdes_core::{
+    build_engines, Demand, EngineConfig, Event, LpId, Membership, MessagePlane, Model, Outbound,
+    Participant, Round, SendCtx, VirtualTime,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 /// Counts every allocation *and* reallocation (a growing `Vec` is as much
-/// a hot-path regression as a fresh one). Frees are not counted: dropping
-/// a warmup-phase buffer during measurement is harmless.
+/// a hot-path regression as a fresh one) of the calling thread — the tests
+/// of this binary run side by side. Frees are not counted: dropping a
+/// warmup-phase buffer during measurement is harmless.
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    ALLOCS.with(|n| n.set(n.get() + 1));
+}
+
+fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.alloc_zeroed(layout) }
     }
 }
@@ -124,9 +143,9 @@ fn steady_state_event_loop_does_not_allocate() {
     let warm_digest = pump(&model, &mut lps, &mut pending, &mut sends, 5000);
     assert_ne!(warm_digest, 0, "warmup actually processed events");
 
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocs();
     let digest = pump(&model, &mut lps, &mut pending, &mut sends, 2000);
-    let after = ALLOCS.load(Ordering::Relaxed);
+    let after = allocs();
 
     assert_ne!(digest, 0, "measured phase actually processed events");
     assert_eq!(
@@ -135,5 +154,86 @@ fn steady_state_event_loop_does_not_allocate() {
         "hot path allocated {} times across 2000 steady-state events \
          (expected zero: every per-event buffer must be reused)",
         after - before
+    );
+}
+
+/// Push an outbox into the destination queues, as the virtual machine does.
+fn route(plane: &MessagePlane<()>, me: usize, out: &mut Vec<Outbound<()>>) {
+    for (dst, msg) in out.drain(..) {
+        plane.push_msg(me, dst.index(), msg);
+    }
+}
+
+/// `rounds` GVT rounds of two participants, sixteen main-loop cycles before
+/// each round's folds. A cycle executes the globally lowest event only, so
+/// nothing rolls back (a rollback's result vectors are the engine's, not
+/// the steps'). Returns (events committed, allocations inside `receive` and
+/// `fold`).
+fn run_rounds(
+    ps: &mut [Participant<Ring>],
+    plane: &MessagePlane<()>,
+    round: &Round,
+    m: &mut Membership,
+    rounds: u64,
+) -> (u64, u64) {
+    let demand = Demand::new(ps.len());
+    let (mut committed, mut in_steps) = (0, 0);
+    for _ in 0..rounds {
+        for (me, p) in ps.iter_mut().enumerate() {
+            let (participate, id) = round.open(m, &demand, me, |_| {});
+            assert!(p.join(participate, id));
+        }
+        for _ in 0..16 {
+            let before = allocs();
+            for p in ps.iter_mut() {
+                assert_eq!(p.receive(plane, false).1, 0, "nothing rolls back");
+            }
+            in_steps += allocs() - before;
+            let me = usize::from(ps[1].engine.local_min() < ps[0].engine.local_min());
+            let p = &mut ps[me];
+            p.engine.process_batch(1, &mut p.outbox);
+            route(plane, me, &mut p.outbox);
+        }
+        let before = allocs();
+        for _phase in ["A", "B"] {
+            for (me, p) in ps.iter_mut().enumerate() {
+                p.fold(plane, round, None, |out| route(plane, me, out));
+            }
+        }
+        in_steps += allocs() - before;
+        let gvt = round.publish(plane, &demand);
+        for p in ps.iter_mut() {
+            committed += p.engine.fossil_collect(gvt);
+            round.end_phase(m);
+        }
+    }
+    (committed, in_steps)
+}
+
+#[test]
+fn steady_state_receive_and_fold_do_not_allocate() {
+    let model = std::sync::Arc::new(Ring { n: 8 });
+    let cfg = EngineConfig::default().with_end_time(1e9).with_seed(42);
+    let plane = MessagePlane::new(2);
+    let (_, engines) = build_engines(&model, &cfg, 2, None, None, |from, dst, msg| {
+        plane.push_msg(from, dst, msg)
+    });
+    let mut ps: Vec<_> = engines
+        .into_iter()
+        .map(|e| Participant::new(e, cfg.clone(), false))
+        .collect();
+    let round = Round::new(cfg.end_time);
+    let mut m = Membership::new(2);
+
+    let (warm, growing) = run_rounds(&mut ps, &plane, &round, &mut m, 100);
+    assert!(warm > 0, "warmup actually committed events");
+    assert!(growing > 0, "the counter sees the scratch buffers grow");
+
+    let (committed, in_steps) = run_rounds(&mut ps, &plane, &round, &mut m, 100);
+    assert!(committed > 0, "measured phase actually committed events");
+    assert_eq!(
+        in_steps, 0,
+        "receive / fold allocated {in_steps} times across 100 steady-state rounds \
+         (expected zero: inbox and outbox must be reused)"
     );
 }

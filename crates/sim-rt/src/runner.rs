@@ -9,8 +9,8 @@ use machine::{Machine, MachineConfig, Report, WorkTag};
 use metrics::RunMetrics;
 use pdes_core::{
     build_engines, supervise, Attempt, AttemptFailure, Checkpoint, CkptSink, CommitTrace,
-    EngineConfig, FaultInjector, FaultPlan, IngestGate, IngestRequest, LpId, Model, StallDump,
-    SupervisedRun, SupervisorConfig, YieldTier,
+    EngineConfig, FaultInjector, FaultPlan, IngestGate, IngestRequest, Model, StallDump,
+    SupervisedRun, SupervisorConfig, ThreadResult, YieldTier,
 };
 use std::cell::RefCell;
 use std::path::PathBuf;
@@ -249,10 +249,8 @@ pub fn run_sim_attempt<M: Model>(
             AffinityPolicy::NoAffinity | AffinityPolicy::Dynamic => None,
         };
         let task = SimThreadTask::new(
-            t,
             eng,
             Rc::clone(&shared),
-            rc.system,
             rc.engine.clone(),
             Rc::clone(&store),
         );
@@ -303,30 +301,25 @@ pub fn run_sim_attempt<M: Model>(
         eprintln!("{dump}");
     }
     let telemetry_data = sh.telemetry.enabled().then(|| sh.telemetry.take());
-    let mut m = sh.collect_metrics();
-    m.lps = model.num_lps();
+    let (total, digests, thread_loads) = ThreadResult::merge(&sh.finals);
+    let mut m = RunMetrics::of_run(
+        rc.system.name(),
+        num_threads,
+        model.num_lps(),
+        &total,
+        sh.round.rounds(),
+        sh.demand.max_descheduled(),
+        telemetry_data.as_ref(),
+    );
+    m.gvt_cpu_secs = sh.gvt_wall_in_round as f64 * 1e-9;
     m.wall_secs = report.virtual_secs();
     m.total_work = report.total_work();
     m.wasted_work = report.work_for(WorkTag::Spin) + report.work_for(WorkTag::Poll);
     m.voluntary_yields = report.voluntary_yields;
-    m.last_round = telemetry_data
-        .as_ref()
-        .and_then(|d| d.last_round().cloned());
-
-    let mut digests: Vec<(LpId, u64)> = sh.final_digests.iter().flatten().copied().collect();
-    digests.sort_by_key(|&(lp, _)| lp);
-
-    // Survivor state outlives a failed attempt: per-thread committed loads
-    // feed the supervisor's LP remap (the killed thread reports 0).
-    let thread_loads: Vec<u64> = sh
-        .final_stats
-        .iter()
-        .map(|s| s.as_ref().map_or(0, |st| st.committed))
-        .collect();
     let result = SimResult {
         metrics: m,
         gvt_regressions: sh.round.regressions(),
-        digests: digests.into_iter().map(|(_, d)| d).collect(),
+        digests,
         stall: sh.stall.clone(),
         fault_counts: sh.plane.faults.counts(),
         killed: sh.killed,

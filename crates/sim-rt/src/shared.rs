@@ -14,10 +14,9 @@
 
 use crate::config::{SimCost, SystemConfig};
 use machine::{MutexId, SemId};
-use metrics::RunMetrics;
 use pdes_core::{
     AffinityTable, Demand, IngestGate, IngestPort, IngestRequest, LpMap, Membership, MessagePlane,
-    Msg, Phase, ReplySlot, Round, StallDump, ThreadStats, VirtualTime, YieldTier,
+    Msg, Phase, ReplySlot, Round, StallDump, ThreadResult, VirtualTime, YieldTier,
 };
 use telemetry::RoundBoard;
 
@@ -91,10 +90,9 @@ pub struct Shared<P> {
     // ---- metrics ----
     /// Σ over threads of wall time spent inside GVT rounds (ns).
     pub gvt_wall_in_round: u64,
-    /// Final per-thread engine stats, filled as tasks finish.
-    pub final_stats: Vec<Option<ThreadStats>>,
-    /// Final per-thread (lp, state-digest) lists.
-    pub final_digests: Vec<Vec<(pdes_core::LpId, u64)>>,
+    /// Final per-thread engine stats and state digests, filled as tasks
+    /// finish (a killed thread leaves `None`).
+    pub finals: Vec<Option<ThreadResult>>,
     /// Debug: last observed control-loop phase per thread.
     pub dbg_phase: Vec<Phase>,
     /// Debug: last round id each thread joined.
@@ -140,8 +138,7 @@ impl<P> Shared<P> {
             dd_mutex: None,
             controller_exit: false,
             gvt_wall_in_round: 0,
-            final_stats: vec![None; num_threads],
-            final_digests: vec![Vec::new(); num_threads],
+            finals: vec![None; num_threads],
             dbg_phase: vec![Phase::default(); num_threads],
             dbg_joined: vec![None; num_threads],
             dbg_yields: vec![0; num_threads],
@@ -168,25 +165,6 @@ impl<P> Shared<P> {
             script,
             next: 0,
         });
-    }
-
-    /// Stamp the per-round counter snapshot at round `id`'s End phase
-    /// (no-op when telemetry is off). `now_ns` is virtual time here.
-    pub fn tel_round_snapshot(&self, id: u64, now_ns: u64) {
-        if self.telemetry.enabled() {
-            self.telemetry.record_round(
-                self.board.snapshot(
-                    id,
-                    self.round.gvt().ticks(),
-                    now_ns,
-                    self.demand.num_active(),
-                    (0..self.num_threads).map(|i| self.plane.len(i)).collect(),
-                    self.ingest
-                        .as_ref()
-                        .map_or((0, 0, 0, 0), |ing| ing.port.totals()),
-                ),
-            );
-        }
     }
 
     // ---- GVT round protocol ------------------------------------------------
@@ -219,8 +197,9 @@ impl<P> Shared<P> {
 
     // ---- demand-driven scheduling (Algorithms 1 & 2) ------------------------
 
-    /// Algorithm 2: wake the inactive threads with queued input. Returns the
-    /// number of activations (the `Op::Post`s are queued).
+    /// Algorithm 2 outside a round (the DD-PDES controller): wake the inactive
+    /// threads with queued input. Returns the number of activations (the
+    /// `Op::Post`s are queued).
     pub fn activate_queued(&mut self, ops: &mut Vec<Op>) -> usize {
         let plane = &self.plane;
         self.demand.activate(
@@ -262,16 +241,6 @@ impl<P> Shared<P> {
         self.members.subscribed[me] = false;
     }
 
-    // ---- termination --------------------------------------------------------
-
-    /// Wake every de-scheduled thread so it can observe `terminated` and
-    /// finish; also tells the DD controller to exit.
-    pub fn release_all_for_termination(&mut self, ops: &mut Vec<Op>) {
-        self.controller_exit = true;
-        self.round
-            .release_for_termination(&mut self.members, &self.demand, |i| ops.push(Op::Post(i)));
-    }
-
     /// Snapshot everything a stall post-mortem needs. `sem_tokens[i]` is the
     /// token count of thread `i`'s scheduling semaphore (gathered by the
     /// caller, which can reach the kernel).
@@ -295,33 +264,6 @@ impl<P> Shared<P> {
                 &self.demand,
                 thread,
             )
-        }
-    }
-
-    // ---- final metrics -------------------------------------------------------
-
-    /// Aggregate the per-thread stats into a [`RunMetrics`] skeleton (wall
-    /// time and work totals are filled from the machine report by the
-    /// runner).
-    pub fn collect_metrics(&self) -> RunMetrics {
-        let mut total = ThreadStats::default();
-        for s in self.final_stats.iter().flatten() {
-            total.merge(s);
-        }
-        RunMetrics {
-            system: self.sys.name(),
-            threads: self.num_threads,
-            committed: total.committed,
-            processed: total.processed,
-            rolled_back: total.rolled_back,
-            rollbacks: total.rollbacks,
-            antis_sent: total.antis_sent,
-            gvt_rounds: self.round.rounds(),
-            gvt_cpu_secs: self.gvt_wall_in_round as f64 * 1e-9,
-            max_descheduled: self.demand.max_descheduled(),
-            commit_digest: total.commit_digest,
-            protocol: "optimistic".into(),
-            ..Default::default()
         }
     }
 }
@@ -435,8 +377,9 @@ mod tests {
         s.deactivate_self(2, 0);
         s.round.terminate();
         let mut ops = Vec::new();
-        s.release_all_for_termination(&mut ops);
+        let (faults, post) = (&s.plane.faults, |i| ops.push(Op::Post(i)));
+        s.round
+            .aware_tail(s.sys, &mut s.members, &s.demand, faults, |_| false, post);
         assert_eq!(ops, vec![Op::Post(1), Op::Post(2)]);
-        assert!(s.controller_exit);
     }
 }

@@ -11,11 +11,11 @@
 //! (Bar0 → A → Bar1 → Aware → Bar2 → End). Every transition of the round
 //! itself is a call on `pdes_core::sched::Round`, the code `thread-rt` runs.
 
-use crate::config::{AffinityPolicy, GvtMode, Scheduler, SystemConfig};
+use crate::config::{AffinityPolicy, GvtMode, Scheduler};
 use crate::shared::{Arrive, Op, Shared};
 use machine::{Ctx, Step, Task, WorkTag};
 use pdes_core::{
-    CkptSink, EngineConfig, GvtBackoff, IdleTracker, Model, Msg, Outbound, Phase, ThreadEngine,
+    CkptSink, EngineConfig, MessagePlane, Model, Outbound, Participant, Phase, ThreadEngine,
 };
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -24,35 +24,23 @@ use telemetry::{EventKind, Tracer};
 /// One simulation thread.
 pub struct SimThreadTask<M: Model> {
     tid: usize,
-    engine: ThreadEngine<M>,
+    /// This thread's half of the round: engine, buffers, idle bookkeeping
+    /// and the steps `thread-rt` runs too.
+    p: Participant<M>,
     shared: Rc<RefCell<Shared<M::Payload>>>,
-    sys: SystemConfig,
-    ecfg: EngineConfig,
 
     /// Where the thread is in its control loop ([`Phase::Cycle`] includes
     /// nothing of the round; `SendA`/`SendB` are the Wait-Free *Send* spins).
     phase: Phase,
-    /// Cycles since the thread last joined a GVT round (drives the paper's
-    /// 1-in-200-cycles trigger).
-    cycles_since_gvt: u64,
-    /// Algorithm 1's idle count and thread-local `active` flag.
-    idle: IdleTracker,
     /// Consecutive idle polls whether or not events are pending beyond the
     /// window (the yield tier's notion of blocked).
     idle_polls: u64,
-    /// Round id this thread last joined.
-    joined_round: Option<u64>,
     /// Wall time when the thread joined the current round.
     round_enter_ns: u64,
     /// Liveness watchdog: last observed (gvt_rounds, gvt).
     wd_last: (u64, pdes_core::VirtualTime),
     /// Virtual time of the last watchdog observation change.
     wd_last_change_ns: u64,
-    inbox: Vec<Msg<M::Payload>>,
-    outbox: Vec<Outbound<M::Payload>>,
-    /// ROSS 7 O'clock no-change backoff of the round interval (inert unless
-    /// `ecfg.gvt_max_no_change > 0`).
-    backoff: GvtBackoff,
     /// Scratch for kernel ops queued while `shared` is borrowed.
     ops: Vec<Op>,
     /// Checkpoint deposit store (shared by all sim threads of the run).
@@ -73,32 +61,22 @@ pub struct SimThreadTask<M: Model> {
 
 impl<M: Model> SimThreadTask<M> {
     pub fn new(
-        tid: usize,
         engine: ThreadEngine<M>,
         shared: Rc<RefCell<Shared<M::Payload>>>,
-        sys: SystemConfig,
         ecfg: EngineConfig,
         ckpt: Rc<CkptSink<M>>,
     ) -> Self {
+        let tid = engine.tid().index();
         let tracer = shared.borrow().telemetry.tracer(tid);
-        let idle = IdleTracker::new(ecfg.zero_counter_threshold);
         SimThreadTask {
             tid,
-            engine,
+            p: Participant::new(engine, ecfg, false),
             shared,
-            sys,
-            ecfg,
             phase: Phase::Cycle,
-            cycles_since_gvt: 0,
-            idle,
             idle_polls: 0,
-            joined_round: None,
             round_enter_ns: 0,
             wd_last: (0, pdes_core::VirtualTime::ZERO),
             wd_last_change_ns: 0,
-            inbox: Vec::new(),
-            outbox: Vec::new(),
-            backoff: GvtBackoff::default(),
             ops: Vec::new(),
             ckpt,
             total_cycles: 0,
@@ -166,43 +144,18 @@ impl<M: Model> SimThreadTask<M> {
         sh.plane.faults.should_kill(self.tid, self.total_cycles)
     }
 
-    /// Drain the input queue (chaos-exempt when `clean`) and deliver it into
-    /// the engine; what delivery sends waits in the outbox for
-    /// [`Self::route`]. Returns (messages received, events rolled back).
-    fn receive(&mut self, sh: &Shared<M::Payload>, clean: bool) -> (u64, u64) {
-        self.inbox.clear();
-        let n = if clean {
-            sh.plane.drain_clean(self.tid, &mut self.inbox)
-        } else {
-            sh.plane.drain(self.tid, &mut self.inbox)
-        };
-        let mut rolled = 0u64;
-        self.outbox.clear();
-        for m in self.inbox.drain(..) {
-            rolled += self.engine.deliver(m, &mut self.outbox).rolled_back as u64;
-        }
-        (n as u64, rolled)
-    }
-
-    /// Push the outbox into the destination queues; returns how many.
-    fn route(&mut self, sh: &Shared<M::Payload>) -> u64 {
-        let sends = self.outbox.len() as u64;
-        for (dst, msg) in self.outbox.drain(..) {
-            sh.plane.push_msg(self.tid, dst.index(), msg);
-        }
-        sends
-    }
-
     /// One main-loop cycle: drain the input queue, process a batch, route
     /// sends. Returns (cost, cycles_advanced, useful, give_up) — the last is
     /// the yield tier's verdict on the cycle.
     fn do_cycle(&mut self, sh: &mut Shared<M::Payload>, now: u64) -> (u64, u64, bool, bool) {
         let c = sh.cost.clone();
-        let (n_msgs, mut rolled) = self.receive(sh, false);
+        let (n_msgs, mut rolled) = self.p.receive(&sh.plane, false);
         let batch = self
+            .p
             .engine
-            .process_batch(self.ecfg.batch_size, &mut self.outbox);
-        let sends = self.route(sh);
+            .process_batch(self.p.ecfg.batch_size, &mut self.p.outbox);
+        let sends = self.p.outbox.len() as u64;
+        route(&sh.plane, self.tid, &mut self.p.outbox);
         rolled += batch.rolled_back as u64;
 
         let idle = n_msgs == 0 && batch.processed == 0;
@@ -213,7 +166,7 @@ impl<M: Model> SimThreadTask<M> {
             1
         };
         let polls = if idle { cycles } else { 0 };
-        self.idle.observe(polls, !self.engine.has_live_pending());
+        self.p.observe_idle(polls);
         self.idle_polls = if idle { self.idle_polls + cycles } else { 0 };
 
         let cost = c.poll * cycles
@@ -250,16 +203,14 @@ impl<M: Model> SimThreadTask<M> {
         sh.cost.sched_op
     }
 
-    /// Drain + fold the engine minimum into the open round.
+    /// A phase fold, priced.
     fn drain_and_fold(&mut self, sh: &mut Shared<M::Payload>) -> u64 {
-        let c = sh.cost.clone();
-        let (n, rolled) = self.receive(sh, false);
-        let sends = self.route(sh);
-        let local = self.engine.local_min();
-        sh.round.fold(&sh.plane, self.tid, local);
-        if self.tracer.enabled() {
-            sh.board.publish(self.tid, local, self.engine.stats());
-        }
+        let (plane, me) = (&sh.plane, self.tid);
+        let board = self.tracer.enabled().then_some(&sh.board);
+        let (n, rolled, sends) = self
+            .p
+            .fold(plane, &sh.round, board, |out| route(plane, me, out));
+        let c = &sh.cost;
         c.gvt_phase + c.recv_msg * n + c.send_msg * sends + c.rollback_event * rolled
     }
 
@@ -273,13 +224,21 @@ impl<M: Model> SimThreadTask<M> {
         // (same Aware-phase slot as the real runtimes' ingest pump).
         let injected = sh.pump_ingest();
         cost += c.recv_msg * injected;
-        sh.round.ckpt_publish(sh.members.id);
+        // The final GVT stops the DD controller too.
+        sh.controller_exit |= sh.round.terminated();
+        let (plane, ops) = (&sh.plane, &mut self.ops);
+        let activated = sh.round.aware_tail(
+            sh.sys,
+            &mut sh.members,
+            &sh.demand,
+            &plane.faults,
+            |i| plane.len(i) > 0,
+            |i| ops.push(Op::Post(i)),
+        );
         if sh.round.terminated() {
-            sh.release_all_for_termination(&mut self.ops);
             cost += c.sched_op * self.ops.len() as u64;
-        } else if matches!(self.sys.scheduler, Scheduler::GgPdes) {
+        } else if matches!(sh.sys.scheduler, Scheduler::GgPdes) {
             // Algorithm 2 — the scan itself costs per entry.
-            let activated = sh.activate_queued(&mut self.ops);
             cost += c.scan_per_thread / 4 * sh.num_threads as u64 + c.sched_op * activated as u64;
         }
         cost
@@ -299,28 +258,16 @@ impl<M: Model> SimThreadTask<M> {
             let cw0 = cost;
             // Armed round: this thread's share of the consistent cut. The
             // claimant published the round's GVT before any participant can
-            // reach End (single-threaded machine), so it is final here. Drain
-            // the input queue chaos-exempt and deliver, so every in-flight
-            // message below the cut is inside the engine before the
-            // snapshot; messages at or above GVT are delivered too but
-            // excluded from the cut (their senders re-send them
-            // deterministically after a restore).
-            let (n, _) = self.receive(sh, true);
-            self.route(sh);
-            let g = sh.round.gvt();
-            self.engine.fossil_collect(g);
-            let part = self.engine.snapshot_at_gvt(g);
-            cost += c.gvt_phase + c.recv_msg * n + c.proc_event * part.0.len() as u64;
-            if let Err(e) = self.ckpt.deposit(
-                sh.members.id,
-                g,
-                sh.round.rounds(),
-                part,
+            // reach End (single-threaded machine), so it is final here.
+            let (plane, me) = (&sh.plane, self.tid);
+            let (n, lps) = self.p.cut(
+                plane,
+                &sh.round,
                 sh.members.participants,
-                sh.plane.faults.cursor(),
-            ) {
-                eprintln!("[checkpoint] {e} (run continues)");
-            }
+                &self.ckpt,
+                |out| route(plane, me, out),
+            );
+            cost += c.gvt_phase + c.recv_msg * n + c.proc_event * lps;
             if trace {
                 // The snapshot occupies [now + cw0, now + cost] virtually.
                 self.tracer.span(
@@ -331,27 +278,27 @@ impl<M: Model> SimThreadTask<M> {
                 );
             }
         } else {
-            self.engine.fossil_collect(sh.round.gvt());
+            self.p.engine.fossil_collect(sh.round.gvt());
         }
         sh.gvt_wall_in_round += now.saturating_sub(self.round_enter_ns);
-        self.backoff
-            .observe(sh.round.gvt().ticks(), self.ecfg.gvt_max_no_change);
-        let parkable = !self.engine.has_live_pending();
-        let deact = self
-            .idle
-            .wants_park(self.sys, &sh.round, &sh.plane, self.tid, parkable);
+        let board = trace.then_some(&sh.board);
+        let deact = self.p.end_tail(sh.sys, &sh.plane, &sh.round, board);
         let rid = sh.members.id;
-        if trace {
-            // Refresh this thread's counters so a closing snapshot reflects
-            // post-round totals.
-            sh.board
-                .publish(self.tid, self.engine.local_min(), self.engine.stats());
-        }
         let closed = sh.end_phase();
         if closed {
-            sh.tel_round_snapshot(rid, now);
+            // The closer stamps the round's counter snapshot (no-op when
+            // telemetry is off); `now` is virtual time here.
+            sh.telemetry.close_round(
+                &sh.board,
+                rid,
+                sh.round.gvt().ticks(),
+                now,
+                sh.demand.num_active(),
+                (0..sh.num_threads).map(|i| sh.plane.len(i)),
+                sh.ingest.as_ref().map(|ing| &ing.port),
+            );
         }
-        if closed && self.sys.affinity == AffinityPolicy::Dynamic && !sh.round.terminated() {
+        if closed && sh.sys.affinity == AffinityPolicy::Dynamic && !sh.round.terminated() {
             // Algorithm 4: the table decides, the kernel ops enact.
             let mut pins = Vec::new();
             let demand = &sh.demand;
@@ -372,9 +319,8 @@ impl<M: Model> SimThreadTask<M> {
             self.phase = Phase::Finishing;
             return Step::work(cost, WorkTag::Gvt);
         }
-        self.cycles_since_gvt = 0;
         if deact {
-            match self.sys.scheduler {
+            match sh.sys.scheduler {
                 Scheduler::GgPdes => {
                     // Lock-free: phase coupling makes this safe (§4.1.4).
                     if sh.deactivate_self(self.tid, rid) {
@@ -402,11 +348,9 @@ impl<M: Model> SimThreadTask<M> {
     /// A deactivation succeeded: when tracing, record where the Park span
     /// starts and an idle (∞) LVT.
     fn note_parked(&mut self, sh: &mut Shared<M::Payload>, span_start: u64) {
-        if self.tracer.enabled() {
-            self.park_ns = span_start;
-            let idle = pdes_core::VirtualTime::INFINITY;
-            sh.board.publish(self.tid, idle, self.engine.stats());
-        }
+        self.park_ns = span_start;
+        let board = self.tracer.enabled().then_some(&sh.board);
+        self.p.publish(board, pdes_core::VirtualTime::INFINITY);
     }
 
     /// Close the trace span `kind` of round `id` at `end_ns` and start the
@@ -432,6 +376,13 @@ impl<M: Model> SimThreadTask<M> {
     }
 }
 
+/// Push an outbox into the destination queues.
+fn route<P>(plane: &MessagePlane<P>, me: usize, out: &mut Vec<Outbound<P>>) {
+    for (dst, msg) in out.drain(..) {
+        plane.push_msg(me, dst.index(), msg);
+    }
+}
+
 impl<M: Model> Task for SimThreadTask<M> {
     fn step(&mut self, ctx: &mut Ctx<'_>) -> Step {
         // A thread that joined a round on the cycle it gave up folds first:
@@ -446,7 +397,7 @@ impl<M: Model> Task for SimThreadTask<M> {
         debug_assert!(self.ops.is_empty());
         let phase = self.phase;
         sh.dbg_phase[self.tid] = phase;
-        let sync = self.sys.gvt == GvtMode::Sync;
+        let sync = sh.sys.gvt == GvtMode::Sync;
         let step = match phase {
             Phase::Cycle => {
                 if self.run_over(&mut sh, now, ctx) {
@@ -462,26 +413,11 @@ impl<M: Model> Task for SimThreadTask<M> {
                     Step::work(sh.cost.phase_check, WorkTag::Sched)
                 } else {
                     let (mut cost, cycles, useful, give_up) = self.do_cycle(&mut sh, now);
-                    self.cycles_since_gvt += cycles;
                     let mut tag = if useful { WorkTag::Sim } else { WorkTag::Spin };
-                    // GVT trigger: the thread's own 1-in-`gvt_interval`
-                    // counter, or an in-flight round whose participant
-                    // snapshot is waiting for this thread.
-                    let round_waiting = sh
-                        .members
-                        .waiting_for(self.tid)
-                        .is_some_and(|id| self.joined_round != Some(id));
-                    let interval = self
-                        .ecfg
-                        .round_interval(self.engine.history_len(), &self.backoff);
-                    if (self.cycles_since_gvt >= interval as u64 || round_waiting)
-                        && sh.members.subscribed[self.tid]
-                    {
+                    if self.p.round_due(cycles, &sh.members) && sh.members.subscribed[self.tid] {
                         let participate = sh.ensure_round_open(self.tid, &mut self.ops);
-                        let fresh = self.joined_round != Some(sh.members.id);
-                        if participate && fresh {
-                            self.joined_round = Some(sh.members.id);
-                            sh.dbg_joined[self.tid] = self.joined_round;
+                        if self.p.join(participate, sh.members.id) {
+                            sh.dbg_joined[self.tid] = self.p.joined();
                             self.round_enter_ns = now;
                             self.ph_ns = now;
                             self.phase = if sync { Phase::Bar0 } else { Phase::A };
@@ -498,11 +434,11 @@ impl<M: Model> Task for SimThreadTask<M> {
             // ---- the GVT round (Wait-Free, and Barrier between its bars) ----
             Phase::A => {
                 assert!(
-                    sh.members.waiting_for(self.tid) == self.joined_round
-                        && self.joined_round.is_some(),
+                    sh.members.waiting_for(self.tid) == self.p.joined()
+                        && self.p.joined().is_some(),
                     "t{} stale fold: joined={:?} {:?} {:?}",
                     self.tid,
-                    self.joined_round,
+                    self.p.joined(),
                     sh.members,
                     sh.round,
                 );
@@ -596,7 +532,7 @@ impl<M: Model> Task for SimThreadTask<M> {
                 // would wedge it — go fold into it instead); either way the
                 // refusal undoes `dd_unsubscribe`.
                 let m = sh.dd_mutex.expect("DD lock exists");
-                let joined = self.joined_round.expect("deactivates at a round's End");
+                let joined = self.p.joined().expect("deactivates at a round's End");
                 let ok = sh.deactivate_self(self.tid, joined);
                 if ok {
                     self.note_parked(&mut sh, now);
@@ -624,19 +560,12 @@ impl<M: Model> Task for SimThreadTask<M> {
                 }
                 // Woken: either reactivated (Algorithm 1 lines 14–17; the
                 // activator already set the flags) or the simulation ended.
-                if self.tracer.enabled() {
-                    self.tracer
-                        .span(EventKind::Park, self.park_ns, now, self.tid as u64);
-                    self.tracer.instant(EventKind::Unpark, now, self.tid as u64);
-                }
-                self.idle.reintegrate();
-                // `joined_round` stays untouched: it records the last round
-                // this thread folded into. If the currently open round's
-                // snapshot includes us (we were re-activated just before it
-                // opened) its id is newer and we join it; if we already
-                // completed the open round before parking, the ids match and
-                // we correctly skip it.
-                self.cycles_since_gvt = 0;
+                // The span's `arg` is the round at whose End the thread
+                // parked, as on real threads.
+                let rid = self.p.joined().expect("parks at a round's End");
+                self.tracer.span(EventKind::Park, self.park_ns, now, rid);
+                self.tracer.instant(EventKind::Unpark, now, rid);
+                self.p.woke();
                 self.phase = if sh.round.terminated() {
                     Phase::Finishing
                 } else {
@@ -646,9 +575,7 @@ impl<M: Model> Task for SimThreadTask<M> {
             }
 
             Phase::Finishing => {
-                self.engine.finalize();
-                sh.final_stats[self.tid] = Some(self.engine.stats().clone());
-                sh.final_digests[self.tid] = self.engine.state_digests();
+                sh.finals[self.tid] = Some(self.p.finish());
                 sh.telemetry
                     .deposit(std::mem::replace(&mut self.tracer, Tracer::disabled()));
                 Step::Done

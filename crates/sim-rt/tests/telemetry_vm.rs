@@ -124,6 +124,24 @@ fn demand_driven_deactivation_produces_park_spans() {
         assert!(parks > 0, "threads descheduled but no Park spans traced");
     }
     assert_eq!(parks, unparks, "every park span pairs with an unpark");
+    // `arg` is the round at whose End the thread parked — the GvtEnd span
+    // its lane recorded last — on the span and on the wake-up alike, not the
+    // thread id the lane already names.
+    let mut named_by_round = 0;
+    for t in &data.threads {
+        let mut last_end = None;
+        for r in &t.records {
+            match r.kind {
+                EventKind::GvtEnd => last_end = Some(r.arg),
+                EventKind::Park | EventKind::Unpark => {
+                    assert_eq!(Some(r.arg), last_end, "t{}: {r:?}", t.tid);
+                    named_by_round += usize::from(r.arg != t.tid as u64);
+                }
+                _ => {}
+            }
+        }
+    }
+    assert!(parks == 0 || named_by_round > 0);
     // The gantt derived from those spans renders one lane per thread.
     let trs = metrics::transitions_from_trace(&data, 8);
     let g = metrics::render_gantt(&trs, 8, metrics::trace_horizon(&data).max(1), 40);

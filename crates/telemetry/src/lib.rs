@@ -16,9 +16,10 @@
 //!   collects them back at thread exit (off the hot path, behind a mutex),
 //!   and accumulates per-GVT-round [`pdes_core::RoundCounters`] snapshots
 //!   emitted at each round's End phase.
-//! * [`board::RoundBoard`] — the per-thread LVT / counter cells every
-//!   runtime publishes into and its round closer sums into one
-//!   [`RoundTotals`], so `lvt_ticks[]` means the same thing everywhere.
+//! * [`RoundBoard`] (`pdes_core`'s, re-exported) — the per-thread LVT /
+//!   counter cells every runtime publishes into and its round closer sums
+//!   into one [`RoundTotals`] through [`Telemetry::close_round`], so
+//!   `lvt_ticks[]` means the same thing everywhere.
 //! * [`chrome`] — a Chrome `trace_event` JSON exporter (loadable in
 //!   Perfetto / `chrome://tracing`) and a JSONL round-stream exporter.
 //!
@@ -32,16 +33,15 @@
 //! the coordinator over the reliable link layer, where it is merged under a
 //! per-shard clock-offset estimate (see [`TelemetryData::merge_shard`]).
 
-pub mod board;
 pub mod chrome;
 pub mod config;
 pub mod event;
 pub mod registry;
 pub mod ring;
 
-pub use board::RoundBoard;
 pub use chrome::{chrome_trace_json, round_stream_jsonl};
 pub use config::TelemetryConfig;
 pub use event::{EventKind, TraceRecord};
-pub use registry::{RoundTotals, Telemetry, TelemetryData, ThreadTrace, Tracer};
+pub use pdes_core::{RoundBoard, RoundTotals};
+pub use registry::{Telemetry, TelemetryData, ThreadTrace, Tracer};
 pub use ring::TraceRing;

@@ -5,7 +5,7 @@ use crate::config::TelemetryConfig;
 use crate::event::{EventKind, TraceRecord};
 use crate::ring::TraceRing;
 use pdes_core::plane::lock;
-use pdes_core::RoundCounters;
+use pdes_core::{IngestPort, RoundBoard, RoundCounters, RoundTotals};
 use serde::{Deserialize, Serialize};
 use std::sync::{Arc, Mutex};
 
@@ -148,27 +148,6 @@ impl TelemetryData {
     }
 }
 
-/// Cumulative run totals at one round's End phase, as sampled by whichever
-/// thread closed the round. [`Telemetry::record_round`] turns consecutive
-/// totals into per-round deltas.
-#[derive(Debug, Clone, Default)]
-pub struct RoundTotals {
-    pub round: u64,
-    pub gvt_ticks: u64,
-    pub ts_ns: u64,
-    pub committed: u64,
-    pub processed: u64,
-    pub rolled_back: u64,
-    pub active_threads: usize,
-    /// Cluster membership size at the round close (live shards in dist-rt).
-    pub members: u64,
-    pub lvt_ticks: Vec<u64>,
-    pub queue_depths: Vec<usize>,
-    /// Cumulative ingest-gate counters at the round close
-    /// (admitted, rejected, shed, busy). Zero when the run has no gate.
-    pub ingest: (u64, u64, u64, u64),
-}
-
 #[derive(Default)]
 struct Inner {
     threads: Vec<ThreadTrace>,
@@ -224,12 +203,35 @@ impl Telemetry {
         }
     }
 
+    /// Round closer, on every runtime: sum `board` into round `round`'s
+    /// cumulative totals at `ts_ns` and record them. Nothing is read — not
+    /// `queue_depths` either — when telemetry is off.
+    #[allow(clippy::too_many_arguments)]
+    pub fn close_round<P>(
+        &self,
+        board: &RoundBoard,
+        round: u64,
+        gvt_ticks: u64,
+        ts_ns: u64,
+        active_threads: usize,
+        queue_depths: impl Iterator<Item = usize>,
+        ingest: Option<&IngestPort<P>>,
+    ) {
+        if self.cfg.enabled {
+            self.record_round(board.snapshot(
+                round,
+                gvt_ticks,
+                ts_ns,
+                active_threads,
+                queue_depths.collect(),
+                ingest.map_or((0, 0, 0, 0), IngestPort::totals),
+            ));
+        }
+    }
+
     /// Record one GVT round from **cumulative** totals; the delta against
     /// the previous call is computed here, behind the mutex.
-    pub fn record_round(&self, t: RoundTotals) {
-        if !self.cfg.enabled {
-            return;
-        }
+    fn record_round(&self, t: RoundTotals) {
         let mut g = lock(&self.inner);
         let (pc, pp, pr) = g.prev;
         g.prev = (t.committed, t.processed, t.rolled_back);
@@ -294,7 +296,8 @@ mod tests {
         tr.instant(EventKind::Unpark, 10, 0);
         tr.span(EventKind::GvtA, 0, 5, 1);
         tel.deposit(tr);
-        tel.record_round(RoundTotals::default());
+        let depths = std::iter::once_with(|| panic!("read with telemetry off"));
+        tel.close_round::<()>(&RoundBoard::new(1, 1), 0, 0, 0, 1, depths, None);
         let data = tel.take();
         assert!(data.threads.is_empty());
         assert!(data.rounds.is_empty());

@@ -15,7 +15,7 @@
 //! publishes `window_min[me]` exactly like `push_msg` does before its
 //! enqueue. The window is only reset by the owning thread's own `Round::fold`,
 //! which gives the one hard safety rule: **flush before every fold** (the
-//! worker's `fold` lands its outbox through `send`, which flushes, first).
+//! `send` a `Participant::fold` is given is [`SendBatcher::land`], which flushes).
 //! Between buffer and flush the message is covered by `window_min[me]`;
 //! after the flush by `queue_min[dst]` — coverage never lapses, which is
 //! the same invariant the per-message path maintains.
@@ -28,11 +28,11 @@
 //! - **LVT advance / idle** — the worker flushes at the end of every main
 //!   loop cycle that processed events *and* whenever it goes idle (a
 //!   starved peer must see our messages before we spin waiting on it);
-//! - **GVT round boundaries** — the worker's `send` flushes before each phase
+//! - **GVT round boundaries** — [`SendBatcher::land`] flushes before each phase
 //!   fold; checkpoint cuts, parking and termination all pass through it.
 
 use crate::shared::RtShared;
-use pdes_core::Msg;
+use pdes_core::{Msg, Outbound};
 
 /// Per-thread accumulator of outgoing messages, grouped by destination
 /// thread. One instance lives on each worker's stack; it is not shared.
@@ -77,6 +77,14 @@ impl<P> SendBatcher<P> {
         for dst in self.dirty.drain(..) {
             sh.push_batch(dst, &mut self.bufs[dst]);
         }
+    }
+
+    /// Buffer a whole outbox of thread `me`, then [`Self::flush`].
+    pub fn land(&mut self, sh: &RtShared<P>, me: usize, out: &mut Vec<Outbound<P>>) {
+        for (dst, msg) in out.drain(..) {
+            self.buffer(sh, me, dst.index(), msg);
+        }
+        self.flush(sh);
     }
 
     /// `true` when no message is buffered.

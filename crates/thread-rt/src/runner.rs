@@ -9,12 +9,12 @@
 use crate::affinity::num_cores;
 use crate::protocol::{Optimistic, Protocol};
 use crate::shared::RtShared;
-use crate::worker::{controller_loop, worker_loop, WorkerResult};
+use crate::worker::{controller_loop, worker_loop};
 use metrics::RunMetrics;
 use pdes_core::{
     build_engines, supervise, Attempt, AttemptFailure, Checkpoint, CkptSink, CommitTrace,
-    EngineConfig, FaultInjector, FaultPlan, IngestError, IngestGate, IngestPort, LpId, Model,
-    Scheduler, StallDump, SystemConfig,
+    EngineConfig, FaultInjector, FaultPlan, IngestError, IngestGate, IngestPort, Model, Scheduler,
+    StallDump, SystemConfig, ThreadResult,
 };
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -308,7 +308,7 @@ pub fn run_threads_attempt<M: Model, P: Protocol<M>>(
                 .expect("spawn watchdog")
         });
 
-        let mut results: Vec<Option<WorkerResult>> = (0..n).map(|_| None).collect();
+        let mut results: Vec<Option<ThreadResult>> = (0..n).map(|_| None).collect();
         let mut first_panic: Option<(usize, String)> = None;
         for (t, h) in handles.into_iter().enumerate() {
             match h.join().expect("worker join") {
@@ -336,10 +336,7 @@ pub fn run_threads_attempt<M: Model, P: Protocol<M>>(
     // Survivor state outlives a failed attempt: the per-thread committed
     // loads feed the supervisor's LP remap, and the newest assembled
     // checkpoint is what it restores from.
-    let thread_loads: Vec<u64> = results
-        .iter()
-        .map(|r| r.as_ref().map_or(0, |w| w.stats.committed))
-        .collect();
+    let (total, digests, thread_loads) = ThreadResult::merge(&results);
     let checkpoint = sink.latest();
 
     // Panic beats stall: a panicked worker stops folding minima, so a
@@ -365,45 +362,29 @@ pub fn run_threads_attempt<M: Model, P: Protocol<M>>(
         g.close();
     }
 
-    let mut total = pdes_core::ThreadStats::default();
-    let mut digests: Vec<(LpId, u64)> = Vec::new();
-    for r in results.iter().flatten() {
-        total.merge(&r.stats);
-        digests.extend(r.digests.iter().copied());
-    }
-    digests.sort_by_key(|&(lp, _)| lp);
-
     let telemetry_data = shared.telemetry.enabled().then(|| shared.telemetry.take());
-    let mut metrics = RunMetrics {
-        system: rc.system.name(),
-        threads: n,
-        lps: model.num_lps(),
-        wall_secs: wall.as_secs_f64(),
-        committed: total.committed,
-        processed: total.processed,
-        rolled_back: total.rolled_back,
-        rollbacks: total.rollbacks,
-        antis_sent: total.antis_sent,
-        gvt_rounds: shared.round.rounds(),
-        gvt_cpu_secs: shared.gvt_wall_ns.load(Ordering::Acquire) as f64 * 1e-9,
-        max_descheduled: shared.demand.max_descheduled(),
-        voluntary_yields: shared
-            .yields
-            .iter()
-            .map(|y| y.load(Ordering::Relaxed))
-            .sum(),
-        commit_digest: total.commit_digest,
-        pin_failures: shared.pin_failures.load(Ordering::Relaxed),
-        last_round: telemetry_data
-            .as_ref()
-            .and_then(|d| d.last_round().cloned()),
-        ..Default::default()
-    };
+    let mut metrics = RunMetrics::of_run(
+        rc.system.name(),
+        n,
+        model.num_lps(),
+        &total,
+        shared.round.rounds(),
+        shared.demand.max_descheduled(),
+        telemetry_data.as_ref(),
+    );
+    metrics.wall_secs = wall.as_secs_f64();
+    metrics.gvt_cpu_secs = shared.gvt_wall_ns.load(Ordering::Acquire) as f64 * 1e-9;
+    metrics.voluntary_yields = shared
+        .yields
+        .iter()
+        .map(|y| y.load(Ordering::Relaxed))
+        .sum();
+    metrics.pin_failures = shared.pin_failures.load(Ordering::Relaxed);
     proto.tag_metrics(&mut metrics);
     RtAttempt {
         outcome: Ok(RtResult {
             metrics,
-            digests: digests.into_iter().map(|(_, d)| d).collect(),
+            digests,
             gvt_regressions: shared.round.regressions(),
             fault_counts: shared.faults.counts(),
             telemetry: telemetry_data,

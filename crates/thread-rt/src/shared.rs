@@ -141,25 +141,6 @@ impl<P> RtShared<P> {
         self.tel_t0.elapsed().as_nanos() as u64
     }
 
-    /// Round closer: record round `id`'s counter snapshot (no-op when
-    /// telemetry is off).
-    pub fn tel_round_snapshot(&self, id: u64) {
-        if self.telemetry.enabled() {
-            self.telemetry.record_round(
-                self.board.snapshot(
-                    id,
-                    self.round.gvt().ticks(),
-                    self.now_ns(),
-                    self.demand.num_active(),
-                    (0..self.num_threads).map(|i| self.len(i)).collect(),
-                    self.ingest
-                        .as_ref()
-                        .map_or((0, 0, 0, 0), IngestPort::totals),
-                ),
-            );
-        }
-    }
-
     /// Participant half of the checkpoint handshake: whether round `id` was
     /// armed at open time and its cut GVT is published. Waits for the
     /// publish; only a teardown ([`Self::poison_all`], which a controller
@@ -266,11 +247,6 @@ impl<P> RtShared<P> {
         joined
     }
 
-    /// Peek the open round without opening one.
-    pub fn round_waiting_for(&self, me: usize) -> Option<u64> {
-        lock(&self.membership).waiting_for(me)
-    }
-
     /// Number of participants of the current round.
     pub fn participants(&self) -> usize {
         lock(&self.membership).participants
@@ -281,9 +257,8 @@ impl<P> RtShared<P> {
         self.round.end_phase(&mut lock(&self.membership))
     }
 
-    /// Algorithm 2: wake the inactive threads `demand` holds for. Must be
-    /// called by the round's pseudo-controller (Phase Aware) or the DD-PDES
-    /// controller.
+    /// Algorithm 2 outside a round: the DD-PDES controller wakes the inactive
+    /// threads `demand` holds for.
     pub fn activate_where(&self, demand: impl Fn(usize) -> bool) -> usize {
         if self.demand.all_active() {
             return 0; // the common case takes no lock
@@ -304,15 +279,6 @@ impl<P> RtShared<P> {
             me,
             completed_round,
         )
-    }
-
-    /// Wake everyone for termination and stop the DD controller.
-    pub fn release_all_for_termination(&self) {
-        self.controller_exit.store(true, Ordering::Release);
-        self.round
-            .release_for_termination(&mut lock(&self.membership), &self.demand, |i| {
-                self.sems[i].post()
-            });
     }
 
     /// Emergency drain: mark the run terminated and make every blocking

@@ -10,28 +10,22 @@ use crate::runner::RtRunConfig;
 use crate::shared::RtShared;
 use pdes_core::plane::lock;
 use pdes_core::{
-    AffinityPolicy, CkptSink, EngineConfig, GvtBackoff, GvtMode, IdleTracker, LpId, Model, Msg,
-    Outbound, Phase, Round, Scheduler, SystemConfig, ThreadEngine, VirtualTime,
+    AffinityPolicy, CkptSink, GvtMode, Model, Participant, Phase, Round, Scheduler, SystemConfig,
+    ThreadEngine, ThreadResult, VirtualTime,
 };
 use std::sync::atomic::Ordering;
 use std::time::Instant;
 use telemetry::{EventKind, Tracer};
 
-/// Result of one worker thread.
-pub struct WorkerResult {
-    pub stats: pdes_core::ThreadStats,
-    pub digests: Vec<(LpId, u64)>,
-}
-
-/// Simulation thread `me`: its engine, its buffers and its idle bookkeeping.
+/// Simulation thread `me`: its half of the round ([`Participant`]: engine,
+/// buffers, idle bookkeeping and the steps the virtual machine runs too)
+/// plus what real threads add — the batcher, the tracer's wall clock, the
+/// idle ladder.
 struct Worker<'a, M: Model, P: Protocol<M>> {
     me: usize,
-    engine: ThreadEngine<M>,
+    p: Participant<M>,
     sh: &'a RtShared<M::Payload>,
     proto: &'a P,
-    ecfg: &'a EngineConfig,
-    inbox: Vec<Msg<M::Payload>>,
-    outbox: Vec<Outbound<M::Payload>>,
     /// Outgoing messages accumulate here and land as one bulk push per
     /// destination; see `crate::batch` for the coverage argument and the
     /// flush policy (cycle end, batch-full, before every GVT fold).
@@ -39,12 +33,10 @@ struct Worker<'a, M: Model, P: Protocol<M>> {
     tracer: Tracer,
     /// Where the trace span being timed began (see [`Self::mark`]).
     span_start: u64,
-    /// Algorithm 1's idle count and `active` flag.
-    idle: IdleTracker,
     idle_spins: u32,
 }
 
-impl<M: Model, P: Protocol<M>> Worker<'_, M, P> {
+impl<'a, M: Model, P: Protocol<M>> Worker<'a, M, P> {
     /// One main-loop cycle; returns whether it did useful work.
     fn cycle(&mut self) -> bool {
         let (me, sh) = (self.me, self.sh);
@@ -52,26 +44,26 @@ impl<M: Model, P: Protocol<M>> Worker<'_, M, P> {
         // only when telemetry is on (the tracer's own calls are branches).
         let trace = self.tracer.enabled();
         let (t0, rb0) = if trace {
-            (sh.now_ns(), self.engine.stats().rolled_back)
+            (sh.now_ns(), self.p.engine.stats().rolled_back)
         } else {
             (0, 0)
         };
         let horizon = self.proto.horizon(me, sh);
-        let n = self.receive(false);
+        let (n, _) = self.p.receive(sh, false);
         let batch = self.proto.process(
             me,
             horizon,
-            &mut self.engine,
-            self.ecfg.batch_size,
-            &mut self.outbox,
+            &mut self.p.engine,
+            self.p.ecfg.batch_size,
+            &mut self.p.outbox,
         );
         // Flush at the cycle boundary: the batch above either advanced LVT
         // (processed events) or the thread is about to go idle — in both
         // cases the peer must see this cycle's sends now. Batch-full
         // overflow within the cycle already flushed inline.
-        self.send();
+        self.batcher.land(sh, me, &mut self.p.outbox);
         if trace {
-            let undone = self.engine.stats().rolled_back - rb0;
+            let undone = self.p.engine.stats().rolled_back - rb0;
             if batch.processed > 0 || undone > 0 {
                 let t1 = sh.now_ns();
                 if batch.processed > 0 {
@@ -84,7 +76,7 @@ impl<M: Model, P: Protocol<M>> Worker<'_, M, P> {
             }
         }
         let idle = n == 0 && batch.processed == 0;
-        self.idle.observe(idle as u64, self.parkable());
+        self.p.observe_idle(idle as u64);
         if idle {
             // A blocked thread (live pending beyond its horizon) is just as
             // idle as an empty one: it is waiting on a peer to move a GVT
@@ -109,38 +101,6 @@ impl<M: Model, P: Protocol<M>> Worker<'_, M, P> {
         !idle
     }
 
-    /// May this thread count idle polls toward parking, and park? Not while
-    /// it holds live pending events, unless the protocol parks with them.
-    fn parkable(&self) -> bool {
-        P::PARKS_WITH_PENDING || !self.engine.has_live_pending()
-    }
-
-    /// Drain the input queue (chaos-exempt when `clean`: a checkpoint cut
-    /// must pull in every cut-crossing message) and deliver it; what
-    /// delivery sends waits in the outbox for [`Self::send`]. Returns the
-    /// number of messages received.
-    fn receive(&mut self, clean: bool) -> usize {
-        self.inbox.clear();
-        let n = if clean {
-            self.sh.drain_clean(self.me, &mut self.inbox)
-        } else {
-            self.sh.drain(self.me, &mut self.inbox)
-        };
-        self.outbox.clear();
-        for m in self.inbox.drain(..) {
-            self.engine.deliver(m, &mut self.outbox);
-        }
-        n
-    }
-
-    /// Land the outbox in the destination queues, through the batcher.
-    fn send(&mut self) {
-        for (dst, msg) in self.outbox.drain(..) {
-            self.batcher.buffer(self.sh, self.me, dst.index(), msg);
-        }
-        self.batcher.flush(self.sh);
-    }
-
     /// Close the trace span `kind` of round `id` at now and start the next
     /// one there (no-op when tracing is off).
     fn mark(&mut self, kind: EventKind, id: u64) {
@@ -154,16 +114,16 @@ impl<M: Model, P: Protocol<M>> Worker<'_, M, P> {
     /// Record this thread's minimum (pending set + send window) in round
     /// `id`; `kind` is the phase span the fold closes.
     fn fold(&mut self, kind: EventKind, id: u64) {
-        // The fold resets this thread's send window: everything buffered
-        // must be in a queue before then.
-        self.receive(false);
-        self.send();
-        let local = self.engine.local_min();
-        self.sh.round.fold(self.sh, self.me, local);
-        if self.tracer.enabled() {
-            self.sh.board.publish(self.me, local, self.engine.stats());
-        }
+        let (me, sh) = (self.me, self.sh);
+        self.p.fold(sh, &sh.round, self.board(), |out| {
+            self.batcher.land(sh, me, out)
+        });
         self.mark(kind, id);
+    }
+
+    /// The round board, when tracing (nothing publishes to it otherwise).
+    fn board(&self) -> Option<&'a telemetry::RoundBoard> {
+        self.tracer.enabled().then_some(&self.sh.board)
     }
 
     /// Phase Send: simulate while peers record their minima. Escapes on
@@ -176,8 +136,8 @@ impl<M: Model, P: Protocol<M>> Worker<'_, M, P> {
     }
 
     /// Phase Aware: the first thread through becomes pseudo-controller and
-    /// publishes the GVT, admits ingest, releases checkpoint snapshotters,
-    /// then broadcasts termination or (Algorithm 2) activates.
+    /// publishes the GVT, admits ingest, then runs the round's Aware tail
+    /// (release checkpoint snapshotters; broadcast termination or activate).
     fn aware(&mut self, sys: SystemConfig, id: u64) {
         let sh = self.sh;
         if sh.round.claim_aware() {
@@ -189,15 +149,21 @@ impl<M: Model, P: Protocol<M>> Worker<'_, M, P> {
             // replay covers it; either way exactly one copy survives a
             // restore.
             sh.pump_ingest();
-            // Unblock End-phase snapshotters even when this GVT also
-            // terminates the run — the final cut is still a valid (if
-            // redundant) checkpoint.
-            sh.round.ckpt_publish(id);
+            // The tail unblocks End-phase snapshotters even when this GVT
+            // also terminates the run — the final cut is still a valid (if
+            // redundant) checkpoint — and the final GVT stops the DD
+            // controller too.
             if sh.round.terminated() {
-                sh.release_all_for_termination();
-            } else if matches!(sys.scheduler, Scheduler::GgPdes) {
-                sh.activate_where(|i| self.proto.has_demand(sh, i));
+                sh.controller_exit.store(true, Ordering::Release);
             }
+            sh.round.aware_tail(
+                sys,
+                &mut lock(&sh.membership),
+                &sh.demand,
+                &sh.faults,
+                |i| self.proto.has_demand(sh, i),
+                |i| sh.sems[i].post(),
+            );
         }
         self.mark(EventKind::GvtAware, id);
     }
@@ -249,27 +215,19 @@ impl<M: Model, P: Protocol<M>> Worker<'_, M, P> {
     /// force-woken into the participant set), capture this thread's share
     /// of a consistent cut.
     fn collect(&mut self, id: u64, ckpt: &CkptSink<M>) {
-        let sh = self.sh;
+        let (me, sh) = (self.me, self.sh);
         if !sh.ckpt_await(id) {
-            self.engine.fossil_collect(sh.round.gvt());
+            self.p.engine.fossil_collect(sh.round.gvt());
             return;
         }
-        // A chaos-exempt drain first pulls in every cut-crossing message
-        // (all of them are queued by now — any event processed after the
-        // phase-B folds has recv ≥ GVT, so its sends do too), fossil
-        // collection pins the committed state at the cut, and the snapshot
-        // is deposited for assembly.
         let trace = self.tracer.enabled();
         let cw0 = if trace { sh.now_ns() } else { 0 };
-        self.receive(true);
-        self.send();
-        let g = sh.round.gvt();
-        self.engine.fossil_collect(g);
-        let part = self.engine.snapshot_at_gvt(g);
-        let cursor = sh.faults.cursor();
-        if let Err(e) = ckpt.deposit(id, g, sh.round.rounds(), part, sh.participants(), cursor) {
-            eprintln!("[checkpoint] {e} (run continues)");
-        }
+        // The participant count is read (and the membership lock dropped)
+        // before the cut: the lock is never held across a drain or a deposit.
+        let participants = sh.participants();
+        self.p.cut(sh, &sh.round, participants, ckpt, |out| {
+            self.batcher.land(sh, me, out)
+        });
         if trace {
             self.tracer
                 .span(EventKind::CheckpointWrite, cw0, sh.now_ns(), id);
@@ -285,7 +243,7 @@ impl<M: Model, P: Protocol<M>> Worker<'_, M, P> {
             // any round opened after we unsubscribe acquires the membership
             // lock after us and therefore reads the floor — the reduction
             // can never overshoot events only we know about.
-            sh.demand.set_park_min(me, self.engine.local_min());
+            sh.demand.set_park_min(me, self.p.engine.local_min());
         }
         let parked = match sys.scheduler {
             Scheduler::GgPdes => sh.deactivate_self(me, id),
@@ -300,11 +258,7 @@ impl<M: Model, P: Protocol<M>> Worker<'_, M, P> {
             sh.set_phase(me, Phase::Parked);
             let trace = self.tracer.enabled();
             let park0 = if trace { sh.now_ns() } else { 0 };
-            if trace {
-                // An idle LVT is ∞: round snapshots render it as such.
-                sh.board
-                    .publish(me, VirtualTime::INFINITY, self.engine.stats());
-            }
+            self.p.publish(self.board(), VirtualTime::INFINITY);
             sh.sems[me].wait();
             // A wake token proves nothing by itself: a fault plan may post a
             // parked thread *without* activating it (spurious wake-up). Only
@@ -313,7 +267,7 @@ impl<M: Model, P: Protocol<M>> Worker<'_, M, P> {
             while !sh.demand.is_active(me) && !sh.round.terminated() {
                 sh.sems[me].wait();
             }
-            self.idle.reintegrate();
+            self.p.woke();
             if trace {
                 let now = sh.now_ns();
                 self.tracer.span(EventKind::Park, park0, now, id);
@@ -338,8 +292,8 @@ pub fn worker_loop<M: Model, P: Protocol<M>>(
     proto: &P,
     rc: &RtRunConfig,
     ckpt: &CkptSink<M>,
-) -> WorkerResult {
-    let (sys, ecfg) = (rc.system, &rc.engine);
+) -> ThreadResult {
+    let sys = rc.system;
     sh.os_tids[me].store(current_tid().0, Ordering::Release);
     let mut tracer = sh.telemetry.tracer(me);
     if sys.affinity == AffinityPolicy::Constant {
@@ -352,24 +306,15 @@ pub fn worker_loop<M: Model, P: Protocol<M>>(
 
     let mut w = Worker {
         me,
-        engine,
+        p: Participant::new(engine, rc.engine.clone(), P::PARKS_WITH_PENDING),
         sh,
         proto,
-        ecfg,
-        inbox: Vec::new(),
-        outbox: Vec::new(),
         batcher: SendBatcher::new(sh.num_threads, 64),
         tracer,
         span_start: 0,
-        idle: IdleTracker::new(ecfg.zero_counter_threshold),
         idle_spins: 0,
     };
-    let mut cycles_since_gvt: u64 = 0;
     let mut total_cycles: u64 = 0;
-    let mut joined: Option<u64> = None;
-    // ROSS 7 O'clock no-change backoff: widen the round interval while GVT
-    // stands still (inert unless `ecfg.gvt_max_no_change > 0`).
-    let mut backoff = GvtBackoff::default();
 
     loop {
         sh.set_phase(me, Phase::Cycle);
@@ -384,22 +329,16 @@ pub fn worker_loop<M: Model, P: Protocol<M>>(
             panic!("fault-injected worker kill (thread {me}, cycle {total_cycles})");
         }
         w.cycle();
-        cycles_since_gvt += 1;
 
-        let round_waiting = sh
-            .round_waiting_for(me)
-            .is_some_and(|id| joined != Some(id));
-        let interval = ecfg.round_interval(w.engine.history_len(), &backoff);
-        if cycles_since_gvt < interval as u64 && !round_waiting {
+        // The membership lock covers the peek at the open round only.
+        if !w.p.round_due(1, &lock(&sh.membership)) {
             continue;
         }
         let (participate, id) = sh.try_join_round(me);
-        if !participate || joined == Some(id) {
+        if !w.p.join(participate, id) {
             continue;
         }
-        joined = Some(id);
         sh.note_joined(me, id);
-        cycles_since_gvt = 0;
         let enter = Instant::now();
         let trace = w.tracer.enabled();
         if trace {
@@ -412,19 +351,23 @@ pub fn worker_loop<M: Model, P: Protocol<M>>(
         w.collect(id, ckpt);
         sh.gvt_wall_ns
             .fetch_add(enter.elapsed().as_nanos() as u64, Ordering::AcqRel);
-        backoff.observe(sh.round.gvt().ticks(), ecfg.gvt_max_no_change);
         let terminated = sh.round.terminated();
-        let wants_deact = w.idle.wants_park(sys, &sh.round, sh, me, w.parkable());
-        if trace {
-            // Refresh this thread's counters so the snapshot the round closer
-            // takes reflects post-round totals, not the phase-B fold.
-            sh.board.publish(me, w.engine.local_min(), w.engine.stats());
-        }
+        let wants_deact = w.p.end_tail(sys, sh, &sh.round, w.board());
+        // The End tail is two calls around the close, so the membership
+        // lock holds `Round::end_phase` and nothing else.
         let closed = sh.end_phase();
         if closed {
             // The closer stamps the per-round counter snapshot (no-op when
             // telemetry is off).
-            sh.tel_round_snapshot(id);
+            sh.telemetry.close_round(
+                &sh.board,
+                id,
+                sh.round.gvt().ticks(),
+                sh.now_ns(),
+                sh.demand.num_active(),
+                (0..sh.num_threads).map(|i| sh.len(i)),
+                sh.ingest.as_ref(),
+            );
             if trace {
                 proto.round_instants(sh, &mut w.tracer);
             }
@@ -453,12 +396,9 @@ pub fn worker_loop<M: Model, P: Protocol<M>>(
     }
 
     sh.set_phase(me, Phase::Done);
-    w.engine.finalize();
+    let result = w.p.finish();
     sh.telemetry.deposit(w.tracer);
-    WorkerResult {
-        stats: w.engine.stats().clone(),
-        digests: w.engine.state_digests(),
-    }
+    result
 }
 
 /// The DD-PDES controller loop (dedicated thread).

@@ -79,9 +79,8 @@ pub mod prelude {
         Traffic, TrafficConfig,
     };
     pub use pdes_core::{
-        run_sequential, AdaptiveGvt, DetRng, EngineConfig, Event, EventKey, FaultPlan, LpId, LpMap,
-        MapKind, Model, Msg, SendCtx, SequentialResult, SimThreadId, StallDump, ThreadStats,
-        VirtualTime,
+        run_sequential, DetRng, EngineConfig, Event, EventKey, FaultPlan, LpId, LpMap, MapKind,
+        Model, Msg, SendCtx, SequentialResult, SimThreadId, StallDump, ThreadStats, VirtualTime,
     };
     pub use sim_rt::{
         run_sim, AffinityPolicy, GvtMode, RunConfig, Scheduler, SimCost, SimResult, SystemConfig,
