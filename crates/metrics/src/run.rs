@@ -39,6 +39,9 @@ pub struct RunMetrics {
     /// run was GG-PDES with more threads than contexts), on real threads
     /// the idle ladder's `yield_now` calls.
     pub voluntary_yields: u64,
+    /// The same by cause, where the yield tier made them (`None` on real
+    /// threads and in older JSON).
+    pub yields_by_cause: Option<pdes_core::YieldCounts>,
     /// `sched_setaffinity` rejections while applying an affinity policy
     /// (non-fatal: the affected threads stay on kernel scheduling).
     pub pin_failures: u64,

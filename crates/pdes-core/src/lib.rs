@@ -74,7 +74,8 @@ pub use recovery::{
 };
 pub use rng::DetRng;
 pub use sched::{
-    ckpt_round_due, AffinityTable, Demand, IdleTracker, Membership, Phase, Round, YieldTier,
+    ckpt_round_due, AffinityTable, Demand, IdleTracker, Membership, Phase, Round, Turnover,
+    YieldCause, YieldCounts, YieldTier,
 };
 pub use sequential::{
     run_sequential, run_sequential_from, run_sequential_from_with, run_sequential_with,

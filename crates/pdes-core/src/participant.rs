@@ -17,7 +17,7 @@ use crate::ids::LpId;
 use crate::model::Model;
 use crate::plane::MessagePlane;
 use crate::recovery::CkptSink;
-use crate::sched::{IdleTracker, Membership, Round};
+use crate::sched::{IdleTracker, Membership, Round, Turnover};
 use crate::stats::ThreadStats;
 use crate::system::SystemConfig;
 use crate::time::VirtualTime;
@@ -30,6 +30,10 @@ pub struct Participant<M: Model> {
     /// What delivery and the batch want sent, until the runtime lands it.
     pub outbox: Vec<Outbound<M::Payload>>,
     idle: IdleTracker,
+    /// The yield tier's count (DESIGN §5.8): `receive` and `woke` restart
+    /// it; the runtime that enacts the tier adds what its cycles process and
+    /// restarts it at a yield.
+    pub turnover: Turnover,
     /// ROSS 7 O'clock backoff (inert unless `gvt_max_no_change > 0`).
     backoff: GvtBackoff,
     /// Round this thread last folded into. Parking leaves it alone: a woken
@@ -51,6 +55,7 @@ impl<M: Model> Participant<M> {
             inbox: Vec::new(),
             outbox: Vec::new(),
             idle: IdleTracker::new(ecfg.zero_counter_threshold),
+            turnover: Turnover::default(),
             backoff: GvtBackoff::default(),
             joined: None,
             cycles_since: 0,
@@ -77,6 +82,9 @@ impl<M: Model> Participant<M> {
         self.outbox.clear();
         for m in self.inbox.drain(..) {
             rolled += self.engine.deliver(m, &mut self.outbox).rolled_back as u64;
+        }
+        if n > 0 {
+            self.turnover.restart(self.engine.pending_len());
         }
         (n as u64, rolled)
     }
@@ -193,6 +201,7 @@ impl<M: Model> Participant<M> {
     /// Algorithm 1 lines 14–17: woken from a park.
     pub fn woke(&mut self) {
         self.idle.reintegrate();
+        self.turnover.restart(self.engine.pending_len());
     }
 
     /// The run is over: commit what is left and report.
@@ -345,6 +354,38 @@ mod tests {
             run_sequential_from(&model, &cfg, &cut, None),
             run_sequential(&model, &cfg, None)
         );
+    }
+
+    #[test]
+    fn a_receive_that_delivers_and_a_wake_restart_the_turnover_count() {
+        let cfg = EngineConfig::default().with_end_time(30.0).with_seed(11);
+        let plane = MessagePlane::new(2);
+        let (_, _, mut ps) = ring(&cfg, &plane, 2);
+        let p = &mut ps[0];
+        let turned_over = |p: &mut Participant<Ring>| {
+            p.turnover.processed(p.engine.pending_len() as u64 + 1);
+            assert!(p.turnover.complete());
+        };
+        // The initial events are queued: this receive delivers them.
+        assert!(p.receive(&plane, false).0 > 0 && p.engine.pending_len() > 0);
+        turned_over(p);
+        // Hearing nothing leaves the count alone.
+        assert_eq!(p.receive(&plane, false).0, 0);
+        assert!(p.turnover.complete());
+        p.woke();
+        assert!(!p.turnover.complete());
+        turned_over(p);
+        plane.push_msg(
+            1,
+            0,
+            Msg::Anti(crate::EventKey {
+                recv_time: VirtualTime::from_f64(1.0),
+                dst: LpId(0),
+                uid: crate::EventUid::new(LpId(2), 99),
+            }),
+        );
+        assert_eq!(p.receive(&plane, false).0, 1);
+        assert!(!p.turnover.complete());
     }
 
     #[test]

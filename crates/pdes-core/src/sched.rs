@@ -24,6 +24,7 @@ use crate::plane::{padded, CachePadded, MessagePlane};
 use crate::stall::RoundDump;
 use crate::system::{GvtMode, Scheduler, SystemConfig};
 use crate::time::VirtualTime;
+use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
 /// Who takes part in GVT rounds: the standing subscription list and the
@@ -561,59 +562,144 @@ impl Demand {
 
 /// The yield tier of demand-driven scheduling (DESIGN.md §5.8): the rung
 /// below Algorithm 1's park. Parking takes `zero_counter_threshold` idle
-/// polls, empty queues and a closed round; a thread that stays *blocked*
-/// past that point without getting to park, or whose cycle was
-/// *net-negative*, gives its hardware context to a runnable peer and stays
-/// runnable itself.
+/// polls, empty queues and a closed round; a thread that is *blocked*, whose
+/// cycle was *net-negative*, or that has *turned over* its whole event
+/// population without hearing from a peer gives its hardware context to a
+/// runnable peer and stays runnable itself.
 ///
 /// Armed only for GG-PDES (Baseline and DD-PDES stay the paper's spinning
 /// references) and only when simulation threads outnumber the hardware
 /// contexts they may run on (with a context each there is nobody to yield
-/// to, and the run stays what it was without the tier). The blocked half
-/// is Wait-Free-only: under Barrier GVT a thread already gives its context
-/// back at three barriers a round, and an extra yield on the way there only
+/// to, and the run stays what it was without the tier). Barrier GVT keeps
+/// the net-negative trigger only: a thread there already gives its context
+/// back at three barriers a round, and an extra yield on the way only
 /// delays the arrival everybody else is blocked on.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct YieldTier {
     net_negative: bool,
-    blocked: bool,
-    /// Idle polls a thread spins through before it counts as blocked.
-    patience: u64,
+    /// The blocked and turned-over triggers (Wait-Free GVT only).
+    wait_free: bool,
+}
+
+/// Why the yield tier gave a context away.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum YieldCause {
+    /// The cycle received and processed nothing.
+    Blocked,
+    /// The cycle undid at least as many events as it processed.
+    NetNegative,
+    /// As many events processed as were pending at the last receive.
+    TurnedOver,
+}
+
+/// Yields counted by [`YieldCause`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct YieldCounts {
+    pub blocked: u64,
+    pub net_negative: u64,
+    pub turned_over: u64,
+}
+
+impl YieldCounts {
+    pub fn count(&mut self, cause: YieldCause) {
+        match cause {
+            YieldCause::Blocked => self.blocked += 1,
+            YieldCause::NetNegative => self.net_negative += 1,
+            YieldCause::TurnedOver => self.turned_over += 1,
+        }
+    }
+
+    pub fn total(&self) -> u64 {
+        self.blocked + self.net_negative + self.turned_over
+    }
+}
+
+impl std::iter::Sum for YieldCounts {
+    fn sum<I: Iterator<Item = Self>>(iter: I) -> Self {
+        iter.fold(YieldCounts::default(), |a, b| YieldCounts {
+            blocked: a.blocked + b.blocked,
+            net_negative: a.net_negative + b.net_negative,
+            turned_over: a.turned_over + b.turned_over,
+        })
+    }
+}
+
+impl std::fmt::Display for YieldCounts {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "blocked {}, net-negative {}, turned-over {}",
+            self.blocked, self.net_negative, self.turned_over
+        )
+    }
 }
 
 impl YieldTier {
-    /// `zero_counter_threshold` is Algorithm 1's patience. The tier waits
-    /// twice that: the first span is Algorithm 1's own — the thread turns
-    /// inactive and parks at the next closed round, which costs no runqueue
-    /// slot at all — and a thread still polling a whole span later could not
-    /// park (events pending beyond its window, or no round closing because
-    /// the peer that must join it is off-core).
-    pub fn new(
-        system: SystemConfig,
-        threads: usize,
-        contexts: usize,
-        zero_counter_threshold: u32,
-    ) -> Self {
+    pub fn new(system: SystemConfig, threads: usize, contexts: usize) -> Self {
         let armed = system.scheduler == Scheduler::GgPdes && threads > contexts;
         YieldTier {
             net_negative: armed,
-            blocked: armed && system.gvt == GvtMode::Async,
-            patience: 2 * zero_counter_threshold as u64,
+            wait_free: armed && system.gvt == GvtMode::Async,
         }
     }
 
     /// Should the thread yield after a main-loop cycle that processed
     /// `processed` events and undid `rolled_back`, the last of `idle_polls`
     /// consecutive polls that received and processed nothing (0 after a
-    /// cycle that did either)? Yes when the thread has idled past the
-    /// tier's patience — it is waiting on a peer that cannot run while it
-    /// holds the context — or the cycle undid at least as many events as it
-    /// processed: it runs so far ahead of that peer that its work does not
-    /// survive.
+    /// cycle that did either), with `turnover` counted up to and including
+    /// it? Yes, and why, when the cycle was idle — the thread waits on a
+    /// peer that cannot run while it holds the context; when the cycle undid
+    /// at least as many events as it processed — it runs so far ahead of
+    /// that peer that its work does not survive; or when the thread has
+    /// processed its whole event population once since it last heard from
+    /// anybody — what it would run next descends from its own speculation
+    /// alone, while the peer that owes it stragglers cannot run.
     #[inline]
-    pub fn should_yield(self, idle_polls: u64, processed: u64, rolled_back: u64) -> bool {
-        (self.blocked && idle_polls > self.patience)
-            || (self.net_negative && rolled_back >= processed.max(1))
+    pub fn should_yield(
+        self,
+        idle_polls: u64,
+        processed: u64,
+        rolled_back: u64,
+        turnover: Turnover,
+    ) -> Option<YieldCause> {
+        if self.wait_free && idle_polls > 0 {
+            Some(YieldCause::Blocked)
+        } else if self.net_negative && rolled_back >= processed.max(1) {
+            Some(YieldCause::NetNegative)
+        } else if self.wait_free && turnover.complete() {
+            Some(YieldCause::TurnedOver)
+        } else {
+            None
+        }
+    }
+}
+
+/// The yield tier's thread-local count: how many events the thread held
+/// when it last heard from a peer, and how many it has processed since.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Turnover {
+    held: u64,
+    since: u64,
+}
+
+impl Turnover {
+    /// Start over from a pending set of `held` events: a receive delivered
+    /// something, the thread yielded, or it woke from a park.
+    pub fn restart(&mut self, held: usize) {
+        *self = Turnover {
+            held: held as u64,
+            since: 0,
+        };
+    }
+
+    /// Account a cycle that processed `n` events.
+    pub fn processed(&mut self, n: u64) {
+        self.since += n;
+    }
+
+    /// Has the thread processed as many events as it held (one at least)?
+    pub fn complete(self) -> bool {
+        self.since >= self.held.max(1)
     }
 }
 
@@ -804,35 +890,96 @@ mod tests {
         SystemConfig::new(Scheduler::GgPdes, gvt, crate::AffinityPolicy::Constant)
     }
 
+    /// A count of `since` events processed since `held` were pending.
+    fn turnover(held: usize, since: u64) -> Turnover {
+        let mut t = Turnover::default();
+        t.restart(held);
+        t.processed(since);
+        t
+    }
+
     #[test]
     fn yield_tier_gives_up_blocked_and_net_negative_cycles_only() {
-        let t = YieldTier::new(gg(GvtMode::Async), 2, 1, 100);
-        assert!(t.should_yield(201, 0, 0), "idle past twice the threshold");
-        assert!(!t.should_yield(200, 0, 0), "still inside its patience");
-        assert!(!t.should_yield(32, 0, 0), "one idle cycle is not blocked");
-        assert!(t.should_yield(0, 0, 1), "undid without processing");
-        assert!(t.should_yield(0, 4, 4), "undid as many as it processed");
-        assert!(!t.should_yield(0, 0, 0), "receiving is progress");
-        assert!(!t.should_yield(0, 8, 0), "productive cycle");
-        assert!(!t.should_yield(0, 8, 7), "net-positive cycle");
-        // Barrier GVT keeps the net-negative half only.
-        let t = YieldTier::new(gg(GvtMode::Sync), 2, 1, 100);
-        assert!(!t.should_yield(u64::MAX, 0, 0) && t.should_yield(0, 4, 4));
+        use YieldCause::{Blocked, NetNegative};
+        let fresh = turnover(8, 0);
+        let t = YieldTier::new(gg(GvtMode::Async), 2, 1);
+        assert_eq!(t.should_yield(1, 0, 0, fresh), Some(Blocked), "first idle");
+        assert_eq!(t.should_yield(32, 0, 0, fresh), Some(Blocked));
+        assert_eq!(t.should_yield(0, 0, 1, fresh), Some(NetNegative));
+        assert_eq!(t.should_yield(0, 4, 4, fresh), Some(NetNegative));
+        assert_eq!(
+            t.should_yield(0, 0, 0, fresh),
+            None,
+            "receiving is progress"
+        );
+        assert_eq!(t.should_yield(0, 8, 0, fresh), None, "productive cycle");
+        assert_eq!(t.should_yield(0, 8, 7, fresh), None, "net-positive cycle");
+        // Barrier GVT keeps the net-negative trigger only.
+        let t = YieldTier::new(gg(GvtMode::Sync), 2, 1);
+        assert_eq!(t.should_yield(u64::MAX, 0, 0, fresh), None);
+        assert_eq!(t.should_yield(0, 8, 0, turnover(8, 8)), None);
+        assert_eq!(t.should_yield(0, 4, 4, fresh), Some(NetNegative));
+    }
+
+    #[test]
+    fn yield_tier_gives_up_once_the_thread_turned_its_events_over() {
+        let t = YieldTier::new(gg(GvtMode::Async), 2, 1);
+        // (held at the last receive, processed since) → turned over?
+        let table = [
+            (8, 0, false),
+            (8, 7, false),
+            (8, 8, true),
+            (8, 9, true),
+            (1, 1, true),
+            // An empty pending set turns over with the first event, not before.
+            (0, 0, false),
+            (0, 1, true),
+            (256, 200, false),
+        ];
+        for (held, since, over) in table {
+            let cause = t.should_yield(0, since.min(8), 0, turnover(held, since));
+            let want = over.then_some(YieldCause::TurnedOver);
+            assert_eq!(cause, want, "held {held} since {since}");
+        }
+        // The other two causes are named first: they say more.
+        let over = turnover(4, 4);
+        assert_eq!(t.should_yield(0, 4, 4, over), Some(YieldCause::NetNegative));
+        assert_eq!(t.should_yield(1, 0, 0, over), Some(YieldCause::Blocked));
+    }
+
+    #[test]
+    fn the_turnover_count_restarts_on_receive_yield_and_wake() {
+        let mut c = Turnover::default();
+        assert!(!c.complete(), "nothing processed yet");
+        c.restart(3);
+        c.processed(2);
+        assert!(!c.complete());
+        // Heard from a peer (or yielded, or woke) holding 5: start over.
+        c.restart(5);
+        assert_eq!(c, turnover(5, 0));
+        c.processed(3);
+        c.processed(2);
+        assert!(c.complete(), "counts accumulate across cycles");
+        c.restart(5);
+        assert!(!c.complete());
     }
 
     #[test]
     fn yield_tier_is_armed_for_oversubscribed_gg_pdes_only() {
-        let never = |t: YieldTier| !t.should_yield(u64::MAX, 0, 0) && !t.should_yield(0, 0, 9);
+        let never = |t: YieldTier| {
+            let quiet = |idle, done, undone| t.should_yield(idle, done, undone, turnover(0, 9));
+            quiet(u64::MAX, 0, 0).is_none() && quiet(0, 0, 9).is_none() && quiet(0, 9, 0).is_none()
+        };
         assert!(never(YieldTier::default()));
         for gvt in [GvtMode::Async, GvtMode::Sync] {
-            assert!(never(YieldTier::new(gg(gvt), 8, 8, 0)));
-            assert!(!never(YieldTier::new(gg(gvt), 9, 8, 0)));
+            assert!(never(YieldTier::new(gg(gvt), 8, 8)));
+            assert!(!never(YieldTier::new(gg(gvt), 9, 8)));
             for scheduler in [Scheduler::Baseline, Scheduler::DdPdes] {
                 let sys = SystemConfig {
                     scheduler,
                     ..gg(gvt)
                 };
-                assert!(never(YieldTier::new(sys, 8, 1, 0)), "{}", sys.name());
+                assert!(never(YieldTier::new(sys, 8, 1)), "{}", sys.name());
             }
         }
     }

@@ -33,6 +33,8 @@ pub struct ThreadDump {
     /// Times the thread gave its context away under the yield tier
     /// (`ThreadDump::new` leaves it 0; the runtime fills it in).
     pub yields: u64,
+    /// The same by cause, where the yield tier made them (the VM).
+    pub yields_by_cause: Option<crate::sched::YieldCounts>,
     /// Residual send-window minimum (rendered; `"inf"` when clear).
     pub window_min: String,
     /// Queue minimum (rendered; `"inf"` when empty).
@@ -69,6 +71,7 @@ impl ThreadDump {
             subscribed,
             sem_tokens,
             yields: 0,
+            yields_by_cause: None,
             window_min: fmt(window_min),
             queue_min: fmt(queue_min),
         }
@@ -165,7 +168,7 @@ impl std::fmt::Display for StallDump {
         for t in &self.threads {
             writeln!(
                 f,
-                "  t{}: phase={} joined={} qlen={} active={} subscribed={} sem={} yields={} \
+                "  t{}: phase={} joined={} qlen={} active={} subscribed={} sem={} yields={}{} \
                  window={} qmin={}",
                 t.thread,
                 t.phase,
@@ -175,6 +178,8 @@ impl std::fmt::Display for StallDump {
                 t.subscribed,
                 t.sem_tokens,
                 t.yields,
+                t.yields_by_cause
+                    .map_or_else(String::new, |by| format!(" ({by})")),
                 t.window_min,
                 t.queue_min
             )?;
@@ -249,6 +254,7 @@ mod tests {
                 subscribed: true,
                 sem_tokens: 0,
                 yields: 12,
+                yields_by_cause: None,
                 window_min: "inf".into(),
                 queue_min: "1.5".into(),
             }],

@@ -203,12 +203,7 @@ pub fn run_sim_attempt<M: Model>(
         // inherit the felled attempt's half-deposited rings.
         sh.telemetry = telemetry::Telemetry::new(rc.telemetry.clone());
         sh.watchdog_ns = rc.watchdog_ns;
-        sh.yield_tier = YieldTier::new(
-            rc.system,
-            num_threads,
-            rc.machine.hw_threads(),
-            rc.engine.zero_counter_threshold,
-        );
+        sh.yield_tier = YieldTier::new(rc.system, num_threads, rc.machine.hw_threads());
         sh.round.set_checkpoint_every(rc.checkpoint_every_gvt);
         if let Some(c) = resume {
             sh.round.seed(c.gvt, c.gvt_rounds);
@@ -316,6 +311,7 @@ pub fn run_sim_attempt<M: Model>(
     m.total_work = report.total_work();
     m.wasted_work = report.work_for(WorkTag::Spin) + report.work_for(WorkTag::Poll);
     m.voluntary_yields = report.voluntary_yields;
+    m.yields_by_cause = Some(sh.dbg_yields.iter().copied().sum());
     let result = SimResult {
         metrics: m,
         gvt_regressions: sh.round.regressions(),

@@ -16,7 +16,7 @@ use crate::config::{SimCost, SystemConfig};
 use machine::{MutexId, SemId};
 use pdes_core::{
     AffinityTable, Demand, IngestGate, IngestPort, IngestRequest, LpMap, Membership, MessagePlane,
-    Msg, Phase, ReplySlot, Round, StallDump, ThreadResult, VirtualTime, YieldTier,
+    Msg, Phase, ReplySlot, Round, StallDump, ThreadResult, VirtualTime, YieldCounts, YieldTier,
 };
 use telemetry::RoundBoard;
 
@@ -97,8 +97,8 @@ pub struct Shared<P> {
     pub dbg_phase: Vec<Phase>,
     /// Debug: last round id each thread joined.
     pub dbg_joined: Vec<Option<u64>>,
-    /// Debug: yield-tier yields per thread.
-    pub dbg_yields: Vec<u64>,
+    /// Yield-tier yields per thread, by cause.
+    pub dbg_yields: Vec<YieldCounts>,
     /// Scripted external-event ingest (`None` = no live ingest).
     pub ingest: Option<SimIngest<P>>,
     /// Virtual-time liveness bound: abort when GVT makes no progress for
@@ -141,7 +141,7 @@ impl<P> Shared<P> {
             finals: vec![None; num_threads],
             dbg_phase: vec![Phase::default(); num_threads],
             dbg_joined: vec![None; num_threads],
-            dbg_yields: vec![0; num_threads],
+            dbg_yields: vec![YieldCounts::default(); num_threads],
             ingest: None,
             watchdog_ns: None,
             stall: None,
@@ -250,10 +250,10 @@ impl<P> Shared<P> {
                 self.dbg_phase[i],
                 self.dbg_joined[i],
                 sem_tokens.get(i).copied().unwrap_or(0),
-                self.dbg_yields[i],
+                self.dbg_yields[i].total(),
             )
         };
-        StallDump {
+        let mut dump = StallDump {
             last_round: self.telemetry.last_round(),
             ..StallDump::capture(
                 reason,
@@ -264,7 +264,11 @@ impl<P> Shared<P> {
                 &self.demand,
                 thread,
             )
+        };
+        for (t, by) in dump.threads.iter_mut().zip(&self.dbg_yields) {
+            t.yields_by_cause = Some(*by);
         }
+        dump
     }
 }
 

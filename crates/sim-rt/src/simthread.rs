@@ -16,6 +16,7 @@ use crate::shared::{Arrive, Op, Shared};
 use machine::{Ctx, Step, Task, WorkTag};
 use pdes_core::{
     CkptSink, EngineConfig, MessagePlane, Model, Outbound, Participant, Phase, ThreadEngine,
+    YieldCause,
 };
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -147,7 +148,11 @@ impl<M: Model> SimThreadTask<M> {
     /// One main-loop cycle: drain the input queue, process a batch, route
     /// sends. Returns (cost, cycles_advanced, useful, give_up) — the last is
     /// the yield tier's verdict on the cycle.
-    fn do_cycle(&mut self, sh: &mut Shared<M::Payload>, now: u64) -> (u64, u64, bool, bool) {
+    fn do_cycle(
+        &mut self,
+        sh: &mut Shared<M::Payload>,
+        now: u64,
+    ) -> (u64, u64, bool, Option<YieldCause>) {
         let c = sh.cost.clone();
         let (n_msgs, mut rolled) = self.p.receive(&sh.plane, false);
         let batch = self
@@ -189,17 +194,22 @@ impl<M: Model> SimThreadTask<M> {
                     .span(EventKind::Rollback, now, now + cost, rolled);
             }
         }
-        let give_up = sh
-            .yield_tier
-            .should_yield(self.idle_polls, batch.processed as u64, rolled);
+        self.p.turnover.processed(batch.processed as u64);
+        let give_up = sh.yield_tier.should_yield(
+            self.idle_polls,
+            batch.processed as u64,
+            rolled,
+            self.p.turnover,
+        );
         (cost, cycles, !idle, give_up)
     }
 
     /// Enact the yield tier: the `sched_yield` call is charged to the
     /// current slice (returned) and the next step hands the context over.
-    fn arm_yield(&mut self, sh: &mut Shared<M::Payload>) -> u64 {
+    fn arm_yield(&mut self, sh: &mut Shared<M::Payload>, cause: YieldCause) -> u64 {
         self.yield_pending = true;
-        sh.dbg_yields[self.tid] += 1;
+        self.p.turnover.restart(self.p.engine.pending_len());
+        sh.dbg_yields[self.tid].count(cause);
         sh.cost.sched_op
     }
 
@@ -424,8 +434,8 @@ impl<M: Model> Task for SimThreadTask<M> {
                             tag = WorkTag::Gvt;
                         }
                     }
-                    if give_up {
-                        cost += self.arm_yield(&mut sh);
+                    if let Some(cause) = give_up {
+                        cost += self.arm_yield(&mut sh, cause);
                     }
                     Step::work(cost, tag)
                 }
@@ -474,8 +484,8 @@ impl<M: Model> Task for SimThreadTask<M> {
                 if done == sh.members.participants {
                     self.mark(kind, now + cost, sh.members.id);
                     self.phase = next;
-                } else if give_up {
-                    cost += self.arm_yield(&mut sh);
+                } else if let Some(cause) = give_up {
+                    cost += self.arm_yield(&mut sh, cause);
                 }
                 let tag = if useful { WorkTag::Sim } else { WorkTag::Gvt };
                 Step::work(cost + check, tag)

@@ -150,3 +150,35 @@ fn activity_timeline_records_descheduling() {
         state.insert(t, s);
     }
 }
+
+/// Eight threads on four contexts: every yield the machine counts was made
+/// by the yield tier for one of its three causes, and only GG-PDES makes
+/// any (under Barrier GVT for the net-negative one alone).
+#[test]
+fn every_voluntary_yield_has_a_cause() {
+    let threads = 8;
+    let model = Arc::new(Phold::new(PholdConfig::imbalanced(
+        threads,
+        4,
+        4,
+        12.0,
+        LocalityPattern::Linear,
+    )));
+    for sys in SystemConfig::ALL_SIX {
+        let rc = RunConfig::new(threads, engine_cfg(12.0), sys)
+            .with_machine(machine::MachineConfig::small(2, 2));
+        let m = run_sim(&model, &rc).metrics;
+        let by = m.yields_by_cause.expect("the VM reports the split");
+        assert_eq!(by.total(), m.voluntary_yields, "{}", sys.name());
+        match (sys.scheduler, sys.gvt) {
+            (sim_rt::Scheduler::GgPdes, sim_rt::GvtMode::Async) => assert!(
+                by.blocked > 0 && by.net_negative > 0 && by.turned_over > 0,
+                "{by}"
+            ),
+            (sim_rt::Scheduler::GgPdes, sim_rt::GvtMode::Sync) => {
+                assert_eq!((by.blocked, by.turned_over), (0, 0), "{by}")
+            }
+            _ => assert_eq!(by.total(), 0, "{}", sys.name()),
+        }
+    }
+}

@@ -7,7 +7,9 @@
 //! ```
 //!
 //! Doubles as a smoke test: exits 1 unless GG-PDES-Async out-commits
-//! Baseline-Async at 4× and 8× over-subscription.
+//! Baseline-Async at 4× and 8× over-subscription, and commits at 8× at
+//! least what it commits at 4× — more over-subscription must not cost it
+//! throughput.
 
 use ggpdes::prelude::*;
 use std::sync::Arc;
@@ -25,6 +27,7 @@ fn main() {
     );
 
     let mut drowned = Vec::new();
+    let mut gg_rates = Vec::new();
     for mult in [1usize, 2, 4, 8] {
         let threads = hw * mult;
         // 1-8 imbalanced PHOLD: at most 1/8 of threads are busy at a time,
@@ -60,11 +63,18 @@ fn main() {
         if mult >= 4 && rates[2] <= rates[0] {
             drowned.push(mult);
         }
+        gg_rates.push(rates[2]);
     }
     println!("\nDemand-driven systems de-schedule the idle 7/8 of the threads, so the");
     println!("active set always fits the hardware; the baselines time-share everything.");
     if !drowned.is_empty() {
         eprintln!("GG-PDES-Async did not beat Baseline-Async at {drowned:?}x over-subscription");
         std::process::exit(1);
+    }
+    if let [.., at4, at8] = gg_rates[..] {
+        if at8 < at4 {
+            eprintln!("GG-PDES-Async commits less at 8x ({at8:.0}/s) than at 4x ({at4:.0}/s)");
+            std::process::exit(1);
+        }
     }
 }

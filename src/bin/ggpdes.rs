@@ -51,11 +51,12 @@
 //! cross-protocol comparison (see DESIGN.md §15).
 //!
 //! GVT cadence: `--gvt-interval N` sets the base round interval in main-loop
-//! cycles (default 25); `--gvt-max-no-change N` enables the ROSS-style
-//! "7 O'clock" backoff — after `N` consecutive rounds with an unchanged GVT
-//! the effective interval doubles (capped at 64× the base) until GVT moves
-//! again, so quiescent phases stop paying round costs. `0` (default)
-//! disables the backoff.
+//! cycles (default 25; on `--runtime dist` it is
+//! `DistConfig::gvt_interval_cycles`, 32 unless given);
+//! `--gvt-max-no-change N` enables the ROSS-style "7 O'clock" backoff — after
+//! `N` consecutive rounds with an unchanged GVT the effective interval doubles
+//! (capped at 64× the base) until GVT moves again, so quiescent phases stop
+//! paying round costs. `0` (default) disables the backoff.
 //!
 //! `--stats-json FILE` additionally writes the final `RunMetrics` of any
 //! runtime to `FILE` as pretty-printed JSON (the same document `--json`
@@ -352,8 +353,8 @@ fn heartbeat(c: &mut Cli) -> &mut dist_rt::HeartbeatConfig {
 /// where not all do — the models and the half of `dist`. The parse loop, the
 /// defaults, `--help` and the refusals are all derived from these rows. `on`
 /// is what a runtime *reads* (CHANGES.md PR 19
-/// has the grep behind every row): e.g. dist paces its rounds by
-/// `DistConfig::gvt_interval_cycles`, never `EngineConfig::gvt_interval`.
+/// has the grep behind every row): e.g. dist has no `SystemConfig`, so it
+/// reads none of `--system` / `--gvt` / `--affinity`.
 #[rustfmt::skip]
 static FLAGS: &[(&str, &[Flag])] = &[
     ("Model and system", &[
@@ -381,7 +382,7 @@ static FLAGS: &[(&str, &[Flag])] = &[
         flag("--snapshot-period", "K", "1", ALL, "save LP state before every K-th event (1 = copy state saving)", |c, v| put(&mut c.ecfg.snapshot_period, positive(v))),
         flag("--optimism-window", "W", "", VM | THREADS | DIST, "never speculate more than W past GVT (unset: unbounded; cons never speculates)",
             |c, v| put(&mut c.ecfg.optimism_window, positive(v).map(Some))),
-        flag("--gvt-interval", "N", "25", VM | THREADS | CONS, "a GVT round every N main-loop cycles", |c, v| put(&mut c.ecfg.gvt_interval, positive(v))),
+        flag("--gvt-interval", "N", "25", ALL, "a GVT round every N main-loop cycles (dist: every N shard-loop cycles, 32 unless given)", |c, v| put(&mut c.ecfg.gvt_interval, positive(v))),
         flag("--gvt-max-no-change", "N", "0", VM | THREADS | CONS, "double the interval after N rounds of unmoved GVT (0 = never)",
             |c, v| put(&mut c.ecfg.gvt_max_no_change, num(v))),
     ]),
@@ -597,7 +598,14 @@ fn report(out: &mut impl Write, m: &RunMetrics, json: bool) -> std::io::Result<(
     writeln!(out, "GVT rounds            : {}", m.gvt_rounds)?;
     writeln!(out, "GVT s/round (Σthreads): {:.6}", m.gvt_secs_per_round())?;
     writeln!(out, "max de-scheduled      : {}", m.max_descheduled)?;
-    writeln!(out, "voluntary yields      : {}", m.voluntary_yields)?;
+    let by_cause = m
+        .yields_by_cause
+        .map_or_else(String::new, |by| format!(" ({by})"));
+    writeln!(
+        out,
+        "voluntary yields      : {}{by_cause}",
+        m.voluntary_yields
+    )?;
     if m.protocol == "conservative" {
         writeln!(out, "protocol              : {}", m.protocol)?;
         writeln!(out, "null messages sent    : {}", m.null_messages_sent)?;
@@ -914,6 +922,9 @@ fn run_dist<M: Model>(
     d.link_faults = a.chaos_seed.map(dist_rt::LinkFaultPlan::chaos);
     d.max_recoveries = a.max_recoveries.unwrap_or(0);
     d.ckpt_every_rounds = a.checkpoint_every_gvt;
+    if c.given("--gvt-interval") {
+        d.gvt_interval_cycles = c.ecfg.gvt_interval.into();
+    }
     d.watchdog = watchdog(a, Duration::from_secs(30));
     d.telemetry = c.tel.clone();
     let shards_initial = d.shards;

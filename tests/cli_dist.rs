@@ -120,6 +120,37 @@ fn loopback_dist_run_verifies_and_writes_stats_json() {
     );
 }
 
+/// `--gvt-interval` paces a dist run's Mattern rounds
+/// (`DistConfig::gvt_interval_cycles`): the same run under a short and a
+/// long interval verifies both times and closes many more rounds under the
+/// short one.
+#[test]
+fn gvt_interval_paces_the_rounds_of_a_dist_run() {
+    let rounds = |interval: &str| {
+        let stats = tmp_path(&format!("interval-{interval}.json"));
+        let mut args = vec!["--runtime", "dist", "--shards", "2", "--transport", "mem"];
+        args.extend([
+            "--threads",
+            "4",
+            "--lps-per-thread",
+            "4",
+            "--imbalance",
+            "1",
+        ]);
+        args.extend(["--end", "200", "--verify", "--gvt-interval", interval]);
+        args.extend(["--stats-json", stats.to_str().unwrap()]);
+        let out = run_bounded(&args, Duration::from_secs(60));
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "--gvt-interval {interval}: {err}");
+        assert!(err.contains("matches the sequential oracle"), "{err}");
+        let text = std::fs::read_to_string(&stats).expect("stats file written");
+        std::fs::remove_file(&stats).ok();
+        uint_field(&serde_json::parse(&text).expect("valid JSON"), "gvt_rounds")
+    };
+    let (short, long) = (rounds("2"), rounds("512"));
+    assert!(short > 2 * long, "{short} rounds at 2, {long} at 512");
+}
+
 #[test]
 fn two_process_tcp_cluster_matches_between_launches() {
     let (p0, p1) = (free_port(), free_port());
@@ -245,7 +276,7 @@ fn bad_values_and_refused_combinations_are_a_one_line_exit_2() {
         vec!["--model", "traffic", "--imbalance", "3"],
         vec!["--runtime", "dist", "--shard-id", "1", "--transport", "tcp"],
         vec!["--runtime", "dist", "--connect-timeout-secs", "3"],
-        vec!["--runtime", "dist", "--gvt-interval", "5"],
+        vec!["--runtime", "dist", "--gvt-max-no-change", "5"],
         // Values outside their flag's range: these panicked (exit 101) or,
         // for the NaN watchdog, armed a 0 ns bound that tripped at once.
         vec!["--snapshot-period", "0"],

@@ -152,3 +152,45 @@ fn gg_executes_less_work() {
     let base = run(SystemConfig::ALL_SIX[1]);
     assert!(gg < base, "GG work {gg} vs baseline {base}");
 }
+
+/// DESIGN §5.8, the benchmark's `phold-thrash` shape at test scale (two
+/// threads on one context, 16 events in flight under a wide window): with
+/// the yield tier GG-PDES-Async keeps most of what it processes and leaves
+/// Baseline-Async far behind — and on a thread that holds more events than
+/// a quantum processes, the turnover trigger never fires.
+#[test]
+fn gg_turns_its_events_over_instead_of_thrashing() {
+    let run = |lps: usize, window: f64, end: f64, sys| {
+        let model = Arc::new(Phold::new(PholdConfig::balanced(2, lps)));
+        let ecfg = EngineConfig::default()
+            .with_end_time(end)
+            .with_seed(977)
+            .with_batch_size(8)
+            .with_gvt_interval(25)
+            .with_snapshot_period(8)
+            .with_zero_counter_threshold(250)
+            .with_optimism_window(Some(window));
+        let rc = RunConfig::new(2, ecfg, sys).with_machine(MachineConfig::small(1, 1));
+        let r = sim_rt::run_sim(&model, &rc);
+        assert!(r.completed, "{} did not complete", sys.name());
+        r.metrics
+    };
+    let (base, gg) = (SystemConfig::ALL_SIX[1], SystemConfig::ALL_SIX[5]);
+    let thrash = run(8, 16.0, 400.0, gg);
+    assert!(
+        thrash.committed * 5 >= thrash.processed * 4,
+        "committed {} of {} processed",
+        thrash.committed,
+        thrash.processed
+    );
+    let spinning = run(8, 16.0, 400.0, base);
+    assert!(
+        thrash.wall_secs * 4.0 <= spinning.wall_secs,
+        "GG {} s vs Baseline {} s",
+        thrash.wall_secs,
+        spinning.wall_secs
+    );
+    let by_cause = |m: &RunMetrics| m.yields_by_cause.expect("the VM says why");
+    assert!(by_cause(&thrash).turned_over > 0);
+    assert_eq!(by_cause(&run(256, 4.0, 20.0, gg)).turned_over, 0);
+}
