@@ -63,6 +63,12 @@ pub struct ThreadEngine<M: Model> {
     optimism_window: Option<VirtualTime>,
     /// Last GVT this engine saw (updated at fossil collection).
     gvt_hint: VirtualTime,
+    /// Local indices of the LPs a fossil sweep must visit: listed when they
+    /// first process an event, dropped when a sweep leaves them no history.
+    with_history: Vec<u32>,
+    /// `listed[i]`: LP `i` is in `with_history` (it may have lost its
+    /// history to a rollback since; the next sweep finds out).
+    listed: Vec<bool>,
     /// Reused worklist for local anti-message cascades in [`Self::deliver`].
     work: Vec<Msg<M::Payload>>,
     /// Reused send buffer for the batch loops — handler sends land here and
@@ -82,6 +88,7 @@ impl<M: Model> ThreadEngine<M> {
             tid,
             model,
             map,
+            listed: vec![false; lp_ids.len()],
             lps,
             lp_ids,
             pending: PendingSet::new(),
@@ -89,6 +96,7 @@ impl<M: Model> ThreadEngine<M> {
             end_time: cfg.end_time,
             optimism_window: cfg.optimism_window.map(VirtualTime::from_f64),
             gvt_hint: VirtualTime::ZERO,
+            with_history: Vec::new(),
             work: Vec::new(),
             send_buf: Vec::new(),
         }
@@ -131,18 +139,17 @@ impl<M: Model> ThreadEngine<M> {
         self.pending.min_time() < self.end_time
     }
 
-    fn lp_slot(&mut self, lp: LpId) -> &mut Lp<M> {
+    /// Local index of an owned LP.
+    fn local(&self, lp: LpId) -> usize {
         debug_assert_eq!(
             self.map.thread_of(lp),
             self.tid,
             "{lp} not owned by {}",
             self.tid
         );
-        let idx = self
-            .lp_ids
+        self.lp_ids
             .binary_search(&lp)
-            .unwrap_or_else(|_| panic!("{lp} not owned by thread {}", self.tid));
-        &mut self.lps[idx]
+            .unwrap_or_else(|_| panic!("{lp} not owned by thread {}", self.tid))
     }
 
     /// Run every owned LP's initial-event hook. Returned messages must be
@@ -150,9 +157,8 @@ impl<M: Model> ThreadEngine<M> {
     /// this thread's own — route them back through [`Self::deliver`]).
     pub fn take_init_events(&mut self) -> Vec<Outbound<M::Payload>> {
         let mut out = Vec::new();
-        let model = Arc::clone(&self.model);
         for lp in &mut self.lps {
-            for ev in lp.init_events(model.as_ref()) {
+            for ev in lp.init_events(self.model.as_ref()) {
                 out.push((self.map.thread_of(ev.dst()), Msg::Event(ev)));
             }
         }
@@ -168,98 +174,83 @@ impl<M: Model> ThreadEngine<M> {
         msg: Msg<M::Payload>,
         outbox: &mut Vec<Outbound<M::Payload>>,
     ) -> DeliverOutcome {
-        let model = Arc::clone(&self.model);
         let mut outcome = DeliverOutcome::default();
         // Local anti-message cascades are resolved with a worklist; the
         // buffer is engine-owned and reused (empty again by loop exit).
-        let mut work = std::mem::take(&mut self.work);
-        work.push(msg);
-        while let Some(m) = work.pop() {
-            match m {
-                Msg::Event(ev) => {
-                    let key = ev.key;
-                    if self.lp_slot(key.dst).is_straggler(&key) {
-                        self.stats.stragglers += 1;
-                        self.stats.rollbacks += 1;
-                        let rb = self.lp_slot(key.dst).rollback(model.as_ref(), &key, false);
-                        outcome.rolled_back += rb.undone as u32;
-                        self.stats.rolled_back += rb.undone as u64;
-                        outcome.antis += rb.antis.len() as u32;
-                        self.route_antis(rb.antis, &mut work, outbox);
-                        for undone in rb.reinserted {
-                            // Re-inserted events cannot collide: they were
-                            // just removed from "processed", not pending.
-                            let r = self.pending.insert(undone);
-                            debug_assert_eq!(r, InsertOutcome::Inserted);
-                        }
-                    }
-                    match self.pending.insert(ev) {
-                        InsertOutcome::Inserted => {}
-                        InsertOutcome::Annihilated => {
-                            outcome.annihilated = true;
-                            self.stats.annihilations += 1;
-                        }
-                    }
-                }
-                Msg::Anti(key) => {
+        self.work.push(msg);
+        while let Some(m) = self.work.pop() {
+            let key = m.key();
+            let at = self.local(key.dst);
+            let lp = &mut self.lps[at];
+            // What the message undoes: a straggler every later event
+            // (`Some(false)`), an anti-message for a processed event that
+            // event and every later one (`Some(true)`).
+            let undo = match m {
+                Msg::Event(_) => lp.is_straggler(&key).then(|| {
+                    self.stats.stragglers += 1;
+                    false
+                }),
+                Msg::Anti(_) => {
                     self.stats.antis_received += 1;
                     match self.pending.cancel(&key) {
                         CancelOutcome::Removed => {
                             outcome.annihilated = true;
                             self.stats.annihilations += 1;
+                            None
                         }
-                        CancelOutcome::Deferred => {
-                            // Not pending: either already processed (roll it
-                            // back, inclusive) or still in transit (the
-                            // orphan anti just parked will annihilate it).
-                            if self.lp_slot(key.dst).has_processed(&key) {
-                                // Un-park the anti we just deferred — the
-                                // rollback consumes the event instead.
-                                let r = self.pending.unpark_anti(&key);
-                                debug_assert!(r);
-                                self.stats.rollbacks += 1;
-                                let rb = self.lp_slot(key.dst).rollback(model.as_ref(), &key, true);
-                                outcome.rolled_back += rb.undone as u32;
-                                self.stats.rolled_back += rb.undone as u64;
-                                outcome.antis += rb.antis.len() as u32;
-                                self.route_antis(rb.antis, &mut work, outbox);
-                                for undone in rb.reinserted {
-                                    if undone.key == key {
-                                        // The cancelled event: annihilated.
-                                        self.stats.annihilations += 1;
-                                        outcome.annihilated = true;
-                                        continue;
-                                    }
-                                    let r = self.pending.insert(undone);
-                                    debug_assert_eq!(r, InsertOutcome::Inserted);
-                                }
-                            }
-                        }
+                        // Not pending: either already processed (roll it
+                        // back, inclusive) or still in transit (the
+                        // orphan anti just parked will annihilate it).
+                        CancelOutcome::Deferred => lp.has_processed(&key).then(|| {
+                            // Un-park the anti we just deferred — the
+                            // rollback consumes the event instead.
+                            let r = self.pending.unpark_anti(&key);
+                            debug_assert!(r);
+                            true
+                        }),
+                    }
+                }
+            };
+            if let Some(inclusive) = undo {
+                self.stats.rollbacks += 1;
+                let rb = lp.rollback(self.model.as_ref(), &key, inclusive);
+                outcome.rolled_back += rb.undone as u32;
+                self.stats.rolled_back += rb.undone as u64;
+                outcome.antis += rb.antis.len() as u32;
+                // Local antis join the worklist, remote ones the outbox.
+                for anti in rb.antis {
+                    self.stats.antis_sent += 1;
+                    let dst_thread = self.map.thread_of(anti.dst);
+                    if dst_thread == self.tid {
+                        self.work.push(Msg::Anti(anti));
+                    } else {
+                        outbox.push((dst_thread, Msg::Anti(anti)));
+                    }
+                }
+                for undone in rb.reinserted {
+                    if undone.key == key {
+                        // The cancelled event: annihilated.
+                        self.stats.annihilations += 1;
+                        outcome.annihilated = true;
+                        continue;
+                    }
+                    // Re-inserted events cannot collide: they were just
+                    // removed from "processed", not pending.
+                    let r = self.pending.insert(undone);
+                    debug_assert_eq!(r, InsertOutcome::Inserted);
+                }
+            }
+            if let Msg::Event(ev) = m {
+                match self.pending.insert(ev) {
+                    InsertOutcome::Inserted => {}
+                    InsertOutcome::Annihilated => {
+                        outcome.annihilated = true;
+                        self.stats.annihilations += 1;
                     }
                 }
             }
         }
-        self.work = work;
         outcome
-    }
-
-    /// Route rollback-generated anti-messages: local ones join the worklist,
-    /// remote ones go to the outbox.
-    fn route_antis(
-        &mut self,
-        antis: Vec<EventKey>,
-        work: &mut Vec<Msg<M::Payload>>,
-        outbox: &mut Vec<Outbound<M::Payload>>,
-    ) {
-        for key in antis {
-            self.stats.antis_sent += 1;
-            let dst_thread = self.map.thread_of(key.dst);
-            if dst_thread == self.tid {
-                work.push(Msg::Anti(key));
-            } else {
-                outbox.push((dst_thread, Msg::Anti(key)));
-            }
-        }
     }
 
     /// Process up to `max` pending events (one ROSS main-loop batch).
@@ -308,7 +299,6 @@ impl<M: Model> ThreadEngine<M> {
         may_run: impl Fn(VirtualTime) -> bool,
     ) -> BatchOutcome {
         let mut out = BatchOutcome::default();
-        let model = Arc::clone(&self.model);
         let mut sends = std::mem::take(&mut self.send_buf);
         for _ in 0..max {
             let Some(min) = self.pending.min_key() else {
@@ -318,9 +308,12 @@ impl<M: Model> ThreadEngine<M> {
                 break;
             }
             let ev = self.pending.pop_min().expect("min exists");
-            let lp = self.lp_slot(ev.dst());
+            let at = self.local(ev.dst());
+            if !std::mem::replace(&mut self.listed[at], true) {
+                self.with_history.push(at as u32);
+            }
             sends.clear();
-            let n = lp.process_into(model.as_ref(), ev, &mut sends);
+            let n = self.lps[at].process_into(self.model.as_ref(), ev, &mut sends);
             self.stats.processed += 1;
             out.processed += 1;
             out.sent += n as u32;
@@ -343,29 +336,37 @@ impl<M: Model> ThreadEngine<M> {
     /// Fossil-collect every LP below `gvt`; returns newly committed events.
     pub fn fossil_collect(&mut self, gvt: VirtualTime) -> u64 {
         self.gvt_hint = self.gvt_hint.max(gvt.min(self.end_time));
-        let mut n = 0;
-        let model = Arc::clone(&self.model);
-        for lp in &mut self.lps {
-            n += lp.fossil_collect(model.as_ref(), gvt);
-        }
-        self.refresh_commit_stats(n);
-        n
+        self.sweep(gvt)
     }
 
     /// Commit all remaining history (simulation end).
     pub fn finalize(&mut self) -> u64 {
-        let mut n = 0;
-        let model = Arc::clone(&self.model);
-        for lp in &mut self.lps {
-            n += lp.commit_all(model.as_ref());
-        }
-        self.refresh_commit_stats(n);
-        n
+        self.sweep(VirtualTime::INFINITY)
     }
 
-    fn refresh_commit_stats(&mut self, newly: u64) {
-        self.stats.committed += newly;
-        self.stats.commit_digest = self.lps.iter().fold(0, |d, lp| d ^ lp.commit_digest);
+    /// Fossil-collect the LPs that have history — the others have nothing
+    /// to commit — and stop listing those left with none. The thread's
+    /// commit digest moves by what each LP's did.
+    fn sweep(&mut self, gvt: VirtualTime) -> u64 {
+        let Self {
+            model,
+            lps,
+            with_history,
+            listed,
+            stats,
+            ..
+        } = self;
+        let mut n = 0;
+        with_history.retain(|&at| {
+            let lp = &mut lps[at as usize];
+            let before = lp.commit_digest;
+            n += lp.fossil_collect(model.as_ref(), gvt);
+            stats.commit_digest ^= before ^ lp.commit_digest;
+            listed[at as usize] = lp.history_len() > 0;
+            listed[at as usize]
+        });
+        stats.committed += n;
+        n
     }
 
     /// This engine's contribution to a GVT-aligned checkpoint. **Must run
@@ -445,7 +446,8 @@ impl<M: Model> ThreadEngine<M> {
             if self.map.thread_of(lck.lp) != self.tid {
                 continue;
             }
-            self.lp_slot(lck.lp).restore_from(
+            let at = self.local(lck.lp);
+            self.lps[at].restore_from(
                 Snapshot {
                     state: lck.state.clone(),
                     rng: lck.rng.clone(),
@@ -468,6 +470,13 @@ impl<M: Model> ThreadEngine<M> {
         self.stats = ThreadStats::default();
         self.stats.committed = self.lps.iter().map(|lp| lp.committed).sum();
         self.stats.commit_digest = self.lps.iter().fold(0, |d, lp| d ^ lp.commit_digest);
+        self.with_history.clear();
+        for (at, lp) in self.lps.iter().enumerate() {
+            self.listed[at] = lp.history_len() > 0;
+            if self.listed[at] {
+                self.with_history.push(at as u32);
+            }
+        }
     }
 
     /// Annihilate every *uncommitted* input that originated at one of
@@ -822,6 +831,144 @@ mod tests {
         eng.finalize();
         assert_eq!(eng.stats().commit_digest, reference.stats().commit_digest);
         assert_eq!(eng.state_digests(), reference.state_digests());
+    }
+
+    /// Self-loop model: the LPs in `active` each keep one event going to
+    /// themselves; every other LP never sees one.
+    struct Loops {
+        n: usize,
+        active: Vec<u32>,
+    }
+    impl Model for Loops {
+        type State = u64;
+        type Payload = ();
+        fn num_lps(&self) -> usize {
+            self.n
+        }
+        fn init_state(&self, _lp: LpId) -> u64 {
+            0
+        }
+        fn init_events(&self, lp: LpId, _s: &mut u64, ctx: &mut SendCtx<'_, ()>) {
+            if self.active.contains(&lp.0) {
+                ctx.send(lp, 1.0, ());
+            }
+        }
+        fn handle_event(&self, lp: LpId, s: &mut u64, _p: &(), ctx: &mut SendCtx<'_, ()>) {
+            *s += 1;
+            ctx.send(lp, 1.0, ());
+        }
+        fn state_digest(&self, s: &u64) -> u64 {
+            *s
+        }
+    }
+
+    #[test]
+    fn sweep_visits_only_lps_with_history() {
+        let model = Arc::new(Loops {
+            n: 512,
+            active: vec![0, 100, 511],
+        });
+        let map = LpMap::new(512, 1, crate::mapping::MapKind::RoundRobin);
+        let mut eng = ThreadEngine::new(model, map, SimThreadId(0), &cfg(50.0));
+        let mut outbox = Vec::new();
+        for (_, msg) in eng.take_init_events() {
+            eng.deliver(msg, &mut outbox);
+        }
+        assert_eq!(eng.with_history.len(), 0, "nothing processed yet");
+        for round in 1..=4u32 {
+            // Two events per active LP, at t = 2·round − 1 and 2·round.
+            eng.process_batch(6, &mut outbox);
+            assert_eq!(
+                eng.with_history.len(),
+                3,
+                "round {round}: 3 of 512 LPs swept"
+            );
+            // A cut that commits part of each history keeps all three listed.
+            assert!(eng.fossil_collect(VirtualTime::from_f64(2.0 * f64::from(round))) >= 3);
+            assert_eq!(eng.with_history.len(), 3);
+        }
+        // A sweep that leaves an LP no history stops listing it...
+        assert_eq!(eng.finalize(), 3);
+        assert_eq!(eng.with_history.len(), 0);
+        assert_eq!(eng.stats().committed, eng.stats().processed);
+        // ...until it processes again.
+        eng.process_batch(1, &mut outbox);
+        assert_eq!(eng.with_history.len(), 1);
+    }
+
+    #[test]
+    fn commit_stats_track_the_lps_through_rollback_sweep_and_restore() {
+        let model = Arc::new(Ping { n: 6 });
+        let map = LpMap::new(6, 1, crate::mapping::MapKind::RoundRobin);
+        let mut eng = ThreadEngine::new(model, map, SimThreadId(0), &cfg(1e6));
+        let mut outbox = Vec::new();
+        for (_, msg) in eng.take_init_events() {
+            eng.deliver(msg, &mut outbox);
+        }
+        let mut rng = crate::rng::DetRng::seed_from_u64(24);
+        let mut gvt = VirtualTime::ZERO;
+        let (mut rollbacks, mut emptied, mut restores) = (0, 0, 0);
+        for step in 0..400u64 {
+            match rng.next_below(4) {
+                // A straggler at the committed horizon: undoes everything
+                // its LP still holds, and the cascade more.
+                0 => {
+                    let dst = LpId(rng.next_below(6) as u32);
+                    let at = eng.local(dst);
+                    let held = eng.lps[at].history_len();
+                    let d = eng.deliver(
+                        Msg::Event(Event {
+                            key: EventKey {
+                                recv_time: gvt,
+                                dst,
+                                uid: crate::ids::EventUid::new(LpId(99), step),
+                            },
+                            send_time: gvt,
+                            payload: 0,
+                        }),
+                        &mut outbox,
+                    );
+                    rollbacks += u64::from(d.rolled_back > 0);
+                    emptied += u64::from(held > 0 && eng.lps[at].history_len() == 0);
+                }
+                1 => {
+                    let span = eng.local_min().ticks() - gvt.ticks();
+                    gvt = VirtualTime::from_ticks(gvt.ticks() + rng.next_below(span + 1));
+                    eng.fossil_collect(gvt);
+                    if rng.next_below(4) == 0 {
+                        let (lcks, events) = eng.snapshot_at_gvt(gvt);
+                        eng.restore(&lcks, &events, gvt);
+                        restores += 1;
+                    }
+                }
+                _ => {
+                    eng.process_batch(1 + rng.next_below(8) as usize, &mut outbox);
+                }
+            }
+            assert!(outbox.is_empty(), "one thread owns every LP");
+            let lps = &eng.lps;
+            assert_eq!(
+                eng.stats().commit_digest,
+                lps.iter().fold(0, |d, lp| d ^ lp.commit_digest),
+                "step {step}"
+            );
+            assert_eq!(
+                eng.stats().committed,
+                lps.iter().map(|lp| lp.committed).sum::<u64>(),
+                "step {step}"
+            );
+            // Every LP with history is listed, and listed once.
+            let mut swept = eng.with_history.clone();
+            swept.sort_unstable();
+            let flagged: Vec<u32> = (0..6).filter(|&at| eng.listed[at as usize]).collect();
+            assert_eq!(swept, flagged, "step {step}");
+            assert!(lps
+                .iter()
+                .zip(&eng.listed)
+                .all(|(lp, &listed)| listed || lp.history_len() == 0));
+        }
+        assert!(rollbacks > 20 && emptied > 5 && restores > 5);
+        assert!(eng.stats().committed > 100);
     }
 
     #[test]

@@ -91,57 +91,6 @@ impl<P> Msg<P> {
     }
 }
 
-/// A free-list of reusable `Vec<T>` buffers — the event-storage pool of the
-/// zero-allocation hot path.
-///
-/// Events themselves are plain values (`Event<P>` moves between the pending
-/// set, the processed list, and the wire without boxing), so what the hot
-/// path allocates per event is *buffers*: the per-process send list, the
-/// per-entry sent-key list, the deliver worklist. `BufPool` recycles those:
-/// `get` hands back a cleared buffer with its old capacity, `put` returns it.
-/// After warmup every buffer cycle is allocation-free.
-///
-/// The pool is bounded (`MAX_POOLED` buffers) so a rollback storm cannot
-/// turn it into a leak; excess buffers are simply dropped.
-#[derive(Debug)]
-pub struct BufPool<T> {
-    free: Vec<Vec<T>>,
-}
-
-impl<T> Default for BufPool<T> {
-    fn default() -> Self {
-        BufPool { free: Vec::new() }
-    }
-}
-
-impl<T> BufPool<T> {
-    const MAX_POOLED: usize = 256;
-
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Take a buffer from the pool (empty, capacity retained) or a fresh one.
-    #[inline]
-    pub fn get(&mut self) -> Vec<T> {
-        self.free.pop().unwrap_or_default()
-    }
-
-    /// Return a buffer to the pool; contents are dropped here.
-    #[inline]
-    pub fn put(&mut self, mut buf: Vec<T>) {
-        if self.free.len() < Self::MAX_POOLED && buf.capacity() > 0 {
-            buf.clear();
-            self.free.push(buf);
-        }
-    }
-
-    /// Buffers currently pooled (diagnostics).
-    pub fn pooled(&self) -> usize {
-        self.free.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -164,23 +113,6 @@ mod tests {
         assert!(key(1.0, 1, 5, 5) < key(1.0, 2, 0, 0));
         assert!(key(1.0, 1, 1, 0) < key(1.0, 1, 1, 1));
         assert!(key(1.0, 1, 1, 7) < key(1.0, 1, 2, 0));
-    }
-
-    #[test]
-    fn buf_pool_recycles_capacity() {
-        let mut pool: BufPool<u64> = BufPool::new();
-        let mut v = pool.get();
-        v.extend(0..100);
-        let cap = v.capacity();
-        pool.put(v);
-        assert_eq!(pool.pooled(), 1);
-        let v2 = pool.get();
-        assert!(v2.is_empty());
-        assert_eq!(v2.capacity(), cap, "capacity survives the round trip");
-        assert_eq!(pool.pooled(), 0);
-        // Zero-capacity buffers are not worth pooling.
-        pool.put(Vec::new());
-        assert_eq!(pool.pooled(), 0);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 // borrowed fields are read again; the contexts carry no destructor.
 #![allow(clippy::drop_non_drop)]
 
-use crate::event::{BufPool, Event, EventKey};
+use crate::event::{Event, EventKey};
 use crate::ids::LpId;
 use crate::model::{Model, SendCtx};
 use crate::rng::DetRng;
@@ -22,20 +22,15 @@ pub struct Snapshot<S> {
     pub send_seq: u64,
 }
 
-/// One processed event together with the keys of every event it sent, and —
-/// depending on the snapshot policy — the state snapshot taken *before* it
-/// executed.
-///
-/// Under *sparse* (periodic) state saving only every k-th entry carries a
-/// snapshot; rollback restores the nearest earlier snapshot and
-/// *coast-forwards*: it re-executes the intervening events with their sends
-/// suppressed (determinism guarantees the replayed execution is identical,
-/// so the original in-flight events stay valid).
+/// One processed event and how many events it sent. The keys of those
+/// sends and the state snapshots live beside the history, not in it (see
+/// [`Lp`]): an entry costs the event plus one word.
 #[derive(Debug, Clone)]
 pub struct ProcessedEntry<M: Model> {
     pub event: Event<M::Payload>,
-    pub pre: Option<Snapshot<M::State>>,
-    pub sent: Vec<EventKey>,
+    /// Number of events this execution sent; their keys are the LP's next
+    /// `sends` sent keys.
+    pub sends: u32,
 }
 
 /// Result of a rollback.
@@ -51,13 +46,32 @@ pub struct Rollback<M: Model> {
 }
 
 /// A logical process under optimistic (Time Warp) execution.
+///
+/// The uncommitted history is three parallel queues that grow at the back
+/// on `process_into`, shrink at the back on `rollback` and at the front on
+/// `fossil_collect`: the entries, the keys they sent, and the *sparse*
+/// (periodic) state snapshots. An entry's **ordinal** is its place in the
+/// LP's commit order, `committed + position`; a snapshot is keyed by the
+/// ordinal of the entry it was taken *before*. Only every k-th entry has
+/// one; rollback restores the nearest earlier snapshot and
+/// *coast-forwards*: it re-executes the intervening events with their sends
+/// suppressed (determinism guarantees the replayed execution is identical,
+/// so the original in-flight events stay valid).
 pub struct Lp<M: Model> {
     pub id: LpId,
     pub state: M::State,
     pub rng: DetRng,
     pub send_seq: u64,
     /// Processed-but-uncommitted events in ascending key order.
-    pub processed: VecDeque<ProcessedEntry<M>>,
+    pub(crate) processed: VecDeque<ProcessedEntry<M>>,
+    /// Keys of the events the retained entries sent, entry after entry;
+    /// within an entry the last send comes first, so the antis of a
+    /// rollback are one tail of this queue, already in the order
+    /// [`Rollback::antis`] has.
+    sent: VecDeque<EventKey>,
+    /// `(ordinal, pre-state)` of the snapshot-bearing entries, ascending.
+    /// The first retained entry always carries a snapshot.
+    snaps: VecDeque<(u64, Snapshot<M::State>)>,
     /// Number of events committed (fossil-collected) so far.
     pub committed: u64,
     /// XOR-fold of key digests of committed events (order-independent trace
@@ -69,12 +83,6 @@ pub struct Lp<M: Model> {
     /// Snapshot every k-th processed event (1 = copy state saving, the
     /// classical Time Warp default).
     snapshot_every: u32,
-    /// Entries processed since the last snapshot-bearing entry.
-    since_snapshot: u32,
-    /// Recycled sent-key buffers: every [`ProcessedEntry::sent`] list comes
-    /// from here and goes back on commit/rollback, so steady-state
-    /// processing allocates no per-event list.
-    key_pool: BufPool<EventKey>,
     /// Scratch send buffer for coast-forward replay (sends are suppressed,
     /// so the buffer only exists to be compared against the recorded keys).
     replay_buf: Vec<Event<M::Payload>>,
@@ -106,12 +114,12 @@ impl<M: Model> Lp<M> {
             rng: DetRng::for_lp(seed, id),
             send_seq: 0,
             processed: VecDeque::new(),
+            sent: VecDeque::new(),
+            snaps: VecDeque::new(),
             committed: 0,
             commit_digest: 0,
             committed_lvt: VirtualTime::ZERO,
             snapshot_every: period,
-            since_snapshot: 0,
-            key_pool: BufPool::new(),
             replay_buf: Vec::new(),
         }
     }
@@ -164,14 +172,29 @@ impl<M: Model> Lp<M> {
             .is_ok()
     }
 
+    /// What a rollback to this point would have to restore.
+    fn current(&self) -> Snapshot<M::State> {
+        Snapshot {
+            state: self.state.clone(),
+            rng: self.rng.clone(),
+            send_seq: self.send_seq,
+        }
+    }
+
+    /// Ordinal of the entry at `position` of the history.
+    #[inline]
+    fn ordinal(&self, position: usize) -> u64 {
+        self.committed + position as u64
+    }
+
     /// Optimistically process `event`: snapshot (per the sparse-saving
     /// policy), execute the handler, record the entry. The handler's sends
     /// are **appended** to `out`; the number appended is returned.
     ///
     /// This is the zero-allocation hot path: the caller owns and reuses
-    /// `out`, the sent-key list comes from the LP's buffer pool, and a
-    /// snapshot is only taken every `snapshot_period`-th event (cheap for
-    /// heap-free model states, skipped entirely in between).
+    /// `out`, the sent keys join the LP's one key queue, and a snapshot is
+    /// only taken every `snapshot_period`-th event (cheap for heap-free
+    /// model states, skipped entirely in between).
     ///
     /// # Panics
     /// Debug-asserts that `event` is not a straggler — callers must roll back
@@ -189,18 +212,16 @@ impl<M: Model> Lp<M> {
             self.last_processed_key()
         );
         // The first retained entry must carry a snapshot (it is the replay
-        // base); later entries snapshot once per period.
-        let take_snap = self.processed.is_empty() || self.since_snapshot + 1 >= self.snapshot_every;
-        let pre = take_snap.then(|| Snapshot {
-            state: self.state.clone(),
-            rng: self.rng.clone(),
-            send_seq: self.send_seq,
-        });
-        self.since_snapshot = if take_snap {
-            0
-        } else {
-            self.since_snapshot + 1
+        // base); later entries snapshot once a period has passed since the
+        // newest one.
+        let ordinal = self.ordinal(self.processed.len());
+        let due = match self.snaps.back() {
+            Some((newest, _)) => ordinal - newest >= u64::from(self.snapshot_every),
+            None => true,
         };
+        if due {
+            self.snaps.push_back((ordinal, self.current()));
+        }
         let start = out.len();
         let mut ctx = SendCtx::new(
             self.id,
@@ -211,11 +232,13 @@ impl<M: Model> Lp<M> {
         );
         model.handle_event(self.id, &mut self.state, &event.payload, &mut ctx);
         drop(ctx);
-        let mut sent = self.key_pool.get();
-        sent.extend(out[start..].iter().map(|e| e.key));
-        self.processed
-            .push_back(ProcessedEntry { sent, event, pre });
-        out.len() - start
+        let sends = out.len() - start;
+        self.sent.extend(out[start..].iter().rev().map(|e| e.key));
+        self.processed.push_back(ProcessedEntry {
+            event,
+            sends: sends as u32,
+        });
+        sends
     }
 
     /// [`Self::process_into`] returning the sends as a fresh `Vec`
@@ -226,73 +249,48 @@ impl<M: Model> Lp<M> {
         out
     }
 
-    /// Re-execute the processed entries `[from..]` starting from the current
-    /// (just-restored) state, with sends suppressed: the original sends are
-    /// already in flight, and deterministic handlers reproduce them exactly
-    /// (debug builds verify this). Split-borrows `self` so no entry is
-    /// cloned; the replay sends land in the reused scratch buffer.
-    fn coast_forward(&mut self, model: &M, from: usize) {
+    /// Coast forward: re-execute the entries at positions `[from, to)` on
+    /// `s`, the pre-state of entry `from`, and return the pre-state of
+    /// entry `to`. Sends are suppressed: the originals are already in
+    /// flight, and deterministic handlers reproduce them exactly (debug
+    /// builds verify this). Split-borrows `self` so no entry is cloned; the
+    /// replay sends land in the reused scratch buffer.
+    fn coast_forward(
+        &mut self,
+        model: &M,
+        mut s: Snapshot<M::State>,
+        from: usize,
+        to: usize,
+    ) -> Snapshot<M::State> {
         let Lp {
             id,
-            state,
-            rng,
-            send_seq,
             processed,
+            sent,
             replay_buf,
             ..
         } = self;
-        for entry in processed.iter().skip(from) {
+        let mut key_at: usize = processed.range(..from).map(|e| e.sends as usize).sum();
+        for entry in processed.range(from..to) {
             replay_buf.clear();
-            let mut ctx = SendCtx::new(*id, entry.event.key.recv_time, rng, send_seq, replay_buf);
-            model.handle_event(*id, state, &entry.event.payload, &mut ctx);
+            let mut ctx = SendCtx::new(
+                *id,
+                entry.event.key.recv_time,
+                &mut s.rng,
+                &mut s.send_seq,
+                replay_buf,
+            );
+            model.handle_event(*id, &mut s.state, &entry.event.payload, &mut ctx);
             drop(ctx);
-            debug_assert_eq!(
-                replay_buf.iter().map(|e| e.key).collect::<Vec<_>>(),
-                entry.sent,
+            let keys = key_at..key_at + entry.sends as usize;
+            debug_assert!(
+                sent.range(keys.clone())
+                    .eq(replay_buf.iter().rev().map(|e| &e.key)),
                 "non-deterministic model: replay of {:?} sent different events",
                 entry.event.key
             );
+            key_at = keys.end;
         }
-    }
-
-    /// Reconstruct the pre-state of entry `at` into a fresh snapshot using
-    /// the nearest earlier snapshot plus replay.
-    fn materialize_snapshot(&self, model: &M, at: usize) -> Snapshot<M::State> {
-        let base = self
-            .processed
-            .iter()
-            .take(at + 1)
-            .rposition(|e| e.pre.is_some())
-            .expect("the first retained entry always carries a snapshot");
-        let snap = self.processed[base].pre.as_ref().expect("checked").clone();
-        let mut state = snap.state;
-        let mut rng = snap.rng;
-        let mut send_seq = snap.send_seq;
-        let mut out = Vec::new();
-        for entry in self.processed.iter().take(at).skip(base) {
-            out.clear();
-            let mut ctx = SendCtx::new(
-                self.id,
-                entry.event.key.recv_time,
-                &mut rng,
-                &mut send_seq,
-                &mut out,
-            );
-            model.handle_event(self.id, &mut state, &entry.event.payload, &mut ctx);
-        }
-        Snapshot {
-            state,
-            rng,
-            send_seq,
-        }
-    }
-
-    /// Recompute the snapshot-period counter after the tail changed.
-    fn refresh_since_snapshot(&mut self) {
-        self.since_snapshot = match self.processed.iter().rposition(|e| e.pre.is_some()) {
-            Some(i) => (self.processed.len() - 1 - i) as u32,
-            None => 0, // empty history: the next entry snapshots regardless
-        };
+        s
     }
 
     /// Roll back every processed entry whose key is `> key` (or `>= key` if
@@ -304,57 +302,50 @@ impl<M: Model> Lp<M> {
     /// itself must be undone and is *not* re-inserted — the caller filters it
     /// out via the returned events).
     pub fn rollback(&mut self, model: &M, key: &EventKey, inclusive: bool) -> Rollback<M> {
+        let keep = self.processed.partition_point(|e| {
+            if inclusive {
+                e.event.key < *key
+            } else {
+                e.event.key <= *key
+            }
+        });
         let mut rb = Rollback {
             reinserted: Vec::new(),
             antis: Vec::new(),
-            undone: 0,
+            undone: self.processed.len() - keep,
         };
-        let mut earliest_pre: Option<Snapshot<M::State>> = None;
-        while let Some(last) = self.processed.back() {
-            let undo = if inclusive {
-                last.event.key >= *key
-            } else {
-                last.event.key > *key
-            };
-            if !undo {
-                break;
-            }
-            let entry = self.processed.pop_back().expect("non-empty");
-            rb.antis.extend(entry.sent.iter().copied());
-            self.key_pool.put(entry.sent);
-            rb.reinserted.push(entry.event);
-            earliest_pre = entry.pre;
-            rb.undone += 1;
+        if rb.undone == 0 {
+            return rb;
         }
-        if rb.undone > 0 {
-            match earliest_pre {
-                Some(pre) => {
-                    // The earliest undone entry carried its pre-state.
-                    self.state = pre.state;
-                    self.rng = pre.rng;
-                    self.send_seq = pre.send_seq;
-                }
-                None => {
-                    // Sparse saving: restore the nearest earlier snapshot
-                    // and coast-forward through the retained tail.
-                    let base = self
-                        .processed
-                        .iter()
-                        .rposition(|e| e.pre.is_some())
-                        .expect("the first retained entry always carries a snapshot");
-                    let snap = self.processed[base].pre.as_ref().expect("checked").clone();
-                    self.state = snap.state;
-                    self.rng = snap.rng;
-                    self.send_seq = snap.send_seq;
-                    self.coast_forward(model, base);
-                }
-            }
-            self.refresh_since_snapshot();
+        // Both come out in ascending key order, as the queues hold them.
+        let antis: usize = self.processed.range(keep..).map(|e| e.sends as usize).sum();
+        rb.antis.extend(self.sent.drain(self.sent.len() - antis..));
+        rb.reinserted
+            .extend(self.processed.drain(keep..).map(|e| e.event));
+        // The undone entries' snapshots go; the earliest undone entry's, if
+        // it had one, is the state to restore.
+        let ordinal = self.ordinal(keep);
+        let mut pre = None;
+        while self.snaps.back().is_some_and(|(o, _)| *o >= ordinal) {
+            pre = self.snaps.pop_back();
         }
-        // Ascending key order for determinism (entries were popped newest
-        // first).
-        rb.reinserted.reverse();
-        rb.antis.reverse();
+        let s = match pre {
+            Some((o, s)) if o == ordinal => s,
+            _ => {
+                // Sparse saving: restore the nearest earlier snapshot and
+                // coast-forward through the retained tail.
+                let (o, s) = self
+                    .snaps
+                    .back()
+                    .expect("the first retained entry always carries a snapshot");
+                let from = (o - self.committed) as usize;
+                self.coast_forward(model, s.clone(), from, keep)
+            }
+        };
+        self.state = s.state;
+        self.rng = s.rng;
+        self.send_seq = s.send_seq;
+        self.check_history();
         rb
     }
 
@@ -373,17 +364,27 @@ impl<M: Model> Lp<M> {
         if cut == 0 {
             return 0;
         }
-        if cut < self.processed.len() && self.processed[cut].pre.is_none() {
-            let snap = self.materialize_snapshot(model, cut);
-            self.processed[cut].pre = Some(snap);
+        // The committed entries' snapshots go; when the cut lands mid-gap
+        // the nearest of them is replayed up to the cut.
+        let ordinal = self.ordinal(cut);
+        let mut below = None;
+        while self.snaps.front().is_some_and(|(o, _)| *o < ordinal) {
+            below = self.snaps.pop_front();
         }
-        for _ in 0..cut {
-            let entry = self.processed.pop_front().expect("cut <= len");
+        if cut < self.processed.len() && self.snaps.front().is_none_or(|(o, _)| *o != ordinal) {
+            let (o, s) = below.expect("the first retained entry always carries a snapshot");
+            let s = self.coast_forward(model, s, (o - self.committed) as usize, cut);
+            self.snaps.push_front((ordinal, s));
+        }
+        let mut keys = 0;
+        for entry in self.processed.drain(..cut) {
             self.commit_digest ^= key_digest(&entry.event.key);
             self.committed_lvt = entry.event.key.recv_time;
-            self.key_pool.put(entry.sent);
+            keys += entry.sends as usize;
         }
+        self.sent.drain(..keys);
         self.committed += cut as u64;
+        self.check_history();
         cut as u64
     }
 
@@ -401,16 +402,9 @@ impl<M: Model> Lp<M> {
     /// whose pre-state is exactly the committed state; with no uncommitted
     /// history the current state *is* the committed state.
     pub fn committed_snapshot(&self) -> Snapshot<M::State> {
-        match self.processed.front() {
-            Some(first) => first
-                .pre
-                .clone()
-                .expect("the first retained entry always carries a snapshot"),
-            None => Snapshot {
-                state: self.state.clone(),
-                rng: self.rng.clone(),
-                send_seq: self.send_seq,
-            },
+        match self.snaps.front() {
+            Some((_, first)) => first.clone(),
+            None => self.current(),
         }
     }
 
@@ -427,7 +421,8 @@ impl<M: Model> Lp<M> {
         self.rng = snap.rng;
         self.send_seq = snap.send_seq;
         self.processed.clear();
-        self.since_snapshot = 0;
+        self.sent.clear();
+        self.snaps.clear();
         self.committed = committed;
         self.commit_digest = commit_digest;
         self.committed_lvt = committed_lvt;
@@ -438,9 +433,28 @@ impl<M: Model> Lp<M> {
         model.state_digest(&self.state)
     }
 
-    /// Bytes of uncommitted history (rough estimate for memory accounting).
+    /// Entries of uncommitted history.
     pub fn history_len(&self) -> usize {
         self.processed.len()
+    }
+
+    /// Debug builds: the three queues of the history still describe one
+    /// another — a key per send, snapshot ordinals strictly ascending and
+    /// inside the history, and one on the first retained entry.
+    fn check_history(&self) {
+        #[cfg(debug_assertions)]
+        {
+            let sends: usize = self.processed.iter().map(|e| e.sends as usize).sum();
+            assert_eq!(self.sent.len(), sends, "one sent key per send");
+            let ordinals = || self.snaps.iter().map(|(o, _)| *o);
+            assert!(ordinals().zip(ordinals().skip(1)).all(|(a, b)| a < b));
+            assert!(ordinals().all(|o| o < self.ordinal(self.processed.len())));
+            assert_eq!(
+                ordinals().next(),
+                (!self.processed.is_empty()).then_some(self.committed),
+                "the first retained entry always carries a snapshot"
+            );
+        }
     }
 }
 
@@ -492,7 +506,16 @@ mod tests {
         assert_eq!(out[0].key.recv_time, VirtualTime::from_f64(2.0));
         assert_eq!(lp.processed.len(), 1);
         assert_eq!(lp.lvt(), VirtualTime::from_f64(1.0));
-        assert_eq!(lp.processed[0].sent, vec![out[0].key]);
+        assert_eq!(lp.processed[0].sends, 1);
+        assert_eq!(lp.sent, [out[0].key]);
+    }
+
+    /// The entry cannot silently grow back to carrying its snapshot and
+    /// key list inline.
+    #[test]
+    fn history_entry_is_the_event_plus_one_word() {
+        use std::mem::size_of;
+        assert!(size_of::<ProcessedEntry<Counter>>() <= size_of::<Event<u64>>() + 8);
     }
 
     #[test]
@@ -520,6 +543,40 @@ mod tests {
         // Re-execution reproduces the same sends (same uid, time, payload).
         let out1b = lp.process(&m, e1);
         assert_eq!(out1b, out1);
+    }
+
+    /// Two sends per event: the order `Rollback::antis` has always had is
+    /// ascending by undone entry and, within an entry, last send first.
+    #[test]
+    fn antis_of_fanned_out_entries_keep_their_order() {
+        struct Fan;
+        impl Model for Fan {
+            type State = u64;
+            type Payload = u64;
+            fn num_lps(&self) -> usize {
+                4
+            }
+            fn init_state(&self, _lp: LpId) -> u64 {
+                0
+            }
+            fn init_events(&self, _lp: LpId, _s: &mut u64, _ctx: &mut SendCtx<'_, u64>) {}
+            fn handle_event(&self, _lp: LpId, _s: &mut u64, p: &u64, ctx: &mut SendCtx<'_, u64>) {
+                ctx.send(LpId(0), 1.0, *p);
+                ctx.send(LpId(2), 2.0, *p);
+            }
+            fn state_digest(&self, s: &u64) -> u64 {
+                *s
+            }
+        }
+        let m = Fan;
+        let mut lp = Lp::with_snapshot_period(&m, LpId(1), 7, 2);
+        let a = lp.process(&m, ev(1.0, 1, 0, 0, 1));
+        let b = lp.process(&m, ev(2.0, 1, 0, 1, 2));
+        let c = lp.process(&m, ev(3.0, 1, 0, 2, 3));
+        let rb = lp.rollback(&m, &ev(1.5, 1, 9, 0, 0).key, false);
+        assert_eq!(rb.antis, [b[1].key, b[0].key, c[1].key, c[0].key]);
+        let rb = lp.rollback(&m, &ev(0.5, 1, 9, 0, 0).key, false);
+        assert_eq!(rb.antis, [a[1].key, a[0].key]);
     }
 
     #[test]
@@ -723,11 +780,8 @@ mod sparse_tests {
         for i in 0..9 {
             lp.process(&m, ev(i as f64 + 1.0, i));
         }
-        let snaps: Vec<bool> = lp.processed.iter().map(|e| e.pre.is_some()).collect();
-        assert_eq!(
-            snaps,
-            vec![true, false, false, false, true, false, false, false, true]
-        );
+        let ordinals: Vec<u64> = lp.snaps.iter().map(|(o, _)| *o).collect();
+        assert_eq!(ordinals, [0, 4, 8]);
     }
 
     #[test]
@@ -740,7 +794,7 @@ mod sparse_tests {
         // Cut mid-gap: entries 0..6 committed (recv < 6.5), entry 6 had no
         // snapshot and must get one.
         lp.fossil_collect(&m, VirtualTime::from_f64(6.5));
-        assert!(lp.processed[0].pre.is_some(), "replay base materialized");
+        assert_eq!(lp.snaps[0].0, lp.committed, "replay base materialized");
         // A rollback into the remaining tail still works.
         let rb = lp.rollback(&m, &ev(7.5, 99).key, false);
         assert_eq!(rb.undone, 1);

@@ -11,7 +11,6 @@ use crate::config::EngineConfig;
 use crate::event::Event;
 use crate::ids::LpId;
 use crate::lp::{key_digest, Lp, Snapshot};
-use crate::mapping::LpMap;
 use crate::model::Model;
 use crate::time::VirtualTime;
 use serde::{Deserialize, Serialize};
@@ -84,8 +83,6 @@ pub fn run_sequential_with<M: Model>(
     max_events: Option<u64>,
 ) -> SequentialResult {
     let num_lps = model.num_lps();
-    // A single "thread" owning every LP reuses the LP bookkeeping as-is.
-    let map = LpMap::new(num_lps, 1, cfg.mapping);
     let mut lps: Vec<Lp<M>> = (0..num_lps)
         .map(|i| {
             Lp::with_snapshot_period(
@@ -106,7 +103,6 @@ pub fn run_sequential_with<M: Model>(
     for ev in extra {
         pending.push(ByKey(ev.clone()));
     }
-    let _ = map; // mapping does not matter sequentially; kept for symmetry
     finish_sequential(model, cfg, max_events, lps, pending)
 }
 
@@ -220,9 +216,10 @@ fn finish_sequential<M: Model>(
         // Sequential execution never rolls back, so history exists only to
         // be dropped — but dropping it *every* event forces a state
         // snapshot on the next one (an empty history always snapshots),
-        // defeating sparse state saving. Collect lazily instead: history
-        // stays short and the snapshot cadence follows `snapshot_period`.
-        if lp.history_len() >= 32 {
+        // defeating sparse state saving. Collect once per period instead:
+        // one snapshot per `snapshot_period` events, never more than a
+        // period of history held.
+        if lp.history_len() >= cfg.snapshot_period as usize {
             lp.fossil_collect(model.as_ref(), VirtualTime::INFINITY);
         }
     }
@@ -325,7 +322,7 @@ pub(crate) mod tests {
     fn resume_from_checkpoint_matches_uninterrupted_run() {
         use crate::engine::ThreadEngine;
         use crate::ids::SimThreadId;
-        use crate::mapping::MapKind;
+        use crate::mapping::{LpMap, MapKind};
 
         let model = Arc::new(Ring { n: 8 });
         let cfg = EngineConfig::default().with_end_time(50.0).with_seed(11);

@@ -1,17 +1,20 @@
 //! Allocation regression gate for the per-event hot path.
 //!
 //! The sequential engine loop (pop-min → `process_into` → re-insert sends
-//! → lazy fossil) is the distilled hot path every runtime shares: after
-//! warmup, all its buffers — the reused send vector, the pending set's
-//! heap and index, the LP's processed deque, and the pooled sent-key
-//! lists — have reached steady-state capacity, so processing one more
-//! event must hit the heap **zero** times. This test locks that in with
+//! → fossil once per snapshot period) is the distilled hot path every
+//! runtime shares: after warmup, all its buffers — the reused send vector,
+//! the pending set's heap and index, the LP's history, sent-key and
+//! snapshot queues — have reached steady-state capacity, so processing one
+//! more event must hit the heap **zero** times. This test locks that in with
 //! a counting global allocator: any future change that re-introduces a
 //! per-event allocation (a clone on the snapshot path, a fresh `Vec` per
 //! handler call, a map that grows per insert) fails here with a count,
 //! not as a silent throughput regression.
 //!
-//! The second test holds the round's thread-local steps to the same bar:
+//! The second test adds a rollback and a reprocess every 64 events: a
+//! rollback allocates the two result vectors of `Rollback` and nothing else.
+//!
+//! The third test holds the round's thread-local steps to the same bar:
 //! two [`Participant`]s over a [`MessagePlane`] cycle (`receive`, an event,
 //! route) and run whole GVT rounds (`fold` twice, publish, fossil-collect)
 //! on inbox / outbox scratch that stopped growing during warmup.
@@ -20,10 +23,10 @@
 //! cannot perturb (or be perturbed by) unrelated tests.
 
 use pdes_core::lp::{key_digest, Lp};
-use pdes_core::pending::PendingSet;
+use pdes_core::pending::{CancelOutcome, PendingSet};
 use pdes_core::{
-    build_engines, Demand, EngineConfig, Event, LpId, Membership, MessagePlane, Model, Outbound,
-    Participant, Round, SendCtx, VirtualTime,
+    build_engines, Demand, EngineConfig, Event, EventKey, LpId, Membership, MessagePlane, Model,
+    Outbound, Participant, Round, SendCtx, VirtualTime,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -96,9 +99,43 @@ impl Model for Ring {
     }
 }
 
+const SNAPSHOT_PERIOD: u32 = 4;
+
+/// The ring's LPs and their initial events.
+fn ring(model: &Ring) -> (Vec<Lp<Ring>>, PendingSet<()>) {
+    let mut lps: Vec<Lp<Ring>> = (0..model.n)
+        .map(|i| Lp::with_snapshot_period(model, LpId(i as u32), 42, SNAPSHOT_PERIOD))
+        .collect();
+    let mut pending = PendingSet::new();
+    for lp in &mut lps {
+        for ev in lp.init_events(model) {
+            pending.insert(ev);
+        }
+    }
+    (lps, pending)
+}
+
+/// Execute the lowest pending event; returns its key.
+fn step(
+    model: &Ring,
+    lps: &mut [Lp<Ring>],
+    pending: &mut PendingSet<()>,
+    sends: &mut Vec<Event<()>>,
+) -> EventKey {
+    let ev = pending.pop_min().expect("ring population is constant");
+    let key = ev.key;
+    sends.clear();
+    lps[key.dst.index()].process_into(model, ev, sends);
+    for sent in sends.drain(..) {
+        pending.insert(sent);
+    }
+    key
+}
+
 /// Drive `count` events through the sequential hot-path loop (the same
-/// shape as `finish_sequential`), returning the commit-digest fold so the
-/// work cannot be optimized away.
+/// shape as `finish_sequential`, collecting once per snapshot period as it
+/// does), returning the commit-digest fold so the work cannot be optimized
+/// away.
 fn pump(
     model: &Ring,
     lps: &mut [Lp<Ring>],
@@ -108,16 +145,10 @@ fn pump(
 ) -> u64 {
     let mut digest = 0u64;
     for _ in 0..count {
-        let ev = pending.pop_min().expect("ring population is constant");
-        let key = ev.key;
-        let lp = &mut lps[key.dst.index()];
-        sends.clear();
-        lp.process_into(model, ev, sends);
-        for sent in sends.drain(..) {
-            pending.insert(sent);
-        }
+        let key = step(model, lps, pending, sends);
         digest ^= key_digest(&key);
-        if lp.history_len() >= 32 {
+        let lp = &mut lps[key.dst.index()];
+        if lp.history_len() >= SNAPSHOT_PERIOD as usize {
             lp.fossil_collect(model, VirtualTime::INFINITY);
         }
     }
@@ -127,18 +158,10 @@ fn pump(
 #[test]
 fn steady_state_event_loop_does_not_allocate() {
     let model = Ring { n: 8 };
-    let mut lps: Vec<Lp<Ring>> = (0..model.n)
-        .map(|i| Lp::with_snapshot_period(&model, LpId(i as u32), 42, 4))
-        .collect();
-    let mut pending: PendingSet<()> = PendingSet::new();
-    for lp in &mut lps {
-        for ev in lp.init_events(&model) {
-            pending.insert(ev);
-        }
-    }
+    let (mut lps, mut pending) = ring(&model);
     let mut sends: Vec<Event<()>> = Vec::new();
 
-    // Warmup: let every buffer, pool, and map reach steady-state capacity.
+    // Warmup: let every buffer, queue, and map reach steady-state capacity.
     // 5000 events ≈ 150 fossil cycles per LP — far past any growth curve.
     let warm_digest = pump(&model, &mut lps, &mut pending, &mut sends, 5000);
     assert_ne!(warm_digest, 0, "warmup actually processed events");
@@ -154,6 +177,56 @@ fn steady_state_event_loop_does_not_allocate() {
         "hot path allocated {} times across 2000 steady-state events \
          (expected zero: every per-event buffer must be reused)",
         after - before
+    );
+}
+
+/// 63 events of the steady-state loop, then one that is undone and put
+/// back: the newest event's one send is still pending, so the rollback's
+/// anti cancels it there and the next `pump` reprocesses the event — a whole
+/// Time Warp rollback at the LP level. Returns the allocations of
+/// `rounds` such rounds and of the rollback that made most.
+fn pump_and_roll_back(
+    model: &Ring,
+    lps: &mut [Lp<Ring>],
+    pending: &mut PendingSet<()>,
+    sends: &mut Vec<Event<()>>,
+    rounds: u64,
+) -> (u64, u64) {
+    let before = allocs();
+    let mut worst = 0;
+    for _ in 0..rounds {
+        pump(model, lps, pending, sends, 63);
+        let key = step(model, lps, pending, sends);
+        let in_rollback = allocs();
+        let rb = lps[key.dst.index()].rollback(model, &key, true);
+        worst = worst.max(allocs() - in_rollback);
+        assert_eq!((rb.undone, rb.antis.len()), (1, 1));
+        for anti in &rb.antis {
+            assert_eq!(pending.cancel(anti), CancelOutcome::Removed);
+        }
+        for undone in rb.reinserted {
+            pending.insert(undone);
+        }
+    }
+    (allocs() - before, worst)
+}
+
+#[test]
+fn rollback_allocates_only_its_result() {
+    let model = Ring { n: 8 };
+    let (mut lps, mut pending) = ring(&model);
+    let mut sends: Vec<Event<()>> = Vec::new();
+    pump_and_roll_back(&model, &mut lps, &mut pending, &mut sends, 80);
+    let rounds = 30;
+    let (total, worst) = pump_and_roll_back(&model, &mut lps, &mut pending, &mut sends, rounds);
+    assert!(
+        worst <= 2,
+        "a rollback allocated {worst} times (expected its two result vectors)"
+    );
+    assert!(
+        total <= 2 * rounds,
+        "{total} allocations across {rounds} steady-state rollback rounds \
+         (expected the two result vectors of each rollback and nothing else)"
     );
 }
 

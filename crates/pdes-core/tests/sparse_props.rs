@@ -9,7 +9,10 @@
 //! edge cases that historically break sparse saving implementations:
 //! rollback all the way to the base snapshot (entry 0), and rollback to
 //! the first retained entry right after a fossil cut (whose snapshot was
-//! materialized by replay rather than recorded at process time).
+//! materialized by replay rather than recorded at process time). The
+//! third property interleaves every operation of the history — process,
+//! exclusive and inclusive rollback, fossil cuts at arbitrary mid-gap
+//! points, reprocess — and compares after each step.
 
 use pdes_core::lp::Lp;
 use pdes_core::{Event, EventKey, EventUid, LpId, Model, SendCtx, VirtualTime};
@@ -183,5 +186,84 @@ proptest! {
         sparse.commit_all(&m);
         prop_assert_eq!(&dense.state, &sparse.state);
         prop_assert_eq!(dense.commit_digest, sparse.commit_digest);
+    }
+
+    /// Arbitrary interleavings of the four things a history is asked to do
+    /// — process the next event, roll back (exclusively or inclusively) to
+    /// an arbitrary retained depth, fossil-collect at an arbitrary cut, and
+    /// reprocess what a rollback undid — on a dense and a sparse LP side by
+    /// side. After every step the two agree on state, RNG, send counter and
+    /// committed snapshot; every rollback on antis *in order* and
+    /// reinserted events; the end on the committed digests.
+    #[test]
+    fn interleaved_history_ops_match_dense_oracle(
+        seed in any::<u64>(),
+        period in prop::sample::select(vec![1u32, 2, 3, 5, 8, 16]),
+        ops in prop::collection::vec((0u8..8, 0.0f64..1.0), 1..60),
+    ) {
+        let m = Churn;
+        let mut dense: Lp<Churn> = Lp::with_snapshot_period(&m, LpId(1), seed, 1);
+        let mut sparse: Lp<Churn> = Lp::with_snapshot_period(&m, LpId(1), seed, period);
+        // Events `[done, next)` are in both histories; `[next, ..)` are not
+        // yet processed (or were undone and wait to be reprocessed).
+        let (mut done, mut next) = (0usize, 0usize);
+        let (mut sd, mut ss) = (Vec::new(), Vec::new());
+        for (op, frac) in ops {
+            // An index into the retained history, `done ..= next`.
+            let at = done + (frac * (next - done + 1) as f64) as usize;
+            match op {
+                // Roll back to `at`: inclusive undoes event `at` itself,
+                // exclusive everything after the gap below it.
+                0 | 1 if at < next => {
+                    let inclusive = op == 0;
+                    let mut key = ev(at).key;
+                    if !inclusive {
+                        key.recv_time = VirtualTime::from_f64(at as f64 + 0.5);
+                    }
+                    let rb_d = dense.rollback(&m, &key, inclusive);
+                    let rb_s = sparse.rollback(&m, &key, inclusive);
+                    prop_assert_eq!(rb_d.undone, next - at);
+                    prop_assert_eq!(rb_s.undone, next - at);
+                    prop_assert_eq!(&rb_d.antis, &rb_s.antis, "antis diverge");
+                    prop_assert_eq!(&rb_d.reinserted, &rb_s.reinserted);
+                    let undone: Vec<_> = (at..next).map(ev).collect();
+                    prop_assert_eq!(&rb_s.reinserted, &undone);
+                    next = at;
+                }
+                // Commit events `[done, at)`: a cut anywhere in the history,
+                // mid-gap more often than not.
+                2 if at > done => {
+                    let gvt = ev(at).key.recv_time;
+                    let cd = dense.fossil_collect(&m, gvt);
+                    prop_assert_eq!(cd, sparse.fossil_collect(&m, gvt));
+                    prop_assert_eq!(cd as usize, at - done);
+                    done = at;
+                }
+                // Process (or reprocess) the next event.
+                _ => {
+                    sd.clear();
+                    ss.clear();
+                    dense.process_into(&m, ev(next), &mut sd);
+                    sparse.process_into(&m, ev(next), &mut ss);
+                    prop_assert_eq!(&sd, &ss, "sends diverge");
+                    next += 1;
+                }
+            }
+            prop_assert_eq!(&dense.state, &sparse.state, "state diverges");
+            prop_assert_eq!(&dense.rng, &sparse.rng, "RNG diverges");
+            prop_assert_eq!(dense.send_seq, sparse.send_seq);
+            prop_assert_eq!(sparse.history_len(), next - done);
+            let (cd, cs) = (dense.committed_snapshot(), sparse.committed_snapshot());
+            prop_assert_eq!(&cd.state, &cs.state, "committed state diverges");
+            prop_assert_eq!(&cd.rng, &cs.rng);
+            prop_assert_eq!(cd.send_seq, cs.send_seq);
+            prop_assert_eq!(dense.commit_digest, sparse.commit_digest);
+        }
+        dense.commit_all(&m);
+        sparse.commit_all(&m);
+        prop_assert_eq!(&dense.state, &sparse.state, "final state diverges");
+        prop_assert_eq!(dense.commit_digest, sparse.commit_digest);
+        prop_assert_eq!(dense.committed, sparse.committed);
+        prop_assert_eq!(dense.committed as usize, next);
     }
 }
