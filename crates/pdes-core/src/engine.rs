@@ -387,8 +387,8 @@ impl<M: Model> ThreadEngine<M> {
     /// have to be re-inserted on the hot path after assembly, re-introducing
     /// per-event bookkeeping on every commit to pay for the rare checkpoint.
     /// `copies_cut_events_and_leaves_engine_untouched` pins this down. The
-    /// copies are sorted by key: the underlying pending iteration is
-    /// unordered (hash map), and a checkpoint's byte stream must be
+    /// copies are sorted by key: the pending set iterates its slab, in slot
+    /// order rather than key order, and a checkpoint's byte stream must be
     /// deterministic for digest comparison and replay.
     pub fn snapshot_at_gvt(&self, gvt: VirtualTime) -> CutSnapshot<M::State, M::Payload> {
         let mut lps = Vec::with_capacity(self.lps.len());

@@ -689,6 +689,21 @@ mod tests {
     }
 
     #[test]
+    fn a_misspelt_key_is_refused_by_name() {
+        let err = serde_json::from_str::<FaultPlan>(r#"{"seed":1,"dealy":{"prob":0.1}}"#)
+            .expect_err("`dealy` is not a FaultPlan section");
+        assert!(err.to_string().contains("unknown field `dealy`"), "{err}");
+        // Inside a section and inside a kill variant alike.
+        for json in [
+            r#"{"seed":1,"delay":{"probability":0.1}}"#,
+            r#"{"seed":1,"kills":[{"WorkerKill":{"thread":1,"at":5}}]}"#,
+        ] {
+            let err = serde_json::from_str::<FaultPlan>(json).expect_err(json);
+            assert!(err.to_string().contains("unknown field"), "{err}");
+        }
+    }
+
+    #[test]
     fn scripted_kill_fires_once_at_cycle() {
         let plan = FaultPlan::default().with_kill(2, 100);
         assert!(plan.is_active());

@@ -8,7 +8,8 @@
 //! * [`time::VirtualTime`] — fixed-point virtual time with total ordering;
 //! * [`model::Model`] — the application interface (LP states + handlers);
 //! * [`lp::Lp`] — per-LP state saving, rollback, fossil collection;
-//! * [`pending::PendingSet`] — the per-thread pending event set with
+//! * [`pending::EventQueue`] — the one event queue, drained by the oracle;
+//!   [`pending::PendingSet`] — the per-thread pending event set on it, with
 //!   anti-message annihilation;
 //! * [`engine::ThreadEngine`] — the per-simulation-thread engine combining
 //!   the above: optimistic batches, straggler rollbacks, anti-message

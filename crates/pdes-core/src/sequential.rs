@@ -12,38 +12,10 @@ use crate::event::Event;
 use crate::ids::LpId;
 use crate::lp::{key_digest, Lp, Snapshot};
 use crate::model::Model;
+use crate::pending::EventQueue;
 use crate::time::VirtualTime;
 use serde::{Deserialize, Serialize};
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 use std::sync::Arc;
-
-/// Min-heap entry ordering events by full key.
-///
-/// The sequential oracle never sees an anti-message (nothing is ever rolled
-/// back), so the engines' [`crate::pending::PendingSet`] — whose hash-map
-/// index exists solely for O(1) cancellation — is pure overhead here. A
-/// plain binary heap of events drops the per-event hash insert/remove from
-/// the oracle's hot loop.
-struct ByKey<P>(Event<P>);
-
-impl<P> PartialEq for ByKey<P> {
-    fn eq(&self, other: &Self) -> bool {
-        self.0.key == other.0.key
-    }
-}
-impl<P> Eq for ByKey<P> {}
-impl<P> PartialOrd for ByKey<P> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<P> Ord for ByKey<P> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want the smallest key.
-        other.0.key.cmp(&self.0.key)
-    }
-}
 
 /// Outcome of a sequential run: everything needed to validate a parallel run.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -79,7 +51,7 @@ pub fn run_sequential<M: Model>(
 pub fn run_sequential_with<M: Model>(
     model: &Arc<M>,
     cfg: &EngineConfig,
-    extra: &[crate::event::Event<M::Payload>],
+    extra: &[Event<M::Payload>],
     max_events: Option<u64>,
 ) -> SequentialResult {
     let num_lps = model.num_lps();
@@ -93,15 +65,16 @@ pub fn run_sequential_with<M: Model>(
             )
         })
         .collect();
-    let mut pending: BinaryHeap<ByKey<M::Payload>> = BinaryHeap::new();
-
+    // The oracle never cancels (nothing is rolled back), so it drains the
+    // engines' queue without their key index.
+    let mut pending = EventQueue::new();
     for lp in &mut lps {
         for ev in lp.init_events(model.as_ref()) {
-            pending.push(ByKey(ev));
+            pending.push(ev);
         }
     }
     for ev in extra {
-        pending.push(ByKey(ev.clone()));
+        pending.push(ev.clone());
     }
     finish_sequential(model, cfg, max_events, lps, pending)
 }
@@ -128,7 +101,7 @@ pub fn run_sequential_from_with<M: Model>(
     model: &Arc<M>,
     cfg: &EngineConfig,
     ckpt: &Checkpoint<M::State, M::Payload>,
-    extra: &[crate::event::Event<M::Payload>],
+    extra: &[Event<M::Payload>],
     max_events: Option<u64>,
 ) -> SequentialResult {
     let num_lps = model.num_lps();
@@ -160,12 +133,9 @@ pub fn run_sequential_from_with<M: Model>(
             lck.lvt,
         );
     }
-    let mut pending: BinaryHeap<ByKey<M::Payload>> = BinaryHeap::new();
-    for ev in &ckpt.events {
-        pending.push(ByKey(ev.clone()));
-    }
-    for ev in extra {
-        pending.push(ByKey(ev.clone()));
+    let mut pending = EventQueue::new();
+    for ev in ckpt.events.iter().chain(extra) {
+        pending.push(ev.clone());
     }
     finish_sequential(model, cfg, max_events, lps, pending)
 }
@@ -177,7 +147,7 @@ fn finish_sequential<M: Model>(
     cfg: &EngineConfig,
     max_events: Option<u64>,
     mut lps: Vec<Lp<M>>,
-    mut pending: BinaryHeap<ByKey<M::Payload>>,
+    mut pending: EventQueue<M::Payload>,
 ) -> SequentialResult {
     let mut committed: u64 = lps.iter().map(|lp| lp.committed).sum();
     let mut commit_digest: u64 = lps.iter().fold(0, |d, lp| d ^ lp.commit_digest);
@@ -195,20 +165,20 @@ fn finish_sequential<M: Model>(
                 break;
             }
         }
-        let Some(min) = pending.peek() else {
+        let Some(min) = pending.peek_key() else {
             break;
         };
-        if min.0.key.recv_time >= cfg.end_time {
+        if min.recv_time >= cfg.end_time {
             break;
         }
-        let ByKey(ev) = pending.pop().expect("min exists");
+        let ev = pending.pop().expect("min exists");
         let key = ev.key;
         let lp = &mut lps[key.dst.index()];
         debug_assert!(!lp.is_straggler(&key), "sequential run cannot regress");
         sends.clear();
         lp.process_into(model.as_ref(), ev, &mut sends);
         for sent in sends.drain(..) {
-            pending.push(ByKey(sent));
+            pending.push(sent);
         }
         committed += 1;
         commit_digest ^= key_digest(&key);
@@ -224,7 +194,7 @@ fn finish_sequential<M: Model>(
         }
     }
 
-    let pending_digest = pending.iter().fold(0, |d, e| d ^ key_digest(&e.0.key));
+    let pending_digest = pending.iter().fold(0, |d, e| d ^ key_digest(&e.key));
     SequentialResult {
         committed,
         commit_digest,

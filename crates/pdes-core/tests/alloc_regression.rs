@@ -14,7 +14,11 @@
 //! The second test adds a rollback and a reprocess every 64 events: a
 //! rollback allocates the two result vectors of `Rollback` and nothing else.
 //!
-//! The third test holds the round's thread-local steps to the same bar:
+//! The third cancels and re-sends one pending event every 8 events, so
+//! the pending set's tombstones pass the compaction threshold again and
+//! again: cancel, compaction and the re-insert allocate nothing either.
+//!
+//! The fourth test holds the round's thread-local steps to the same bar:
 //! two [`Participant`]s over a [`MessagePlane`] cycle (`receive`, an event,
 //! route) and run whole GVT rounds (`fold` twice, publish, fossil-collect)
 //! on inbox / outbox scratch that stopped growing during warmup.
@@ -25,8 +29,8 @@
 use pdes_core::lp::{key_digest, Lp};
 use pdes_core::pending::{CancelOutcome, PendingSet};
 use pdes_core::{
-    build_engines, Demand, EngineConfig, Event, EventKey, LpId, Membership, MessagePlane, Model,
-    Outbound, Participant, Round, SendCtx, VirtualTime,
+    build_engines, Demand, EngineConfig, Event, EventKey, EventUid, LpId, Membership, MessagePlane,
+    Model, Outbound, Participant, Round, SendCtx, VirtualTime,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -227,6 +231,70 @@ fn rollback_allocates_only_its_result() {
         total <= 2 * rounds,
         "{total} allocations across {rounds} steady-state rollback rounds \
          (expected the two result vectors of each rollback and nothing else)"
+    );
+}
+
+/// Far-future events parked beside the ring: they never pop, so the
+/// tombstone a cancel leaves behind for one of them never surfaces.
+const PARKED: u64 = 24;
+
+fn parked(i: u64) -> Event<()> {
+    Event {
+        key: EventKey {
+            recv_time: VirtualTime::from_f64(1e9 + i as f64),
+            dst: LpId(0),
+            uid: EventUid::new(LpId(0), (1 << 40) + i),
+        },
+        send_time: VirtualTime::ZERO,
+        payload: (),
+    }
+}
+
+/// `count` events of the steady-state loop; after every eighth, the next
+/// parked event is cancelled and re-sent with the same key
+/// (anti-then-resend). Its buried tombstone stays until compaction drops
+/// it — with 32 live events, every 33 cancels — so a heap, slab or free
+/// list that failed to reuse its capacity would keep growing.
+fn pump_with_cancels(
+    model: &Ring,
+    lps: &mut [Lp<Ring>],
+    pending: &mut PendingSet<()>,
+    sends: &mut Vec<Event<()>>,
+    count: u64,
+    next: &mut u64,
+) {
+    for _ in 0..count / 8 {
+        pump(model, lps, pending, sends, 8);
+        let ev = parked(*next % PARKED);
+        *next += 1;
+        assert_eq!(pending.cancel(&ev.key), CancelOutcome::Removed);
+        pending.insert(ev);
+    }
+}
+
+#[test]
+fn steady_state_cancels_and_compaction_do_not_allocate() {
+    let model = Ring { n: 8 };
+    let (mut lps, mut pending) = ring(&model);
+    for i in 0..PARKED {
+        pending.insert(parked(i));
+    }
+    let mut sends: Vec<Event<()>> = Vec::new();
+    let mut next = 0;
+    pump_with_cancels(&model, &mut lps, &mut pending, &mut sends, 5000, &mut next);
+
+    let before = allocs();
+    pump_with_cancels(&model, &mut lps, &mut pending, &mut sends, 4000, &mut next);
+    let after = allocs();
+
+    assert_eq!(pending.len(), 8 + PARKED as usize, "population is constant");
+    assert_eq!(
+        after - before,
+        0,
+        "cancel / re-insert / compaction allocated {} times across 4000 \
+         steady-state events (expected zero: tombstones, the free list and \
+         the in-place sort reuse capacity)",
+        after - before
     );
 }
 

@@ -1,6 +1,6 @@
 //! Property-based tests of the Time Warp core data structures.
 
-use pdes_core::pending::{CancelOutcome, InsertOutcome, PendingSet};
+use pdes_core::pending::{CancelOutcome, EventQueue, InsertOutcome, PendingSet};
 use pdes_core::{
     chaos_filter, DelayFault, Event, EventKey, EventUid, FaultInjector, FaultPlan, LpId, LpMap,
     MapKind, Model, Msg, ReorderFault, SendCtx, SimThreadId, StragglerFault, VirtualTime,
@@ -85,34 +85,59 @@ proptest! {
     }
 }
 
+/// Receive times 0..16 over 8 × 8 × 64 identities: most keys in a set tie on
+/// the tick count and are ordered by the full-key tiebreak.
+fn arb_tied_key() -> impl Strategy<Value = EventKey> {
+    (0u64..16, 0u32..8, 0u32..8, 0u64..64).prop_map(|(t, dst, src, seq)| EventKey {
+        recv_time: VirtualTime::from_ticks(t),
+        dst: LpId(dst),
+        uid: EventUid::new(LpId(src), seq),
+    })
+}
+
 #[derive(Debug, Clone)]
 enum PendingOp {
     Insert(EventKey),
+    /// An anti-message for a key that is probably not pending.
     Cancel(EventKey),
+    /// An anti-message for the `i % len`-th live key, in key order.
+    CancelLive(usize),
+    /// An anti-message for the newest insert, then its re-send (the same
+    /// key, a new payload) — anti-then-resend.
+    CancelResend,
     PopMin,
 }
 
+/// Up to 600 operations; in ten, four insert, one pops and five cancel —
+/// three a live key, one an anti-then-resend, one a key mostly not
+/// pending. Tombstones pile up below the top, so long sequences pass the
+/// compaction threshold (over 64 heap entries, over twice the live count)
+/// again and again.
 fn arb_ops() -> impl Strategy<Value = Vec<PendingOp>> {
-    prop::collection::vec(
-        prop_oneof![
-            arb_key().prop_map(PendingOp::Insert),
-            arb_key().prop_map(PendingOp::Cancel),
-            Just(PendingOp::PopMin),
-        ],
-        0..200,
-    )
+    let op = (0u8..10, arb_tied_key(), any::<usize>()).prop_map(|(pick, k, i)| match pick {
+        0..=3 => PendingOp::Insert(k),
+        4 => PendingOp::Cancel(k),
+        5..=7 => PendingOp::CancelLive(i),
+        8 => PendingOp::CancelResend,
+        _ => PendingOp::PopMin,
+    });
+    prop::collection::vec(op, 0..600)
 }
 
 proptest! {
     /// The pending set behaves exactly like a reference model built on a
     /// `BTreeMap` plus an orphan-anti set, under arbitrary operation
     /// sequences (duplicate inserts/cancels are skipped, as the engine
-    /// never produces them).
+    /// never produces them). Every insert carries its own payload, which
+    /// `pop_min` must hand back, and after every operation `iter()` is the
+    /// reference's live set.
     #[test]
     fn pending_set_matches_reference_model(ops in arb_ops()) {
         let mut sut: PendingSet<u32> = PendingSet::new();
         let mut model: BTreeMap<EventKey, u32> = BTreeMap::new();
         let mut antis: std::collections::BTreeSet<EventKey> = Default::default();
+        let mut serial = 0u32;
+        let mut newest: Option<EventKey> = None;
 
         for op in ops {
             match op {
@@ -120,12 +145,11 @@ proptest! {
                     if model.contains_key(&k) || antis.contains(&k) {
                         continue; // engine never re-inserts a live key
                     }
-                    let ev = Event { key: k, send_time: VirtualTime::ZERO, payload: 1 };
-                    // Reference: an orphan anti annihilates on arrival.
-                    let expect = InsertOutcome::Inserted;
-                    let got = sut.insert(ev);
-                    prop_assert_eq!(got, expect);
-                    model.insert(k, 1);
+                    serial += 1;
+                    let ev = Event { key: k, send_time: VirtualTime::ZERO, payload: serial };
+                    prop_assert_eq!(sut.insert(ev), InsertOutcome::Inserted);
+                    model.insert(k, serial);
+                    newest = Some(k);
                 }
                 PendingOp::Cancel(k) => {
                     if antis.contains(&k) {
@@ -139,21 +163,76 @@ proptest! {
                         antis.insert(k);
                     }
                 }
-                PendingOp::PopMin => {
-                    let got = sut.pop_min().map(|e| e.key);
-                    let expect = model.keys().next().copied();
-                    if let Some(k) = expect {
-                        model.remove(&k);
+                PendingOp::CancelLive(i) => {
+                    if model.is_empty() {
+                        continue;
                     }
+                    let k = *model.keys().nth(i % model.len()).unwrap();
+                    prop_assert_eq!(sut.cancel(&k), CancelOutcome::Removed);
+                    model.remove(&k);
+                }
+                PendingOp::CancelResend => {
+                    let Some(k) = newest.filter(|k| model.contains_key(k)) else {
+                        continue;
+                    };
+                    prop_assert_eq!(sut.cancel(&k), CancelOutcome::Removed);
+                    serial += 1;
+                    let ev = Event { key: k, send_time: VirtualTime::ZERO, payload: serial };
+                    prop_assert_eq!(sut.insert(ev), InsertOutcome::Inserted);
+                    model.insert(k, serial);
+                }
+                PendingOp::PopMin => {
+                    let got = sut.pop_min().map(|e| (e.key, e.payload));
+                    let expect = model.pop_first();
                     prop_assert_eq!(got, expect);
                 }
             }
             prop_assert_eq!(sut.len(), model.len());
             prop_assert_eq!(sut.orphan_antis(), antis.len());
+            prop_assert_eq!(sut.min_key(), model.keys().next().copied());
             prop_assert_eq!(
                 sut.min_time(),
                 model.keys().next().map(|k| k.recv_time).unwrap_or(VirtualTime::INFINITY)
             );
+            let mut live: Vec<(EventKey, u32)> = sut.iter().map(|e| (e.key, e.payload)).collect();
+            live.sort_unstable();
+            prop_assert_eq!(live, model.iter().map(|(k, p)| (*k, *p)).collect::<Vec<_>>());
+        }
+    }
+
+    /// The event queue pops exactly what a sorted `Vec` of (key, payload)
+    /// pairs yields, under arbitrary push / pop sequences with tied times
+    /// (keys stay unique, as event uids are); `peek_key()`, `iter()` and
+    /// `len()` agree with it after every operation.
+    #[test]
+    fn event_queue_matches_sorted_vec(
+        ops in prop::collection::vec(
+            (0u8..5, arb_tied_key()).prop_map(|(pick, k)| (pick < 3).then_some(k)),
+            0..600,
+        ),
+    ) {
+        let mut sut: EventQueue<u32> = EventQueue::new();
+        let mut reference: Vec<(EventKey, u32)> = Vec::new();
+        for (serial, op) in (0u32..).zip(ops) {
+            match op {
+                Some(k) => {
+                    let Err(at) = reference.binary_search_by_key(&k, |e| e.0) else {
+                        continue;
+                    };
+                    sut.push(Event { key: k, send_time: VirtualTime::ZERO, payload: serial });
+                    reference.insert(at, (k, serial));
+                }
+                None => {
+                    let got = sut.pop().map(|e| (e.key, e.payload));
+                    let expect = (!reference.is_empty()).then(|| reference.remove(0));
+                    prop_assert_eq!(got, expect);
+                }
+            }
+            prop_assert_eq!(sut.len(), reference.len());
+            prop_assert_eq!(sut.peek_key(), reference.first().map(|e| &e.0));
+            let mut all: Vec<(EventKey, u32)> = sut.iter().map(|e| (e.key, e.payload)).collect();
+            all.sort_unstable();
+            prop_assert_eq!(&all, &reference);
         }
     }
 

@@ -331,6 +331,26 @@ fn a_chaos_plan_naming_a_link_partition_is_a_one_line_exit_2() {
     assert_eq!(err.trim_end().lines().count(), 1, "{err}");
 }
 
+/// A misspelt section of a `--chaos-plan` is refused by name, not read past
+/// into a different plan.
+#[test]
+fn a_chaos_plan_with_a_misspelt_section_is_a_one_line_exit_2() {
+    let plan = tmp_path("misspelt-plan.json");
+    std::fs::write(&plan, r#"{"seed":1,"dealy":{"prob":0.1}}"#).expect("write plan");
+    let out = run_bounded(
+        &["--end", "2", "--chaos-plan", plan.to_str().expect("utf-8")],
+        Duration::from_secs(30),
+    );
+    let _ = std::fs::remove_file(&plan);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{err}");
+    assert!(
+        err.starts_with("ggpdes: ") && err.contains("unknown field `dealy`"),
+        "{err}"
+    );
+    assert_eq!(err.trim_end().lines().count(), 1, "{err}");
+}
+
 /// A reader that closes stdout early (`ggpdes … | head -1`) is not a crash:
 /// the report and the gantt stop quietly, nothing panics.
 #[test]
