@@ -2,23 +2,24 @@
 //! existing reliable links. Workers beacon [`crate::proto::Frame::Heartbeat`]
 //! on a wall-clock cadence; the coordinator treats *any* inbound packet as
 //! life. Suspicion is phi-style: a peer whose silence exceeds
-//! `phi_threshold` times its mean inter-arrival gap is suspected (reset on
-//! the next arrival); only a full lease expiry (`interval * miss_threshold`
-//! of silence) declares it dead. The clock is passed in, so the detector
-//! holds no notion of "now" of its own.
+//! `PHI_THRESHOLD` (8) times its mean inter-arrival gap is suspected (reset
+//! on the next arrival); only a full lease expiry (`interval *
+//! miss_threshold` of silence) declares it dead. The clock is passed in, so
+//! the detector holds no notion of "now" of its own.
 
 use std::time::{Duration, Instant};
 
-/// Cadence and thresholds of the failure detector.
+/// Suspect (but don't kill) a peer whose silence exceeds this multiple of
+/// its mean inter-arrival gap.
+const PHI_THRESHOLD: f64 = 8.0;
+
+/// Cadence and lease of the failure detector.
 #[derive(Debug, Clone)]
 pub struct HeartbeatConfig {
     /// Wall-clock cadence of worker heartbeats.
     pub interval: Duration,
     /// Declare a peer dead after this many intervals of silence.
     pub miss_threshold: u32,
-    /// Suspect (but don't kill) a peer whose silence exceeds this multiple
-    /// of its mean inter-arrival gap.
-    pub phi_threshold: f64,
 }
 
 impl Default for HeartbeatConfig {
@@ -26,7 +27,6 @@ impl Default for HeartbeatConfig {
         HeartbeatConfig {
             interval: Duration::from_millis(25),
             miss_threshold: 40,
-            phi_threshold: 8.0,
         }
     }
 }
@@ -82,7 +82,7 @@ impl FailureDetector {
             self.cfg.interval.as_secs_f64() * 1000.0
         };
         let phi = silent.as_secs_f64() * 1000.0 / mean_ms.max(0.01);
-        if phi > self.cfg.phi_threshold && !self.suspected[peer] {
+        if phi > PHI_THRESHOLD && !self.suspected[peer] {
             self.suspected[peer] = true;
             return Lease::Suspect;
         }
@@ -110,12 +110,12 @@ mod tests {
 
     const MS: Duration = Duration::from_millis(1);
 
-    /// 10 ms beacons, dead after 20 missed, suspected past 3 mean gaps.
+    /// 10 ms beacons, dead after 100 missed (a 1 s lease), suspected past
+    /// `PHI_THRESHOLD` = 8 mean gaps.
     fn detector(t0: Instant) -> FailureDetector {
         let cfg = HeartbeatConfig {
             interval: 10 * MS,
-            miss_threshold: 20,
-            phi_threshold: 3.0,
+            miss_threshold: 100,
         };
         FailureDetector::new(cfg, 3, t0)
     }
@@ -125,18 +125,18 @@ mod tests {
         let t0 = Instant::now();
         let mut d = detector(t0);
         // No sample yet: the configured interval stands in for the mean gap.
-        assert_eq!(d.audit(1, t0 + 30 * MS), Lease::Live);
-        assert_eq!(d.audit(1, t0 + 31 * MS), Lease::Suspect);
-        d.heard(1, t0 + 35 * MS);
-        // 166 ms after that packet (mean gap 35 ms) the silence is anomalous
+        assert_eq!(d.audit(1, t0 + 80 * MS), Lease::Live);
+        assert_eq!(d.audit(1, t0 + 81 * MS), Lease::Suspect);
+        d.heard(1, t0 + 85 * MS);
+        // 681 ms after that packet (mean gap 85 ms) the silence is anomalous
         // again — suspicion went with the arrival — but the lease taken at
-        // t0 has not run out at 200 ms: it was renewed at 35.
-        assert_eq!(d.audit(1, t0 + 201 * MS), Lease::Suspect);
-        assert_eq!(d.audit(1, t0 + 202 * MS), Lease::Live);
-        assert_eq!(d.audit(1, t0 + 235 * MS), Lease::Expired(200 * MS));
+        // t0 has not run out at 1000 ms: it was renewed at 85.
+        assert_eq!(d.audit(1, t0 + 766 * MS), Lease::Suspect);
+        assert_eq!(d.audit(1, t0 + 1001 * MS), Lease::Live);
+        assert_eq!(d.audit(1, t0 + 1085 * MS), Lease::Expired(1000 * MS));
         // Peer 2 never spoke and is judged on its own clock.
-        assert_eq!(d.audit(2, t0 + 31 * MS), Lease::Suspect);
-        assert_eq!(d.audit(2, t0 + 201 * MS), Lease::Expired(201 * MS));
+        assert_eq!(d.audit(2, t0 + 81 * MS), Lease::Suspect);
+        assert_eq!(d.audit(2, t0 + 1001 * MS), Lease::Expired(1001 * MS));
     }
 
     #[test]
@@ -147,20 +147,22 @@ mod tests {
             d.heard(1, t0 + k * 4 * MS); // steady 4 ms cadence
         }
         let last = t0 + 16 * MS;
-        assert_eq!(d.audit(1, last + 12 * MS), Lease::Live, "phi = 3 exactly");
-        assert_eq!(d.audit(1, last + 13 * MS), Lease::Suspect);
-        assert_eq!(d.audit(1, last + 14 * MS), Lease::Live, "reported once");
-        d.heard(1, last + 15 * MS);
-        assert_eq!(d.audit(1, last + 15 * MS + 40 * MS), Lease::Suspect);
+        assert_eq!(d.audit(1, last + 32 * MS), Lease::Live, "phi = 8 exactly");
+        assert_eq!(d.audit(1, last + 33 * MS), Lease::Suspect);
+        assert_eq!(d.audit(1, last + 34 * MS), Lease::Live, "reported once");
+        // A 35 ms gap lifts the mean to 7.1 ms: anomalous past 56.8 ms.
+        d.heard(1, last + 35 * MS);
+        assert_eq!(d.audit(1, last + 35 * MS + 56 * MS), Lease::Live);
+        assert_eq!(d.audit(1, last + 35 * MS + 57 * MS), Lease::Suspect);
     }
 
     #[test]
     fn a_full_lease_of_silence_declares_the_peer_dead() {
         let t0 = Instant::now();
         let mut d = detector(t0);
-        assert_eq!(d.audit(1, t0 + 40 * MS), Lease::Suspect);
-        assert_eq!(d.audit(1, t0 + 200 * MS - MS / 2), Lease::Live);
-        assert_eq!(d.audit(1, t0 + 200 * MS), Lease::Expired(200 * MS));
+        assert_eq!(d.audit(1, t0 + 90 * MS), Lease::Suspect);
+        assert_eq!(d.audit(1, t0 + 1000 * MS - MS / 2), Lease::Live);
+        assert_eq!(d.audit(1, t0 + 1000 * MS), Lease::Expired(1000 * MS));
     }
 
     #[test]
@@ -168,7 +170,7 @@ mod tests {
         let t0 = Instant::now();
         let mut d = detector(t0);
         for k in 1..=4u32 {
-            d.heard(1, t0 + k * MS); // 1 ms cadence: a 4 ms silence is anomalous
+            d.heard(1, t0 + k * MS); // 1 ms cadence: a 9 ms silence is anomalous
             d.heard(2, t0 + k * MS);
         }
         assert_eq!(d.audit(1, t0 + 45 * MS), Lease::Suspect);
@@ -180,7 +182,7 @@ mod tests {
         assert_eq!(d.audit(2, t1 + MS), Lease::Live);
         // ...the rebuilt peer is back on the configured cadence, unsuspected,
         // while the survivor keeps its 1 ms history.
-        assert_eq!(d.audit(1, t1 + 31 * MS), Lease::Suspect);
-        assert_eq!(d.audit(2, t1 + 4 * MS), Lease::Suspect);
+        assert_eq!(d.audit(1, t1 + 81 * MS), Lease::Suspect);
+        assert_eq!(d.audit(2, t1 + 9 * MS), Lease::Suspect);
     }
 }

@@ -1010,7 +1010,6 @@ mod tests {
         let hb = |interval_ms, miss_threshold| HeartbeatConfig {
             interval: Duration::from_millis(interval_ms),
             miss_threshold,
-            ..HeartbeatConfig::default()
         };
         let mut c = cfg(3);
         c.heartbeat = Some(hb(0, 4));

@@ -155,7 +155,6 @@ fn silent_kill_is_discovered_by_the_heartbeat_detector() {
     cfg.heartbeat = Some(HeartbeatConfig {
         interval: Duration::from_millis(5),
         miss_threshold: 20,
-        phi_threshold: 8.0,
     });
     let r = run_loopback(Arc::clone(&model), &ecfg, &cfg).expect("recovers");
     assert_eq!(r.recoveries, 1, "the detector must find the silent death");

@@ -15,8 +15,7 @@ use std::sync::Arc;
 use dist_rt::{DistConfig, IngestGates, LinkFaultPlan, SteppedCluster, Transport};
 use models::{LocalityPattern, Phold, PholdConfig};
 use pdes_core::{
-    run_sequential_with, EngineConfig, IngestConfig, IngestGate, IngestRequest, LpId, ReplySlot,
-    VirtualTime,
+    run_sequential_with, EngineConfig, IngestGate, IngestRequest, LpId, ReplySlot, VirtualTime,
 };
 
 const END: f64 = 400.0;
@@ -190,9 +189,7 @@ fn four_shards_partial_recovery_at_a_fixed_sweep() {
 
 #[test]
 fn two_shards_scripted_ingest_forwarded_across_shards() {
-    let gates: IngestGates<Phold> = (0..2)
-        .map(|s| Arc::new(IngestGate::new(IngestConfig::default(), s)))
-        .collect();
+    let gates: IngestGates<Phold> = (0..2).map(|s| Arc::new(IngestGate::new(s))).collect();
     // Every submission enters at shard 0; destinations cycle over all 32
     // LPs, so half of them travel the `Frame::Ingest` forwarding path.
     for id in 0..24u64 {

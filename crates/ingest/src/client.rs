@@ -3,14 +3,14 @@
 //! A client owns an *endpoint* — any `FnMut(&IngestRequest<P>) ->
 //! Result<IngestReply, ClientError>` — so the same retry machinery drives
 //! an in-process gate ([`local_endpoint`]) and a TCP connection
-//! ([`crate::server::TcpEndpoint`]). The retry policy implements the
+//! ([`crate::server::TcpEndpoint`]). The retry loop implements the
 //! protocol the gate's verdicts prescribe:
 //!
 //! | verdict      | client reaction                                       |
 //! |--------------|-------------------------------------------------------|
 //! | `Accepted`   | done                                                  |
 //! | `Duplicate`  | done — an earlier attempt with this id already landed |
-//! | `Rejected`   | re-stamp strictly above the returned floor, retry     |
+//! | `Rejected`   | re-stamp to `floor + 1`, retry                        |
 //! | `Busy`       | sleep `max(hint, backoff)`, retry with the same stamp |
 //! | `Shed`       | sleep a backoff delay, retry with the same stamp      |
 //! | `Closed`     | give up — the simulation is over                      |
@@ -55,34 +55,8 @@ impl std::fmt::Display for ClientError {
 
 impl std::error::Error for ClientError {}
 
-/// How hard a client pushes before giving up.
-#[derive(Debug, Clone)]
-pub struct RetryPolicy {
-    /// Total submission attempts per send (first try included).
-    pub max_attempts: u32,
-    /// The server's admission guard band in ticks: re-stamps aim for
-    /// `floor + guard_ticks + restamp_lift_ticks`, which is strictly
-    /// admissible. Keep in sync with the gate's `IngestConfig::guard_ticks`
-    /// (a too-small value only costs an extra rejected round trip).
-    pub guard_ticks: u64,
-    /// How far above the (floor + guard) a re-stamp lands, in ticks.
-    /// Clamped to at least 1 so the re-stamp is strictly admissible.
-    pub restamp_lift_ticks: u64,
-    /// Hard cap on any single backoff sleep (keeps tests and shutdowns
-    /// snappy even when a server hint is large).
-    pub sleep_cap: Duration,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 16,
-            guard_ticks: 0,
-            restamp_lift_ticks: 1,
-            sleep_cap: Duration::from_millis(50),
-        }
-    }
-}
+/// Submission attempts per send, the first try included.
+pub const MAX_ATTEMPTS: u32 = 64;
 
 /// What a successful send looked like.
 #[derive(Debug, Clone, Copy)]
@@ -106,7 +80,6 @@ where
 {
     endpoint: F,
     backoff: Backoff,
-    policy: RetryPolicy,
     _payload: std::marker::PhantomData<fn(P)>,
 }
 
@@ -114,24 +87,22 @@ impl<P, F> IngestClient<P, F>
 where
     F: FnMut(&IngestRequest<P>) -> Result<IngestReply, ClientError>,
 {
-    /// A client with the default policy; `seed` feeds the backoff jitter.
+    /// A client over `endpoint`; `seed` feeds the backoff jitter.
     pub fn new(endpoint: F, seed: u64) -> Self {
-        Self::with_policy(endpoint, seed, RetryPolicy::default())
-    }
-
-    pub fn with_policy(endpoint: F, seed: u64, policy: RetryPolicy) -> Self {
         IngestClient {
             endpoint,
             backoff: Backoff::standard(seed),
-            policy,
             _payload: std::marker::PhantomData,
         }
     }
 
-    /// Submit `req` until it is admitted, a duplicate, closed, or the
-    /// attempt budget runs out. Rejections re-stamp the request above the
+    /// Submit `req` until it is admitted, a duplicate, closed, or
+    /// [`MAX_ATTEMPTS`] run out. Rejections re-stamp the request above the
     /// floor the gate judged it against; the id never changes.
     pub fn send(&mut self, mut req: IngestRequest<P>) -> Result<SendOutcome, ClientError> {
+        // The cap on any one backoff sleep, whatever the server's hint:
+        // keeps shutdowns snappy.
+        const SLEEP_CAP: Duration = Duration::from_millis(50);
         let mut attempts = 0u32;
         let mut restamped = 0u32;
         loop {
@@ -156,47 +127,40 @@ where
                 }
                 IngestReply::Closed => return Err(ClientError::Closed),
                 IngestReply::Rejected { floor_ticks } => {
-                    if attempts >= self.policy.max_attempts {
+                    if attempts >= MAX_ATTEMPTS {
                         return Err(ClientError::GaveUp {
                             attempts,
                             last: reply,
                         });
                     }
                     restamped += 1;
-                    // Admissible means `at > floor + guard`; land the
-                    // re-stamp at floor + guard + lift (lift ≥ 1). A stamp
-                    // already above that was rejected by a raced, newer
-                    // floor — the next round trip sees it and lifts again.
-                    let target = floor_ticks
-                        .saturating_add(self.policy.guard_ticks)
-                        .saturating_add(self.policy.restamp_lift_ticks.max(1));
+                    // Admissible means `at > floor`; land the re-stamp at
+                    // floor + 1. A stamp already above that was rejected by
+                    // a raced, newer floor — the next round trip sees it and
+                    // lifts again.
+                    let target = floor_ticks.saturating_add(1);
                     if req.at.ticks() < target {
                         req.at = VirtualTime::from_ticks(target);
                     }
                 }
                 IngestReply::Busy { retry_after_ms } => {
-                    if attempts >= self.policy.max_attempts {
+                    if attempts >= MAX_ATTEMPTS {
                         return Err(ClientError::GaveUp {
                             attempts,
                             last: reply,
                         });
                     }
                     let hint = Duration::from_millis(retry_after_ms);
-                    std::thread::sleep(
-                        self.backoff
-                            .next_delay()
-                            .max(hint)
-                            .min(self.policy.sleep_cap),
-                    );
+                    std::thread::sleep(self.backoff.next_delay().max(hint).min(SLEEP_CAP));
                 }
                 IngestReply::Shed => {
-                    if attempts >= self.policy.max_attempts {
+                    if attempts >= MAX_ATTEMPTS {
                         return Err(ClientError::GaveUp {
                             attempts,
                             last: reply,
                         });
                     }
-                    std::thread::sleep(self.backoff.next_delay().min(self.policy.sleep_cap));
+                    std::thread::sleep(self.backoff.next_delay().min(SLEEP_CAP));
                 }
             }
         }

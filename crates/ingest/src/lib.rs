@@ -8,12 +8,12 @@
 //! needs:
 //!
 //! - [`client`] — a retrying submission client. On
-//!   [`pdes_core::IngestReply::Rejected`] it re-stamps the event strictly
-//!   above the returned floor (plus guard band) and retries; on `Busy` it
+//!   [`pdes_core::IngestReply::Rejected`] it re-stamps the event one tick
+//!   above the returned floor and retries; on `Busy` it
 //!   honors the server's retry hint under seeded capped-exponential
 //!   backoff ([`dist_rt::Backoff`] — the same jitter the link layer uses);
 //!   `Duplicate` is success (idempotency ids make retries safe); only
-//!   `Closed` or an exhausted attempt budget ends a send.
+//!   `Closed` or [`client::MAX_ATTEMPTS`] spent ends a send.
 //! - [`server`] — a TCP ingest server: one `u32`-length-prefixed
 //!   [`dist_rt::wire`] frame per [`pdes_core::IngestRequest`], one frame
 //!   per [`pdes_core::IngestReply`], bridging remote clients onto a local
@@ -36,7 +36,7 @@ pub mod server;
 pub mod source;
 
 pub use client::{
-    local_endpoint, submit_and_wait, ClientError, IngestClient, RetryPolicy, SendOutcome,
+    local_endpoint, submit_and_wait, ClientError, IngestClient, SendOutcome, MAX_ATTEMPTS,
 };
 pub use server::{IngestServer, TcpEndpoint};
 pub use source::{drive, parse_script, render_script, synth_requests, DriveReport};

@@ -9,11 +9,11 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use dist_rt::{run_loopback_ingest, DistConfig, DistResult, IngestGates, LinkFaultPlan, Transport};
-use ingest::{drive, local_endpoint, IngestClient, IngestServer, RetryPolicy, TcpEndpoint};
+use ingest::{drive, local_endpoint, IngestClient, IngestServer, TcpEndpoint};
 use models::{Phold, PholdConfig};
 use pdes_core::{
-    run_sequential_with, EngineConfig, IngestConfig, IngestGate, IngestJournal, IngestReply,
-    IngestRequest, LpId, Model, ReplySlot, VirtualTime,
+    run_sequential_with, EngineConfig, IngestGate, IngestJournal, IngestReply, IngestRequest, LpId,
+    Model, ReplySlot, VirtualTime,
 };
 
 fn model() -> Arc<Phold> {
@@ -39,7 +39,7 @@ fn dcfg(shards: usize, transport: Transport) -> DistConfig {
 
 fn gates(shards: usize) -> IngestGates<Phold> {
     (0..shards)
-        .map(|s| Arc::new(IngestGate::new(IngestConfig::default(), s as u64)))
+        .map(|s| Arc::new(IngestGate::new(s as u64)))
         .collect()
 }
 
@@ -108,14 +108,7 @@ fn two_shard_mem_live_ingest_with_forwarding_matches_merged_oracle() {
     }
     let live_gate = Arc::clone(&gs[0]);
     let live = std::thread::spawn(move || {
-        let mut client = IngestClient::with_policy(
-            local_endpoint(live_gate, Duration::from_secs(10)),
-            99,
-            RetryPolicy {
-                max_attempts: 32,
-                ..RetryPolicy::default()
-            },
-        );
+        let mut client = IngestClient::new(local_endpoint(live_gate, Duration::from_secs(10)), 99);
         drive(&mut client, script(2, 16, 16, 10.0))
     });
 
@@ -169,8 +162,8 @@ fn killed_shard_with_live_ingest_recovers_and_matches_merged_oracle() {
     let _ = std::fs::remove_file(&j0);
     let _ = std::fs::remove_file(&j1);
     let gs: IngestGates<Phold> = vec![
-        Arc::new(IngestGate::with_journal(IngestConfig::default(), 0, &j0).expect("journal 0")),
-        Arc::new(IngestGate::with_journal(IngestConfig::default(), 1, &j1).expect("journal 1")),
+        Arc::new(IngestGate::with_journal(0, &j0).expect("journal 0")),
+        Arc::new(IngestGate::with_journal(1, &j1).expect("journal 1")),
     ];
     let pre = script(1, 20, model.num_lps() as u32, 40.0);
     for req in &pre {
@@ -178,14 +171,7 @@ fn killed_shard_with_live_ingest_recovers_and_matches_merged_oracle() {
     }
     let live_gate = Arc::clone(&gs[0]);
     let live = std::thread::spawn(move || {
-        let mut client = IngestClient::with_policy(
-            local_endpoint(live_gate, Duration::from_secs(20)),
-            7,
-            RetryPolicy {
-                max_attempts: 48,
-                ..RetryPolicy::default()
-            },
-        );
+        let mut client = IngestClient::new(local_endpoint(live_gate, Duration::from_secs(20)), 7);
         drive(&mut client, script(4, 16, 16, 40.0))
     });
 
@@ -222,7 +208,7 @@ fn killed_shard_with_live_ingest_recovers_and_matches_merged_oracle() {
 /// the wire.
 #[test]
 fn tcp_ingest_server_round_trips_verdicts() {
-    let gate: Arc<IngestGate<()>> = Arc::new(IngestGate::new(IngestConfig::default(), 0));
+    let gate: Arc<IngestGate<()>> = Arc::new(IngestGate::new(0));
     gate.set_floor(VirtualTime::from_ticks(1_000));
     let server = IngestServer::spawn(Arc::clone(&gate), "127.0.0.1:0").expect("server binds");
 

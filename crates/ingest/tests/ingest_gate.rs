@@ -6,10 +6,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use ingest::{local_endpoint, ClientError, IngestClient, RetryPolicy};
-use pdes_core::{
-    IngestConfig, IngestGate, IngestReply, IngestRequest, LpId, ReplySlot, VirtualTime,
-};
+use ingest::{local_endpoint, ClientError, IngestClient, MAX_ATTEMPTS};
+use pdes_core::ingest::{HIGH_WATERMARK, MAX_PER_PUMP, SOURCE_CAPACITY};
+use pdes_core::{IngestGate, IngestReply, IngestRequest, LpId, ReplySlot, VirtualTime};
 use proptest::prelude::*;
 
 fn req(source: u32, id: u64, at_ticks: u64) -> IngestRequest<u64> {
@@ -48,7 +47,7 @@ fn spawn_pumper(gate: Arc<IngestGate<u64>>) -> (Arc<AtomicBool>, std::thread::Jo
 
 #[test]
 fn rejection_carries_floor_and_client_restamps_to_admission() {
-    let gate: Arc<IngestGate<u64>> = Arc::new(IngestGate::new(IngestConfig::default(), 0));
+    let gate: Arc<IngestGate<u64>> = Arc::new(IngestGate::new(0));
     gate.set_floor(VirtualTime::from_ticks(1_000));
 
     // The raw verdict carries the floor it was judged against.
@@ -63,7 +62,11 @@ fn rejection_carries_floor_and_client_restamps_to_admission() {
         IngestClient::new(local_endpoint(Arc::clone(&gate), Duration::from_secs(5)), 7);
     let outcome = client.send(req(1, 1, 500)).expect("re-stamped send lands");
     assert!(outcome.restamped >= 1, "the floor forced a re-stamp");
-    assert!(outcome.at.ticks() > 1_000, "admitted above the floor");
+    assert_eq!(
+        outcome.at.ticks(),
+        1_001,
+        "re-stamped one tick above the floor"
+    );
     assert!(gate.was_accepted(1, 1));
     stop.store(true, Ordering::Release);
     pumper.join().expect("pumper");
@@ -75,81 +78,58 @@ fn rejection_carries_floor_and_client_restamps_to_admission() {
 
 #[test]
 fn saturation_is_bounded_and_sheds_newest_first_without_stalling_pumps() {
-    let cfg = IngestConfig {
-        guard_ticks: 0,
-        source_capacity: 2,
-        high_watermark: 10,
-        max_per_pump: 4,
-        retry_after_ms: 7,
+    let gate: IngestGate<u64> = IngestGate::new(0);
+    let submit = |source: usize, id: usize| {
+        let id = id as u64;
+        gate.submit(req(source as u32, id, 100 + id), ReplySlot::None)
     };
-    let gate: IngestGate<u64> = IngestGate::new(cfg, 0);
 
-    // One source over quota: Busy with the configured hint.
-    let (mut queued, mut busy, mut shed) = (0u64, 0u64, 0u64);
-    for id in 0..5 {
-        match gate.submit(req(0, id, 100 + id), ReplySlot::None) {
-            None => queued += 1,
-            Some(IngestReply::Busy { retry_after_ms }) => {
-                assert_eq!(retry_after_ms, 7, "Busy carries the retry hint");
-                busy += 1;
-            }
-            other => panic!("unexpected verdict {other:?}"),
-        }
+    // One source over quota: its `SOURCE_CAPACITY + 1`-th submission is
+    // Busy, with the 1 ms retry hint.
+    for id in 0..SOURCE_CAPACITY {
+        assert_eq!(submit(0, id), None);
     }
-    assert_eq!((queued, busy), (2, 3), "per-source quota is 2");
+    let busy = Some(IngestReply::Busy { retry_after_ms: 1 });
+    assert_eq!(submit(0, SOURCE_CAPACITY), busy);
 
-    // Many sources flood past the high-watermark: newest are shed, the
-    // queue never grows beyond the watermark (bounded memory).
-    for id in 0..40 {
-        match gate.submit(req(1 + id as u32, 1_000 + id, 200 + id), ReplySlot::None) {
-            None => queued += 1,
-            Some(IngestReply::Shed) => shed += 1,
-            other => panic!("unexpected verdict {other:?}"),
-        }
-        assert!(gate.queued_len() <= 10, "queue exceeded the watermark");
+    // Fresh sources fill the queue to the watermark; the `HIGH_WATERMARK +
+    // 1`-th entry and every later one are shed, newest first, so the queue
+    // never grows past the watermark (bounded memory).
+    for id in SOURCE_CAPACITY..HIGH_WATERMARK {
+        assert_eq!(submit(id / SOURCE_CAPACITY, id), None);
     }
-    assert_eq!(queued, 10, "exactly the watermark admitted to the queue");
-    assert!(shed > 0, "overload must shed");
+    for id in HIGH_WATERMARK..HIGH_WATERMARK + 40 {
+        assert_eq!(submit(id / SOURCE_CAPACITY, id), Some(IngestReply::Shed));
+        assert_eq!(gate.queued_len(), HIGH_WATERMARK);
+    }
 
-    // Draining is bounded per pump (max_per_pump caps a round's admission
-    // work, so a flooded round cannot stall GVT), yet drains completely.
-    let mut pumps = 0;
-    let mut injected = 0u64;
+    // One pump admits exactly `MAX_PER_PUMP` of a larger backlog, so a
+    // flooded round cannot stall GVT, and the backlog still drains.
+    let mut pumps = Vec::new();
     while gate.queued_len() > 0 {
-        let out = gate.pump(|_| true, &mut |_| {}).expect("pump");
-        assert!(
-            out.injected <= 4,
-            "one pump admitted more than max_per_pump"
-        );
-        injected += out.injected;
-        pumps += 1;
-        assert!(pumps <= 10, "drain did not terminate");
+        pumps.push(gate.pump(|_| true, &mut |_| {}).expect("pump").injected);
+        assert!(pumps.len() <= HIGH_WATERMARK, "drain did not terminate");
     }
-    assert_eq!(injected, 10);
-    assert!(
-        pumps >= 3,
-        "a bounded pump needs several rounds for 10 events"
-    );
+    let full = MAX_PER_PUMP as u64;
+    assert_eq!(pumps, vec![full; HIGH_WATERMARK / MAX_PER_PUMP]);
 
     let stats = gate.stats();
-    assert_eq!(stats.admitted, 10);
-    assert_eq!(stats.busy, 3);
-    assert_eq!(stats.shed, shed);
-    assert_eq!(gate.accepted_count(), 10);
+    assert_eq!(stats.admitted, HIGH_WATERMARK as u64);
+    assert_eq!((stats.busy, stats.shed), (1, 40));
+    assert_eq!(gate.accepted_count(), HIGH_WATERMARK);
 }
 
 #[test]
 fn client_rides_out_busy_with_backoff() {
-    let cfg = IngestConfig {
-        source_capacity: 1,
-        ..IngestConfig::default()
-    };
-    let gate: Arc<IngestGate<u64>> = Arc::new(IngestGate::new(cfg, 0));
+    let gate: Arc<IngestGate<u64>> = Arc::new(IngestGate::new(0));
     // Fill source 9's quota: the next submission deterministically sees
     // Busy (nobody is pumping yet).
-    assert!(gate.submit(req(9, 0, 50), ReplySlot::None).is_none());
+    for id in 0..SOURCE_CAPACITY as u64 {
+        assert!(gate.submit(req(9, id, 50), ReplySlot::None).is_none());
+    }
+    let bounced = SOURCE_CAPACITY as u64;
     assert!(matches!(
-        gate.submit(req(9, 1, 60), ReplySlot::None),
+        gate.submit(req(9, bounced, 60), ReplySlot::None),
         Some(IngestReply::Busy { .. })
     ));
 
@@ -160,15 +140,17 @@ fn client_rides_out_busy_with_backoff() {
         local_endpoint(Arc::clone(&gate), Duration::from_secs(5)),
         13,
     );
-    client.send(req(9, 1, 60)).expect("send lands after Busy");
+    client
+        .send(req(9, bounced, 60))
+        .expect("send lands after Busy");
     stop.store(true, Ordering::Release);
     pumper.join().expect("pumper");
-    assert!(gate.was_accepted(9, 0) && gate.was_accepted(9, 1));
+    assert!(gate.was_accepted(9, 0) && gate.was_accepted(9, bounced));
 }
 
 #[test]
 fn closed_gate_fails_fast_and_resolves_queued_submissions() {
-    let gate: Arc<IngestGate<u64>> = Arc::new(IngestGate::new(IngestConfig::default(), 0));
+    let gate: Arc<IngestGate<u64>> = Arc::new(IngestGate::new(0));
     assert!(gate.submit(req(2, 0, 10), ReplySlot::None).is_none());
     gate.close();
     assert_eq!(gate.queued_len(), 0, "close resolves the queue");
@@ -183,27 +165,17 @@ fn closed_gate_fails_fast_and_resolves_queued_submissions() {
 
 #[test]
 fn give_up_reports_the_final_verdict() {
-    let gate: Arc<IngestGate<u64>> = Arc::new(IngestGate::new(
-        IngestConfig {
-            source_capacity: 1,
-            ..IngestConfig::default()
-        },
-        0,
-    ));
-    // Quota permanently full and nobody pumping: every retry sees Busy.
-    assert!(gate.submit(req(4, 0, 50), ReplySlot::None).is_none());
-    let mut client = IngestClient::with_policy(
-        local_endpoint(Arc::clone(&gate), Duration::from_secs(1)),
-        5,
-        RetryPolicy {
-            max_attempts: 3,
-            sleep_cap: Duration::from_millis(2),
-            ..RetryPolicy::default()
-        },
-    );
-    match client.send(req(4, 1, 60)) {
+    let gate: Arc<IngestGate<u64>> = Arc::new(IngestGate::new(0));
+    // Quota permanently full and nobody pumping: every retry sees Busy, and
+    // the client gives up after `MAX_ATTEMPTS` (about 3 s of capped sleeps).
+    for id in 0..SOURCE_CAPACITY as u64 {
+        assert!(gate.submit(req(4, id, 50), ReplySlot::None).is_none());
+    }
+    let mut client =
+        IngestClient::new(local_endpoint(Arc::clone(&gate), Duration::from_secs(1)), 5);
+    match client.send(req(4, SOURCE_CAPACITY as u64, 60)) {
         Err(ClientError::GaveUp { attempts, last }) => {
-            assert_eq!(attempts, 3);
+            assert_eq!(attempts, MAX_ATTEMPTS);
             assert!(matches!(last, IngestReply::Busy { .. }));
         }
         other => panic!("expected GaveUp, got {other:?}"),
@@ -219,9 +191,7 @@ fn give_up_reports_the_final_verdict() {
 fn crash_between_append_and_injection_replays_exactly_once() {
     let path = temp_journal("crash-window");
     let _ = std::fs::remove_file(&path);
-    let cfg = IngestConfig::default();
-    let gate: IngestGate<u64> =
-        IngestGate::with_journal(cfg.clone(), 0, &path).expect("journal opens");
+    let gate: IngestGate<u64> = IngestGate::with_journal(0, &path).expect("journal opens");
 
     assert!(gate.submit(req(1, 7, 500), ReplySlot::None).is_none());
     gate.set_fail_after_append(true);
@@ -230,7 +200,7 @@ fn crash_between_append_and_injection_replays_exactly_once() {
     drop(gate); // the "process" dies here
 
     let (recovered, replay) =
-        IngestGate::<u64>::recover(cfg, 0, &path, VirtualTime::ZERO).expect("recover");
+        IngestGate::<u64>::recover(0, &path, VirtualTime::ZERO).expect("recover");
     assert_eq!(replay.len(), 1, "journal suffix replays the lost event");
     assert_eq!(replay[0].key.recv_time.ticks(), 500);
     assert!(recovered.was_accepted(1, 7));
@@ -246,27 +216,27 @@ fn crash_between_append_and_injection_replays_exactly_once() {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
 
-    /// Random submissions with colliding ids and a crash at a random pump:
-    /// after recovery and a full drain, every distinct admissible id is
-    /// accepted exactly once, every minted uid is unique, and re-submitting
-    /// the whole script yields only Duplicate/Rejected — never a second
-    /// admission.
+    /// Random submissions with colliding ids, more than one pump's worth,
+    /// and a crash at a random pump: after recovery and a full drain, every
+    /// distinct admissible id is accepted exactly once, every minted uid is
+    /// unique, and re-submitting the whole script yields only
+    /// Duplicate/Rejected — never a second admission. Each id has a fixed
+    /// source of four, so no source reaches its quota.
     #[test]
     fn crash_window_never_drops_or_duplicates(
-        ids in prop::collection::vec(0u64..12, 4..24),
-        crash_after in 0usize..8,
+        ids in prop::collection::vec(0u64..2 * MAX_PER_PUMP as u64, MAX_PER_PUMP..3 * MAX_PER_PUMP),
+        crash_after in 0usize..3,
         case in 0u64..u64::MAX,
     ) {
         let path = temp_journal(&format!("crash-prop-{case}"));
         let _ = std::fs::remove_file(&path);
-        let cfg = IngestConfig { max_per_pump: 3, ..IngestConfig::default() };
-        let gate: IngestGate<u64> =
-            IngestGate::with_journal(cfg.clone(), 0, &path).expect("journal opens");
+        let gate: IngestGate<u64> = IngestGate::with_journal(0, &path).expect("journal opens");
+        let req = |id: u64, i: usize| req((id % 4) as u32, id, 100 + i as u64);
 
         let mut queued: Vec<u64> = Vec::new();
         for (i, &id) in ids.iter().enumerate() {
-            // Admissible stamps (floor 0, guard 0 ⇒ anything > 0 works).
-            if gate.submit(req(1, id, 100 + i as u64), ReplySlot::None).is_none() {
+            // Admissible stamps (floor 0 ⇒ anything > 0 works).
+            if gate.submit(req(id, i), ReplySlot::None).is_none() {
                 queued.push(id);
             }
         }
@@ -281,17 +251,17 @@ proptest! {
         drop(gate);
 
         let (recovered, replay) =
-            IngestGate::<u64>::recover(cfg, 0, &path, VirtualTime::ZERO).expect("recover");
+            IngestGate::<u64>::recover(0, &path, VirtualTime::ZERO).expect("recover");
         // Replay (the journal suffix) plus nothing else: recovery holds
         // every accepted id, and the replay covers what the dead process
         // had journaled — including the appended-but-uninjected one.
         prop_assert!(replay.len() as u64 >= injected_before.min(1));
 
         // Re-drive the full script: only duplicates or queue admissions of
-        // ids that never got in (quota bounced them the first time).
+        // ids that never got in (still queued when the gate died).
         for (i, &id) in ids.iter().enumerate() {
-            match recovered.submit(req(1, id, 100 + i as u64), ReplySlot::None) {
-                Some(IngestReply::Duplicate) | None | Some(IngestReply::Busy { .. }) => {}
+            match recovered.submit(req(id, i), ReplySlot::None) {
+                Some(IngestReply::Duplicate) | None => {}
                 other => prop_assert!(false, "unexpected verdict {other:?}"),
             }
         }

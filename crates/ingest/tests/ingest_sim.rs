@@ -7,8 +7,7 @@ use std::sync::Arc;
 
 use models::{Phold, PholdConfig};
 use pdes_core::{
-    run_sequential_with, EngineConfig, IngestConfig, IngestGate, IngestRequest, LpId, Model,
-    VirtualTime,
+    run_sequential_with, EngineConfig, IngestGate, IngestRequest, LpId, Model, VirtualTime,
 };
 use sim_rt::{run_sim_attempt, RunConfig, SystemConfig};
 
@@ -61,7 +60,7 @@ fn scripted_ingest_on_the_vm_matches_merged_oracle_deterministically() {
 
     let mut digests = Vec::new();
     for _ in 0..2 {
-        let gate: Arc<IngestGate<()>> = Arc::new(IngestGate::new(IngestConfig::default(), 0));
+        let gate: Arc<IngestGate<()>> = Arc::new(IngestGate::new(0));
         let arrivals = script(model.num_lps() as u32, 8.0);
         let ingest = Some((Arc::clone(&gate), arrivals));
         let r = run_sim_attempt(&model, &rc, None, None, ingest).outcome;
@@ -106,7 +105,7 @@ fn vm_admission_floor_rejects_stale_arrivals_across_systems() {
     for sys in [SystemConfig::ALL_SIX[0], SystemConfig::ALL_SIX[5]] {
         let rc =
             RunConfig::new(8, ecfg.clone(), sys).with_machine(machine::MachineConfig::small(4, 2));
-        let gate: Arc<IngestGate<()>> = Arc::new(IngestGate::new(IngestConfig::default(), 0));
+        let gate: Arc<IngestGate<()>> = Arc::new(IngestGate::new(0));
         let ingest = Some((Arc::clone(&gate), stale.clone()));
         let r = run_sim_attempt(&model, &rc, None, None, ingest).outcome;
         assert!(r.completed);

@@ -6,11 +6,11 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use ingest::{drive, local_endpoint, IngestClient, RetryPolicy};
+use ingest::{drive, local_endpoint, IngestClient};
 use models::{Phold, PholdConfig};
 use pdes_core::{
-    run_sequential_with, EngineConfig, FaultPlan, IngestConfig, IngestGate, IngestJournal,
-    IngestRequest, LpId, Model, VirtualTime,
+    run_sequential_with, EngineConfig, FaultPlan, IngestGate, IngestJournal, IngestRequest, LpId,
+    Model, VirtualTime,
 };
 use sim_rt::SystemConfig;
 use thread_rt::{
@@ -34,7 +34,7 @@ fn gg_async() -> SystemConfig {
 }
 
 /// A script of externally-sourced events spread across the run's horizon
-/// and all LPs. Timestamps start strictly above zero (floor 0, guard 0).
+/// and all LPs. Timestamps start strictly above zero (floor 0).
 fn script(source: u32, n: u64, num_lps: u32, end: f64) -> Vec<IngestRequest<()>> {
     (0..n)
         .map(|id| IngestRequest {
@@ -81,7 +81,7 @@ fn assert_matches_merged_oracle(
 fn live_ingest_matches_merged_oracle_fault_free() {
     let model = model();
     let ecfg = ecfg(8.0);
-    let gate: Arc<IngestGate<()>> = Arc::new(IngestGate::new(IngestConfig::default(), 0));
+    let gate: Arc<IngestGate<()>> = Arc::new(IngestGate::new(0));
 
     // Pre-queue a batch so admissions are guaranteed even if the run is
     // quick, then keep a live client submitting concurrently.
@@ -124,8 +124,7 @@ fn chaos_kill_recover_with_live_ingest_commits_every_accepted_id_once() {
     let ecfg = ecfg(10.0);
     let path = temp_journal("chaos");
     let _ = std::fs::remove_file(&path);
-    let gate: Arc<IngestGate<()>> =
-        Arc::new(IngestGate::with_journal(IngestConfig::default(), 0, &path).expect("journal"));
+    let gate: Arc<IngestGate<()>> = Arc::new(IngestGate::with_journal(0, &path).expect("journal"));
 
     let pre = script(1, 20, model.num_lps() as u32, 10.0);
     for req in &pre {
@@ -135,13 +134,9 @@ fn chaos_kill_recover_with_live_ingest_commits_every_accepted_id_once() {
     }
     let live_gate = Arc::clone(&gate);
     let live = std::thread::spawn(move || {
-        let mut client = IngestClient::with_policy(
+        let mut client = IngestClient::new(
             local_endpoint(Arc::clone(&live_gate), Duration::from_secs(10)),
             1234,
-            RetryPolicy {
-                max_attempts: 32,
-                ..RetryPolicy::default()
-            },
         );
         drive(&mut client, script(3, 24, 16, 10.0))
     });
@@ -183,7 +178,7 @@ fn chaos_kill_recover_with_live_ingest_commits_every_accepted_id_once() {
 fn degraded_sequential_fallback_still_commits_accepted_events() {
     let model = model();
     let ecfg = ecfg(12.0);
-    let gate: Arc<IngestGate<()>> = Arc::new(IngestGate::new(IngestConfig::default(), 0));
+    let gate: Arc<IngestGate<()>> = Arc::new(IngestGate::new(0));
     for req in &script(1, 12, model.num_lps() as u32, 12.0) {
         assert!(gate
             .submit(req.clone(), pdes_core::ReplySlot::None)

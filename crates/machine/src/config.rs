@@ -2,38 +2,6 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Cost model of the virtual machine, in abstract cycles ("virtual ns").
-///
-/// These constants only need to be *relatively* plausible: the reproduced
-/// figures are committed-event-rate ratios between systems, which are driven
-/// by who occupies hardware contexts and how long synchronization takes, not
-/// by the absolute magnitude of any single cost (`bench/tests/ablation.rs`
-/// halves and doubles the runtime's `SimCost` to show the figure shapes are
-/// robust).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct CostModel {
-    /// Cost of switching a hardware context between two different tasks.
-    pub context_switch: u64,
-    /// Extra cost charged to a task the first time it runs after migrating
-    /// between cores (cache refill; also used by explicit re-pinning).
-    pub migration: u64,
-    /// Cost of a semaphore operation (wait/post) as seen by the caller.
-    pub sem_op: u64,
-    /// Cost of a mutex lock/unlock pair as seen by the caller.
-    pub mutex_op: u64,
-}
-
-impl Default for CostModel {
-    fn default() -> Self {
-        CostModel {
-            context_switch: 2_000,
-            migration: 4_000,
-            sem_op: 300,
-            mutex_op: 400,
-        }
-    }
-}
-
 /// Configuration of the simulated many-core machine.
 ///
 /// The default models the paper's Intel Knights Landing 7230: 64 cores with
@@ -51,11 +19,6 @@ pub struct MachineConfig {
     /// Scheduling quantum in virtual ns (a running task is preempted after
     /// this much CPU time if others wait on its core's runqueue).
     pub quantum: u64,
-    /// Period of the CFS-like idle-balance pass that migrates *unpinned*
-    /// waiting tasks to idle cores.
-    pub load_balance_interval: u64,
-    /// Overhead costs.
-    pub cost: CostModel,
 }
 
 impl Default for MachineConfig {
@@ -65,8 +28,6 @@ impl Default for MachineConfig {
             smt_ways: 4,
             smt_total: vec![1.0, 1.6, 1.85, 2.0],
             quantum: 200_000,
-            load_balance_interval: 400_000,
-            cost: CostModel::default(),
         }
     }
 }

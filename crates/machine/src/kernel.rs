@@ -10,6 +10,12 @@ use crate::report::{CpuReport, Report, TaskReport};
 use crate::task::{MutexId, SemId, TaskId, WorkTag};
 use std::collections::{BinaryHeap, VecDeque};
 
+/// Cost of switching a hardware context between two different tasks, in
+/// virtual ns. Like every machine cost it only needs to be *relatively*
+/// plausible: the reproduced figures are ratios between systems, driven by
+/// who occupies hardware contexts, not by any one cost's magnitude.
+pub const CONTEXT_SWITCH: u64 = 2_000;
+
 /// Scheduler state of a task.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TState {
@@ -336,11 +342,14 @@ impl Kernel {
             m.state = TState::Running { cpu, slot };
             m.ran_in_quantum = 0;
             if self.cpus[cpu].last[slot] != Some(task) {
-                m.extra_cost += self.cfg.cost.context_switch;
+                m.extra_cost += CONTEXT_SWITCH;
                 self.ctx_switches += 1;
             }
             if m.last_cpu.is_some() && m.last_cpu != Some(cpu) {
-                m.extra_cost += self.cfg.cost.migration;
+                // Cache refill on a task's first slice after it changed
+                // cores (explicit re-pinning included).
+                const MIGRATION: u64 = 4_000;
+                m.extra_cost += MIGRATION;
                 self.migrations += 1;
             }
             m.last_cpu = Some(cpu);

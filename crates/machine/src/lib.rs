@@ -25,8 +25,8 @@ mod machine;
 mod report;
 mod task;
 
-pub use config::{CostModel, MachineConfig};
-pub use kernel::{Deadlock, Kernel};
+pub use config::MachineConfig;
+pub use kernel::{Deadlock, Kernel, CONTEXT_SWITCH};
 pub use machine::Machine;
 pub use report::{CpuReport, Report, TaskReport};
 pub use task::{Ctx, MutexId, SemId, Step, Task, TaskId, WorkTag};

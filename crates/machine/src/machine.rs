@@ -5,6 +5,11 @@ use crate::kernel::{Deadlock, Ev, Kernel, PendingBlock};
 use crate::report::Report;
 use crate::task::{Ctx, Step, Task, TaskId, WorkTag};
 
+/// What a semaphore operation (wait / post) costs the caller, virtual ns.
+const SEM_OP: u64 = 300;
+/// What a mutex lock / unlock pair costs the caller, virtual ns.
+const MUTEX_OP: u64 = 400;
+
 /// A simulated many-core machine executing a fixed set of [`Task`]s.
 ///
 /// ```
@@ -81,8 +86,11 @@ impl Machine {
         for i in 0..n {
             self.kernel.make_runnable(TaskId(i as u32));
         }
-        let lb = self.kernel.cfg.load_balance_interval;
-        self.kernel.push_event(lb, Ev::LoadBalance);
+        // Period of the CFS-like idle-balance pass that migrates *unpinned*
+        // waiting tasks to idle cores, virtual ns.
+        const LOAD_BALANCE_INTERVAL: u64 = 400_000;
+        self.kernel
+            .push_event(LOAD_BALANCE_INTERVAL, Ev::LoadBalance);
 
         while let Some((t, ev)) = self.kernel.pop_event() {
             self.kernel.set_now(t);
@@ -103,7 +111,7 @@ impl Machine {
                                 at: self.kernel.now(),
                             });
                         }
-                        let next = self.kernel.now() + lb;
+                        let next = self.kernel.now() + LOAD_BALANCE_INTERVAL;
                         self.kernel.push_event(next, Ev::LoadBalance);
                     }
                 }
@@ -132,7 +140,6 @@ impl Machine {
         });
         self.tasks[task.index()] = Some(body);
         let now = self.kernel.now();
-        let cost = self.kernel.cfg.cost.clone();
         match step {
             Step::Work { cost, tag } => {
                 let dur = self.kernel.charge(task, cost, tag);
@@ -140,12 +147,12 @@ impl Machine {
             }
             Step::SemWait(s) => {
                 self.kernel.sem_wait_begin(task, s);
-                let dur = self.kernel.charge(task, cost.sem_op, WorkTag::Sched);
+                let dur = self.kernel.charge(task, SEM_OP, WorkTag::Sched);
                 self.kernel.push_event(now + dur, Ev::SliceDone(task));
             }
             Step::MutexLock(mx) => {
                 self.kernel.mutex_lock_begin(task, mx);
-                let dur = self.kernel.charge(task, cost.mutex_op, WorkTag::Sched);
+                let dur = self.kernel.charge(task, MUTEX_OP, WorkTag::Sched);
                 self.kernel.push_event(now + dur, Ev::SliceDone(task));
             }
             Step::Yield => self.kernel.yield_context(task),

@@ -64,9 +64,9 @@ pub enum Step {
     /// Burn `cost` cycles of CPU attributed to `tag`, then step again.
     Work { cost: u64, tag: WorkTag },
     /// Decrement the semaphore, blocking until it is positive
-    /// (`sem_wait`). Charges [`crate::config::CostModel::sem_op`].
+    /// (`sem_wait`). Charges a semaphore operation (300).
     SemWait(SemId),
-    /// Acquire the mutex, blocking if held. Charges `mutex_op`.
+    /// Acquire the mutex, blocking if held. Charges a mutex operation (400).
     MutexLock(MutexId),
     /// Give up the CPU but stay runnable (requeued at the tail).
     Yield,

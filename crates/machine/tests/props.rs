@@ -2,7 +2,7 @@
 //! work is conserved, a voluntary yield costs what it should, and runs are
 //! deterministic, under random task mixes and machine shapes.
 
-use machine::{Ctx, Machine, MachineConfig, Step, Task, WorkTag};
+use machine::{Ctx, Machine, MachineConfig, Step, Task, WorkTag, CONTEXT_SWITCH};
 use proptest::prelude::*;
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -118,9 +118,7 @@ proptest! {
             Just(ScriptOp::Yield),
         ], 1..30),
     ) {
-        let cfg = MachineConfig::small(1, 1);
-        let switch = cfg.cost.context_switch;
-        let mut m = Machine::new(cfg);
+        let mut m = Machine::new(MachineConfig::small(1, 1));
         m.add_task(Box::new(Script { ops: slices.clone(), pos: 0 }), "lone", None);
         let r = m.run(None).expect("completes");
         let yields = slices.iter().filter(|op| matches!(op, ScriptOp::Yield)).count();
@@ -129,7 +127,7 @@ proptest! {
         // A script with no work never runs a slice, so the dispatch's
         // switch is never charged either.
         let work = total_work(&slices);
-        prop_assert_eq!(r.virtual_ns, if work > 0 { work + switch } else { 0 });
+        prop_assert_eq!(r.virtual_ns, if work > 0 { work + CONTEXT_SWITCH } else { 0 });
     }
 
     /// Yielding with waiters rotates the runqueue FIFO, and every hand-over
@@ -142,7 +140,6 @@ proptest! {
     ) {
         let mut cfg = MachineConfig::small(1, 1);
         cfg.quantum = u64::MAX; // only yields hand the context over
-        let switch = cfg.cost.context_switch;
         let mut m = Machine::new(cfg);
         let log = Rc::new(RefCell::new(Vec::new()));
         for id in 0..tasks {
@@ -154,9 +151,9 @@ proptest! {
         let expect: Vec<usize> = (0..slices as usize).map(|i| i % tasks).collect();
         prop_assert_eq!(&*log.borrow(), &expect, "strict round-robin");
         prop_assert_eq!(r.voluntary_yields, slices);
-        prop_assert_eq!(r.virtual_ns, slices * (work + switch));
+        prop_assert_eq!(r.virtual_ns, slices * (work + CONTEXT_SWITCH));
         for t in &r.tasks {
-            prop_assert_eq!(t.overhead_work, rounds as u64 * switch);
+            prop_assert_eq!(t.overhead_work, rounds as u64 * CONTEXT_SWITCH);
         }
         // One dispatch per work slice plus each task's final `Done` step.
         prop_assert_eq!(r.ctx_switches, slices + tasks as u64);

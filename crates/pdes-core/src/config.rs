@@ -31,12 +31,6 @@ pub struct EngineConfig {
     /// this far (in virtual time) beyond the last known GVT. `None` = the
     /// unthrottled ROSS behaviour used throughout the paper.
     pub optimism_window: Option<f64>,
-    /// Adaptive GVT *backoff* (the ROSS "7 O'clock" `g_tw_gvt_max_no_change`
-    /// pattern): after this many consecutive rounds in which GVT did not
-    /// move, a thread doubles its effective round interval (capped at 64×
-    /// the base) until GVT advances again, so quiescent phases stop paying
-    /// round costs. `0` (the default) disables the backoff.
-    pub gvt_max_no_change: u32,
 }
 
 impl Default for EngineConfig {
@@ -50,7 +44,6 @@ impl Default for EngineConfig {
             mapping: MapKind::RoundRobin,
             snapshot_period: 1,
             optimism_window: None,
-            gvt_max_no_change: 0,
         }
     }
 }
@@ -95,47 +88,6 @@ impl EngineConfig {
         self.optimism_window = w;
         self
     }
-    pub fn with_gvt_max_no_change(mut self, n: u32) -> Self {
-        self.gvt_max_no_change = n;
-        self
-    }
-}
-
-/// Per-thread state of the no-change GVT backoff (`gvt_max_no_change`):
-/// counts consecutive rounds where GVT stood still and widens the effective
-/// interval geometrically once the configured patience runs out.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct GvtBackoff {
-    last_gvt: u64,
-    no_change: u32,
-    /// Current interval multiplier as a power of two (0 → 1×, capped 6 → 64×).
-    shift: u32,
-}
-
-impl GvtBackoff {
-    /// Record the GVT observed after a round. Movement resets the backoff;
-    /// `max_no_change` consecutive still rounds double the multiplier.
-    pub fn observe(&mut self, gvt_ticks: u64, max_no_change: u32) {
-        if max_no_change == 0 {
-            return;
-        }
-        if gvt_ticks != self.last_gvt {
-            self.last_gvt = gvt_ticks;
-            self.no_change = 0;
-            self.shift = 0;
-        } else {
-            self.no_change += 1;
-            if self.no_change >= max_no_change {
-                self.no_change = 0;
-                self.shift = (self.shift + 1).min(6);
-            }
-        }
-    }
-
-    /// The interval to use this cycle, given the configured one.
-    pub fn effective_interval(&self, base: u32) -> u32 {
-        base.saturating_mul(1 << self.shift)
-    }
 }
 
 #[cfg(test)]
@@ -173,33 +125,5 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn zero_gvt_interval_rejected() {
         EngineConfig::default().with_gvt_interval(0);
-    }
-
-    #[test]
-    fn backoff_widens_on_still_gvt_and_resets_on_movement() {
-        let mut b = GvtBackoff::default();
-        // Disabled: nothing changes no matter how still GVT is.
-        for _ in 0..10 {
-            b.observe(7, 0);
-        }
-        assert_eq!(b.effective_interval(16), 16);
-        // The first observation is the moving baseline; two still rounds
-        // after it double the interval, two more double it again.
-        b.observe(7, 2);
-        assert_eq!(b.effective_interval(16), 16);
-        b.observe(7, 2);
-        b.observe(7, 2);
-        assert_eq!(b.effective_interval(16), 32);
-        b.observe(7, 2);
-        b.observe(7, 2);
-        assert_eq!(b.effective_interval(16), 64);
-        // Movement snaps straight back to the base interval.
-        b.observe(8, 2);
-        assert_eq!(b.effective_interval(16), 16);
-        // The multiplier caps at 64×.
-        for _ in 0..100 {
-            b.observe(8, 1);
-        }
-        assert_eq!(b.effective_interval(16), 16 * 64);
     }
 }

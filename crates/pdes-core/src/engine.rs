@@ -660,6 +660,47 @@ mod tests {
         assert_eq!(t0.pending_len(), 2);
     }
 
+    /// A rollback restores the LP's send counter, so the re-execution
+    /// re-issues sequence numbers already spent: one `EventUid` can name
+    /// two different events of one run, told apart only by the rest of the
+    /// key.
+    #[test]
+    fn a_rollback_reissues_a_spent_uid_under_a_different_key() {
+        // LP 0 on T0, LP 1 on T1: every send of LP 0 is remote.
+        let model = Arc::new(Ping { n: 2 });
+        let map = LpMap::new(2, 2, crate::mapping::MapKind::RoundRobin);
+        let mut t0 = ThreadEngine::new(model, map, SimThreadId(0), &cfg(100.0));
+        let mut outbox = Vec::new();
+        let ev = |t: f64, seq: u64| {
+            Msg::Event(Event {
+                key: EventKey {
+                    recv_time: VirtualTime::from_f64(t),
+                    dst: LpId(0),
+                    uid: crate::ids::EventUid::new(LpId(99), seq),
+                },
+                send_time: VirtualTime::ZERO,
+                payload: 0,
+            })
+        };
+        // E@5 sends (6, LP 1, (LP 0, 0)).
+        t0.deliver(ev(5.0, 1), &mut outbox);
+        t0.process_batch(8, &mut outbox);
+        let sent = outbox.pop().expect("E's send").1.key();
+        assert_eq!(sent.uid, crate::ids::EventUid::new(LpId(0), 0));
+        // The straggler S@3 undoes E and cancels its send...
+        t0.deliver(ev(3.0, 2), &mut outbox);
+        let Some((_, Msg::Anti(anti))) = outbox.pop() else {
+            panic!("the rollback's anti-message");
+        };
+        assert_eq!(anti, sent);
+        // ...and S's own send, processed next, reuses the cancelled uid.
+        t0.process_batch(1, &mut outbox);
+        let fresh = outbox.pop().expect("S's send").1.key();
+        assert_eq!(fresh.uid, anti.uid);
+        assert_ne!(fresh, anti);
+        assert_eq!(fresh.recv_time, VirtualTime::from_f64(4.0));
+    }
+
     #[test]
     fn anti_for_processed_event_causes_inclusive_rollback() {
         let model = Arc::new(Ping { n: 2 });

@@ -6,19 +6,20 @@
 //! *running* simulation through an [`IngestGate`]:
 //!
 //! * **Admission.** GVT is the irrevocable commit floor, so an external
-//!   event is only admissible strictly above the last published GVT (plus a
-//!   configurable lookahead guard band). Anything at or below the floor is
-//!   refused with [`IngestReply::Rejected`] carrying the floor it was judged
-//!   against — the client re-stamps and retries. Admission happens under the
+//!   event is only admissible strictly above the last published GVT
+//!   (`at > floor`). Anything at or below the floor is refused with
+//!   [`IngestReply::Rejected`] carrying the floor it was judged against —
+//!   the client re-stamps and retries. Admission happens under the
 //!   same mutex that fences GVT publication ([`IngestGate::fence_gvt`]), so
 //!   an admitted event is either visible to a GVT computation (its receive
 //!   time bounds the new GVT from below) or was judged against the *new*
 //!   floor — the published GVT can never overshoot an admitted timestamp.
-//! * **Backpressure.** Per-source queue occupancy is bounded: an over-quota
-//!   source gets [`IngestReply::Busy`] with a retry hint. Above a global
-//!   high-watermark the gate sheds the newest arrivals
+//! * **Backpressure.** Per-source queue occupancy is bounded
+//!   ([`SOURCE_CAPACITY`]): an over-quota source gets [`IngestReply::Busy`]
+//!   with a 1 ms retry hint. Above a global high-watermark
+//!   ([`HIGH_WATERMARK`]) the gate sheds the newest arrivals
 //!   ([`IngestReply::Shed`]) instead of letting the backlog stall GVT
-//!   rounds — admission work per round is capped by `max_per_pump`.
+//!   rounds — admission work per round is capped by [`MAX_PER_PUMP`].
 //! * **Durability.** Accepted events are appended to a JSONL journal
 //!   (flushed per record, compacted with the same temp-file + rename
 //!   discipline as [`crate::checkpoint`]) keyed by the client-supplied
@@ -39,7 +40,9 @@ mod gate;
 mod journal;
 mod port;
 
-pub use gate::{IngestGate, PendingEntry, PumpOutcome, ReplySlot};
+pub use gate::{
+    IngestGate, PendingEntry, PumpOutcome, ReplySlot, HIGH_WATERMARK, MAX_PER_PUMP, SOURCE_CAPACITY,
+};
 pub use journal::{IngestJournal, JournalRecord};
 pub use port::IngestPort;
 
@@ -73,8 +76,8 @@ pub struct IngestRequest<P> {
 pub enum IngestReply {
     /// Journaled and injected; will commit exactly once.
     Accepted,
-    /// Timestamp at or below the admission floor (GVT + guard band) it was
-    /// judged against — re-stamp above `floor_ticks` and retry.
+    /// Timestamp at or below the admission floor (the last published GVT)
+    /// it was judged against — re-stamp above `floor_ticks` and retry.
     Rejected { floor_ticks: u64 },
     /// The source is over its queue quota; retry after the hint.
     Busy { retry_after_ms: u64 },
@@ -84,34 +87,6 @@ pub enum IngestReply {
     Duplicate,
     /// The gate is closed (simulation finished or shutting down).
     Closed,
-}
-
-/// Gate tuning knobs.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct IngestConfig {
-    /// Lookahead guard band in ticks above the floor: admissible means
-    /// `at > floor + guard_ticks`.
-    pub guard_ticks: u64,
-    /// Per-source queued-submission cap (`Busy` beyond it).
-    pub source_capacity: usize,
-    /// Global queued-submission cap (`Shed` beyond it).
-    pub high_watermark: usize,
-    /// Admissions processed per pump, so one flooded round cannot stall GVT.
-    pub max_per_pump: usize,
-    /// Retry hint returned with `Busy`.
-    pub retry_after_ms: u64,
-}
-
-impl Default for IngestConfig {
-    fn default() -> Self {
-        IngestConfig {
-            guard_ticks: 0,
-            source_capacity: 64,
-            high_watermark: 256,
-            max_per_pump: 64,
-            retry_after_ms: 1,
-        }
-    }
 }
 
 /// Gate counters (cumulative; snapshotted into telemetry round records).
@@ -196,15 +171,13 @@ mod tests {
         let path = dir.join("stage-replay.jsonl");
         let _ = std::fs::remove_file(&path);
         {
-            let gate: IngestGate<u32> =
-                IngestGate::with_journal(IngestConfig::default(), 0, &path).expect("journal");
+            let gate: IngestGate<u32> = IngestGate::with_journal(0, &path).expect("journal");
             gate.submit(req(1, 1, 2.0), ReplySlot::None);
             gate.submit(req(1, 2, 3.0), ReplySlot::None);
             assert_eq!(pump_all(&gate).len(), 2);
         }
         let (gate, replay) =
-            IngestGate::<u32>::recover(IngestConfig::default(), 0, &path, VirtualTime::ZERO)
-                .expect("recover");
+            IngestGate::<u32>::recover(0, &path, VirtualTime::ZERO).expect("recover");
         assert_eq!(replay.len(), 2);
         gate.stage_replay(replay);
         // A fresh admission queued behind the staged suffix.
@@ -224,7 +197,7 @@ mod tests {
 
     #[test]
     fn rejection_carries_the_floor_it_was_judged_against() {
-        let gate: IngestGate<u32> = IngestGate::new(IngestConfig::default(), 0);
+        let gate: IngestGate<u32> = IngestGate::new(0);
         gate.set_floor(VirtualTime::from_f64(10.0));
         let r = gate.submit(req(1, 1, 5.0), ReplySlot::None);
         assert_eq!(
@@ -236,28 +209,24 @@ mod tests {
     }
 
     #[test]
-    fn admission_is_strictly_above_floor_plus_guard() {
-        let cfg = IngestConfig {
-            guard_ticks: VirtualTime::from_f64(1.0).ticks(),
-            ..Default::default()
-        };
-        let gate: IngestGate<u32> = IngestGate::new(cfg, 0);
+    fn admission_is_strictly_above_the_floor() {
+        let gate: IngestGate<u32> = IngestGate::new(0);
         gate.set_floor(VirtualTime::from_f64(10.0));
         assert!(matches!(
-            gate.submit(req(1, 1, 11.0), ReplySlot::None),
+            gate.submit(req(1, 1, 10.0), ReplySlot::None),
             Some(IngestReply::Rejected { .. })
         ));
-        assert_eq!(gate.submit(req(1, 2, 11.5), ReplySlot::None), None);
+        assert_eq!(gate.submit(req(1, 2, 10.5), ReplySlot::None), None);
         let got = pump_all(&gate);
         assert_eq!(got.len(), 1);
-        assert_eq!(got[0].key.recv_time, VirtualTime::from_f64(11.5));
+        assert_eq!(got[0].key.recv_time, VirtualTime::from_f64(10.5));
         assert_eq!(got[0].send_time, VirtualTime::from_f64(10.0));
         assert_eq!(got[0].key.uid.src, INGEST_SRC);
     }
 
     #[test]
     fn duplicate_ids_admit_once() {
-        let gate: IngestGate<u32> = IngestGate::new(IngestConfig::default(), 0);
+        let gate: IngestGate<u32> = IngestGate::new(0);
         assert_eq!(gate.submit(req(1, 7, 5.0), ReplySlot::None), None);
         assert_eq!(
             gate.submit(req(1, 7, 6.0), ReplySlot::None),
@@ -275,32 +244,37 @@ mod tests {
 
     #[test]
     fn per_source_quota_yields_busy_and_watermark_sheds() {
-        let cfg = IngestConfig {
-            source_capacity: 2,
-            high_watermark: 3,
-            ..Default::default()
-        };
-        let gate: IngestGate<u32> = IngestGate::new(cfg, 0);
-        assert_eq!(gate.submit(req(1, 1, 5.0), ReplySlot::None), None);
-        assert_eq!(gate.submit(req(1, 2, 5.0), ReplySlot::None), None);
+        let gate: IngestGate<u32> = IngestGate::new(0);
+        // Source 0 fills its quota; the next submission from it is Busy.
+        for id in 0..SOURCE_CAPACITY as u64 {
+            assert_eq!(gate.submit(req(0, id, 5.0), ReplySlot::None), None);
+        }
         assert_eq!(
-            gate.submit(req(1, 3, 5.0), ReplySlot::None),
+            gate.submit(req(0, 999, 5.0), ReplySlot::None),
             Some(IngestReply::Busy { retry_after_ms: 1 })
         );
-        assert_eq!(gate.submit(req(2, 1, 5.0), ReplySlot::None), None);
+        // Other sources fill the queue to the watermark; the next arrival,
+        // from a source with quota to spare, is shed.
+        for id in SOURCE_CAPACITY..HIGH_WATERMARK {
+            let source = (id / SOURCE_CAPACITY) as u32;
+            assert_eq!(
+                gate.submit(req(source, id as u64, 5.0), ReplySlot::None),
+                None
+            );
+        }
         assert_eq!(
-            gate.submit(req(3, 1, 5.0), ReplySlot::None),
+            gate.submit(req(u32::MAX, 0, 5.0), ReplySlot::None),
             Some(IngestReply::Shed),
             "high watermark sheds the newest arrival"
         );
-        assert_eq!(gate.queued_len(), 3);
+        assert_eq!(gate.queued_len(), HIGH_WATERMARK);
         let s = gate.stats();
         assert_eq!((s.busy, s.shed), (1, 1));
     }
 
     #[test]
     fn pump_rejects_entries_the_floor_overtook() {
-        let gate: IngestGate<u32> = IngestGate::new(IngestConfig::default(), 0);
+        let gate: IngestGate<u32> = IngestGate::new(0);
         let got_reply = std::sync::Arc::new(Mutex::new(None));
         let gr = std::sync::Arc::clone(&got_reply);
         assert_eq!(
@@ -326,7 +300,7 @@ mod tests {
 
     #[test]
     fn non_owned_destinations_are_forwarded() {
-        let gate: IngestGate<u32> = IngestGate::new(IngestConfig::default(), 0);
+        let gate: IngestGate<u32> = IngestGate::new(0);
         let mut r = req(1, 1, 5.0);
         r.dst = LpId(3);
         gate.submit(r, ReplySlot::None);
@@ -345,8 +319,7 @@ mod tests {
         let path = dir.join("journal-roundtrip.jsonl");
         let _ = std::fs::remove_file(&path);
         {
-            let gate: IngestGate<u32> =
-                IngestGate::with_journal(IngestConfig::default(), 0, &path).expect("open");
+            let gate: IngestGate<u32> = IngestGate::with_journal(0, &path).expect("open");
             gate.submit(req(1, 1, 5.0), ReplySlot::None);
             pump_all(&gate); // send_time = 0 (< cut)
             gate.set_floor(VirtualTime::from_f64(8.0));
@@ -354,8 +327,7 @@ mod tests {
             pump_all(&gate); // send_time = 8 (≥ cut)
         }
         let cut = VirtualTime::from_f64(8.0);
-        let (gate2, replay) =
-            IngestGate::<u32>::recover(IngestConfig::default(), 0, &path, cut).expect("recover");
+        let (gate2, replay) = IngestGate::<u32>::recover(0, &path, cut).expect("recover");
         assert_eq!(replay.len(), 1, "only the suffix above the cut replays");
         assert_eq!(replay[0].key.recv_time, VirtualTime::from_f64(9.0));
         // The idempotency map survives for both records.
@@ -413,8 +385,7 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         let cut;
         {
-            let gate: IngestGate<u32> =
-                IngestGate::with_journal(IngestConfig::default(), 0, &path).expect("open");
+            let gate: IngestGate<u32> = IngestGate::with_journal(0, &path).expect("open");
             gate.set_floor(VirtualTime::from_f64(3.0));
             cut = VirtualTime::from_f64(3.0);
             gate.set_fail_after_append(true);
@@ -424,25 +395,19 @@ mod tests {
         }
         // The newest cut G precedes the append (no publish ran in between),
         // so send_time = floor-at-append ≥ G and the record replays.
-        let (_, replay) =
-            IngestGate::<u32>::recover(IngestConfig::default(), 0, &path, cut).expect("recover");
+        let (_, replay) = IngestGate::<u32>::recover(0, &path, cut).expect("recover");
         assert_eq!(replay.len(), 1);
         // …and only once: a second recovery from a later cut *above* the
         // send stamp means the event committed before that cut.
-        let (_, replay2) = IngestGate::<u32>::recover(
-            IngestConfig::default(),
-            0,
-            &path,
-            VirtualTime::from_f64(4.0),
-        )
-        .expect("recover");
+        let (_, replay2) =
+            IngestGate::<u32>::recover(0, &path, VirtualTime::from_f64(4.0)).expect("recover");
         assert!(replay2.is_empty());
         let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn close_fails_queued_submissions() {
-        let gate: IngestGate<u32> = IngestGate::new(IngestConfig::default(), 0);
+        let gate: IngestGate<u32> = IngestGate::new(0);
         let got = std::sync::Arc::new(Mutex::new(None));
         let g2 = std::sync::Arc::clone(&got);
         gate.submit(

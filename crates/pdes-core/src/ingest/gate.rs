@@ -2,7 +2,7 @@
 //! GVT fence and journal-backed recovery, all under one mutex.
 
 use super::journal::{IngestJournal, JournalRecord};
-use super::{IngestConfig, IngestError, IngestReply, IngestRequest, IngestStats};
+use super::{IngestError, IngestReply, IngestRequest, IngestStats};
 use super::{INGEST_SRC, SHARD_SHIFT};
 use crate::event::{Event, EventKey};
 use crate::ids::{EventUid, LpId};
@@ -12,6 +12,14 @@ use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::path::Path;
 use std::sync::Mutex;
+
+/// Queued submissions one source may hold (`Busy` beyond it).
+pub const SOURCE_CAPACITY: usize = 64;
+/// Queued submissions across all sources (`Shed` beyond it): the gate's
+/// memory bound, whatever the number of clients.
+pub const HIGH_WATERMARK: usize = 256;
+/// Admissions one pump processes, so one flooded round cannot stall GVT.
+pub const MAX_PER_PUMP: usize = 64;
 
 /// Where an eventual verdict for a queued submission goes.
 pub enum ReplySlot {
@@ -53,7 +61,6 @@ impl<P> PumpOutcome<P> {
 }
 
 struct GateInner<P> {
-    cfg: IngestConfig,
     /// Admission floor in ticks: the last GVT this gate was fenced with
     /// (monotone — never lowered, not even by a restore).
     floor_ticks: u64,
@@ -89,10 +96,9 @@ pub struct IngestGate<P> {
 impl<P> IngestGate<P> {
     /// A gate with no journal (events are not durable across a process
     /// crash; in-process recovery still replays from the accepted map).
-    pub fn new(cfg: IngestConfig, shard: u64) -> Self {
+    pub fn new(shard: u64) -> Self {
         IngestGate {
             inner: Mutex::new(GateInner {
-                cfg,
                 floor_ticks: 0,
                 closed: false,
                 queue: VecDeque::new(),
@@ -111,8 +117,8 @@ impl<P> IngestGate<P> {
 
     /// A gate journaling to `path` (fresh run: an existing journal is left
     /// in place and appended to; use [`Self::recover`] to replay one).
-    pub fn with_journal(cfg: IngestConfig, shard: u64, path: &Path) -> Result<Self, IngestError> {
-        let gate = Self::new(cfg, shard);
+    pub fn with_journal(shard: u64, path: &Path) -> Result<Self, IngestError> {
+        let gate = Self::new(shard);
         lock(&gate.inner).journal = Some(IngestJournal::open(path)?);
         Ok(gate)
     }
@@ -133,21 +139,23 @@ impl<P> IngestGate<P> {
         }
         // The floor is monotone, so a timestamp inadmissible now can never
         // become admissible: reject at the door with the current floor.
-        if req.at.ticks() <= g.floor_ticks.saturating_add(g.cfg.guard_ticks) {
+        if req.at.ticks() <= g.floor_ticks {
             g.stats.rejected += 1;
             return Some(IngestReply::Rejected {
                 floor_ticks: g.floor_ticks,
             });
         }
-        if g.queue.len() >= g.cfg.high_watermark {
+        if g.queue.len() >= HIGH_WATERMARK {
             g.stats.shed += 1;
             return Some(IngestReply::Shed);
         }
         let used = g.per_source.get(&req.source).copied().unwrap_or(0);
-        if used >= g.cfg.source_capacity {
+        if used >= SOURCE_CAPACITY {
+            /// The retry hint `Busy` carries.
+            const RETRY_AFTER_MS: u64 = 1;
             g.stats.busy += 1;
             return Some(IngestReply::Busy {
-                retry_after_ms: g.cfg.retry_after_ms,
+                retry_after_ms: RETRY_AFTER_MS,
             });
         }
         g.per_source.insert(req.source, used + 1);
@@ -195,7 +203,7 @@ impl<P> IngestGate<P> {
         lock(&self.inner).accepted.contains_key(&(source, id))
     }
 
-    /// Queued submissions right now (bounded by `high_watermark`).
+    /// Queued submissions right now (bounded by [`HIGH_WATERMARK`]).
     pub fn queued_len(&self) -> usize {
         lock(&self.inner).queue.len()
     }
@@ -241,7 +249,7 @@ impl<P: Clone + Serialize> IngestGate<P> {
     /// whether this runtime hosts the destination LP (always true outside
     /// `dist-rt`); `sink` receives each admitted event *while the gate lock
     /// is held*, so no GVT fence can interleave between the admission check
-    /// and the injection. At most `max_per_pump` entries are processed.
+    /// and the injection. At most [`MAX_PER_PUMP`] entries are processed.
     pub fn pump(
         &self,
         mut owned: impl FnMut(LpId) -> bool,
@@ -250,13 +258,13 @@ impl<P: Clone + Serialize> IngestGate<P> {
         let mut g = lock(&self.inner);
         let mut out = PumpOutcome::new();
         // Staged cross-process replay first: pre-admitted, pre-journaled,
-        // not charged against `max_per_pump` (a one-time, journal-bounded
+        // not charged against `MAX_PER_PUMP` (a one-time, journal-bounded
         // burst that must land before any fresh admission can outrun it).
         for ev in std::mem::take(&mut g.staged_replay) {
             out.injected += 1;
             sink(ev);
         }
-        for _ in 0..g.cfg.max_per_pump {
+        for _ in 0..MAX_PER_PUMP {
             let Some(entry) = g.queue.pop_front() else {
                 break;
             };
@@ -265,8 +273,7 @@ impl<P: Clone + Serialize> IngestGate<P> {
             if let Some(n) = g.per_source.get_mut(&entry.req.source) {
                 *n = n.saturating_sub(1);
             }
-            let admissible = entry.req.at.ticks() > g.floor_ticks.saturating_add(g.cfg.guard_ticks);
-            if !admissible {
+            if entry.req.at.ticks() <= g.floor_ticks {
                 g.stats.rejected += 1;
                 let floor = g.floor_ticks;
                 Self::resolve(
@@ -361,13 +368,12 @@ impl<P: Clone + Serialize + Deserialize> IngestGate<P> {
     /// `send_time ≥ cut_gvt` — must be re-injected by the caller, exactly
     /// once, in the returned (key) order.
     pub fn recover(
-        cfg: IngestConfig,
         shard: u64,
         path: &Path,
         cut_gvt: VirtualTime,
     ) -> Result<(Self, Vec<Event<P>>), IngestError> {
         let records = IngestJournal::read_all::<P>(path)?;
-        let gate = Self::new(cfg, shard);
+        let gate = Self::new(shard);
         let mut replay = Vec::new();
         {
             let mut g = lock(&gate.inner);

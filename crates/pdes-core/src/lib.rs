@@ -53,7 +53,7 @@ pub mod time;
 
 pub use board::{RoundBoard, RoundTotals};
 pub use checkpoint::{Checkpoint, CheckpointError, CutSnapshot, LpCheckpoint, SupervisorConfig};
-pub use config::{EngineConfig, GvtBackoff};
+pub use config::EngineConfig;
 pub use engine::{BatchOutcome, DeliverOutcome, Outbound, ThreadEngine};
 pub use event::{Event, EventKey, Msg};
 pub use faults::{
@@ -62,8 +62,8 @@ pub use faults::{
 };
 pub use ids::{EventUid, LpId, SimThreadId};
 pub use ingest::{
-    IngestConfig, IngestError, IngestGate, IngestJournal, IngestPort, IngestReply, IngestRequest,
-    IngestStats, JournalRecord, PumpOutcome, ReplySlot, INGEST_SRC,
+    IngestError, IngestGate, IngestJournal, IngestPort, IngestReply, IngestRequest, IngestStats,
+    JournalRecord, PumpOutcome, ReplySlot, INGEST_SRC,
 };
 pub use mapping::{LpMap, MapKind};
 pub use model::{Model, SendCtx};

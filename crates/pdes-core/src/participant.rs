@@ -10,7 +10,7 @@
 //! the counts the machine prices), which clock stamps a span.
 
 use crate::board::RoundBoard;
-use crate::config::{EngineConfig, GvtBackoff};
+use crate::config::EngineConfig;
 use crate::engine::{Outbound, ThreadEngine};
 use crate::event::Msg;
 use crate::ids::LpId;
@@ -34,14 +34,12 @@ pub struct Participant<M: Model> {
     /// it; the runtime that enacts the tier adds what its cycles process and
     /// restarts it at a yield.
     pub turnover: Turnover,
-    /// ROSS 7 O'clock backoff (inert unless `gvt_max_no_change > 0`).
-    backoff: GvtBackoff,
     /// Round this thread last folded into. Parking leaves it alone: a woken
     /// thread joins the open round iff its id is newer.
     joined: Option<u64>,
     /// Main-loop cycles since then (the paper's 1-in-200 trigger).
     cycles_since: u64,
-    /// The run's engine parameters (batch size, round interval, backoff).
+    /// The run's engine parameters (batch size, round interval).
     pub ecfg: EngineConfig,
     /// `thread_rt::Protocol::PARKS_WITH_PENDING`: a conservative thread may.
     parks_with_pending: bool,
@@ -56,7 +54,6 @@ impl<M: Model> Participant<M> {
             outbox: Vec::new(),
             idle: IdleTracker::new(ecfg.zero_counter_threshold),
             turnover: Turnover::default(),
-            backoff: GvtBackoff::default(),
             joined: None,
             cycles_since: 0,
             ecfg,
@@ -102,12 +99,12 @@ impl<M: Model> Participant<M> {
     }
 
     /// The round trigger, after `cycles` more main-loop cycles: the thread's
-    /// own 1-in-`gvt_interval` counter (widened by the backoff), or an open
-    /// round whose participant snapshot is waiting for this thread.
+    /// own 1-in-`gvt_interval` counter, or an open round whose participant
+    /// snapshot is waiting for this thread.
     pub fn round_due(&mut self, cycles: u64, m: &Membership) -> bool {
         self.cycles_since += cycles;
         let waiting = m.waiting_for(self.me);
-        self.cycles_since >= self.backoff.effective_interval(self.ecfg.gvt_interval) as u64
+        self.cycles_since >= self.ecfg.gvt_interval as u64
             || waiting.is_some_and(|id| self.joined != Some(id))
     }
 
@@ -172,10 +169,10 @@ impl<M: Model> Participant<M> {
         (n, lps)
     }
 
-    /// Phase End, before [`Round::end_phase`]: feed the backoff the round's
-    /// GVT, ask Algorithm 1 whether to park after the close (returned) and,
-    /// when tracing, refresh the board so the closer's snapshot reflects
-    /// post-round totals, not the phase-B fold.
+    /// Phase End, before [`Round::end_phase`]: ask Algorithm 1 whether to
+    /// park after the close (returned) and, when tracing, refresh the board
+    /// so the closer's snapshot reflects post-round totals, not the phase-B
+    /// fold.
     pub fn end_tail(
         &mut self,
         sys: SystemConfig,
@@ -183,8 +180,6 @@ impl<M: Model> Participant<M> {
         round: &Round,
         board: Option<&RoundBoard>,
     ) -> bool {
-        let gvt = round.gvt().ticks();
-        self.backoff.observe(gvt, self.ecfg.gvt_max_no_change);
         self.publish(board, self.engine.local_min());
         let parkable = self.parkable();
         self.idle.wants_park(sys, round, plane, self.me, parkable)
@@ -428,10 +423,8 @@ mod tests {
         (p.cycles_since, p.joined) = (0, None);
         p.ecfg.gvt_interval = 25;
         assert!(!p.round_due(1, &m));
-        // The backoff widens the interval; cycles accumulate across calls.
-        p.backoff.observe(7, 1);
-        p.backoff.observe(7, 1);
-        assert!(!p.round_due(48, &m));
+        // Cycles accumulate across calls.
+        assert!(!p.round_due(23, &m));
         assert!(p.round_due(1, &m));
     }
 }

@@ -392,7 +392,7 @@ pub fn supervise<M: Model, R, E: Into<AttemptFailure>>(
 mod tests {
     use super::*;
     use crate::ids::LpId;
-    use crate::ingest::{IngestConfig, IngestRequest, ReplySlot};
+    use crate::ingest::{IngestRequest, ReplySlot};
     use crate::mapping::MapKind;
     use crate::sequential::tests::Ring;
 
@@ -508,7 +508,7 @@ mod tests {
     fn an_exhausted_budget_degrades_from_the_cut_with_only_the_ingest_suffix() {
         let model = Arc::new(Ring { n: 8 });
         let c = cut(&model, 4, None);
-        let gate: IngestGate<()> = IngestGate::new(IngestConfig::default(), 0);
+        let gate: IngestGate<()> = IngestGate::new(0);
         // Accepted events are stamped `send_time = floor`: id 1 predates the
         // cut (a real cut would hold it), id 2 is the suffix.
         for (id, floor) in [(1, VirtualTime::ZERO), (2, c.gvt)] {

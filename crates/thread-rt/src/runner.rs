@@ -30,8 +30,6 @@ pub struct RtRunConfig {
     pub num_threads: usize,
     pub engine: EngineConfig,
     pub system: SystemConfig,
-    /// Cores used for the affinity policies (defaults to the host's count).
-    pub pin_cores: usize,
     /// Fault-injection plan (empty ⇒ zero-cost pass-through).
     pub faults: FaultPlan,
     /// Wall-clock bound on GVT progress before the liveness watchdog trips
@@ -53,7 +51,6 @@ impl RtRunConfig {
             num_threads,
             engine,
             system,
-            pin_cores: num_cores(),
             faults: FaultPlan::default(),
             watchdog: Some(Duration::from_secs(30)),
             checkpoint_every_gvt: 0,
@@ -205,7 +202,7 @@ pub fn run_threads_attempt<M: Model, P: Protocol<M>>(
     gate: Option<Arc<IngestGate<M::Payload>>>,
 ) -> RtAttempt<M> {
     let n = rc.num_threads;
-    let mut shared: RtShared<M::Payload> = RtShared::new(n, rc.pin_cores, rc.engine.end_time);
+    let mut shared: RtShared<M::Payload> = RtShared::new(n, num_cores(), rc.engine.end_time);
     shared.set_faults(faults.unwrap_or_else(|| FaultInjector::new(rc.faults.clone())));
     shared.round.set_checkpoint_every(rc.checkpoint_every_gvt);
     // Each attempt gets a fresh registry: a supervised restart must not

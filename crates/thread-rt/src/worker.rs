@@ -3,7 +3,7 @@
 //! over the synchronisation [`Protocol`]; everything protocol-specific goes
 //! through that trait's hooks.
 
-use crate::affinity::{current_tid, pin_or_count, OsTid};
+use crate::affinity::{current_tid, num_cores, pin_or_count, OsTid};
 use crate::batch::SendBatcher;
 use crate::protocol::Protocol;
 use crate::runner::RtRunConfig;
@@ -298,7 +298,7 @@ pub fn worker_loop<M: Model, P: Protocol<M>>(
     let mut tracer = sh.telemetry.tracer(me);
     if sys.affinity == AffinityPolicy::Constant {
         // Algorithm 3: round-robin constant pinning at setup.
-        let core = me % rc.pin_cores.max(1);
+        let core = me % num_cores();
         if pin_or_count(current_tid(), core, &sh.pin_failures) {
             tracer.instant(EventKind::Pin, sh.now_ns(), core as u64);
         }

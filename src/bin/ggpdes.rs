@@ -50,13 +50,9 @@
 //! `protocol: "conservative"`, `null_messages_sent`, and `lbts_rounds` for
 //! cross-protocol comparison (see DESIGN.md §15).
 //!
-//! GVT cadence: `--gvt-interval N` sets the base round interval in main-loop
+//! GVT cadence: `--gvt-interval N` sets the round interval in main-loop
 //! cycles (default 25; on `--runtime dist` it is
-//! `DistConfig::gvt_interval_cycles`, 32 unless given);
-//! `--gvt-max-no-change N` enables the ROSS-style "7 O'clock" backoff — after
-//! `N` consecutive rounds with an unchanged GVT the effective interval doubles
-//! (capped at 64× the base) until GVT moves again, so quiescent phases stop
-//! paying round costs. `0` (default) disables the backoff.
+//! `DistConfig::gvt_interval_cycles`, 32 unless given).
 //!
 //! `--stats-json FILE` additionally writes the final `RunMetrics` of any
 //! runtime to `FILE` as pretty-printed JSON (the same document `--json`
@@ -383,8 +379,6 @@ static FLAGS: &[(&str, &[Flag])] = &[
         flag("--optimism-window", "W", "", VM | THREADS | DIST, "never speculate more than W past GVT (unset: unbounded; cons never speculates)",
             |c, v| put(&mut c.ecfg.optimism_window, positive(v).map(Some))),
         flag("--gvt-interval", "N", "25", ALL, "a GVT round every N main-loop cycles (dist: every N shard-loop cycles, 32 unless given)", |c, v| put(&mut c.ecfg.gvt_interval, positive(v))),
-        flag("--gvt-max-no-change", "N", "0", VM | THREADS | CONS, "double the interval after N rounds of unmoved GVT (0 = never)",
-            |c, v| put(&mut c.ecfg.gvt_max_no_change, num(v))),
     ]),
     ("Virtual machine", &[
         flag("--cores", "N", "8", VM, "physical cores of the simulated machine", |c, v| put(&mut c.machine.num_cores, positive(v))),
@@ -680,11 +674,10 @@ type Synth<M> = Option<fn(u64) -> <M as Model>::Payload>;
 /// Build one shard's gate: fresh, journaling, or recovered-with-replay.
 /// `journal` already carries any per-shard suffix.
 fn build_gate<M: Model>(a: &Args, shard: u64, journal: Option<&str>) -> Gate<M> {
-    let cfg = pdes_core::IngestConfig::default();
     let gate = match journal {
         Some(path) if a.ingest_replay => {
             let (gate, replay) =
-                IngestGate::recover(cfg, shard, std::path::Path::new(path), VirtualTime::ZERO)
+                IngestGate::recover(shard, std::path::Path::new(path), VirtualTime::ZERO)
                     .unwrap_or_else(|e| die(1, &format!("--ingest-replay: {e}")));
             if gate.accepted_count() > 0 {
                 eprintln!(
@@ -696,9 +689,9 @@ fn build_gate<M: Model>(a: &Args, shard: u64, journal: Option<&str>) -> Gate<M> 
             gate.stage_replay(replay);
             gate
         }
-        Some(path) => IngestGate::with_journal(cfg, shard, std::path::Path::new(path))
+        Some(path) => IngestGate::with_journal(shard, std::path::Path::new(path))
             .unwrap_or_else(|e| die(1, &format!("--ingest-journal: {e}"))),
-        None => IngestGate::new(cfg, shard),
+        None => IngestGate::new(shard),
     };
     Arc::new(gate)
 }
@@ -756,21 +749,15 @@ fn start_feeder<M: Model>(c: &Cli, gate: &Gate<M>, num_lps: u32, synth: Synth<M>
 }
 
 /// A local retrying client on its own thread: re-stamps on `Rejected`,
-/// backs off on `Busy`/`Shed`, gives up only after a generous budget.
+/// backs off on `Busy`/`Shed`, gives up only after `ingest::MAX_ATTEMPTS`.
 fn spawn_driver<P: Clone + Send + 'static>(
     gate: Arc<IngestGate<P>>,
     seed: u64,
     script: Vec<pdes_core::IngestRequest<P>>,
 ) -> std::thread::JoinHandle<ingest::DriveReport> {
     std::thread::spawn(move || {
-        let mut client = ingest::IngestClient::with_policy(
-            ingest::local_endpoint(gate, Duration::from_secs(30)),
-            seed,
-            ingest::RetryPolicy {
-                max_attempts: 64,
-                ..ingest::RetryPolicy::default()
-            },
-        );
+        let mut client =
+            ingest::IngestClient::new(ingest::local_endpoint(gate, Duration::from_secs(30)), seed);
         ingest::drive(&mut client, script)
     })
 }
@@ -1184,7 +1171,7 @@ mod tests {
     #[test]
     fn every_flag_is_declared_once_with_a_default_that_parses_and_a_help_line() {
         let names: Vec<&str> = flags().map(|f| f.name).collect();
-        assert_eq!(names.len(), 45);
+        assert_eq!(names.len(), 44);
         let help = usage();
         for (i, name) in names.iter().enumerate() {
             assert!(!names[..i].contains(name), "{name} is declared twice");

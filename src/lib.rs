@@ -72,7 +72,7 @@ pub use thread_rt;
 pub mod prelude {
     pub use cons_rt::{run_cons, ConsError, ConsResult, ConsRunConfig};
     pub use dist_rt::{run_loopback, DistConfig, DistError, DistResult, Transport};
-    pub use machine::{CostModel, Machine, MachineConfig};
+    pub use machine::{Machine, MachineConfig};
     pub use metrics::{RunMetrics, Series, Table};
     pub use models::{
         ActivitySchedule, Burr, Epidemics, EpidemicsConfig, LocalityPattern, Phold, PholdConfig,

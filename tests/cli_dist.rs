@@ -276,7 +276,6 @@ fn bad_values_and_refused_combinations_are_a_one_line_exit_2() {
         vec!["--model", "traffic", "--imbalance", "3"],
         vec!["--runtime", "dist", "--shard-id", "1", "--transport", "tcp"],
         vec!["--runtime", "dist", "--connect-timeout-secs", "3"],
-        vec!["--runtime", "dist", "--gvt-max-no-change", "5"],
         // Values outside their flag's range: these panicked (exit 101) or,
         // for the NaN watchdog, armed a 0 ns bound that tripped at once.
         vec!["--snapshot-period", "0"],

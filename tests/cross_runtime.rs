@@ -353,120 +353,6 @@ fn both_protocols_share_one_worker_loop() {
     );
 }
 
-/// A workload built to hold GVT still: LP 0 receives `burst` events that all
-/// carry the *same* timestamp, so processing them one by one (batch size 1)
-/// leaves the pending-set minimum — and therefore GVT — frozen for `burst`
-/// consecutive cycles. One event per burst respawns the next burst a whole
-/// time unit later. Other threads own no LPs with work and park.
-struct Burst {
-    threads: usize,
-    burst: u32,
-    /// Bursts stop respawning at this virtual time so the run terminates.
-    last_spawn: f64,
-}
-
-impl Model for Burst {
-    type State = u64;
-    /// `true` on exactly one event per burst: the one that spawns the next.
-    type Payload = bool;
-
-    fn num_lps(&self) -> usize {
-        self.threads
-    }
-    fn init_state(&self, _lp: LpId) -> u64 {
-        0
-    }
-    fn init_events(&self, lp: LpId, _state: &mut u64, ctx: &mut SendCtx<'_, bool>) {
-        if lp == LpId(0) {
-            for i in 0..self.burst {
-                ctx.send(lp, 1.0, i == 0);
-            }
-        }
-    }
-    fn handle_event(&self, lp: LpId, state: &mut u64, spawn: &bool, ctx: &mut SendCtx<'_, bool>) {
-        *state += 1;
-        // Burn ~20µs of wall clock per event so processing is slow relative
-        // to a GVT round and the frantic static cadence below actually fits
-        // many rounds inside one burst (virtual time is untouched).
-        let t0 = std::time::Instant::now();
-        while t0.elapsed() < Duration::from_micros(20) {
-            std::hint::spin_loop();
-        }
-        if *spawn && ctx.now().as_f64() < self.last_spawn {
-            for i in 0..self.burst {
-                ctx.send(lp, 1.0, i == 0);
-            }
-        }
-    }
-    fn state_digest(&self, state: &u64) -> u64 {
-        let mut s = *state ^ 0x51D3_7A0B;
-        pdes_core::rng::splitmix64(&mut s)
-    }
-    fn lookahead(&self) -> f64 {
-        1.0
-    }
-}
-
-#[test]
-fn gvt_backoff_reduces_rounds_and_preserves_trace() {
-    let threads = 4;
-    let model = Arc::new(Burst {
-        threads,
-        burst: 256,
-        last_spawn: 3.5,
-    });
-    // The most frantic static cadence: a round proposed every cycle, one
-    // event per cycle — so within a burst every round recomputes the same
-    // GVT. The backoff (`gvt_max_no_change`) widens the interval on exactly
-    // those no-progress rounds.
-    let base = EngineConfig::default()
-        .with_end_time(6.0)
-        .with_seed(7)
-        .with_gvt_interval(1)
-        .with_batch_size(1)
-        .with_zero_counter_threshold(100);
-    let backoff = base.clone().with_gvt_max_no_change(1);
-    let oracle = run_sequential(&model, &base, None);
-    assert!(oracle.committed >= 1024, "burst model under-generates");
-
-    let sys = SystemConfig::new(Scheduler::GgPdes, GvtMode::Async, AffinityPolicy::Constant);
-    let run = |ecfg: EngineConfig| {
-        let rc = thread_rt::RtRunConfig::new(threads, ecfg, sys);
-        thread_rt::run_threads(&model, &rc).expect("run completes")
-    };
-    let r_static = run(base.clone());
-    let r_backoff = run(backoff.clone());
-    // The backoff is a pure cadence policy: the committed trace is bit-for-
-    // bit the oracle's either way.
-    assert_eq!(r_static.metrics.commit_digest, oracle.commit_digest);
-    assert_eq!(r_backoff.metrics.commit_digest, oracle.commit_digest);
-    // And it exists to *skip* no-progress rounds: within each burst the
-    // static cadence burns roughly one round per event while the backoff
-    // widens geometrically, so the gap is large, not marginal.
-    assert!(
-        r_backoff.metrics.gvt_rounds * 2 < r_static.metrics.gvt_rounds,
-        "backoff {} rounds vs static {}",
-        r_backoff.metrics.gvt_rounds,
-        r_static.metrics.gvt_rounds
-    );
-
-    // The virtual machine runs the same interval rule
-    // (`EngineConfig::round_interval`): same trace, fewer rounds.
-    let run_vm = |ecfg: &EngineConfig| {
-        let rc =
-            RunConfig::new(threads, ecfg.clone(), sys).with_machine(MachineConfig::small(2, 2));
-        let r = sim_rt::run_sim(&model, &rc);
-        assert!(r.completed);
-        assert_eq!(r.metrics.commit_digest, oracle.commit_digest);
-        r.metrics.gvt_rounds
-    };
-    let (vm_static, vm_backoff) = (run_vm(&base), run_vm(&backoff));
-    assert!(
-        vm_backoff * 2 < vm_static,
-        "vm: backoff {vm_backoff} rounds vs static {vm_static}"
-    );
-}
-
 /// Integer-tick ring: every LP starts one event at t = 1 and each event
 /// schedules its successor on the next LP exactly one time unit later, so
 /// with an integral end time a generation of events lands *exactly* on it.
