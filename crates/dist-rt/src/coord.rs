@@ -44,6 +44,10 @@ pub(crate) struct Coord<M: Model> {
     /// Reports in, GVT out.
     pub rounds: Coordinator,
     end_ticks: u64,
+    /// Cycles between round starts: the run's `EngineConfig::gvt_interval`.
+    gvt_interval: u64,
+    /// Arm a checkpoint cut every this many rounds (0 = never).
+    ckpt_every_rounds: u64,
     /// Cycle the next round opens at (cycle counters: deterministic in
     /// stepped mode).
     round_due_at: u64,
@@ -65,10 +69,12 @@ pub(crate) struct Coord<M: Model> {
 }
 
 impl<M: Model> Coord<M> {
-    pub fn new(n: usize, map: LpMap, end_ticks: u64, cfg: &DistConfig) -> Coord<M> {
+    pub fn new(n: usize, map: LpMap, ecfg: &pdes_core::EngineConfig, cfg: &DistConfig) -> Coord<M> {
         Coord {
             rounds: Coordinator::new(n),
-            end_ticks,
+            end_ticks: ecfg.end_time.ticks(),
+            gvt_interval: ecfg.gvt_interval.into(),
+            ckpt_every_rounds: cfg.ckpt_every_rounds,
             round_due_at: 0,
             wave_due: None,
             terminate_round: None,
@@ -102,13 +108,13 @@ impl<M: Model> Coord<M> {
     /// `running` is the coordinator's own shard still simulating; no cut is
     /// armed after that, nor while a restored shard is still re-executing
     /// below the floor — its engine is not yet on any consistent global cut.
-    pub fn due_round(&mut self, cycle: u64, running: bool, cfg: &DistConfig) -> Option<FrameOf<M>> {
+    pub fn due_round(&mut self, cycle: u64, running: bool) -> Option<FrameOf<M>> {
         if self.rounds.round.is_some() || cycle < self.round_due_at {
             return None;
         }
         let armed = running
             && !self.rounds.recovering
-            && ckpt_round_due(cfg.ckpt_every_rounds, self.rounds.rounds_done);
+            && ckpt_round_due(self.ckpt_every_rounds, self.rounds.rounds_done);
         let round = self.rounds.start_round(armed);
         Some(self.start(round, 0))
     }
@@ -123,13 +129,13 @@ impl<M: Model> Coord<M> {
         shard: usize,
         rep: ShardReport,
         cycle: u64,
-        cfg: &DistConfig,
     ) -> Option<(FrameOf<M>, bool)> {
         let gvt = match self.rounds.on_report(round, shard, rep) {
             RoundClosure::Pending => return None,
             RoundClosure::NextWave(wave) => {
                 // Pace the re-poll: give late whites a few cycles to land.
-                self.wave_due = Some((cycle + cfg.wave_interval_cycles, round, wave));
+                const WAVE_INTERVAL: u64 = 2;
+                self.wave_due = Some((cycle + WAVE_INTERVAL, round, wave));
                 return None;
             }
             RoundClosure::Publish { gvt } => gvt,
@@ -141,7 +147,7 @@ impl<M: Model> Coord<M> {
         }
         // A drain round starts immediately, no pacing needed.
         let draining = self.terminate_round.is_some() && !drained;
-        self.round_due_at = cycle + if draining { 0 } else { cfg.gvt_interval_cycles };
+        self.round_due_at = cycle + if draining { 0 } else { self.gvt_interval };
         let armed = self.rounds.armed;
         if armed {
             self.cut = Some((round, gvt));
@@ -203,20 +209,20 @@ impl<M: Model> Coord<M> {
     }
 
     /// Resume from a checkpointed cut: the floor and round count continue.
-    pub fn restore<S, P>(&mut self, ck: &Checkpoint<S, P>, cfg: &DistConfig) {
+    pub fn restore<S, P>(&mut self, ck: &Checkpoint<S, P>) {
         self.rounds.gvt = ck.gvt.ticks();
         self.rounds.rounds_done = ck.gvt_rounds;
-        self.round_due_at = cfg.gvt_interval_cycles;
+        self.round_due_at = self.gvt_interval;
     }
 
     /// Partial recovery of the `dead` shards begins at `cycle`: the round
     /// in flight and the cut being assembled are abandoned with them, the
     /// next round is a full interval away, and every lease starts afresh.
-    pub fn begin_recovery(&mut self, dead: &[usize], cycle: u64, cfg: &DistConfig) {
+    pub fn begin_recovery(&mut self, dead: &[usize], cycle: u64) {
         self.rounds.begin_recovery();
         self.wave_due = None;
         self.cut = None;
-        self.round_due_at = cycle + cfg.gvt_interval_cycles;
+        self.round_due_at = cycle + self.gvt_interval;
         self.renew_leases(dead);
     }
 

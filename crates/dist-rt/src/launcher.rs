@@ -47,8 +47,8 @@ pub struct DistConfig {
     pub heartbeat: Option<HeartbeatConfig>,
     /// Scripted transient partitions: `(from, to, for_rounds)` — shard
     /// `from`'s outgoing link to `to` swallows every frame until `from` has
-    /// run `for_rounds * gvt_interval_cycles` cycles, then heals and lets
-    /// retransmission resume delivery.
+    /// run `for_rounds * EngineConfig::gvt_interval` cycles, then heals and
+    /// lets retransmission resume delivery.
     pub partitions: Vec<(usize, usize, u64)>,
     /// Admit one joining shard at the first checkpoint cut assembled at or
     /// after the `n`th GVT publish.
@@ -64,10 +64,6 @@ pub struct DistConfig {
     pub degrade: bool,
     /// Checkpoint cut every this many GVT rounds (0 = never).
     pub ckpt_every_rounds: u64,
-    /// Cycles between GVT round starts.
-    pub gvt_interval_cycles: u64,
-    /// Cycles between wave re-polls.
-    pub wave_interval_cycles: u64,
     /// GVT-liveness watchdog per shard.
     pub watchdog: Option<Duration>,
     /// TCP mesh setup deadline.
@@ -92,8 +88,6 @@ impl Default for DistConfig {
             max_recoveries: 0,
             degrade: false,
             ckpt_every_rounds: 0,
-            gvt_interval_cycles: 32,
-            wave_interval_cycles: 4,
             watchdog: Some(Duration::from_secs(10)),
             mesh_timeout: Duration::from_secs(10),
             telemetry: telemetry::TelemetryConfig::default(),

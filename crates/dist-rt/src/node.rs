@@ -188,6 +188,8 @@ pub struct ShardNode<M: Model> {
     /// point of the simulation regardless of host speed or scheduling.
     kill_at: Option<u64>,
     flat_map: LpMap,
+    /// The run's `EngineConfig::gvt_interval`: scripted partitions heal on it.
+    gvt_interval: u64,
     /// Last published GVT (ticks) as seen by this node.
     gvt: u64,
     cycles: u64,
@@ -286,10 +288,11 @@ impl<M: Model> ShardNode<M> {
             links,
             inbox,
             tracker: GvtTracker::new(n),
-            co: (shard == 0).then(|| Coord::new(n, flat_map.clone(), ecfg.end_time.ticks(), dcfg)),
+            co: (shard == 0).then(|| Coord::new(n, flat_map.clone(), ecfg, dcfg)),
             cfg: dcfg.clone(),
             kill_at: dcfg.kills.iter().find(|k| k.0 == shard).map(|k| k.1),
             flat_map,
+            gvt_interval: ecfg.gvt_interval.into(),
             gvt: 0,
             cycles: 0,
             publishes_seen: 0,
@@ -431,7 +434,7 @@ impl<M: Model> ShardNode<M> {
         self.engine.restore(&ck.lps, &ck.events, ck.gvt);
         self.gvt = ck.gvt.ticks();
         if let Some(co) = &mut self.co {
-            co.restore(ck, &self.cfg);
+            co.restore(ck);
         }
         self.cut_open = false;
         if let Some(gate) = self.ingest.as_ref().map(|port| Arc::clone(&port.gate)) {
@@ -537,7 +540,7 @@ impl<M: Model> ShardNode<M> {
         self.raise_ingest_floor(self.recovery_floor);
         self.last_liveness = Instant::now();
         if let Some(co) = &mut self.co {
-            co.begin_recovery(dead, self.cycles, &self.cfg);
+            co.begin_recovery(dead, self.cycles);
         }
         for &d in dead {
             let msgs = self.send_log.replay(d, cut).into_iter();
@@ -776,9 +779,7 @@ impl<M: Model> ShardNode<M> {
         // own cycle clock (not GVT publishes), so a partition that stalls
         // the GVT cannot deadlock its own heal.
         for &(from, to, rounds) in &self.cfg.partitions {
-            if from == self.shard
-                && self.cycles >= rounds.saturating_mul(self.cfg.gvt_interval_cycles)
-            {
+            if from == self.shard && self.cycles >= rounds.saturating_mul(self.gvt_interval) {
                 if let Some(l) = self.links[to].as_mut() {
                     l.set_partitioned(false);
                 }
@@ -937,7 +938,7 @@ impl<M: Model> ShardNode<M> {
         }
         let running = self.phase == Phase::Running;
         let co = self.co.as_mut();
-        if let Some(start) = co.and_then(|c| c.due_round(self.cycles, running, &self.cfg)) {
+        if let Some(start) = co.and_then(|c| c.due_round(self.cycles, running)) {
             self.broadcast(start)?;
         }
         Ok(())
@@ -1110,8 +1111,7 @@ impl<M: Model> ShardNode<M> {
             .co
             .as_mut()
             .ok_or_else(|| stray(self.shard, "Report"))?;
-        let Some((publish, drained)) = co.on_report(round, shard, rep, self.cycles, &self.cfg)
-        else {
+        let Some((publish, drained)) = co.on_report(round, shard, rep, self.cycles) else {
             return Ok(());
         };
         self.broadcast(publish)?;

@@ -23,14 +23,13 @@ fn ecfg(end: f64) -> EngineConfig {
         .with_end_time(end)
         .with_seed(77)
         .with_optimism_window(Some(2.0))
+        .with_gvt_interval(16)
 }
 
 fn dcfg(shards: usize, transport: Transport) -> DistConfig {
     DistConfig {
         shards,
         transport,
-        gvt_interval_cycles: 16,
-        wave_interval_cycles: 2,
         telemetry: TelemetryConfig::on(),
         ..DistConfig::default()
     }
@@ -287,12 +286,11 @@ proptest! {
         let ecfg = EngineConfig::default()
             .with_end_time(end)
             .with_seed(seed)
-            .with_optimism_window(Some(2.0));
+            .with_optimism_window(Some(2.0))
+            .with_gvt_interval(8);
         let dcfg = DistConfig {
             shards,
             transport: Transport::Mem,
-            gvt_interval_cycles: 8,
-            wave_interval_cycles: 2,
             ckpt_every_rounds: 2,
             ..DistConfig::default()
         };

@@ -22,14 +22,13 @@ fn ecfg(end: f64) -> EngineConfig {
         // A bounded optimism window keeps shards advancing in lockstep
         // with GVT publishes — the regime the round machinery must carry.
         .with_optimism_window(Some(2.0))
+        .with_gvt_interval(16)
 }
 
 fn dcfg(shards: usize, transport: Transport) -> DistConfig {
     DistConfig {
         shards,
         transport,
-        gvt_interval_cycles: 16,
-        wave_interval_cycles: 2,
         ..DistConfig::default()
     }
 }

@@ -35,15 +35,16 @@ fn model() -> Arc<Phold> {
 }
 
 fn ecfg() -> EngineConfig {
-    EngineConfig::default().with_end_time(END).with_seed(24301)
+    EngineConfig::default()
+        .with_end_time(END)
+        .with_seed(24301)
+        .with_gvt_interval(8)
 }
 
 fn dcfg(shards: usize) -> DistConfig {
     DistConfig {
         shards,
         transport: Transport::Mem,
-        gvt_interval_cycles: 8,
-        wave_interval_cycles: 2,
         ..DistConfig::default()
     }
 }

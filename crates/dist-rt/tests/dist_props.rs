@@ -19,6 +19,26 @@ use models::{Phold, PholdConfig};
 use pdes_core::{run_sequential, EngineConfig};
 use proptest::prelude::*;
 
+/// A dist run paces its GVT rounds by `EngineConfig::gvt_interval`: two
+/// stepped clusters that differ only there close different numbers of
+/// rounds, more at the shorter interval (the stepped cluster is
+/// deterministic, so the counts repeat).
+#[test]
+fn the_engine_gvt_interval_paces_the_rounds() {
+    let model = Arc::new(Phold::new(PholdConfig::balanced(4, 3)));
+    let rounds = |interval: u32| {
+        let ecfg = EngineConfig::default()
+            .with_end_time(200.0)
+            .with_gvt_interval(interval);
+        let mut cluster = SteppedCluster::new(Arc::clone(&model), &ecfg, &DistConfig::default())
+            .expect("build cluster");
+        let out = cluster.run_to_completion(4_000_000).expect("completes");
+        out.gvt_rounds
+    };
+    let (short, long) = (rounds(8), rounds(64));
+    assert!(short > long, "{short} rounds at 8, {long} at 64");
+}
+
 fn arb_cfg() -> impl Strategy<Value = (usize, u64, f64, Option<f64>, Option<u64>)> {
     // (shards, seed, end_time, optimism window, fault seed)
     (
@@ -41,13 +61,12 @@ proptest! {
         let ecfg = EngineConfig::default()
             .with_end_time(end)
             .with_seed(seed)
-            .with_optimism_window(window);
+            .with_optimism_window(window)
+            .with_gvt_interval(8);
         let dcfg = DistConfig {
             shards,
             transport: Transport::Mem,
             link_faults: fault_seed.map(LinkFaultPlan::chaos),
-            gvt_interval_cycles: 8,
-            wave_interval_cycles: 2,
             ckpt_every_rounds: 4,
             ..DistConfig::default()
         };
@@ -84,11 +103,11 @@ proptest! {
         let ecfg = EngineConfig::default()
             .with_end_time(end)
             .with_seed(seed)
-            .with_optimism_window(Some(2.0));
+            .with_optimism_window(Some(2.0))
+            .with_gvt_interval(8);
         let dcfg = DistConfig {
             shards: 3,
             transport: Transport::Mem,
-            gvt_interval_cycles: 8,
             ckpt_every_rounds: 2,
             ..DistConfig::default()
         };

@@ -11,7 +11,7 @@ fn engine_cfg() -> EngineConfig {
     EngineConfig::default()
         .with_end_time(4.0)
         .with_seed(909)
-        .with_gvt_interval(25)
+        .with_gvt_interval(16)
         .with_zero_counter_threshold(100)
 }
 
@@ -19,7 +19,6 @@ fn dcfg(shards: usize, traced: bool) -> DistConfig {
     DistConfig {
         shards,
         transport: Transport::Mem,
-        gvt_interval_cycles: 16,
         telemetry: if traced {
             TelemetryConfig::on()
         } else {
@@ -111,7 +110,10 @@ fn every_park_episode_reaches_the_trace() {
         end,
         LocalityPattern::Linear,
     )));
-    let ecfg = EngineConfig::default().with_end_time(end).with_seed(909);
+    let ecfg = EngineConfig::default()
+        .with_end_time(end)
+        .with_seed(909)
+        .with_gvt_interval(16);
     let r = run_loopback(model, &ecfg, &dcfg(shards, true)).expect("loopback run");
     let data = r.telemetry.expect("merged telemetry");
     assert_eq!(data.total_dropped(), 0, "ring too small for this run");

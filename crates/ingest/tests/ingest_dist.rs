@@ -25,14 +25,13 @@ fn ecfg(end: f64) -> EngineConfig {
         .with_end_time(end)
         .with_seed(77)
         .with_optimism_window(Some(2.0))
+        .with_gvt_interval(16)
 }
 
 fn dcfg(shards: usize, transport: Transport) -> DistConfig {
     DistConfig {
         shards,
         transport,
-        gvt_interval_cycles: 16,
-        wave_interval_cycles: 2,
         ..DistConfig::default()
     }
 }

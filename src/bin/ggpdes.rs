@@ -51,8 +51,8 @@
 //! cross-protocol comparison (see DESIGN.md §15).
 //!
 //! GVT cadence: `--gvt-interval N` sets the round interval in main-loop
-//! cycles (default 25; on `--runtime dist` it is
-//! `DistConfig::gvt_interval_cycles`, 32 unless given).
+//! cycles (default 25) on every runtime; on `--runtime dist` the loop is the
+//! coordinator's shard loop.
 //!
 //! `--stats-json FILE` additionally writes the final `RunMetrics` of any
 //! runtime to `FILE` as pretty-printed JSON (the same document `--json`
@@ -378,7 +378,7 @@ static FLAGS: &[(&str, &[Flag])] = &[
         flag("--snapshot-period", "K", "1", ALL, "save LP state before every K-th event (1 = copy state saving)", |c, v| put(&mut c.ecfg.snapshot_period, positive(v))),
         flag("--optimism-window", "W", "", VM | THREADS | DIST, "never speculate more than W past GVT (unset: unbounded; cons never speculates)",
             |c, v| put(&mut c.ecfg.optimism_window, positive(v).map(Some))),
-        flag("--gvt-interval", "N", "25", ALL, "a GVT round every N main-loop cycles (dist: every N shard-loop cycles, 32 unless given)", |c, v| put(&mut c.ecfg.gvt_interval, positive(v))),
+        flag("--gvt-interval", "N", "25", ALL, "a GVT round every N main-loop cycles", |c, v| put(&mut c.ecfg.gvt_interval, positive(v))),
     ]),
     ("Virtual machine", &[
         flag("--cores", "N", "8", VM, "physical cores of the simulated machine", |c, v| put(&mut c.machine.num_cores, positive(v))),
@@ -400,7 +400,7 @@ static FLAGS: &[(&str, &[Flag])] = &[
             |c, v| put(&mut c.a.checkpoint_every_gvt, num(v))),
         flag("--checkpoint-path", "FILE", "", VM | THREADS | CONS, "also write each cut to FILE (dist keeps its cuts in memory)",
             |c, v| put(&mut c.a.checkpoint_path, Ok(Some(v.into())))),
-        flag("--max-recoveries", "N", "", ALL, "restore-and-retry budget; giving it opts into the supervisor (unset: 3 once checkpointing, dist: 0)",
+        flag("--max-recoveries", "N", "", ALL, "restore-and-retry budget; giving it opts into the supervisor (unset: 3 once checkpointing)",
             |c, v| put(&mut c.a.max_recoveries, num(v).map(Some))),
     ]),
     ("Distributed runtime", &[
@@ -895,11 +895,13 @@ type Finished = (RunMetrics, Option<TelemetryData>);
 
 /// `--runtime dist`: the loopback cluster, or one shard of a real
 /// multi-process mesh when `--shard-id` / `--listen` / `--connect` are
-/// given. Returns the coordinator's metrics plus merged telemetry; worker
-/// shards exit 0 here.
+/// given, with `run()`'s checkpoint cadence and supervisor. Returns the
+/// coordinator's metrics plus merged telemetry; worker shards exit 0 here.
 fn run_dist<M: Model>(
     model: &Arc<M>,
     c: &Cli,
+    ckpt_every: u64,
+    supervisor: Option<&SupervisorConfig>,
     synth: Synth<M>,
     accepted: &mut Accepted<M>,
 ) -> Finished {
@@ -907,11 +909,8 @@ fn run_dist<M: Model>(
     let mut opts = c.proc.clone();
     let d = &mut opts.dcfg;
     d.link_faults = a.chaos_seed.map(dist_rt::LinkFaultPlan::chaos);
-    d.max_recoveries = a.max_recoveries.unwrap_or(0);
-    d.ckpt_every_rounds = a.checkpoint_every_gvt;
-    if c.given("--gvt-interval") {
-        d.gvt_interval_cycles = c.ecfg.gvt_interval.into();
-    }
+    d.max_recoveries = supervisor.map_or(0, |s| s.max_recoveries);
+    d.ckpt_every_rounds = ckpt_every;
     d.watchdog = watchdog(a, Duration::from_secs(30));
     d.telemetry = c.tel.clone();
     let shards_initial = d.shards;
@@ -1095,7 +1094,7 @@ fn run<M: Model>(model: Arc<M>, c: &Cli, synth: Synth<M>) {
             }
             run_on_threads::<M, cons_rt::Conservative>(&model, c, &rc, sup, None, &mut accepted)
         }
-        _ => run_dist(&model, c, synth, &mut accepted),
+        _ => run_dist(&model, c, ckpt_every, sup, synth, &mut accepted),
     };
 
     if a.verify {

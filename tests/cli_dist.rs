@@ -120,10 +120,10 @@ fn loopback_dist_run_verifies_and_writes_stats_json() {
     );
 }
 
-/// `--gvt-interval` paces a dist run's Mattern rounds
-/// (`DistConfig::gvt_interval_cycles`): the same run under a short and a
-/// long interval verifies both times and closes many more rounds under the
-/// short one.
+/// `--gvt-interval` paces a dist run's Mattern rounds as it paces every
+/// other runtime's (`EngineConfig::gvt_interval`): the same run under a
+/// short and a long interval verifies both times and closes many more rounds
+/// under the short one.
 #[test]
 fn gvt_interval_paces_the_rounds_of_a_dist_run() {
     let rounds = |interval: &str| {
@@ -149,6 +149,37 @@ fn gvt_interval_paces_the_rounds_of_a_dist_run() {
     };
     let (short, long) = (rounds("2"), rounds("512"));
     assert!(short > 2 * long, "{short} rounds at 2, {long} at 512");
+}
+
+/// A checkpointed dist run is supervised without `--max-recoveries`, as on
+/// every other runtime: a killed worker is recovered within the default
+/// budget instead of exhausting a budget of zero. Partial or full depends on
+/// where the survivors are at the kill, so only success is asserted.
+#[test]
+fn checkpointing_alone_gives_dist_the_default_retry_budget() {
+    let out = run_bounded(
+        &[
+            "--runtime",
+            "dist",
+            "--shards",
+            "4",
+            "--threads",
+            "16",
+            "--transport",
+            "mem",
+            "--end",
+            "120",
+            "--checkpoint-every-gvt",
+            "2",
+            "--kill-shard",
+            "2:5",
+            "--verify",
+        ],
+        Duration::from_secs(120),
+    );
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{err}");
+    assert!(err.contains("dist: completed after"), "{err}");
 }
 
 #[test]

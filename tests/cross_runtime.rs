@@ -488,11 +488,12 @@ fn sparse_hot_path_matrix_agrees_with_oracle() {
         let dcfg = dist_rt::DistConfig {
             shards: 2,
             transport: dist_rt::Transport::Mem,
-            gvt_interval_cycles: 16,
-            wave_interval_cycles: 2,
             ..dist_rt::DistConfig::default()
         };
-        let r = dist_rt::run_loopback(Arc::clone(&model), &ecfg, &dcfg)
+        // The dist run paces its rounds at 16 cycles; the thread runs keep
+        // their own cadence.
+        let dist_ecfg = ecfg.clone().with_gvt_interval(16);
+        let r = dist_rt::run_loopback(Arc::clone(&model), &dist_ecfg, &dcfg)
             .unwrap_or_else(|e| panic!("{label}: dist: {e}"));
         assert_eq!(
             r.metrics.commit_digest, oracle.commit_digest,
