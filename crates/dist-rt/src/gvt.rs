@@ -1,4 +1,4 @@
-//! Asynchronous Mattern-style distributed GVT.
+//! Asynchronous Mattern-style distributed GVT: the shard's half.
 //!
 //! Each message crosses the mesh colored with its sender's **epoch** (the
 //! `tag` on [`crate::proto::Frame::SimBatch`] entries). A GVT round `r` works like this:
@@ -13,11 +13,12 @@
 //!    arrived after the cut — their timestamps are exactly the in-flight
 //!    messages Mattern's invariant must cover), and its *fresh* per-peer
 //!    white receive counts.
-//! 4. The coordinator matches counters: when every `white_sent[i][j]`
-//!    equals `white_recvd[j][i]`, no white message is still in flight, and
-//!    `GVT = min over shards of min(pending_min, late_min)` is safe. Until
-//!    they match it re-polls with `wave + 1` — the set of whites is frozen
-//!    and finite, so the waves converge without pausing anyone.
+//! 4. The coordinator (`coord.rs`) matches counters: when every
+//!    `white_sent[i][j]` equals `white_recvd[j][i]`, no white message is
+//!    still in flight, and `GVT = min over shards of min(pending_min,
+//!    late_min)` is safe. Until they match it re-polls with `wave + 1` — the
+//!    set of whites is frozen and finite, so the waves converge without
+//!    pausing anyone.
 //!
 //! Red messages (`tag > r`) were sent by post-cut processing, which is
 //! rooted in events that were pending (or late-white) at the cut — their
@@ -33,12 +34,20 @@ use std::collections::BTreeMap;
 pub struct GvtTracker {
     /// This shard's current epoch; outgoing messages are tagged with it.
     pub epoch: u64,
-    /// Per peer: tag → messages sent with that tag.
-    sent_by_tag: Vec<BTreeMap<u64, u64>>,
-    /// Per peer: tag → messages received with that tag.
-    recvd_by_tag: Vec<BTreeMap<u64, u64>>,
+    /// Per peer: messages sent since the pair was last reset. The epoch
+    /// grows by one round per cut and cut rounds strictly increase, so
+    /// every one of them is tagged at or below the next cut's round: at
+    /// that cut this count *is* the white count.
+    sent: Vec<u64>,
     /// Frozen at the wave-0 cut: white messages sent to each peer.
-    white_sent_at_cut: Vec<u64>,
+    white_sent: Vec<u64>,
+    /// Per peer: arrivals tagged at or below the cut round.
+    white_recvd: Vec<u64>,
+    /// Per peer, by tag: arrivals tagged above the cut round. They come
+    /// from peers that already cut a later round, or reach a restored
+    /// shard's fresh tracker from the survivors before its first cut. The
+    /// cut that makes them white folds them into `white_recvd`.
+    ahead: Vec<BTreeMap<u64, u64>>,
     /// Frozen at the wave-0 cut: this engine's pending minimum (ticks).
     pending_min_at_cut: u64,
     /// Fold of receive times of whites that arrived after the cut (ticks).
@@ -51,9 +60,10 @@ impl GvtTracker {
     pub fn new(num_shards: usize) -> GvtTracker {
         GvtTracker {
             epoch: 0,
-            sent_by_tag: vec![BTreeMap::new(); num_shards],
-            recvd_by_tag: vec![BTreeMap::new(); num_shards],
-            white_sent_at_cut: vec![0; num_shards],
+            sent: vec![0; num_shards],
+            white_sent: vec![0; num_shards],
+            white_recvd: vec![0; num_shards],
+            ahead: vec![BTreeMap::new(); num_shards],
             pending_min_at_cut: u64::MAX,
             late_min: u64::MAX,
             cut_round: 0,
@@ -63,16 +73,19 @@ impl GvtTracker {
     /// Record one outgoing message to `peer`; returns the tag to color it
     /// with (the current epoch).
     pub fn note_sent(&mut self, peer: usize) -> u64 {
-        let tag = self.epoch;
-        *self.sent_by_tag[peer].entry(tag).or_insert(0) += 1;
-        tag
+        self.sent[peer] += 1;
+        self.epoch
     }
 
     /// Record one incoming message from `peer`. A white message arriving
     /// after this round's cut (`tag < epoch`) is a *late white*: fold its
     /// receive time into the round's minimum.
     pub fn note_recvd(&mut self, peer: usize, tag: u64, recv_ticks: u64) {
-        *self.recvd_by_tag[peer].entry(tag).or_insert(0) += 1;
+        if tag <= self.cut_round {
+            self.white_recvd[peer] += 1;
+        } else {
+            *self.ahead[peer].entry(tag).or_insert(0) += 1;
+        }
         if tag < self.epoch {
             self.late_min = self.late_min.min(recv_ticks);
         }
@@ -81,26 +94,22 @@ impl GvtTracker {
     /// Take the wave-0 cut for `round`: advance the epoch, freeze white
     /// send counts and the pending minimum, reset the late fold.
     pub fn take_cut(&mut self, round: u64, pending_min_ticks: u64) {
+        // The first cut may be any round (0, or a restored shard's first);
+        // after the cut of `r` the epoch is `r + 1`.
+        debug_assert!(
+            round >= self.epoch,
+            "cut rounds strictly increase: round {round} at epoch {}",
+            self.epoch
+        );
         self.epoch = round + 1;
-        for (peer, by_tag) in self.sent_by_tag.iter().enumerate() {
-            self.white_sent_at_cut[peer] = by_tag.range(..=round).map(|(_, n)| n).sum();
+        self.white_sent.clone_from(&self.sent);
+        for (peer, ahead) in self.ahead.iter_mut().enumerate() {
+            let later = ahead.split_off(&(round + 1));
+            self.white_recvd[peer] += std::mem::replace(ahead, later).values().sum::<u64>();
         }
         self.pending_min_at_cut = pending_min_ticks;
         self.late_min = u64::MAX;
         self.cut_round = round;
-        // Tags two rounds back can never matter again: every white of an
-        // older round was provably delivered when that round closed.
-        if round >= 2 {
-            let horizon = round - 2;
-            for m in self.sent_by_tag.iter_mut().chain(&mut self.recvd_by_tag) {
-                let tail = m.split_off(&horizon);
-                let folded: u64 = m.values().sum();
-                *m = tail;
-                if folded > 0 {
-                    *m.entry(horizon).or_insert(0) += folded;
-                }
-            }
-        }
     }
 
     /// Forget every counter shared with `peer` (partial recovery). The
@@ -110,26 +119,21 @@ impl GvtTracker {
     /// history (survivor↔survivor counters stay valid because unacked
     /// frames are retransmitted and counted exactly once on delivery).
     pub fn reset_peer(&mut self, peer: usize) {
-        self.sent_by_tag[peer].clear();
-        self.recvd_by_tag[peer].clear();
-        self.white_sent_at_cut[peer] = 0;
+        self.sent[peer] = 0;
+        self.white_sent[peer] = 0;
+        self.white_recvd[peer] = 0;
+        self.ahead[peer].clear();
     }
 
     /// This shard's report for the current round at any wave: the frozen
     /// pending minimum, the running late fold, frozen white sends, and
     /// fresh white receive counts.
     pub fn report(&self) -> (u64, u64, Vec<u64>, Vec<u64>) {
-        let round = self.cut_round;
-        let white_recvd: Vec<u64> = self
-            .recvd_by_tag
-            .iter()
-            .map(|by_tag| by_tag.range(..=round).map(|(_, n)| n).sum())
-            .collect();
         (
             self.pending_min_at_cut,
             self.late_min,
-            self.white_sent_at_cut.clone(),
-            white_recvd,
+            self.white_sent.clone(),
+            self.white_recvd.clone(),
         )
     }
 }
@@ -144,253 +148,10 @@ pub struct ShardReport {
     pub white_recvd: Vec<u64>,
 }
 
-/// What the coordinator decides after absorbing a report.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RoundClosure {
-    /// Not every shard has reported the current wave yet.
-    Pending,
-    /// All reported but counters disagree: re-poll with this wave number.
-    NextWave(u64),
-    /// Counters matched: publish this GVT (ticks).
-    Publish { gvt: u64 },
-}
-
-/// The coordinator side (lives on shard 0): collects reports, matches the
-/// white counters, and derives the round's GVT.
-#[derive(Debug)]
-pub struct Coordinator {
-    n: usize,
-    /// Round currently in flight, if any.
-    pub round: Option<u64>,
-    /// Current wave of the in-flight round.
-    pub wave: u64,
-    /// Whether the in-flight round takes a checkpoint cut on publish.
-    pub armed: bool,
-    reports: Vec<Option<ShardReport>>,
-    /// Last published GVT (ticks) — the monotonic floor.
-    pub gvt: u64,
-    /// Completed rounds.
-    pub rounds_done: u64,
-    /// Times the raw minimum came in below the published floor (clamped).
-    pub regressions: u64,
-    /// Recovery mode: a partially restored shard is re-executing below the
-    /// published floor, so sub-floor minima are *expected* — they clamp
-    /// without counting as regressions, rounds publish `recovering`, and
-    /// the mode ends the first time the raw minimum reaches the floor
-    /// again (the restored shard has caught up; nothing in flight is below
-    /// the floor any more).
-    pub recovering: bool,
-    next_round: u64,
-}
-
-impl Coordinator {
-    pub fn new(n: usize) -> Coordinator {
-        Coordinator {
-            n,
-            round: None,
-            wave: 0,
-            armed: false,
-            reports: vec![None; n],
-            gvt: 0,
-            rounds_done: 0,
-            regressions: 0,
-            recovering: false,
-            next_round: 0,
-        }
-    }
-
-    /// Enter recovery mode after a partial restore: abandon any in-flight
-    /// round (its reports are gone with the dead shard's old incarnation)
-    /// and expect sub-floor minima until the restored shard catches up.
-    /// Round numbering and the published floor continue monotonically.
-    pub fn begin_recovery(&mut self) {
-        self.round = None;
-        self.wave = 0;
-        self.armed = false;
-        self.reports = vec![None; self.n];
-        self.recovering = true;
-    }
-
-    /// The number the next opened round will get — the supervisor fences
-    /// recovery with it (`min_valid_round`): any frame carrying an older
-    /// round number predates the recovery point and must be ignored.
-    pub fn upcoming_round(&self) -> u64 {
-        self.next_round
-    }
-
-    /// Open the next round; returns its number. Panics if one is in flight.
-    pub fn start_round(&mut self, armed: bool) -> u64 {
-        assert!(self.round.is_none(), "round already in flight");
-        let r = self.next_round;
-        self.next_round += 1;
-        self.round = Some(r);
-        self.wave = 0;
-        self.armed = armed;
-        self.reports = vec![None; self.n];
-        r
-    }
-
-    /// Absorb one shard's report (stale rounds/waves are ignored) and try
-    /// to close the round.
-    pub fn on_report(&mut self, round: u64, shard: usize, rep: ShardReport) -> RoundClosure {
-        if self.round != Some(round) || rep.wave != self.wave {
-            return RoundClosure::Pending;
-        }
-        self.reports[shard] = Some(rep);
-        self.try_close()
-    }
-
-    fn try_close(&mut self) -> RoundClosure {
-        if self.reports.iter().any(|r| r.is_none()) {
-            return RoundClosure::Pending;
-        }
-        let reps: Vec<&ShardReport> = self.reports.iter().map(|r| r.as_ref().unwrap()).collect();
-        let matched = (0..self.n).all(|i| {
-            (0..self.n).all(|j| i == j || reps[i].white_sent[j] == reps[j].white_recvd[i])
-        });
-        if !matched {
-            self.wave += 1;
-            for r in &mut self.reports {
-                *r = None;
-            }
-            return RoundClosure::NextWave(self.wave);
-        }
-        let raw = reps
-            .iter()
-            .map(|r| r.pending_min.min(r.late_min))
-            .min()
-            .expect("n >= 1");
-        if raw < self.gvt {
-            if !self.recovering {
-                self.regressions += 1;
-            }
-        } else {
-            self.gvt = raw;
-            self.recovering = false;
-        }
-        self.round = None;
-        self.rounds_done += 1;
-        RoundClosure::Publish { gvt: self.gvt }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn rep(wave: u64, pmin: u64, late: u64, sent: Vec<u64>, recvd: Vec<u64>) -> ShardReport {
-        ShardReport {
-            wave,
-            pending_min: pmin,
-            late_min: late,
-            white_sent: sent,
-            white_recvd: recvd,
-        }
-    }
-
-    #[test]
-    fn matched_counters_publish_the_min() {
-        let mut c = Coordinator::new(2);
-        let r = c.start_round(false);
-        assert_eq!(
-            c.on_report(r, 0, rep(0, 100, u64::MAX, vec![0, 3], vec![0, 2])),
-            RoundClosure::Pending
-        );
-        let out = c.on_report(r, 1, rep(0, 80, 95, vec![2, 0], vec![3, 0]));
-        assert_eq!(out, RoundClosure::Publish { gvt: 80 });
-        assert_eq!(c.rounds_done, 1);
-    }
-
-    #[test]
-    fn unmatched_counters_go_to_next_wave_then_converge() {
-        let mut c = Coordinator::new(2);
-        let r = c.start_round(false);
-        // Shard 1 has only seen 2 of shard 0's 3 whites.
-        c.on_report(r, 0, rep(0, 100, u64::MAX, vec![0, 3], vec![0, 0]));
-        let out = c.on_report(r, 1, rep(0, 50, u64::MAX, vec![0, 0], vec![2, 0]));
-        assert_eq!(out, RoundClosure::NextWave(1));
-        // Wave 1: the straggler white arrived late with timestamp 40.
-        c.on_report(r, 0, rep(1, 100, u64::MAX, vec![0, 3], vec![0, 0]));
-        let out = c.on_report(r, 1, rep(1, 50, 40, vec![0, 0], vec![3, 0]));
-        assert_eq!(out, RoundClosure::Publish { gvt: 40 });
-    }
-
-    #[test]
-    fn published_gvt_never_regresses() {
-        let mut c = Coordinator::new(1);
-        let r = c.start_round(false);
-        assert_eq!(
-            c.on_report(r, 0, rep(0, 100, u64::MAX, vec![0], vec![0])),
-            RoundClosure::Publish { gvt: 100 }
-        );
-        let r = c.start_round(false);
-        assert_eq!(
-            c.on_report(r, 0, rep(0, 90, u64::MAX, vec![0], vec![0])),
-            RoundClosure::Publish { gvt: 100 },
-            "floor must hold"
-        );
-        assert_eq!(c.regressions, 1);
-    }
-
-    #[test]
-    fn recovery_mode_clamps_without_regressions_and_ends_at_the_floor() {
-        let mut c = Coordinator::new(1);
-        let r = c.start_round(false);
-        c.on_report(r, 0, rep(0, 100, u64::MAX, vec![0], vec![0]));
-        assert_eq!(c.gvt, 100);
-        c.begin_recovery();
-        assert!(c.recovering);
-        assert!(c.round.is_none(), "in-flight round abandoned");
-        // The restored shard reports sub-floor minima: clamped, published
-        // GVT never regresses, nothing counted as a regression.
-        for pmin in [40, 60, 95] {
-            let r = c.start_round(false);
-            assert_eq!(
-                c.on_report(r, 0, rep(0, pmin, u64::MAX, vec![0], vec![0])),
-                RoundClosure::Publish { gvt: 100 }
-            );
-            assert!(c.recovering, "still below the floor at {pmin}");
-        }
-        assert_eq!(c.regressions, 0);
-        // Catching up to (or past) the floor ends recovery.
-        let r = c.start_round(false);
-        assert_eq!(
-            c.on_report(r, 0, rep(0, 120, u64::MAX, vec![0], vec![0])),
-            RoundClosure::Publish { gvt: 120 }
-        );
-        assert!(!c.recovering);
-        // Sub-floor minima after recovery count as regressions again.
-        let r = c.start_round(false);
-        c.on_report(r, 0, rep(0, 10, u64::MAX, vec![0], vec![0]));
-        assert_eq!(c.regressions, 1);
-    }
-
-    #[test]
-    fn begin_recovery_keeps_round_numbering_monotone() {
-        let mut c = Coordinator::new(2);
-        let r0 = c.start_round(false);
-        // Round in flight when the failure hits; only shard 0 reported.
-        c.on_report(r0, 0, rep(0, 10, u64::MAX, vec![0, 0], vec![0, 0]));
-        c.begin_recovery();
-        let r1 = c.start_round(false);
-        assert!(r1 > r0, "rounds never reuse a number");
-        assert_eq!(c.wave, 0);
-    }
-
-    #[test]
-    fn stale_wave_reports_are_ignored() {
-        let mut c = Coordinator::new(2);
-        let r = c.start_round(false);
-        c.on_report(r, 0, rep(0, 10, u64::MAX, vec![0, 1], vec![0, 0]));
-        c.on_report(r, 1, rep(0, 10, u64::MAX, vec![0, 0], vec![0, 0])); // → wave 1
-        assert_eq!(c.wave, 1);
-        // A late wave-0 report must not count toward wave 1.
-        assert_eq!(
-            c.on_report(r, 0, rep(0, 10, u64::MAX, vec![0, 1], vec![0, 0])),
-            RoundClosure::Pending
-        );
-        assert!(c.reports.iter().all(|x| x.is_none()));
-    }
+    use proptest::prelude::*;
 
     #[test]
     fn tracker_cut_freezes_whites_and_folds_late_arrivals() {
@@ -416,6 +177,7 @@ mod tests {
         assert_eq!(sent, vec![0, 2]);
     }
 
+    /// White counts accumulate across many cuts.
     #[test]
     fn tag_pruning_preserves_white_counts() {
         let mut t = GvtTracker::new(1);
@@ -429,5 +191,125 @@ mod tests {
         let (_, _, sent, recvd) = t.report();
         assert_eq!(sent, vec![30]);
         assert_eq!(recvd, vec![30]);
+    }
+
+    /// The reference tracker: one map of tag → count per peer at each end,
+    /// summed over `tag <= cut round` at every cut and report, with tags two
+    /// rounds back folded together.
+    struct ByTag {
+        epoch: u64,
+        sent: Vec<BTreeMap<u64, u64>>,
+        recvd: Vec<BTreeMap<u64, u64>>,
+        white_sent_at_cut: Vec<u64>,
+        pending_min_at_cut: u64,
+        late_min: u64,
+        cut_round: u64,
+    }
+
+    impl ByTag {
+        fn new(n: usize) -> ByTag {
+            ByTag {
+                epoch: 0,
+                sent: vec![BTreeMap::new(); n],
+                recvd: vec![BTreeMap::new(); n],
+                white_sent_at_cut: vec![0; n],
+                pending_min_at_cut: u64::MAX,
+                late_min: u64::MAX,
+                cut_round: 0,
+            }
+        }
+
+        fn note_sent(&mut self, peer: usize) -> u64 {
+            *self.sent[peer].entry(self.epoch).or_insert(0) += 1;
+            self.epoch
+        }
+
+        fn note_recvd(&mut self, peer: usize, tag: u64, recv_ticks: u64) {
+            *self.recvd[peer].entry(tag).or_insert(0) += 1;
+            if tag < self.epoch {
+                self.late_min = self.late_min.min(recv_ticks);
+            }
+        }
+
+        fn take_cut(&mut self, round: u64, pending_min_ticks: u64) {
+            self.epoch = round + 1;
+            for (peer, by_tag) in self.sent.iter().enumerate() {
+                self.white_sent_at_cut[peer] = by_tag.range(..=round).map(|(_, n)| n).sum();
+            }
+            self.pending_min_at_cut = pending_min_ticks;
+            self.late_min = u64::MAX;
+            self.cut_round = round;
+            if round >= 2 {
+                let horizon = round - 2;
+                for m in self.sent.iter_mut().chain(&mut self.recvd) {
+                    let tail = m.split_off(&horizon);
+                    let folded: u64 = m.values().sum();
+                    *m = tail;
+                    if folded > 0 {
+                        *m.entry(horizon).or_insert(0) += folded;
+                    }
+                }
+            }
+        }
+
+        fn reset_peer(&mut self, peer: usize) {
+            self.sent[peer].clear();
+            self.recvd[peer].clear();
+            self.white_sent_at_cut[peer] = 0;
+        }
+
+        fn report(&self) -> (u64, u64, Vec<u64>, Vec<u64>) {
+            let round = self.cut_round;
+            let white_recvd = (self.recvd.iter())
+                .map(|by_tag| by_tag.range(..=round).map(|(_, n)| n).sum())
+                .collect();
+            (
+                self.pending_min_at_cut,
+                self.late_min,
+                self.white_sent_at_cut.clone(),
+                white_recvd,
+            )
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+        /// The counting tracker reports exactly what the map-based one does
+        /// after every operation. `first` is the round of the first cut: 0
+        /// for a shard that starts with the run, higher for a restored
+        /// shard's fresh tracker, which meets the survivors' far-ahead tags
+        /// before it cuts at all.
+        #[test]
+        fn counting_tracker_matches_the_map_based_one(
+            first in prop_oneof![Just(0u64), 0u64..40],
+            ops in prop::collection::vec((0u8..4, 0usize..3, any::<u64>()), 0..120),
+        ) {
+            let (mut t, mut r) = (GvtTracker::new(3), ByTag::new(3));
+            let mut last_cut: Option<u64> = None;
+            for (i, &(op, peer, x)) in ops.iter().enumerate() {
+                let cut = last_cut.unwrap_or(first);
+                match op {
+                    0 => prop_assert_eq!(t.note_sent(peer), r.note_sent(peer), "op {}", i),
+                    1 => {
+                        let (tag, ticks) = (x % (cut + 5), x >> 32);
+                        t.note_recvd(peer, tag, ticks);
+                        r.note_recvd(peer, tag, ticks);
+                    }
+                    2 => {
+                        let round = last_cut.map_or(first, |c| c + 1 + x % 3);
+                        last_cut = Some(round);
+                        t.take_cut(round, x >> 40);
+                        r.take_cut(round, x >> 40);
+                    }
+                    _ => {
+                        t.reset_peer(peer);
+                        r.reset_peer(peer);
+                    }
+                }
+                prop_assert_eq!(t.epoch, r.epoch, "op {}: {:?}", i, ops[i]);
+                prop_assert_eq!(t.report(), r.report(), "op {}: {:?}", i, ops[i]);
+            }
+        }
     }
 }

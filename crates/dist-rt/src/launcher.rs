@@ -126,6 +126,17 @@ impl DistConfig {
         if self.mesh_timeout.is_zero() {
             return bad("mesh timeout must be positive".into());
         }
+        // A reshape lands only on an assembled cut and degradation restarts
+        // from one: without a cadence no round is armed, so they would never
+        // happen.
+        let reshape = (self.join_at.map(|_| "join"))
+            .or(self.leave_at.map(|_| "leave"))
+            .or(self.degrade.then_some("degrade"));
+        if let Some(what) = reshape.filter(|_| self.ckpt_every_rounds == 0) {
+            return bad(format!(
+                "{what} needs checkpoint cuts (--checkpoint-every-gvt N, N > 0)"
+            ));
+        }
         Ok(())
     }
 }
@@ -1011,6 +1022,12 @@ mod tests {
         c.heartbeat = Some(hb(5, 0));
         refused(c.check(), "heartbeat");
         refused(with(|c| c.mesh_timeout = Duration::ZERO), "mesh timeout");
+        refused(with(|c| c.join_at = Some(3)), "join needs checkpoint cuts");
+        refused(
+            with(|c| c.leave_at = Some((1, 3))),
+            "leave needs checkpoint cuts",
+        );
+        refused(with(|c| c.degrade = true), "--checkpoint-every-gvt");
     }
 
     /// What `dist_equiv`, `dist_elastic` and `dist_golden` script: the
@@ -1023,8 +1040,14 @@ mod tests {
             |c| c.kills = vec![(0, 2), (1, 2)],
             |c| c.kills = vec![(3, 5)],
             |c| c.partitions = vec![(1, 2, 2)],
-            |c| c.join_at = Some(4),
-            |c| c.leave_at = Some((3, 4)),
+            |c| {
+                c.ckpt_every_rounds = 2;
+                c.join_at = Some(4);
+            },
+            |c| {
+                c.ckpt_every_rounds = 2;
+                c.leave_at = Some((3, 4));
+            },
             |c| c.link_faults = Some(LinkFaultPlan::chaos(7)),
             |c| {
                 c.kill_silent = true;

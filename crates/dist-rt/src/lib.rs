@@ -14,18 +14,20 @@
 //!   faults ([`LinkFaultPlan`]) — delay, drop, duplicate — are
 //!   injected *below* this layer, so the retransmission machinery is what
 //!   keeps the simulation correct under them.
-//! - [`gvt`] — asynchronous Mattern-style distributed GVT: an epoch-colored
-//!   cut per round, per-link white send/receive counters, and a coordinator
-//!   that re-polls (waves) until the counters match — no global barrier, and
-//!   shards keep processing while a round is in flight.
+//! - `gvt` — the shard's half of asynchronous Mattern-style distributed
+//!   GVT: an epoch-colored cut per round and two white counters per peer,
+//!   sends and receives — no global barrier, and shards keep processing
+//!   while a round is in flight.
 //! - [`node`] — one shard: pumps links, delivers remote messages into its
 //!   engine, processes batches, participates in GVT rounds, contributes
 //!   per-shard cuts to distributed checkpoints, and de-schedules itself when
 //!   it holds no live work (demand-driven throttling at shard granularity).
 //!   It holds a `SendLog` (what a partially restored peer must be
-//!   sent again) and, on shard 0 only, the coordinator's side of the run:
-//!   round pacing, the [`pdes_core::CkptSink`] the cut parts assemble in,
-//!   the `Done` fold and the `FailureDetector`'s leases.
+//!   sent again) and, on shard 0 only, the coordinator's side of the run
+//!   (`Coord`): the GVT round itself — open, match the counters, re-poll
+//!   (waves) until they do, publish — its pacing, the
+//!   [`pdes_core::CkptSink`] the cut parts assemble in, the `Done` fold and
+//!   the `FailureDetector`'s leases.
 //! - [`launcher`] — one `Cluster` (mesh + nodes, built once) under two
 //!   drivers: the threaded elastic-membership supervisor — a dead shard is
 //!   restored *partially* from the newest cut while the survivors replay
@@ -49,7 +51,7 @@
 mod coord;
 mod detector;
 pub mod faults;
-pub mod gvt;
+mod gvt;
 pub mod launcher;
 pub mod link;
 pub mod node;
@@ -62,7 +64,6 @@ pub use detector::HeartbeatConfig;
 pub use faults::{
     LinkAction, LinkDelayFault, LinkDropFault, LinkDupFault, LinkFaultPlan, LinkFaults,
 };
-pub use gvt::{Coordinator, GvtTracker, RoundClosure};
 pub use launcher::{
     run_loopback, run_loopback_ingest, run_shard_process, DistConfig, DistResult, IngestGates,
     ProcessOpts, SteppedCluster, Transport,

@@ -1,7 +1,7 @@
 //! One shard of the distributed runtime.
 //!
 //! A [`ShardNode`] owns a [`ThreadEngine`] over its slice of LPs, a
-//! [`ReliableLink`] per peer, its [`GvtTracker`] and its `SendLog`; shard 0
+//! [`ReliableLink`] per peer, its `GvtTracker` and its `SendLog`; shard 0
 //! also holds the coordinator's side of the run (`coord.rs`). Its
 //! [`ShardNode::step`] is one cycle of the main loop — drain the inbox,
 //! drive GVT rounds (coordinator only), process a batch, pump the links —
@@ -458,7 +458,7 @@ impl<M: Model> ShardNode<M> {
     pub fn upcoming_round(&self) -> u64 {
         self.co
             .as_ref()
-            .map_or(self.min_valid_round, |c| c.rounds.upcoming_round())
+            .map_or(self.min_valid_round, Coord::upcoming_round)
     }
 
     /// Replace the link to `peer` (recovery: the peer was rebuilt, so its

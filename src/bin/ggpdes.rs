@@ -33,7 +33,8 @@
 //! `--join-at N` admits a new shard at the first checkpoint cut after the
 //! `N`th publish; `--leave-at S:N` drains shard `S` out at a cut; and
 //! `--degrade` shrinks the cluster around a dead shard instead of failing
-//! once `--max-recoveries` is exhausted.
+//! once `--max-recoveries` is exhausted. All three land on checkpoint cuts,
+//! so each needs `--checkpoint-every-gvt`.
 //!
 //! Conservative runtime (`--runtime cons`): the same models and engine under
 //! Chandy–Misra–Bryant null-message synchronization instead of Time Warp —
@@ -415,10 +416,10 @@ static FLAGS: &[(&str, &[Flag])] = &[
             |c, v| colon_fields(v).map(|[s, at]| c.proc.dcfg.kills.push((s as usize, at)))).dist(LOOPBACK),
         flag("--partition", "FROM:TO:ROUNDS", "", DIST, "silence one link direction for about ROUNDS GVT rounds (repeatable)",
             |c, v| colon_fields(v).map(|[from, to, rounds]| c.proc.dcfg.partitions.push((from as usize, to as usize, rounds)))).dist(LOOPBACK),
-        flag("--join-at", "N", "", DIST, "admit a new shard at the first cut after the N-th publish", |c, v| put(&mut c.proc.dcfg.join_at, num(v).map(Some))).dist(LOOPBACK),
-        flag("--leave-at", "S:N", "", DIST, "drain worker shard S out at the first cut after the N-th publish",
+        flag("--join-at", "N", "", DIST, "admit a new shard at the first cut after the N-th publish; needs --checkpoint-every-gvt", |c, v| put(&mut c.proc.dcfg.join_at, num(v).map(Some))).dist(LOOPBACK),
+        flag("--leave-at", "S:N", "", DIST, "drain worker shard S out at the first cut after the N-th publish; needs --checkpoint-every-gvt",
             |c, v| put(&mut c.proc.dcfg.leave_at, colon_fields(v).map(|[s, n]| Some((s as usize, n))))).dist(LOOPBACK),
-        flag("--degrade", "", "", DIST, "shrink around a dead shard once --max-recoveries is spent", |c, _| put(&mut c.proc.dcfg.degrade, Ok(true))).dist(LOOPBACK),
+        flag("--degrade", "", "", DIST, "shrink around a dead shard once --max-recoveries is spent; needs --checkpoint-every-gvt", |c, _| put(&mut c.proc.dcfg.degrade, Ok(true))).dist(LOOPBACK),
     ]),
     ("Multi-process mesh (dist)", &[
         flag("--shard-id", "I", "", DIST, "run only shard I of the cluster in this process", |c, v| put(&mut c.proc.shard, num(v))),

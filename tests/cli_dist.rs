@@ -182,6 +182,33 @@ fn checkpointing_alone_gives_dist_the_default_retry_budget() {
     assert!(err.contains("dist: completed after"), "{err}");
 }
 
+/// A join lands only on an assembled checkpoint cut. Without a cadence no
+/// round is armed and the join would never happen, so `--join-at` alone is
+/// a usage error naming the flag it needs.
+#[test]
+fn a_join_without_a_checkpoint_cadence_is_refused_naming_the_flag() {
+    let out = run_bounded(
+        &[
+            "--runtime",
+            "dist",
+            "--shards",
+            "3",
+            "--transport",
+            "mem",
+            "--join-at",
+            "3",
+        ],
+        Duration::from_secs(30),
+    );
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{err}");
+    assert!(
+        err.starts_with("ggpdes: ") && err.contains("--checkpoint-every-gvt"),
+        "{err}"
+    );
+    assert_eq!(err.trim_end().lines().count(), 1, "{err}");
+}
+
 #[test]
 fn two_process_tcp_cluster_matches_between_launches() {
     let (p0, p1) = (free_port(), free_port());
