@@ -14,8 +14,8 @@
 //! * [`engine::ThreadEngine`] — the per-simulation-thread engine combining
 //!   the above: optimistic batches, straggler rollbacks, anti-message
 //!   cascades;
-//! * [`sequential`] — a sequential reference executor used as a correctness
-//!   oracle by both runtimes' test suites;
+//! * [`sequential`] — the correctness oracle: handlers in global key order
+//!   on each LP's state, RNG and send counter alone, with no `Lp` or history;
 //! * [`plane::MessagePlane`] and [`sched`] — the control plane the
 //!   shared-memory runtimes run on: input queues with their GVT coverage
 //!   minima, round membership, Algorithms 1, 2 and 4;

@@ -5,14 +5,22 @@
 //! Warp execution must commit exactly the same set of events and leave every
 //! LP in the same final state. Integration tests compare the digests
 //! produced here with those of `sim-rt` and `thread-rt` runs.
+//!
+//! The oracle runs the model directly: per LP it keeps the state, the RNG
+//! stream and the send counter (a [`Snapshot`]) and calls `handle_event`
+//! through a [`SendCtx`], nothing else. It never rolls back, so it takes no
+//! snapshots, keeps no history and commits as it goes; it shares only the
+//! [`EventQueue`] and [`SendCtx`] with the engines, which keeps it an
+//! independent check of their state saving rather than a second user of it.
 
 use crate::checkpoint::Checkpoint;
 use crate::config::EngineConfig;
-use crate::event::Event;
+use crate::event::{Event, EventKey};
 use crate::ids::LpId;
-use crate::lp::{key_digest, Lp, Snapshot};
-use crate::model::Model;
+use crate::lp::{key_digest, Snapshot};
+use crate::model::{Model, SendCtx};
 use crate::pending::EventQueue;
+use crate::rng::DetRng;
 use crate::time::VirtualTime;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -54,29 +62,35 @@ pub fn run_sequential_with<M: Model>(
     extra: &[Event<M::Payload>],
     max_events: Option<u64>,
 ) -> SequentialResult {
-    let num_lps = model.num_lps();
-    let mut lps: Vec<Lp<M>> = (0..num_lps)
+    // Each LP's initial events, in LP order, sent at time zero.
+    let mut sends = Vec::new();
+    let lps = (0..model.num_lps())
         .map(|i| {
-            Lp::with_snapshot_period(
-                model.as_ref(),
-                LpId(i as u32),
-                cfg.seed,
-                cfg.snapshot_period,
-            )
+            let id = LpId(i as u32);
+            let mut lp = Snapshot {
+                state: model.init_state(id),
+                rng: DetRng::for_lp(cfg.seed, id),
+                send_seq: 0,
+            };
+            let mut ctx = SendCtx::new(
+                id,
+                VirtualTime::ZERO,
+                &mut lp.rng,
+                &mut lp.send_seq,
+                &mut sends,
+            );
+            model.init_events(id, &mut lp.state, &mut ctx);
+            lp
         })
         .collect();
     // The oracle never cancels (nothing is rolled back), so it drains the
     // engines' queue without their key index.
     let mut pending = EventQueue::new();
-    for lp in &mut lps {
-        for ev in lp.init_events(model.as_ref()) {
-            pending.push(ev);
-        }
+    for ev in sends.into_iter().chain(extra.iter().cloned()) {
+        pending.push(ev);
     }
-    for ev in extra {
-        pending.push(ev.clone());
-    }
-    finish_sequential(model, cfg, max_events, lps, pending)
+    let at = (0, 0, VirtualTime::ZERO);
+    finish_sequential(model, cfg, max_events, lps, pending, at)
 }
 
 /// Resume a sequential run from a GVT-aligned [`Checkpoint`] — the graceful
@@ -105,60 +119,50 @@ pub fn run_sequential_from_with<M: Model>(
     max_events: Option<u64>,
 ) -> SequentialResult {
     let num_lps = model.num_lps();
-    assert_eq!(
-        ckpt.lps.len(),
-        num_lps,
-        "checkpoint has {} LPs but the model has {num_lps}",
-        ckpt.lps.len()
+    assert!(
+        ckpt.lps.len() == num_lps && ckpt.lps.iter().enumerate().all(|(i, l)| l.lp.index() == i),
+        "checkpoint must hold the model's {num_lps} LPs once each, in LP order"
     );
-    let mut lps: Vec<Lp<M>> = (0..num_lps)
-        .map(|i| {
-            Lp::with_snapshot_period(
-                model.as_ref(),
-                LpId(i as u32),
-                cfg.seed,
-                cfg.snapshot_period,
-            )
+    let lps = ckpt
+        .lps
+        .iter()
+        .map(|l| Snapshot {
+            state: l.state.clone(),
+            rng: l.rng.clone(),
+            send_seq: l.send_seq,
         })
         .collect();
-    for lck in &ckpt.lps {
-        lps[lck.lp.index()].restore_from(
-            Snapshot {
-                state: lck.state.clone(),
-                rng: lck.rng.clone(),
-                send_seq: lck.send_seq,
-            },
-            lck.committed,
-            lck.commit_digest,
-            lck.lvt,
-        );
-    }
     let mut pending = EventQueue::new();
     for ev in ckpt.events.iter().chain(extra) {
         pending.push(ev.clone());
     }
-    finish_sequential(model, cfg, max_events, lps, pending)
+    let lvt = ckpt
+        .lps
+        .iter()
+        .map(|l| l.lvt)
+        .max()
+        .unwrap_or(VirtualTime::ZERO);
+    let at = (ckpt.total_committed(), ckpt.commit_digest(), lvt);
+    finish_sequential(model, cfg, max_events, lps, pending, at)
 }
 
 /// The shared event loop: drain `pending` in key order until `cfg.end_time`,
-/// starting from whatever committed position `lps` carry.
+/// running each event's handler on its LP's state, RNG and send counter.
+/// `at` is the committed position the run starts from: events committed,
+/// their digest and the receive time of the last one.
 fn finish_sequential<M: Model>(
     model: &Arc<M>,
     cfg: &EngineConfig,
     max_events: Option<u64>,
-    mut lps: Vec<Lp<M>>,
+    mut lps: Vec<Snapshot<M::State>>,
     mut pending: EventQueue<M::Payload>,
+    at: (u64, u64, VirtualTime),
 ) -> SequentialResult {
-    let mut committed: u64 = lps.iter().map(|lp| lp.committed).sum();
-    let mut commit_digest: u64 = lps.iter().fold(0, |d, lp| d ^ lp.commit_digest);
-    let mut final_lvt: VirtualTime = lps
-        .iter()
-        .map(|lp| lp.committed_lvt)
-        .max()
-        .unwrap_or(VirtualTime::ZERO);
+    let (mut committed, mut commit_digest, mut final_lvt) = at;
     // One send buffer reused across the whole run: the loop below is
     // allocation-free per event after warmup (see tests/alloc_regression.rs).
     let mut sends = Vec::new();
+    let mut last: Option<EventKey> = None;
     loop {
         if let Some(cap) = max_events {
             if committed >= cap {
@@ -173,35 +177,30 @@ fn finish_sequential<M: Model>(
         }
         let ev = pending.pop().expect("min exists");
         let key = ev.key;
+        debug_assert!(last < Some(key), "sequential run cannot regress");
+        last = Some(key);
         let lp = &mut lps[key.dst.index()];
-        debug_assert!(!lp.is_straggler(&key), "sequential run cannot regress");
-        sends.clear();
-        lp.process_into(model.as_ref(), ev, &mut sends);
+        let mut ctx = SendCtx::new(
+            key.dst,
+            key.recv_time,
+            &mut lp.rng,
+            &mut lp.send_seq,
+            &mut sends,
+        );
+        model.handle_event(key.dst, &mut lp.state, &ev.payload, &mut ctx);
         for sent in sends.drain(..) {
             pending.push(sent);
         }
         committed += 1;
         commit_digest ^= key_digest(&key);
         final_lvt = key.recv_time;
-        // Sequential execution never rolls back, so history exists only to
-        // be dropped — but dropping it *every* event forces a state
-        // snapshot on the next one (an empty history always snapshots),
-        // defeating sparse state saving. Collect once per period instead:
-        // one snapshot per `snapshot_period` events, never more than a
-        // period of history held.
-        if lp.history_len() >= cfg.snapshot_period as usize {
-            lp.fossil_collect(model.as_ref(), VirtualTime::INFINITY);
-        }
     }
 
     let pending_digest = pending.iter().fold(0, |d, e| d ^ key_digest(&e.key));
     SequentialResult {
         committed,
         commit_digest,
-        state_digests: lps
-            .iter()
-            .map(|lp| lp.state_digest(model.as_ref()))
-            .collect(),
+        state_digests: lps.iter().map(|lp| model.state_digest(&lp.state)).collect(),
         pending_digest,
         final_lvt,
     }
@@ -210,8 +209,6 @@ fn finish_sequential<M: Model>(
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::ids::LpId;
-    use crate::model::SendCtx;
 
     /// Ring model: LP i forwards to (i+1) % n with delay drawn from its RNG.
     pub(crate) struct Ring {

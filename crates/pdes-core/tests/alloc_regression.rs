@@ -1,15 +1,15 @@
 //! Allocation regression gate for the per-event hot path.
 //!
-//! The sequential engine loop (pop-min → `process_into` → re-insert sends
-//! → fossil once per snapshot period) is the distilled hot path every
-//! runtime shares: after warmup, all its buffers — the reused send vector,
-//! the pending set's heap and index, the LP's history, sent-key and
-//! snapshot queues — have reached steady-state capacity, so processing one
-//! more event must hit the heap **zero** times. This test locks that in with
-//! a counting global allocator: any future change that re-introduces a
-//! per-event allocation (a clone on the snapshot path, a fresh `Vec` per
-//! handler call, a map that grows per insert) fails here with a count,
-//! not as a silent throughput regression.
+//! The engines' per-LP hot path, distilled into one loop (pop-min →
+//! `process_into` → re-insert sends → fossil once per snapshot period), is
+//! what every Time Warp runtime runs per event: after warmup, all its
+//! buffers — the reused send vector, the pending set's heap and index, the
+//! LP's history, sent-key and snapshot queues — have reached steady-state
+//! capacity, so processing one more event must hit the heap **zero** times.
+//! This test locks that in with a counting global allocator: any future
+//! change that re-introduces a per-event allocation (a clone on the
+//! snapshot path, a fresh `Vec` per handler call, a map that grows per
+//! insert) fails here with a count, not as a silent throughput regression.
 //!
 //! The second test adds a rollback and a reprocess every 64 events: a
 //! rollback allocates the two result vectors of `Rollback` and nothing else.
@@ -23,14 +23,19 @@
 //! route) and run whole GVT rounds (`fold` twice, publish, fossil-collect)
 //! on inbox / outbox scratch that stopped growing during warmup.
 //!
+//! The fifth holds the sequential oracle, which runs handlers without an
+//! `Lp`, to a run-length bar: its allocation count at `end_time` T and at
+//! 4T is the same, since the ring's population, and so its queue, is
+//! constant.
+//!
 //! Kept as its own integration binary so the `#[global_allocator]` swap
 //! cannot perturb (or be perturbed by) unrelated tests.
 
 use pdes_core::lp::{key_digest, Lp};
 use pdes_core::pending::{CancelOutcome, PendingSet};
 use pdes_core::{
-    build_engines, Demand, EngineConfig, Event, EventKey, EventUid, LpId, Membership, MessagePlane,
-    Model, Outbound, Participant, Round, SendCtx, VirtualTime,
+    build_engines, run_sequential, Demand, EngineConfig, Event, EventKey, EventUid, LpId,
+    Membership, MessagePlane, Model, Outbound, Participant, Round, SendCtx, VirtualTime,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -136,10 +141,9 @@ fn step(
     key
 }
 
-/// Drive `count` events through the sequential hot-path loop (the same
-/// shape as `finish_sequential`, collecting once per snapshot period as it
-/// does), returning the commit-digest fold so the work cannot be optimized
-/// away.
+/// Drive `count` events through the engines' per-LP hot path in key order,
+/// collecting each LP's history once per snapshot period, and return the
+/// commit-digest fold so the work cannot be optimized away.
 fn pump(
     model: &Ring,
     lps: &mut [Lp<Ring>],
@@ -376,5 +380,24 @@ fn steady_state_receive_and_fold_do_not_allocate() {
         in_steps, 0,
         "receive / fold allocated {in_steps} times across 100 steady-state rounds \
          (expected zero: inbox and outbox must be reused)"
+    );
+}
+
+#[test]
+fn oracle_allocations_do_not_grow_with_run_length() {
+    let model = std::sync::Arc::new(Ring { n: 8 });
+    let run = |end: f64| {
+        let cfg = EngineConfig::default().with_end_time(end).with_seed(42);
+        let before = allocs();
+        let committed = run_sequential(&model, &cfg, None).committed;
+        (allocs() - before, committed)
+    };
+    let (short, events) = run(500.0);
+    let (long, more) = run(2000.0);
+    assert!(more > 3 * events, "4T ran {more} events against {events}");
+    assert_eq!(
+        long, short,
+        "the oracle allocated {long} times over {more} events and {short} \
+         over {events} (expected the same: no buffer may grow with the run)"
     );
 }
