@@ -129,8 +129,8 @@ impl<M: Model> Coord<M> {
     }
 
     /// The number the next opened round will get — the supervisor fences
-    /// recovery with it (`min_valid_round`): any frame carrying an older
-    /// round number predates the recovery point and must be ignored.
+    /// recovery with it (the survivors' round fence): any frame carrying an
+    /// older round number predates the recovery point and must be ignored.
     pub fn upcoming_round(&self) -> u64 {
         self.next_round
     }

@@ -22,8 +22,11 @@
 //!   engine, processes batches, participates in GVT rounds, contributes
 //!   per-shard cuts to distributed checkpoints, and de-schedules itself when
 //!   it holds no live work (demand-driven throttling at shard granularity).
-//!   It holds a `SendLog` (what a partially restored peer must be
-//!   sent again) and, on shard 0 only, the coordinator's side of the run
+//!   Three jobs have private owners it reaches through their methods: the
+//!   `IngestRelay` (admission fence, forwarded submissions), the
+//!   `PeerFences` (send log, round and replay fences of a partial
+//!   recovery) and the `ShardTrace` (trace clock, park episodes, round
+//!   close). On shard 0 it also holds the coordinator's side of the run
 //!   (`Coord`): the GVT round itself — open, match the counters, re-poll
 //!   (waves) until they do, publish — its pacing, the
 //!   [`pdes_core::CkptSink`] the cut parts assemble in, the `Done` fold and
@@ -51,12 +54,15 @@
 mod coord;
 mod detector;
 pub mod faults;
+mod fences;
 mod gvt;
 pub mod launcher;
 pub mod link;
 pub mod node;
 pub mod proto;
+mod relay;
 mod sendlog;
+mod trace;
 pub mod wire;
 
 pub use coord::NodeOutcome;
