@@ -5,8 +5,6 @@
 //! [`NodeOutcome`]. A [`crate::node::ShardNode`] holds it behind an `Option`,
 //! so "am I the coordinator" is a question the type answers.
 
-use std::time::Instant;
-
 use pdes_core::{
     ckpt_round_due, Checkpoint, CkptSink, CutSnapshot, LpId, LpMap, Model, ThreadStats, VirtualTime,
 };
@@ -112,10 +110,11 @@ impl<M: Model> Coord<M> {
             done: vec![false; n],
             folding: NodeOutcome::default(),
             outcome: None,
+            // Leases start with the shard clock, at 0.
             detector: cfg
                 .heartbeat
                 .clone()
-                .map(|hb| FailureDetector::new(hb, n, Instant::now())),
+                .map(|hb| FailureDetector::new(hb, n, 0)),
         }
     }
 
@@ -220,7 +219,8 @@ impl<M: Model> Coord<M> {
         }
         let publish = Frame::Publish {
             round,
-            gvt,
+            // A recovering round tells the shards the raw minimum below it.
+            gvt: if self.recovering { raw } else { gvt },
             armed: self.armed,
             terminate,
             // The round that lifts the raw minimum back to the floor clears
@@ -280,25 +280,25 @@ impl<M: Model> Coord<M> {
         self.round_due_at = self.gvt_interval;
     }
 
-    /// Partial recovery of the `dead` shards begins at `cycle`: the round
-    /// in flight (its reports are gone with their old incarnations) and the
-    /// cut being assembled are abandoned with them, sub-floor minima are
-    /// expected until the restored shards catch up, the next round is a
-    /// full interval away, and every lease starts afresh. Round numbering
-    /// and the published floor continue monotonically.
-    pub fn begin_recovery(&mut self, dead: &[usize], cycle: u64) {
+    /// Partial recovery of the `dead` shards begins at `cycle` (`now_ns` on
+    /// the shard clock): the round in flight (its reports are gone with
+    /// their old incarnations) and the cut being assembled are abandoned
+    /// with them, sub-floor minima are expected until the restored shards
+    /// catch up, the next round is a full interval away, and every lease
+    /// starts afresh. Round numbering and the published floor continue.
+    pub fn begin_recovery(&mut self, dead: &[usize], cycle: u64, now_ns: u64) {
         self.round = None;
         self.recovering = true;
         self.wave_due = None;
         self.cut = None;
         self.round_due_at = cycle + self.gvt_interval;
-        self.renew_leases(dead);
+        self.renew_leases(dead, now_ns);
     }
 
     /// See [`FailureDetector::renew`].
-    pub fn renew_leases(&mut self, rebuilt: &[usize]) {
+    pub fn renew_leases(&mut self, rebuilt: &[usize], now_ns: u64) {
         if let Some(d) = &mut self.detector {
-            d.renew(rebuilt, Instant::now());
+            d.renew(rebuilt, now_ns);
         }
     }
 }
@@ -391,15 +391,17 @@ mod tests {
         let r = open(&mut c);
         c.on_report(r, 0, rep(0, 100, u64::MAX, vec![0], vec![0]), 0);
         assert_eq!(c.gvt, 100);
-        c.begin_recovery(&[], 0);
+        c.begin_recovery(&[], 0, 0);
         assert!(c.recovering);
         assert!(c.round.is_none(), "in-flight round abandoned");
-        // The restored shard reports sub-floor minima: clamped, published
-        // GVT never regresses, nothing counted as a regression.
+        // The restored shard reports sub-floor minima: the floor never
+        // regresses and nothing counts as a regression, while each
+        // recovering publish carries the raw minimum the shards collect at.
         for pmin in [40, 60, 95] {
             let r = open(&mut c);
             let out = c.on_report(r, 0, rep(0, pmin, u64::MAX, vec![0], vec![0]), 0);
-            assert_eq!(published(out), Some(100));
+            assert_eq!(published(out), Some(pmin));
+            assert_eq!(c.gvt, 100, "the floor holds");
             assert!(c.recovering, "still below the floor at {pmin}");
         }
         assert_eq!(c.regressions, 0);
@@ -420,7 +422,7 @@ mod tests {
         let r0 = open(&mut c);
         // Round in flight when the failure hits; only shard 0 reported.
         c.on_report(r0, 0, rep(0, 10, u64::MAX, vec![0, 0], vec![0, 0]), 0);
-        c.begin_recovery(&[1], 0);
+        c.begin_recovery(&[1], 0, 0);
         assert_eq!(c.upcoming_round(), r0 + 1);
         let r1 = open(&mut c);
         assert!(r1 > r0, "rounds never reuse a number");

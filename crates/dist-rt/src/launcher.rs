@@ -40,9 +40,6 @@ pub struct DistConfig {
     /// Scripted shard kills: `(shard, nth GVT publish observed)` — counted
     /// in protocol progress so the kill is deterministic across hosts.
     pub kills: Vec<(usize, u64)>,
-    /// Scripted kills die *silently* (no cohort abort flag): the failure
-    /// must be discovered by the heartbeat detector or a TCP hang-up.
-    pub kill_silent: bool,
     /// Heartbeat failure detection (`None` = off).
     pub heartbeat: Option<HeartbeatConfig>,
     /// Scripted transient partitions: `(from, to, for_rounds)` — shard
@@ -80,7 +77,6 @@ impl Default for DistConfig {
             transport: Transport::Mem,
             link_faults: None,
             kills: Vec::new(),
-            kill_silent: false,
             heartbeat: None,
             partitions: Vec::new(),
             join_at: None,
@@ -179,22 +175,17 @@ fn link_faults_for(plan: &Option<LinkFaultPlan>, src: usize, dst: usize) -> Opti
 }
 
 /// Full-mesh TCP handshake for shard `shard`: connect to every lower shard
-/// (with the same capped-exponential-backoff policy the runtime uses for
-/// reconnects), accept from every higher one, exchanging the raw `Hello`
-/// version + shard-id preamble. Returns one stream per peer.
-pub fn tcp_mesh(
+/// at `connect_addrs` (one per lower shard, as [`ProcessOpts::check`]
+/// requires) under the [`Backoff`] policy, accept from every higher one,
+/// exchanging the raw `Hello` version + shard-id preamble. Returns one
+/// stream per peer.
+fn tcp_mesh(
     shard: usize,
     num_shards: usize,
     listener: TcpListener,
     connect_addrs: &[SocketAddr],
     timeout: Duration,
 ) -> Result<Vec<Option<TcpStream>>, DistError> {
-    if connect_addrs.len() < shard {
-        return Err(DistError::Config(format!(
-            "shard {shard} got {} connect address(es), needs one per lower shard",
-            connect_addrs.len()
-        )));
-    }
     let deadline = Instant::now() + timeout;
     let mut streams: Vec<Option<TcpStream>> = (0..num_shards).map(|_| None).collect();
     let timeout_err = |what: String| DistError::ConnectTimeout {
@@ -544,11 +535,11 @@ impl<M: Model> Cluster<M> {
     }
 
     /// Run every node to completion on its own thread. A failing node flips
-    /// the cohort abort flag — except a *silent* scripted kill, whose whole
-    /// point is that the survivors must discover it themselves (heartbeat
-    /// lease expiry or TCP hang-up).
+    /// the cohort abort flag — except a kill that dies silently, which the
+    /// coordinator's detector must discover itself (lease expiry, or a TCP
+    /// hang-up).
     fn run_attempt(&mut self) -> Vec<Result<(), DistError>> {
-        let (abort, kill_silent) = (self.abort.as_ref(), self.dcfg.kill_silent);
+        let (abort, dcfg) = (self.abort.as_ref(), &self.dcfg);
         if let Some(abort) = abort {
             abort.store(false, Ordering::Relaxed);
         }
@@ -560,8 +551,7 @@ impl<M: Model> Cluster<M> {
                     s.spawn(move || {
                         let r = node.run();
                         if let (Err(e), Some(abort)) = (&r, abort) {
-                            let silent = kill_silent && matches!(e, DistError::Killed { .. });
-                            if !silent {
+                            if !dies_silently(dcfg, e) {
                                 abort.store(true, Ordering::Relaxed);
                             }
                         }
@@ -585,6 +575,12 @@ impl<M: Model> Cluster<M> {
                 .collect()
         })
     }
+}
+
+/// Whether `e` is a kill nobody announces: the abort flag stands in for the
+/// detector, which watches every worker (but not the coordinator) when on.
+fn dies_silently(dcfg: &DistConfig, e: &DistError) -> bool {
+    matches!(e, DistError::Killed { shard } if *shard != 0 && dcfg.heartbeat.is_some())
 }
 
 /// Per-old-thread relative load estimate from a checkpoint cut: committed
@@ -857,6 +853,8 @@ pub fn run_shard_process<M: Model>(
 /// This is the harness the GVT and membership property tests drive; it can
 /// also perform a [`SteppedCluster::partial_recover`] mid-run to exercise
 /// the elastic-membership recovery path without threads or wall clocks.
+/// Each node's clock is its step count, so the coordinator's lease declares
+/// a silently killed worker dead at a reproducible sweep.
 pub struct SteppedCluster<M: Model> {
     cluster: Cluster<M>,
     /// Per-shard history of published GVT values (monotonicity checks).
@@ -895,14 +893,20 @@ impl<M: Model> SteppedCluster<M> {
         })
     }
 
-    /// Step every unfinished shard once. Returns `true` when all are done.
+    /// Step every unfinished shard once. Returns `true` when all are done. A
+    /// shard that died silently is finished: it is neither stepped nor
+    /// checked again until [`Self::partial_recover`] replaces it.
     pub fn sweep(&mut self) -> Result<bool, DistError> {
         let mut all_done = true;
+        let dcfg = &self.cluster.dcfg;
         for (i, node) in self.cluster.nodes.iter_mut().enumerate() {
             if node.finished() {
                 continue;
             }
-            node.step()?;
+            match node.step() {
+                Err(e) if dies_silently(dcfg, &e) => continue,
+                r => r?,
+            };
             // Safety: the published GVT never exceeds the true minimum —
             // in particular never this engine's own pending minimum.
             let (gvt, lmin) = (node.gvt(), node.local_min_ticks());
@@ -944,6 +948,8 @@ impl<M: Model> SteppedCluster<M> {
         if dead.is_empty() || !self.cluster.can_partially_recover(&dead) {
             return Ok(false);
         }
+        // A fired kill does not repeat.
+        self.cluster.dcfg.kills.retain(|(s, _)| !dead.contains(s));
         self.cluster.partial_recover(&dead, &ck)?;
         for &d in &dead {
             // The restored shard restarts its GVT view from the cut.
@@ -1050,7 +1056,6 @@ mod tests {
             },
             |c| c.link_faults = Some(LinkFaultPlan::chaos(7)),
             |c| {
-                c.kill_silent = true;
                 c.heartbeat = Some(HeartbeatConfig::default());
                 c.ckpt_every_rounds = 3;
                 c.degrade = true;

@@ -25,7 +25,7 @@
 //!   Three jobs have private owners it reaches through their methods: the
 //!   `IngestRelay` (admission fence, forwarded submissions), the
 //!   `PeerFences` (send log, round and replay fences of a partial
-//!   recovery) and the `ShardTrace` (trace clock, park episodes, round
+//!   recovery) and the `ShardTrace` (shard clock, park episodes, round
 //!   close). On shard 0 it also holds the coordinator's side of the run
 //!   (`Coord`): the GVT round itself — open, match the counters, re-poll
 //!   (waves) until they do, publish — its pacing, the

@@ -5,13 +5,13 @@
 //! coordinator's side of the run (`coord.rs`). Three jobs live in owners of
 //! their own, used only through their methods: the ingest relay
 //! (`relay.rs`), the peer-recovery fences and send log (`fences.rs`) and
-//! the trace clock with its park episodes (`trace.rs`). Its
+//! the shard clock with its park episodes (`trace.rs`). Its
 //! [`ShardNode::step`] is one cycle of the main loop — drain the inbox,
 //! drive GVT rounds (coordinator only), process a batch, pump the links —
 //! and is public so the deterministic [`crate::launcher::SteppedCluster`]
 //! can interleave shards round-robin.
-//! [`ShardNode::run`] wraps `step` with inbox parking and a wall-clock
-//! GVT-liveness watchdog for real (threaded / multi-process) runs.
+//! [`ShardNode::run`] puts the shard clock on wall time and wraps `step`
+//! with inbox parking and a GVT-liveness watchdog for real runs.
 //!
 //! ## Demand-driven shard throttling
 //!
@@ -24,7 +24,7 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use pdes_core::{
     Checkpoint, CutSnapshot, EngineConfig, IngestError, IngestGate, LpId, LpMap, Model, Msg,
@@ -175,7 +175,7 @@ fn stray(shard: usize, kind: &str) -> DistError {
 }
 
 /// One shard: engine + links + GVT tracker (+ coordinator state on shard 0),
-/// with its ingest relay, peer-recovery fences and trace clock.
+/// with its ingest relay, peer-recovery fences and shard clock.
 pub struct ShardNode<M: Model> {
     pub shard: usize,
     engine: ThreadEngine<M>,
@@ -192,17 +192,16 @@ pub struct ShardNode<M: Model> {
     gvt_interval: u64,
     /// Last published GVT (ticks) as seen by this node.
     gvt: u64,
-    cycles: u64,
     /// GVT publishes this node has observed (scripted-kill clock).
     publishes_seen: u64,
     phase: Phase,
     /// Cohort-wide abort flag (see [`Self::set_abort`]).
     abort: Option<Arc<AtomicBool>>,
-    // Watchdog.
-    last_liveness: Instant,
+    /// Watchdog: the shard clock (ns) at the last sign of GVT progress.
+    last_liveness: u64,
     outbox: Vec<Outbound<M::Payload>>,
-    /// Worker side of the failure detector: the last beacon sent.
-    last_hb_sent: Instant,
+    /// Worker side of the failure detector: the clock (ns) at the last beacon.
+    last_hb_sent: u64,
     relay: IngestRelay<M>,
     fences: PeerFences<M::Payload>,
     trace: ShardTrace,
@@ -243,13 +242,12 @@ impl<M: Model> ShardNode<M> {
             flat_map,
             gvt_interval: ecfg.gvt_interval.into(),
             gvt: 0,
-            cycles: 0,
             publishes_seen: 0,
             phase: Phase::Running,
             abort: None,
-            last_liveness: Instant::now(),
+            last_liveness: 0,
             outbox: Vec::new(),
-            last_hb_sent: Instant::now(),
+            last_hb_sent: 0,
             relay: IngestRelay::new(),
             fences: PeerFences::new(n, dcfg.ckpt_every_rounds > 0),
             trace: ShardTrace::new(&dcfg.telemetry, n),
@@ -276,7 +274,7 @@ impl<M: Model> ShardNode<M> {
         self.abort = abort;
     }
 
-    /// Emit a telemetry instant onto this node's trace clock (the
+    /// Emit a telemetry instant onto this node's clock (the
     /// supervisor stamps membership events through this too).
     pub fn trace_instant(&mut self, kind: EventKind, arg: u64) {
         self.trace.instant(kind, arg);
@@ -378,14 +376,14 @@ impl<M: Model> ShardNode<M> {
                 }
             }
         }
-        let deadline = Instant::now() + Duration::from_secs(2);
+        let deadline = self.trace.now_ns() + 2_000_000_000; // 2 s
         loop {
             for (peer, bytes) in self.inbox.drain() {
                 if bytes.is_empty() {
                     self.fences.hang_up(peer);
                 }
             }
-            if !tcp || self.fences.hangups_seen(dead) || Instant::now() >= deadline {
+            if !tcp || self.fences.hangups_seen(dead) || self.trace.now_ns() >= deadline {
                 return;
             }
             self.inbox.wait_nonempty(Duration::from_millis(2));
@@ -427,9 +425,9 @@ impl<M: Model> ShardNode<M> {
         // Any wave-0 cut in flight is abandoned with the round; admissions
         // stay fenced anyway until the replay window closes.
         self.relay.close_cut(floor);
-        self.last_liveness = Instant::now();
+        self.last_liveness = self.trace.now_ns();
         if let Some(co) = &mut self.co {
-            co.begin_recovery(dead, self.cycles);
+            co.begin_recovery(dead, self.trace.cycles(), self.last_liveness);
         }
         for &d in dead {
             let msgs = self.fences.replay(d, cut).into_iter();
@@ -462,7 +460,7 @@ impl<M: Model> ShardNode<M> {
         let Some(link) = self.links[peer].as_mut() else {
             return Err(DistError::Protocol {
                 shard,
-                detail: format!("no link {shard} -> {peer} for {} frame", frame.kind()),
+                detail: format!("no link {shard} -> {peer}"),
             });
         };
         match link.send(&bytes) {
@@ -547,7 +545,7 @@ impl<M: Model> ShardNode<M> {
         if aborted && self.kill_at().is_none_or(|at| self.publishes_seen < at) {
             return Err(DistError::Aborted { shard: self.shard });
         }
-        self.cycles += 1;
+        let cycle = self.trace.tick();
 
         let mut progress = false;
 
@@ -555,7 +553,7 @@ impl<M: Model> ShardNode<M> {
         // own cycle clock (not GVT publishes), so a partition that stalls
         // the GVT cannot deadlock its own heal.
         for &(from, to, rounds) in &self.cfg.partitions {
-            if from == self.shard && self.cycles >= rounds.saturating_mul(self.gvt_interval) {
+            if from == self.shard && cycle >= rounds.saturating_mul(self.gvt_interval) {
                 if let Some(l) = self.links[to].as_mut() {
                     l.set_partitioned(false);
                 }
@@ -578,7 +576,7 @@ impl<M: Model> ShardNode<M> {
             }
             // Any inbound packet is proof of life for the failure detector.
             if let Some(det) = self.co.as_mut().and_then(|c| c.detector.as_mut()) {
-                det.heard(peer, Instant::now());
+                det.heard(peer, self.trace.now_ns());
             }
             let Some(link) = self.links[peer].as_mut() else {
                 return Err(self.protocol_err(format!("packet from unlinked peer {peer}")));
@@ -589,14 +587,15 @@ impl<M: Model> ShardNode<M> {
             }
         }
 
-        // 1b. Heartbeats: workers beacon on a wall-clock cadence; the
+        // 1b. Heartbeats: workers beacon on their clock's cadence; the
         // coordinator audits every peer's lease.
         if let Some(interval) = self.cfg.heartbeat.as_ref().map(|h| h.interval) {
+            let now = self.trace.now_ns();
             if self.shard != 0
                 && self.phase <= Phase::Draining
-                && self.last_hb_sent.elapsed() >= interval
+                && now.saturating_sub(self.last_hb_sent) >= interval.as_nanos() as u64
             {
-                self.last_hb_sent = Instant::now();
+                self.last_hb_sent = now;
                 let shard = self.shard as u64;
                 self.send_frame(0, &Frame::Heartbeat { shard })?;
             }
@@ -690,7 +689,7 @@ impl<M: Model> ShardNode<M> {
             let Some(det) = self.co.as_mut().and_then(|c| c.detector.as_mut()) else {
                 return Ok(());
             };
-            match det.audit(p, Instant::now()) {
+            match det.audit(p, self.trace.now_ns()) {
                 Lease::Live => {}
                 Lease::Suspect => self.trace.instant(EventKind::HeartbeatMiss, p as u64),
                 Lease::Expired(silent) => {
@@ -709,12 +708,12 @@ impl<M: Model> ShardNode<M> {
         if self.phase > Phase::Draining {
             return Ok(());
         }
-        if let Some(start) = self.co.as_mut().and_then(|c| c.due_wave(self.cycles)) {
+        let cycle = self.trace.cycles();
+        if let Some(start) = self.co.as_mut().and_then(|c| c.due_wave(cycle)) {
             self.broadcast(start)?;
         }
         let running = self.phase == Phase::Running;
-        let co = self.co.as_mut();
-        if let Some(start) = co.and_then(|c| c.due_round(self.cycles, running)) {
+        if let Some(start) = self.co.as_mut().and_then(|c| c.due_round(cycle, running)) {
             self.broadcast(start)?;
         }
         Ok(())
@@ -732,7 +731,6 @@ impl<M: Model> ShardNode<M> {
             }
         }
         match frame {
-            Frame::Hello { .. } => Err(self.protocol_err("Hello inside the reliable stream")),
             Frame::SimBatch { msgs } => {
                 // In-batch order is send order; delivering in sequence
                 // preserves the per-peer FIFO contract.
@@ -846,7 +844,7 @@ impl<M: Model> ShardNode<M> {
     fn handle_start(&mut self, round: u64, wave: u64) -> Result<(), DistError> {
         // Round traffic counts as liveness: long multi-wave rounds must not
         // trip a participant's watchdog.
-        self.last_liveness = Instant::now();
+        self.last_liveness = self.trace.now_ns();
         let ph0 = self.trace.stamp();
         if wave == 0 {
             // The epoch cut freezes this round's pending minimum: no ingest
@@ -890,7 +888,7 @@ impl<M: Model> ShardNode<M> {
             .co
             .as_mut()
             .ok_or_else(|| stray(self.shard, "Report"))?;
-        let Some((publish, drained)) = co.on_report(round, shard, rep, self.cycles) else {
+        let Some((publish, drained)) = co.on_report(round, shard, rep, self.trace.cycles()) else {
             return Ok(());
         };
         self.broadcast(publish)?;
@@ -916,17 +914,20 @@ impl<M: Model> ShardNode<M> {
         self.publishes_seen += 1;
         // The scripted kill dies on *receipt* of the fatal publish, before
         // applying it — deterministic in protocol progress, not wall clock.
+        // A dead node never steps again.
         if self.kill_at().is_some_and(|at| self.publishes_seen >= at)
             && self.phase == Phase::Running
         {
+            self.phase = Phase::Done;
             return Err(DistError::Killed { shard: self.shard });
         }
-        self.last_liveness = Instant::now();
+        self.last_liveness = self.trace.now_ns();
         if recovering {
-            // The floor is re-published while a restored shard re-executes
-            // below it. A survivor already sits at (or, restored, below)
-            // the floor: keep counting rounds but skip adoption, fossil
-            // collection, parking, and cuts until a normal publish.
+            // A restored shard re-executes below the floor; `gvt` is the
+            // round's raw minimum, the true GVT. Collecting at it moves the
+            // restored shard's optimism horizon along (a no-op on survivors);
+            // adoption, parking and cuts wait for a normal publish.
+            self.engine.fossil_collect(VirtualTime::from_ticks(gvt));
             return Ok(());
         }
         if gvt < self.gvt {
@@ -1028,30 +1029,30 @@ impl<M: Model> ShardNode<M> {
         self.tell_coordinator(done)
     }
 
-    /// Threaded main loop: step until finished, parking on the inbox when
-    /// idle and enforcing the GVT-liveness watchdog.
+    /// Threaded main loop on wall time: step until finished, parking on the
+    /// inbox when idle and enforcing the GVT-liveness watchdog.
     pub fn run(&mut self) -> Result<(), DistError> {
-        self.last_liveness = Instant::now();
+        self.trace.start_wall_clock();
+        self.last_liveness = self.trace.now_ns();
+        self.last_hb_sent = self.last_liveness;
         // Fresh leases: supervisor orchestration (recovery) between runs
         // must not count as peer silence.
         if let Some(co) = &mut self.co {
-            co.renew_leases(&[]);
+            co.renew_leases(&[], self.last_liveness);
         }
-        self.last_hb_sent = Instant::now();
         loop {
-            if let Some(limit) = self.cfg.watchdog {
-                if self.last_liveness.elapsed() > limit {
-                    let last_round = self.trace.last_round();
-                    return Err(DistError::Stalled {
-                        shard: self.shard,
-                        detail: format!(
-                            "no GVT liveness for {:.1}s (gvt={}, phase {:?}{last_round})",
-                            limit.as_secs_f64(),
-                            self.gvt,
-                            self.phase
-                        ),
-                    });
-                }
+            let quiet = self.trace.now_ns().saturating_sub(self.last_liveness);
+            if let Some(limit) = self.cfg.watchdog.filter(|l| quiet > l.as_nanos() as u64) {
+                let last_round = self.trace.last_round();
+                return Err(DistError::Stalled {
+                    shard: self.shard,
+                    detail: format!(
+                        "no GVT liveness for {:.1}s (gvt={}, phase {:?}{last_round})",
+                        limit.as_secs_f64(),
+                        self.gvt,
+                        self.phase
+                    ),
+                });
             }
             match self.step()? {
                 StepStatus::Finished => return Ok(()),

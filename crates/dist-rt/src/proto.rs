@@ -2,8 +2,7 @@
 //!
 //! Every frame travels through the reliable link layer ([`crate::link`]),
 //! so the protocol can assume in-order, exactly-once delivery per directed
-//! link. The only exception is [`Frame::Hello`], which is exchanged raw
-//! during TCP mesh setup, *before* the reliable layer starts.
+//! link.
 
 use pdes_core::{Event, IngestReply, IngestRequest, LpCheckpoint, LpId, Msg, ThreadStats};
 use serde::{Deserialize, Serialize};
@@ -22,9 +21,6 @@ pub const HELLO_MAGIC: u32 = u32::from_le_bytes(*b"GPDS");
 /// than `f64` so the wire never rounds a timestamp.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub enum Frame<S, P> {
-    /// TCP handshake: the connecting side announces its shard id. Never
-    /// sent through the reliable layer.
-    Hello { shard: u64 },
     /// Simulation messages (positive events and anti-messages) for one
     /// peer: the whole outbox drain of one engine step lands as a single
     /// frame (one serialize, one wire write) instead of one frame per event.
@@ -56,9 +52,10 @@ pub enum Frame<S, P> {
     /// Coordinator → all: the round's GVT (ticks). `armed` requests a
     /// checkpoint cut at this GVT; `terminate` announces `gvt >= end_time`.
     /// `recovering` marks rounds published while a partially restored shard
-    /// is still re-executing below the pre-failure GVT: receivers keep
-    /// counting rounds but skip GVT adoption, fossil collection, parking,
-    /// and cut arming until a non-recovering publish arrives.
+    /// is still re-executing below the pre-failure GVT: `gvt` is then the
+    /// round's raw minimum, below that floor, and receivers fossil-collect
+    /// at it and keep counting rounds but skip GVT adoption, parking, and
+    /// cut arming until a non-recovering publish arrives.
     Publish {
         round: u64,
         gvt: u64,
@@ -67,7 +64,7 @@ pub enum Frame<S, P> {
         recovering: bool,
     },
     /// Shard → coordinator: liveness beacon for the failure detector, sent
-    /// on a wall-clock cadence independent of simulation progress.
+    /// on the shard clock's cadence independent of simulation progress.
     Heartbeat { shard: u64 },
     /// Coordinator → all: every link is provably drained (a full round
     /// matched after termination with nobody processing); finalize and
@@ -111,26 +108,6 @@ pub enum Frame<S, P> {
     },
 }
 
-impl<S, P> Frame<S, P> {
-    /// Short human name for diagnostics.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Frame::Hello { .. } => "Hello",
-            Frame::SimBatch { .. } => "SimBatch",
-            Frame::Start { .. } => "Start",
-            Frame::Report { .. } => "Report",
-            Frame::Publish { .. } => "Publish",
-            Frame::Heartbeat { .. } => "Heartbeat",
-            Frame::Finish => "Finish",
-            Frame::CutPart { .. } => "CutPart",
-            Frame::Done { .. } => "Done",
-            Frame::Ingest { .. } => "Ingest",
-            Frame::IngestReply { .. } => "IngestReply",
-            Frame::Telemetry { .. } => "Telemetry",
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -150,7 +127,6 @@ mod tests {
     #[test]
     fn frames_round_trip_through_wire() {
         let frames: Vec<F> = vec![
-            Frame::Hello { shard: 3 },
             Frame::SimBatch {
                 msgs: vec![
                     (

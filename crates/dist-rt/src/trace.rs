@@ -1,6 +1,7 @@
-//! A shard's trace clock and what it stamps: phase spans, park episodes
+//! A shard's one clock and what it stamps: phase spans, park episodes
 //! (the demand throttle), link retransmits, the round close and the
-//! telemetry hand-off at `Finish`.
+//! telemetry hand-off at `Finish`. The node's heartbeat cadence, lease
+//! audits and GVT watchdog read the same clock.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -8,14 +9,19 @@ use std::time::Instant;
 use pdes_core::{IngestPort, Model, ThreadEngine};
 use telemetry::{EventKind, RoundBoard, Telemetry, TelemetryConfig, TelemetryData, Tracer};
 
+/// Nominal length of a step on the clock of a node without wall time.
+pub(crate) const STEP_NS: u64 = 100_000;
+
 pub(crate) struct ShardTrace {
     // Per-shard registry, this node's (single) tracer and the one-slot board
     // its engine publishes into.
     tel: Arc<Telemetry>,
     tracer: Tracer,
     board: RoundBoard,
-    /// Monotonic origin of this node's trace timestamps.
-    t0: Instant,
+    /// Wall-clock origin, set once the node runs on a thread; until then
+    /// (always, on a stepped node) the clock reads `cycles * STEP_NS`.
+    origin: Option<Instant>,
+    cycles: u64,
     /// Per-link retransmit counts already traced.
     retx_seen: Vec<u64>,
     /// Demand throttle: a parked shard takes no batches. Holds the trace
@@ -32,16 +38,36 @@ impl ShardTrace {
             tracer: tel.tracer(0),
             tel,
             board: RoundBoard::new(1, peers),
-            t0: Instant::now(),
+            origin: None,
+            cycles: 0,
             retx_seen: vec![0; peers],
             parked: None,
             parked_episodes: 0,
         }
     }
 
-    /// Nanoseconds on this node's own monotonic trace clock.
+    /// Nanoseconds on this node's own monotonic clock.
     pub(crate) fn now_ns(&self) -> u64 {
-        self.t0.elapsed().as_nanos() as u64
+        match self.origin {
+            Some(t0) => t0.elapsed().as_nanos() as u64,
+            None => self.cycles * STEP_NS,
+        }
+    }
+
+    /// Run on wall time from here on (kept across runs of the same node).
+    pub(crate) fn start_wall_clock(&mut self) {
+        self.origin.get_or_insert_with(Instant::now);
+    }
+
+    /// Count one step; returns the step count.
+    pub(crate) fn tick(&mut self) -> u64 {
+        self.cycles += 1;
+        self.cycles
+    }
+
+    /// The step count: the cycle clock rounds are paced on.
+    pub(crate) fn cycles(&self) -> u64 {
+        self.cycles
     }
 
     /// [`Self::now_ns`] for a trace record: the clock is not read when

@@ -8,9 +8,11 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use dist_rt::{run_loopback, DistConfig, DistResult, HeartbeatConfig, SteppedCluster, Transport};
+use dist_rt::{
+    run_loopback, DistConfig, DistError, DistResult, HeartbeatConfig, SteppedCluster, Transport,
+};
 use models::{Phold, PholdConfig};
-use pdes_core::{run_sequential, EngineConfig, SequentialResult};
+use pdes_core::{run_sequential, EngineConfig, SequentialResult, VirtualTime};
 use proptest::prelude::*;
 use telemetry::{EventKind, TelemetryConfig, TelemetryData};
 
@@ -149,7 +151,6 @@ fn silent_kill_is_discovered_by_the_heartbeat_detector() {
     let mut cfg = dcfg(4, Transport::Mem);
     cfg.ckpt_every_rounds = 2;
     cfg.kills = vec![(2, 5)];
-    cfg.kill_silent = true;
     cfg.max_recoveries = 2;
     cfg.heartbeat = Some(HeartbeatConfig {
         interval: Duration::from_millis(5),
@@ -164,6 +165,54 @@ fn silent_kill_is_discovered_by_the_heartbeat_detector() {
         "the dead shard must have been suspected before being declared"
     );
     assert_matches_oracle(&r, &oracle, "silent kill via heartbeat");
+}
+
+/// A kill on an armed publish takes its cut with it: the shard is restored
+/// from the cut before, while the coordinator's floor is already the armed
+/// round's GVT, more than one optimism window above that cut. Recovering
+/// publishes carry the raw minimum, so the restored shard's horizon follows
+/// its re-execution up to the floor instead of stalling below it.
+#[test]
+fn a_kill_on_an_armed_publish_recovers_past_the_optimism_window() {
+    let model = Arc::new(Phold::new(PholdConfig::balanced(4, 3)));
+    let ecfg = EngineConfig::default()
+        .with_end_time(40.0)
+        .with_seed(1)
+        .with_optimism_window(Some(2.0))
+        .with_gvt_interval(8);
+    let dcfg = DistConfig {
+        shards: 4,
+        transport: Transport::Mem,
+        ckpt_every_rounds: 2,
+        kills: vec![(2, 4)],
+        heartbeat: Some(HeartbeatConfig {
+            interval: Duration::from_millis(1),
+            miss_threshold: 4,
+        }),
+        ..DistConfig::default()
+    };
+    let oracle = run_sequential(&model, &ecfg, None);
+    let mut cluster = SteppedCluster::new(Arc::clone(&model), &ecfg, &dcfg).expect("build");
+    loop {
+        match cluster.sweep() {
+            Ok(done) => assert!(!done, "finished without declaring the kill"),
+            Err(DistError::PeerDead { shard: 2, .. }) => break,
+            Err(e) => panic!("{e}"),
+        }
+    }
+    let floor = *cluster.gvt_history[0].last().expect("GVT published");
+    let cut = cluster
+        .latest_checkpoint()
+        .expect("a cut before the kill")
+        .gvt;
+    let window = VirtualTime::from_f64(2.0).ticks();
+    assert!(floor > cut.ticks() + window, "floor {floor}, cut {cut:?}");
+    assert!(cluster.partial_recover(&[2]).expect("recovery is clean"));
+    let out = cluster
+        .run_to_completion(100_000)
+        .expect("no stall below the floor");
+    assert_eq!(out.totals.commit_digest, oracle.commit_digest);
+    assert_eq!(out.pending_digest, oracle.pending_digest);
 }
 
 /// When the recovery budget is exhausted but a cut exists, the cluster
@@ -323,6 +372,55 @@ proptest! {
         prop_assert_eq!(out.totals.commit_digest, oracle.commit_digest);
         let states: Vec<u64> = out.state_digests.iter().map(|(_, d)| *d).collect();
         prop_assert_eq!(states, oracle.state_digests);
+        prop_assert_eq!(out.pending_digest, oracle.pending_digest);
+    }
+
+    /// A silent kill on the stepped shard clock: whichever publish it lands
+    /// on and however long the lease, the coordinator's detector reports
+    /// the killed shard as `PeerDead` (nobody raised the abort flag), and a
+    /// partial recovery from the newest cut commits the oracle's trace. The
+    /// kill lands mid-run: partial recovery needs the survivors still
+    /// running, so the horizon outlasts the latest kill by many rounds.
+    #[test]
+    fn a_silent_kill_is_declared_dead_and_recovered(
+        seed in any::<u64>(),
+        dead in 1usize..4,
+        at in 4u64..12,
+        miss_threshold in 2u32..24,
+    ) {
+        let model = Arc::new(Phold::new(PholdConfig::balanced(4, 3)));
+        let ecfg = EngineConfig::default()
+            .with_end_time(40.0)
+            .with_seed(seed)
+            .with_optimism_window(Some(2.0))
+            .with_gvt_interval(8);
+        let dcfg = DistConfig {
+            shards: 4,
+            transport: Transport::Mem,
+            ckpt_every_rounds: 2,
+            kills: vec![(dead, at)],
+            heartbeat: Some(HeartbeatConfig {
+                interval: Duration::from_millis(1),
+                miss_threshold,
+            }),
+            ..DistConfig::default()
+        };
+        let oracle = run_sequential(&model, &ecfg, None);
+        let mut cluster = SteppedCluster::new(Arc::clone(&model), &ecfg, &dcfg)
+            .expect("build cluster");
+        let declared = loop {
+            match cluster.sweep() {
+                Ok(done) => prop_assert!(!done, "finished without declaring the kill"),
+                Err(DistError::PeerDead { shard, .. }) => break shard,
+                Err(e) => panic!("sweep failed: {e}"),
+            }
+        };
+        prop_assert_eq!(declared, dead);
+        prop_assert!(cluster.partial_recover(&[dead]).expect("recovery is clean"));
+        let out = cluster.run_to_completion(4_000_000).expect("invariants hold");
+        prop_assert_eq!(out.regressions, 0);
+        prop_assert_eq!(out.totals.committed, oracle.committed);
+        prop_assert_eq!(out.totals.commit_digest, oracle.commit_digest);
         prop_assert_eq!(out.pending_digest, oracle.pending_digest);
     }
 }

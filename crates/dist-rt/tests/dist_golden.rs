@@ -4,7 +4,9 @@
 //! private checkpoint sink and its scattered coordinator state (PR 18's
 //! parent). `sweeps` alone has been re-pinned since, when the 16-cycle
 //! teardown grace was deleted: −14 in every scenario, with every other
-//! value still as first recorded.
+//! value still as first recorded. The seventh scenario, a silent kill the
+//! coordinator's heartbeat lease finds on the stepped shard clock, was
+//! recorded when that clock replaced wall time in the failure detector.
 //!
 //! [`SteppedCluster`] steps every shard round-robin on one thread over
 //! memory links, so a run is a pure function of its configuration: any
@@ -13,8 +15,11 @@
 //! replays moves these numbers.
 
 use std::sync::Arc;
+use std::time::Duration;
 
-use dist_rt::{DistConfig, IngestGates, LinkFaultPlan, SteppedCluster, Transport};
+use dist_rt::{
+    DistConfig, DistError, HeartbeatConfig, IngestGates, LinkFaultPlan, SteppedCluster, Transport,
+};
 use models::{LocalityPattern, Phold, PholdConfig};
 use pdes_core::{
     run_sequential_with, EngineConfig, IngestGate, IngestRequest, LpId, ReplySlot, VirtualTime,
@@ -59,11 +64,7 @@ fn run(
     gates: Option<IngestGates<Phold>>,
     recover_at: Option<u64>,
 ) -> (Golden, (u64, u64)) {
-    let (model, ecfg) = (model(), ecfg());
-    let accepted = |gs: &IngestGates<Phold>| -> Vec<_> {
-        gs.iter().flat_map(|g| g.accepted_events()).collect()
-    };
-    let mut c = SteppedCluster::new_with_ingest(Arc::clone(&model), &ecfg, dcfg, gates.clone())
+    let mut c = SteppedCluster::new_with_ingest(model(), &ecfg(), dcfg, gates.clone())
         .expect("build cluster");
     let mut sweeps = 0u64;
     let mut recovered = false;
@@ -75,9 +76,22 @@ fn run(
         }
     }
     assert_eq!(recovered, recover_at.is_some(), "partial recovery ran");
+    pinned(c, sweeps, gates)
+}
+
+/// The pinned tuple and cut of a finished cluster, after checking its
+/// commit digest against the oracle fed what `gates` accepted.
+fn pinned(
+    mut c: SteppedCluster<Phold>,
+    sweeps: u64,
+    gates: Option<IngestGates<Phold>>,
+) -> (Golden, (u64, u64)) {
+    let accepted = |gs: &IngestGates<Phold>| -> Vec<_> {
+        gs.iter().flat_map(|g| g.accepted_events()).collect()
+    };
     let out = c.take_outcome().expect("coordinator outcome");
     let extra = gates.as_ref().map(accepted).unwrap_or_default();
-    let oracle = run_sequential_with(&model, &ecfg, &extra, None);
+    let oracle = run_sequential_with(&model(), &ecfg(), &extra, None);
     assert_eq!(out.totals.commit_digest, oracle.commit_digest);
     assert_eq!(out.regressions, 0);
     let cut = c.latest_checkpoint();
@@ -221,4 +235,48 @@ fn two_shards_scripted_ingest_forwarded_across_shards() {
         )
     );
     assert_eq!(landed, (12, 12));
+}
+
+/// Shard 2 dies silently at its 9th publish: nobody raises the abort flag,
+/// so the coordinator's lease (1 ms × 4 on a shard clock of 100 µs a step)
+/// must declare it dead. That happens at a fixed sweep; a partial recovery
+/// from the newest cut then finishes the run on the oracle's digest.
+#[test]
+fn four_shards_silent_kill_declared_by_the_lease() {
+    let mut cfg = dcfg(4);
+    cfg.ckpt_every_rounds = 2;
+    cfg.kills = vec![(2, 9)];
+    cfg.heartbeat = Some(HeartbeatConfig {
+        interval: Duration::from_millis(1),
+        miss_threshold: 4,
+    });
+    let mut c = SteppedCluster::new(model(), &ecfg(), &cfg).expect("build cluster");
+    let mut sweeps = 0u64;
+    let declared = loop {
+        sweeps += 1;
+        match c.sweep() {
+            Ok(done) => assert!(!done, "finished without declaring the kill"),
+            Err(DistError::PeerDead { shard, .. }) => break shard,
+            Err(e) => panic!("sweep {sweeps}: {e}"),
+        }
+    };
+    assert_eq!((declared, sweeps), (2, 114));
+    assert!(c.partial_recover(&[2]).expect("recovery is clean"));
+    while !c.sweep().expect("invariants hold") {
+        sweeps += 1;
+    }
+    let (g, cut) = pinned(c, sweeps, None);
+    assert_eq!(
+        g,
+        (
+            223,
+            12840,
+            5124066779591130399,
+            5728604743600580019,
+            22,
+            419451719,
+            2
+        )
+    );
+    assert_eq!(cut, (20, 414922557));
 }

@@ -595,38 +595,15 @@ impl Kernel {
     }
 
     /// CFS-like idle balance: move waiting unpinned tasks from overloaded
-    /// runqueues to cores with idle contexts.
-    #[allow(clippy::while_let_loop)] // symmetric break conditions read clearer
+    /// runqueues to cores with idle contexts, one [`Self::steal_into`] at a
+    /// time (an idle core's runqueue is empty, so it is never the donor).
     pub(crate) fn load_balance(&mut self) {
-        loop {
-            let Some(recv) = (0..self.cfg.num_cores)
-                .find(|&c| self.cpus[c].busy < self.cfg.smt_ways && self.cpus[c].runq.is_empty())
-            else {
+        while let Some(recv) = (0..self.cfg.num_cores)
+            .find(|&c| self.cpus[c].busy < self.cfg.smt_ways && self.cpus[c].runq.is_empty())
+        {
+            if !self.steal_into(recv) {
                 break;
-            };
-            // Donor: the core with the longest runqueue holding an unpinned
-            // task.
-            let mut donor: Option<(usize, usize)> = None; // (cpu, qlen)
-            for c in 0..self.cfg.num_cores {
-                let qlen = self.cpus[c].runq.len();
-                if qlen > donor.map_or(0, |(_, l)| l)
-                    && self.cpus[c]
-                        .runq
-                        .iter()
-                        .any(|&t| self.meta[t.index()].pin.is_none())
-                {
-                    donor = Some((c, qlen));
-                }
             }
-            let Some((d, _)) = donor else { break };
-            let pos = self.cpus[d]
-                .runq
-                .iter()
-                .position(|&t| self.meta[t.index()].pin.is_none())
-                .expect("donor has an unpinned task");
-            let task = self.cpus[d].runq.remove(pos).expect("valid position");
-            self.meta[task.index()].state = TState::Runnable { cpu: recv };
-            self.cpus[recv].runq.push_back(task);
             self.try_dispatch(recv);
         }
     }

@@ -105,12 +105,6 @@ impl Machine {
                 Ev::LoadBalance => {
                     self.kernel.load_balance();
                     if self.kernel.done_count() < n {
-                        if self.kernel.live_events() == 0 && !self.kernel.any_active() {
-                            return Err(Deadlock {
-                                blocked: self.kernel.blocked_names(),
-                                at: self.kernel.now(),
-                            });
-                        }
                         let next = self.kernel.now() + LOAD_BALANCE_INTERVAL;
                         self.kernel.push_event(next, Ev::LoadBalance);
                     }
@@ -119,7 +113,8 @@ impl Machine {
             if self.kernel.done_count() == n {
                 break;
             }
-            // Deadlock probe without waiting for the next LB tick.
+            // Deadlock probe after every event, the load-balance tick's
+            // included.
             if self.kernel.live_events() == 0 && !self.kernel.any_active() {
                 return Err(Deadlock {
                     blocked: self.kernel.blocked_names(),

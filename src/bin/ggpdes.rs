@@ -27,7 +27,8 @@
 //! Elastic membership (loopback `dist` only): `--hb-interval-ms T` turns on
 //! heartbeat failure detection (`--hb-miss N` intervals of silence declare a
 //! peer dead); `--kill-shard S:AT` kills shard `S` at its `AT`th GVT publish
-//! (repeatable) so the supervisor can exercise partial recovery;
+//! (repeatable) so the supervisor can exercise partial recovery — silently
+//! when the detector is on, which must then find the death itself;
 //! `--partition FROM:TO:ROUNDS` silences one link direction for roughly
 //! `ROUNDS` GVT rounds and lets retransmission heal it (repeatable);
 //! `--join-at N` admits a new shard at the first checkpoint cut after the

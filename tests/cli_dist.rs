@@ -182,6 +182,45 @@ fn checkpointing_alone_gives_dist_the_default_retry_budget() {
     assert!(err.contains("dist: completed after"), "{err}");
 }
 
+/// With the heartbeat detector on, a scripted kill is silent: nobody raises
+/// the cohort abort flag, so the run completes only because the
+/// coordinator's lease declared the killed worker dead and the supervisor
+/// recovered it, once.
+#[test]
+fn a_silent_kill_is_found_by_the_heartbeat_detector_and_recovered() {
+    let out = run_bounded(
+        &[
+            "--runtime",
+            "dist",
+            "--shards",
+            "4",
+            "--threads",
+            "16",
+            "--transport",
+            "mem",
+            "--end",
+            "120",
+            "--kill-shard",
+            "2:5",
+            "--hb-interval-ms",
+            "5",
+            "--hb-miss",
+            "20",
+            "--checkpoint-every-gvt",
+            "2",
+            "--verify",
+        ],
+        Duration::from_secs(120),
+    );
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{err}");
+    assert!(
+        err.contains("dist: completed after 1 recovery(ies)"),
+        "{err}"
+    );
+    assert!(err.contains("matches the sequential oracle"), "{err}");
+}
+
 /// A join lands only on an assembled checkpoint cut. Without a cadence no
 /// round is armed and the join would never happen, so `--join-at` alone is
 /// a usage error naming the flag it needs.
