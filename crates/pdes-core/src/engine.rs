@@ -11,7 +11,7 @@ use crate::checkpoint::{CutSnapshot, LpCheckpoint};
 use crate::config::EngineConfig;
 use crate::event::{Event, EventKey, Msg};
 use crate::ids::{LpId, SimThreadId};
-use crate::lp::{key_digest, Lp, Snapshot};
+use crate::lp::{key_digest, HistoryBytes, HistoryStore, LpCore, Snapshot, NIL};
 use crate::mapping::LpMap;
 use crate::model::Model;
 use crate::pending::{CancelOutcome, InsertOutcome, PendingSet};
@@ -52,10 +52,14 @@ pub struct ThreadEngine<M: Model> {
     tid: SimThreadId,
     model: Arc<M>,
     map: LpMap,
-    /// Owned LPs, indexed by [`LpMap`] local index.
-    lps: Vec<Lp<M>>,
-    /// LP ids in local-index order (parallel to `lps`).
-    lp_ids: Vec<LpId>,
+    /// Owned LPs in ascending id order: an LP's place here is its local
+    /// index.
+    lps: Vec<LpCore<M>>,
+    /// Local index of every LP of the run by id; `NIL` for another
+    /// thread's.
+    local_of: Vec<u32>,
+    /// The uncommitted history of every owned LP.
+    store: HistoryStore<M>,
     pending: PendingSet<M::Payload>,
     stats: ThreadStats,
     end_time: VirtualTime,
@@ -71,6 +75,10 @@ pub struct ThreadEngine<M: Model> {
     listed: Vec<bool>,
     /// Reused worklist for local anti-message cascades in [`Self::deliver`].
     work: Vec<Msg<M::Payload>>,
+    /// Reused results of a rollback in [`Self::deliver`]: the undone
+    /// events and the antis of their sends.
+    undone: Vec<Event<M::Payload>>,
+    antis: Vec<EventKey>,
     /// Reused send buffer for the batch loops — handler sends land here and
     /// are routed out, so steady-state processing allocates nothing.
     send_buf: Vec<Event<M::Payload>>,
@@ -80,9 +88,13 @@ impl<M: Model> ThreadEngine<M> {
     /// Build the engine for `tid`, creating all of its LPs.
     pub fn new(model: Arc<M>, map: LpMap, tid: SimThreadId, cfg: &EngineConfig) -> Self {
         let lp_ids = map.lps_of(tid);
+        let mut local_of = vec![NIL; map.num_lps as usize];
+        for (at, lp) in lp_ids.iter().enumerate() {
+            local_of[lp.index()] = at as u32;
+        }
         let lps = lp_ids
             .iter()
-            .map(|&lp| Lp::with_snapshot_period(model.as_ref(), lp, cfg.seed, cfg.snapshot_period))
+            .map(|&lp| LpCore::new(model.as_ref(), lp, cfg.seed))
             .collect();
         ThreadEngine {
             tid,
@@ -90,7 +102,8 @@ impl<M: Model> ThreadEngine<M> {
             map,
             listed: vec![false; lp_ids.len()],
             lps,
-            lp_ids,
+            local_of,
+            store: HistoryStore::new(cfg.snapshot_period),
             pending: PendingSet::new(),
             stats: ThreadStats::default(),
             end_time: cfg.end_time,
@@ -98,6 +111,8 @@ impl<M: Model> ThreadEngine<M> {
             gvt_hint: VirtualTime::ZERO,
             with_history: Vec::new(),
             work: Vec::new(),
+            undone: Vec::new(),
+            antis: Vec::new(),
             send_buf: Vec::new(),
         }
     }
@@ -140,16 +155,17 @@ impl<M: Model> ThreadEngine<M> {
     }
 
     /// Local index of an owned LP.
+    #[inline]
     fn local(&self, lp: LpId) -> usize {
-        debug_assert_eq!(
-            self.map.thread_of(lp),
-            self.tid,
-            "{lp} not owned by {}",
-            self.tid
-        );
-        self.lp_ids
-            .binary_search(&lp)
-            .unwrap_or_else(|_| panic!("{lp} not owned by thread {}", self.tid))
+        match self.local_of.get(lp.index()) {
+            Some(&at) if at != NIL => at as usize,
+            _ => panic!("{lp} not owned by thread {}", self.tid),
+        }
+    }
+
+    /// Bytes of the owned LPs' uncommitted history.
+    pub fn history_bytes(&self) -> HistoryBytes {
+        self.store.bytes()
     }
 
     /// Run every owned LP's initial-event hook. Returned messages must be
@@ -186,7 +202,7 @@ impl<M: Model> ThreadEngine<M> {
             // (`Some(false)`), an anti-message for a processed event that
             // event and every later one (`Some(true)`).
             let undo = match m {
-                Msg::Event(_) => lp.is_straggler(&key).then(|| {
+                Msg::Event(_) => lp.is_straggler(&self.store, &key).then(|| {
                     self.stats.stragglers += 1;
                     false
                 }),
@@ -201,7 +217,7 @@ impl<M: Model> ThreadEngine<M> {
                         // Not pending: either already processed (roll it
                         // back, inclusive) or still in transit (the
                         // orphan anti just parked will annihilate it).
-                        CancelOutcome::Deferred => lp.has_processed(&key).then(|| {
+                        CancelOutcome::Deferred => lp.has_processed(&self.store, &key).then(|| {
                             // Un-park the anti we just deferred — the
                             // rollback consumes the event instead.
                             let r = self.pending.unpark_anti(&key);
@@ -213,12 +229,19 @@ impl<M: Model> ThreadEngine<M> {
             };
             if let Some(inclusive) = undo {
                 self.stats.rollbacks += 1;
-                let rb = lp.rollback(self.model.as_ref(), &key, inclusive);
-                outcome.rolled_back += rb.undone as u32;
-                self.stats.rolled_back += rb.undone as u64;
-                outcome.antis += rb.antis.len() as u32;
+                let undone = lp.rollback_into(
+                    &mut self.store,
+                    self.model.as_ref(),
+                    &key,
+                    inclusive,
+                    &mut self.undone,
+                    &mut self.antis,
+                );
+                outcome.rolled_back += undone as u32;
+                self.stats.rolled_back += undone as u64;
+                outcome.antis += self.antis.len() as u32;
                 // Local antis join the worklist, remote ones the outbox.
-                for anti in rb.antis {
+                for anti in self.antis.drain(..) {
                     self.stats.antis_sent += 1;
                     let dst_thread = self.map.thread_of(anti.dst);
                     if dst_thread == self.tid {
@@ -227,7 +250,7 @@ impl<M: Model> ThreadEngine<M> {
                         outbox.push((dst_thread, Msg::Anti(anti)));
                     }
                 }
-                for undone in rb.reinserted {
+                for undone in self.undone.drain(..) {
                     if undone.key == key {
                         // The cancelled event: annihilated.
                         self.stats.annihilations += 1;
@@ -313,7 +336,7 @@ impl<M: Model> ThreadEngine<M> {
                 self.with_history.push(at as u32);
             }
             sends.clear();
-            let n = self.lps[at].process_into(self.model.as_ref(), ev, &mut sends);
+            let n = self.lps[at].process_into(&mut self.store, self.model.as_ref(), ev, &mut sends);
             self.stats.processed += 1;
             out.processed += 1;
             out.sent += n as u32;
@@ -351,6 +374,7 @@ impl<M: Model> ThreadEngine<M> {
         let Self {
             model,
             lps,
+            store,
             with_history,
             listed,
             stats,
@@ -360,7 +384,7 @@ impl<M: Model> ThreadEngine<M> {
         with_history.retain(|&at| {
             let lp = &mut lps[at as usize];
             let before = lp.commit_digest;
-            n += lp.fossil_collect(model.as_ref(), gvt);
+            n += lp.fossil_collect(store, model.as_ref(), gvt);
             stats.commit_digest ^= before ^ lp.commit_digest;
             listed[at as usize] = lp.history_len() > 0;
             listed[at as usize]
@@ -395,12 +419,12 @@ impl<M: Model> ThreadEngine<M> {
         let mut events = Vec::new();
         for lp in &self.lps {
             debug_assert!(
-                lp.processed
-                    .front()
-                    .is_none_or(|e| e.event.key.recv_time >= gvt),
+                lp.history(&self.store)
+                    .next()
+                    .is_none_or(|e| e.key.recv_time >= gvt),
                 "snapshot_at_gvt requires fossil_collect({gvt}) first"
             );
-            let snap = lp.committed_snapshot();
+            let snap = lp.committed_snapshot(&self.store);
             lps.push(LpCheckpoint {
                 lp: lp.id,
                 state: snap.state,
@@ -412,9 +436,9 @@ impl<M: Model> ThreadEngine<M> {
             });
             // Uncommitted-but-processed events whose senders are committed:
             // the restored run cannot regenerate them.
-            for entry in &lp.processed {
-                if entry.event.send_time < gvt {
-                    events.push(entry.event.clone());
+            for ev in lp.history(&self.store) {
+                if ev.send_time < gvt {
+                    events.push(ev.clone());
                 }
             }
         }
@@ -448,6 +472,7 @@ impl<M: Model> ThreadEngine<M> {
             }
             let at = self.local(lck.lp);
             self.lps[at].restore_from(
+                &mut self.store,
                 Snapshot {
                     state: lck.state.clone(),
                     rng: lck.rng.clone(),
@@ -509,8 +534,7 @@ impl<M: Model> ThreadEngine<M> {
             }
         }
         for lp in &self.lps {
-            for entry in &lp.processed {
-                let ev = &entry.event;
+            for ev in lp.history(&self.store) {
                 if doomed(ev.key.uid.src, ev.send_time, ev.key.recv_time) {
                     keys.push(ev.key);
                 }
@@ -529,10 +553,9 @@ impl<M: Model> ThreadEngine<M> {
 
     /// Digest of every owned LP's final state, in LP order.
     pub fn state_digests(&self) -> Vec<(LpId, u64)> {
-        self.lp_ids
+        self.lps
             .iter()
-            .zip(&self.lps)
-            .map(|(&id, lp)| (id, lp.state_digest(self.model.as_ref())))
+            .map(|lp| (lp.id, lp.state_digest(self.model.as_ref())))
             .collect()
     }
 

@@ -7,7 +7,9 @@
 //!
 //! * [`time::VirtualTime`] — fixed-point virtual time with total ordering;
 //! * [`model::Model`] — the application interface (LP states + handlers);
-//! * [`lp::Lp`] — per-LP state saving, rollback, fossil collection;
+//! * [`lp::LpCore`] — per-LP state saving, rollback, fossil collection, on
+//!   history kept in one store per thread; [`lp::Lp`] — an LP with a store
+//!   of its own;
 //! * [`pending::EventQueue`] — the one event queue, drained by the oracle;
 //!   [`pending::PendingSet`] — the per-thread pending event set on it, with
 //!   anti-message annihilation;

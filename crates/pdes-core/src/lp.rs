@@ -1,5 +1,15 @@
-//! Per-LP Time Warp bookkeeping: state snapshots, the processed-event list,
-//! rollback, and fossil collection.
+//! Time Warp bookkeeping: an LP's state, its uncommitted history (the
+//! processed events, the keys they sent, sparse state snapshots), rollback,
+//! coast-forward and fossil collection.
+//!
+//! The history of every LP a thread owns lives in one `HistoryStore`:
+//! three slabs whose freed slots are reused before they grow, so the store
+//! is sized by the thread's live history, not by the sum of each LP's worst
+//! moment. An LP ([`LpCore`]) holds the two ends of its history, its length
+//! and its distance from the newest snapshot — four `u32`s — and allocates
+//! nothing of its own. [`Lp`] is an LP with a one-LP store, for code that
+//! drives LPs one by one; the engine keeps its LPs and one store side by
+//! side and passes the store in.
 
 // `drop(ctx)` ends multi-field borrows at a visible point before the
 // borrowed fields are read again; the contexts carry no destructor.
@@ -10,7 +20,11 @@ use crate::ids::LpId;
 use crate::model::{Model, SendCtx};
 use crate::rng::DetRng;
 use crate::time::VirtualTime;
-use std::collections::VecDeque;
+use std::ops::{Deref, DerefMut};
+
+/// No slot: either end of a chain, an entry between snapshots, an LP a
+/// thread does not own.
+pub(crate) const NIL: u32 = u32::MAX;
 
 /// Everything that must be restored on rollback: the model state plus the
 /// LP's RNG stream and send-sequence counter (so re-executed handlers draw
@@ -22,15 +36,230 @@ pub struct Snapshot<S> {
     pub send_seq: u64,
 }
 
-/// One processed event and how many events it sent. The keys of those
-/// sends and the state snapshots live beside the history, not in it (see
-/// [`Lp`]): an entry costs the event plus one word.
-#[derive(Debug, Clone)]
-pub struct ProcessedEntry<M: Model> {
-    pub event: Event<M::Payload>,
-    /// Number of events this execution sent; their keys are the LP's next
-    /// `sends` sent keys.
-    pub sends: u32,
+/// One processed event, linked into its LP's history in ascending key
+/// order. What it sent and the state before it sit in the store's other
+/// two slabs; the entry holds their slot numbers.
+struct ProcessedEntry<P> {
+    event: Event<P>,
+    prev: u32,
+    next: u32,
+    /// The newest key this execution sent; each key links to the one sent
+    /// before it, so a chain runs last send first.
+    keys: u32,
+    /// The LP's state before this event, or `NIL` between snapshots.
+    snap: u32,
+}
+
+/// The key of one sent event, linked to the send before it.
+struct SentKey {
+    key: EventKey,
+    next: u32,
+}
+
+/// A slab slot: a value, or a link of the free chain.
+enum Slot<T> {
+    Live(T),
+    Free(u32),
+}
+
+/// Values addressed by `u32` slot numbers. A freed slot is reused before
+/// the slab grows, so its length is the most values it ever held at once
+/// and its capacity at most twice that (or the first allocation).
+struct Slab<T> {
+    slots: Vec<Slot<T>>,
+    /// First free slot; the chain runs through `Slot::Free`.
+    free: u32,
+    /// Slots holding a value.
+    live: usize,
+}
+
+impl<T> Slab<T> {
+    const fn new() -> Self {
+        Slab {
+            slots: Vec::new(),
+            free: NIL,
+            live: 0,
+        }
+    }
+
+    fn insert(&mut self, value: T) -> u32 {
+        self.live += 1;
+        if self.free == NIL {
+            self.slots.push(Slot::Live(value));
+            return (self.slots.len() - 1) as u32;
+        }
+        let at = self.free;
+        match std::mem::replace(&mut self.slots[at as usize], Slot::Live(value)) {
+            Slot::Free(next) => self.free = next,
+            Slot::Live(_) => unreachable!("the free chain holds a live slot"),
+        }
+        at
+    }
+
+    fn take(&mut self, at: u32) -> T {
+        self.live -= 1;
+        let Slot::Live(value) =
+            std::mem::replace(&mut self.slots[at as usize], Slot::Free(self.free))
+        else {
+            unreachable!("slot {at} is already free")
+        };
+        self.free = at;
+        value
+    }
+
+    #[inline]
+    fn get(&self, at: u32) -> &T {
+        match &self.slots[at as usize] {
+            Slot::Live(value) => value,
+            Slot::Free(_) => unreachable!("slot {at} is free"),
+        }
+    }
+
+    #[inline]
+    fn get_mut(&mut self, at: u32) -> &mut T {
+        match &mut self.slots[at as usize] {
+            Slot::Live(value) => value,
+            Slot::Free(_) => unreachable!("slot {at} is free"),
+        }
+    }
+
+    fn bytes(&self) -> HistoryBytes {
+        let slot = std::mem::size_of::<Slot<T>>();
+        HistoryBytes {
+            live: self.live * slot,
+            reserved: self.slots.capacity() * slot,
+        }
+    }
+}
+
+/// Bytes of uncommitted history: what the live entries, keys and
+/// snapshots occupy, and what their slabs hold allocated. Heap memory a
+/// model state owns is counted in neither.
+#[derive(Debug, Clone, Copy)]
+pub struct HistoryBytes {
+    pub live: usize,
+    pub reserved: usize,
+}
+
+/// The uncommitted history of one thread's LPs: their processed entries,
+/// the keys those sent and the sparse snapshots, each in a slab with a
+/// free list, linked per LP through slot numbers.
+pub(crate) struct HistoryStore<M: Model> {
+    entries: Slab<ProcessedEntry<M::Payload>>,
+    keys: Slab<SentKey>,
+    snaps: Slab<Snapshot<M::State>>,
+    /// Snapshot every k-th processed event (1 = copy state saving, the
+    /// classical Time Warp default).
+    snapshot_every: u32,
+    /// Coast-forward's send buffer: replayed sends land here only to be
+    /// compared against the recorded keys.
+    replay: Vec<Event<M::Payload>>,
+}
+
+impl<M: Model> HistoryStore<M> {
+    pub(crate) fn new(snapshot_period: u32) -> Self {
+        assert!(snapshot_period >= 1, "snapshot period must be at least 1");
+        HistoryStore {
+            entries: Slab::new(),
+            keys: Slab::new(),
+            snaps: Slab::new(),
+            snapshot_every: snapshot_period,
+            replay: Vec::new(),
+        }
+    }
+
+    pub(crate) fn bytes(&self) -> HistoryBytes {
+        let slabs = [self.entries.bytes(), self.keys.bytes(), self.snaps.bytes()];
+        HistoryBytes {
+            live: slabs.iter().map(|b| b.live).sum(),
+            reserved: slabs.iter().map(|b| b.reserved).sum(),
+        }
+    }
+
+    /// The entries of the history chain starting at slot `at`, with their
+    /// slots, oldest first.
+    fn chain(&self, mut at: u32) -> impl Iterator<Item = (u32, &ProcessedEntry<M::Payload>)> {
+        std::iter::from_fn(move || {
+            (at != NIL).then(|| {
+                let slot = at;
+                let entry = self.entries.get(slot);
+                at = entry.next;
+                (slot, entry)
+            })
+        })
+    }
+
+    /// The keys of the chain starting at `at`, newest first.
+    fn sent_keys(&self, mut at: u32) -> impl Iterator<Item = EventKey> + '_ {
+        std::iter::from_fn(move || {
+            (at != NIL).then(|| {
+                let k = self.keys.get(at);
+                at = k.next;
+                k.key
+            })
+        })
+    }
+
+    /// Free the entry in slot `at` with its keys, each handed to `sent`
+    /// newest first, and its snapshot.
+    fn release(&mut self, at: u32, mut sent: impl FnMut(EventKey)) -> Released<M> {
+        let entry = self.entries.take(at);
+        let mut key = entry.keys;
+        while key != NIL {
+            let k = self.keys.take(key);
+            sent(k.key);
+            key = k.next;
+        }
+        Released {
+            snap: (entry.snap != NIL).then(|| self.snaps.take(entry.snap)),
+            event: entry.event,
+            next: entry.next,
+        }
+    }
+
+    /// Coast forward: re-execute `count` entries of LP `id` from slot `at`
+    /// on `s`, the pre-state of that entry, and return the state after
+    /// them. Sends are suppressed: the originals are already in flight, and
+    /// deterministic handlers reproduce them exactly (debug builds verify
+    /// this against the recorded keys).
+    fn coast_forward(
+        &mut self,
+        model: &M,
+        id: LpId,
+        mut s: Snapshot<M::State>,
+        mut at: u32,
+        count: u32,
+    ) -> Snapshot<M::State> {
+        for _ in 0..count {
+            let entry = self.entries.get(at);
+            self.replay.clear();
+            let mut ctx = SendCtx::new(
+                id,
+                entry.event.key.recv_time,
+                &mut s.rng,
+                &mut s.send_seq,
+                &mut self.replay,
+            );
+            model.handle_event(id, &mut s.state, &entry.event.payload, &mut ctx);
+            drop(ctx);
+            debug_assert!(
+                self.sent_keys(entry.keys)
+                    .eq(self.replay.iter().rev().map(|e| e.key)),
+                "non-deterministic model: replay of {:?} sent different events",
+                entry.event.key
+            );
+            at = entry.next;
+        }
+        s
+    }
+}
+
+/// An entry freed from a `HistoryStore`: its event, the next slot of its
+/// LP's history and the snapshot it carried.
+struct Released<M: Model> {
+    event: Event<M::Payload>,
+    next: u32,
+    snap: Option<Snapshot<M::State>>,
 }
 
 /// Result of a rollback.
@@ -45,33 +274,22 @@ pub struct Rollback<M: Model> {
     pub undone: usize,
 }
 
-/// A logical process under optimistic (Time Warp) execution.
+/// A logical process under optimistic (Time Warp) execution, with its
+/// uncommitted history kept in a `HistoryStore` it is handed.
 ///
-/// The uncommitted history is three parallel queues that grow at the back
-/// on `process_into`, shrink at the back on `rollback` and at the front on
-/// `fossil_collect`: the entries, the keys they sent, and the *sparse*
-/// (periodic) state snapshots. An entry's **ordinal** is its place in the
-/// LP's commit order, `committed + position`; a snapshot is keyed by the
-/// ordinal of the entry it was taken *before*. Only every k-th entry has
-/// one; rollback restores the nearest earlier snapshot and
-/// *coast-forwards*: it re-executes the intervening events with their sends
-/// suppressed (determinism guarantees the replayed execution is identical,
-/// so the original in-flight events stay valid).
-pub struct Lp<M: Model> {
+/// The history is a chain of entries in ascending key order that grows at
+/// the back on `process_into`, shrinks at the back on `rollback` and at the
+/// front on `fossil_collect`. An entry's **ordinal** is its place in the
+/// LP's commit order, `committed + position`. Only every k-th entry carries
+/// a snapshot of the state before it; rollback restores the nearest
+/// earlier snapshot and *coast-forwards*: it re-executes the intervening
+/// events with their sends suppressed (determinism guarantees the replayed
+/// execution is identical, so the original in-flight events stay valid).
+pub struct LpCore<M: Model> {
     pub id: LpId,
     pub state: M::State,
     pub rng: DetRng,
     pub send_seq: u64,
-    /// Processed-but-uncommitted events in ascending key order.
-    pub(crate) processed: VecDeque<ProcessedEntry<M>>,
-    /// Keys of the events the retained entries sent, entry after entry;
-    /// within an entry the last send comes first, so the antis of a
-    /// rollback are one tail of this queue, already in the order
-    /// [`Rollback::antis`] has.
-    sent: VecDeque<EventKey>,
-    /// `(ordinal, pre-state)` of the snapshot-bearing entries, ascending.
-    /// The first retained entry always carries a snapshot.
-    snaps: VecDeque<(u64, Snapshot<M::State>)>,
     /// Number of events committed (fossil-collected) so far.
     pub committed: u64,
     /// XOR-fold of key digests of committed events (order-independent trace
@@ -80,12 +298,14 @@ pub struct Lp<M: Model> {
     /// Receive time of the last committed event (the LP's position on the
     /// committed side of the GVT cut; what a checkpoint records as its LVT).
     pub committed_lvt: VirtualTime,
-    /// Snapshot every k-th processed event (1 = copy state saving, the
-    /// classical Time Warp default).
-    snapshot_every: u32,
-    /// Scratch send buffer for coast-forward replay (sends are suppressed,
-    /// so the buffer only exists to be compared against the recorded keys).
-    replay_buf: Vec<Event<M::Payload>>,
+    /// Slots of the oldest and newest entry (`NIL` with no history).
+    head: u32,
+    tail: u32,
+    /// Entries of uncommitted history.
+    len: u32,
+    /// Entries from the newest snapshot-bearing one to the newest, both
+    /// counted (0 with no history).
+    since_snap: u32,
 }
 
 /// Order-independent 64-bit digest of an event key.
@@ -97,30 +317,21 @@ pub fn key_digest(key: &EventKey) -> u64 {
     crate::rng::splitmix64(&mut s)
 }
 
-impl<M: Model> Lp<M> {
-    /// Create the LP with its initial state and private RNG stream, saving
-    /// state before every event (classical copy state saving).
-    pub fn new(model: &M, id: LpId, seed: u64) -> Self {
-        Lp::with_snapshot_period(model, id, seed, 1)
-    }
-
-    /// Create the LP with sparse state saving: a snapshot before every
-    /// `period`-th event only.
-    pub fn with_snapshot_period(model: &M, id: LpId, seed: u64, period: u32) -> Self {
-        assert!(period >= 1, "snapshot period must be at least 1");
-        Lp {
+impl<M: Model> LpCore<M> {
+    /// The LP with its initial state and private RNG stream, no history.
+    pub(crate) fn new(model: &M, id: LpId, seed: u64) -> Self {
+        LpCore {
             id,
             state: model.init_state(id),
             rng: DetRng::for_lp(seed, id),
             send_seq: 0,
-            processed: VecDeque::new(),
-            sent: VecDeque::new(),
-            snaps: VecDeque::new(),
             committed: 0,
             commit_digest: 0,
             committed_lvt: VirtualTime::ZERO,
-            snapshot_every: period,
-            replay_buf: Vec::new(),
+            head: NIL,
+            tail: NIL,
+            len: 0,
+            since_snap: 0,
         }
     }
 
@@ -138,38 +349,52 @@ impl<M: Model> Lp<M> {
         out
     }
 
-    /// Local virtual time: receive time of the last processed event.
+    /// Digest of the LP's current model state.
+    pub fn state_digest(&self, model: &M) -> u64 {
+        model.state_digest(&self.state)
+    }
+
+    /// Entries of uncommitted history.
     #[inline]
-    pub fn lvt(&self) -> VirtualTime {
-        self.processed
-            .back()
-            .map(|e| e.event.key.recv_time)
-            .unwrap_or(VirtualTime::ZERO)
+    pub fn history_len(&self) -> usize {
+        self.len as usize
     }
 
     /// Key of the last processed event, if any.
     #[inline]
-    pub fn last_processed_key(&self) -> Option<EventKey> {
-        self.processed.back().map(|e| e.event.key)
+    pub(crate) fn last_processed_key(&self, store: &HistoryStore<M>) -> Option<EventKey> {
+        (self.tail != NIL).then(|| store.entries.get(self.tail).event.key)
     }
 
     /// `true` if `key` orders before an already-processed event — i.e.
     /// processing it now would violate causality and a rollback is needed.
     #[inline]
-    pub fn is_straggler(&self, key: &EventKey) -> bool {
-        match self.last_processed_key() {
-            Some(last) => *key < last,
-            None => false,
-        }
+    pub(crate) fn is_straggler(&self, store: &HistoryStore<M>, key: &EventKey) -> bool {
+        self.last_processed_key(store)
+            .is_some_and(|last| *key < last)
     }
 
     /// `true` if an event with exactly this key has been processed and not
-    /// yet committed or rolled back. O(log n) — the processed list is sorted
-    /// by key.
-    pub fn has_processed(&self, key: &EventKey) -> bool {
-        self.processed
-            .binary_search_by(|e| e.event.key.cmp(key))
-            .is_ok()
+    /// yet committed or rolled back. Walks back from the newest entry, so
+    /// it costs the entries after `key` — what a rollback to it undoes.
+    pub(crate) fn has_processed(&self, store: &HistoryStore<M>, key: &EventKey) -> bool {
+        let mut at = self.tail;
+        while at != NIL {
+            let entry = store.entries.get(at);
+            if entry.event.key <= *key {
+                return entry.event.key == *key;
+            }
+            at = entry.prev;
+        }
+        false
+    }
+
+    /// The uncommitted events, oldest first.
+    pub(crate) fn history<'s>(
+        &self,
+        store: &'s HistoryStore<M>,
+    ) -> impl Iterator<Item = &'s Event<M::Payload>> + 's {
+        store.chain(self.head).map(|(_, entry)| &entry.event)
     }
 
     /// What a rollback to this point would have to restore.
@@ -181,47 +406,45 @@ impl<M: Model> Lp<M> {
         }
     }
 
-    /// Ordinal of the entry at `position` of the history.
-    #[inline]
-    fn ordinal(&self, position: usize) -> u64 {
-        self.committed + position as u64
+    /// The newest snapshot-bearing entry and the entries from it to the
+    /// newest, both counted; `(NIL, 0)` with no history.
+    fn newest_snapshot(&self, store: &HistoryStore<M>) -> (u32, u32) {
+        let (mut at, mut gap) = (self.tail, 0);
+        while at != NIL {
+            gap += 1;
+            let entry = store.entries.get(at);
+            if entry.snap != NIL {
+                return (at, gap);
+            }
+            at = entry.prev;
+        }
+        (NIL, 0)
     }
 
-    /// Optimistically process `event`: snapshot (per the sparse-saving
-    /// policy), execute the handler, record the entry. The handler's sends
-    /// are **appended** to `out`; the number appended is returned.
-    ///
-    /// This is the zero-allocation hot path: the caller owns and reuses
-    /// `out`, the sent keys join the LP's one key queue, and a snapshot is
-    /// only taken every `snapshot_period`-th event (cheap for heap-free
-    /// model states, skipped entirely in between).
-    ///
-    /// # Panics
-    /// Debug-asserts that `event` is not a straggler — callers must roll back
-    /// first.
-    pub fn process_into(
+    /// [`Lp::process_into`] on history kept in `store`.
+    pub(crate) fn process_into(
         &mut self,
+        store: &mut HistoryStore<M>,
         model: &M,
         event: Event<M::Payload>,
         out: &mut Vec<Event<M::Payload>>,
     ) -> usize {
         debug_assert!(
-            !self.is_straggler(&event.key),
+            !self.is_straggler(store, &event.key),
             "process() called with straggler {:?} (last {:?})",
             event.key,
-            self.last_processed_key()
+            self.last_processed_key(store)
         );
         // The first retained entry must carry a snapshot (it is the replay
         // base); later entries snapshot once a period has passed since the
         // newest one.
-        let ordinal = self.ordinal(self.processed.len());
-        let due = match self.snaps.back() {
-            Some((newest, _)) => ordinal - newest >= u64::from(self.snapshot_every),
-            None => true,
+        let snap = if self.len == 0 || self.since_snap >= store.snapshot_every {
+            self.since_snap = 1;
+            store.snaps.insert(self.current())
+        } else {
+            self.since_snap += 1;
+            NIL
         };
-        if due {
-            self.snaps.push_back((ordinal, self.current()));
-        }
         let start = out.len();
         let mut ctx = SendCtx::new(
             self.id,
@@ -232,13 +455,280 @@ impl<M: Model> Lp<M> {
         );
         model.handle_event(self.id, &mut self.state, &event.payload, &mut ctx);
         drop(ctx);
-        let sends = out.len() - start;
-        self.sent.extend(out[start..].iter().rev().map(|e| e.key));
-        self.processed.push_back(ProcessedEntry {
-            event,
-            sends: sends as u32,
+        let keys = out[start..].iter().fold(NIL, |next, e| {
+            store.keys.insert(SentKey { key: e.key, next })
         });
-        sends
+        let at = store.entries.insert(ProcessedEntry {
+            event,
+            prev: self.tail,
+            next: NIL,
+            keys,
+            snap,
+        });
+        match self.tail {
+            NIL => self.head = at,
+            tail => store.entries.get_mut(tail).next = at,
+        }
+        self.tail = at;
+        self.len += 1;
+        out.len() - start
+    }
+
+    /// [`Lp::rollback_into`] on history kept in `store`.
+    pub(crate) fn rollback_into(
+        &mut self,
+        store: &mut HistoryStore<M>,
+        model: &M,
+        key: &EventKey,
+        inclusive: bool,
+        reinserted: &mut Vec<Event<M::Payload>>,
+        antis: &mut Vec<EventKey>,
+    ) -> usize {
+        // The undone entries are a tail: walk back to the newest one kept.
+        let (mut keep, mut undone) = (self.tail, 0);
+        while keep != NIL {
+            let entry = store.entries.get(keep);
+            let undo = if inclusive {
+                entry.event.key >= *key
+            } else {
+                entry.event.key > *key
+            };
+            if !undo {
+                break;
+            }
+            keep = entry.prev;
+            undone += 1;
+        }
+        if undone == 0 {
+            return 0;
+        }
+        // Sized once for the common case of one send per event.
+        reinserted.reserve(undone as usize);
+        antis.reserve(undone as usize);
+        // Oldest first, each entry's keys newest first: the events come out
+        // in ascending key order, the antis in the order `Rollback::antis`
+        // has always had. The earliest undone entry's snapshot, if it has
+        // one, is the state to restore.
+        let mut at = match keep {
+            NIL => self.head,
+            kept => std::mem::replace(&mut store.entries.get_mut(kept).next, NIL),
+        };
+        let (first, mut pre) = (at, None);
+        while at != NIL {
+            let entry = store.release(at, |k| antis.push(k));
+            if at == first {
+                pre = entry.snap;
+            }
+            reinserted.push(entry.event);
+            at = entry.next;
+        }
+        self.tail = keep;
+        if keep == NIL {
+            self.head = NIL;
+        }
+        self.len -= undone;
+        let (base, gap) = self.newest_snapshot(store);
+        self.since_snap = gap;
+        let s = match pre {
+            Some(s) => s,
+            None => {
+                // Sparse saving: restore the nearest earlier snapshot and
+                // coast-forward through the retained tail.
+                let s = store.snaps.get(store.entries.get(base).snap).clone();
+                store.coast_forward(model, self.id, s, base, gap)
+            }
+        };
+        self.state = s.state;
+        self.rng = s.rng;
+        self.send_seq = s.send_seq;
+        self.check_history(store);
+        undone as usize
+    }
+
+    /// [`Lp::fossil_collect`] on history kept in `store`.
+    pub(crate) fn fossil_collect(
+        &mut self,
+        store: &mut HistoryStore<M>,
+        model: &M,
+        gvt: VirtualTime,
+    ) -> u64 {
+        // The committed entries are a prefix; `below` is the newest of them
+        // with a snapshot and `gap` the entries from it to the cut.
+        let (mut front, mut cut, mut below, mut gap) = (self.head, 0, NIL, 0);
+        while front != NIL {
+            let entry = store.entries.get(front);
+            if entry.event.key.recv_time >= gvt {
+                break;
+            }
+            if entry.snap != NIL {
+                (below, gap) = (front, 0);
+            }
+            gap += 1;
+            cut += 1;
+            front = entry.next;
+        }
+        if cut == 0 {
+            return 0;
+        }
+        // When the cut lands mid-gap, the nearest committed snapshot is
+        // replayed up to it and becomes the new first entry's.
+        if front != NIL && store.entries.get(front).snap == NIL {
+            let slot = std::mem::replace(&mut store.entries.get_mut(below).snap, NIL);
+            let s = store.snaps.take(slot);
+            let s = store.coast_forward(model, self.id, s, below, gap);
+            store.entries.get_mut(front).snap = store.snaps.insert(s);
+        }
+        let mut at = self.head;
+        while at != front {
+            let entry = store.release(at, |_| {});
+            self.commit_digest ^= key_digest(&entry.event.key);
+            self.committed_lvt = entry.event.key.recv_time;
+            at = entry.next;
+        }
+        self.head = front;
+        match front {
+            NIL => self.tail = NIL,
+            front => store.entries.get_mut(front).prev = NIL,
+        }
+        self.len -= cut;
+        self.committed += u64::from(cut);
+        self.since_snap = self.since_snap.min(self.len);
+        self.check_history(store);
+        u64::from(cut)
+    }
+
+    /// [`Lp::committed_snapshot`] of history kept in `store`.
+    pub(crate) fn committed_snapshot(&self, store: &HistoryStore<M>) -> Snapshot<M::State> {
+        match self.head {
+            NIL => self.current(),
+            head => store.snaps.get(store.entries.get(head).snap).clone(),
+        }
+    }
+
+    /// [`Lp::restore_from`], freeing the history kept in `store`.
+    pub(crate) fn restore_from(
+        &mut self,
+        store: &mut HistoryStore<M>,
+        snap: Snapshot<M::State>,
+        committed: u64,
+        commit_digest: u64,
+        committed_lvt: VirtualTime,
+    ) {
+        let mut at = self.head;
+        while at != NIL {
+            at = store.release(at, |_| {}).next;
+        }
+        (self.head, self.tail, self.len, self.since_snap) = (NIL, NIL, 0, 0);
+        self.state = snap.state;
+        self.rng = snap.rng;
+        self.send_seq = snap.send_seq;
+        self.committed = committed;
+        self.commit_digest = commit_digest;
+        self.committed_lvt = committed_lvt;
+    }
+
+    /// Debug builds: the chain in the store still describes this LP's
+    /// history — links that agree both ways, `len` entries, a snapshot on
+    /// the first one, `since_snap` entries from the newest snapshot, and
+    /// each entry's keys its own consecutive sends, newest first.
+    fn check_history(&self, store: &HistoryStore<M>) {
+        if !cfg!(debug_assertions) {
+            return;
+        }
+        let (mut prev, mut len, mut gap) = (NIL, 0, 0);
+        for (at, entry) in store.chain(self.head) {
+            assert_eq!(entry.prev, prev, "links agree both ways");
+            if prev == NIL {
+                assert_ne!(
+                    entry.snap, NIL,
+                    "the first retained entry always carries a snapshot"
+                );
+            }
+            gap = if entry.snap == NIL { gap + 1 } else { 1 };
+            let keys = || store.sent_keys(entry.keys);
+            assert!(keys().all(|k| k.uid.src == self.id));
+            assert!(keys()
+                .zip(keys().skip(1))
+                .all(|(a, b)| a.uid.seq == b.uid.seq + 1));
+            (prev, len) = (at, len + 1);
+        }
+        assert_eq!(prev, self.tail);
+        assert_eq!(len, self.len);
+        assert_eq!(gap, self.since_snap);
+    }
+}
+
+/// An LP with a history store of its own: the standalone form, for code
+/// that drives LPs one by one (the engines keep one store per thread).
+/// Derefs to its [`LpCore`] for the state, counters and digests.
+pub struct Lp<M: Model> {
+    core: LpCore<M>,
+    store: HistoryStore<M>,
+}
+
+impl<M: Model> Deref for Lp<M> {
+    type Target = LpCore<M>;
+    fn deref(&self) -> &LpCore<M> {
+        &self.core
+    }
+}
+
+impl<M: Model> DerefMut for Lp<M> {
+    fn deref_mut(&mut self) -> &mut LpCore<M> {
+        &mut self.core
+    }
+}
+
+impl<M: Model> Lp<M> {
+    /// Create the LP with its initial state and private RNG stream, saving
+    /// state before every event (classical copy state saving).
+    pub fn new(model: &M, id: LpId, seed: u64) -> Self {
+        Lp::with_snapshot_period(model, id, seed, 1)
+    }
+
+    /// Create the LP with sparse state saving: a snapshot before every
+    /// `period`-th event only.
+    pub fn with_snapshot_period(model: &M, id: LpId, seed: u64, period: u32) -> Self {
+        Lp {
+            core: LpCore::new(model, id, seed),
+            store: HistoryStore::new(period),
+        }
+    }
+
+    /// Local virtual time: receive time of the last processed event.
+    #[inline]
+    pub fn lvt(&self) -> VirtualTime {
+        self.core
+            .last_processed_key(&self.store)
+            .map_or(VirtualTime::ZERO, |k| k.recv_time)
+    }
+
+    /// `true` if `key` orders before an already-processed event — i.e.
+    /// processing it now would violate causality and a rollback is needed.
+    #[inline]
+    pub fn is_straggler(&self, key: &EventKey) -> bool {
+        self.core.is_straggler(&self.store, key)
+    }
+
+    /// Optimistically process `event`: snapshot (per the sparse-saving
+    /// policy), execute the handler, record the entry. The handler's sends
+    /// are **appended** to `out`; the number appended is returned.
+    ///
+    /// This is the zero-allocation hot path: the caller owns and reuses
+    /// `out`, the entry, its sent keys and its snapshot take slots the
+    /// store freed before, and a snapshot is only taken every
+    /// `snapshot_period`-th event.
+    ///
+    /// # Panics
+    /// Debug-asserts that `event` is not a straggler — callers must roll back
+    /// first.
+    pub fn process_into(
+        &mut self,
+        model: &M,
+        event: Event<M::Payload>,
+        out: &mut Vec<Event<M::Payload>>,
+    ) -> usize {
+        self.core.process_into(&mut self.store, model, event, out)
     }
 
     /// [`Self::process_into`] returning the sends as a fresh `Vec`
@@ -247,50 +737,6 @@ impl<M: Model> Lp<M> {
         let mut out = Vec::new();
         self.process_into(model, event, &mut out);
         out
-    }
-
-    /// Coast forward: re-execute the entries at positions `[from, to)` on
-    /// `s`, the pre-state of entry `from`, and return the pre-state of
-    /// entry `to`. Sends are suppressed: the originals are already in
-    /// flight, and deterministic handlers reproduce them exactly (debug
-    /// builds verify this). Split-borrows `self` so no entry is cloned; the
-    /// replay sends land in the reused scratch buffer.
-    fn coast_forward(
-        &mut self,
-        model: &M,
-        mut s: Snapshot<M::State>,
-        from: usize,
-        to: usize,
-    ) -> Snapshot<M::State> {
-        let Lp {
-            id,
-            processed,
-            sent,
-            replay_buf,
-            ..
-        } = self;
-        let mut key_at: usize = processed.range(..from).map(|e| e.sends as usize).sum();
-        for entry in processed.range(from..to) {
-            replay_buf.clear();
-            let mut ctx = SendCtx::new(
-                *id,
-                entry.event.key.recv_time,
-                &mut s.rng,
-                &mut s.send_seq,
-                replay_buf,
-            );
-            model.handle_event(*id, &mut s.state, &entry.event.payload, &mut ctx);
-            drop(ctx);
-            let keys = key_at..key_at + entry.sends as usize;
-            debug_assert!(
-                sent.range(keys.clone())
-                    .eq(replay_buf.iter().rev().map(|e| &e.key)),
-                "non-deterministic model: replay of {:?} sent different events",
-                entry.event.key
-            );
-            key_at = keys.end;
-        }
-        s
     }
 
     /// Roll back every processed entry whose key is `> key` (or `>= key` if
@@ -302,51 +748,28 @@ impl<M: Model> Lp<M> {
     /// itself must be undone and is *not* re-inserted — the caller filters it
     /// out via the returned events).
     pub fn rollback(&mut self, model: &M, key: &EventKey, inclusive: bool) -> Rollback<M> {
-        let keep = self.processed.partition_point(|e| {
-            if inclusive {
-                e.event.key < *key
-            } else {
-                e.event.key <= *key
-            }
-        });
         let mut rb = Rollback {
             reinserted: Vec::new(),
             antis: Vec::new(),
-            undone: self.processed.len() - keep,
+            undone: 0,
         };
-        if rb.undone == 0 {
-            return rb;
-        }
-        // Both come out in ascending key order, as the queues hold them.
-        let antis: usize = self.processed.range(keep..).map(|e| e.sends as usize).sum();
-        rb.antis.extend(self.sent.drain(self.sent.len() - antis..));
-        rb.reinserted
-            .extend(self.processed.drain(keep..).map(|e| e.event));
-        // The undone entries' snapshots go; the earliest undone entry's, if
-        // it had one, is the state to restore.
-        let ordinal = self.ordinal(keep);
-        let mut pre = None;
-        while self.snaps.back().is_some_and(|(o, _)| *o >= ordinal) {
-            pre = self.snaps.pop_back();
-        }
-        let s = match pre {
-            Some((o, s)) if o == ordinal => s,
-            _ => {
-                // Sparse saving: restore the nearest earlier snapshot and
-                // coast-forward through the retained tail.
-                let (o, s) = self
-                    .snaps
-                    .back()
-                    .expect("the first retained entry always carries a snapshot");
-                let from = (o - self.committed) as usize;
-                self.coast_forward(model, s.clone(), from, keep)
-            }
-        };
-        self.state = s.state;
-        self.rng = s.rng;
-        self.send_seq = s.send_seq;
-        self.check_history();
+        rb.undone = self.rollback_into(model, key, inclusive, &mut rb.reinserted, &mut rb.antis);
         rb
+    }
+
+    /// [`Self::rollback`] **appending** the undone events and the antis to
+    /// buffers the caller reuses; returns the number of events undone. The
+    /// engines' path: it allocates nothing once the buffers have grown.
+    pub fn rollback_into(
+        &mut self,
+        model: &M,
+        key: &EventKey,
+        inclusive: bool,
+        reinserted: &mut Vec<Event<M::Payload>>,
+        antis: &mut Vec<EventKey>,
+    ) -> usize {
+        self.core
+            .rollback_into(&mut self.store, model, key, inclusive, reinserted, antis)
     }
 
     /// Commit (drop) all processed entries with receive time strictly below
@@ -356,36 +779,7 @@ impl<M: Model> Lp<M> {
     /// target them; under sparse state saving the new first retained entry
     /// gets a materialized snapshot so it remains a valid replay base.
     pub fn fossil_collect(&mut self, model: &M, gvt: VirtualTime) -> u64 {
-        let cut = self
-            .processed
-            .iter()
-            .take_while(|e| e.event.key.recv_time < gvt)
-            .count();
-        if cut == 0 {
-            return 0;
-        }
-        // The committed entries' snapshots go; when the cut lands mid-gap
-        // the nearest of them is replayed up to the cut.
-        let ordinal = self.ordinal(cut);
-        let mut below = None;
-        while self.snaps.front().is_some_and(|(o, _)| *o < ordinal) {
-            below = self.snaps.pop_front();
-        }
-        if cut < self.processed.len() && self.snaps.front().is_none_or(|(o, _)| *o != ordinal) {
-            let (o, s) = below.expect("the first retained entry always carries a snapshot");
-            let s = self.coast_forward(model, s, (o - self.committed) as usize, cut);
-            self.snaps.push_front((ordinal, s));
-        }
-        let mut keys = 0;
-        for entry in self.processed.drain(..cut) {
-            self.commit_digest ^= key_digest(&entry.event.key);
-            self.committed_lvt = entry.event.key.recv_time;
-            keys += entry.sends as usize;
-        }
-        self.sent.drain(..keys);
-        self.committed += cut as u64;
-        self.check_history();
-        cut as u64
+        self.core.fossil_collect(&mut self.store, model, gvt)
     }
 
     /// Commit everything still uncommitted (simulation has ended: GVT passed
@@ -402,10 +796,7 @@ impl<M: Model> Lp<M> {
     /// whose pre-state is exactly the committed state; with no uncommitted
     /// history the current state *is* the committed state.
     pub fn committed_snapshot(&self) -> Snapshot<M::State> {
-        match self.snaps.front() {
-            Some((_, first)) => first.clone(),
-            None => self.current(),
-        }
+        self.core.committed_snapshot(&self.store)
     }
 
     /// Reset the LP to a checkpointed committed state: no speculative
@@ -417,44 +808,34 @@ impl<M: Model> Lp<M> {
         commit_digest: u64,
         committed_lvt: VirtualTime,
     ) {
-        self.state = snap.state;
-        self.rng = snap.rng;
-        self.send_seq = snap.send_seq;
-        self.processed.clear();
-        self.sent.clear();
-        self.snaps.clear();
-        self.committed = committed;
-        self.commit_digest = commit_digest;
-        self.committed_lvt = committed_lvt;
+        self.core.restore_from(
+            &mut self.store,
+            snap,
+            committed,
+            commit_digest,
+            committed_lvt,
+        )
+    }
+}
+
+#[cfg(test)]
+impl<M: Model> Lp<M> {
+    /// The keys the retained entries sent, entry after entry, each entry's
+    /// newest first.
+    fn sent(&self) -> Vec<EventKey> {
+        let entries = self.store.chain(self.head);
+        entries
+            .flat_map(|(_, e)| self.store.sent_keys(e.keys))
+            .collect()
     }
 
-    /// Digest of the LP's current model state.
-    pub fn state_digest(&self, model: &M) -> u64 {
-        model.state_digest(&self.state)
-    }
-
-    /// Entries of uncommitted history.
-    pub fn history_len(&self) -> usize {
-        self.processed.len()
-    }
-
-    /// Debug builds: the three queues of the history still describe one
-    /// another — a key per send, snapshot ordinals strictly ascending and
-    /// inside the history, and one on the first retained entry.
-    fn check_history(&self) {
-        #[cfg(debug_assertions)]
-        {
-            let sends: usize = self.processed.iter().map(|e| e.sends as usize).sum();
-            assert_eq!(self.sent.len(), sends, "one sent key per send");
-            let ordinals = || self.snaps.iter().map(|(o, _)| *o);
-            assert!(ordinals().zip(ordinals().skip(1)).all(|(a, b)| a < b));
-            assert!(ordinals().all(|o| o < self.ordinal(self.processed.len())));
-            assert_eq!(
-                ordinals().next(),
-                (!self.processed.is_empty()).then_some(self.committed),
-                "the first retained entry always carries a snapshot"
-            );
-        }
+    /// Ordinals of the entries that carry a snapshot.
+    fn snapshot_ordinals(&self) -> Vec<u64> {
+        let entries = self.store.chain(self.head).enumerate();
+        entries
+            .filter(|(_, (_, e))| e.snap != NIL)
+            .map(|(position, _)| self.committed + position as u64)
+            .collect()
     }
 }
 
@@ -504,18 +885,43 @@ mod tests {
         let out = lp.process(&m, ev(1.0, 1, 0, 0, 10));
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].key.recv_time, VirtualTime::from_f64(2.0));
-        assert_eq!(lp.processed.len(), 1);
+        assert_eq!(lp.history_len(), 1);
         assert_eq!(lp.lvt(), VirtualTime::from_f64(1.0));
-        assert_eq!(lp.processed[0].sends, 1);
-        assert_eq!(lp.sent, [out[0].key]);
+        assert_eq!(lp.sent(), [out[0].key]);
+        assert_eq!(lp.snapshot_ordinals(), [0]);
     }
 
-    /// The entry cannot silently grow back to carrying its snapshot and
-    /// key list inline.
+    /// An entry's slot is the event and its four links (neighbours, keys,
+    /// snapshot) plus the slot's tag: it cannot silently grow back to
+    /// carrying its snapshot or key list inline.
     #[test]
-    fn history_entry_is_the_event_plus_one_word() {
+    fn history_slot_is_the_event_plus_three_words() {
         use std::mem::size_of;
-        assert!(size_of::<ProcessedEntry<Counter>>() <= size_of::<Event<u64>>() + 8);
+        assert!(size_of::<Slot<ProcessedEntry<u64>>>() <= size_of::<Event<u64>>() + 24);
+    }
+
+    /// Slots freed by a rollback or a commit are taken again before a slab
+    /// grows: an LP that holds at most four entries at a time never has
+    /// more than four entry, key or snapshot slots.
+    #[test]
+    fn freed_slots_are_reused() {
+        let m = Counter;
+        let mut lp = Lp::new(&m, LpId(1), 7);
+        for i in 0..200u64 {
+            let t = i as f64 + 1.0;
+            lp.process(&m, ev(t, 1, 0, 2 * i, 1));
+            lp.process(&m, ev(t + 0.5, 1, 0, 2 * i + 1, 1));
+            if i % 2 == 0 {
+                lp.rollback(&m, &ev(t + 0.25, 1, 9, i, 0).key, false);
+            }
+            lp.fossil_collect(&m, VirtualTime::from_f64(t));
+        }
+        let store = &lp.store;
+        assert_eq!(store.entries.slots.len(), 4);
+        assert_eq!(store.keys.slots.len(), 4);
+        assert_eq!(store.snaps.slots.len(), 4);
+        lp.commit_all(&m);
+        assert_eq!(lp.store.bytes().live, 0, "a commit frees every slot");
     }
 
     #[test]
@@ -589,7 +995,7 @@ mod tests {
         lp.process(&m, ev(3.0, 1, 0, 2, 3));
         let rb = lp.rollback(&m, &ev(1.5, 1, 9, 0, 0).key, false);
         assert_eq!(rb.undone, 2);
-        assert_eq!(lp.processed.len(), 1);
+        assert_eq!(lp.history_len(), 1);
         assert_eq!(lp.state, state_after_1);
         assert_eq!(lp.lvt(), VirtualTime::from_f64(1.0));
     }
@@ -629,7 +1035,7 @@ mod tests {
         lp.process(&m, ev(3.0, 1, 0, 2, 1));
         assert_eq!(lp.fossil_collect(&m, VirtualTime::from_f64(2.0)), 1);
         assert_eq!(lp.committed, 1);
-        assert_eq!(lp.processed.len(), 2);
+        assert_eq!(lp.history_len(), 2);
         // Equal-to-GVT entries retained.
         assert_eq!(lp.fossil_collect(&m, VirtualTime::from_f64(2.0)), 0);
         assert_eq!(lp.commit_all(&m), 2);
@@ -780,8 +1186,7 @@ mod sparse_tests {
         for i in 0..9 {
             lp.process(&m, ev(i as f64 + 1.0, i));
         }
-        let ordinals: Vec<u64> = lp.snaps.iter().map(|(o, _)| *o).collect();
-        assert_eq!(ordinals, [0, 4, 8]);
+        assert_eq!(lp.snapshot_ordinals(), [0, 4, 8]);
     }
 
     #[test]
@@ -794,7 +1199,11 @@ mod sparse_tests {
         // Cut mid-gap: entries 0..6 committed (recv < 6.5), entry 6 had no
         // snapshot and must get one.
         lp.fossil_collect(&m, VirtualTime::from_f64(6.5));
-        assert_eq!(lp.snaps[0].0, lp.committed, "replay base materialized");
+        assert_eq!(
+            lp.snapshot_ordinals()[0],
+            lp.committed,
+            "replay base materialized"
+        );
         // A rollback into the remaining tail still works.
         let rb = lp.rollback(&m, &ev(7.5, 99).key, false);
         assert_eq!(rb.undone, 1);

@@ -11,8 +11,9 @@
 //! snapshot path, a fresh `Vec` per handler call, a map that grows per
 //! insert) fails here with a count, not as a silent throughput regression.
 //!
-//! The second test adds a rollback and a reprocess every 64 events: a
-//! rollback allocates the two result vectors of `Rollback` and nothing else.
+//! The second test adds a rollback and a reprocess every 64 events through
+//! `rollback_into`, the call the engines make, with the undone events and
+//! antis landing in reused buffers: a rollback allocates nothing.
 //!
 //! The third cancels and re-sends one pending event every 8 events, so
 //! the pending set's tombstones pass the compaction threshold again and
@@ -28,14 +29,21 @@
 //! 4T is the same, since the ring's population, and so its queue, is
 //! constant.
 //!
+//! The sixth holds a thread's history to its live size: an engine over
+//! 4,096 LPs, every one of which processes and is fossil-collected, makes
+//! far fewer allocations than it has LPs (one history store per thread, no
+//! buffer per LP), and the store keeps at most twice the most history that
+//! was ever live at once, plus a constant.
+//!
 //! Kept as its own integration binary so the `#[global_allocator]` swap
 //! cannot perturb (or be perturbed by) unrelated tests.
 
 use pdes_core::lp::{key_digest, Lp};
 use pdes_core::pending::{CancelOutcome, PendingSet};
 use pdes_core::{
-    build_engines, run_sequential, Demand, EngineConfig, Event, EventKey, EventUid, LpId,
-    Membership, MessagePlane, Model, Outbound, Participant, Round, SendCtx, VirtualTime,
+    build_engines, run_sequential, Demand, EngineConfig, Event, EventKey, EventUid, LpId, LpMap,
+    MapKind, Membership, MessagePlane, Model, Outbound, Participant, Round, SendCtx, SimThreadId,
+    ThreadEngine, VirtualTime,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -188,16 +196,25 @@ fn steady_state_event_loop_does_not_allocate() {
     );
 }
 
+/// A rollback's undone events and antis, in buffers reused from one
+/// rollback to the next as the engine's are.
+#[derive(Default)]
+struct Undone {
+    events: Vec<Event<()>>,
+    antis: Vec<EventKey>,
+}
+
 /// 63 events of the steady-state loop, then one that is undone and put
 /// back: the newest event's one send is still pending, so the rollback's
 /// anti cancels it there and the next `pump` reprocesses the event — a whole
-/// Time Warp rollback at the LP level. Returns the allocations of
-/// `rounds` such rounds and of the rollback that made most.
+/// Time Warp rollback at the LP level. Returns the allocations of `rounds`
+/// such rounds and of the rollback that made most.
 fn pump_and_roll_back(
     model: &Ring,
     lps: &mut [Lp<Ring>],
     pending: &mut PendingSet<()>,
     sends: &mut Vec<Event<()>>,
+    undone: &mut Undone,
     rounds: u64,
 ) -> (u64, u64) {
     let before = allocs();
@@ -206,35 +223,41 @@ fn pump_and_roll_back(
         pump(model, lps, pending, sends, 63);
         let key = step(model, lps, pending, sends);
         let in_rollback = allocs();
-        let rb = lps[key.dst.index()].rollback(model, &key, true);
+        let Undone { events, antis } = undone;
+        let n = lps[key.dst.index()].rollback_into(model, &key, true, events, antis);
         worst = worst.max(allocs() - in_rollback);
-        assert_eq!((rb.undone, rb.antis.len()), (1, 1));
-        for anti in &rb.antis {
-            assert_eq!(pending.cancel(anti), CancelOutcome::Removed);
+        assert_eq!((n, events.len(), antis.len()), (1, 1, 1));
+        for anti in antis.drain(..) {
+            assert_eq!(pending.cancel(&anti), CancelOutcome::Removed);
         }
-        for undone in rb.reinserted {
-            pending.insert(undone);
+        for event in events.drain(..) {
+            pending.insert(event);
         }
     }
     (allocs() - before, worst)
 }
 
 #[test]
-fn rollback_allocates_only_its_result() {
+fn steady_state_rollback_does_not_allocate() {
     let model = Ring { n: 8 };
     let (mut lps, mut pending) = ring(&model);
     let mut sends: Vec<Event<()>> = Vec::new();
-    pump_and_roll_back(&model, &mut lps, &mut pending, &mut sends, 80);
+    let mut undone = Undone::default();
+    pump_and_roll_back(&model, &mut lps, &mut pending, &mut sends, &mut undone, 80);
     let rounds = 30;
-    let (total, worst) = pump_and_roll_back(&model, &mut lps, &mut pending, &mut sends, rounds);
-    assert!(
-        worst <= 2,
-        "a rollback allocated {worst} times (expected its two result vectors)"
+    let (total, worst) = pump_and_roll_back(
+        &model,
+        &mut lps,
+        &mut pending,
+        &mut sends,
+        &mut undone,
+        rounds,
     );
-    assert!(
-        total <= 2 * rounds,
+    assert_eq!(worst, 0, "a rollback allocated {worst} times");
+    assert_eq!(
+        total, 0,
         "{total} allocations across {rounds} steady-state rollback rounds \
-         (expected the two result vectors of each rollback and nothing else)"
+         (expected zero: the undone events and antis land in reused buffers)"
     );
 }
 
@@ -311,9 +334,8 @@ fn route(plane: &MessagePlane<()>, me: usize, out: &mut Vec<Outbound<()>>) {
 
 /// `rounds` GVT rounds of two participants, sixteen main-loop cycles before
 /// each round's folds. A cycle executes the globally lowest event only, so
-/// nothing rolls back (a rollback's result vectors are the engine's, not
-/// the steps'). Returns (events committed, allocations inside `receive` and
-/// `fold`).
+/// nothing rolls back. Returns (events committed, allocations inside
+/// `receive` and `fold`).
 fn run_rounds(
     ps: &mut [Participant<Ring>],
     plane: &MessagePlane<()>,
@@ -399,5 +421,53 @@ fn oracle_allocations_do_not_grow_with_run_length() {
         long, short,
         "the oracle allocated {long} times over {more} events and {short} \
          over {events} (expected the same: no buffer may grow with the run)"
+    );
+}
+
+#[test]
+fn history_footprint_follows_the_live_history_not_the_lp_count() {
+    const LPS: usize = 4096;
+    let model = std::sync::Arc::new(Ring { n: LPS });
+    let cfg = EngineConfig::default()
+        .with_end_time(1e9)
+        .with_seed(42)
+        .with_snapshot_period(SNAPSHOT_PERIOD);
+    let map = LpMap::new(LPS, 1, MapKind::RoundRobin);
+    let mut eng = ThreadEngine::new(model, map, SimThreadId(0), &cfg);
+    let mut outbox = Vec::new();
+    for (_, msg) in eng.take_init_events() {
+        eng.deliver(msg, &mut outbox);
+    }
+
+    // One event per step, so no peak of the live history goes unseen; a
+    // fossil collection at the pending minimum (the one thread's GVT)
+    // every 512 events.
+    let before = allocs();
+    let mut high_water = 0;
+    for _ in 0..64 {
+        for _ in 0..512 {
+            assert_eq!(eng.process_batch(1, &mut outbox).processed, 1);
+            high_water = high_water.max(eng.history_bytes().live);
+        }
+        eng.fossil_collect(eng.local_min());
+    }
+    let allocations = allocs() - before;
+
+    assert!(outbox.is_empty(), "one thread owns every LP");
+    assert!(
+        eng.state_digests().iter().all(|&(_, events)| events >= 2),
+        "every LP processed"
+    );
+    assert!(eng.stats().committed > 30_000, "and committed");
+    assert!(
+        allocations <= 64,
+        "{allocations} allocations over {LPS} LPs with history \
+         (expected a few dozen: the store's slabs doubling, nothing per LP)"
+    );
+    let bytes = eng.history_bytes();
+    assert!(
+        bytes.reserved <= 2 * high_water + 4096,
+        "the store holds {} bytes for a live high-water of {high_water}",
+        bytes.reserved
     );
 }
