@@ -10,9 +10,11 @@
 //! * [`lp::LpCore`] — per-LP state saving, rollback, fossil collection, on
 //!   history kept in one store per thread; [`lp::Lp`] — an LP with a store
 //!   of its own;
-//! * [`pending::EventQueue`] — the one event queue, drained by the oracle;
-//!   [`pending::PendingSet`] — the per-thread pending event set on it, with
-//!   anti-message annihilation;
+//! * [`pending::EventQueue`] — the one event queue, a one-rung ladder
+//!   queue (a bottom heap, a rung of buckets, an unsorted top) with O(1)
+//!   amortised operations, drained by the oracle; [`pending::PendingSet`]
+//!   — the per-thread pending event set on it, with anti-message
+//!   annihilation;
 //! * [`engine::ThreadEngine`] — the per-simulation-thread engine combining
 //!   the above: optimistic batches, straggler rollbacks, anti-message
 //!   cascades;

@@ -2,29 +2,52 @@
 //!
 //! [`EventQueue`] is the system's one priority queue of events: the
 //! sequential oracle drains one, and every engine's [`PendingSet`] is one
-//! plus a key index. Layout: a binary min-heap of 16-byte entries — the
-//! receive time in ticks and a slot number — over a slab of events with a
-//! free list. Sifting moves entries, never events: an event is written into
-//! its slot once on push and moved out once on pop. Ties on the tick count
-//! fall back to the full [`EventKey`] read from the slab, so the pop order
-//! is exactly the events' total order.
+//! plus a key index. Layout: a one-rung ladder queue (Tang, Goh & Thng,
+//! ACM TOMACS 2005) of 16-byte entries — the receive time in ticks and a
+//! slot number — over a slab of events with a free chain. Entries move,
+//! never events: an event is written into its slot once on push and moved
+//! out once on pop. The three tiers, lowest first:
 //!
-//! `pop` is Floyd's: the hole left at the root walks to the bottom along
-//! the smaller child, picked without a branch (`c + less(c + 1, c)`), and
-//! the last entry sifts up from where the hole stopped.
+//! * **bottom** — a binary min-heap of every entry with ticks below
+//!   `bottom_end`. Its root is the lowest entry of the queue. `pop` is
+//!   Floyd's: the hole left at the root walks to the bottom along the
+//!   smaller child, picked without a branch (`c + less(c + 1, c)`), and the
+//!   last entry sifts up from where the hole stopped. Ties on the tick
+//!   count fall back to the full [`EventKey`] read from the slab, so the
+//!   pop order is exactly the events' total order.
+//! * **rung** — unsorted buckets of equal power-of-two width covering
+//!   `[bottom_end, …)`, each a chain linked through a per-slot `next`. When
+//!   the bottom empties it takes the next non-empty bucket, and
+//!   `bottom_end` moves past it.
+//! * **top** — one unsorted chain of everything past the rung's last
+//!   bucket, with the bounds and sum of its ticks. When the rung is
+//!   drained it is rebuilt from the top: a bucket per two entries, over
+//!   twice the distance from the top's minimum to its mean (its maximum,
+//!   if nearer), so a heavy tail does not widen every bucket; what lies
+//!   past the new rung stays in the top.
+//!
+//! A push lands in the tier its ticks fall in, so a rollback's re-inserts
+//! and stragglers go straight into the bottom. Entries with equal ticks
+//! always share a tier and a bucket, which is why the bottom's order is the
+//! queue's. Push, pop and refill are O(1) amortised whatever the
+//! population: the bottom's heap holds a bucket's few entries and the
+//! stragglers. A small set never raises a rung: the queue is the bottom
+//! heap alone until it holds more than twice `SMALL` entries, and goes back
+//! to it when the rung is rebuilt from `SMALL` or fewer.
 //!
 //! Cancellation is lazy: [`PendingSet::cancel`] drops the key from the
-//! index and marks its slot dead, leaving the heap entry behind as a
-//! tombstone that keeps the key for ordering. **Tombstone rule:** a dead
-//! slot returns to the free list only when its heap entry surfaces or when
-//! compaction drops it, so a slot is never reused while an old heap entry
-//! still points at it. The heap *top* is always live — pops and top-cancels
-//! purge dead tops — so `min_key` and `min_time` stay `&self` and O(1). The
-//! same key can sit in the heap twice (anti-then-resend: the cancelled
+//! index and marks its slot dead, leaving the entry behind, in whichever
+//! tier, as a tombstone that keeps the key for ordering. **Tombstone
+//! rule:** a dead slot returns to the free chain only when its entry
+//! surfaces at the bottom's root or when compaction drops it, so a slot is
+//! never reused while an old entry still points at it. The bottom's root is
+//! always live — pops and root-cancels purge dead roots, refilling an empty
+//! bottom from the rung — so `min_key` and `min_time` stay `&self` and
+//! O(1). The same key can be queued twice (anti-then-resend: the cancelled
 //! entry is a tombstone, the re-sent twin takes a fresh slot); the index
-//! holds at most one. Compaction keeps the live entries and sorts them in
-//! place — a sorted array is a heap — and moves no slot, so the index stays
-//! valid.
+//! holds at most one. Compaction unlinks the tombstones from every tier and
+//! sorts the bottom in place — a sorted array is a heap — and moves no
+//! slot, so the index stays valid.
 //!
 //! Determinism: the index uses a fixed-key FxHash ([`DetHash`]) — never
 //! `RandomState`. Ordering queries never consult it, and
@@ -91,18 +114,30 @@ impl Hasher for DetHash {
 /// A `HashMap` with deterministic (fixed-seed) hashing.
 pub type DetHashMap<K, V> = HashMap<K, V, BuildHasherDefault<DetHash>>;
 
-/// One heap entry: an event's receive time in ticks and its slab slot.
+/// One bottom-heap entry: an event's receive time in ticks and its slab slot.
 #[derive(Debug, Clone, Copy)]
 struct Entry {
     ticks: u64,
     slot: u32,
 }
 
+/// A slot's link in its chain — a rung bucket's, the top's or the free
+/// slots' — to the next slot of the chain, or [`NIL`], and, in a bucket or
+/// the top, the event's receive time in ticks.
+#[derive(Debug, Clone, Copy)]
+struct Link {
+    ticks: u64,
+    next: u32,
+}
+
+/// The end of a chain.
+const NIL: u32 = u32::MAX;
+
 #[derive(Debug)]
 enum Slot<P> {
     Live(Event<P>),
-    /// Cancelled; its heap entry has not surfaced yet and is still ordered
-    /// by this key.
+    /// Cancelled; its entry has not surfaced yet and is still ordered by
+    /// this key.
     Dead(EventKey),
     Free,
 }
@@ -113,7 +148,7 @@ impl<P> Slot<P> {
         match self {
             Slot::Live(ev) => &ev.key,
             Slot::Dead(key) => key,
-            Slot::Free => unreachable!("a heap entry points at a free slot"),
+            Slot::Free => unreachable!("a queued entry points at a free slot"),
         }
     }
 }
@@ -142,15 +177,78 @@ fn sift_up<P>(slab: &[Slot<P>], heap: &mut [Entry], mut pos: usize, entry: Entry
     heap[pos] = entry;
 }
 
-/// Events in key order: a binary min-heap of `(ticks, slot)` entries over a
-/// slab of events with a free list (see the module docs).
+/// Unlink every slot of the chain at `head` that `drop` accepts, which
+/// may reuse the slot's link; returns how many went.
+fn unlink_where(
+    links: &mut [Link],
+    head: &mut u32,
+    mut drop: impl FnMut(&mut [Link], u32) -> bool,
+) -> usize {
+    let (mut prev, mut at, mut dropped) = (NIL, *head, 0);
+    while at != NIL {
+        let next = links[at as usize].next;
+        if drop(links, at) {
+            match prev {
+                NIL => *head = next,
+                _ => links[prev as usize].next = next,
+            }
+            dropped += 1;
+        } else {
+            prev = at;
+        }
+        at = next;
+    }
+    dropped
+}
+
+/// The top of the ladder: a chain of every entry at or past the rung's
+/// last bucket, unsorted, and the bounds and sum of their ticks.
+#[derive(Debug)]
+struct Top {
+    head: u32,
+    len: usize,
+    min: u64,
+    max: u64,
+    sum: u128,
+}
+
+impl Top {
+    const EMPTY: Top = Top {
+        head: NIL,
+        len: 0,
+        min: u64::MAX,
+        max: 0,
+        sum: 0,
+    };
+}
+
+/// Events in key order: a one-rung ladder queue of `(ticks, slot)` entries
+/// over a slab of events with a free chain (see the module docs).
 #[derive(Debug)]
 pub struct EventQueue<P> {
-    heap: Vec<Entry>,
+    /// Binary min-heap of every entry with ticks below `bottom_end`; its
+    /// root is the lowest entry of the queue, and live.
+    bottom: Vec<Entry>,
+    /// `u64::MAX` while the rung is down; past the rung's last drained
+    /// bucket while it is up (saturating).
+    bottom_end: u64,
+    /// Heads of the rung's bucket chains, each `1 << shift` ticks wide from
+    /// `rung_start`; empty while the rung is down. Buckets below
+    /// `next_bucket` have been drained into the bottom.
+    buckets: Vec<u32>,
+    next_bucket: usize,
+    rung_start: u64,
+    shift: u32,
+    top: Top,
     slab: Vec<Slot<P>>,
-    free: Vec<u32>,
-    /// Live events: heap entries minus tombstones.
+    /// Per slot, its link in a bucket's chain, the top's or the free one.
+    links: Vec<Link>,
+    /// Head of the free slots' chain.
+    free: u32,
+    /// Live events: queued entries minus tombstones.
     live: usize,
+    /// Entries in all three tiers, tombstones included.
+    queued: usize,
 }
 
 impl<P> Default for EventQueue<P> {
@@ -159,13 +257,31 @@ impl<P> Default for EventQueue<P> {
     }
 }
 
+/// Up to this many entries the rung stays down and the queue is the bottom
+/// heap alone: a small set sits in L1, where the heap's branch-free descent
+/// beats the rung's bookkeeping. The bottom spills into a rung once it holds
+/// more than twice this many, and the rung comes down when it is rebuilt
+/// from this many or fewer.
+const SMALL: usize = 64;
+
+/// The rung aims at this many entries per bucket.
+const PER_BUCKET: usize = 2;
+
 impl<P> EventQueue<P> {
     pub fn new() -> Self {
         EventQueue {
-            heap: Vec::new(),
+            bottom: Vec::new(),
+            bottom_end: u64::MAX,
+            buckets: Vec::new(),
+            next_bucket: 0,
+            rung_start: 0,
+            shift: 0,
+            top: Top::EMPTY,
             slab: Vec::new(),
-            free: Vec::new(),
+            links: Vec::new(),
+            free: NIL,
             live: 0,
+            queued: 0,
         }
     }
 
@@ -184,28 +300,41 @@ impl<P> EventQueue<P> {
     #[inline]
     pub fn push(&mut self, event: Event<P>) -> u32 {
         let ticks = event.key.recv_time.ticks();
-        let slot = match self.free.pop() {
-            Some(slot) => {
+        let slot = match self.free {
+            NIL => {
+                self.slab.push(Slot::Live(event));
+                self.links.push(Link {
+                    ticks: 0,
+                    next: NIL,
+                });
+                (self.slab.len() - 1) as u32
+            }
+            slot => {
+                self.free = self.links[slot as usize].next;
                 self.slab[slot as usize] = Slot::Live(event);
                 slot
             }
-            None => {
-                self.slab.push(Slot::Live(event));
-                (self.slab.len() - 1) as u32
-            }
         };
         self.live += 1;
+        self.queued += 1;
         let entry = Entry { ticks, slot };
-        self.heap.push(entry);
-        let last = self.heap.len() - 1;
-        sift_up(&self.slab, &mut self.heap, last, entry);
+        if ticks < self.bottom_end {
+            self.push_bottom(entry);
+            if self.bottom.len() > 2 * SMALL && self.buckets.is_empty() {
+                self.spill();
+            }
+        } else {
+            self.push_above(entry);
+        }
         slot
     }
 
     /// Key of the lowest live event.
     #[inline]
     pub fn peek_key(&self) -> Option<&EventKey> {
-        self.heap.first().map(|e| self.slab[e.slot as usize].key())
+        self.bottom
+            .first()
+            .map(|e| self.slab[e.slot as usize].key())
     }
 
     /// Remove and return the lowest live event.
@@ -214,14 +343,16 @@ impl<P> EventQueue<P> {
         let top = self.remove_top()?;
         let Slot::Live(ev) = std::mem::replace(&mut self.slab[top.slot as usize], Slot::Free)
         else {
-            unreachable!("the heap top is always live")
+            unreachable!("the bottom's root is always live")
         };
-        self.free.push(top.slot);
+        self.release(top.slot);
         self.live -= 1;
-        // With no tombstone outstanding — the common case — the new top is
-        // provably live and the purge is skipped.
-        if self.heap.len() != self.live {
-            self.purge_top();
+        self.queued -= 1;
+        // With the bottom non-empty and no tombstone outstanding — the
+        // common case — the new root is provably live and settling is
+        // skipped.
+        if self.bottom.is_empty() || self.queued != self.live {
+            self.settle();
         }
         Some(ev)
     }
@@ -234,15 +365,65 @@ impl<P> EventQueue<P> {
         })
     }
 
-    /// Floyd's pop of the root entry: the hole walks to the bottom along the
-    /// smaller child, then the last entry sifts up from it.
+    /// Put the freed `slot` on the free chain.
+    #[inline]
+    fn release(&mut self, slot: u32) {
+        self.links[slot as usize].next = self.free;
+        self.free = slot;
+    }
+
+    #[inline]
+    fn push_bottom(&mut self, entry: Entry) {
+        self.bottom.push(entry);
+        let last = self.bottom.len() - 1;
+        sift_up(&self.slab, &mut self.bottom, last, entry);
+    }
+
+    /// Queue an entry at or past `bottom_end`: into its rung bucket, the
+    /// top past the rung, or — with the rung down, or past a saturated
+    /// `bottom_end` — the bottom.
+    #[inline]
+    fn push_above(&mut self, entry: Entry) {
+        if self.buckets.is_empty() {
+            return self.push_bottom(entry);
+        }
+        let bucket = ((entry.ticks - self.rung_start) >> self.shift) as usize;
+        if bucket < self.next_bucket {
+            self.push_bottom(entry);
+        } else if let Some(head) = self.buckets.get_mut(bucket) {
+            self.links[entry.slot as usize] = Link {
+                ticks: entry.ticks,
+                next: *head,
+            };
+            *head = entry.slot;
+        } else {
+            self.push_top(entry);
+        }
+    }
+
+    #[inline]
+    fn push_top(&mut self, entry: Entry) {
+        let top = &mut self.top;
+        self.links[entry.slot as usize] = Link {
+            ticks: entry.ticks,
+            next: top.head,
+        };
+        top.head = entry.slot;
+        top.len += 1;
+        top.min = top.min.min(entry.ticks);
+        top.max = top.max.max(entry.ticks);
+        top.sum += u128::from(entry.ticks);
+    }
+
+    /// Floyd's pop of the bottom's root: the hole walks to the bottom along
+    /// the smaller child, then the last entry sifts up from it.
     #[inline]
     fn remove_top(&mut self) -> Option<Entry> {
-        let last = self.heap.pop()?;
-        let Some(&top) = self.heap.first() else {
+        let last = self.bottom.pop()?;
+        let Some(&top) = self.bottom.first() else {
             return Some(last);
         };
-        let (slab, heap) = (&self.slab, &mut self.heap);
+        let (slab, heap) = (&self.slab, &mut self.bottom);
         let end = heap.len();
         let mut hole = 0;
         let mut child = 1;
@@ -261,7 +442,7 @@ impl<P> EventQueue<P> {
     }
 
     /// Cancel the live event in `slot`: it becomes a tombstone until its
-    /// heap entry surfaces (tombstone rule).
+    /// entry surfaces (tombstone rule).
     fn kill(&mut self, slot: u32) {
         let s = &mut self.slab[slot as usize];
         let Slot::Live(ev) = s else {
@@ -269,40 +450,159 @@ impl<P> EventQueue<P> {
         };
         *s = Slot::Dead(ev.key);
         self.live -= 1;
-        if self.heap[0].slot == slot {
-            self.purge_top();
+        if self.bottom[0].slot == slot {
+            self.settle();
         }
     }
 
-    /// Free dead tops until the top is live or the heap is empty.
-    fn purge_top(&mut self) {
-        while let Some(top) = self.heap.first() {
-            if !matches!(self.slab[top.slot as usize], Slot::Dead(_)) {
-                break;
+    /// Restore the queue's invariant: the bottom is non-empty and its root
+    /// live, or nothing is queued. Dead roots surface and free their slots;
+    /// an empty bottom refills from the rung.
+    fn settle(&mut self) {
+        loop {
+            match self.bottom.first() {
+                None => {
+                    if !self.refill() {
+                        return;
+                    }
+                }
+                Some(top) if matches!(self.slab[top.slot as usize], Slot::Dead(_)) => {
+                    let dead = self.remove_top().expect("non-empty");
+                    self.slab[dead.slot as usize] = Slot::Free;
+                    self.release(dead.slot);
+                    self.queued -= 1;
+                }
+                Some(_) => return,
             }
-            let dead = self.remove_top().expect("non-empty");
-            self.slab[dead.slot as usize] = Slot::Free;
-            self.free.push(dead.slot);
         }
     }
 
-    /// Drop every tombstone, freeing its slot, and sort the live entries in
-    /// place: a sorted array is a heap. Slots do not move.
+    /// Refill the empty bottom from the next non-empty bucket, rebuilding
+    /// the rung from the top once every bucket is drained, and bring the
+    /// rung down when the top is small. Returns false when nothing is
+    /// queued.
+    fn refill(&mut self) -> bool {
+        debug_assert!(self.bottom.is_empty());
+        loop {
+            while let Some(head) = self.buckets.get_mut(self.next_bucket) {
+                let chain = std::mem::replace(head, NIL);
+                self.next_bucket += 1;
+                if chain != NIL {
+                    let drained = (self.next_bucket as u64).saturating_mul(1 << self.shift);
+                    self.bottom_end = self.rung_start.saturating_add(drained);
+                    self.drain_chain(chain);
+                    return true;
+                }
+            }
+            self.buckets.clear();
+            self.next_bucket = 0;
+            self.bottom_end = u64::MAX;
+            match self.top.len {
+                0 => {
+                    self.top = Top::EMPTY;
+                    return false;
+                }
+                len if len <= SMALL => {
+                    let top = std::mem::replace(&mut self.top, Top::EMPTY);
+                    self.drain_chain(top.head);
+                    return true;
+                }
+                _ => self.build_rung(),
+            }
+        }
+    }
+
+    /// Push every entry of the chain at `head` into the bottom.
+    fn drain_chain(&mut self, mut at: u32) {
+        while at != NIL {
+            let Link { ticks, next } = self.links[at as usize];
+            self.push_bottom(Entry { ticks, slot: at });
+            at = next;
+        }
+    }
+
+    /// Spread the top over a fresh rung of at most `len / PER_BUCKET`
+    /// buckets of one power-of-two width, covering twice the distance from
+    /// the top's minimum to its mean, or to its maximum when that is
+    /// nearer. Entries past the last bucket stay in the top — by Markov's
+    /// inequality at most half of them — so a heavy tail of far-future
+    /// events neither widens every bucket nor is walked more than a few
+    /// times. The rung is down and the bottom empty.
+    fn build_rung(&mut self) {
+        let top = std::mem::replace(&mut self.top, Top::EMPTY);
+        let wanted = top.len.div_ceil(PER_BUCKET);
+        debug_assert!(wanted >= 2, "a rung is built from more than SMALL entries");
+        // Compaction leaves the sum as it was, hence the clamp.
+        let mean = u64::try_from(top.sum / top.len as u128)
+            .map_or(top.max, |mean| mean.clamp(top.min, top.max));
+        let span = (top.max - top.min).min((mean - top.min).saturating_mul(2));
+        // The narrowest power-of-two width with `span >> shift < wanted`.
+        let shift = u64::BITS - (span / wanted as u64).leading_zeros();
+        self.rung_start = top.min;
+        self.shift = shift;
+        // Room for the most buckets the slab's slots could need, so the
+        // array grows only when the slab does, never with the spans seen.
+        self.buckets.reserve(self.slab.len().div_ceil(PER_BUCKET));
+        self.buckets.resize((span >> shift) as usize + 1, NIL);
+        let mut at = top.head;
+        while at != NIL {
+            let Link { ticks, next } = self.links[at as usize];
+            match self.buckets.get_mut(((ticks - top.min) >> shift) as usize) {
+                Some(head) => {
+                    self.links[at as usize].next = *head;
+                    *head = at;
+                }
+                None => self.push_top(Entry { ticks, slot: at }),
+            }
+            at = next;
+        }
+    }
+
+    /// Move the bottom into the top and raise a rung over it.
+    #[cold]
+    fn spill(&mut self) {
+        for i in 0..self.bottom.len() {
+            let entry = self.bottom[i];
+            self.push_top(entry);
+        }
+        self.bottom.clear();
+        self.settle();
+    }
+
+    /// Drop every tombstone from the three tiers, freeing its slot, and sort
+    /// the bottom's live entries in place: a sorted array is a heap. Slots do
+    /// not move.
     fn compact(&mut self) {
         let Self {
-            heap, slab, free, ..
+            bottom,
+            buckets,
+            next_bucket,
+            top,
+            slab,
+            links,
+            free,
+            ..
         } = self;
-        heap.retain(|e| {
-            let dead = matches!(slab[e.slot as usize], Slot::Dead(_));
+        let mut drop_dead = |links: &mut [Link], slot: u32| {
+            let dead = matches!(slab[slot as usize], Slot::Dead(_));
             if dead {
-                slab[e.slot as usize] = Slot::Free;
-                free.push(e.slot);
+                slab[slot as usize] = Slot::Free;
+                links[slot as usize].next = *free;
+                *free = slot;
             }
-            !dead
-        });
+            dead
+        };
+        bottom.retain(|e| !drop_dead(links, e.slot));
+        for head in &mut buckets[*next_bucket..] {
+            unlink_where(links, head, &mut drop_dead);
+        }
+        // The top's tick bounds and sum stay as they were: only the rung's
+        // width reads them.
+        top.len -= unlink_where(links, &mut top.head, &mut drop_dead);
         // A key's first field is its receive time: key order is heap order.
-        heap.sort_unstable_by_key(|e| *slab[e.slot as usize].key());
-        debug_assert_eq!(heap.len(), self.live);
+        bottom.sort_unstable_by_key(|e| *slab[e.slot as usize].key());
+        self.queued = self.live;
+        self.settle();
     }
 }
 
@@ -370,10 +670,10 @@ impl<P> PendingSet<P> {
     pub fn cancel(&mut self, key: &EventKey) -> CancelOutcome {
         if let Some(slot) = self.index.remove(key) {
             self.queue.kill(slot);
-            // A cancellation storm can bloat the heap with buried
+            // A cancellation storm can bloat the queue with buried
             // tombstones: compact once they clearly dominate.
-            let heap = self.queue.heap.len();
-            if heap > 64 && heap > 2 * self.queue.len() {
+            let queued = self.queue.queued;
+            if queued > 64 && queued > 2 * self.queue.len() {
                 self.queue.compact();
             }
             CancelOutcome::Removed
@@ -451,6 +751,107 @@ mod tests {
             send_time: VirtualTime::ZERO,
             payload: 0,
         }
+    }
+
+    /// Every invariant of the three tiers, checked from scratch; returns
+    /// each tier's (entries, tombstones): bottom, rung, top.
+    fn check<P>(q: &EventQueue<P>) -> [(usize, usize); 3] {
+        let slab = &q.slab;
+        let ticks_of = |slot: u32| slab[slot as usize].key().recv_time.ticks();
+        let dead = |slot: u32| matches!(slab[slot as usize], Slot::Dead(_)) as usize;
+        let mut seen = vec![false; slab.len()];
+        let mut queue = |slot: u32| {
+            assert!(!seen[slot as usize], "slot {slot} is queued twice");
+            seen[slot as usize] = true;
+        };
+        let mut tiers = [(0, 0); 3];
+        for (i, e) in q.bottom.iter().enumerate() {
+            queue(e.slot);
+            assert_eq!(e.ticks, ticks_of(e.slot));
+            assert!(
+                i == 0 || !less(slab, *e, q.bottom[(i - 1) / 2]),
+                "heap order"
+            );
+            tiers[0].0 += 1;
+            tiers[0].1 += dead(e.slot);
+        }
+        let bucket_of = |ticks: u64| ((ticks - q.rung_start) >> q.shift) as usize;
+        if q.buckets.is_empty() {
+            assert_eq!((q.bottom_end, q.top.len, q.top.head), (u64::MAX, 0, NIL));
+        } else {
+            for e in &q.bottom {
+                assert!(e.ticks < q.bottom_end || bucket_of(e.ticks) < q.next_bucket);
+            }
+        }
+        let mut walk = |mut at: u32, tier: &mut (usize, usize), place: &dyn Fn(u64)| {
+            while at != NIL {
+                queue(at);
+                let link = q.links[at as usize];
+                assert_eq!(link.ticks, ticks_of(at));
+                assert!(link.ticks >= q.bottom_end, "below the bottom's end");
+                place(link.ticks);
+                tier.0 += 1;
+                tier.1 += dead(at);
+                at = link.next;
+            }
+        };
+        let mut rung = (0, 0);
+        for (i, &head) in q.buckets.iter().enumerate() {
+            assert!(
+                i >= q.next_bucket || head == NIL,
+                "a drained bucket holds entries"
+            );
+            walk(head, &mut rung, &|t| assert_eq!(bucket_of(t), i));
+        }
+        let mut top = (0, 0);
+        walk(q.top.head, &mut top, &|t| {
+            assert!(bucket_of(t) >= q.buckets.len(), "past the rung");
+            assert!(
+                (q.top.min..=q.top.max).contains(&t),
+                "within the top's bounds"
+            );
+        });
+        assert_eq!(top.0, q.top.len);
+        tiers[1] = rung;
+        tiers[2] = top;
+        assert_eq!(q.queued, tiers.iter().map(|t| t.0).sum::<usize>());
+        assert_eq!(q.live, q.queued - tiers.iter().map(|t| t.1).sum::<usize>());
+        assert_eq!(
+            q.bottom.is_empty(),
+            q.queued == 0,
+            "an empty bottom means an empty queue"
+        );
+        if let Some(root) = q.bottom.first() {
+            assert_eq!(dead(root.slot), 0, "the root is live");
+        }
+        // Tombstone rule: a slot is free exactly when no entry points at it.
+        let mut free = vec![false; slab.len()];
+        let mut f = q.free;
+        while f != NIL {
+            assert!(!free[f as usize], "slot {f} is free twice");
+            free[f as usize] = true;
+            f = q.links[f as usize].next;
+        }
+        for (i, s) in slab.iter().enumerate() {
+            assert_eq!(matches!(s, Slot::Free), free[i], "slot {i}: free list");
+            assert_eq!(!free[i], seen[i], "slot {i}: queued unless free");
+        }
+        tiers
+    }
+
+    /// Pop everything, checking the tiers after every pop; returns the keys.
+    fn drain<P>(q: &mut EventQueue<P>) -> Vec<EventKey> {
+        std::iter::from_fn(|| {
+            let key = q.pop().map(|e| e.key);
+            check(q);
+            key
+        })
+        .collect()
+    }
+
+    fn sorted(mut keys: Vec<EventKey>) -> Vec<EventKey> {
+        keys.sort_unstable();
+        keys
     }
 
     #[test]
@@ -594,7 +995,7 @@ mod tests {
         assert_eq!(ps.pop_min(), Some(b));
         assert_eq!(ps.pop_min(), Some(c));
         assert_eq!(ps.pop_min(), None);
-        assert!(ps.queue.heap.is_empty(), "A's tombstone surfaced and left");
+        assert_eq!(ps.queue.queued, 0, "A's tombstone surfaced and left");
 
         // After a compaction the survivors' slots are still indexed.
         let mut ps = PendingSet::new();
@@ -610,7 +1011,7 @@ mod tests {
         for e in &doomed {
             assert_eq!(ps.cancel(&e.key), CancelOutcome::Removed);
         }
-        assert!(ps.queue.heap.len() < 2 + doomed.len(), "compaction ran");
+        assert!(ps.queue.queued < 2 + doomed.len(), "compaction ran");
         assert_eq!(ps.cancel(&kept.key), CancelOutcome::Removed);
         assert_eq!(ps.pop_min().map(|e| e.payload), Some(8));
         assert_eq!(ps.pop_min(), None);
@@ -646,6 +1047,282 @@ mod tests {
         let order: Vec<u32> = std::iter::from_fn(|| q.pop()).map(|e| e.payload).collect();
         assert_eq!(order, vec![4, 3, 2, 1]);
         assert!(q.is_empty() && q.peek_key().is_none());
+    }
+
+    fn at_ticks(ticks: u64, dst: u32, seq: u64) -> Event<u32> {
+        Event {
+            key: EventKey {
+                recv_time: VirtualTime::from_ticks(ticks),
+                ..ev(0.0, dst, 0, seq).key
+            },
+            ..ev(0.0, dst, 0, seq)
+        }
+    }
+
+    #[test]
+    fn a_small_set_never_raises_a_rung() {
+        // phold-thrash's shape: 16 events, each popped and re-sent later,
+        // with an anti-then-resend every third step.
+        let mut ps = PendingSet::new();
+        for i in 0..16 {
+            ps.insert(ev(i as f64 * 0.25, i, 0, i as u64));
+        }
+        for seq in 100..2000u64 {
+            let e = ps.pop_min().unwrap();
+            let resent = ev(e.key.recv_time.as_f64() + 1.0 + (seq % 7) as f64, 0, 1, seq);
+            ps.insert(resent.clone());
+            if seq % 3 == 0 {
+                assert_eq!(ps.cancel(&resent.key), CancelOutcome::Removed);
+                ps.insert(resent);
+            }
+            assert!(ps.queue.buckets.is_empty(), "the rung stays down");
+            check(&ps.queue);
+        }
+    }
+
+    #[test]
+    fn all_equal_ticks_make_a_single_bucket() {
+        let mut q = EventQueue::new();
+        let evs: Vec<_> = (0..500).map(|i| at_ticks(77, 499 - i, i as u64)).collect();
+        for e in &evs {
+            q.push(e.clone());
+            check(&q);
+        }
+        assert_eq!(q.buckets.len(), 1, "a zero range is one bucket");
+        assert_eq!(check(&q), [(500, 0), (0, 0), (0, 0)]);
+        // Later pushes at the same tick join the bottom.
+        q.push(at_ticks(77, 1000, 1000));
+        assert_eq!(check(&q)[0].0, 501);
+        let keys = drain(&mut q);
+        let mut expect: Vec<_> = evs.iter().map(|e| e.key).collect();
+        expect.push(at_ticks(77, 1000, 1000).key);
+        assert_eq!(keys, sorted(expect));
+        assert!(q.buckets.is_empty(), "an empty queue takes the rung down");
+    }
+
+    #[test]
+    fn one_far_outlier_gives_a_degenerate_width() {
+        let mut q = EventQueue::new();
+        let mut keys = Vec::new();
+        for i in 0..300u64 {
+            let e = at_ticks(i * 1_000 + i % 7, (i % 5) as u32, i);
+            keys.push(e.key);
+            q.push(e);
+        }
+        // The outlier comes last, so it lands in the top; the rung built
+        // from it spreads 2^40 ticks over its buckets.
+        let far = at_ticks(1 << 40, 0, 10_000);
+        keys.push(far.key);
+        q.push(far);
+        check(&q);
+        let mut popped = Vec::new();
+        // The first rung, raised when the bottom spilled, holds the first
+        // 129 events; the rest and the outlier wait in the top.
+        while q.len() > 150 {
+            popped.push(q.pop().unwrap().key);
+            check(&q);
+        }
+        // It pulls the top's mean out by 2^40 / 172 ticks, and the rung's
+        // span to twice that: the cluster, 300,000 ticks, is one bucket,
+        // and the outlier, past the rung, stays in the top.
+        assert!(q.buckets.len() > 1, "a rung is up");
+        assert!(q.shift >= 20, "the outlier sets the width");
+        let [bottom, rung, top] = check(&q);
+        assert_eq!(
+            (bottom.0, rung.0, top.0),
+            (149, 0, 1),
+            "the cluster is one bucket"
+        );
+        popped.extend(drain(&mut q));
+        assert_eq!(popped, sorted(keys));
+    }
+
+    #[test]
+    fn ticks_at_the_end_of_time_stay_ordered() {
+        // With the rung down, `bottom_end` is u64::MAX itself: an entry at
+        // u64::MAX goes to the bottom all the same.
+        let mut q = EventQueue::new();
+        let end = at_ticks(u64::MAX, 0, 0);
+        q.push(end.clone());
+        assert_eq!(check(&q), [(1, 0), (0, 0), (0, 0)]);
+        // 300 events 2^50 ticks apart up to u64::MAX: the rung's last
+        // bucket reaches past it, so `bottom_end` saturates once that
+        // bucket is drained.
+        let mut keys = vec![end.key];
+        for i in 1..300u64 {
+            let e = at_ticks(u64::MAX - i * (1 << 50), 0, i);
+            keys.push(e.key);
+            q.push(e);
+        }
+        let mut popped = Vec::new();
+        while q.buckets.is_empty() || q.next_bucket < q.buckets.len() {
+            popped.push(q.pop().unwrap().key);
+            check(&q);
+        }
+        assert_eq!(q.bottom_end, u64::MAX, "saturated");
+        // Later entries of that bucket join the bottom, not the drained
+        // bucket they index.
+        let late = [
+            at_ticks(u64::MAX, 1, 1_000),
+            at_ticks(u64::MAX - 1, 0, 1_001),
+        ];
+        let bottom_before = check(&q)[0].0;
+        for e in &late {
+            keys.push(e.key);
+            q.push(e.clone());
+        }
+        assert_eq!(check(&q)[0].0, bottom_before + late.len());
+        popped.extend(drain(&mut q));
+        assert_eq!(popped, sorted(keys));
+    }
+
+    #[test]
+    fn a_push_below_the_bottom_end_after_pops_goes_to_the_bottom() {
+        let mut q = EventQueue::new();
+        let mut live = Vec::new();
+        for i in 0..1000u64 {
+            let e = at_ticks((i * 7_919) % 100_000, 0, i);
+            live.push(e.key);
+            q.push(e);
+        }
+        let mut popped = Vec::new();
+        for _ in 0..300 {
+            popped.push(q.pop().unwrap().key);
+        }
+        let [_, rung, top] = check(&q);
+        assert!(
+            rung.0 > 0 && q.bottom_end < u64::MAX,
+            "a rung is up: {rung:?} {top:?}"
+        );
+        // The rollback shape: events at and below the last popped time come
+        // back (re-inserted stragglers), and one lands just under the
+        // bottom's end.
+        let last = popped.last().unwrap().recv_time.ticks();
+        let back = [
+            at_ticks(last, 1, 5_000),
+            at_ticks(last - 3, 2, 5_001),
+            at_ticks(0, 3, 5_002),
+            at_ticks(q.bottom_end - 1, 4, 5_003),
+        ];
+        let bottom_before = check(&q)[0].0;
+        for e in &back {
+            q.push(e.clone());
+        }
+        assert_eq!(
+            check(&q)[0].0,
+            bottom_before + back.len(),
+            "all into the bottom"
+        );
+        live.retain(|k| !popped.contains(k));
+        live.extend(back.iter().map(|e| e.key));
+        let rest = drain(&mut q);
+        assert_eq!(rest[0], back[2].key);
+        assert_eq!(rest, sorted(live));
+    }
+
+    #[test]
+    fn cancelling_the_root_refills_the_bottom_from_the_rung() {
+        let mut ps = PendingSet::new();
+        let evs: Vec<_> = (0..400u64).map(|i| at_ticks(i * 1_024, 0, i)).collect();
+        for e in &evs {
+            ps.insert(e.clone());
+        }
+        // Pop until the bottom holds its root alone, with buckets to come.
+        let mut next = 0;
+        while ps.queue.bottom.len() > 1 {
+            assert_eq!(ps.pop_min().unwrap().key, evs[next].key);
+            next += 1;
+        }
+        let drained = ps.queue.next_bucket;
+        assert!(drained < ps.queue.buckets.len(), "buckets remain");
+        let root = ps.min_key().unwrap();
+        assert_eq!(root, evs[next].key);
+        assert_eq!(ps.cancel(&root), CancelOutcome::Removed);
+        check(&ps.queue);
+        assert!(
+            ps.queue.next_bucket > drained,
+            "the bottom took the next bucket"
+        );
+        assert_eq!(ps.min_key(), Some(evs[next + 1].key));
+        let rest: Vec<_> = std::iter::from_fn(|| ps.pop_min()).map(|e| e.key).collect();
+        let expect: Vec<_> = evs[next + 1..].iter().map(|e| e.key).collect();
+        assert_eq!(rest, expect);
+    }
+
+    #[test]
+    fn compaction_with_tombstones_in_every_tier_keeps_the_tombstone_rule() {
+        let mut ps = PendingSet::new();
+        let mut live: Vec<Event<u32>> = (0..400u64)
+            .map(|i| Event {
+                payload: i as u32,
+                ..at_ticks((i * 7_919) % 400_000, 0, i)
+            })
+            .collect();
+        for e in &live {
+            ps.insert(e.clone());
+        }
+        for _ in 0..40 {
+            let e = ps.pop_min().unwrap();
+            live.retain(|l| l.key != e.key);
+        }
+        // Past the rung: these go to the top.
+        for i in 0..100u64 {
+            let e = Event {
+                payload: 1_000 + i as u32,
+                ..at_ticks(1_000_000 + i * 13, 1, 1_000 + i)
+            };
+            live.push(e.clone());
+            ps.insert(e);
+        }
+        let [_, rung, top] = check(&ps.queue);
+        assert!(rung.0 > 0 && top.0 >= 100, "three tiers: {rung:?} {top:?}");
+        // A straggler just under the bottom's end, cancelled at once: a
+        // tombstone in the bottom, below its root.
+        let straggler = at_ticks(ps.queue.bottom_end - 1, 7, 7_000);
+        ps.insert(straggler.clone());
+        assert_eq!(ps.cancel(&straggler.key), CancelOutcome::Removed);
+        assert_eq!(check(&ps.queue)[0].1, 1);
+
+        // Cancel in a scattered order, never the root, until compaction runs.
+        let mut at = 0;
+        let before = loop {
+            let tiers = check(&ps.queue);
+            at = (at + 97) % live.len();
+            if Some(live[at].key) == ps.min_key() {
+                continue;
+            }
+            let victim = live.swap_remove(at);
+            assert_eq!(ps.cancel(&victim.key), CancelOutcome::Removed);
+            if ps.queue.queued == ps.len() {
+                break tiers;
+            }
+        };
+        assert!(
+            before.iter().all(|&(_, dead)| dead > 0),
+            "tombstones sat in every tier: {before:?}"
+        );
+        check(&ps.queue);
+        // Anti-then-resend into freed slots, then the payloads come back
+        // in key order.
+        let resent = Event {
+            payload: 9_999,
+            ..at_ticks(1_000_000, 1, 1_000)
+        };
+        if let Some(i) = live.iter().position(|e| e.key == resent.key) {
+            assert_eq!(ps.cancel(&resent.key), CancelOutcome::Removed);
+            live.swap_remove(i);
+        }
+        ps.insert(resent.clone());
+        live.push(resent);
+        check(&ps.queue);
+        live.sort_unstable_by_key(|e| e.key);
+        let out: Vec<_> = std::iter::from_fn(|| {
+            let e = ps.pop_min();
+            check(&ps.queue);
+            e
+        })
+        .collect();
+        assert_eq!(out, live);
     }
 
     #[test]

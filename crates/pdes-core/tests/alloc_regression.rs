@@ -17,7 +17,10 @@
 //!
 //! The third cancels and re-sends one pending event every 8 events, so
 //! the pending set's tombstones pass the compaction threshold again and
-//! again: cancel, compaction and the re-insert allocate nothing either.
+//! again: cancel, compaction and the re-insert allocate nothing either. Its
+//! second input, a ring of 4,096 LPs, keeps the queue's rung up: each
+//! send is cancelled and re-sent twice, so thousands of tombstones sit in
+//! the rung's buckets and the top when compaction comes.
 //!
 //! The fourth test holds the round's thread-local steps to the same bar:
 //! two [`Participant`]s over a [`MessagePlane`] cycle (`receive`, an event,
@@ -27,7 +30,8 @@
 //! The fifth holds the sequential oracle, which runs handlers without an
 //! `Lp`, to a run-length bar: its allocation count at `end_time` T and at
 //! 4T is the same, since the ring's population, and so its queue, is
-//! constant.
+//! constant — on eight LPs, where the queue is a heap alone, and on 4,096,
+//! where it rebuilds its rung about once per time unit.
 //!
 //! The sixth holds a thread's history to its live size: an engine over
 //! 4,096 LPs, every one of which processes and is fossil-collected, makes
@@ -299,8 +303,38 @@ fn pump_with_cancels(
     }
 }
 
+/// `count` events of the steady-state loop, each of whose one send is
+/// then cancelled and re-sent twice (anti-then-resend): its two tombstones
+/// wait in whichever tier of the queue the send landed in until they
+/// surface or compaction drops them.
+fn pump_with_resends(
+    model: &Ring,
+    lps: &mut [Lp<Ring>],
+    pending: &mut PendingSet<()>,
+    sends: &mut Vec<Event<()>>,
+    count: u64,
+) {
+    for _ in 0..count {
+        let ev = pending.pop_min().expect("ring population is constant");
+        let lp = &mut lps[ev.key.dst.index()];
+        sends.clear();
+        lp.process_into(model, ev, sends);
+        for sent in sends.drain(..) {
+            for _ in 0..2 {
+                pending.insert(sent.clone());
+                assert_eq!(pending.cancel(&sent.key), CancelOutcome::Removed);
+            }
+            pending.insert(sent);
+        }
+        if lp.history_len() >= SNAPSHOT_PERIOD as usize {
+            lp.fossil_collect(model, VirtualTime::INFINITY);
+        }
+    }
+}
+
 #[test]
 fn steady_state_cancels_and_compaction_do_not_allocate() {
+    // Eight LPs and the parked events: the queue is a heap alone.
     let model = Ring { n: 8 };
     let (mut lps, mut pending) = ring(&model);
     for i in 0..PARKED {
@@ -321,6 +355,27 @@ fn steady_state_cancels_and_compaction_do_not_allocate() {
         "cancel / re-insert / compaction allocated {} times across 4000 \
          steady-state events (expected zero: tombstones, the free list and \
          the in-place sort reuse capacity)",
+        after - before
+    );
+
+    // 4,096 LPs: the rung is up, and with two tombstones per send
+    // compaction runs about every 2,000 events. The warmup outlasts the
+    // index's last rehash into a larger table (near event 37,000).
+    let model = Ring { n: 4096 };
+    let (mut lps, mut pending) = ring(&model);
+    pump_with_resends(&model, &mut lps, &mut pending, &mut sends, 50_000);
+
+    let before = allocs();
+    pump_with_resends(&model, &mut lps, &mut pending, &mut sends, 20_000);
+    let after = allocs();
+
+    assert_eq!(pending.len(), model.n, "population is constant");
+    assert_eq!(
+        after - before,
+        0,
+        "cancel / re-send / compaction over a rung allocated {} times across \
+         20000 steady-state events (expected zero: buckets and the top chain \
+         through the slab's links, the bucket array sized by the slab)",
         after - before
     );
 }
@@ -407,21 +462,29 @@ fn steady_state_receive_and_fold_do_not_allocate() {
 
 #[test]
 fn oracle_allocations_do_not_grow_with_run_length() {
-    let model = std::sync::Arc::new(Ring { n: 8 });
-    let run = |end: f64| {
-        let cfg = EngineConfig::default().with_end_time(end).with_seed(42);
-        let before = allocs();
-        let committed = run_sequential(&model, &cfg, None).committed;
-        (allocs() - before, committed)
-    };
-    let (short, events) = run(500.0);
-    let (long, more) = run(2000.0);
-    assert!(more > 3 * events, "4T ran {more} events against {events}");
-    assert_eq!(
-        long, short,
-        "the oracle allocated {long} times over {more} events and {short} \
-         over {events} (expected the same: no buffer may grow with the run)"
-    );
+    // Eight LPs keep the queue a heap alone; 4,096 raise its rung, which is
+    // rebuilt about once per time unit.
+    for (n, end) in [(8, 500.0), (4096, 20.0)] {
+        let model = std::sync::Arc::new(Ring { n });
+        let run = |end: f64| {
+            let cfg = EngineConfig::default().with_end_time(end).with_seed(42);
+            let before = allocs();
+            let committed = run_sequential(&model, &cfg, None).committed;
+            (allocs() - before, committed)
+        };
+        let (short, events) = run(end);
+        let (long, more) = run(4.0 * end);
+        assert!(
+            more > 3 * events,
+            "{n} LPs: 4T ran {more} events against {events}"
+        );
+        assert_eq!(
+            long, short,
+            "{n} LPs: the oracle allocated {long} times over {more} events and \
+             {short} over {events} (expected the same: no buffer may grow with \
+             the run)"
+        );
+    }
 }
 
 #[test]

@@ -4,9 +4,12 @@
 //! LP's state, RNG stream and send counter. The reference below is the loop
 //! it replaced, which drove every event through Time Warp's state-saving
 //! path: an `Lp` per LP, `process_into`, and a fossil collection whenever
-//! an LP's history reached one snapshot period. Both must agree on every
-//! field of `SequentialResult` for any LP count, seed, snapshot period,
-//! event cap, merged `extra` events and resume point.
+//! an LP's history reached one snapshot period. Its pending events sit in a
+//! `BTreeMap` keyed by `EventKey`, not in the oracle's
+//! `pdes_core::pending::EventQueue`, so the comparison shares no queue code
+//! with what it checks. Both must agree on every field of
+//! `SequentialResult` for any LP count, seed, snapshot period, event cap,
+//! merged `extra` events and resume point.
 //!
 //! The test model sends 0–2 events per handler call after whole-unit
 //! delays, so receive times tie all the time and the `dst` / `uid`
@@ -16,12 +19,12 @@
 
 use pdes_core::lp::{key_digest, Lp, Snapshot};
 use pdes_core::mapping::{LpMap, MapKind};
-use pdes_core::pending::EventQueue;
 use pdes_core::{
     run_sequential_from_with, run_sequential_with, Checkpoint, EngineConfig, Event, EventKey,
     EventUid, LpId, Model, SendCtx, SequentialResult, SimThreadId, ThreadEngine, VirtualTime,
 };
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// `n` LPs; each handler folds the payload into the state and sends 0–2
@@ -67,7 +70,7 @@ fn finish_reference<M: Model>(
     cfg: &EngineConfig,
     max_events: Option<u64>,
     mut lps: Vec<Lp<M>>,
-    mut pending: EventQueue<M::Payload>,
+    mut pending: Pending<M::Payload>,
     reset_send_seq: bool,
 ) -> SequentialResult {
     let mut committed: u64 = lps.iter().map(|lp| lp.committed).sum();
@@ -84,14 +87,13 @@ fn finish_reference<M: Model>(
                 break;
             }
         }
-        let Some(min) = pending.peek_key() else {
+        let Some(min) = pending.first_key_value().map(|(k, _)| k) else {
             break;
         };
         if min.recv_time >= cfg.end_time {
             break;
         }
-        let ev = pending.pop().expect("min exists");
-        let key = ev.key;
+        let (key, ev) = pending.pop_first().expect("min exists");
         let lp = &mut lps[key.dst.index()];
         debug_assert!(!lp.is_straggler(&key), "sequential run cannot regress");
         if reset_send_seq {
@@ -100,7 +102,7 @@ fn finish_reference<M: Model>(
         sends.clear();
         lp.process_into(model.as_ref(), ev, &mut sends);
         for sent in sends.drain(..) {
-            pending.push(sent);
+            pending.insert(sent.key, sent);
         }
         committed += 1;
         commit_digest ^= key_digest(&key);
@@ -110,7 +112,7 @@ fn finish_reference<M: Model>(
         }
     }
 
-    let pending_digest = pending.iter().fold(0, |d, e| d ^ key_digest(&e.key));
+    let pending_digest = pending.keys().fold(0, |d, k| d ^ key_digest(k));
     SequentialResult {
         committed,
         commit_digest,
@@ -122,6 +124,9 @@ fn finish_reference<M: Model>(
         final_lvt,
     }
 }
+
+/// The reference's pending events, in key order.
+type Pending<P> = BTreeMap<EventKey, Event<P>>;
 
 /// The reference's LPs before any event, each with the config's period.
 fn fresh_lps<M: Model>(model: &M, cfg: &EngineConfig) -> Vec<Lp<M>> {
@@ -139,14 +144,14 @@ fn reference_with<M: Model>(
     reset_send_seq: bool,
 ) -> SequentialResult {
     let mut lps = fresh_lps(model.as_ref(), cfg);
-    let mut pending = EventQueue::new();
+    let mut pending = Pending::new();
     for lp in &mut lps {
         for ev in lp.init_events(model.as_ref()) {
-            pending.push(ev);
+            pending.insert(ev.key, ev);
         }
     }
     for ev in extra {
-        pending.push(ev.clone());
+        pending.insert(ev.key, ev.clone());
     }
     finish_reference(model, cfg, max_events, lps, pending, reset_send_seq)
 }
@@ -172,9 +177,9 @@ fn reference_from_with<M: Model>(
             lck.lvt,
         );
     }
-    let mut pending = EventQueue::new();
+    let mut pending = Pending::new();
     for ev in ckpt.events.iter().chain(extra) {
-        pending.push(ev.clone());
+        pending.insert(ev.key, ev.clone());
     }
     finish_reference(model, cfg, max_events, lps, pending, false)
 }

@@ -108,20 +108,43 @@ enum PendingOp {
     PopMin,
 }
 
-/// Up to 600 operations; in ten, four insert, one pops and five cancel —
-/// three a live key, one an anti-then-resend, one a key mostly not
+/// Receive times over `0..2^40` for populations that raise the queue's
+/// rung: eight clusters `2^32` ticks apart, each 1,024 ticks wide (so keys
+/// still tie now and then), and one key in 64 a far-future outlier anywhere
+/// in the span, which stretches the rung's buckets when it is rebuilt.
+fn arb_spread_key() -> impl Strategy<Value = EventKey> {
+    (0u64..64, 0u64..1 << 40, 0u32..8, 0u32..8, 0u64..1 << 20).prop_map(
+        |(pick, t, dst, src, seq)| EventKey {
+            recv_time: VirtualTime::from_ticks(match pick {
+                0 => t,
+                _ => ((pick % 8) << 32) | (t % 1024),
+            }),
+            dst: LpId(dst),
+            uid: EventUid::new(LpId(src), seq),
+        },
+    )
+}
+
+/// `len` operations; in `inserts + 6`, `inserts` insert, one pops and five
+/// cancel — three a live key, one an anti-then-resend, one a key mostly not
 /// pending. Tombstones pile up below the top, so long sequences pass the
-/// compaction threshold (over 64 heap entries, over twice the live count)
-/// again and again.
-fn arb_ops() -> impl Strategy<Value = Vec<PendingOp>> {
-    let op = (0u8..10, arb_tied_key(), any::<usize>()).prop_map(|(pick, k, i)| match pick {
-        0..=3 => PendingOp::Insert(k),
-        4 => PendingOp::Cancel(k),
-        5..=7 => PendingOp::CancelLive(i),
-        8 => PendingOp::CancelResend,
-        _ => PendingOp::PopMin,
+/// compaction threshold (over 64 queued entries, over twice the live
+/// count) again and again.
+fn arb_ops(
+    key: impl Strategy<Value = EventKey> + 'static,
+    inserts: u8,
+    len: std::ops::Range<usize>,
+) -> impl Strategy<Value = Vec<PendingOp>> {
+    let op = (0..inserts + 6, key, any::<usize>()).prop_map(move |(pick, k, i)| {
+        match pick.checked_sub(inserts) {
+            None => PendingOp::Insert(k),
+            Some(0) => PendingOp::Cancel(k),
+            Some(1..=3) => PendingOp::CancelLive(i),
+            Some(4) => PendingOp::CancelResend,
+            Some(_) => PendingOp::PopMin,
+        }
     });
-    prop::collection::vec(op, 0..600)
+    prop::collection::vec(op, len)
 }
 
 proptest! {
@@ -130,9 +153,16 @@ proptest! {
     /// sequences (duplicate inserts/cancels are skipped, as the engine
     /// never produces them). Every insert carries its own payload, which
     /// `pop_min` must hand back, and after every operation `iter()` is the
-    /// reference's live set.
+    /// reference's live set; at the end both drain in the same order. The
+    /// second input, insert-heavy over spread keys, grows the set to a few
+    /// hundred events, past the queue's small-set threshold.
     #[test]
-    fn pending_set_matches_reference_model(ops in arb_ops()) {
+    fn pending_set_matches_reference_model(
+        ops in prop_oneof![
+            arb_ops(arb_tied_key(), 4, 0..600),
+            arb_ops(arb_spread_key(), 10, 0..900),
+        ],
+    ) {
         let mut sut: PendingSet<u32> = PendingSet::new();
         let mut model: BTreeMap<EventKey, u32> = BTreeMap::new();
         let mut antis: std::collections::BTreeSet<EventKey> = Default::default();
@@ -198,18 +228,29 @@ proptest! {
             live.sort_unstable();
             prop_assert_eq!(live, model.iter().map(|(k, p)| (*k, *p)).collect::<Vec<_>>());
         }
+        let drained: Vec<(EventKey, u32)> =
+            std::iter::from_fn(|| sut.pop_min()).map(|e| (e.key, e.payload)).collect();
+        prop_assert_eq!(drained, model.into_iter().collect::<Vec<_>>());
     }
 
     /// The event queue pops exactly what a sorted `Vec` of (key, payload)
-    /// pairs yields, under arbitrary push / pop sequences with tied times
-    /// (keys stay unique, as event uids are); `peek_key()`, `iter()` and
-    /// `len()` agree with it after every operation.
+    /// pairs yields, under arbitrary push / pop sequences (keys stay unique,
+    /// as event uids are); `peek_key()`, `iter()` and `len()` agree with it
+    /// after every operation, and at the end both drain in the same order.
+    /// The first input ties times; the second, four pushes in five over
+    /// spread keys, grows past the small-set threshold to a few hundred.
     #[test]
     fn event_queue_matches_sorted_vec(
-        ops in prop::collection::vec(
-            (0u8..5, arb_tied_key()).prop_map(|(pick, k)| (pick < 3).then_some(k)),
-            0..600,
-        ),
+        ops in prop_oneof![
+            prop::collection::vec(
+                (0u8..5, arb_tied_key()).prop_map(|(pick, k)| (pick < 3).then_some(k)),
+                0..600,
+            ),
+            prop::collection::vec(
+                (0u8..5, arb_spread_key()).prop_map(|(pick, k)| (pick < 4).then_some(k)),
+                0..900,
+            ),
+        ],
     ) {
         let mut sut: EventQueue<u32> = EventQueue::new();
         let mut reference: Vec<(EventKey, u32)> = Vec::new();
@@ -234,6 +275,9 @@ proptest! {
             all.sort_unstable();
             prop_assert_eq!(&all, &reference);
         }
+        let drained: Vec<(EventKey, u32)> =
+            std::iter::from_fn(|| sut.pop()).map(|e| (e.key, e.payload)).collect();
+        prop_assert_eq!(drained, reference);
     }
 
     /// Orphan antis annihilate the positive on arrival.
