@@ -151,6 +151,8 @@ pub struct DistResult {
     pub regressions: u64,
     /// Kill recoveries performed (full restarts + partial restores).
     pub recoveries: u32,
+    /// The shard each of those recoveries replaced, in recovery order.
+    pub recovered: Vec<usize>,
     /// Recoveries that restored only the dead shard(s) from the latest cut
     /// while the survivors replayed their send logs in place.
     pub partial_recoveries: u32,
@@ -641,7 +643,7 @@ pub fn run_loopback_ingest<M: Model>(
     let map = LpMap::new(num_lps, dcfg.shards, ecfg.mapping);
     let abort = Arc::new(AtomicBool::new(false));
     let t0 = Instant::now();
-    let mut recoveries = 0u32;
+    let mut recovered: Vec<usize> = Vec::new();
     let mut partial_recoveries = 0u32;
     let mut membership_epoch = 0u64;
     let mut used_checkpoint = false;
@@ -675,7 +677,8 @@ pub fn run_loopback_ingest<M: Model>(
                 detail: "coordinator finished without an outcome".to_string(),
             })?;
             let mut res = assemble_result(out, n, num_lps, t0.elapsed().as_secs_f64());
-            res.recoveries = recoveries;
+            res.recoveries = recovered.len() as u32;
+            res.recovered = recovered;
             res.partial_recoveries = partial_recoveries;
             res.used_checkpoint = used_checkpoint;
             res.membership_epoch = membership_epoch;
@@ -690,7 +693,8 @@ pub fn run_loopback_ingest<M: Model>(
         let mut instants: Vec<(EventKind, u64)> = Vec::new();
         if !dead.is_empty() {
             dead.sort_unstable();
-            recoveries += dead.len() as u32;
+            recovered.extend_from_slice(&dead);
+            let recoveries = recovered.len() as u32;
             // A fired kill does not repeat.
             cl.dcfg.kills.retain(|(s, _)| !dead.contains(s));
             if recoveries > cl.dcfg.max_recoveries {

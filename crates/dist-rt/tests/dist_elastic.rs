@@ -109,6 +109,7 @@ fn killed_shard_partially_recovers_over_memory_links() {
     cfg.max_recoveries = 2;
     let r = run_loopback(Arc::clone(&model), &ecfg, &cfg).expect("recovers");
     assert_eq!(r.recoveries, 1, "exactly one scripted kill fires");
+    assert_eq!(r.recovered, [2], "the recovery replaced the killed shard");
     assert_eq!(
         r.partial_recoveries, 1,
         "the recovery must have been partial (survivors kept running state)"

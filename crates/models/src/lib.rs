@@ -26,3 +26,39 @@ pub use epidemics::{EpiEvent, Epidemics, EpidemicsConfig, Household, Stage};
 pub use locality::{ActivitySchedule, LocalityPattern};
 pub use phold::{Phold, PholdConfig};
 pub use traffic::{Dir, Intersection, Traffic, TrafficConfig, TrafficEvent};
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pdes_core::lp::LpCore;
+    use pdes_core::pending::EventQueue;
+
+    /// Per pending event, each shipped payload takes at most 48 bytes in
+    /// its thread's event queue and, once processed, at most 64 in its
+    /// history store: the slab's free-slot tag shares the room of the
+    /// queue's live/dead tag, so sharing one slab grew neither slot.
+    #[test]
+    fn queue_and_history_slots_fit_every_shipped_payload() {
+        let slots = [
+            (
+                "phold",
+                EventQueue::<()>::SLOT_BYTES,
+                LpCore::<Phold>::HISTORY_SLOT_BYTES,
+            ),
+            (
+                "traffic",
+                EventQueue::<TrafficEvent>::SLOT_BYTES,
+                LpCore::<Traffic>::HISTORY_SLOT_BYTES,
+            ),
+            (
+                "epidemics",
+                EventQueue::<EpiEvent>::SLOT_BYTES,
+                LpCore::<Epidemics>::HISTORY_SLOT_BYTES,
+            ),
+        ];
+        for (model, queue, history) in slots {
+            assert!(queue <= 48, "{model}: a queue slot of {queue} B");
+            assert!(history <= 64, "{model}: a history slot of {history} B");
+        }
+    }
+}

@@ -11,10 +11,11 @@ use crate::checkpoint::{CutSnapshot, LpCheckpoint};
 use crate::config::EngineConfig;
 use crate::event::{Event, EventKey, Msg};
 use crate::ids::{LpId, SimThreadId};
-use crate::lp::{key_digest, HistoryBytes, HistoryStore, LpCore, Snapshot, NIL};
+use crate::lp::{key_digest, HistoryBytes, HistoryStore, LpCore, Snapshot};
 use crate::mapping::LpMap;
 use crate::model::Model;
 use crate::pending::{CancelOutcome, InsertOutcome, PendingSet};
+use crate::slab::NIL;
 use crate::stats::ThreadStats;
 use crate::time::VirtualTime;
 use std::sync::Arc;

@@ -14,7 +14,8 @@
 //!   queue (a bottom heap, a rung of buckets, an unsorted top) with O(1)
 //!   amortised operations, drained by the oracle; [`pending::PendingSet`]
 //!   — the per-thread pending event set on it, with anti-message
-//!   annihilation;
+//!   annihilation; both it and the history store keep their values in the
+//!   crate's one slab (`slab.rs`: `u32` handles, a free chain);
 //! * [`engine::ThreadEngine`] — the per-simulation-thread engine combining
 //!   the above: optimistic batches, straggler rollbacks, anti-message
 //!   cascades;
@@ -50,6 +51,7 @@ pub mod recovery;
 pub mod rng;
 pub mod sched;
 pub mod sequential;
+mod slab;
 pub mod stall;
 pub mod stats;
 pub mod system;

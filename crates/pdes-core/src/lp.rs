@@ -3,9 +3,9 @@
 //! coast-forward and fossil collection.
 //!
 //! The history of every LP a thread owns lives in one `HistoryStore`:
-//! three slabs whose freed slots are reused before they grow, so the store
-//! is sized by the thread's live history, not by the sum of each LP's worst
-//! moment. An LP ([`LpCore`]) holds the two ends of its history, its length
+//! three of the crate's slabs (`slab.rs`, the event queue's too), whose
+//! freed slots are reused before they grow, so the store is sized by the
+//! thread's live history, not by the sum of each LP's worst moment. An LP ([`LpCore`]) holds the two ends of its history, its length
 //! and its distance from the newest snapshot — four `u32`s — and allocates
 //! nothing of its own. [`Lp`] is an LP with a one-LP store, for code that
 //! drives LPs one by one; the engine keeps its LPs and one store side by
@@ -19,12 +19,9 @@ use crate::event::{Event, EventKey};
 use crate::ids::LpId;
 use crate::model::{Model, SendCtx};
 use crate::rng::DetRng;
+use crate::slab::{Slab, NIL};
 use crate::time::VirtualTime;
 use std::ops::{Deref, DerefMut};
-
-/// No slot: either end of a chain, an entry between snapshots, an LP a
-/// thread does not own.
-pub(crate) const NIL: u32 = u32::MAX;
 
 /// Everything that must be restored on rollback: the model state plus the
 /// LP's RNG stream and send-sequence counter (so re-executed handlers draw
@@ -56,90 +53,10 @@ struct SentKey {
     next: u32,
 }
 
-/// A slab slot: a value, or a link of the free chain.
-enum Slot<T> {
-    Live(T),
-    Free(u32),
-}
-
-/// Values addressed by `u32` slot numbers. A freed slot is reused before
-/// the slab grows, so its length is the most values it ever held at once
-/// and its capacity at most twice that (or the first allocation).
-struct Slab<T> {
-    slots: Vec<Slot<T>>,
-    /// First free slot; the chain runs through `Slot::Free`.
-    free: u32,
-    /// Slots holding a value.
-    live: usize,
-}
-
-impl<T> Slab<T> {
-    const fn new() -> Self {
-        Slab {
-            slots: Vec::new(),
-            free: NIL,
-            live: 0,
-        }
-    }
-
-    fn insert(&mut self, value: T) -> u32 {
-        self.live += 1;
-        if self.free == NIL {
-            self.slots.push(Slot::Live(value));
-            return (self.slots.len() - 1) as u32;
-        }
-        let at = self.free;
-        match std::mem::replace(&mut self.slots[at as usize], Slot::Live(value)) {
-            Slot::Free(next) => self.free = next,
-            Slot::Live(_) => unreachable!("the free chain holds a live slot"),
-        }
-        at
-    }
-
-    fn take(&mut self, at: u32) -> T {
-        self.live -= 1;
-        let Slot::Live(value) =
-            std::mem::replace(&mut self.slots[at as usize], Slot::Free(self.free))
-        else {
-            unreachable!("slot {at} is already free")
-        };
-        self.free = at;
-        value
-    }
-
-    #[inline]
-    fn get(&self, at: u32) -> &T {
-        match &self.slots[at as usize] {
-            Slot::Live(value) => value,
-            Slot::Free(_) => unreachable!("slot {at} is free"),
-        }
-    }
-
-    #[inline]
-    fn get_mut(&mut self, at: u32) -> &mut T {
-        match &mut self.slots[at as usize] {
-            Slot::Live(value) => value,
-            Slot::Free(_) => unreachable!("slot {at} is free"),
-        }
-    }
-
-    fn bytes(&self) -> HistoryBytes {
-        let slot = std::mem::size_of::<Slot<T>>();
-        HistoryBytes {
-            live: self.live * slot,
-            reserved: self.slots.capacity() * slot,
-        }
-    }
-}
-
 /// Bytes of uncommitted history: what the live entries, keys and
 /// snapshots occupy, and what their slabs hold allocated. Heap memory a
 /// model state owns is counted in neither.
-#[derive(Debug, Clone, Copy)]
-pub struct HistoryBytes {
-    pub live: usize,
-    pub reserved: usize,
-}
+pub use crate::slab::SlabBytes as HistoryBytes;
 
 /// The uncommitted history of one thread's LPs: their processed entries,
 /// the keys those sent and the sparse snapshots, each in a slab with a
@@ -318,6 +235,9 @@ pub fn key_digest(key: &EventKey) -> u64 {
 }
 
 impl<M: Model> LpCore<M> {
+    /// Bytes one processed event takes in its thread's history store.
+    pub const HISTORY_SLOT_BYTES: usize = Slab::<ProcessedEntry<M::Payload>>::SLOT_BYTES;
+
     /// The LP with its initial state and private RNG stream, no history.
     pub(crate) fn new(model: &M, id: LpId, seed: u64) -> Self {
         LpCore {
@@ -843,6 +763,7 @@ impl<M: Model> Lp<M> {
 mod tests {
     use super::*;
     use crate::ids::EventUid;
+    use crate::slab::Slot;
 
     /// Counter model: each event adds its payload to the state and sends one
     /// follow-up event to LP 0 with delay 1.

@@ -4,9 +4,10 @@
 //! sequential oracle drains one, and every engine's [`PendingSet`] is one
 //! plus a key index. Layout: a one-rung ladder queue (Tang, Goh & Thng,
 //! ACM TOMACS 2005) of 16-byte entries — the receive time in ticks and a
-//! slot number — over a slab of events with a free chain. Entries move,
-//! never events: an event is written into its slot once on push and moved
-//! out once on pop. The three tiers, lowest first:
+//! slot number — over the crate's slab (`slab.rs`, the history store's
+//! too) of queued events. Entries move, never events: an event is written
+//! into its slot once on push and moved out once on pop. The three tiers,
+//! lowest first:
 //!
 //! * **bottom** — a binary min-heap of every entry with ticks below
 //!   `bottom_end`. Its root is the lowest entry of the queue. `pop` is
@@ -16,7 +17,7 @@
 //!   count fall back to the full [`EventKey`] read from the slab, so the
 //!   pop order is exactly the events' total order.
 //! * **rung** — unsorted buckets of equal power-of-two width covering
-//!   `[bottom_end, …)`, each a chain linked through a per-slot `next`. When
+//!   `[bottom_end, …)`, each a chain linked through a per-slot `Link`. When
 //!   the bottom empties it takes the next non-empty bucket, and
 //!   `bottom_end` moves past it.
 //! * **top** — one unsorted chain of everything past the rung's last
@@ -38,9 +39,9 @@
 //! Cancellation is lazy: [`PendingSet::cancel`] drops the key from the
 //! index and marks its slot dead, leaving the entry behind, in whichever
 //! tier, as a tombstone that keeps the key for ordering. **Tombstone
-//! rule:** a dead slot returns to the free chain only when its entry
-//! surfaces at the bottom's root or when compaction drops it, so a slot is
-//! never reused while an old entry still points at it. The bottom's root is
+//! rule:** a dead slot is freed only when its entry surfaces at the
+//! bottom's root or when compaction drops it, so a slot is never reused
+//! while an old entry still points at it. The bottom's root is
 //! always live — pops and root-cancels purge dead roots, refilling an empty
 //! bottom from the rung — so `min_key` and `min_time` stay `&self` and
 //! O(1). The same key can be queued twice (anti-then-resend: the cancelled
@@ -61,6 +62,7 @@
 //! positive on arrival.
 
 use crate::event::{Event, EventKey};
+use crate::slab::{Slab, NIL};
 use crate::time::VirtualTime;
 use std::collections::{BTreeSet, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -121,51 +123,48 @@ struct Entry {
     slot: u32,
 }
 
-/// A slot's link in its chain — a rung bucket's, the top's or the free
-/// slots' — to the next slot of the chain, or [`NIL`], and, in a bucket or
-/// the top, the event's receive time in ticks.
+/// A slot's link in its chain — a rung bucket's or the top's — to the next
+/// slot of the chain, or `NIL`, and the event's receive time in ticks.
 #[derive(Debug, Clone, Copy)]
 struct Link {
     ticks: u64,
     next: u32,
 }
 
-/// The end of a chain.
-const NIL: u32 = u32::MAX;
-
+/// A queued event: live, or cancelled with its entry still queued.
 #[derive(Debug)]
-enum Slot<P> {
+enum Queued<P> {
     Live(Event<P>),
     /// Cancelled; its entry has not surfaced yet and is still ordered by
     /// this key.
     Dead(EventKey),
-    Free,
 }
 
-impl<P> Slot<P> {
+impl<P> Queued<P> {
     #[inline]
     fn key(&self) -> &EventKey {
         match self {
-            Slot::Live(ev) => &ev.key,
-            Slot::Dead(key) => key,
-            Slot::Free => unreachable!("a queued entry points at a free slot"),
+            Queued::Live(ev) => &ev.key,
+            Queued::Dead(key) => key,
         }
     }
 }
 
+type Events<P> = Slab<Queued<P>>;
+
 /// `a` pops before `b`: ticks first, the full key on a tie.
 #[inline(always)]
-fn less<P>(slab: &[Slot<P>], a: Entry, b: Entry) -> bool {
+fn less<P>(slab: &Events<P>, a: Entry, b: Entry) -> bool {
     if a.ticks != b.ticks {
         a.ticks < b.ticks
     } else {
-        slab[a.slot as usize].key() < slab[b.slot as usize].key()
+        slab.get(a.slot).key() < slab.get(b.slot).key()
     }
 }
 
 /// Move `entry` up from `pos` to its place.
 #[inline(always)]
-fn sift_up<P>(slab: &[Slot<P>], heap: &mut [Entry], mut pos: usize, entry: Entry) {
+fn sift_up<P>(slab: &Events<P>, heap: &mut [Entry], mut pos: usize, entry: Entry) {
     while pos > 0 {
         let parent = (pos - 1) / 2;
         if !less(slab, entry, heap[parent]) {
@@ -177,17 +176,13 @@ fn sift_up<P>(slab: &[Slot<P>], heap: &mut [Entry], mut pos: usize, entry: Entry
     heap[pos] = entry;
 }
 
-/// Unlink every slot of the chain at `head` that `drop` accepts, which
-/// may reuse the slot's link; returns how many went.
-fn unlink_where(
-    links: &mut [Link],
-    head: &mut u32,
-    mut drop: impl FnMut(&mut [Link], u32) -> bool,
-) -> usize {
+/// Unlink every slot of the chain at `head` that `drop` accepts; returns
+/// how many went.
+fn unlink_where(links: &mut [Link], head: &mut u32, mut drop: impl FnMut(u32) -> bool) -> usize {
     let (mut prev, mut at, mut dropped) = (NIL, *head, 0);
     while at != NIL {
         let next = links[at as usize].next;
-        if drop(links, at) {
+        if drop(at) {
             match prev {
                 NIL => *head = next,
                 _ => links[prev as usize].next = next,
@@ -223,7 +218,7 @@ impl Top {
 }
 
 /// Events in key order: a one-rung ladder queue of `(ticks, slot)` entries
-/// over a slab of events with a free chain (see the module docs).
+/// over a slab of events (see the module docs).
 #[derive(Debug)]
 pub struct EventQueue<P> {
     /// Binary min-heap of every entry with ticks below `bottom_end`; its
@@ -240,11 +235,9 @@ pub struct EventQueue<P> {
     rung_start: u64,
     shift: u32,
     top: Top,
-    slab: Vec<Slot<P>>,
-    /// Per slot, its link in a bucket's chain, the top's or the free one.
+    slab: Events<P>,
+    /// Per slot of the slab, its link in a bucket's chain or the top's.
     links: Vec<Link>,
-    /// Head of the free slots' chain.
-    free: u32,
     /// Live events: queued entries minus tombstones.
     live: usize,
     /// Entries in all three tiers, tombstones included.
@@ -268,6 +261,9 @@ const SMALL: usize = 64;
 const PER_BUCKET: usize = 2;
 
 impl<P> EventQueue<P> {
+    /// Bytes one queued event takes in the slab.
+    pub const SLOT_BYTES: usize = Events::<P>::SLOT_BYTES;
+
     pub fn new() -> Self {
         EventQueue {
             bottom: Vec::new(),
@@ -277,9 +273,8 @@ impl<P> EventQueue<P> {
             rung_start: 0,
             shift: 0,
             top: Top::EMPTY,
-            slab: Vec::new(),
+            slab: Slab::new(),
             links: Vec::new(),
-            free: NIL,
             live: 0,
             queued: 0,
         }
@@ -300,21 +295,10 @@ impl<P> EventQueue<P> {
     #[inline]
     pub fn push(&mut self, event: Event<P>) -> u32 {
         let ticks = event.key.recv_time.ticks();
-        let slot = match self.free {
-            NIL => {
-                self.slab.push(Slot::Live(event));
-                self.links.push(Link {
-                    ticks: 0,
-                    next: NIL,
-                });
-                (self.slab.len() - 1) as u32
-            }
-            slot => {
-                self.free = self.links[slot as usize].next;
-                self.slab[slot as usize] = Slot::Live(event);
-                slot
-            }
-        };
+        let slot = self.slab.insert(Queued::Live(event));
+        if slot as usize == self.links.len() {
+            self.links.push(Link { ticks, next: NIL });
+        }
         self.live += 1;
         self.queued += 1;
         let entry = Entry { ticks, slot };
@@ -332,20 +316,16 @@ impl<P> EventQueue<P> {
     /// Key of the lowest live event.
     #[inline]
     pub fn peek_key(&self) -> Option<&EventKey> {
-        self.bottom
-            .first()
-            .map(|e| self.slab[e.slot as usize].key())
+        self.bottom.first().map(|e| self.slab.get(e.slot).key())
     }
 
     /// Remove and return the lowest live event.
     #[inline]
     pub fn pop(&mut self) -> Option<Event<P>> {
         let top = self.remove_top()?;
-        let Slot::Live(ev) = std::mem::replace(&mut self.slab[top.slot as usize], Slot::Free)
-        else {
+        let Queued::Live(ev) = self.slab.take(top.slot) else {
             unreachable!("the bottom's root is always live")
         };
-        self.release(top.slot);
         self.live -= 1;
         self.queued -= 1;
         // With the bottom non-empty and no tombstone outstanding — the
@@ -359,17 +339,10 @@ impl<P> EventQueue<P> {
 
     /// Live events in **unspecified order**.
     pub fn iter(&self) -> impl Iterator<Item = &Event<P>> {
-        self.slab.iter().filter_map(|s| match s {
-            Slot::Live(ev) => Some(ev),
-            _ => None,
+        self.slab.iter().filter_map(|q| match q {
+            Queued::Live(ev) => Some(ev),
+            Queued::Dead(_) => None,
         })
-    }
-
-    /// Put the freed `slot` on the free chain.
-    #[inline]
-    fn release(&mut self, slot: u32) {
-        self.links[slot as usize].next = self.free;
-        self.free = slot;
     }
 
     #[inline]
@@ -444,11 +417,11 @@ impl<P> EventQueue<P> {
     /// Cancel the live event in `slot`: it becomes a tombstone until its
     /// entry surfaces (tombstone rule).
     fn kill(&mut self, slot: u32) {
-        let s = &mut self.slab[slot as usize];
-        let Slot::Live(ev) = s else {
+        let q = self.slab.get_mut(slot);
+        let Queued::Live(ev) = q else {
             unreachable!("only a live slot is cancelled")
         };
-        *s = Slot::Dead(ev.key);
+        *q = Queued::Dead(ev.key);
         self.live -= 1;
         if self.bottom[0].slot == slot {
             self.settle();
@@ -466,10 +439,9 @@ impl<P> EventQueue<P> {
                         return;
                     }
                 }
-                Some(top) if matches!(self.slab[top.slot as usize], Slot::Dead(_)) => {
+                Some(top) if matches!(self.slab.get(top.slot), Queued::Dead(_)) => {
                     let dead = self.remove_top().expect("non-empty");
-                    self.slab[dead.slot as usize] = Slot::Free;
-                    self.release(dead.slot);
+                    self.slab.take(dead.slot);
                     self.queued -= 1;
                 }
                 Some(_) => return,
@@ -542,7 +514,7 @@ impl<P> EventQueue<P> {
         self.shift = shift;
         // Room for the most buckets the slab's slots could need, so the
         // array grows only when the slab does, never with the spans seen.
-        self.buckets.reserve(self.slab.len().div_ceil(PER_BUCKET));
+        self.buckets.reserve(self.links.len().div_ceil(PER_BUCKET));
         self.buckets.resize((span >> shift) as usize + 1, NIL);
         let mut at = top.head;
         while at != NIL {
@@ -580,19 +552,16 @@ impl<P> EventQueue<P> {
             top,
             slab,
             links,
-            free,
             ..
         } = self;
-        let mut drop_dead = |links: &mut [Link], slot: u32| {
-            let dead = matches!(slab[slot as usize], Slot::Dead(_));
+        let mut drop_dead = |slot: u32| {
+            let dead = matches!(slab.get(slot), Queued::Dead(_));
             if dead {
-                slab[slot as usize] = Slot::Free;
-                links[slot as usize].next = *free;
-                *free = slot;
+                slab.take(slot);
             }
             dead
         };
-        bottom.retain(|e| !drop_dead(links, e.slot));
+        bottom.retain(|e| !drop_dead(e.slot));
         for head in &mut buckets[*next_bucket..] {
             unlink_where(links, head, &mut drop_dead);
         }
@@ -600,7 +569,7 @@ impl<P> EventQueue<P> {
         // width reads them.
         top.len -= unlink_where(links, &mut top.head, &mut drop_dead);
         // A key's first field is its receive time: key order is heap order.
-        bottom.sort_unstable_by_key(|e| *slab[e.slot as usize].key());
+        bottom.sort_unstable_by_key(|e| *slab.get(e.slot).key());
         self.queued = self.live;
         self.settle();
     }
@@ -740,6 +709,7 @@ impl<P> PendingSet<P> {
 mod tests {
     use super::*;
     use crate::ids::{EventUid, LpId};
+    use crate::slab::Slot;
 
     fn ev(t: f64, dst: u32, src: u32, seq: u64) -> Event<u32> {
         Event {
@@ -757,9 +727,10 @@ mod tests {
     /// each tier's (entries, tombstones): bottom, rung, top.
     fn check<P>(q: &EventQueue<P>) -> [(usize, usize); 3] {
         let slab = &q.slab;
-        let ticks_of = |slot: u32| slab[slot as usize].key().recv_time.ticks();
-        let dead = |slot: u32| matches!(slab[slot as usize], Slot::Dead(_)) as usize;
-        let mut seen = vec![false; slab.len()];
+        let ticks_of = |slot: u32| slab.get(slot).key().recv_time.ticks();
+        let dead = |slot: u32| matches!(slab.get(slot), Queued::Dead(_)) as usize;
+        assert_eq!(q.links.len(), slab.slots.len(), "a link per slot");
+        let mut seen = vec![false; slab.slots.len()];
         let mut queue = |slot: u32| {
             assert!(!seen[slot as usize], "slot {slot} is queued twice");
             seen[slot as usize] = true;
@@ -824,18 +795,12 @@ mod tests {
         if let Some(root) = q.bottom.first() {
             assert_eq!(dead(root.slot), 0, "the root is live");
         }
-        // Tombstone rule: a slot is free exactly when no entry points at it.
-        let mut free = vec![false; slab.len()];
-        let mut f = q.free;
-        while f != NIL {
-            assert!(!free[f as usize], "slot {f} is free twice");
-            free[f as usize] = true;
-            f = q.links[f as usize].next;
+        // Tombstone rule: a slot is free exactly when no tier points at it.
+        for (i, s) in slab.slots.iter().enumerate() {
+            let free = matches!(s, Slot::Free(_));
+            assert_eq!(!free, seen[i], "slot {i}: queued unless free");
         }
-        for (i, s) in slab.iter().enumerate() {
-            assert_eq!(matches!(s, Slot::Free), free[i], "slot {i}: free list");
-            assert_eq!(!free[i], seen[i], "slot {i}: queued unless free");
-        }
+        assert_eq!(slab.len(), q.queued, "a slot per queued entry");
         tiers
     }
 

@@ -976,14 +976,15 @@ fn run_dist<M: Model>(
     };
     if r.recoveries > 0 {
         eprintln!(
-            "dist: completed after {} recovery(ies){} ({} partial)",
+            "dist: completed after {} recovery(ies){} ({} partial) of shard(s) {:?}",
             r.recoveries,
             if r.used_checkpoint {
                 " from a checkpoint cut"
             } else {
                 " by replaying from the start"
             },
-            r.partial_recoveries
+            r.partial_recoveries,
+            r.recovered
         );
     }
     if r.membership_epoch > 0 {
