@@ -83,9 +83,10 @@ pub enum LinkAction {
 }
 
 /// Per-directed-link fault decider. Owned by one link (one sender thread),
-/// so unlike [`FaultInjector`] it needs no atomics; the decision stream is
-/// seeded from `(plan.seed, src, dst)` so every link draws independently and
-/// a plan replays identically across runs.
+/// so unlike [`FaultInjector`](pdes_core::faults::FaultInjector) it needs
+/// no atomics; the decision stream is seeded from `(plan.seed, src, dst)`
+/// so every link draws independently and a plan replays identically across
+/// runs.
 #[derive(Debug, Clone)]
 pub struct LinkFaults {
     plan: LinkFaultPlan,

@@ -533,6 +533,24 @@ impl<M: Model> ShardNode<M> {
         }
     }
 
+    /// Worker side of the failure detector: send shard 0 a heartbeat once
+    /// the cadence has passed since the last one.
+    fn beacon(&mut self) -> Result<(), DistError> {
+        let Some(interval) = self.cfg.heartbeat.as_ref().map(|h| h.interval) else {
+            return Ok(());
+        };
+        let now = self.trace.now_ns();
+        if self.shard != 0
+            && self.phase <= Phase::Draining
+            && now.saturating_sub(self.last_hb_sent) >= interval.as_nanos() as u64
+        {
+            self.last_hb_sent = now;
+            let shard = self.shard as u64;
+            self.send_frame(0, &Frame::Heartbeat { shard })?;
+        }
+        Ok(())
+    }
+
     /// One main-loop cycle.
     pub fn step(&mut self) -> Result<StepStatus, DistError> {
         if self.phase == Phase::Done {
@@ -585,21 +603,13 @@ impl<M: Model> ShardNode<M> {
                 let frame: FrameOf<M> = wire::from_bytes(&fb)?;
                 self.handle_frame(peer, frame)?;
             }
+            // A long drain must not outlast this shard's lease.
+            self.beacon()?;
         }
 
         // 1b. Heartbeats: workers beacon on their clock's cadence; the
         // coordinator audits every peer's lease.
-        if let Some(interval) = self.cfg.heartbeat.as_ref().map(|h| h.interval) {
-            let now = self.trace.now_ns();
-            if self.shard != 0
-                && self.phase <= Phase::Draining
-                && now.saturating_sub(self.last_hb_sent) >= interval.as_nanos() as u64
-            {
-                self.last_hb_sent = now;
-                let shard = self.shard as u64;
-                self.send_frame(0, &Frame::Heartbeat { shard })?;
-            }
-        }
+        self.beacon()?;
         self.check_peer_liveness()?;
 
         // 2. Coordinator: drive rounds.
@@ -733,9 +743,11 @@ impl<M: Model> ShardNode<M> {
         match frame {
             Frame::SimBatch { msgs } => {
                 // In-batch order is send order; delivering in sequence
-                // preserves the per-peer FIFO contract.
+                // preserves the per-peer FIFO contract. A send-log replay
+                // can take longer to deliver than a lease: keep beaconing.
                 for (tag, msg) in msgs {
                     self.handle_sim(peer, tag, msg)?;
+                    self.beacon()?;
                 }
                 Ok(())
             }

@@ -298,8 +298,9 @@ impl<M: Model> ThreadEngine<M> {
     /// Conservative (Chandy–Misra–Bryant) batch: process up to `max`
     /// pending events whose receive time is **strictly below** `bound`
     /// (and below the end time). The caller guarantees no event
-    /// below `bound` can still arrive, so — unlike [`process_batch`] —
-    /// nothing here is speculative and nothing will ever roll back.
+    /// below `bound` can still arrive, so — unlike
+    /// [`process_batch`](Self::process_batch) — nothing here is speculative
+    /// and nothing will ever roll back.
     /// Remote sends are appended to `outbox`; local sends are delivered
     /// immediately and may extend the work available to this same batch.
     pub fn process_conservative(

@@ -14,8 +14,9 @@
 //!   queue (a bottom heap, a rung of buckets, an unsorted top) with O(1)
 //!   amortised operations, drained by the oracle; [`pending::PendingSet`]
 //!   — the per-thread pending event set on it, with anti-message
-//!   annihilation; both it and the history store keep their values in the
-//!   crate's one slab (`slab.rs`: `u32` handles, a free chain);
+//!   annihilation through a chain of pending events per destination LP;
+//!   both it and the history store keep their values in the crate's one
+//!   slab (`slab.rs`: `u32` handles, a free chain);
 //! * [`engine::ThreadEngine`] — the per-simulation-thread engine combining
 //!   the above: optimistic batches, straggler rollbacks, anti-message
 //!   cascades;

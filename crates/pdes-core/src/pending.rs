@@ -2,12 +2,12 @@
 //!
 //! [`EventQueue`] is the system's one priority queue of events: the
 //! sequential oracle drains one, and every engine's [`PendingSet`] is one
-//! plus a key index. Layout: a one-rung ladder queue (Tang, Goh & Thng,
-//! ACM TOMACS 2005) of 16-byte entries — the receive time in ticks and a
-//! slot number — over the crate's slab (`slab.rs`, the history store's
-//! too) of queued events. Entries move, never events: an event is written
-//! into its slot once on push and moved out once on pop. The three tiers,
-//! lowest first:
+//! plus a chain of pending events per destination LP. Layout: a one-rung
+//! ladder queue (Tang, Goh & Thng, ACM TOMACS 2005) of 16-byte entries —
+//! the receive time in ticks and a slot number — over the crate's slab
+//! (`slab.rs`, the history store's too) of queued events. Entries move,
+//! never events: an event is written into its slot once on push and moved
+//! out once on pop. The three tiers, lowest first:
 //!
 //! * **bottom** — a binary min-heap of every entry with ticks below
 //!   `bottom_end`. Its root is the lowest entry of the queue. `pop` is
@@ -36,25 +36,29 @@
 //! heap alone until it holds more than twice `SMALL` entries, and goes back
 //! to it when the rung is rebuilt from `SMALL` or fewer.
 //!
-//! Cancellation is lazy: [`PendingSet::cancel`] drops the key from the
-//! index and marks its slot dead, leaving the entry behind, in whichever
-//! tier, as a tombstone that keeps the key for ordering. **Tombstone
-//! rule:** a dead slot is freed only when its entry surfaces at the
-//! bottom's root or when compaction drops it, so a slot is never reused
-//! while an old entry still points at it. The bottom's root is
-//! always live — pops and root-cancels purge dead roots, refilling an empty
-//! bottom from the rung — so `min_key` and `min_time` stay `&self` and
-//! O(1). The same key can be queued twice (anti-then-resend: the cancelled
-//! entry is a tombstone, the re-sent twin takes a fresh slot); the index
-//! holds at most one. Compaction unlinks the tombstones from every tier and
-//! sorts the bottom in place — a sorted array is a heap — and moves no
-//! slot, so the index stays valid.
+//! Cancellation is lazy: [`PendingSet::cancel`] unlinks the event from its
+//! LP's chain and marks its slot dead, leaving the entry behind, in
+//! whichever tier, as a tombstone that keeps the key for ordering.
+//! **Tombstone rule:** a dead slot is freed only when its entry surfaces at
+//! the bottom's root or when compaction drops it, so a slot is never reused
+//! while an old entry still points at it. The bottom's root is always live
+//! — pops and root-cancels purge dead roots, refilling an empty bottom from
+//! the rung — so `min_key` and `min_time` stay `&self` and O(1). The same
+//! key can be queued twice (anti-then-resend: the cancelled entry is a
+//! tombstone, the re-sent twin takes a fresh slot); only the live one is
+//! chained. Compaction unlinks the tombstones from every tier and sorts the
+//! bottom in place — a sorted array is a heap — and moves no slot, so the
+//! chains stay valid.
 //!
-//! Determinism: the index uses a fixed-key FxHash ([`DetHash`]) — never
-//! `RandomState`. Ordering queries never consult it, and
-//! [`EventQueue::iter`] / [`PendingSet::iter`] walk the slab in
-//! **unspecified order** (callers that need an order sort; the digest folds
-//! are XOR and order-independent).
+//! A [`PendingSet`] finds an anti-message's twin through its destination
+//! LP's chain: every live slot is linked, through a `(prev, next)` pair
+//! kept per slot beside the queue, into a doubly linked chain headed by its
+//! LP. A cancel walks that chain comparing full [`EventKey`]s — an LP holds
+//! one or two pending events on average — and an insert walks it to refuse
+//! a duplicate key. Nothing hashes, and [`EventQueue::iter`] /
+//! [`PendingSet::iter`] walk the slab in **unspecified order** (callers
+//! that need an order sort; the digest folds are XOR and
+//! order-independent).
 //!
 //! Anti-messages can arrive *before* their positive twin (the positive and
 //! the anti may be enqueued by different threads after a rollback on the
@@ -64,57 +68,7 @@
 use crate::event::{Event, EventKey};
 use crate::slab::{Slab, NIL};
 use crate::time::VirtualTime;
-use std::collections::{BTreeSet, HashMap};
-use std::hash::{BuildHasherDefault, Hasher};
-
-/// FxHash with a fixed key: deterministic across runs and platforms, ~1 ns
-/// per `EventKey`. The standard library's `RandomState` would randomize
-/// iteration order per process — poison for a deterministic simulator.
-#[derive(Default)]
-pub struct DetHash {
-    state: u64,
-}
-
-const FX_SEED: u64 = 0x517c_c1b7_2722_0a95;
-
-impl Hasher for DetHash {
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut buf = [0u8; 8];
-            buf[..chunk.len()].copy_from_slice(chunk);
-            self.write_u64(u64::from_le_bytes(buf));
-        }
-    }
-
-    #[inline]
-    fn write_u64(&mut self, n: u64) {
-        self.state = (self.state.rotate_left(5) ^ n).wrapping_mul(FX_SEED);
-    }
-
-    #[inline]
-    fn write_u32(&mut self, n: u32) {
-        self.write_u64(n as u64);
-    }
-
-    #[inline]
-    fn write_u8(&mut self, n: u8) {
-        self.write_u64(n as u64);
-    }
-
-    #[inline]
-    fn write_usize(&mut self, n: usize) {
-        self.write_u64(n as u64);
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.state
-    }
-}
-
-/// A `HashMap` with deterministic (fixed-seed) hashing.
-pub type DetHashMap<K, V> = HashMap<K, V, BuildHasherDefault<DetHash>>;
+use std::collections::BTreeSet;
 
 /// One bottom-heap entry: an event's receive time in ticks and its slab slot.
 #[derive(Debug, Clone, Copy)]
@@ -238,10 +192,9 @@ pub struct EventQueue<P> {
     slab: Events<P>,
     /// Per slot of the slab, its link in a bucket's chain or the top's.
     links: Vec<Link>,
-    /// Live events: queued entries minus tombstones.
+    /// Live events: queued entries (the slab's slots in use) minus
+    /// tombstones.
     live: usize,
-    /// Entries in all three tiers, tombstones included.
-    queued: usize,
 }
 
 impl<P> Default for EventQueue<P> {
@@ -276,7 +229,6 @@ impl<P> EventQueue<P> {
             slab: Slab::new(),
             links: Vec::new(),
             live: 0,
-            queued: 0,
         }
     }
 
@@ -300,7 +252,6 @@ impl<P> EventQueue<P> {
             self.links.push(Link { ticks, next: NIL });
         }
         self.live += 1;
-        self.queued += 1;
         let entry = Entry { ticks, slot };
         if ticks < self.bottom_end {
             self.push_bottom(entry);
@@ -327,11 +278,10 @@ impl<P> EventQueue<P> {
             unreachable!("the bottom's root is always live")
         };
         self.live -= 1;
-        self.queued -= 1;
         // With the bottom non-empty and no tombstone outstanding — the
         // common case — the new root is provably live and settling is
         // skipped.
-        if self.bottom.is_empty() || self.queued != self.live {
+        if self.bottom.is_empty() || self.slab.len() != self.live {
             self.settle();
         }
         Some(ev)
@@ -442,7 +392,6 @@ impl<P> EventQueue<P> {
                 Some(top) if matches!(self.slab.get(top.slot), Queued::Dead(_)) => {
                     let dead = self.remove_top().expect("non-empty");
                     self.slab.take(dead.slot);
-                    self.queued -= 1;
                 }
                 Some(_) => return,
             }
@@ -570,7 +519,6 @@ impl<P> EventQueue<P> {
         top.len -= unlink_where(links, &mut top.head, &mut drop_dead);
         // A key's first field is its receive time: key order is heap order.
         bottom.sort_unstable_by_key(|e| *slab.get(e.slot).key());
-        self.queued = self.live;
         self.settle();
     }
 }
@@ -593,12 +541,25 @@ pub enum CancelOutcome {
     Deferred,
 }
 
+/// A live slot's neighbours in its destination LP's chain, or `NIL`.
+#[derive(Debug, Clone, Copy)]
+struct Chain {
+    prev: u32,
+    next: u32,
+}
+
 /// Pending (unprocessed) events of one simulation thread, across all its
-/// LPs: an [`EventQueue`] plus a key → slot index for cancellation.
+/// LPs: an [`EventQueue`] plus a chain of live slots per destination LP,
+/// through which cancellation finds its event (see the module docs).
 #[derive(Debug)]
 pub struct PendingSet<P> {
     queue: EventQueue<P>,
-    index: DetHashMap<EventKey, u32>,
+    /// By `LpId::index()`, the first slot of the LP's chain, or `NIL`; as
+    /// long as the largest destination seen.
+    heads: Vec<u32>,
+    /// Per slot of the queue's slab, its place in its LP's chain; read
+    /// only while the slot is live.
+    chains: Vec<Chain>,
     /// Anti-messages whose positive twin has not arrived yet.
     orphan_antis: BTreeSet<EventKey>,
 }
@@ -613,7 +574,8 @@ impl<P> PendingSet<P> {
     pub fn new() -> Self {
         PendingSet {
             queue: EventQueue::new(),
-            index: DetHashMap::default(),
+            heads: Vec::new(),
+            chains: Vec::new(),
             orphan_antis: BTreeSet::new(),
         }
     }
@@ -629,19 +591,33 @@ impl<P> PendingSet<P> {
         if self.orphan_antis.remove(&event.key) {
             return InsertOutcome::Annihilated;
         }
-        let key = event.key;
-        let prev = self.index.insert(key, self.queue.push(event));
-        assert!(prev.is_none(), "duplicate pending event key");
+        assert!(self.find(&event.key) == NIL, "duplicate pending event key");
+        let lp = event.key.dst.index();
+        if lp >= self.heads.len() {
+            self.heads.resize(lp + 1, NIL);
+        }
+        let slot = self.queue.push(event);
+        let next = std::mem::replace(&mut self.heads[lp], slot);
+        let link = Chain { prev: NIL, next };
+        match self.chains.get_mut(slot as usize) {
+            Some(chain) => *chain = link,
+            None => self.chains.push(link),
+        }
+        if next != NIL {
+            self.chains[next as usize].prev = slot;
+        }
         InsertOutcome::Inserted
     }
 
     /// Apply an anti-message for `key`.
     pub fn cancel(&mut self, key: &EventKey) -> CancelOutcome {
-        if let Some(slot) = self.index.remove(key) {
+        let slot = self.find(key);
+        if slot != NIL {
+            self.unlink(slot, key.dst.index());
             self.queue.kill(slot);
             // A cancellation storm can bloat the queue with buried
             // tombstones: compact once they clearly dominate.
-            let queued = self.queue.queued;
+            let queued = self.queue.slab.len();
             if queued > 64 && queued > 2 * self.queue.len() {
                 self.queue.compact();
             }
@@ -650,6 +626,30 @@ impl<P> PendingSet<P> {
             let fresh = self.orphan_antis.insert(*key);
             assert!(fresh, "duplicate anti-message for {key:?}");
             CancelOutcome::Deferred
+        }
+    }
+
+    /// The slot of the live event keyed `key`, or `NIL`: a walk of its
+    /// LP's chain.
+    #[inline]
+    fn find(&self, key: &EventKey) -> u32 {
+        let mut at = self.heads.get(key.dst.index()).copied().unwrap_or(NIL);
+        while at != NIL && self.queue.slab.get(at).key() != key {
+            at = self.chains[at as usize].next;
+        }
+        at
+    }
+
+    /// Take the live `slot` out of the chain of LP `lp`.
+    #[inline]
+    fn unlink(&mut self, slot: u32, lp: usize) {
+        let Chain { prev, next } = self.chains[slot as usize];
+        match prev {
+            NIL => self.heads[lp] = next,
+            _ => self.chains[prev as usize].next = next,
+        }
+        if next != NIL {
+            self.chains[next as usize].prev = prev;
         }
     }
 
@@ -662,9 +662,10 @@ impl<P> PendingSet<P> {
 
     /// Remove and return the lowest-keyed pending event.
     pub fn pop_min(&mut self) -> Option<Event<P>> {
+        // The bottom's root is the event `pop` takes.
+        let slot = self.queue.bottom.first()?.slot;
         let ev = self.queue.pop()?;
-        let slot = self.index.remove(&ev.key);
-        debug_assert!(slot.is_some(), "a live event is indexed");
+        self.unlink(slot, ev.key.dst.index());
         Some(ev)
     }
 
@@ -785,11 +786,12 @@ mod tests {
         assert_eq!(top.0, q.top.len);
         tiers[1] = rung;
         tiers[2] = top;
-        assert_eq!(q.queued, tiers.iter().map(|t| t.0).sum::<usize>());
-        assert_eq!(q.live, q.queued - tiers.iter().map(|t| t.1).sum::<usize>());
+        let queued = slab.len();
+        assert_eq!(queued, tiers.iter().map(|t| t.0).sum::<usize>());
+        assert_eq!(q.live, queued - tiers.iter().map(|t| t.1).sum::<usize>());
         assert_eq!(
             q.bottom.is_empty(),
-            q.queued == 0,
+            queued == 0,
             "an empty bottom means an empty queue"
         );
         if let Some(root) = q.bottom.first() {
@@ -800,7 +802,29 @@ mod tests {
             let free = matches!(s, Slot::Free(_));
             assert_eq!(!free, seen[i], "slot {i}: queued unless free");
         }
-        assert_eq!(slab.len(), q.queued, "a slot per queued entry");
+        tiers
+    }
+
+    /// [`check`] of the queue, and every chain: each live slot is linked
+    /// exactly once, into its destination LP's chain, both ways.
+    fn check_set<P>(ps: &PendingSet<P>) -> [(usize, usize); 3] {
+        let tiers = check(&ps.queue);
+        let slab = &ps.queue.slab;
+        assert!(ps.chains.len() >= slab.slots.len(), "a chain link per slot");
+        let mut chained = 0;
+        for (lp, &head) in ps.heads.iter().enumerate() {
+            let (mut prev, mut at) = (NIL, head);
+            while at != NIL {
+                let Queued::Live(ev) = slab.get(at) else {
+                    panic!("dead slot {at} is chained")
+                };
+                assert_eq!(ev.key.dst.index(), lp, "slot {at} in another LP's chain");
+                assert_eq!(ps.chains[at as usize].prev, prev, "slot {at}: prev");
+                chained += 1;
+                (prev, at) = (at, ps.chains[at as usize].next);
+            }
+        }
+        assert_eq!(chained, ps.len(), "every live slot is chained");
         tiers
     }
 
@@ -860,6 +884,107 @@ mod tests {
         let mut ps = PendingSet::new();
         ps.insert(ev(1.0, 0, 0, 0));
         ps.insert(ev(1.0, 0, 0, 0));
+    }
+
+    /// A chain is linked head-first: the last insert for an LP heads it.
+    fn chain_of<P>(ps: &PendingSet<P>, lp: u32) -> Vec<u64> {
+        let mut at = ps.heads[lp as usize];
+        let mut seqs = Vec::new();
+        while at != NIL {
+            seqs.push(ps.queue.slab.get(at).key().uid.seq);
+            at = ps.chains[at as usize].next;
+        }
+        seqs
+    }
+
+    #[test]
+    fn cancel_unlinks_at_a_chains_head_middle_and_tail() {
+        let mut ps = PendingSet::new();
+        // LP 3's chain runs 4, 3, 2, 1, 0 (head first); LP 5 holds one.
+        let evs: Vec<_> = (0..5).map(|i| ev(1.0 + i as f64, 3, 0, i)).collect();
+        for e in &evs {
+            ps.insert(e.clone());
+        }
+        ps.insert(ev(0.5, 5, 0, 9));
+        assert_eq!(chain_of(&ps, 3), vec![4, 3, 2, 1, 0]);
+        for (victim, left) in [(4, vec![3, 2, 1, 0]), (2, vec![3, 1, 0]), (0, vec![3, 1])] {
+            assert_eq!(ps.cancel(&evs[victim].key), CancelOutcome::Removed);
+            assert_eq!(chain_of(&ps, 3), left);
+            check_set(&ps);
+        }
+        assert_eq!(chain_of(&ps, 5), vec![9]);
+        // A cancelled key is gone from the chain: its anti parks.
+        assert_eq!(ps.cancel(&evs[2].key), CancelOutcome::Deferred);
+        let popped: Vec<_> = std::iter::from_fn(|| ps.pop_min())
+            .map(|e| e.key.uid.seq)
+            .collect();
+        assert_eq!(popped, vec![9, 1, 3]);
+        assert_eq!(chain_of(&ps, 3), Vec::<u64>::new());
+        assert_eq!(chain_of(&ps, 5), Vec::<u64>::new());
+        check_set(&ps);
+    }
+
+    #[test]
+    fn cancel_after_a_compaction_finds_every_survivor() {
+        let mut ps = PendingSet::new();
+        let evs: Vec<_> = (0..200u64)
+            .map(|i| ev(2.0 + i as f64, (i % 4) as u32, 0, i))
+            .collect();
+        ps.insert(ev(1.0, 0, 0, 1_000));
+        for e in &evs {
+            ps.insert(e.clone());
+        }
+        // Cancel two in three until a compaction drops every tombstone.
+        for e in evs.iter().filter(|e| e.key.uid.seq % 3 != 0) {
+            assert_eq!(ps.cancel(&e.key), CancelOutcome::Removed);
+            if ps.queue.slab.len() == ps.len() {
+                break;
+            }
+        }
+        assert!(ps.len() > 1 + evs.len() / 3, "a compaction ran midway");
+        check_set(&ps);
+        let survivors: Vec<_> = evs
+            .iter()
+            .filter(|e| ps.iter().any(|l| l.key == e.key))
+            .collect();
+        assert_eq!(survivors.len(), ps.len() - 1);
+        // Every survivor is still found through its chain, from either end.
+        for e in survivors.iter().rev() {
+            assert_eq!(ps.cancel(&e.key), CancelOutcome::Removed);
+            check_set(&ps);
+        }
+        assert_eq!(ps.pop_min().map(|e| e.key.uid.seq), Some(1_000));
+        assert_eq!(ps.pop_min(), None);
+    }
+
+    #[test]
+    fn an_anti_parked_before_its_positive_leaves_the_chain_alone() {
+        let mut ps = PendingSet::new();
+        let (a, b, c) = (ev(1.0, 2, 0, 0), ev(2.0, 2, 0, 1), ev(3.0, 2, 0, 2));
+        ps.insert(a.clone());
+        ps.insert(c.clone());
+        assert_eq!(ps.cancel(&b.key), CancelOutcome::Deferred);
+        assert_eq!(chain_of(&ps, 2), vec![2, 0]);
+        assert_eq!(ps.insert(b), InsertOutcome::Annihilated);
+        assert_eq!((ps.orphan_antis(), ps.len()), (0, 2));
+        assert_eq!(chain_of(&ps, 2), vec![2, 0]);
+        check_set(&ps);
+        // An anti for an LP the set has never seen parks too.
+        assert_eq!(ps.cancel(&ev(1.0, 900, 0, 0).key), CancelOutcome::Deferred);
+        assert_eq!(ps.pop_min(), Some(a));
+        assert_eq!(ps.pop_min(), Some(c));
+    }
+
+    /// The duplicate check is an `assert!`, not a `debug_assert!`: it
+    /// holds in release builds too, and finds a twin deep in its chain.
+    #[test]
+    #[should_panic(expected = "duplicate pending event key")]
+    fn a_duplicate_deep_in_its_chain_panics() {
+        let mut ps = PendingSet::new();
+        for i in 0..6 {
+            ps.insert(ev(1.0 + i as f64, 4, 0, i));
+        }
+        ps.insert(ev(1.0, 4, 0, 0));
     }
 
     #[test]
@@ -960,9 +1085,9 @@ mod tests {
         assert_eq!(ps.pop_min(), Some(b));
         assert_eq!(ps.pop_min(), Some(c));
         assert_eq!(ps.pop_min(), None);
-        assert_eq!(ps.queue.queued, 0, "A's tombstone surfaced and left");
+        assert_eq!(ps.queue.slab.len(), 0, "A's tombstone surfaced and left");
 
-        // After a compaction the survivors' slots are still indexed.
+        // After a compaction the survivors are still chained.
         let mut ps = PendingSet::new();
         let doomed: Vec<_> = (0..70)
             .map(|i| with(10.0 + i as f64, i, i as u32))
@@ -976,7 +1101,7 @@ mod tests {
         for e in &doomed {
             assert_eq!(ps.cancel(&e.key), CancelOutcome::Removed);
         }
-        assert!(ps.queue.queued < 2 + doomed.len(), "compaction ran");
+        assert!(ps.queue.slab.len() < 2 + doomed.len(), "compaction ran");
         assert_eq!(ps.cancel(&kept.key), CancelOutcome::Removed);
         assert_eq!(ps.pop_min().map(|e| e.payload), Some(8));
         assert_eq!(ps.pop_min(), None);
@@ -1041,7 +1166,7 @@ mod tests {
                 ps.insert(resent);
             }
             assert!(ps.queue.buckets.is_empty(), "the rung stays down");
-            check(&ps.queue);
+            check_set(&ps);
         }
     }
 
@@ -1203,7 +1328,7 @@ mod tests {
         let root = ps.min_key().unwrap();
         assert_eq!(root, evs[next].key);
         assert_eq!(ps.cancel(&root), CancelOutcome::Removed);
-        check(&ps.queue);
+        check_set(&ps);
         assert!(
             ps.queue.next_bucket > drained,
             "the bottom took the next bucket"
@@ -1239,26 +1364,26 @@ mod tests {
             live.push(e.clone());
             ps.insert(e);
         }
-        let [_, rung, top] = check(&ps.queue);
+        let [_, rung, top] = check_set(&ps);
         assert!(rung.0 > 0 && top.0 >= 100, "three tiers: {rung:?} {top:?}");
         // A straggler just under the bottom's end, cancelled at once: a
         // tombstone in the bottom, below its root.
         let straggler = at_ticks(ps.queue.bottom_end - 1, 7, 7_000);
         ps.insert(straggler.clone());
         assert_eq!(ps.cancel(&straggler.key), CancelOutcome::Removed);
-        assert_eq!(check(&ps.queue)[0].1, 1);
+        assert_eq!(check_set(&ps)[0].1, 1);
 
         // Cancel in a scattered order, never the root, until compaction runs.
         let mut at = 0;
         let before = loop {
-            let tiers = check(&ps.queue);
+            let tiers = check_set(&ps);
             at = (at + 97) % live.len();
             if Some(live[at].key) == ps.min_key() {
                 continue;
             }
             let victim = live.swap_remove(at);
             assert_eq!(ps.cancel(&victim.key), CancelOutcome::Removed);
-            if ps.queue.queued == ps.len() {
+            if ps.queue.slab.len() == ps.len() {
                 break tiers;
             }
         };
@@ -1266,7 +1391,7 @@ mod tests {
             before.iter().all(|&(_, dead)| dead > 0),
             "tombstones sat in every tier: {before:?}"
         );
-        check(&ps.queue);
+        check_set(&ps);
         // Anti-then-resend into freed slots, then the payloads come back
         // in key order.
         let resent = Event {
@@ -1279,28 +1404,14 @@ mod tests {
         }
         ps.insert(resent.clone());
         live.push(resent);
-        check(&ps.queue);
+        check_set(&ps);
         live.sort_unstable_by_key(|e| e.key);
         let out: Vec<_> = std::iter::from_fn(|| {
             let e = ps.pop_min();
-            check(&ps.queue);
+            check_set(&ps);
             e
         })
         .collect();
         assert_eq!(out, live);
-    }
-
-    #[test]
-    fn det_hash_is_stable() {
-        // The whole point of DetHash: the same key hashes identically in
-        // every process, so runs are reproducible.
-        use std::hash::{Hash, Hasher};
-        let key = ev(3.25, 7, 2, 9).key;
-        let mut h1 = DetHash::default();
-        key.hash(&mut h1);
-        let mut h2 = DetHash::default();
-        key.hash(&mut h2);
-        assert_eq!(h1.finish(), h2.finish());
-        assert_ne!(h1.finish(), 0);
     }
 }

@@ -75,23 +75,30 @@ pub fn wait<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> 
 
 /// One thread's input queue: a mutex-guarded FIFO taken once per bulk push
 /// and once per drain. Many producers, one consumer (the owning thread).
-struct InputQueue<T>(Mutex<VecDeque<T>>);
+/// A drain into an empty buffer swaps the two, so the queue's messages
+/// change hands without a copy and the two buffers keep their capacity.
+struct InputQueue<T>(Mutex<Vec<T>>);
 
 impl<T> InputQueue<T> {
     fn push(&self, value: T) {
-        lock(&self.0).push_back(value);
+        lock(&self.0).push(value);
     }
 
     /// Move every element of `items` in under one lock, preserving order.
     fn push_batch(&self, items: &mut Vec<T>) {
-        lock(&self.0).extend(items.drain(..));
+        lock(&self.0).append(items);
     }
 
-    /// Move the whole queue into `out` under one lock, preserving order.
+    /// Move the whole queue to the end of `out` under one lock, preserving
+    /// order: by a swap of buffers when `out` is empty.
     fn drain_into(&self, out: &mut Vec<T>) -> usize {
         let mut q = lock(&self.0);
         let n = q.len();
-        out.extend(q.drain(..));
+        if out.is_empty() {
+            std::mem::swap(&mut *q, out);
+        } else {
+            out.append(&mut q);
+        }
         n
     }
 }
@@ -125,7 +132,7 @@ impl<P> MessagePlane<P> {
     pub fn new(num_threads: usize) -> Self {
         MessagePlane {
             queues: (0..num_threads)
-                .map(|_| InputQueue(Mutex::new(VecDeque::new())))
+                .map(|_| InputQueue(Mutex::new(Vec::new())))
                 .collect(),
             queue_len: padded(num_threads, || AtomicUsize::new(0)),
             queue_min: padded(num_threads, || AtomicU64::new(u64::MAX)),

@@ -95,7 +95,7 @@ impl<T> Slab<T> {
     }
 
     /// Slots holding a value.
-    #[cfg(test)]
+    #[inline]
     pub(crate) fn len(&self) -> usize {
         self.live
     }

@@ -3,7 +3,7 @@
 //! The engines' per-LP hot path, distilled into one loop (pop-min →
 //! `process_into` → re-insert sends → fossil once per snapshot period), is
 //! what every Time Warp runtime runs per event: after warmup, all its
-//! buffers — the reused send vector, the pending set's heap and index, the
+//! buffers — the reused send vector, the pending set's queue and chains, the
 //! LP's history, sent-key and snapshot queues — have reached steady-state
 //! capacity, so processing one more event must hit the heap **zero** times.
 //! This test locks that in with a counting global allocator: any future
@@ -38,6 +38,12 @@
 //! far fewer allocations than it has LPs (one history store per thread, no
 //! buffer per LP), and the store keeps at most twice the most history that
 //! was ever live at once, plus a constant.
+//!
+//! The seventh holds a pending set over 4,096 LPs, fed alone — pop the
+//! minimum, send one event on, cancel and re-send every fourth — to the
+//! same two bars: nothing allocates after warmup, and a run of 4T events
+//! allocates exactly what a run of T does. Its per-LP chains grow with the
+//! queue's slab and the largest LP seen, never with the run.
 //!
 //! Kept as its own integration binary so the `#[global_allocator]` swap
 //! cannot perturb (or be perturbed by) unrelated tests.
@@ -359,8 +365,7 @@ fn steady_state_cancels_and_compaction_do_not_allocate() {
     );
 
     // 4,096 LPs: the rung is up, and with two tombstones per send
-    // compaction runs about every 2,000 events. The warmup outlasts the
-    // index's last rehash into a larger table (near event 37,000).
+    // compaction runs about every 2,000 events.
     let model = Ring { n: 4096 };
     let (mut lps, mut pending) = ring(&model);
     pump_with_resends(&model, &mut lps, &mut pending, &mut sends, 50_000);
@@ -532,5 +537,71 @@ fn history_footprint_follows_the_live_history_not_the_lp_count() {
         bytes.reserved <= 2 * high_water + 4096,
         "the store holds {} bytes for a live high-water of {high_water}",
         bytes.reserved
+    );
+}
+
+/// A pending set over `LPS` LPs, one event each, run `warmup` then
+/// `measured` steps of the hold model: pop the minimum, send one event on
+/// to another LP, and cancel and re-send every fourth send
+/// (anti-then-resend). Returns the allocations of each phase.
+fn pending_hold(warmup: u64, measured: u64) -> (u64, u64) {
+    const LPS: u64 = 4096;
+    let event = |t: u64, dst: u64, seq: u64| Event {
+        key: EventKey {
+            recv_time: VirtualTime::from_ticks(t),
+            dst: LpId(dst as u32),
+            uid: EventUid::new(LpId(0), seq),
+        },
+        send_time: VirtualTime::ZERO,
+        payload: (),
+    };
+    let before = allocs();
+    let mut pending = PendingSet::new();
+    for lp in 0..LPS {
+        pending.insert(event(lp * 97 % 1024, lp, lp));
+    }
+    let mut at_warm = 0;
+    for step in 0..warmup + measured {
+        if step == warmup {
+            at_warm = allocs();
+        }
+        let ev = pending.pop_min().expect("the population is constant");
+        let (t, dst) = (ev.key.recv_time.ticks(), ev.key.dst.0 as u64);
+        let sent = event(
+            t + 1 + step * 7_919 % 2_048,
+            (dst * 5 + 3) % LPS,
+            LPS + step,
+        );
+        pending.insert(sent.clone());
+        if step % 4 == 0 {
+            assert_eq!(pending.cancel(&sent.key), CancelOutcome::Removed);
+            pending.insert(sent);
+        }
+    }
+    assert_eq!(pending.len(), LPS as usize, "the population is constant");
+    (at_warm - before, allocs() - at_warm)
+}
+
+#[test]
+fn pending_chains_over_4096_lps_do_not_allocate_in_steady_state() {
+    const T: u64 = 20_000;
+    const WARMUP: u64 = 20_000;
+    let (warm, steady) = pending_hold(WARMUP, T);
+    assert_eq!(
+        steady, 0,
+        "insert / pop / cancel over 4,096 LPs allocated {steady} times across \
+         {T} steady-state steps (expected zero: the chains grow with the slab)"
+    );
+    let (warm_4t, steady_4t) = pending_hold(WARMUP, 4 * T);
+    assert_eq!(
+        steady_4t,
+        0,
+        "{steady_4t} allocations across {} steps",
+        4 * T
+    );
+    assert_eq!(
+        warm + steady,
+        warm_4t + steady_4t,
+        "a run of 4T allocates what a run of T does"
     );
 }

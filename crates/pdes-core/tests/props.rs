@@ -147,6 +147,17 @@ fn arb_ops(
     prop::collection::vec(op, len)
 }
 
+/// Every key on one of `lps` hot LPs, far apart in id, so each LP's chain
+/// of pending events runs far longer than the one or two slots the
+/// workloads see, and a cancel or a duplicate check walks all of it.
+fn arb_hot_lp_key(lps: u32) -> impl Strategy<Value = EventKey> {
+    (0u64..256, 0..lps, 0u32..8, 0u64..1 << 20).prop_map(|(t, lp, src, seq)| EventKey {
+        recv_time: VirtualTime::from_ticks(t),
+        dst: LpId(lp * 1_000 + 7),
+        uid: EventUid::new(LpId(src), seq),
+    })
+}
+
 proptest! {
     /// The pending set behaves exactly like a reference model built on a
     /// `BTreeMap` plus an orphan-anti set, under arbitrary operation
@@ -155,12 +166,16 @@ proptest! {
     /// `pop_min` must hand back, and after every operation `iter()` is the
     /// reference's live set; at the end both drain in the same order. The
     /// second input, insert-heavy over spread keys, grows the set to a few
-    /// hundred events, past the queue's small-set threshold.
+    /// hundred events, past the queue's small-set threshold; the last two
+    /// put every event on one LP or on four, so the per-LP chains that
+    /// cancels and inserts walk run long.
     #[test]
     fn pending_set_matches_reference_model(
         ops in prop_oneof![
             arb_ops(arb_tied_key(), 4, 0..600),
             arb_ops(arb_spread_key(), 10, 0..900),
+            arb_ops(arb_hot_lp_key(1), 8, 0..700),
+            arb_ops(arb_hot_lp_key(4), 8, 0..700),
         ],
     ) {
         let mut sut: PendingSet<u32> = PendingSet::new();

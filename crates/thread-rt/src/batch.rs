@@ -22,9 +22,9 @@
 //!
 //! # Flush policy
 //!
-//! - **batch-full** — a destination buffer reaching [`SendBatcher::cap`]
-//!   flushes that destination immediately (bounds buffering under heavy
-//!   fan-out within one cycle);
+//! - **batch-full** — a destination buffer reaching its cap (set by
+//!   [`SendBatcher::new`]) flushes that destination immediately (bounds
+//!   buffering under heavy fan-out within one cycle);
 //! - **LVT advance / idle** — the worker flushes at the end of every main
 //!   loop cycle that processed events *and* whenever it goes idle (a
 //!   starved peer must see our messages before we spin waiting on it);
