@@ -1108,4 +1108,34 @@ mod tests {
         let r = SteppedCluster::new(model(), &ecfg, &tcp);
         refused(r.map(|_| ()), "memory-linked");
     }
+
+    /// The coordinator leaves once it has folded every `Done` and its own
+    /// frames are acked; the ack of a worker's `Done` can die with its
+    /// socket. The worker, flushing, then hears only the coordinator's
+    /// hang-up, and that must finish it.
+    #[test]
+    fn a_flushing_worker_finishes_on_the_coordinators_hang_up() {
+        let model = Arc::new(models::Phold::new(models::PholdConfig::balanced(2, 2)));
+        let ecfg = EngineConfig::default().with_end_time(5.0);
+        let mut sc = SteppedCluster::new(model, &ecfg, &cfg(2)).expect("cluster");
+        let nodes = &mut sc.cluster.nodes;
+        for _ in 0..100_000 {
+            nodes[0].step().expect("coordinator step");
+            if nodes[0].finished() {
+                break;
+            }
+            nodes[1].step().expect("worker step");
+        }
+        assert!(nodes[0].finished() && !nodes[1].finished());
+        // Lose what the coordinator sent last — the ack of the `Done`.
+        sc.cluster.inboxes[1].drain();
+        for _ in 0..50 {
+            nodes[1].step().expect("worker step");
+        }
+        assert!(!nodes[1].finished(), "without its ack the worker waits");
+        sc.cluster.inboxes[1].push(0, Vec::new());
+        let status = nodes[1].step().expect("worker step");
+        assert_eq!(status, crate::node::StepStatus::Finished);
+        assert!(nodes[1].finished());
+    }
 }

@@ -584,6 +584,13 @@ impl<M: Model> ShardNode<M> {
             if bytes.is_empty() {
                 // Link-closed sentinel from a TCP reader.
                 self.fences.hang_up(peer);
+                if peer == 0 && self.phase == Phase::Flushing {
+                    // The coordinator leaves only once every `Done` is
+                    // folded, ours included; the ack still awaited can die
+                    // with its socket (reset, or cut short mid-packet).
+                    self.phase = Phase::Done;
+                    return Ok(StepStatus::Finished);
+                }
                 if self.phase >= Phase::Draining {
                     continue;
                 }

@@ -124,6 +124,11 @@ impl<M: Model> ThreadEngine<M> {
     }
 
     #[inline]
+    pub fn map(&self) -> &LpMap {
+        &self.map
+    }
+
+    #[inline]
     pub fn stats(&self) -> &ThreadStats {
         &self.stats
     }

@@ -2,7 +2,8 @@
 
 use super::gate::IngestGate;
 use super::IngestError;
-use crate::event::Event;
+use crate::batch::{SendBatcher, SendSink, CAP};
+use crate::event::Msg;
 use crate::mapping::LpMap;
 use serde::Serialize;
 use std::sync::{Arc, Mutex};
@@ -58,19 +59,23 @@ impl<P> IngestPort<P> {
 }
 
 impl<P: Clone + Serialize> IngestPort<P> {
-    /// Admit queued submissions — called by a round's pseudo-controller
-    /// right after it published the GVT. `route(thread, event)` receives
-    /// each admitted event, already journaled, *inside* the gate lock, so
-    /// the admission check, the durability append and the caller's
-    /// queue-accounting publish are one atomic step with respect to the
-    /// next GVT fence. Returns the number injected; a journal failure parks
-    /// the error for [`Self::take_error`] (the run fails rather than
-    /// silently accepting events a crash would lose).
-    pub fn pump(&self, mut route: impl FnMut(usize, Event<P>)) -> u64 {
+    /// Admit queued submissions into `sink` — called by a round's
+    /// pseudo-controller right after it published the GVT. Each admitted
+    /// event, already journaled, is buffered as a send of thread 0 *inside*
+    /// the gate lock, so the admission check, the durability append and the
+    /// window publish are one atomic step with respect to the next GVT
+    /// fence; the batch lands before this returns. Returns the number
+    /// injected; a journal failure parks the error for [`Self::take_error`]
+    /// (the run fails rather than silently accepting events a crash would
+    /// lose).
+    pub fn pump(&self, sink: &impl SendSink<P>) -> u64 {
         let map = &self.map;
+        let mut batcher = SendBatcher::new(map.num_threads as usize, CAP);
         let res = self.gate.pump(|_| true, &mut |ev| {
-            route(map.thread_of(ev.key.dst).index(), ev)
+            let dst = map.thread_of(ev.key.dst).index();
+            batcher.buffer(sink, 0, dst, Msg::Event(ev));
         });
+        batcher.flush(sink);
         match res {
             Ok(out) => out.injected,
             Err(e) => {

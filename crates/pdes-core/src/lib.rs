@@ -24,7 +24,8 @@
 //!   on each LP's state, RNG and send counter alone, with no `Lp` or history;
 //! * [`plane::MessagePlane`] and [`sched`] — the control plane the
 //!   shared-memory runtimes run on: input queues with their GVT coverage
-//!   minima, round membership, Algorithms 1, 2 and 4;
+//!   minima, round membership, Algorithms 1, 2 and 4; [`batch::SendBatcher`]
+//!   — the one way a message enters an input queue;
 //! * [`participant::Participant`] — one thread's half of a GVT round, the
 //!   steps both of those runtimes' loops are sequences of;
 //! * [`recovery`] — the checkpoint sink, attempt set-up and supervisor loop
@@ -34,6 +35,7 @@
 //! rolled-back state, event ordering is total, and no wall-clock or
 //! hash-iteration order leaks into results.
 
+pub mod batch;
 pub mod board;
 pub mod checkpoint;
 pub mod config;
@@ -58,6 +60,7 @@ pub mod stats;
 pub mod system;
 pub mod time;
 
+pub use batch::{SendBatcher, SendSink};
 pub use board::{RoundBoard, RoundTotals};
 pub use checkpoint::{Checkpoint, CheckpointError, CutSnapshot, LpCheckpoint, SupervisorConfig};
 pub use config::EngineConfig;

@@ -4,11 +4,13 @@
 //! A [`Participant`] owns what a thread carries through its control loop and
 //! holds the steps that are the same on real threads and on the virtual
 //! machine: receive, the round trigger, the folds, the checkpoint cut, the
-//! End tail, parking. What differs comes in as arguments or stays with the
-//! runtime: how the outbox reaches the queues (`send`), which lock guards
+//! End tail, parking. It lands its own sends through its [`SendBatcher`],
+//! into whichever [`SendSink`] the runtime hands it. What differs comes in
+//! as arguments or stays with the runtime: the sink, which lock guards
 //! [`Membership`], how a thread waits, what a step costs (the steps return
 //! the counts the machine prices), which clock stamps a span.
 
+use crate::batch::{SendBatcher, SendSink, CAP};
 use crate::board::RoundBoard;
 use crate::config::EngineConfig;
 use crate::engine::{Outbound, ThreadEngine};
@@ -27,8 +29,10 @@ pub struct Participant<M: Model> {
     me: usize,
     pub engine: ThreadEngine<M>,
     inbox: Vec<Msg<M::Payload>>,
-    /// What delivery and the batch want sent, until the runtime lands it.
+    /// What delivery and the batch want sent, until [`Self::land`].
     pub outbox: Vec<Outbound<M::Payload>>,
+    /// Lands the outbox: one bulk push per destination.
+    batcher: SendBatcher<M::Payload>,
     idle: IdleTracker,
     /// The yield tier's count (DESIGN §5.8): `receive` and `woke` restart
     /// it; the runtime that enacts the tier adds what its cycles process and
@@ -49,6 +53,7 @@ impl<M: Model> Participant<M> {
     pub fn new(engine: ThreadEngine<M>, ecfg: EngineConfig, parks_with_pending: bool) -> Self {
         Participant {
             me: engine.tid().index(),
+            batcher: SendBatcher::new(engine.map().num_threads as usize, CAP),
             engine,
             inbox: Vec::new(),
             outbox: Vec::new(),
@@ -119,21 +124,28 @@ impl<M: Model> Participant<M> {
         fresh
     }
 
+    /// Land the outbox in the destination queues: the cycle boundary's
+    /// flush. Returns the number of messages sent.
+    pub fn land(&mut self, sink: &impl SendSink<M::Payload>) -> u64 {
+        let sends = self.outbox.len() as u64;
+        self.batcher.land(sink, self.me, &mut self.outbox);
+        sends
+    }
+
     /// A phase fold: record this thread's minimum (pending set + send
     /// window) in the open round. The fold resets the send window, so
-    /// everything received is delivered and everything to send is in a queue
-    /// (`send` lands the outbox) before then. `board` is given when tracing.
-    /// Returns (messages received, events rolled back, messages sent).
+    /// everything received is delivered and everything to send is landed
+    /// before then. `board` is given when tracing. Returns (messages
+    /// received, events rolled back, messages sent).
     pub fn fold(
         &mut self,
-        plane: &MessagePlane<M::Payload>,
+        sink: &impl SendSink<M::Payload>,
         round: &Round,
         board: Option<&RoundBoard>,
-        send: impl FnOnce(&mut Vec<Outbound<M::Payload>>),
     ) -> (u64, u64, u64) {
+        let plane = sink.plane();
         let (n, rolled) = self.receive(plane, false);
-        let sends = self.outbox.len() as u64;
-        send(&mut self.outbox);
+        let sends = self.land(sink);
         let local = self.engine.local_min();
         round.fold(plane, self.me, local);
         self.publish(board, local);
@@ -149,15 +161,15 @@ impl<M: Model> Participant<M> {
     /// `participants`. Returns (messages received, LPs snapshotted).
     pub fn cut(
         &mut self,
-        plane: &MessagePlane<M::Payload>,
+        sink: &impl SendSink<M::Payload>,
         round: &Round,
         participants: usize,
         ckpt: &CkptSink<M>,
-        send: impl FnOnce(&mut Vec<Outbound<M::Payload>>),
     ) -> (u64, u64) {
         let id = self.joined.expect("a cut is taken at a joined round's End");
+        let plane = sink.plane();
         let (n, _) = self.receive(plane, true);
-        send(&mut self.outbox);
+        self.land(sink);
         let g = round.gvt();
         self.engine.fossil_collect(g);
         let part = self.engine.snapshot_at_gvt(g);
@@ -249,23 +261,15 @@ mod tests {
     use crate::system::{AffinityPolicy, GvtMode, Scheduler};
     use std::sync::Arc;
 
-    fn route(plane: &MessagePlane<()>, me: usize, out: &mut Vec<Outbound<()>>) {
-        for (dst, msg) in out.drain(..) {
-            plane.push_msg(me, dst.index(), msg);
-        }
-    }
-
     /// `threads` participants of an 8-LP ring over `plane`, initial events
-    /// routed.
+    /// landed.
     fn ring(
         cfg: &EngineConfig,
         plane: &MessagePlane<()>,
         threads: usize,
     ) -> (Arc<Ring>, crate::LpMap, Vec<Participant<Ring>>) {
         let model = Arc::new(Ring { n: 8 });
-        let (map, engines) = build_engines(&model, cfg, threads, None, None, |from, dst, msg| {
-            plane.push_msg(from, dst, msg)
-        });
+        let (map, engines) = build_engines(&model, cfg, threads, None, None, plane);
         let ps = engines
             .into_iter()
             .map(|e| Participant::new(e, cfg.clone(), false));
@@ -287,7 +291,7 @@ mod tests {
         let cycle = |p: &mut Participant<Ring>, max: usize| {
             p.receive(plane, false);
             p.engine.process_batch(max, &mut p.outbox);
-            route(plane, p.me, &mut p.outbox);
+            p.land(plane);
         };
         for _ in 0..10 {
             ps.iter_mut().for_each(|p| cycle(p, 4));
@@ -314,16 +318,15 @@ mod tests {
             let (participate, id) = round.open(&mut m, &demand, p.me, |_| {});
             assert!(p.join(participate, id));
         }
-        let send = |me: usize| move |out: &mut Vec<Outbound<()>>| route(plane, me, out);
-        ps[early].fold(plane, &round, None, send(early));
+        ps[early].fold(plane, &round, None);
         let p = &mut ps[late];
         p.receive(plane, false);
         assert_eq!(p.engine.process_batch(1, &mut p.outbox).processed, 1);
         let crossing = p.outbox[0].1.key();
-        route(plane, late, &mut p.outbox);
-        p.fold(plane, &round, None, send(late));
+        p.land(plane);
+        p.fold(plane, &round, None);
         for t in [early, late] {
-            ps[t].fold(plane, &round, None, send(t));
+            ps[t].fold(plane, &round, None);
         }
         assert!(round.claim_aware());
         let gvt = round.publish(plane, &demand);
@@ -337,7 +340,7 @@ mod tests {
 
         let sink: CkptSink<Ring> = CkptSink::new(None, map);
         for p in &mut ps {
-            p.cut(plane, &round, m.participants, &sink, send(p.me));
+            p.cut(plane, &round, m.participants, &sink);
         }
         assert_eq!(plane.len(early), 0);
         let cut = sink
@@ -370,15 +373,14 @@ mod tests {
         p.woke();
         assert!(!p.turnover.complete());
         turned_over(p);
-        plane.push_msg(
-            1,
-            0,
-            Msg::Anti(crate::EventKey {
-                recv_time: VirtualTime::from_f64(1.0),
-                dst: LpId(0),
-                uid: crate::EventUid::new(LpId(2), 99),
-            }),
-        );
+        let anti = Msg::Anti(crate::EventKey {
+            recv_time: VirtualTime::from_f64(1.0),
+            dst: LpId(0),
+            uid: crate::EventUid::new(LpId(2), 99),
+        });
+        let mut one = SendBatcher::new(2, CAP);
+        one.buffer(&plane, 1, 0, anti);
+        one.flush(&plane);
         assert_eq!(p.receive(&plane, false).0, 1);
         assert!(!p.turnover.complete());
     }

@@ -3,7 +3,8 @@
 //!
 //! Every runtime that moves messages between simulation threads through
 //! memory — real threads (`thread-rt`, `cons-rt`) and the virtual machine
-//! (`sim-rt`) — holds one [`MessagePlane`] and runs exactly this code.
+//! (`sim-rt`) — holds one [`MessagePlane`] and runs exactly this code, and
+//! lands every message in it through a [`SendBatcher`](crate::SendBatcher).
 //!
 //! # Transient-message coverage (DESIGN.md §8)
 //!
@@ -15,10 +16,12 @@
 //! by the destination's own drain), or the destination's pending set (which
 //! the destination folds itself). Three rules keep that true:
 //!
-//! 1. **Window published before the push.** [`MessagePlane::push_msg`] and
-//!    the batcher's [`MessagePlane::publish_window`] lower the sender's
-//!    window *first*; the enqueue and the queue-minimum update follow. From
-//!    that instant to the sender's next fold the window covers the message.
+//! 1. **Window published before the push.**
+//!    [`SendBatcher::buffer`](crate::SendBatcher::buffer) lowers the
+//!    sender's window ([`MessagePlane::publish_window`]) *first*; the bulk
+//!    push ([`SendSink::push_batch`]) and its queue-minimum update follow.
+//!    From that instant to the sender's next fold the window covers the
+//!    message, so every fold lands its sender's buffers first.
 //! 2. **Queue minimum re-covered before any reduction can see the reset.**
 //!    A drain resets `queue_min` and then hands every message it took to
 //!    its caller — who folds its pending minimum only after delivering them
@@ -29,6 +32,7 @@
 //!    buffer stays inside `queue_len` and under `queue_min`, so neither a
 //!    reduction nor an activation scan loses sight of a deferred message.
 
+use crate::batch::SendSink;
 use crate::event::Msg;
 use crate::faults::{chaos_filter, FaultInjector};
 use crate::time::VirtualTime;
@@ -80,10 +84,6 @@ pub fn wait<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> 
 struct InputQueue<T>(Mutex<Vec<T>>);
 
 impl<T> InputQueue<T> {
-    fn push(&self, value: T) {
-        lock(&self.0).push(value);
-    }
-
     /// Move every element of `items` in under one lock, preserving order.
     fn push_batch(&self, items: &mut Vec<T>) {
         lock(&self.0).append(items);
@@ -148,38 +148,13 @@ impl<P> MessagePlane<P> {
         self.queue_len[i].load(Ordering::Acquire)
     }
 
-    /// Send one message (coverage rule 1: window, then push, then queue
-    /// minimum).
-    pub fn push_msg(&self, sender: usize, dst: usize, msg: Msg<P>) {
-        let t = msg.recv_time();
-        fetch_min(&self.window_min[sender], t);
-        self.queues[dst].push(msg);
-        fetch_min(&self.queue_min[dst], t);
-        self.queue_len[dst].fetch_add(1, Ordering::AcqRel);
-    }
-
-    /// Publish `t` into `me`'s send window *without* enqueueing — the
-    /// coverage half of [`Self::push_msg`], for senders that buffer locally
-    /// and land the buffer later with [`Self::push_batch`]. A buffered
-    /// message is invisible to the destination's queue minimum, so it must
-    /// stay under the sender's window until the flush: flush before every
-    /// [`Self::take_window`].
+    /// Publish `t` into `me`'s send window *without* enqueueing: a
+    /// buffered message is invisible to the destination's queue minimum, so
+    /// it must stay under the sender's window until the bulk push lands it
+    /// (coverage rule 1): land before every [`Self::take_window`].
     #[inline]
     pub fn publish_window(&self, me: usize, t: VirtualTime) {
         fetch_min(&self.window_min[me], t);
-    }
-
-    /// Bulk enqueue on `dst`: one queue lock and one length update for the
-    /// whole batch, preserving order. Every message must already be under
-    /// its sender's window ([`Self::publish_window`]).
-    pub fn push_batch(&self, dst: usize, msgs: &mut Vec<Msg<P>>) {
-        let n = msgs.len();
-        let Some(t) = msgs.iter().map(Msg::recv_time).min() else {
-            return;
-        };
-        self.queues[dst].push_batch(msgs);
-        fetch_min(&self.queue_min[dst], t);
-        self.queue_len[dst].fetch_add(n, Ordering::AcqRel);
     }
 
     /// Drain `me`'s input into `out`; returns the number delivered. Under a
@@ -256,9 +231,28 @@ impl<P> MessagePlane<P> {
     }
 }
 
+/// The plane is a sink as it is: one queue lock and one length update per
+/// batch.
+impl<P> SendSink<P> for MessagePlane<P> {
+    fn plane(&self) -> &MessagePlane<P> {
+        self
+    }
+
+    fn push_batch(&self, dst: usize, msgs: &mut Vec<Msg<P>>) {
+        let n = msgs.len();
+        let Some(t) = msgs.iter().map(Msg::recv_time).min() else {
+            return;
+        };
+        self.queues[dst].push_batch(msgs);
+        fetch_min(&self.queue_min[dst], t);
+        self.queue_len[dst].fetch_add(n, Ordering::AcqRel);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::SendBatcher;
     use crate::event::{Event, EventKey};
     use crate::faults::{DelayFault, FaultPlan, ReorderFault, StragglerFault};
     use crate::ids::{EventUid, LpId};
@@ -299,6 +293,13 @@ mod tests {
         })
     }
 
+    /// A one-message landing: a buffer plus a flush.
+    fn send(p: &MessagePlane<()>, from: usize, dst: usize, m: Msg<()>) {
+        let mut b = SendBatcher::new(p.queue_len.len(), 64);
+        b.buffer(p, from, dst, m);
+        b.flush(p);
+    }
+
     fn chaos(n: usize, plan: FaultPlan) -> MessagePlane<()> {
         let mut p = MessagePlane::new(n);
         p.faults = FaultInjector::new(plan);
@@ -308,8 +309,8 @@ mod tests {
     #[test]
     fn push_and_drain_maintain_length_and_minima() {
         let p = MessagePlane::new(2);
-        p.push_msg(0, 1, msg(5.0));
-        p.push_msg(0, 1, msg(3.0));
+        send(&p, 0, 1, msg(5.0));
+        send(&p, 0, 1, msg(3.0));
         assert_eq!(p.len(1), 2);
         let three = VirtualTime::from_f64(3.0);
         assert_eq!(p.minima(1).1, three, "queue minimum");
@@ -335,8 +336,8 @@ mod tests {
                 ..FaultPlan::default()
             },
         );
-        p.push_msg(0, 1, msg(5.0));
-        p.push_msg(0, 1, msg(3.0));
+        send(&p, 0, 1, msg(5.0));
+        send(&p, 0, 1, msg(3.0));
         let mut out = Vec::new();
         // Everything defers: nothing delivered, queue accounting intact.
         assert_eq!(p.drain(1, &mut out), 0);
@@ -365,9 +366,9 @@ mod tests {
                 ..FaultPlan::default()
             },
         );
-        p.push_msg(0, 1, msg(5.0));
-        p.push_msg(0, 1, msg(3.0));
-        p.push_msg(0, 1, msg(7.0));
+        send(&p, 0, 1, msg(5.0));
+        send(&p, 0, 1, msg(3.0));
+        send(&p, 0, 1, msg(7.0));
         let mut out = Vec::new();
         assert_eq!(p.drain(1, &mut out), 2, "minimum held back");
         assert!(out
@@ -401,9 +402,10 @@ mod tests {
             uid: EventUid::new(LpId(1), 9),
         };
         for round in 0..32u64 {
-            p.push_msg(0, 1, msg(100.0 + round as f64)); // distinct-uid decoy
-            p.push_msg(0, 1, Msg::Anti(k));
-            p.push_msg(
+            send(&p, 0, 1, msg(100.0 + round as f64)); // distinct-uid decoy
+            send(&p, 0, 1, Msg::Anti(k));
+            send(
+                &p,
                 0,
                 1,
                 Msg::Event(Event {

@@ -16,6 +16,7 @@
 //!   virtual machine recover through the same code, which is what makes
 //!   their recovery behaviour comparable.
 
+use crate::batch::{SendBatcher, SendSink, CAP};
 use crate::checkpoint::{Checkpoint, CutSnapshot, SupervisorConfig};
 use crate::config::EngineConfig;
 use crate::engine::ThreadEngine;
@@ -117,8 +118,8 @@ impl<M: Model> CkptSink<M> {
 }
 
 /// Set up one attempt on `threads` threads: returns the LP → thread map and
-/// one engine per thread. `route(sender, dst, msg)` enqueues a message on
-/// the runtime's input queue of thread `dst`.
+/// one engine per thread. Messages land in `sink` through a
+/// [`SendBatcher`].
 ///
 /// A fresh run uses the formula map and pre-routes the initial events. A
 /// resumed run uses the checkpoint's map — `threads` must match it, and the
@@ -139,7 +140,7 @@ pub fn build_engines<M: Model>(
     threads: usize,
     resume: Option<&Checkpoint<M::State, M::Payload>>,
     ingest: Option<&IngestGate<M::Payload>>,
-    mut route: impl FnMut(usize, usize, Msg<M::Payload>),
+    sink: &impl SendSink<M::Payload>,
 ) -> (LpMap, Vec<ThreadEngine<M>>) {
     let map = match resume {
         Some(c) => {
@@ -159,25 +160,24 @@ pub fn build_engines<M: Model>(
         }
     };
     let mut engines = Vec::with_capacity(threads);
+    let mut batcher = SendBatcher::new(threads, CAP);
     for t in 0..threads {
         let mut eng =
             ThreadEngine::new(Arc::clone(model), map.clone(), SimThreadId(t as u32), ecfg);
-        let init = eng.take_init_events();
+        let mut init = eng.take_init_events();
         match resume {
             Some(c) => eng.restore(&c.lps, &c.events, c.gvt),
-            None => {
-                for (dst, msg) in init {
-                    route(t, dst.index(), msg);
-                }
-            }
+            None => batcher.land(sink, t, &mut init),
         }
         engines.push(eng);
     }
     if let Some(g) = ingest {
         let cut = resume.map_or(VirtualTime::ZERO, |c| c.gvt);
         g.reinject_after_restore(cut, &mut |ev| {
-            route(0, map.thread_of(ev.key.dst).index(), Msg::Event(ev));
+            let dst = map.thread_of(ev.key.dst).index();
+            batcher.buffer(sink, 0, dst, Msg::Event(ev));
         });
+        batcher.flush(sink);
     }
     (map, engines)
 }

@@ -24,8 +24,8 @@
 //!
 //! The fourth test holds the round's thread-local steps to the same bar:
 //! two [`Participant`]s over a [`MessagePlane`] cycle (`receive`, an event,
-//! route) and run whole GVT rounds (`fold` twice, publish, fossil-collect)
-//! on inbox / outbox scratch that stopped growing during warmup.
+//! `land`) and run whole GVT rounds (`fold` twice, publish, fossil-collect)
+//! on inbox / outbox / batcher scratch that stopped growing during warmup.
 //!
 //! The fifth holds the sequential oracle, which runs handlers without an
 //! `Lp`, to a run-length bar: its allocation count at `end_time` T and at
@@ -52,7 +52,7 @@ use pdes_core::lp::{key_digest, Lp};
 use pdes_core::pending::{CancelOutcome, PendingSet};
 use pdes_core::{
     build_engines, run_sequential, Demand, EngineConfig, Event, EventKey, EventUid, LpId, LpMap,
-    MapKind, Membership, MessagePlane, Model, Outbound, Participant, Round, SendCtx, SimThreadId,
+    MapKind, Membership, MessagePlane, Model, Participant, Round, SendCtx, SimThreadId,
     ThreadEngine, VirtualTime,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -385,17 +385,10 @@ fn steady_state_cancels_and_compaction_do_not_allocate() {
     );
 }
 
-/// Push an outbox into the destination queues, as the virtual machine does.
-fn route(plane: &MessagePlane<()>, me: usize, out: &mut Vec<Outbound<()>>) {
-    for (dst, msg) in out.drain(..) {
-        plane.push_msg(me, dst.index(), msg);
-    }
-}
-
 /// `rounds` GVT rounds of two participants, sixteen main-loop cycles before
 /// each round's folds. A cycle executes the globally lowest event only, so
 /// nothing rolls back. Returns (events committed, allocations inside
-/// `receive` and `fold`).
+/// `receive`, `land` and `fold`).
 fn run_rounds(
     ps: &mut [Participant<Ring>],
     plane: &MessagePlane<()>,
@@ -419,12 +412,14 @@ fn run_rounds(
             let me = usize::from(ps[1].engine.local_min() < ps[0].engine.local_min());
             let p = &mut ps[me];
             p.engine.process_batch(1, &mut p.outbox);
-            route(plane, me, &mut p.outbox);
+            let before = allocs();
+            p.land(plane);
+            in_steps += allocs() - before;
         }
         let before = allocs();
         for _phase in ["A", "B"] {
-            for (me, p) in ps.iter_mut().enumerate() {
-                p.fold(plane, round, None, |out| route(plane, me, out));
+            for p in ps.iter_mut() {
+                p.fold(plane, round, None);
             }
         }
         in_steps += allocs() - before;
@@ -442,9 +437,7 @@ fn steady_state_receive_and_fold_do_not_allocate() {
     let model = std::sync::Arc::new(Ring { n: 8 });
     let cfg = EngineConfig::default().with_end_time(1e9).with_seed(42);
     let plane = MessagePlane::new(2);
-    let (_, engines) = build_engines(&model, &cfg, 2, None, None, |from, dst, msg| {
-        plane.push_msg(from, dst, msg)
-    });
+    let (_, engines) = build_engines(&model, &cfg, 2, None, None, &plane);
     let mut ps: Vec<_> = engines
         .into_iter()
         .map(|e| Participant::new(e, cfg.clone(), false))
@@ -460,8 +453,8 @@ fn steady_state_receive_and_fold_do_not_allocate() {
     assert!(committed > 0, "measured phase actually committed events");
     assert_eq!(
         in_steps, 0,
-        "receive / fold allocated {in_steps} times across 100 steady-state rounds \
-         (expected zero: inbox and outbox must be reused)"
+        "receive / land / fold allocated {in_steps} times across 100 steady-state \
+         rounds (expected zero: inbox, outbox and batcher must be reused)"
     );
 }
 

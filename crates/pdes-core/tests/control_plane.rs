@@ -8,8 +8,10 @@
 //! (`plane.rs` module docs, DESIGN.md §8): no message that is queued, held
 //! back by chaos, or buffered under its sender's window is ever below
 //! `transient_min()`. The property below drives arbitrary interleavings of
-//! direct sends, buffered sends, flushes, folds and clean/chaos drains
-//! against a model of what is in flight, and additionally checks what the
+//! one-message landings, buffered sends, flushes, folds and clean/chaos
+//! drains against a model of what is in flight — every message enters a
+//! queue through a `SendBatcher`, as in every runtime — and additionally
+//! checks what the
 //! engine needs from delivery: nothing lost or duplicated, `queue_len`
 //! exact, per-(sender, destination) FIFO on clean planes and per-uid order
 //! under chaos (an anti-message never overtakes its positive twin).
@@ -17,7 +19,7 @@
 use pdes_core::{
     ckpt_round_due, AffinityPolicy, AffinityTable, Demand, Event, EventKey, EventUid,
     FaultInjector, FaultPlan, GvtMode, IdleTracker, LpId, Membership, MessagePlane, Msg, Phase,
-    Round, Scheduler, SystemConfig, VirtualTime, WakeupFault,
+    Round, Scheduler, SendBatcher, SystemConfig, VirtualTime, WakeupFault,
 };
 use proptest::prelude::*;
 
@@ -26,8 +28,9 @@ const N: usize = 3;
 #[derive(Debug, Clone)]
 enum Op {
     /// `from` sends to `dst` at `10 + dt`; `pair` follows it with the
-    /// anti-message of the same uid; `buffered` goes through the
-    /// publish-window / push-batch path instead of `push_msg`.
+    /// anti-message of the same uid. A `buffered` send waits in `from`'s
+    /// batcher for a flush or fold; any other is a one-message landing (a
+    /// buffer plus a flush), which lands what `from` buffered before it.
     Send {
         from: usize,
         dst: usize,
@@ -78,10 +81,29 @@ fn ident(m: &Msg<u8>) -> Ident {
     (m.key().uid.src.0, m.key().uid.seq, m.is_anti())
 }
 
+/// A batcher that never lands on its own: only a flush does.
+fn batcher() -> SendBatcher<u8> {
+    SendBatcher::new(N, usize::MAX)
+}
+
+/// A one-message landing through `from`'s batcher: a buffer plus a flush.
+fn land_one(
+    b: &mut SendBatcher<u8>,
+    plane: &MessagePlane<u8>,
+    from: usize,
+    dst: usize,
+    m: Msg<u8>,
+) {
+    b.buffer(plane, from, dst, m);
+    b.flush(plane);
+}
+
 struct Harness {
     plane: MessagePlane<u8>,
-    /// `buffers[from][dst]`: published under `from`'s window, not yet pushed.
-    buffers: Vec<Vec<Vec<Msg<u8>>>>,
+    /// One batcher per sender.
+    batchers: Vec<SendBatcher<u8>>,
+    /// `buffered[from]`: published under `from`'s window, not yet pushed.
+    buffered: Vec<Vec<Ident>>,
     /// Sent and not yet handed out by a drain: `(t, dst, landed, ident)`.
     in_flight: Vec<(u64, usize, bool, Ident)>,
     sent: Vec<Vec<Ident>>,
@@ -93,24 +115,20 @@ impl Harness {
     fn send(&mut self, from: usize, dst: usize, msg: Msg<u8>, buffered: bool) {
         let t = msg.recv_time().ticks();
         self.sent[dst].push(ident(&msg));
-        self.in_flight.push((t, dst, !buffered, ident(&msg)));
-        if buffered {
-            self.plane.publish_window(from, msg.recv_time());
-            self.buffers[from][dst].push(msg);
-        } else {
-            self.plane.push_msg(from, dst, msg);
+        self.in_flight.push((t, dst, false, ident(&msg)));
+        self.buffered[from].push(ident(&msg));
+        self.batchers[from].buffer(&self.plane, from, dst, msg);
+        if !buffered {
+            self.flush(from);
         }
     }
 
     fn flush(&mut self, from: usize) {
-        for dst in 0..N {
-            for m in &self.buffers[from][dst] {
-                let id = ident(m);
-                let slot = self.in_flight.iter_mut().find(|f| f.3 == id);
-                slot.expect("buffered message is in flight").2 = true;
-            }
-            self.plane.push_batch(dst, &mut self.buffers[from][dst]);
+        for id in self.buffered[from].drain(..) {
+            let slot = self.in_flight.iter_mut().find(|f| f.3 == id);
+            slot.expect("buffered message is in flight").2 = true;
         }
+        self.batchers[from].flush(&self.plane);
     }
 
     fn drain(&mut self, me: usize, clean: bool) {
@@ -156,7 +174,8 @@ proptest! {
         }
         let mut h = Harness {
             plane,
-            buffers: vec![vec![Vec::new(); N]; N],
+            batchers: (0..N).map(|_| batcher()).collect(),
+            buffered: vec![Vec::new(); N],
             in_flight: Vec::new(),
             sent: vec![Vec::new(); N],
             got: vec![Vec::new(); N],
@@ -225,11 +244,13 @@ proptest! {
         }
     }
 
-    /// Clean planes: a destination drains each sender's *direct* sends in
-    /// send order, whatever the interleaving with other senders and drains.
+    /// Clean planes: a destination drains each sender's one-message
+    /// landings in send order, whatever the interleaving with other senders
+    /// and drains.
     #[test]
     fn clean_drains_are_fifo_per_sender(ops in arb_ops()) {
         let plane: MessagePlane<u8> = MessagePlane::new(N);
+        let mut batchers: Vec<_> = (0..N).map(|_| batcher()).collect();
         let mut sent = vec![Vec::new(); N];
         let mut got = vec![Vec::new(); N];
         let mut out = Vec::new();
@@ -242,7 +263,7 @@ proptest! {
                         uid: EventUid::new(LpId(from as u32), serial as u64),
                     };
                     sent[dst].push(ident(&Msg::<u8>::Anti(key)));
-                    plane.push_msg(from, dst, Msg::Anti(key));
+                    land_one(&mut batchers[from], &plane, from, dst, Msg::Anti(key));
                 }
                 Op::Drain { me, .. } => {
                     out.clear();
@@ -404,7 +425,7 @@ fn gvt_covers_a_message_sent_after_the_folds() {
     // Thread 2 is inactive with a message at t=4, sent after the folds: it
     // is covered by the destination's queue minimum and the sender's
     // residual window, not by the folded minimum.
-    r.plane.push_msg(0, 2, anti(4.0));
+    land_one(&mut batcher(), &r.plane, 0, 2, anti(4.0));
     assert_eq!(r.publish(), vt(4.0));
     assert_eq!((r.round.gvt(), r.round.rounds()), (vt(4.0), 1));
     assert_eq!(r.round.regressions(), 0);
@@ -550,10 +571,10 @@ fn idle_tracker_parks_only_idle_empty_folded_demand_driven_threads() {
     );
     assert!(!wants(&t, gg, false), "live pending work is runnable");
     // Queued input, or a send the thread has not folded yet, keeps it in.
-    r.plane.push_msg(1, 0, anti(5.0));
+    land_one(&mut batcher(), &r.plane, 1, 0, anti(5.0));
     assert!(!wants(&t, gg, true));
     r.plane.drain_clean(0, &mut Vec::new());
-    r.plane.push_msg(0, 1, anti(6.0));
+    land_one(&mut batcher(), &r.plane, 0, 1, anti(6.0));
     assert!(!wants(&t, gg, true), "unfolded send window");
     r.plane.take_window(0);
     assert!(wants(&t, gg, true));

@@ -29,7 +29,7 @@
 
 use pdes_core::{
     AffinityPolicy, AffinityTable, Demand, EventKey, EventUid, GvtMode, IdleTracker, LpId,
-    Membership, MessagePlane, Msg, Round, Scheduler, SystemConfig, VirtualTime,
+    Membership, MessagePlane, Msg, Round, Scheduler, SendBatcher, SystemConfig, VirtualTime,
 };
 use std::collections::HashSet;
 use std::hash::{Hash, Hasher};
@@ -91,6 +91,9 @@ struct World {
     m: Membership,
     d: Demand,
     plane: MessagePlane<()>,
+    /// Lands every send: a one-message landing (a buffer plus a flush) is
+    /// one atomic step, whichever thread takes it.
+    batcher: SendBatcher<()>,
     aff: AffinityTable,
     /// One binary semaphore per thread.
     sems: Vec<bool>,
@@ -125,6 +128,7 @@ impl World {
             m: Membership::new(n),
             d: Demand::new(n),
             plane: MessagePlane::new(n),
+            batcher: SendBatcher::new(n, 64),
             aff: AffinityTable::new(1, n),
             sems: vec![false; n],
             threads,
@@ -191,7 +195,8 @@ impl World {
             uid: EventUid::new(LpId(t as u32), ts),
         };
         self.in_flight.push((ts, dst));
-        self.plane.push_msg(t, dst, Msg::Anti(key));
+        self.batcher.buffer(&self.plane, t, dst, Msg::Anti(key));
+        self.batcher.flush(&self.plane);
     }
 
     /// Thread `t`'s next step. `Err` is a violated property.

@@ -209,14 +209,7 @@ pub fn run_sim_attempt<M: Model>(
             sh.round.seed(c.gvt, c.gvt_rounds);
         }
         let gate = ingest.as_ref().map(|(g, _)| g.as_ref());
-        let (map, engines) = build_engines(
-            model,
-            &rc.engine,
-            num_threads,
-            resume,
-            gate,
-            |from, dst, msg| sh.plane.push_msg(from, dst, msg),
-        );
+        let (map, engines) = build_engines(model, &rc.engine, num_threads, resume, gate, &sh.plane);
         // Initial events are pre-routed, not in-flight: clear the send
         // windows (queue minima still cover the messages).
         for t in 0..num_threads {

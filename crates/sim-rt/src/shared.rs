@@ -16,7 +16,7 @@ use crate::config::{SimCost, SystemConfig};
 use machine::{MutexId, SemId};
 use pdes_core::{
     AffinityTable, Demand, IngestGate, IngestPort, IngestRequest, LpMap, Membership, MessagePlane,
-    Msg, Phase, ReplySlot, Round, StallDump, ThreadResult, VirtualTime, YieldCounts, YieldTier,
+    Phase, ReplySlot, Round, StallDump, ThreadResult, VirtualTime, YieldCounts, YieldTier,
 };
 use telemetry::RoundBoard;
 
@@ -293,9 +293,7 @@ impl<P: Clone + serde::Serialize> Shared<P> {
         ing.port.gate.set_floor(self.round.gvt());
         // The VM journals to memory only, so a pump cannot fail; the port
         // would park the error of a future journaled configuration.
-        let plane = &self.plane;
-        ing.port
-            .pump(|dst, ev| plane.push_msg(0, dst, Msg::Event(ev)))
+        ing.port.pump(&self.plane)
     }
 }
 
@@ -303,7 +301,7 @@ impl<P: Clone + serde::Serialize> Shared<P> {
 mod tests {
     use super::*;
     use crate::config::{AffinityPolicy, GvtMode, Scheduler};
-    use pdes_core::{EventKey, EventUid, LpId};
+    use pdes_core::{EventKey, EventUid, LpId, Msg, SendBatcher};
 
     fn mk(n: usize, cores: usize) -> Shared<()> {
         Shared::new(
@@ -344,7 +342,10 @@ mod tests {
     fn activation_posts_exactly_the_queued_parked_threads() {
         let mut s = mk(3, 2);
         assert!(s.deactivate_self(1, 0) && s.deactivate_self(2, 0));
-        s.plane.push_msg(0, 2, msg(4.0));
+        // A one-message landing: a buffer plus a flush.
+        let mut one = SendBatcher::new(3, 64);
+        one.buffer(&s.plane, 0, 2, msg(4.0));
+        one.flush(&s.plane);
         let mut ops = Vec::new();
         assert_eq!(s.activate_queued(&mut ops), 1);
         assert_eq!(ops, vec![Op::Post(2)]);

@@ -14,10 +14,7 @@
 use crate::config::{AffinityPolicy, GvtMode, Scheduler};
 use crate::shared::{Arrive, Op, Shared};
 use machine::{Ctx, Step, Task, WorkTag};
-use pdes_core::{
-    CkptSink, EngineConfig, MessagePlane, Model, Outbound, Participant, Phase, ThreadEngine,
-    YieldCause,
-};
+use pdes_core::{CkptSink, EngineConfig, Model, Participant, Phase, ThreadEngine, YieldCause};
 use std::cell::RefCell;
 use std::rc::Rc;
 use telemetry::{EventKind, Tracer};
@@ -145,7 +142,7 @@ impl<M: Model> SimThreadTask<M> {
         sh.plane.faults.should_kill(self.tid, self.total_cycles)
     }
 
-    /// One main-loop cycle: drain the input queue, process a batch, route
+    /// One main-loop cycle: drain the input queue, process a batch, land
     /// sends. Returns (cost, cycles_advanced, useful, give_up) — the last is
     /// the yield tier's verdict on the cycle.
     fn do_cycle(
@@ -159,8 +156,7 @@ impl<M: Model> SimThreadTask<M> {
             .p
             .engine
             .process_batch(self.p.ecfg.batch_size, &mut self.p.outbox);
-        let sends = self.p.outbox.len() as u64;
-        route(&sh.plane, self.tid, &mut self.p.outbox);
+        let sends = self.p.land(&sh.plane);
         rolled += batch.rolled_back as u64;
 
         let idle = n_msgs == 0 && batch.processed == 0;
@@ -215,11 +211,8 @@ impl<M: Model> SimThreadTask<M> {
 
     /// A phase fold, priced.
     fn drain_and_fold(&mut self, sh: &mut Shared<M::Payload>) -> u64 {
-        let (plane, me) = (&sh.plane, self.tid);
         let board = self.tracer.enabled().then_some(&sh.board);
-        let (n, rolled, sends) = self
-            .p
-            .fold(plane, &sh.round, board, |out| route(plane, me, out));
+        let (n, rolled, sends) = self.p.fold(&sh.plane, &sh.round, board);
         let c = &sh.cost;
         c.gvt_phase + c.recv_msg * n + c.send_msg * sends + c.rollback_event * rolled
     }
@@ -269,14 +262,9 @@ impl<M: Model> SimThreadTask<M> {
             // Armed round: this thread's share of the consistent cut. The
             // claimant published the round's GVT before any participant can
             // reach End (single-threaded machine), so it is final here.
-            let (plane, me) = (&sh.plane, self.tid);
-            let (n, lps) = self.p.cut(
-                plane,
-                &sh.round,
-                sh.members.participants,
-                &self.ckpt,
-                |out| route(plane, me, out),
-            );
+            let (n, lps) = self
+                .p
+                .cut(&sh.plane, &sh.round, sh.members.participants, &self.ckpt);
             cost += c.gvt_phase + c.recv_msg * n + c.proc_event * lps;
             if trace {
                 // The snapshot occupies [now + cw0, now + cost] virtually.
@@ -383,13 +371,6 @@ impl<M: Model> SimThreadTask<M> {
                 }
             }
         }
-    }
-}
-
-/// Push an outbox into the destination queues.
-fn route<P>(plane: &MessagePlane<P>, me: usize, out: &mut Vec<Outbound<P>>) {
-    for (dst, msg) in out.drain(..) {
-        plane.push_msg(me, dst.index(), msg);
     }
 }
 

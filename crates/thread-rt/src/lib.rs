@@ -2,8 +2,9 @@
 //!
 //! The same Time Warp engine and the same six scheduling systems as
 //! `sim-rt`, executed on real `std::thread`s. The control plane — one
-//! mutex-guarded `VecDeque` input queue per thread (bulk push and bulk drain
-//! take the lock once per batch, not once per message), the cache-padded
+//! mutex-guarded input queue per thread, landed into through one
+//! `SendBatcher` per sender (bulk push and bulk drain take the lock once per
+//! batch, not once per message), the cache-padded
 //! `active_threads` array, round membership, Algorithms 1, 2 and 4 — is
 //! `pdes_core`'s, shared with the virtual machine; this crate adds what
 //! real threads wait on (mutex + condvar semaphores as `sem_locks`, barriers)
@@ -21,14 +22,13 @@
 //! lock of their own); see DESIGN.md.
 
 pub mod affinity;
-pub mod batch;
 pub mod protocol;
 pub mod runner;
 pub mod shared;
 pub mod sync;
 pub mod worker;
 
-pub use batch::SendBatcher;
+pub use pdes_core::SendBatcher;
 pub use protocol::{Optimistic, Protocol};
 pub use runner::{
     run_supervised, run_threads, run_threads_attempt, Recovered, RtAttempt, RtResult, RtRunConfig,

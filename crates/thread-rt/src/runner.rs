@@ -211,14 +211,7 @@ pub fn run_threads_attempt<M: Model, P: Protocol<M>>(
     if let Some(c) = resume {
         shared.round.seed(c.gvt, c.gvt_rounds);
     }
-    let (map, engines) = build_engines(
-        model,
-        &rc.engine,
-        n,
-        resume,
-        gate.as_deref(),
-        |from, dst, msg| shared.push_msg(from, dst, msg),
-    );
+    let (map, engines) = build_engines(model, &rc.engine, n, resume, gate.as_deref(), &shared);
     if let Some(g) = &gate {
         shared.ingest = Some(IngestPort::new(Arc::clone(g), map.clone()));
     }

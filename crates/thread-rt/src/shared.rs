@@ -20,7 +20,7 @@ use crate::sync::{DynBarrier, Semaphore};
 use pdes_core::plane::lock;
 use pdes_core::{
     AffinityTable, Demand, FaultInjector, IngestPort, Membership, MessagePlane, Msg, Phase, Round,
-    StallDump, VirtualTime,
+    SendSink, StallDump, VirtualTime,
 };
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex};
@@ -179,13 +179,16 @@ impl<P> RtShared<P> {
         self.dbg_joined[me].store(id + 1, Ordering::Relaxed);
     }
 
-    /// [`MessagePlane::push_msg`] behind the bounded-queue wait.
+    /// One message through the [`SendSink`] seam, as a batch of one. No
+    /// runtime sends through it (they land through a
+    /// [`SendBatcher`](pdes_core::SendBatcher)); the benchmark's stepped
+    /// executor seeds its queues with it.
     pub fn push_msg(&self, sender: usize, dst: usize, msg: Msg<P>) {
-        self.backpressure_wait(dst);
-        self.plane.push_msg(sender, dst, msg);
+        self.publish_window(sender, msg.recv_time());
+        self.push_batch(dst, &mut vec![msg]);
     }
 
-    /// [`MessagePlane::push_batch`] behind the bounded-queue wait.
+    /// The plane's [`SendSink::push_batch`] behind the bounded-queue wait.
     pub fn push_batch(&self, dst: usize, msgs: &mut Vec<Msg<P>>) {
         if !msgs.is_empty() {
             self.backpressure_wait(dst);
@@ -328,16 +331,25 @@ impl<P: Clone + serde::Serialize> RtShared<P> {
     /// pseudo-controller right after [`Self::compute_gvt`]. Returns the
     /// number injected.
     pub fn pump_ingest(&self) -> u64 {
-        self.ingest.as_ref().map_or(0, |port| {
-            port.pump(|dst, ev| self.push_msg(0, dst, Msg::Event(ev)))
-        })
+        self.ingest.as_ref().map_or(0, |port| port.pump(self))
+    }
+}
+
+/// The plane's seam with the bounded-queue wait in front of the push.
+impl<P> SendSink<P> for RtShared<P> {
+    fn plane(&self) -> &MessagePlane<P> {
+        &self.plane
+    }
+
+    fn push_batch(&self, dst: usize, msgs: &mut Vec<Msg<P>>) {
+        RtShared::push_batch(self, dst, msgs);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pdes_core::{EventKey, EventUid, LpId};
+    use pdes_core::{EventKey, EventUid, LpId, SendBatcher};
 
     fn msg(t: f64) -> Msg<()> {
         Msg::Anti(EventKey {
@@ -351,6 +363,56 @@ mod tests {
         RtShared::new(n, 2, VirtualTime::from_f64(100.0))
     }
 
+    /// A one-message landing: a buffer plus a flush.
+    fn send(s: &RtShared<()>, from: usize, dst: usize, m: Msg<()>) {
+        let mut b = SendBatcher::new(s.num_threads, 64);
+        b.buffer(s, from, dst, m);
+        b.flush(s);
+    }
+
+    proptest::proptest! {
+        /// The seam: one buffer/flush schedule landed through a bare
+        /// `MessagePlane` and through `RtShared` leaves the same queues,
+        /// lengths, queue minima and send windows, between flushes and at
+        /// the end.
+        #[test]
+        fn a_schedule_lands_the_same_through_the_plane_and_rt_shared(
+            ops in proptest::collection::vec((0..4usize, 0..3usize, 0..3usize, 0..50u64), 0..80),
+            cap in 1usize..6,
+        ) {
+            let (plane, sh) = (MessagePlane::new(3), shared(3));
+            let (mut a, mut b) = (SendBatcher::new(3, cap), SendBatcher::new(3, cap));
+            let same = |plane: &MessagePlane<()>, sh: &RtShared<()>| {
+                (0..3).all(|i| plane.len(i) == sh.len(i) && plane.minima(i) == sh.minima(i))
+            };
+            for (seq, (op, from, dst, t)) in ops.into_iter().enumerate() {
+                if op == 0 {
+                    a.flush(&plane);
+                    b.flush(&sh);
+                } else {
+                    let key = EventKey {
+                        recv_time: VirtualTime::from_ticks(10 + t),
+                        dst: LpId(dst as u32),
+                        uid: EventUid::new(LpId(from as u32), seq as u64),
+                    };
+                    a.buffer(&plane, from, dst, Msg::Anti(key));
+                    b.buffer(&sh, from, dst, Msg::Anti(key));
+                }
+                proptest::prop_assert!(same(&plane, &sh));
+            }
+            a.flush(&plane);
+            b.flush(&sh);
+            proptest::prop_assert!(same(&plane, &sh));
+            for i in 0..3 {
+                let (mut x, mut y) = (Vec::new(), Vec::new());
+                plane.drain(i, &mut x);
+                sh.drain(i, &mut y);
+                let keys = |v: &[Msg<()>]| v.iter().map(Msg::key).collect::<Vec<_>>();
+                proptest::prop_assert_eq!(keys(&x), keys(&y), "queue {}", i);
+            }
+        }
+    }
+
     // The round's own rules are specified once, against `Round`
     // (pdes-core/tests/control_plane.rs); what is checked here is what real
     // threads add: wake tokens, the cut wait, the dump and the teardown.
@@ -360,7 +422,7 @@ mod tests {
         let s = shared(2);
         s.try_join_round(0);
         s.round.fold(&s, 0, VirtualTime::from_f64(10.0));
-        s.push_msg(0, 1, msg(4.0));
+        send(&s, 0, 1, msg(4.0));
         // Sent after the fold: covered by the destination's queue minimum
         // and the sender's residual window, not by the folded minimum.
         assert_eq!(s.compute_gvt(), VirtualTime::from_f64(4.0));
@@ -388,7 +450,7 @@ mod tests {
         assert_eq!(s.demand.num_active(), 2);
         assert_eq!(s.activate_where(|i| s.len(i) > 0), 0, "no demand");
         // A message arrives for the parked thread.
-        s.push_msg(0, 2, msg(1.0));
+        send(&s, 0, 2, msg(1.0));
         assert_eq!(s.activate_where(|i| s.len(i) > 0), 1);
         assert_eq!(s.demand.num_active(), 3);
         // The semaphore now holds the wake token.
@@ -412,7 +474,7 @@ mod tests {
     fn stall_dump_reflects_shared_state() {
         let s = shared(2);
         s.try_join_round(0);
-        s.push_msg(0, 1, msg(2.5));
+        send(&s, 0, 1, msg(2.5));
         s.set_phase(1, Phase::Parked);
         s.note_joined(1, 4);
         let d = s.build_stall_dump("test stall", "GG-PDES-Async");

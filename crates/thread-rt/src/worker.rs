@@ -4,7 +4,6 @@
 //! through that trait's hooks.
 
 use crate::affinity::{current_tid, num_cores, pin_or_count, OsTid};
-use crate::batch::SendBatcher;
 use crate::protocol::Protocol;
 use crate::runner::RtRunConfig;
 use crate::shared::RtShared;
@@ -18,18 +17,14 @@ use std::time::Instant;
 use telemetry::{EventKind, Tracer};
 
 /// Simulation thread `me`: its half of the round ([`Participant`]: engine,
-/// buffers, idle bookkeeping and the steps the virtual machine runs too)
-/// plus what real threads add — the batcher, the tracer's wall clock, the
-/// idle ladder.
+/// buffers, the send batcher, idle bookkeeping and the steps the virtual
+/// machine runs too) plus what real threads add — the tracer's wall clock,
+/// the idle ladder.
 struct Worker<'a, M: Model, P: Protocol<M>> {
     me: usize,
     p: Participant<M>,
     sh: &'a RtShared<M::Payload>,
     proto: &'a P,
-    /// Outgoing messages accumulate here and land as one bulk push per
-    /// destination; see `crate::batch` for the coverage argument and the
-    /// flush policy (cycle end, batch-full, before every GVT fold).
-    batcher: SendBatcher<M::Payload>,
     tracer: Tracer,
     /// Where the trace span being timed began (see [`Self::mark`]).
     span_start: u64,
@@ -61,7 +56,7 @@ impl<'a, M: Model, P: Protocol<M>> Worker<'a, M, P> {
         // (processed events) or the thread is about to go idle — in both
         // cases the peer must see this cycle's sends now. Batch-full
         // overflow within the cycle already flushed inline.
-        self.batcher.land(sh, me, &mut self.p.outbox);
+        self.p.land(sh);
         if trace {
             let undone = self.p.engine.stats().rolled_back - rb0;
             if batch.processed > 0 || undone > 0 {
@@ -114,10 +109,8 @@ impl<'a, M: Model, P: Protocol<M>> Worker<'a, M, P> {
     /// Record this thread's minimum (pending set + send window) in round
     /// `id`; `kind` is the phase span the fold closes.
     fn fold(&mut self, kind: EventKind, id: u64) {
-        let (me, sh) = (self.me, self.sh);
-        self.p.fold(sh, &sh.round, self.board(), |out| {
-            self.batcher.land(sh, me, out)
-        });
+        let sh = self.sh;
+        self.p.fold(sh, &sh.round, self.board());
         self.mark(kind, id);
     }
 
@@ -215,7 +208,7 @@ impl<'a, M: Model, P: Protocol<M>> Worker<'a, M, P> {
     /// force-woken into the participant set), capture this thread's share
     /// of a consistent cut.
     fn collect(&mut self, id: u64, ckpt: &CkptSink<M>) {
-        let (me, sh) = (self.me, self.sh);
+        let sh = self.sh;
         if !sh.ckpt_await(id) {
             self.p.engine.fossil_collect(sh.round.gvt());
             return;
@@ -225,9 +218,7 @@ impl<'a, M: Model, P: Protocol<M>> Worker<'a, M, P> {
         // The participant count is read (and the membership lock dropped)
         // before the cut: the lock is never held across a drain or a deposit.
         let participants = sh.participants();
-        self.p.cut(sh, &sh.round, participants, ckpt, |out| {
-            self.batcher.land(sh, me, out)
-        });
+        self.p.cut(sh, &sh.round, participants, ckpt);
         if trace {
             self.tracer
                 .span(EventKind::CheckpointWrite, cw0, sh.now_ns(), id);
@@ -309,7 +300,6 @@ pub fn worker_loop<M: Model, P: Protocol<M>>(
         p: Participant::new(engine, rc.engine.clone(), P::PARKS_WITH_PENDING),
         sh,
         proto,
-        batcher: SendBatcher::new(sh.num_threads, 64),
         tracer,
         span_start: 0,
         idle_spins: 0,
