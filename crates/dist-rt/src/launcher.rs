@@ -149,9 +149,8 @@ pub struct DistResult {
     pub gvt: u64,
     /// Clamped GVT regressions (should be 0).
     pub regressions: u64,
-    /// Kill recoveries performed (full restarts + partial restores).
-    pub recoveries: u32,
-    /// The shard each of those recoveries replaced, in recovery order.
+    /// The shard each kill recovery (full restart or partial restore)
+    /// replaced, in recovery order: its length counts them.
     pub recovered: Vec<usize>,
     /// Recoveries that restored only the dead shard(s) from the latest cut
     /// while the survivors replayed their send logs in place.
@@ -677,7 +676,6 @@ pub fn run_loopback_ingest<M: Model>(
                 detail: "coordinator finished without an outcome".to_string(),
             })?;
             let mut res = assemble_result(out, n, num_lps, t0.elapsed().as_secs_f64());
-            res.recoveries = recovered.len() as u32;
             res.recovered = recovered;
             res.partial_recoveries = partial_recoveries;
             res.used_checkpoint = used_checkpoint;

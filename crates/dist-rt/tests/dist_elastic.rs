@@ -77,7 +77,7 @@ fn partition_healing_within_lease_needs_no_recovery() {
     // of cycles, then heals.
     cfg.partitions = vec![(1, 2, 2)];
     let r = run_loopback(Arc::clone(&model), &ecfg, &cfg).expect("run completes");
-    assert_eq!(r.recoveries, 0, "a healed partition is not a failure");
+    assert_eq!(r.recovered.len(), 0, "a healed partition is not a failure");
     assert_eq!(r.partial_recoveries, 0);
     assert_eq!(r.membership_epoch, 0);
     let data = r.telemetry.as_ref().expect("telemetry on");
@@ -108,7 +108,7 @@ fn killed_shard_partially_recovers_over_memory_links() {
     cfg.kills = vec![(2, 5)];
     cfg.max_recoveries = 2;
     let r = run_loopback(Arc::clone(&model), &ecfg, &cfg).expect("recovers");
-    assert_eq!(r.recoveries, 1, "exactly one scripted kill fires");
+    assert_eq!(r.recovered.len(), 1, "exactly one scripted kill fires");
     assert_eq!(r.recovered, [2], "the recovery replaced the killed shard");
     assert_eq!(
         r.partial_recoveries, 1,
@@ -136,7 +136,7 @@ fn killed_shard_partially_recovers_over_tcp() {
     cfg.kills = vec![(3, 5)];
     cfg.max_recoveries = 2;
     let r = run_loopback(Arc::clone(&model), &ecfg, &cfg).expect("recovers");
-    assert_eq!(r.recoveries, 1);
+    assert_eq!(r.recovered.len(), 1);
     assert_eq!(r.partial_recoveries, 1, "recovery must be partial");
     assert_matches_oracle(&r, &oracle, "4-shard partial recovery (tcp)");
 }
@@ -158,7 +158,11 @@ fn silent_kill_is_discovered_by_the_heartbeat_detector() {
         miss_threshold: 20,
     });
     let r = run_loopback(Arc::clone(&model), &ecfg, &cfg).expect("recovers");
-    assert_eq!(r.recoveries, 1, "the detector must find the silent death");
+    assert_eq!(
+        r.recovered.len(),
+        1,
+        "the detector must find the silent death"
+    );
     assert_eq!(r.partial_recoveries, 1);
     let data = r.telemetry.as_ref().expect("telemetry on");
     assert!(

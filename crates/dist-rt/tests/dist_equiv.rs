@@ -111,7 +111,7 @@ fn killed_shard_recovers_from_checkpoint_cut_and_matches_oracle() {
     cfg.kills = vec![(1, 5)];
     cfg.max_recoveries = 2;
     let r = run_loopback(Arc::clone(&model), &ecfg, &cfg).expect("recovers");
-    assert_eq!(r.recoveries, 1, "exactly one scripted kill fires");
+    assert_eq!(r.recovered.len(), 1, "exactly one scripted kill fires");
     assert!(
         r.used_checkpoint,
         "recovery must restore from an assembled per-shard cut"
@@ -130,7 +130,7 @@ fn kill_before_any_checkpoint_replays_from_start() {
     cfg.kills = vec![(0, 2)];
     cfg.max_recoveries = 1;
     let r = run_loopback(Arc::clone(&model), &ecfg, &cfg).expect("recovers");
-    assert_eq!(r.recoveries, 1);
+    assert_eq!(r.recovered.len(), 1);
     assert!(!r.used_checkpoint);
     assert_matches_oracle(&r, &oracle, "replay-from-start recovery");
 }

@@ -91,7 +91,7 @@ fn pinned(
     };
     let out = c.take_outcome().expect("coordinator outcome");
     let extra = gates.as_ref().map(accepted).unwrap_or_default();
-    let oracle = run_sequential_with(&model(), &ecfg(), &extra, None);
+    let oracle = run_sequential_with(&model(), &ecfg(), None, &extra, None);
     assert_eq!(out.totals.commit_digest, oracle.commit_digest);
     assert_eq!(out.regressions, 0);
     let cut = c.latest_checkpoint();

@@ -117,7 +117,7 @@ proptest! {
         cluster.run_to_completion(4_000_000).expect("completes");
         let ck = cluster.latest_checkpoint().expect("armed rounds ran");
         prop_assert!(ck.total_committed() <= oracle.committed);
-        let resumed = pdes_core::run_sequential_from(&model, &ecfg, &ck, None);
+        let resumed = pdes_core::run_sequential_with(&model, &ecfg, Some(&ck), &[], None);
         prop_assert_eq!(resumed.committed, oracle.committed);
         prop_assert_eq!(resumed.commit_digest, oracle.commit_digest);
         prop_assert_eq!(resumed.state_digests, oracle.state_digests);

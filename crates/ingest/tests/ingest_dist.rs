@@ -78,7 +78,7 @@ fn assert_matches_merged_oracle(
     what: &str,
 ) {
     let accepted = accepted_union(gs);
-    let oracle = run_sequential_with(model, ecfg, &accepted, None);
+    let oracle = run_sequential_with(model, ecfg, None, &accepted, None);
     assert_eq!(r.metrics.committed, oracle.committed, "{what}: committed");
     assert_eq!(
         r.metrics.commit_digest, oracle.commit_digest,
@@ -185,7 +185,7 @@ fn killed_shard_with_live_ingest_recovers_and_matches_merged_oracle() {
         .expect("killed shard recovers with ingest attached");
     let report = live.join().expect("live client");
 
-    assert_eq!(r.recoveries, 1, "exactly one scripted kill fires");
+    assert_eq!(r.recovered.len(), 1, "exactly one scripted kill fires");
     assert_eq!(report.gave_up + report.transport_failed, 0, "{report:?}");
     assert_matches_merged_oracle(&r, &model, &ecfg, &gs, "2-shard kill+recover live ingest");
 

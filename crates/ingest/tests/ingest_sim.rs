@@ -69,7 +69,7 @@ fn scripted_ingest_on_the_vm_matches_merged_oracle_deterministically() {
         assert!(gate.accepted_count() > 0, "some arrivals were admitted");
 
         let accepted = gate.accepted_events();
-        let oracle = run_sequential_with(&model, &ecfg, &accepted, None);
+        let oracle = run_sequential_with(&model, &ecfg, None, &accepted, None);
         assert_eq!(r.metrics.committed, oracle.committed, "committed");
         assert_eq!(r.metrics.commit_digest, oracle.commit_digest, "digest");
         assert_eq!(r.digests, oracle.state_digests, "states");
@@ -117,7 +117,7 @@ fn vm_admission_floor_rejects_stale_arrivals_across_systems() {
         );
         // Whatever was (not) admitted, the trace equals the merged oracle.
         let accepted = gate.accepted_events();
-        let oracle = run_sequential_with(&model, &ecfg, &accepted, None);
+        let oracle = run_sequential_with(&model, &ecfg, None, &accepted, None);
         assert_eq!(
             r.metrics.commit_digest,
             oracle.commit_digest,

@@ -63,7 +63,7 @@ fn assert_matches_merged_oracle(
     what: &str,
 ) {
     let accepted = gate.accepted_events();
-    let oracle = run_sequential_with(model, ecfg, &accepted, None);
+    let oracle = run_sequential_with(model, ecfg, None, &accepted, None);
     assert_eq!(s.outcome.committed(), oracle.committed, "{what}: committed");
     assert_eq!(
         s.outcome.commit_digest(),
@@ -112,7 +112,7 @@ fn live_ingest_matches_merged_oracle_fault_free() {
     assert_eq!(report.gave_up + report.transport_failed, 0, "{report:?}");
 
     let accepted = gate.accepted_events();
-    let oracle = run_sequential_with(&model, &ecfg, &accepted, None);
+    let oracle = run_sequential_with(&model, &ecfg, None, &accepted, None);
     assert_eq!(r.metrics.committed, oracle.committed, "committed");
     assert_eq!(r.metrics.commit_digest, oracle.commit_digest, "digest");
     assert_eq!(r.digests, oracle.state_digests, "states");

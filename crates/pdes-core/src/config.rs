@@ -5,6 +5,15 @@ use crate::time::VirtualTime;
 use serde::{Deserialize, Serialize};
 
 /// Parameters of the core simulation loop (paper §2.2 and §4.1.4).
+///
+/// `default()` keeps the paper's cadence: a GVT round every 200 cycles,
+/// deactivation after 2000 idle ones. The CLI, `Scale`, the benchmark and
+/// the examples pass 25 / 250: they run far fewer LPs per thread and
+/// shorter horizons than the paper, so they scale the cadence down with its
+/// 10× ratio kept, for many GVT rounds per run and idle threads that can
+/// deactivate within an activity epoch. Unit and property tests run on the
+/// default, so a new default would move their runs; it waits for a check
+/// of the figures (DESIGN §9.1).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct EngineConfig {
     /// Events processed per main-loop cycle (ROSS batch; paper: 8).

@@ -214,22 +214,18 @@ impl<M: Model> ThreadEngine<M> {
                 }),
                 Msg::Anti(_) => {
                     self.stats.antis_received += 1;
-                    match self.pending.cancel(&key) {
-                        CancelOutcome::Removed => {
+                    // A pending twin orders after the LP's last processed
+                    // event, so asking the history first costs one read of
+                    // its tail. Otherwise the twin is pending (removed
+                    // here) or in transit (the parked anti annihilates it).
+                    if lp.has_processed(&self.store, &key) {
+                        Some(true)
+                    } else {
+                        if self.pending.cancel(&key) == CancelOutcome::Removed {
                             outcome.annihilated = true;
                             self.stats.annihilations += 1;
-                            None
                         }
-                        // Not pending: either already processed (roll it
-                        // back, inclusive) or still in transit (the
-                        // orphan anti just parked will annihilate it).
-                        CancelOutcome::Deferred => lp.has_processed(&self.store, &key).then(|| {
-                            // Un-park the anti we just deferred — the
-                            // rollback consumes the event instead.
-                            let r = self.pending.unpark_anti(&key);
-                            debug_assert!(r);
-                            true
-                        }),
+                        None
                     }
                 }
             };
@@ -760,6 +756,11 @@ mod tests {
         assert_eq!(t0.pending_len(), 0);
         // The anti for LP0→LP1's send goes out.
         assert_eq!(outbox.len(), 1);
+        // The rollback consumed the anti; none was parked, so the same key
+        // delivered again is pending, not annihilated.
+        let d = t0.deliver(Msg::Event(ev), &mut outbox);
+        assert!(!d.annihilated);
+        assert_eq!(t0.pending_len(), 1);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! * [`model::Model`] — the application interface (LP states + handlers);
 //! * [`lp::LpCore`] — per-LP state saving, rollback, fossil collection, on
 //!   history kept in one store per thread; [`lp::Lp`] — an LP with a store
-//!   of its own;
+//!   of its own, the benchmark's wrapper for timing them;
 //! * [`pending::EventQueue`] — the one event queue, a one-rung ladder
 //!   queue (a bottom heap, a rung of buckets, an unsorted top) with O(1)
 //!   amortised operations, drained by the oracle; [`pending::PendingSet`]
@@ -19,7 +19,7 @@
 //!   slab (`slab.rs`: `u32` handles, a free chain);
 //! * [`engine::ThreadEngine`] — the per-simulation-thread engine combining
 //!   the above: optimistic batches, straggler rollbacks, anti-message
-//!   cascades;
+//!   cascades (an anti rolls back a processed twin, else it cancels);
 //! * [`sequential`] — the correctness oracle: handlers in global key order
 //!   on each LP's state, RNG and send counter alone, with no `Lp` or history;
 //! * [`plane::MessagePlane`] and [`sched`] — the control plane the
@@ -88,10 +88,7 @@ pub use sched::{
     ckpt_round_due, AffinityTable, Demand, IdleTracker, Membership, Phase, Round, Turnover,
     YieldCause, YieldCounts, YieldTier,
 };
-pub use sequential::{
-    run_sequential, run_sequential_from, run_sequential_from_with, run_sequential_with,
-    SequentialResult,
-};
+pub use sequential::{run_sequential, run_sequential_with, SequentialResult};
 pub use stall::{RoundDump, StallDump, ThreadDump};
 pub use stats::{RoundCounters, ThreadStats};
 pub use system::{AffinityPolicy, GvtMode, Scheduler, SystemConfig};

@@ -7,9 +7,9 @@
 //! freed slots are reused before they grow, so the store is sized by the
 //! thread's live history, not by the sum of each LP's worst moment. An LP ([`LpCore`]) holds the two ends of its history, its length
 //! and its distance from the newest snapshot — four `u32`s — and allocates
-//! nothing of its own. [`Lp`] is an LP with a one-LP store, for code that
-//! drives LPs one by one; the engine keeps its LPs and one store side by
-//! side and passes the store in.
+//! nothing of its own. The engine keeps its LPs and one store side by side
+//! and passes the store in. [`Lp`] is an LP with a one-LP store, kept for
+//! the benchmark, which times these operations one LP at a time.
 
 // `drop(ctx)` ends multi-field borrows at a visible point before the
 // borrowed fields are read again; the contexts carry no destructor.
@@ -394,7 +394,9 @@ impl<M: Model> LpCore<M> {
         out.len() - start
     }
 
-    /// [`Lp::rollback_into`] on history kept in `store`.
+    /// [`Lp::rollback`] on history kept in `store`, **appending** the undone
+    /// events and the antis to buffers the caller reuses; returns the number
+    /// of events undone. It allocates nothing once the buffers have grown.
     pub(crate) fn rollback_into(
         &mut self,
         store: &mut HistoryStore<M>,
@@ -517,7 +519,13 @@ impl<M: Model> LpCore<M> {
         u64::from(cut)
     }
 
-    /// [`Lp::committed_snapshot`] of history kept in `store`.
+    /// The LP's state on the *committed* side of the GVT cut: the snapshot
+    /// immediately after its last committed event.
+    ///
+    /// Valid right after `fossil_collect(gvt)`: if any uncommitted entries
+    /// remain, the first one carries a (possibly just materialized) snapshot
+    /// whose pre-state is exactly the committed state; with no uncommitted
+    /// history the current state *is* the committed state.
     pub(crate) fn committed_snapshot(&self, store: &HistoryStore<M>) -> Snapshot<M::State> {
         match self.head {
             NIL => self.current(),
@@ -525,7 +533,8 @@ impl<M: Model> LpCore<M> {
         }
     }
 
-    /// [`Lp::restore_from`], freeing the history kept in `store`.
+    /// Reset the LP to a checkpointed committed state, freeing its history
+    /// in `store`: counters and digests continue from the cut.
     pub(crate) fn restore_from(
         &mut self,
         store: &mut HistoryStore<M>,
@@ -578,9 +587,9 @@ impl<M: Model> LpCore<M> {
     }
 }
 
-/// An LP with a history store of its own: the standalone form, for code
-/// that drives LPs one by one (the engines keep one store per thread).
-/// Derefs to its [`LpCore`] for the state, counters and digests.
+/// An LP with a history store of its own: the benchmark times the history
+/// operations through it one LP at a time (the engines keep one store per
+/// thread). Derefs to its [`LpCore`] for the state, counters and digests.
 pub struct Lp<M: Model> {
     core: LpCore<M>,
     store: HistoryStore<M>,
@@ -600,34 +609,13 @@ impl<M: Model> DerefMut for Lp<M> {
 }
 
 impl<M: Model> Lp<M> {
-    /// Create the LP with its initial state and private RNG stream, saving
-    /// state before every event (classical copy state saving).
-    pub fn new(model: &M, id: LpId, seed: u64) -> Self {
-        Lp::with_snapshot_period(model, id, seed, 1)
-    }
-
-    /// Create the LP with sparse state saving: a snapshot before every
-    /// `period`-th event only.
+    /// Create the LP with its initial state and private RNG stream and a
+    /// snapshot before every `period`-th event (1 = copy state saving).
     pub fn with_snapshot_period(model: &M, id: LpId, seed: u64, period: u32) -> Self {
         Lp {
             core: LpCore::new(model, id, seed),
             store: HistoryStore::new(period),
         }
-    }
-
-    /// Local virtual time: receive time of the last processed event.
-    #[inline]
-    pub fn lvt(&self) -> VirtualTime {
-        self.core
-            .last_processed_key(&self.store)
-            .map_or(VirtualTime::ZERO, |k| k.recv_time)
-    }
-
-    /// `true` if `key` orders before an already-processed event — i.e.
-    /// processing it now would violate causality and a rollback is needed.
-    #[inline]
-    pub fn is_straggler(&self, key: &EventKey) -> bool {
-        self.core.is_straggler(&self.store, key)
     }
 
     /// Optimistically process `event`: snapshot (per the sparse-saving
@@ -651,45 +639,26 @@ impl<M: Model> Lp<M> {
         self.core.process_into(&mut self.store, model, event, out)
     }
 
-    /// [`Self::process_into`] returning the sends as a fresh `Vec`
-    /// (convenience for tests and cold paths).
-    pub fn process(&mut self, model: &M, event: Event<M::Payload>) -> Vec<Event<M::Payload>> {
-        let mut out = Vec::new();
-        self.process_into(model, event, &mut out);
-        out
-    }
-
     /// Roll back every processed entry whose key is `> key` (or `>= key` if
-    /// `inclusive`). Restores the snapshot of the earliest undone entry —
-    /// or, under sparse state saving, the nearest earlier snapshot followed
-    /// by a coast-forward replay.
-    ///
-    /// `inclusive` rollback is used for anti-messages (the cancelled event
-    /// itself must be undone and is *not* re-inserted — the caller filters it
-    /// out via the returned events).
+    /// `inclusive`, as for an anti-message: the cancelled event itself is
+    /// undone, and the caller drops it from the returned events). Restores
+    /// the snapshot of the earliest undone entry — or, under sparse state
+    /// saving, the nearest earlier snapshot followed by a coast-forward.
     pub fn rollback(&mut self, model: &M, key: &EventKey, inclusive: bool) -> Rollback<M> {
-        let mut rb = Rollback {
-            reinserted: Vec::new(),
-            antis: Vec::new(),
-            undone: 0,
-        };
-        rb.undone = self.rollback_into(model, key, inclusive, &mut rb.reinserted, &mut rb.antis);
-        rb
-    }
-
-    /// [`Self::rollback`] **appending** the undone events and the antis to
-    /// buffers the caller reuses; returns the number of events undone. The
-    /// engines' path: it allocates nothing once the buffers have grown.
-    pub fn rollback_into(
-        &mut self,
-        model: &M,
-        key: &EventKey,
-        inclusive: bool,
-        reinserted: &mut Vec<Event<M::Payload>>,
-        antis: &mut Vec<EventKey>,
-    ) -> usize {
-        self.core
-            .rollback_into(&mut self.store, model, key, inclusive, reinserted, antis)
+        let (mut reinserted, mut antis) = (Vec::new(), Vec::new());
+        let undone = self.core.rollback_into(
+            &mut self.store,
+            model,
+            key,
+            inclusive,
+            &mut reinserted,
+            &mut antis,
+        );
+        Rollback {
+            reinserted,
+            antis,
+            undone,
+        }
     }
 
     /// Commit (drop) all processed entries with receive time strictly below
@@ -700,41 +669,6 @@ impl<M: Model> Lp<M> {
     /// gets a materialized snapshot so it remains a valid replay base.
     pub fn fossil_collect(&mut self, model: &M, gvt: VirtualTime) -> u64 {
         self.core.fossil_collect(&mut self.store, model, gvt)
-    }
-
-    /// Commit everything still uncommitted (simulation has ended: GVT passed
-    /// the end time, so all processed events are final).
-    pub fn commit_all(&mut self, model: &M) -> u64 {
-        self.fossil_collect(model, VirtualTime::INFINITY)
-    }
-
-    /// The LP's state on the *committed* side of the GVT cut: the snapshot
-    /// immediately after its last committed event.
-    ///
-    /// Valid right after `fossil_collect(gvt)`: if any uncommitted entries
-    /// remain, the first one carries a (possibly just materialized) snapshot
-    /// whose pre-state is exactly the committed state; with no uncommitted
-    /// history the current state *is* the committed state.
-    pub fn committed_snapshot(&self) -> Snapshot<M::State> {
-        self.core.committed_snapshot(&self.store)
-    }
-
-    /// Reset the LP to a checkpointed committed state: no speculative
-    /// history, counters and digests continuing from the cut.
-    pub fn restore_from(
-        &mut self,
-        snap: Snapshot<M::State>,
-        committed: u64,
-        commit_digest: u64,
-        committed_lvt: VirtualTime,
-    ) {
-        self.core.restore_from(
-            &mut self.store,
-            snap,
-            committed,
-            commit_digest,
-            committed_lvt,
-        )
     }
 }
 
@@ -757,6 +691,14 @@ impl<M: Model> Lp<M> {
             .map(|(position, _)| self.committed + position as u64)
             .collect()
     }
+}
+
+/// Process `event` on `lp`; returns its sends.
+#[cfg(test)]
+fn sends<M: Model>(lp: &mut Lp<M>, model: &M, event: Event<M::Payload>) -> Vec<Event<M::Payload>> {
+    let mut out = Vec::new();
+    lp.process_into(model, event, &mut out);
+    out
 }
 
 #[cfg(test)]
@@ -802,12 +744,15 @@ mod tests {
     #[test]
     fn process_records_history_and_sends() {
         let m = Counter;
-        let mut lp = Lp::new(&m, LpId(1), 7);
-        let out = lp.process(&m, ev(1.0, 1, 0, 0, 10));
+        let mut lp = Lp::with_snapshot_period(&m, LpId(1), 7, 1);
+        let out = sends(&mut lp, &m, ev(1.0, 1, 0, 0, 10));
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].key.recv_time, VirtualTime::from_f64(2.0));
         assert_eq!(lp.history_len(), 1);
-        assert_eq!(lp.lvt(), VirtualTime::from_f64(1.0));
+        assert_eq!(
+            lp.last_processed_key(&lp.store).unwrap().recv_time,
+            VirtualTime::from_f64(1.0)
+        );
         assert_eq!(lp.sent(), [out[0].key]);
         assert_eq!(lp.snapshot_ordinals(), [0]);
     }
@@ -827,11 +772,11 @@ mod tests {
     #[test]
     fn freed_slots_are_reused() {
         let m = Counter;
-        let mut lp = Lp::new(&m, LpId(1), 7);
+        let mut lp = Lp::with_snapshot_period(&m, LpId(1), 7, 1);
         for i in 0..200u64 {
             let t = i as f64 + 1.0;
-            lp.process(&m, ev(t, 1, 0, 2 * i, 1));
-            lp.process(&m, ev(t + 0.5, 1, 0, 2 * i + 1, 1));
+            sends(&mut lp, &m, ev(t, 1, 0, 2 * i, 1));
+            sends(&mut lp, &m, ev(t + 0.5, 1, 0, 2 * i + 1, 1));
             if i % 2 == 0 {
                 lp.rollback(&m, &ev(t + 0.25, 1, 9, i, 0).key, false);
             }
@@ -841,20 +786,20 @@ mod tests {
         assert_eq!(store.entries.slots.len(), 4);
         assert_eq!(store.keys.slots.len(), 4);
         assert_eq!(store.snaps.slots.len(), 4);
-        lp.commit_all(&m);
+        lp.fossil_collect(&m, VirtualTime::INFINITY);
         assert_eq!(lp.store.bytes().live, 0, "a commit frees every slot");
     }
 
     #[test]
     fn rollback_restores_state_rng_and_seq() {
         let m = Counter;
-        let mut lp = Lp::new(&m, LpId(1), 7);
+        let mut lp = Lp::with_snapshot_period(&m, LpId(1), 7, 1);
         let before_digest = lp.state;
         let before_rng = lp.rng.clone();
         let e1 = ev(1.0, 1, 0, 0, 10);
-        let out1 = lp.process(&m, e1.clone());
+        let out1 = sends(&mut lp, &m, e1.clone());
         let e2 = ev(2.0, 1, 0, 1, 20);
-        let out2 = lp.process(&m, e2.clone());
+        let out2 = sends(&mut lp, &m, e2.clone());
 
         // Straggler at t=0.5 rolls back both.
         let straggler_key = ev(0.5, 1, 9, 0, 0).key;
@@ -865,10 +810,10 @@ mod tests {
         assert_eq!(lp.state, before_digest);
         assert_eq!(lp.rng, before_rng);
         assert_eq!(lp.send_seq, 0);
-        assert_eq!(lp.lvt(), VirtualTime::ZERO);
+        assert_eq!(lp.history_len(), 0);
 
         // Re-execution reproduces the same sends (same uid, time, payload).
-        let out1b = lp.process(&m, e1);
+        let out1b = sends(&mut lp, &m, e1);
         assert_eq!(out1b, out1);
     }
 
@@ -897,9 +842,9 @@ mod tests {
         }
         let m = Fan;
         let mut lp = Lp::with_snapshot_period(&m, LpId(1), 7, 2);
-        let a = lp.process(&m, ev(1.0, 1, 0, 0, 1));
-        let b = lp.process(&m, ev(2.0, 1, 0, 1, 2));
-        let c = lp.process(&m, ev(3.0, 1, 0, 2, 3));
+        let a = sends(&mut lp, &m, ev(1.0, 1, 0, 0, 1));
+        let b = sends(&mut lp, &m, ev(2.0, 1, 0, 1, 2));
+        let c = sends(&mut lp, &m, ev(3.0, 1, 0, 2, 3));
         let rb = lp.rollback(&m, &ev(1.5, 1, 9, 0, 0).key, false);
         assert_eq!(rb.antis, [b[1].key, b[0].key, c[1].key, c[0].key]);
         let rb = lp.rollback(&m, &ev(0.5, 1, 9, 0, 0).key, false);
@@ -909,24 +854,27 @@ mod tests {
     #[test]
     fn partial_rollback_keeps_earlier_entries() {
         let m = Counter;
-        let mut lp = Lp::new(&m, LpId(1), 7);
-        lp.process(&m, ev(1.0, 1, 0, 0, 1));
+        let mut lp = Lp::with_snapshot_period(&m, LpId(1), 7, 1);
+        sends(&mut lp, &m, ev(1.0, 1, 0, 0, 1));
         let state_after_1 = lp.state;
-        lp.process(&m, ev(2.0, 1, 0, 1, 2));
-        lp.process(&m, ev(3.0, 1, 0, 2, 3));
+        sends(&mut lp, &m, ev(2.0, 1, 0, 1, 2));
+        sends(&mut lp, &m, ev(3.0, 1, 0, 2, 3));
         let rb = lp.rollback(&m, &ev(1.5, 1, 9, 0, 0).key, false);
         assert_eq!(rb.undone, 2);
         assert_eq!(lp.history_len(), 1);
         assert_eq!(lp.state, state_after_1);
-        assert_eq!(lp.lvt(), VirtualTime::from_f64(1.0));
+        assert_eq!(
+            lp.last_processed_key(&lp.store).unwrap().recv_time,
+            VirtualTime::from_f64(1.0)
+        );
     }
 
     #[test]
     fn inclusive_rollback_undoes_equal_key() {
         let m = Counter;
-        let mut lp = Lp::new(&m, LpId(1), 7);
+        let mut lp = Lp::with_snapshot_period(&m, LpId(1), 7, 1);
         let e1 = ev(1.0, 1, 0, 0, 1);
-        lp.process(&m, e1.clone());
+        sends(&mut lp, &m, e1.clone());
         let rb = lp.rollback(&m, &e1.key, true);
         assert_eq!(rb.undone, 1);
         let rb2 = lp.rollback(&m, &e1.key, false);
@@ -936,30 +884,30 @@ mod tests {
     #[test]
     fn straggler_detection_uses_full_key_order() {
         let m = Counter;
-        let mut lp = Lp::new(&m, LpId(1), 7);
+        let mut lp = Lp::with_snapshot_period(&m, LpId(1), 7, 1);
         let e = ev(1.0, 1, 2, 5, 1);
-        lp.process(&m, e);
+        sends(&mut lp, &m, e);
         // Same time, smaller uid → straggler.
-        assert!(lp.is_straggler(&ev(1.0, 1, 2, 4, 0).key));
+        assert!(lp.is_straggler(&lp.store, &ev(1.0, 1, 2, 4, 0).key));
         // Same time, larger uid → not a straggler.
-        assert!(!lp.is_straggler(&ev(1.0, 1, 2, 6, 0).key));
-        assert!(!lp.is_straggler(&ev(2.0, 1, 0, 0, 0).key));
-        assert!(lp.is_straggler(&ev(0.5, 1, 0, 0, 0).key));
+        assert!(!lp.is_straggler(&lp.store, &ev(1.0, 1, 2, 6, 0).key));
+        assert!(!lp.is_straggler(&lp.store, &ev(2.0, 1, 0, 0, 0).key));
+        assert!(lp.is_straggler(&lp.store, &ev(0.5, 1, 0, 0, 0).key));
     }
 
     #[test]
     fn fossil_collect_commits_below_gvt_only() {
         let m = Counter;
-        let mut lp = Lp::new(&m, LpId(1), 7);
-        lp.process(&m, ev(1.0, 1, 0, 0, 1));
-        lp.process(&m, ev(2.0, 1, 0, 1, 1));
-        lp.process(&m, ev(3.0, 1, 0, 2, 1));
+        let mut lp = Lp::with_snapshot_period(&m, LpId(1), 7, 1);
+        sends(&mut lp, &m, ev(1.0, 1, 0, 0, 1));
+        sends(&mut lp, &m, ev(2.0, 1, 0, 1, 1));
+        sends(&mut lp, &m, ev(3.0, 1, 0, 2, 1));
         assert_eq!(lp.fossil_collect(&m, VirtualTime::from_f64(2.0)), 1);
         assert_eq!(lp.committed, 1);
         assert_eq!(lp.history_len(), 2);
         // Equal-to-GVT entries retained.
         assert_eq!(lp.fossil_collect(&m, VirtualTime::from_f64(2.0)), 0);
-        assert_eq!(lp.commit_all(&m), 2);
+        assert_eq!(lp.fossil_collect(&m, VirtualTime::INFINITY), 2);
         assert_eq!(lp.committed, 3);
         assert_eq!(lp.history_len(), 0);
     }
@@ -967,30 +915,36 @@ mod tests {
     #[test]
     fn committed_snapshot_and_restore_resume_identically() {
         let m = Counter;
-        let mut lp = Lp::new(&m, LpId(1), 7);
+        let mut lp = Lp::with_snapshot_period(&m, LpId(1), 7, 1);
         let e1 = ev(1.0, 1, 0, 0, 1);
         let e2 = ev(2.0, 1, 0, 1, 2);
         let e3 = ev(3.0, 1, 0, 2, 3);
-        lp.process(&m, e1);
+        sends(&mut lp, &m, e1);
         let committed_state = lp.state;
-        let out2 = lp.process(&m, e2.clone());
-        let out3 = lp.process(&m, e3.clone());
+        let out2 = sends(&mut lp, &m, e2.clone());
+        let out3 = sends(&mut lp, &m, e3.clone());
         lp.fossil_collect(&m, VirtualTime::from_f64(1.5));
         assert_eq!(lp.committed_lvt, VirtualTime::from_f64(1.0));
 
         // The committed snapshot is the state right after e1...
-        let snap = lp.committed_snapshot();
+        let snap = lp.committed_snapshot(&lp.store);
         assert_eq!(snap.state, committed_state);
 
         // ...and a fresh LP restored from it replays e2/e3 bit-for-bit.
-        let mut fresh = Lp::new(&m, LpId(1), 999); // wrong seed, overwritten
-        fresh.restore_from(snap, lp.committed, lp.commit_digest, lp.committed_lvt);
+        let mut fresh = Lp::with_snapshot_period(&m, LpId(1), 999, 1); // wrong seed, overwritten
+        fresh.core.restore_from(
+            &mut fresh.store,
+            snap,
+            lp.committed,
+            lp.commit_digest,
+            lp.committed_lvt,
+        );
         assert_eq!(fresh.committed, 1);
         assert_eq!(fresh.history_len(), 0);
-        assert_eq!(fresh.process(&m, e2), out2);
-        assert_eq!(fresh.process(&m, e3), out3);
-        lp.commit_all(&m);
-        fresh.commit_all(&m);
+        assert_eq!(sends(&mut fresh, &m, e2), out2);
+        assert_eq!(sends(&mut fresh, &m, e3), out3);
+        lp.fossil_collect(&m, VirtualTime::INFINITY);
+        fresh.fossil_collect(&m, VirtualTime::INFINITY);
         assert_eq!(fresh.state, lp.state);
         assert_eq!(fresh.commit_digest, lp.commit_digest);
         assert_eq!(fresh.committed, lp.committed);
@@ -999,10 +953,10 @@ mod tests {
     #[test]
     fn committed_snapshot_with_empty_history_is_current_state() {
         let m = Counter;
-        let mut lp = Lp::new(&m, LpId(1), 7);
-        lp.process(&m, ev(1.0, 1, 0, 0, 1));
-        lp.commit_all(&m);
-        let snap = lp.committed_snapshot();
+        let mut lp = Lp::with_snapshot_period(&m, LpId(1), 7, 1);
+        sends(&mut lp, &m, ev(1.0, 1, 0, 0, 1));
+        lp.fossil_collect(&m, VirtualTime::INFINITY);
+        let snap = lp.committed_snapshot(&lp.store);
         assert_eq!(snap.state, lp.state);
         assert_eq!(snap.send_seq, lp.send_seq);
     }
@@ -1012,15 +966,15 @@ mod tests {
         let m = Counter;
         let e1 = ev(1.0, 1, 0, 0, 1);
         let e2 = ev(2.0, 1, 0, 1, 1);
-        let mut a = Lp::new(&m, LpId(1), 7);
-        a.process(&m, e1.clone());
-        a.process(&m, e2.clone());
-        a.commit_all(&m);
-        let mut b = Lp::new(&m, LpId(1), 7);
-        b.process(&m, e1);
+        let mut a = Lp::with_snapshot_period(&m, LpId(1), 7, 1);
+        sends(&mut a, &m, e1.clone());
+        sends(&mut a, &m, e2.clone());
+        a.fossil_collect(&m, VirtualTime::INFINITY);
+        let mut b = Lp::with_snapshot_period(&m, LpId(1), 7, 1);
+        sends(&mut b, &m, e1);
         b.fossil_collect(&m, VirtualTime::from_f64(1.5));
-        b.process(&m, e2);
-        b.commit_all(&m);
+        sends(&mut b, &m, e2);
+        b.fossil_collect(&m, VirtualTime::INFINITY);
         assert_eq!(a.commit_digest, b.commit_digest);
         assert_ne!(a.commit_digest, 0);
     }
@@ -1032,6 +986,7 @@ mod sparse_tests {
     use crate::ids::EventUid;
     use crate::model::{Model, SendCtx};
     use crate::LpId;
+    use proptest::prelude::*;
 
     /// Model with RNG-dependent state and sends (exercises replay fidelity).
     struct Mixer;
@@ -1076,7 +1031,7 @@ mod sparse_tests {
         let m = Mixer;
         let mut lp = Lp::with_snapshot_period(&m, LpId(1), 42, k);
         for i in 0..10 {
-            lp.process(&m, ev(i as f64 + 1.0, i));
+            sends(&mut lp, &m, ev(i as f64 + 1.0, i));
         }
         // Fossil part of the history (forces snapshot materialization).
         lp.fossil_collect(&m, VirtualTime::from_f64(4.5));
@@ -1085,9 +1040,9 @@ mod sparse_tests {
         let antis = rb.antis.clone();
         // Replay the undone events.
         for e in rb.reinserted {
-            lp.process(&m, e);
+            sends(&mut lp, &m, e);
         }
-        lp.commit_all(&m);
+        lp.fossil_collect(&m, VirtualTime::INFINITY);
         (m.state_digest(&lp.state), antis, lp.commit_digest)
     }
 
@@ -1105,7 +1060,7 @@ mod sparse_tests {
         let m = Mixer;
         let mut lp = Lp::with_snapshot_period(&m, LpId(1), 7, 4);
         for i in 0..9 {
-            lp.process(&m, ev(i as f64 + 1.0, i));
+            sends(&mut lp, &m, ev(i as f64 + 1.0, i));
         }
         assert_eq!(lp.snapshot_ordinals(), [0, 4, 8]);
     }
@@ -1115,7 +1070,7 @@ mod sparse_tests {
         let m = Mixer;
         let mut lp = Lp::with_snapshot_period(&m, LpId(1), 7, 4);
         for i in 0..8 {
-            lp.process(&m, ev(i as f64 + 1.0, i));
+            sends(&mut lp, &m, ev(i as f64 + 1.0, i));
         }
         // Cut mid-gap: entries 0..6 committed (recv < 6.5), entry 6 had no
         // snapshot and must get one.
@@ -1136,7 +1091,7 @@ mod sparse_tests {
         let mut lp = Lp::with_snapshot_period(&m, LpId(1), 7, 8);
         let mut states = Vec::new();
         for i in 0..6 {
-            lp.process(&m, ev(i as f64 + 1.0, i));
+            sends(&mut lp, &m, ev(i as f64 + 1.0, i));
             states.push(lp.state);
         }
         // Undo events 4 and 5 → state must equal post-event-3 state.
@@ -1145,8 +1100,126 @@ mod sparse_tests {
         assert_eq!(lp.state, states[3]);
         // Re-execution reproduces the same states.
         for e in rb.reinserted {
-            lp.process(&m, e);
+            sends(&mut lp, &m, e);
         }
         assert_eq!(lp.state, states[5]);
+    }
+
+    /// Handler with data-dependent RNG draws, state growth and fan-out
+    /// sends: a replay that diverges shows in state, RNG and sends.
+    struct Churn;
+    impl Model for Churn {
+        type State = Vec<u64>;
+        type Payload = u32;
+        fn num_lps(&self) -> usize {
+            4
+        }
+        fn init_state(&self, _lp: LpId) -> Vec<u64> {
+            vec![0xC0FFEE]
+        }
+        fn init_events(&self, _lp: LpId, _s: &mut Vec<u64>, _ctx: &mut SendCtx<'_, u32>) {}
+        fn handle_event(&self, _lp: LpId, s: &mut Vec<u64>, p: &u32, ctx: &mut SendCtx<'_, u32>) {
+            let draws = (ctx.rng().next_below(3) + 1) as usize;
+            for _ in 0..draws {
+                let x = ctx.rng().next_below(u32::MAX as u64);
+                s.push(x ^ (*p as u64));
+                let dst = LpId(ctx.rng().next_below(4) as u32);
+                let d = 0.1 + ctx.rng().next_f64();
+                ctx.send(dst, d, p + 1);
+            }
+            if s.len() > 8 {
+                s.remove(0);
+            }
+        }
+        fn state_digest(&self, s: &Vec<u64>) -> u64 {
+            s.iter().fold(0u64, |a, &x| a.rotate_left(7) ^ x)
+        }
+    }
+
+    /// The `i`-th event of a history: at time `i + 1`.
+    fn nth(i: usize) -> Event<u32> {
+        ev(i as f64 + 1.0, i as u64)
+    }
+
+    proptest! {
+    /// Arbitrary interleavings of the four things a history is asked to do
+    /// — process the next event, roll back (exclusively or inclusively) to
+    /// an arbitrary retained depth, fossil-collect at an arbitrary cut, and
+    /// reprocess what a rollback undid — on a dense and a sparse LP side by
+    /// side. After every step the two agree on state, RNG, send counter and
+    /// committed snapshot; every rollback on antis *in order* and
+    /// reinserted events; the end on the committed digests.
+    #[test]
+    fn interleaved_history_ops_match_dense_oracle(
+        seed in any::<u64>(),
+        period in prop::sample::select(vec![1u32, 2, 3, 5, 8, 16]),
+        ops in prop::collection::vec((0u8..8, 0.0f64..1.0), 1..60),
+    ) {
+        let m = Churn;
+        let mut dense: Lp<Churn> = Lp::with_snapshot_period(&m, LpId(1), seed, 1);
+        let mut sparse: Lp<Churn> = Lp::with_snapshot_period(&m, LpId(1), seed, period);
+        // Events `[done, next)` are in both histories; `[next, ..)` are not
+        // yet processed (or were undone and wait to be reprocessed).
+        let (mut done, mut next) = (0usize, 0usize);
+        let (mut sd, mut ss) = (Vec::new(), Vec::new());
+        for (op, frac) in ops {
+            // An index into the retained history, `done ..= next`.
+            let at = done + (frac * (next - done + 1) as f64) as usize;
+            match op {
+                // Roll back to `at`: inclusive undoes event `at` itself,
+                // exclusive everything after the gap below it.
+                0 | 1 if at < next => {
+                    let inclusive = op == 0;
+                    let mut key = nth(at).key;
+                    if !inclusive {
+                        key.recv_time = VirtualTime::from_f64(at as f64 + 0.5);
+                    }
+                    let rb_d = dense.rollback(&m, &key, inclusive);
+                    let rb_s = sparse.rollback(&m, &key, inclusive);
+                    prop_assert_eq!(rb_d.undone, next - at);
+                    prop_assert_eq!(rb_s.undone, next - at);
+                    prop_assert_eq!(&rb_d.antis, &rb_s.antis, "antis diverge");
+                    prop_assert_eq!(&rb_d.reinserted, &rb_s.reinserted);
+                    let undone: Vec<_> = (at..next).map(nth).collect();
+                    prop_assert_eq!(&rb_s.reinserted, &undone);
+                    next = at;
+                }
+                // Commit events `[done, at)`: a cut anywhere in the history,
+                // mid-gap more often than not.
+                2 if at > done => {
+                    let gvt = nth(at).key.recv_time;
+                    let cd = dense.fossil_collect(&m, gvt);
+                    prop_assert_eq!(cd, sparse.fossil_collect(&m, gvt));
+                    prop_assert_eq!(cd as usize, at - done);
+                    done = at;
+                }
+                // Process (or reprocess) the next event.
+                _ => {
+                    sd.clear();
+                    ss.clear();
+                    dense.process_into(&m, nth(next), &mut sd);
+                    sparse.process_into(&m, nth(next), &mut ss);
+                    prop_assert_eq!(&sd, &ss, "sends diverge");
+                    next += 1;
+                }
+            }
+            prop_assert_eq!(&dense.state, &sparse.state, "state diverges");
+            prop_assert_eq!(&dense.rng, &sparse.rng, "RNG diverges");
+            prop_assert_eq!(dense.send_seq, sparse.send_seq);
+            prop_assert_eq!(sparse.history_len(), next - done);
+            let cd = dense.committed_snapshot(&dense.store);
+            let cs = sparse.committed_snapshot(&sparse.store);
+            prop_assert_eq!(&cd.state, &cs.state, "committed state diverges");
+            prop_assert_eq!(&cd.rng, &cs.rng);
+            prop_assert_eq!(cd.send_seq, cs.send_seq);
+            prop_assert_eq!(dense.commit_digest, sparse.commit_digest);
+        }
+        dense.fossil_collect(&m, VirtualTime::INFINITY);
+        sparse.fossil_collect(&m, VirtualTime::INFINITY);
+        prop_assert_eq!(&dense.state, &sparse.state, "final state diverges");
+        prop_assert_eq!(dense.commit_digest, sparse.commit_digest);
+        prop_assert_eq!(dense.committed, sparse.committed);
+        prop_assert_eq!(dense.committed as usize, next);
+    }
     }
 }

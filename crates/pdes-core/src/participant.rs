@@ -257,7 +257,7 @@ mod tests {
     use crate::recovery::build_engines;
     use crate::sched::Demand;
     use crate::sequential::tests::Ring;
-    use crate::sequential::{run_sequential, run_sequential_from};
+    use crate::sequential::{run_sequential, run_sequential_with};
     use crate::system::{AffinityPolicy, GvtMode, Scheduler};
     use std::sync::Arc;
 
@@ -349,7 +349,7 @@ mod tests {
         assert_eq!((cut.gvt, cut.gvt_rounds), (gvt, 1));
         assert!(cut.events.iter().any(|ev| ev.key == crossing));
         assert_eq!(
-            run_sequential_from(&model, &cfg, &cut, None),
+            run_sequential_with(&model, &cfg, Some(&cut), &[], None),
             run_sequential(&model, &cfg, None)
         );
     }

@@ -609,7 +609,8 @@ impl<P> PendingSet<P> {
         InsertOutcome::Inserted
     }
 
-    /// Apply an anti-message for `key`.
+    /// Apply an anti-message for `key` whose twin was not processed: remove
+    /// the pending twin, or park the anti until the twin arrives.
     pub fn cancel(&mut self, key: &EventKey) -> CancelOutcome {
         let slot = self.find(key);
         if slot != NIL {
@@ -651,13 +652,6 @@ impl<P> PendingSet<P> {
         if next != NIL {
             self.chains[next as usize].prev = prev;
         }
-    }
-
-    /// Remove a parked anti-message (the caller resolved it another way,
-    /// e.g. by rolling back the already-processed positive). Returns whether
-    /// the anti was present.
-    pub fn unpark_anti(&mut self, key: &EventKey) -> bool {
-        self.orphan_antis.remove(key)
     }
 
     /// Remove and return the lowest-keyed pending event.

@@ -26,7 +26,7 @@ use crate::ids::SimThreadId;
 use crate::ingest::IngestGate;
 use crate::mapping::LpMap;
 use crate::model::Model;
-use crate::sequential::{run_sequential_from_with, run_sequential_with, SequentialResult};
+use crate::sequential::{run_sequential_with, SequentialResult};
 use crate::time::VirtualTime;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
@@ -354,10 +354,7 @@ pub fn supervise<M: Model, R, E: Into<AttemptFailure>>(
             let cut = ckpt.as_ref().map_or(VirtualTime::ZERO, |c| c.gvt);
             let mut extra = ingest.map(|g| g.accepted_events()).unwrap_or_default();
             extra.retain(|e| e.send_time >= cut);
-            let seq = match &ckpt {
-                Some(c) => run_sequential_from_with(model, ecfg, c, &extra, None),
-                None => run_sequential_with(model, ecfg, &extra, None),
-            };
+            let seq = run_sequential_with(model, ecfg, ckpt.as_ref(), &extra, None);
             if let Some(g) = ingest {
                 g.close();
             }
@@ -543,11 +540,11 @@ mod tests {
         assert!(all[0].send_time < c.gvt && suffix[0].send_time >= c.gvt);
         assert_eq!(
             seq,
-            run_sequential_from_with(&model, &cfg(), &c, &suffix, None)
+            run_sequential_with(&model, &cfg(), Some(&c), &suffix, None)
         );
         assert_ne!(
             seq,
-            run_sequential_from_with(&model, &cfg(), &c, &all, None)
+            run_sequential_with(&model, &cfg(), Some(&c), &all, None)
         );
     }
 

@@ -49,116 +49,93 @@ pub fn run_sequential<M: Model>(
     cfg: &EngineConfig,
     max_events: Option<u64>,
 ) -> SequentialResult {
-    run_sequential_with(model, cfg, &[], max_events)
+    run_sequential_with(model, cfg, None, &[], max_events)
 }
 
-/// [`run_sequential`] with `extra` events merged into the initial pending
-/// set — the oracle for runs that accepted external events through the
-/// ingest plane: feed it the gate's accepted events (exact uids and stamps)
-/// and the merged-stream execution must match the live run's digests.
+/// [`run_sequential`], resumed from the GVT-aligned cut `from` when one is
+/// given, with `extra` events merged into the pending set.
+///
+/// - Resuming is the graceful degradation path: when supervised parallel
+///   recovery is exhausted, the run still completes from the last
+///   consistent cut with no speculation at all. The committed totals
+///   continue from the cut, so the result equals an uninterrupted run's.
+/// - `extra` makes it the oracle for runs that accepted external events
+///   through the ingest plane: feed it the gate's accepted events (exact
+///   uids and stamps; from a cut, those with `send_time ≥` its GVT, since
+///   older ones are inside it) and the merged-stream execution must match
+///   the live run's digests.
 pub fn run_sequential_with<M: Model>(
     model: &Arc<M>,
     cfg: &EngineConfig,
-    extra: &[Event<M::Payload>],
-    max_events: Option<u64>,
-) -> SequentialResult {
-    // Each LP's initial events, in LP order, sent at time zero.
-    let mut sends = Vec::new();
-    let lps = (0..model.num_lps())
-        .map(|i| {
-            let id = LpId(i as u32);
-            let mut lp = Snapshot {
-                state: model.init_state(id),
-                rng: DetRng::for_lp(cfg.seed, id),
-                send_seq: 0,
-            };
-            let mut ctx = SendCtx::new(
-                id,
-                VirtualTime::ZERO,
-                &mut lp.rng,
-                &mut lp.send_seq,
-                &mut sends,
-            );
-            model.init_events(id, &mut lp.state, &mut ctx);
-            lp
-        })
-        .collect();
-    // The oracle never cancels (nothing is rolled back), so it drains the
-    // engines' queue without their key index.
-    let mut pending = EventQueue::new();
-    for ev in sends.into_iter().chain(extra.iter().cloned()) {
-        pending.push(ev);
-    }
-    let at = (0, 0, VirtualTime::ZERO);
-    finish_sequential(model, cfg, max_events, lps, pending, at)
-}
-
-/// Resume a sequential run from a GVT-aligned [`Checkpoint`] — the graceful
-/// degradation path: when supervised parallel recovery is exhausted, the run
-/// still completes from the last consistent cut with no speculation at all.
-/// The committed totals continue from the cut, so the final result equals an
-/// uninterrupted [`run_sequential`] of the same model and config.
-pub fn run_sequential_from<M: Model>(
-    model: &Arc<M>,
-    cfg: &EngineConfig,
-    ckpt: &Checkpoint<M::State, M::Payload>,
-    max_events: Option<u64>,
-) -> SequentialResult {
-    run_sequential_from_with(model, cfg, ckpt, &[], max_events)
-}
-
-/// [`run_sequential_from`] with `extra` events merged into the pending set
-/// restored from the cut. Used by the degraded-to-sequential recovery path
-/// when the run had live ingest: pass the accepted events with
-/// `send_time ≥ ckpt.gvt` (older ones are already inside the cut).
-pub fn run_sequential_from_with<M: Model>(
-    model: &Arc<M>,
-    cfg: &EngineConfig,
-    ckpt: &Checkpoint<M::State, M::Payload>,
+    from: Option<&Checkpoint<M::State, M::Payload>>,
     extra: &[Event<M::Payload>],
     max_events: Option<u64>,
 ) -> SequentialResult {
     let num_lps = model.num_lps();
-    assert!(
-        ckpt.lps.len() == num_lps && ckpt.lps.iter().enumerate().all(|(i, l)| l.lp.index() == i),
-        "checkpoint must hold the model's {num_lps} LPs once each, in LP order"
-    );
-    let lps = ckpt
-        .lps
-        .iter()
-        .map(|l| Snapshot {
-            state: l.state.clone(),
-            rng: l.rng.clone(),
-            send_seq: l.send_seq,
-        })
-        .collect();
+    // The oracle never cancels (nothing is rolled back), so it drains the
+    // engines' queue without their per-LP chains.
     let mut pending = EventQueue::new();
-    for ev in ckpt.events.iter().chain(extra) {
+    // Each LP's state, RNG and send counter, and the committed position the
+    // run starts from: events committed, their digest and the receive time
+    // of the last one.
+    let (mut lps, (mut committed, mut commit_digest, mut final_lvt)) = match from {
+        None => {
+            // Each LP's initial events, in LP order, sent at time zero.
+            let mut sends = Vec::new();
+            let lps: Vec<_> = (0..num_lps)
+                .map(|i| {
+                    let id = LpId(i as u32);
+                    let mut lp = Snapshot {
+                        state: model.init_state(id),
+                        rng: DetRng::for_lp(cfg.seed, id),
+                        send_seq: 0,
+                    };
+                    let mut ctx = SendCtx::new(
+                        id,
+                        VirtualTime::ZERO,
+                        &mut lp.rng,
+                        &mut lp.send_seq,
+                        &mut sends,
+                    );
+                    model.init_events(id, &mut lp.state, &mut ctx);
+                    lp
+                })
+                .collect();
+            for ev in sends {
+                pending.push(ev);
+            }
+            (lps, (0, 0, VirtualTime::ZERO))
+        }
+        Some(ckpt) => {
+            assert!(
+                ckpt.lps.len() == num_lps
+                    && ckpt.lps.iter().enumerate().all(|(i, l)| l.lp.index() == i),
+                "checkpoint must hold the model's {num_lps} LPs once each, in LP order"
+            );
+            let lps = ckpt
+                .lps
+                .iter()
+                .map(|l| Snapshot {
+                    state: l.state.clone(),
+                    rng: l.rng.clone(),
+                    send_seq: l.send_seq,
+                })
+                .collect();
+            for ev in &ckpt.events {
+                pending.push(ev.clone());
+            }
+            let lvt = ckpt
+                .lps
+                .iter()
+                .map(|l| l.lvt)
+                .max()
+                .unwrap_or(VirtualTime::ZERO);
+            (lps, (ckpt.total_committed(), ckpt.commit_digest(), lvt))
+        }
+    };
+    for ev in extra {
         pending.push(ev.clone());
     }
-    let lvt = ckpt
-        .lps
-        .iter()
-        .map(|l| l.lvt)
-        .max()
-        .unwrap_or(VirtualTime::ZERO);
-    let at = (ckpt.total_committed(), ckpt.commit_digest(), lvt);
-    finish_sequential(model, cfg, max_events, lps, pending, at)
-}
-
-/// The shared event loop: drain `pending` in key order until `cfg.end_time`,
-/// running each event's handler on its LP's state, RNG and send counter.
-/// `at` is the committed position the run starts from: events committed,
-/// their digest and the receive time of the last one.
-fn finish_sequential<M: Model>(
-    model: &Arc<M>,
-    cfg: &EngineConfig,
-    max_events: Option<u64>,
-    mut lps: Vec<Snapshot<M::State>>,
-    mut pending: EventQueue<M::Payload>,
-    at: (u64, u64, VirtualTime),
-) -> SequentialResult {
-    let (mut committed, mut commit_digest, mut final_lvt) = at;
     // One send buffer reused across the whole run: the loop below is
     // allocation-free per event after warmup (see tests/alloc_regression.rs).
     let mut sends = Vec::new();
@@ -319,7 +296,7 @@ pub(crate) mod tests {
         };
         assert!(ckpt.total_committed() > 0, "cut must not be at genesis");
 
-        let resumed = run_sequential_from(&model, &cfg, &ckpt, None);
+        let resumed = run_sequential_with(&model, &cfg, Some(&ckpt), &[], None);
         assert_eq!(resumed, full);
     }
 

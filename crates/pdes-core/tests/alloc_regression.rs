@@ -11,9 +11,11 @@
 //! snapshot path, a fresh `Vec` per handler call, a map that grows per
 //! insert) fails here with a count, not as a silent throughput regression.
 //!
-//! The second test adds a rollback and a reprocess every 64 events through
-//! `rollback_into`, the call the engines make, with the undone events and
-//! antis landing in reused buffers: a rollback allocates nothing.
+//! The second test rolls back every 64 events through
+//! `ThreadEngine::deliver`, the call every runtime makes, on a one-thread
+//! engine: a straggler, then an anti-message whose twin was processed. The
+//! undone events and antis land in the engine's reused buffers, and the
+//! anti is never parked: neither rollback allocates.
 //!
 //! The third cancels and re-sends one pending event every 8 events, so
 //! the pending set's tombstones pass the compaction threshold again and
@@ -52,7 +54,7 @@ use pdes_core::lp::{key_digest, Lp};
 use pdes_core::pending::{CancelOutcome, PendingSet};
 use pdes_core::{
     build_engines, run_sequential, Demand, EngineConfig, Event, EventKey, EventUid, LpId, LpMap,
-    MapKind, Membership, MessagePlane, Model, Participant, Round, SendCtx, SimThreadId,
+    MapKind, Membership, MessagePlane, Model, Msg, Participant, Round, SendCtx, SimThreadId,
     ThreadEngine, VirtualTime,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -206,68 +208,82 @@ fn steady_state_event_loop_does_not_allocate() {
     );
 }
 
-/// A rollback's undone events and antis, in buffers reused from one
-/// rollback to the next as the engine's are.
-#[derive(Default)]
-struct Undone {
-    events: Vec<Event<()>>,
-    antis: Vec<EventKey>,
+/// A one-thread engine over the ring, its initial events delivered.
+fn ring_engine(n: usize) -> ThreadEngine<Ring> {
+    let cfg = EngineConfig::default()
+        .with_end_time(1e9)
+        .with_seed(42)
+        .with_snapshot_period(SNAPSHOT_PERIOD);
+    let map = LpMap::new(n, 1, MapKind::RoundRobin);
+    let mut eng = ThreadEngine::new(std::sync::Arc::new(Ring { n }), map, SimThreadId(0), &cfg);
+    let mut outbox = Vec::new();
+    for (_, msg) in eng.take_init_events() {
+        eng.deliver(msg, &mut outbox);
+    }
+    eng
 }
 
-/// 63 events of the steady-state loop, then one that is undone and put
-/// back: the newest event's one send is still pending, so the rollback's
-/// anti cancels it there and the next `pump` reprocesses the event — a whole
-/// Time Warp rollback at the LP level. Returns the allocations of `rounds`
-/// such rounds and of the rollback that made most.
-fn pump_and_roll_back(
-    model: &Ring,
-    lps: &mut [Lp<Ring>],
-    pending: &mut PendingSet<()>,
-    sends: &mut Vec<Event<()>>,
-    undone: &mut Undone,
-    rounds: u64,
-) -> (u64, u64) {
-    let before = allocs();
-    let mut worst = 0;
+/// `rounds` rounds on a one-thread ring engine: a fossil collection at the
+/// pending minimum and 64 events; then a straggler one tick before the
+/// newest event, on that event's LP, and once the straggler is processed,
+/// its anti-message. Each rolls back one event through `deliver`, and the
+/// anti of that event's pending send cancels it. `next` numbers the
+/// stragglers. Returns the allocations inside the engine's calls.
+fn rollback_rounds(eng: &mut ThreadEngine<Ring>, rounds: u64, next: &mut u64) -> u64 {
+    let mut outbox = Vec::new();
+    let mut inside = 0;
     for _ in 0..rounds {
-        pump(model, lps, pending, sends, 63);
-        let key = step(model, lps, pending, sends);
-        let in_rollback = allocs();
-        let Undone { events, antis } = undone;
-        let n = lps[key.dst.index()].rollback_into(model, &key, true, events, antis);
-        worst = worst.max(allocs() - in_rollback);
-        assert_eq!((n, events.len(), antis.len()), (1, 1, 1));
-        for anti in antis.drain(..) {
-            assert_eq!(pending.cancel(&anti), CancelOutcome::Removed);
+        let before = allocs();
+        eng.fossil_collect(eng.local_min());
+        for _ in 0..63 {
+            eng.process_batch(1, &mut outbox);
         }
-        for event in events.drain(..) {
-            pending.insert(event);
-        }
+        let now = eng.local_min();
+        inside += allocs() - before;
+        // The newest event's LP is the one whose count moves.
+        let counts = eng.state_digests();
+        let before = allocs();
+        eng.process_batch(1, &mut outbox);
+        inside += allocs() - before;
+        let mut moved = eng.state_digests().into_iter().zip(counts);
+        let ((lp, _), _) = moved.find(|(a, b)| a != b).expect("one LP moved");
+        let straggler = Event {
+            key: EventKey {
+                recv_time: VirtualTime::from_ticks(now.ticks() - 1),
+                dst: lp,
+                uid: EventUid::new(LpId(0), (1 << 40) + *next),
+            },
+            send_time: VirtualTime::ZERO,
+            payload: (),
+        };
+        *next += 1;
+        let key = straggler.key;
+        let before = allocs();
+        let d = eng.deliver(Msg::Event(straggler), &mut outbox);
+        assert_eq!(d.rolled_back, 1, "a straggler undoes the newest event");
+        assert_eq!(eng.process_batch(1, &mut outbox).processed, 1);
+        let d = eng.deliver(Msg::Anti(key), &mut outbox);
+        assert_eq!(d.rolled_back, 1, "the anti undoes the processed straggler");
+        assert!(d.annihilated);
+        inside += allocs() - before;
     }
-    (allocs() - before, worst)
+    assert!(outbox.is_empty(), "one thread owns every LP");
+    inside
 }
 
 #[test]
 fn steady_state_rollback_does_not_allocate() {
-    let model = Ring { n: 8 };
-    let (mut lps, mut pending) = ring(&model);
-    let mut sends: Vec<Event<()>> = Vec::new();
-    let mut undone = Undone::default();
-    pump_and_roll_back(&model, &mut lps, &mut pending, &mut sends, &mut undone, 80);
+    let mut eng = ring_engine(8);
+    let mut next = 0;
+    rollback_rounds(&mut eng, 80, &mut next);
     let rounds = 30;
-    let (total, worst) = pump_and_roll_back(
-        &model,
-        &mut lps,
-        &mut pending,
-        &mut sends,
-        &mut undone,
-        rounds,
-    );
-    assert_eq!(worst, 0, "a rollback allocated {worst} times");
+    let inside = rollback_rounds(&mut eng, rounds, &mut next);
+    assert_eq!(eng.stats().rollbacks, 2 * (80 + rounds));
     assert_eq!(
-        total, 0,
-        "{total} allocations across {rounds} steady-state rollback rounds \
-         (expected zero: the undone events and antis land in reused buffers)"
+        inside, 0,
+        "{inside} allocations across {rounds} steady-state rounds of a \
+         straggler and an anti-message rollback (expected zero: the undone \
+         events and antis land in reused buffers)"
     );
 }
 

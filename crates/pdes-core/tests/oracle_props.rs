@@ -17,11 +17,11 @@
 //! folds in every payload and RNG draw, so any reordering, lost draw or
 //! reissued uid changes a digest.
 
-use pdes_core::lp::{key_digest, Lp, Snapshot};
+use pdes_core::lp::{key_digest, Lp};
 use pdes_core::mapping::{LpMap, MapKind};
 use pdes_core::{
-    run_sequential_from_with, run_sequential_with, Checkpoint, EngineConfig, Event, EventKey,
-    EventUid, LpId, Model, SendCtx, SequentialResult, SimThreadId, ThreadEngine, VirtualTime,
+    run_sequential_with, Checkpoint, EngineConfig, Event, EventKey, EventUid, LpId, Model, SendCtx,
+    SequentialResult, SimThreadId, ThreadEngine, VirtualTime,
 };
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -95,7 +95,12 @@ fn finish_reference<M: Model>(
         }
         let (key, ev) = pending.pop_first().expect("min exists");
         let lp = &mut lps[key.dst.index()];
-        debug_assert!(!lp.is_straggler(&key), "sequential run cannot regress");
+        // Not a straggler: an exclusive rollback to `key` undoes nothing.
+        debug_assert_eq!(
+            lp.rollback(model.as_ref(), &key, false).undone,
+            0,
+            "sequential run cannot regress"
+        );
         if reset_send_seq {
             lp.send_seq = 0;
         }
@@ -135,7 +140,7 @@ fn fresh_lps<M: Model>(model: &M, cfg: &EngineConfig) -> Vec<Lp<M>> {
         .collect()
 }
 
-/// The reference `run_sequential_with`.
+/// The reference `run_sequential_with` from time zero.
 fn reference_with<M: Model>(
     model: &Arc<M>,
     cfg: &EngineConfig,
@@ -156,7 +161,7 @@ fn reference_with<M: Model>(
     finish_reference(model, cfg, max_events, lps, pending, reset_send_seq)
 }
 
-/// The reference `run_sequential_from_with`.
+/// The reference `run_sequential_with` from a cut.
 fn reference_from_with<M: Model>(
     model: &Arc<M>,
     cfg: &EngineConfig,
@@ -166,16 +171,11 @@ fn reference_from_with<M: Model>(
 ) -> SequentialResult {
     let mut lps = fresh_lps(model.as_ref(), cfg);
     for lck in &ckpt.lps {
-        lps[lck.lp.index()].restore_from(
-            Snapshot {
-                state: lck.state.clone(),
-                rng: lck.rng.clone(),
-                send_seq: lck.send_seq,
-            },
-            lck.committed,
-            lck.commit_digest,
-            lck.lvt,
-        );
+        // A fresh LP has no history: restoring it sets its fields.
+        let lp = &mut lps[lck.lp.index()];
+        (lp.state, lp.rng, lp.send_seq) = (lck.state.clone(), lck.rng.clone(), lck.send_seq);
+        (lp.committed, lp.commit_digest) = (lck.committed, lck.commit_digest);
+        lp.committed_lvt = lck.lvt;
     }
     let mut pending = Pending::new();
     for ev in ckpt.events.iter().chain(extra) {
@@ -253,7 +253,7 @@ proptest! {
             .with_snapshot_period(period);
         let extra = extra_events(n, &extra);
 
-        let oracle = run_sequential_with(&model, &cfg, &extra, cap);
+        let oracle = run_sequential_with(&model, &cfg, None, &extra, cap);
         prop_assert_eq!(&oracle, &reference_with(&model, &cfg, &extra, cap, false));
 
         if let Some(ckpt) = cut(&model, &cfg, batches) {
@@ -263,7 +263,7 @@ proptest! {
                 .filter(|e| e.key.recv_time >= ckpt.gvt)
                 .cloned()
                 .collect();
-            let resumed = run_sequential_from_with(&model, &cfg, &ckpt, &late, cap);
+            let resumed = run_sequential_with(&model, &cfg, Some(&ckpt), &late, cap);
             prop_assert_eq!(&resumed, &reference_from_with(&model, &cfg, &ckpt, &late, cap));
             if late.len() == extra.len() && cap.is_none() {
                 prop_assert_eq!(&resumed, &oracle);
@@ -279,7 +279,7 @@ fn a_send_counter_reset_is_caught() {
     let model = Arc::new(Branch { n: 4 });
     for seed in 0..8 {
         let cfg = EngineConfig::default().with_end_time(16.0).with_seed(seed);
-        let oracle = run_sequential_with(&model, &cfg, &[], None);
+        let oracle = run_sequential_with(&model, &cfg, None, &[], None);
         assert!(oracle.committed > 0, "seed {seed} ran events");
         assert_ne!(
             oracle,

@@ -361,7 +361,8 @@ proptest! {
     fn rollback_replay_identity(seed in any::<u64>(), n in 1usize..12, cut in 0usize..12) {
         prop_assume!(cut < n);
         let model = FanOut;
-        let mut lp = pdes_core::lp::Lp::new(&model, LpId(1), seed);
+        let mut lp = pdes_core::lp::Lp::with_snapshot_period(&model, LpId(1), seed, 1);
+        let mut out = Vec::new();
         let mut rng = pdes_core::DetRng::seed_from_u64(seed ^ 0xABCD);
         let events: Vec<Event<u32>> = (0..n)
             .map(|i| Event {
@@ -377,7 +378,8 @@ proptest! {
 
         let mut sends_first: Vec<Vec<EventKey>> = Vec::new();
         for e in &events {
-            let out = lp.process(&model, e.clone());
+            out.clear();
+            lp.process_into(&model, e.clone(), &mut out);
             sends_first.push(out.iter().map(|e| e.key).collect());
         }
         let digest_before = model.state_digest(&lp.state);
@@ -387,7 +389,8 @@ proptest! {
         prop_assert_eq!(rb.undone, n - cut);
         // …and replay.
         for (i, e) in events.iter().enumerate().skip(cut) {
-            let out = lp.process(&model, e.clone());
+            out.clear();
+            lp.process_into(&model, e.clone(), &mut out);
             let keys: Vec<EventKey> = out.iter().map(|e| e.key).collect();
             prop_assert_eq!(&keys, &sends_first[i], "event {} resent differently", i);
         }

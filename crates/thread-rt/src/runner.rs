@@ -290,7 +290,6 @@ pub fn run_threads_attempt<M: Model, P: Protocol<M>>(
                             P::stall_reason(idle, bound)
                         };
                         let dump = Box::new(shared.build_stall_dump(&reason, &rc.system.name()));
-                        shared.watchdog_tripped.store(true, Ordering::Release);
                         shared.poison_all();
                         return Some(dump);
                     }

@@ -77,9 +77,6 @@ pub struct RtShared<P> {
     tel_t0: Instant,
 
     // ---- liveness diagnostics ----
-    /// Set once the liveness watchdog fired (the run's result becomes an
-    /// error carrying the stall dump).
-    pub watchdog_tripped: AtomicBool,
     /// Set by [`Self::poison_all`]: the run is being torn down (watchdog
     /// trip or worker panic), as opposed to `terminated` by a final GVT.
     poisoned: AtomicBool,
@@ -120,7 +117,6 @@ impl<P> RtShared<P> {
             telemetry: Telemetry::off(),
             board: RoundBoard::new(num_threads, num_threads),
             tel_t0: Instant::now(),
-            watchdog_tripped: AtomicBool::new(false),
             poisoned: AtomicBool::new(false),
             dbg_phase: (0..num_threads).map(|_| AtomicU8::new(0)).collect(),
             dbg_joined: (0..num_threads).map(|_| AtomicU64::new(0)).collect(),

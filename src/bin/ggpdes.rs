@@ -860,7 +860,7 @@ fn verify<M: Model>(model: &Arc<M>, ecfg: &EngineConfig, extra: &Accepted<M>, di
     } else {
         "merged-stream sequential"
     };
-    let oracle = pdes_core::run_sequential_with(model, ecfg, extra, None);
+    let oracle = pdes_core::run_sequential_with(model, ecfg, None, extra, None);
     assert_eq!(
         digest, oracle.commit_digest,
         "run diverged from the {what} oracle!"
@@ -974,10 +974,10 @@ fn run_dist<M: Model>(
         Ok(None) => std::process::exit(0), // worker shard: coordinator reports
         Err(e) => dist_fail(&what, e),
     };
-    if r.recoveries > 0 {
+    if !r.recovered.is_empty() {
         eprintln!(
             "dist: completed after {} recovery(ies){} ({} partial) of shard(s) {:?}",
-            r.recoveries,
+            r.recovered.len(),
             if r.used_checkpoint {
                 " from a checkpoint cut"
             } else {
