@@ -19,7 +19,7 @@ use crate::faults::{LinkFaultPlan, LinkFaults};
 use crate::link::{
     read_hello, spawn_tcp_reader, write_hello, Backoff, Inbox, MemTx, ReliableLink, TcpTx,
 };
-use crate::node::{DistError, ReshapeAction, ShardNode};
+use crate::node::{Cut, DistError, ReshapeAction, ShardNode};
 
 /// How loopback shards talk to each other.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -322,8 +322,6 @@ fn assemble_result(out: NodeOutcome, shards: usize, lps: usize, wall_secs: f64) 
 /// state, and journals survive kills and reshapes.
 pub type IngestGates<M> = Vec<Arc<IngestGate<<M as Model>::Payload>>>;
 
-type Cut<M> = Checkpoint<<M as Model>::State, <M as Model>::Payload>;
-
 /// A loopback cluster: what every node of the run is built from, one
 /// [`ShardNode`] per shard, and their inboxes (needed again at
 /// partial-recovery time to rebuild a dead shard's links). Both the threaded
@@ -371,7 +369,7 @@ impl<M: Model> Cluster<M> {
 
     /// (Re)start the run as `dcfg.shards` shards under `self.map`: the full link
     /// mesh (memory or handshaked TCP pairs) and one node per shard, each
-    /// restored from `restore` or, without one, bootstrapped.
+    /// restored from `restore` or, without one, started fresh.
     fn rebuild(&mut self, restore: Option<Cut<M>>) -> Result<(), DistError> {
         let n = self.dcfg.shards;
         // The old generation hangs up before the new one dials.
@@ -444,7 +442,7 @@ impl<M: Model> Cluster<M> {
         Ok(rows)
     }
 
-    /// A new node for `shard` on `links`, restored from `ck` or bootstrapped.
+    /// A new node for `shard` on `links`, restored from `ck` or started fresh.
     fn spawn(
         &self,
         shard: usize,
@@ -461,15 +459,12 @@ impl<M: Model> Cluster<M> {
             Arc::clone(&self.inboxes[shard]),
         );
         node.set_abort(self.abort.clone());
-        // Attach the gate before restore: a restored node replays the
-        // gate's accepted-but-uncut suffix into its rebuilt engine.
+        // Attach the gate before the start: a started node replays the
+        // gate's accepted-but-uncut events into its engine.
         if let Some(g) = self.gates.as_ref().and_then(|gs| gs.get(shard)) {
             node.set_ingest(Arc::clone(g));
         }
-        match ck {
-            Some(ck) => node.restore(ck)?,
-            None => node.bootstrap()?,
-        }
+        node.start(ck)?;
         Ok(node)
     }
 
@@ -813,9 +808,10 @@ impl ProcessOpts {
     }
 }
 
-/// Run this process's shard. With an ingest `gate` (handed in by the
-/// client-facing server or a journal recovery) the node pumps it between GVT
-/// rounds and forwards non-owned submissions to their owning shards.
+/// Run this process's shard. With an ingest `gate` (shared with the
+/// client-facing server) the node replays what the gate already accepted at
+/// its start, pumps it between GVT rounds and forwards non-owned
+/// submissions to their owning shards.
 pub fn run_shard_process<M: Model>(
     model: Arc<M>,
     ecfg: &EngineConfig,
@@ -842,7 +838,7 @@ pub fn run_shard_process<M: Model>(
     if let Some(g) = gate {
         node.set_ingest(g);
     }
-    node.bootstrap()?;
+    node.start(None)?;
     node.run()?;
     Ok(node
         .take_outcome()

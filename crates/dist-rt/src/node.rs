@@ -165,6 +165,8 @@ const BATCH: usize = 64;
 
 /// The frames of a run of model `M`.
 pub(crate) type FrameOf<M> = Frame<<M as Model>::State, <M as Model>::Payload>;
+/// A checkpoint cut of a run of model `M`.
+pub(crate) type Cut<M> = Checkpoint<<M as Model>::State, <M as Model>::Payload>;
 
 /// A coordinator-only frame reached a shard that does not coordinate.
 fn stray(shard: usize, kind: &str) -> DistError {
@@ -255,8 +257,8 @@ impl<M: Model> ShardNode<M> {
     }
 
     /// Attach this shard's ingest gate. Must be called before
-    /// [`Self::restore`] so a restored node replays the gate's
-    /// accepted-but-uncut suffix into the rebuilt engine.
+    /// [`Self::start`] so the started node replays the gate's
+    /// accepted-but-uncut events into its engine.
     pub fn set_ingest(&mut self, gate: Arc<IngestGate<M::Payload>>) {
         self.relay.attach(gate, self.flat_map.clone(), self.gvt);
     }
@@ -323,18 +325,30 @@ impl<M: Model> ShardNode<M> {
         }
     }
 
-    /// Restore this shard from a checkpointed global cut (recovery path).
-    /// The engine filters `ck.lps` / `ck.events` by ownership itself. An
-    /// attached ingest gate's accepted-but-uncut suffix is placed again, so
-    /// every accepted event survives exactly once: admission is owned-only,
-    /// but a reshape may have moved the LP to another shard.
-    pub fn restore(&mut self, ck: &Checkpoint<M::State, M::Payload>) -> Result<(), DistError> {
-        self.engine.restore(&ck.lps, &ck.events, ck.gvt);
-        self.gvt = ck.gvt.ticks();
-        if let Some(co) = &mut self.co {
-            co.restore(ck);
-        }
-        for ev in self.relay.restore(ck.gvt) {
+    /// Start this shard: fresh (route the initial events), or restored from
+    /// the global cut `ck` (the engine filters `ck.lps` / `ck.events` by
+    /// ownership itself). Either way the attached ingest gate then replays
+    /// what the start does not hold — everything from 0 when fresh, the
+    /// suffix above `ck.gvt` when restored — placed by the current map, as
+    /// a reshape may have moved an admitted event's LP to another shard.
+    pub fn start(&mut self, ck: Option<&Cut<M>>) -> Result<(), DistError> {
+        let cut = match ck {
+            Some(ck) => {
+                self.engine.restore(&ck.lps, &ck.events, ck.gvt);
+                self.gvt = ck.gvt.ticks();
+                if let Some(co) = &mut self.co {
+                    co.restore(ck);
+                }
+                ck.gvt
+            }
+            None => {
+                for (dst, msg) in self.engine.take_init_events() {
+                    self.place(dst, msg);
+                }
+                VirtualTime::ZERO
+            }
+        };
+        for ev in self.relay.restore(cut) {
             self.place(self.flat_map.thread_of(ev.key.dst), Msg::Event(ev));
         }
         self.route_outbox()
@@ -442,15 +456,6 @@ impl<M: Model> ShardNode<M> {
             VirtualTime::from_ticks(floor),
             &mut self.outbox,
         );
-        self.route_outbox()
-    }
-
-    /// Route this shard's initial events (fresh starts only — a restored
-    /// run's events live in the checkpoint).
-    pub fn bootstrap(&mut self) -> Result<(), DistError> {
-        for (dst, msg) in self.engine.take_init_events() {
-            self.place(dst, msg);
-        }
         self.route_outbox()
     }
 

@@ -65,7 +65,7 @@ impl<M: Model> IngestRelay<M> {
         }
     }
 
-    /// A restore from the cut at `cut` abandons any open round. Returns the
+    /// A start at `cut` (0 when fresh) abandons any open round. Returns the
     /// gate's accepted-but-uncut suffix (`send_time >= cut`) — the exact
     /// complement of what the cut preserved — for the node to place.
     pub(crate) fn restore(&mut self, cut: VirtualTime) -> Vec<Event<M::Payload>> {

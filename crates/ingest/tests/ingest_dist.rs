@@ -1,9 +1,10 @@
 //! Live ingest into the multi-shard distributed runtime: submissions enter
 //! at one shard, forward to the owner of their destination LP, and the
 //! committed trace equals a sequential oracle fed the merged (seeded +
-//! accepted) stream — over memory and TCP links, under link chaos, and
-//! across a shard kill-and-recover. The TCP ingest server is exercised
-//! end-to-end against a gate as well.
+//! accepted) stream — over memory and TCP links, under link chaos, across
+//! a shard kill-and-recover (from a cut or from genesis), and across a
+//! second run that resumes the first's journals. The TCP ingest server is
+//! exercised end-to-end against a gate as well.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -60,6 +61,19 @@ fn temp_journal(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("ggpdes-ingest-dist-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("mkdir");
     dir.join(format!("{tag}.jsonl"))
+}
+
+/// One journaling gate per path (`paths[i]` goes to shard `i`).
+fn journaled(paths: &[std::path::PathBuf]) -> IngestGates<Phold> {
+    let open = |s: usize| IngestGate::with_journal(s as u64, &paths[s]).expect("journal opens");
+    (0..paths.len()).map(|s| Arc::new(open(s))).collect()
+}
+
+/// Every `(source, id)` of the journals, in journal order.
+fn journaled_ids(paths: &[std::path::PathBuf]) -> Vec<(u32, u64)> {
+    let read = |p| IngestJournal::read_all::<()>(p).expect("journal readable");
+    let records = paths.iter().flat_map(|p| read(p.as_path()));
+    records.map(|r| (r.source, r.id)).collect()
 }
 
 /// Union of every gate's admitted events, in key order.
@@ -156,14 +170,11 @@ fn tcp_chaos_links_with_live_ingest_match_merged_oracle() {
 fn killed_shard_with_live_ingest_recovers_and_matches_merged_oracle() {
     let model = model();
     let ecfg = ecfg(40.0);
-    let j0 = temp_journal("kill-s0");
-    let j1 = temp_journal("kill-s1");
-    let _ = std::fs::remove_file(&j0);
-    let _ = std::fs::remove_file(&j1);
-    let gs: IngestGates<Phold> = vec![
-        Arc::new(IngestGate::with_journal(0, &j0).expect("journal 0")),
-        Arc::new(IngestGate::with_journal(1, &j1).expect("journal 1")),
-    ];
+    let paths = [temp_journal("kill-s0"), temp_journal("kill-s1")];
+    for p in &paths {
+        let _ = std::fs::remove_file(p);
+    }
+    let gs = journaled(&paths);
     let pre = script(1, 20, model.num_lps() as u32, 40.0);
     for req in &pre {
         assert!(gs[0].submit(req.clone(), ReplySlot::None).is_none());
@@ -190,16 +201,104 @@ fn killed_shard_with_live_ingest_recovers_and_matches_merged_oracle() {
     assert_matches_merged_oracle(&r, &model, &ecfg, &gs, "2-shard kill+recover live ingest");
 
     // Journal-level exactly-once across the kill and restore.
-    for path in [&j0, &j1] {
-        let records = IngestJournal::read_all::<()>(path).expect("journal readable");
-        let mut ids: Vec<(u32, u64)> = records.iter().map(|r| (r.source, r.id)).collect();
-        ids.sort_unstable();
-        let before = ids.len();
-        ids.dedup();
-        assert_eq!(ids.len(), before, "an id was journaled twice");
+    let mut ids = journaled_ids(&paths);
+    ids.sort_unstable();
+    let before = ids.len();
+    ids.dedup();
+    assert_eq!(ids.len(), before, "an id was journaled twice");
+    for p in &paths {
+        let _ = std::fs::remove_file(p);
     }
-    let _ = std::fs::remove_file(&j0);
-    let _ = std::fs::remove_file(&j1);
+}
+
+/// A kill before the first cut restarts every shard from genesis: the
+/// restart must replay everything the gates accepted, or the admissions of
+/// the dead attempt are lost.
+#[test]
+fn a_kill_before_the_first_cut_replays_every_admission_from_genesis() {
+    let model = model();
+    let ecfg = ecfg(40.0);
+    let gs = gates(2);
+    for req in &script(1, 20, model.num_lps() as u32, 40.0) {
+        assert!(gs[0].submit(req.clone(), ReplySlot::None).is_none());
+    }
+    let mut cfg = dcfg(2, Transport::Mem);
+    // Armed, but no cut is taken before the kill on the 3rd publish.
+    cfg.ckpt_every_rounds = 1000;
+    cfg.kills = vec![(1, 3)];
+    cfg.max_recoveries = 2;
+    let r = run_loopback_ingest(Arc::clone(&model), &ecfg, &cfg, Some(gs.clone()))
+        .expect("killed shard restarts from genesis");
+    assert_eq!(r.recovered.len(), 1, "exactly one scripted kill fires");
+    assert!(!r.used_checkpoint, "the restart was from genesis");
+    assert_matches_merged_oracle(&r, &model, &ecfg, &gs, "2-shard genesis restart");
+}
+
+/// A second run over the first run's journals resumes them: the journaled
+/// events commit again from the start, their ids answer `Duplicate`, and
+/// fresh admissions mint uids past the journaled ones.
+#[test]
+fn a_second_run_over_the_same_journals_resumes_them() {
+    let model = model();
+    let ecfg = ecfg(10.0);
+    let paths = [temp_journal("resume-s0"), temp_journal("resume-s1")];
+    for p in &paths {
+        let _ = std::fs::remove_file(p);
+    }
+    let first = script(1, 20, model.num_lps() as u32, 10.0);
+    let cfg = dcfg(2, Transport::Mem);
+
+    let gs = journaled(&paths);
+    for req in &first {
+        assert!(gs[0].submit(req.clone(), ReplySlot::None).is_none());
+    }
+    run_loopback_ingest(Arc::clone(&model), &ecfg, &cfg, Some(gs.clone())).expect("first run");
+    let admitted: Vec<usize> = gs.iter().map(|g| g.accepted_count()).collect();
+    assert_eq!(admitted.iter().sum::<usize>(), first.len());
+
+    let gs = journaled(&paths);
+    assert_eq!(
+        gs.iter().map(|g| g.accepted_count()).collect::<Vec<_>>(),
+        admitted
+    );
+    // Each first-run id is refused at once by the gate that admitted it;
+    // the other gate queues it and forwards it to that owner, which
+    // refuses it too.
+    for req in &first {
+        let duplicate = gs
+            .iter()
+            .filter(|g| g.submit(req.clone(), ReplySlot::None) == Some(IngestReply::Duplicate));
+        assert_eq!(duplicate.count(), 1, "id {}", req.id);
+    }
+    let fresh = script(2, 12, model.num_lps() as u32, 10.0);
+    for req in &fresh {
+        assert!(gs[0].submit(req.clone(), ReplySlot::None).is_none());
+    }
+    let r =
+        run_loopback_ingest(Arc::clone(&model), &ecfg, &cfg, Some(gs.clone())).expect("second run");
+    assert_eq!(gs.iter().map(|g| g.accepted_count()).sum::<usize>(), 32);
+    let duplicates: u64 = gs.iter().map(|g| g.stats().duplicate).sum();
+    assert_eq!(
+        duplicates,
+        2 * first.len() as u64,
+        "every first-run id refused"
+    );
+    let replayed: u64 = gs.iter().map(|g| g.stats().replayed).sum();
+    assert_eq!(replayed, first.len() as u64, "the journals replay once");
+
+    let mut ids = journaled_ids(&paths);
+    assert_eq!(ids.len(), 32);
+    ids.sort_unstable();
+    ids.dedup();
+    assert_eq!(ids.len(), 32, "an id was journaled twice");
+    let mut uids: Vec<_> = accepted_union(&gs).iter().map(|e| e.key.uid).collect();
+    uids.sort_unstable();
+    uids.dedup();
+    assert_eq!(uids.len(), 32, "a uid was minted twice");
+    assert_matches_merged_oracle(&r, &model, &ecfg, &gs, "2-shard resumed journals");
+    for p in &paths {
+        let _ = std::fs::remove_file(p);
+    }
 }
 
 /// The TCP ingest server end-to-end against a pumped gate: admission,

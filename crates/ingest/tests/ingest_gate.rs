@@ -1,6 +1,7 @@
 //! Gate-level plane behavior through the client: admission verdicts,
-//! backpressure saturation, and the crash window between journal append
-//! and engine injection (exactly-once across a journal recovery).
+//! backpressure saturation, the crash window between journal append and
+//! engine injection (exactly-once across a journal resume), and a torn
+//! journal tail.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -8,7 +9,7 @@ use std::time::Duration;
 
 use ingest::{local_endpoint, ClientError, IngestClient, MAX_ATTEMPTS};
 use pdes_core::ingest::{HIGH_WATERMARK, MAX_PER_PUMP, SOURCE_CAPACITY};
-use pdes_core::{IngestGate, IngestReply, IngestRequest, LpId, ReplySlot, VirtualTime};
+use pdes_core::{Event, IngestGate, IngestReply, IngestRequest, LpId, ReplySlot, VirtualTime};
 use proptest::prelude::*;
 
 fn req(source: u32, id: u64, at_ticks: u64) -> IngestRequest<u64> {
@@ -19,6 +20,13 @@ fn req(source: u32, id: u64, at_ticks: u64) -> IngestRequest<u64> {
         dst: LpId(0),
         payload: id,
     }
+}
+
+/// What a run start hands back: every accepted event with `send_time >= cut`.
+fn replay(gate: &IngestGate<u64>, cut: VirtualTime) -> Vec<Event<u64>> {
+    let mut got = Vec::new();
+    gate.reinject_after_restore(cut, &mut |ev| got.push(ev));
+    got
 }
 
 fn temp_journal(tag: &str) -> std::path::PathBuf {
@@ -182,11 +190,12 @@ fn give_up_reports_the_final_verdict() {
     }
 }
 
-/// The satellite-4 crash window: a kill between the journal append and the
-/// engine injection must neither drop nor duplicate the event. The gate's
-/// `fail_after_append` hook simulates exactly that window; recovery from
-/// the journal must replay the appended-but-uninjected event exactly once,
-/// and a client retry of the same id must resolve to `Duplicate`.
+/// The crash window: a kill between the journal append and the engine
+/// injection must neither drop nor duplicate the event. The gate's
+/// `fail_after_append` hook simulates exactly that window; the next start
+/// on the resumed journal must replay the appended-but-uninjected event
+/// exactly once, and a client retry of the same id must resolve to
+/// `Duplicate`.
 #[test]
 fn crash_between_append_and_injection_replays_exactly_once() {
     let path = temp_journal("crash-window");
@@ -199,10 +208,10 @@ fn crash_between_append_and_injection_replays_exactly_once() {
     assert_eq!(out.injected, 0, "the crash window fired before injection");
     drop(gate); // the "process" dies here
 
-    let (recovered, replay) =
-        IngestGate::<u64>::recover(0, &path, VirtualTime::ZERO).expect("recover");
-    assert_eq!(replay.len(), 1, "journal suffix replays the lost event");
-    assert_eq!(replay[0].key.recv_time.ticks(), 500);
+    let recovered: IngestGate<u64> = IngestGate::with_journal(0, &path).expect("resume");
+    let suffix = replay(&recovered, VirtualTime::ZERO);
+    assert_eq!(suffix.len(), 1, "journal suffix replays the lost event");
+    assert_eq!(suffix[0].key.recv_time.ticks(), 500);
     assert!(recovered.was_accepted(1, 7));
     // The client that never got its reply retries the same id:
     assert_eq!(
@@ -210,6 +219,44 @@ fn crash_between_append_and_injection_replays_exactly_once() {
         Some(IngestReply::Duplicate),
         "a retry after the crash must dedup, not double-admit"
     );
+    let _ = std::fs::remove_file(&path);
+}
+
+/// A crash mid-append leaves a torn last record. Reopening drops it and
+/// rewrites the journal before the next append, so that append is a line of
+/// its own and survives the reopen after it.
+#[test]
+fn an_admission_after_a_torn_tail_survives_the_next_reopen() {
+    let path = temp_journal("torn-tail");
+    let _ = std::fs::remove_file(&path);
+    {
+        let gate: IngestGate<u64> = IngestGate::with_journal(1, &path).expect("journal opens");
+        for id in 1..=3 {
+            assert!(gate.submit(req(1, id, 100 + id), ReplySlot::None).is_none());
+        }
+        gate.pump(|_| true, &mut |_| {}).expect("pump");
+    }
+    // Tear the last record: the crash cut its append short.
+    let text = std::fs::read_to_string(&path).expect("journal");
+    std::fs::write(&path, &text[..text.len() - 9]).expect("tear");
+
+    let gate: IngestGate<u64> = IngestGate::with_journal(1, &path).expect("torn tail tolerated");
+    assert!(gate.was_accepted(1, 2) && !gate.was_accepted(1, 3));
+    assert_eq!(replay(&gate, VirtualTime::ZERO).len(), 2);
+    assert!(gate.submit(req(1, 4, 200), ReplySlot::None).is_none());
+    let mut admitted = Vec::new();
+    gate.pump(|_| true, &mut |ev| admitted.push(ev))
+        .expect("pump");
+    drop(gate);
+
+    let gate: IngestGate<u64> = IngestGate::with_journal(1, &path).expect("reopens");
+    assert!(
+        gate.was_accepted(1, 4),
+        "the admission after the tear was lost"
+    );
+    assert_eq!(gate.accepted_count(), 3);
+    let resumed: Vec<_> = replay(&gate, VirtualTime::ZERO);
+    assert_eq!(resumed.last(), admitted.last(), "resumed bit-identical");
     let _ = std::fs::remove_file(&path);
 }
 
@@ -250,12 +297,12 @@ proptest! {
         injected_before += gate.pump(|_| true, &mut |_| {}).expect("pump").injected;
         drop(gate);
 
-        let (recovered, replay) =
-            IngestGate::<u64>::recover(0, &path, VirtualTime::ZERO).expect("recover");
-        // Replay (the journal suffix) plus nothing else: recovery holds
-        // every accepted id, and the replay covers what the dead process
-        // had journaled — including the appended-but-uninjected one.
-        prop_assert!(replay.len() as u64 >= injected_before.min(1));
+        let recovered: IngestGate<u64> = IngestGate::with_journal(0, &path).expect("resume");
+        // Replay (the journal suffix) plus nothing else: the resumed gate
+        // holds every accepted id, and the replay covers what the dead
+        // process had journaled — including the appended-but-uninjected one.
+        let suffix = replay(&recovered, VirtualTime::ZERO);
+        prop_assert!(suffix.len() as u64 >= injected_before.min(1));
 
         // Re-drive the full script: only duplicates or queue admissions of
         // ids that never got in (still queued when the gate died).

@@ -28,8 +28,10 @@
 //!   exactly the pending events with `send_time < G`, so after a restore the
 //!   journal suffix with `send_time ≥ G` is the exact complement — replaying
 //!   it re-injects every accepted-but-uncommitted event exactly once.
-//!   Duplicate submissions (client retries after a lost reply) are dropped
-//!   against the journal-backed idempotency map.
+//!   Every run start replays that suffix — from 0 on a fresh start, so a
+//!   gate opened on an existing journal resumes it. Duplicate submissions
+//!   (client retries after a lost reply) are dropped against the
+//!   journal-backed idempotency map.
 
 use crate::ids::LpId;
 use crate::time::VirtualTime;
@@ -98,7 +100,8 @@ pub struct IngestStats {
     pub busy: u64,
     pub shed: u64,
     pub duplicate: u64,
-    /// Journal records re-injected after a restore.
+    /// Accepted events re-injected at a run start (a resumed journal's
+    /// records, or the suffix a restored cut does not hold).
     pub replayed: u64,
 }
 
@@ -164,8 +167,16 @@ mod tests {
         got
     }
 
+    /// What a run start hands back: everything the gate accepted with
+    /// `send_time >= cut`, in key order.
+    fn replay(gate: &IngestGate<u32>, cut: VirtualTime) -> Vec<Event<u32>> {
+        let mut got = Vec::new();
+        gate.reinject_after_restore(cut, &mut |ev| got.push(ev));
+        got
+    }
+
     #[test]
-    fn staged_replay_drains_once_ahead_of_fresh_admissions() {
+    fn a_resumed_journal_replays_once_at_start_ahead_of_fresh_admissions() {
         let dir = std::env::temp_dir().join(format!("ggpdes-ingest-core-{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("mkdir");
         let path = dir.join("stage-replay.jsonl");
@@ -176,18 +187,16 @@ mod tests {
             gate.submit(req(1, 2, 3.0), ReplySlot::None);
             assert_eq!(pump_all(&gate).len(), 2);
         }
-        let (gate, replay) =
-            IngestGate::<u32>::recover(0, &path, VirtualTime::ZERO).expect("recover");
-        assert_eq!(replay.len(), 2);
-        gate.stage_replay(replay);
-        // A fresh admission queued behind the staged suffix.
+        let gate: IngestGate<u32> = IngestGate::with_journal(0, &path).expect("resume");
+        // The start replays the journaled pair; a pump never does.
+        assert_eq!(replay(&gate, VirtualTime::ZERO).len(), 2);
+        assert_eq!(gate.stats().replayed, 2);
         gate.submit(req(1, 3, 4.0), ReplySlot::None);
         let got = pump_all(&gate);
-        assert_eq!(got.len(), 3, "staged pair + fresh admission in one pump");
-        assert_eq!(got[2].key.recv_time, VirtualTime::from_f64(4.0));
-        // Drained exactly once.
+        assert_eq!(got.len(), 1, "only the fresh admission is pumped");
+        assert_eq!(got[0].key.recv_time, VirtualTime::from_f64(4.0));
         assert!(pump_all(&gate).is_empty());
-        // Retries of replayed ids still dedup against the recovered map.
+        // Retries of replayed ids still dedup against the resumed map.
         assert_eq!(
             gate.submit(req(1, 2, 3.0), ReplySlot::None),
             Some(IngestReply::Duplicate)
@@ -327,9 +336,15 @@ mod tests {
             pump_all(&gate); // send_time = 8 (≥ cut)
         }
         let cut = VirtualTime::from_f64(8.0);
-        let (gate2, replay) = IngestGate::<u32>::recover(0, &path, cut).expect("recover");
-        assert_eq!(replay.len(), 1, "only the suffix above the cut replays");
-        assert_eq!(replay[0].key.recv_time, VirtualTime::from_f64(9.0));
+        let gate2: IngestGate<u32> = IngestGate::with_journal(0, &path).expect("resume");
+        let suffix = replay(&gate2, cut);
+        assert_eq!(suffix.len(), 1, "only the suffix above the cut replays");
+        assert_eq!(
+            gate2.floor_ticks(),
+            cut.ticks(),
+            "the floor starts at the cut"
+        );
+        assert_eq!(suffix[0].key.recv_time, VirtualTime::from_f64(9.0));
         // The idempotency map survives for both records.
         assert!(gate2.was_accepted(1, 1));
         assert!(gate2.was_accepted(1, 2));
@@ -340,7 +355,7 @@ mod tests {
         // New admissions mint fresh uids past the journaled ones.
         gate2.submit(req(1, 3, 20.0), ReplySlot::None);
         let got = pump_all(&gate2);
-        assert!(got[0].key.uid.seq > replay[0].key.uid.seq);
+        assert!(got[0].key.uid.seq > suffix[0].key.uid.seq);
         let _ = std::fs::remove_file(&path);
     }
 
@@ -395,13 +410,12 @@ mod tests {
         }
         // The newest cut G precedes the append (no publish ran in between),
         // so send_time = floor-at-append ≥ G and the record replays.
-        let (_, replay) = IngestGate::<u32>::recover(0, &path, cut).expect("recover");
-        assert_eq!(replay.len(), 1);
+        let gate: IngestGate<u32> = IngestGate::with_journal(0, &path).expect("resume");
+        assert_eq!(replay(&gate, cut).len(), 1);
         // …and only once: a second recovery from a later cut *above* the
         // send stamp means the event committed before that cut.
-        let (_, replay2) =
-            IngestGate::<u32>::recover(0, &path, VirtualTime::from_f64(4.0)).expect("recover");
-        assert!(replay2.is_empty());
+        let gate: IngestGate<u32> = IngestGate::with_journal(0, &path).expect("resume");
+        assert!(replay(&gate, VirtualTime::from_f64(4.0)).is_empty());
         let _ = std::fs::remove_file(&path);
     }
 

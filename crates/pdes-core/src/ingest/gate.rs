@@ -70,9 +70,6 @@ struct GateInner<P> {
     per_source: HashMap<u32, usize>,
     /// Idempotency map: every admitted `(source, id)` with its exact event.
     accepted: HashMap<(u32, u64), Event<P>>,
-    /// Cross-process replay suffix staged by [`IngestGate::stage_replay`];
-    /// the next pump drains it straight to the sink ahead of the queue.
-    staged_replay: Vec<Event<P>>,
     journal: Option<IngestJournal>,
     next_seq: u64,
     uid_base: u64,
@@ -105,7 +102,6 @@ impl<P> IngestGate<P> {
                 queued_ids: HashSet::new(),
                 per_source: HashMap::new(),
                 accepted: HashMap::new(),
-                staged_replay: Vec::new(),
                 journal: None,
                 next_seq: 0,
                 uid_base: shard << SHARD_SHIFT,
@@ -113,14 +109,6 @@ impl<P> IngestGate<P> {
                 fail_after_append: false,
             }),
         }
-    }
-
-    /// A gate journaling to `path` (fresh run: an existing journal is left
-    /// in place and appended to; use [`Self::recover`] to replay one).
-    pub fn with_journal(shard: u64, path: &Path) -> Result<Self, IngestError> {
-        let gate = Self::new(shard);
-        lock(&gate.inner).journal = Some(IngestJournal::open(path)?);
-        Ok(gate)
     }
 
     /// Submit one request. `Some(reply)` is an immediate verdict (the slot
@@ -231,17 +219,6 @@ impl<P> IngestGate<P> {
     pub fn set_fail_after_append(&self, on: bool) {
         lock(&self.inner).fail_after_append = on;
     }
-
-    /// Stage the replay suffix returned by [`IngestGate::recover`] for
-    /// injection at the next pump of a **fresh** run. The events are
-    /// already journaled and in the accepted map, so they bypass admission
-    /// and go straight to the sink — exactly once, ahead of any new
-    /// admission. (Per-shard journals only ever hold locally-owned events —
-    /// forwarding happens before admission — so staged events never need
-    /// re-routing under an unchanged LP map.)
-    pub fn stage_replay(&self, replay: Vec<Event<P>>) {
-        lock(&self.inner).staged_replay.extend(replay);
-    }
 }
 
 impl<P: Clone + Serialize> IngestGate<P> {
@@ -257,13 +234,6 @@ impl<P: Clone + Serialize> IngestGate<P> {
     ) -> Result<PumpOutcome<P>, IngestError> {
         let mut g = lock(&self.inner);
         let mut out = PumpOutcome::new();
-        // Staged cross-process replay first: pre-admitted, pre-journaled,
-        // not charged against `MAX_PER_PUMP` (a one-time, journal-bounded
-        // burst that must land before any fresh admission can outrun it).
-        for ev in std::mem::take(&mut g.staged_replay) {
-            out.injected += 1;
-            sink(ev);
-        }
         for _ in 0..MAX_PER_PUMP {
             let Some(entry) = g.queue.pop_front() else {
                 break;
@@ -329,22 +299,14 @@ impl<P: Clone + Serialize> IngestGate<P> {
         evs
     }
 
-    /// Re-inject after an **in-process** restore from a cut at `cut_gvt`:
-    /// the cut holds every accepted event with `send_time < cut_gvt`, so the
-    /// complement (`send_time ≥ cut_gvt`) is handed back to `sink` — exactly
-    /// once, from the accepted map the surviving gate still holds. A restart
-    /// from genesis passes `cut_gvt = 0` and gets everything ever accepted.
-    /// Any staged cross-process replay suffix is discarded: it is a subset
-    /// of what `sink` receives here, and letting the next pump inject it
-    /// too would commit those ids twice.
+    /// Every run start calls this once: it hands `sink`, in key order, each
+    /// accepted event the start does not hold. A restore from a cut at
+    /// `cut_gvt` holds those with `send_time < cut_gvt`, so the complement
+    /// goes; a fresh start (or a restart from genesis) passes 0 and gets all
+    /// of them, a journal resumed by [`Self::with_journal`] included. The
+    /// admission floor rises to the cut.
     pub fn reinject_after_restore(&self, cut_gvt: VirtualTime, sink: &mut dyn FnMut(Event<P>)) {
         let mut g = lock(&self.inner);
-        // `recover` pre-charged `stats.replayed` for the staged suffix; the
-        // discard hands those events to `sink` below instead, so drop the
-        // pre-charge rather than count them twice.
-        let discarded = g.staged_replay.len() as u64;
-        g.staged_replay.clear();
-        g.stats.replayed = g.stats.replayed.saturating_sub(discarded);
         g.floor_ticks = g.floor_ticks.max(cut_gvt.ticks());
         let mut evs: Vec<Event<P>> = g
             .accepted
@@ -361,37 +323,26 @@ impl<P: Clone + Serialize> IngestGate<P> {
 }
 
 impl<P: Clone + Serialize + Deserialize> IngestGate<P> {
-    /// Rebuild a gate from its journal after a **cross-process** restore
-    /// from a cut at `cut_gvt`. The accepted map is reloaded from every
-    /// journal record (so client retries still dedup), the floor starts at
-    /// the cut, and the returned events — the journal suffix with
-    /// `send_time ≥ cut_gvt` — must be re-injected by the caller, exactly
-    /// once, in the returned (key) order.
-    pub fn recover(
-        shard: u64,
-        path: &Path,
-        cut_gvt: VirtualTime,
-    ) -> Result<(Self, Vec<Event<P>>), IngestError> {
-        let records = IngestJournal::read_all::<P>(path)?;
+    /// A gate journaling to `path`, resuming what the journal holds: its
+    /// records join the accepted map (retries of their ids are `Duplicate`,
+    /// and [`Self::reinject_after_restore`] replays them) and the uid
+    /// sequence continues past them. A torn last record (a crash mid-append)
+    /// is dropped by rewriting the journal before anything is appended.
+    pub fn with_journal(shard: u64, path: &Path) -> Result<Self, IngestError> {
+        let (records, torn) = IngestJournal::read::<P>(path)?;
+        if torn {
+            IngestJournal::compact(path, &records)?;
+        }
         let gate = Self::new(shard);
-        let mut replay = Vec::new();
         {
             let mut g = lock(&gate.inner);
-            g.floor_ticks = cut_gvt.ticks();
             for rec in records {
-                // Resume the uid sequence past every minted seq so new
-                // admissions never collide with journaled ones.
                 let seq = rec.event.key.uid.seq & !(u64::MAX << SHARD_SHIFT);
                 g.next_seq = g.next_seq.max(seq + 1);
-                if rec.event.send_time >= cut_gvt {
-                    replay.push(rec.event.clone());
-                }
                 g.accepted.insert((rec.source, rec.id), rec.event);
             }
-            g.stats.replayed = replay.len() as u64;
             g.journal = Some(IngestJournal::open(path)?);
         }
-        replay.sort_by_key(|e| e.key);
-        Ok((gate, replay))
+        Ok(gate)
     }
 }

@@ -61,9 +61,17 @@ impl IngestJournal {
     /// line is a torn append and is dropped; an unparsable interior line is
     /// `Corrupt`.
     pub fn read_all<P: Deserialize>(path: &Path) -> Result<Vec<JournalRecord<P>>, IngestError> {
+        Self::read(path).map(|(records, _)| records)
+    }
+
+    /// [`Self::read_all`], and whether the file ends in a torn append (an
+    /// unparsable or unterminated last line, which an append would extend).
+    pub(super) fn read<P: Deserialize>(
+        path: &Path,
+    ) -> Result<(Vec<JournalRecord<P>>, bool), IngestError> {
         let text = match std::fs::read_to_string(path) {
             Ok(t) => t,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok((Vec::new(), false)),
             Err(source) => {
                 return Err(IngestError::Io {
                     path: path.to_path_buf(),
@@ -71,12 +79,13 @@ impl IngestJournal {
                 })
             }
         };
+        let mut torn = !text.is_empty() && !text.ends_with('\n');
         let lines: Vec<&str> = text.lines().filter(|l| !l.trim().is_empty()).collect();
         let mut out = Vec::with_capacity(lines.len());
         for (i, line) in lines.iter().enumerate() {
             match serde_json::from_str::<JournalRecord<P>>(line) {
                 Ok(rec) => out.push(rec),
-                Err(_) if i + 1 == lines.len() => break, // torn tail
+                Err(_) if i + 1 == lines.len() => torn = true,
                 Err(e) => {
                     return Err(IngestError::Corrupt {
                         path: path.to_path_buf(),
@@ -85,7 +94,7 @@ impl IngestJournal {
                 }
             }
         }
-        Ok(out)
+        Ok((out, torn))
     }
 
     /// Rewrite `path` to exactly `keep`, atomically (temp file + rename —

@@ -130,9 +130,9 @@ impl<M: Model> CkptSink<M> {
 /// With an `ingest` gate, its accepted-but-uncut events are re-routed before
 /// any worker starts: a cut at `c.gvt` holds every accepted event with
 /// `send_time < c.gvt`, the complement is replayed here, so each accepted
-/// idempotency id commits exactly once across the restore. A restart from
-/// genesis (a prior attempt died before the first deposit) has an empty cut,
-/// so everything ever accepted is replayed — the gate dedups client retries
+/// idempotency id commits exactly once across the restore. A fresh start
+/// (or a restart from genesis) has an empty cut, so everything ever accepted
+/// is replayed, a resumed journal included — the gate dedups client retries
 /// as `Duplicate`, so nothing else will carry those ids back in.
 pub fn build_engines<M: Model>(
     model: &Arc<M>,
@@ -295,11 +295,11 @@ impl<R> SupervisedRun<R> {
 ///    *degrades*: the sequential engine finishes from the last consistent
 ///    cut (or from genesis).
 ///
-/// An `ingest` gate outlives every failed attempt (the attempt replays its
-/// accepted-but-uncut events, see [`build_engines`]); the degraded path
-/// merges that same suffix into the sequential engine's pending set — older
-/// accepted events are inside the cut already — so even a fully exhausted
-/// run commits every accepted event exactly once, and then closes the gate.
+/// An `ingest` gate outlives every failed attempt. Every start replays its
+/// accepted-but-uncut events ([`IngestGate::reinject_after_restore`]): each
+/// attempt in [`build_engines`], and the degraded path (which then closes
+/// the gate) into the sequential engine's pending set — so even a fully
+/// exhausted run commits every accepted event exactly once.
 pub fn supervise<M: Model, R, E: Into<AttemptFailure>>(
     model: &Arc<M>,
     ecfg: &EngineConfig,
@@ -352,12 +352,12 @@ pub fn supervise<M: Model, R, E: Into<AttemptFailure>>(
         ));
         if recoveries >= sup.max_recoveries {
             let cut = ckpt.as_ref().map_or(VirtualTime::ZERO, |c| c.gvt);
-            let mut extra = ingest.map(|g| g.accepted_events()).unwrap_or_default();
-            extra.retain(|e| e.send_time >= cut);
-            let seq = run_sequential_with(model, ecfg, ckpt.as_ref(), &extra, None);
+            let mut extra = Vec::new();
             if let Some(g) = ingest {
+                g.reinject_after_restore(cut, &mut |ev| extra.push(ev));
                 g.close();
             }
+            let seq = run_sequential_with(model, ecfg, ckpt.as_ref(), &extra, None);
             log.push("recovery budget exhausted; degraded to sequential".into());
             return SupervisedRun {
                 outcome: Recovered::Sequential(seq),

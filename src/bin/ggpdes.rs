@@ -92,8 +92,9 @@
 //! and retry; bounded queues answer `Busy`/`Shed` under overload.
 //! `--ingest-journal PATH` makes admissions crash-durable (JSONL, one
 //! record per accepted idempotency id; on loopback `dist` each shard `S`
-//! journals to `PATH.sS`), and `--ingest-replay` recovers the journal at
-//! startup and re-injects its suffix exactly once. Final admission
+//! journals to `PATH.sS`); a journal that already holds records is resumed:
+//! its events are re-injected exactly once at startup and retries of its
+//! ids answer `Duplicate`. Final admission
 //! counters print to stderr; `--verify` checks the committed trace against
 //! a sequential oracle fed the merged (seeded + accepted-ingest) stream.
 //!
@@ -266,7 +267,6 @@ struct Args {
     gantt: bool,
     ingest: Option<IngestSource>,
     ingest_journal: Option<String>,
-    ingest_replay: bool,
 }
 
 // Value parsers: each `Err` is the `<why>` of `ggpdes: <flag> '<value>': <why>`.
@@ -439,7 +439,6 @@ static FLAGS: &[(&str, &[Flag])] = &[
             |c, v| put(&mut c.a.ingest, ingest_source(v).map(Some))),
         flag("--ingest-journal", "PATH", "", THREADS | DIST, "make admissions crash-durable (loopback dist: PATH.sS per shard)",
             |c, v| put(&mut c.a.ingest_journal, Ok(Some(v.into())))),
-        flag("--ingest-replay", "", "", THREADS | DIST, "recover --ingest-journal at startup and re-inject its suffix once", |c, _| put(&mut c.a.ingest_replay, Ok(true))),
     ]),
 ];
 
@@ -673,29 +672,14 @@ type Accepted<M> = Vec<pdes_core::Event<<M as Model>::Payload>>;
 /// Payload synthesis for `--ingest rate:N` (models with a unit payload).
 type Synth<M> = Option<fn(u64) -> <M as Model>::Payload>;
 
-/// Build one shard's gate: fresh, journaling, or recovered-with-replay.
-/// `journal` already carries any per-shard suffix.
-fn build_gate<M: Model>(a: &Args, shard: u64, journal: Option<&str>) -> Gate<M> {
-    let gate = match journal {
-        Some(path) if a.ingest_replay => {
-            let (gate, replay) =
-                IngestGate::recover(shard, std::path::Path::new(path), VirtualTime::ZERO)
-                    .unwrap_or_else(|e| die(1, &format!("--ingest-replay: {e}")));
-            if gate.accepted_count() > 0 {
-                eprintln!(
-                    "ingest: recovered {} accepted event(s) from {path}; {} staged for replay",
-                    gate.accepted_count(),
-                    replay.len()
-                );
-            }
-            gate.stage_replay(replay);
-            gate
-        }
+/// Build one shard's gate: fresh, or journaling (resuming what the journal
+/// holds). `journal` already carries any per-shard suffix.
+fn build_gate<M: Model>(shard: u64, journal: Option<&str>) -> Gate<M> {
+    Arc::new(match journal {
         Some(path) => IngestGate::with_journal(shard, std::path::Path::new(path))
             .unwrap_or_else(|e| die(1, &format!("--ingest-journal: {e}"))),
         None => IngestGate::new(shard),
-    };
-    Arc::new(gate)
+    })
 }
 
 /// The client-facing feeder attached to the entry gate, torn down by
@@ -822,7 +806,7 @@ fn with_ingest<M: Model, R>(
     body: impl FnOnce(Option<&dist_rt::IngestGates<M>>) -> R,
 ) -> R {
     let a = &c.a;
-    if a.ingest.is_none() && a.ingest_journal.is_none() && !a.ingest_replay {
+    if a.ingest.is_none() && a.ingest_journal.is_none() {
         return body(None);
     }
     let journal = |s: usize| match (&a.ingest_journal, per_shard) {
@@ -830,7 +814,7 @@ fn with_ingest<M: Model, R>(
         (p, _) => p.clone(),
     };
     let gates: dist_rt::IngestGates<M> = shards
-        .map(|s| build_gate::<M>(a, s as u64, journal(s).as_deref()))
+        .map(|s| build_gate::<M>(s as u64, journal(s).as_deref()))
         .collect();
     let plane = start_feeder::<M>(c, &gates[0], model.num_lps() as u32, synth);
     let out = body(Some(&gates));
@@ -1029,9 +1013,6 @@ fn run_on_threads<M: Model, P: thread_rt::Protocol<M>>(
 
 fn run<M: Model>(model: Arc<M>, c: &Cli, synth: Synth<M>) {
     let a = &c.a;
-    if a.ingest_replay && a.ingest_journal.is_none() {
-        die(2, "--ingest-replay needs --ingest-journal PATH");
-    }
     // Checkpointing or an explicit retry budget opts the run into the
     // supervisor (which also needs checkpoints to recover from, so a bare
     // --max-recoveries enables a per-round cut).
@@ -1173,7 +1154,7 @@ mod tests {
     #[test]
     fn every_flag_is_declared_once_with_a_default_that_parses_and_a_help_line() {
         let names: Vec<&str> = flags().map(|f| f.name).collect();
-        assert_eq!(names.len(), 44);
+        assert_eq!(names.len(), 43);
         let help = usage();
         for (i, name) in names.iter().enumerate() {
             assert!(!names[..i].contains(name), "{name} is declared twice");
