@@ -24,6 +24,10 @@ pub struct RunMetrics {
     pub rollbacks: u64,
     /// Anti-messages sent.
     pub antis_sent: u64,
+    /// Events re-executed to rebuild a state under sparse saving
+    /// (`ThreadStats::coasted`; host work only, never charged in virtual
+    /// time).
+    pub coasted: u64,
     /// GVT rounds completed.
     pub gvt_rounds: u64,
     /// CPU time spent inside GVT computation, summed over threads (seconds).
@@ -86,6 +90,7 @@ impl RunMetrics {
             rolled_back: total.rolled_back,
             rollbacks: total.rollbacks,
             antis_sent: total.antis_sent,
+            coasted: total.coasted,
             gvt_rounds,
             max_descheduled,
             commit_digest: total.commit_digest,

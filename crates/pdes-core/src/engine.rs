@@ -233,7 +233,6 @@ impl<M: Model> ThreadEngine<M> {
                 self.stats.rollbacks += 1;
                 let undone = lp.rollback_into(
                     &mut self.store,
-                    self.model.as_ref(),
                     &key,
                     inclusive,
                     &mut self.undone,
@@ -340,6 +339,7 @@ impl<M: Model> ThreadEngine<M> {
             }
             sends.clear();
             let n = self.lps[at].process_into(&mut self.store, self.model.as_ref(), ev, &mut sends);
+            self.stats.coasted += std::mem::take(&mut self.store.coasted);
             self.stats.processed += 1;
             out.processed += 1;
             out.sent += n as u32;
@@ -393,6 +393,7 @@ impl<M: Model> ThreadEngine<M> {
             listed[at as usize]
         });
         stats.committed += n;
+        stats.coasted += std::mem::take(&mut store.coasted);
         n
     }
 
@@ -1041,6 +1042,109 @@ mod tests {
         }
         assert!(rollbacks > 20 && emptied > 5 && restores > 5);
         assert!(eng.stats().committed > 100);
+    }
+
+    /// LP 0 folds an RNG draw into its state and sends to LP 1, which
+    /// another thread owns: every send and anti leaves through the outbox.
+    struct Draw;
+    impl Model for Draw {
+        type State = u64;
+        type Payload = u64;
+        fn num_lps(&self) -> usize {
+            2
+        }
+        fn init_state(&self, _lp: LpId) -> u64 {
+            1
+        }
+        fn init_events(&self, _lp: LpId, _s: &mut u64, _ctx: &mut SendCtx<'_, u64>) {}
+        fn handle_event(&self, _lp: LpId, s: &mut u64, p: &u64, ctx: &mut SendCtx<'_, u64>) {
+            *s = s
+                .wrapping_mul(31)
+                .wrapping_add(*p ^ ctx.rng().next_below(1 << 16));
+            let d = 0.5 + ctx.rng().next_f64();
+            ctx.send(LpId(1), d, *p);
+        }
+        fn state_digest(&self, s: &u64) -> u64 {
+            *s
+        }
+    }
+
+    /// What [`stale_schedule`] observed.
+    type StaleRun = (
+        CutSnapshot<u64, u64>,
+        Vec<(LpId, u64)>,
+        (u64, u64, u64),
+        Vec<Outbound<u64>>,
+    );
+
+    /// Back-to-back stragglers and antis on LP 0, a fossil collection, a
+    /// cut, a restore from it and a finalize, under snapshot period
+    /// `period`; asserts LP 0 is stale at each step iff `period > 1`.
+    fn stale_schedule(period: u32) -> StaleRun {
+        let map = LpMap::new(2, 2, crate::mapping::MapKind::RoundRobin);
+        let c = cfg(100.0).with_snapshot_period(period);
+        let mut eng = ThreadEngine::new(Arc::new(Draw), map, SimThreadId(0), &c);
+        let stale = |eng: &ThreadEngine<Draw>| eng.lps[0].is_stale();
+        let mut outbox = Vec::new();
+        let ev = |t: f64, seq: u64| Event {
+            key: EventKey {
+                recv_time: VirtualTime::from_f64(t),
+                dst: LpId(0),
+                uid: crate::ids::EventUid::new(LpId(99), seq),
+            },
+            send_time: VirtualTime::ZERO,
+            payload: seq,
+        };
+        let run = |eng: &mut ThreadEngine<Draw>, outbox: &mut Vec<_>| {
+            while eng.process_batch(8, outbox).processed > 0 {}
+        };
+        // Ten entries at t = 1..=10; a period of 4 snapshots t = 1, 5, 9.
+        for i in 1..=10 {
+            eng.deliver(Msg::Event(ev(i as f64, i)), &mut outbox);
+        }
+        run(&mut eng, &mut outbox);
+        let stale_at = |eng: &ThreadEngine<Draw>, what: &str| {
+            assert_eq!(stale(eng), period > 1, "{what} at period {period}");
+        };
+        // A straggler undoes t = 7..=10, whose first entry has no snapshot;
+        // an anti undoes t = 6; another straggler lands past the tail.
+        let d = eng.deliver(Msg::Event(ev(6.5, 20)), &mut outbox);
+        assert_eq!(d.rolled_back, 4);
+        stale_at(&eng, "straggler");
+        let d = eng.deliver(Msg::Anti(ev(6.0, 6).key), &mut outbox);
+        assert_eq!((d.rolled_back, d.annihilated), (1, true));
+        stale_at(&eng, "anti");
+        eng.deliver(Msg::Event(ev(5.5, 21)), &mut outbox);
+        // The cut lands mid-gap: t = 1..=3 commit, t = 4 and 5 remain.
+        assert_eq!(eng.fossil_collect(VirtualTime::from_f64(3.5)), 3);
+        stale_at(&eng, "fossil collection");
+        let cut = eng.snapshot_at_gvt(VirtualTime::from_f64(3.5));
+        stale_at(&eng, "cut");
+        eng.restore(&cut.0, &cut.1, VirtualTime::from_f64(3.5));
+        assert!(!stale(&eng), "a restore leaves nothing stale");
+        // Everything again from the cut, then an anti for t = 8, which has
+        // no snapshot under either period's pattern from the restore on.
+        run(&mut eng, &mut outbox);
+        let d = eng.deliver(Msg::Anti(ev(8.0, 8).key), &mut outbox);
+        assert_eq!((d.rolled_back, d.annihilated), (3, true));
+        stale_at(&eng, "anti after the restore");
+        eng.finalize();
+        assert!(!stale(&eng), "finalize commits everything");
+        let s = eng.stats();
+        assert_eq!(s.coasted > 0, period > 1, "coasted {}", s.coasted);
+        let counts = (s.committed, s.commit_digest, eng.pending_digest());
+        (cut, eng.state_digests(), counts, outbox)
+    }
+
+    /// A stale LP goes through fossil collection, a cut, a restore and a
+    /// finalize exactly as one that was rebuilt at once: snapshot period 1
+    /// never leaves one stale.
+    #[test]
+    fn a_stale_lp_cuts_restores_and_finalizes_like_a_dense_one() {
+        let dense = stale_schedule(1);
+        for period in [4, 8] {
+            assert_eq!(stale_schedule(period), dense, "period {period}");
+        }
     }
 
     #[test]

@@ -71,6 +71,9 @@ pub(crate) struct HistoryStore<M: Model> {
     /// Coast-forward's send buffer: replayed sends land here only to be
     /// compared against the recorded keys.
     replay: Vec<Event<M::Payload>>,
+    /// Events re-executed by coast-forward since the owner last took the
+    /// count.
+    pub(crate) coasted: u64,
 }
 
 impl<M: Model> HistoryStore<M> {
@@ -82,6 +85,7 @@ impl<M: Model> HistoryStore<M> {
             snaps: Slab::new(),
             snapshot_every: snapshot_period,
             replay: Vec::new(),
+            coasted: 0,
         }
     }
 
@@ -147,6 +151,7 @@ impl<M: Model> HistoryStore<M> {
         mut at: u32,
         count: u32,
     ) -> Snapshot<M::State> {
+        self.coasted += u64::from(count);
         for _ in 0..count {
             let entry = self.entries.get(at);
             self.replay.clear();
@@ -198,15 +203,22 @@ pub struct Rollback<M: Model> {
 /// the back on `process_into`, shrinks at the back on `rollback` and at the
 /// front on `fossil_collect`. An entry's **ordinal** is its place in the
 /// LP's commit order, `committed + position`. Only every k-th entry carries
-/// a snapshot of the state before it; rollback restores the nearest
-/// earlier snapshot and *coast-forwards*: it re-executes the intervening
-/// events with their sends suppressed (determinism guarantees the replayed
-/// execution is identical, so the original in-flight events stay valid).
+/// a snapshot of the state before it. A rollback whose first undone entry
+/// carries one restores it; any other leaves the state **stale**, and the
+/// next reader of the state — `process_into`, or a `fossil_collect` that
+/// commits the whole history — rebuilds it once: it restores the newest
+/// snapshot and *coast-forwards*, re-executing the retained events after it
+/// with their sends suppressed (determinism guarantees the replayed
+/// execution is identical, so the original in-flight events stay valid). A
+/// rollback in between only moves what that rebuild replays to.
 pub struct LpCore<M: Model> {
     pub id: LpId,
     pub state: M::State,
     pub rng: DetRng,
     pub send_seq: u64,
+    /// `state`, `rng` and `send_seq` are not yet those after the newest
+    /// retained entry: a rollback left them for the next reader to rebuild.
+    stale: bool,
     /// Number of events committed (fossil-collected) so far.
     pub committed: u64,
     /// XOR-fold of key digests of committed events (order-independent trace
@@ -245,6 +257,7 @@ impl<M: Model> LpCore<M> {
             state: model.init_state(id),
             rng: DetRng::for_lp(seed, id),
             send_seq: 0,
+            stale: false,
             committed: 0,
             commit_digest: 0,
             committed_lvt: VirtualTime::ZERO,
@@ -271,6 +284,7 @@ impl<M: Model> LpCore<M> {
 
     /// Digest of the LP's current model state.
     pub fn state_digest(&self, model: &M) -> u64 {
+        debug_assert!(!self.stale, "{} read while stale", self.id);
         model.state_digest(&self.state)
     }
 
@@ -319,6 +333,7 @@ impl<M: Model> LpCore<M> {
 
     /// What a rollback to this point would have to restore.
     fn current(&self) -> Snapshot<M::State> {
+        debug_assert!(!self.stale, "{} read while stale", self.id);
         Snapshot {
             state: self.state.clone(),
             rng: self.rng.clone(),
@@ -341,6 +356,27 @@ impl<M: Model> LpCore<M> {
         (NIL, 0)
     }
 
+    /// Take on the state of `s`, which is current.
+    fn set(&mut self, s: Snapshot<M::State>) {
+        self.state = s.state;
+        self.rng = s.rng;
+        self.send_seq = s.send_seq;
+        self.stale = false;
+    }
+
+    /// Rebuild a state a rollback left stale: restore the newest snapshot
+    /// and coast forward through the retained entries from it.
+    fn rebuild(&mut self, store: &mut HistoryStore<M>, model: &M) {
+        if !self.stale {
+            return;
+        }
+        let (base, gap) = self.newest_snapshot(store);
+        debug_assert_eq!(gap, self.since_snap);
+        let s = store.snaps.get(store.entries.get(base).snap).clone();
+        let s = store.coast_forward(model, self.id, s, base, gap);
+        self.set(s);
+    }
+
     /// [`Lp::process_into`] on history kept in `store`.
     pub(crate) fn process_into(
         &mut self,
@@ -355,6 +391,7 @@ impl<M: Model> LpCore<M> {
             event.key,
             self.last_processed_key(store)
         );
+        self.rebuild(store, model);
         // The first retained entry must carry a snapshot (it is the replay
         // base); later entries snapshot once a period has passed since the
         // newest one.
@@ -397,10 +434,11 @@ impl<M: Model> LpCore<M> {
     /// [`Lp::rollback`] on history kept in `store`, **appending** the undone
     /// events and the antis to buffers the caller reuses; returns the number
     /// of events undone. It allocates nothing once the buffers have grown.
+    /// Unless the first undone entry carries a snapshot, the state is left
+    /// stale for its next reader to rebuild.
     pub(crate) fn rollback_into(
         &mut self,
         store: &mut HistoryStore<M>,
-        model: &M,
         key: &EventKey,
         inclusive: bool,
         reinserted: &mut Vec<Event<M::Payload>>,
@@ -449,20 +487,13 @@ impl<M: Model> LpCore<M> {
             self.head = NIL;
         }
         self.len -= undone;
-        let (base, gap) = self.newest_snapshot(store);
-        self.since_snap = gap;
-        let s = match pre {
-            Some(s) => s,
-            None => {
-                // Sparse saving: restore the nearest earlier snapshot and
-                // coast-forward through the retained tail.
-                let s = store.snaps.get(store.entries.get(base).snap).clone();
-                store.coast_forward(model, self.id, s, base, gap)
-            }
-        };
-        self.state = s.state;
-        self.rng = s.rng;
-        self.send_seq = s.send_seq;
+        self.since_snap = self.newest_snapshot(store).1;
+        // Sparse saving: without a snapshot to restore, the state waits for
+        // its next reader to coast forward from the newest retained one.
+        match pre {
+            Some(s) => self.set(s),
+            None => self.stale = true,
+        }
         self.check_history(store);
         undone as usize
     }
@@ -491,6 +522,10 @@ impl<M: Model> LpCore<M> {
         }
         if cut == 0 {
             return 0;
+        }
+        // Committing the whole history makes the state the committed one.
+        if front == NIL {
+            self.rebuild(store, model);
         }
         // When the cut lands mid-gap, the nearest committed snapshot is
         // replayed up to it and becomes the new first entry's.
@@ -524,8 +559,9 @@ impl<M: Model> LpCore<M> {
     ///
     /// Valid right after `fossil_collect(gvt)`: if any uncommitted entries
     /// remain, the first one carries a (possibly just materialized) snapshot
-    /// whose pre-state is exactly the committed state; with no uncommitted
-    /// history the current state *is* the committed state.
+    /// whose pre-state is exactly the committed state, stale or not; with no
+    /// uncommitted history the current state *is* the committed state, and
+    /// an LP without history is never stale.
     pub(crate) fn committed_snapshot(&self, store: &HistoryStore<M>) -> Snapshot<M::State> {
         match self.head {
             NIL => self.current(),
@@ -548,9 +584,7 @@ impl<M: Model> LpCore<M> {
             at = store.release(at, |_| {}).next;
         }
         (self.head, self.tail, self.len, self.since_snap) = (NIL, NIL, 0, 0);
-        self.state = snap.state;
-        self.rng = snap.rng;
-        self.send_seq = snap.send_seq;
+        self.set(snap);
         self.committed = committed;
         self.commit_digest = commit_digest;
         self.committed_lvt = committed_lvt;
@@ -584,6 +618,10 @@ impl<M: Model> LpCore<M> {
         assert_eq!(prev, self.tail);
         assert_eq!(len, self.len);
         assert_eq!(gap, self.since_snap);
+        assert!(
+            len > 0 || !self.stale,
+            "an LP without history is never stale"
+        );
     }
 }
 
@@ -643,17 +681,15 @@ impl<M: Model> Lp<M> {
     /// `inclusive`, as for an anti-message: the cancelled event itself is
     /// undone, and the caller drops it from the returned events). Restores
     /// the snapshot of the earliest undone entry — or, under sparse state
-    /// saving, the nearest earlier snapshot followed by a coast-forward.
+    /// saving, the nearest earlier snapshot followed by a coast-forward,
+    /// which the engines defer to the state's next reader and this wrapper
+    /// runs at once.
     pub fn rollback(&mut self, model: &M, key: &EventKey, inclusive: bool) -> Rollback<M> {
         let (mut reinserted, mut antis) = (Vec::new(), Vec::new());
-        let undone = self.core.rollback_into(
-            &mut self.store,
-            model,
-            key,
-            inclusive,
-            &mut reinserted,
-            &mut antis,
-        );
+        let undone =
+            self.core
+                .rollback_into(&mut self.store, key, inclusive, &mut reinserted, &mut antis);
+        self.core.rebuild(&mut self.store, model);
         Rollback {
             reinserted,
             antis,
@@ -669,6 +705,14 @@ impl<M: Model> Lp<M> {
     /// gets a materialized snapshot so it remains a valid replay base.
     pub fn fossil_collect(&mut self, model: &M, gvt: VirtualTime) -> u64 {
         self.core.fossil_collect(&mut self.store, model, gvt)
+    }
+}
+
+#[cfg(test)]
+impl<M: Model> LpCore<M> {
+    /// A rollback left the state for its next reader to rebuild.
+    pub(crate) fn is_stale(&self) -> bool {
+        self.stale
     }
 }
 

@@ -24,6 +24,13 @@ use crate::stats::ThreadStats;
 use crate::system::SystemConfig;
 use crate::time::VirtualTime;
 
+/// An inbox buffer larger than this, filled to less than an eighth by the
+/// drain it came back from, was grown by a burst that is over (the initial
+/// events): `receive` hands back all but twice that drain's room. The
+/// benchmark workloads' steady-state buffers stay below it, so they are
+/// not shrunk and regrown.
+const BURST_BYTES: usize = 64 << 10;
+
 /// One simulation thread's state and steps through its control loop.
 pub struct Participant<M: Model> {
     me: usize,
@@ -84,6 +91,12 @@ impl<M: Model> Participant<M> {
         self.outbox.clear();
         for m in self.inbox.drain(..) {
             rolled += self.engine.deliver(m, &mut self.outbox).rolled_back as u64;
+        }
+        // The inbox and the input queue swap buffers at a drain, so without
+        // this a burst's buffers would circulate at its size all run.
+        let room = self.inbox.capacity();
+        if room * std::mem::size_of::<Msg<M::Payload>>() > BURST_BYTES && room > 8 * n {
+            self.inbox.shrink_to(2 * n);
         }
         if n > 0 {
             self.turnover.restart(self.engine.pending_len());

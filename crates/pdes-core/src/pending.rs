@@ -15,7 +15,15 @@
 //!   smaller child, picked without a branch (`c + less(c + 1, c)`), and the
 //!   last entry sifts up from where the hole stopped. Ties on the tick
 //!   count fall back to the full [`EventKey`] read from the slab, so the
-//!   pop order is exactly the events' total order.
+//!   pop order is exactly the events' total order. **The hold**, a pop
+//!   and a push in one: [`EventQueue::replace_min`] writes the pushed
+//!   event over the popped one in its slot and sifts its entry up from
+//!   where the root's hole came to rest — the same descent, no last entry
+//!   to move, no slot freed and taken again. An event that belongs above
+//!   the bottom takes the slot too; the root's entry leaves the heap as a
+//!   pop's does and the new one goes where a push would put it. The
+//!   oracle runs each handler on the root in place ([`EventQueue::peek`])
+//!   and holds with its first send.
 //! * **rung** — unsorted buckets of equal power-of-two width covering
 //!   `[bottom_end, …)`, each a chain linked through a per-slot `Link`. When
 //!   the bottom empties it takes the next non-empty bucket, and
@@ -128,6 +136,27 @@ fn sift_up<P>(slab: &Events<P>, heap: &mut [Entry], mut pos: usize, entry: Entry
         pos = parent;
     }
     heap[pos] = entry;
+}
+
+/// Floyd's descent: the hole at the root walks to the bottom of `heap`
+/// along the smaller child, picked without a branch; returns where it
+/// stopped. The root's entry is overwritten.
+#[inline(always)]
+fn descend<P>(slab: &Events<P>, heap: &mut [Entry]) -> usize {
+    let end = heap.len();
+    let mut hole = 0;
+    let mut child = 1;
+    while child + 1 < end {
+        child += less(slab, heap[child + 1], heap[child]) as usize;
+        heap[hole] = heap[child];
+        hole = child;
+        child = 2 * hole + 1;
+    }
+    if child < end {
+        heap[hole] = heap[child];
+        hole = child;
+    }
+    hole
 }
 
 /// Unlink every slot of the chain at `head` that `drop` accepts; returns
@@ -264,10 +293,14 @@ impl<P> EventQueue<P> {
         slot
     }
 
-    /// Key of the lowest live event.
+    /// The lowest live event, left in place.
     #[inline]
-    pub fn peek_key(&self) -> Option<&EventKey> {
-        self.bottom.first().map(|e| self.slab.get(e.slot).key())
+    pub fn peek(&self) -> Option<&Event<P>> {
+        let root = self.bottom.first()?;
+        let Queued::Live(ev) = self.slab.get(root.slot) else {
+            unreachable!("the bottom's root is always live")
+        };
+        Some(ev)
     }
 
     /// Remove and return the lowest live event.
@@ -285,6 +318,33 @@ impl<P> EventQueue<P> {
             self.settle();
         }
         Some(ev)
+    }
+
+    /// Drop the lowest live event and queue `event` in its slot: a
+    /// [`Self::pop`] and a [`Self::push`] in one. When `event` belongs to
+    /// the bottom, its entry sifts up from where the root's hole came to
+    /// rest; otherwise the root's entry leaves the heap and `event`'s goes
+    /// to its rung bucket or the top.
+    pub fn replace_min(&mut self, event: Event<P>) {
+        let Some(&root) = self.bottom.first() else {
+            self.push(event);
+            return;
+        };
+        let entry = Entry {
+            ticks: event.key.recv_time.ticks(),
+            slot: root.slot,
+        };
+        *self.slab.get_mut(root.slot) = Queued::Live(event);
+        if entry.ticks < self.bottom_end {
+            let hole = descend(&self.slab, &mut self.bottom);
+            sift_up(&self.slab, &mut self.bottom, hole, entry);
+        } else {
+            self.remove_top();
+            self.push_above(entry);
+        }
+        if self.bottom.is_empty() || self.slab.len() != self.live {
+            self.settle();
+        }
     }
 
     /// Live events in **unspecified order**.
@@ -346,21 +406,8 @@ impl<P> EventQueue<P> {
         let Some(&top) = self.bottom.first() else {
             return Some(last);
         };
-        let (slab, heap) = (&self.slab, &mut self.bottom);
-        let end = heap.len();
-        let mut hole = 0;
-        let mut child = 1;
-        while child + 1 < end {
-            child += less(slab, heap[child + 1], heap[child]) as usize;
-            heap[hole] = heap[child];
-            hole = child;
-            child = 2 * hole + 1;
-        }
-        if child < end {
-            heap[hole] = heap[child];
-            hole = child;
-        }
-        sift_up(slab, heap, hole, last);
+        let hole = descend(&self.slab, &mut self.bottom);
+        sift_up(&self.slab, &mut self.bottom, hole, last);
         Some(top)
     }
 
@@ -666,7 +713,7 @@ impl<P> PendingSet<P> {
     /// Key of the lowest pending event without removing it.
     #[inline]
     pub fn min_key(&self) -> Option<EventKey> {
-        self.queue.peek_key().copied()
+        self.queue.peek().map(|ev| ev.key)
     }
 
     /// Receive time of the lowest pending event, or `INFINITY` when empty —
@@ -1130,7 +1177,55 @@ mod tests {
         assert_eq!(q.iter().count(), 4);
         let order: Vec<u32> = std::iter::from_fn(|| q.pop()).map(|e| e.payload).collect();
         assert_eq!(order, vec![4, 3, 2, 1]);
-        assert!(q.is_empty() && q.peek_key().is_none());
+        assert!(q.is_empty() && q.peek().is_none());
+    }
+
+    /// `replace_min` over tombstones: the entry that rises into the root's
+    /// place is dead, so the replacement settles past it; with the rung up
+    /// a replacement past the bottom's end takes the fallback. The pops
+    /// come out in key order all the same.
+    #[test]
+    fn replace_min_settles_past_a_tombstoned_root() {
+        let mut q = EventQueue::new();
+        let slots: Vec<u32> = (0..4).map(|i| q.push(at_ticks(10 * i, 0, i))).collect();
+        // The next lowest, 10, dies below the root.
+        q.kill(slots[1]);
+        assert_eq!(check(&q)[0], (4, 1));
+        q.replace_min(at_ticks(25, 1, 100));
+        assert_eq!(check(&q)[0], (3, 0), "the dead entry surfaced and left");
+        // 0 was replaced, 10 was dead.
+        let rest = drain(&mut q);
+        let expect = [(20, 0, 2), (25, 1, 100), (30, 0, 3)];
+        assert_eq!(rest, expect.map(|(t, d, s)| at_ticks(t, d, s).key));
+
+        // Rung up: replacements below the bottom's end go in place, one
+        // past it to the rung.
+        let mut q = EventQueue::new();
+        let mut live = Vec::new();
+        for i in 0..400u64 {
+            let e = at_ticks((i * 7_919) % 400_000, 0, i);
+            let slot = q.push(e.clone());
+            match i % 5 {
+                0 if i > 0 => q.kill(slot),
+                _ => live.push(e.key),
+            }
+        }
+        live.sort_unstable();
+        let mut popped = Vec::new();
+        for i in 0..200u64 {
+            let ticks = match i % 2 {
+                0 => q.peek().unwrap().key.recv_time.ticks() + 1,
+                _ => q.bottom_end + 1_000,
+            };
+            let e = at_ticks(ticks, 1, 1_000 + i);
+            live.push(e.key);
+            popped.push(q.peek().unwrap().key);
+            q.replace_min(e);
+            check(&q);
+        }
+        assert!(!q.buckets.is_empty(), "the rung stayed up");
+        popped.extend(drain(&mut q));
+        assert_eq!(popped, sorted(live));
     }
 
     fn at_ticks(ticks: u64, dst: u32, seq: u64) -> Event<u32> {

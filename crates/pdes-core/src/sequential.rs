@@ -146,16 +146,17 @@ pub fn run_sequential_with<M: Model>(
                 break;
             }
         }
-        let Some(min) = pending.peek_key() else {
+        let Some(ev) = pending.peek() else {
             break;
         };
-        if min.recv_time >= cfg.end_time {
+        let key = ev.key;
+        if key.recv_time >= cfg.end_time {
             break;
         }
-        let ev = pending.pop().expect("min exists");
-        let key = ev.key;
         debug_assert!(last < Some(key), "sequential run cannot regress");
         last = Some(key);
+        // The hold: the handler runs on the event where it is queued, and
+        // its first send takes the event's place in the queue.
         let lp = &mut lps[key.dst.index()];
         let mut ctx = SendCtx::new(
             key.dst,
@@ -165,8 +166,13 @@ pub fn run_sequential_with<M: Model>(
             &mut sends,
         );
         model.handle_event(key.dst, &mut lp.state, &ev.payload, &mut ctx);
-        for sent in sends.drain(..) {
-            pending.push(sent);
+        let mut sent = sends.drain(..);
+        match sent.next() {
+            Some(first) => pending.replace_min(first),
+            None => drop(pending.pop()),
+        }
+        for rest in sent {
+            pending.push(rest);
         }
         committed += 1;
         commit_digest ^= key_digest(&key);

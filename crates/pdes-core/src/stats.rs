@@ -23,6 +23,10 @@ pub struct ThreadStats {
     pub events_sent: u64,
     /// Pending/orphan annihilations performed.
     pub annihilations: u64,
+    /// Events re-executed to rebuild a state under sparse saving: by the
+    /// first reader after a rollback, and by fossil collection when its cut
+    /// lands between snapshots.
+    pub coasted: u64,
     /// XOR-fold of committed event-key digests (order independent).
     pub commit_digest: u64,
 }
@@ -87,6 +91,7 @@ impl ThreadStats {
         self.antis_received += other.antis_received;
         self.events_sent += other.events_sent;
         self.annihilations += other.annihilations;
+        self.coasted += other.coasted;
         self.commit_digest ^= other.commit_digest;
     }
 
@@ -116,16 +121,19 @@ mod tests {
             antis_received: 0,
             events_sent: 9,
             annihilations: 0,
+            coasted: 6,
             commit_digest: 0b1010,
         };
         let b = ThreadStats {
             processed: 5,
             committed: 5,
+            coasted: 3,
             commit_digest: 0b0110,
             ..Default::default()
         };
         a.merge(&b);
         assert_eq!(a.processed, 15);
+        assert_eq!(a.coasted, 9);
         assert_eq!(a.committed, 13);
         assert_eq!(a.commit_digest, 0b1100);
     }

@@ -125,6 +125,27 @@ fn arb_spread_key() -> impl Strategy<Value = EventKey> {
     )
 }
 
+#[derive(Debug, Clone, Copy)]
+enum QueueOp {
+    Push,
+    Pop,
+    /// `replace_min`: a pop and a push in one.
+    ReplaceMin,
+}
+
+/// The queue property's draws over tied keys: the queue grows by one in
+/// six, so it stays under the small-set threshold (the rung down).
+const TIED_OPS: [QueueOp; 6] = {
+    use QueueOp::*;
+    [Push, Push, Push, Pop, Pop, ReplaceMin]
+};
+
+/// Over spread keys: by three in six, past the threshold (the rung up).
+const SPREAD_OPS: [QueueOp; 6] = {
+    use QueueOp::*;
+    [Push, Push, Push, Push, Pop, ReplaceMin]
+};
+
 /// `len` operations; in `inserts + 6`, `inserts` insert, one pops and five
 /// cancel — three a live key, one an anti-then-resend, one a key mostly not
 /// pending. Tombstones pile up below the top, so long sequences pass the
@@ -249,43 +270,57 @@ proptest! {
     }
 
     /// The event queue pops exactly what a sorted `Vec` of (key, payload)
-    /// pairs yields, under arbitrary push / pop sequences (keys stay unique,
-    /// as event uids are); `peek_key()`, `iter()` and `len()` agree with it
-    /// after every operation, and at the end both drain in the same order.
-    /// The first input ties times; the second, four pushes in five over
-    /// spread keys, grows past the small-set threshold to a few hundred.
+    /// pairs yields, under arbitrary push / pop / `replace_min` sequences
+    /// (keys stay unique, as event uids are; a replacement is a pop followed
+    /// by a push, here of any key, below the minimum too); `peek()`,
+    /// `iter()` and `len()` agree with it after every operation, and at the
+    /// end both drain in the same order. The first input ties times and
+    /// keeps the rung down; the second, four pushes in six over spread keys,
+    /// grows past the small-set threshold to a few hundred, so a
+    /// replacement's entry lands in the bottom in place or goes to the rung
+    /// or the top.
     #[test]
     fn event_queue_matches_sorted_vec(
         ops in prop_oneof![
             prop::collection::vec(
-                (0u8..5, arb_tied_key()).prop_map(|(pick, k)| (pick < 3).then_some(k)),
+                (prop::sample::select(TIED_OPS.to_vec()), arb_tied_key()),
                 0..600,
             ),
             prop::collection::vec(
-                (0u8..5, arb_spread_key()).prop_map(|(pick, k)| (pick < 4).then_some(k)),
+                (prop::sample::select(SPREAD_OPS.to_vec()), arb_spread_key()),
                 0..900,
             ),
         ],
     ) {
         let mut sut: EventQueue<u32> = EventQueue::new();
         let mut reference: Vec<(EventKey, u32)> = Vec::new();
-        for (serial, op) in (0u32..).zip(ops) {
-            match op {
-                Some(k) => {
-                    let Err(at) = reference.binary_search_by_key(&k, |e| e.0) else {
-                        continue;
-                    };
-                    sut.push(Event { key: k, send_time: VirtualTime::ZERO, payload: serial });
-                    reference.insert(at, (k, serial));
-                }
-                None => {
+        for (serial, (op, k)) in (0u32..).zip(ops) {
+            let event = Event { key: k, send_time: VirtualTime::ZERO, payload: serial };
+            let at = reference.binary_search_by_key(&k, |e| e.0);
+            match (op, at) {
+                (QueueOp::Pop, _) => {
                     let got = sut.pop().map(|e| (e.key, e.payload));
                     let expect = (!reference.is_empty()).then(|| reference.remove(0));
                     prop_assert_eq!(got, expect);
                 }
+                (QueueOp::Push, Err(at)) => {
+                    sut.push(event);
+                    reference.insert(at, (k, serial));
+                }
+                (QueueOp::ReplaceMin, Err(at)) => {
+                    // A pop then a push: the minimum goes unless the queue
+                    // was empty, even when `k` orders below it.
+                    let min = (!reference.is_empty()).then_some(usize::from(at == 0));
+                    sut.replace_min(event);
+                    reference.insert(at, (k, serial));
+                    if let Some(min) = min {
+                        reference.remove(min);
+                    }
+                }
+                _ => continue,
             }
             prop_assert_eq!(sut.len(), reference.len());
-            prop_assert_eq!(sut.peek_key(), reference.first().map(|e| &e.0));
+            prop_assert_eq!(sut.peek().map(|e| (e.key, e.payload)), reference.first().copied());
             let mut all: Vec<(EventKey, u32)> = sut.iter().map(|e| (e.key, e.payload)).collect();
             all.sort_unstable();
             prop_assert_eq!(&all, &reference);

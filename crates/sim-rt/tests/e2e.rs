@@ -2,7 +2,7 @@
 //! trace the sequential oracle commits, deterministically.
 
 use models::{LocalityPattern, Phold, PholdConfig};
-use pdes_core::{run_sequential, EngineConfig};
+use pdes_core::{run_sequential, AffinityPolicy, EngineConfig, GvtMode, Scheduler};
 use sim_rt::{run_sim, RunConfig, SystemConfig};
 use std::sync::Arc;
 
@@ -181,4 +181,28 @@ fn every_voluntary_yield_has_a_cause() {
             _ => assert_eq!(by.total(), 0, "{}", sys.name()),
         }
     }
+}
+
+/// Coast-forward is host work the VM does not charge, so its count is
+/// pinned here: a seeded thrash-shaped run (16 events in flight under a
+/// window of 16, a snapshot every 8th event) re-executes exactly this many
+/// events — rebuilding states rollbacks left stale and replaying to mid-gap
+/// fossil cuts — beside the rollbacks it undoes, and commits what the
+/// oracle commits.
+#[test]
+fn coasted_events_are_pinned_on_a_thrashing_run() {
+    let model = Arc::new(Phold::new(PholdConfig::balanced(2, 8)));
+    let ecfg = engine_cfg(400.0)
+        .with_optimism_window(Some(16.0))
+        .with_snapshot_period(8)
+        .with_seed(24301);
+    let gg_async = SystemConfig::new(Scheduler::GgPdes, GvtMode::Async, AffinityPolicy::Constant);
+    let rc = RunConfig::new(2, ecfg.clone(), gg_async).with_machine(machine_small());
+    let r = run_sim(&model, &rc);
+    assert!(r.completed);
+    assert_eq!(
+        r.metrics.commit_digest,
+        run_sequential(&model, &ecfg, None).commit_digest
+    );
+    assert_eq!((r.metrics.rolled_back, r.metrics.coasted), (536, 3929));
 }
