@@ -72,7 +72,7 @@ impl LinkFaultPlan {
 
 /// What to do with one outgoing frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LinkAction {
+pub(crate) enum LinkAction {
     Deliver,
     /// Skip the transmit; the reliable layer retransmits later.
     Drop,
@@ -118,7 +118,7 @@ impl LinkFaults {
     }
 
     /// Decide the fate of the next outgoing frame.
-    pub fn decide(&mut self) -> LinkAction {
+    pub(crate) fn decide(&mut self) -> LinkAction {
         if !self.plan.is_active() {
             return LinkAction::Deliver;
         }

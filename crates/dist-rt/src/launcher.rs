@@ -195,7 +195,7 @@ fn tcp_mesh(
     };
     for (j, addr) in connect_addrs.iter().enumerate().take(shard) {
         let mut backoff = Backoff::standard(0x6D65_7368 ^ ((shard as u64) << 8) ^ j as u64);
-        let stream = loop {
+        let mut stream = loop {
             match TcpStream::connect(addr) {
                 Ok(s) => break s,
                 Err(e) => {
@@ -210,7 +210,6 @@ fn tcp_mesh(
             }
         };
         stream.set_nodelay(true)?;
-        let mut stream = stream;
         write_hello(&mut stream, shard)?;
         streams[j] = Some(stream);
     }
@@ -219,11 +218,10 @@ fn tcp_mesh(
     let mut backoff = Backoff::standard(0x6163_6370 ^ shard as u64);
     while expected > 0 {
         match listener.accept() {
-            Ok((stream, _)) => {
+            Ok((mut stream, _)) => {
                 stream.set_nodelay(true)?;
                 stream.set_read_timeout(Some(Duration::from_secs(5)))?;
                 stream.set_nonblocking(false)?;
-                let mut stream = stream;
                 let peer = read_hello(&mut stream)?;
                 if peer <= shard || peer >= num_shards {
                     return Err(DistError::Protocol {
@@ -292,28 +290,28 @@ fn tcp_link(
     ))
 }
 
-/// Assemble the coordinator's [`NodeOutcome`] into a [`DistResult`].
-fn assemble_result(out: NodeOutcome, shards: usize, lps: usize, wall_secs: f64) -> DistResult {
+/// Assemble the coordinator's [`NodeOutcome`] of a run started at `t0` into
+/// a [`DistResult`] on `books` (the membership and its recoveries).
+fn assemble_result(out: NodeOutcome, lps: usize, t0: Instant, books: DistResult) -> DistResult {
     let telemetry = out.telemetry;
     let mut metrics = RunMetrics::of_run(
         "GG-PDES-Dist".to_string(),
-        shards,
+        books.shards_final,
         lps,
         &out.totals,
         out.gvt_rounds,
         out.max_parked as usize,
         telemetry.as_ref(),
     );
-    metrics.wall_secs = wall_secs;
+    metrics.wall_secs = t0.elapsed().as_secs_f64();
     DistResult {
         metrics,
         state_digests: out.state_digests,
         pending_digest: out.pending_digest,
         gvt: out.gvt,
         regressions: out.regressions,
-        shards_final: shards,
         telemetry,
-        ..DistResult::default()
+        ..books
     }
 }
 
@@ -323,9 +321,10 @@ fn assemble_result(out: NodeOutcome, shards: usize, lps: usize, wall_secs: f64) 
 pub type IngestGates<M> = Vec<Arc<IngestGate<<M as Model>::Payload>>>;
 
 /// A loopback cluster: what every node of the run is built from, one
-/// [`ShardNode`] per shard, and their inboxes (needed again at
-/// partial-recovery time to rebuild a dead shard's links). Both the threaded
-/// supervisor and [`SteppedCluster`] hold one.
+/// [`ShardNode`] per shard, their inboxes (a dead shard's links are rebuilt
+/// on fresh ones) and the run's recovery books. Both drivers — the threaded
+/// supervisor and [`SteppedCluster`] — hand it their failures
+/// ([`Self::recover`]) and take their result from it ([`Self::finish`]).
 struct Cluster<M: Model> {
     model: Arc<M>,
     ecfg: EngineConfig,
@@ -340,30 +339,38 @@ struct Cluster<M: Model> {
     /// Cohort-wide abort flag of a threaded cluster; a stepped one runs on
     /// the caller's thread and has nobody to tell.
     abort: Option<Arc<AtomicBool>>,
+    /// `recovered`, `partial_recoveries`, `used_checkpoint` and
+    /// `membership_epoch` so far; [`Self::finish`] fills in the rest.
+    books: DistResult,
+    t0: Instant,
 }
 
 impl<M: Model> Cluster<M> {
-    /// Build the whole cluster supervisor-side.
+    /// Check `dcfg`, then build the whole cluster supervisor-side.
     fn build(
         model: Arc<M>,
         ecfg: &EngineConfig,
-        dcfg: DistConfig,
-        map: LpMap,
+        dcfg: &DistConfig,
         gates: Option<IngestGates<M>>,
         abort: Option<Arc<AtomicBool>>,
     ) -> Result<Cluster<M>, DistError> {
+        dcfg.check()?;
         let mut cl = Cluster {
+            map: LpMap::new(model.num_lps(), dcfg.shards, ecfg.mapping),
             model,
             ecfg: ecfg.clone(),
-            dcfg,
-            map,
+            dcfg: dcfg.clone(),
             nodes: Vec::new(),
             inboxes: Vec::new(),
             restored: None,
             gates,
             abort,
+            books: DistResult::default(),
+            t0: Instant::now(),
         };
         cl.rebuild(None)?;
+        // Scripted partitions fire once, on the first generation's links.
+        cl.dcfg.partitions.clear();
         Ok(cl)
     }
 
@@ -473,7 +480,8 @@ impl<M: Model> Cluster<M> {
     /// cannot take part.
     fn can_partially_recover(&self, dead: &[usize]) -> bool {
         let n = self.nodes.len();
-        !dead.contains(&0)
+        !dead.is_empty()
+            && !dead.contains(&0)
             && dead.iter().all(|&d| d < n)
             && (0..n).all(|i| dead.contains(&i) || self.nodes[i].is_running())
     }
@@ -481,15 +489,12 @@ impl<M: Model> Cluster<M> {
     /// Restore only the dead shards from `ck` and stitch them back into the
     /// live cluster: survivors keep their engines, GVT counters (minus the
     /// dead peers' columns) and send logs; each dead shard gets a fresh
-    /// node, fresh links on both sides, the survivors replay their
-    /// cut-crossing send logs to it and purge every input the restored
-    /// shard will re-send.
+    /// node on fresh links.
     fn partial_recover(&mut self, dead: &[usize], ck: &Cut<M>) -> Result<(), DistError> {
         let n = self.nodes.len();
         debug_assert!(self.can_partially_recover(dead));
         let survivors: Vec<usize> = (0..n).filter(|i| !dead.contains(i)).collect();
-        // 1. Sever the dead shards' transports and flush in-flight raw
-        //    packets.
+        // 1. Sever the dead shards' transports, flush in-flight raw packets.
         for &s in &survivors {
             self.nodes[s].sever(dead, self.dcfg.transport == Transport::Tcp);
         }
@@ -500,41 +505,144 @@ impl<M: Model> Cluster<M> {
         let min_round = self.nodes[0].upcoming_round();
         let floor = self.nodes[0].gvt();
         // 3. Fresh inboxes + links for the dead shards (both directions),
-        //    and fresh nodes on them, restored from the cut. They
-        //    deterministically re-execute from `ck.gvt` up to where they
-        //    died; everything they re-send below the recovery floor is a
-        //    duplicate the survivors drop at the link.
+        //    and fresh nodes on them, restored from the cut, their gates'
+        //    admission floors fenced to the recovery floor: below it they
+        //    re-execute the pre-failure history exactly, and the survivors
+        //    drop what they re-send there as duplicates at the link.
         for (&d, links) in dead.iter().zip(self.rewire(dead)?) {
-            // The surviving gate re-attaches with its admission floor
-            // fenced to the coordinator's published GVT — below it, the
-            // restored shard must re-execute the pre-failure history
-            // exactly, so survivors can drop its re-sends as duplicates.
             let mut node = self.spawn(d, links, Some(ck))?;
             node.raise_ingest_floor(floor);
             node.trace_instant(EventKind::PartialRestore, ck.gvt.ticks());
             self.nodes[d] = node;
         }
-        // 4. Survivors enter recovery: void the dead peers' GVT counters,
-        //    fence stale rounds, replay their send logs from the cut
-        //    forward (the restored shard lost those inputs) and purge every
-        //    input taken from the dead shards in the window being
-        //    re-executed.
-        let mut dead_lps: Vec<LpId> = dead
-            .iter()
-            .flat_map(|&d| self.map.lps_of(SimThreadId(d as u32)))
-            .collect();
-        dead_lps.sort_unstable_by_key(|lp| lp.0);
+        // 4. Survivors void the dead peers' GVT counters, fence stale rounds,
+        //    replay their send logs from the cut and purge what the restored
+        //    shards will re-send.
         for &s in &survivors {
-            self.nodes[s].recover_peers(dead, &dead_lps, ck.gvt.ticks(), min_round, floor)?;
+            self.nodes[s].recover_peers(dead, ck.gvt.ticks(), min_round, floor)?;
         }
         Ok(())
     }
 
-    /// Run every node to completion on its own thread. A failing node flips
-    /// the cohort abort flag — except a kill that dies silently, which the
-    /// coordinator's detector must discover itself (lease expiry, or a TCP
-    /// hang-up).
-    fn run_attempt(&mut self) -> Vec<Result<(), DistError>> {
+    /// Act on the failures of one attempt (a threaded run's joined shards,
+    /// or one failed stepped step), rebuilding from the newest cut (from the
+    /// start before the first one): the dead alone when they can be restored
+    /// partially, else every shard — as the next generation, under a new
+    /// map, when an exhausted budget degrades around the dead (`degrade`)
+    /// or a reshape is due. Returns the shards it rebuilt, or the first
+    /// other error, unchanged.
+    fn recover(
+        &mut self,
+        failed: impl IntoIterator<Item = DistError>,
+    ) -> Result<Vec<usize>, DistError> {
+        let n = self.nodes.len();
+        let (mut dead, mut reshape, mut hard_err) = (Vec::new(), None, None);
+        for e in failed {
+            match e {
+                DistError::Killed { shard } | DistError::PeerDead { shard, .. } => dead.push(shard),
+                DistError::Reshape { action } => reshape = Some(action),
+                // Collateral of a kill/reshape elsewhere.
+                DistError::Aborted { .. } => {}
+                e => hard_err = hard_err.or(Some(e)),
+            }
+        }
+        dead.sort_unstable();
+        dead.dedup();
+        let ck = self.latest_cut();
+        // Shards leaving the membership at the cut, and the membership
+        // instants to stamp onto the next generation's trace.
+        let (mut leaving, mut instants) = (Vec::new(), Vec::new());
+        if !dead.is_empty() {
+            self.books.recovered.extend_from_slice(&dead);
+            let recoveries = self.books.recovered.len() as u32;
+            // A fired kill does not repeat.
+            self.dcfg.kills.retain(|(s, _)| !dead.contains(s));
+            if recoveries > self.dcfg.max_recoveries {
+                if ck.is_none() || !self.dcfg.degrade || dead.contains(&0) {
+                    return Err(DistError::RecoveryExhausted {
+                        attempts: recoveries,
+                        last: format!("shard(s) {dead:?} dead"),
+                    });
+                }
+                // Graceful degradation: the survivors absorb the dead.
+                leaving = dead;
+            } else if let Some(ck) = ck
+                .as_ref()
+                .filter(|_| self.dcfg.ckpt_every_rounds > 0 && self.can_partially_recover(&dead))
+            {
+                self.partial_recover(&dead, ck)?;
+                self.books.partial_recoveries += 1;
+                self.books.used_checkpoint = true;
+                return Ok(dead);
+            }
+            // Otherwise: a full restore-all restart under the same map.
+        } else if let Some(action) = reshape {
+            let ck = ck.as_ref().ok_or(DistError::Protocol {
+                shard: 0,
+                detail: "membership reshape without an assembled cut".to_string(),
+            })?;
+            match action {
+                ReshapeAction::Join => {
+                    self.map = ck.map.rebalanced_with_joiner(&load_from_cut(ck, &ck.map));
+                    self.dcfg.shards = n + 1;
+                    self.dcfg.join_at = None;
+                    self.books.membership_epoch += 1;
+                    instants.push((EventKind::ShardJoin, n as u64));
+                }
+                ReshapeAction::Leave(s) => {
+                    self.dcfg.leave_at = None;
+                    leaving.push(s);
+                }
+            }
+        } else {
+            return Err(hard_err.unwrap_or(DistError::Protocol {
+                shard: 0,
+                detail: "attempt failed with no classified error".to_string(),
+            }));
+        }
+        // The leavers' LPs go to the survivors by load, their scripted
+        // kills with them; every shard id above a leaver shifts down.
+        if let Some(ck) = ck.as_ref().filter(|_| !leaving.is_empty()) {
+            self.map = ck.map.clone();
+            for &d in leaving.iter().rev() {
+                let load = load_from_cut(ck, &self.map);
+                self.map = self.map.rebalanced_without(SimThreadId(d as u32), &load);
+                renumber_kills(&mut self.dcfg.kills, d);
+                instants.push((EventKind::ShardLeave, d as u64));
+            }
+            self.dcfg.shards = n - leaving.len();
+            self.books.membership_epoch += leaving.len() as u64;
+        }
+        self.books.used_checkpoint |= ck.is_some();
+        self.rebuild(ck)?;
+        for (kind, arg) in instants {
+            self.nodes[0].trace_instant(kind, arg);
+        }
+        Ok((0..self.nodes.len()).collect())
+    }
+
+    /// The coordinator's outcome, once every shard finished.
+    fn outcome(&mut self) -> Result<NodeOutcome, DistError> {
+        self.nodes[0].take_outcome().ok_or(DistError::Protocol {
+            shard: 0,
+            detail: "coordinator finished without an outcome".to_string(),
+        })
+    }
+
+    /// The finished run's [`DistResult`]: the coordinator's outcome and the
+    /// recovery books.
+    fn finish(&mut self) -> Result<DistResult, DistError> {
+        let out = self.outcome()?;
+        self.books.shards_final = self.nodes.len();
+        let books = std::mem::take(&mut self.books);
+        Ok(assemble_result(out, self.model.num_lps(), self.t0, books))
+    }
+
+    /// Run every node to completion on its own thread; returns how the failed
+    /// ones failed. A failing node flips the cohort abort flag — except a
+    /// kill that dies silently, which the coordinator's detector must
+    /// discover itself (lease expiry, or a TCP hang-up).
+    fn run_attempt(&mut self) -> Vec<DistError> {
         let (abort, dcfg) = (self.abort.as_ref(), &self.dcfg);
         if let Some(abort) = abort {
             abort.store(false, Ordering::Relaxed);
@@ -558,15 +666,17 @@ impl<M: Model> Cluster<M> {
             handles
                 .into_iter()
                 .enumerate()
-                .map(|(shard, h)| {
-                    h.join().unwrap_or_else(|_| {
-                        // A panicking shard thread is reported like any other
-                        // shard failure so the supervisor can recover it.
-                        Err(DistError::Protocol {
-                            shard,
-                            detail: "shard thread panicked".to_string(),
+                .filter_map(|(shard, h)| {
+                    h.join()
+                        .unwrap_or_else(|_| {
+                            // A panicking shard thread is reported like any other
+                            // shard failure so the supervisor can recover it.
+                            Err(DistError::Protocol {
+                                shard,
+                                detail: "shard thread panicked".to_string(),
+                            })
                         })
-                    })
+                        .err()
                 })
                 .collect()
         })
@@ -589,29 +699,20 @@ fn load_from_cut<S, P>(ck: &Checkpoint<S, P>, map: &LpMap) -> Vec<u64> {
     load
 }
 
-/// Shard `gone` left the membership: its scripted kills go with it and the
-/// shard ids above it shift down by one.
+/// Shard `gone` left: its scripted kills go, the ids above it shift down.
 fn renumber_kills(kills: &mut Vec<(usize, u64)>, gone: usize) {
     kills.retain(|k| k.0 != gone);
-    for k in kills {
-        if k.0 > gone {
-            k.0 -= 1;
-        }
+    for k in kills.iter_mut().filter(|k| k.0 > gone) {
+        k.0 -= 1;
     }
 }
 
 /// Run the whole simulation as `dcfg.shards` loopback shards (one thread
-/// each) under an elastic-membership supervisor:
-///
-/// - a killed or heartbeat-declared-dead shard is restored *partially*
-///   from the latest assembled checkpoint cut when possible (survivors keep
-///   running state and replay their send logs), falling back to a full
-///   restore-all restart otherwise;
-/// - scripted joins/leaves reshape the membership at a GVT cut: the run is
-///   re-launched from the cut under a load-rebalanced LP map with one shard
-///   more or fewer;
-/// - with `degrade` set, exhausting `max_recoveries` shrinks the cluster
-///   around the dead shard(s) instead of failing the run.
+/// each) under an elastic-membership supervisor: a killed or
+/// heartbeat-declared-dead shard is restored *partially* from the latest
+/// cut when possible, else every shard restarts; joins, leaves and (with
+/// `degrade`) an exhausted `max_recoveries` relaunch from a cut under a
+/// load-rebalanced map.
 pub fn run_loopback<M: Model>(
     model: Arc<M>,
     ecfg: &EngineConfig,
@@ -632,127 +733,14 @@ pub fn run_loopback_ingest<M: Model>(
     dcfg: &DistConfig,
     gates: Option<IngestGates<M>>,
 ) -> Result<DistResult, DistError> {
-    dcfg.check()?;
-    let num_lps = model.num_lps();
-    let map = LpMap::new(num_lps, dcfg.shards, ecfg.mapping);
     let abort = Arc::new(AtomicBool::new(false));
-    let t0 = Instant::now();
-    let mut recovered: Vec<usize> = Vec::new();
-    let mut partial_recoveries = 0u32;
-    let mut membership_epoch = 0u64;
-    let mut used_checkpoint = false;
-    let mut cl = Cluster::build(model, ecfg, dcfg.clone(), map, gates, Some(abort))?;
-    // Scripted partitions fire once, on the first generation's links.
-    cl.dcfg.partitions.clear();
+    let mut cl = Cluster::build(model, ecfg, dcfg, gates, Some(abort))?;
     loop {
-        let n = cl.nodes.len();
-        let mut dead: Vec<usize> = Vec::new();
-        let mut reshape: Option<ReshapeAction> = None;
-        let mut hard_err: Option<DistError> = None;
-        let mut all_ok = true;
-        for r in cl.run_attempt() {
-            let Err(e) = r else { continue };
-            all_ok = false;
-            match e {
-                DistError::Killed { shard } | DistError::PeerDead { shard, .. } => {
-                    if !dead.contains(&shard) {
-                        dead.push(shard);
-                    }
-                }
-                DistError::Reshape { action } => reshape = Some(action),
-                // Collateral of a kill/reshape elsewhere.
-                DistError::Aborted { .. } => {}
-                e => hard_err = hard_err.or(Some(e)),
-            }
+        let failed = cl.run_attempt();
+        if failed.is_empty() {
+            return cl.finish();
         }
-        if all_ok {
-            let out = cl.nodes[0].take_outcome().ok_or(DistError::Protocol {
-                shard: 0,
-                detail: "coordinator finished without an outcome".to_string(),
-            })?;
-            let mut res = assemble_result(out, n, num_lps, t0.elapsed().as_secs_f64());
-            res.recovered = recovered;
-            res.partial_recoveries = partial_recoveries;
-            res.used_checkpoint = used_checkpoint;
-            res.membership_epoch = membership_epoch;
-            return Ok(res);
-        }
-        // Everything from here on rebuilds shards from the newest cut (or
-        // replays from the start when none exists yet): the dead ones in
-        // place, or all of them as the next generation (under a new map
-        // when the membership changes).
-        let ck = cl.latest_cut();
-        // Membership instants to stamp onto the next generation's trace.
-        let mut instants: Vec<(EventKind, u64)> = Vec::new();
-        if !dead.is_empty() {
-            dead.sort_unstable();
-            recovered.extend_from_slice(&dead);
-            let recoveries = recovered.len() as u32;
-            // A fired kill does not repeat.
-            cl.dcfg.kills.retain(|(s, _)| !dead.contains(s));
-            if recoveries > cl.dcfg.max_recoveries {
-                let can_degrade = cl.dcfg.degrade && !dead.contains(&0);
-                let Some(ck) = ck.as_ref().filter(|_| can_degrade) else {
-                    return Err(DistError::RecoveryExhausted {
-                        attempts: recoveries,
-                        last: format!("shard(s) {dead:?} dead"),
-                    });
-                };
-                // Graceful degradation: absorb the dead shards' LPs into
-                // the survivors and restart from the cut with a smaller
-                // cluster.
-                cl.map = ck.map.clone();
-                for &d in dead.iter().rev() {
-                    let load = load_from_cut(ck, &cl.map);
-                    cl.map = cl.map.rebalanced_without(SimThreadId(d as u32), &load);
-                    renumber_kills(&mut cl.dcfg.kills, d);
-                    instants.push((EventKind::ShardLeave, d as u64));
-                }
-                cl.dcfg.shards = n - dead.len();
-                membership_epoch += dead.len() as u64;
-            } else if let Some(ck) = ck
-                .as_ref()
-                .filter(|_| cl.dcfg.ckpt_every_rounds > 0 && cl.can_partially_recover(&dead))
-            {
-                cl.partial_recover(&dead, ck)?;
-                partial_recoveries += 1;
-                used_checkpoint = true;
-                continue;
-            }
-            // Otherwise: a full restore-all restart under the same map.
-        } else if let Some(action) = reshape {
-            let ck = ck.as_ref().ok_or(DistError::Protocol {
-                shard: 0,
-                detail: "membership reshape without an assembled cut".to_string(),
-            })?;
-            let load = load_from_cut(ck, &ck.map);
-            match action {
-                ReshapeAction::Join => {
-                    cl.map = ck.map.rebalanced_with_joiner(&load);
-                    cl.dcfg.shards = n + 1;
-                    cl.dcfg.join_at = None;
-                    instants.push((EventKind::ShardJoin, n as u64));
-                }
-                ReshapeAction::Leave(s) => {
-                    cl.map = ck.map.rebalanced_without(SimThreadId(s as u32), &load);
-                    cl.dcfg.shards = n - 1;
-                    cl.dcfg.leave_at = None;
-                    renumber_kills(&mut cl.dcfg.kills, s);
-                    instants.push((EventKind::ShardLeave, s as u64));
-                }
-            }
-            membership_epoch += 1;
-        } else {
-            return Err(hard_err.unwrap_or(DistError::Protocol {
-                shard: 0,
-                detail: "attempt failed with no classified error".to_string(),
-            }));
-        }
-        used_checkpoint |= ck.is_some();
-        cl.rebuild(ck)?;
-        for (kind, arg) in instants {
-            cl.nodes[0].trace_instant(kind, arg);
-        }
+        cl.recover(failed)?;
     }
 }
 
@@ -827,32 +815,34 @@ pub fn run_shard_process<M: Model>(
     let streams = tcp_mesh(opts.shard, n, listener, &addrs, opts.dcfg.mesh_timeout)?;
     let inbox = Inbox::new();
     let plan = &opts.dcfg.link_faults;
-    let mut links = Vec::with_capacity(n);
-    for (peer, stream) in streams.into_iter().enumerate() {
-        links.push(match stream {
-            Some(s) => Some(tcp_link(opts.shard, peer, s, &inbox, plan)?),
-            None => None,
-        });
-    }
+    let links = (streams.into_iter().enumerate())
+        .map(|(peer, s)| {
+            s.map(|s| tcp_link(opts.shard, peer, s, &inbox, plan))
+                .transpose()
+        })
+        .collect::<Result<_, _>>()?;
     let mut node = ShardNode::new(model, flat_map, opts.shard, ecfg, &opts.dcfg, links, inbox);
     if let Some(g) = gate {
         node.set_ingest(g);
     }
     node.start(None)?;
     node.run()?;
+    let books = DistResult {
+        shards_final: n,
+        ..DistResult::default()
+    };
     Ok(node
         .take_outcome()
-        .map(|out| assemble_result(out, n, num_lps, t0.elapsed().as_secs_f64())))
+        .map(|out| assemble_result(out, num_lps, t0, books)))
 }
 
 /// Deterministic single-threaded cluster over memory links: every sweep
 /// steps each shard once, round-robin, and checks the GVT safety invariant
-/// (`published GVT <= every engine's pending minimum`) after every step.
-/// This is the harness the GVT and membership property tests drive; it can
-/// also perform a [`SteppedCluster::partial_recover`] mid-run to exercise
-/// the elastic-membership recovery path without threads or wall clocks.
-/// Each node's clock is its step count, so the coordinator's lease declares
-/// a silently killed worker dead at a reproducible sweep.
+/// (`published GVT <= every engine's pending minimum`) after every step. A
+/// failed step goes to the threaded supervisor's own decision on the spot,
+/// so kills, restarts, degradation, joins and leaves run without threads or
+/// wall clocks. Each node's clock is its step count, so the coordinator's
+/// lease declares a silently killed worker dead at a reproducible sweep.
 pub struct SteppedCluster<M: Model> {
     cluster: Cluster<M>,
     /// Per-shard history of published GVT values (monotonicity checks).
@@ -877,14 +867,12 @@ impl<M: Model> SteppedCluster<M> {
         dcfg: &DistConfig,
         gates: Option<IngestGates<M>>,
     ) -> Result<SteppedCluster<M>, DistError> {
-        dcfg.check()?;
         if dcfg.transport != Transport::Mem {
             return Err(DistError::Config(
                 "stepped clusters are memory-linked".into(),
             ));
         }
-        let map = LpMap::new(model.num_lps(), dcfg.shards, ecfg.mapping);
-        let cluster = Cluster::build(model, ecfg, dcfg.clone(), map, gates, None)?;
+        let cluster = Cluster::build(model, ecfg, dcfg, gates, None)?;
         Ok(SteppedCluster {
             gvt_history: vec![Vec::new(); cluster.nodes.len()],
             cluster,
@@ -893,18 +881,21 @@ impl<M: Model> SteppedCluster<M> {
 
     /// Step every unfinished shard once. Returns `true` when all are done. A
     /// shard that died silently is finished: it is neither stepped nor
-    /// checked again until [`Self::partial_recover`] replaces it.
+    /// checked again until the coordinator's lease declares it dead. Any
+    /// other failed step ends the sweep: the supervisor's decision rebuilds
+    /// what it decides, or its error is returned.
     pub fn sweep(&mut self) -> Result<bool, DistError> {
         let mut all_done = true;
-        let dcfg = &self.cluster.dcfg;
-        for (i, node) in self.cluster.nodes.iter_mut().enumerate() {
+        for i in 0..self.cluster.nodes.len() {
+            let node = &mut self.cluster.nodes[i];
             if node.finished() {
                 continue;
             }
             match node.step() {
-                Err(e) if dies_silently(dcfg, &e) => continue,
-                r => r?,
-            };
+                Ok(_) => {}
+                Err(e) if dies_silently(&self.cluster.dcfg, &e) => continue,
+                Err(e) => return self.recover([e]).map(|()| false),
+            }
             // Safety: the published GVT never exceeds the true minimum —
             // in particular never this engine's own pending minimum.
             let (gvt, lmin) = (node.gvt(), node.local_min_ticks());
@@ -931,29 +922,28 @@ impl<M: Model> SteppedCluster<M> {
         Ok(all_done)
     }
 
-    /// Kill the given (non-coordinator) shards right now and restore them
-    /// partially from the latest assembled cut, exactly as the threaded
-    /// supervisor would. Returns `false` — without touching the cluster —
-    /// when partial recovery is not possible yet (no cut assembled, or a
-    /// shard already left its running phase).
+    /// [`Cluster::recover`]; a rebuilt shard restarts its GVT view.
+    fn recover(&mut self, failed: impl IntoIterator<Item = DistError>) -> Result<(), DistError> {
+        let rebuilt = self.cluster.recover(failed)?;
+        self.gvt_history
+            .resize_with(self.cluster.nodes.len(), Vec::new);
+        for s in rebuilt {
+            self.gvt_history[s].clear();
+        }
+        Ok(())
+    }
+
+    /// Kill the given (non-coordinator) shards right now, as a scripted
+    /// kill would, once they can be restored partially from the latest
+    /// assembled cut. Returns `false` — without touching the cluster — while
+    /// that is not possible (no cut assembled, or a shard already left its
+    /// running phase). The kill is charged to `max_recoveries`.
     pub fn partial_recover(&mut self, dead: &[usize]) -> Result<bool, DistError> {
-        let mut dead = dead.to_vec();
-        dead.sort_unstable();
-        dead.dedup();
-        let Some(ck) = self.latest_checkpoint() else {
-            return Ok(false);
-        };
-        if dead.is_empty() || !self.cluster.can_partially_recover(&dead) {
-            return Ok(false);
+        let can = self.cluster.latest_cut().is_some() && self.cluster.can_partially_recover(dead);
+        if can {
+            self.recover(dead.iter().map(|&shard| DistError::Killed { shard }))?;
         }
-        // A fired kill does not repeat.
-        self.cluster.dcfg.kills.retain(|(s, _)| !dead.contains(s));
-        self.cluster.partial_recover(&dead, &ck)?;
-        for &d in &dead {
-            // The restored shard restarts its GVT view from the cut.
-            self.gvt_history[d].clear();
-        }
-        Ok(true)
+        Ok(can)
     }
 
     /// The coordinator's assembled outcome, once every shard finished.
@@ -961,14 +951,23 @@ impl<M: Model> SteppedCluster<M> {
         self.cluster.nodes[0].take_outcome()
     }
 
+    /// The finished run's [`DistResult`], built as [`run_loopback`] builds
+    /// it (instead of [`Self::take_outcome`]).
+    pub fn result(&mut self) -> Result<DistResult, DistError> {
+        self.cluster.finish()
+    }
+
+    /// The recovery books so far: `recovered`, `partial_recoveries`,
+    /// `used_checkpoint` and `membership_epoch` (the rest is default).
+    pub fn books(&self) -> &DistResult {
+        &self.cluster.books
+    }
+
     /// Sweep to completion (bounded) and return the coordinator's outcome.
     pub fn run_to_completion(&mut self, max_sweeps: u64) -> Result<NodeOutcome, DistError> {
         for _ in 0..max_sweeps {
             if self.sweep()? {
-                return self.take_outcome().ok_or(DistError::Protocol {
-                    shard: 0,
-                    detail: "finished without a coordinator outcome".to_string(),
-                });
+                return self.cluster.outcome();
             }
         }
         Err(DistError::Stalled {

@@ -31,15 +31,15 @@
 //!   (waves) until they do, publish — its pacing, the
 //!   [`pdes_core::CkptSink`] the cut parts assemble in, the `Done` fold and
 //!   the `FailureDetector`'s leases.
-//! - [`launcher`] — one `Cluster` (mesh + nodes, built once) under two
-//!   drivers: the threaded elastic-membership supervisor — a dead shard is
-//!   restored *partially* from the newest cut while the survivors replay
-//!   their send logs, else every shard is; joins, leaves and degradation
-//!   re-launch from a cut under a rebalanced map — and the deterministic
-//!   single-threaded [`launcher::SteppedCluster`] for property tests; plus
-//!   the single-shard entry point of real multi-process runs. Every one of
-//!   them starts with [`DistConfig::check`] (or [`ProcessOpts::check`]): a
-//!   configuration that cannot describe a cluster is a
+//! - [`launcher`] — one `Cluster` (mesh + nodes) that also makes the one
+//!   decision a failure needs — restore the dead *partially* from the
+//!   newest cut while the survivors replay their send logs, else restart
+//!   every shard; degrade, join or leave by relaunching from a cut under a
+//!   rebalanced map — and keeps the run's recovery books. Two drivers feed
+//!   it: the threaded supervisor ([`run_loopback`]) and the deterministic
+//!   single-threaded [`SteppedCluster`]; a third entry point runs one shard
+//!   of a real multi-process mesh. Each starts with [`DistConfig::check`]
+//!   (or [`ProcessOpts::check`]): a bad configuration is a
 //!   [`DistError::Config`] before anything is built, not a panic.
 //!
 //! ## Correctness contract
@@ -67,16 +67,12 @@ pub mod wire;
 
 pub use coord::NodeOutcome;
 pub use detector::HeartbeatConfig;
-pub use faults::{
-    LinkAction, LinkDelayFault, LinkDropFault, LinkDupFault, LinkFaultPlan, LinkFaults,
-};
+pub use faults::LinkFaultPlan;
 pub use launcher::{
     run_loopback, run_loopback_ingest, run_shard_process, DistConfig, DistResult, IngestGates,
     ProcessOpts, SteppedCluster, Transport,
 };
-pub use link::{
-    read_hello, write_hello, Backoff, FrameTx, Inbox, MemTx, Packet, ReliableLink, TcpTx,
-};
-pub use node::{DistError, ReshapeAction, ShardNode};
-pub use proto::{Frame, HELLO_MAGIC, PROTOCOL_VERSION};
+pub use link::{Backoff, Inbox, MemTx, Packet, ReliableLink};
+pub use node::{DistError, ReshapeAction};
+pub use proto::Frame;
 pub use wire::WireError;

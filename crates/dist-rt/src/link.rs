@@ -5,7 +5,7 @@
 //!
 //! - [`MemTx`] — pushes packet bytes straight into the peer's [`Inbox`]
 //!   (in-process nodes; deterministic under [`crate::launcher::SteppedCluster`]).
-//! - [`TcpTx`] — writes `u32`-length-prefixed packets to a `TcpStream`; a
+//! - `TcpTx` — writes `u32`-length-prefixed packets to a `TcpStream`; a
 //!   reader thread per stream pushes received packets into the node's inbox.
 //!
 //! Link faults ([`LinkFaults`]) are applied at the *sender*, below the
@@ -137,7 +137,7 @@ impl FrameTx for MemTx {
 }
 
 /// TCP transport: packets are written as `u32`-length-prefixed frames.
-pub struct TcpTx {
+pub(crate) struct TcpTx {
     pub stream: TcpStream,
 }
 
@@ -178,7 +178,7 @@ pub fn spawn_tcp_reader(
 /// little-endian. The magic rejects strangers (port scanners, a mis-typed
 /// endpoint) and the version rejects mismatched builds with a clear error
 /// instead of a decode failure mid-run.
-pub fn write_hello(stream: &mut TcpStream, shard: usize) -> std::io::Result<()> {
+pub(crate) fn write_hello(stream: &mut TcpStream, shard: usize) -> std::io::Result<()> {
     let mut buf = [0u8; 12];
     buf[..4].copy_from_slice(&crate::proto::HELLO_MAGIC.to_le_bytes());
     buf[4..8].copy_from_slice(&crate::proto::PROTOCOL_VERSION.to_le_bytes());
@@ -186,7 +186,7 @@ pub fn write_hello(stream: &mut TcpStream, shard: usize) -> std::io::Result<()> 
     stream.write_all(&buf)
 }
 
-pub fn read_hello(stream: &mut TcpStream) -> std::io::Result<usize> {
+pub(crate) fn read_hello(stream: &mut TcpStream) -> std::io::Result<usize> {
     let mut buf = [0u8; 12];
     stream.read_exact(&mut buf)?;
     let magic = u32::from_le_bytes(buf[..4].try_into().expect("4 bytes"));

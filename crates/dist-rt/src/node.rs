@@ -1,23 +1,22 @@
 //! One shard of the distributed runtime.
 //!
-//! A [`ShardNode`] owns a [`ThreadEngine`] over its slice of LPs, a
+//! A `ShardNode` owns a [`ThreadEngine`] over its slice of LPs, a
 //! [`ReliableLink`] per peer and its `GvtTracker`; shard 0 also holds the
 //! coordinator's side of the run (`coord.rs`). Three jobs live in owners of
 //! their own, used only through their methods: the ingest relay
 //! (`relay.rs`), the peer-recovery fences and send log (`fences.rs`) and
 //! the shard clock with its park episodes (`trace.rs`). Its
-//! [`ShardNode::step`] is one cycle of the main loop — drain the inbox,
-//! drive GVT rounds (coordinator only), process a batch, pump the links —
-//! and is public so the deterministic [`crate::launcher::SteppedCluster`]
-//! can interleave shards round-robin.
-//! [`ShardNode::run`] puts the shard clock on wall time and wraps `step`
-//! with inbox parking and a GVT-liveness watchdog for real runs.
+//! `ShardNode::step` is one cycle of the main loop — drain the inbox, drive
+//! GVT rounds (coordinator only), process a batch, pump the links — which
+//! the deterministic [`crate::launcher::SteppedCluster`] interleaves
+//! round-robin; `ShardNode::run` puts the shard clock on wall time and
+//! wraps `step` with inbox parking and a GVT-liveness watchdog.
 //!
 //! ## Demand-driven shard throttling
 //!
 //! On every GVT publish the node re-evaluates demand: a shard whose engine
 //! holds no live pending work parks itself — it stops taking batches (and,
-//! under [`ShardNode::run`], blocks on its inbox) until an inbound event
+//! under `ShardNode::run`, blocks on its inbox) until an inbound event
 //! re-creates demand. This is the paper's demand-driven deactivation
 //! applied at shard granularity: quiet inbound links and an empty pending
 //! set mean the shard consumes no CPU until a remote event arrives.
@@ -149,7 +148,7 @@ enum Phase {
 
 /// What one [`ShardNode::step`] accomplished (parking hint for `run`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StepStatus {
+pub(crate) enum StepStatus {
     /// Frames handled or events processed — keep going.
     Progress,
     /// Nothing to do this cycle — safe to block on the inbox briefly.
@@ -178,8 +177,8 @@ fn stray(shard: usize, kind: &str) -> DistError {
 
 /// One shard: engine + links + GVT tracker (+ coordinator state on shard 0),
 /// with its ingest relay, peer-recovery fences and shard clock.
-pub struct ShardNode<M: Model> {
-    pub shard: usize,
+pub(crate) struct ShardNode<M: Model> {
+    shard: usize,
     engine: ThreadEngine<M>,
     /// `links[p]` is the reliable link to shard `p` (`None` for self).
     links: Vec<Option<ReliableLink>>,
@@ -213,7 +212,7 @@ impl<M: Model> ShardNode<M> {
     /// Build one shard node of the run `dcfg` describes. `flat_map` maps
     /// every LP to its owning shard (`SimThreadId(shard)`); `links[p]` must
     /// be `Some` exactly for `p != shard`. Shard 0 becomes the coordinator.
-    pub fn new(
+    pub(crate) fn new(
         model: Arc<M>,
         flat_map: LpMap,
         shard: usize,
@@ -250,7 +249,7 @@ impl<M: Model> ShardNode<M> {
             last_liveness: 0,
             outbox: Vec::new(),
             last_hb_sent: 0,
-            relay: IngestRelay::new(),
+            relay: IngestRelay::new(SimThreadId(shard as u32)),
             fences: PeerFences::new(n, dcfg.ckpt_every_rounds > 0),
             trace: ShardTrace::new(&dcfg.telemetry, n),
         }
@@ -259,26 +258,26 @@ impl<M: Model> ShardNode<M> {
     /// Attach this shard's ingest gate. Must be called before
     /// [`Self::start`] so the started node replays the gate's
     /// accepted-but-uncut events into its engine.
-    pub fn set_ingest(&mut self, gate: Arc<IngestGate<M::Payload>>) {
+    pub(crate) fn set_ingest(&mut self, gate: Arc<IngestGate<M::Payload>>) {
         self.relay.attach(gate, self.flat_map.clone(), self.gvt);
     }
 
     /// Raise the gate's admission floor (recovery: the coordinator's
     /// published GVT may exceed what this node has adopted locally). A
     /// restored node has no round open, so this only moves the floor.
-    pub fn raise_ingest_floor(&mut self, floor: u64) {
+    pub(crate) fn raise_ingest_floor(&mut self, floor: u64) {
         self.relay.close_cut(floor);
     }
 
     /// Join a cohort: its abort flag is raised (by the supervisor's thread
     /// wrapper) when any shard's [`Self::run`] fails, and checked by all.
-    pub fn set_abort(&mut self, abort: Option<Arc<AtomicBool>>) {
+    pub(crate) fn set_abort(&mut self, abort: Option<Arc<AtomicBool>>) {
         self.abort = abort;
     }
 
     /// Emit a telemetry instant onto this node's clock (the
     /// supervisor stamps membership events through this too).
-    pub fn trace_instant(&mut self, kind: EventKind, arg: u64) {
+    pub(crate) fn trace_instant(&mut self, kind: EventKind, arg: u64) {
         self.trace.instant(kind, arg);
     }
 
@@ -291,28 +290,28 @@ impl<M: Model> ShardNode<M> {
     }
 
     /// Published GVT (ticks) as seen by this node.
-    pub fn gvt(&self) -> u64 {
+    pub(crate) fn gvt(&self) -> u64 {
         self.gvt
     }
 
     /// The engine's pending minimum (ticks) — for invariant checks.
-    pub fn local_min_ticks(&self) -> u64 {
+    pub(crate) fn local_min_ticks(&self) -> u64 {
         self.engine.local_min().ticks()
     }
 
     /// `true` once the node's role in the run is complete.
-    pub fn finished(&self) -> bool {
+    pub(crate) fn finished(&self) -> bool {
         self.phase == Phase::Done
     }
 
     /// The coordinator's assembled run outcome (present after it finishes).
-    pub fn take_outcome(&mut self) -> Option<NodeOutcome> {
+    pub(crate) fn take_outcome(&mut self) -> Option<NodeOutcome> {
         self.co.as_mut()?.outcome.take()
     }
 
     /// The newest checkpoint cut the coordinator assembled (the supervisor
     /// restores from it).
-    pub fn latest_cut(&self) -> Option<Checkpoint<M::State, M::Payload>> {
+    pub(crate) fn latest_cut(&self) -> Option<Checkpoint<M::State, M::Payload>> {
         self.co.as_ref()?.sink.latest()
     }
 
@@ -331,7 +330,7 @@ impl<M: Model> ShardNode<M> {
     /// what the start does not hold — everything from 0 when fresh, the
     /// suffix above `ck.gvt` when restored — placed by the current map, as
     /// a reshape may have moved an admitted event's LP to another shard.
-    pub fn start(&mut self, ck: Option<&Cut<M>>) -> Result<(), DistError> {
+    pub(crate) fn start(&mut self, ck: Option<&Cut<M>>) -> Result<(), DistError> {
         let cut = match ck {
             Some(ck) => {
                 self.engine.restore(&ck.lps, &ck.events, ck.gvt);
@@ -356,19 +355,19 @@ impl<M: Model> ShardNode<M> {
 
     /// `true` while the node is in its normal simulating phase (partial
     /// recovery is only safe for survivors that haven't begun teardown).
-    pub fn is_running(&self) -> bool {
+    pub(crate) fn is_running(&self) -> bool {
         self.phase == Phase::Running
     }
 
     /// The round number the coordinator will open next (recovery fencing;
     /// 0 on a shard that does not coordinate).
-    pub fn upcoming_round(&self) -> u64 {
+    pub(crate) fn upcoming_round(&self) -> u64 {
         self.co.as_ref().map_or(0, Coord::upcoming_round)
     }
 
     /// Replace the link to `peer` (recovery: the peer was rebuilt, so its
     /// seq/ack state restarted from zero).
-    pub fn replace_link(&mut self, peer: usize, link: ReliableLink) {
+    pub(crate) fn replace_link(&mut self, peer: usize, link: ReliableLink) {
         self.links[peer] = Some(link);
         self.trace.relink(peer);
     }
@@ -382,7 +381,7 @@ impl<M: Model> ShardNode<M> {
     /// queued meanwhile is dropped: none was run through
     /// [`ReliableLink::on_packet`], hence none was acked — a survivor's is
     /// redelivered by retransmission, the dead peers' die here.
-    pub fn sever(&mut self, dead: &[usize], tcp: bool) {
+    pub(crate) fn sever(&mut self, dead: &[usize], tcp: bool) {
         if tcp {
             for &d in dead {
                 if let Some(link) = self.links[d].as_mut() {
@@ -406,7 +405,7 @@ impl<M: Model> ShardNode<M> {
 
     /// Survivor-side partial recovery, called by the supervisor between
     /// thread runs (never concurrently with [`Self::step`]). The `dead`
-    /// shards, owners of `dead_lps`, were rebuilt from the cut at `cut`:
+    /// shards were rebuilt from the cut at `cut`:
     /// - void every GVT counter shared with them (their fresh incarnations
     ///   restart those pairs from zero);
     /// - fence them (`PeerFences::recover`): their re-executed sub-GVT
@@ -423,10 +422,9 @@ impl<M: Model> ShardNode<M> {
     ///   globally fixed and the re-sent duplicates are dropped at the link
     ///   instead). Cascade anti-messages are routed normally (and logged,
     ///   so they reach the restored peer in order after the replay).
-    pub fn recover_peers(
+    pub(crate) fn recover_peers(
         &mut self,
         dead: &[usize],
-        dead_lps: &[LpId],
         cut: u64,
         first_valid_round: u64,
         floor: u64,
@@ -450,8 +448,12 @@ impl<M: Model> ShardNode<M> {
                 self.send_frame(d, &Frame::SimBatch { msgs })?;
             }
         }
+        let mut dead_lps: Vec<LpId> = (dead.iter())
+            .flat_map(|&d| self.flat_map.lps_of(SimThreadId(d as u32)))
+            .collect();
+        dead_lps.sort_unstable_by_key(|lp| lp.0);
         self.engine.purge_inputs_from(
-            dead_lps,
+            &dead_lps,
             VirtualTime::from_ticks(cut),
             VirtualTime::from_ticks(floor),
             &mut self.outbox,
@@ -557,7 +559,7 @@ impl<M: Model> ShardNode<M> {
     }
 
     /// One main-loop cycle.
-    pub fn step(&mut self) -> Result<StepStatus, DistError> {
+    pub(crate) fn step(&mut self) -> Result<StepStatus, DistError> {
         if self.phase == Phase::Done {
             return Ok(StepStatus::Finished);
         }
@@ -1055,7 +1057,7 @@ impl<M: Model> ShardNode<M> {
 
     /// Threaded main loop on wall time: step until finished, parking on the
     /// inbox when idle and enforcing the GVT-liveness watchdog.
-    pub fn run(&mut self) -> Result<(), DistError> {
+    pub(crate) fn run(&mut self) -> Result<(), DistError> {
         self.trace.start_wall_clock();
         self.last_liveness = self.trace.now_ns();
         self.last_hb_sent = self.last_liveness;

@@ -8,8 +8,8 @@ use std::sync::Arc;
 
 use pdes_core::ingest::PendingEntry;
 use pdes_core::{
-    Event, IngestGate, IngestPort, IngestReply, IngestRequest, LpId, LpMap, Model, Msg, Outbound,
-    ReplySlot, ThreadEngine, VirtualTime,
+    Event, IngestGate, IngestPort, IngestReply, IngestRequest, LpMap, Model, Msg, Outbound,
+    ReplySlot, SimThreadId, ThreadEngine, VirtualTime,
 };
 
 use crate::node::{DistError, FrameOf};
@@ -18,6 +18,7 @@ use crate::proto::Frame;
 pub(crate) type Outgoing<M> = (usize, FrameOf<M>);
 
 pub(crate) struct IngestRelay<M: Model> {
+    shard: SimThreadId,
     /// This shard's admission gate (shared with the client-facing server)
     /// behind the port every runtime's round closer holds.
     ingest: Option<IngestPort<M::Payload>>,
@@ -32,8 +33,9 @@ pub(crate) struct IngestRelay<M: Model> {
 }
 
 impl<M: Model> IngestRelay<M> {
-    pub(crate) fn new() -> IngestRelay<M> {
+    pub(crate) fn new(shard: SimThreadId) -> IngestRelay<M> {
         IngestRelay {
+            shard,
             ingest: None,
             cut_open: false,
             forward_slots: HashMap::new(),
@@ -44,6 +46,7 @@ impl<M: Model> IngestRelay<M> {
     /// Attach this shard's gate, its admission floor at `gvt`.
     pub(crate) fn attach(&mut self, gate: Arc<IngestGate<M::Payload>>, map: LpMap, gvt: u64) {
         gate.set_floor(VirtualTime::from_ticks(gvt));
+        gate.set_owner(map.clone(), self.shard);
         self.ingest = Some(IngestPort::new(gate, map));
     }
 
@@ -104,8 +107,8 @@ impl<M: Model> IngestRelay<M> {
         else {
             return Ok((0, Vec::new()));
         };
-        let shard = engine.tid().index();
-        let owned = |lp: LpId| lp.0 < map.num_lps && map.thread_of(lp).index() == shard;
+        let shard = self.shard.index();
+        let owned = |lp| map.owns(self.shard, lp);
         let mut inject = |ev| {
             engine.deliver(Msg::Event(ev), outbox);
         };
@@ -191,7 +194,7 @@ impl<M: Model> IngestRelay<M> {
 mod tests {
     use super::*;
     use models::{Phold, PholdConfig};
-    use pdes_core::{EngineConfig, MapKind, SimThreadId};
+    use pdes_core::{EngineConfig, LpId, MapKind, SimThreadId};
     use std::sync::Mutex;
 
     /// Shard 0 of two over 8 LPs; LP 7 is shard 1's.
@@ -200,7 +203,7 @@ mod tests {
         let map = LpMap::new(8, 2, MapKind::Block);
         let engine =
             ThreadEngine::new(model, map.clone(), SimThreadId(0), &EngineConfig::default());
-        (IngestRelay::new(), map, engine)
+        (IngestRelay::new(SimThreadId(0)), map, engine)
     }
 
     fn req(id: u64, dst: u32) -> IngestRequest<()> {
@@ -248,6 +251,49 @@ mod tests {
         assert!(got.lock().unwrap().is_none(), "no verdict yet");
         relay.close();
         assert_eq!(*got.lock().unwrap(), Some(IngestReply::Closed));
+    }
+
+    /// On a resumed run the entry shard's floor can have passed an id its
+    /// peer admitted in the first run. Only the owner knows the id: the
+    /// entry forwards it unjudged, and the client hears `Duplicate`, not a
+    /// `Rejected` that would have it re-stamp and retry.
+    #[test]
+    fn a_peer_owned_admitted_id_below_the_entry_floor_is_a_duplicate() {
+        let (mut entry, map, mut engine0) = shard0();
+        let model = Arc::new(Phold::new(PholdConfig::balanced(2, 4)));
+        let ecfg = EngineConfig::default();
+        let mut engine1 = ThreadEngine::new(model, map.clone(), SimThreadId(1), &ecfg);
+        let mut owner: IngestRelay<Phold> = IngestRelay::new(SimThreadId(1));
+        let owner_gate = Arc::new(IngestGate::new(1));
+        owner.attach(Arc::clone(&owner_gate), map.clone(), 0);
+        let mut outbox = Vec::new();
+        assert!(owner_gate.submit(req(1, 7), ReplySlot::None).is_none());
+        let (injected, _) = owner.pump(false, &map, &mut engine1, &mut outbox).unwrap();
+        assert_eq!(injected, 1, "LP 7's owner admitted id 1");
+
+        let entry_gate = Arc::new(IngestGate::new(0));
+        let floor = VirtualTime::from_f64(9.0).ticks();
+        entry.attach(Arc::clone(&entry_gate), map.clone(), floor);
+        let got = Arc::new(Mutex::new(None));
+        let slot = Arc::clone(&got);
+        let local = ReplySlot::Local(Box::new(move |r| *slot.lock().unwrap() = Some(r)));
+        let at_the_door = entry_gate.submit(req(1, 7), local);
+        assert!(
+            at_the_door.is_none(),
+            "judged by the entry: {at_the_door:?}"
+        );
+        let (_, mut sends) = entry.pump(false, &map, &mut engine0, &mut outbox).unwrap();
+        let Some((1, Frame::Ingest { origin, key, req })) = sends.pop() else {
+            panic!("not forwarded to LP 7's owner");
+        };
+        let Some((0, Frame::IngestReply { key, reply })) =
+            owner.on_ingest(origin as usize, key, req)
+        else {
+            panic!("the owner answers at once");
+        };
+        assert!(entry.on_reply(key, reply).is_none());
+        assert_eq!(*got.lock().unwrap(), Some(IngestReply::Duplicate));
+        assert_eq!(entry_gate.stats().rejected, 0);
     }
 
     #[test]

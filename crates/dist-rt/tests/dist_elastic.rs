@@ -8,9 +8,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use dist_rt::{
-    run_loopback, DistConfig, DistError, DistResult, HeartbeatConfig, SteppedCluster, Transport,
-};
+use dist_rt::{run_loopback, DistConfig, DistResult, HeartbeatConfig, SteppedCluster, Transport};
 use models::{Phold, PholdConfig};
 use pdes_core::{run_sequential, EngineConfig, SequentialResult, VirtualTime};
 use proptest::prelude::*;
@@ -194,17 +192,17 @@ fn a_kill_on_an_armed_publish_recovers_past_the_optimism_window() {
             interval: Duration::from_millis(1),
             miss_threshold: 4,
         }),
+        max_recoveries: 1,
         ..DistConfig::default()
     };
     let oracle = run_sequential(&model, &ecfg, None);
     let mut cluster = SteppedCluster::new(Arc::clone(&model), &ecfg, &dcfg).expect("build");
-    loop {
-        match cluster.sweep() {
-            Ok(done) => assert!(!done, "finished without declaring the kill"),
-            Err(DistError::PeerDead { shard: 2, .. }) => break,
-            Err(e) => panic!("{e}"),
-        }
+    while cluster.books().recovered.is_empty() {
+        let done = cluster.sweep().expect("invariants hold");
+        assert!(!done, "finished without declaring the kill");
     }
+    assert_eq!(cluster.books().recovered, [2]);
+    assert_eq!(cluster.books().partial_recoveries, 1);
     let floor = *cluster.gvt_history[0].last().expect("GVT published");
     let cut = cluster
         .latest_checkpoint()
@@ -212,7 +210,6 @@ fn a_kill_on_an_armed_publish_recovers_past_the_optimism_window() {
         .gvt;
     let window = VirtualTime::from_f64(2.0).ticks();
     assert!(floor > cut.ticks() + window, "floor {floor}, cut {cut:?}");
-    assert!(cluster.partial_recover(&[2]).expect("recovery is clean"));
     let out = cluster
         .run_to_completion(100_000)
         .expect("no stall below the floor");
@@ -346,6 +343,7 @@ proptest! {
             shards,
             transport: Transport::Mem,
             ckpt_every_rounds: 2,
+            max_recoveries: 1,
             ..DistConfig::default()
         };
         let oracle = run_sequential(&model, &ecfg, None);
@@ -408,21 +406,15 @@ proptest! {
                 interval: Duration::from_millis(1),
                 miss_threshold,
             }),
+            max_recoveries: 1,
             ..DistConfig::default()
         };
         let oracle = run_sequential(&model, &ecfg, None);
         let mut cluster = SteppedCluster::new(Arc::clone(&model), &ecfg, &dcfg)
             .expect("build cluster");
-        let declared = loop {
-            match cluster.sweep() {
-                Ok(done) => prop_assert!(!done, "finished without declaring the kill"),
-                Err(DistError::PeerDead { shard, .. }) => break shard,
-                Err(e) => panic!("sweep failed: {e}"),
-            }
-        };
-        prop_assert_eq!(declared, dead);
-        prop_assert!(cluster.partial_recover(&[dead]).expect("recovery is clean"));
         let out = cluster.run_to_completion(4_000_000).expect("invariants hold");
+        prop_assert_eq!(&cluster.books().recovered, &vec![dead]);
+        prop_assert_eq!(cluster.books().partial_recoveries, 1);
         prop_assert_eq!(out.regressions, 0);
         prop_assert_eq!(out.totals.committed, oracle.committed);
         prop_assert_eq!(out.totals.commit_digest, oracle.commit_digest);

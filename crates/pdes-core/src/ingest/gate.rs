@@ -5,7 +5,8 @@ use super::journal::{IngestJournal, JournalRecord};
 use super::{IngestError, IngestReply, IngestRequest, IngestStats};
 use super::{INGEST_SRC, SHARD_SHIFT};
 use crate::event::{Event, EventKey};
-use crate::ids::{EventUid, LpId};
+use crate::ids::{EventUid, LpId, SimThreadId};
+use crate::mapping::LpMap;
 use crate::plane::lock;
 use crate::time::VirtualTime;
 use serde::{Deserialize, Serialize};
@@ -71,6 +72,9 @@ struct GateInner<P> {
     /// Idempotency map: every admitted `(source, id)` with its exact event.
     accepted: HashMap<(u32, u64), Event<P>>,
     journal: Option<IngestJournal>,
+    /// The LPs this gate admits for, where others exist (see
+    /// [`IngestGate::set_owner`]); `None`: every LP.
+    owner: Option<(LpMap, SimThreadId)>,
     next_seq: u64,
     uid_base: u64,
     stats: IngestStats,
@@ -103,6 +107,7 @@ impl<P> IngestGate<P> {
                 per_source: HashMap::new(),
                 accepted: HashMap::new(),
                 journal: None,
+                owner: None,
                 next_seq: 0,
                 uid_base: shard << SHARD_SHIFT,
                 stats: IngestStats::default(),
@@ -121,13 +126,16 @@ impl<P> IngestGate<P> {
             return Some(IngestReply::Closed);
         }
         let key = (req.source, req.id);
-        if g.accepted.contains_key(&key) || g.queued_ids.contains(&key) {
+        // Only the destination's owner knows whether the id was admitted,
+        // and judges it against its own floor.
+        let owned = (g.owner.as_ref()).is_none_or(|(map, shard)| map.owns(*shard, req.dst));
+        if owned && (g.accepted.contains_key(&key) || g.queued_ids.contains(&key)) {
             g.stats.duplicate += 1;
             return Some(IngestReply::Duplicate);
         }
         // The floor is monotone, so a timestamp inadmissible now can never
         // become admissible: reject at the door with the current floor.
-        if req.at.ticks() <= g.floor_ticks {
+        if owned && req.at.ticks() <= g.floor_ticks {
             g.stats.rejected += 1;
             return Some(IngestReply::Rejected {
                 floor_ticks: g.floor_ticks,
@@ -166,6 +174,13 @@ impl<P> IngestGate<P> {
     pub fn set_floor(&self, gvt: VirtualTime) {
         let mut g = lock(&self.inner);
         g.floor_ticks = g.floor_ticks.max(gvt.ticks());
+    }
+
+    /// Admit only for the LPs `map` gives `shard` (a shard of a
+    /// distributed run): a submission for another LP is queued unjudged,
+    /// for [`Self::pump`] to forward to its owner's gate.
+    pub fn set_owner(&self, map: LpMap, shard: SimThreadId) {
+        lock(&self.inner).owner = Some((map, shard));
     }
 
     /// Current admission floor in ticks.
@@ -243,6 +258,11 @@ impl<P: Clone + Serialize> IngestGate<P> {
             if let Some(n) = g.per_source.get_mut(&entry.req.source) {
                 *n = n.saturating_sub(1);
             }
+            // Its owner judges the floor of a forwarded submission.
+            if !owned(entry.req.dst) {
+                out.forward.push(entry);
+                continue;
+            }
             if entry.req.at.ticks() <= g.floor_ticks {
                 g.stats.rejected += 1;
                 let floor = g.floor_ticks;
@@ -251,10 +271,6 @@ impl<P: Clone + Serialize> IngestGate<P> {
                     entry.slot,
                     IngestReply::Rejected { floor_ticks: floor },
                 );
-                continue;
-            }
-            if !owned(entry.req.dst) {
-                out.forward.push(entry);
                 continue;
             }
             let seq = g.next_seq;

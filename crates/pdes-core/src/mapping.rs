@@ -215,6 +215,11 @@ impl LpMap {
         }
     }
 
+    /// Whether `lp` is one of this map's LPs and `thread` owns it.
+    pub fn owns(&self, thread: SimThreadId, lp: LpId) -> bool {
+        lp.0 < self.num_lps && self.thread_of(lp) == thread
+    }
+
     /// All LPs owned by `thread`, ascending.
     pub fn lps_of(&self, thread: SimThreadId) -> Vec<LpId> {
         (0..self.num_lps)

@@ -186,8 +186,11 @@ fn checkpointing_alone_gives_dist_the_default_retry_budget() {
 /// the cohort abort flag, so the run completes only because the
 /// coordinator's lease declared the killed worker dead and the supervisor
 /// recovered it, once. The lease runs on the wall clock, so on a loaded
-/// host a starved live shard may be declared dead and recovered too; the
-/// exact recovery count is pinned by `dist_golden`'s stepped silent kill.
+/// host a starved live shard may be declared dead and recovered too. The
+/// same cluster script on the stepped shard clock, where the lease cannot
+/// starve, pins `recovered == [2]` and one partial recovery exactly:
+/// `dist_golden::cli_silent_kill_recovers_shard_two_once` (on that file's
+/// smaller model, which reaches the 5th publish there).
 #[test]
 fn a_silent_kill_is_found_by_the_heartbeat_detector_and_recovered() {
     let out = run_bounded(
