@@ -38,7 +38,8 @@ fn run_point<M: Model>(
     let mut rc = RunConfig::new(threads, scale.engine(), sys).with_machine(scale.machine());
     rc.limit_ns = Some(600_000_000_000);
     let r = run_sim(model, &rc);
-    assert_eq!(r.gvt_regressions, 0, "GVT regression in {}", sys.name());
+    let inv = r.invariants;
+    assert!(inv.hold(), "{} broke an invariant: {inv:?}", sys.name());
     fig.table.record_rate(&r.metrics);
     fig.runs.push(r.metrics);
 }

@@ -28,4 +28,4 @@ pub mod plane;
 pub mod policy;
 
 pub use plane::ConsPlane;
-pub use policy::{run_cons, ConsError, ConsResult, ConsRunConfig, Conservative};
+pub use policy::{run_cons, ConsError, ConsRunConfig, Conservative};

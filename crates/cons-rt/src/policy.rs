@@ -42,19 +42,15 @@
 //! thread parked with live pending — [`Conservative::admit`] refuses it.
 
 use crate::plane::ConsPlane;
-use metrics::RunMetrics;
+use metrics::{RunMetrics, RunOutcome};
 use pdes_core::{BatchOutcome, Model, Outbound, Scheduler, ThreadEngine, VirtualTime};
 use std::sync::Arc;
 use telemetry::{EventKind, Tracer};
-use thread_rt::{run_threads_attempt, Protocol, RtResult, RtRunConfig, RtShared, RunError};
+use thread_rt::{run_threads_attempt, Protocol, RtRunConfig, RtShared, RunError};
 
 /// Configuration of a conservative run: the real-thread run configuration
 /// (`faults` may script worker kills; message faults are refused).
 pub type ConsRunConfig = RtRunConfig;
-
-/// Result of a conservative run; its metrics carry `protocol:
-/// "conservative"`, `null_messages_sent` and `lbts_rounds`.
-pub type ConsResult = RtResult;
 
 /// Why a conservative run refused to start, or failed to complete.
 #[derive(Debug)]
@@ -207,7 +203,9 @@ impl<M: Model> Protocol<M> for Conservative {
 /// Run `model` conservatively on real threads. Blocks until the simulation
 /// completes, a worker panics, or the watchdog trips — never hangs while the
 /// watchdog is armed. Inadmissible runs are refused before anything spawns.
-pub fn run_cons<M: Model>(model: &Arc<M>, rc: &ConsRunConfig) -> Result<ConsResult, ConsError> {
+/// The outcome's metrics carry `protocol: "conservative"`,
+/// `null_messages_sent` and `lbts_rounds`.
+pub fn run_cons<M: Model>(model: &Arc<M>, rc: &ConsRunConfig) -> Result<RunOutcome, ConsError> {
     Conservative::admit(model.as_ref(), rc)?;
     run_threads_attempt::<M, Conservative>(model, rc, None, None, None)
         .outcome

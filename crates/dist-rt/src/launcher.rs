@@ -9,8 +9,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use metrics::RunMetrics;
-use pdes_core::{Checkpoint, EngineConfig, IngestGate, LpId, LpMap, Model, SimThreadId};
+use metrics::{Invariants, RunMetrics, RunOutcome};
+use pdes_core::{Checkpoint, EngineConfig, IngestGate, LpMap, Model, RecoveryBooks, SimThreadId};
 use telemetry::EventKind;
 
 use crate::coord::NodeOutcome;
@@ -137,38 +137,6 @@ impl DistConfig {
     }
 }
 
-/// The assembled outcome of a distributed run.
-#[derive(Debug, Clone, Default)]
-pub struct DistResult {
-    pub metrics: RunMetrics,
-    /// Final per-LP state digests, ascending by LP.
-    pub state_digests: Vec<(LpId, u64)>,
-    /// XOR-fold of per-shard unprocessed-event digests.
-    pub pending_digest: u64,
-    /// Final published GVT (ticks).
-    pub gvt: u64,
-    /// Clamped GVT regressions (should be 0).
-    pub regressions: u64,
-    /// The shard each kill recovery (full restart or partial restore)
-    /// replaced, in recovery order: its length counts them.
-    pub recovered: Vec<usize>,
-    /// Recoveries that restored only the dead shard(s) from the latest cut
-    /// while the survivors replayed their send logs in place.
-    pub partial_recoveries: u32,
-    /// Whether any recovery restored from an assembled checkpoint cut
-    /// (as opposed to replaying from the start).
-    pub used_checkpoint: bool,
-    /// Shards in the membership when the run finished (join/leave/degrade
-    /// change this from `DistConfig::shards`).
-    pub shards_final: usize,
-    /// Membership reshapes performed (joins + leaves + degradations).
-    pub membership_epoch: u64,
-    /// Merged telemetry across all shards (when tracing was enabled),
-    /// mapped onto the coordinator's clock. Full-restart recoveries start a
-    /// fresh collection; this is the final (successful) attempt's data.
-    pub telemetry: Option<telemetry::TelemetryData>,
-}
-
 fn link_faults_for(plan: &Option<LinkFaultPlan>, src: usize, dst: usize) -> Option<LinkFaults> {
     plan.as_ref()
         .filter(|p| p.is_active())
@@ -291,8 +259,8 @@ fn tcp_link(
 }
 
 /// Assemble the coordinator's [`NodeOutcome`] of a run started at `t0` into
-/// a [`DistResult`] on `books` (the membership and its recoveries).
-fn assemble_result(out: NodeOutcome, lps: usize, t0: Instant, books: DistResult) -> DistResult {
+/// a [`RunOutcome`] on `books` (the membership and its recoveries).
+fn assemble_result(out: NodeOutcome, lps: usize, t0: Instant, books: RecoveryBooks) -> RunOutcome {
     let telemetry = out.telemetry;
     let mut metrics = RunMetrics::of_run(
         "GG-PDES-Dist".to_string(),
@@ -304,14 +272,18 @@ fn assemble_result(out: NodeOutcome, lps: usize, t0: Instant, books: DistResult)
         telemetry.as_ref(),
     );
     metrics.wall_secs = t0.elapsed().as_secs_f64();
-    DistResult {
+    RunOutcome {
         metrics,
-        state_digests: out.state_digests,
+        digests: out.state_digests.into_iter().map(|(_, d)| d).collect(),
         pending_digest: out.pending_digest,
         gvt: out.gvt,
-        regressions: out.regressions,
+        completed: true,
+        invariants: Invariants {
+            gvt_regressions: out.regressions,
+        },
         telemetry,
-        ..books
+        recovery: books,
+        ..Default::default()
     }
 }
 
@@ -341,7 +313,7 @@ struct Cluster<M: Model> {
     abort: Option<Arc<AtomicBool>>,
     /// `recovered`, `partial_recoveries`, `used_checkpoint` and
     /// `membership_epoch` so far; [`Self::finish`] fills in the rest.
-    books: DistResult,
+    books: RecoveryBooks,
     t0: Instant,
 }
 
@@ -365,7 +337,7 @@ impl<M: Model> Cluster<M> {
             restored: None,
             gates,
             abort,
-            books: DistResult::default(),
+            books: RecoveryBooks::default(),
             t0: Instant::now(),
         };
         cl.rebuild(None)?;
@@ -629,9 +601,9 @@ impl<M: Model> Cluster<M> {
         })
     }
 
-    /// The finished run's [`DistResult`]: the coordinator's outcome and the
+    /// The finished run's [`RunOutcome`]: the coordinator's outcome and the
     /// recovery books.
-    fn finish(&mut self) -> Result<DistResult, DistError> {
+    fn finish(&mut self) -> Result<RunOutcome, DistError> {
         let out = self.outcome()?;
         self.books.shards_final = self.nodes.len();
         let books = std::mem::take(&mut self.books);
@@ -717,7 +689,7 @@ pub fn run_loopback<M: Model>(
     model: Arc<M>,
     ecfg: &EngineConfig,
     dcfg: &DistConfig,
-) -> Result<DistResult, DistError> {
+) -> Result<RunOutcome, DistError> {
     run_loopback_ingest(model, ecfg, dcfg, None)
 }
 
@@ -732,7 +704,7 @@ pub fn run_loopback_ingest<M: Model>(
     ecfg: &EngineConfig,
     dcfg: &DistConfig,
     gates: Option<IngestGates<M>>,
-) -> Result<DistResult, DistError> {
+) -> Result<RunOutcome, DistError> {
     let abort = Arc::new(AtomicBool::new(false));
     let mut cl = Cluster::build(model, ecfg, dcfg, gates, Some(abort))?;
     loop {
@@ -747,7 +719,7 @@ pub fn run_loopback_ingest<M: Model>(
 /// One shard of a real multi-process run (the CLI's `--listen/--connect`
 /// path). Shard `shard` connects to `connect` (the listen addresses of
 /// shards `0..shard`, in order) and accepts the higher shards on `listen`.
-/// Returns the assembled [`DistResult`] on the coordinator, `None` on
+/// Returns the assembled [`RunOutcome`] on the coordinator, `None` on
 /// workers.
 #[derive(Debug, Clone, Default)]
 pub struct ProcessOpts {
@@ -805,7 +777,7 @@ pub fn run_shard_process<M: Model>(
     ecfg: &EngineConfig,
     opts: &ProcessOpts,
     gate: Option<Arc<IngestGate<M::Payload>>>,
-) -> Result<Option<DistResult>, DistError> {
+) -> Result<Option<RunOutcome>, DistError> {
     let addrs = opts.resolve()?;
     let n = opts.dcfg.shards;
     let num_lps = model.num_lps();
@@ -827,9 +799,9 @@ pub fn run_shard_process<M: Model>(
     }
     node.start(None)?;
     node.run()?;
-    let books = DistResult {
+    let books = RecoveryBooks {
         shards_final: n,
-        ..DistResult::default()
+        ..Default::default()
     };
     Ok(node
         .take_outcome()
@@ -951,15 +923,15 @@ impl<M: Model> SteppedCluster<M> {
         self.cluster.nodes[0].take_outcome()
     }
 
-    /// The finished run's [`DistResult`], built as [`run_loopback`] builds
+    /// The finished run's [`RunOutcome`], built as [`run_loopback`] builds
     /// it (instead of [`Self::take_outcome`]).
-    pub fn result(&mut self) -> Result<DistResult, DistError> {
+    pub fn result(&mut self) -> Result<RunOutcome, DistError> {
         self.cluster.finish()
     }
 
     /// The recovery books so far: `recovered`, `partial_recoveries`,
     /// `used_checkpoint` and `membership_epoch` (the rest is default).
-    pub fn books(&self) -> &DistResult {
+    pub fn books(&self) -> &RecoveryBooks {
         &self.cluster.books
     }
 

@@ -69,8 +69,8 @@ pub use coord::NodeOutcome;
 pub use detector::HeartbeatConfig;
 pub use faults::LinkFaultPlan;
 pub use launcher::{
-    run_loopback, run_loopback_ingest, run_shard_process, DistConfig, DistResult, IngestGates,
-    ProcessOpts, SteppedCluster, Transport,
+    run_loopback, run_loopback_ingest, run_shard_process, DistConfig, IngestGates, ProcessOpts,
+    SteppedCluster, Transport,
 };
 pub use link::{Backoff, Inbox, MemTx, Packet, ReliableLink};
 pub use node::{DistError, ReshapeAction};

@@ -8,7 +8,8 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use dist_rt::{run_loopback, DistConfig, DistResult, HeartbeatConfig, SteppedCluster, Transport};
+use dist_rt::{run_loopback, DistConfig, HeartbeatConfig, SteppedCluster, Transport};
+use metrics::RunOutcome;
 use models::{Phold, PholdConfig};
 use pdes_core::{run_sequential, EngineConfig, SequentialResult, VirtualTime};
 use proptest::prelude::*;
@@ -36,19 +37,18 @@ fn dcfg(shards: usize, transport: Transport) -> DistConfig {
 }
 
 #[track_caller]
-fn assert_matches_oracle(r: &DistResult, oracle: &SequentialResult, what: &str) {
+fn assert_matches_oracle(r: &RunOutcome, oracle: &SequentialResult, what: &str) {
     assert_eq!(r.metrics.committed, oracle.committed, "{what}: committed");
     assert_eq!(
         r.metrics.commit_digest, oracle.commit_digest,
         "{what}: commit digest"
     );
-    let states: Vec<u64> = r.state_digests.iter().map(|(_, d)| *d).collect();
-    assert_eq!(states, oracle.state_digests, "{what}: state digests");
+    assert_eq!(r.digests, oracle.state_digests, "{what}: state digests");
     assert_eq!(
         r.pending_digest, oracle.pending_digest,
         "{what}: pending digest"
     );
-    assert_eq!(r.regressions, 0, "{what}: GVT regressed");
+    assert_eq!(r.invariants.gvt_regressions, 0, "{what}: GVT regressed");
 }
 
 fn kind_count(data: &TelemetryData, kind: EventKind) -> usize {
@@ -75,9 +75,13 @@ fn partition_healing_within_lease_needs_no_recovery() {
     // of cycles, then heals.
     cfg.partitions = vec![(1, 2, 2)];
     let r = run_loopback(Arc::clone(&model), &ecfg, &cfg).expect("run completes");
-    assert_eq!(r.recovered.len(), 0, "a healed partition is not a failure");
-    assert_eq!(r.partial_recoveries, 0);
-    assert_eq!(r.membership_epoch, 0);
+    assert_eq!(
+        r.recovery.recovered.len(),
+        0,
+        "a healed partition is not a failure"
+    );
+    assert_eq!(r.recovery.partial_recoveries, 0);
+    assert_eq!(r.recovery.membership_epoch, 0);
     let data = r.telemetry.as_ref().expect("telemetry on");
     assert!(
         kind_count(data, EventKind::LinkRetransmit) > 0,
@@ -106,13 +110,21 @@ fn killed_shard_partially_recovers_over_memory_links() {
     cfg.kills = vec![(2, 5)];
     cfg.max_recoveries = 2;
     let r = run_loopback(Arc::clone(&model), &ecfg, &cfg).expect("recovers");
-    assert_eq!(r.recovered.len(), 1, "exactly one scripted kill fires");
-    assert_eq!(r.recovered, [2], "the recovery replaced the killed shard");
     assert_eq!(
-        r.partial_recoveries, 1,
+        r.recovery.recovered.len(),
+        1,
+        "exactly one scripted kill fires"
+    );
+    assert_eq!(
+        r.recovery.recovered,
+        [2],
+        "the recovery replaced the killed shard"
+    );
+    assert_eq!(
+        r.recovery.partial_recoveries, 1,
         "the recovery must have been partial (survivors kept running state)"
     );
-    assert!(r.used_checkpoint);
+    assert!(r.recovery.used_checkpoint);
     let data = r.telemetry.as_ref().expect("telemetry on");
     assert!(
         kind_count(data, EventKind::PartialRestore) >= 1,
@@ -134,8 +146,8 @@ fn killed_shard_partially_recovers_over_tcp() {
     cfg.kills = vec![(3, 5)];
     cfg.max_recoveries = 2;
     let r = run_loopback(Arc::clone(&model), &ecfg, &cfg).expect("recovers");
-    assert_eq!(r.recovered.len(), 1);
-    assert_eq!(r.partial_recoveries, 1, "recovery must be partial");
+    assert_eq!(r.recovery.recovered.len(), 1);
+    assert_eq!(r.recovery.partial_recoveries, 1, "recovery must be partial");
     assert_matches_oracle(&r, &oracle, "4-shard partial recovery (tcp)");
 }
 
@@ -157,11 +169,11 @@ fn silent_kill_is_discovered_by_the_heartbeat_detector() {
     });
     let r = run_loopback(Arc::clone(&model), &ecfg, &cfg).expect("recovers");
     assert_eq!(
-        r.recovered.len(),
+        r.recovery.recovered.len(),
         1,
         "the detector must find the silent death"
     );
-    assert_eq!(r.partial_recoveries, 1);
+    assert_eq!(r.recovery.partial_recoveries, 1);
     let data = r.telemetry.as_ref().expect("telemetry on");
     assert!(
         kind_count(data, EventKind::HeartbeatMiss) >= 1,
@@ -231,9 +243,12 @@ fn exhausted_recovery_budget_degrades_to_a_smaller_cluster() {
     cfg.max_recoveries = 0; // no budget at all
     cfg.degrade = true;
     let r = run_loopback(Arc::clone(&model), &ecfg, &cfg).expect("degrades, not dies");
-    assert_eq!(r.shards_final, 3, "the cluster must have shrunk by one");
-    assert_eq!(r.membership_epoch, 1);
-    assert!(r.used_checkpoint);
+    assert_eq!(
+        r.recovery.shards_final, 3,
+        "the cluster must have shrunk by one"
+    );
+    assert_eq!(r.recovery.membership_epoch, 1);
+    assert!(r.recovery.used_checkpoint);
     assert_matches_oracle(&r, &oracle, "degraded 4->3 cluster");
 }
 
@@ -264,8 +279,11 @@ fn shard_joins_at_a_cut_and_matches_oracle() {
     cfg.ckpt_every_rounds = 2;
     cfg.join_at = Some(4);
     let r = run_loopback(Arc::clone(&model), &ecfg, &cfg).expect("join completes");
-    assert_eq!(r.shards_final, 5, "the joiner must be in the membership");
-    assert_eq!(r.membership_epoch, 1);
+    assert_eq!(
+        r.recovery.shards_final, 5,
+        "the joiner must be in the membership"
+    );
+    assert_eq!(r.recovery.membership_epoch, 1);
     let data = r.telemetry.as_ref().expect("telemetry on");
     assert!(
         kind_count(data, EventKind::ShardJoin) >= 1,
@@ -285,8 +303,8 @@ fn shard_leaves_at_a_cut_and_matches_oracle() {
     cfg.ckpt_every_rounds = 2;
     cfg.leave_at = Some((3, 4));
     let r = run_loopback(Arc::clone(&model), &ecfg, &cfg).expect("leave completes");
-    assert_eq!(r.shards_final, 3, "the leaver must be gone");
-    assert_eq!(r.membership_epoch, 1);
+    assert_eq!(r.recovery.shards_final, 3, "the leaver must be gone");
+    assert_eq!(r.recovery.membership_epoch, 1);
     let data = r.telemetry.as_ref().expect("telemetry on");
     assert!(
         kind_count(data, EventKind::ShardLeave) >= 1,
@@ -305,14 +323,14 @@ fn join_and_leave_over_tcp_match_oracle() {
     join.ckpt_every_rounds = 2;
     join.join_at = Some(4);
     let r = run_loopback(Arc::clone(&model), &ecfg, &join).expect("tcp join completes");
-    assert_eq!(r.shards_final, 4);
+    assert_eq!(r.recovery.shards_final, 4);
     assert_matches_oracle(&r, &oracle, "3->4 shard join (tcp)");
 
     let mut leave = dcfg(4, Transport::Tcp);
     leave.ckpt_every_rounds = 2;
     leave.leave_at = Some((2, 4));
     let r = run_loopback(Arc::clone(&model), &ecfg, &leave).expect("tcp leave completes");
-    assert_eq!(r.shards_final, 3);
+    assert_eq!(r.recovery.shards_final, 3);
     assert_matches_oracle(&r, &oracle, "4->3 shard leave (tcp)");
 }
 

@@ -5,7 +5,8 @@
 
 use std::sync::Arc;
 
-use dist_rt::{run_loopback, DistConfig, DistResult, LinkFaultPlan, SteppedCluster, Transport};
+use dist_rt::{run_loopback, DistConfig, LinkFaultPlan, SteppedCluster, Transport};
+use metrics::RunOutcome;
 use models::{Phold, PholdConfig};
 use pdes_core::{run_sequential, EngineConfig, SequentialResult};
 
@@ -34,19 +35,18 @@ fn dcfg(shards: usize, transport: Transport) -> DistConfig {
 }
 
 #[track_caller]
-fn assert_matches_oracle(r: &DistResult, oracle: &SequentialResult, what: &str) {
+fn assert_matches_oracle(r: &RunOutcome, oracle: &SequentialResult, what: &str) {
     assert_eq!(r.metrics.committed, oracle.committed, "{what}: committed");
     assert_eq!(
         r.metrics.commit_digest, oracle.commit_digest,
         "{what}: commit digest"
     );
-    let states: Vec<u64> = r.state_digests.iter().map(|(_, d)| *d).collect();
-    assert_eq!(states, oracle.state_digests, "{what}: state digests");
+    assert_eq!(r.digests, oracle.state_digests, "{what}: state digests");
     assert_eq!(
         r.pending_digest, oracle.pending_digest,
         "{what}: pending digest"
     );
-    assert_eq!(r.regressions, 0, "{what}: GVT regressed");
+    assert_eq!(r.invariants.gvt_regressions, 0, "{what}: GVT regressed");
 }
 
 #[test]
@@ -111,9 +111,13 @@ fn killed_shard_recovers_from_checkpoint_cut_and_matches_oracle() {
     cfg.kills = vec![(1, 5)];
     cfg.max_recoveries = 2;
     let r = run_loopback(Arc::clone(&model), &ecfg, &cfg).expect("recovers");
-    assert_eq!(r.recovered.len(), 1, "exactly one scripted kill fires");
+    assert_eq!(
+        r.recovery.recovered.len(),
+        1,
+        "exactly one scripted kill fires"
+    );
     assert!(
-        r.used_checkpoint,
+        r.recovery.used_checkpoint,
         "recovery must restore from an assembled per-shard cut"
     );
     assert_matches_oracle(&r, &oracle, "2-shard kill+recover");
@@ -130,8 +134,8 @@ fn kill_before_any_checkpoint_replays_from_start() {
     cfg.kills = vec![(0, 2)];
     cfg.max_recoveries = 1;
     let r = run_loopback(Arc::clone(&model), &ecfg, &cfg).expect("recovers");
-    assert_eq!(r.recovered.len(), 1);
-    assert!(!r.used_checkpoint);
+    assert_eq!(r.recovery.recovered.len(), 1);
+    assert!(!r.recovery.used_checkpoint);
     assert_matches_oracle(&r, &oracle, "replay-from-start recovery");
 }
 

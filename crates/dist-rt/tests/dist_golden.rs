@@ -11,7 +11,7 @@
 //! supervisor's own decision: they pin what only threads could run before
 //! — the CLI's silent kill, an announced kill, a restart from genesis, a
 //! degradation, a join and a leave — with the recovery books of the run's
-//! `DistResult` (`recovered`, `partial_recoveries`, `used_checkpoint`,
+//! `RunOutcome` (`recovered`, `partial_recoveries`, `used_checkpoint`,
 //! `shards_final`, `membership_epoch`) and the sweep of the first recovery.
 //!
 //! [`SteppedCluster`] steps every shard round-robin on one thread over
@@ -123,7 +123,7 @@ fn pinned(
     let extra = gates.as_ref().map(accepted).unwrap_or_default();
     let oracle = run_sequential_with(model, ecfg, None, &extra, None);
     assert_eq!(r.metrics.commit_digest, oracle.commit_digest);
-    assert_eq!(r.regressions, 0);
+    assert_eq!(r.invariants.gvt_regressions, 0);
     let cut = c.latest_checkpoint();
     (
         (
@@ -137,11 +137,11 @@ fn pinned(
         ),
         cut.map_or((0, 0), |ck| (ck.gvt_rounds, ck.gvt.ticks())),
         (
-            r.recovered,
-            r.partial_recoveries,
-            r.used_checkpoint,
-            r.shards_final,
-            r.membership_epoch,
+            r.recovery.recovered,
+            r.recovery.partial_recoveries,
+            r.recovery.used_checkpoint,
+            r.recovery.shards_final,
+            r.recovery.membership_epoch,
             first_recovery,
         ),
     )

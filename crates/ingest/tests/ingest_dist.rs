@@ -9,8 +9,9 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use dist_rt::{run_loopback_ingest, DistConfig, DistResult, IngestGates, LinkFaultPlan, Transport};
+use dist_rt::{run_loopback_ingest, DistConfig, IngestGates, LinkFaultPlan, Transport};
 use ingest::{drive, local_endpoint, IngestClient, IngestServer, TcpEndpoint};
+use metrics::RunOutcome;
 use models::{Phold, PholdConfig};
 use pdes_core::{
     run_sequential_with, EngineConfig, IngestGate, IngestJournal, IngestReply, IngestRequest, LpId,
@@ -85,7 +86,7 @@ fn accepted_union(gs: &IngestGates<Phold>) -> Vec<pdes_core::Event<()>> {
 
 #[track_caller]
 fn assert_matches_merged_oracle(
-    r: &DistResult,
+    r: &RunOutcome,
     model: &Arc<Phold>,
     ecfg: &EngineConfig,
     gs: &IngestGates<Phold>,
@@ -98,13 +99,12 @@ fn assert_matches_merged_oracle(
         r.metrics.commit_digest, oracle.commit_digest,
         "{what}: commit digest"
     );
-    let states: Vec<u64> = r.state_digests.iter().map(|(_, d)| *d).collect();
-    assert_eq!(states, oracle.state_digests, "{what}: state digests");
+    assert_eq!(r.digests, oracle.state_digests, "{what}: state digests");
     assert_eq!(
         r.pending_digest, oracle.pending_digest,
         "{what}: pending digest"
     );
-    assert_eq!(r.regressions, 0, "{what}: GVT regressed");
+    assert_eq!(r.invariants.gvt_regressions, 0, "{what}: GVT regressed");
 }
 
 #[test]
@@ -196,7 +196,11 @@ fn killed_shard_with_live_ingest_recovers_and_matches_merged_oracle() {
         .expect("killed shard recovers with ingest attached");
     let report = live.join().expect("live client");
 
-    assert_eq!(r.recovered.len(), 1, "exactly one scripted kill fires");
+    assert_eq!(
+        r.recovery.recovered.len(),
+        1,
+        "exactly one scripted kill fires"
+    );
     assert_eq!(report.gave_up + report.transport_failed, 0, "{report:?}");
     assert_matches_merged_oracle(&r, &model, &ecfg, &gs, "2-shard kill+recover live ingest");
 
@@ -229,8 +233,12 @@ fn a_kill_before_the_first_cut_replays_every_admission_from_genesis() {
     cfg.max_recoveries = 2;
     let r = run_loopback_ingest(Arc::clone(&model), &ecfg, &cfg, Some(gs.clone()))
         .expect("killed shard restarts from genesis");
-    assert_eq!(r.recovered.len(), 1, "exactly one scripted kill fires");
-    assert!(!r.used_checkpoint, "the restart was from genesis");
+    assert_eq!(
+        r.recovery.recovered.len(),
+        1,
+        "exactly one scripted kill fires"
+    );
+    assert!(!r.recovery.used_checkpoint, "the restart was from genesis");
     assert_matches_merged_oracle(&r, &model, &ecfg, &gs, "2-shard genesis restart");
 }
 

@@ -65,7 +65,7 @@ fn scripted_ingest_on_the_vm_matches_merged_oracle_deterministically() {
         let ingest = Some((Arc::clone(&gate), arrivals));
         let r = run_sim_attempt(&model, &rc, None, None, ingest).outcome;
         assert!(r.completed, "VM run finished");
-        assert_eq!(r.gvt_regressions, 0);
+        assert_eq!(r.invariants.gvt_regressions, 0);
         assert!(gate.accepted_count() > 0, "some arrivals were admitted");
 
         let accepted = gate.accepted_events();

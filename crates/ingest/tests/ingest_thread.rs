@@ -3,10 +3,12 @@
 //! the merged (seeded + accepted-ingest) stream — fault-free, across a
 //! chaos kill-and-recover, and on the degraded sequential fallback.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use ingest::{drive, local_endpoint, IngestClient};
+use metrics::RunOutcome;
 use models::{Phold, PholdConfig};
 use pdes_core::{
     run_sequential_with, EngineConfig, FaultPlan, IngestGate, IngestJournal, IngestRequest, LpId,
@@ -14,7 +16,8 @@ use pdes_core::{
 };
 use sim_rt::SystemConfig;
 use thread_rt::{
-    run_supervised, run_threads_attempt, Optimistic, RtRunConfig, SupervisedRun, SupervisorConfig,
+    run_supervised, run_threads_attempt, Optimistic, Protocol, RtRunConfig, RtShared,
+    SupervisorConfig,
 };
 
 fn model() -> Arc<Phold> {
@@ -56,7 +59,7 @@ fn temp_journal(tag: &str) -> std::path::PathBuf {
 /// Assert the supervised outcome equals the merged-stream oracle.
 #[track_caller]
 fn assert_matches_merged_oracle(
-    s: &SupervisedRun,
+    s: &RunOutcome,
     model: &Arc<Phold>,
     ecfg: &EngineConfig,
     gate: &IngestGate<()>,
@@ -64,14 +67,13 @@ fn assert_matches_merged_oracle(
 ) {
     let accepted = gate.accepted_events();
     let oracle = run_sequential_with(model, ecfg, None, &accepted, None);
-    assert_eq!(s.outcome.committed(), oracle.committed, "{what}: committed");
+    assert_eq!(s.metrics.committed, oracle.committed, "{what}: committed");
     assert_eq!(
-        s.outcome.commit_digest(),
-        oracle.commit_digest,
+        s.metrics.commit_digest, oracle.commit_digest,
         "{what}: commit digest"
     );
     assert_eq!(
-        s.outcome.state_digests(),
+        s.digests,
         &oracle.state_digests[..],
         "{what}: state digests"
     );
@@ -152,8 +154,16 @@ fn chaos_kill_recover_with_live_ingest_commits_every_accepted_id_once() {
     let s = run_supervised::<_, Optimistic>(&model, &rc, &sup, Some(Arc::clone(&gate)));
     let report = live.join().expect("live client");
 
-    assert!(s.recoveries >= 1, "the kill must fire: {:?}", s.log);
-    assert!(s.completed_parallel(), "within retry budget: {:?}", s.log);
+    assert!(
+        !s.recovery.recovered.is_empty(),
+        "the kill must fire: {:?}",
+        s.recovery.log
+    );
+    assert!(
+        !s.recovery.degraded,
+        "within retry budget: {:?}",
+        s.recovery.log
+    );
     assert_eq!(report.gave_up + report.transport_failed, 0, "{report:?}");
     assert!(gate.accepted_count() >= 20);
     assert_matches_merged_oracle(&s, &model, &ecfg, &gate, "chaos kill+recover");
@@ -174,6 +184,55 @@ fn chaos_kill_recover_with_live_ingest_commits_every_accepted_id_once() {
     let _ = std::fs::remove_file(&path);
 }
 
+type Payload = <Phold as Model>::Payload;
+
+/// Time Warp, except that the first worker to start a cycle once the gate
+/// has admitted an event dies there: a kill keyed on admissions, not on a
+/// cycle count the run may never reach. Admitted events are stamped below
+/// the end time and land in the engines, so the run cannot end before some
+/// worker starts another cycle.
+#[derive(Default)]
+struct KillAfterAdmission(AtomicBool);
+
+impl Protocol<Phold> for KillAfterAdmission {
+    const PARKS_WITH_PENDING: bool = false;
+    fn start(_: &Phold, _: &RtRunConfig) -> Self {
+        Self::default()
+    }
+    fn horizon(&self, me: usize, sh: &RtShared<Payload>) -> VirtualTime {
+        let admitted = sh
+            .ingest
+            .as_ref()
+            .is_some_and(|p| p.gate.accepted_count() > 0);
+        if admitted && !self.0.swap(true, Ordering::Relaxed) {
+            panic!("worker {me}: scripted death after the first admission");
+        }
+        Protocol::<Phold>::horizon(&Optimistic, me, sh)
+    }
+    fn process(
+        &self,
+        me: usize,
+        horizon: VirtualTime,
+        engine: &mut pdes_core::ThreadEngine<Phold>,
+        max: usize,
+        outbox: &mut Vec<pdes_core::Outbound<Payload>>,
+    ) -> pdes_core::BatchOutcome {
+        Optimistic.process(me, horizon, engine, max, outbox)
+    }
+    fn has_demand(&self, sh: &RtShared<Payload>, i: usize) -> bool {
+        Protocol::<Phold>::has_demand(&Optimistic, sh, i)
+    }
+    fn round_instants(&self, sh: &RtShared<Payload>, tracer: &mut telemetry::Tracer) {
+        Protocol::<Phold>::round_instants(&Optimistic, sh, tracer)
+    }
+    fn tag_metrics(&self, m: &mut metrics::RunMetrics) {
+        Protocol::<Phold>::tag_metrics(&Optimistic, m)
+    }
+    fn stall_reason(idle_secs: f64, bound_secs: f64) -> String {
+        <Optimistic as Protocol<Phold>>::stall_reason(idle_secs, bound_secs)
+    }
+}
+
 #[test]
 fn degraded_sequential_fallback_still_commits_accepted_events() {
     let model = model();
@@ -185,26 +244,20 @@ fn degraded_sequential_fallback_still_commits_accepted_events() {
             .is_none());
     }
 
-    // The only attempt dies with a zero retry budget — but only after GVT
-    // rounds have pumped the gate (the kill must be late enough for
-    // admissions to land first; a genesis run always reaches cycle 60).
-    // Scripting a *second* scripted death instead would be racy: the
-    // per-attempt cycle counter restarts on retry, and a resumed attempt
-    // can finish in a handful of cycles, sailing past any later kill. The
-    // supervisor exhausts its (empty) budget and degrades to the
+    // The only attempt dies with a zero retry budget, at the first cycle
+    // after a GVT round pumped the gate, so admissions always land first.
+    // The supervisor exhausts its (empty) budget and degrades to the
     // sequential engine, which must still merge the accepted suffix.
-    let plan = FaultPlan::default().with_kill(0, 60);
     let rc = RtRunConfig::new(4, ecfg.clone(), gg_async())
-        .with_faults(plan)
         .with_checkpoint_every(2)
         .with_watchdog(Some(Duration::from_secs(30)));
     let sup = SupervisorConfig::new(0).with_backoff(Duration::from_millis(1));
-    let s = run_supervised::<_, Optimistic>(&model, &rc, &sup, Some(Arc::clone(&gate)));
+    let s = run_supervised::<_, KillAfterAdmission>(&model, &rc, &sup, Some(Arc::clone(&gate)));
 
     assert!(
-        s.degraded,
+        s.recovery.degraded,
         "the kill script must exhaust the budget: {:?}",
-        s.log
+        s.recovery.log
     );
     assert!(
         gate.accepted_count() > 0,

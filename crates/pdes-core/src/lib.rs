@@ -79,10 +79,7 @@ pub use mapping::{LpMap, MapKind};
 pub use model::{Model, SendCtx};
 pub use participant::{Participant, ThreadResult};
 pub use plane::{CachePadded, MessagePlane};
-pub use recovery::{
-    build_engines, supervise, Attempt, AttemptFailure, CkptSink, CommitTrace, Recovered,
-    SupervisedRun,
-};
+pub use recovery::{build_engines, supervise, Attempt, AttemptFailure, CkptSink, RecoveryBooks};
 pub use rng::DetRng;
 pub use sched::{
     ckpt_round_due, AffinityTable, Demand, IdleTracker, Membership, Phase, Round, Turnover,

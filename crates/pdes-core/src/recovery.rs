@@ -28,6 +28,7 @@ use crate::mapping::LpMap;
 use crate::model::Model;
 use crate::sequential::{run_sequential_with, SequentialResult};
 use crate::time::VirtualTime;
+use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
@@ -182,27 +183,6 @@ pub fn build_engines<M: Model>(
     (map, engines)
 }
 
-/// What a finished run, parallel or sequential, reports about the trace it
-/// committed.
-pub trait CommitTrace {
-    fn committed(&self) -> u64;
-    fn commit_digest(&self) -> u64;
-    /// Final per-LP state digests, in LP order.
-    fn state_digests(&self) -> &[u64];
-}
-
-impl CommitTrace for SequentialResult {
-    fn committed(&self) -> u64 {
-        self.committed
-    }
-    fn commit_digest(&self) -> u64 {
-        self.commit_digest
-    }
-    fn state_digests(&self) -> &[u64] {
-        &self.state_digests
-    }
-}
-
 /// Why an attempt did not complete.
 #[derive(Debug, Clone)]
 pub struct AttemptFailure {
@@ -226,56 +206,31 @@ pub struct Attempt<M: Model, O> {
     pub thread_loads: Vec<u64>,
 }
 
-/// How a supervised run finished.
-// One instance per run; the size gap between the variants doesn't matter.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug, Clone)]
-pub enum Recovered<R> {
-    /// The parallel runtime completed (possibly after recoveries).
-    Parallel(R),
-    /// Recovery was exhausted; the sequential engine finished the run from
-    /// the last checkpoint (or from genesis when none existed).
-    Sequential(SequentialResult),
-}
-
-impl<R: CommitTrace> Recovered<R> {
-    fn trace(&self) -> &dyn CommitTrace {
-        match self {
-            Recovered::Parallel(r) => r,
-            Recovered::Sequential(s) => s,
-        }
-    }
-
-    pub fn committed(&self) -> u64 {
-        self.trace().committed()
-    }
-
-    pub fn commit_digest(&self) -> u64 {
-        self.trace().commit_digest()
-    }
-
-    /// Final per-LP state digests, in LP order.
-    pub fn state_digests(&self) -> &[u64] {
-        self.trace().state_digests()
-    }
-}
-
-/// Outcome of a supervised run — always a completed simulation.
-#[derive(Debug, Clone)]
-pub struct SupervisedRun<R> {
-    pub outcome: Recovered<R>,
-    /// Recoveries performed (0 = first attempt succeeded).
-    pub recoveries: u32,
-    /// Whether the run fell back to the sequential engine.
+/// What a run's supervisor did, kept once for every runtime: the VM and
+/// real-thread supervisor ([`supervise`]) and dist-rt's cluster fill the
+/// same books.
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct RecoveryBooks {
+    /// The worker (or shard) each recovery replaced, in recovery order. A
+    /// restart after a stall replaces no one in particular and adds nothing
+    /// here; the log has its line.
+    pub recovered: Vec<usize>,
+    /// Recoveries that restored only the dead shard(s) from the latest cut
+    /// while the survivors replayed their send logs in place (dist).
+    pub partial_recoveries: u32,
+    /// Whether any recovery restored from an assembled checkpoint cut (as
+    /// opposed to replaying from the start).
+    pub used_checkpoint: bool,
+    /// Whether recovery was exhausted and the sequential engine finished
+    /// the run from the last cut (or from genesis).
     pub degraded: bool,
+    /// Membership reshapes performed (dist's joins, leaves and
+    /// degradations).
+    pub membership_epoch: u64,
+    /// Threads (shards) in the run when it finished.
+    pub shards_final: usize,
     /// One line per failed attempt, for operators and tests.
     pub log: Vec<String>,
-}
-
-impl<R> SupervisedRun<R> {
-    pub fn completed_parallel(&self) -> bool {
-        matches!(self.outcome, Recovered::Parallel(_))
-    }
 }
 
 /// Run `attempt` under supervision, starting on `threads` threads with
@@ -293,7 +248,10 @@ impl<R> SupervisedRun<R> {
 /// 3. Retries are bounded by `sup.max_recoveries`, with exponential
 ///    `sup.backoff` between them. When the budget is exhausted the run
 ///    *degrades*: the sequential engine finishes from the last consistent
-///    cut (or from genesis).
+///    cut (or from genesis), and its result is the `Err` side.
+///
+/// Returns how the run finished and the supervisor's books, which the
+/// runtime folds into its outcome.
 ///
 /// An `ingest` gate outlives every failed attempt. Every start replays its
 /// accepted-but-uncut events ([`IngestGate::reinject_after_restore`]): each
@@ -312,7 +270,7 @@ pub fn supervise<M: Model, R, E: Into<AttemptFailure>>(
         Option<&Checkpoint<M::State, M::Payload>>,
         FaultInjector,
     ) -> Attempt<M, Result<R, E>>,
-) -> SupervisedRun<R> {
+) -> (Result<R, SequentialResult>, RecoveryBooks) {
     let mut ckpt: Option<Checkpoint<M::State, M::Payload>> = None;
     // Kills consumed since the newest checkpoint's fault cursor was taken.
     // A checkpoint's cursor already embeds every consumption applied before
@@ -320,7 +278,7 @@ pub fn supervise<M: Model, R, E: Into<AttemptFailure>>(
     // checkpoint arrives — replaying it on top would consume twice.
     let mut consumed: Vec<usize> = Vec::new();
     let mut recoveries = 0u32;
-    let mut log = Vec::new();
+    let mut books = RecoveryBooks::default();
     loop {
         let injector = match ckpt.as_ref().and_then(|c| c.cursor.as_ref()) {
             Some(cur) => FaultInjector::with_cursor(plan.clone(), cur),
@@ -334,18 +292,12 @@ pub fn supervise<M: Model, R, E: Into<AttemptFailure>>(
             ckpt = Some(c);
             consumed.clear();
         }
+        books.shards_final = threads;
         let failure = match a.outcome {
-            Ok(r) => {
-                return SupervisedRun {
-                    outcome: Recovered::Parallel(r),
-                    recoveries,
-                    degraded: false,
-                    log,
-                }
-            }
+            Ok(r) => return (Ok(r), books),
             Err(e) => e.into(),
         };
-        log.push(format!(
+        books.log.push(format!(
             "attempt {} failed: {}",
             recoveries + 1,
             failure.reason
@@ -358,16 +310,17 @@ pub fn supervise<M: Model, R, E: Into<AttemptFailure>>(
                 g.close();
             }
             let seq = run_sequential_with(model, ecfg, ckpt.as_ref(), &extra, None);
-            log.push("recovery budget exhausted; degraded to sequential".into());
-            return SupervisedRun {
-                outcome: Recovered::Sequential(seq),
-                recoveries,
-                degraded: true,
-                log,
-            };
+            books
+                .log
+                .push("recovery budget exhausted; degraded to sequential".into());
+            books.degraded = true;
+            books.used_checkpoint |= ckpt.is_some();
+            return (Err(seq), books);
         }
         recoveries += 1;
+        books.used_checkpoint |= ckpt.is_some();
         if let Some(dead) = failure.dead_thread {
+            books.recovered.push(dead);
             consumed.push(dead);
             // Remap only when there is a checkpoint to resume under the new
             // map and a survivor to take the load; otherwise the thread
@@ -449,7 +402,7 @@ mod tests {
         let c = cut(&model, 4, None);
         let plan = FaultPlan::default();
         let mut seen = Vec::new();
-        let s = supervise(
+        let (run, books) = supervise(
             &model,
             &cfg(),
             4,
@@ -468,8 +421,9 @@ mod tests {
         assert_eq!(seen[1], (4, None), "no cut yet: genesis, original map");
         let remap = c.map.rebalanced_without(SimThreadId(1), &LOADS);
         assert_eq!(seen[2], (3, Some(remap)), "one thread smaller, remapped");
-        assert!(s.completed_parallel() && !s.degraded);
-        assert_eq!((s.recoveries, s.log.len()), (2, 2));
+        assert!(run.is_ok() && !books.degraded);
+        assert_eq!((books.recovered, books.log.len()), (vec![1, 1], 2));
+        assert!(books.used_checkpoint && books.shards_final == 3);
     }
 
     #[test]
@@ -477,7 +431,7 @@ mod tests {
         let model = Arc::new(Ring { n: 8 });
         let plan = (0..3).fold(FaultPlan::default(), |p, _| p.with_kill(0, 1));
         let mut attempts = 0;
-        let s = supervise(&model, &cfg(), 4, &plan, &patient(3), None, |_, _, inj| {
+        let (_, books) = supervise(&model, &cfg(), 4, &plan, &patient(3), None, |_, _, inj| {
             attempts += 1;
             match attempts {
                 1 => {
@@ -498,7 +452,7 @@ mod tests {
                 }
             }
         });
-        assert_eq!(s.recoveries, 2);
+        assert_eq!(books.recovered, [0, 0]);
     }
 
     #[test]
@@ -522,7 +476,7 @@ mod tests {
             gate.pump(|_| true, &mut |_| {}).expect("memory journal");
         }
         let plan = FaultPlan::default();
-        let s = supervise(
+        let (run, books) = supervise(
             &model,
             &cfg(),
             4,
@@ -531,8 +485,8 @@ mod tests {
             Some(&gate),
             |_, _, _| killed(2, Some(c.clone())),
         );
-        assert!(s.degraded && s.recoveries == 1, "{:?}", s.log);
-        let Recovered::Sequential(seq) = s.outcome else {
+        assert!(books.degraded && books.recovered == [2], "{:?}", books.log);
+        let Err(seq) = run else {
             panic!("degraded runs finish sequentially")
         };
         let all = gate.accepted_events();

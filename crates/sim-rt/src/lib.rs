@@ -23,7 +23,7 @@ pub mod simthread;
 
 pub use config::{AffinityPolicy, GvtMode, Scheduler, SimCost, SystemConfig};
 pub use runner::{
-    run_sim, run_sim_attempt, run_sim_supervised, RunConfig, ScriptedIngest, SimAttempt, SimResult,
+    run_sim, run_sim_attempt, run_sim_supervised, RunConfig, ScriptedIngest, SimAttempt,
 };
 pub use shared::{Shared, SimIngest};
 pub use simthread::SimThreadTask;

@@ -5,53 +5,17 @@ use crate::config::{AffinityPolicy, Scheduler, SimCost, SystemConfig};
 use crate::controller::ControllerTask;
 use crate::shared::Shared;
 use crate::simthread::SimThreadTask;
-use machine::{Machine, MachineConfig, Report, WorkTag};
-use metrics::RunMetrics;
+use machine::{Machine, MachineConfig, WorkTag};
+use metrics::{Invariants, RunMetrics, RunOutcome};
 use pdes_core::{
-    build_engines, supervise, Attempt, AttemptFailure, Checkpoint, CkptSink, CommitTrace,
-    EngineConfig, FaultInjector, FaultPlan, IngestGate, IngestRequest, Model, StallDump,
-    SupervisedRun, SupervisorConfig, ThreadResult, YieldTier,
+    build_engines, supervise, Attempt, AttemptFailure, Checkpoint, CkptSink, EngineConfig,
+    FaultInjector, FaultPlan, IngestGate, IngestRequest, Model, RecoveryBooks, SupervisorConfig,
+    ThreadResult, YieldTier,
 };
 use std::cell::RefCell;
 use std::path::PathBuf;
 use std::rc::Rc;
 use std::sync::Arc;
-
-/// Everything produced by one virtual-machine simulation run.
-#[derive(Debug, Clone)]
-pub struct SimResult {
-    pub metrics: RunMetrics,
-    pub report: Report,
-    /// Final state digest of every LP, ordered by LP id.
-    pub digests: Vec<u64>,
-    /// GVT monotonicity violations (must be 0).
-    pub gvt_regressions: u64,
-    /// Whether every task ran to completion (false if the time limit hit,
-    /// the liveness watchdog tripped, or the machine deadlocked).
-    pub completed: bool,
-    /// Structured diagnostic when the run stalled (liveness watchdog trip
-    /// or machine deadlock); `None` on a clean run.
-    pub stall: Option<StallDump>,
-    /// Fault injections actually performed (all zero without a plan).
-    pub fault_counts: pdes_core::FaultCounts,
-    /// Thread felled by a scripted worker kill (`completed` is then false).
-    pub killed: Option<usize>,
-    /// Collected trace + round snapshots (`None` when telemetry was off).
-    /// Timestamps are virtual nanoseconds.
-    pub telemetry: Option<telemetry::TelemetryData>,
-}
-
-impl CommitTrace for SimResult {
-    fn committed(&self) -> u64 {
-        self.metrics.committed
-    }
-    fn commit_digest(&self) -> u64 {
-        self.metrics.commit_digest
-    }
-    fn state_digests(&self) -> &[u64] {
-        &self.digests
-    }
-}
 
 /// Experiment parameters beyond the model itself.
 #[derive(Debug, Clone)]
@@ -128,18 +92,16 @@ impl RunConfig {
 /// One attempt of a (possibly supervised) virtual-machine run. An attempt
 /// that did not complete still reports everything it measured:
 /// `outcome.completed` is false, with `stall` or `killed` saying why.
-pub type SimAttempt<M> = Attempt<M, SimResult>;
+pub type SimAttempt<M> = Attempt<M, RunOutcome>;
 
 /// What the supervisor needs to know about an incomplete attempt.
-impl From<SimResult> for AttemptFailure {
-    fn from(r: SimResult) -> Self {
-        AttemptFailure {
-            dead_thread: r.killed,
-            reason: match r.killed {
-                Some(t) => format!("worker {t} killed (scripted fault)"),
-                None => "stalled (virtual-time watchdog or deadlock)".into(),
-            },
-        }
+fn failure(r: &RunOutcome) -> AttemptFailure {
+    AttemptFailure {
+        dead_thread: r.killed,
+        reason: match r.killed {
+            Some(t) => format!("worker {t} killed (scripted fault)"),
+            None => "stalled (virtual-time watchdog or deadlock)".into(),
+        },
     }
 }
 
@@ -147,11 +109,11 @@ impl From<SimResult> for AttemptFailure {
 ///
 /// Never panics on a stalled or deadlocked run: the liveness watchdog (and
 /// the machine's deadlock detector) convert those into `completed == false`
-/// plus a structured [`SimResult::stall`] dump.
+/// plus a structured [`RunOutcome::stall`] dump.
 ///
 /// # Panics
 /// Panics on model/thread-count mismatches.
-pub fn run_sim<M: Model>(model: &Arc<M>, rc: &RunConfig) -> SimResult {
+pub fn run_sim<M: Model>(model: &Arc<M>, rc: &RunConfig) -> RunOutcome {
     run_sim_attempt(model, rc, None, None, None).outcome
 }
 
@@ -305,16 +267,24 @@ pub fn run_sim_attempt<M: Model>(
     m.wasted_work = report.work_for(WorkTag::Spin) + report.work_for(WorkTag::Poll);
     m.voluntary_yields = report.voluntary_yields;
     m.yields_by_cause = Some(sh.dbg_yields.iter().copied().sum());
-    let result = SimResult {
+    let result = RunOutcome {
         metrics: m,
-        gvt_regressions: sh.round.regressions(),
         digests,
-        stall: sh.stall.clone(),
+        gvt: sh.round.gvt().ticks(),
+        completed,
+        invariants: Invariants {
+            gvt_regressions: sh.round.regressions(),
+        },
         fault_counts: sh.plane.faults.counts(),
+        stall: sh.stall.clone(),
         killed: sh.killed,
         telemetry: telemetry_data,
-        report,
-        completed,
+        recovery: RecoveryBooks {
+            shards_final: num_threads,
+            ..Default::default()
+        },
+        report: Some(report),
+        ..Default::default()
     };
     drop(sh);
     SimAttempt {
@@ -332,10 +302,10 @@ pub fn run_sim_supervised<M: Model>(
     model: &Arc<M>,
     rc: &RunConfig,
     sup: &SupervisorConfig,
-) -> SupervisedRun<SimResult> {
+) -> RunOutcome {
     let mut cfg = rc.clone();
     let sup = sup.clone().with_backoff(std::time::Duration::ZERO);
-    supervise(
+    let (run, books) = supervise(
         model,
         &rc.engine,
         rc.num_threads,
@@ -345,12 +315,15 @@ pub fn run_sim_supervised<M: Model>(
         |threads, resume, injector| {
             cfg.num_threads = threads;
             let a = run_sim_attempt(model, &cfg, resume, Some(injector), None);
-            let done = a.outcome.completed;
             Attempt {
-                outcome: if done { Ok(a.outcome) } else { Err(a.outcome) },
+                outcome: match a.outcome.completed {
+                    true => Ok(a.outcome),
+                    false => Err(failure(&a.outcome)),
+                },
                 checkpoint: a.checkpoint,
                 thread_loads: a.thread_loads,
             }
         },
-    )
+    );
+    RunOutcome::supervised(run, books)
 }

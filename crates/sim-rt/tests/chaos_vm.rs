@@ -58,7 +58,12 @@ fn safe_fault_plans_match_oracle_on_vm() {
         let r = run_sim(&model, &rc);
         assert!(r.completed, "{}: stalled under a safe plan", sys.name());
         assert!(r.stall.is_none(), "{}: unexpected stall dump", sys.name());
-        assert_eq!(r.gvt_regressions, 0, "{}: GVT regressed", sys.name());
+        assert_eq!(
+            r.invariants.gvt_regressions,
+            0,
+            "{}: GVT regressed",
+            sys.name()
+        );
         assert_eq!(
             r.metrics.commit_digest,
             oracle.commit_digest,

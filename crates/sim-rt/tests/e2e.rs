@@ -34,7 +34,12 @@ fn all_six_systems_match_oracle_on_balanced_phold() {
         let rc = RunConfig::new(threads, ecfg.clone(), sys).with_machine(machine_small());
         let r = run_sim(&model, &rc);
         assert!(r.completed, "{} did not finish", sys.name());
-        assert_eq!(r.gvt_regressions, 0, "{} regressed GVT", sys.name());
+        assert_eq!(
+            r.invariants.gvt_regressions,
+            0,
+            "{} regressed GVT",
+            sys.name()
+        );
         assert_eq!(
             r.metrics.committed,
             oracle.committed,
@@ -110,7 +115,10 @@ fn sim_is_deterministic() {
     let a = run_sim(&model, &rc);
     let b = run_sim(&model, &rc);
     assert_eq!(a.metrics, b.metrics);
-    assert_eq!(a.report.virtual_ns, b.report.virtual_ns);
+    assert_eq!(
+        a.report.as_ref().unwrap().virtual_ns,
+        b.report.as_ref().unwrap().virtual_ns
+    );
     assert_eq!(a.digests, b.digests);
 }
 

@@ -5,7 +5,7 @@
 //! uninterrupted run (sequential-oracle comparison).
 
 use models::{LocalityPattern, Phold, PholdConfig};
-use pdes_core::{run_sequential, EngineConfig, FaultPlan, Model, Recovered, SupervisorConfig};
+use pdes_core::{run_sequential, EngineConfig, FaultPlan, Model, SupervisorConfig};
 use sim_rt::{run_sim_attempt, run_sim_supervised, RunConfig, SystemConfig};
 use std::sync::Arc;
 
@@ -88,22 +88,23 @@ fn vm_kill_and_recover_commits_exact_oracle_trace() {
         .with_faults(plan)
         .with_checkpoint_every(2);
     let s = run_sim_supervised(&model, &rc, &SupervisorConfig::new(3));
-    assert!(s.recoveries >= 1, "the kill must fire: {:?}", s.log);
     assert!(
-        !s.degraded,
+        !s.recovery.recovered.is_empty(),
+        "the kill must fire: {:?}",
+        s.recovery.log
+    );
+    assert!(
+        !s.recovery.degraded,
         "one kill is within the retry budget: {:?}",
-        s.log
+        s.recovery.log
     );
     assert_eq!(
-        s.outcome.commit_digest(),
-        oracle.commit_digest,
+        s.metrics.commit_digest, oracle.commit_digest,
         "trace diverged"
     );
-    assert_eq!(s.outcome.committed(), oracle.committed);
-    assert_eq!(s.outcome.state_digests(), &oracle.state_digests[..]);
-    if let Recovered::Parallel(r) = &s.outcome {
-        assert!(r.metrics.threads == threads || r.metrics.threads == threads - 1);
-    }
+    assert_eq!(s.metrics.committed, oracle.committed);
+    assert_eq!(s.digests, &oracle.state_digests[..]);
+    assert!(s.metrics.threads == threads || s.metrics.threads == threads - 1);
 }
 
 /// Graceful degradation on the VM: when every retry is killed too, the run
@@ -126,12 +127,16 @@ fn vm_recovery_exhaustion_degrades_to_sequential_and_still_completes() {
         .with_faults(plan)
         .with_checkpoint_every(1);
     let s = run_sim_supervised(&model, &rc, &SupervisorConfig::new(1));
-    assert!(s.degraded, "budget of 1 must be exhausted: {:?}", s.log);
-    assert_eq!(s.recoveries, 1);
-    assert!(matches!(s.outcome, Recovered::Sequential(_)));
-    assert_eq!(s.outcome.commit_digest(), oracle.commit_digest);
-    assert_eq!(s.outcome.committed(), oracle.committed);
-    assert_eq!(s.outcome.state_digests(), &oracle.state_digests[..]);
+    assert!(
+        s.recovery.degraded,
+        "budget of 1 must be exhausted: {:?}",
+        s.recovery.log
+    );
+    assert_eq!(s.recovery.recovered, [0]);
+    assert_eq!(s.metrics.protocol, "sequential");
+    assert_eq!(s.metrics.commit_digest, oracle.commit_digest);
+    assert_eq!(s.metrics.committed, oracle.committed);
+    assert_eq!(s.digests, &oracle.state_digests[..]);
 }
 
 /// The VM is deterministic, so a kill-and-recover scenario replays
@@ -151,9 +156,9 @@ fn vm_supervised_recovery_is_deterministic() {
     };
     let a = run();
     let b = run();
-    assert_eq!(a.recoveries, b.recoveries);
-    assert_eq!(a.degraded, b.degraded);
-    assert_eq!(a.outcome.commit_digest(), b.outcome.commit_digest());
-    assert_eq!(a.outcome.state_digests(), b.outcome.state_digests());
-    assert_eq!(a.log, b.log);
+    assert_eq!(a.recovery.recovered, b.recovery.recovered);
+    assert_eq!(a.recovery.degraded, b.recovery.degraded);
+    assert_eq!(a.metrics.commit_digest, b.metrics.commit_digest);
+    assert_eq!(a.digests, b.digests);
+    assert_eq!(a.recovery.log, b.recovery.log);
 }

@@ -31,8 +31,8 @@ pub mod worker;
 pub use pdes_core::SendBatcher;
 pub use protocol::{Optimistic, Protocol};
 pub use runner::{
-    run_supervised, run_threads, run_threads_attempt, Recovered, RtAttempt, RtResult, RtRunConfig,
-    RunError, SupervisedRun, SupervisorConfig,
+    run_supervised, run_threads, run_threads_attempt, RtAttempt, RtRunConfig, RunError,
+    SupervisorConfig,
 };
 pub use shared::RtShared;
 pub use sync::{DynBarrier, Semaphore};

@@ -10,17 +10,17 @@ use crate::affinity::num_cores;
 use crate::protocol::{Optimistic, Protocol};
 use crate::shared::RtShared;
 use crate::worker::{controller_loop, worker_loop};
-use metrics::RunMetrics;
+use metrics::{Invariants, RunMetrics, RunOutcome};
 use pdes_core::{
-    build_engines, supervise, Attempt, AttemptFailure, Checkpoint, CkptSink, CommitTrace,
-    EngineConfig, FaultInjector, FaultPlan, IngestError, IngestGate, IngestPort, Model, Scheduler,
+    build_engines, supervise, Attempt, AttemptFailure, Checkpoint, CkptSink, EngineConfig,
+    FaultInjector, FaultPlan, IngestError, IngestGate, IngestPort, Model, RecoveryBooks, Scheduler,
     StallDump, SystemConfig, ThreadResult,
 };
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use telemetry::{Telemetry, TelemetryConfig, TelemetryData};
+use telemetry::{Telemetry, TelemetryConfig};
 
 pub use pdes_core::SupervisorConfig;
 
@@ -90,31 +90,6 @@ impl RtRunConfig {
     }
 }
 
-/// Result of a real-thread run.
-#[derive(Debug, Clone)]
-pub struct RtResult {
-    pub metrics: RunMetrics,
-    /// Final state digest of every LP, ordered by LP id.
-    pub digests: Vec<u64>,
-    pub gvt_regressions: u64,
-    /// Fault injections actually performed (all zero without a plan).
-    pub fault_counts: pdes_core::FaultCounts,
-    /// Collected trace + round snapshots (`None` when telemetry was off).
-    pub telemetry: Option<TelemetryData>,
-}
-
-impl CommitTrace for RtResult {
-    fn committed(&self) -> u64 {
-        self.metrics.committed
-    }
-    fn commit_digest(&self) -> u64 {
-        self.metrics.commit_digest
-    }
-    fn state_digests(&self) -> &[u64] {
-        &self.digests
-    }
-}
-
 /// Why a real-thread run failed to complete.
 #[derive(Debug)]
 pub enum RunError {
@@ -173,12 +148,12 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// One attempt of a (possibly supervised) real-thread run.
-pub type RtAttempt<M> = Attempt<M, Result<RtResult, RunError>>;
+pub type RtAttempt<M> = Attempt<M, Result<RunOutcome, RunError>>;
 
 /// Run `model` optimistically on real threads. Blocks until the simulation
 /// completes, panics, or trips the liveness watchdog — it never hangs
 /// indefinitely while the watchdog is armed.
-pub fn run_threads<M: Model>(model: &Arc<M>, rc: &RtRunConfig) -> Result<RtResult, RunError> {
+pub fn run_threads<M: Model>(model: &Arc<M>, rc: &RtRunConfig) -> Result<RunOutcome, RunError> {
     run_threads_attempt::<M, Optimistic>(model, rc, None, None, None).outcome
 }
 
@@ -371,22 +346,26 @@ pub fn run_threads_attempt<M: Model, P: Protocol<M>>(
     metrics.pin_failures = shared.pin_failures.load(Ordering::Relaxed);
     proto.tag_metrics(&mut metrics);
     RtAttempt {
-        outcome: Ok(RtResult {
+        outcome: Ok(RunOutcome {
             metrics,
             digests,
-            gvt_regressions: shared.round.regressions(),
+            gvt: shared.round.gvt().ticks(),
+            completed: true,
+            invariants: Invariants {
+                gvt_regressions: shared.round.regressions(),
+            },
             fault_counts: shared.faults.counts(),
             telemetry: telemetry_data,
+            recovery: RecoveryBooks {
+                shards_final: n,
+                ..Default::default()
+            },
+            ..Default::default()
         }),
         checkpoint,
         thread_loads,
     }
 }
-
-/// How a supervised real-thread run finished.
-pub type Recovered = pdes_core::Recovered<RtResult>;
-/// Outcome of a supervised real-thread run — always a completed simulation.
-pub type SupervisedRun = pdes_core::SupervisedRun<RtResult>;
 
 /// Run `model` under supervision and protocol `P`: recover from worker
 /// failures via the checkpoint/restart path, degrade to sequential execution
@@ -397,9 +376,9 @@ pub fn run_supervised<M: Model, P: Protocol<M>>(
     rc: &RtRunConfig,
     sup: &SupervisorConfig,
     ingest: Option<Arc<IngestGate<M::Payload>>>,
-) -> SupervisedRun {
+) -> RunOutcome {
     let mut cfg = rc.clone();
-    supervise(
+    let (run, books) = supervise(
         model,
         &rc.engine,
         rc.num_threads,
@@ -410,5 +389,6 @@ pub fn run_supervised<M: Model, P: Protocol<M>>(
             cfg.num_threads = threads;
             run_threads_attempt::<M, P>(model, &cfg, resume, Some(injector), ingest.clone())
         },
-    )
+    );
+    RunOutcome::supervised(run, books)
 }

@@ -65,7 +65,12 @@ fn safe_fault_plans_match_oracle() {
     for sys in [SystemConfig::ALL_SIX[3], gg_async()] {
         let rc = RtRunConfig::new(threads, ecfg.clone(), sys).with_faults(plan.clone());
         let r = run_threads(&model, &rc).expect("safe faults must not wedge the run");
-        assert_eq!(r.gvt_regressions, 0, "{}: GVT regressed", sys.name());
+        assert_eq!(
+            r.invariants.gvt_regressions,
+            0,
+            "{}: GVT regressed",
+            sys.name()
+        );
         assert_eq!(
             r.metrics.commit_digest,
             oracle.commit_digest,

@@ -25,7 +25,12 @@ fn all_six_systems_match_oracle_with_real_threads() {
     for sys in SystemConfig::ALL_SIX {
         let rc = RtRunConfig::new(threads, ecfg.clone(), sys);
         let r = run_threads(&model, &rc).expect("run completes");
-        assert_eq!(r.gvt_regressions, 0, "{} regressed GVT", sys.name());
+        assert_eq!(
+            r.invariants.gvt_regressions,
+            0,
+            "{} regressed GVT",
+            sys.name()
+        );
         assert_eq!(
             r.metrics.committed,
             oracle.committed,
@@ -116,7 +121,7 @@ fn dd_pdes_with_controller_matches_oracle_under_stress() {
         let rc = RtRunConfig::new(threads, ecfg.clone(), SystemConfig::ALL_SIX[3]);
         let r = run_threads(&model, &rc).expect("run completes");
         assert_eq!(r.metrics.commit_digest, oracle.commit_digest, "run {i}");
-        assert_eq!(r.gvt_regressions, 0, "run {i}");
+        assert_eq!(r.invariants.gvt_regressions, 0, "run {i}");
     }
 }
 

@@ -11,8 +11,7 @@ use pdes_core::{run_sequential, EngineConfig, FaultPlan, Model, SystemConfig, Vi
 use std::sync::Arc;
 use std::time::Duration;
 use thread_rt::{
-    run_supervised, run_threads_attempt, Optimistic, Recovered, RtRunConfig, RtShared,
-    SupervisorConfig,
+    run_supervised, run_threads_attempt, Optimistic, RtRunConfig, RtShared, SupervisorConfig,
 };
 
 fn engine_cfg(end: f64) -> EngineConfig {
@@ -131,9 +130,9 @@ fn supervised_fault_free_run_is_a_pass_through() {
     let oracle = run_sequential(&model, &ecfg, None);
     let rc = RtRunConfig::new(threads, ecfg, gg_async()).with_checkpoint_every(4);
     let s = run_supervised::<_, Optimistic>(&model, &rc, &supervisor(3), None);
-    assert!(s.completed_parallel() && !s.degraded);
-    assert_eq!(s.recoveries, 0);
-    assert_eq!(s.outcome.commit_digest(), oracle.commit_digest);
+    assert!(!s.recovery.degraded);
+    assert!(s.recovery.recovered.is_empty());
+    assert_eq!(s.metrics.commit_digest, oracle.commit_digest);
 }
 
 /// The headline invariant (closing the loop with the PR-1 fault harness):
@@ -157,24 +156,25 @@ fn kill_and_recover_commits_exact_oracle_trace() {
         .with_checkpoint_every(2)
         .with_watchdog(Some(Duration::from_secs(30)));
     let s = run_supervised::<_, Optimistic>(&model, &rc, &supervisor(3), None);
-    assert!(s.recoveries >= 1, "the kill must fire: {:?}", s.log);
     assert!(
-        !s.degraded,
+        !s.recovery.recovered.is_empty(),
+        "the kill must fire: {:?}",
+        s.recovery.log
+    );
+    assert!(
+        !s.recovery.degraded,
         "one kill is within the retry budget: {:?}",
-        s.log
+        s.recovery.log
     );
     assert_eq!(
-        s.outcome.commit_digest(),
-        oracle.commit_digest,
+        s.metrics.commit_digest, oracle.commit_digest,
         "trace diverged"
     );
-    assert_eq!(s.outcome.committed(), oracle.committed);
-    assert_eq!(s.outcome.state_digests(), &oracle.state_digests[..]);
-    if let Recovered::Parallel(r) = &s.outcome {
-        // When the failure hit after the first checkpoint, the recovered run
-        // continued one thread smaller on a remapped LP assignment.
-        assert!(r.metrics.threads == threads || r.metrics.threads == threads - 1);
-    }
+    assert_eq!(s.metrics.committed, oracle.committed);
+    assert_eq!(s.digests, &oracle.state_digests[..]);
+    // When the failure hit after the first checkpoint, the recovered run
+    // continued one thread smaller on a remapped LP assignment.
+    assert!(s.metrics.threads == threads || s.metrics.threads == threads - 1);
 }
 
 /// Graceful degradation: when every retry is killed too, the supervisor
@@ -203,12 +203,16 @@ fn recovery_exhaustion_degrades_to_sequential_and_still_completes() {
         .with_checkpoint_every(1)
         .with_watchdog(Some(Duration::from_secs(30)));
     let s = run_supervised::<_, Optimistic>(&model, &rc, &supervisor(1), None);
-    assert!(s.degraded, "budget of 1 must be exhausted: {:?}", s.log);
-    assert_eq!(s.recoveries, 1);
-    assert!(matches!(s.outcome, Recovered::Sequential(_)));
-    assert_eq!(s.outcome.commit_digest(), oracle.commit_digest);
-    assert_eq!(s.outcome.committed(), oracle.committed);
-    assert_eq!(s.outcome.state_digests(), &oracle.state_digests[..]);
+    assert!(
+        s.recovery.degraded,
+        "budget of 1 must be exhausted: {:?}",
+        s.recovery.log
+    );
+    assert_eq!(s.recovery.recovered, [0]);
+    assert_eq!(s.metrics.protocol, "sequential");
+    assert_eq!(s.metrics.commit_digest, oracle.commit_digest);
+    assert_eq!(s.metrics.committed, oracle.committed);
+    assert_eq!(s.digests, &oracle.state_digests[..]);
 }
 
 /// Checkpoints hit disk atomically and a recovered-from-disk run matches.

@@ -30,6 +30,7 @@ fn main() {
         .with_telemetry(TelemetryConfig::on());
     let r = run_sim(&model, &rc);
     let trace = r.telemetry.as_ref().expect("telemetry is on");
+    let report = r.report.as_ref().expect("a VM run reports its machine");
     // Every Park span is one de-scheduled interval.
     let transitions = transitions_from_trace(trace, threads);
 
@@ -39,7 +40,7 @@ fn main() {
     );
     print!(
         "{}",
-        render_gantt(&transitions, threads, r.report.virtual_ns, 72)
+        render_gantt(&transitions, threads, report.virtual_ns, 72)
     );
     println!(
         "\n{} de-scheduling episodes, at most {} threads parked at once.",

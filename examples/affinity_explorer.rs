@@ -36,12 +36,13 @@ fn run(pattern: LocalityPattern) {
         let rc =
             RunConfig::new(threads, engine.clone(), sys).with_machine(MachineConfig::small(4, 2));
         let r = run_sim(&model, &rc);
+        let report = r.report.expect("a VM run reports its machine");
         println!(
             "  {:<22} {:>14.0} events/s   ({} migrations, {} ctx switches)",
             format!("{policy:?}"),
             r.metrics.committed_event_rate(),
-            r.report.migrations,
-            r.report.ctx_switches,
+            report.migrations,
+            report.ctx_switches,
         );
     }
     println!();

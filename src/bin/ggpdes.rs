@@ -56,9 +56,14 @@
 //! cycles (default 25) on every runtime; on `--runtime dist` the loop is the
 //! coordinator's shard loop.
 //!
-//! `--stats-json FILE` additionally writes the final `RunMetrics` of any
-//! runtime to `FILE` as pretty-printed JSON (the same document `--json`
-//! prints to stdout).
+//! Every runtime returns one `RunOutcome`, and every run ends in one place
+//! ([`finish`]): the supervisor's books to stderr, `--verify`, the report,
+//! the trace files. The report prints the run's invariants block (its GVT
+//! regressions); a violated invariant exits 1 once the report is out.
+//! `--stats-json FILE` additionally writes the outcome to `FILE` as
+//! pretty-printed JSON (the same document `--json` prints to stdout): every
+//! `RunMetrics` key at the top level, then the `invariants` and `recovery`
+//! objects.
 //!
 //! Chaos harness: `--chaos-seed S` enables the default fault mix (delays,
 //! reordering, straggler storms, backpressure) with deterministic decision
@@ -108,7 +113,7 @@
 
 use ggpdes::dist_rt::{self, DistError};
 use ggpdes::prelude::*;
-use pdes_core::{IngestGate, Recovered, SupervisedRun, SupervisorConfig};
+use pdes_core::{IngestGate, RecoveryBooks, SupervisorConfig};
 use std::io::Write;
 use std::sync::Arc;
 use std::time::Duration;
@@ -388,8 +393,8 @@ static FLAGS: &[(&str, &[Flag])] = &[
     ]),
     ("Output", &[
         flag("--verify", "", "", ALL, "check the committed trace against the sequential oracle", |c, _| put(&mut c.a.verify, Ok(true))),
-        flag("--json", "", "", ALL, "print the final RunMetrics as JSON instead of the table", |c, _| put(&mut c.a.json, Ok(true))),
-        flag("--stats-json", "FILE", "", ALL, "also write the final RunMetrics JSON to FILE", |c, v| put(&mut c.a.stats_json, Ok(Some(v.into())))),
+        flag("--json", "", "", ALL, "print the run's outcome (metrics, invariants, recovery) as JSON instead of the table", |c, _| put(&mut c.a.json, Ok(true))),
+        flag("--stats-json", "FILE", "", ALL, "also write the run's outcome JSON to FILE", |c, v| put(&mut c.a.stats_json, Ok(Some(v.into())))),
     ]),
     ("Chaos and liveness", &[
         flag("--chaos-seed", "S", "", VM | THREADS | DIST, "seeded default fault mix (dist: per-link delay/drop/duplicate)",
@@ -569,10 +574,21 @@ fn to_stdout(write: impl FnOnce(&mut std::io::StdoutLock) -> std::io::Result<()>
     }
 }
 
-fn report(out: &mut impl Write, m: &RunMetrics, json: bool) -> std::io::Result<()> {
+fn report(out: &mut impl Write, o: &RunOutcome, json: bool) -> std::io::Result<()> {
     if json {
-        let text = serde_json::to_string_pretty(m).expect("serialize");
+        let text = serde_json::to_string_pretty(o).expect("serialize");
         return writeln!(out, "{text}");
+    }
+    let m = &o.metrics;
+    if o.recovery.degraded {
+        // No parallel run to measure: what the sequential engine committed.
+        writeln!(out, "degraded to sequential     : yes")?;
+        writeln!(out, "committed events           : {}", m.committed)?;
+        return writeln!(
+            out,
+            "commit digest              : {:#018x}",
+            m.commit_digest
+        );
     }
     writeln!(out, "system                : {}", m.system)?;
     writeln!(out, "threads               : {}", m.threads)?;
@@ -591,6 +607,8 @@ fn report(out: &mut impl Write, m: &RunMetrics, json: bool) -> std::io::Result<(
         m.committed_event_rate()
     )?;
     writeln!(out, "GVT rounds            : {}", m.gvt_rounds)?;
+    let regressions = o.invariants.gvt_regressions;
+    writeln!(out, "GVT regressions       : {regressions}")?;
     writeln!(out, "GVT s/round (Σthreads): {:.6}", m.gvt_secs_per_round())?;
     writeln!(out, "max de-scheduled      : {}", m.max_descheduled)?;
     let by_cause = m
@@ -824,18 +842,6 @@ fn with_ingest<M: Model, R>(
     out
 }
 
-/// Print a supervised run's recovery log to stderr and hand back how it
-/// finished.
-fn report_supervised<R>(s: SupervisedRun<R>) -> Recovered<R> {
-    for line in &s.log {
-        eprintln!("supervisor: {line}");
-    }
-    if s.recoveries > 0 {
-        eprintln!("supervisor: completed after {} recovery(ies)", s.recoveries);
-    }
-    s.outcome
-}
-
 /// Hold `digest` to the sequential oracle fed the seeded events plus `extra`
 /// (what the ingest plane admitted).
 fn verify<M: Model>(model: &Arc<M>, ecfg: &EngineConfig, extra: &Accepted<M>, digest: u64) {
@@ -852,37 +858,77 @@ fn verify<M: Model>(model: &Arc<M>, ecfg: &EngineConfig, extra: &Accepted<M>, di
     eprintln!("verify: committed trace matches the {what} oracle ✓");
 }
 
-/// Report a run that degraded to the sequential engine (no `RunMetrics` —
-/// the parallel attempt was abandoned), verify it if asked, and exit 0.
-fn finish_degraded<M: Model>(
-    seq: &SequentialResult,
-    model: &Arc<M>,
-    c: &Cli,
-    extra: &Accepted<M>,
-) -> ! {
-    if c.a.verify {
-        verify(model, &c.ecfg, extra, seq.commit_digest);
+/// Print what the supervisor did to stderr: its log, which workers (`who`
+/// is the supervisor, `unit` what it replaces) the recoveries replaced,
+/// and how the membership changed from `initial`.
+fn report_recovery(b: &RecoveryBooks, who: &str, unit: &str, initial: usize) {
+    for line in &b.log {
+        eprintln!("supervisor: {line}");
     }
-    let (n, digest) = (seq.committed, seq.commit_digest);
-    let text = if c.a.json {
-        format!("{{\"degraded\":true,\"committed\":{n},\"commit_digest\":{digest}}}\n")
-    } else {
-        format!(
-            "degraded to sequential     : yes\n\
-             committed events           : {n}\n\
-             commit digest              : {digest:#018x}\n"
-        )
-    };
-    to_stdout(|out| out.write_all(text.as_bytes()));
-    std::process::exit(0);
+    if !b.recovered.is_empty() {
+        eprintln!(
+            "{who}: completed after {} recovery(ies){} ({} partial) of {unit}(s) {:?}",
+            b.recovered.len(),
+            if b.used_checkpoint {
+                " from a checkpoint cut"
+            } else {
+                " by replaying from the start"
+            },
+            b.partial_recoveries,
+            b.recovered
+        );
+    }
+    if b.membership_epoch > 0 {
+        eprintln!(
+            "{who}: membership epoch {} — cluster reshaped {initial} -> {} {unit}(s)",
+            b.membership_epoch, b.shards_final
+        );
+    }
 }
 
-type Finished = (RunMetrics, Option<TelemetryData>);
+/// Why a reported run must exit 1: an invariant it counted did not hold.
+fn violation(inv: &Invariants) -> Option<String> {
+    let n = inv.gvt_regressions;
+    (!inv.hold()).then(|| format!("invariant violated: {n} GVT regression(s)"))
+}
+
+/// Every runtime's run ends here: the supervisor's books and any stall
+/// dump to stderr, `--verify`, the report, the trace files and
+/// `--stats-json` — then exit 1 if an invariant the run counted failed.
+fn finish<M: Model>(o: RunOutcome, model: &Arc<M>, c: &Cli, accepted: &Accepted<M>) {
+    let a = &c.a;
+    let (who, unit) = match a.runtime {
+        DIST => ("dist", "shard"),
+        _ => ("supervisor", "worker"),
+    };
+    report_recovery(&o.recovery, who, unit, c.proc.dcfg.shards);
+    if let Some(dump) = &o.stall {
+        eprintln!("{dump}");
+        std::process::exit(1);
+    }
+    if !o.completed {
+        eprintln!("warning: virtual time limit hit before completion");
+    }
+    if a.verify {
+        verify(model, &c.ecfg, accepted, o.metrics.commit_digest);
+    }
+    to_stdout(|out| {
+        report(out, &o, a.json)?;
+        emit_telemetry(c, out, &o.telemetry, o.metrics.threads)
+    });
+    if let Some(path) = &a.stats_json {
+        let text = serde_json::to_string_pretty(&o).expect("serialize the outcome");
+        write_out("--stats-json", path, text);
+    }
+    if let Some(why) = violation(&o.invariants) {
+        die(1, &why);
+    }
+}
 
 /// `--runtime dist`: the loopback cluster, or one shard of a real
 /// multi-process mesh when `--shard-id` / `--listen` / `--connect` are
 /// given, with `run()`'s checkpoint cadence and supervisor. Returns the
-/// coordinator's metrics plus merged telemetry; worker shards exit 0 here.
+/// coordinator's outcome (telemetry merged); worker shards exit 0 here.
 fn run_dist<M: Model>(
     model: &Arc<M>,
     c: &Cli,
@@ -890,7 +936,7 @@ fn run_dist<M: Model>(
     supervisor: Option<&SupervisorConfig>,
     synth: Synth<M>,
     accepted: &mut Accepted<M>,
-) -> Finished {
+) -> RunOutcome {
     let a = &c.a;
     let mut opts = c.proc.clone();
     let d = &mut opts.dcfg;
@@ -899,7 +945,6 @@ fn run_dist<M: Model>(
     d.ckpt_every_rounds = ckpt_every;
     d.watchdog = watchdog(a, Duration::from_secs(30));
     d.telemetry = c.tel.clone();
-    let shards_initial = d.shards;
 
     // CLI policy on top of what dist-rt checks: the scripted victim is a
     // worker (the library also recovers a killed coordinator, by replay —
@@ -920,7 +965,11 @@ fn run_dist<M: Model>(
     let (what, checked, gate_ids) = if multi_process {
         (format!("dist shard {me}"), opts.check(), me..me + 1)
     } else {
-        ("dist loopback".into(), opts.dcfg.check(), 0..shards_initial)
+        (
+            "dist loopback".into(),
+            opts.dcfg.check(),
+            0..opts.dcfg.shards,
+        )
     };
     if let Err(e) = checked {
         dist_fail(&what, e);
@@ -953,31 +1002,11 @@ fn run_dist<M: Model>(
             dist_rt::run_shard_process(Arc::clone(model), &c.ecfg, &opts, gate)
         },
     );
-    let r = match res {
+    match res {
         Ok(Some(r)) => r,
         Ok(None) => std::process::exit(0), // worker shard: coordinator reports
         Err(e) => dist_fail(&what, e),
-    };
-    if !r.recovered.is_empty() {
-        eprintln!(
-            "dist: completed after {} recovery(ies){} ({} partial) of shard(s) {:?}",
-            r.recovered.len(),
-            if r.used_checkpoint {
-                " from a checkpoint cut"
-            } else {
-                " by replaying from the start"
-            },
-            r.partial_recoveries,
-            r.recovered
-        );
     }
-    if r.membership_epoch > 0 {
-        eprintln!(
-            "dist: membership epoch {} — cluster reshaped {} -> {} shard(s)",
-            r.membership_epoch, shards_initial, r.shards_final
-        );
-    }
-    (r.metrics, r.telemetry)
 }
 
 /// `--runtime threads|cons`: one real-thread run under protocol `P`, under
@@ -989,26 +1018,18 @@ fn run_on_threads<M: Model, P: thread_rt::Protocol<M>>(
     supervisor: Option<&SupervisorConfig>,
     synth: Synth<M>,
     accepted: &mut Accepted<M>,
-) -> Finished {
+) -> RunOutcome {
     let res = with_ingest(c, model, synth, 0..1, false, accepted, |gates| {
         let gate = gates.map(|g| Arc::clone(&g[0]));
         match supervisor {
-            Some(sup) => Ok(report_supervised(thread_rt::run_supervised::<M, P>(
-                model, rc, sup, gate,
-            ))),
-            None => thread_rt::run_threads_attempt::<M, P>(model, rc, None, None, gate)
-                .outcome
-                .map(Recovered::Parallel),
+            Some(sup) => Ok(thread_rt::run_supervised::<M, P>(model, rc, sup, gate)),
+            None => thread_rt::run_threads_attempt::<M, P>(model, rc, None, None, gate).outcome,
         }
     });
-    match res {
-        Ok(Recovered::Parallel(r)) => (r.metrics, r.telemetry),
-        Ok(Recovered::Sequential(seq)) => finish_degraded(&seq, model, c, accepted),
-        Err(err) => {
-            eprintln!("{err}");
-            std::process::exit(1);
-        }
-    }
+    res.unwrap_or_else(|err| {
+        eprintln!("{err}");
+        std::process::exit(1);
+    })
 }
 
 fn run<M: Model>(model: Arc<M>, c: &Cli, synth: Synth<M>) {
@@ -1034,7 +1055,7 @@ fn run<M: Model>(model: Arc<M>, c: &Cli, synth: Synth<M>) {
     // oracle must be fed the merged (seeded + accepted-ingest) stream.
     let mut accepted: Accepted<M> = Vec::new();
 
-    let (metrics, tel) = match a.runtime {
+    let outcome = match a.runtime {
         VM => {
             let watchdog_ns = watchdog(a, Duration::from_secs(10)).map(|d| d.as_nanos() as u64);
             let mut rc = sim_rt::RunConfig::new(a.threads, c.ecfg.clone(), c.sys)
@@ -1044,22 +1065,10 @@ fn run<M: Model>(model: Arc<M>, c: &Cli, synth: Synth<M>) {
                 .with_checkpoint_every(ckpt_every)
                 .with_telemetry(c.tel.clone());
             rc.checkpoint_path = a.checkpoint_path.as_ref().map(Into::into);
-            let outcome = match sup {
-                Some(sup) => report_supervised(sim_rt::run_sim_supervised(&model, &rc, sup)),
-                None => Recovered::Parallel(sim_rt::run_sim(&model, &rc)),
-            };
-            let r = match outcome {
-                Recovered::Parallel(r) => r,
-                Recovered::Sequential(seq) => finish_degraded(&seq, &model, c, &accepted),
-            };
-            if let Some(dump) = &r.stall {
-                eprintln!("{dump}");
-                std::process::exit(1);
+            match sup {
+                Some(sup) => sim_rt::run_sim_supervised(&model, &rc, sup),
+                None => sim_rt::run_sim(&model, &rc),
             }
-            if !r.completed {
-                eprintln!("warning: virtual time limit hit before completion");
-            }
-            (r.metrics, r.telemetry)
         }
         THREADS => run_on_threads::<M, thread_rt::Optimistic>(
             &model,
@@ -1080,18 +1089,7 @@ fn run<M: Model>(model: Arc<M>, c: &Cli, synth: Synth<M>) {
         }
         _ => run_dist(&model, c, ckpt_every, sup, synth, &mut accepted),
     };
-
-    if a.verify {
-        verify(&model, &c.ecfg, &accepted, metrics.commit_digest);
-    }
-    to_stdout(|out| {
-        report(out, &metrics, a.json)?;
-        emit_telemetry(c, out, &tel, metrics.threads)
-    });
-    if let Some(path) = &a.stats_json {
-        let text = serde_json::to_string_pretty(&metrics).expect("serialize metrics");
-        write_out("--stats-json", path, text);
-    }
+    finish(outcome, &model, c, &accepted);
 }
 
 /// `k` activity groups (a `1-k` imbalanced schedule) need the threads to
@@ -1149,6 +1147,16 @@ mod tests {
             _ if !f.default.is_empty() => f.default.into(),
             _ => f.val.split(':').map(|_| "1").collect::<Vec<_>>().join(":"),
         }
+    }
+
+    /// A run whose invariants block counts a violation exits 1 after its
+    /// report, naming what failed; a clean block lets it exit 0.
+    #[test]
+    fn a_violated_invariant_decides_the_exit() {
+        assert_eq!(violation(&Invariants::default()), None);
+        let bad = Invariants { gvt_regressions: 2 };
+        let why = violation(&bad).expect("a regression is a violation");
+        assert_eq!(why, "invariant violated: 2 GVT regression(s)");
     }
 
     #[test]

@@ -26,7 +26,9 @@
 //!   Mattern-style distributed GVT with checkpoint cuts and kill recovery;
 //! * [`ingest`] — the client-facing external-event ingest plane: retrying
 //!   admission clients, a framed TCP feeder, file/rate sources;
-//! * [`metrics`] — committed-event-rate and GVT-timing reporting.
+//! * [`metrics`] — the one `RunOutcome` every runtime returns (metrics,
+//!   per-LP digests, the invariants block, recovery books) and
+//!   committed-event-rate and GVT-timing reporting.
 //!
 //! ## Quickstart
 //!
@@ -70,10 +72,10 @@ pub use thread_rt;
 
 /// The most commonly used items, re-exported.
 pub mod prelude {
-    pub use cons_rt::{run_cons, ConsError, ConsResult, ConsRunConfig};
-    pub use dist_rt::{run_loopback, DistConfig, DistError, DistResult, Transport};
+    pub use cons_rt::{run_cons, ConsError, ConsRunConfig};
+    pub use dist_rt::{run_loopback, DistConfig, DistError, Transport};
     pub use machine::{Machine, MachineConfig};
-    pub use metrics::{RunMetrics, Series, Table};
+    pub use metrics::{Invariants, RunMetrics, RunOutcome, Series, Table};
     pub use models::{
         ActivitySchedule, Burr, Epidemics, EpidemicsConfig, LocalityPattern, Phold, PholdConfig,
         Traffic, TrafficConfig,
@@ -83,6 +85,6 @@ pub mod prelude {
         Model, Msg, SendCtx, SequentialResult, SimThreadId, StallDump, ThreadStats, VirtualTime,
     };
     pub use sim_rt::{
-        run_sim, AffinityPolicy, GvtMode, RunConfig, Scheduler, SimCost, SimResult, SystemConfig,
+        run_sim, AffinityPolicy, GvtMode, RunConfig, Scheduler, SimCost, SystemConfig,
     };
 }

@@ -516,6 +516,45 @@ fn cons_reports_the_system_it_ran_and_accepts_a_retry_budget() {
     }
 }
 
+/// Every runtime's `--stats-json` carries the run's own invariants block
+/// and its recovery books next to the metric keys, and a clean run's block
+/// counts no GVT regression.
+#[test]
+fn every_runtime_reports_its_invariants_block() {
+    let shape = [
+        "--threads",
+        "4",
+        "--lps-per-thread",
+        "4",
+        "--imbalance",
+        "2",
+    ];
+    for runtime in [
+        &["vm"][..],
+        &["threads"],
+        &["cons"],
+        &["dist", "--shards", "2", "--transport", "mem"],
+    ] {
+        let stats = tmp_path(&format!("invariants-{}.json", runtime[0]));
+        let mut args = vec!["--runtime"];
+        args.extend(runtime);
+        args.extend(shape);
+        args.extend(["--end", "5", "--verify", "--stats-json"]);
+        args.push(stats.to_str().unwrap());
+        let out = run_bounded(&args, Duration::from_secs(120));
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{}: {err}", runtime[0]);
+        let text = std::fs::read_to_string(&stats).expect("stats file written");
+        std::fs::remove_file(&stats).ok();
+        let v = serde_json::parse(&text).expect("valid JSON");
+        assert!(uint_field(&v, "committed") > 0, "{}", runtime[0]);
+        let invariants = v.get("invariants").expect("an invariants block");
+        assert_eq!(uint_field(invariants, "gvt_regressions"), 0);
+        let recovery = v.get("recovery").expect("the recovery books");
+        assert_eq!(recovery.get("degraded"), Some(&Value::Bool(false)));
+    }
+}
+
 #[test]
 fn never_connecting_peer_exits_nonzero_within_the_timeout() {
     // A port nobody listens on: the mesh handshake must give up at the

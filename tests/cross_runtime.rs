@@ -17,6 +17,20 @@ fn engine(end: f64) -> EngineConfig {
         .with_zero_counter_threshold(100)
 }
 
+/// The one oracle check, whichever runtime produced `r`: it finished, kept
+/// every invariant it counted, committed the oracle's exact trace and left
+/// every LP in the oracle's final state.
+fn agrees(r: &RunOutcome, oracle: &SequentialResult, label: &str) {
+    assert!(r.completed, "{label}: run did not complete");
+    assert!(r.invariants.hold(), "{label}: {:?}", r.invariants);
+    assert_eq!(r.metrics.committed, oracle.committed, "{label}: committed");
+    assert_eq!(
+        r.metrics.commit_digest, oracle.commit_digest,
+        "{label}: digest"
+    );
+    assert_eq!(r.digests, oracle.state_digests, "{label}: states");
+}
+
 fn check_model<M: Model>(model: Arc<M>, threads: usize, ecfg: EngineConfig, label: &str) {
     let oracle = run_sequential(&model, &ecfg, None);
     assert!(oracle.committed > 0, "{label}: empty oracle run");
@@ -25,29 +39,12 @@ fn check_model<M: Model>(model: Arc<M>, threads: usize, ecfg: EngineConfig, labe
     let sys = SystemConfig::new(Scheduler::GgPdes, GvtMode::Async, AffinityPolicy::Constant);
     let rc = RunConfig::new(threads, ecfg.clone(), sys).with_machine(MachineConfig::small(4, 2));
     let vm = sim_rt::run_sim(&model, &rc);
-    assert!(vm.completed, "{label}: vm run did not complete");
-    assert_eq!(
-        vm.metrics.committed, oracle.committed,
-        "{label}: vm committed"
-    );
-    assert_eq!(
-        vm.metrics.commit_digest, oracle.commit_digest,
-        "{label}: vm digest"
-    );
-    assert_eq!(vm.digests, oracle.state_digests, "{label}: vm states");
+    agrees(&vm, &oracle, &format!("{label}: vm"));
 
     // Real threads.
     let rt_rc = thread_rt::RtRunConfig::new(threads, ecfg, sys);
     let rt = thread_rt::run_threads(&model, &rt_rc).expect("run completes");
-    assert_eq!(
-        rt.metrics.committed, oracle.committed,
-        "{label}: rt committed"
-    );
-    assert_eq!(
-        rt.metrics.commit_digest, oracle.commit_digest,
-        "{label}: rt digest"
-    );
-    assert_eq!(rt.digests, oracle.state_digests, "{label}: rt states");
+    agrees(&rt, &oracle, &format!("{label}: rt"));
 }
 
 /// Every `(scheduler, gvt)` pair the conservative protocol accepts. The
@@ -71,15 +68,7 @@ fn check_cons<M: Model>(model: Arc<M>, threads: usize, ecfg: EngineConfig, label
         let label = format!("{label} {}", sys.name());
         let rc = ConsRunConfig::new(threads, ecfg.clone(), sys);
         let r = run_cons(&model, &rc).unwrap_or_else(|e| panic!("{label}: cons run failed: {e}"));
-        assert_eq!(
-            r.metrics.committed, oracle.committed,
-            "{label}: cons committed"
-        );
-        assert_eq!(
-            r.metrics.commit_digest, oracle.commit_digest,
-            "{label}: cons digest"
-        );
-        assert_eq!(r.digests, oracle.state_digests, "{label}: cons states");
+        agrees(&r, &oracle, &format!("{label}: cons"));
         assert_eq!(r.metrics.rolled_back, 0, "{label}: cons rolled back");
         assert_eq!(r.metrics.system, sys.name(), "{label}: system tag");
         assert_eq!(r.metrics.protocol, "conservative", "{label}: protocol tag");
@@ -139,13 +128,7 @@ fn every_system_agrees_on_every_model_via_vm() {
         let rc =
             RunConfig::new(threads, ecfg.clone(), sys).with_machine(MachineConfig::small(2, 2));
         let r = sim_rt::run_sim(&phold, &rc);
-        assert_eq!(
-            r.metrics.commit_digest,
-            oracle.commit_digest,
-            "{}",
-            sys.name()
-        );
-        assert_eq!(r.gvt_regressions, 0, "{}", sys.name());
+        agrees(&r, &oracle, &sys.name());
     }
 }
 
@@ -164,7 +147,7 @@ fn dynamic_affinity_preserves_correctness() {
     let sys = SystemConfig::new(Scheduler::GgPdes, GvtMode::Async, AffinityPolicy::Dynamic);
     let rc = RunConfig::new(threads, ecfg, sys).with_machine(MachineConfig::small(4, 2));
     let r = sim_rt::run_sim(&model, &rc);
-    assert_eq!(r.metrics.commit_digest, oracle.commit_digest);
+    agrees(&r, &oracle, "dynamic affinity");
 }
 
 #[test]
@@ -229,19 +212,13 @@ fn cons_refuses_the_dedicated_controller() {
 }
 
 /// What one protocol left behind after a traced run through the shared
-/// `worker_loop`.
-struct SeamRun {
-    metrics: RunMetrics,
-    digests: Vec<u64>,
-    /// The span/instant kinds that occur anywhere in the trace.
-    kinds: Vec<telemetry::EventKind>,
-}
-
+/// `worker_loop`, and the span/instant kinds that occur anywhere in its
+/// trace.
 fn seam_run<M: Model, P: thread_rt::Protocol<M>>(
     model: &Arc<M>,
     threads: usize,
     ecfg: &EngineConfig,
-) -> SeamRun {
+) -> (RunOutcome, Vec<telemetry::EventKind>) {
     let sys = SystemConfig::new(Scheduler::GgPdes, GvtMode::Async, AffinityPolicy::Constant);
     let rc = thread_rt::RtRunConfig::new(threads, ecfg.clone(), sys)
         .with_telemetry(telemetry::TelemetryConfig::on());
@@ -259,11 +236,7 @@ fn seam_run<M: Model, P: thread_rt::Protocol<M>>(
             kinds.push(rec.kind);
         }
     }
-    SeamRun {
-        metrics: r.metrics,
-        digests: r.digests,
-        kinds,
-    }
+    (r, kinds)
 }
 
 /// The optimistic and the conservative protocol are two policies on one
@@ -288,27 +261,24 @@ fn both_protocols_share_one_worker_loop() {
         let oracle = run_sequential(&model, &ecfg, None);
         let opt = seam_run::<M, thread_rt::Optimistic>(&model, threads, &ecfg);
         let cons = seam_run::<M, cons_rt::Conservative>(&model, threads, &ecfg);
-        for (run, proto) in [(&opt, "optimistic"), (&cons, "conservative")] {
+        for ((run, kinds), proto) in [(&opt, "optimistic"), (&cons, "conservative")] {
             let label = format!("{label}/{proto}");
             assert_eq!(run.metrics.protocol, proto, "{label}: protocol tag");
-            assert_eq!(
-                run.metrics.commit_digest, oracle.commit_digest,
-                "{label}: digest"
-            );
-            assert_eq!(run.digests, oracle.state_digests, "{label}: states");
+            agrees(run, &oracle, &label);
             for kind in ROUND_VOCABULARY {
-                assert!(run.kinds.contains(&kind), "{label}: no {kind:?} span");
+                assert!(kinds.contains(&kind), "{label}: no {kind:?} span");
             }
             if parks {
                 assert!(run.metrics.max_descheduled > 0, "{label}: never parked");
-                assert!(run.kinds.contains(&Park), "{label}: no Park span");
-                assert!(run.kinds.contains(&Unpark), "{label}: no Unpark instant");
+                assert!(kinds.contains(&Park), "{label}: no Park span");
+                assert!(kinds.contains(&Unpark), "{label}: no Unpark instant");
             }
         }
+        let (cons, cons_kinds) = cons;
         assert_eq!(cons.metrics.rolled_back, 0, "{label}: cons rolled back");
         assert_eq!(cons.metrics.antis_sent, 0, "{label}: cons sent antis");
         assert!(
-            !cons.kinds.contains(&Rollback),
+            !cons_kinds.contains(&Rollback),
             "{label}: cons Rollback span"
         );
     }
@@ -410,15 +380,14 @@ fn events_stamped_exactly_at_end_time_are_outside_the_run_everywhere() {
     let runs = [
         (
             "threads",
-            thread_rt::run_threads(&model, &rt).expect("rt run").metrics,
+            thread_rt::run_threads(&model, &rt).expect("rt run"),
         ),
-        ("cons", run_cons(&model, &rt).expect("cons run").metrics),
-        ("vm", sim_rt::run_sim(&model, &vm).metrics),
-        ("dist", dist.metrics),
+        ("cons", run_cons(&model, &rt).expect("cons run")),
+        ("vm", sim_rt::run_sim(&model, &vm)),
+        ("dist", dist),
     ];
-    for (label, m) in runs {
-        assert_eq!(m.committed, oracle.committed, "{label}: committed");
-        assert_eq!(m.commit_digest, oracle.commit_digest, "{label}: digest");
+    for (label, r) in runs {
+        agrees(&r, &oracle, label);
     }
 }
 
@@ -445,7 +414,7 @@ proptest! {
             .with_watchdog(Some(Duration::from_secs(60)));
         let r = run_cons(&model, &rc)
             .unwrap_or_else(|e| panic!("lookahead {la}: {e}"));
-        prop_assert_eq!(r.metrics.commit_digest, oracle.commit_digest);
+        agrees(&r, &oracle, &format!("lookahead {la}"));
         prop_assert_eq!(r.metrics.rolled_back, 0);
     }
 }
@@ -467,22 +436,12 @@ fn sparse_hot_path_matrix_agrees_with_oracle() {
         for threads in [2usize, 4] {
             let rc = thread_rt::RtRunConfig::new(threads, ecfg.clone(), sys);
             let r = thread_rt::run_threads(&model, &rc).expect("rt run completes");
-            assert_eq!(
-                r.metrics.commit_digest, oracle.commit_digest,
-                "{label}: thread-rt {threads} digest"
-            );
-            assert_eq!(
-                r.digests, oracle.state_digests,
-                "{label}: thread-rt {threads} states"
-            );
+            agrees(&r, &oracle, &format!("{label}: thread-rt {threads}"));
         }
 
         let rc = ConsRunConfig::new(2, ecfg.clone(), sys);
         let r = run_cons(&model, &rc).unwrap_or_else(|e| panic!("{label}: cons: {e}"));
-        assert_eq!(
-            r.metrics.commit_digest, oracle.commit_digest,
-            "{label}: cons-rt 2 digest"
-        );
+        agrees(&r, &oracle, &format!("{label}: cons-rt 2"));
         assert_eq!(r.metrics.rolled_back, 0, "{label}: cons-rt rolled back");
 
         let dcfg = dist_rt::DistConfig {
@@ -495,15 +454,7 @@ fn sparse_hot_path_matrix_agrees_with_oracle() {
         let dist_ecfg = ecfg.clone().with_gvt_interval(16);
         let r = dist_rt::run_loopback(Arc::clone(&model), &dist_ecfg, &dcfg)
             .unwrap_or_else(|e| panic!("{label}: dist: {e}"));
-        assert_eq!(
-            r.metrics.commit_digest, oracle.commit_digest,
-            "{label}: dist-rt 2-shard digest"
-        );
-        let states: Vec<u64> = r.state_digests.iter().map(|(_, d)| *d).collect();
-        assert_eq!(
-            states, oracle.state_digests,
-            "{label}: dist-rt 2-shard states"
-        );
+        agrees(&r, &oracle, &format!("{label}: dist-rt 2-shard"));
     }
 
     let sparse = engine(6.0).with_snapshot_period(8);

@@ -40,7 +40,7 @@ proptest! {
         let rc = RunConfig::new(threads, ecfg, sys).with_machine(MachineConfig::small(2, 2));
         let r = sim_rt::run_sim(&model, &rc);
         prop_assert!(r.completed);
-        prop_assert_eq!(r.gvt_regressions, 0);
+        prop_assert_eq!(r.invariants.gvt_regressions, 0);
         prop_assert_eq!(r.metrics.committed, oracle.committed);
         prop_assert_eq!(r.metrics.commit_digest, oracle.commit_digest);
         prop_assert_eq!(r.digests, oracle.state_digests);
@@ -63,7 +63,7 @@ proptest! {
         let a = sim_rt::run_sim(&model, &rc);
         let b = sim_rt::run_sim(&model, &rc);
         prop_assert_eq!(a.metrics, b.metrics);
-        prop_assert_eq!(a.report.virtual_ns, b.report.virtual_ns);
+        prop_assert_eq!(a.report.as_ref().unwrap().virtual_ns, b.report.as_ref().unwrap().virtual_ns);
     }
 
     /// The sequential oracle is insensitive to the LP→thread mapping (it is
@@ -178,7 +178,7 @@ proptest! {
             .with_faults(plan);
         let r = sim_rt::run_sim(&model, &rc);
         prop_assert!(r.completed, "stalled under a safe plan: {:?}", r.stall);
-        prop_assert_eq!(r.gvt_regressions, 0);
+        prop_assert_eq!(r.invariants.gvt_regressions, 0);
         prop_assert_eq!(r.metrics.commit_digest, oracle.commit_digest);
         prop_assert_eq!(r.digests, oracle.state_digests);
     }
@@ -222,7 +222,7 @@ proptest! {
             .with_watchdog_ns(Some(100_000_000));
         let r = sim_rt::run_sim(&model, &rc);
         prop_assert!(r.completed, "stalled: {:?}", r.stall);
-        prop_assert_eq!(r.gvt_regressions, 0);
+        prop_assert_eq!(r.invariants.gvt_regressions, 0);
         prop_assert_eq!(r.metrics.commit_digest, oracle.commit_digest);
         prop_assert_eq!(r.digests, oracle.state_digests);
         if threads <= cores * smt {

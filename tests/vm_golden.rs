@@ -65,7 +65,7 @@ fn run_with(cores: usize, sys: SystemConfig, ckpt_every: u64) -> (Golden, usize,
         .count();
     (
         (
-            r.report.virtual_ns,
+            r.report.as_ref().unwrap().virtual_ns,
             r.metrics.committed,
             r.metrics.gvt_rounds,
             r.metrics.max_descheduled,
