@@ -316,7 +316,7 @@ impl FaultInjector {
     /// Build the injector for `plan` resumed at `cursor` (from a
     /// checkpoint): decision streams continue where they left off, budgets
     /// keep their remaining allowance, and already-fired kills stay fired.
-    pub fn with_cursor(plan: FaultPlan, cursor: &FaultCursor) -> Self {
+    pub(crate) fn with_cursor(plan: FaultPlan, cursor: &FaultCursor) -> Self {
         let inj = Self::new(plan);
         if let Some(st) = &inj.state {
             for (i, s) in st.seq.iter().enumerate() {
@@ -352,7 +352,7 @@ impl FaultInjector {
     /// Mark the first unconsumed kill targeting `thread` as fired, so a
     /// supervised restart does not re-trigger the same scripted death.
     /// Returns whether an entry was consumed.
-    pub fn consume_kill(&self, thread: usize) -> bool {
+    pub(crate) fn consume_kill(&self, thread: usize) -> bool {
         let Some(st) = &self.state else { return false };
         for (k, fired) in st.kills.iter().zip(&st.kills_fired) {
             let FaultKind::WorkerKill { thread: t, .. } = *k;
@@ -364,7 +364,7 @@ impl FaultInjector {
     }
 
     #[inline]
-    pub fn is_enabled(&self) -> bool {
+    pub(crate) fn is_enabled(&self) -> bool {
         self.state.is_some()
     }
 
@@ -385,7 +385,7 @@ impl FaultInjector {
 
     /// Should this drained message be held back for a later drain?
     #[inline]
-    pub fn defer_delivery(&self) -> bool {
+    pub(crate) fn defer_delivery(&self) -> bool {
         let Some(st) = &self.state else { return false };
         let Some(d) = st.plan.delay else { return false };
         let hit = unit_f64(Self::roll(st, Site::Delay)) < d.prob;
@@ -398,7 +398,7 @@ impl FaultInjector {
     /// Should the minimum-timestamp message of this drain be held back
     /// (straggler storm)? Bounded by the plan's `max_storms`.
     #[inline]
-    pub fn straggler_hold(&self) -> bool {
+    pub(crate) fn straggler_hold(&self) -> bool {
         let Some(st) = &self.state else { return false };
         let Some(s) = st.plan.straggler else {
             return false;
@@ -428,7 +428,7 @@ impl FaultInjector {
     /// Adversarially permute a drained batch (Fisher–Yates from the reorder
     /// stream) with the plan's probability. Returns whether it shuffled.
     #[inline]
-    pub fn shuffle_batch<T>(&self, batch: &mut [T]) -> bool {
+    pub(crate) fn shuffle_batch<T>(&self, batch: &mut [T]) -> bool {
         let Some(st) = &self.state else { return false };
         let Some(r) = st.plan.reorder else {
             return false;
@@ -447,7 +447,7 @@ impl FaultInjector {
     /// Should this activation wake-up post be dropped? Bounded by
     /// `max_lost`.
     #[inline]
-    pub fn lose_wakeup(&self) -> bool {
+    pub(crate) fn lose_wakeup(&self) -> bool {
         let Some(st) = &self.state else { return false };
         let Some(w) = st.plan.wakeup else {
             return false;
@@ -475,7 +475,7 @@ impl FaultInjector {
 
     /// Should a parked-but-not-activated thread receive a spurious post?
     #[inline]
-    pub fn spurious_wakeup(&self) -> bool {
+    pub(crate) fn spurious_wakeup(&self) -> bool {
         let Some(st) = &self.state else { return false };
         let Some(w) = st.plan.wakeup else {
             return false;

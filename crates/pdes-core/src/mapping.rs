@@ -59,7 +59,7 @@ impl LpMap {
 
     /// Build a map from an explicit per-LP owner table. Every thread in
     /// `0..num_threads` must own at least one LP.
-    pub fn with_assignment(num_threads: usize, assign: Vec<u32>) -> Self {
+    pub(crate) fn with_assignment(num_threads: usize, assign: Vec<u32>) -> Self {
         assert!(!assign.is_empty(), "need at least one LP");
         assert!(num_threads > 0, "need at least one thread");
         let mut owned = vec![false; num_threads];

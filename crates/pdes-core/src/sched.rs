@@ -53,7 +53,7 @@ impl Membership {
 
     /// Open round `id`, freezing the current subscribers as its
     /// participants: subscribing later does not join it.
-    pub fn open_round(&mut self) {
+    pub(crate) fn open_round(&mut self) {
         self.open = true;
         self.participant.copy_from_slice(&self.subscribed);
         self.participants = self.subscribed.iter().filter(|&&s| s).count();
@@ -789,13 +789,8 @@ impl AffinityTable {
     }
 
     /// Core `thread` is pinned to, if any.
-    pub fn core_of(&self, thread: usize) -> Option<usize> {
+    pub(crate) fn core_of(&self, thread: usize) -> Option<usize> {
         usize::try_from(self.core_of[thread]).ok()
-    }
-
-    /// Active threads pinned per core.
-    pub fn core_load(&self) -> &[i32] {
-        &self.core_load
     }
 
     /// Clear a deactivating thread's assignment (Algorithm 1, lines 9–10).

@@ -16,13 +16,13 @@ pub struct OsTid(pub i64);
 
 /// The calling thread's kernel tid.
 #[cfg(target_os = "linux")]
-pub fn current_tid() -> OsTid {
+pub(crate) fn current_tid() -> OsTid {
     // SAFETY: gettid has no preconditions.
     OsTid(unsafe { libc::syscall(libc::SYS_gettid) })
 }
 
 #[cfg(not(target_os = "linux"))]
-pub fn current_tid() -> OsTid {
+pub(crate) fn current_tid() -> OsTid {
     OsTid(0)
 }
 
@@ -30,7 +30,7 @@ pub fn current_tid() -> OsTid {
 /// (failures — e.g. the core does not exist on this host — are reported, not
 /// fatal: the experiment degrades to kernel scheduling).
 #[cfg(target_os = "linux")]
-pub fn pin_to_core(tid: OsTid, core: usize) -> bool {
+pub(crate) fn pin_to_core(tid: OsTid, core: usize) -> bool {
     // SAFETY: CPU_SET manipulates a local cpu_set_t; sched_setaffinity
     // validates the tid and mask.
     unsafe {
@@ -49,7 +49,7 @@ pub fn pin_to_core(tid: OsTid, core: usize) -> bool {
 }
 
 #[cfg(not(target_os = "linux"))]
-pub fn pin_to_core(_tid: OsTid, _core: usize) -> bool {
+pub(crate) fn pin_to_core(_tid: OsTid, _core: usize) -> bool {
     false
 }
 
@@ -57,7 +57,7 @@ pub fn pin_to_core(_tid: OsTid, _core: usize) -> bool {
 /// run metric) and logging the first one — once per process: a host that
 /// rejects one pin typically rejects them all, and repeating the warning per
 /// GVT round would swamp the output.
-pub fn pin_or_count(tid: OsTid, core: usize, failures: &AtomicU64) -> bool {
+pub(crate) fn pin_or_count(tid: OsTid, core: usize, failures: &AtomicU64) -> bool {
     let ok = pin_to_core(tid, core);
     if !ok {
         failures.fetch_add(1, Ordering::Relaxed);

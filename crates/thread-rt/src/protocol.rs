@@ -51,7 +51,7 @@ pub trait Protocol<M: Model>: Sized + Send + Sync {
     ) -> BatchOutcome;
 
     /// Hook 2 — Algorithm 2's demand rule: is there work again for parked
-    /// thread `i`? The scan itself is [`RtShared::activate_where`].
+    /// thread `i`? The scan itself is `RtShared::activate_where`.
     fn has_demand(&self, sh: &RtShared<M::Payload>, i: usize) -> bool;
 
     /// Hook 4 — the round closer's per-round trace instants (called only

@@ -126,7 +126,7 @@ impl<P> RtShared<P> {
 
     /// Install the fault injector (before the shared state is published to
     /// worker threads).
-    pub fn set_faults(&mut self, faults: FaultInjector) {
+    pub(crate) fn set_faults(&mut self, faults: FaultInjector) {
         self.plane.faults = faults;
     }
 
@@ -156,13 +156,13 @@ impl<P> RtShared<P> {
 
     /// Publish the worker's control-loop phase.
     #[inline]
-    pub fn set_phase(&self, me: usize, phase: Phase) {
+    pub(crate) fn set_phase(&self, me: usize, phase: Phase) {
         self.dbg_phase[me].store(phase as u8, Ordering::Relaxed);
     }
 
     /// Workers past every blocking primitive: the liveness watchdog's
     /// progress signal once the final GVT is out.
-    pub fn workers_done(&self) -> usize {
+    pub(crate) fn workers_done(&self) -> usize {
         self.dbg_phase
             .iter()
             .filter(|p| p.load(Ordering::Relaxed) == Phase::Done as u8)
@@ -171,7 +171,7 @@ impl<P> RtShared<P> {
 
     /// Publish the round id the worker last folded into.
     #[inline]
-    pub fn note_joined(&self, me: usize, id: u64) {
+    pub(crate) fn note_joined(&self, me: usize, id: u64) {
         self.dbg_joined[me].store(id + 1, Ordering::Relaxed);
     }
 
@@ -258,7 +258,7 @@ impl<P> RtShared<P> {
 
     /// Algorithm 2 outside a round: the DD-PDES controller wakes the inactive
     /// threads `demand` holds for.
-    pub fn activate_where(&self, demand: impl Fn(usize) -> bool) -> usize {
+    pub(crate) fn activate_where(&self, demand: impl Fn(usize) -> bool) -> usize {
         if self.demand.all_active() {
             return 0; // the common case takes no lock
         }

@@ -144,7 +144,7 @@ impl DynBarrier {
 
     /// Change the expected count, completing the generation if the change
     /// satisfies it.
-    pub fn set_expected(&self, expected: usize) {
+    pub(crate) fn set_expected(&self, expected: usize) {
         assert!(expected >= 1);
         let mut s = lock(&self.inner);
         s.expected = expected;

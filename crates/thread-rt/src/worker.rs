@@ -392,7 +392,7 @@ pub fn worker_loop<M: Model, P: Protocol<M>>(
 }
 
 /// The DD-PDES controller loop (dedicated thread).
-pub fn controller_loop<P>(sh: &RtShared<P>) {
+pub(crate) fn controller_loop<P>(sh: &RtShared<P>) {
     loop {
         if sh.controller_exit.load(Ordering::Acquire) {
             return;
