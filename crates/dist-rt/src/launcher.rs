@@ -311,8 +311,7 @@ struct Cluster<M: Model> {
     /// Cohort-wide abort flag of a threaded cluster; a stepped one runs on
     /// the caller's thread and has nobody to tell.
     abort: Option<Arc<AtomicBool>>,
-    /// `recovered`, `partial_recoveries`, `used_checkpoint` and
-    /// `membership_epoch` so far; [`Self::finish`] fills in the rest.
+    /// The run's recovery books; [`Self::finish`] fills in `shards_final`.
     books: RecoveryBooks,
     t0: Instant,
 }
@@ -526,13 +525,13 @@ impl<M: Model> Cluster<M> {
         let (mut leaving, mut instants) = (Vec::new(), Vec::new());
         if !dead.is_empty() {
             self.books.recovered.extend_from_slice(&dead);
-            let recoveries = self.books.recovered.len() as u32;
+            self.books.recoveries += dead.len() as u32;
             // A fired kill does not repeat.
             self.dcfg.kills.retain(|(s, _)| !dead.contains(s));
-            if recoveries > self.dcfg.max_recoveries {
+            if self.books.recoveries > self.dcfg.max_recoveries {
                 if ck.is_none() || !self.dcfg.degrade || dead.contains(&0) {
                     return Err(DistError::RecoveryExhausted {
-                        attempts: recoveries,
+                        attempts: self.books.recoveries,
                         last: format!("shard(s) {dead:?} dead"),
                     });
                 }
@@ -929,8 +928,7 @@ impl<M: Model> SteppedCluster<M> {
         self.cluster.finish()
     }
 
-    /// The recovery books so far: `recovered`, `partial_recoveries`,
-    /// `used_checkpoint` and `membership_epoch` (the rest is default).
+    /// The recovery books so far (`shards_final` is filled in at the end).
     pub fn books(&self) -> &RecoveryBooks {
         &self.cluster.books
     }

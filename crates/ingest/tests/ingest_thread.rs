@@ -155,7 +155,7 @@ fn chaos_kill_recover_with_live_ingest_commits_every_accepted_id_once() {
     let report = live.join().expect("live client");
 
     assert!(
-        !s.recovery.recovered.is_empty(),
+        s.recovery.recoveries >= 1,
         "the kill must fire: {:?}",
         s.recovery.log
     );

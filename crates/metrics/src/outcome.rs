@@ -51,9 +51,6 @@ pub struct RunOutcome {
     /// Structured diagnostic when a VM run stalled (watchdog trip or
     /// machine deadlock).
     pub stall: Option<StallDump>,
-    /// The worker a scripted kill felled in a VM attempt (`completed` is
-    /// then false).
-    pub killed: Option<usize>,
     /// Collected trace and round snapshots (`None` when telemetry was off).
     pub telemetry: Option<TelemetryData>,
     /// What the supervisor did (all default on an unsupervised run).

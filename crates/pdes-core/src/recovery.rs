@@ -211,9 +211,11 @@ pub struct Attempt<M: Model, O> {
 /// same books.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RecoveryBooks {
-    /// The worker (or shard) each recovery replaced, in recovery order. A
-    /// restart after a stall replaces no one in particular and adds nothing
-    /// here; the log has its line.
+    /// Recoveries performed: one per entry of `recovered`, plus one per
+    /// restart that replaced no one (after a stall or an ingest-journal
+    /// failure).
+    pub recoveries: u32,
+    /// The worker (or shard) each recovery replaced, in recovery order.
     pub recovered: Vec<usize>,
     /// Recoveries that restored only the dead shard(s) from the latest cut
     /// while the survivors replayed their send logs in place (dist).
@@ -277,7 +279,6 @@ pub fn supervise<M: Model, R, E: Into<AttemptFailure>>(
     // the attempt that produced it, so the list resets whenever a fresher
     // checkpoint arrives — replaying it on top would consume twice.
     let mut consumed: Vec<usize> = Vec::new();
-    let mut recoveries = 0u32;
     let mut books = RecoveryBooks::default();
     loop {
         let injector = match ckpt.as_ref().and_then(|c| c.cursor.as_ref()) {
@@ -299,10 +300,10 @@ pub fn supervise<M: Model, R, E: Into<AttemptFailure>>(
         };
         books.log.push(format!(
             "attempt {} failed: {}",
-            recoveries + 1,
+            books.recoveries + 1,
             failure.reason
         ));
-        if recoveries >= sup.max_recoveries {
+        if books.recoveries >= sup.max_recoveries {
             let cut = ckpt.as_ref().map_or(VirtualTime::ZERO, |c| c.gvt);
             let mut extra = Vec::new();
             if let Some(g) = ingest {
@@ -317,7 +318,7 @@ pub fn supervise<M: Model, R, E: Into<AttemptFailure>>(
             books.used_checkpoint |= ckpt.is_some();
             return (Err(seq), books);
         }
-        recoveries += 1;
+        books.recoveries += 1;
         books.used_checkpoint |= ckpt.is_some();
         if let Some(dead) = failure.dead_thread {
             books.recovered.push(dead);
@@ -334,7 +335,7 @@ pub fn supervise<M: Model, R, E: Into<AttemptFailure>>(
                 }
             }
         }
-        std::thread::sleep(sup.backoff * (1u32 << (recoveries - 1).min(16)));
+        std::thread::sleep(sup.backoff * (1u32 << (books.recoveries - 1).min(16)));
     }
 }
 
@@ -422,7 +423,8 @@ mod tests {
         let remap = c.map.rebalanced_without(SimThreadId(1), &LOADS);
         assert_eq!(seen[2], (3, Some(remap)), "one thread smaller, remapped");
         assert!(run.is_ok() && !books.degraded);
-        assert_eq!((books.recovered, books.log.len()), (vec![1, 1], 2));
+        assert_eq!((books.recoveries, books.log.len()), (2, 2));
+        assert_eq!(books.recovered, [1, 1]);
         assert!(books.used_checkpoint && books.shards_final == 3);
     }
 
@@ -452,7 +454,39 @@ mod tests {
                 }
             }
         });
-        assert_eq!(books.recovered, [0, 0]);
+        assert_eq!((books.recoveries, books.recovered), (2, vec![0, 0]));
+    }
+
+    #[test]
+    fn a_restart_that_replaces_no_one_is_still_counted() {
+        let model = Arc::new(Ring { n: 8 });
+        let mut attempts = 0;
+        let (run, books) = supervise(
+            &model,
+            &cfg(),
+            4,
+            &FaultPlan::default(),
+            &patient(3),
+            None,
+            |_, _, _| {
+                attempts += 1;
+                match attempts {
+                    1 => Attempt {
+                        outcome: Err(AttemptFailure {
+                            dead_thread: None,
+                            reason: "stalled".into(),
+                        }),
+                        checkpoint: None,
+                        thread_loads: LOADS.to_vec(),
+                    },
+                    2 => killed(2, None),
+                    _ => completed(),
+                }
+            },
+        );
+        assert!(run.is_ok() && !books.degraded);
+        assert_eq!((books.recoveries, books.recovered), (2, vec![2]));
+        assert_eq!(books.log.len(), 2);
     }
 
     #[test]
@@ -485,7 +519,8 @@ mod tests {
             Some(&gate),
             |_, _, _| killed(2, Some(c.clone())),
         );
-        assert!(books.degraded && books.recovered == [2], "{:?}", books.log);
+        assert!(books.degraded && books.recoveries == 1, "{:?}", books.log);
+        assert_eq!(books.recovered, [2]);
         let Err(seq) = run else {
             panic!("degraded runs finish sequentially")
         };

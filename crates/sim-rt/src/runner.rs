@@ -91,14 +91,14 @@ impl RunConfig {
 
 /// One attempt of a (possibly supervised) virtual-machine run. An attempt
 /// that did not complete still reports everything it measured:
-/// `outcome.completed` is false, with `stall` or `killed` saying why.
+/// `outcome.completed` is false, with `stall` saying why (none after a kill).
 pub type SimAttempt<M> = Attempt<M, RunOutcome>;
 
-/// What the supervisor needs to know about an incomplete attempt.
-fn failure(r: &RunOutcome) -> AttemptFailure {
+/// Why an attempt did not complete, given the worker a kill felled (if any).
+fn failure(killed: Option<usize>) -> AttemptFailure {
     AttemptFailure {
-        dead_thread: r.killed,
-        reason: match r.killed {
+        dead_thread: killed,
+        reason: match killed {
             Some(t) => format!("worker {t} killed (scripted fault)"),
             None => "stalled (virtual-time watchdog or deadlock)".into(),
         },
@@ -137,6 +137,17 @@ pub fn run_sim_attempt<M: Model>(
     faults: Option<FaultInjector>,
     ingest: Option<ScriptedIngest<M::Payload>>,
 ) -> SimAttempt<M> {
+    attempt(model, rc, resume, faults, ingest).0
+}
+
+/// [`run_sim_attempt`], plus the worker a scripted kill felled.
+fn attempt<M: Model>(
+    model: &Arc<M>,
+    rc: &RunConfig,
+    resume: Option<&Checkpoint<M::State, M::Payload>>,
+    faults: Option<FaultInjector>,
+    ingest: Option<ScriptedIngest<M::Payload>>,
+) -> (SimAttempt<M>, Option<usize>) {
     let num_threads = rc.num_threads;
     let num_cores = rc.machine.num_cores;
 
@@ -277,7 +288,6 @@ pub fn run_sim_attempt<M: Model>(
         },
         fault_counts: sh.plane.faults.counts(),
         stall: sh.stall.clone(),
-        killed: sh.killed,
         telemetry: telemetry_data,
         recovery: RecoveryBooks {
             shards_final: num_threads,
@@ -286,12 +296,14 @@ pub fn run_sim_attempt<M: Model>(
         report: Some(report),
         ..Default::default()
     };
+    let killed = sh.killed;
     drop(sh);
-    SimAttempt {
+    let a = SimAttempt {
         outcome: result,
         checkpoint: store.latest(),
         thread_loads,
-    }
+    };
+    (a, killed)
 }
 
 /// Run `model` on the virtual machine under supervision: one attempt
@@ -314,11 +326,11 @@ pub fn run_sim_supervised<M: Model>(
         None,
         |threads, resume, injector| {
             cfg.num_threads = threads;
-            let a = run_sim_attempt(model, &cfg, resume, Some(injector), None);
+            let (a, killed) = attempt(model, &cfg, resume, Some(injector), None);
             Attempt {
                 outcome: match a.outcome.completed {
                     true => Ok(a.outcome),
-                    false => Err(failure(&a.outcome)),
+                    false => Err(failure(killed)),
                 },
                 checkpoint: a.checkpoint,
                 thread_loads: a.thread_loads,

@@ -858,17 +858,16 @@ fn verify<M: Model>(model: &Arc<M>, ecfg: &EngineConfig, extra: &Accepted<M>, di
     eprintln!("verify: committed trace matches the {what} oracle ✓");
 }
 
-/// Print what the supervisor did to stderr: its log, which workers (`who`
-/// is the supervisor, `unit` what it replaces) the recoveries replaced,
-/// and how the membership changed from `initial`.
-fn report_recovery(b: &RecoveryBooks, who: &str, unit: &str, initial: usize) {
+/// Print what the supervisor did to stderr: its log, its recoveries and the
+/// workers they replaced (`who` is the supervisor, `unit` what it replaces).
+fn report_recovery(b: &RecoveryBooks, who: &str, unit: &str) {
     for line in &b.log {
         eprintln!("supervisor: {line}");
     }
-    if !b.recovered.is_empty() {
+    if b.recoveries > 0 {
         eprintln!(
             "{who}: completed after {} recovery(ies){} ({} partial) of {unit}(s) {:?}",
-            b.recovered.len(),
+            b.recoveries,
             if b.used_checkpoint {
                 " from a checkpoint cut"
             } else {
@@ -876,12 +875,6 @@ fn report_recovery(b: &RecoveryBooks, who: &str, unit: &str, initial: usize) {
             },
             b.partial_recoveries,
             b.recovered
-        );
-    }
-    if b.membership_epoch > 0 {
-        eprintln!(
-            "{who}: membership epoch {} — cluster reshaped {initial} -> {} {unit}(s)",
-            b.membership_epoch, b.shards_final
         );
     }
 }
@@ -901,7 +894,7 @@ fn finish<M: Model>(o: RunOutcome, model: &Arc<M>, c: &Cli, accepted: &Accepted<
         DIST => ("dist", "shard"),
         _ => ("supervisor", "worker"),
     };
-    report_recovery(&o.recovery, who, unit, c.proc.dcfg.shards);
+    report_recovery(&o.recovery, who, unit);
     if let Some(dump) = &o.stall {
         eprintln!("{dump}");
         std::process::exit(1);
@@ -1002,11 +995,18 @@ fn run_dist<M: Model>(
             dist_rt::run_shard_process(Arc::clone(model), &c.ecfg, &opts, gate)
         },
     );
-    match res {
+    let r = match res {
         Ok(Some(r)) => r,
         Ok(None) => std::process::exit(0), // worker shard: coordinator reports
         Err(e) => dist_fail(&what, e),
+    };
+    if r.recovery.membership_epoch > 0 {
+        eprintln!(
+            "dist: membership epoch {} — cluster reshaped {} -> {} shard(s)",
+            r.recovery.membership_epoch, opts.dcfg.shards, r.recovery.shards_final
+        );
     }
+    r
 }
 
 /// `--runtime threads|cons`: one real-thread run under protocol `P`, under
