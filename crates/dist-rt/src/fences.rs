@@ -1,16 +1,10 @@
 //! What keeps a partially restored peer's re-execution away from a
-//! survivor's committed past: the send log it is replayed from, the round
-//! fence that drops round traffic from before the recovery point, and the
-//! replay fence that counts but drops its re-sent duplicates.
+//! survivor's committed past: the round fence that drops round traffic
+//! from before the recovery point, and the replay fence that counts but
+//! drops its re-sent duplicates. The send log it is replayed from is kept
+//! by the shard's `Peers`, which writes it.
 
-use pdes_core::Msg;
-
-use crate::sendlog::SendLog;
-
-pub(crate) struct PeerFences<P> {
-    /// Replayed to a partially restored peer; kept only when checkpoints
-    /// are armed.
-    send_log: Option<SendLog<P>>,
+pub(crate) struct PeerFences {
     /// Frames carrying a round number below this predate a recovery point
     /// and are dropped (stale Starts/Reports/Publishes/CutParts).
     min_valid_round: u64,
@@ -28,10 +22,9 @@ pub(crate) struct PeerFences<P> {
     hung_up: Vec<bool>,
 }
 
-impl<P: Clone> PeerFences<P> {
-    pub(crate) fn new(peers: usize, armed: bool) -> PeerFences<P> {
+impl PeerFences {
+    pub(crate) fn new(peers: usize) -> PeerFences {
         PeerFences {
-            send_log: armed.then(|| SendLog::new(peers)),
             min_valid_round: 0,
             replaying_from: vec![false; peers],
             recovery_floor: 0,
@@ -64,19 +57,6 @@ impl<P: Clone> PeerFences<P> {
         self.recovery_floor = 0;
     }
 
-    pub(crate) fn record(&mut self, peer: usize, msg: &Msg<P>) {
-        if let Some(log) = &mut self.send_log {
-            log.record(peer, msg);
-        }
-    }
-
-    /// An armed cut was taken at `gvt` (see `SendLog::on_cut`).
-    pub(crate) fn on_cut(&mut self, gvt: u64) {
-        if let Some(log) = &mut self.send_log {
-            log.on_cut(gvt);
-        }
-    }
-
     pub(crate) fn hang_up(&mut self, peer: usize) {
         self.hung_up[peer] = true;
     }
@@ -98,36 +78,15 @@ impl<P: Clone> PeerFences<P> {
         self.recovery_floor = self.recovery_floor.max(floor);
         self.recovery_floor
     }
-
-    /// What `peer`, restored from the cut at `cut`, must be sent again.
-    pub(crate) fn replay(&self, peer: usize, cut: u64) -> Vec<Msg<P>> {
-        self.send_log
-            .as_ref()
-            .map_or_else(Vec::new, |log| log.replay(peer, cut))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pdes_core::{Event, EventKey, EventUid, LpId, VirtualTime};
-
-    fn ev(seq: u64, send: u64) -> Msg<()> {
-        let uid = EventUid { src: LpId(0), seq };
-        Msg::Event(Event {
-            key: EventKey {
-                recv_time: VirtualTime::from_ticks(send + 5),
-                dst: LpId(1),
-                uid,
-            },
-            send_time: VirtualTime::from_ticks(send),
-            payload: (),
-        })
-    }
 
     #[test]
     fn a_frame_from_before_the_recovery_point_is_dropped() {
-        let mut f = PeerFences::<()>::new(3, true);
+        let mut f = PeerFences::new(3);
         assert!(!f.stale(0));
         f.recover(&[2], 7, 100);
         assert!(f.stale(6));
@@ -136,7 +95,7 @@ mod tests {
 
     #[test]
     fn a_replaying_peer_is_delivered_only_from_the_higher_of_floor_and_gvt() {
-        let mut f = PeerFences::<()>::new(3, true);
+        let mut f = PeerFences::new(3);
         assert!(!f.replayed(2, 0, 50), "no peer replays yet");
         assert_eq!(f.recover(&[2], 1, 100), 100);
         assert!(f.replaying());
@@ -154,23 +113,12 @@ mod tests {
 
     #[test]
     fn the_first_normal_publish_lifts_both_fences() {
-        let mut f = PeerFences::<()>::new(3, true);
+        let mut f = PeerFences::new(3);
         f.recover(&[1, 2], 4, 100);
         f.lift();
         assert!(!f.replaying());
         assert!(!f.replayed(2, 10, 0));
         // The floor is gone too: the next recovery starts from its own.
         assert_eq!(f.recover(&[2], 5, 30), 30);
-    }
-
-    #[test]
-    fn the_send_log_records_only_when_checkpoints_are_armed() {
-        for armed in [false, true] {
-            let mut f = PeerFences::<()>::new(2, armed);
-            f.record(1, &ev(1, 10));
-            f.on_cut(5);
-            let want = if armed { vec![ev(1, 10)] } else { Vec::new() };
-            assert_eq!(f.replay(1, 0), want);
-        }
     }
 }

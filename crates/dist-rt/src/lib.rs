@@ -18,17 +18,17 @@
 //!   GVT: an epoch-colored cut per round and two white counters per peer,
 //!   sends and receives — no global barrier, and shards keep processing
 //!   while a round is in flight.
-//! - [`node`] — one shard: pumps links, delivers remote messages into its
-//!   engine, processes batches, participates in GVT rounds, contributes
-//!   per-shard cuts to distributed checkpoints, and de-schedules itself when
-//!   it holds no live work (demand-driven throttling at shard granularity).
-//!   Three jobs have private owners it reaches through their methods: the
-//!   `IngestRelay` (admission fence, forwarded submissions), the
-//!   `PeerFences` (send log, round and replay fences of a partial
-//!   recovery) and the `ShardTrace` (shard clock, park episodes, round
-//!   close). On shard 0 it also holds the coordinator's side of the run
-//!   (`Coord`): the GVT round itself — open, match the counters, re-poll
-//!   (waves) until they do, publish — its pacing, the
+//! - [`node`] — one shard: delivers remote messages into its engine,
+//!   processes batches, participates in GVT rounds, contributes per-shard
+//!   cuts to distributed checkpoints, and de-schedules itself when it holds
+//!   no live work (demand-driven throttling at shard granularity). Four jobs
+//!   have private owners: `Peers` (links, send colouring, send log; the
+//!   node's `SendBatcher` lands the outbox there), the `IngestRelay`
+//!   (admission fence, forwarded submissions), the `PeerFences` (round and
+//!   replay fences of a partial recovery) and the `ShardTrace` (shard clock,
+//!   park episodes, round close). On shard 0 it also holds the coordinator's
+//!   side of the run (`Coord`): the GVT round itself — open, match the
+//!   counters, re-poll (waves) until they do, publish — its pacing, the
 //!   [`pdes_core::CkptSink`] the cut parts assemble in, the `Done` fold and
 //!   the `FailureDetector`'s leases.
 //! - [`launcher`] — one `Cluster` (mesh + nodes) that also makes the one

@@ -1,11 +1,11 @@
 //! One shard of the distributed runtime.
 //!
-//! A `ShardNode` owns a [`ThreadEngine`] over its slice of LPs, a
-//! [`ReliableLink`] per peer and its `GvtTracker`; shard 0 also holds the
-//! coordinator's side of the run (`coord.rs`). Three jobs live in owners of
-//! their own, used only through their methods: the ingest relay
-//! (`relay.rs`), the peer-recovery fences and send log (`fences.rs`) and
-//! the shard clock with its park episodes (`trace.rs`). Its
+//! A `ShardNode` owns a [`ThreadEngine`] over its slice of LPs and lands its
+//! outbox through a [`SendBatcher`] into `Peers` (`sendlog.rs`: links, send
+//! colouring, send log); shard 0 also holds the coordinator's side of the run
+//! (`coord.rs`). Three more jobs have owners of their own, used only through
+//! their methods: the ingest relay (`relay.rs`), the peer-recovery fences
+//! (`fences.rs`) and the shard clock with its park episodes (`trace.rs`). Its
 //! `ShardNode::step` is one cycle of the main loop — drain the inbox, drive
 //! GVT rounds (coordinator only), process a batch, pump the links — which
 //! the deterministic [`crate::launcher::SteppedCluster`] interleaves
@@ -27,18 +27,19 @@ use std::time::Duration;
 
 use pdes_core::{
     Checkpoint, CutSnapshot, EngineConfig, IngestError, IngestGate, LpId, LpMap, Model, Msg,
-    Outbound, SimThreadId, ThreadEngine, VirtualTime,
+    Outbound, SendBatcher, SimThreadId, ThreadEngine, VirtualTime,
 };
 use telemetry::EventKind;
 
 use crate::coord::{Coord, NodeOutcome};
 use crate::detector::Lease;
 use crate::fences::PeerFences;
-use crate::gvt::{GvtTracker, ShardReport};
+use crate::gvt::ShardReport;
 use crate::launcher::DistConfig;
 use crate::link::{Inbox, ReliableLink};
 use crate::proto::Frame;
 use crate::relay::{IngestRelay, Outgoing};
+use crate::sendlog::Peers;
 use crate::trace::ShardTrace;
 use crate::wire::{self, WireError};
 
@@ -146,6 +147,16 @@ enum Phase {
     Done,
 }
 
+impl Phase {
+    /// A failed send or pump is an error, unless flushing: a peer may be done.
+    fn judge(self, sent: std::io::Result<()>) -> Result<(), DistError> {
+        match sent {
+            Err(e) if self < Phase::Flushing => Err(DistError::Io(e)),
+            _ => Ok(()),
+        }
+    }
+}
+
 /// What one [`ShardNode::step`] accomplished (parking hint for `run`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum StepStatus {
@@ -175,15 +186,16 @@ fn stray(shard: usize, kind: &str) -> DistError {
     }
 }
 
-/// One shard: engine + links + GVT tracker (+ coordinator state on shard 0),
-/// with its ingest relay, peer-recovery fences and shard clock.
+/// One shard: engine + peers (+ coordinator state on shard 0), with its
+/// ingest relay, peer-recovery fences and shard clock.
 pub(crate) struct ShardNode<M: Model> {
     shard: usize,
     engine: ThreadEngine<M>,
-    /// `links[p]` is the reliable link to shard `p` (`None` for self).
-    links: Vec<Option<ReliableLink>>,
+    peers: Peers<M>,
+    /// Lands `outbox` in `peers`; its cap is never reached, so one landing
+    /// ships one `SimBatch` per peer.
+    batcher: SendBatcher<M::Payload>,
     inbox: Arc<Inbox>,
-    tracker: GvtTracker,
     /// Shard 0 coordinates.
     co: Option<Coord<M>>,
     /// The run's configuration, as it stood when this node was built.
@@ -204,7 +216,7 @@ pub(crate) struct ShardNode<M: Model> {
     /// Worker side of the failure detector: the clock (ns) at the last beacon.
     last_hb_sent: u64,
     relay: IngestRelay<M>,
-    fences: PeerFences<M::Payload>,
+    fences: PeerFences,
     trace: ShardTrace,
 }
 
@@ -235,9 +247,9 @@ impl<M: Model> ShardNode<M> {
         ShardNode {
             shard,
             engine,
-            links,
+            peers: Peers::new(links, dcfg.ckpt_every_rounds > 0),
+            batcher: SendBatcher::new(n, usize::MAX),
             inbox,
-            tracker: GvtTracker::new(n),
             co: (shard == 0).then(|| Coord::new(n, flat_map.clone(), ecfg, dcfg)),
             cfg: dcfg.clone(),
             flat_map,
@@ -250,7 +262,7 @@ impl<M: Model> ShardNode<M> {
             outbox: Vec::new(),
             last_hb_sent: 0,
             relay: IngestRelay::new(SimThreadId(shard as u32)),
-            fences: PeerFences::new(n, dcfg.ckpt_every_rounds > 0),
+            fences: PeerFences::new(n),
             trace: ShardTrace::new(&dcfg.telemetry, n),
         }
     }
@@ -350,7 +362,7 @@ impl<M: Model> ShardNode<M> {
         for ev in self.relay.restore(cut) {
             self.place(self.flat_map.thread_of(ev.key.dst), Msg::Event(ev));
         }
-        self.route_outbox()
+        self.land()
     }
 
     /// `true` while the node is in its normal simulating phase (partial
@@ -368,7 +380,7 @@ impl<M: Model> ShardNode<M> {
     /// Replace the link to `peer` (recovery: the peer was rebuilt, so its
     /// seq/ack state restarted from zero).
     pub(crate) fn replace_link(&mut self, peer: usize, link: ReliableLink) {
-        self.links[peer] = Some(link);
+        self.peers.links[peer] = Some(link);
         self.trace.relink(peer);
     }
 
@@ -384,7 +396,7 @@ impl<M: Model> ShardNode<M> {
     pub(crate) fn sever(&mut self, dead: &[usize], tcp: bool) {
         if tcp {
             for &d in dead {
-                if let Some(link) = self.links[d].as_mut() {
+                if let Some(link) = self.peers.links[d].as_mut() {
                     link.hangup();
                 }
             }
@@ -415,7 +427,7 @@ impl<M: Model> ShardNode<M> {
     /// - abandon any cut assembly in progress (coordinator) and enter GVT
     ///   recovery mode;
     /// - replay the send log to them from the cut on (they lost those
-    ///   inputs, see `SendLog::replay`);
+    ///   inputs, see `Peers::replay`);
     /// - purge every input this engine took from their LPs in the window
     ///   they will re-execute (`send >= cut` and `recv >=` the recovery
     ///   floor — inputs received below the coordinator's published GVT are
@@ -430,7 +442,7 @@ impl<M: Model> ShardNode<M> {
         floor: u64,
     ) -> Result<(), DistError> {
         for &d in dead {
-            self.tracker.reset_peer(d);
+            self.peers.tracker.reset_peer(d);
         }
         let floor = floor.max(self.gvt);
         let floor = self.fences.recover(dead, first_valid_round, floor);
@@ -442,11 +454,7 @@ impl<M: Model> ShardNode<M> {
             co.begin_recovery(dead, self.trace.cycles(), self.last_liveness);
         }
         for &d in dead {
-            let msgs = self.fences.replay(d, cut).into_iter();
-            let msgs: Vec<_> = msgs.map(|m| (self.tracker.note_sent(d), m)).collect();
-            if !msgs.is_empty() {
-                self.send_frame(d, &Frame::SimBatch { msgs })?;
-            }
+            self.phase.judge(self.peers.replay(d, cut))?;
         }
         let mut dead_lps: Vec<LpId> = (dead.iter())
             .flat_map(|&d| self.flat_map.lps_of(SimThreadId(d as u32)))
@@ -458,25 +466,11 @@ impl<M: Model> ShardNode<M> {
             VirtualTime::from_ticks(floor),
             &mut self.outbox,
         );
-        self.route_outbox()
+        self.land()
     }
 
     fn send_frame(&mut self, peer: usize, frame: &FrameOf<M>) -> Result<(), DistError> {
-        let bytes = wire::to_bytes(frame);
-        let shard = self.shard;
-        let Some(link) = self.links[peer].as_mut() else {
-            return Err(DistError::Protocol {
-                shard,
-                detail: format!("no link {shard} -> {peer}"),
-            });
-        };
-        match link.send(&bytes) {
-            Ok(()) => Ok(()),
-            // A broken pipe while flushing final acks is not an error: the
-            // peer already finished and hung up.
-            Err(_) if self.phase >= Phase::Flushing => Ok(()),
-            Err(e) => Err(DistError::Io(e)),
-        }
+        self.phase.judge(self.peers.send(peer, frame))
     }
 
     /// Send the frames a relay method returned, in order.
@@ -499,38 +493,18 @@ impl<M: Model> ShardNode<M> {
 
     /// Coordinator → all, its own copy handled inline last.
     fn broadcast(&mut self, frame: FrameOf<M>) -> Result<(), DistError> {
-        for p in 1..self.links.len() {
+        for p in 1..self.peers.links.len() {
             self.send_frame(p, &frame)?;
         }
         self.handle_frame(0, frame)
     }
 
-    /// Drain the engine outbox: color and ship remote messages. Send order
-    /// MUST be preserved per peer — an anti-message overtaking the re-send
-    /// of its twin (or vice versa) would insert a duplicate key at the
-    /// receiver. The drain groups messages by destination (stable within
-    /// each peer) and ships each group as a single [`Frame::SimBatch`]: one
-    /// serialize and one wire write per peer per step instead of one per
-    /// event — the hot-path fix that takes the TCP shard runtime off a
-    /// syscall-per-event budget. Epoch tags and the recovery send-log are
-    /// maintained per message.
-    fn route_outbox(&mut self) -> Result<(), DistError> {
-        if self.outbox.is_empty() {
-            return Ok(());
-        }
-        let mut batches = vec![Vec::new(); self.links.len()];
-        for (tid, msg) in self.outbox.drain(..) {
-            let dst = tid.index();
-            debug_assert_ne!(dst, self.shard, "engine outbox never holds local msgs");
-            self.fences.record(dst, &msg);
-            batches[dst].push((self.tracker.note_sent(dst), msg));
-        }
-        for (peer, msgs) in batches.into_iter().enumerate() {
-            if !msgs.is_empty() {
-                self.send_frame(peer, &Frame::SimBatch { msgs })?;
-            }
-        }
-        Ok(())
+    /// Land the engine outbox in `peers`, one [`Frame::SimBatch`] per peer in
+    /// send order: an anti-message never overtakes the re-send of its twin.
+    fn land(&mut self) -> Result<(), DistError> {
+        self.batcher
+            .land(&mut self.peers, self.shard, &mut self.outbox);
+        self.phase.judge(self.peers.landed())
     }
 
     fn protocol_err(&self, detail: impl Into<String>) -> DistError {
@@ -579,7 +553,7 @@ impl<M: Model> ShardNode<M> {
         // the GVT cannot deadlock its own heal.
         for &(from, to, rounds) in &self.cfg.partitions {
             if from == self.shard && cycle >= rounds.saturating_mul(self.gvt_interval) {
-                if let Some(l) = self.links[to].as_mut() {
+                if let Some(l) = self.peers.links[to].as_mut() {
                     l.set_partitioned(false);
                 }
             }
@@ -610,7 +584,7 @@ impl<M: Model> ShardNode<M> {
             if let Some(det) = self.co.as_mut().and_then(|c| c.detector.as_mut()) {
                 det.heard(peer, self.trace.now_ns());
             }
-            let Some(link) = self.links[peer].as_mut() else {
+            let Some(link) = self.peers.links[peer].as_mut() else {
                 return Err(self.protocol_err(format!("packet from unlinked peer {peer}")));
             };
             for fb in link.on_packet(&bytes)? {
@@ -635,7 +609,7 @@ impl<M: Model> ShardNode<M> {
             let replaying = self.fences.replaying();
             let (engine, outbox) = (&mut self.engine, &mut self.outbox);
             let (injected, sends) = self.relay.pump(replaying, &self.flat_map, engine, outbox)?;
-            self.route_outbox()?;
+            self.land()?;
             if injected > 0 {
                 // External demand re-activates a demand-throttled shard,
                 // same as an inbound remote event.
@@ -650,7 +624,7 @@ impl<M: Model> ShardNode<M> {
             let b0 = self.trace.stamp();
             let rb0 = self.engine.stats().rolled_back;
             let out = self.engine.process_batch(BATCH, &mut self.outbox);
-            self.route_outbox()?;
+            self.land()?;
             if out.processed > 0 {
                 progress = true;
                 let rolled_back = self.engine.stats().rolled_back - rb0;
@@ -665,15 +639,9 @@ impl<M: Model> ShardNode<M> {
         }
 
         // 4. Pump every link (acks, retransmits, delayed releases).
-        for p in 0..self.links.len() {
-            let Some(link) = self.links[p].as_mut() else {
-                continue;
-            };
-            match link.pump() {
-                Ok(()) => {}
-                Err(_) if self.phase >= Phase::Flushing => {}
-                Err(e) => return Err(DistError::Io(e)),
-            }
+        for (p, link) in self.peers.links.iter_mut().enumerate() {
+            let Some(link) = link else { continue };
+            self.phase.judge(link.pump())?;
             self.trace.retransmits(p, link.retransmits);
         }
 
@@ -685,8 +653,9 @@ impl<M: Model> ShardNode<M> {
         // is proven delivered, and a peer that finished first acks nothing
         // any more.
         if self.phase == Phase::Flushing {
-            let awaited = if self.shard == 0 { self.links.len() } else { 1 };
-            let drained = self.links[..awaited].iter().flatten().all(|l| l.drained());
+            let links = &self.peers.links;
+            let awaited = if self.shard == 0 { links.len() } else { 1 };
+            let drained = links[..awaited].iter().flatten().all(|l| l.drained());
             let collected = self.co.as_ref().is_none_or(|c| c.outcome.is_some());
             if drained && collected {
                 self.phase = Phase::Done;
@@ -709,7 +678,7 @@ impl<M: Model> ShardNode<M> {
         if self.phase != Phase::Running {
             return Ok(());
         }
-        for p in 1..self.links.len() {
+        for p in 1..self.peers.links.len() {
             let Some(det) = self.co.as_mut().and_then(|c| c.detector.as_mut()) else {
                 return Ok(());
             };
@@ -837,7 +806,7 @@ impl<M: Model> ShardNode<M> {
 
     fn handle_sim(&mut self, peer: usize, tag: u64, msg: Msg<M::Payload>) -> Result<(), DistError> {
         let recv_ticks = msg.recv_time().ticks();
-        self.tracker.note_recvd(peer, tag, recv_ticks);
+        self.peers.tracker.note_recvd(peer, tag, recv_ticks);
         // A replaying peer's duplicate is counted (the white-counter match
         // needs every arrival) but not re-delivered.
         if self.fences.replayed(peer, recv_ticks, self.gvt) {
@@ -857,7 +826,7 @@ impl<M: Model> ShardNode<M> {
                 // Inbound demand re-activates a parked shard.
                 self.trace.unpark();
                 self.engine.deliver(msg, &mut self.outbox);
-                self.route_outbox()
+                self.land()
             }
             // After finalize, nothing may touch the engine; the drain round
             // proved no such message can exist.
@@ -877,10 +846,10 @@ impl<M: Model> ShardNode<M> {
             // injection until the publish, or the new event could sit below
             // the frozen minimum and the round's GVT overshoot it.
             self.relay.open_cut();
-            self.tracker
-                .take_cut(round, self.engine.local_min().ticks());
+            let local_min = self.engine.local_min().ticks();
+            self.peers.tracker.take_cut(round, local_min);
         }
-        let (pending_min, late_min, white_sent, white_recvd) = self.tracker.report();
+        let (pending_min, late_min, white_sent, white_recvd) = self.peers.tracker.report();
         let rep = Frame::Report {
             round,
             wave,
@@ -921,7 +890,7 @@ impl<M: Model> ShardNode<M> {
         if drained {
             // Every data frame is proven delivered; run teardown on the
             // clean transport so it converges under any fault plan.
-            for link in self.links.iter_mut().flatten() {
+            for link in self.peers.links.iter_mut().flatten() {
                 link.clear_faults();
             }
             self.broadcast(Frame::Finish)?;
@@ -982,7 +951,7 @@ impl<M: Model> ShardNode<M> {
                 events,
             })?;
             self.trace.span(EventKind::CheckpointWrite, cw0, round);
-            self.fences.on_cut(gvt);
+            self.peers.on_cut(gvt);
         }
         if terminate {
             self.phase = Phase::Draining;
@@ -1029,7 +998,7 @@ impl<M: Model> ShardNode<M> {
         if self.phase != Phase::Draining {
             return Err(self.protocol_err(format!("Finish in phase {:?}", self.phase)));
         }
-        for link in self.links.iter_mut().flatten() {
+        for link in self.peers.links.iter_mut().flatten() {
             link.clear_faults();
         }
         self.relay.close();

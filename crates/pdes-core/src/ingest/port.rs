@@ -68,12 +68,12 @@ impl<P: Clone + Serialize> IngestPort<P> {
     /// injected; a journal failure parks the error for [`Self::take_error`]
     /// (the run fails rather than silently accepting events a crash would
     /// lose).
-    pub fn pump(&self, sink: &impl SendSink<P>) -> u64 {
+    pub fn pump(&self, mut sink: impl SendSink<P>) -> u64 {
         let map = &self.map;
         let mut batcher = SendBatcher::new(map.num_threads as usize, CAP);
         let res = self.gate.pump(|_| true, &mut |ev| {
             let dst = map.thread_of(ev.key.dst).index();
-            batcher.buffer(sink, 0, dst, Msg::Event(ev));
+            batcher.buffer(&mut sink, 0, dst, Msg::Event(ev));
         });
         batcher.flush(sink);
         match res {

@@ -139,7 +139,7 @@ impl<M: Model> Participant<M> {
 
     /// Land the outbox in the destination queues: the cycle boundary's
     /// flush. Returns the number of messages sent.
-    pub fn land(&mut self, sink: &impl SendSink<M::Payload>) -> u64 {
+    pub fn land(&mut self, sink: impl SendSink<M::Payload>) -> u64 {
         let sends = self.outbox.len() as u64;
         self.batcher.land(sink, self.me, &mut self.outbox);
         sends
@@ -147,16 +147,16 @@ impl<M: Model> Participant<M> {
 
     /// A phase fold: record this thread's minimum (pending set + send
     /// window) in the open round. The fold resets the send window, so
-    /// everything received is delivered and everything to send is landed
-    /// before then. `board` is given when tracing. Returns (messages
-    /// received, events rolled back, messages sent).
+    /// everything received from `plane` is delivered and everything to send
+    /// is landed in `sink` before then. `board` is given when tracing.
+    /// Returns (messages received, events rolled back, messages sent).
     pub fn fold(
         &mut self,
-        sink: &impl SendSink<M::Payload>,
+        sink: impl SendSink<M::Payload>,
+        plane: &MessagePlane<M::Payload>,
         round: &Round,
         board: Option<&RoundBoard>,
     ) -> (u64, u64, u64) {
-        let plane = sink.plane();
         let (n, rolled) = self.receive(plane, false);
         let sends = self.land(sink);
         let local = self.engine.local_min();
@@ -166,7 +166,7 @@ impl<M: Model> Participant<M> {
     }
 
     /// Phase End of an armed round: this thread's share of the consistent
-    /// cut at the published GVT. A chaos-exempt drain first pulls in every
+    /// cut at the published GVT. A chaos-exempt drain of `plane` pulls in every
     /// cut-crossing message (all are queued by now: an event processed after
     /// the phase-B folds has recv ≥ GVT, so its sends do too, and the cut
     /// excludes them), fossil collection pins the committed state at the
@@ -174,13 +174,13 @@ impl<M: Model> Participant<M> {
     /// `participants`. Returns (messages received, LPs snapshotted).
     pub fn cut(
         &mut self,
-        sink: &impl SendSink<M::Payload>,
+        sink: impl SendSink<M::Payload>,
+        plane: &MessagePlane<M::Payload>,
         round: &Round,
         participants: usize,
         ckpt: &CkptSink<M>,
     ) -> (u64, u64) {
         let id = self.joined.expect("a cut is taken at a joined round's End");
-        let plane = sink.plane();
         let (n, _) = self.receive(plane, true);
         self.land(sink);
         let g = round.gvt();
@@ -331,15 +331,15 @@ mod tests {
             let (participate, id) = round.open(&mut m, &demand, p.me, |_| {});
             assert!(p.join(participate, id));
         }
-        ps[early].fold(plane, &round, None);
+        ps[early].fold(plane, plane, &round, None);
         let p = &mut ps[late];
         p.receive(plane, false);
         assert_eq!(p.engine.process_batch(1, &mut p.outbox).processed, 1);
         let crossing = p.outbox[0].1.key();
         p.land(plane);
-        p.fold(plane, &round, None);
+        p.fold(plane, plane, &round, None);
         for t in [early, late] {
-            ps[t].fold(plane, &round, None);
+            ps[t].fold(plane, plane, &round, None);
         }
         assert!(round.claim_aware());
         let gvt = round.publish(plane, &demand);
@@ -353,7 +353,7 @@ mod tests {
 
         let sink: CkptSink<Ring> = CkptSink::new(None, map);
         for p in &mut ps {
-            p.cut(plane, &round, m.participants, &sink);
+            p.cut(plane, plane, &round, m.participants, &sink);
         }
         assert_eq!(plane.len(early), 0);
         let cut = sink

@@ -17,9 +17,9 @@
 //! the destination folds itself). Three rules keep that true:
 //!
 //! 1. **Window published before the push.**
-//!    [`SendBatcher::buffer`](crate::SendBatcher::buffer) lowers the
-//!    sender's window ([`MessagePlane::publish_window`]) *first*; the bulk
-//!    push ([`SendSink::push_batch`]) and its queue-minimum update follow.
+//!    [`SendBatcher::buffer`](crate::SendBatcher::buffer) has the plane
+//!    cover the message *first* ([`SendSink::cover`] lowers the sender's
+//!    window); the bulk push and its queue-minimum update follow.
 //!    From that instant to the sender's next fold the window covers the
 //!    message, so every fold lands its sender's buffers first.
 //! 2. **Queue minimum re-covered before any reduction can see the reset.**
@@ -231,14 +231,14 @@ impl<P> MessagePlane<P> {
     }
 }
 
-/// The plane is a sink as it is: one queue lock and one length update per
-/// batch.
-impl<P> SendSink<P> for MessagePlane<P> {
-    fn plane(&self) -> &MessagePlane<P> {
-        self
+/// The plane is a sink as it is: a cover publishes the sender's window, a
+/// batch takes one queue lock and one length update.
+impl<P> SendSink<P> for &MessagePlane<P> {
+    fn cover(&mut self, me: usize, t: VirtualTime) {
+        self.publish_window(me, t);
     }
 
-    fn push_batch(&self, dst: usize, msgs: &mut Vec<Msg<P>>) {
+    fn push_batch(&mut self, dst: usize, msgs: &mut Vec<Msg<P>>) {
         let n = msgs.len();
         let Some(t) = msgs.iter().map(Msg::recv_time).min() else {
             return;

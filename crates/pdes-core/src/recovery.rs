@@ -141,7 +141,7 @@ pub fn build_engines<M: Model>(
     threads: usize,
     resume: Option<&Checkpoint<M::State, M::Payload>>,
     ingest: Option<&IngestGate<M::Payload>>,
-    sink: &impl SendSink<M::Payload>,
+    mut sink: impl SendSink<M::Payload>,
 ) -> (LpMap, Vec<ThreadEngine<M>>) {
     let map = match resume {
         Some(c) => {
@@ -168,7 +168,7 @@ pub fn build_engines<M: Model>(
         let mut init = eng.take_init_events();
         match resume {
             Some(c) => eng.restore(&c.lps, &c.events, c.gvt),
-            None => batcher.land(sink, t, &mut init),
+            None => batcher.land(&mut sink, t, &mut init),
         }
         engines.push(eng);
     }
@@ -176,7 +176,7 @@ pub fn build_engines<M: Model>(
         let cut = resume.map_or(VirtualTime::ZERO, |c| c.gvt);
         g.reinject_after_restore(cut, &mut |ev| {
             let dst = map.thread_of(ev.key.dst).index();
-            batcher.buffer(sink, 0, dst, Msg::Event(ev));
+            batcher.buffer(&mut sink, 0, dst, Msg::Event(ev));
         });
         batcher.flush(sink);
     }

@@ -435,7 +435,7 @@ fn run_rounds(
         let before = allocs();
         for _phase in ["A", "B"] {
             for p in ps.iter_mut() {
-                p.fold(plane, round, None);
+                p.fold(plane, plane, round, None);
             }
         }
         in_steps += allocs() - before;

@@ -212,7 +212,7 @@ impl<M: Model> SimThreadTask<M> {
     /// A phase fold, priced.
     fn drain_and_fold(&mut self, sh: &mut Shared<M::Payload>) -> u64 {
         let board = self.tracer.enabled().then_some(&sh.board);
-        let (n, rolled, sends) = self.p.fold(&sh.plane, &sh.round, board);
+        let (n, rolled, sends) = self.p.fold(&sh.plane, &sh.plane, &sh.round, board);
         let c = &sh.cost;
         c.gvt_phase + c.recv_msg * n + c.send_msg * sends + c.rollback_event * rolled
     }
@@ -262,9 +262,8 @@ impl<M: Model> SimThreadTask<M> {
             // Armed round: this thread's share of the consistent cut. The
             // claimant published the round's GVT before any participant can
             // reach End (single-threaded machine), so it is final here.
-            let (n, lps) = self
-                .p
-                .cut(&sh.plane, &sh.round, sh.members.participants, &self.ckpt);
+            let (plane, members) = (&sh.plane, sh.members.participants);
+            let (n, lps) = self.p.cut(plane, plane, &sh.round, members, &self.ckpt);
             cost += c.gvt_phase + c.recv_msg * n + c.proc_event * lps;
             if trace {
                 // The snapshot occupies [now + cw0, now + cost] virtually.

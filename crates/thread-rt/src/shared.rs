@@ -188,7 +188,7 @@ impl<P> RtShared<P> {
     pub fn push_batch(&self, dst: usize, msgs: &mut Vec<Msg<P>>) {
         if !msgs.is_empty() {
             self.backpressure_wait(dst);
-            self.plane.push_batch(dst, msgs);
+            (&self.plane).push_batch(dst, msgs);
         }
     }
 
@@ -332,12 +332,12 @@ impl<P: Clone + serde::Serialize> RtShared<P> {
 }
 
 /// The plane's seam with the bounded-queue wait in front of the push.
-impl<P> SendSink<P> for RtShared<P> {
-    fn plane(&self) -> &MessagePlane<P> {
-        &self.plane
+impl<P> SendSink<P> for &RtShared<P> {
+    fn cover(&mut self, me: usize, t: VirtualTime) {
+        self.publish_window(me, t);
     }
 
-    fn push_batch(&self, dst: usize, msgs: &mut Vec<Msg<P>>) {
+    fn push_batch(&mut self, dst: usize, msgs: &mut Vec<Msg<P>>) {
         RtShared::push_batch(self, dst, msgs);
     }
 }

@@ -110,7 +110,7 @@ impl<'a, M: Model, P: Protocol<M>> Worker<'a, M, P> {
     /// `id`; `kind` is the phase span the fold closes.
     fn fold(&mut self, kind: EventKind, id: u64) {
         let sh = self.sh;
-        self.p.fold(sh, &sh.round, self.board());
+        self.p.fold(sh, sh, &sh.round, self.board());
         self.mark(kind, id);
     }
 
@@ -218,7 +218,7 @@ impl<'a, M: Model, P: Protocol<M>> Worker<'a, M, P> {
         // The participant count is read (and the membership lock dropped)
         // before the cut: the lock is never held across a drain or a deposit.
         let participants = sh.participants();
-        self.p.cut(sh, &sh.round, participants, ckpt);
+        self.p.cut(sh, sh, &sh.round, participants, ckpt);
         if trace {
             self.tracer
                 .span(EventKind::CheckpointWrite, cw0, sh.now_ns(), id);
